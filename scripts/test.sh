@@ -25,11 +25,10 @@ export PYTHONPATH=src
 # id() ordering are banned from the library — plus the RW-set escape
 # checker over every Action subclass (compute/apply must only touch
 # declared object ids), the protocol conformance analyzer (every
-# registered message has senders, a dispatch handler, a codec field
-# encoder, and a decode path; conservation groups counted on both
-# ends), and the schedule-permutation race smoke (the default
-# scenarios under every permutation rule, ~1s).  The JSON mode is
-# exercised too so the CI output format cannot rot.
+# spec'd message has senders and a dispatch handler; conservation
+# groups counted on both ends), and the schedule-permutation race
+# smoke (the default scenarios under every permutation rule, ~1s).
+# The JSON mode is exercised too so the CI output format cannot rot.
 static_analysis() {
   python scripts/lint.py --check determinism src/repro scripts examples
   python scripts/lint.py --check rwset src/repro/world examples

@@ -6,30 +6,34 @@ incarnations — is a set of message dataclasses (``core/messages.py``)
 wired to constructor sites (senders) and ``isinstance`` dispatch
 branches (handlers) spread over many modules.  Example-based tests
 exercise a handful of schedules; this module checks the *shape* of the
-protocol mechanically, by AST extraction, against the registry the
-protocol module declares:
+protocol mechanically, by AST extraction, against what the protocol
+module declares:
 
-* ``PROTOCOL_MESSAGES`` — the closed set of message types;
-* ``ENVELOPED_MESSAGES`` — messages that only travel nested inside
-  another message's fields (no dispatch branch of their own);
-* ``CONSERVATION_GROUPS`` — message groups whose sends/receives are
-  counted into the quiescence check and must stay balanced.
+* one ``@wire_message(...)`` spec per message class — together the
+  closed set of message types.  ``enveloped=True`` marks a message that
+  only travels nested inside another message's fields (no dispatch
+  branch of its own); ``group="..."`` enrols it in a conservation group;
+* ``CONSERVATION_GROUPS`` — per group, the sent/received counters that
+  are summed into the quiescence check and must stay balanced.
 
-Both registries are parsed *statically* — the analyzer never imports
-the code under analysis, so it works on corpora and broken trees alike.
+The wire size, the binary codec and the runtime registries are compiled
+from the same specs, so codec coverage holds by construction and is not
+a rule here.  Specs and groups are parsed *statically* — the analyzer
+never imports the code under analysis, so it works on corpora and
+broken trees alike.
 
 Checks
 ------
 ``protocol-orphan``
-    A registered, non-enveloped message with no ``isinstance`` dispatch
-    branch anywhere in the scanned modules: constructed (or
-    constructible) but never handled — exactly the shape of the PR 9
-    deferred-push replica gap, where a reply was parked and dropped.
+    A non-enveloped message with no ``isinstance`` dispatch branch
+    anywhere in the scanned modules: constructed (or constructible) but
+    never handled — exactly the shape of the PR 9 deferred-push replica
+    gap, where a reply was parked and dropped.
 ``protocol-dead-handler``
     A dispatch branch for a message no scanned module constructs.
 ``protocol-unregistered``
-    A class handled by a dispatcher or covered by the codec but missing
-    from ``PROTOCOL_MESSAGES`` (keeps the registry honest; private
+    A public class of the protocol module that a dispatcher handles but
+    that carries no spec — it can be neither sized nor encoded (private
     ``_Names`` are exempt — the ARQ layer is beneath the protocol).
 ``protocol-unaccounted-send``
     A conservation-group message constructed in a function that neither
@@ -40,15 +44,6 @@ Checks
     A dispatch branch for a conservation-group message that mutates
     state without bumping the group's ``received`` counter (directly or
     via a counted helper).
-``codec-fallback``
-    A registered message with no field-encoder branch in
-    ``MessageCodec._encode_body``: it would silently ride the pickle
-    fallback on the parallel backend (bigger frames, no layout
-    guarantee).  Cross-checked at runtime by the
-    ``codec.pickle_fallback`` metric.
-``codec-decode-missing``
-    A field-encoder branch whose message is never constructed in a
-    decode path — an encoder that produces frames nothing can read.
 
 Findings reuse the lint :class:`~repro.analysis.lint.Finding` shape, so
 the CLI baseline ratchet and ``# lint: allow(...)`` suppressions apply
@@ -73,13 +68,13 @@ from repro.analysis.lint import (
 #: Rule name -> one-line description (merged into ``--list-rules``).
 PROTOCOL_RULES: Dict[str, str] = {
     "protocol-orphan": (
-        "registered message with no dispatch handler in any scanned module"
+        "message with no dispatch handler in any scanned module"
     ),
     "protocol-dead-handler": (
         "dispatch branch for a message nothing constructs"
     ),
     "protocol-unregistered": (
-        "handled or codec-covered class missing from PROTOCOL_MESSAGES"
+        "dispatched protocol-module class without a @wire_message spec"
     ),
     "protocol-unaccounted-send": (
         "conservation-group message built outside a sent-counted path"
@@ -87,57 +82,42 @@ PROTOCOL_RULES: Dict[str, str] = {
     "protocol-unaccounted-handler": (
         "conservation-group dispatch branch without the received bump"
     ),
-    "codec-fallback": (
-        "registered message without a MessageCodec field encoder "
-        "(pickles on the wire)"
-    ),
-    "codec-decode-missing": (
-        "field encoder whose message no decode path constructs"
-    ),
 }
 
 #: Function names that mark a message dispatcher.
 _HANDLER_NAME_RE = re.compile(r"(^|_)(on_|dispatch|deliver|handle)")
 
-#: Function names that mark a codec decode path (decoder coverage).
-_DECODE_NAME_RE = re.compile(r"^(_decode|decode|_r_)")
+#: Name of the class decorator that declares a message's spec.
+_SPEC_DECORATOR = "wire_message"
 
 Site = Tuple[str, int]  # (display path, line)
 
 
 @dataclass
 class MessageFlow:
-    """Everything the analyzer learned about one message type."""
+    """Everything the analyzer learned about one spec'd message type."""
 
     name: str
-    defined: Optional[Site] = None
-    registered: bool = False
+    defined: Site
     enveloped: bool = False
     conservation: Optional[str] = None
     senders: List[Site] = field(default_factory=list)
     handlers: List[Site] = field(default_factory=list)
-    #: Line of the ``_encode_body`` branch / decode constructor, in the
-    #: protocol-definition module; ``None`` = pickle fallback.
-    encoder_line: Optional[int] = None
-    decoder_line: Optional[int] = None
 
     def to_dict(self) -> dict:
         """JSON form; key order and list order are deterministic."""
         return {
             "name": self.name,
             "defined": _site_str(self.defined),
-            "registered": self.registered,
             "enveloped": self.enveloped,
             "conservation": self.conservation,
             "senders": [_site_str(s) for s in sorted(self.senders)],
             "handlers": [_site_str(s) for s in sorted(self.handlers)],
-            "encoder_line": self.encoder_line,
-            "decoder_line": self.decoder_line,
         }
 
 
-def _site_str(site: Optional[Site]) -> Optional[str]:
-    return None if site is None else f"{site[0]}:{site[1]}"
+def _site_str(site: Site) -> str:
+    return f"{site[0]}:{site[1]}"
 
 
 @dataclass
@@ -163,19 +143,15 @@ class ProtocolModel:
 # ----------------------------------------------------------------------
 # AST helpers
 # ----------------------------------------------------------------------
-def _isinstance_names(
-    test: ast.AST, subject: Optional[str] = None
-) -> List[ast.AST]:
+def _isinstance_names(test: ast.AST) -> List[ast.AST]:
     """Class-name nodes of an ``isinstance(x, T)`` / ``not isinstance``
-    / ``type(x) is T`` test; empty list when the test is neither.
-    With ``subject``, only tests whose first argument is that exact
-    name count (filters nested helper-variable tests)."""
+    / ``type(x) is T`` test; empty list when the test is neither."""
     if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
-        return _isinstance_names(test.operand, subject)
+        return _isinstance_names(test.operand)
     if isinstance(test, ast.BoolOp):
         names: List[ast.AST] = []
         for value in test.values:
-            names.extend(_isinstance_names(value, subject))
+            names.extend(_isinstance_names(value))
         return names
     if (
         isinstance(test, ast.Call)
@@ -183,10 +159,6 @@ def _isinstance_names(
         and test.func.id == "isinstance"
         and len(test.args) == 2
     ):
-        if subject is not None and not (
-            isinstance(test.args[0], ast.Name) and test.args[0].id == subject
-        ):
-            return []
         target = test.args[1]
         if isinstance(target, ast.Tuple):
             return list(target.elts)
@@ -200,11 +172,6 @@ def _isinstance_names(
         and test.left.func.id == "type"
         and len(test.left.args) == 1
     ):
-        if subject is not None and not (
-            isinstance(test.left.args[0], ast.Name)
-            and test.left.args[0].id == subject
-        ):
-            return []
         return [test.comparators[0]]
     return []
 
@@ -257,48 +224,56 @@ def _functions(tree: ast.AST):
 
 
 # ----------------------------------------------------------------------
-# Protocol-definition module (registries + codec tag table)
+# Protocol-definition module (message specs + conservation groups)
 # ----------------------------------------------------------------------
 @dataclass
 class _Definition:
     path: str
-    registry: List[str] = field(default_factory=list)
-    enveloped: List[str] = field(default_factory=list)
+    #: spec'd message name -> (enveloped, conservation group or None)
+    specs: Dict[str, Tuple[bool, Optional[str]]] = field(default_factory=dict)
     conservation: Dict[str, dict] = field(default_factory=dict)
     class_lines: Dict[str, int] = field(default_factory=dict)
-    encoder_lines: Dict[str, int] = field(default_factory=dict)
-    decoder_lines: Dict[str, int] = field(default_factory=dict)
 
 
-def _tuple_of_names(node: ast.AST) -> Optional[List[str]]:
-    if isinstance(node, (ast.Tuple, ast.List)) and all(
-        isinstance(elt, ast.Name) for elt in node.elts
-    ):
-        return [elt.id for elt in node.elts]
+def _spec_keywords(node: ast.ClassDef) -> Optional[Dict[str, object]]:
+    """Literal keyword arguments of the class's ``@wire_message(...)``
+    decorator; ``None`` when the class carries no spec."""
+    for decorator in node.decorator_list:
+        if (
+            isinstance(decorator, ast.Call)
+            and isinstance(decorator.func, ast.Name)
+            and decorator.func.id == _SPEC_DECORATOR
+        ):
+            return {
+                keyword.arg: keyword.value.value
+                for keyword in decorator.keywords
+                if isinstance(keyword.value, ast.Constant)
+            }
     return None
 
 
 def _extract_definition(path: str, tree: ast.Module) -> Optional[_Definition]:
-    """Parse the registries out of a module; ``None`` when the module
-    does not assign ``PROTOCOL_MESSAGES`` (i.e. is not the protocol
-    definition module)."""
+    """Parse the specs and groups out of a module; ``None`` when the
+    module does not assign ``PROTOCOL_MESSAGES`` (i.e. is not the
+    protocol definition module)."""
     definition = _Definition(path)
     found_registry = False
     for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            definition.class_lines[node.name] = node.lineno
+            keywords = _spec_keywords(node)
+            if keywords is not None:
+                definition.specs[node.name] = (
+                    keywords.get("enveloped") is True,
+                    keywords.get("group"),
+                )
         if not isinstance(node, ast.Assign) or len(node.targets) != 1:
             continue
         target = node.targets[0]
         if not isinstance(target, ast.Name):
             continue
         if target.id == "PROTOCOL_MESSAGES":
-            names = _tuple_of_names(node.value)
-            if names is not None:
-                definition.registry = names
-                found_registry = True
-        elif target.id == "ENVELOPED_MESSAGES":
-            names = _tuple_of_names(node.value)
-            if names is not None:
-                definition.enveloped = names
+            found_registry = True
         elif target.id == "CONSERVATION_GROUPS":
             try:
                 groups = ast.literal_eval(node.value)
@@ -306,30 +281,7 @@ def _extract_definition(path: str, tree: ast.Module) -> Optional[_Definition]:
                 groups = None
             if isinstance(groups, dict):
                 definition.conservation = groups
-    if not found_registry:
-        return None
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef):
-            definition.class_lines[node.name] = node.lineno
-    for func in _functions(tree):
-        if func.name == "_encode_body":
-            params = [a.arg for a in func.args.args if a.arg != "self"]
-            subject = params[0] if params else None
-            for sub in ast.walk(func):
-                if isinstance(sub, ast.If):
-                    for name, line in _name_ids(
-                        _isinstance_names(sub.test, subject)
-                    ):
-                        definition.encoder_lines.setdefault(name, line)
-        elif _DECODE_NAME_RE.search(func.name):
-            for sub in ast.walk(func):
-                if isinstance(sub, ast.Call) and isinstance(
-                    sub.func, ast.Name
-                ):
-                    definition.decoder_lines.setdefault(
-                        sub.func.id, sub.lineno
-                    )
-    return definition
+    return definition if found_registry else None
 
 
 # ----------------------------------------------------------------------
@@ -408,9 +360,9 @@ def analyze_paths(
 
     ``paths`` are files or directories; the file assigning
     ``PROTOCOL_MESSAGES`` (normally ``core/messages.py``) is discovered
-    among them and doubles as the codec tag table.  Raises
-    ``SyntaxError`` on unparsable files — callers surface it as exit
-    code 2, like the other checks.
+    among them and supplies the message specs.  Raises ``SyntaxError``
+    on unparsable files — callers surface it as exit code 2, like the
+    other checks.
     """
     files = iter_python_files([Path(p) for p in paths])
     trees: List[Tuple[str, str, ast.Module]] = []
@@ -441,32 +393,21 @@ def analyze_paths(
         )
         return ProtocolModel(None, flows, findings, len(files))
 
-    conservation_of: Dict[str, str] = {}
-    for group_name in sorted(definition.conservation):
-        group = definition.conservation[group_name]
-        for message in group.get("messages", ()):
-            conservation_of[message] = group_name
-
-    known: Set[str] = set(definition.registry)
-    known.update(definition.enveloped)
-    known.update(definition.encoder_lines)
-    known.update(
-        name
-        for name in definition.class_lines
-        if not name.startswith("_") and name[:1].isupper()
-    )
-
-    for name in sorted(known):
-        line = definition.class_lines.get(name)
+    for name, (enveloped, group) in sorted(definition.specs.items()):
         flows[name] = MessageFlow(
             name=name,
-            defined=(definition.path, line) if line is not None else None,
-            registered=name in definition.registry,
-            enveloped=name in definition.enveloped,
-            conservation=conservation_of.get(name),
-            encoder_line=definition.encoder_lines.get(name),
-            decoder_line=definition.decoder_lines.get(name),
+            defined=(definition.path, definition.class_lines[name]),
+            enveloped=enveloped,
+            conservation=group if group in definition.conservation else None,
         )
+    # Only spec'd classes are messages; the module's other public
+    # classes are tracked just far enough to catch one being dispatched.
+    unspecd = {
+        name
+        for name in definition.class_lines
+        if name not in flows and not name.startswith("_")
+    }
+    known = set(flows) | unspecd
 
     scans = [
         _scan_module(shown, source, tree, known)
@@ -474,10 +415,10 @@ def analyze_paths(
         if shown != definition.path
     ]
     for scan in scans:
-        for name in sorted(scan.handler_sites):
+        for name in sorted(flows.keys() & scan.handler_sites.keys()):
             for line, _body in scan.handler_sites[name]:
                 flows[name].handlers.append((scan.path, line))
-        for name in sorted(scan.sender_sites):
+        for name in sorted(flows.keys() & scan.sender_sites.keys()):
             for line, _func in scan.sender_sites[name]:
                 flows[name].senders.append((scan.path, line))
 
@@ -492,50 +433,28 @@ def analyze_paths(
     # -- flow rules -----------------------------------------------------
     for name in sorted(flows):
         flow = flows[name]
-        def_path, def_line = flow.defined or (definition.path, 1)
-        if flow.registered and not flow.enveloped and not flow.handlers:
+        if not flow.enveloped and not flow.handlers:
             report(
-                def_path,
-                def_line,
+                *flow.defined,
                 "protocol-orphan",
                 f"{name} is constructed but no scanned module dispatches "
                 "it (orphan message)",
             )
         if flow.handlers and not flow.senders and not flow.enveloped:
-            handler_path, handler_line = sorted(flow.handlers)[0]
             report(
-                handler_path,
-                handler_line,
+                *sorted(flow.handlers)[0],
                 "protocol-dead-handler",
                 f"{name} is dispatched here but never constructed in any "
                 "scanned module",
             )
-        if (flow.handlers or flow.encoder_line is not None) and not (
-            flow.registered or flow.enveloped
-        ):
-            report(
-                def_path,
-                def_line,
-                "protocol-unregistered",
-                f"{name} is part of the wire protocol but missing from "
-                "PROTOCOL_MESSAGES",
-            )
-        if flow.registered and flow.encoder_line is None:
-            report(
-                def_path,
-                def_line,
-                "codec-fallback",
-                f"{name} has no MessageCodec._encode_body branch: it "
-                "would ship via the pickle fallback on the parallel "
-                "backend",
-            )
-        if flow.encoder_line is not None and flow.decoder_line is None:
+    for name in sorted(unspecd):
+        if any(name in scan.handler_sites for scan in scans):
             report(
                 definition.path,
-                flow.encoder_line,
-                "codec-decode-missing",
-                f"{name} has a field encoder but no decode path "
-                "constructs it",
+                definition.class_lines[name],
+                "protocol-unregistered",
+                f"{name} is dispatched as a protocol message but carries "
+                f"no @{_SPEC_DECORATOR} spec",
             )
 
     # -- conservation accounting ----------------------------------------
@@ -544,7 +463,9 @@ def analyze_paths(
         module_suffix = group.get("module", "")
         sent_counter = group.get("sent", "")
         received_counter = group.get("received", "")
-        members = set(group.get("messages", ()))
+        members = {
+            name for name, flow in flows.items() if flow.conservation == group_name
+        }
         for scan in scans:
             in_module = scan.path.endswith(module_suffix)
             counted_senders = (

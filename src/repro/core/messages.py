@@ -1,555 +1,52 @@
 """Protocol messages exchanged between clients and the server.
 
-Messages are plain dataclasses; their simulated wire size is computed by
-:func:`wire_size` so that the traffic meter (Figure 9) sees realistic
-relative magnitudes without a real serialization format.
+Every message is a plain dataclass that carries exactly one
+:func:`wire_message` spec next to its fields: its frame tag, its fields
+in wire order with the :class:`Kind` of each, and the constant part of
+its modelled size.  Everything else is *derived* from the specs when
+the module is imported:
 
-For transports that really do cross a process boundary (the parallel
-shard backend, :mod:`repro.net.backend`) the module also provides
-:class:`MessageCodec`, a compact binary encoding: length-prefixed,
-tag-dispatched struct frames for every protocol message, with hot
-payloads (move actions, blind writes, results) field-encoded and an
-object-payload pickle fallback for anything exotic.  The encoding is
-self-delimiting, so the same frames can back a checkpoint or WAL file.
+* :func:`wire_size` — the simulated size the traffic meter bills
+  (Figure 9), so it sees realistic relative magnitudes;
+* :class:`MessageCodec` — the compact binary encoding used wherever a
+  message really crosses a process boundary (the parallel shard
+  backend, :mod:`repro.net.backend`): length-prefixed, tag-dispatched
+  frames, self-delimiting, so the same frames can back a checkpoint or
+  WAL file;
+* the registries the protocol conformance analyzer checks senders and
+  handlers against (``PROTOCOL_MESSAGES``, ``ENVELOPED_MESSAGES``, the
+  members of ``CONSERVATION_GROUPS``).
+
+Adding a message is therefore one class with one spec (plus a
+round-trip sample in ``tests/test_codec.py``); a type without a spec is
+a ``TypeError`` from :func:`wire_size` and a :class:`CodecError` from
+the codec, never a silent fallback.  Pickle survives only *inside*
+frames, for world-specific action classes and exotic attribute values.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import pickle
 import struct
-import warnings
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from operator import attrgetter, methodcaller
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.action import Action, ActionId, ActionResult, BlindWrite
 from repro.errors import ProtocolError
+from repro.net.network import _Ack, _Packet
 from repro.types import ClientId, TimeMs
+from repro.world.geometry import Vec2
 
 
-@dataclass(frozen=True)
-class SubmitAction:
-    """Client -> server: a freshly created action to be serialized."""
-
-    action: Action
-
-
-@dataclass(frozen=True)
-class OrderedAction:
-    """One entry of the server's serialized stream.
-
-    ``pos`` is the action's global order number (its position in the
-    server queue); clients apply entries in stream order.
-    """
-
-    pos: int
-    action: Action
-
-
-@dataclass(frozen=True)
-class ActionBatch:
-    """Server -> client: an ordered batch of actions.
-
-    In the basic protocol this is "all actions you have not seen yet";
-    in the Incomplete World / First Bound models it is a transitive
-    closure (with a blind-write prefix carried as an entry with
-    ``pos = -1``) or a proactive push.  ``last_installed`` piggybacks the
-    server's commit frontier for client-side garbage collection.
-    """
-
-    entries: Tuple[OrderedAction, ...]
-    last_installed: int = -1
-
-
-@dataclass(frozen=True)
-class Completion:
-    """Client -> server: stable result *u* of an action (Algorithm 4
-    step 5), enabling the server to install ζ_S(i)."""
-
-    pos: int
-    action_id: ActionId
-    result: ActionResult
-    #: Which client produced the completion (relevant in the
-    #: fault-tolerant mode where every evaluating client responds).
-    reporter: ClientId = -2
-
-
-@dataclass(frozen=True)
-class AbortNotice:
-    """Server -> originating client: the Information Bound Model dropped
-    this action; roll back its optimistic effects."""
-
-    action_id: ActionId
-
-
-@dataclass(frozen=True)
-class CommitNotice:
-    """Server -> originating client: this action committed while the
-    reactive reply to it was parked by the in-order guard, so its echo
-    can no longer be delivered (the entry has left the queue).
-
-    The committed values travel in the blind write sent just before
-    this notice on the same FIFO channel; the notice itself retires the
-    client's optimistic entry and confirms the submission.  Without it
-    the originator would wait for an echo that never comes — a liveness
-    gap the schedule-permutation explorer flushed out
-    (docs/static_analysis.md)."""
-
-    pos: int
-    action_id: ActionId
-
-
-@dataclass(frozen=True)
-class StateUpdate:
-    """Server -> client (Central/RING baselines): authoritative values.
-
-    ``cause`` identifies the action whose evaluation produced the
-    update, so the originator can measure its response time.
-    """
-
-    values: tuple  # canonicalised like ActionResult.written
-    cause: Optional[ActionId] = None
-    submitted_at: TimeMs = 0.0
-
-
-@dataclass(frozen=True)
-class PeerForward:
-    """Server -> relay peer: a batch to pass on to ``final_dst``.
-
-    The Section VII hybrid architecture: the server sends one copy to a
-    relay client, which forwards it over a peer link — server egress is
-    spent once, the relay pays the second hop.
-    """
-
-    final_dst: ClientId
-    payload: "ActionBatch"
-
-
-@dataclass(frozen=True)
-class GroupBundle:
-    """Server -> relay head: one push cycle's batches for a relay group,
-    with shared entries deduplicated (§VII hybrid).
-
-    ``shared`` holds each queued action once; ``members`` maps each
-    recipient to a sequence whose items are either an ``int`` (index
-    into ``shared``) or an :class:`OrderedAction` carrying a
-    member-specific blind write.  The head reconstructs each member's
-    :class:`ActionBatch` and forwards it over a peer link (keeping its
-    own batch for itself).  On the wire, a shared entry costs its full
-    size exactly once and 4 bytes per additional reference — that is
-    the egress saving over unicasting overlapping batches.
-    """
-
-    shared: Tuple[OrderedAction, ...]
-    members: Tuple[Tuple[ClientId, tuple], ...]
-    last_installed: int = -1
-
-
-@dataclass(frozen=True)
-class Heartbeat:
-    """Client -> server: liveness beacon (Section III-C).
-
-    Heartbeats are sent unreliably on purpose — a heartbeat that the
-    lossy network ate carries exactly the information the server needs
-    (nothing arrived)."""
-
-    sender: ClientId = -2
-
-
-@dataclass(frozen=True)
-class RelayedAction:
-    """Server -> client (Broadcast/RING baselines): a raw forwarded
-    action for local evaluation."""
-
-    action: Action
-    submitted_at: TimeMs = 0.0
-
-
-# ----------------------------------------------------------------------
-# Sharded deployment (repro.core.sharded): cross-shard forwarding,
-# splicing, result distribution, and client handoff.
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class SpanForward:
-    """Owner shard -> sequencer: a spanning action awaiting a global
-    sequence number.  ``involved`` names every shard whose region the
-    action's influence disc intersects (owner included)."""
-
-    owner: int
-    involved: Tuple[int, ...]
-    action: Action
-
-
-@dataclass(frozen=True)
-class SpanSplice:
-    """Sequencer -> involved shards: splice this spanning action into
-    your local stream at your next position.  Splices are broadcast in
-    strictly ascending ``gsn`` order over FIFO backbone links, which is
-    what makes every shard agree on the relative order of spanning
-    actions."""
-
-    gsn: int
-    owner: int
-    involved: Tuple[int, ...]
-    action: Action
-
-
-@dataclass(frozen=True)
-class SpanResult:
-    """Owner shard -> involved peers: the committed result of a
-    spanning action (the originator's completion, relayed)."""
-
-    gsn: int
-    action_id: ActionId
-    result: ActionResult
-
-
-@dataclass(frozen=True)
-class SpanAbort:
-    """Owner shard -> involved peers: the spanning action was aborted
-    (orphaned or dropped); peers mark their spliced entry invalid."""
-
-    gsn: int
-    action_id: ActionId
-
-
-@dataclass(frozen=True)
-class HandoffPrepare:
-    """Shard -> client: your region owner is changing; stop submitting
-    to me and acknowledge with :class:`HandoffReady`."""
-
-    new_shard: int
-
-
-@dataclass(frozen=True)
-class HandoffReady:
-    """Client -> old shard: I have stopped submitting.  Sent on the
-    same FIFO channel as submissions, so receipt proves the shard has
-    everything the client ever sent it."""
-
-    client_id: ClientId
-
-
-@dataclass(frozen=True)
-class HandoffTransfer:
-    """Old shard -> new shard (backbone): adopt this client.
-
-    ``resolved`` lists the client's action ids the old shard already
-    committed or aborted — relayed to the client so it can retire
-    pending entries whose stream echoes will never arrive."""
-
-    client_id: ClientId
-    radius: float
-    interests: Optional[frozenset] = None
-    resolved: Tuple[ActionId, ...] = ()
-
-
-@dataclass(frozen=True)
-class HandoffWelcome:
-    """New shard -> client: you are mine now; switch your stream."""
-
-    shard: int
-    resolved: Tuple[ActionId, ...] = ()
-
-
-# ----------------------------------------------------------------------
-# Elastic rebalancing control plane (repro.core.elastic,
-# docs/elasticity.md).  All five travel only between shard servers on
-# the fault-free FIFO backbone.
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class LoadReport:
-    """Shard -> controller (shard 0): one load sample — the cpu and
-    serialized-count deltas accumulated since the previous sample.
-    Every shard reports once per elastic interval; the controller
-    evaluates a round once all K reports for it have arrived."""
-
-    shard: int
-    round: int
-    cpu_ms: float
-    serialized: int
-    clients: int
-
-
-@dataclass(frozen=True)
-class PartitionUpdate:
-    """Controller -> every shard: flip your partition copy to
-    ``version`` with interior stripe ``boundaries``.  Receipt opens an
-    epoch on the shard: a fence at its current queue position, bulk
-    handoffs for clients it no longer owns, and union-of-epochs span
-    classification until the version commits."""
-
-    version: int
-    boundaries: Tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class DrainDone:
-    """Shard -> controller: my fence for ``version`` passed, my region
-    syncs went out, and every bulk-handoff transfer has been sent."""
-
-    shard: int
-    version: int
-
-
-@dataclass(frozen=True)
-class PartitionCommit:
-    """Controller -> every shard: all K shards drained ``version``;
-    retire the superseded boundaries from span classification."""
-
-    version: int
-
-
-@dataclass(frozen=True)
-class RegionSync:
-    """Losing shard -> gaining shard: committed values of every
-    written object inside the transferred x-interval [lo, hi).
-
-    Each entry is ``(oid, stamp_gsn, stamp_local, attrs)`` with attrs
-    canonicalised like ``ActionResult.written``.  The stamp is the gsn
-    of the last spanning action that wrote the object (-1 if none)
-    plus a flag for a later local write; the receiver applies an entry
-    only if the stamp is strictly newer than its own, so a sync racing
-    a span it already committed never regresses the store."""
-
-    version: int
-    lo: float
-    hi: float
-    entries: Tuple[tuple, ...] = ()
-
-
-# ----------------------------------------------------------------------
-# Control-plane messages (docs/control_plane.md).  Backbone-only, like
-# the elastic messages above.
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class LeaseHeartbeat:
-    """Leaseholder -> every shard: I still hold the gsn lease for
-    ``term``.  Silence past the lease timeout triggers an election."""
-
-    term: int
-    holder: int
-
-
-@dataclass(frozen=True)
-class LeaseRequest:
-    """Candidate -> every shard: vote for me as holder of ``term``."""
-
-    term: int
-    candidate: int
-
-
-@dataclass(frozen=True)
-class LeaseVote:
-    """Voter -> candidate: one vote for ``term``, carrying the highest
-    gsn this voter has observed so the winner's floor clears it."""
-
-    term: int
-    voter: int
-    max_gsn: int
-
-
-@dataclass(frozen=True)
-class LeaseGrant:
-    """New holder -> every shard: the round for ``term`` completed;
-    ``holder`` sequences from ``gsn_floor`` up.  Receivers re-forward
-    any spanning actions the dead holder never spliced."""
-
-    term: int
-    holder: int
-    gsn_floor: int
-
-
-@dataclass(frozen=True)
-class ShardHello:
-    """Restarted shard -> every shard: I am back (recovered from
-    checkpoint+WAL).  Receivers clear me from their dead set; the
-    leaseholder re-sends the current lease and partition version."""
-
-    shard: int
-
-
-@dataclass(frozen=True)
-class ClientHello:
-    """Reconnecting client -> its shard: re-attach me (the protocol
-    rejoin path for K > 1, where the classic oracle re-attach would
-    target shard 0 regardless of where the avatar lives).  Answered
-    with a :class:`HandoffWelcome`; the client retries until one
-    arrives, so a hello racing a handoff or a second crash is safe."""
-
-    client_id: ClientId
-    radius: float
-    interests: Optional[frozenset] = None
-
-
-# ----------------------------------------------------------------------
-# Protocol registry (repro.analysis.protocol, docs/static_analysis.md).
-#
-# ``PROTOCOL_MESSAGES`` is the closed set of message types the protocol
-# conformance analyzer checks senders, handlers, codec tags, and wire
-# sizes against; the tuple is parsed *statically* (never imported) by
-# the analyzer, so keep it a plain literal of names defined above.
-# ----------------------------------------------------------------------
-PROTOCOL_MESSAGES = (
-    SubmitAction,
-    OrderedAction,
-    ActionBatch,
-    Completion,
-    AbortNotice,
-    CommitNotice,
-    StateUpdate,
-    PeerForward,
-    GroupBundle,
-    Heartbeat,
-    RelayedAction,
-    SpanForward,
-    SpanSplice,
-    SpanResult,
-    SpanAbort,
-    HandoffPrepare,
-    HandoffReady,
-    HandoffTransfer,
-    HandoffWelcome,
-    LoadReport,
-    PartitionUpdate,
-    DrainDone,
-    PartitionCommit,
-    RegionSync,
-    LeaseHeartbeat,
-    LeaseRequest,
-    LeaseVote,
-    LeaseGrant,
-    ShardHello,
-    ClientHello,
-)
-
-#: Messages that only travel *inside* another message's fields (an
-#: :class:`OrderedAction` rides in batch/bundle/splice entries) and are
-#: therefore consumed structurally, never by an ``isinstance`` dispatch
-#: branch of their own.  The flow-graph analyzer exempts these from the
-#: every-message-has-a-handler rule but still requires codec coverage.
-ENVELOPED_MESSAGES = (OrderedAction,)
-
-#: Conservation accounting the analyzer enforces: every message in a
-#: group must be counted on both ends — the dispatch branch handling it
-#: bumps ``received`` and every constructor site flows through a sender
-#: that bumps ``sent`` — because the quiescence check sums exactly these
-#: counters (``ShardedSeveEngine._quiescent``).  A handler that mutates
-#: state without the accounting would let a run go quiescent with
-#: control messages still in flight.  Parsed statically, like the
-#: registry above.
-CONSERVATION_GROUPS = {
-    "elastic": {
-        "messages": (
-            "LoadReport",
-            "PartitionUpdate",
-            "DrainDone",
-            "PartitionCommit",
-            "RegionSync",
-        ),
-        "sent": "elastic_sent",
-        "received": "elastic_received",
-        "module": "core/sharded.py",
-    },
-}
-
-
-def wire_size(message: object) -> int:
-    """Simulated size in bytes of a protocol message.
-
-    Sizes: actions self-report (:meth:`Action.wire_size`); results and
-    state updates cost 12 bytes per written attribute plus 8 per object;
-    fixed headers cover ids and positions.
-    """
-    if isinstance(message, SubmitAction):
-        return 16 + message.action.wire_size()
-    if isinstance(message, OrderedAction):
-        return 8 + message.action.wire_size()
-    if isinstance(message, ActionBatch):
-        return 16 + sum(8 + entry.action.wire_size() for entry in message.entries)
-    if isinstance(message, Completion):
-        return 32 + _result_size(message.result)
-    if isinstance(message, AbortNotice):
-        return 24
-    if isinstance(message, CommitNotice):
-        return 32
-    if isinstance(message, Heartbeat):
-        return 8
-    if isinstance(message, StateUpdate):
-        return 24 + sum(8 + 12 * len(attrs) for _, attrs in message.values)
-    if isinstance(message, RelayedAction):
-        return 24 + message.action.wire_size()
-    if isinstance(message, PeerForward):
-        return 8 + wire_size(message.payload)
-    if isinstance(message, GroupBundle):
-        size = 16 + sum(8 + entry.action.wire_size() for entry in message.shared)
-        for _, items in message.members:
-            size += 8
-            for item in items:
-                if isinstance(item, int):
-                    size += 4  # reference into the shared table
-                else:
-                    size += 8 + item.action.wire_size()
-        return size
-    if isinstance(message, SpanForward):
-        return 24 + 4 * len(message.involved) + message.action.wire_size()
-    if isinstance(message, SpanSplice):
-        return 32 + 4 * len(message.involved) + message.action.wire_size()
-    if isinstance(message, SpanResult):
-        return 32 + _result_size(message.result)
-    if isinstance(message, SpanAbort):
-        return 32
-    if isinstance(message, HandoffPrepare):
-        return 16
-    if isinstance(message, HandoffReady):
-        return 16
-    if isinstance(message, HandoffTransfer):
-        return (
-            32
-            + 8 * len(message.resolved)
-            + (4 * len(message.interests) if message.interests else 0)
-        )
-    if isinstance(message, HandoffWelcome):
-        return 16 + 8 * len(message.resolved)
-    if isinstance(message, LoadReport):
-        return 32
-    if isinstance(message, PartitionUpdate):
-        return 16 + 8 * len(message.boundaries)
-    if isinstance(message, DrainDone):
-        return 16
-    if isinstance(message, PartitionCommit):
-        return 8
-    if isinstance(message, RegionSync):
-        return 32 + sum(
-            16 + 12 * len(attrs) for _, _, _, attrs in message.entries
-        )
-    if isinstance(message, LeaseHeartbeat):
-        return 12
-    if isinstance(message, LeaseRequest):
-        return 12
-    if isinstance(message, LeaseVote):
-        return 16
-    if isinstance(message, LeaseGrant):
-        return 16
-    if isinstance(message, ShardHello):
-        return 8
-    if isinstance(message, ClientHello):
-        return 16 + (4 * len(message.interests) if message.interests else 0)
-    raise TypeError(f"not a protocol message: {type(message).__name__}")
-
-
-def _result_size(result: ActionResult) -> int:
-    return sum(8 + 12 * len(attrs) for _, attrs in result.written)
-
-
-# ----------------------------------------------------------------------
-# Binary codec
-# ----------------------------------------------------------------------
 class CodecError(ProtocolError):
     """A binary frame could not be encoded or decoded.
 
-    Raised for truncated frames, unknown message tags, and decode
-    contexts that lack the world geometry a payload references.
+    Raised for message types without a wire spec, truncated or corrupt
+    frames, unknown message tags, and decode contexts that lack the
+    world geometry a payload references.
     """
 
 
@@ -559,41 +56,6 @@ _I64 = struct.Struct(">q")
 _F64 = struct.Struct(">d")
 _ACTION_ID = struct.Struct(">qq")
 _VEC2 = struct.Struct(">dd")
-
-#: Frame tags.  Values are part of the on-wire format: never renumber.
-_TAG_SUBMIT = 1
-_TAG_ORDERED = 2
-_TAG_BATCH = 3
-_TAG_COMPLETION = 4
-_TAG_ABORT_NOTICE = 5
-_TAG_STATE_UPDATE = 6
-_TAG_HEARTBEAT = 7
-_TAG_RELAYED = 8
-_TAG_PEER_FORWARD = 9
-_TAG_GROUP_BUNDLE = 10
-_TAG_SPAN_FORWARD = 16
-_TAG_SPAN_SPLICE = 17
-_TAG_SPAN_RESULT = 18
-_TAG_SPAN_ABORT = 19
-_TAG_HANDOFF_PREPARE = 20
-_TAG_HANDOFF_READY = 21
-_TAG_HANDOFF_TRANSFER = 22
-_TAG_HANDOFF_WELCOME = 23
-_TAG_ARQ_PACKET = 24
-_TAG_ARQ_ACK = 25
-_TAG_LOAD_REPORT = 32
-_TAG_PARTITION_UPDATE = 33
-_TAG_DRAIN_DONE = 34
-_TAG_PARTITION_COMMIT = 35
-_TAG_REGION_SYNC = 36
-_TAG_LEASE_HEARTBEAT = 37
-_TAG_LEASE_REQUEST = 38
-_TAG_LEASE_VOTE = 39
-_TAG_LEASE_GRANT = 40
-_TAG_SHARD_HELLO = 41
-_TAG_CLIENT_HELLO = 42
-_TAG_COMMIT_NOTICE = 43
-_TAG_PICKLED = 127
 
 #: Action sub-tags (inside frame bodies).
 _ACT_MOVE = ord("M")
@@ -616,11 +78,6 @@ _VAL_PICKLED = ord("P")
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
-
-#: Message-type names already warned about at the pickle fallback; the
-#: warning fires once per type per process, the per-codec count keeps
-#: incrementing (see :attr:`MessageCodec.pickle_fallbacks`).
-_FALLBACK_WARNED: set = set()
 
 #: Token stored in pickle streams wherever a wall field appeared; the
 #: decoding codec resolves it to its own bound :class:`WallField` so the
@@ -657,8 +114,974 @@ class _Reader:
         return self.read(1)[0]
 
 
+# ----------------------------------------------------------------------
+# Field kinds: the reusable vocabulary the message specs are written in.
+# ----------------------------------------------------------------------
+class Kind(NamedTuple):
+    """How one kind of field is written, read back, and sized.
+
+    ``size`` is what a value adds to the modelled size *beyond* the
+    message's constant header bytes; fixed-width kinds leave it ``None``
+    because their bytes are already part of that constant.
+    """
+
+    write: Callable[["MessageCodec", bytearray, Any], None]
+    read: Callable[["MessageCodec", _Reader], Any]
+    size: Optional[Callable[[Any], int]] = None
+
+
+def _flat_sum(constant: int, terms: List[Tuple[str, Callable]]) -> Callable:
+    """``lambda x: constant + size0(x<access0>) + size1(x<access1>) ...``
+    generated as one flat function, the way ``dataclasses`` generates
+    ``__init__``: every send is sized, so no loop and no generator."""
+    scope = {f"size{i}": size for i, (_, size) in enumerate(terms)}
+    body = "".join(f" + size{i}(x{access})" for i, (access, _) in enumerate(terms))
+    return eval(f"lambda x: {constant}{body}", scope)
+
+
+def _number(fmt: struct.Struct) -> Kind:
+    """One fixed-width number."""
+
+    def write(codec, out, value):
+        out += fmt.pack(value)
+
+    return Kind(write, lambda codec, r: r.unpack(fmt)[0])
+
+
+def optional(kind: Kind) -> Kind:
+    """A presence byte, then the value unless it is ``None``."""
+
+    def write(codec, out, value):
+        out.append(0 if value is None else 1)
+        if value is not None:
+            kind.write(codec, out, value)
+
+    def read(codec, r):
+        return kind.read(codec, r) if r.byte() else None
+
+    def size(value):
+        return 0 if value is None else kind.size(value)
+
+    return Kind(write, read, size if kind.size else None)
+
+
+def seq(kind: Kind, each: int = 0) -> Kind:
+    """A u32 count, then that many items (read back as a tuple);
+    modelled at ``each`` bytes per item plus whatever the items add."""
+
+    def write(codec, out, values):
+        out += _U32.pack(len(values))
+        for value in values:
+            kind.write(codec, out, value)
+
+    def read(codec, r):
+        (count,) = r.unpack(_U32)
+        return tuple(kind.read(codec, r) for _ in range(count))
+
+    def size(values):
+        return each * len(values) + sum(map(kind.size, values))
+
+    return Kind(write, read, size if kind.size else lambda values: each * len(values))
+
+
+def record(*kinds: Kind, base: int = 0) -> Kind:
+    """A fixed-arity tuple, one kind per position; modelled at ``base``
+    bytes plus whatever the parts add."""
+    sized = [(f"[{i}]", kind.size) for i, kind in enumerate(kinds) if kind.size]
+
+    def write(codec, out, values):
+        for kind, value in zip(kinds, values, strict=True):
+            kind.write(codec, out, value)
+
+    def read(codec, r):
+        return tuple(kind.read(codec, r) for kind in kinds)
+
+    return Kind(write, read, _flat_sum(base, sized) if base or sized else None)
+
+
+def _w_str(codec, out: bytearray, text: str) -> None:
+    raw = text.encode("utf-8")
+    out += _U32.pack(len(raw))
+    out += raw
+
+
+def _r_str(codec, r: _Reader) -> str:
+    (length,) = r.unpack(_U32)
+    try:
+        return str(r.read(length), "utf-8")
+    except UnicodeDecodeError as exc:
+        raise CodecError(f"corrupt string field: {exc}") from exc
+
+
+def _w_value(codec, out: bytearray, value) -> None:
+    if value is None:
+        out.append(_VAL_NONE)
+    elif value is True:
+        out.append(_VAL_TRUE)
+    elif value is False:
+        out.append(_VAL_FALSE)
+    elif type(value) is int and _INT64_MIN <= value <= _INT64_MAX:
+        out.append(_VAL_INT)
+        out += _I64.pack(value)
+    elif type(value) is float:
+        out.append(_VAL_FLOAT)
+        out += _F64.pack(value)
+    elif type(value) is str:
+        out.append(_VAL_STR)
+        _w_str(codec, out, value)
+    elif type(value) is tuple:
+        out.append(_VAL_TUPLE)
+        out += _U32.pack(len(value))
+        for item in value:
+            _w_value(codec, out, item)
+    else:
+        out.append(_VAL_PICKLED)
+        _w_pickled(out, value)
+
+
+def _r_value(codec, r: _Reader):
+    kind = r.byte()
+    if kind == _VAL_NONE:
+        return None
+    if kind == _VAL_TRUE:
+        return True
+    if kind == _VAL_FALSE:
+        return False
+    if kind == _VAL_INT:
+        return r.unpack(_I64)[0]
+    if kind == _VAL_FLOAT:
+        return r.unpack(_F64)[0]
+    if kind == _VAL_STR:
+        return _r_str(codec, r)
+    if kind == _VAL_TUPLE:
+        (count,) = r.unpack(_U32)
+        return tuple(_r_value(codec, r) for _ in range(count))
+    if kind == _VAL_PICKLED:
+        return _r_pickled(codec, r)
+    raise CodecError(f"unknown value sub-tag {kind}")
+
+
+def _w_pickled(out: bytearray, obj: object) -> None:
+    """A u32-length-prefixed pickle; wall fields become a token."""
+    from repro.world.walls import WallField
+
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+    pickler.persistent_id = (
+        lambda item: _WALLS_TOKEN if isinstance(item, WallField) else None
+    )
+    try:
+        pickler.dump(obj)
+    except Exception as exc:
+        raise CodecError(f"cannot pickle {type(obj).__name__}: {exc}") from exc
+    out += _U32.pack(buffer.tell())
+    out += buffer.getvalue()
+
+
+def _r_pickled(codec, r: _Reader) -> object:
+    (length,) = r.unpack(_U32)
+    unpickler = pickle.Unpickler(io.BytesIO(r.read(length)))
+    unpickler.persistent_load = codec._persistent_load
+    try:
+        return unpickler.load()
+    except CodecError:
+        raise
+    except Exception as exc:
+        raise CodecError(f"corrupt pickled payload: {exc}") from exc
+
+
+def _w_action(codec, out: bytearray, action: Action) -> None:
+    from repro.world.movement import MoveAction
+
+    if type(action) is MoveAction:
+        out.append(_ACT_MOVE)
+        out += _ACTION_ID.pack(*action.action_id)
+        _w_str(codec, out, action.avatar_oid)
+        STR_SET.write(codec, out, action.neighbors)
+        out += _F64.pack(action.duration_s)
+        out += _F64.pack(action.radius)
+        VEC2.write(codec, out, action.position)
+        OPT_VEC2.write(codec, out, action.velocity)
+        out += _F64.pack(action.cost_ms)
+    elif type(action) is BlindWrite:
+        out.append(_ACT_BLIND)
+        out += _ACTION_ID.pack(*action.action_id)
+        # a ValuesDict (oid -> attrs dict) in insertion order has the
+        # layout of a canonicalised written tuple
+        WRITTEN.write(
+            codec,
+            out,
+            [(oid, tuple(attrs.items())) for oid, attrs in action._values.items()],
+        )
+        OPT_ACTION_ID.write(codec, out, action.origin)
+    else:
+        # world-specific action classes ship as pickles; counted so a
+        # hot one is visible (``codec.action_pickle`` on the parallel
+        # backend) and can be given a field encoding here
+        name = type(action).__name__
+        codec.pickle_fallbacks[name] = codec.pickle_fallbacks.get(name, 0) + 1
+        out.append(_ACT_PICKLED)
+        _w_pickled(out, action)
+
+
+def _r_action(codec, r: _Reader) -> Action:
+    from repro.world.movement import MoveAction
+
+    kind = r.byte()
+    if kind == _ACT_MOVE:
+        if codec._walls is None:
+            raise CodecError(
+                "cannot decode MoveAction: codec has no wall field bound"
+            )
+        action_id = ACTION_ID.read(codec, r)
+        avatar_oid = _r_str(codec, r)
+        neighbors = STR_SET.read(codec, r)
+        (duration_s,) = r.unpack(_F64)
+        (effect_range,) = r.unpack(_F64)
+        position = VEC2.read(codec, r)
+        velocity = OPT_VEC2.read(codec, r)
+        (cost_ms,) = r.unpack(_F64)
+        try:
+            return MoveAction(
+                action_id,
+                avatar_oid,
+                neighbors=neighbors,
+                walls=codec._walls,
+                duration_s=duration_s,
+                effect_range=effect_range,
+                position=position,
+                velocity=velocity,
+                cost_ms=cost_ms,
+            )
+        except ProtocolError as exc:
+            raise CodecError(f"corrupt move action fields: {exc}") from exc
+    if kind == _ACT_BLIND:
+        action_id = ACTION_ID.read(codec, r)
+        values = {oid: dict(attrs) for oid, attrs in WRITTEN.read(codec, r)}
+        return BlindWrite(action_id, values, origin=OPT_ACTION_ID.read(codec, r))
+    if kind == _ACT_PICKLED:
+        return _r_pickled(codec, r)
+    raise CodecError(f"unknown action sub-tag {kind}")
+
+
+def _w_result(codec, out: bytearray, result: ActionResult) -> None:
+    out.append(1 if result.aborted else 0)
+    WRITTEN.write(codec, out, result.written)
+
+
+def _r_result(codec, r: _Reader) -> ActionResult:
+    aborted = bool(r.byte())
+    return ActionResult(WRITTEN.read(codec, r), aborted)
+
+
+I64 = _number(_I64)
+F64 = _number(_F64)
+STR = Kind(_w_str, _r_str)
+ACTION_ID = Kind(
+    lambda codec, out, action_id: out.extend(_ACTION_ID.pack(*action_id)),
+    lambda codec, r: ActionId(*r.unpack(_ACTION_ID)),
+)
+OPT_ACTION_ID = optional(ACTION_ID)
+VEC2 = Kind(
+    lambda codec, out, vec: out.extend(_VEC2.pack(vec.x, vec.y)),
+    lambda codec, r: Vec2(*r.unpack(_VEC2)),
+)
+OPT_VEC2 = optional(VEC2)
+_STRS = seq(STR)
+#: A str set travels sorted (deterministic frames) at 4 modelled bytes a
+#: member; ``None`` (no interest filter) is distinct from the empty set.
+STR_SET = Kind(
+    lambda codec, out, members: _STRS.write(codec, out, sorted(members)),
+    lambda codec, r: frozenset(_STRS.read(codec, r)),
+    lambda members: 4 * len(members),
+)
+OPT_STR_SET = optional(STR_SET)
+#: Any attribute value: None/bool/int64/float/str/tuple field-encoded,
+#: anything else pickled.
+VALUE = Kind(_w_value, _r_value)
+#: An object's attributes, 12 bytes apiece, and a canonicalised written
+#: tuple (see ``ActionResult.of``) of them at 8 bytes per object.
+ATTRS = seq(record(STR, VALUE), each=12)
+WRITTEN = seq(record(STR, ATTRS, base=8))
+RESULT = Kind(_w_result, _r_result, lambda result: WRITTEN.size(result.written))
+#: Actions self-report their size (:meth:`Action.wire_size`).
+ACTION = Kind(_w_action, _r_action, methodcaller("wire_size"))
+#: A whole nested frame, billed as the message it carries.  The write
+#: goes through ``codec.encode`` so nested frames are counted as frames.
+FRAME = Kind(
+    lambda codec, out, message: out.extend(codec.encode(message)),
+    lambda codec, r: _read_frame(codec, r),
+    lambda message: wire_size(message),
+)
+OPT_FRAME = optional(FRAME)
+
+
+# ----------------------------------------------------------------------
+# Specs: one per message, compiled on declaration.
+# ----------------------------------------------------------------------
+class WireSpec(NamedTuple):
+    """A message's declaration plus what was compiled from it."""
+
+    cls: type
+    tag: int
+    fields: Tuple[Tuple[str, Kind], ...]
+    header: Optional[int]
+    enveloped: bool
+    group: Optional[str]
+    #: The message body as a kind of its own: write every field, read
+    #: them back into ``cls``, size = header + what the fields add.
+    body: Kind
+
+
+#: type -> spec and frame tag -> spec, in declaration order.
+WIRE_SPECS: Dict[type, WireSpec] = {}
+_SPEC_OF_TAG: Dict[int, WireSpec] = {}
+#: type -> compiled sizer, for messages that have a modelled size.
+_SIZERS: Dict[type, Callable[[Any], int]] = {}
+
+
+def wire_message(
+    *,
+    tag: int,
+    fields: List[Tuple[str, Kind]],
+    header: Optional[int],
+    enveloped: bool = False,
+    group: Optional[str] = None,
+) -> Callable[[type], type]:
+    """Class decorator declaring a dataclass a wire message.
+
+    ``tag`` is the frame tag — part of the on-wire format, never
+    renumber.  ``fields`` lists every dataclass field with its kind, in
+    wire order.  ``header`` is the constant part of the modelled size
+    (ids, positions and other fixed-width fields); ``None`` marks a
+    transport frame beneath the protocol, billed by the layer that sends
+    it and left out of ``PROTOCOL_MESSAGES``.  ``enveloped`` messages
+    only travel inside another message's fields and so have no dispatch
+    branch of their own.  ``group`` names the ``CONSERVATION_GROUPS``
+    entry whose sent/received counters must account for the message.
+
+    The analyzer (``repro.analysis.protocol``) reads these decorators
+    statically, so keep ``enveloped`` and ``group`` literal.
+    """
+
+    def declare(cls: type) -> type:
+        names = [name for name, _ in fields]
+        if sorted(names) != sorted(f.name for f in dataclasses.fields(cls)):
+            raise TypeError(f"{cls.__name__}: spec {names} != dataclass fields")
+        if tag in _SPEC_OF_TAG or not 0 < tag <= 0xFF:
+            raise ValueError(f"{cls.__name__}: tag {tag} taken or out of range")
+        accessors = [(attrgetter(name), kind) for name, kind in fields]
+        sized = [(f".{name}", kind.size) for name, kind in fields if kind.size]
+
+        def write(codec, out, message):
+            for get, kind in accessors:
+                kind.write(codec, out, get(message))
+
+        def read(codec, r):
+            return cls(**{name: kind.read(codec, r) for name, kind in fields})
+
+        size = None if header is None else _flat_sum(header, sized)
+        body = Kind(write, read, size)
+        spec = WireSpec(cls, tag, tuple(fields), header, enveloped, group, body)
+        WIRE_SPECS[cls] = _SPEC_OF_TAG[tag] = spec
+        if body.size:
+            _SIZERS[cls] = body.size
+        return cls
+
+    return declare
+
+
+def wire_size(message: object) -> int:
+    """Simulated size in bytes of a protocol message.
+
+    Sizes: actions self-report (:meth:`Action.wire_size`); results and
+    state updates cost 12 bytes per written attribute plus 8 per object;
+    each spec's fixed header covers ids and positions.
+    """
+    sizer = _SIZERS.get(type(message))
+    if sizer is None:
+        raise TypeError(f"not a protocol message: {type(message).__name__}")
+    return sizer(message)
+
+
+def _read_frame(codec: "MessageCodec", reader: _Reader) -> object:
+    tag, length = reader.unpack(_FRAME_HEADER)
+    body = _Reader(reader.read(length))
+    spec = _SPEC_OF_TAG.get(tag)
+    if spec is None:
+        raise CodecError(f"unknown frame tag {tag}")
+    message = spec.body.read(codec, body)
+    if body.remaining():
+        raise CodecError(f"tag {tag}: {body.remaining()} undecoded body bytes")
+    return message
+
+
+# ----------------------------------------------------------------------
+# The messages
+# ----------------------------------------------------------------------
+@wire_message(tag=1, header=16, fields=[("action", ACTION)])
+@dataclass(frozen=True)
+class SubmitAction:
+    """Client -> server: a freshly created action to be serialized."""
+
+    action: Action
+
+
+@wire_message(
+    tag=2, header=8, enveloped=True, fields=[("pos", I64), ("action", ACTION)]
+)
+@dataclass(frozen=True)
+class OrderedAction:
+    """One entry of the server's serialized stream.
+
+    ``pos`` is the action's global order number (its position in the
+    server queue); clients apply entries in stream order.  Enveloped:
+    it rides in batch/bundle/splice entries and is consumed
+    structurally, never by an ``isinstance`` dispatch branch of its own.
+    """
+
+    pos: int
+    action: Action
+
+
+#: An ordered entry inside another message: the body without a frame.
+ENTRY = WIRE_SPECS[OrderedAction].body
+
+
+@wire_message(
+    tag=3, header=16, fields=[("last_installed", I64), ("entries", seq(ENTRY))]
+)
+@dataclass(frozen=True)
+class ActionBatch:
+    """Server -> client: an ordered batch of actions.
+
+    In the basic protocol this is "all actions you have not seen yet";
+    in the Incomplete World / First Bound models it is a transitive
+    closure (with a blind-write prefix carried as an entry with
+    ``pos = -1``) or a proactive push.  ``last_installed`` piggybacks the
+    server's commit frontier for client-side garbage collection.
+    """
+
+    entries: Tuple[OrderedAction, ...]
+    last_installed: int = -1
+
+
+@wire_message(
+    tag=4,
+    header=32,
+    fields=[
+        ("pos", I64),
+        ("action_id", ACTION_ID),
+        ("reporter", I64),
+        ("result", RESULT),
+    ],
+)
+@dataclass(frozen=True)
+class Completion:
+    """Client -> server: stable result *u* of an action (Algorithm 4
+    step 5), enabling the server to install ζ_S(i)."""
+
+    pos: int
+    action_id: ActionId
+    result: ActionResult
+    #: Which client produced the completion (relevant in the
+    #: fault-tolerant mode where every evaluating client responds).
+    reporter: ClientId = -2
+
+
+@wire_message(tag=5, header=24, fields=[("action_id", ACTION_ID)])
+@dataclass(frozen=True)
+class AbortNotice:
+    """Server -> originating client: the Information Bound Model dropped
+    this action; roll back its optimistic effects."""
+
+    action_id: ActionId
+
+
+@wire_message(tag=43, header=32, fields=[("pos", I64), ("action_id", ACTION_ID)])
+@dataclass(frozen=True)
+class CommitNotice:
+    """Server -> originating client: this action committed while the
+    reactive reply to it was parked by the in-order guard, so its echo
+    can no longer be delivered (the entry has left the queue).
+
+    The committed values travel in the blind write sent just before
+    this notice on the same FIFO channel; the notice itself retires the
+    client's optimistic entry and confirms the submission.  Without it
+    the originator would wait for an echo that never comes — a liveness
+    gap the schedule-permutation explorer flushed out
+    (docs/static_analysis.md)."""
+
+    pos: int
+    action_id: ActionId
+
+
+@wire_message(
+    tag=6,
+    header=24,
+    fields=[("values", WRITTEN), ("cause", OPT_ACTION_ID), ("submitted_at", F64)],
+)
+@dataclass(frozen=True)
+class StateUpdate:
+    """Server -> client (Central/RING baselines): authoritative values.
+
+    ``cause`` identifies the action whose evaluation produced the
+    update, so the originator can measure its response time.
+    """
+
+    values: tuple  # canonicalised like ActionResult.written
+    cause: Optional[ActionId] = None
+    submitted_at: TimeMs = 0.0
+
+
+@wire_message(tag=9, header=8, fields=[("final_dst", I64), ("payload", FRAME)])
+@dataclass(frozen=True)
+class PeerForward:
+    """Server -> relay peer: a batch to pass on to ``final_dst``.
+
+    The Section VII hybrid architecture: the server sends one copy to a
+    relay client, which forwards it over a peer link — server egress is
+    spent once, the relay pays the second hop.
+    """
+
+    final_dst: ClientId
+    payload: "ActionBatch"
+
+
+def _w_bundle_item(codec, out: bytearray, item) -> None:
+    if isinstance(item, int):
+        out.append(_GB_REF)
+        out += _I64.pack(item)
+    else:
+        out.append(_GB_ENTRY)
+        ENTRY.write(codec, out, item)
+
+
+def _r_bundle_item(codec, r: _Reader):
+    marker = r.byte()
+    if marker == _GB_REF:
+        return r.unpack(_I64)[0]
+    if marker == _GB_ENTRY:
+        return ENTRY.read(codec, r)
+    raise CodecError(f"unknown bundle item marker {marker}")
+
+
+#: ``GroupBundle.members``: per recipient 8 bytes plus its items, each a
+#: 4-byte reference into the shared table or a full inline entry.
+MEMBERS = seq(
+    record(
+        I64,
+        seq(
+            Kind(
+                _w_bundle_item,
+                _r_bundle_item,
+                lambda item: 4 if isinstance(item, int) else ENTRY.size(item),
+            )
+        ),
+        base=8,
+    )
+)
+
+
+@wire_message(
+    tag=10,
+    header=16,
+    fields=[("last_installed", I64), ("shared", seq(ENTRY)), ("members", MEMBERS)],
+)
+@dataclass(frozen=True)
+class GroupBundle:
+    """Server -> relay head: one push cycle's batches for a relay group,
+    with shared entries deduplicated (§VII hybrid).
+
+    ``shared`` holds each queued action once; ``members`` maps each
+    recipient to a sequence whose items are either an ``int`` (index
+    into ``shared``) or an :class:`OrderedAction` carrying a
+    member-specific blind write.  The head reconstructs each member's
+    :class:`ActionBatch` and forwards it over a peer link (keeping its
+    own batch for itself).  On the wire, a shared entry costs its full
+    size exactly once and 4 bytes per additional reference — that is
+    the egress saving over unicasting overlapping batches.
+    """
+
+    shared: Tuple[OrderedAction, ...]
+    members: Tuple[Tuple[ClientId, tuple], ...]
+    last_installed: int = -1
+
+
+@wire_message(tag=7, header=8, fields=[("sender", I64)])
+@dataclass(frozen=True)
+class Heartbeat:
+    """Client -> server: liveness beacon (Section III-C).
+
+    Heartbeats are sent unreliably on purpose — a heartbeat that the
+    lossy network ate carries exactly the information the server needs
+    (nothing arrived)."""
+
+    sender: ClientId = -2
+
+
+@wire_message(tag=8, header=24, fields=[("submitted_at", F64), ("action", ACTION)])
+@dataclass(frozen=True)
+class RelayedAction:
+    """Server -> client (Broadcast/RING baselines): a raw forwarded
+    action for local evaluation."""
+
+    action: Action
+    submitted_at: TimeMs = 0.0
+
+
+# ----------------------------------------------------------------------
+# Sharded deployment (repro.core.sharded): cross-shard forwarding,
+# splicing, result distribution, and client handoff.
+# ----------------------------------------------------------------------
+#: Shard ids and resolved action ids: modelled at 4 and 8 bytes apiece.
+SHARDS = seq(I64, each=4)
+ACTION_IDS = seq(ACTION_ID, each=8)
+
+
+@wire_message(
+    tag=16,
+    header=24,
+    fields=[("owner", I64), ("involved", SHARDS), ("action", ACTION)],
+)
+@dataclass(frozen=True)
+class SpanForward:
+    """Owner shard -> sequencer: a spanning action awaiting a global
+    sequence number.  ``involved`` names every shard whose region the
+    action's influence disc intersects (owner included)."""
+
+    owner: int
+    involved: Tuple[int, ...]
+    action: Action
+
+
+@wire_message(
+    tag=17,
+    header=32,
+    fields=[("gsn", I64), ("owner", I64), ("involved", SHARDS), ("action", ACTION)],
+)
+@dataclass(frozen=True)
+class SpanSplice:
+    """Sequencer -> involved shards: splice this spanning action into
+    your local stream at your next position.  Splices are broadcast in
+    strictly ascending ``gsn`` order over FIFO backbone links, which is
+    what makes every shard agree on the relative order of spanning
+    actions."""
+
+    gsn: int
+    owner: int
+    involved: Tuple[int, ...]
+    action: Action
+
+
+@wire_message(
+    tag=18,
+    header=32,
+    fields=[("gsn", I64), ("action_id", ACTION_ID), ("result", RESULT)],
+)
+@dataclass(frozen=True)
+class SpanResult:
+    """Owner shard -> involved peers: the committed result of a
+    spanning action (the originator's completion, relayed)."""
+
+    gsn: int
+    action_id: ActionId
+    result: ActionResult
+
+
+@wire_message(tag=19, header=32, fields=[("gsn", I64), ("action_id", ACTION_ID)])
+@dataclass(frozen=True)
+class SpanAbort:
+    """Owner shard -> involved peers: the spanning action was aborted
+    (orphaned or dropped); peers mark their spliced entry invalid."""
+
+    gsn: int
+    action_id: ActionId
+
+
+@wire_message(tag=20, header=16, fields=[("new_shard", I64)])
+@dataclass(frozen=True)
+class HandoffPrepare:
+    """Shard -> client: your region owner is changing; stop submitting
+    to me and acknowledge with :class:`HandoffReady`."""
+
+    new_shard: int
+
+
+@wire_message(tag=21, header=16, fields=[("client_id", I64)])
+@dataclass(frozen=True)
+class HandoffReady:
+    """Client -> old shard: I have stopped submitting.  Sent on the
+    same FIFO channel as submissions, so receipt proves the shard has
+    everything the client ever sent it."""
+
+    client_id: ClientId
+
+
+@wire_message(
+    tag=22,
+    header=32,
+    fields=[
+        ("client_id", I64),
+        ("radius", F64),
+        ("interests", OPT_STR_SET),
+        ("resolved", ACTION_IDS),
+    ],
+)
+@dataclass(frozen=True)
+class HandoffTransfer:
+    """Old shard -> new shard (backbone): adopt this client.
+
+    ``resolved`` lists the client's action ids the old shard already
+    committed or aborted — relayed to the client so it can retire
+    pending entries whose stream echoes will never arrive."""
+
+    client_id: ClientId
+    radius: float
+    interests: Optional[frozenset] = None
+    resolved: Tuple[ActionId, ...] = ()
+
+
+@wire_message(tag=23, header=16, fields=[("shard", I64), ("resolved", ACTION_IDS)])
+@dataclass(frozen=True)
+class HandoffWelcome:
+    """New shard -> client: you are mine now; switch your stream."""
+
+    shard: int
+    resolved: Tuple[ActionId, ...] = ()
+
+
+# ----------------------------------------------------------------------
+# Elastic rebalancing control plane (repro.core.elastic,
+# docs/elasticity.md).  All five travel only between shard servers on
+# the fault-free FIFO backbone, and all five are conservation-tracked.
+# ----------------------------------------------------------------------
+@wire_message(
+    tag=32,
+    header=32,
+    group="elastic",
+    fields=[
+        ("shard", I64),
+        ("round", I64),
+        ("cpu_ms", F64),
+        ("serialized", I64),
+        ("clients", I64),
+    ],
+)
+@dataclass(frozen=True)
+class LoadReport:
+    """Shard -> controller (shard 0): one load sample — the cpu and
+    serialized-count deltas accumulated since the previous sample.
+    Every shard reports once per elastic interval; the controller
+    evaluates a round once all K reports for it have arrived."""
+
+    shard: int
+    round: int
+    cpu_ms: float
+    serialized: int
+    clients: int
+
+
+@wire_message(
+    tag=33,
+    header=16,
+    group="elastic",
+    fields=[("version", I64), ("boundaries", seq(F64, each=8))],
+)
+@dataclass(frozen=True)
+class PartitionUpdate:
+    """Controller -> every shard: flip your partition copy to
+    ``version`` with interior stripe ``boundaries``.  Receipt opens an
+    epoch on the shard: a fence at its current queue position, bulk
+    handoffs for clients it no longer owns, and union-of-epochs span
+    classification until the version commits."""
+
+    version: int
+    boundaries: Tuple[float, ...]
+
+
+@wire_message(
+    tag=34, header=16, group="elastic", fields=[("shard", I64), ("version", I64)]
+)
+@dataclass(frozen=True)
+class DrainDone:
+    """Shard -> controller: my fence for ``version`` passed, my region
+    syncs went out, and every bulk-handoff transfer has been sent."""
+
+    shard: int
+    version: int
+
+
+@wire_message(tag=35, header=8, group="elastic", fields=[("version", I64)])
+@dataclass(frozen=True)
+class PartitionCommit:
+    """Controller -> every shard: all K shards drained ``version``;
+    retire the superseded boundaries from span classification."""
+
+    version: int
+
+
+@wire_message(
+    tag=36,
+    header=32,
+    group="elastic",
+    fields=[
+        ("version", I64),
+        ("lo", F64),
+        ("hi", F64),
+        ("entries", seq(record(STR, I64, I64, ATTRS, base=16))),
+    ],
+)
+@dataclass(frozen=True)
+class RegionSync:
+    """Losing shard -> gaining shard: committed values of every
+    written object inside the transferred x-interval [lo, hi).
+
+    Each entry is ``(oid, stamp_gsn, stamp_local, attrs)`` with attrs
+    canonicalised like ``ActionResult.written``.  The stamp is the gsn
+    of the last spanning action that wrote the object (-1 if none)
+    plus a flag for a later local write; the receiver applies an entry
+    only if the stamp is strictly newer than its own, so a sync racing
+    a span it already committed never regresses the store."""
+
+    version: int
+    lo: float
+    hi: float
+    entries: Tuple[tuple, ...] = ()
+
+
+# ----------------------------------------------------------------------
+# Control-plane messages (docs/control_plane.md).  Backbone-only, like
+# the elastic messages above.
+# ----------------------------------------------------------------------
+@wire_message(tag=37, header=12, fields=[("term", I64), ("holder", I64)])
+@dataclass(frozen=True)
+class LeaseHeartbeat:
+    """Leaseholder -> every shard: I still hold the gsn lease for
+    ``term``.  Silence past the lease timeout triggers an election."""
+
+    term: int
+    holder: int
+
+
+@wire_message(tag=38, header=12, fields=[("term", I64), ("candidate", I64)])
+@dataclass(frozen=True)
+class LeaseRequest:
+    """Candidate -> every shard: vote for me as holder of ``term``."""
+
+    term: int
+    candidate: int
+
+
+@wire_message(
+    tag=39, header=16, fields=[("term", I64), ("voter", I64), ("max_gsn", I64)]
+)
+@dataclass(frozen=True)
+class LeaseVote:
+    """Voter -> candidate: one vote for ``term``, carrying the highest
+    gsn this voter has observed so the winner's floor clears it."""
+
+    term: int
+    voter: int
+    max_gsn: int
+
+
+@wire_message(
+    tag=40, header=16, fields=[("term", I64), ("holder", I64), ("gsn_floor", I64)]
+)
+@dataclass(frozen=True)
+class LeaseGrant:
+    """New holder -> every shard: the round for ``term`` completed;
+    ``holder`` sequences from ``gsn_floor`` up.  Receivers re-forward
+    any spanning actions the dead holder never spliced."""
+
+    term: int
+    holder: int
+    gsn_floor: int
+
+
+@wire_message(tag=41, header=8, fields=[("shard", I64)])
+@dataclass(frozen=True)
+class ShardHello:
+    """Restarted shard -> every shard: I am back (recovered from
+    checkpoint+WAL).  Receivers clear me from their dead set; the
+    leaseholder re-sends the current lease and partition version."""
+
+    shard: int
+
+
+@wire_message(
+    tag=42,
+    header=16,
+    fields=[("client_id", I64), ("radius", F64), ("interests", OPT_STR_SET)],
+)
+@dataclass(frozen=True)
+class ClientHello:
+    """Reconnecting client -> its shard: re-attach me (the protocol
+    rejoin path for K > 1, where the classic oracle re-attach would
+    target shard 0 regardless of where the avatar lives).  Answered
+    with a :class:`HandoffWelcome`; the client retries until one
+    arrives, so a hello racing a handoff or a second crash is safe."""
+
+    client_id: ClientId
+    radius: float
+    interests: Optional[frozenset] = None
+
+
+# The net-layer ARQ frames travel through worker bundles too.
+wire_message(
+    tag=24, header=None, fields=[("seq", I64), ("base", I64), ("payload", OPT_FRAME)]
+)(_Packet)
+wire_message(tag=25, header=None, fields=[("upto", I64)])(_Ack)
+
+
+# ----------------------------------------------------------------------
+# Protocol registries (repro.analysis.protocol, docs/static_analysis.md),
+# all derived from the specs above.
+# ----------------------------------------------------------------------
+#: The closed set of message types the protocol is made of: every spec
+#: with a modelled size, in declaration order.
+PROTOCOL_MESSAGES = tuple(
+    spec.cls for spec in WIRE_SPECS.values() if spec.header is not None
+)
+
+#: Messages that only travel *inside* another message's fields; the
+#: flow-graph analyzer exempts these from the every-message-has-a-handler
+#: rule.
+ENVELOPED_MESSAGES = tuple(
+    spec.cls for spec in WIRE_SPECS.values() if spec.enveloped
+)
+
+#: Conservation accounting the analyzer enforces: every message whose
+#: spec names a group must be counted on both ends — the dispatch branch
+#: handling it bumps ``received`` and every constructor site flows
+#: through a sender that bumps ``sent`` — because the quiescence check
+#: sums exactly these counters (``ShardedSeveEngine._quiescent``).  A
+#: handler that mutates state without the accounting would let a run go
+#: quiescent with control messages still in flight.  The counters are
+#: declared here (parsed statically by the analyzer, so keep the dict
+#: literal); each group's ``messages`` tuple is filled in from the specs.
+CONSERVATION_GROUPS = {
+    "elastic": {
+        "sent": "elastic_sent",
+        "received": "elastic_received",
+        "module": "core/sharded.py",
+    },
+}
+for _spec in WIRE_SPECS.values():
+    if _spec.group is not None:
+        # a KeyError here is a spec naming a group not declared above
+        _members = CONSERVATION_GROUPS[_spec.group].get("messages", ())
+        CONSERVATION_GROUPS[_spec.group]["messages"] = _members + (
+            _spec.cls.__name__,
+        )
+
+
+# ----------------------------------------------------------------------
+# Binary codec
+# ----------------------------------------------------------------------
 class MessageCodec:
-    """Binary encoder/decoder for the protocol messages above.
+    """Binary encoder/decoder for every message with a wire spec.
 
     A codec is bound to a decode context: the world's
     :class:`~repro.world.walls.WallField`, which move actions reference
@@ -674,44 +1097,26 @@ class MessageCodec:
 
     def __init__(self, walls=None) -> None:
         self._walls = walls
-        #: per-type count of payloads that fell back to pickle framing;
-        #: exported as the ``codec.pickle_fallback`` metric on the
-        #: parallel backend and cross-checked by the static
-        #: codec-coverage verifier (``repro.analysis.protocol``).
+        #: per-class count of actions that shipped as pickles (no field
+        #: encoding of their own); exported as the ``codec.action_pickle``
+        #: metric on the parallel backend.
         self.pickle_fallbacks: Dict[str, int] = {}
-        # net-layer ARQ frames travel through worker bundles too; the
-        # import is deferred here to keep repro.core free of a
-        # module-level dependency on repro.net.
-        from repro.net.network import _Ack, _Packet
 
-        self._packet_cls = _Packet
-        self._ack_cls = _Ack
-
-    def _note_fallback(self, type_name: str) -> None:
-        self.pickle_fallbacks[type_name] = (
-            self.pickle_fallbacks.get(type_name, 0) + 1
-        )
-        if type_name not in _FALLBACK_WARNED:
-            _FALLBACK_WARNED.add(type_name)
-            warnings.warn(
-                f"MessageCodec: no field encoder for {type_name}; "
-                "falling back to pickle framing",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-
-    # -- public API -----------------------------------------------------
     def encode(self, message: object) -> bytes:
         """Encode one message as a single self-delimiting frame."""
-        tag, body = self._encode_body(message)
+        spec = WIRE_SPECS.get(type(message))
+        if spec is None:
+            raise CodecError(f"no wire spec for {type(message).__name__}")
+        body = bytearray()
+        spec.body.write(self, body, message)
         if len(body) > 0xFFFFFFFF:
             raise CodecError(f"frame body too large: {len(body)} bytes")
-        return _FRAME_HEADER.pack(tag, len(body)) + bytes(body)
+        return _FRAME_HEADER.pack(spec.tag, len(body)) + bytes(body)
 
     def decode(self, data: bytes) -> object:
         """Decode exactly one frame; trailing bytes are an error."""
         reader = _Reader(data)
-        message = self._decode_frame(reader)
+        message = _read_frame(self, reader)
         if reader.remaining():
             raise CodecError(
                 f"{reader.remaining()} trailing bytes after frame"
@@ -727,623 +1132,8 @@ class MessageCodec:
         reader = _Reader(data)
         messages = []
         while reader.remaining():
-            messages.append(self._decode_frame(reader))
+            messages.append(_read_frame(self, reader))
         return messages
-
-    # -- frame bodies ---------------------------------------------------
-    def _encode_body(self, message: object) -> Tuple[int, bytearray]:
-        out = bytearray()
-        if isinstance(message, SubmitAction):
-            self._w_action(out, message.action)
-            return _TAG_SUBMIT, out
-        if isinstance(message, OrderedAction):
-            out += _I64.pack(message.pos)
-            self._w_action(out, message.action)
-            return _TAG_ORDERED, out
-        if isinstance(message, ActionBatch):
-            out += _I64.pack(message.last_installed)
-            out += _U32.pack(len(message.entries))
-            for entry in message.entries:
-                out += _I64.pack(entry.pos)
-                self._w_action(out, entry.action)
-            return _TAG_BATCH, out
-        if isinstance(message, Completion):
-            out += _I64.pack(message.pos)
-            out += _ACTION_ID.pack(*message.action_id)
-            out += _I64.pack(message.reporter)
-            self._w_result(out, message.result)
-            return _TAG_COMPLETION, out
-        if isinstance(message, AbortNotice):
-            out += _ACTION_ID.pack(*message.action_id)
-            return _TAG_ABORT_NOTICE, out
-        if isinstance(message, CommitNotice):
-            out += _I64.pack(message.pos)
-            out += _ACTION_ID.pack(*message.action_id)
-            return _TAG_COMMIT_NOTICE, out
-        if isinstance(message, StateUpdate):
-            self._w_written(out, message.values)
-            self._w_optional_action_id(out, message.cause)
-            out += _F64.pack(message.submitted_at)
-            return _TAG_STATE_UPDATE, out
-        if isinstance(message, Heartbeat):
-            out += _I64.pack(message.sender)
-            return _TAG_HEARTBEAT, out
-        if isinstance(message, RelayedAction):
-            out += _F64.pack(message.submitted_at)
-            self._w_action(out, message.action)
-            return _TAG_RELAYED, out
-        if isinstance(message, PeerForward):
-            out += _I64.pack(message.final_dst)
-            out += self.encode(message.payload)
-            return _TAG_PEER_FORWARD, out
-        if isinstance(message, GroupBundle):
-            out += _I64.pack(message.last_installed)
-            out += _U32.pack(len(message.shared))
-            for entry in message.shared:
-                out += _I64.pack(entry.pos)
-                self._w_action(out, entry.action)
-            out += _U32.pack(len(message.members))
-            for member, items in message.members:
-                out += _I64.pack(member)
-                out += _U32.pack(len(items))
-                for item in items:
-                    if isinstance(item, int):
-                        out.append(_GB_REF)
-                        out += _I64.pack(item)
-                    else:
-                        out.append(_GB_ENTRY)
-                        out += _I64.pack(item.pos)
-                        self._w_action(out, item.action)
-            return _TAG_GROUP_BUNDLE, out
-        if isinstance(message, SpanForward):
-            out += _I64.pack(message.owner)
-            self._w_shard_tuple(out, message.involved)
-            self._w_action(out, message.action)
-            return _TAG_SPAN_FORWARD, out
-        if isinstance(message, SpanSplice):
-            out += _I64.pack(message.gsn)
-            out += _I64.pack(message.owner)
-            self._w_shard_tuple(out, message.involved)
-            self._w_action(out, message.action)
-            return _TAG_SPAN_SPLICE, out
-        if isinstance(message, SpanResult):
-            out += _I64.pack(message.gsn)
-            out += _ACTION_ID.pack(*message.action_id)
-            self._w_result(out, message.result)
-            return _TAG_SPAN_RESULT, out
-        if isinstance(message, SpanAbort):
-            out += _I64.pack(message.gsn)
-            out += _ACTION_ID.pack(*message.action_id)
-            return _TAG_SPAN_ABORT, out
-        if isinstance(message, HandoffPrepare):
-            out += _I64.pack(message.new_shard)
-            return _TAG_HANDOFF_PREPARE, out
-        if isinstance(message, HandoffReady):
-            out += _I64.pack(message.client_id)
-            return _TAG_HANDOFF_READY, out
-        if isinstance(message, HandoffTransfer):
-            out += _I64.pack(message.client_id)
-            out += _F64.pack(message.radius)
-            if message.interests is None:
-                out.append(0)
-            else:
-                out.append(1)
-                out += _U32.pack(len(message.interests))
-                for interest in sorted(message.interests):
-                    self._w_str(out, interest)
-            out += _U32.pack(len(message.resolved))
-            for action_id in message.resolved:
-                out += _ACTION_ID.pack(*action_id)
-            return _TAG_HANDOFF_TRANSFER, out
-        if isinstance(message, HandoffWelcome):
-            out += _I64.pack(message.shard)
-            out += _U32.pack(len(message.resolved))
-            for action_id in message.resolved:
-                out += _ACTION_ID.pack(*action_id)
-            return _TAG_HANDOFF_WELCOME, out
-        if isinstance(message, LoadReport):
-            out += _I64.pack(message.shard)
-            out += _I64.pack(message.round)
-            out += _F64.pack(message.cpu_ms)
-            out += _I64.pack(message.serialized)
-            out += _I64.pack(message.clients)
-            return _TAG_LOAD_REPORT, out
-        if isinstance(message, PartitionUpdate):
-            out += _I64.pack(message.version)
-            out += _U32.pack(len(message.boundaries))
-            for boundary in message.boundaries:
-                out += _F64.pack(boundary)
-            return _TAG_PARTITION_UPDATE, out
-        if isinstance(message, DrainDone):
-            out += _I64.pack(message.shard)
-            out += _I64.pack(message.version)
-            return _TAG_DRAIN_DONE, out
-        if isinstance(message, PartitionCommit):
-            out += _I64.pack(message.version)
-            return _TAG_PARTITION_COMMIT, out
-        if isinstance(message, RegionSync):
-            out += _I64.pack(message.version)
-            out += _F64.pack(message.lo)
-            out += _F64.pack(message.hi)
-            out += _U32.pack(len(message.entries))
-            for oid, gsn, local, attrs in message.entries:
-                self._w_str(out, oid)
-                out += _I64.pack(gsn)
-                out += _I64.pack(local)
-                out += _U32.pack(len(attrs))
-                for name, value in attrs:
-                    self._w_str(out, name)
-                    self._w_value(out, value)
-            return _TAG_REGION_SYNC, out
-        if isinstance(message, LeaseHeartbeat):
-            out += _I64.pack(message.term)
-            out += _I64.pack(message.holder)
-            return _TAG_LEASE_HEARTBEAT, out
-        if isinstance(message, LeaseRequest):
-            out += _I64.pack(message.term)
-            out += _I64.pack(message.candidate)
-            return _TAG_LEASE_REQUEST, out
-        if isinstance(message, LeaseVote):
-            out += _I64.pack(message.term)
-            out += _I64.pack(message.voter)
-            out += _I64.pack(message.max_gsn)
-            return _TAG_LEASE_VOTE, out
-        if isinstance(message, LeaseGrant):
-            out += _I64.pack(message.term)
-            out += _I64.pack(message.holder)
-            out += _I64.pack(message.gsn_floor)
-            return _TAG_LEASE_GRANT, out
-        if isinstance(message, ShardHello):
-            out += _I64.pack(message.shard)
-            return _TAG_SHARD_HELLO, out
-        if isinstance(message, ClientHello):
-            out += _I64.pack(message.client_id)
-            out += _F64.pack(message.radius)
-            if message.interests is None:
-                out.append(0)
-            else:
-                out.append(1)
-                out += _U32.pack(len(message.interests))
-                for interest in sorted(message.interests):
-                    self._w_str(out, interest)
-            return _TAG_CLIENT_HELLO, out
-        if isinstance(message, self._packet_cls):
-            out += _I64.pack(message.seq)
-            out += _I64.pack(message.base)
-            if message.payload is None:
-                out.append(0)
-            else:
-                out.append(1)
-                out += self.encode(message.payload)
-            return _TAG_ARQ_PACKET, out
-        if isinstance(message, self._ack_cls):
-            out += _I64.pack(message.upto)
-            return _TAG_ARQ_ACK, out
-        self._note_fallback(type(message).__name__)
-        blob = self._pickle(message)
-        out += blob
-        return _TAG_PICKLED, out
-
-    def _decode_frame(self, reader: _Reader) -> object:
-        tag, length = reader.unpack(_FRAME_HEADER)
-        body = _Reader(bytes(reader.read(length)))
-        message = self._decode_body(tag, body)
-        if body.remaining():
-            raise CodecError(
-                f"tag {tag}: {body.remaining()} undecoded body bytes"
-            )
-        return message
-
-    def _decode_body(self, tag: int, r: _Reader) -> object:
-        if tag == _TAG_SUBMIT:
-            return SubmitAction(self._r_action(r))
-        if tag == _TAG_ORDERED:
-            (pos,) = r.unpack(_I64)
-            return OrderedAction(pos, self._r_action(r))
-        if tag == _TAG_BATCH:
-            (last_installed,) = r.unpack(_I64)
-            (count,) = r.unpack(_U32)
-            entries = tuple(
-                OrderedAction(r.unpack(_I64)[0], self._r_action(r))
-                for _ in range(count)
-            )
-            return ActionBatch(entries, last_installed)
-        if tag == _TAG_COMPLETION:
-            (pos,) = r.unpack(_I64)
-            action_id = ActionId(*r.unpack(_ACTION_ID))
-            (reporter,) = r.unpack(_I64)
-            return Completion(pos, action_id, self._r_result(r), reporter)
-        if tag == _TAG_ABORT_NOTICE:
-            return AbortNotice(ActionId(*r.unpack(_ACTION_ID)))
-        if tag == _TAG_COMMIT_NOTICE:
-            (pos,) = r.unpack(_I64)
-            return CommitNotice(pos, ActionId(*r.unpack(_ACTION_ID)))
-        if tag == _TAG_STATE_UPDATE:
-            values = self._r_written(r)
-            cause = self._r_optional_action_id(r)
-            (submitted_at,) = r.unpack(_F64)
-            return StateUpdate(values, cause, submitted_at)
-        if tag == _TAG_HEARTBEAT:
-            return Heartbeat(r.unpack(_I64)[0])
-        if tag == _TAG_RELAYED:
-            (submitted_at,) = r.unpack(_F64)
-            return RelayedAction(self._r_action(r), submitted_at)
-        if tag == _TAG_PEER_FORWARD:
-            (final_dst,) = r.unpack(_I64)
-            return PeerForward(final_dst, self._decode_frame(r))
-        if tag == _TAG_GROUP_BUNDLE:
-            (last_installed,) = r.unpack(_I64)
-            (count,) = r.unpack(_U32)
-            shared = tuple(
-                OrderedAction(r.unpack(_I64)[0], self._r_action(r))
-                for _ in range(count)
-            )
-            (member_count,) = r.unpack(_U32)
-            members = []
-            for _ in range(member_count):
-                (member,) = r.unpack(_I64)
-                (item_count,) = r.unpack(_U32)
-                items = []
-                for _ in range(item_count):
-                    kind = r.byte()
-                    if kind == _GB_REF:
-                        items.append(r.unpack(_I64)[0])
-                    elif kind == _GB_ENTRY:
-                        items.append(
-                            OrderedAction(r.unpack(_I64)[0], self._r_action(r))
-                        )
-                    else:
-                        raise CodecError(f"unknown bundle item marker {kind}")
-                members.append((member, tuple(items)))
-            return GroupBundle(shared, tuple(members), last_installed)
-        if tag == _TAG_SPAN_FORWARD:
-            (owner,) = r.unpack(_I64)
-            involved = self._r_shard_tuple(r)
-            return SpanForward(owner, involved, self._r_action(r))
-        if tag == _TAG_SPAN_SPLICE:
-            (gsn,) = r.unpack(_I64)
-            (owner,) = r.unpack(_I64)
-            involved = self._r_shard_tuple(r)
-            return SpanSplice(gsn, owner, involved, self._r_action(r))
-        if tag == _TAG_SPAN_RESULT:
-            (gsn,) = r.unpack(_I64)
-            action_id = ActionId(*r.unpack(_ACTION_ID))
-            return SpanResult(gsn, action_id, self._r_result(r))
-        if tag == _TAG_SPAN_ABORT:
-            (gsn,) = r.unpack(_I64)
-            return SpanAbort(gsn, ActionId(*r.unpack(_ACTION_ID)))
-        if tag == _TAG_HANDOFF_PREPARE:
-            return HandoffPrepare(r.unpack(_I64)[0])
-        if tag == _TAG_HANDOFF_READY:
-            return HandoffReady(r.unpack(_I64)[0])
-        if tag == _TAG_HANDOFF_TRANSFER:
-            (client_id,) = r.unpack(_I64)
-            (radius,) = r.unpack(_F64)
-            interests = None
-            if r.byte():
-                (interest_count,) = r.unpack(_U32)
-                interests = frozenset(
-                    self._r_str(r) for _ in range(interest_count)
-                )
-            (resolved_count,) = r.unpack(_U32)
-            resolved = tuple(
-                ActionId(*r.unpack(_ACTION_ID)) for _ in range(resolved_count)
-            )
-            return HandoffTransfer(client_id, radius, interests, resolved)
-        if tag == _TAG_HANDOFF_WELCOME:
-            (shard,) = r.unpack(_I64)
-            (resolved_count,) = r.unpack(_U32)
-            resolved = tuple(
-                ActionId(*r.unpack(_ACTION_ID)) for _ in range(resolved_count)
-            )
-            return HandoffWelcome(shard, resolved)
-        if tag == _TAG_LOAD_REPORT:
-            (shard,) = r.unpack(_I64)
-            (round_,) = r.unpack(_I64)
-            (cpu_ms,) = r.unpack(_F64)
-            (serialized,) = r.unpack(_I64)
-            (clients,) = r.unpack(_I64)
-            return LoadReport(shard, round_, cpu_ms, serialized, clients)
-        if tag == _TAG_PARTITION_UPDATE:
-            (version,) = r.unpack(_I64)
-            (count,) = r.unpack(_U32)
-            boundaries = tuple(r.unpack(_F64)[0] for _ in range(count))
-            return PartitionUpdate(version, boundaries)
-        if tag == _TAG_DRAIN_DONE:
-            (shard,) = r.unpack(_I64)
-            (version,) = r.unpack(_I64)
-            return DrainDone(shard, version)
-        if tag == _TAG_PARTITION_COMMIT:
-            return PartitionCommit(r.unpack(_I64)[0])
-        if tag == _TAG_REGION_SYNC:
-            (version,) = r.unpack(_I64)
-            (lo,) = r.unpack(_F64)
-            (hi,) = r.unpack(_F64)
-            (count,) = r.unpack(_U32)
-            entries = []
-            for _ in range(count):
-                oid = self._r_str(r)
-                (gsn,) = r.unpack(_I64)
-                (local,) = r.unpack(_I64)
-                (attr_count,) = r.unpack(_U32)
-                attrs = tuple(
-                    (self._r_str(r), self._r_value(r))
-                    for _ in range(attr_count)
-                )
-                entries.append((oid, gsn, local, attrs))
-            return RegionSync(version, lo, hi, tuple(entries))
-        if tag == _TAG_LEASE_HEARTBEAT:
-            (term,) = r.unpack(_I64)
-            (holder,) = r.unpack(_I64)
-            return LeaseHeartbeat(term, holder)
-        if tag == _TAG_LEASE_REQUEST:
-            (term,) = r.unpack(_I64)
-            (candidate,) = r.unpack(_I64)
-            return LeaseRequest(term, candidate)
-        if tag == _TAG_LEASE_VOTE:
-            (term,) = r.unpack(_I64)
-            (voter,) = r.unpack(_I64)
-            (max_gsn,) = r.unpack(_I64)
-            return LeaseVote(term, voter, max_gsn)
-        if tag == _TAG_LEASE_GRANT:
-            (term,) = r.unpack(_I64)
-            (holder,) = r.unpack(_I64)
-            (gsn_floor,) = r.unpack(_I64)
-            return LeaseGrant(term, holder, gsn_floor)
-        if tag == _TAG_SHARD_HELLO:
-            return ShardHello(r.unpack(_I64)[0])
-        if tag == _TAG_CLIENT_HELLO:
-            (client_id,) = r.unpack(_I64)
-            (radius,) = r.unpack(_F64)
-            interests = None
-            if r.byte():
-                (interest_count,) = r.unpack(_U32)
-                interests = frozenset(
-                    self._r_str(r) for _ in range(interest_count)
-                )
-            return ClientHello(client_id, radius, interests)
-        if tag == _TAG_ARQ_PACKET:
-            (seq,) = r.unpack(_I64)
-            (base,) = r.unpack(_I64)
-            payload = self._decode_frame(r) if r.byte() else None
-            return self._packet_cls(seq, base, payload)
-        if tag == _TAG_ARQ_ACK:
-            return self._ack_cls(r.unpack(_I64)[0])
-        if tag == _TAG_PICKLED:
-            return self._unpickle(bytes(r.read(r.remaining())))
-        raise CodecError(f"unknown frame tag {tag}")
-
-    # -- actions --------------------------------------------------------
-    def _w_action(self, out: bytearray, action: Action) -> None:
-        from repro.world.movement import MoveAction
-
-        if type(action) is MoveAction:
-            out.append(_ACT_MOVE)
-            out += _ACTION_ID.pack(*action.action_id)
-            self._w_str(out, action.avatar_oid)
-            out += _U32.pack(len(action.neighbors))
-            for neighbor in sorted(action.neighbors):
-                self._w_str(out, neighbor)
-            out += _F64.pack(action.duration_s)
-            out += _F64.pack(action.radius)
-            out += _VEC2.pack(action.position.x, action.position.y)
-            if action.velocity is None:
-                out.append(0)
-            else:
-                out.append(1)
-                out += _VEC2.pack(action.velocity.x, action.velocity.y)
-            out += _F64.pack(action.cost_ms)
-        elif type(action) is BlindWrite:
-            out.append(_ACT_BLIND)
-            out += _ACTION_ID.pack(*action.action_id)
-            self._w_values(out, action._values)
-            self._w_optional_action_id(out, action.origin)
-        else:
-            self._note_fallback(type(action).__name__)
-            blob = self._pickle(action)
-            out.append(_ACT_PICKLED)
-            out += _U32.pack(len(blob))
-            out += blob
-
-    def _r_action(self, r: _Reader) -> Action:
-        from repro.world.geometry import Vec2
-        from repro.world.movement import MoveAction
-
-        kind = r.byte()
-        if kind == _ACT_MOVE:
-            if self._walls is None:
-                raise CodecError(
-                    "cannot decode MoveAction: codec has no wall field bound"
-                )
-            action_id = ActionId(*r.unpack(_ACTION_ID))
-            avatar_oid = self._r_str(r)
-            (neighbor_count,) = r.unpack(_U32)
-            neighbors = frozenset(
-                self._r_str(r) for _ in range(neighbor_count)
-            )
-            (duration_s,) = r.unpack(_F64)
-            (effect_range,) = r.unpack(_F64)
-            position = Vec2(*r.unpack(_VEC2))
-            velocity = Vec2(*r.unpack(_VEC2)) if r.byte() else None
-            (cost_ms,) = r.unpack(_F64)
-            return MoveAction(
-                action_id,
-                avatar_oid,
-                neighbors=neighbors,
-                walls=self._walls,
-                duration_s=duration_s,
-                effect_range=effect_range,
-                position=position,
-                velocity=velocity,
-                cost_ms=cost_ms,
-            )
-        if kind == _ACT_BLIND:
-            action_id = ActionId(*r.unpack(_ACTION_ID))
-            values = self._r_values(r)
-            origin = self._r_optional_action_id(r)
-            return BlindWrite(action_id, values, origin=origin)
-        if kind == _ACT_PICKLED:
-            (length,) = r.unpack(_U32)
-            return self._unpickle(bytes(r.read(length)))
-        raise CodecError(f"unknown action sub-tag {kind}")
-
-    # -- scalar/value helpers -------------------------------------------
-    def _w_str(self, out: bytearray, text: str) -> None:
-        raw = text.encode("utf-8")
-        out += _U32.pack(len(raw))
-        out += raw
-
-    def _r_str(self, r: _Reader) -> str:
-        (length,) = r.unpack(_U32)
-        return str(bytes(r.read(length)), "utf-8")
-
-    def _w_optional_action_id(
-        self, out: bytearray, action_id: Optional[ActionId]
-    ) -> None:
-        if action_id is None:
-            out.append(0)
-        else:
-            out.append(1)
-            out += _ACTION_ID.pack(*action_id)
-
-    def _r_optional_action_id(self, r: _Reader) -> Optional[ActionId]:
-        return ActionId(*r.unpack(_ACTION_ID)) if r.byte() else None
-
-    def _w_shard_tuple(self, out: bytearray, shards: Tuple[int, ...]) -> None:
-        out += _U32.pack(len(shards))
-        for shard in shards:
-            out += _I64.pack(shard)
-
-    def _r_shard_tuple(self, r: _Reader) -> Tuple[int, ...]:
-        (count,) = r.unpack(_U32)
-        return tuple(r.unpack(_I64)[0] for _ in range(count))
-
-    def _w_value(self, out: bytearray, value) -> None:
-        if value is None:
-            out.append(_VAL_NONE)
-        elif value is True:
-            out.append(_VAL_TRUE)
-        elif value is False:
-            out.append(_VAL_FALSE)
-        elif type(value) is int and _INT64_MIN <= value <= _INT64_MAX:
-            out.append(_VAL_INT)
-            out += _I64.pack(value)
-        elif type(value) is float:
-            out.append(_VAL_FLOAT)
-            out += _F64.pack(value)
-        elif type(value) is str:
-            out.append(_VAL_STR)
-            self._w_str(out, value)
-        elif type(value) is tuple:
-            out.append(_VAL_TUPLE)
-            out += _U32.pack(len(value))
-            for item in value:
-                self._w_value(out, item)
-        else:
-            blob = self._pickle(value)
-            out.append(_VAL_PICKLED)
-            out += _U32.pack(len(blob))
-            out += blob
-
-    def _r_value(self, r: _Reader):
-        kind = r.byte()
-        if kind == _VAL_NONE:
-            return None
-        if kind == _VAL_TRUE:
-            return True
-        if kind == _VAL_FALSE:
-            return False
-        if kind == _VAL_INT:
-            return r.unpack(_I64)[0]
-        if kind == _VAL_FLOAT:
-            return r.unpack(_F64)[0]
-        if kind == _VAL_STR:
-            return self._r_str(r)
-        if kind == _VAL_TUPLE:
-            (count,) = r.unpack(_U32)
-            return tuple(self._r_value(r) for _ in range(count))
-        if kind == _VAL_PICKLED:
-            (length,) = r.unpack(_U32)
-            return self._unpickle(bytes(r.read(length)))
-        raise CodecError(f"unknown value sub-tag {kind}")
-
-    def _w_values(self, out: bytearray, values) -> None:
-        """A ValuesDict (oid -> attrs dict), in insertion order."""
-        out += _U32.pack(len(values))
-        for oid, attrs in values.items():
-            self._w_str(out, oid)
-            out += _U32.pack(len(attrs))
-            for name, value in attrs.items():
-                self._w_str(out, name)
-                self._w_value(out, value)
-
-    def _r_values(self, r: _Reader) -> dict:
-        (count,) = r.unpack(_U32)
-        values = {}
-        for _ in range(count):
-            oid = self._r_str(r)
-            (attr_count,) = r.unpack(_U32)
-            attrs = {}
-            for _ in range(attr_count):
-                name = self._r_str(r)
-                attrs[name] = self._r_value(r)
-            values[oid] = attrs
-        return values
-
-    def _w_written(self, out: bytearray, written: tuple) -> None:
-        """A canonicalised written tuple (see ActionResult.of)."""
-        out += _U32.pack(len(written))
-        for oid, attrs in written:
-            self._w_str(out, oid)
-            out += _U32.pack(len(attrs))
-            for name, value in attrs:
-                self._w_str(out, name)
-                self._w_value(out, value)
-
-    def _r_written(self, r: _Reader) -> tuple:
-        (count,) = r.unpack(_U32)
-        written = []
-        for _ in range(count):
-            oid = self._r_str(r)
-            (attr_count,) = r.unpack(_U32)
-            attrs = tuple(
-                (self._r_str(r), self._r_value(r)) for _ in range(attr_count)
-            )
-            written.append((oid, attrs))
-        return tuple(written)
-
-    def _w_result(self, out: bytearray, result: ActionResult) -> None:
-        out.append(1 if result.aborted else 0)
-        self._w_written(out, result.written)
-
-    def _r_result(self, r: _Reader) -> ActionResult:
-        aborted = bool(r.byte())
-        return ActionResult(self._r_written(r), aborted)
-
-    # -- pickle fallback ------------------------------------------------
-    def _pickle(self, obj: object) -> bytes:
-        from repro.world.walls import WallField
-
-        buffer = io.BytesIO()
-        pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
-        pickler.persistent_id = (
-            lambda item: _WALLS_TOKEN if isinstance(item, WallField) else None
-        )
-        try:
-            pickler.dump(obj)
-        except Exception as exc:
-            raise CodecError(f"cannot pickle {type(obj).__name__}: {exc}") from exc
-        return buffer.getvalue()
-
-    def _unpickle(self, blob: bytes) -> object:
-        unpickler = pickle.Unpickler(io.BytesIO(blob))
-        unpickler.persistent_load = self._persistent_load
-        try:
-            return unpickler.load()
-        except CodecError:
-            raise
-        except Exception as exc:
-            raise CodecError(f"corrupt pickled payload: {exc}") from exc
 
     def _persistent_load(self, pid: object) -> object:
         if pid == _WALLS_TOKEN:

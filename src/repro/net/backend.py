@@ -600,13 +600,13 @@ class PartitionReplica:
             for violation in (recorder.violations if recorder is not None else ())
         )
         if self.obs is not None:
-            # Surface transport-codec pickle fallbacks as a metric so the
-            # static codec-coverage claim (repro.analysis.protocol) is
-            # cross-checked at runtime; zero fallbacks leaves the metrics
-            # registry untouched and the merged output byte-identical.
+            # Surface the action classes the transport codec had to
+            # pickle (no field encoding of their own) as a metric; zero
+            # leaves the metrics registry untouched and the merged
+            # output byte-identical.
             for type_name, count in sorted(self.codec.pickle_fallbacks.items()):
                 self.obs.metrics.counter(
-                    f"codec.pickle_fallback.{type_name}"
+                    f"codec.action_pickle.{type_name}"
                 ).inc(count)
         detector = engine.detector
         detection: Tuple = ()

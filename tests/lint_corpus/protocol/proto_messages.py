@@ -1,38 +1,40 @@
 """Known-bad corpus for the protocol conformance analyzer.
 
-A miniature protocol-definition module: the three registries, a codec
-with one missing encoder (``Legacy`` -> codec-fallback) and one
-decoder-less encoder (``WriteOnly`` -> codec-decode-missing), an
-``Orphan`` message nothing dispatches, and an unregistered ``Rogue``
-class the node module handles anyway.  tests/test_protocol_analysis.py
-pins the exact finding histogram; expected_graph.json pins the flow
-graph extracted from this pair of files.
+A miniature protocol-definition module in the spec form: every message
+class carries one ``@wire_message`` spec (the analyzer reads only its
+literal ``enveloped`` / ``group`` keywords), ``CONSERVATION_GROUPS``
+declares the counters, and ``PROTOCOL_MESSAGES`` marks the module as
+the definition module.  Seeded: an ``Orphan`` message nothing
+dispatches, and a spec-less ``Rogue`` class the node module handles
+anyway.  tests/test_protocol_analysis.py pins the exact finding
+histogram; expected_graph.json pins the flow graph extracted from this
+pair of files.
 
 Never imported at runtime — analyzed purely as source.
 """
 
 
+def wire_message(**spec):
+    return lambda cls: cls
+
+
+@wire_message(tag=1, header=8, fields=[], group="pings")
 class Ping:
     pass
 
 
+@wire_message(tag=2, header=8, fields=[])
 class Pong:
     pass
 
 
+@wire_message(tag=3, header=8, fields=[])
 class Orphan:
     pass
 
 
-class Legacy:
-    pass
-
-
+@wire_message(tag=4, header=8, fields=[])
 class DeadEnd:
-    pass
-
-
-class WriteOnly:
     pass
 
 
@@ -40,43 +42,16 @@ class Rogue:
     pass
 
 
+@wire_message(tag=5, header=8, fields=[], enveloped=True)
 class Inner:
     pass
 
 
-PROTOCOL_MESSAGES = (Ping, Pong, Orphan, Legacy, DeadEnd, WriteOnly)
-ENVELOPED_MESSAGES = (Inner,)
+PROTOCOL_MESSAGES = (Ping, Pong, Orphan, DeadEnd, Inner)
 CONSERVATION_GROUPS = {
     "pings": {
-        "messages": ["Ping"],
         "module": "proto_node.py",
         "sent": "pings_sent",
         "received": "pings_received",
     },
 }
-
-
-class _Codec:
-    def _encode_body(self, message):
-        if isinstance(message, Ping):
-            return 1, b""
-        if isinstance(message, Pong):
-            return 2, b""
-        if isinstance(message, Orphan):
-            return 3, b""
-        if isinstance(message, DeadEnd):
-            return 4, b""
-        if isinstance(message, WriteOnly):
-            return 5, b""
-        raise TypeError(message)
-
-    def _decode_body(self, tag):
-        if tag == 1:
-            return Ping()
-        if tag == 2:
-            return Pong()
-        if tag == 3:
-            return Orphan()
-        if tag == 4:
-            return DeadEnd()
-        raise TypeError(tag)

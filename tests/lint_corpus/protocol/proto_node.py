@@ -3,7 +3,7 @@
 Seeds one finding per flow rule the node side can produce: an
 uncounted ``Ping`` send, an uncounted ``Ping`` handler, a dispatch
 branch for ``DeadEnd`` that nothing constructs, and a handler for the
-unregistered ``Rogue``.  Never imported at runtime.
+spec-less ``Rogue``.  Never imported at runtime.
 """
 
 
@@ -21,17 +21,13 @@ class Node:
         return Ping()  # protocol-unaccounted-send: no pings_sent bump
 
     def send_others(self):
-        return [Pong(), Orphan(), Legacy(), WriteOnly(), Inner(), Rogue()]
+        return [Pong(), Orphan(), Inner(), Rogue()]
 
     def handle(self, payload):
         if isinstance(payload, Ping):
             self.pings_received += 1
             self.log.append(payload)
         elif isinstance(payload, Pong):
-            self.log.append(payload)
-        elif isinstance(payload, Legacy):
-            self.log.append(payload)
-        elif isinstance(payload, WriteOnly):
             self.log.append(payload)
         elif isinstance(payload, DeadEnd):
             self.log.append(payload)  # protocol-dead-handler: no sender

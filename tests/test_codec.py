@@ -1,19 +1,28 @@
-"""Round-trip and error-path tests for the binary message codec.
+"""Round-trip, golden-frame and error-path tests for the message specs.
 
 The codec backs the parallel backend's cross-partition transport (every
 cross-shard message in a partitioned run is encoded and decoded through
-it), so the contract here is strict: decode(encode(m)) == m for every
-protocol message type, and malformed frames fail loudly instead of
-yielding garbage.
+it), and ``wire_size`` is what the paper's traffic figures are billed
+by.  Both are compiled from the per-message specs in
+``repro.core.messages``, so the contract here is strict:
+decode(encode(m)) == m for every protocol message type, every frame and
+modelled size equals the golden fixture taken before the specs existed,
+and malformed frames end in a ``CodecError``, never in garbage or a
+stray exception.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import json
+from pathlib import Path
+
 import pytest
 
-from repro.core.action import ActionId, ActionResult, BlindWrite
+from repro.core.action import Action, ActionId, ActionResult, BlindWrite
 from repro.core.messages import (
     PROTOCOL_MESSAGES,
+    WIRE_SPECS,
     AbortNotice,
     ActionBatch,
     ClientHello,
@@ -117,8 +126,11 @@ def blind_write(seq: int = 9) -> BlindWrite:
 
 RESULT = ActionResult.of({"avatar:3": {"x": 60.0, "y": 50.0, "bumps": 1}})
 
-#: One representative instance per protocol message type (plus the
-#: net-layer ARQ frames that ride through worker bundles).
+#: Boundary-value instances of every protocol message type (plus the
+#: net-layer ARQ frames that ride through worker bundles): wherever a
+#: message has a collection or an optional field there is an empty, a
+#: ``None`` and a populated case.  The list is append-only — its frames
+#: and modelled sizes are pinned by tests/data/golden_frames.json.
 MESSAGES = [
     SubmitAction(move_action()),
     SubmitAction(blind_write()),
@@ -182,6 +194,54 @@ MESSAGES = [
     _Packet(3, 1, SubmitAction(move_action(8))),
     _Packet(0, 0, None),
     _Ack(17),
+    # -- empty collections, None optionals, remaining value kinds --------
+    SubmitAction(BlindWrite(ActionId(-1, 1), {})),
+    SubmitAction(
+        BlindWrite(
+            ActionId(-1, 2),
+            {
+                "avatar:6": {"off": False, "path": (1, (2.5, "x"), ()), "big": 2**70},
+                "avatar:7": {},
+            },
+        )
+    ),
+    OrderedAction(
+        0,
+        MoveAction(
+            ActionId(0, 0),
+            "avatar:0",
+            neighbors=frozenset(),
+            walls=WALLS,
+            duration_s=0.0,
+            effect_range=0.0,
+            position=Vec2(0.0, 0.0),
+            velocity=None,
+            cost_ms=0.0,
+        ),
+    ),
+    ActionBatch(()),
+    Completion(0, ActionId(0, 0), ActionResult.of({"avatar:0": {}})),
+    StateUpdate((("avatar:0", ()),), cause=ActionId(0, 1), submitted_at=-0.0),
+    Heartbeat(),
+    RelayedAction(blind_write(2)),
+    PeerForward(-2, ActionBatch((), last_installed=8)),
+    GroupBundle(shared=(), members=()),
+    GroupBundle(
+        shared=(OrderedAction(3, move_action(9)), OrderedAction(4, blind_write(3))),
+        members=((4, ()), (5, (1, 0)), (6, (OrderedAction(-1, blind_write(4)),))),
+        last_installed=-1,
+    ),
+    SpanForward(2, (), blind_write(5)),
+    SpanSplice(0, 0, (), blind_write(6)),
+    SpanResult(0, ActionId(0, 0), ActionResult.of({}, aborted=True)),
+    HandoffTransfer(0, 0.0, interests=frozenset(), resolved=()),
+    HandoffWelcome(0),
+    RegionSync(version=0, lo=0.0, hi=0.0, entries=(("avatar:9", -1, 0, ()),)),
+    ClientHello(client_id=0, radius=1.5, interests=frozenset()),
+    _Packet(-1, 4, None),
+    _Packet(
+        7, 2, PeerForward(1, ActionBatch((OrderedAction(-1, blind_write(7)),)))
+    ),
 ]
 
 
@@ -211,29 +271,111 @@ def test_sequence_round_trip():
     assert [snap(m) for m in decoded] == [snap(m) for m in MESSAGES]
 
 
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "golden_frames.json").read_text()
+)["frames"]
+
+
+def test_golden_frames_pin_the_wire_format_and_the_traffic_model():
+    # The fixture was dumped from the last hand-written codec and size
+    # ladder (see its "generated_from"): any difference here is a wire
+    # format change or a change to the paper's traffic numbers.
+    assert [g["type"] for g in GOLDEN] == [type(m).__name__ for m in MESSAGES]
+    for message, golden in zip(MESSAGES, GOLDEN):
+        assert codec().encode(message).hex() == golden["frame"], golden["type"]
+        decoded = codec().decode(bytes.fromhex(golden["frame"]))
+        assert snap(decoded) == snap(message), golden["type"]
+        if golden["wire_size"] is None:  # ARQ frames: billed by the network
+            with pytest.raises(TypeError):
+                wire_size(message)
+        else:
+            assert wire_size(message) == golden["wire_size"], golden["type"]
+
+
 def test_every_registered_message_type_has_a_round_trip_sample():
-    # Exhaustiveness ratchet: registering a message type in
-    # PROTOCOL_MESSAGES without adding a boundary-value sample above
-    # fails here, keeping the codec-coverage story honest end to end.
+    # Exhaustiveness ratchet: declaring a message without adding a
+    # boundary-value sample above fails here.  Together with the spec
+    # checks below this is the whole cost of a new message: one class,
+    # one spec, one sample.
     sampled = {type(m) for m in MESSAGES}
-    missing = [c.__name__ for c in PROTOCOL_MESSAGES if c not in sampled]
+    missing = [c.__name__ for c in WIRE_SPECS if c not in sampled]
     assert missing == []
+    assert set(PROTOCOL_MESSAGES) == {
+        cls for cls, spec in WIRE_SPECS.items() if spec.header is not None
+    }
 
 
-def test_protocol_messages_never_ride_the_pickle_fallback():
-    # Cross-check of the static codec-fallback lint at runtime: encoding
-    # every sample must leave the fallback counter untouched.
+def test_specs_have_unique_tags_and_cover_exactly_the_dataclass_fields():
+    tags = [spec.tag for spec in WIRE_SPECS.values()]
+    assert len(set(tags)) == len(tags)
+    for cls, spec in WIRE_SPECS.items():
+        declared = sorted(f.name for f in dataclasses.fields(cls))
+        assert sorted(name for name, _ in spec.fields) == declared, cls.__name__
+
+
+def test_a_dataclass_without_a_spec_is_rejected_not_pickled():
+    @dataclasses.dataclass(frozen=True)
+    class Unspecd:
+        value: int
+
+    with pytest.raises(TypeError, match="Unspecd"):
+        wire_size(Unspecd(1))
+    with pytest.raises(CodecError, match="Unspecd"):
+        codec().encode(Unspecd(1))
+    # ... and so is a plain payload, and the retired pickle frame tag.
+    with pytest.raises(CodecError, match="dict"):
+        codec().encode({"custom": (1, 2.5, "x")})
+    with pytest.raises(CodecError, match="unknown frame tag 127"):
+        codec().decode(b"\x7f\x00\x00\x00\x01N")
+
+
+def test_a_spec_that_misses_a_field_or_reuses_a_tag_fails_at_declaration():
+    from repro.core.messages import I64, wire_message
+
+    @dataclasses.dataclass(frozen=True)
+    class TwoFields:
+        a: int
+        b: int = 0
+
+    with pytest.raises(TypeError, match="TwoFields"):
+        wire_message(tag=200, header=8, fields=[("a", I64)])(TwoFields)
+    taken = WIRE_SPECS[Heartbeat].tag
+    with pytest.raises(ValueError, match="TwoFields"):
+        wire_message(tag=taken, header=8, fields=[("a", I64), ("b", I64)])(
+            TwoFields
+        )
+    assert TwoFields not in WIRE_SPECS
+
+
+class _Teleport(Action):
+    """A world-specific action the codec has no field encoding for."""
+
+    def __init__(self, action_id, oid, x):
+        super().__init__(action_id, reads=frozenset({oid}), writes=frozenset({oid}))
+        self.oid = oid
+        self.x = x
+
+    def compute(self, store):
+        return {self.oid: {"x": self.x}}
+
+
+def test_world_specific_actions_and_exotic_values_still_ride_pickle():
+    # Pickle survives *inside* frames only: an action class other than
+    # MoveAction/BlindWrite ('P' action sub-tag, counted per class) and
+    # an attribute value outside None/bool/int64/float/str/tuple.
     c = codec()
     for message in MESSAGES:
         c.encode(message)
     assert c.pickle_fallbacks == {}
-
-
-def test_pickle_fallback_round_trips_exotic_payloads():
-    # Anything without a field encoder falls back to the tagged pickle
-    # frame — the codec must still round-trip it.
-    payload = {"custom": (1, 2.5, "x")}
-    assert codec().decode(codec().encode(payload)) == payload
+    decoded = codec().decode(
+        c.encode(SubmitAction(_Teleport(ActionId(1, 0), "avatar:1", 4.5)))
+    )
+    assert type(decoded.action) is _Teleport
+    assert snap(decoded.action) == snap(_Teleport(ActionId(1, 0), "avatar:1", 4.5))
+    assert c.pickle_fallbacks == {"_Teleport": 1}
+    exotic = StateUpdate((("avatar:1", (("tags", frozenset({"a", "b"})),)),))
+    assert codec().decode(c.encode(exotic)) == exotic
+    assert c.pickle_fallbacks == {"_Teleport": 1}
 
 
 def test_move_frame_is_much_smaller_than_pickle():
@@ -241,6 +383,30 @@ def test_move_frame_is_much_smaller_than_pickle():
 
     frame = codec().encode(SubmitAction(move_action()))
     assert len(frame) < len(pickle.dumps(SubmitAction(move_action()))) / 4
+
+
+def test_corrupt_frames_end_in_a_codec_error_and_nothing_else():
+    # Every truncation and every single-bit flip of every golden frame
+    # either still decodes or raises CodecError -- never a stray
+    # UnicodeDecodeError (corrupt str field), ProtocolError (sign-flipped
+    # cost/radius reaching the Action constructor) or struct.error.
+    c = codec()
+    outcomes = {"decoded": 0, "rejected": 0}
+    for golden in GOLDEN:
+        frame = bytes.fromhex(golden["frame"])
+        mutants = [frame[:cut] for cut in range(len(frame))]
+        for index in range(len(frame)):
+            for bit in range(8):
+                mutant = bytearray(frame)
+                mutant[index] ^= 1 << bit
+                mutants.append(bytes(mutant))
+        for mutant in mutants:
+            try:
+                c.decode(mutant)
+                outcomes["decoded"] += 1
+            except CodecError:
+                outcomes["rejected"] += 1
+    assert outcomes["decoded"] and outcomes["rejected"]
 
 
 def test_truncated_frame_raises():

@@ -6,9 +6,11 @@ known-bad corpus pair under tests/lint_corpus/protocol/ fires every
 rule in the catalogue exactly once, pinned per-rule and per-site;
 (2) the extracted flow graph matches the golden expected_graph.json
 byte for byte, so the JSON format consumed by tooling cannot drift
-silently; (3) the shipped tree is clean — every registered message has
-a handler, a codec branch, and a decode path, which is what lets
-scripts/test.sh fail CI on protocol drift; (4) the CLI front end wires
+silently; (3) the shipped tree is clean — every spec'd message has a
+sender and a handler and every conservation-group message is counted
+on both ends, which is what lets scripts/test.sh fail CI on protocol
+drift (codec coverage is not a rule: encoder, decoder and sizer are
+compiled from the spec, see tests/test_codec.py); (4) the CLI front end wires
 the check up with the documented exit codes and the positional
 ``protocol`` shorthand; (5) the baseline ratchet rejects stale
 suppressions instead of letting the baseline rot.
@@ -45,12 +47,8 @@ def test_corpus_findings_point_at_the_seeded_sites():
     node_py = "tests/lint_corpus/protocol/proto_node.py"
     assert findings["protocol-orphan"].path == messages_py
     assert "Orphan" in findings["protocol-orphan"].message
-    assert findings["codec-fallback"].path == messages_py
-    assert "Legacy" in findings["codec-fallback"].message
     assert findings["protocol-unregistered"].path == messages_py
     assert "Rogue" in findings["protocol-unregistered"].message
-    assert findings["codec-decode-missing"].path == messages_py
-    assert "WriteOnly" in findings["codec-decode-missing"].message
     assert findings["protocol-dead-handler"].path == node_py
     assert "DeadEnd" in findings["protocol-dead-handler"].message
     assert findings["protocol-unaccounted-send"].path == node_py
@@ -77,12 +75,18 @@ def test_shipped_protocol_is_conformant():
     )
     assert model.definition_module == "src/repro/core/messages.py"
     flows = model.flows
+    # The graph is the spec'd messages and nothing else (the module's
+    # other classes -- CodecError, MessageCodec, Kind -- are not messages).
+    from repro.core.messages import ENVELOPED_MESSAGES, PROTOCOL_MESSAGES
+
+    assert sorted(flows) == sorted(c.__name__ for c in PROTOCOL_MESSAGES)
+    assert [n for n, f in flows.items() if f.enveloped] == [
+        c.__name__ for c in ENVELOPED_MESSAGES
+    ]
     # Every message the engine relies on is present and fully wired.
     for name in ("SubmitAction", "ActionBatch", "CommitNotice", "LeaseGrant"):
         flow = flows[name]
-        assert flow.registered
-        assert flow.encoder_line is not None
-        assert flow.decoder_line is not None
+        assert flow.senders, f"{name} has no constructor site"
         assert flow.handlers, f"{name} has no dispatch branch"
     # The elastic handoff messages are conservation-tracked.
     assert flows["PartitionUpdate"].conservation == "elastic"
@@ -143,7 +147,7 @@ def test_cli_baseline_ratchet_rejects_stale_suppressions(tmp_path):
     # run: the ratchet only shrinks.
     entries = json.loads(baseline.read_text())
     entries["findings"].append(
-        ["tests/lint_corpus/protocol/proto_messages.py", "codec-fallback", 1]
+        ["tests/lint_corpus/protocol/proto_messages.py", "protocol-orphan", 2]
     )
     baseline.write_text(json.dumps(entries))
     stale = _run_cli(
@@ -154,12 +158,12 @@ def test_cli_baseline_ratchet_rejects_stale_suppressions(tmp_path):
     document = json.loads(stale.stdout)
     assert document["count"] == 0  # nothing fresh -- only the stale entry
     assert document["stale"] == [
-        ["tests/lint_corpus/protocol/proto_messages.py", "codec-fallback", 1]
+        ["tests/lint_corpus/protocol/proto_messages.py", "protocol-orphan", 2]
     ]
 
     # Entries outside the scanned paths or rule set are not "stale" --
     # they simply were not re-checked this run.
-    entries["findings"] = [["src/unscanned/other.py", "codec-fallback", 9]]
+    entries["findings"] = [["src/unscanned/other.py", "protocol-orphan", 9]]
     baseline.write_text(json.dumps(entries))
     unrelated = _run_cli(
         "protocol", str(CORPUS), "--root", str(REPO),
