@@ -1,11 +1,12 @@
 """Microbenchmarks of the hot protocol paths.
 
 These are real pytest-benchmark measurements (multiple rounds): the
-transitive-closure walk, the Information Bound validation, the spatial
-index, and the event loop — the operations whose costs the simulation's
+transitive-closure walk, the Information Bound validation, the wall
+queries, and the event loop — the operations whose costs the simulation's
 calibrated cost model stands in for.
 """
 
+import math
 import random
 
 import pytest
@@ -16,7 +17,7 @@ from repro.core.closure import QueueEntry, transitive_closure
 from repro.core.info_bound import InformationBound
 from repro.net.simulator import Simulator
 from repro.world.geometry import Vec2
-from repro.world.spatial import UniformGridIndex
+from repro.world.walls import WallField, generate_walls
 
 
 class _SetsAction(Action):
@@ -72,15 +73,36 @@ def test_info_bound_validation_200_actions(benchmark):
     assert bound.stats.validated == 200
 
 
-def test_spatial_query_10k_walls(benchmark):
-    index = UniformGridIndex(cell_size=25.0)
+@pytest.fixture(scope="module")
+def wall_field():
+    """The ``crowd_k1`` wall density: 20 000 walls over 1000 x 1000."""
+    walls = generate_walls(20_000, world_width=1000.0, world_height=1000.0, seed=2)
+    return WallField(walls, width=1000.0, height=1000.0)
+
+
+def test_first_obstruction_20k_walls(benchmark, wall_field):
+    """1 000 three-unit moves (one avatar step) through the collision
+    kernel — the query every ``MoveAction.apply`` makes."""
     rng = random.Random(2)
-    for i in range(10_000):
-        x, y = rng.uniform(0, 1000), rng.uniform(0, 1000)
-        index.insert_box(i, x, y, x + 10.0, y)
+    moves = []
+    for _ in range(1_000):
+        start = Vec2(rng.uniform(0, 1000), rng.uniform(0, 1000))
+        step = Vec2.from_heading(rng.uniform(-math.pi, math.pi)).scaled(3.0)
+        moves.append((start, start + step))
 
     def run():
-        return index.query_radius(Vec2(500, 500), 58.0)
+        return sum(
+            wall_field.first_obstruction(start, end) is not None
+            for start, end in moves
+        )
+
+    blocked = benchmark(run)
+    assert 0 < blocked < len(moves)
+
+
+def test_walls_near_20k_walls(benchmark, wall_field):
+    def run():
+        return wall_field.walls_near(Vec2(500, 500), 58.0)
 
     found = benchmark(run)
     assert found

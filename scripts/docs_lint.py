@@ -67,16 +67,22 @@ NON_CLI_FLAGS = frozenset({
     "--baseline",
     "--benchmark-only",
     "--check",
+    "--exact",
     "--fast",
     "--faults",
     "--help",
     "--json",
     "--no-build-isolation",
+    "--out",
     "--paper-scale",
     "--quick",
     "--race-budget",
     "--race-shrink-budget",
+    "--reps",
     "--root",
+    "--seconds",
+    "--trace",
+    "--workload",
     "--write-baseline",
 })
 

@@ -5,7 +5,8 @@
 # Usage:
 #   scripts/test.sh            everything: lints, doctests, fast suite,
 #                              sharded + parallel + adversary smoke
-#                              runs, the parallel-backend differential,
+#                              runs, the perf benchmark's self-tests,
+#                              the parallel-backend differential,
 #                              slow differentials, fault matrix
 #   scripts/test.sh --fast     lints, doctests, fast suite, parallel +
 #                              adversary smoke (pre-commit gate)
@@ -94,6 +95,13 @@ controlplane_smoke() {
     --crash-plan 's2@1500:3500' --rtt-ms 150 --seed 13 >/dev/null
 }
 
+# The perf benchmark's self-tests (benchmarks/perf/README.md, ~20 s at
+# smoke scale): its probes patch the layers' seams by name, so a renamed
+# method fails here instead of in the benchmark.
+perf_benchmark_selftests() {
+  python -m pytest -x -q benchmarks/perf/tests
+}
+
 case "${1:-}" in
   --fast)
     lint_and_doctests
@@ -114,6 +122,7 @@ case "${1:-}" in
     adversary_smoke
     elastic_smoke
     controlplane_smoke
+    perf_benchmark_selftests
     # Full parallel-vs-inproc differential (clean + lossy, K ∈ {1,2,4})
     python -m pytest -x -q tests/test_parallel_backend.py
     python -m pytest -x -q -m "slow and not faults"

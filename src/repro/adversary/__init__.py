@@ -51,8 +51,7 @@ from repro.core.messages import Completion, SubmitAction, wire_size
 from repro.errors import ConfigurationError
 from repro.types import ClientId
 from repro.world.avatar import avatar_id
-from repro.world.geometry import Vec2
-from repro.world.movement import COLLISION_DISTANCE, MoveAction
+from repro.world.movement import MoveAction
 
 #: Every model this package ships, in CLI/plan canonical order.
 ADVERSARY_MODELS: Tuple[str, ...] = (
@@ -248,21 +247,10 @@ class _TolerantMoveAction(MoveAction):
     attributable evidence.
     """
 
-    def _blocked(self, store, start, target) -> bool:
-        if self.walls.path_blocked(start, target):
-            return True
-        for neighbor_oid in sorted(self.neighbors):
-            if neighbor_oid == self.avatar_oid:
-                continue
-            if neighbor_oid not in store:
-                continue
-            other = store.get(neighbor_oid)
-            if not other.get("alive", True):
-                continue
-            other_pos = Vec2(float(other["x"]), float(other["y"]))
-            if other_pos.distance_to(target) < COLLISION_DISTANCE:
-                return True
-        return False
+    def _neighbor_states(self, store):
+        for neighbor_oid in self._others:
+            if neighbor_oid in store:
+                yield store.get(neighbor_oid)
 
 
 class LyingRSClient(CheatingClient):

@@ -78,41 +78,84 @@ def clamp(value: float, low: float, high: float) -> float:
     return max(low, min(high, value))
 
 
-def _orientation(a: Vec2, b: Vec2, c: Vec2) -> int:
-    """Orientation of the triple: 1 ccw, -1 cw, 0 collinear."""
-    cross = (b - a).cross(c - a)
-    if cross > 1e-12:
+#: A cross product within this of zero counts as collinear; the same
+#: slack widens the on-segment box test.
+COLLINEAR_EPS = 1e-12
+
+
+def _orientation(cross: float) -> int:
+    """Turn direction a cross product stands for: 1 ccw, -1 cw, 0 collinear."""
+    if cross > COLLINEAR_EPS:
         return 1
-    if cross < -1e-12:
+    if cross < -COLLINEAR_EPS:
         return -1
     return 0
 
 
+def _in_box(
+    ax: float, ay: float, bx: float, by: float, px: float, py: float
+) -> bool:
+    """Whether ``p`` lies in the bounding box of ``ab`` (grown by the
+    tolerance) — for ``p`` collinear with ``ab``: on the segment."""
+    return (
+        min(ax, bx) - COLLINEAR_EPS <= px <= max(ax, bx) + COLLINEAR_EPS
+        and min(ay, by) - COLLINEAR_EPS <= py <= max(ay, by) + COLLINEAR_EPS
+    )
+
+
 def _on_segment(a: Vec2, b: Vec2, p: Vec2) -> bool:
     """Whether collinear point ``p`` lies on segment ``ab``."""
-    return (
-        min(a.x, b.x) - 1e-12 <= p.x <= max(a.x, b.x) + 1e-12
-        and min(a.y, b.y) - 1e-12 <= p.y <= max(a.y, b.y) + 1e-12
-    )
+    return _in_box(*a, *b, *p)
+
+
+def segments_intersect_xy(
+    p1x: float, p1y: float, p2x: float, p2y: float,
+    q1x: float, q1y: float, q2x: float, q2y: float,
+) -> bool:
+    """Whether segments ``p1p2`` and ``q1q2`` intersect (inclusive), on
+    bare coordinates.
+
+    This is the one definition of the predicate:
+    :func:`segments_intersect` is this function on unpacked
+    :class:`Vec2` s, and the wall-collision kernel
+    (:meth:`repro.world.walls.WallField.first_obstruction`) inlines the
+    four cross products below — same operations, same order, so the same
+    bits — to skip the walls this function must answer ``False`` for.
+    ``o1``/``o2`` orient ``q1``/``q2`` about ``p1p2``; ``o3``/``o4``
+    orient ``p1``/``p2`` about ``q1q2``.
+
+    All four are needed before the answer can be ``False``.  ``q1`` and
+    ``q2`` strictly on one side of ``p1p2`` does *not* rule a hit out at
+    this tolerance (``p1`` can still be collinear with the longer
+    ``q1q2`` within ``COLLINEAR_EPS`` and inside its box), and neither
+    do disjoint bounding boxes; docs/performance.md has the
+    counter-example.
+    """
+    dx = p2x - p1x
+    dy = p2y - p1y
+    ex = q2x - q1x
+    ey = q2y - q1y
+    o1 = _orientation(dx * (q1y - p1y) - dy * (q1x - p1x))
+    o2 = _orientation(dx * (q2y - p1y) - dy * (q2x - p1x))
+    o3 = _orientation(ex * (p1y - q1y) - ey * (p1x - q1x))
+    o4 = _orientation(ex * (p2y - q1y) - ey * (p2x - q1x))
+    if o1 != o2 and o3 != o4:
+        return True
+    # Collinear cases: an endpoint of one segment lying on the other.
+    if o1 == 0 and _in_box(p1x, p1y, p2x, p2y, q1x, q1y):
+        return True
+    if o2 == 0 and _in_box(p1x, p1y, p2x, p2y, q2x, q2y):
+        return True
+    if o3 == 0 and _in_box(q1x, q1y, q2x, q2y, p1x, p1y):
+        return True
+    if o4 == 0 and _in_box(q1x, q1y, q2x, q2y, p2x, p2y):
+        return True
+    return False
 
 
 def segments_intersect(p1: Vec2, p2: Vec2, q1: Vec2, q2: Vec2) -> bool:
     """Whether segments ``p1p2`` and ``q1q2`` intersect (inclusive)."""
-    o1 = _orientation(p1, p2, q1)
-    o2 = _orientation(p1, p2, q2)
-    o3 = _orientation(q1, q2, p1)
-    o4 = _orientation(q1, q2, p2)
-    if o1 != o2 and o3 != o4:
-        return True
-    if o1 == 0 and _on_segment(p1, p2, q1):
-        return True
-    if o2 == 0 and _on_segment(p1, p2, q2):
-        return True
-    if o3 == 0 and _on_segment(q1, q2, p1):
-        return True
-    if o4 == 0 and _on_segment(q1, q2, p2):
-        return True
-    return False
+    return segments_intersect_xy(*p1, *p2, *q1, *q2)
 
 
 def segment_intersection_point(

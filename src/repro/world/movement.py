@@ -15,10 +15,11 @@ the bounce direction), so every replica evaluates it identically.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional
+from typing import Dict, FrozenSet, Iterator, Optional
 
 from repro.core.action import Action, ActionId
 from repro.errors import ActionAborted
+from repro.state.objects import WorldObject
 from repro.state.store import ObjectStore, ValuesDict
 from repro.types import AttrValue, ObjectId
 from repro.world.geometry import Vec2, reflect_heading_90
@@ -55,6 +56,9 @@ class MoveAction(Action):
         )
         self.avatar_oid = avatar_oid
         self.neighbors = neighbors
+        #: The other avatars to test for collision, in the one order
+        #: every replica tests them.
+        self._others = tuple(sorted(neighbors - {avatar_oid}))
         self.walls = walls
         self.duration_s = duration_s
 
@@ -91,16 +95,19 @@ class MoveAction(Action):
         """Collision test: world border, walls, then declared avatars."""
         if self.walls.path_blocked(start, target):
             return True
-        for neighbor_oid in sorted(self.neighbors):
-            if neighbor_oid == self.avatar_oid:
-                continue
-            other = store.get(neighbor_oid)
+        for other in self._neighbor_states(store):
             if not other.get("alive", True):
                 continue
             other_pos = Vec2(float(other["x"]), float(other["y"]))
             if other_pos.distance_to(target) < COLLISION_DISTANCE:
                 return True
         return False
+
+    def _neighbor_states(self, store: ObjectStore) -> Iterator[WorldObject]:
+        """The declared neighbours as ``store`` holds them, lazily and
+        in collision-test order (a read per avatar actually tested)."""
+        for neighbor_oid in self._others:
+            yield store.get(neighbor_oid)
 
     def __repr__(self) -> str:
         return (

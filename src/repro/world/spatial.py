@@ -1,10 +1,15 @@
 """Uniform grid spatial index.
 
-Both the clients (finding nearby walls/avatars for a move's read set)
-and the server (evaluating the First Bound predicate against every
-client) need fast "what is within radius r of point p" queries.  With
-100 000 walls a linear scan per move would dominate the *real* runtime
-of the simulation, so we index items in a uniform grid of square cells.
+Both the clients (finding nearby avatars for a move's read set) and the
+server (evaluating the First Bound predicate against every client) need
+fast "what is within radius r of point p" queries, so we index items in
+a uniform grid of square cells.
+
+Walls no longer live here: :class:`repro.world.walls.WallField` keeps
+its own immutable per-cell table.  The box-item support
+(:meth:`UniformGridIndex.insert_box`, :meth:`UniformGridIndex.query_box`)
+has no user under ``src/`` and stays because the perf benchmark's probes
+wrap ``query_box`` by name (docs/performance.md, "Leftover").
 """
 
 from __future__ import annotations

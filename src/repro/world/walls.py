@@ -8,24 +8,25 @@ Walls are *static geometry*: immutable, identical at every replica, and
 therefore kept out of the object store and out of action read sets (a
 read set entry for something that can never change would only bloat the
 closure computation).  :class:`WallField` bundles the walls with a
-spatial index and the world bounds, and answers the path queries moves
-need.
+per-cell table of flat wall records and the world bounds, and answers
+the path queries moves need (docs/performance.md, "Wall-collision
+kernel").
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.world.geometry import (
+    COLLINEAR_EPS,
     Vec2,
     clamp,
     segment_intersection_point,
-    segments_intersect,
+    segments_intersect_xy,
 )
-from repro.world.spatial import UniformGridIndex
 
 
 @dataclass(frozen=True)
@@ -93,8 +94,36 @@ def generate_walls(
     return walls
 
 
+#: One wall as the collision kernel reads it: ``(ax, ay, bx, by, index)``.
+_Record = Tuple[float, float, float, float, int]
+
+_Cell = Tuple[int, int]
+
+
+def _cell_span(low: float, high: float, cell_size: float) -> range:
+    """Grid coordinates, along one axis, of the cells overlapping
+    ``[low, high]``."""
+    return range(int(low // cell_size), int(high // cell_size) + 1)
+
+
+def _build_cell_table(
+    walls: Iterable[Wall], cell_size: float
+) -> Dict[_Cell, Tuple[_Record, ...]]:
+    """Per-cell tuples of wall records over a uniform grid of square
+    cells: a wall is listed in every cell its bounding box overlaps."""
+    cells: Dict[_Cell, List[_Record]] = {}
+    for wall in walls:
+        (ax, ay), (bx, by) = wall.a, wall.b
+        record = (ax, ay, bx, by, wall.index)
+        min_x, min_y, max_x, max_y = wall.bbox()
+        for cx in _cell_span(min_x, max_x, cell_size):
+            for cy in _cell_span(min_y, max_y, cell_size):
+                cells.setdefault((cx, cy), []).append(record)
+    return {cell: tuple(records) for cell, records in cells.items()}
+
+
 class WallField:
-    """Static wall geometry with a spatial index and world bounds.
+    """Static wall geometry with a per-cell wall table and world bounds.
 
     Every replica holds (a reference to) the same :class:`WallField`;
     all of its queries are pure functions of immutable data, so using it
@@ -113,12 +142,13 @@ class WallField:
             raise ConfigurationError(
                 f"world must have positive extent, got {width}x{height}"
             )
+        if cell_size <= 0:
+            raise ConfigurationError(f"cell_size must be positive, got {cell_size}")
         self.width = width
         self.height = height
         self.walls: Tuple[Wall, ...] = tuple(walls)
-        self._index: UniformGridIndex[int] = UniformGridIndex(cell_size)
-        for wall in self.walls:
-            self._index.insert_box(wall.index, *wall.bbox())
+        self._cell_size = cell_size
+        self._cells = _build_cell_table(self.walls, cell_size)
 
     def __len__(self) -> int:
         return len(self.walls)
@@ -131,33 +161,81 @@ class WallField:
         """Whether ``p`` lies within the world rectangle."""
         return 0.0 <= p.x <= self.width and 0.0 <= p.y <= self.height
 
+    def _cells_of_box(
+        self, min_x: float, min_y: float, max_x: float, max_y: float
+    ) -> List[Tuple[_Record, ...]]:
+        """The non-empty cells overlapping the box."""
+        size = self._cell_size
+        cells = self._cells
+        found = []
+        for cx in _cell_span(min_x, max_x, size):
+            for cy in _cell_span(min_y, max_y, size):
+                records = cells.get((cx, cy))
+                if records is not None:
+                    found.append(records)
+        return found
+
     def walls_near(self, center: Vec2, radius: float) -> List[Wall]:
         """Walls whose grid cells fall within ``radius`` of ``center``.
 
         This is the "walls a client sees" set whose size drives the
         paper's per-move cost (6.95 ms per 1000 visible walls).
         """
-        candidates = self._index.query_radius(center, radius)
-        return [self.walls[i] for i in sorted(candidates)]
+        x, y = center
+        indices = {
+            record[4]
+            for records in self._cells_of_box(
+                x - radius, y - radius, x + radius, y + radius
+            )
+            for record in records
+        }
+        return [self.walls[i] for i in sorted(indices)]
 
     def first_obstruction(self, start: Vec2, end: Vec2) -> Optional[Wall]:
         """The wall a straight move from ``start`` to ``end`` hits first
         (``None`` for a clear path).  Deterministic: distance-first with
-        wall index as the tie-breaker."""
-        min_x, min_y = min(start.x, end.x), min(start.y, end.y)
-        max_x, max_y = max(start.x, end.x), max(start.y, end.y)
-        candidates = self._index.query_box(min_x, min_y, max_x, max_y)
+        wall index as the tie-breaker.
+
+        The loop inlines the four cross products of
+        :func:`~repro.world.geometry.segments_intersect_xy` — the same
+        operations in the same order, so the same bits — and skips a
+        wall only where that predicate must say no: all four products
+        clear of the collinear tolerance, and one pair on the same side.
+        Every other wall (a hit, or anything near-collinear) goes through
+        the predicate itself, and hits are ranked by the ``Vec2`` code.
+        """
+        sx, sy = start
+        ex, ey = end
+        dx = ex - sx
+        dy = ey - sy
+        eps = COLLINEAR_EPS
+        neg = -COLLINEAR_EPS
         best: Optional[Wall] = None
         best_key: Tuple[float, int] = (float("inf"), -1)
-        for index in candidates:
-            wall = self.walls[index]
-            if not segments_intersect(start, end, wall.a, wall.b):
-                continue
-            hit = segment_intersection_point(start, end, wall.a, wall.b)
-            distance = start.distance_to(hit) if hit is not None else 0.0
-            key = (distance, wall.index)
-            if key < best_key:
-                best, best_key = wall, key
+        for records in self._cells_of_box(
+            min(sx, ex), min(sy, ey), max(sx, ex), max(sy, ey)
+        ):
+            for ax, ay, bx, by, index in records:
+                wx = bx - ax
+                wy = by - ay
+                c1 = dx * (ay - sy) - dy * (ax - sx)
+                c2 = dx * (by - sy) - dy * (bx - sx)
+                c3 = wx * (sy - ay) - wy * (sx - ax)
+                c4 = wx * (ey - ay) - wy * (ex - ax)
+                if (c3 > eps and c4 > eps) or (c3 < neg and c4 < neg):
+                    if (c1 > eps or c1 < neg) and (c2 > eps or c2 < neg):
+                        continue  # the move lies to one side of the wall's line
+                elif (c1 > eps and c2 > eps) or (c1 < neg and c2 < neg):
+                    if (c3 > eps or c3 < neg) and (c4 > eps or c4 < neg):
+                        continue  # the wall lies to one side of the move's line
+                if not segments_intersect_xy(sx, sy, ex, ey, ax, ay, bx, by):
+                    continue
+                wall = self.walls[index]
+                hit = segment_intersection_point(start, end, wall.a, wall.b)
+                distance = start.distance_to(hit) if hit is not None else 0.0
+                key = (distance, wall.index)
+                if key < best_key:
+                    best, best_key = wall, key
         return best
 
     def path_blocked(self, start: Vec2, end: Vec2) -> bool:

@@ -13,7 +13,11 @@ from repro.world.avatar import (
     avatar_position,
     set_avatar_position,
 )
-from repro.world.geometry import Vec2
+from repro.world.geometry import (
+    Vec2,
+    segment_intersection_point,
+    segments_intersect,
+)
 from repro.world.walls import Wall, WallField, generate_walls
 
 
@@ -125,6 +129,10 @@ def test_path_blocked_by_wall(field):
     assert field.path_blocked(Vec2(40, 50), Vec2(60, 50))
 
 
+_BRUTE_WALLS = generate_walls(40, world_width=100.0, world_height=100.0, seed=3)
+_BRUTE_FIELD = WallField(_BRUTE_WALLS, width=100.0, height=100.0)
+
+
 @given(
     x0=st.floats(min_value=0, max_value=100),
     y0=st.floats(min_value=0, max_value=100),
@@ -132,15 +140,15 @@ def test_path_blocked_by_wall(field):
     y1=st.floats(min_value=0, max_value=100),
 )
 def test_obstruction_matches_brute_force(x0, y0, x1, y1):
-    walls = generate_walls(40, world_width=100.0, world_height=100.0, seed=3)
-    field = WallField(walls, width=100.0, height=100.0)
     start, end = Vec2(x0, y0), Vec2(x1, y1)
-    from repro.world.geometry import segments_intersect
 
-    expected_any = any(
-        segments_intersect(start, end, w.a, w.b) for w in walls
-    )
-    assert (field.first_obstruction(start, end) is not None) == expected_any
+    def distance(wall):
+        hit = segment_intersection_point(start, end, wall.a, wall.b)
+        return start.distance_to(hit) if hit is not None else 0.0
+
+    blocking = [w for w in _BRUTE_WALLS if segments_intersect(start, end, w.a, w.b)]
+    expected = min(blocking, key=lambda w: (distance(w), w.index), default=None)
+    assert _BRUTE_FIELD.first_obstruction(start, end) is expected
 
 
 # ---------------------------------------------------------------------------
