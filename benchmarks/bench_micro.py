@@ -14,6 +14,7 @@ import pytest
 from pushpath_common import build_closure_queue, build_push_server
 from repro.core.action import Action, ActionId
 from repro.core.closure import QueueEntry, transitive_closure
+from repro.core.indexes import WriterIndex
 from repro.core.info_bound import InformationBound
 from repro.net.simulator import Simulator
 from repro.world.geometry import Vec2
@@ -54,9 +55,13 @@ def _queue(num_actions=200, num_objects=60, seed=0):
 def test_transitive_closure_200_uncommitted(benchmark):
     def run():
         entries = _queue()
+        index = WriterIndex()
         for entry in entries:
             entry.valid = True
-        return transitive_closure(entries, len(entries) - 1, client_id=999)
+            index.note_enqueued(entry.pos, entry.action.writes)
+        return transitive_closure(
+            entries, len(entries) - 1, client_id=999, writer_index=index
+        )
 
     chain, seed = benchmark(run)
     assert chain[-1] == 199
@@ -109,15 +114,12 @@ def test_walls_near_20k_walls(benchmark, wall_field):
 
 
 @pytest.mark.parametrize("num_clients", [512, 2048])
-@pytest.mark.parametrize("path", ["brute", "indexed"])
-def test_push_cycle(benchmark, num_clients, path):
+def test_push_cycle(benchmark, num_clients):
     """One First Bound push cycle over a freshly validated window —
-    the server loop the spatial client index makes output-sensitive.
-    Compare the ``brute`` and ``indexed`` ids to read the speedup."""
+    the server loop the spatial client index makes output-sensitive."""
 
     def setup():
-        server = build_push_server(num_clients, 128, indexed=(path == "indexed"))
-        return (server,), {}
+        return (build_push_server(num_clients, 128),), {}
 
     def run(server):
         server._push_cycle()
@@ -127,10 +129,9 @@ def test_push_cycle(benchmark, num_clients, path):
     assert closures > 0
 
 
-@pytest.mark.parametrize("path", ["brute", "indexed"])
-def test_transitive_closure_2048_uncommitted(benchmark, path):
-    """Algorithm 6 on a long queue: the brute walk scans every entry,
-    the inverted write index jumps straight between actual writers."""
+def test_transitive_closure_2048_uncommitted(benchmark):
+    """Algorithm 6 on a long queue: the inverted write index jumps
+    straight between actual writers."""
     entries, index = build_closure_queue(2048, 256)
 
     def setup():
@@ -139,12 +140,9 @@ def test_transitive_closure_2048_uncommitted(benchmark, path):
         return (), {}
 
     def run():
-        if path == "indexed":
-            return transitive_closure(
-                entries, len(entries) - 1, client_id=999,
-                writer_index=index, base_pos=0,
-            )
-        return transitive_closure(entries, len(entries) - 1, client_id=999)
+        return transitive_closure(
+            entries, len(entries) - 1, client_id=999, writer_index=index
+        )
 
     chain, _seed = benchmark.pedantic(run, setup=setup, rounds=50)
     assert chain[-1] == 2047

@@ -1,18 +1,17 @@
-"""Wall-clock benchmark of the output-sensitive distribution path.
+"""Wall-clock benchmarks of the observability layer, the sharded
+deployment and the multiprocessing backend.
 
-Emits ``BENCH_pushpath.json`` (repo root + ``benchmarks/results/``)
-recording, in the same file, the **baseline** (indexes off — the
-pre-index brute-force scans) and **indexed** wall-clock numbers:
+Emits ``BENCH_pushpath.json`` (repo root + ``benchmarks/results/``):
 
-* ``push_cycle`` — one First Bound push cycle at 512 and 2048 attached
-  clients (the acceptance metric: ``speedup`` at 2048 clients);
-* ``closure`` — one Algorithm 6 closure on a 2048-entry queue;
-* ``end_to_end`` — wall-clock seconds per simulated second of a full
-  engine run (clients, network, workload included), before/after.
+* ``observability`` — the same seeded run unobserved vs with a full
+  Observer attached (docs/observability.md);
+* ``sharding`` — the bottleneck shard's load at K ∈ {1, 2, 4, 8}
+  (docs/sharding.md; the acceptance metric: it falls at every K).
 
-The simulated (virtual-time) results are byte-identical either way —
-see docs/performance.md and tests/test_distribution_differential.py —
-so this file is purely a host-performance trajectory for later PRs.
+(The file is named for the brute-vs-indexed push-path comparison it
+recorded until the brute-force scans left ``src/``; that comparison is
+PR 1's historical table in docs/performance.md, and wall-clock
+regressions are gated by ``benchmarks/perf`` now.)
 
 Also emits ``BENCH_parallel.json``: the K ∈ {1, 2, 4, 8} real-core
 sweep of the multiprocessing shard backend (docs/parallel.md) against
@@ -31,130 +30,8 @@ import pathlib
 import sys
 import time
 
-from pushpath_common import build_closure_queue, build_push_server
-
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
-
-PUSH_ACTIONS = 256  # validated entries per measured cycle
-
-
-def _best_of(repeats, make, run):
-    """Best wall-clock time of ``run(make())`` over ``repeats`` rounds
-    (fresh state each round; setup excluded from the timing)."""
-    best = float("inf")
-    for _ in range(repeats):
-        state = make()
-        t0 = time.perf_counter()
-        run(state)
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def bench_push_cycle(num_clients: int, repeats: int) -> dict:
-    results = {}
-    for label, indexed in (("baseline_brute", False), ("indexed", True)):
-        seconds = _best_of(
-            repeats,
-            lambda: build_push_server(num_clients, PUSH_ACTIONS, indexed=indexed),
-            lambda server: server._push_cycle(),
-        )
-        results[f"{label}_s"] = seconds
-    results["speedup"] = results["baseline_brute_s"] / results["indexed_s"]
-    results["clients"] = num_clients
-    results["actions"] = PUSH_ACTIONS
-    return results
-
-
-def bench_closure(num_entries: int, repeats: int) -> dict:
-    from repro.core.closure import transitive_closure
-
-    entries, index = build_closure_queue(num_entries, num_entries // 8)
-
-    def clear_sent():
-        for entry in entries:
-            entry.sent.clear()
-
-    def run_brute(_):
-        transitive_closure(entries, len(entries) - 1, client_id=999)
-
-    def run_indexed(_):
-        transitive_closure(
-            entries, len(entries) - 1, client_id=999,
-            writer_index=index, base_pos=0,
-        )
-
-    rounds = max(repeats, 10)  # µs-scale op: best-of needs more rounds
-    brute = _best_of(rounds, clear_sent, run_brute)
-    indexed = _best_of(rounds, clear_sent, run_indexed)
-    return {
-        "entries": num_entries,
-        "baseline_brute_s": brute,
-        "indexed_s": indexed,
-        "speedup": brute / indexed,
-    }
-
-
-def bench_end_to_end(num_clients: int, moves_per_client: int) -> dict:
-    from repro.core.engine import SeveConfig, SeveEngine
-    from repro.harness.config import SimulationSettings
-    from repro.harness.workload import MoveWorkload
-    from repro.world.manhattan import ManhattanWorld
-
-    settings = SimulationSettings(
-        num_clients=num_clients,
-        num_walls=500,
-        moves_per_client=moves_per_client,
-        world_width=1000.0,
-        world_height=1000.0,
-        spawn_extent=300.0,
-        rtt_ms=150.0,
-        bandwidth_bps=None,
-        move_interval_ms=300.0,
-        cost_model="fixed",
-        move_cost_ms=1.0,
-        eval_overhead_ms=0.1,
-        seed=29,
-    )
-    results = {"clients": num_clients, "moves_per_client": moves_per_client}
-    outcomes = {}
-    for label, indexed in (("baseline_brute", False), ("indexed", True)):
-        world = ManhattanWorld(num_clients, settings.manhattan_config())
-        config = SeveConfig(
-            mode="first-bound",
-            rtt_ms=settings.rtt_ms,
-            bandwidth_bps=None,
-            omega=settings.omega,
-            tick_ms=settings.tick_ms,
-            eval_overhead_ms=settings.eval_overhead_ms,
-            use_distribution_indexes=indexed,
-        )
-        engine = SeveEngine(world, num_clients, config)
-        workload = MoveWorkload(engine, world, settings)
-        horizon = settings.workload_duration_ms + 2_000.0
-        t0 = time.perf_counter()
-        engine.start(stop_at=horizon)
-        workload.install()
-        engine.run(until=horizon)
-        engine.run_to_quiescence()
-        wall = time.perf_counter() - t0
-        sim_seconds = engine.sim.now / 1000.0
-        results[f"{label}_wall_s"] = wall
-        results[f"{label}_wall_s_per_sim_s"] = wall / sim_seconds
-        outcomes[label] = (
-            engine.server.stats.entries_distributed,
-            engine.server.stats.actions_committed,
-            engine.sim.now,
-        )
-    results["sim_seconds"] = sim_seconds
-    results["speedup"] = (
-        results["baseline_brute_wall_s"] / results["indexed_wall_s"]
-    )
-    if outcomes["baseline_brute"] != outcomes["indexed"]:
-        raise AssertionError(
-            f"determinism violation: {outcomes}"  # indexes changed outcomes
-        )
-    return results
 
 
 def bench_observability(num_clients: int, moves_per_client: int) -> dict:
@@ -470,24 +347,14 @@ def parallel_report(quick: bool) -> dict:
 
 def main(argv: list[str]) -> int:
     quick = "--quick" in argv
-    repeats = 2 if quick else 3
     report = {
         "benchmark": "pushpath",
         "description": (
-            "Wall-clock cost of the server distribution path, before "
-            "(brute-force scans) and after (spatial client index + "
-            "inverted write index + fast event core).  Simulated "
-            "ServerCosts/virtual-time results are identical either way."
+            "Wall-clock cost of the observability layer (one seeded run "
+            "unobserved vs fully observed) and the bottleneck shard's "
+            "load across K in {1, 2, 4, 8}."
         ),
-        "unit": "seconds (wall-clock, best of N rounds)",
-        "push_cycle": {
-            "512": bench_push_cycle(512, repeats),
-            "2048": bench_push_cycle(2048, repeats),
-        },
-        "closure": bench_closure(2048, repeats),
-        "end_to_end": bench_end_to_end(
-            64 if quick else 192, 6 if quick else 10
-        ),
+        "unit": "seconds (wall-clock)",
         "observability": bench_observability(
             32 if quick else 96, 6 if quick else 10
         ),
@@ -496,23 +363,14 @@ def main(argv: list[str]) -> int:
         ),
     }
     report["acceptance"] = {
-        "metric": "push_cycle.2048.speedup",
-        "value": report["push_cycle"]["2048"]["speedup"],
-        "threshold": 3.0,
-        "passed": report["push_cycle"]["2048"]["speedup"] >= 3.0
-        and report["sharding"]["bottleneck_decreasing"],
+        "metric": "sharding.bottleneck_decreasing",
+        "passed": report["sharding"]["bottleneck_decreasing"],
     }
     text = json.dumps(report, indent=2)
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_pushpath.json").write_text(text + "\n")
     (REPO_ROOT / "BENCH_pushpath.json").write_text(text + "\n")
     print(text)
-    print(
-        f"\npush-cycle @2048 clients: "
-        f"{report['push_cycle']['2048']['baseline_brute_s']*1000:.1f} ms -> "
-        f"{report['push_cycle']['2048']['indexed_s']*1000:.1f} ms "
-        f"({report['push_cycle']['2048']['speedup']:.1f}x)"
-    )
 
     parallel = parallel_report(quick)
     parallel_text = json.dumps(parallel, indent=2)

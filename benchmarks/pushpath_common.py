@@ -1,9 +1,7 @@
 """Shared builders for the push-path wall-clock benchmarks.
 
-Used by both the pytest-benchmark microbenchmarks in ``bench_micro.py``
-and the standalone ``bench_wallclock.py`` script that emits
-``BENCH_pushpath.json``.  The scenario is the server's hot loop in
-isolation: N clients attached (avatars spread over a large world), a
+Used by the pytest-benchmark microbenchmarks in ``bench_micro.py``.
+The scenario is the server's hot loop in isolation: N clients attached (avatars spread over a large world), a
 window of freshly validated actions in the queue, and one
 ``_push_cycle()`` to distribute them — exactly the work the spatial
 client index and the inverted write index make output-sensitive.
@@ -46,7 +44,6 @@ def build_push_server(
     num_clients: int,
     num_actions: int,
     *,
-    indexed: bool,
     world_extent: float = 2000.0,
     seed: int = 0,
 ):
@@ -72,8 +69,6 @@ def build_push_server(
         state,
         predicate=predicate,
         avatar_of=avatar_id,
-        use_spatial_index=indexed,
-        use_writer_index=indexed,
     )
     sink = lambda src, payload: None  # noqa: E731 — discard deliveries
     for client_id in range(num_clients):
@@ -98,8 +93,7 @@ def build_closure_queue(
     """A long uncommitted queue plus its writer index, for closure
     microbenchmarks.  Objects are partitioned into read-groups of
     ``group_size`` so a closure stays inside one group — short chains in
-    a long queue, the regime the inverted write index targets — while
-    the brute walk still scans all ``num_entries``."""
+    a long queue, the regime the inverted write index targets."""
     from repro.core.closure import QueueEntry
     from repro.core.indexes import WriterIndex
 

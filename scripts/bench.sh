@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
-# Tier-1 tests + the push-path, parallel-backend, adversary, and
-# elastic benchmarks.
+# Tier-1 tests + the observability/sharding, parallel-backend,
+# adversary, and elastic benchmarks.
 #
 # Runs the full test suite (differential/property tests included), then
-# regenerates BENCH_pushpath.json, BENCH_parallel.json,
+# regenerates BENCH_pushpath.json (the observability overhead and the
+# K in {1,2,4,8} bottleneck-shard sweep; its brute-vs-indexed push-path
+# sections went with the brute-force scans), BENCH_parallel.json,
 # BENCH_adversary.json, BENCH_elastic.json, and
 # BENCH_controlplane.json (repo root + benchmarks/results/) so every
-# PR leaves a fresh before/after perf record.  BENCH_parallel.json is
+# PR leaves a fresh per-feature record.  BENCH_parallel.json is
 # the K in {1,2,4,8} x {inproc,parallel} real-core sweep of the
 # multiprocessing shard backend; its >=2x-at-K=4 acceptance gate only
 # applies on hosts with >= 4 cores.  BENCH_adversary.json records

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Documentation lint: link integrity, doc-map coverage, flag freshness.
+"""Documentation lint: link integrity, doc-map coverage, flag and
+config-field freshness.
 
-Four checks, all cheap enough for every test run:
+Five checks, all cheap enough for every test run:
 
 1. **Links resolve.**  Every relative markdown link in the repo's
    documentation (``README.md``, ``DESIGN.md``, ``EXPERIMENTS.md``,
@@ -21,6 +22,12 @@ Four checks, all cheap enough for every test run:
    mentions must either be defined by ``src/repro/cli.py`` or appear
    in the :data:`NON_CLI_FLAGS` allowlist of script/tool options, so
    a renamed or removed CLI argument cannot leave stale advice behind.
+5. **Config fields are real.**  Every ``SeveConfig(keyword=...)`` /
+   ``SeveConfig.field`` mention (likewise ``SimulationSettings`` and
+   ``ShardingConfig``) in the *living* documentation — ``README.md``,
+   ``DESIGN.md``, ``docs/*.md`` and the verify skill; not the
+   historical ``ROADMAP.md``/``CHANGES.md`` — must name a field the
+   dataclass declares, so a deleted switch cannot stay advertised.
 
 Exit status 0 when clean; 1 with one ``file: problem`` line per finding.
 
@@ -29,6 +36,7 @@ Run:  python scripts/docs_lint.py
 
 from __future__ import annotations
 
+import ast
 import pathlib
 import re
 import sys
@@ -85,6 +93,23 @@ NON_CLI_FLAGS = frozenset({
     "--workload",
     "--write-baseline",
 })
+
+
+#: Config dataclasses the documentation names fields of -> the source
+#: file declaring each (parsed, never imported).
+CONFIG_CLASSES = {
+    "SeveConfig": "src/repro/core/engine.py",
+    "SimulationSettings": "src/repro/harness/config.py",
+    "ShardingConfig": "src/repro/core/sharded.py",
+}
+
+#: ``Class.name`` (group 2 = the name) or ``Class(`` for the classes above.
+CONFIG_REF_RE = re.compile(
+    r"\b(%s)(?:\.([A-Za-z_]\w*)|\()" % "|".join(CONFIG_CLASSES)
+)
+
+#: A keyword argument name (``name=``, not ``name==``).
+KEYWORD_RE = re.compile(r"([A-Za-z_]\w*)\s*=(?!=)")
 
 
 def extract_links(text: str) -> list[str]:
@@ -241,6 +266,77 @@ def lint_flags(docs: list[pathlib.Path]) -> list[str]:
     return problems
 
 
+def referenced_config_fields(text: str) -> list[tuple[str, str]]:
+    """``(class, field)`` for every ``Class.field`` and every keyword
+    of a ``Class(...)`` call in ``text`` (dedup'd, sorted).  Calls may
+    wrap across lines; keywords of nested calls are not the class's.
+
+    >>> referenced_config_fields(
+    ...     "`SeveConfig(\\nmode='seve', fault_plan=FaultPlan(seed=3))` "
+    ...     "and `ShardingConfig.shards`; a SeveConfig is not a reference."
+    ... )
+    [('SeveConfig', 'fault_plan'), ('SeveConfig', 'mode'), ('ShardingConfig', 'shards')]
+    """
+    found = set()
+    for match in CONFIG_REF_RE.finditer(text):
+        name, field = match.groups()
+        if field is not None:
+            found.add((name, field))
+            continue
+        depth, own = 1, []  # own: the call's text outside nested brackets
+        for char in text[match.end():]:
+            if char in "([{":
+                depth += 1
+            elif char in ")]}":
+                depth -= 1
+                if depth == 0:
+                    found.update(
+                        (name, keyword)
+                        for keyword in KEYWORD_RE.findall("".join(own))
+                    )
+                    break
+            elif depth == 1:
+                own.append(char)
+    return sorted(found)
+
+
+def dataclass_fields(source: str, class_name: str) -> frozenset:
+    """The annotated class-level names of ``class_name`` in ``source``.
+
+    >>> sorted(dataclass_fields(
+    ...     "class C:\\n    a: int = 1\\n    b: str\\n    def f(self): pass",
+    ...     "C"))
+    ['a', 'b']
+    """
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and node.name == class_name:
+            return frozenset(
+                item.target.id
+                for item in node.body
+                if isinstance(item, ast.AnnAssign)
+                and isinstance(item.target, ast.Name)
+            )
+    return frozenset()
+
+
+def lint_config_fields(docs: list[pathlib.Path]) -> list[str]:
+    """``file: problem`` lines for config-field mentions that name no
+    declared field of the dataclass."""
+    fields = {
+        name: dataclass_fields((REPO_ROOT / path).read_text(), name)
+        for name, path in CONFIG_CLASSES.items()
+    }
+    problems = []
+    for doc in docs:
+        for name, field in referenced_config_fields(doc.read_text()):
+            if field not in fields[name]:
+                problems.append(
+                    f"{doc.relative_to(REPO_ROOT)}: stale config field "
+                    f"({name}.{field}) — {name} declares no such field"
+                )
+    return problems
+
+
 def main() -> int:
     docs_dir = REPO_ROOT / "docs"
     docs = [
@@ -248,11 +344,18 @@ def main() -> int:
         for name in TOP_LEVEL_DOCS
         if (REPO_ROOT / name).exists()
     ] + sorted(docs_dir.glob("*.md"))
+    skill = REPO_ROOT / ".claude" / "skills" / "verify" / "SKILL.md"
+    living = [
+        doc
+        for doc in docs + [skill]
+        if doc.exists() and doc.name not in ("ROADMAP.md", "CHANGES.md")
+    ]
     problems = (
         lint_links(docs)
         + lint_doc_map(docs_dir)
         + lint_doc_map_table(docs_dir)
         + lint_flags(docs)
+        + lint_config_fields(living)
     )
     for problem in problems:
         print(problem)

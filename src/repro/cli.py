@@ -18,6 +18,7 @@ import sys
 from typing import List, Optional
 
 from repro.adversary import AdversaryPlan, parse_adversary_plan
+from repro.errors import ConfigurationError
 from repro.harness import experiments
 from repro.harness.architectures import ARCHITECTURES
 from repro.harness.config import SimulationSettings
@@ -347,13 +348,22 @@ def _command_list(_: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    Flags that parse but describe an impossible run (a
+    :class:`~repro.errors.ConfigurationError`) end like an argparse
+    error: one ``repro: error:`` line on stderr and exit code 2.
+    """
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return _command_run(args)
-    if args.command == "experiment":
-        return _command_experiment(args)
-    return _command_list(args)
+    try:
+        if args.command == "run":
+            return _command_run(args)
+        if args.command == "experiment":
+            return _command_experiment(args)
+        return _command_list(args)
+    except ConfigurationError as error:
+        print(f"repro: error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -21,10 +21,10 @@ format.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.action import Action, ActionResult
+from repro.core.indexes import WriterIndex
 from repro.errors import ProtocolError
 from repro.types import ClientId, ObjectId, TimeMs
 
@@ -115,7 +115,7 @@ def transitive_closure(
     candidate_index: int,
     client_id: ClientId,
     *,
-    writer_index=None,
+    writer_index: WriterIndex,
     base_pos: int = 0,
 ) -> Tuple[Optional[List[int]], frozenset[ObjectId]]:
     """Algorithm 6 for ``entries[candidate_index]`` and client C.
@@ -139,12 +139,13 @@ def transitive_closure(
     result blind-write carries only the attributes actually written, so
     the objects underneath must still reach C complete via the seed.
 
-    When the server supplies its :class:`~repro.core.indexes.WriterIndex`
-    (with ``base_pos`` = the queue position of ``entries[0]``), the walk
-    jumps directly between the uncommitted writers of the accumulated
-    read set instead of scanning every earlier entry.  Both walks visit
-    the same entries in the same descending order and are observationally
-    identical — the index only changes wall-clock cost.
+    ``writer_index`` is the server's
+    :class:`~repro.core.indexes.WriterIndex` over ``entries`` and
+    ``base_pos`` the queue position of ``entries[0]``: the walk jumps
+    between the uncommitted writers of the accumulated read set, which
+    visits the same entries, in the same descending order, as scanning
+    every earlier entry would (``tests/reference`` keeps that scan as
+    the oracle).
     """
     candidate = entries[candidate_index]
     if candidate.valid is False:
@@ -157,54 +158,33 @@ def transitive_closure(
         return None, frozenset()  # result not yet known: defer
     accumulated: Set[ObjectId] = set(candidate.action.reads)
     chain: List[int] = [candidate_index]
-    if writer_index is None:
-        # Brute-force walk.  Iterate via reversed() rather than indexing
-        # so a deque-backed queue costs O(1) per entry.
-        descending = islice(reversed(entries), len(entries) - candidate_index, None)
-        for j, entry in zip(range(candidate_index - 1, -1, -1), descending):
-            if entry.valid is False:
-                continue
-            action = entry.action
-            if not (action.writes & accumulated):
-                continue
-            if client_id in entry.sent:
-                accumulated -= action.writes
-            elif _is_span_value(entry, client_id) and entry.span_result is None:
-                for index in chain[1:]:
-                    entries[index].sent.discard(client_id)
-                return None, frozenset()
-            else:
-                accumulated |= action.reads
-                chain.append(j)
-                entry.sent.add(client_id)
-    else:
-        cursor = base_pos + candidate_index
-        while accumulated:
-            best = -1
-            # Max-accumulation: visit order cannot change `best`.
-            for oid in accumulated:  # lint: allow(set-iteration)
-                writer = writer_index.last_writer_before(oid, cursor)
-                if writer > best:
-                    best = writer
-            if best < base_pos:
-                break  # no uncommitted writer of S below the cursor
-            cursor = best
-            entry = entries[best - base_pos]
-            if entry.valid is False:
-                continue  # dropped entries are no-ops, never join
-            action = entry.action
-            if not (action.writes & accumulated):
-                continue  # writer of an oid meanwhile removed from S
-            if client_id in entry.sent:
-                accumulated -= action.writes
-            elif _is_span_value(entry, client_id) and entry.span_result is None:
-                for index in chain[1:]:
-                    entries[index].sent.discard(client_id)
-                return None, frozenset()
-            else:
-                accumulated |= action.reads
-                chain.append(best - base_pos)
-                entry.sent.add(client_id)
+    cursor = base_pos + candidate_index
+    while accumulated:
+        best = -1
+        # Max-accumulation: visit order cannot change `best`.
+        for oid in accumulated:  # lint: allow(set-iteration)
+            writer = writer_index.last_writer_before(oid, cursor)
+            if writer > best:
+                best = writer
+        if best < base_pos:
+            break  # no uncommitted writer of S below the cursor
+        cursor = best
+        entry = entries[best - base_pos]
+        if entry.valid is False:
+            continue  # dropped entries are no-ops, never join
+        action = entry.action
+        if not (action.writes & accumulated):
+            continue  # writer of an oid meanwhile removed from S
+        if client_id in entry.sent:
+            accumulated -= action.writes
+        elif _is_span_value(entry, client_id) and entry.span_result is None:
+            for index in chain[1:]:
+                entries[index].sent.discard(client_id)
+            return None, frozenset()
+        else:
+            accumulated |= action.reads
+            chain.append(best - base_pos)
+            entry.sent.add(client_id)
     candidate.sent.add(client_id)
     chain.reverse()
     return chain, frozenset(accumulated)

@@ -1,16 +1,15 @@
-"""Replicated control plane for the sharded SEVE serializer.
+"""Control plane of the sharded SEVE serializer: the gsn lease.
 
-The classic sharded engine (PR 4) pins two roles to shard 0: the
-*sequencer* that assigns global sequence numbers (gsn) to spanning
-actions, and the *elastic controller* that plans boundary rebalances.
-Both are a K-independent bottleneck and a single point of failure —
-the reason crash plans were rejected at K > 1 until this landed.
+Two roles belong to one shard at a time: the *sequencer* that assigns
+global sequence numbers (gsn) to spanning actions, and the *elastic
+controller* that plans boundary rebalances.  Pinned to shard 0 they
+are a single point of failure — the reason crash plans were rejected
+at K > 1 until the lease landed.
 
-This module holds the data side of the replacement: a **gsn lease**
-granted for a *term* by a round-structured vote among the shard
-servers (the f-of-n server-round idiom: one broadcast round per term,
-every live shard votes, the round completes when all live voters have
-answered).  The shard holding the lease sequences every spanning
+This module holds the data side: a **gsn lease** granted for a *term*
+by a round-structured vote among the shard servers (the f-of-n
+server-round idiom: one broadcast round per term, every live shard
+votes, the round completes when all live voters have answered).  The shard holding the lease sequences every spanning
 action and hosts the elastic controller; the lease table is keyed per
 border in the data model, but a run over vertical stripes has one
 connected border chain, so one holder owns every border per term —
@@ -31,14 +30,17 @@ perfect failure detector, which is what lets the round wait for *all*
 live voters (at K = 2 the lone survivor self-grants) instead of a
 strict majority of the original membership.
 
-Everything here is inert under ``--control-plane single``: the config
-is ``None``, no timers are armed, no messages exist, and the engine
-takes the byte-identical classic shard-0 code path (the differential
-test pins this down).  See docs/control_plane.md.
+Every shard server holds a :class:`LeaseState`, and term 0 is
+pre-granted to shard 0.  ``--control-plane single`` is
+:data:`PINNED_LEASE`, the config whose lease never times out: no
+heartbeat or check timer is armed, so no lease message is ever sent and
+shard 0 sequences for the whole run.  ``--control-plane replicated``
+is the default :class:`ControlPlaneConfig`.  See docs/control_plane.md.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
@@ -48,14 +50,15 @@ from repro.types import TimeMs
 
 @dataclass(frozen=True)
 class ControlPlaneConfig:
-    """Knobs for the replicated sequencer (``--control-plane replicated``)."""
+    """Knobs of the gsn lease (defaults: ``--control-plane replicated``)."""
 
     #: Period of the leaseholder's ``LeaseHeartbeat`` broadcast.
     heartbeat_interval_ms: TimeMs = 500.0
     #: Silence after which a shard suspects the holder and advances the
     #: term.  Must cover several heartbeats so a busy holder is not
     #: deposed spuriously (the backbone is fault-free, so only a real
-    #: crash silences it).
+    #: crash silences it).  ``math.inf`` pins the lease to its term-0
+    #: holder (:data:`PINNED_LEASE`).
     lease_timeout_ms: TimeMs = 2_000.0
 
     def __post_init__(self) -> None:
@@ -75,6 +78,16 @@ class ControlPlaneConfig:
     def check_interval_ms(self) -> TimeMs:
         """How often non-holders re-check the holder's silence."""
         return self.lease_timeout_ms / 2.0
+
+    @property
+    def fails_over(self) -> bool:
+        """Whether a silent holder is ever deposed (the timeout is
+        finite); otherwise the lease stays where term 0 put it."""
+        return math.isfinite(self.lease_timeout_ms)
+
+
+#: ``--control-plane single``: the lease that never times out.
+PINNED_LEASE = ControlPlaneConfig(lease_timeout_ms=math.inf)
 
 
 def lease_candidate(term: int, shards: int, dead: Set[int]) -> int:

@@ -99,11 +99,6 @@ class SeveConfig:
     #: Relay-group size for the hybrid mode (§VII future work): server
     #: egress per group tends toward 1/group_size.
     hybrid_group_size: int = 4
-    #: Wall-clock distribution indexes (spatial client index + inverted
-    #: write index — see docs/performance.md).  Observationally
-    #: equivalent to the brute-force scans; the differential tests turn
-    #: them off to prove it.  Simulated costs are unaffected either way.
-    use_distribution_indexes: bool = True
     #: One-way latency (ms) of the shard-to-shard backbone links
     #: (:class:`repro.core.sharded.ShardedSeveEngine`); ignored by the
     #: single-serializer engines.  Also bounds the windowed partition
@@ -302,8 +297,6 @@ class SeveEngine:
             tick_ms=config.tick_ms,
             costs=config.costs,
             avatar_of=self.world.avatar_of,
-            use_spatial_index=config.use_distribution_indexes,
-            use_writer_index=config.use_distribution_indexes,
             liveness=config.liveness,
             obs=self.obs,
             detector=self.detector,

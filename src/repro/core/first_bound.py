@@ -134,8 +134,8 @@ class FirstBoundPredicate:
         For a plain sphere of influence, every client the Equation (1)
         test can admit lies within ``reach + r_A + max r_C`` of p̄_A, so
         a radius query over committed client positions is a superset of
-        the exact predicate.  Two cases defeat indexing and fall back to
-        the full scan: actions without a position (conservatively affect
+        the exact predicate.  Two cases defeat indexing and make
+        every client a candidate: actions without a position (conservatively affect
         everyone), and — under velocity culling — actions with a
         velocity vector, whose projected position depends on each
         client's own t_C and therefore has no single query center.

@@ -68,6 +68,11 @@ class ServerCosts:
     validate_ms: float = 0.01
 
 
+def _no_avatar(client_id: ClientId) -> None:
+    """The ``avatar_of`` of a server that was given none."""
+    return None
+
+
 @dataclass
 class ClientRecord:
     """Per-client distribution state."""
@@ -144,9 +149,10 @@ class IncompleteWorldServer:
     jump between actual writers instead of scanning the queue.  Both are
     observationally equivalent to the scans they replace — batches,
     stats, and the simulated :class:`ServerCosts` accounting are
-    byte-identical with the indexes on or off (``use_spatial_index`` /
-    ``use_writer_index`` exist for the differential tests and
-    benchmarks that prove it).
+    byte-identical to the scans kept as oracles in
+    ``tests/reference/distribution_reference.py``.  A server built
+    without ``avatar_of`` knows no client's position, so the spatial
+    index nominates every client for every action.
     """
 
     def __init__(
@@ -161,8 +167,6 @@ class IncompleteWorldServer:
         tick_ms: TimeMs = 100.0,
         costs: Optional[ServerCosts] = None,
         avatar_of: Optional[Callable[[ClientId], ObjectId]] = None,
-        use_spatial_index: bool = True,
-        use_writer_index: bool = True,
         liveness: Optional[LivenessConfig] = None,
         server_id: ClientId = SERVER_ID,
         obs=None,
@@ -187,7 +191,9 @@ class IncompleteWorldServer:
         self.info_bound = info_bound
         self.tick_ms = tick_ms
         self.costs = costs or ServerCosts()
-        self.avatar_of = avatar_of
+        #: Client -> avatar object id.  Without one every client is
+        #: position-less: a push candidate for every action.
+        self.avatar_of = avatar_of or _no_avatar
         self.liveness = liveness
         #: Optional :class:`repro.obs.Observer`.  Read-only telemetry:
         #: the observer never changes costs, batches, or scheduling.
@@ -215,14 +221,8 @@ class IncompleteWorldServer:
         self._validated_upto = -1
         self._blind_seq = 0
         self._stoppers: List[Callable[[], None]] = []
-        self._writer_index = WriterIndex() if use_writer_index else None
-        # The spatial candidate index needs committed avatar positions,
-        # so it only exists when the server can map clients to avatars.
-        self._client_index = (
-            ClientSpatialIndex()
-            if use_spatial_index and avatar_of is not None
-            else None
-        )
+        self._writer_index = WriterIndex()
+        self._client_index = ClientSpatialIndex()
         self._avatar_owner: Dict[ObjectId, ClientId] = {}
         #: Reactive replies deferred by the in-order delivery guard,
         #: per client; retried whenever the commit frontier advances.
@@ -256,12 +256,11 @@ class IncompleteWorldServer:
             scanned_pos=self._next_pos - 1,
         )
         self._last_heard[client_id] = self.sim.now
-        if self._client_index is not None:
-            avatar_oid = self.avatar_of(client_id) if self.avatar_of else None
-            if avatar_oid is not None:
-                self._avatar_owner[avatar_oid] = client_id
-            self._client_index.note_radius(radius)
-            self._client_index.update(client_id, self._client_position(client_id))
+        avatar_oid = self.avatar_of(client_id)
+        if avatar_oid is not None:
+            self._avatar_owner[avatar_oid] = client_id
+        self._client_index.note_radius(radius)
+        self._client_index.update(client_id, self._client_position(client_id))
 
     def detach_client(self, client_id: ClientId) -> None:
         """Unregister a failed/departed client."""
@@ -282,11 +281,10 @@ class IncompleteWorldServer:
         # absent from ``clients`` and a scrubbed holder decide alike.
         for entry in self._entries:
             entry.sent.discard(client_id)
-        if self._client_index is not None:
-            self._client_index.remove(client_id)
-            avatar_oid = self.avatar_of(client_id) if self.avatar_of else None
-            if avatar_oid is not None and self._avatar_owner.get(avatar_oid) == client_id:
-                del self._avatar_owner[avatar_oid]
+        self._client_index.remove(client_id)
+        avatar_oid = self.avatar_of(client_id)
+        if avatar_oid is not None and self._avatar_owner.get(avatar_oid) == client_id:
+            del self._avatar_owner[avatar_oid]
 
     def start(self, *, stop_at: Optional[TimeMs] = None) -> None:
         """Install the periodic processes (validation tick, push cycle)."""
@@ -369,8 +367,7 @@ class IncompleteWorldServer:
         entry = QueueEntry(self._next_pos, action, arrived_at=self.sim.now)
         self._next_pos += 1
         self._entries.append(entry)
-        if self._writer_index is not None:
-            self._writer_index.note_enqueued(entry.pos, action.writes)
+        self._writer_index.note_enqueued(entry.pos, action.writes)
         self.stats.actions_serialized += 1
         if self.info_bound is None:
             entry.valid = True
@@ -544,8 +541,7 @@ class IncompleteWorldServer:
             obs.on_push_scan(
                 self.sim.now,
                 obs.wall() - started,
-                -1 if candidates is None  # full scan: no index available
-                else sum(len(positions) for positions in candidates.values()),
+                sum(len(positions) for positions in candidates.values()),
             )
             started = obs.wall()
         batches: List[Tuple[ClientId, List[OrderedAction]]] = []
@@ -557,12 +553,9 @@ class IncompleteWorldServer:
             # The reconnect resync re-attaches from scratch instead.
             if not self.network.is_registered(record.client_id):
                 continue
-            if candidates is None:
-                batch_entries, cost = self._collect_push(record)
-            else:
-                batch_entries, cost = self._collect_push(
-                    record, candidates.get(record.client_id, ())
-                )
+            batch_entries, cost = self._collect_push(
+                record, candidates.get(record.client_id, ())
+            )
             total_cost += cost
             if batch_entries:
                 batches.append((record.client_id, batch_entries))
@@ -594,7 +587,7 @@ class IncompleteWorldServer:
         for client_id, batch_entries in batches:
             self._send_batch(client_id, batch_entries)
 
-    def _push_candidates(self) -> Optional[Dict[ClientId, List[int]]]:
+    def _push_candidates(self) -> Dict[ClientId, List[int]]:
         """Invert the push scan: per client, the ascending queue
         positions of newly validated entries that *might* affect it.
 
@@ -605,12 +598,9 @@ class IncompleteWorldServer:
         position-less clients conservatively stay candidates for
         everything.  Candidates are then exact-filtered per client by
         :meth:`_wants`, so the result is observationally identical to
-        the brute-force scan.  Returns ``None`` when the spatial index
-        is unavailable and the push cycle must scan every client.
+        testing every client against every entry.
         """
         index = self._client_index
-        if index is None:
-            return None
         per_client: Dict[ClientId, List[int]] = {}
         if not self.clients:
             return per_client
@@ -652,33 +642,22 @@ class IncompleteWorldServer:
     def _collect_push(
         self,
         record: ClientRecord,
-        candidate_positions: Optional[Sequence[int]] = None,
+        candidate_positions: Sequence[int],
     ) -> Tuple[List[OrderedAction], float]:
         """All validated actions in (scanned, validated] that this client
-        needs — Equation (1) survivors, own actions, and their closures.
-
-        ``candidate_positions`` (from :meth:`_push_candidates`) restricts
-        the scan to the ascending queue positions the spatial index
-        nominated for this client; ``None`` scans the whole window.
+        needs — Equation (1) survivors, own actions, and their closures —
+        among ``candidate_positions``, the ascending queue positions
+        :meth:`_push_candidates` nominated for it.
         """
         start = max(record.scanned_pos + 1, self._base_pos)
         client_position = self._client_position(record.client_id)
         batch_entries: List[OrderedAction] = []
         cost = 0.0
-        if candidate_positions is None:
-            entries = list(
-                islice(
-                    self._entries,
-                    start - self._base_pos,
-                    self._validated_upto + 1 - self._base_pos,
-                )
-            )
-        else:
-            entries = [
-                self._entries[pos - self._base_pos]
-                for pos in candidate_positions
-                if pos >= start
-            ]
+        entries = [
+            self._entries[pos - self._base_pos]
+            for pos in candidate_positions
+            if pos >= start
+        ]
         deferred_pos: Optional[int] = None
         for entry in entries:
             if entry.valid is False or record.client_id in entry.sent:
@@ -724,8 +703,6 @@ class IncompleteWorldServer:
 
     def _client_position(self, client_id: ClientId) -> Optional[Vec2]:
         """The client's committed position p̄_C (from ζ_S), if known."""
-        if self.avatar_of is None:
-            return None
         avatar_oid = self.avatar_of(client_id)
         if avatar_oid is None or avatar_oid not in self.state:
             return None
@@ -827,8 +804,7 @@ class IncompleteWorldServer:
         while self._entries and self._entries[0].committed_ready:
             entry = self._entries.popleft()
             self._base_pos = entry.pos + 1
-            if self._writer_index is not None:
-                self._writer_index.note_dequeued(entry.action.writes, self._base_pos)
+            self._writer_index.note_dequeued(entry.action.writes, self._base_pos)
             self._note_resolved(entry)
             if entry.valid is False:
                 continue
@@ -839,8 +815,7 @@ class IncompleteWorldServer:
                 )
             values = entry.completion.values()
             self.state.merge(values, commit_index=entry.pos)
-            if self._client_index is not None:
-                self._refresh_indexed_positions(values)
+            self._refresh_indexed_positions(values)
             if deferred_positions and entry.pos in deferred_positions:
                 # Someone's reactive reply to this entry is still
                 # parked; remember what it wrote so the retry can teach
@@ -974,7 +949,7 @@ class IncompleteWorldServer:
         """Track t_C for velocity culling: the originator's committed
         position just (potentially) changed."""
         record = self.clients.get(entry.action.client_id)
-        if record is not None and self.avatar_of is not None:
+        if record is not None:
             avatar_oid = self.avatar_of(record.client_id)
             if avatar_oid is not None and avatar_oid in entry.action.writes:
                 record.position_time = self.sim.now

@@ -62,13 +62,14 @@ protocol-level hello path instead of the single-server oracle
 re-attach.  Shard hosts can crash and restart: the restarted server
 recovers its committed store and gsn counter from checkpoint+WAL
 (:class:`repro.state.checkpoint.ShardRecoveryLog`), and survivors
-adopt-or-abort the dead shard's span obligations.  With
-``--control-plane replicated`` the sequencer itself is no longer a
-single point of failure: a gsn lease with heartbeat-driven quorum
-failover (:mod:`repro.core.control_plane`) moves sequencing — and the
-elastic controller — to a deterministically elected survivor.  The
-default ``single`` control plane keeps the classic shard-0 sequencer,
-byte-identical to the pre-lease code path.
+adopt-or-abort the dead shard's span obligations.  The sequencer is
+whichever shard holds the gsn lease (:mod:`repro.core.control_plane`),
+shard 0 at term 0.  With ``--control-plane replicated`` a
+heartbeat-driven quorum failover moves the lease — sequencing and the
+elastic controller with it — to a deterministically elected survivor,
+so the sequencer is no longer a single point of failure.  The default
+``single`` control plane is the same lease with a timeout that never
+expires: it stays on shard 0 and no lease message is ever sent.
 """
 
 from __future__ import annotations
@@ -80,6 +81,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.action import Action, ActionId, BlindWrite
 from repro.core.closure import QueueEntry
 from repro.core.control_plane import (
+    PINNED_LEASE,
     ControlPlaneConfig,
     FailoverEvent,
     LeaseState,
@@ -143,11 +145,9 @@ class ShardingConfig:
     #: elastic code path dormant — byte-identical to a deployment
     #: without the rebalancer.
     elastic: Optional[ElasticConfig] = None
-    #: Replicated control plane knobs (docs/control_plane.md).  ``None``
-    #: (the default) keeps the classic shard-0 sequencer and leaves the
-    #: lease machinery dormant — byte-identical to a deployment without
-    #: it (``--control-plane single``).
-    control: Optional[ControlPlaneConfig] = None
+    #: gsn-lease knobs (docs/control_plane.md).  The default pins the
+    #: lease to shard 0 for the whole run (``--control-plane single``).
+    control: ControlPlaneConfig = PINNED_LEASE
 
     def __post_init__(self) -> None:
         if self.shards < 1:
@@ -319,7 +319,7 @@ class ShardServer(IncompleteWorldServer):
         span_slack: float = 0.0,
         handoff_margin: float = 10.0,
         elastic: Optional[ElasticConfig] = None,
-        control: Optional[ControlPlaneConfig] = None,
+        control: ControlPlaneConfig = PINNED_LEASE,
         recovery: Optional[ShardRecoveryLog] = None,
         **kwargs,
     ) -> None:
@@ -332,14 +332,11 @@ class ShardServer(IncompleteWorldServer):
         #: Checkpoint+WAL recovery log; ``None`` unless the run's fault
         #: plan schedules shard crashes (zero overhead otherwise).
         self.recovery = recovery
-        #: Replicated-sequencer lease state; ``None`` under the classic
-        #: single control plane.
         self.control = control
-        self.lease: Optional[LeaseState] = (
-            LeaseState(shard_index, self.partition.shards)
-            if control is not None and self.partition.shards > 1
-            else None
-        )
+        #: This shard's view of the gsn lease (term 0: shard 0 holds it).
+        #: The holder is the sequencer — it assigns every gsn — and hosts
+        #: the elastic controller.
+        self.lease = LeaseState(shard_index, self.partition.shards)
         #: Shards the harness's crash oracle reported down (and not yet
         #: restarted) — the perfect failure detector of the simulation.
         self._dead_shards: set = set()
@@ -416,19 +413,6 @@ class ShardServer(IncompleteWorldServer):
         #: (splice time; kept for the cross-shard consistency audit).
         self.span_gsns: Dict[ActionId, int] = {}
         super().__init__(*args, **kwargs)
-
-    def _sequencer_shard(self) -> int:
-        """The shard currently assigning gsns (and hosting the elastic
-        controller): the lease holder under ``--control-plane
-        replicated``, shard 0 classically."""
-        if self.lease is not None:
-            return self.lease.holder
-        return 0
-
-    @property
-    def is_sequencer(self) -> bool:
-        """Whether this shard assigns global sequence numbers."""
-        return self.shard_index == self._sequencer_shard()
 
     # ------------------------------------------------------------------
     # Message routing
@@ -539,7 +523,7 @@ class ShardServer(IncompleteWorldServer):
         # Tracked until the splice returns; re-forwarded if the
         # sequencer dies first (lease failover or restart hello).
         self._unspliced[action.action_id] = message
-        target = self._sequencer_shard()
+        target = self.lease.holder
         if target == self.shard_index:
             self._sequence_span(message)
         else:
@@ -572,14 +556,14 @@ class ShardServer(IncompleteWorldServer):
     # Sequencing and splicing
     # ------------------------------------------------------------------
     def _on_span_forward(self, message: SpanForward) -> None:
-        if not self.is_sequencer:
-            if self.lease is not None:
+        if not self.lease.is_holder:
+            if self.control.fails_over:
                 # Stale routing during a lease failover: the owner
                 # re-forwards to the new holder on the LeaseGrant.
                 return
             raise ProtocolError(
                 f"shard {self.shard_index} received a SpanForward "
-                f"(only shard 0 sequences)"
+                f"(only shard {self.lease.holder} sequences)"
             )
         self._sequence_span(message)
 
@@ -649,8 +633,7 @@ class ShardServer(IncompleteWorldServer):
         entry.valid = True
         self._next_pos += 1
         self._entries.append(entry)
-        if self._writer_index is not None:
-            self._writer_index.note_enqueued(entry.pos, action.writes)
+        self._writer_index.note_enqueued(entry.pos, action.writes)
         self.stats.actions_serialized += 1
         self.shard_stats.spans_spliced += 1
         if self._validated_upto == entry.pos - 1:
@@ -679,12 +662,12 @@ class ShardServer(IncompleteWorldServer):
                 self._drain_held(originator)
 
     # ------------------------------------------------------------------
-    # Replicated control plane: gsn lease election and failover
-    # (docs/control_plane.md; dormant under --control-plane single)
+    # gsn lease election and failover (docs/control_plane.md); driven
+    # by the two timers start() arms only for a lease that can move
     # ------------------------------------------------------------------
     def _lease_beat(self) -> None:
         """Holder side: broadcast the lease heartbeat."""
-        if self._crashed or self.lease is None or not self.lease.is_holder:
+        if self._crashed or not self.lease.is_holder:
             return
         beat = LeaseHeartbeat(self.lease.term, self.shard_index)
         for shard in range(self.partition.shards):
@@ -696,7 +679,7 @@ class ShardServer(IncompleteWorldServer):
     def _lease_check(self) -> None:
         """Non-holder side: suspect a silent (or known-dead) holder and
         campaign if this shard is the term's deterministic candidate."""
-        if self._crashed or self.lease is None or self.lease.is_holder:
+        if self._crashed or self.lease.is_holder:
             return
         lease = self.lease
         holder_dead = lease.holder in self._dead_shards
@@ -724,7 +707,7 @@ class ShardServer(IncompleteWorldServer):
     def _on_lease_request(self, request: LeaseRequest) -> None:
         """Voter side: at most one vote per term, carrying our gsn
         high-water so the winner's floor clears everything we saw."""
-        if self._crashed or self.lease is None:
+        if self._crashed:
             return
         lease = self.lease
         if request.term <= lease.term or request.term <= lease.voted_term:
@@ -736,7 +719,7 @@ class ShardServer(IncompleteWorldServer):
         )
 
     def _on_lease_vote(self, vote: LeaseVote) -> None:
-        if self._crashed or self.lease is None:
+        if self._crashed:
             return
         self.lease.record_vote(vote.term, vote.voter, vote.max_gsn)
         self._maybe_win()
@@ -746,7 +729,7 @@ class ShardServer(IncompleteWorldServer):
         has voted (the crash oracle is a perfect failure detector, so
         'live' is exact; at K=2 the lone survivor self-grants)."""
         lease = self.lease
-        if lease is None or lease.campaign_term is None:
+        if lease.campaign_term is None:
             return
         live = set(range(self.partition.shards)) - self._dead_shards
         if not lease.quorum_reached(live):
@@ -762,7 +745,7 @@ class ShardServer(IncompleteWorldServer):
         self._on_lease_grant(grant)
 
     def _on_lease_heartbeat(self, beat: LeaseHeartbeat) -> None:
-        if self._crashed or self.lease is None:
+        if self._crashed:
             return
         old_holder = self.lease.holder
         self.lease.heard_from(beat.holder, beat.term, self.sim.now)
@@ -772,7 +755,7 @@ class ShardServer(IncompleteWorldServer):
             self._lease_moved()
 
     def _on_lease_grant(self, grant: LeaseGrant) -> None:
-        if self._crashed or self.lease is None:
+        if self._crashed:
             return
         lease = self.lease
         if grant.term < lease.term:
@@ -801,7 +784,7 @@ class ShardServer(IncompleteWorldServer):
         self._reforward_unspliced()
         if self.elastic is None:
             return
-        if self.lease is not None and self.lease.is_holder:
+        if self.lease.is_holder:
             # Adopt the controller role mid-drain: the pending version
             # is whatever epoch is still open locally (updates are
             # broadcast all-or-nothing, so every survivor agrees).
@@ -818,7 +801,7 @@ class ShardServer(IncompleteWorldServer):
         back (the sequencer died holding them)."""
         if not self._unspliced:
             return
-        target = self._sequencer_shard()
+        target = self.lease.holder
         if target == self.shard_index:
             for message in list(self._unspliced.values()):
                 self._sequence_span(message)
@@ -859,7 +842,7 @@ class ShardServer(IncompleteWorldServer):
                 aborted = True
         if aborted:
             self._advance_frontier()
-        if self.elastic is not None and self.is_sequencer:
+        if self.elastic is not None and self.lease.is_holder:
             self._check_drain_commit()
 
     def announce_restart(self) -> None:
@@ -878,17 +861,18 @@ class ShardServer(IncompleteWorldServer):
         if self._crashed:
             return
         self._dead_shards.discard(hello.shard)
-        if hello.shard == self._sequencer_shard():
-            # The classic shard-0 sequencer came back (single control
-            # plane): re-forward spans it never spliced and re-send the
-            # DrainDones its dead incarnation collected.
+        if hello.shard == self.lease.holder:
+            # The sequencer came back still holding the lease (a pinned
+            # lease outlives its holder's crash): re-forward spans it
+            # never spliced and re-send the DrainDones its dead
+            # incarnation collected.
             self._reforward_unspliced()
             if self.elastic is not None:
                 for epoch in self._epochs:
                     epoch["drained"] = False
                 self._maybe_drain_done()
-        if self.is_sequencer and self.shard_index != hello.shard:
-            if self.lease is not None:
+        if self.lease.is_holder and self.shard_index != hello.shard:
+            if self.control.fails_over:
                 beat = LeaseHeartbeat(self.lease.term, self.shard_index)
                 self.network.send(
                     self.server_id, shard_host_id(hello.shard), beat,
@@ -1088,8 +1072,6 @@ class ShardServer(IncompleteWorldServer):
         record = self.clients.get(client_id)
         if record is None or client_id in self._handoffs:
             return
-        if self.avatar_of is None:
-            return
         avatar_oid = self.avatar_of(client_id)
         if avatar_oid is None or avatar_oid not in entry.action.writes:
             return
@@ -1244,7 +1226,10 @@ class ShardServer(IncompleteWorldServer):
                     self.elastic.interval_ms, self._elastic_tick, stop_at=stop_at
                 )
             )
-        if self.lease is not None:
+        if self.control.fails_over and self.partition.shards > 1:
+            # Seed the beat clock so a server (re)started now does not
+            # instantly suspect; a restarted one learns the current
+            # term/holder from the sequencer's catch-up heartbeat.
             self.lease.last_beat_ms = self.sim.now
             self._stoppers.append(
                 self.sim.call_every(
@@ -1282,7 +1267,7 @@ class ShardServer(IncompleteWorldServer):
         self._load_round += 1
         self._last_cpu_ms = cpu
         self._last_serialized = serialized
-        target = self._sequencer_shard()
+        target = self.lease.holder
         if target == self.shard_index:
             self._on_load_report(report)
         elif target not in self._dead_shards:
@@ -1448,8 +1433,7 @@ class ShardServer(IncompleteWorldServer):
             updates[oid] = dict(attrs)
         if updates:
             self.state.merge(updates, commit_index=-1)
-            if self._client_index is not None:
-                self._refresh_indexed_positions(updates)
+            self._refresh_indexed_positions(updates)
 
     def _maybe_drain_done(self) -> None:
         """An epoch is drained here once its fence passed (syncs sent)
@@ -1458,7 +1442,7 @@ class ShardServer(IncompleteWorldServer):
             if epoch["synced"] and not epoch["drained"] and not epoch["bulk"]:
                 epoch["drained"] = True
                 done = DrainDone(self.shard_index, epoch["version"])
-                target = self._sequencer_shard()
+                target = self.lease.holder
                 if target == self.shard_index:
                     self._on_drain_done(done)
                 elif target not in self._dead_shards:
@@ -1467,7 +1451,7 @@ class ShardServer(IncompleteWorldServer):
     def _on_drain_done(self, done: DrainDone) -> None:
         """Controller: after every live shard drained, commit the
         version so every shard retires the superseded boundaries."""
-        if self._pending_version is None and self.is_sequencer:
+        if self._pending_version is None and self.lease.is_holder:
             # A controller that took over mid-drain (lease failover or
             # sequencer restart) adopts the version the survivors are
             # still draining; unreachable fault-free — the controller
@@ -1565,7 +1549,7 @@ class ShardedSeveEngine(SeveEngine):
                 "shard crash windows require shards >= 2 (a one-shard "
                 "deployment has no survivor to keep serializing)"
             )
-        if self.sharding.control is None and shards > 1:
+        if not self.sharding.control.fails_over and shards > 1:
             permanent = [
                 w for w in shard_windows
                 if w.shard_index == 0 and w.reconnect_at_ms is None
@@ -1684,8 +1668,6 @@ class ShardedSeveEngine(SeveEngine):
             tick_ms=config.tick_ms,
             costs=config.costs,
             avatar_of=self.world.avatar_of,
-            use_spatial_index=config.use_distribution_indexes,
-            use_writer_index=config.use_distribution_indexes,
             liveness=config.liveness,
             server_id=shard_host_id(shard),
             obs=self.obs,
@@ -1771,7 +1753,8 @@ class ShardedSeveEngine(SeveEngine):
         server.stop()
         self.crashed_shards.add(shard)
         self.network.crash(host_id)
-        casualties = self._shard_crash_victims(shard)
+        everyone = sorted(self.clients)
+        casualties = self._shard_crash_victims(shard, among=everyone)
         for client_id in casualties:
             self.mark_dead(client_id)
             if self.network.is_registered(client_id):
@@ -1783,25 +1766,22 @@ class ShardedSeveEngine(SeveEngine):
             for peer in self.shard_servers:
                 if not peer._crashed and client_id in peer.clients:
                     peer.evict_client(client_id)
-        for client_id in sorted(self.clients):
-            if client_id in self.dead:
-                continue
-            client = self.clients[client_id]
-            if client._rejoin_target == host_id:
-                # Rejoining toward the shard that just died: redirect
-                # the hello at the first live shard.
-                client._rejoin_target = shard_host_id(live[0].shard_index)
+        self._redirect_rejoins(shard, among=everyone)
         return casualties
 
-    def _shard_crash_victims(self, shard: int) -> List[ClientId]:
-        """The clients that die with shard ``shard``: attached to it,
-        or mid-migration toward it (their stream is unrecoverable —
-        the transfer may already be in flight into the dead host).
-        The rule is client-local on purpose, so every backend computes
-        the same casualty set from the state it owns."""
+    def _shard_crash_victims(
+        self, shard: int, among: Sequence[ClientId]
+    ) -> List[ClientId]:
+        """The clients of ``among`` (ascending ids) that die with shard
+        ``shard``: attached to it, or mid-migration toward it (their
+        stream is unrecoverable — the transfer may already be in flight
+        into the dead host).  The rule is client-local on purpose, so
+        every backend computes the same casualty set from the state it
+        owns: the classic engine asks about every client, a partition
+        replica about the clients it owns."""
         host_id = shard_host_id(shard)
         victims = []
-        for client_id in sorted(self.clients):
+        for client_id in among:
             if client_id in self.dead:
                 continue
             client = self.clients[client_id]
@@ -1810,6 +1790,18 @@ class ShardedSeveEngine(SeveEngine):
             ):
                 victims.append(client_id)
         return victims
+
+    def _redirect_rejoins(self, shard: int, among: Sequence[ClientId]) -> None:
+        """Clients of ``among`` rejoining toward the shard that just
+        died hello the first live shard instead."""
+        host_id = shard_host_id(shard)
+        live = [s for s in self.shard_servers if not s._crashed]
+        for client_id in among:
+            if client_id in self.dead:
+                continue
+            client = self.clients[client_id]
+            if client._rejoin_target == host_id and live:
+                client._rejoin_target = shard_host_id(live[0].shard_index)
 
     def restart_shard(self, shard: int) -> ShardServer:
         """Restart a crashed shard host: recover the committed store
@@ -1848,11 +1840,6 @@ class ShardedSeveEngine(SeveEngine):
             s for s in self.shard_servers
             if not s._crashed and s.shard_index != shard
         ]
-        if server.lease is not None:
-            # Current term/holder arrive via the sequencer's catch-up
-            # heartbeat; seed the beat clock so the fresh server does
-            # not instantly suspect.
-            server.lease.last_beat_ms = self.sim.now
         if self._elastic is not None and live:
             # Round counters are per-tick; joining at the survivors'
             # round lets load rounds complete again (the harness
@@ -1902,8 +1889,7 @@ class ShardedSeveEngine(SeveEngine):
         """Completed lease transfers, across every shard's log."""
         events = []
         for server in self.shard_servers:
-            if server.lease is not None:
-                events.extend(server.lease.log)
+            events.extend(server.lease.log)
         return tuple(sorted(events, key=lambda e: (e.at_ms, e.term)))
 
     # ------------------------------------------------------------------
@@ -1961,7 +1947,7 @@ class ShardedSeveEngine(SeveEngine):
             if any(server._epochs for server in live_servers):
                 return False
             controller = next(
-                (s for s in live_servers if s.is_sequencer), None
+                (s for s in live_servers if s.lease.is_holder), None
             )
             if controller is not None and controller._pending_version is not None:
                 return False

@@ -95,11 +95,11 @@ class SimulationSettings:
     #: hello path, and shard hosts recover from checkpoint+WAL.
     shards: int = 1
     #: Spanning-action control plane (docs/control_plane.md): "single"
-    #: keeps the classic shard-0 sequencer (byte-identical to the
-    #: pre-lease code path), "replicated" arms per-border gsn leases
-    #: with heartbeat-driven quorum failover so sequencing survives the
-    #: leaseholder's crash.  Shard crash plans that kill shard 0
-    #: without a restart require "replicated".
+    #: pins the gsn lease to shard 0 (it never times out, so no lease
+    #: message is ever sent), "replicated" arms heartbeat-driven quorum
+    #: failover so sequencing survives the leaseholder's crash.  Shard
+    #: crash plans that kill shard 0 without a restart require
+    #: "replicated".
     control_plane: str = "single"
     #: Live load-aware rebalancing of the shard stripes (``--elastic``;
     #: docs/elasticity.md): shard 0 collects per-shard load deltas and
@@ -293,12 +293,12 @@ class SimulationSettings:
 
     def control_plane_config(self):
         """The :class:`~repro.core.control_plane.ControlPlaneConfig`
-        for this run, or ``None`` for the classic shard-0 sequencer."""
-        if self.control_plane != "replicated":
-            return None
-        from repro.core.control_plane import ControlPlaneConfig
+        for this run: the pinned lease under ``single``."""
+        from repro.core.control_plane import PINNED_LEASE, ControlPlaneConfig
 
-        return ControlPlaneConfig()
+        if self.control_plane == "replicated":
+            return ControlPlaneConfig()
+        return PINNED_LEASE
 
     def manhattan_config(self) -> ManhattanConfig:
         """The world configuration this experiment runs on."""

@@ -153,7 +153,6 @@ def run_simulation(
     world: Optional[ManhattanWorld] = None,
     check_consistency: bool = True,
     obs=None,
-    _in_worker: bool = False,
 ) -> RunResult:
     """Run one architecture under the Table I workload and measure it.
 
@@ -164,25 +163,13 @@ def run_simulation(
 
     ``settings.backend`` selects how the run executes on real hardware
     (docs/parallel.md); virtual-time results are independent of the
-    choice.  The windowed partition paths build their own worlds (one
-    per replica), so a pre-built ``world`` is only shared on the classic
-    single-engine path.  ``_in_worker`` is internal: it marks the call
-    as already running inside a spawned backend worker, so the backend
-    dispatch below must not recurse.
+    choice.  With one shard or one resolved worker there is nothing to
+    partition, and either backend takes the classic single-engine path
+    in this process.  The windowed partition paths build their own
+    worlds (one per replica), so a pre-built ``world`` is only shared
+    on the classic path.
     """
     started = time.perf_counter()
-    if settings.backend == "parallel" and not _in_worker:
-        from repro.net.backend import resolve_workers, run_in_subprocess
-
-        if settings.shards == 1 or resolve_workers(settings) == 1:
-            # Nothing to partition: execute the whole classic run in one
-            # spawned worker and re-stamp the wall clock to include the
-            # spawn overhead the caller actually paid.
-            result = run_in_subprocess(
-                architecture, settings, check_consistency=check_consistency
-            )
-            result.wall_seconds = time.perf_counter() - started
-            return result
     if obs is None and settings.wants_observer:
         from repro.obs import Observer
 

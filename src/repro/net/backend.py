@@ -437,15 +437,7 @@ class PartitionReplica:
         # so its owner decides; foreign shards that still hold such a
         # casualty evict it through the ordinary liveness sweep once its
         # heartbeats stop.
-        casualties = []
-        for client_id in self.owned_clients:
-            if client_id in engine.dead:
-                continue
-            client = engine.clients[client_id]
-            if client.server_id == host_id or (
-                client._migrating and client._migration_target == shard
-            ):
-                casualties.append(client_id)
+        casualties = engine._shard_crash_victims(shard, among=self.owned_clients)
         for client_id in casualties:
             engine.mark_dead(client_id)
             if engine.network.is_registered(client_id):
@@ -456,13 +448,7 @@ class PartitionReplica:
                 peer = engine.shard_servers[k]
                 if not peer._crashed and client_id in peer.clients:
                     peer.evict_client(client_id)
-        live = [s for s in engine.shard_servers if not s._crashed]
-        for client_id in self.owned_clients:
-            if client_id in engine.dead:
-                continue
-            client = engine.clients[client_id]
-            if client._rejoin_target == host_id and live:
-                client._rejoin_target = shard_host_id(live[0].shard_index)
+        engine._redirect_rejoins(shard, among=self.owned_clients)
 
     def _restart_shard(self, shard: int) -> None:
         """Apply one shard-restart to this replica's slice."""
@@ -586,11 +572,7 @@ class PartitionReplica:
                     cpu_ms=engine.server_hosts[shard].cpu_time_used,
                     rebalance_log=tuple(getattr(server, "rebalance_log", ())),
                     stripe=tuple(server.partition.bounds(shard)),
-                    failover_log=(
-                        tuple(server.lease.log)
-                        if getattr(server, "lease", None) is not None
-                        else ()
-                    ),
+                    failover_log=tuple(server.lease.log),
                     crashed=server._crashed,
                 )
             )
@@ -1067,38 +1049,3 @@ def run_partitioned(
                 obs.merge_from(snapshot.observer)
     return merged, SimpleNamespace(stats=merged.workload_stats)
 
-
-def run_in_subprocess(architecture: str, settings, *, check_consistency=True):
-    """Execute one complete classic run in a single spawned worker.
-
-    The parallel backend's degenerate case (one shard, or one worker):
-    there is nothing to partition, so the whole ``run_simulation`` —
-    byte-identical to the in-process path by construction — executes in
-    a fresh interpreter and ships its pickled ``RunResult`` back.
-    """
-    from repro.net.worker import single_run_worker_main
-
-    ctx = spawn_context()
-    parent, child = ctx.Pipe()
-    process = ctx.Process(
-        target=single_run_worker_main,
-        args=(child, architecture, settings, check_consistency),
-        daemon=True,
-    )
-    process.start()
-    child.close()
-    try:
-        message = parent.recv()
-    except EOFError:
-        process.join()
-        raise SimulationError(
-            f"parallel run worker exited unexpectedly "
-            f"(exit code {process.exitcode})"
-        )
-    finally:
-        if process.is_alive():
-            process.join(timeout=30)
-        parent.close()
-    if message[0] == "error":
-        raise SimulationError(f"parallel run worker failed:\n{message[1]}")
-    return message[1]

@@ -1,10 +1,9 @@
-"""Worker-process entry points for the parallel backend.
+"""Worker-process entry point for the parallel backend.
 
-Both functions here run inside a freshly **spawned** interpreter (see
+``partition_worker_main`` runs one partition replica of a sharded run
+inside a freshly **spawned** interpreter (see
 :func:`repro.net.backend.spawn_context` for why spawn, never fork) and
-speak a tiny command protocol over a ``multiprocessing`` pipe:
-
-``partition_worker_main`` — one partition replica of a sharded run:
+speaks a tiny command protocol over a ``multiprocessing`` pipe:
 
 * worker → coordinator: ``("ready", owned_clients, BarrierReport)``
   once the replica is built and its slice activated;
@@ -14,10 +13,6 @@ speak a tiny command protocol over a ``multiprocessing`` pipe:
 * coordinator → worker: ``("finish", t_stop, deadline)`` — stop owned
   servers, drain, reply ``("done", PartitionSnapshot)``;
 * coordinator → worker: ``("exit",)`` — return (process ends).
-
-``single_run_worker_main`` — the degenerate parallel case (one shard or
-one worker): execute the entire classic ``run_simulation`` and ship the
-pickled ``RunResult`` back as ``("done", result)``.
 
 Any exception is reported as ``("error", traceback_text)`` before the
 worker dies, so the coordinator can surface the real stack trace
@@ -59,26 +54,3 @@ def partition_worker_main(
     finally:
         conn.close()
 
-
-def single_run_worker_main(
-    conn, architecture: str, settings, check_consistency: bool
-) -> None:
-    """Execute one whole classic run and return its ``RunResult``."""
-    try:
-        from repro.harness.runner import run_simulation
-
-        result = run_simulation(
-            architecture,
-            settings,
-            check_consistency=check_consistency,
-            _in_worker=True,
-        )
-        conn.send(("done", result))
-    except BaseException:
-        try:
-            conn.send(("error", traceback.format_exc()))
-        except Exception:
-            pass
-        raise
-    finally:
-        conn.close()

@@ -75,3 +75,23 @@ def test_run_flags_reach_settings(capsys):
     mean_line = next(line for line in out.splitlines() if "mean response" in line)
     value = float(mean_line.split()[-1])
     assert value < 100.0
+
+
+@pytest.mark.parametrize(
+    "flags, offender",
+    [
+        (["--shards", "1", "--elastic"], "elastic"),
+        (["--crash-plan", "bogus"], "'bogus'"),
+    ],
+)
+def test_impossible_run_flags_end_in_one_error_line_not_a_traceback(
+    flags, offender, capsys
+):
+    code = main(["run", "seve", *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("repro: error: ")
+    assert captured.err.count("\n") == 1
+    assert offender in captured.err

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core.action import Action, ActionId, ActionResult
 from repro.core.closure import KnownValuesTracker, QueueEntry, transitive_closure
+from repro.core.indexes import WriterIndex
 from repro.errors import ProtocolError
 
 
@@ -34,9 +35,19 @@ def entry(pos, reads, writes, client=0, valid=True, sent=()):
 C = 7  # the requesting client
 
 
+def closure(entries, candidate_index):
+    """Algorithm 6 for client C over a queue starting at position 0."""
+    writer_index = WriterIndex()
+    for queue_entry in entries:
+        writer_index.note_enqueued(queue_entry.pos, queue_entry.action.writes)
+    return transitive_closure(
+        entries, candidate_index, C, writer_index=writer_index
+    )
+
+
 def test_closure_includes_candidate_only_when_independent():
     entries = [entry(0, [], ["a"]), entry(1, [], ["b"])]
-    chain, seed = transitive_closure(entries, 1, C)
+    chain, seed = closure(entries, 1)
     assert chain == [1]
     assert seed == frozenset({"b"})
 
@@ -47,7 +58,7 @@ def test_closure_walks_transitive_dependencies_in_order():
         entry(1, ["x"], ["y"]),
         entry(2, ["y"], ["z"]),
     ]
-    chain, seed = transitive_closure(entries, 2, C)
+    chain, seed = closure(entries, 2)
     assert chain == [0, 1, 2]
     assert seed == frozenset({"x", "y", "z"})
     # every chain member is now marked sent to C
@@ -59,7 +70,7 @@ def test_closure_skips_dropped_entries():
         entry(0, [], ["x"], valid=False),
         entry(1, ["x"], ["y"]),
     ]
-    chain, seed = transitive_closure(entries, 1, C)
+    chain, seed = closure(entries, 1)
     assert chain == [1]
     assert "x" in seed  # still needs a committed value for x
 
@@ -69,7 +80,7 @@ def test_closure_shrinks_seed_for_already_sent_entries():
         entry(0, [], ["x"], sent=[C]),
         entry(1, ["x"], ["y"]),
     ]
-    chain, seed = transitive_closure(entries, 1, C)
+    chain, seed = closure(entries, 1)
     assert chain == [1]
     # C already has (or will compute) x from entry 0: no seeding needed.
     assert "x" not in seed
@@ -81,7 +92,7 @@ def test_closure_sent_shrink_prunes_older_writers():
         entry(1, [], ["x"], sent=[C]),  # newer writer, already at C
         entry(2, ["x"], ["y"]),
     ]
-    chain, seed = transitive_closure(entries, 2, C)
+    chain, seed = closure(entries, 2)
     # x was removed from S by entry 1, so entry 0 must not join.
     assert chain == [2]
     assert "x" not in seed
@@ -90,13 +101,13 @@ def test_closure_sent_shrink_prunes_older_writers():
 def test_closure_candidate_already_sent_raises():
     entries = [entry(0, [], ["a"], sent=[C])]
     with pytest.raises(ProtocolError):
-        transitive_closure(entries, 0, C)
+        closure(entries, 0)
 
 
 def test_closure_dropped_candidate_raises():
     entries = [entry(0, [], ["a"], valid=False)]
     with pytest.raises(ProtocolError):
-        transitive_closure(entries, 0, C)
+        closure(entries, 0)
 
 
 def test_closure_read_modify_write_keeps_base_value_in_seed():
@@ -106,7 +117,7 @@ def test_closure_read_modify_write_keeps_base_value_in_seed():
         entry(0, ["x"], ["x"]),
         entry(1, ["x"], ["y"]),
     ]
-    chain, seed = transitive_closure(entries, 1, C)
+    chain, seed = closure(entries, 1)
     assert chain == [0, 1]
     assert "x" in seed
 

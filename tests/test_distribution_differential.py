@@ -1,10 +1,12 @@
 """Differential proof of the determinism invariant: the indexed
 (output-sensitive) distribution path must be observationally equivalent
-to the brute-force scans it replaces.
+to the brute-force scans it replaced.
 
 A randomized First-Bound workload (32 clients, a few hundred moves) is
-run twice — spatial client index + inverted write index ON, then OFF —
-and everything a client or experimenter could observe is compared:
+run twice — on the shipped server (spatial client index + inverted
+write index), then on the scans kept as oracles in
+``tests/reference/distribution_reference.py`` — and everything a client
+or experimenter could observe is compared:
 every server->client batch (destination, virtual send time, entry
 positions, blind-write contents, wire size), the full
 ``IncompleteServerStats``, per-client protocol stats, and the final
@@ -17,13 +19,19 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import engine as engine_module
 from repro.core.action import BlindWrite
 from repro.core.engine import SeveConfig, SeveEngine
 from repro.core.messages import ActionBatch, GroupBundle
+from repro.core.server_incomplete import IncompleteWorldServer
 from repro.harness.config import SimulationSettings
 from repro.harness.workload import MoveWorkload
 from repro.types import SERVER_ID
 from repro.world.manhattan import ManhattanWorld
+from tests.reference.distribution_reference import (
+    FullScanServer,
+    use_reference_distribution,
+)
 
 DIFF_SETTINGS = SimulationSettings(
     num_clients=32,
@@ -55,7 +63,7 @@ def _entry_fingerprint(ordered):
     return ("action", ordered.pos, action.action_id)
 
 
-def _run_workload(mode: str, *, indexed: bool, settings=DIFF_SETTINGS):
+def _run_workload(mode: str, *, settings=DIFF_SETTINGS):
     world = ManhattanWorld(settings.num_clients, settings.manhattan_config())
     config = SeveConfig(
         mode=mode,
@@ -65,7 +73,6 @@ def _run_workload(mode: str, *, indexed: bool, settings=DIFF_SETTINGS):
         tick_ms=settings.tick_ms,
         threshold=settings.effective_threshold,
         eval_overhead_ms=settings.eval_overhead_ms,
-        use_distribution_indexes=indexed,
     )
     engine = SeveEngine(world, settings.num_clients, config)
 
@@ -126,9 +133,12 @@ def _run_workload(mode: str, *, indexed: bool, settings=DIFF_SETTINGS):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("mode", ["first-bound", "seve"])
-def test_indexed_and_brute_distribution_are_observationally_identical(mode):
-    indexed = _run_workload(mode, indexed=True)
-    brute = _run_workload(mode, indexed=False)
+def test_indexed_and_brute_distribution_are_observationally_identical(
+    mode, monkeypatch
+):
+    indexed = _run_workload(mode)
+    use_reference_distribution(monkeypatch)
+    brute = _run_workload(mode)
 
     assert indexed["moves"] == brute["moves"] > 200  # "a few hundred actions"
     assert indexed["server_stats"] == brute["server_stats"]
@@ -143,14 +153,50 @@ def test_indexed_and_brute_distribution_are_observationally_identical(mode):
 
 
 @pytest.mark.slow
-def test_indexed_reactive_replies_match_brute_force():
+def test_indexed_reactive_replies_match_brute_force(monkeypatch):
     """The inverted write index also drives Algorithm 6 in the reactive
     Incomplete World mode (no pushes) — closure replies must be
     identical too."""
     settings = DIFF_SETTINGS.with_(num_clients=16, moves_per_client=8)
-    indexed = _run_workload("incomplete", indexed=True, settings=settings)
-    brute = _run_workload("incomplete", indexed=False, settings=settings)
+    indexed = _run_workload("incomplete", settings=settings)
+    use_reference_distribution(monkeypatch)
+    brute = _run_workload("incomplete", settings=settings)
     assert indexed["server_stats"] == brute["server_stats"]
     assert indexed["sends"] == brute["sends"]
     assert indexed["final_state"] == brute["final_state"]
     assert indexed["server_stats"].closures_computed > 0
+
+
+@pytest.mark.slow
+def test_server_without_avatar_lookup_matches_the_full_scan(monkeypatch):
+    """A push-mode server built with ``avatar_of=None`` used to have no
+    spatial index and fall back to the whole-window scan.  It now keeps
+    the index with every client position-less — a candidate for every
+    action — and must deliver exactly what the scan did."""
+
+    def without_avatars(server_cls):
+        class AvatarBlind(server_cls):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **{**kwargs, "avatar_of": None})
+
+        return AvatarBlind
+
+    settings = DIFF_SETTINGS.with_(num_clients=16, moves_per_client=8)
+    monkeypatch.setattr(
+        engine_module, "IncompleteWorldServer", without_avatars(IncompleteWorldServer)
+    )
+    indexed = _run_workload("first-bound", settings=settings)
+    use_reference_distribution(monkeypatch, without_avatars(FullScanServer))
+    brute = _run_workload("first-bound", settings=settings)
+    assert indexed["server_stats"] == brute["server_stats"]
+    assert indexed["sends"] == brute["sends"]
+    assert indexed["final_state"] == brute["final_state"]
+    assert indexed["client_stats"] == brute["client_stats"]
+    # Nobody's position is known, so nothing may be withheld: every
+    # client evaluated every move.
+    moves = indexed["moves"]
+    assert moves > 100
+    assert all(
+        stats.stable_evaluations == moves
+        for stats in indexed["client_stats"].values()
+    )

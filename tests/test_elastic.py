@@ -408,8 +408,7 @@ def test_advance_frontier_teaches_parked_reply_through_real_pipeline():
     entry = QueueEntry(server._next_pos, blind, arrived_at=engine.sim.now)
     server._next_pos += 1
     server._entries.append(entry)
-    if server._writer_index is not None:
-        server._writer_index.note_enqueued(entry.pos, blind.writes)
+    server._writer_index.note_enqueued(entry.pos, blind.writes)
     entry.valid = True
     entry.completion = ActionResult.of(values)
     server._deferred_replies[target] = [entry.pos]

@@ -1,0 +1,105 @@
+"""Golden fingerprints of six seeded ``run_simulation`` calls.
+
+``tests/data/golden_runs.json`` was dumped at the last commit that still
+had the brute-force distribution fork, the lease-less ``single``
+sequencer and the run-in-a-subprocess fork; the runs below must keep
+reproducing it bit for bit.  A fingerprint is everything the run decides
+in virtual time: dispatched events, the final clock, every response
+sample, per-client and total traffic bytes, each shard's committed
+store, the drop count and the failover log.
+
+Regenerate (only when virtual-time behaviour is *meant* to change) with
+``PYTHONPATH=src python tests/test_golden_runs.py``.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.harness import runner
+from repro.harness.config import SimulationSettings
+from repro.net.faults import FaultPlan, parse_crash_plan
+
+GOLDEN_PATH = Path(__file__).parent / "data" / "golden_runs.json"
+
+# The cluster spawn straddles the x = 500 stripe border at K = 4, so a
+# good share of the moves are spanning actions.
+BASE = SimulationSettings(
+    num_clients=16,
+    num_walls=200,
+    moves_per_client=12,
+    rtt_ms=150.0,
+    seed=13,
+)
+
+
+def _crashing(plan: str, **changes) -> SimulationSettings:
+    return BASE.with_(
+        shards=4, fault_plan=FaultPlan(crashes=parse_crash_plan(plan)), **changes
+    )
+
+
+RUNS = {
+    # Dense enough that the Information Bound drops a dozen moves.
+    "seve_k1": BASE.with_(num_clients=32, spawn_extent=80.0),
+    "seve_k4_single": BASE.with_(shards=4),
+    "seve_k4_replicated": BASE.with_(shards=4, control_plane="replicated"),
+    "seve_k4_replicated_crash": _crashing(
+        "s2@1500:3500", control_plane="replicated"
+    ),
+    # The two runs in which the sequencer itself dies: the lease moves
+    # (replicated), or shard 0 comes back and is re-forwarded to (single).
+    "seve_k4_replicated_failover": _crashing("s0@1500", control_plane="replicated"),
+    "seve_k4_single_restart": _crashing("s0@1500:3500"),
+}
+
+
+def fingerprint(settings: SimulationSettings) -> dict:
+    """Run ``seve`` under ``settings`` and reduce it to JSON scalars."""
+    engines = []
+    build_engine = runner.build_engine
+
+    def capturing_build(*args, **kwargs):
+        engines.append(build_engine(*args, **kwargs))
+        return engines[-1]
+
+    runner.build_engine = capturing_build
+    try:
+        result = runner.run_simulation("seve", settings)
+    finally:
+        runner.build_engine = build_engine
+    (engine,) = engines
+    meter = engine.network.meter
+    stores = getattr(engine, "shard_states", None) or [engine.state]
+    assert result.consistency is not None and result.consistency.consistent
+    return {
+        "events": result.events,
+        "virtual_ms": result.virtual_ms,
+        "responses": sorted(engine.response_times.samples),
+        "client_bytes": [
+            meter.host_bytes(client_id) for client_id in sorted(engine.clients)
+        ],
+        "total_bytes": meter.total_bytes,
+        "shard_state_crc": [store.checksum() for store in stores],
+        "dropped": sum(len(ids) for ids in engine.dropped.values()),
+        "failovers": [dict(event) for event in result.failover_events],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_run_matches_its_golden_fingerprint(name):
+    golden = json.loads(GOLDEN_PATH.read_text())[name]
+    assert fingerprint(RUNS[name]) == golden
+
+
+if __name__ == "__main__":
+    GOLDEN_PATH.write_text(
+        json.dumps(
+            {name: fingerprint(settings) for name, settings in RUNS.items()},
+            indent=1,
+        )
+        + "\n"
+    )

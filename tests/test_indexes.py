@@ -11,6 +11,7 @@ from repro.core.action import Action, ActionId
 from repro.core.indexes import ClientSpatialIndex, WriterIndex
 from repro.core.closure import QueueEntry, transitive_closure
 from repro.world.geometry import Vec2
+from tests.reference.distribution_reference import reference_transitive_closure
 
 
 # ----------------------------------------------------------------------
@@ -122,7 +123,7 @@ def test_indexed_closure_matches_brute_force_on_random_queues():
         import copy
 
         brute_entries = copy.deepcopy(entries)
-        brute_chain, brute_seed = transitive_closure(
+        brute_chain, brute_seed = reference_transitive_closure(
             brute_entries, candidate_index, client_id
         )
         indexed_chain, indexed_seed = transitive_closure(

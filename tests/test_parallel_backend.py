@@ -156,11 +156,21 @@ def test_parallel_matches_inproc_k2_lossy():
     assert parallel.messages_dropped > 0  # the plan actually fired
 
 
-def test_parallel_matches_inproc_k1_whole_run_subprocess():
-    # shards=1 degenerates to the whole classic run in one spawned
-    # worker; results must still be identical to the local run.
-    inproc = run("inproc", shards=1)
-    parallel = run("parallel", shards=1)
+@pytest.mark.parametrize("degenerate", [dict(shards=1), dict(shards=2, workers=1)])
+def test_parallel_with_nothing_to_partition_runs_in_process(
+    degenerate, monkeypatch
+):
+    # One shard, or one resolved worker: the parallel backend takes the
+    # classic single-engine path right here — same result as inproc,
+    # and no worker process is ever spawned.
+    from repro.net import backend
+
+    def no_spawn():
+        raise AssertionError("degenerate parallel run spawned a process")
+
+    monkeypatch.setattr(backend, "spawn_context", no_spawn)
+    inproc = run("inproc", **degenerate)
+    parallel = run("parallel", **degenerate)
     assert result_key(inproc) == result_key(parallel)
 
 

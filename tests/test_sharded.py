@@ -14,12 +14,15 @@ from repro.core.sharded import (
     ShardedSeveEngine,
     ShardingConfig,
 )
-from repro.errors import ConfigurationError
+from repro.core.action import BlindWrite
+from repro.core.messages import SpanForward
+from repro.errors import ConfigurationError, ProtocolError
 from repro.harness.architectures import _reliability_suite, build_engine, build_world
 from repro.harness.config import SimulationSettings
 from repro.harness.runner import run_simulation
 from repro.harness.workload import MoveWorkload
 from repro.net.faults import CrashWindow, FaultPlan, LivenessConfig
+from repro.types import shard_host_id
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +404,29 @@ def test_replicated_plane_is_protocol_transparent_fault_free():
         single.shard_audit.span_observations
     )
     assert repl.total_traffic_kb > single.total_traffic_kb  # heartbeats
+
+
+def test_misrouted_span_forward_is_an_error_only_when_the_lease_is_pinned():
+    """Every shard holds the lease state under both planes.  A
+    SpanForward reaching a non-holder is stale routing while a failover
+    can be in flight (``replicated``: ignored, the owner re-forwards on
+    the grant), but under ``single`` the lease cannot move, so nothing
+    legitimate ever sends one: it stays a ProtocolError."""
+    forward = SpanForward(0, (0, 1), BlindWrite.from_server(0, {}))
+    for control_plane, raises in (("single", True), ("replicated", False)):
+        engine = build_engine(
+            "seve", FAULTED.with_(shards=2, control_plane=control_plane)
+        )
+        holder, other = engine.shard_servers
+        assert (holder.lease.term, holder.lease.holder) == (0, 0)
+        assert holder.lease.is_holder and not other.lease.is_holder
+        assert other.control.fails_over is not raises
+        if raises:
+            with pytest.raises(ProtocolError, match="only shard 0 sequences"):
+                other._on_message(shard_host_id(0), forward)
+        else:
+            other._on_message(shard_host_id(0), forward)
+        assert other.shard_stats.spans_sequenced == 0
 
 
 @pytest.mark.faults
