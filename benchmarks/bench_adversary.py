@@ -1,7 +1,7 @@
 """Detection-latency and blast-radius benchmark of the adversary layer
 (docs/adversary.md).
 
-Emits ``BENCH_adversary.json`` (repo root + ``benchmarks/results/``)
+Emits ``BENCH_adversary.json`` (repo root)
 recording, for every cheating-client model at K ∈ {1, 2, 4} shard
 servers, on a clean and on a lossy network:
 
@@ -29,7 +29,6 @@ import pathlib
 import sys
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
 
 #: The client every plan corrupts (present at every K).
 CHEATER = 2
@@ -156,8 +155,6 @@ def main(argv: list[str]) -> int:
         },
     }
     text = json.dumps(report, indent=2)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_adversary.json").write_text(text + "\n")
     (REPO_ROOT / "BENCH_adversary.json").write_text(text + "\n")
     print(text)
     for shards, by_condition in sweep.items():

@@ -1,6 +1,6 @@
 """Benchmark of the replicated control plane (docs/control_plane.md).
 
-Emits ``BENCH_controlplane.json`` (repo root + ``benchmarks/results/``)
+Emits ``BENCH_controlplane.json`` (repo root)
 recording the replicated gsn-lease sequencer's two costs against the
 classic shard-0 singleton on a span-heavy K=4 workload:
 
@@ -32,7 +32,6 @@ import pathlib
 import sys
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
 
 SHARDS = 4
 CRASH_AT_MS = 2_000.0
@@ -178,8 +177,6 @@ def main(argv: list[str]) -> int:
         },
     }
     text = json.dumps(report, indent=2)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_controlplane.json").write_text(text + "\n")
     (REPO_ROOT / "BENCH_controlplane.json").write_text(text + "\n")
     print(text)
     print(

@@ -1,6 +1,6 @@
 """Flash-crowd benchmark of the elastic rebalancer (docs/elasticity.md).
 
-Emits ``BENCH_elastic.json`` (repo root + ``benchmarks/results/``)
+Emits ``BENCH_elastic.json`` (repo root)
 recording, for a tight crowd straddling the centre cut of a wide
 K=4 world — the workload that leaves two static stripes idle — with
 elasticity off vs on, clean and lossy:
@@ -29,7 +29,6 @@ import pathlib
 import sys
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
 
 SHARDS = 4
 
@@ -151,8 +150,6 @@ def main(argv: list[str]) -> int:
         },
     }
     text = json.dumps(report, indent=2)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_elastic.json").write_text(text + "\n")
     (REPO_ROOT / "BENCH_elastic.json").write_text(text + "\n")
     print(text)
     for condition in ("clean", "lossy"):

@@ -1,7 +1,7 @@
 """Benchmark of the protocol conformance toolchain
 (docs/static_analysis.md).
 
-Emits ``BENCH_protocol.json`` (repo root + ``benchmarks/results/``)
+Emits ``BENCH_protocol.json`` (repo root)
 recording the two halves of the protocol analyzer on the shipped tree:
 
 * **Static flow graph** — files scanned, message types mapped, how many
@@ -28,7 +28,6 @@ import pathlib
 import time
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
 
 SCAN_ROOTS = ["src/repro/core", "src/repro/net", "src/repro/baselines"]
 
@@ -113,8 +112,6 @@ def main(argv: list[str]) -> int:
         },
     }
     text = json.dumps(report, indent=2)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_protocol.json").write_text(text + "\n")
     (REPO_ROOT / "BENCH_protocol.json").write_text(text + "\n")
     print(text)
     print(

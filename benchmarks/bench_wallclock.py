@@ -1,7 +1,7 @@
 """Wall-clock benchmarks of the observability layer, the sharded
 deployment and the multiprocessing backend.
 
-Emits ``BENCH_pushpath.json`` (repo root + ``benchmarks/results/``):
+Emits ``BENCH_pushpath.json`` (repo root):
 
 * ``observability`` — the same seeded run unobserved vs with a full
   Observer attached (docs/observability.md);
@@ -31,7 +31,6 @@ import sys
 import time
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
 
 
 def bench_observability(num_clients: int, moves_per_client: int) -> dict:
@@ -284,15 +283,17 @@ def bench_parallel(
             raise AssertionError(
                 f"parallel backend diverged at K={shards}: {keys}"
             )
-        # Context row: the classic single-partition scheduler (what a
-        # plain `--shards K` run uses; differs from the windowed drive
-        # by the documented ~1 ms drain refinement, so no identity
-        # assertion against it).
-        classic = run_simulation(
+        # Context row: the same drive as one partition (what a plain
+        # `--shards K` run uses) — no barrier traffic, no codec.
+        one = run_simulation(
             "seve", settings(shards, "inproc", workers=0),
             check_consistency=False,
         )
-        row["classic_wall_s"] = classic.wall_seconds
+        if run_key(one) != keys["inproc"]:
+            raise AssertionError(
+                f"partition count changed the result at K={shards}"
+            )
+        row["one_partition_wall_s"] = one.wall_seconds
         row["identical"] = True
         row["speedup"] = row["inproc_wall_s"] / row["parallel_wall_s"]
         sweep[str(shards)] = row
@@ -367,14 +368,11 @@ def main(argv: list[str]) -> int:
         "passed": report["sharding"]["bottleneck_decreasing"],
     }
     text = json.dumps(report, indent=2)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_pushpath.json").write_text(text + "\n")
     (REPO_ROOT / "BENCH_pushpath.json").write_text(text + "\n")
     print(text)
 
     parallel = parallel_report(quick)
     parallel_text = json.dumps(parallel, indent=2)
-    (RESULTS_DIR / "BENCH_parallel.json").write_text(parallel_text + "\n")
     (REPO_ROOT / "BENCH_parallel.json").write_text(parallel_text + "\n")
     for shards, row in parallel["sweep"].items():
         print(

@@ -7,7 +7,7 @@
 # K in {1,2,4,8} bottleneck-shard sweep; its brute-vs-indexed push-path
 # sections went with the brute-force scans), BENCH_parallel.json,
 # BENCH_adversary.json, BENCH_elastic.json, and
-# BENCH_controlplane.json (repo root + benchmarks/results/) so every
+# BENCH_controlplane.json (repo root) so every
 # PR leaves a fresh per-feature record.  BENCH_parallel.json is
 # the K in {1,2,4,8} x {inproc,parallel} real-core sweep of the
 # multiprocessing shard backend; its >=2x-at-K=4 acceptance gate only

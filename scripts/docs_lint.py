@@ -70,7 +70,8 @@ FLAG_RE = re.compile(r"(?<![-\w])--[a-z][a-z0-9-]*")
 
 #: Flags legitimately referenced by the documentation but not defined
 #: in ``src/repro/cli.py``: options of scripts/lint.py, scripts/test.sh,
-#: scripts/bench.sh, the benchmark drivers, pytest, and pip.
+#: scripts/bench.sh, scripts/code_size.py (``--json``, shared with
+#: lint.py), the benchmark drivers, pytest, and pip.
 NON_CLI_FLAGS = frozenset({
     "--baseline",
     "--benchmark-only",

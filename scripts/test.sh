@@ -37,6 +37,10 @@ static_analysis() {
   python scripts/lint.py --check races
   python scripts/lint.py --check determinism --json src/repro \
     | python -c 'import json,sys; json.load(sys.stdin)'
+  # The size numbers CHANGES.md/ROADMAP quote, run so the script
+  # cannot rot.
+  python scripts/code_size.py --json \
+    | python -c 'import json,sys; assert json.load(sys.stdin)["total"] > 0'
 }
 
 # Documentation lint (links resolve; docs/index.md covers docs/*.md)

@@ -276,23 +276,16 @@ def _check_reactive(engine) -> List[str]:
 
 def _prepare(architecture, settings, check) -> PreparedRun:
     from repro.harness.architectures import build_engine
-    from repro.harness.runner import _schedule_crashes
-    from repro.harness.workload import MoveWorkload
+    from repro.harness.workload import MoveWorkload, start_run
 
     engine = build_engine(architecture, settings)
     workload = MoveWorkload(engine, engine.world, settings)
-    horizon = settings.workload_duration_ms + 2 * settings.move_interval_ms
-    plan = settings.fault_plan
-    has_plan = plan is not None and not plan.is_null
 
     def run() -> None:
-        if has_plan:
-            engine.start(stop_at=horizon + 15_000.0)
-            _schedule_crashes(engine, workload, plan)
-        else:
-            engine.start()
-        workload.install()
-        engine.run(until=horizon)
+        # Hand-driven on the per-event loop: the explorer permutes the
+        # event queue of one simulator.
+        start_run(engine, workload, settings)
+        engine.run(until=settings.submit_horizon_ms)
         engine.run_to_quiescence()
 
     return PreparedRun(engine=engine, run=run, check=lambda: check(engine))

@@ -213,11 +213,6 @@ class SeveEngine:
         self.adversary_active = adversary is not None and not adversary.is_null
         #: Clients evicted by the cheat-detection layer.
         self.quarantined: set[ClientId] = set()
-        #: Restrict quarantine evictions to these clients (``None`` =
-        #: no restriction).  The parallel backend sets it to the
-        #: partition's owned clients: a foreign cheater's evidence is
-        #: recorded here, but its eviction happens on its home replica.
-        self.quarantine_filter: Optional[set[ClientId]] = None
         #: Hook fired after each quarantine eviction (the harness stops
         #: the cheater's workload generator here).
         self.on_quarantine: Optional[Callable[[ClientId], None]] = None
@@ -248,6 +243,14 @@ class SeveEngine:
                 client_id,
                 (interests or {}).get(client_id),
             )
+        #: The clients this engine instance drives, in id order: all of
+        #: them, unless a partition replica (:mod:`repro.net.backend`)
+        #: narrows the slice.  Heartbeats, quiescence and quarantine
+        #: evictions cover the slice only — evidence about a cheater
+        #: another partition owns is recorded here, but its eviction
+        #: happens on its home replica.
+        self.owned_clients: List[ClientId] = list(self.clients)
+        self._stop_at: Optional[TimeMs] = None
 
     # ------------------------------------------------------------------
     # Assembly
@@ -445,14 +448,20 @@ class SeveEngine:
     # ------------------------------------------------------------------
     # Driving
     # ------------------------------------------------------------------
+    def _driven_servers(self) -> list:
+        """The servers whose periodic processes this engine runs (hook:
+        the sharded engine returns the shards of its slice)."""
+        return [self.server]
+
     def start(self, *, stop_at: Optional[TimeMs] = None) -> None:
-        """Install the server's periodic processes (liveness sweeps for
-        basic mode; validation/push/liveness for the others) and, when
-        liveness is configured, per-client heartbeats."""
-        if isinstance(self.server, (BasicServer, IncompleteWorldServer)):
-            self.server.start(stop_at=stop_at)
+        """Install the driven servers' periodic processes (liveness
+        sweeps for basic mode; validation/push/liveness for the others)
+        and, when liveness is configured, the owned clients' heartbeats."""
+        self._stop_at = stop_at
+        for server in self._driven_servers():
+            server.start(stop_at=stop_at)
         if self.config.liveness is not None:
-            for client_id in self.clients:
+            for client_id in self.owned_clients:
                 self._install_heartbeat(client_id, stop_at=stop_at)
 
     def _install_heartbeat(
@@ -487,12 +496,7 @@ class SeveEngine:
         """
         if client_id in self.quarantined:
             return
-        if (
-            self.quarantine_filter is not None
-            and client_id not in self.quarantine_filter
-        ):
-            # Evidence about a client another partition owns: recorded
-            # by the detector, evicted on its home replica.
+        if client_id not in self.owned_clients:
             return
         self.quarantined.add(client_id)
         servers = getattr(self, "shard_servers", None) or [self.server]
@@ -503,6 +507,20 @@ class SeveEngine:
             stopper()
         if self.on_quarantine is not None:
             self.on_quarantine(client_id)
+
+    def detection_summary(self) -> Dict[str, object]:
+        """The adversary-detection fields of a run result
+        (docs/adversary.md).  Empty on honest runs, so the result keeps
+        its dataclass defaults on the byte-identical null path."""
+        detector = self.detector
+        if detector is None:
+            return {}
+        return {
+            "detection_records": tuple(detector.records),
+            "detector_counts": dict(detector.counts),
+            "clients_quarantined": tuple(sorted(self.quarantined)),
+            "blast_radius": dict(detector.blast_radius),
+        }
 
     def _absorb_cheat_violation(self, violation) -> bool:
         """Sanitizer hook: route a planned cheater's RW-set violations
@@ -602,8 +620,14 @@ class SeveEngine:
                 break
             if self._quiescent():
                 break
-        if isinstance(self.server, (BasicServer, IncompleteWorldServer)):
-            self.server.stop()
+        self.stop_and_drain(deadline)
+
+    def stop_and_drain(self, deadline: TimeMs) -> None:
+        """End of run: stop the driven servers' periodic processes and
+        the heartbeats, then dispatch one final millisecond (capped at
+        ``deadline``) so same-instant completions land."""
+        for server in self._driven_servers():
+            server.stop()
         for stopper in list(self._heartbeat_stoppers.values()):
             stopper()
         self._heartbeat_stoppers.clear()

@@ -1488,6 +1488,16 @@ class ShardServer(IncompleteWorldServer):
         ]
         self._rebuild_legacy_boundaries()
 
+    @property
+    def stripe(self) -> Tuple[float, float]:
+        """This shard's own view of the ``(lo, hi)`` stripe it owns."""
+        return self.partition.bounds(self.shard_index)
+
+    @property
+    def failover_log(self) -> List[FailoverEvent]:
+        """Completed lease transfers this shard won."""
+        return self.lease.log
+
     def __repr__(self) -> str:
         return (
             f"ShardServer(shard={self.shard_index}, "
@@ -1569,7 +1579,9 @@ class ShardedSeveEngine(SeveEngine):
         #: schedules shard crashes (zero overhead otherwise).
         self._recovery_logs: Dict[int, ShardRecoveryLog] = {}
         self._arm_recovery = bool(shard_windows)
-        self._stop_at: Optional[TimeMs] = None
+        #: The shards this engine instance drives: all of them, unless
+        #: a partition replica narrows the slice (see ``owned_clients``).
+        self.owned_shards: List[int] = list(range(shards))
         if elastic is not None:
             # Every shard keeps its own mutable partition copy; copies
             # flip independently as the PartitionUpdate reaches each
@@ -1732,56 +1744,60 @@ class ShardedSeveEngine(SeveEngine):
 
     # ------------------------------------------------------------------
     # Crash oracle: shard death, restart, client rejoin
-    # (docs/control_plane.md)
+    # (docs/control_plane.md).  Every partition replica applies every
+    # window at the same virtual instant: the effects its slice owns
+    # for real, the rest only as far as keeps the ``_crashed`` flags and
+    # the network's incarnation counters in lockstep.  Failover, span
+    # takeover and the eviction of another partition's casualties travel
+    # as ordinary protocol messages.
     # ------------------------------------------------------------------
+    def _live_owned_servers(self) -> List[ShardServer]:
+        return [
+            self.shard_servers[shard]
+            for shard in self.owned_shards
+            if not self.shard_servers[shard]._crashed
+        ]
+
     def crash_shard(self, shard: int) -> List[ClientId]:
         """Kill shard ``shard``'s host: park its server, notify the
-        survivors (the simulation's perfect failure detector), and
-        return the casualty clients — those attached there or migrating
-        toward it — which die with it."""
+        owned survivors (the simulation's perfect failure detector), and
+        return the owned casualty clients — those attached there or
+        migrating toward it — which die with it."""
         if shard in self.crashed_shards:
             raise ProtocolError(f"shard {shard} is already crashed")
-        live = [
-            s for s in self.shard_servers
-            if s.shard_index != shard and not s._crashed
-        ]
-        if not live:
+        if all(s._crashed or s.shard_index == shard for s in self.shard_servers):
             raise ProtocolError("cannot crash the last live shard")
         server = self.shard_servers[shard]
-        host_id = shard_host_id(shard)
         server._crashed = True
         server.stop()
         self.crashed_shards.add(shard)
-        self.network.crash(host_id)
-        everyone = sorted(self.clients)
-        casualties = self._shard_crash_victims(shard, among=everyone)
+        self.network.crash(shard_host_id(shard))
+        survivors = self._live_owned_servers()
+        for peer in survivors:
+            peer.note_shard_down(shard)
+        casualties = self._shard_crash_victims(shard)
         for client_id in casualties:
             self.mark_dead(client_id)
             if self.network.is_registered(client_id):
                 self.network.crash(client_id)
-        for peer in self.shard_servers:
-            if not peer._crashed:
-                peer.note_shard_down(shard)
+        # A casualty still attached to a shard of another partition is
+        # evicted there by the liveness sweep once its heartbeats stop.
         for client_id in casualties:
-            for peer in self.shard_servers:
-                if not peer._crashed and client_id in peer.clients:
+            for peer in survivors:
+                if client_id in peer.clients:
                     peer.evict_client(client_id)
-        self._redirect_rejoins(shard, among=everyone)
+        self._redirect_rejoins(shard)
         return casualties
 
-    def _shard_crash_victims(
-        self, shard: int, among: Sequence[ClientId]
-    ) -> List[ClientId]:
-        """The clients of ``among`` (ascending ids) that die with shard
-        ``shard``: attached to it, or mid-migration toward it (their
-        stream is unrecoverable — the transfer may already be in flight
-        into the dead host).  The rule is client-local on purpose, so
-        every backend computes the same casualty set from the state it
-        owns: the classic engine asks about every client, a partition
-        replica about the clients it owns."""
+    def _shard_crash_victims(self, shard: int) -> List[ClientId]:
+        """The owned clients that die with shard ``shard``: attached to
+        it, or mid-migration toward it (their stream is unrecoverable —
+        the transfer may already be in flight into the dead host).  The
+        rule is client-local on purpose: a replica's copy of another
+        partition's client is stale, so each client's owner decides."""
         host_id = shard_host_id(shard)
         victims = []
-        for client_id in among:
+        for client_id in self.owned_clients:
             if client_id in self.dead:
                 continue
             client = self.clients[client_id]
@@ -1791,24 +1807,32 @@ class ShardedSeveEngine(SeveEngine):
                 victims.append(client_id)
         return victims
 
-    def _redirect_rejoins(self, shard: int, among: Sequence[ClientId]) -> None:
-        """Clients of ``among`` rejoining toward the shard that just
-        died hello the first live shard instead."""
+    def _redirect_rejoins(self, shard: int) -> None:
+        """Owned clients rejoining toward the shard that just died hello
+        the first live shard instead."""
         host_id = shard_host_id(shard)
         live = [s for s in self.shard_servers if not s._crashed]
-        for client_id in among:
+        for client_id in self.owned_clients:
             if client_id in self.dead:
                 continue
             client = self.clients[client_id]
             if client._rejoin_target == host_id and live:
                 client._rejoin_target = shard_host_id(live[0].shard_index)
 
-    def restart_shard(self, shard: int) -> ShardServer:
+    def restart_shard(self, shard: int) -> None:
         """Restart a crashed shard host: recover the committed store
         from checkpoint+WAL, seed the stream/gsn counters past the dead
         incarnation's high-water, and hello the survivors."""
         if shard not in self.crashed_shards:
             raise ProtocolError(f"shard {shard} is not crashed")
+        if shard not in self.owned_shards:
+            # Another partition restarts it for real; here the dormant
+            # stand-in is unparked so sends stamp the incarnation the
+            # replacement server answers to.
+            self.network.reconnect(shard_host_id(shard))
+            self.shard_servers[shard]._crashed = False
+            self.crashed_shards.discard(shard)
+            return
         config = self.config
         recovery = self._recovery_logs[shard]
         self.network.revive(shard_host_id(shard))
@@ -1856,16 +1880,17 @@ class ShardedSeveEngine(SeveEngine):
         self.crashed_shards.discard(shard)
         server.start(stop_at=self._stop_at)
         server.announce_restart()
-        return server
 
     def mark_alive(self, client_id: ClientId) -> None:
         """Reconnect a crashed client.  At K > 1 the single-server
         oracle re-attach is wrong (the right shard is a protocol
-        question), so the client rejoins via ClientHello instead."""
+        question), so its owner rejoins it via ClientHello instead."""
         if self.sharding.shards == 1:
             super().mark_alive(client_id)
             return
         self.dead.discard(client_id)
+        if client_id not in self.owned_clients:
+            return
         if self.config.liveness is not None:
             self._install_heartbeat(client_id)
         current = self.shard_of_client(client_id)
@@ -1884,83 +1909,75 @@ class ShardedSeveEngine(SeveEngine):
             shard_host_id(target), radius=self.world.client_radius(client_id)
         )
 
+    # ------------------------------------------------------------------
+    # Driving
+    # ------------------------------------------------------------------
+    def _driven_servers(self) -> List[ShardServer]:
+        return [self.shard_servers[shard] for shard in self.owned_shards]
+
+    def _quiescent(self) -> bool:
+        return self.slice_quiescent() and self.elastic_balance() == 0
+
+    def slice_quiescent(self) -> bool:
+        """Whether the owned slice has nothing left to drain.  The whole
+        deployment is quiescent once every slice is and the slices'
+        :meth:`elastic_balance` values sum to zero."""
+        for client_id in self.owned_clients:
+            if client_id in self.dead or client_id in self.quarantined:
+                continue  # crashed/evicted mid-flight; nothing to drain
+            client = self.clients[client_id]
+            if client.pending_count or client._migrating:
+                return False
+        servers = self._live_owned_servers()
+        if self.config.liveness is not None and any(
+            not self.dead.isdisjoint(server.clients) for server in servers
+        ):
+            # A crashed client still attached keeps the run live until
+            # the shard's sweep presumes it dead (Section III-C).
+            return False
+        if self._elastic is not None:
+            # A rebalance epoch still open on a shard, or a partition
+            # version awaiting drain on the controller.
+            if any(server._epochs for server in servers):
+                return False
+            if any(
+                server.lease.is_holder and server._pending_version is not None
+                for server in servers
+            ):
+                return False
+        return not any(
+            server._handoffs or server.uncommitted_count for server in servers
+        )
+
+    def elastic_balance(self) -> int:
+        """Elastic control messages the owned shards sent minus those
+        they consumed (reports, updates, syncs, drain/commit).  One in
+        flight between two slices is invisible to both slices' local
+        predicates, so quiescence needs global conservation.  Zero when
+        shard crash windows are armed: a shard host can then eat a
+        control message by dying with it, and a restarted shard's
+        counters reset."""
+        if self._elastic is None or self._arm_recovery:
+            return 0
+        return sum(
+            self.shard_servers[shard].elastic_sent
+            - self.shard_servers[shard].elastic_received
+            for shard in self.owned_shards
+        )
+
+    # ------------------------------------------------------------------
+    # Results.  These read only ``shard_servers`` rows (``clients``,
+    # ``span_gsns``, ``rebalance_log``, ``failover_log``), ``clients``,
+    # ``dead`` and ``quarantined``, so :class:`repro.net.backend.MergedRun`
+    # applies the same rules to the rows the partitions snapshot.
+    # ------------------------------------------------------------------
     @property
     def failover_events(self) -> tuple:
         """Completed lease transfers, across every shard's log."""
         events = []
         for server in self.shard_servers:
-            events.extend(server.lease.log)
+            events.extend(server.failover_log)
         return tuple(sorted(events, key=lambda e: (e.at_ms, e.term)))
-
-    # ------------------------------------------------------------------
-    # Driving
-    # ------------------------------------------------------------------
-    def start(self, *, stop_at: Optional[TimeMs] = None) -> None:
-        self._stop_at = stop_at
-        for server in self.shard_servers:
-            server.start(stop_at=stop_at)
-        if self.config.liveness is not None:
-            for client_id in self.clients:
-                self._install_heartbeat(client_id, stop_at=stop_at)
-
-    def run_to_quiescence(self, max_extra_ms: TimeMs = 600_000.0) -> None:
-        deadline = self.sim.now + max_extra_ms
-        while self.sim.now < deadline:
-            if not self.sim.step():
-                break
-            if self._quiescent():
-                break
-        for server in self.shard_servers:
-            server.stop()
-        for stopper in list(self._heartbeat_stoppers.values()):
-            stopper()
-        self._heartbeat_stoppers.clear()
-        self.sim.run(until=min(self.sim.now + 1.0, deadline))
-
-    def _quiescent(self) -> bool:
-        live_servers = [s for s in self.shard_servers if not s._crashed]
-        if any(
-            client.pending_count
-            for client_id, client in self.clients.items()
-            if client_id not in self.dead and client_id not in self.quarantined
-        ):
-            return False
-        if self.config.liveness is not None:
-            if any(
-                any(client_id in server.clients for server in live_servers)
-                for client_id in self.dead
-            ):
-                return False
-        if any(
-            client._migrating
-            for client_id, client in self.clients.items()
-            if client_id not in self.quarantined and client_id not in self.dead
-        ):
-            return False
-        if any(server._handoffs for server in live_servers):
-            return False
-        if self.sharding.elastic is not None and self.sharding.shards > 1:
-            # A rebalance is quiescent only once every epoch retired
-            # and every control message (reports, updates, syncs,
-            # drain/commit) has been consumed: global conservation of
-            # the send/receive counters.
-            if any(server._epochs for server in live_servers):
-                return False
-            controller = next(
-                (s for s in live_servers if s.lease.is_holder), None
-            )
-            if controller is not None and controller._pending_version is not None:
-                return False
-            if not self._arm_recovery:
-                # Conservation only holds while no shard host can eat a
-                # control message by dying with it.
-                sent = sum(server.elastic_sent for server in self.shard_servers)
-                received = sum(
-                    server.elastic_received for server in self.shard_servers
-                )
-                if sent != received:
-                    return False
-        return all(server.uncommitted_count == 0 for server in live_servers)
 
     @property
     def rebalance_events(self) -> tuple:
@@ -1977,10 +1994,7 @@ class ShardedSeveEngine(SeveEngine):
 
     def stripe_bounds(self) -> tuple:
         """Each shard's own view of its stripe ``(lo, hi)``."""
-        return tuple(
-            server.partition.bounds(server.shard_index)
-            for server in self.shard_servers
-        )
+        return tuple(server.stripe for server in self.shard_servers)
 
     def live_client_ids(self) -> list[ClientId]:
         return [

@@ -148,15 +148,16 @@ class SimulationSettings:
     # -- execution backend (docs/parallel.md) -------------------------------
     #: How the run executes on real hardware: "inproc" (everything in
     #: this process) or "parallel" (spawned ``multiprocessing`` workers).
-    #: Virtual-time results are byte-identical between the two for equal
-    #: (shards, resolved workers) — the backend is a wall-clock choice,
-    #: never a semantics choice.
+    #: Virtual-time results are byte-identical between the two — the
+    #: backend is a wall-clock choice, never a semantics choice; with
+    #: one shard or one resolved worker ``parallel`` spawns nothing.
     backend: str = "inproc"
-    #: Partition count for the windowed scheduler.  0 = auto: 1 for
-    #: ``inproc`` (the classic single-engine drive, unchanged) and one
-    #: worker per shard for ``parallel``.  An explicit ``workers >= 2``
-    #: with ``shards > 1`` selects the windowed partition scheduler for
-    #: either backend (clamped to the shard count).
+    #: Partition count of the window coordinator every sharded run goes
+    #: through (docs/parallel.md).  0 = auto: one partition for
+    #: ``inproc`` and one worker per shard for ``parallel``.  Explicit
+    #: counts are clamped to the shard count.  W changes wall-clock
+    #: only (docs/parallel.md, "One drive, one clock", has the two
+    #: footnotes: crash-window event tally, lossy-plan sampling).
     workers: int = 0
     #: One-way latency (ms) of the server-to-server backbone links used
     #: by cross-shard forwarding.  Also the lower bound on the windowed
@@ -276,6 +277,22 @@ class SimulationSettings:
     def workload_duration_ms(self) -> float:
         """Virtual time over which clients generate moves."""
         return self.moves_per_client * self.move_interval_ms
+
+    @property
+    def submit_horizon_ms(self) -> float:
+        """Virtual time by which every client has submitted its quota
+        (the workload plus two intervals of phase-offset slack); no run
+        is declared quiescent before it."""
+        return self.workload_duration_ms + 2 * self.move_interval_ms
+
+    def make_observer(self):
+        """A fresh :class:`repro.obs.Observer` shaped by the requested
+        observability outputs, or ``None`` when none is requested."""
+        if not self.wants_observer:
+            return None
+        from repro.obs import Observer
+
+        return Observer(trace=self.trace_out is not None, profile=self.profile)
 
     def elastic_config(self):
         """The :class:`~repro.core.elastic.ElasticConfig` for this run,

@@ -15,7 +15,7 @@ from typing import Dict, Optional
 
 from repro.harness.architectures import build_engine, build_world
 from repro.harness.config import SimulationSettings
-from repro.harness.workload import MoveWorkload
+from repro.harness.workload import MoveWorkload, start_run
 from repro.metrics.consistency import (
     ConsistencyChecker,
     ConsistencyReport,
@@ -161,31 +161,21 @@ def run_simulation(
     any observability output (``trace_out``/``metrics_out``/``profile``)
     and the requested exports are written at the end of the run.
 
-    ``settings.backend`` selects how the run executes on real hardware
-    (docs/parallel.md); virtual-time results are independent of the
-    choice.  With one shard or one resolved worker there is nothing to
-    partition, and either backend takes the classic single-engine path
-    in this process.  The windowed partition paths build their own
-    worlds (one per replica), so a pre-built ``world`` is only shared
-    on the classic path.
+    A sharded run (``settings.shards > 1``) always goes through the
+    window coordinator of :mod:`repro.net.backend`, as one partition or
+    several; ``settings.backend`` and ``settings.workers`` only choose
+    how that executes on real hardware (docs/parallel.md) and never
+    change a virtual-time result.  Single-serializer runs use the
+    per-event loop below.  Partition replicas build their own worlds,
+    so a pre-built ``world`` serves single-serializer runs only.
     """
     started = time.perf_counter()
-    if obs is None and settings.wants_observer:
-        from repro.obs import Observer
-
-        obs = Observer(
-            trace=settings.trace_out is not None, profile=settings.profile
-        )
+    if obs is None:
+        obs = settings.make_observer()
     plan = settings.fault_plan
     faults_active = plan is not None and not plan.is_null
-    submit_horizon = settings.workload_duration_ms + 2 * settings.move_interval_ms
 
-    partitioned = False
     if settings.shards > 1:
-        from repro.net.backend import resolve_workers
-
-        partitioned = resolve_workers(settings) > 1
-    if partitioned:
         from repro.net.backend import run_partitioned
 
         engine, workload = run_partitioned(
@@ -199,30 +189,11 @@ def run_simulation(
             world = build_world(settings)
         engine = build_engine(architecture, settings, world, obs=obs)
         workload = MoveWorkload(engine, world, settings)
-        if getattr(engine, "detector", None) is not None:
-            # Quarantined cheaters must stop generating moves, or the
-            # drain loop waits on submissions that can never commit.
-            engine.on_quarantine = workload.stop_client
-
-        if faults_active:
-            # Periodic fault machinery (heartbeats, liveness sweeps) must
-            # stop eventually or the simulator never drains; give it a
-            # grace window past the workload for retries to settle.
-            # Sharded runs get the full drain budget: spanning actions
-            # serialize on their originators' results (one RTT per
-            # conflict-chain link), so a jittery queue needs far longer to
-            # empty — freezing pushes early would strand uncommitted spans.
-            grace = settings.drain_ms if settings.shards > 1 else 15_000.0
-            engine.start(stop_at=submit_horizon + grace)
-            _schedule_crashes(engine, workload, plan)
-        else:
-            engine.start()
-        workload.install()
-
-        engine.run(until=submit_horizon)
+        start_run(engine, workload, settings)
+        engine.run(until=settings.submit_horizon_ms)
         engine.run_to_quiescence(max_extra_ms=settings.drain_ms)
 
-    sharded = getattr(engine, "shard_servers", None)
+    sharded = engine.shard_servers if settings.shards > 1 else None
     consistency = None
     shard_audit = None
     if check_consistency:
@@ -239,7 +210,7 @@ def run_simulation(
             client_id: _stable_replica(engine.clients[client_id])
             for client_id in client_ids
         }
-        if sharded is not None and len(sharded) > 1:
+        if sharded is not None:
             # Shard stores legitimately diverge on each other's local
             # actions, so Theorem 1 is checked against any-shard history
             # plus the global span-order audit.
@@ -279,8 +250,9 @@ def run_simulation(
     )
     closure_cpu = 0.0
     shard_rows = None
-    server = getattr(engine, "server", None)
     if sharded is not None:
+        from repro.types import shard_host_id
+
         for shard_server in sharded:
             closure_cpu += (
                 shard_server.stats.closures_computed
@@ -300,18 +272,10 @@ def run_simulation(
                     shard_server.shard_index
                 ].cpu_time_used,
                 "push_cycles": shard_server.stats.push_cycles,
-                "stripe": _shard_stripe(shard_server),
+                "stripe": shard_server.stripe,
             }
             for shard_server in sharded
         ]
-    else:
-        if server is not None and hasattr(server, "stats") and hasattr(
-            server.stats, "closures_computed"
-        ):
-            closure_cpu = server.stats.closures_computed * server.costs.closure_ms
-    if sharded is not None:
-        from repro.types import shard_host_id
-
         server_traffic_kb = (
             sum(
                 meter.host_bytes(shard_host_id(shard))
@@ -319,12 +283,19 @@ def run_simulation(
             )
             / 1024.0
         )
+        clients_evicted = sum(
+            shard_server.stats.clients_evicted for shard_server in sharded
+        )
     else:
+        server_stats = getattr(getattr(engine, "server", None), "stats", None)
+        if hasattr(server_stats, "closures_computed"):
+            closure_cpu = (
+                server_stats.closures_computed * engine.server.costs.closure_ms
+            )
         server_traffic_kb = meter.host_bytes(SERVER_ID) / 1024.0
-    server_stats = getattr(server, "stats", None)
-    clients_evicted = getattr(server_stats, "clients_evicted", 0) or getattr(
-        engine, "liveness_evictions", 0
-    )
+        clients_evicted = getattr(server_stats, "clients_evicted", 0) or getattr(
+            engine, "liveness_evictions", 0
+        )
     profile = None
     if obs is not None:
         obs.record_run_summary(
@@ -378,82 +349,8 @@ def run_simulation(
             event.to_dict()
             for event in getattr(engine, "failover_events", ()) or ()
         ),
-        **_detection_summary(engine),
+        **getattr(engine, "detection_summary", dict)(),
     )
-
-
-def _shard_stripe(shard_server) -> Optional[tuple]:
-    """The ``(lo, hi)`` stripe a shard owns at the end of the run, for
-    any engine shape (``None`` when the shard doesn't expose one)."""
-    stripe = getattr(shard_server, "stripe", None)
-    if stripe is not None:
-        return tuple(stripe)
-    partition = getattr(shard_server, "partition", None)
-    if partition is None:
-        return None
-    return partition.bounds(shard_server.shard_index)
-
-
-def _detection_summary(engine) -> Dict[str, object]:
-    """The adversary-detection RunResult fields for any engine shape.
-
-    Real engines carry a ``detector`` (:mod:`repro.core.detection`) and a
-    ``quarantined`` set; the windowed-partition ``MergedRun`` exposes the
-    already-merged ``detection_records``/``detector_counts``/
-    ``quarantined`` attributes directly.  Honest runs yield the dataclass
-    defaults, so the fields stay empty on the byte-identical null path.
-    """
-    detector = getattr(engine, "detector", None)
-    if detector is not None:
-        return {
-            "detection_records": tuple(detector.records),
-            "detector_counts": dict(detector.counts),
-            "clients_quarantined": tuple(sorted(engine.quarantined)),
-            "blast_radius": dict(detector.blast_radius),
-        }
-    counts = getattr(engine, "detector_counts", None)
-    if counts is not None:  # MergedRun with an armed adversary plan
-        return {
-            "detection_records": tuple(engine.detection_records),
-            "detector_counts": dict(counts),
-            "clients_quarantined": tuple(sorted(engine.quarantined)),
-            "blast_radius": dict(engine.blast_radius or {}),
-        }
-    return {}
-
-
-def _schedule_crashes(engine, workload: MoveWorkload, plan) -> None:
-    """Install the plan's crash/reconnect windows on the virtual clock."""
-    for window in plan.crashes:
-        if window.is_shard:
-
-            def kill_shard(shard=window.shard_index) -> None:
-                for cid in engine.crash_shard(shard):
-                    workload.stop_client(cid)
-
-            engine.sim.schedule_at(window.at_ms, kill_shard)
-            if window.reconnect_at_ms is not None:
-
-                def revive_shard(shard=window.shard_index) -> None:
-                    engine.restart_shard(shard)
-
-                engine.sim.schedule_at(window.reconnect_at_ms, revive_shard)
-            continue
-
-        def kill(cid=window.client_id) -> None:
-            workload.stop_client(cid)
-            engine.network.crash(cid)
-            engine.mark_dead(cid)
-
-        engine.sim.schedule_at(window.at_ms, kill)
-        if window.reconnect_at_ms is not None:
-
-            def revive(cid=window.client_id) -> None:
-                engine.network.reconnect(cid)
-                engine.mark_alive(cid)
-                workload.resume_client(cid)
-
-            engine.sim.schedule_at(window.reconnect_at_ms, revive)
 
 
 def _stable_replica(client):

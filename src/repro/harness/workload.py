@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List
 
 from repro.core.action import ActionId
@@ -168,3 +169,68 @@ class MoveWorkload:
     def finished(self) -> bool:
         """Whether every client has generated all of its moves."""
         return all(count == 0 for count in self._remaining.values())
+
+
+def start_run(engine, workload: MoveWorkload, settings: SimulationSettings) -> None:
+    """Start a run: the engine's periodic processes, the fault plan's
+    crash windows, then move generation for the clients the engine owns.
+
+    The one start sequence of every drive — the harness runner, each
+    partition replica of a sharded run, and the race explorer.
+    """
+    if getattr(engine, "detector", None) is not None:
+        # Quarantined cheaters must stop generating moves, or the drain
+        # waits on submissions that can never commit.
+        engine.on_quarantine = workload.stop_client
+    plan = settings.fault_plan
+    if plan is not None and not plan.is_null:
+        # Periodic fault machinery (heartbeats, liveness sweeps) must
+        # stop eventually or the simulator never drains; give it a
+        # grace window past the workload for retries to settle.
+        # Sharded runs get the full drain budget: spanning actions
+        # serialize on their originators' results (one RTT per
+        # conflict-chain link), so a jittery queue needs far longer to
+        # empty — freezing pushes early would strand uncommitted spans.
+        grace = settings.drain_ms if settings.shards > 1 else 15_000.0
+        engine.start(stop_at=settings.submit_horizon_ms + grace)
+        _schedule_crash_windows(engine, workload, plan)
+    else:
+        engine.start()
+    workload.install(only=getattr(engine, "owned_clients", None))
+
+
+def _schedule_crash_windows(engine, workload: MoveWorkload, plan) -> None:
+    """Put the plan's crash/reconnect windows on the virtual clock.
+
+    Every replica of a partitioned run schedules every window; the
+    sharded engine applies to its own slice what the slice owns, and a
+    client the workload never installed stops and resumes as a no-op.
+    """
+    at = engine.sim.schedule_at
+
+    def kill_shard(shard: int) -> None:
+        for client_id in engine.crash_shard(shard):
+            workload.stop_client(client_id)
+
+    def kill(client_id: ClientId) -> None:
+        workload.stop_client(client_id)
+        engine.network.crash(client_id)
+        engine.mark_dead(client_id)
+
+    def revive(client_id: ClientId) -> None:
+        engine.network.reconnect(client_id)
+        engine.mark_alive(client_id)
+        workload.resume_client(client_id)
+
+    for window in plan.crashes:
+        if window.is_shard:
+            at(window.at_ms, partial(kill_shard, window.shard_index))
+            if window.reconnect_at_ms is not None:
+                at(
+                    window.reconnect_at_ms,
+                    partial(engine.restart_shard, window.shard_index),
+                )
+        else:
+            at(window.at_ms, partial(kill, window.client_id))
+            if window.reconnect_at_ms is not None:
+                at(window.reconnect_at_ms, partial(revive, window.client_id))

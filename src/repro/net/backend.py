@@ -1,20 +1,22 @@
-"""Pluggable execution backends: windowed partition scheduling for
-sharded runs, in-process or across ``multiprocessing`` workers.
+"""The one drive of every sharded run: windowed partition scheduling,
+in this process or across ``multiprocessing`` workers.
 
-The classic harness drives one :class:`~repro.net.simulator.Simulator`
-holding every host of the deployment — all K shard servers serialize
-through one Python interpreter, so the virtual-time K-way scaling of
-:mod:`repro.core.sharded` never shows up on real cores.  This module
-makes it real while keeping the determinism story intact:
+Every run with ``shards > 1`` goes through :func:`run_partitioned` and
+its coordinator loop :func:`_drive` — as one partition or as several,
+stepped inline or in spawned workers.  The partition count W and the
+backend choose how the run uses real cores; they never change a
+virtual-time result:
 
 * :func:`run_partitioned` executes a sharded run as W **partition
   replicas**.  Each replica builds the *full* engine from the same
   :class:`~repro.harness.config.SimulationSettings` (identical RNG
-  draws, identical object graphs) but *activates* only its slice: the
+  draws, identical object graphs) and narrows it to its slice: the
   shard servers it owns get their periodic processes started, and the
   workload generator submits only for the clients homed on those
   shards.  Everything else in the replica stays dormant — it exists so
-  that object construction, seeds, and ids line up exactly.
+  that object construction, seeds, and ids line up exactly.  With
+  W = 1 the one replica owns everything, nothing is diverted and no
+  frame is ever encoded.
 * Cross-partition messages are not delivered locally.  A transport
   divert at the bottom of :class:`~repro.net.network.Network`
   (``remote_sink``/``remote_hosts``) computes the arrival time on the
@@ -32,46 +34,44 @@ makes it real while keeping the determinism story intact:
   ``(arrival, source partition, per-partition send seq)`` — so tie
   dispatch order is identical no matter how the bundles raced.
 
-**The two backends run the identical schedule.**
-:func:`run_partitioned` with ``parallel=False`` steps the W replicas
-inline in one process; with ``parallel=True`` it spawns one OS process
-per replica (``spawn`` start method everywhere — see
-:func:`spawn_context`) and exchanges the same per-epoch bundles over
-pipes.  Byte-identical ``RunResult``s between the two are a
-construction property, not a hope: same replica build, same window
-ends, same injection order, same merge pipeline.  The differential
-tests in ``tests/test_parallel_backend.py`` pin it.
+**Every W and both backends run the identical schedule.**  The window
+ends depend only on event and arrival times, never on who owns what;
+``parallel=True`` (with W > 1) merely spawns one OS process per replica
+(``spawn`` start method everywhere — see :func:`spawn_context`) and
+exchanges the same per-epoch bundles over pipes.  Byte-identical
+``RunResult``s are a construction property, not a hope: same replica
+build, same window ends, same injection order, same merge pipeline.
+The differential tests in ``tests/test_parallel_backend.py`` pin it.
 
+**The lifecycle rules live on the engine, the transport here.**  Start,
+crash windows, quiescence and stop-and-drain are methods of
+:class:`~repro.core.sharded.ShardedSeveEngine` that consult the slice
+the engine drives (``owned_shards``/``owned_clients``); a
+:class:`PartitionReplica` only builds, narrows, diverts and steps.
 Fault plans — including shard crash/restart windows and client
-crash/reconnect windows (docs/control_plane.md) — fire on every
-replica at the same virtual instants.  Each replica applies the
-effects its slice owns (real crash/recovery for owned servers, the
-client-local casualty rule for owned clients) and merely parks/revives
-foreign hosts so incarnation counters stay in lockstep; failover,
-span-obligation takeover, and eviction of foreign casualties all
-travel as ordinary protocol messages through the barrier transport.
+crash/reconnect windows (docs/control_plane.md) — fire on every replica
+at the same virtual instants; failover, span-obligation takeover, and
+eviction of foreign casualties all travel as ordinary protocol messages
+through the barrier transport.
 
-Quiescence and drain mirror the classic runner: once the barrier clock
-passes the workload horizon and every partition reports no pending
-client actions, no migrations, no handoffs, and no uncommitted server
-entries, the run stops — in-flight bundles at that instant are
-discarded (any message that could *create* work implies some partition
-was not quiescent; see docs/parallel.md for the argument), each replica
-stops its servers and drains one final millisecond, exactly like
-``run_to_quiescence``.  The windowed drain is a documented semantic
-refinement of the K>1 runner path: virtual timestamps can differ
-slightly from the classic single-heap drive, but never between the two
-backends.
+The run stops at the first barrier at or after the workload horizon at
+which every partition's slice is quiescent and the elastic control
+counters balance — in-flight bundles at that instant are discarded (any
+message that could *create* work implies some partition was not
+quiescent; see docs/parallel.md for the argument) — or when the drain
+budget runs out.  Each replica then stops its slice and drains one
+final millisecond.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.messages import MessageCodec
+from repro.core.sharded import ShardedSeveEngine
 from repro.errors import ConfigurationError, SimulationError
 from repro.types import ClientId, TimeMs, shard_host_id
 
@@ -106,10 +106,10 @@ def spawn_context():
 def resolve_workers(settings) -> int:
     """The effective worker count W for ``settings``.
 
-    ``workers == 0`` means *auto*: 1 for the in-process backend (the
-    classic single-engine path, unchanged) and one worker per shard for
-    the parallel backend.  Explicit counts are clamped to the shard
-    count — a shard is the unit of ownership and cannot be split.
+    ``workers == 0`` means *auto*: one partition for the in-process
+    backend and one worker per shard for the parallel backend.
+    Explicit counts are clamped to the shard count — a shard is the
+    unit of ownership and cannot be split.
     """
     if settings.workers > 0:
         return min(settings.workers, settings.shards)
@@ -134,16 +134,15 @@ class BarrierReport:
     bundles: List[Entry]
     #: Earliest pending local event, or ``None`` when idle.
     next_event: Optional[TimeMs]
-    #: Whether this partition's slice satisfies the quiescence predicate.
+    #: Whether the clock has reached the workload horizon and this
+    #: partition's slice has nothing left to drain.
     quiescent: bool
-    #: The replica clock (== the window end; sanity-checked upstream).
-    now: TimeMs
-    #: Elastic control messages sent/received by owned shards so far
-    #: (docs/elasticity.md).  The coordinator may only declare the run
-    #: quiescent when the global sums match — a rebalance in flight
-    #: between partitions is invisible to each one's local predicate.
-    elastic_sent: int = 0
-    elastic_received: int = 0
+    #: Elastic control messages the owned shards sent minus those they
+    #: consumed (docs/elasticity.md).  The coordinator may only declare
+    #: the run quiescent when the balances sum to zero — a rebalance in
+    #: flight between partitions is invisible to each one's local
+    #: predicate.
+    elastic_balance: int = 0
 
 
 @dataclass
@@ -152,30 +151,34 @@ class ClientSnapshot:
 
     stable: object
     observations: Optional[list]
-    submitted: int
-    cpu_ms: float
+    stats: object
+    #: Simulated CPU-milliseconds the client's host burned (the row
+    #: doubles as the host row of :attr:`MergedRun.client_hosts`).
+    cpu_time_used: float
+    #: Ids of this client's actions the Information Bound dropped.
+    dropped: list
 
 
 @dataclass
 class ShardSnapshot:
-    """End-of-run state of one owned shard server (picklable)."""
+    """End-of-run state of one owned shard server (picklable): the row
+    of :attr:`MergedRun.shard_servers` that stands in for the
+    :class:`~repro.core.sharded.ShardServer`, attribute for attribute."""
 
     shard_index: int
-    client_ids: Tuple[ClientId, ...]
+    clients: frozenset
     stats: object
     shard_stats: object
     costs: object
     span_gsns: Dict
     state: object
-    cpu_ms: float
-    #: Controller-side rebalance log (the sequencer's; empty otherwise).
-    rebalance_log: tuple = ()
+    cpu_time_used: float
+    #: Controller-side rebalance log (empty unless it held the lease).
+    rebalance_log: tuple
     #: The ``(lo, hi)`` stripe this shard owns at the end of the run.
-    stripe: tuple = ()
+    stripe: tuple
     #: Completed lease transfers this shard won (docs/control_plane.md).
-    failover_log: tuple = ()
-    #: Whether the shard's host was crashed (and not restarted).
-    crashed: bool = False
+    failover_log: tuple
 
 
 @dataclass
@@ -188,28 +191,19 @@ class PartitionSnapshot:
     meter: object
     response_samples: List[float]
     response_by_client: Dict[ClientId, List[float]]
-    dropped_actions: int
-    submitted_actions: int
     workload: object
     clients: Dict[ClientId, ClientSnapshot]
     shards: List[ShardSnapshot]
     rwset_violations: Tuple[str, ...]
-    observer: object = None
-    #: Owned clients that died under the fault plan (crashed and never
-    #: reconnected, or casualties of a shard crash) — excluded from the
-    #: surviving population consistency is asserted over.
-    dead: Tuple[ClientId, ...] = ()
-    # -- adversary detection (docs/adversary.md); defaults = honest run --
-    #: :class:`repro.core.detection.DetectionRecord` tuples (picklable).
-    detection: Tuple = ()
-    #: Clients this partition's detector quarantined (owned ones only).
-    quarantined: Tuple[ClientId, ...] = ()
-    #: Per-detector raw hit counts; ``None`` when no plan was armed.
-    detector_counts: object = None
-    #: Admitted-write footprint per quarantined client (``None`` when no
-    #: plan was armed).  Only the cheater's home partition admits its
-    #: submissions, so other partitions report zero for that client.
-    blast_radius: object = None
+    #: The observer the replica wrote into, if any.
+    observer: object
+    #: Clients known dead under the fault plan (crashed and never
+    #: reconnected, or owned casualties of a shard crash) — excluded
+    #: from the surviving population consistency is asserted over.
+    dead: Tuple[ClientId, ...]
+    #: :meth:`SeveEngine.detection_summary` of the replica's engine
+    #: (docs/adversary.md); empty on honest runs.
+    detection: Dict[str, object]
 
 
 class _Rendered:
@@ -233,9 +227,11 @@ class PartitionReplica:
     The replica builds the complete deployment from ``settings`` — all
     K shards, all clients, the full world — so that every construction-
     time RNG draw and id assignment matches every other replica.  It
-    then *starts* only the owned shards' periodic processes and the
-    owned clients' workload generators, and diverts traffic addressed
-    to foreign hosts through the network's ``remote_sink``.
+    then narrows the engine to the shards and clients it owns — the
+    engine's lifecycle rules (start, crash windows, quiescence, stop)
+    consult that slice — and diverts traffic addressed to foreign hosts
+    through the network's ``remote_sink``.  The replica itself is
+    transport only: build, divert, and step.
     """
 
     def __init__(
@@ -244,25 +240,22 @@ class PartitionReplica:
         settings,
         partition: int,
         workers: int,
+        obs=None,
     ) -> None:
         from repro.harness.architectures import build_engine
         from repro.harness.workload import MoveWorkload
 
         self.settings = settings
         self.partition = partition
-        self.workers = workers
-        obs = None
-        if settings.wants_observer:
-            from repro.obs import Observer
-
-            obs = Observer(
-                trace=settings.trace_out is not None, profile=settings.profile
-            )
-        self.obs = obs
-        self.engine = build_engine(architecture, settings, obs=obs)
-        engine = self.engine
+        #: The caller's observer when the replica runs in the caller's
+        #: process; a spawned worker builds its own, which the
+        #: coordinator merges at the end.
+        self.obs = obs if obs is not None else settings.make_observer()
+        self.engine = engine = build_engine(architecture, settings, obs=self.obs)
         shards = settings.shards
-        self.owned_shards = [
+        # Home shards derive from the deterministic build, so every
+        # replica computes the same ownership.
+        engine.owned_shards = self.owned_shards = [
             shard
             for shard in range(shards)
             if worker_of_shard(shard, shards, workers) == partition
@@ -272,18 +265,11 @@ class PartitionReplica:
                 f"partition {partition} of {workers} owns no shard "
                 f"(shards={shards})"
             )
-        #: Every client's owner partition — identical on every replica
-        #: because home shards derive from the deterministic build.
-        self.client_owner = {
-            client_id: worker_of_shard(
-                engine.home_shard(client_id), shards, workers
-            )
-            for client_id in range(settings.num_clients)
-        }
-        self.owned_clients = [
+        engine.owned_clients = self.owned_clients = [
             client_id
-            for client_id in sorted(self.client_owner)
-            if self.client_owner[client_id] == partition
+            for client_id in range(settings.num_clients)
+            if worker_of_shard(engine.home_shard(client_id), shards, workers)
+            == partition
         ]
         self.codec = MessageCodec(walls=getattr(engine.world, "walls", None))
         owned_hosts = set(self.owned_clients) | {
@@ -298,15 +284,6 @@ class PartitionReplica:
         self._send_seq = 0
         self._discard_remote = False
         self.workload = MoveWorkload(engine, engine.world, settings)
-        if engine.detector is not None:
-            # Quarantine is partition-local: every replica builds the
-            # full deployment, but a cheater's home shard — the choke
-            # point all its submissions and completions go through — is
-            # owned by the same partition that owns the client, so the
-            # owner sees every detection that matters and only the
-            # owner may evict the cheater and stop its workload.
-            engine.quarantine_filter = set(self.owned_clients)
-            engine.on_quarantine = self.workload.stop_client
 
     # -- transport ---------------------------------------------------------
     def _sink(
@@ -345,8 +322,8 @@ class PartitionReplica:
         insertion (and hence equal-time dispatch) order regardless of
         how the bundles were concatenated upstream.  Fault-dropped
         messages are injected too: they burn one dispatch and debit
-        this partition's meter at the instant the classic path's
-        arrival event would have.
+        this partition's meter at the instant a local send's arrival
+        event would have.
         """
         sim = self.engine.sim
         network = self.engine.network
@@ -370,137 +347,23 @@ class PartitionReplica:
 
     # -- driving -----------------------------------------------------------
     def start(self) -> None:
-        """Activate the owned slice (mirrors the classic runner's start
-        sequencing).  Crash plans are applied replica-locally: every
-        replica schedules every window at the same virtual instants, but
-        each applies only the effects its slice owns — owned servers get
-        crashed/recovered for real, owned clients compute the casualty
-        rule from their (authoritative) local state, and foreign hosts
-        are only parked/revived on the network so incarnation counters
-        and ARQ bypass decisions agree across partitions.  Everything
-        else — span takeover, lease failover, liveness eviction of a
-        foreign partition's casualties — travels as protocol messages,
-        exactly as it does between shards of the classic engine."""
-        settings = self.settings
-        engine = self.engine
-        plan = settings.fault_plan
-        faults_active = plan is not None and not plan.is_null
-        horizon = settings.workload_duration_ms + 2 * settings.move_interval_ms
-        stop_at = horizon + settings.drain_ms if faults_active else None
-        engine._stop_at = stop_at
-        for shard in self.owned_shards:
-            engine.shard_servers[shard].start(stop_at=stop_at)
-        if faults_active and engine.config.liveness is not None:
-            for client_id in self.owned_clients:
-                engine._install_heartbeat(client_id, stop_at=stop_at)
-        if plan is not None:
-            for window in plan.crashes:
-                if window.is_shard:
-                    engine.sim.schedule_at(
-                        window.at_ms,
-                        lambda k=window.shard_index: self._crash_shard(k),
-                    )
-                    if window.reconnect_at_ms is not None:
-                        engine.sim.schedule_at(
-                            window.reconnect_at_ms,
-                            lambda k=window.shard_index: self._restart_shard(k),
-                        )
-                else:
-                    engine.sim.schedule_at(
-                        window.at_ms,
-                        lambda c=window.client_id: self._crash_client(c),
-                    )
-                    if window.reconnect_at_ms is not None:
-                        engine.sim.schedule_at(
-                            window.reconnect_at_ms,
-                            lambda c=window.client_id: self._revive_client(c),
-                        )
-        self.workload.install(only=self.owned_clients)
+        """Activate the owned slice."""
+        from repro.harness.workload import start_run
 
-    # -- crash windows (docs/control_plane.md) -----------------------------
-    def _crash_shard(self, shard: int) -> None:
-        """Apply one shard-crash window to this replica's slice."""
-        engine = self.engine
-        host_id = shard_host_id(shard)
-        server = engine.shard_servers[shard]
-        server._crashed = True
-        if shard in self.owned_shards:
-            server.stop()
-        engine.crashed_shards.add(shard)
-        engine.network.crash(host_id)
-        for k in self.owned_shards:
-            peer = engine.shard_servers[k]
-            if not peer._crashed:
-                peer.note_shard_down(shard)
-        # Casualties: the client-local rule over *owned* clients only —
-        # a foreign client's attachment state is stale here by design,
-        # so its owner decides; foreign shards that still hold such a
-        # casualty evict it through the ordinary liveness sweep once its
-        # heartbeats stop.
-        casualties = engine._shard_crash_victims(shard, among=self.owned_clients)
-        for client_id in casualties:
-            engine.mark_dead(client_id)
-            if engine.network.is_registered(client_id):
-                engine.network.crash(client_id)
-            self.workload.stop_client(client_id)
-        for client_id in casualties:
-            for k in self.owned_shards:
-                peer = engine.shard_servers[k]
-                if not peer._crashed and client_id in peer.clients:
-                    peer.evict_client(client_id)
-        engine._redirect_rejoins(shard, among=self.owned_clients)
-
-    def _restart_shard(self, shard: int) -> None:
-        """Apply one shard-restart to this replica's slice."""
-        engine = self.engine
-        if shard in self.owned_shards:
-            engine.restart_shard(shard)
-            return
-        # Foreign shard: unpark the dormant stand-in and bump the
-        # incarnation in lockstep with the owner's revive, so sends from
-        # this partition stamp the incarnation the real replacement
-        # server answers to.
-        engine.network.reconnect(shard_host_id(shard))
-        engine.shard_servers[shard]._crashed = False
-        engine.crashed_shards.discard(shard)
-
-    def _crash_client(self, client_id: ClientId) -> None:
-        """Apply one client-crash window to this replica's slice."""
-        engine = self.engine
-        if self.client_owner[client_id] == self.partition:
-            self.workload.stop_client(client_id)
-            engine.network.crash(client_id)
-            engine.mark_dead(client_id)
-        else:
-            # Park the dormant stand-in: sends to it bypass ARQ and its
-            # incarnation counter stays in lockstep for the reconnect.
-            engine.network.crash(client_id)
-
-    def _revive_client(self, client_id: ClientId) -> None:
-        """Apply one client-reconnect to this replica's slice."""
-        engine = self.engine
-        engine.network.reconnect(client_id)
-        if self.client_owner[client_id] == self.partition:
-            engine.mark_alive(client_id)
-            self.workload.resume_client(client_id)
+        start_run(self.engine, self.workload, self.settings)
 
     def report(self) -> BarrierReport:
         bundles = self._outgoing
         self._outgoing = []
-        servers = [
-            self.engine.shard_servers[shard] for shard in self.owned_shards
-        ]
+        engine = self.engine
         return BarrierReport(
             bundles=bundles,
-            next_event=self.engine.sim.next_event_time(),
-            quiescent=self._quiescent(),
-            now=self.engine.sim.now,
-            elastic_sent=sum(
-                getattr(server, "elastic_sent", 0) for server in servers
-            ),
-            elastic_received=sum(
-                getattr(server, "elastic_received", 0) for server in servers
-            ),
+            next_event=engine.sim.next_event_time(),
+            # The predicate scans every owned client; nobody needs the
+            # answer before the workload horizon.
+            quiescent=engine.sim.now >= self.settings.submit_horizon_ms
+            and engine.slice_quiescent(),
+            elastic_balance=engine.elastic_balance(),
         )
 
     def run_window(self, end: TimeMs, entries: List[Entry]) -> BarrierReport:
@@ -509,40 +372,15 @@ class PartitionReplica:
         self.engine.sim.run_window(end)
         return self.report()
 
-    def _quiescent(self) -> bool:
-        engine = self.engine
-        quarantined = getattr(engine, "quarantined", ())
-        dead = getattr(engine, "dead", ())
-        for client_id in self.owned_clients:
-            if client_id in quarantined or client_id in dead:
-                continue  # evicted/crashed mid-flight; nothing to drain
-            client = engine.clients[client_id]
-            if client.pending_count or client._migrating:
-                return False
-        for shard in self.owned_shards:
-            server = engine.shard_servers[shard]
-            if server._crashed:
-                continue  # a dead shard drains nothing
-            if server._handoffs or server.uncommitted_count:
-                return False
-            if getattr(server, "elastic", None) is not None:
-                # A rebalance epoch still open on an owned shard, or a
-                # partition version awaiting drain on the controller.
-                if server._epochs or server._pending_version is not None:
-                    return False
-        return True
+    def finish(self, deadline: TimeMs) -> PartitionSnapshot:
+        """Stop the owned slice, drain the final millisecond, snapshot.
 
-    def finish(self, t_stop: TimeMs, deadline: TimeMs) -> PartitionSnapshot:
-        """Stop owned servers, drain the final millisecond, snapshot.
-
-        Sends to foreign hosts during the drain are discarded — the run
-        is over, exactly as the classic drive leaves same-instant
-        arrivals undispatched in its queue.
+        Sends to foreign hosts during the drain are discarded: the run
+        is over, as a one-partition run leaves same-instant arrivals
+        undispatched in its queue.
         """
         self._discard_remote = True
-        for shard in self.owned_shards:
-            self.engine.shard_servers[shard].stop()
-        self.engine.sim.run(until=min(t_stop + 1.0, deadline))
+        self.engine.stop_and_drain(deadline)
         return self.snapshot()
 
     # -- results -----------------------------------------------------------
@@ -554,8 +392,9 @@ class PartitionReplica:
             clients[client_id] = ClientSnapshot(
                 stable=client.stable,
                 observations=client.observations,
-                submitted=client.stats.submitted,
-                cpu_ms=engine.client_hosts[client_id].cpu_time_used,
+                stats=client.stats,
+                cpu_time_used=engine.client_hosts[client_id].cpu_time_used,
+                dropped=engine.dropped[client_id],
             )
         shards = []
         for shard in self.owned_shards:
@@ -563,17 +402,16 @@ class PartitionReplica:
             shards.append(
                 ShardSnapshot(
                     shard_index=shard,
-                    client_ids=tuple(sorted(server.clients)),
+                    clients=frozenset(server.clients),
                     stats=server.stats,
                     shard_stats=server.shard_stats,
                     costs=server.costs,
                     span_gsns=dict(server.span_gsns),
                     state=engine.shard_states[shard],
-                    cpu_ms=engine.server_hosts[shard].cpu_time_used,
-                    rebalance_log=tuple(getattr(server, "rebalance_log", ())),
-                    stripe=tuple(server.partition.bounds(shard)),
-                    failover_log=tuple(server.lease.log),
-                    crashed=server._crashed,
+                    cpu_time_used=engine.server_hosts[shard].cpu_time_used,
+                    rebalance_log=tuple(server.rebalance_log),
+                    stripe=tuple(server.stripe),
+                    failover_log=tuple(server.failover_log),
                 )
             )
         recorder = engine.rwset_recorder
@@ -590,16 +428,6 @@ class PartitionReplica:
                 self.obs.metrics.counter(
                     f"codec.action_pickle.{type_name}"
                 ).inc(count)
-        detector = engine.detector
-        detection: Tuple = ()
-        quarantined: Tuple[ClientId, ...] = ()
-        detector_counts = None
-        blast_radius = None
-        if detector is not None:
-            detection = tuple(detector.records)
-            quarantined = tuple(sorted(engine.quarantined))
-            detector_counts = dict(detector.counts)
-            blast_radius = dict(detector.blast_radius)
         return PartitionSnapshot(
             partition=self.partition,
             now=engine.sim.now,
@@ -610,24 +438,13 @@ class PartitionReplica:
                 client_id: list(samples)
                 for client_id, samples in engine.response_times.by_client.items()
             },
-            dropped_actions=sum(
-                len(engine.dropped[client_id])
-                for client_id in self.owned_clients
-            ),
-            submitted_actions=sum(
-                engine.clients[client_id].stats.submitted
-                for client_id in self.owned_clients
-            ),
             workload=self.workload.stats,
             clients=clients,
             shards=shards,
             rwset_violations=violations,
             observer=self.obs,
             dead=tuple(sorted(engine.dead)),
-            detection=detection,
-            quarantined=quarantined,
-            detector_counts=detector_counts,
-            blast_radius=blast_radius,
+            detection=engine.detection_summary(),
         )
 
 
@@ -638,15 +455,17 @@ class _InlineHandle:
     """A partition replica stepped inline in the coordinator process."""
 
     def __init__(
-        self, architecture: str, settings, partition: int, workers: int
+        self, architecture: str, settings, partition: int, workers: int, obs
     ) -> None:
-        self.replica = PartitionReplica(architecture, settings, partition, workers)
+        self.replica = PartitionReplica(
+            architecture, settings, partition, workers, obs=obs
+        )
         self._reply: Optional[BarrierReport] = None
         self._snapshot: Optional[PartitionSnapshot] = None
 
-    def launch(self) -> Tuple[Tuple[ClientId, ...], BarrierReport]:
+    def launch(self) -> Tuple[List[ClientId], BarrierReport]:
         self.replica.start()
-        return tuple(self.replica.owned_clients), self.replica.report()
+        return self.replica.owned_clients, self.replica.report()
 
     def post_window(self, end: TimeMs, entries: List[Entry]) -> None:
         self._reply = self.replica.run_window(end, entries)
@@ -654,8 +473,8 @@ class _InlineHandle:
     def recv_report(self) -> BarrierReport:
         return self._reply
 
-    def post_finish(self, t_stop: TimeMs, deadline: TimeMs) -> None:
-        self._snapshot = self.replica.finish(t_stop, deadline)
+    def post_finish(self, deadline: TimeMs) -> None:
+        self._snapshot = self.replica.finish(deadline)
 
     def recv_snapshot(self) -> PartitionSnapshot:
         return self._snapshot
@@ -701,7 +520,7 @@ class _ProcessHandle:
             )
         return message
 
-    def launch(self) -> Tuple[Tuple[ClientId, ...], BarrierReport]:
+    def launch(self) -> Tuple[List[ClientId], BarrierReport]:
         _, owned_clients, report = self._recv()
         return owned_clients, report
 
@@ -711,8 +530,8 @@ class _ProcessHandle:
     def recv_report(self) -> BarrierReport:
         return self._recv()[1]
 
-    def post_finish(self, t_stop: TimeMs, deadline: TimeMs) -> None:
-        self.conn.send(("finish", t_stop, deadline))
+    def post_finish(self, deadline: TimeMs) -> None:
+        self.conn.send(("finish", deadline))
 
     def recv_snapshot(self) -> PartitionSnapshot:
         return self._recv()[1]
@@ -735,10 +554,11 @@ class _ProcessHandle:
 def _drive(handles, settings) -> List[PartitionSnapshot]:
     """Advance every partition through the shared window schedule.
 
-    This loop *is* the determinism argument: both backends run it with
-    identical inputs, so the window ends, the bundle routing, and the
-    injection order — everything that could reorder events — are
-    decided in exactly one place.
+    This loop *is* the determinism argument: every sharded run goes
+    through it, whatever its partition count and backend, so the window
+    ends, the bundle routing, the injection order and the stop instant
+    — everything that could reorder events — are decided in exactly
+    one place.
     """
     lookahead = min(settings.rtt_ms / 2.0, settings.backbone_latency_ms)
     if lookahead <= 0:
@@ -747,14 +567,8 @@ def _drive(handles, settings) -> List[PartitionSnapshot]:
             f"(one-way rtt/2 = {settings.rtt_ms / 2.0}, backbone = "
             f"{settings.backbone_latency_ms})"
         )
-    horizon = settings.workload_duration_ms + 2 * settings.move_interval_ms
+    horizon = settings.submit_horizon_ms
     deadline = horizon + settings.drain_ms
-    # Shard crashes break elastic-counter conservation by construction:
-    # control messages to a dying shard are counted sent but never
-    # received, and a restarted shard's counters reset.  The classic
-    # engine waives the same term when shard windows are armed.
-    plan = settings.fault_plan
-    crash_tolerant = plan is not None and bool(plan.shard_crashes)
 
     launches = [handle.launch() for handle in handles]
     host_owner: Dict[ClientId, int] = {}
@@ -771,22 +585,16 @@ def _drive(handles, settings) -> List[PartitionSnapshot]:
     while True:
         bundles = [entry for report in reports for entry in report.bundles]
         if (
-            now >= horizon
-            and all(report.quiescent for report in reports)
-            and (
-                crash_tolerant
-                or sum(report.elastic_sent for report in reports)
-                == sum(report.elastic_received for report in reports)
-            )
+            all(report.quiescent for report in reports)
+            and sum(report.elastic_balance for report in reports) == 0
         ):
-            # Quiescent stop: in-flight bundles are dead (see module
-            # doc).  The elastic-counter conservation term keeps the
-            # stop aligned with the classic drive — a partition update
-            # or region sync between partitions is invisible to every
-            # local predicate while it rides a bundle.
+            # Quiescent stop: the first barrier at or after the horizon
+            # at which every slice is drained and no elastic control
+            # message rides a bundle.  Other in-flight bundles are dead
+            # (see module doc).
             break
         if now >= deadline:
-            break  # drain budget exhausted — classic timeout analog
+            break  # drain budget exhausted
         candidates = [entry[0] for entry in bundles]
         candidates.extend(
             report.next_event
@@ -796,7 +604,7 @@ def _drive(handles, settings) -> List[PartitionSnapshot]:
         if not candidates:
             if now < horizon:
                 # Queues drained early: advance the clock to the
-                # horizon, as the classic run(until=horizon) does.
+                # horizon, where quiescence is first asked about.
                 next_end = horizon
             else:
                 break  # globally idle
@@ -811,7 +619,7 @@ def _drive(handles, settings) -> List[PartitionSnapshot]:
         now = next_end
 
     for handle in handles:
-        handle.post_finish(now, deadline)
+        handle.post_finish(deadline)
     return [handle.recv_snapshot() for handle in handles]
 
 
@@ -819,191 +627,108 @@ def _drive(handles, settings) -> List[PartitionSnapshot]:
 # Merge: partition snapshots -> one engine-shaped view
 # ---------------------------------------------------------------------------
 class MergedRun:
-    """Duck-typed engine view over the merged partition snapshots.
+    """Engine-shaped view over the merged partition snapshots.
 
     Exposes exactly the surface :func:`repro.harness.runner.run_simulation`
     and :func:`repro.metrics.shard_audit.audit_sharded_run` consume from
-    a real :class:`~repro.core.sharded.ShardedSeveEngine` at the end of
-    a run — clients, meters, shard servers/states, hosts, samplers —
-    assembled from picklable per-partition snapshots in deterministic
-    (partition-, then id-sorted) order.
+    a :class:`~repro.core.sharded.ShardedSeveEngine` at the end of a run
+    — clients, meters, shard servers/states, hosts, samplers — assembled
+    from picklable per-partition snapshots in deterministic (partition-,
+    then id-sorted) order.  Each snapshot row stands in for both the
+    protocol object and its host.
     """
 
-    def __init__(self, snapshots: List[PartitionSnapshot], settings) -> None:
+    # The engine's own summary rules, applied to the snapshot rows.
+    total_dropped = ShardedSeveEngine.total_dropped
+    drop_percent = ShardedSeveEngine.drop_percent
+    rebalance_events = ShardedSeveEngine.rebalance_events
+    failover_events = ShardedSeveEngine.failover_events
+    live_client_ids = ShardedSeveEngine.live_client_ids
+    span_gsn_map = ShardedSeveEngine.span_gsn_map
+
+    def __init__(self, snapshots: List[PartitionSnapshot]) -> None:
+        from repro.harness.workload import WorkloadStats
         from repro.net.stats import LatencySampler, TrafficMeter
 
         snapshots = sorted(snapshots, key=lambda s: s.partition)
-        self.settings = settings
         meter = TrafficMeter()
+        self.response_times = LatencySampler()
+        self.workload_stats = WorkloadStats()
+        merged_clients: Dict[ClientId, ClientSnapshot] = {}
+        self.dead: set = set()
+        violations = []
         for snapshot in snapshots:
             meter.merge_from(snapshot.meter)
+            self.response_times.samples.extend(snapshot.response_samples)
+            for client_id, samples in snapshot.response_by_client.items():
+                self.response_times.by_client[client_id].extend(samples)
+            self.workload_stats.moves_submitted += snapshot.workload.moves_submitted
+            self.workload_stats.costs.extend(snapshot.workload.costs)
+            self.workload_stats.visible_samples.extend(
+                snapshot.workload.visible_samples
+            )
+            merged_clients.update(snapshot.clients)
+            self.dead.update(snapshot.dead)
+            violations.extend(_Rendered(text) for text in snapshot.rwset_violations)
         self.network = SimpleNamespace(meter=meter)
         self.sim = SimpleNamespace(
             now=max(snapshot.now for snapshot in snapshots),
             dispatched=sum(snapshot.dispatched for snapshot in snapshots),
         )
-        self.response_times = LatencySampler()
-        for snapshot in snapshots:
-            self.response_times.samples.extend(snapshot.response_samples)
-            for client_id, samples in snapshot.response_by_client.items():
-                self.response_times.by_client[client_id].extend(samples)
-
-        merged_clients: Dict[ClientId, ClientSnapshot] = {}
-        for snapshot in snapshots:
-            merged_clients.update(snapshot.clients)
         self.clients = {
-            client_id: SimpleNamespace(
-                stable=merged_clients[client_id].stable,
-                observations=merged_clients[client_id].observations,
-                stats=SimpleNamespace(
-                    submitted=merged_clients[client_id].submitted
-                ),
-            )
+            client_id: merged_clients[client_id]
             for client_id in sorted(merged_clients)
         }
-        self.client_hosts = {
-            client_id: SimpleNamespace(
-                cpu_time_used=merged_clients[client_id].cpu_ms
-            )
-            for client_id in sorted(merged_clients)
+        self.client_hosts = self.clients
+        self.dropped = {
+            client_id: client.dropped for client_id, client in self.clients.items()
         }
-
-        shard_snapshots = sorted(
+        self.shard_servers = sorted(
             (shard for snapshot in snapshots for shard in snapshot.shards),
             key=lambda s: s.shard_index,
         )
-        self.shard_servers = [
-            SimpleNamespace(
-                shard_index=shard.shard_index,
-                clients=shard.client_ids,
-                stats=shard.stats,
-                shard_stats=shard.shard_stats,
-                costs=shard.costs,
-                span_gsns=shard.span_gsns,
-                stripe=shard.stripe,
-            )
-            for shard in shard_snapshots
-        ]
-        #: Controller-side rebalance log.  Under the replicated control
-        #: plane the controller role can move between shards, so merge
-        #: every shard's log, deduped by partition version.
-        seen_versions = set()
-        rebalances = []
-        for shard in shard_snapshots:
-            for event in shard.rebalance_log:
-                if event["version"] in seen_versions:
-                    continue
-                seen_versions.add(event["version"])
-                rebalances.append(event)
-        self.rebalance_events = tuple(
-            sorted(rebalances, key=lambda e: e["version"])
-        )
-        #: Completed lease transfers (each winner logged its own).
-        self.failover_events = tuple(
-            sorted(
-                (
-                    event
-                    for shard in shard_snapshots
-                    for event in shard.failover_log
-                ),
-                key=lambda e: (e.at_ms, e.term),
-            )
-        )
-        self.crashed_shards = {
-            shard.shard_index for shard in shard_snapshots if shard.crashed
-        }
-        self.dead = set()
-        for snapshot in snapshots:
-            self.dead.update(snapshot.dead)
-        self.server = self.shard_servers[0]
         self.server_hosts = {
-            shard.shard_index: SimpleNamespace(cpu_time_used=shard.cpu_ms)
-            for shard in shard_snapshots
+            shard.shard_index: shard for shard in self.shard_servers
         }
-        self.shard_states = [shard.state for shard in shard_snapshots]
-        self.state = self.shard_states[0]
-        self._attached = set()
-        for shard in shard_snapshots:
-            self._attached.update(shard.client_ids)
-        self._dropped = sum(s.dropped_actions for s in snapshots)
-        self._submitted = sum(s.submitted_actions for s in snapshots)
-        violations = tuple(
-            _Rendered(text)
-            for snapshot in snapshots
-            for text in snapshot.rwset_violations
-        )
+        self.shard_states = [shard.state for shard in self.shard_servers]
         self.rwset_recorder = (
-            SimpleNamespace(violations=violations) if violations else None
+            SimpleNamespace(violations=tuple(violations)) if violations else None
         )
-        from repro.harness.workload import WorkloadStats
-
-        stats = WorkloadStats()
-        for snapshot in snapshots:
-            stats.moves_submitted += snapshot.workload.moves_submitted
-            stats.costs.extend(snapshot.workload.costs)
-            stats.visible_samples.extend(snapshot.workload.visible_samples)
-        self.workload_stats = stats
 
         # Adversary detection (docs/adversary.md): sum the per-detector
         # counters, dedupe the flag records — the same (detector, client)
         # pair can fire on several partitions (e.g. lying-rs evidence on
-        # every replica applying the pushed lie) — and union quarantines.
-        # ``detector_counts`` stays None on honest runs so the runner's
-        # RunResult keeps its dataclass defaults (the null-plan contract).
-        self.detector_counts = None
-        self.detection_records: Tuple = ()
+        # every replica applying the pushed lie) — union the quarantines,
+        # and take the per-client max footprint: only the cheater's home
+        # partition admitted its submissions, the rest report zero.
         self.quarantined: set = set()
-        self.blast_radius = None
-        if any(s.detector_counts is not None for s in snapshots):
+        self._detection: Dict[str, object] = {}
+        armed = [s.detection for s in snapshots if s.detection]
+        if armed:
             counts: Dict[str, int] = {}
-            seen = set()
-            records = []
-            # Per-client max: only the cheater's home partition admitted
-            # its submissions, the rest report a zero footprint.
+            records: Dict[tuple, object] = {}
             blast: Dict[ClientId, int] = {}
-            for snapshot in snapshots:
-                for name, count in (snapshot.detector_counts or {}).items():
+            for detection in armed:
+                for name, count in detection["detector_counts"].items():
                     counts[name] = counts.get(name, 0) + count
-                for record in snapshot.detection:
-                    key = (record.detector, record.client_id)
-                    if key not in seen:
-                        seen.add(key)
-                        records.append(record)
-                self.quarantined.update(snapshot.quarantined)
-                for client_id, footprint in (
-                    snapshot.blast_radius or {}
-                ).items():
-                    blast[client_id] = max(
-                        blast.get(client_id, 0), footprint
-                    )
-            self.detector_counts = counts
-            self.detection_records = tuple(records)
-            self.blast_radius = blast
+                for record in detection["detection_records"]:
+                    records.setdefault((record.detector, record.client_id), record)
+                self.quarantined.update(detection["clients_quarantined"])
+                for client_id, footprint in detection["blast_radius"].items():
+                    blast[client_id] = max(blast.get(client_id, 0), footprint)
+            self._detection = {
+                "detection_records": tuple(records.values()),
+                "detector_counts": counts,
+                "clients_quarantined": tuple(sorted(self.quarantined)),
+                "blast_radius": blast,
+            }
 
-    @property
-    def drop_percent(self) -> float:
-        if self._submitted == 0:
-            return 0.0
-        return 100.0 * self._dropped / self._submitted
-
-    def live_client_ids(self) -> List[ClientId]:
-        return [
-            client_id
-            for client_id in self.clients
-            if client_id in self._attached
-            and client_id not in self.quarantined
-            and client_id not in self.dead
-        ]
-
-    def span_gsn_map(self) -> Dict:
-        merged: Dict = {}
-        for server in self.shard_servers:
-            merged.update(server.span_gsns)
-        return merged
+    def detection_summary(self) -> Dict[str, object]:
+        return self._detection
 
 
 # ---------------------------------------------------------------------------
-# Entry points (called from the harness runner)
+# Entry point (called from the harness runner)
 # ---------------------------------------------------------------------------
 def run_partitioned(
     architecture: str,
@@ -1015,18 +740,18 @@ def run_partitioned(
     """Run a sharded deployment through the windowed scheduler.
 
     Returns ``(merged_engine_view, workload_view)`` for the runner's
-    shared measurement pipeline.  ``parallel=False`` steps the replicas
-    inline (the in-process backend's W > 1 mode); ``parallel=True``
-    spawns one worker process per partition.  Per-replica observer
-    telemetry is merged into ``obs`` when one is attached.
+    measurement pipeline.  The replicas are stepped inline, observing
+    straight into ``obs`` when one is attached; ``parallel=True`` with
+    more than one resolved worker spawns one worker process per
+    partition instead and merges their observers into ``obs`` at the
+    end.
     """
     workers = resolve_workers(settings)
-    if settings.shards < 2 or workers < 2:
+    if settings.shards < 2:
         raise ConfigurationError(
-            "run_partitioned needs shards > 1 and workers > 1 "
-            f"(got shards={settings.shards}, workers={workers})"
+            f"run_partitioned needs shards > 1 (got shards={settings.shards})"
         )
-    if parallel:
+    if parallel and workers > 1:
         ctx = spawn_context()
         handles: list = [
             _ProcessHandle(architecture, settings, partition, workers, ctx)
@@ -1034,7 +759,7 @@ def run_partitioned(
         ]
     else:
         handles = [
-            _InlineHandle(architecture, settings, partition, workers)
+            _InlineHandle(architecture, settings, partition, workers, obs)
             for partition in range(workers)
         ]
     try:
@@ -1042,10 +767,9 @@ def run_partitioned(
     finally:
         for handle in handles:
             handle.close()
-    merged = MergedRun(snapshots, settings)
+    merged = MergedRun(snapshots)
     if obs is not None:
         for snapshot in snapshots:
-            if snapshot.observer is not None:
+            if snapshot.observer not in (None, obs):
                 obs.merge_from(snapshot.observer)
     return merged, SimpleNamespace(stats=merged.workload_stats)
-

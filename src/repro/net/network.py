@@ -154,8 +154,8 @@ class Network:
         #: link exactly as a local transmit would) and hands
         #: ``(src, dst, payload, size, arrival, dropped, incarnation)``
         #: to the sink, which batches it for the partition that owns
-        #: ``dst``.  Both default to "off" and cost nothing on the
-        #: classic path.
+        #: ``dst``.  Both default to "off" and cost nothing when no
+        #: host is remote.
         self.remote_sink: Optional[
             Callable[[ClientId, ClientId, object, int, TimeMs, bool, int], None]
         ] = None
@@ -470,7 +470,7 @@ class Network:
         instead of scheduling a local delivery it hands the computed
         arrival to :attr:`remote_sink`.  Dropped messages are forwarded
         too (flagged): the owning partition charges the drop to its
-        meter at the arrival instant, exactly when the classic path's
+        meter at the arrival instant, exactly when a local send's
         arrival event would have.
         """
         link = self.link(src, dst)

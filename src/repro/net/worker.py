@@ -10,8 +10,8 @@ speaks a tiny command protocol over a ``multiprocessing`` pipe:
 * coordinator → worker: ``("window", end, entries)`` — inject the
   routed cross-partition entries, run virtual time up to ``end``,
   reply ``("barrier", BarrierReport)``;
-* coordinator → worker: ``("finish", t_stop, deadline)`` — stop owned
-  servers, drain, reply ``("done", PartitionSnapshot)``;
+* coordinator → worker: ``("finish", deadline)`` — stop the owned
+  slice, drain, reply ``("done", PartitionSnapshot)``;
 * coordinator → worker: ``("exit",)`` — return (process ends).
 
 Any exception is reported as ``("error", traceback_text)`` before the
@@ -33,14 +33,14 @@ def partition_worker_main(
     try:
         replica = PartitionReplica(architecture, settings, partition, workers)
         replica.start()
-        conn.send(("ready", tuple(replica.owned_clients), replica.report()))
+        conn.send(("ready", replica.owned_clients, replica.report()))
         while True:
             message = conn.recv()
             command = message[0]
             if command == "window":
                 conn.send(("barrier", replica.run_window(message[1], message[2])))
             elif command == "finish":
-                conn.send(("done", replica.finish(message[1], message[2])))
+                conn.send(("done", replica.finish(message[1])))
             elif command == "exit":
                 return
             else:

@@ -1,12 +1,20 @@
-"""Golden fingerprints of six seeded ``run_simulation`` calls.
+"""Golden fingerprints of ten seeded ``run_simulation`` calls.
 
-``tests/data/golden_runs.json`` was dumped at the last commit that still
-had the brute-force distribution fork, the lease-less ``single``
-sequencer and the run-in-a-subprocess fork; the runs below must keep
-reproducing it bit for bit.  A fingerprint is everything the run decides
-in virtual time: dispatched events, the final clock, every response
-sample, per-client and total traffic bytes, each shard's committed
-store, the drop count and the failover log.
+A fingerprint is everything the run decides in virtual time: dispatched
+events, the final clock, every response sample, per-client and total
+traffic bytes, each shard's committed store, the drop count and the
+failover log.  The runs below must keep reproducing
+``tests/data/golden_runs.json`` bit for bit.
+
+Where the file comes from: the first six entries were dumped at the
+last commit that still had the brute-force distribution fork, the
+lease-less ``single`` sequencer and the run-in-a-subprocess fork; the
+four ``workers=2`` entries at the last commit that still drove a plain
+``--shards K`` run on the per-event loop (722b9d3).  Routing those runs
+through the window coordinator moved the ``virtual_ms`` of the five
+K = 4 one-partition entries by +1.00/+1.00/+0.64/+1.00/+1.00 ms (the
+run now ends at a barrier, at most one lookahead late) and no other
+field of any entry.
 
 Regenerate (only when virtual-time behaviour is *meant* to change) with
 ``PYTHONPATH=src python tests/test_golden_runs.py``.
@@ -21,6 +29,7 @@ import pytest
 
 from repro.harness import runner
 from repro.harness.config import SimulationSettings
+from repro.net import backend
 from repro.net.faults import FaultPlan, parse_crash_plan
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_runs.json"
@@ -54,37 +63,64 @@ RUNS = {
     # (replicated), or shard 0 comes back and is re-forwarded to (single).
     "seve_k4_replicated_failover": _crashing("s0@1500", control_plane="replicated"),
     "seve_k4_single_restart": _crashing("s0@1500:3500"),
+    # The same drive split over two partitions.
+    "seve_k4_w2": BASE.with_(shards=4, workers=2),
+    "seve_k4_w2_replicated_crash": _crashing(
+        "s2@1500:3500", control_plane="replicated", workers=2
+    ),
+    "seve_k4_w2_mixed_crashes": _crashing(
+        "3@1500,9@1800:4000,s1@2000:3000", workers=2
+    ),
+    "seve_k4_w2_elastic": BASE.with_(
+        shards=4,
+        workers=2,
+        elastic=True,
+        elastic_interval_ms=500,
+        elastic_threshold=1.05,
+        elastic_hysteresis=1,
+    ),
 }
 
 
 def fingerprint(settings: SimulationSettings) -> dict:
-    """Run ``seve`` under ``settings`` and reduce it to JSON scalars."""
-    engines = []
-    build_engine = runner.build_engine
+    """Run ``seve`` under ``settings`` and reduce it to JSON scalars.
 
-    def capturing_build(*args, **kwargs):
-        engines.append(build_engine(*args, **kwargs))
-        return engines[-1]
+    The inputs come from whatever the run measured: the engine
+    ``runner.build_engine`` built, or the merged view
+    ``backend.run_partitioned`` returned.
+    """
+    views = []
 
-    runner.build_engine = capturing_build
+    def capturing(fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            views.append(out[0] if isinstance(out, tuple) else out)
+            return out
+
+        return wrapper
+
+    build_engine, run_partitioned = runner.build_engine, backend.run_partitioned
+    runner.build_engine = capturing(build_engine)
+    backend.run_partitioned = capturing(run_partitioned)
     try:
         result = runner.run_simulation("seve", settings)
     finally:
         runner.build_engine = build_engine
-    (engine,) = engines
-    meter = engine.network.meter
-    stores = getattr(engine, "shard_states", None) or [engine.state]
+        backend.run_partitioned = run_partitioned
+    (view,) = views
+    meter = view.network.meter
+    stores = getattr(view, "shard_states", None) or [view.state]
     assert result.consistency is not None and result.consistency.consistent
     return {
         "events": result.events,
         "virtual_ms": result.virtual_ms,
-        "responses": sorted(engine.response_times.samples),
+        "responses": sorted(view.response_times.samples),
         "client_bytes": [
-            meter.host_bytes(client_id) for client_id in sorted(engine.clients)
+            meter.host_bytes(client_id) for client_id in sorted(view.clients)
         ],
         "total_bytes": meter.total_bytes,
         "shard_state_crc": [store.checksum() for store in stores],
-        "dropped": sum(len(ids) for ids in engine.dropped.values()),
+        "dropped": sum(len(ids) for ids in view.dropped.values()),
         "failovers": [dict(event) for event in result.failover_events],
     }
 

@@ -1,12 +1,12 @@
-"""Parallel execution backend: differential identity and unit behavior.
+"""The sharded drive: partition independence and unit behavior.
 
-The load-bearing guarantee (docs/parallel.md): for the same settings and
-seed, ``backend="parallel"`` produces results identical to
-``backend="inproc"`` — not statistically close, *identical* on every
-deterministic output.  Both backends run the same windowed partition
-schedule; the only difference is whether partition replicas step inline
-or in spawned worker processes, so any divergence is a transport or
-merge bug, never "expected noise".
+The load-bearing guarantee (docs/parallel.md): every sharded run goes
+through one window coordinator, and for the same settings and seed the
+partition count W and the backend change wall-clock only — results are
+not statistically close but *identical* on every deterministic output,
+whether one inline partition, several inline partitions, or spawned
+worker processes step the replicas.  Any divergence is an ownership,
+transport or merge bug, never "expected noise".
 
 Multiprocessing note: workers use the ``spawn`` start method and
 re-import ``__main__``; under pytest that is pytest's own entry point,
@@ -47,8 +47,13 @@ BASE = dict(
 LOSSY = FaultPlan(loss_rate=0.05, jitter_ms=40.0, duplicate_rate=0.02, seed=7)
 
 
-def result_key(r):
-    """Every deterministic output of a run (wall clock excluded)."""
+def result_key(r, *, events=True):
+    """Every deterministic output of a run (wall clock excluded).
+
+    ``events=False`` leaves out the dispatched-event count: every
+    replica schedules every crash window of the plan, so that count
+    (alone) grows with W on plans that have any.
+    """
     return (
         r.moves_submitted,
         r.responses_observed,
@@ -61,15 +66,18 @@ def result_key(r):
         round(r.server_traffic_kb, 9),
         r.drop_percent,
         r.virtual_ms,
-        r.events,
+        r.events if events else None,
         r.total_cpu_ms,
         r.closure_cpu_ms,
         r.messages_dropped,
         r.messages_duplicated,
         r.retransmissions,
+        r.clients_evicted,
         tuple(
             tuple(sorted(row.items())) for row in (r.shard_rows or ())
         ),
+        r.rebalance_events,
+        r.failover_events,
         None if r.consistency is None else r.consistency.consistent,
         None if r.shard_audit is None else r.shard_audit.consistent,
     )
@@ -89,7 +97,7 @@ def test_resolve_workers():
     def settings(**kw):
         return SimulationSettings(**{**BASE, **kw})
 
-    # inproc default: one partition — the classic single-engine path.
+    # inproc default: one partition.
     assert resolve_workers(settings(shards=4)) == 1
     # parallel default: one worker per shard.
     assert resolve_workers(settings(shards=4, backend="parallel")) == 4
@@ -111,7 +119,7 @@ def test_worker_of_shard_partitions_contiguously():
             assert owners == sorted(owners)
 
 
-def test_partitioned_run_requires_multiple_shards_and_workers():
+def test_partitioned_run_requires_multiple_shards():
     from repro.net.backend import run_partitioned
 
     with pytest.raises(ConfigurationError):
@@ -139,17 +147,24 @@ def test_fork_start_method_is_unsupported():
 
 
 # ----------------------------------------------------------------------
-# Differential identity: parallel == inproc, byte for byte
+# Partition independence: W = 1 == W > 1 == spawned workers, byte for byte
 # ----------------------------------------------------------------------
-def test_inline_windowed_matches_parallel_k2():
-    # Same windowed schedule, inline vs spawned workers.
-    inproc = run("inproc", workers=2, shards=2)
-    parallel = run("parallel", workers=2, shards=2)
-    assert result_key(inproc) == result_key(parallel)
-    assert inproc.shard_audit.consistent and parallel.shard_audit.consistent
+@pytest.mark.parametrize(
+    "shards, workers",
+    [(2, 2), (4, 4), (4, 2)],  # (4, 2): each partition owns two shards
+)
+def test_one_partition_matches_many_matches_parallel(shards, workers):
+    one = run("inproc", shards=shards)
+    many = run("inproc", shards=shards, workers=workers)
+    spawned = run("parallel", shards=shards, workers=workers)
+    assert result_key(one) == result_key(many) == result_key(spawned)
+    assert one.shard_audit.consistent
 
 
 def test_parallel_matches_inproc_k2_lossy():
+    # Wire faults are drawn from one seeded stream per replica, in send
+    # order, so a lossy plan samples differently for each W (every W is
+    # a valid run of the plan); for equal W the backends still agree.
     inproc = run("inproc", plan=LOSSY, workers=2, shards=2)
     parallel = run("parallel", plan=LOSSY, workers=2, shards=2)
     assert result_key(inproc) == result_key(parallel)
@@ -160,9 +175,9 @@ def test_parallel_matches_inproc_k2_lossy():
 def test_parallel_with_nothing_to_partition_runs_in_process(
     degenerate, monkeypatch
 ):
-    # One shard, or one resolved worker: the parallel backend takes the
-    # classic single-engine path right here — same result as inproc,
-    # and no worker process is ever spawned.
+    # One shard, or one resolved worker: the parallel backend steps the
+    # run right here — same result as inproc, and no worker process is
+    # ever spawned.
     from repro.net import backend
 
     def no_spawn():
@@ -171,19 +186,6 @@ def test_parallel_with_nothing_to_partition_runs_in_process(
     monkeypatch.setattr(backend, "spawn_context", no_spawn)
     inproc = run("inproc", **degenerate)
     parallel = run("parallel", **degenerate)
-    assert result_key(inproc) == result_key(parallel)
-
-
-def test_parallel_matches_inproc_k4():
-    inproc = run("inproc", workers=4, shards=4)
-    parallel = run("parallel", workers=4, shards=4)
-    assert result_key(inproc) == result_key(parallel)
-
-
-def test_parallel_matches_inproc_workers_below_shards():
-    # K=4 shards on W=2 workers: each worker owns two shards.
-    inproc = run("inproc", workers=2, shards=4)
-    parallel = run("parallel", workers=2, shards=4)
     assert result_key(inproc) == result_key(parallel)
 
 
@@ -211,3 +213,20 @@ def test_metrics_merge_across_workers(tmp_path):
     assert out.exists()
     baseline = run("inproc", shards=2, workers=2)
     assert result_key(result) == result_key(baseline)
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_caller_supplied_observer_sees_a_sharded_run(workers):
+    # The replicas observe into the observer the caller passed, not only
+    # into ones built from the settings' own observability requests.
+    from repro.obs import Observer
+
+    obs = Observer(profile=True)
+    settings = SimulationSettings(**BASE, shards=4, workers=workers)
+    result = run_simulation("seve", settings, obs=obs)
+    assert result.profile == obs.profile.as_dict()
+    assert result.profile["sim.dispatch"]["count"] == result.events
+    requested = run_simulation("seve", settings.with_(profile=True))
+    assert {name: row["count"] for name, row in result.profile.items()} == {
+        name: row["count"] for name, row in requested.profile.items()
+    }
