@@ -7,10 +7,11 @@ recording the two halves of the protocol analyzer on the shipped tree:
 * **Static flow graph** — files scanned, message types mapped, how many
   are registered / enveloped / conservation-tracked / codec-covered,
   analyzer wall time, and the finding count (must be zero: every
-  message has a sender and a handler, every conservation-group message
-  is counted on both ends).  A message *is* a ``@wire_message`` spec
-  and the codec is compiled from the specs, so registered and
-  codec-covered both equal the number of specs by construction.
+  message has a sender and a handler).  A message *is* a
+  ``@wire_message`` spec and the codec is compiled from the specs, so
+  registered and codec-covered both equal the number of specs by
+  construction; conservation-tracked counts the specs with a
+  ``group=``, which the servers' message seam counts on both ends.
 * **Schedule-permutation explorer** — scenarios replayed, schedules
   explored, engine runs, perturbable virtual-time windows per
   scenario, and explorer wall time.  The acceptance gate is the

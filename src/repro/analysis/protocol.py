@@ -3,47 +3,38 @@
 The distributed protocol grown on top of SEVE — cross-shard span
 forwarding, elastic epoch drains, gsn lease elections, crash/restart
 incarnations — is a set of message dataclasses (``core/messages.py``)
-wired to constructor sites (senders) and ``isinstance`` dispatch
-branches (handlers) spread over many modules.  Example-based tests
+wired to constructor sites (senders) and handler sites spread over many
+modules.  A handler site is a key of a ``HANDLERS = {Message: "method",
+...}`` dispatch table (the servers and the gsn lease) or an
+``isinstance`` branch of a dispatcher-named function (the clients, the
+basic server, the baselines, the ARQ layer).  Example-based tests
 exercise a handful of schedules; this module checks the *shape* of the
 protocol mechanically, by AST extraction, against what the protocol
-module declares:
-
-* one ``@wire_message(...)`` spec per message class — together the
-  closed set of message types.  ``enveloped=True`` marks a message that
-  only travels nested inside another message's fields (no dispatch
-  branch of its own); ``group="..."`` enrols it in a conservation group;
-* ``CONSERVATION_GROUPS`` — per group, the sent/received counters that
-  are summed into the quiescence check and must stay balanced.
+module declares: one ``@wire_message(...)`` spec per message class —
+together the closed set of message types.  ``enveloped=True`` marks a
+message that only travels nested inside another message's fields (no
+handler of its own); ``group="..."`` enrols it in a conservation group.
 
 The wire size, the binary codec and the runtime registries are compiled
-from the same specs, so codec coverage holds by construction and is not
-a rule here.  Specs and groups are parsed *statically* — the analyzer
-never imports the code under analysis, so it works on corpora and
-broken trees alike.
+from the same specs, and a conservation group is counted where its
+messages cross the servers' one message seam, so codec coverage and
+conservation accounting hold by construction and are not rules here.
+Specs are parsed *statically* — the analyzer never imports the code
+under analysis, so it works on corpora and broken trees alike.
 
 Checks
 ------
 ``protocol-orphan``
-    A non-enveloped message with no ``isinstance`` dispatch branch
-    anywhere in the scanned modules: constructed (or constructible) but
+    A non-enveloped message with no handler site anywhere in the
+    scanned modules: constructed (or constructible) but
     never handled — exactly the shape of the PR 9 deferred-push replica
     gap, where a reply was parked and dropped.
 ``protocol-dead-handler``
-    A dispatch branch for a message no scanned module constructs.
+    A handler site for a message no scanned module constructs.
 ``protocol-unregistered``
     A public class of the protocol module that a dispatcher handles but
     that carries no spec — it can be neither sized nor encoded (private
     ``_Names`` are exempt — the ARQ layer is beneath the protocol).
-``protocol-unaccounted-send``
-    A conservation-group message constructed in a function that neither
-    bumps the group's ``sent`` counter nor calls a helper that does —
-    the send would not be counted, so quiescence could be declared with
-    the message still in flight.
-``protocol-unaccounted-handler``
-    A dispatch branch for a conservation-group message that mutates
-    state without bumping the group's ``received`` counter (directly or
-    via a counted helper).
 
 Findings reuse the lint :class:`~repro.analysis.lint.Finding` shape, so
 the CLI baseline ratchet and ``# lint: allow(...)`` suppressions apply
@@ -71,21 +62,18 @@ PROTOCOL_RULES: Dict[str, str] = {
         "message with no dispatch handler in any scanned module"
     ),
     "protocol-dead-handler": (
-        "dispatch branch for a message nothing constructs"
+        "handler site for a message nothing constructs"
     ),
     "protocol-unregistered": (
         "dispatched protocol-module class without a @wire_message spec"
-    ),
-    "protocol-unaccounted-send": (
-        "conservation-group message built outside a sent-counted path"
-    ),
-    "protocol-unaccounted-handler": (
-        "conservation-group dispatch branch without the received bump"
     ),
 }
 
 #: Function names that mark a message dispatcher.
 _HANDLER_NAME_RE = re.compile(r"(^|_)(on_|dispatch|deliver|handle)")
+
+#: Name a dispatch table is assigned to.
+_TABLE_NAME = "HANDLERS"
 
 #: Name of the class decorator that declares a message's spec.
 _SPEC_DECORATOR = "wire_message"
@@ -185,53 +173,14 @@ def _name_ids(nodes: Iterable[ast.AST]) -> List[Tuple[str, int]]:
     return out
 
 
-def _attribute_names(tree: ast.AST) -> Set[str]:
-    """Every ``x.attr`` attribute name referenced anywhere in ``tree``."""
-    return {
-        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
-    }
-
-
-def _assigned_attrs(tree: ast.AST) -> Set[str]:
-    """Attribute names written by Assign/AugAssign statements."""
-    written: Set[str] = set()
-    for node in ast.walk(tree):
-        targets: List[ast.AST] = []
-        if isinstance(node, ast.Assign):
-            targets = list(node.targets)
-        elif isinstance(node, ast.AugAssign):
-            targets = [node.target]
-        for target in targets:
-            if isinstance(target, ast.Attribute):
-                written.add(target.attr)
-    return written
-
-
-def _self_method_calls(tree: ast.AST) -> Set[str]:
-    """Names of ``self.<m>(...)`` / ``obj.<m>(...)`` calls in ``tree``."""
-    return {
-        node.func.attr
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-    }
-
-
-def _functions(tree: ast.AST):
-    """Every (async) function definition anywhere in ``tree``."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
-
-
 # ----------------------------------------------------------------------
-# Protocol-definition module (message specs + conservation groups)
+# Protocol-definition module (message specs)
 # ----------------------------------------------------------------------
 @dataclass
 class _Definition:
     path: str
     #: spec'd message name -> (enveloped, conservation group or None)
     specs: Dict[str, Tuple[bool, Optional[str]]] = field(default_factory=dict)
-    conservation: Dict[str, dict] = field(default_factory=dict)
     class_lines: Dict[str, int] = field(default_factory=dict)
 
 
@@ -253,9 +202,9 @@ def _spec_keywords(node: ast.ClassDef) -> Optional[Dict[str, object]]:
 
 
 def _extract_definition(path: str, tree: ast.Module) -> Optional[_Definition]:
-    """Parse the specs and groups out of a module; ``None`` when the
-    module does not assign ``PROTOCOL_MESSAGES`` (i.e. is not the
-    protocol definition module)."""
+    """Parse the specs out of a module; ``None`` when the module does
+    not assign ``PROTOCOL_MESSAGES`` (i.e. is not the protocol
+    definition module)."""
     definition = _Definition(path)
     found_registry = False
     for node in tree.body:
@@ -267,41 +216,23 @@ def _extract_definition(path: str, tree: ast.Module) -> Optional[_Definition]:
                     keywords.get("enveloped") is True,
                     keywords.get("group"),
                 )
-        if not isinstance(node, ast.Assign) or len(node.targets) != 1:
-            continue
-        target = node.targets[0]
-        if not isinstance(target, ast.Name):
-            continue
-        if target.id == "PROTOCOL_MESSAGES":
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "PROTOCOL_MESSAGES"
+            for target in node.targets
+        ):
             found_registry = True
-        elif target.id == "CONSERVATION_GROUPS":
-            try:
-                groups = ast.literal_eval(node.value)
-            except ValueError:
-                groups = None
-            if isinstance(groups, dict):
-                definition.conservation = groups
     return definition if found_registry else None
 
 
 # ----------------------------------------------------------------------
-# Per-module extraction (senders, handlers, conservation accounting)
+# Per-module extraction (senders, handlers)
 # ----------------------------------------------------------------------
 @dataclass
 class _ModuleScan:
     path: str
-    #: message name -> [(line, branch-body statements or None)]
-    handler_sites: Dict[str, List[Tuple[int, Optional[list]]]] = field(
-        default_factory=dict
-    )
-    #: message name -> [(line, enclosing function node or None)]
-    sender_sites: Dict[str, List[Tuple[int, Optional[ast.AST]]]] = field(
-        default_factory=dict
-    )
-    #: function name -> set of attributes written in its body
-    writes_by_function: Dict[str, Set[str]] = field(default_factory=dict)
-    #: function name -> set of method names it calls
-    calls_by_function: Dict[str, Set[str]] = field(default_factory=dict)
+    #: message name -> lines of its handler sites / constructor sites
+    handler_sites: Dict[str, List[int]] = field(default_factory=dict)
+    sender_sites: Dict[str, List[int]] = field(default_factory=dict)
     suppressed: Dict[int, Set[str]] = field(default_factory=dict)
 
 
@@ -309,44 +240,33 @@ def _scan_module(
     path: str, source: str, tree: ast.Module, known: Set[str]
 ) -> _ModuleScan:
     scan = _ModuleScan(path, suppressed=_suppressions(source))
-
-    # Function bookkeeping (conservation accounting needs to know which
-    # functions bump which counters and which helpers they call).
-    function_of: Dict[ast.AST, ast.AST] = {}
-    for func in _functions(tree):
-        scan.writes_by_function[func.name] = _assigned_attrs(func)
-        scan.calls_by_function[func.name] = _self_method_calls(func)
-        for sub in ast.walk(func):
-            function_of.setdefault(sub, func)
-
-    # Handlers: isinstance dispatch inside dispatcher-named functions.
-    for func in _functions(tree):
-        if not _HANDLER_NAME_RE.search(func.name):
-            continue
-        for sub in ast.walk(func):
-            if not isinstance(sub, ast.If):
-                continue
-            negated = isinstance(sub.test, ast.UnaryOp) and isinstance(
-                sub.test.op, ast.Not
-            )
-            for name, line in _name_ids(_isinstance_names(sub.test)):
-                if name not in known:
-                    continue
-                # A negated guard (`if not isinstance(...): return`)
-                # handles the message in the *rest* of the function.
-                body = None if negated else sub.body
-                scan.handler_sites.setdefault(name, []).append((line, body))
-
-    # Senders: every bare-name constructor call of a known message.
+    handled: List[ast.AST] = []
     for node in ast.walk(tree):
-        if (
+        # Handlers: the keys of a dispatch table ...
+        if isinstance(node, ast.Assign):
+            if isinstance(node.value, ast.Dict) and any(
+                isinstance(target, ast.Name) and target.id == _TABLE_NAME
+                for target in node.targets
+            ):
+                handled.extend(key for key in node.value.keys if key is not None)
+        # ... and isinstance dispatch inside dispatcher-named functions
+        # (a negated guard handles the message in the rest of the body).
+        elif isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef)
+        ) and _HANDLER_NAME_RE.search(node.name):
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.If):
+                    handled.extend(_isinstance_names(sub.test))
+        # Senders: every bare-name constructor call of a known message.
+        elif (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
             and node.func.id in known
         ):
-            scan.sender_sites.setdefault(node.func.id, []).append(
-                (node.lineno, function_of.get(node))
-            )
+            scan.sender_sites.setdefault(node.func.id, []).append(node.lineno)
+    for name, line in _name_ids(handled):
+        if name in known:
+            scan.handler_sites.setdefault(name, []).append(line)
     return scan
 
 
@@ -398,7 +318,7 @@ def analyze_paths(
             name=name,
             defined=(definition.path, definition.class_lines[name]),
             enveloped=enveloped,
-            conservation=group if group in definition.conservation else None,
+            conservation=group,
         )
     # Only spec'd classes are messages; the module's other public
     # classes are tracked just far enough to catch one being dispatched.
@@ -416,10 +336,10 @@ def analyze_paths(
     ]
     for scan in scans:
         for name in sorted(flows.keys() & scan.handler_sites.keys()):
-            for line, _body in scan.handler_sites[name]:
+            for line in scan.handler_sites[name]:
                 flows[name].handlers.append((scan.path, line))
         for name in sorted(flows.keys() & scan.sender_sites.keys()):
-            for line, _func in scan.sender_sites[name]:
+            for line in scan.sender_sites[name]:
                 flows[name].senders.append((scan.path, line))
 
     def report(path: str, line: int, rule: str, message: str) -> None:
@@ -437,14 +357,14 @@ def analyze_paths(
             report(
                 *flow.defined,
                 "protocol-orphan",
-                f"{name} is constructed but no scanned module dispatches "
+                f"{name} is constructed but no scanned module handles "
                 "it (orphan message)",
             )
         if flow.handlers and not flow.senders and not flow.enveloped:
             report(
                 *sorted(flow.handlers)[0],
                 "protocol-dead-handler",
-                f"{name} is dispatched here but never constructed in any "
+                f"{name} is handled here but never constructed in any "
                 "scanned module",
             )
     for name in sorted(unspecd):
@@ -456,69 +376,6 @@ def analyze_paths(
                 f"{name} is dispatched as a protocol message but carries "
                 f"no @{_SPEC_DECORATOR} spec",
             )
-
-    # -- conservation accounting ----------------------------------------
-    for group_name in sorted(definition.conservation):
-        group = definition.conservation[group_name]
-        module_suffix = group.get("module", "")
-        sent_counter = group.get("sent", "")
-        received_counter = group.get("received", "")
-        members = {
-            name for name, flow in flows.items() if flow.conservation == group_name
-        }
-        for scan in scans:
-            in_module = scan.path.endswith(module_suffix)
-            counted_senders = (
-                {
-                    fname
-                    for fname, writes in scan.writes_by_function.items()
-                    if sent_counter in writes
-                }
-                if in_module
-                else set()
-            )
-            counted_receivers = {
-                fname
-                for fname, writes in scan.writes_by_function.items()
-                if received_counter in writes
-            }
-            for name in sorted(members & set(scan.sender_sites)):
-                for line, func in scan.sender_sites[name]:
-                    fname = getattr(func, "name", None)
-                    accounted = in_module and fname is not None and (
-                        fname in counted_senders
-                        or scan.calls_by_function.get(fname, set())
-                        & counted_senders
-                    )
-                    if not accounted:
-                        report(
-                            scan.path,
-                            line,
-                            "protocol-unaccounted-send",
-                            f"{name} ({group_name} group) constructed "
-                            f"outside a path that bumps {sent_counter}",
-                        )
-            for name in sorted(members & set(scan.handler_sites)):
-                for line, body in scan.handler_sites[name]:
-                    if body is None:
-                        continue  # negated guard: cannot attribute a body
-                    branch = ast.Module(body=body, type_ignores=[])
-                    mutates = bool(
-                        _assigned_attrs(branch) or _self_method_calls(branch)
-                    )
-                    accounted = received_counter in _attribute_names(
-                        branch
-                    ) or (
-                        _self_method_calls(branch) & counted_receivers
-                    )
-                    if mutates and not accounted:
-                        report(
-                            scan.path,
-                            line,
-                            "protocol-unaccounted-handler",
-                            f"{name} ({group_name} group) handled here "
-                            f"without bumping {received_counter}",
-                        )
 
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return ProtocolModel(definition.path, flows, findings, len(files))

@@ -246,7 +246,6 @@ def _check_sharded(engine, *, conservation: bool = True) -> List[str]:
     audit = audit_sharded_run(engine)
     if not audit.consistent:
         problems.append(f"audit: {audit.summary()}")
-    live = [s for s in engine.shard_servers if not s._crashed]
     if conservation:
         sent = sum(s.elastic_sent for s in engine.shard_servers)
         received = sum(s.elastic_received for s in engine.shard_servers)
@@ -254,8 +253,11 @@ def _check_sharded(engine, *, conservation: bool = True) -> List[str]:
             problems.append(
                 f"elastic-conservation: sent={sent} received={received}"
             )
-        if any(s._epochs for s in live):
-            problems.append("open-epoch: an elastic epoch never retired")
+    if not all(server.quiescent() for server in engine._live_owned_servers()):
+        problems.append(
+            "undrained: a live shard still holds a handoff, an uncommitted "
+            "action, an open epoch or a pending version"
+        )
     parked, answered = _deferred_reply_stats(engine.shard_servers)
     if parked != answered:
         problems.append(

@@ -28,10 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.messages import GroupBundle, OrderedAction, wire_size
+from repro.core.messages import GroupBundle, OrderedAction
 from repro.core.server_incomplete import IncompleteWorldServer
 from repro.errors import ConfigurationError
-from repro.types import SERVER_ID, ClientId
+from repro.types import ClientId
 
 
 @dataclass
@@ -173,7 +173,7 @@ class HybridRelayServer(IncompleteWorldServer):
         bundle = GroupBundle(
             tuple(shared), tuple(members), last_installed=self._base_pos - 1
         )
-        self.network.send(SERVER_ID, head, bundle, wire_size(bundle))
+        self.send(head, bundle)
         self.hybrid_stats.bundles_sent += 1
         if self._obs is not None:
             self._obs.on_hybrid_bundle(

@@ -457,8 +457,9 @@ def wire_message(
     transport frame beneath the protocol, billed by the layer that sends
     it and left out of ``PROTOCOL_MESSAGES``.  ``enveloped`` messages
     only travel inside another message's fields and so have no dispatch
-    branch of their own.  ``group`` names the ``CONSERVATION_GROUPS``
-    entry whose sent/received counters must account for the message.
+    branch of their own.  ``group`` enrols the message in that
+    ``CONSERVATION_GROUPS`` entry: it is counted on both sides of the
+    servers' message seam.
 
     The analyzer (``repro.analysis.protocol``) reads these decorators
     statically, so keep ``enveloped`` and ``group`` literal.
@@ -1052,29 +1053,19 @@ ENVELOPED_MESSAGES = tuple(
     spec.cls for spec in WIRE_SPECS.values() if spec.enveloped
 )
 
-#: Conservation accounting the analyzer enforces: every message whose
-#: spec names a group must be counted on both ends — the dispatch branch
-#: handling it bumps ``received`` and every constructor site flows
-#: through a sender that bumps ``sent`` — because the quiescence check
-#: sums exactly these counters (``ShardedSeveEngine._quiescent``).  A
-#: handler that mutates state without the accounting would let a run go
-#: quiescent with control messages still in flight.  The counters are
-#: declared here (parsed statically by the analyzer, so keep the dict
-#: literal); each group's ``messages`` tuple is filled in from the specs.
-CONSERVATION_GROUPS = {
-    "elastic": {
-        "sent": "elastic_sent",
-        "received": "elastic_received",
-        "module": "core/sharded.py",
-    },
-}
+#: Conservation groups, filled in from the specs: group name -> its
+#: message classes.  A message whose spec names a group feeds a
+#: quiescence check, so it is counted where it crosses a server's
+#: message seam — ``elastic_sent`` when ``ShardServer._send_peer`` puts
+#: it on the backbone, ``elastic_received`` when the dispatcher hands it
+#: to its handler — and the run is quiescent only once the sums match
+#: (``ShardedSeveEngine._quiescent``): none is still in flight.
+CONSERVATION_GROUPS: Dict[str, Tuple[type, ...]] = {}
 for _spec in WIRE_SPECS.values():
     if _spec.group is not None:
-        # a KeyError here is a spec naming a group not declared above
-        _members = CONSERVATION_GROUPS[_spec.group].get("messages", ())
-        CONSERVATION_GROUPS[_spec.group]["messages"] = _members + (
-            _spec.cls.__name__,
-        )
+        CONSERVATION_GROUPS[_spec.group] = CONSERVATION_GROUPS.get(
+            _spec.group, ()
+        ) + (_spec.cls,)
 
 
 # ----------------------------------------------------------------------

@@ -33,6 +33,7 @@ from repro.core.indexes import ClientSpatialIndex, WriterIndex
 from repro.core.info_bound import InformationBound
 from repro.core.interest import is_consequential
 from repro.core.messages import (
+    CONSERVATION_GROUPS,
     AbortNotice,
     ActionBatch,
     CommitNotice,
@@ -66,6 +67,12 @@ class ServerCosts:
     closure_ms: float = 0.04
     push_entry_ms: float = 0.02
     validate_ms: float = 0.01
+
+
+#: Messages whose spec says ``group="elastic"`` (the one conservation
+#: group): counted once on each side of a server's message seam
+#: (docs/sharding.md).
+COUNTED_MESSAGES = frozenset(CONSERVATION_GROUPS["elastic"])
 
 
 def _no_avatar(client_id: ClientId) -> None:
@@ -234,6 +241,18 @@ class IncompleteWorldServer:
         #: submission with a CommitNotice (its echo can never arrive).
         #: GC'd as the parked positions drain.
         self._deferred_commits: Dict[int, tuple] = {}
+        #: Set by :meth:`crash`: this server's host died.
+        self._crashed = False
+        #: :data:`COUNTED_MESSAGES` that crossed this server's seam, out
+        #: and in.  Quiescence requires the sums over all servers to
+        #: match, so that none is still in flight.  (Only shard servers
+        #: exchange them: the group is backbone control traffic.)
+        self.elastic_sent = 0
+        self.elastic_received = 0
+        self._handlers: Dict[type, Callable[[ClientId, object], None]] = {
+            message_type: getattr(self, name)
+            for message_type, name in self.HANDLERS.items()
+        }
         network.register(self.server_id, self._on_message)
 
     # ------------------------------------------------------------------
@@ -313,48 +332,79 @@ class IncompleteWorldServer:
             stopper()
         self._stoppers.clear()
 
+    def crash(self) -> None:
+        """This server's host died: it handles nothing from now on."""
+        self._crashed = True
+        self.stop()
+
     # ------------------------------------------------------------------
-    # Message handling
+    # The message seam: one dispatcher in, one send out
     # ------------------------------------------------------------------
+    #: Dispatch table: message type -> name of its handler method,
+    #: called as ``handler(src, message)``.  Subclasses extend it; the
+    #: protocol analyzer (docs/static_analysis.md) reads the keys as
+    #: handler sites, so keep it a literal dict of class names.
+    HANDLERS = {
+        Heartbeat: "_on_heartbeat",
+        SubmitAction: "_on_submit",
+        Completion: "_record_completion",
+    }
+
     def _on_message(self, src: ClientId, payload: object) -> None:
+        """The receiving side of the message seam: every message this
+        server is handed goes through here, and only here."""
+        if self._crashed:
+            return  # a crashed server handles nothing
         if src in self._last_heard:
             self._last_heard[src] = self.sim.now
-        if isinstance(payload, Heartbeat):
-            return
-        if isinstance(payload, SubmitAction):
-            action = payload.action
-            detector = self.detector
-            if action.action_id in self._seen_actions:
-                if detector is not None and detector.check_replay(src, action):
-                    return
-                self.stats.duplicate_submissions += 1
-                return
-            if src not in self.clients:
-                # Detached/evicted: drop without burning the ActionId —
-                # a delayed resubmission arriving after eviction must
-                # not poison the dedup filter, or the client's
-                # post-reattach resubmissions would be absorbed forever
-                # and the action would never serialize.
-                return
-            if detector is not None:
-                if detector.screen_submission(src, action):
-                    # Rejected before the id burn and before any server
-                    # CPU: a forged submission leaves zero footprint.
-                    return
-                detector.remember_submission(action)
-                detector.note_admit(src, action)
-            self._seen_actions.add(action.action_id)
-            self._note_submission(src, action)
-            cost = self.costs.timestamp_ms
-            if self.predicate is None:
-                cost += self.costs.closure_ms
-            self.host.execute(cost, lambda: self._admit(src, action))
-        elif isinstance(payload, Completion):
-            self._record_completion(src, payload)
-        else:
+        kind = type(payload)
+        handler = self._handlers.get(kind)
+        if handler is None:
             raise ProtocolError(
-                f"incomplete server: unexpected {type(payload).__name__} from {src}"
+                f"{type(self).__name__}: unexpected {kind.__name__} from {src}"
             )
+        if kind in COUNTED_MESSAGES:
+            self.elastic_received += 1
+        handler(src, payload)
+
+    def send(self, dst: ClientId, message: object) -> None:
+        """The sending side of the seam: put ``message`` on the wire
+        from this server's address, at its :func:`wire_size`."""
+        self.network.send(self.server_id, dst, message, wire_size(message))
+
+    def _on_heartbeat(self, src: ClientId, beat: Heartbeat) -> None:
+        """Liveness only: the dispatcher already noted the sender."""
+
+    def _on_submit(self, src: ClientId, message: SubmitAction) -> None:
+        """Dedup and screen a submission and charge its timestamping
+        cost; :meth:`_admit` enqueues it."""
+        action = message.action
+        detector = self.detector
+        if action.action_id in self._seen_actions:
+            if detector is not None and detector.check_replay(src, action):
+                return
+            self.stats.duplicate_submissions += 1
+            return
+        if src not in self.clients:
+            # Detached/evicted: drop without burning the ActionId —
+            # a delayed resubmission arriving after eviction must
+            # not poison the dedup filter, or the client's
+            # post-reattach resubmissions would be absorbed forever
+            # and the action would never serialize.
+            return
+        if detector is not None:
+            if detector.screen_submission(src, action):
+                # Rejected before the id burn and before any server
+                # CPU: a forged submission leaves zero footprint.
+                return
+            detector.remember_submission(action)
+            detector.note_admit(src, action)
+        self._seen_actions.add(action.action_id)
+        self._note_submission(src, action)
+        cost = self.costs.timestamp_ms
+        if self.predicate is None:
+            cost += self.costs.closure_ms
+        self.host.execute(cost, lambda: self._admit(src, action))
 
     def _admit(self, src: ClientId, action: Action) -> None:
         """Algorithm 5 step 3(a): timestamp and enqueue."""
@@ -474,7 +524,7 @@ class IncompleteWorldServer:
         if not batch_entries:
             return
         batch = ActionBatch(tuple(batch_entries), last_installed=self._base_pos - 1)
-        self.network.send(self.server_id, client_id, batch, wire_size(batch))
+        self.send(client_id, batch)
         self.stats.batches_sent += 1
         self.stats.entries_distributed += len(batch_entries)
 
@@ -519,9 +569,7 @@ class IncompleteWorldServer:
         def notify() -> None:
             for client_id, notice in notices:
                 if client_id in self.clients:
-                    self.network.send(
-                        self.server_id, client_id, notice, wire_size(notice)
-                    )
+                    self.send(client_id, notice)
 
         self.host.execute(cost, notify)
         # Dropped entries may have been the only thing stalling the
@@ -887,10 +935,7 @@ class IncompleteWorldServer:
                         # entry left the queue), so confirm the pending
                         # submission explicitly or the client waits
                         # forever.
-                        notice = CommitNotice(pos, action_id)
-                        self.network.send(
-                            self.server_id, client_id, notice, wire_size(notice)
-                        )
+                        self.send(client_id, CommitNotice(pos, action_id))
                     self.stats.replies_answered += 1
                     continue
                 entry = self._entries[pos - self._base_pos]
@@ -998,12 +1043,18 @@ class IncompleteWorldServer:
             holders = set(entry.sent) | {entry.action.client_id}
             if any(holder in self.clients for holder in holders):
                 continue
-            entry.valid = False
-            self.stats.orphans_aborted += 1
-            self.stats.actions_dropped += 1
-            aborted = True
+            aborted |= self._abort_orphan(entry)
         if aborted:
             self._advance_frontier()
+
+    def _abort_orphan(self, entry: QueueEntry) -> bool:
+        """Treat ``entry``, whose holders are all gone, as never
+        submitted; whether it was aborted.  (Hook: only a spanning
+        action's owner shard may decide, and it tells the others.)"""
+        entry.valid = False
+        self.stats.orphans_aborted += 1
+        self.stats.actions_dropped += 1
+        return True
 
     # ------------------------------------------------------------------
     # Introspection

@@ -20,7 +20,8 @@ serialize through a deterministic two-phase forward:
 
 1. The owner shard (where the originator is attached) admits and
    dedups the action, classifies its involved shard set, and forwards
-   it to the **sequencer** (shard 0) instead of its local queue.
+   it to the **sequencer** — the shard holding the gsn lease, shard 0
+   unless a failover moved it — instead of its local queue.
 2. The sequencer assigns a monotonically increasing **global sequence
    number** (gsn) and broadcasts a splice to every involved shard over
    the fault-free FIFO backbone.  Each shard splices the action into
@@ -63,13 +64,20 @@ re-attach.  Shard hosts can crash and restart: the restarted server
 recovers its committed store and gsn counter from checkpoint+WAL
 (:class:`repro.state.checkpoint.ShardRecoveryLog`), and survivors
 adopt-or-abort the dead shard's span obligations.  The sequencer is
-whichever shard holds the gsn lease (:mod:`repro.core.control_plane`),
-shard 0 at term 0.  With ``--control-plane replicated`` a
+whichever shard holds the gsn lease, shard 0 at term 0; the lease, its
+election and the gsn counter are :class:`repro.core.control_plane.GsnLease`,
+which each shard server hosts.  With ``--control-plane replicated`` a
 heartbeat-driven quorum failover moves the lease — sequencing and the
 elastic controller with it — to a deterministically elected survivor,
 so the sequencer is no longer a single point of failure.  The default
 ``single`` control plane is the same lease with a timeout that never
 expires: it stays on shard 0 and no lease message is ever sent.
+
+*The peer seam* — every message a shard server receives goes through
+the base server's one dispatcher and the ``HANDLERS`` table; every
+message it sends a peer goes through ``_send_peer``, ``_broadcast`` or
+``_to_holder``.  Conservation-group messages are counted there and
+nowhere else (docs/sharding.md).
 """
 
 from __future__ import annotations
@@ -84,8 +92,7 @@ from repro.core.control_plane import (
     PINNED_LEASE,
     ControlPlaneConfig,
     FailoverEvent,
-    LeaseState,
-    lease_candidate,
+    GsnLease,
 )
 from repro.core.elastic import ElasticConfig, plan_boundaries, stripes_touching
 from repro.core.engine import SeveConfig, SeveEngine
@@ -99,10 +106,6 @@ from repro.core.messages import (
     HandoffReady,
     HandoffTransfer,
     HandoffWelcome,
-    LeaseGrant,
-    LeaseHeartbeat,
-    LeaseRequest,
-    LeaseVote,
     LoadReport,
     PartitionCommit,
     PartitionUpdate,
@@ -112,9 +115,8 @@ from repro.core.messages import (
     SpanForward,
     SpanResult,
     SpanSplice,
-    wire_size,
 )
-from repro.core.server_incomplete import IncompleteWorldServer
+from repro.core.server_incomplete import COUNTED_MESSAGES, IncompleteWorldServer
 from repro.errors import ConfigurationError, ProtocolError
 from repro.net.host import Host
 from repro.state.checkpoint import ShardRecoveryLog
@@ -305,10 +307,11 @@ class ShardServer(IncompleteWorldServer):
 
     Extends the base server with span classification and two-phase
     forwarding (owner side), gsn splicing and value-entry distribution
-    (every involved side), result/abort relays, and the client-handoff
-    state machine.  With ``shards=1`` every override reduces to the
-    base behaviour — no extra messages, no extra scheduled events — so
-    a one-shard deployment is byte-identical to the classic server.
+    (every involved side), result/abort relays, the client-handoff
+    state machine and the elastic epoch machine; hosts the gsn lease.
+    With ``shards=1`` every override reduces to the base behaviour — no
+    extra messages, no extra scheduled events — so a one-shard
+    deployment is byte-identical to the classic server.
     """
 
     def __init__(
@@ -333,31 +336,31 @@ class ShardServer(IncompleteWorldServer):
         #: plan schedules shard crashes (zero overhead otherwise).
         self.recovery = recovery
         self.control = control
-        #: This shard's view of the gsn lease (term 0: shard 0 holds it).
-        #: The holder is the sequencer — it assigns every gsn — and hosts
-        #: the elastic controller.
-        self.lease = LeaseState(shard_index, self.partition.shards)
         #: Shards the harness's crash oracle reported down (and not yet
         #: restarted) — the perfect failure detector of the simulation.
+        #: Never rebound: the lease holds a reference.
         self._dead_shards: set = set()
+        #: This shard's end of the gsn lease (term 0: shard 0 holds it).
+        #: The holder is the sequencer — it assigns every gsn — and hosts
+        #: the elastic controller.
+        self.lease = GsnLease(
+            shard_index,
+            self.partition.shards,
+            control,
+            send_peer=self._send_peer,
+            broadcast=self._broadcast,
+            now=lambda: self.sim.now,
+            dead=self._dead_shards,
+            on_moved=self._sequencer_moved,
+        )
         #: Owner-side span forwards awaiting their splice, re-forwarded
         #: when the sequencer dies (lease failover or restart hello).
         self._unspliced: Dict[ActionId, SpanForward] = {}
-        #: Highest gsn this shard has observed (vote payload).
-        self._gsn_high = -1
         #: Action ids this sequencer already assigned a gsn (dedup for
         #: failover re-forwards that race an in-flight splice).
         self._sequenced_ids: set = set()
-        #: Set by the engine when this host crashes; a crashed server is
-        #: excluded from quiescence and never touched again.
-        self._crashed = False
         # -- elastic rebalancer state (dormant when elastic is None) ----
         self.elastic = elastic
-        #: Elastic control messages sent/received over the backbone;
-        #: the quiescence checks require the global sums to match so a
-        #: windowed coordinator never discards an in-flight update.
-        self.elastic_sent = 0
-        self.elastic_received = 0
         #: Open epochs: partition versions applied here but not yet
         #: committed by the controller (fence not passed everywhere).
         self._epochs: List[dict] = []
@@ -373,7 +376,9 @@ class ShardServer(IncompleteWorldServer):
         #: -1, 1 if a local write followed it).  Region syncs carry the
         #: stamp; receivers apply strictly-newer entries only.
         self._sync_stamps: Dict[object, Tuple[int, int]] = {}
-        self._load_round = 0
+        #: Load-report rounds ticked so far; a restarted shard joins at
+        #: the survivors' round (:meth:`resume`).
+        self.load_round = 0
         self._last_cpu_ms = 0.0
         self._last_serialized = 0
         self._min_stripe = 0.0
@@ -390,8 +395,6 @@ class ShardServer(IncompleteWorldServer):
         self._drain_done: set = set()
         #: Committed rebalances: {version, at_ms, imbalance, boundaries}.
         self.rebalance_log: List[dict] = []
-        #: gsn assignment counter (sequencer shard only).
-        self._next_gsn = 0
         #: Per-client count of span forwards not yet spliced back.
         self._outstanding_spans: Dict[ClientId, int] = {}
         #: Per-client submissions parked behind an outstanding span
@@ -413,52 +416,61 @@ class ShardServer(IncompleteWorldServer):
         #: (splice time; kept for the cross-shard consistency audit).
         self.span_gsns: Dict[ActionId, int] = {}
         super().__init__(*args, **kwargs)
+        self._handlers.update(self.lease.handlers)
 
     # ------------------------------------------------------------------
-    # Message routing
+    # The peer seam (docs/sharding.md): the dispatch table, and the
+    # three ways a message leaves for another shard
     # ------------------------------------------------------------------
-    def _on_message(self, src: ClientId, payload: object) -> None:
-        if isinstance(payload, SpanForward):
-            self._on_span_forward(payload)
-        elif isinstance(payload, SpanSplice):
-            self._on_span_splice(payload)
-        elif isinstance(payload, SpanResult):
-            self._on_span_result(src, payload)
-        elif isinstance(payload, SpanAbort):
-            self._on_span_abort(payload)
-        elif isinstance(payload, HandoffTransfer):
-            self._on_handoff_transfer(payload)
-        elif isinstance(payload, HandoffReady):
-            self._on_handoff_ready(payload)
-        elif isinstance(payload, LoadReport):
-            self.elastic_received += 1
-            self._on_load_report(payload)
-        elif isinstance(payload, PartitionUpdate):
-            self.elastic_received += 1
-            self._on_partition_update(payload)
-        elif isinstance(payload, DrainDone):
-            self.elastic_received += 1
-            self._on_drain_done(payload)
-        elif isinstance(payload, PartitionCommit):
-            self.elastic_received += 1
-            self._on_partition_commit(payload)
-        elif isinstance(payload, RegionSync):
-            self.elastic_received += 1
-            self._on_region_sync(payload)
-        elif isinstance(payload, LeaseHeartbeat):
-            self._on_lease_heartbeat(payload)
-        elif isinstance(payload, LeaseRequest):
-            self._on_lease_request(payload)
-        elif isinstance(payload, LeaseVote):
-            self._on_lease_vote(payload)
-        elif isinstance(payload, LeaseGrant):
-            self._on_lease_grant(payload)
-        elif isinstance(payload, ShardHello):
-            self._on_shard_hello(payload)
-        elif isinstance(payload, ClientHello):
-            self._on_client_hello(src, payload)
+    #: The base server's three plus this class's thirteen; the four
+    #: lease messages are the lease's own (``GsnLease.HANDLERS``, merged
+    #: in per instance).
+    HANDLERS = {
+        **IncompleteWorldServer.HANDLERS,
+        SpanForward: "_on_span_forward",
+        SpanSplice: "_on_span_splice",
+        SpanResult: "_on_span_result",
+        SpanAbort: "_on_span_abort",
+        HandoffTransfer: "_on_handoff_transfer",
+        HandoffReady: "_on_handoff_ready",
+        LoadReport: "_on_load_report",
+        PartitionUpdate: "_on_partition_update",
+        DrainDone: "_on_drain_done",
+        PartitionCommit: "_on_partition_commit",
+        RegionSync: "_on_region_sync",
+        ShardHello: "_on_shard_hello",
+        ClientHello: "_on_client_hello",
+    }
+
+    def _send_peer(self, shard: int, message: object) -> None:
+        """Send ``message`` to shard ``shard`` over the backbone.  A
+        conservation-group message is counted here — and never sent to
+        a shard known dead, where nothing could count it back in."""
+        if type(message) in COUNTED_MESSAGES:
+            if shard in self._dead_shards:
+                return
+            self.elastic_sent += 1
+        self.send(shard_host_id(shard), message)
+
+    def _live_peers(self) -> List[int]:
+        return [
+            shard
+            for shard in range(self.partition.shards)
+            if shard != self.shard_index and shard not in self._dead_shards
+        ]
+
+    def _broadcast(self, message: object) -> None:
+        """Send ``message`` to every live peer."""
+        for shard in self._live_peers():
+            self._send_peer(shard, message)
+
+    def _to_holder(self, message: object) -> None:
+        """Hand ``message`` to the lease holder — the sequencer and
+        elastic controller: a local call when that is this shard."""
+        if self.lease.is_holder:
+            self._handlers[type(message)](self.server_id, message)
         else:
-            super()._on_message(src, payload)
+            self._send_peer(self.lease.holder, message)
 
     # ------------------------------------------------------------------
     # Admission: classification, hold-back, forwarding (owner side)
@@ -523,16 +535,10 @@ class ShardServer(IncompleteWorldServer):
         # Tracked until the splice returns; re-forwarded if the
         # sequencer dies first (lease failover or restart hello).
         self._unspliced[action.action_id] = message
-        target = self.lease.holder
-        if target == self.shard_index:
-            self._sequence_span(message)
-        else:
-            # A dead sequencer drops the send at dispatch; the forward
-            # stays in _unspliced and is re-sent once a successor is
-            # granted the lease (or the restarted sequencer hellos).
-            self.network.send(
-                self.server_id, shard_host_id(target), message, wire_size(message)
-            )
+        # A dead sequencer drops the send at dispatch; the forward
+        # stays in _unspliced and is re-sent once a successor is
+        # granted the lease (or the restarted sequencer hellos).
+        self._to_holder(message)
 
     def _drain_held(self, client_id: ClientId) -> None:
         """Admit parked submissions in order; stop (still holding the
@@ -555,7 +561,7 @@ class ShardServer(IncompleteWorldServer):
     # ------------------------------------------------------------------
     # Sequencing and splicing
     # ------------------------------------------------------------------
-    def _on_span_forward(self, message: SpanForward) -> None:
+    def _on_span_forward(self, src: ClientId, message: SpanForward) -> None:
         if not self.lease.is_holder:
             if self.control.fails_over:
                 # Stale routing during a lease failover: the owner
@@ -594,24 +600,20 @@ class ShardServer(IncompleteWorldServer):
                 message = SpanForward(
                     message.owner, tuple(sorted(touched)), message.action
                 )
-        gsn = self._next_gsn
-        self._next_gsn += 1
+        gsn = self.lease.assign_gsn()
         self.shard_stats.spans_sequenced += 1
-        if gsn > self._gsn_high:
-            self._gsn_high = gsn
         if self.recovery is not None:
             self.recovery.note_gsn(gsn)
         self.host.execute(self.costs.timestamp_ms, lambda: None)
         splice = SpanSplice(gsn, message.owner, message.involved, message.action)
+        live = self._live_peers()
         for shard in message.involved:
             if shard == self.shard_index:
-                self._on_span_splice(splice)
-            elif shard not in self._dead_shards:
-                self.network.send(
-                    self.server_id, shard_host_id(shard), splice, wire_size(splice)
-                )
+                self._on_span_splice(self.server_id, splice)
+            elif shard in live:
+                self._send_peer(shard, splice)
 
-    def _on_span_splice(self, splice: SpanSplice) -> None:
+    def _on_span_splice(self, src: ClientId, splice: SpanSplice) -> None:
         """Splice a sequenced spanning action into the local stream at
         the next position, pre-validated (the sequencer's gsn order
         admits it; Information Bound geometry does not apply)."""
@@ -643,8 +645,7 @@ class ShardServer(IncompleteWorldServer):
             self._validated_upto = entry.pos
         self._span_entries[action.action_id] = entry.pos
         self.span_gsns[action.action_id] = splice.gsn
-        if splice.gsn > self._gsn_high:
-            self._gsn_high = splice.gsn
+        self.lease.observe_gsn(splice.gsn)
         self._note_stream_high()
         self.host.execute(self.costs.timestamp_ms, lambda: None)
         if self._obs is not None:
@@ -662,129 +663,13 @@ class ShardServer(IncompleteWorldServer):
                 self._drain_held(originator)
 
     # ------------------------------------------------------------------
-    # gsn lease election and failover (docs/control_plane.md); driven
-    # by the two timers start() arms only for a lease that can move
+    # The sequencer moved or came back (docs/control_plane.md)
     # ------------------------------------------------------------------
-    def _lease_beat(self) -> None:
-        """Holder side: broadcast the lease heartbeat."""
-        if self._crashed or not self.lease.is_holder:
-            return
-        beat = LeaseHeartbeat(self.lease.term, self.shard_index)
-        for shard in range(self.partition.shards):
-            if shard != self.shard_index and shard not in self._dead_shards:
-                self.network.send(
-                    self.server_id, shard_host_id(shard), beat, wire_size(beat)
-                )
-
-    def _lease_check(self) -> None:
-        """Non-holder side: suspect a silent (or known-dead) holder and
-        campaign if this shard is the term's deterministic candidate."""
-        if self._crashed or self.lease.is_holder:
-            return
-        lease = self.lease
-        holder_dead = lease.holder in self._dead_shards
-        if not holder_dead and not lease.suspicious(
-            self.sim.now, self.control.lease_timeout_ms
-        ):
-            return
-        term = lease.term + 1
-        candidate = lease_candidate(term, self.partition.shards, self._dead_shards)
-        if candidate != self.shard_index:
-            return  # the candidate campaigns; we answer its LeaseRequest
-        if lease.campaign_term == term:
-            return  # round already under way, awaiting votes
-        lease.start_campaign(term, self.sim.now)
-        lease.record_vote(term, self.shard_index, self._gsn_high)
-        request = LeaseRequest(term, self.shard_index)
-        for shard in range(self.partition.shards):
-            if shard != self.shard_index and shard not in self._dead_shards:
-                self.network.send(
-                    self.server_id, shard_host_id(shard), request,
-                    wire_size(request),
-                )
-        self._maybe_win()
-
-    def _on_lease_request(self, request: LeaseRequest) -> None:
-        """Voter side: at most one vote per term, carrying our gsn
-        high-water so the winner's floor clears everything we saw."""
-        if self._crashed:
-            return
-        lease = self.lease
-        if request.term <= lease.term or request.term <= lease.voted_term:
-            return  # stale round
-        lease.voted_term = request.term
-        vote = LeaseVote(request.term, self.shard_index, self._gsn_high)
-        self.network.send(
-            self.server_id, shard_host_id(request.candidate), vote, wire_size(vote)
-        )
-
-    def _on_lease_vote(self, vote: LeaseVote) -> None:
-        if self._crashed:
-            return
-        self.lease.record_vote(vote.term, vote.voter, vote.max_gsn)
-        self._maybe_win()
-
-    def _maybe_win(self) -> None:
-        """Candidate side: the round completes when every live shard
-        has voted (the crash oracle is a perfect failure detector, so
-        'live' is exact; at K=2 the lone survivor self-grants)."""
-        lease = self.lease
-        if lease.campaign_term is None:
-            return
-        live = set(range(self.partition.shards)) - self._dead_shards
-        if not lease.quorum_reached(live):
-            return
-        grant = LeaseGrant(
-            lease.campaign_term, self.shard_index, lease.gsn_floor(self._gsn_high)
-        )
-        for shard in range(self.partition.shards):
-            if shard != self.shard_index and shard not in self._dead_shards:
-                self.network.send(
-                    self.server_id, shard_host_id(shard), grant, wire_size(grant)
-                )
-        self._on_lease_grant(grant)
-
-    def _on_lease_heartbeat(self, beat: LeaseHeartbeat) -> None:
-        if self._crashed:
-            return
-        old_holder = self.lease.holder
-        self.lease.heard_from(beat.holder, beat.term, self.sim.now)
-        if self.lease.holder != old_holder:
-            # Catch-up heartbeat after a restart: the lease moved while
-            # we were down.
-            self._lease_moved()
-
-    def _on_lease_grant(self, grant: LeaseGrant) -> None:
-        if self._crashed:
-            return
-        lease = self.lease
-        if grant.term < lease.term:
-            return
-        old_holder = lease.holder
-        suspected = lease.suspected_at_ms
-        lease.heard_from(grant.holder, grant.term, self.sim.now)
-        lease.campaign_term = None
-        if grant.holder == self.shard_index:
-            if grant.gsn_floor > self._next_gsn:
-                self._next_gsn = grant.gsn_floor
-            since = suspected if suspected is not None else self.sim.now
-            lease.log.append(
-                FailoverEvent(
-                    grant.term, grant.holder, self.sim.now, self.sim.now - since
-                )
-            )
-        if old_holder != grant.holder:
-            self._lease_moved()
-
-    def _lease_moved(self) -> None:
-        """The gsn lease changed hands: re-forward spans the dead
-        holder never spliced, and re-drive the elastic drain barrier
-        at the new controller (the old one's collected DrainDones died
-        with it)."""
-        self._reforward_unspliced()
-        if self.elastic is None:
-            return
-        if self.lease.is_holder:
+    def _sequencer_moved(self) -> None:
+        """The gsn lease changed hands (the lease's ``on_moved``): adopt
+        the controller role if it came here, then re-drive whatever the
+        old holder died holding."""
+        if self.elastic is not None and self.lease.is_holder:
             # Adopt the controller role mid-drain: the pending version
             # is whatever epoch is still open locally (updates are
             # broadcast all-or-nothing, so every survivor agrees).
@@ -792,25 +677,17 @@ class ShardServer(IncompleteWorldServer):
                 (epoch["version"] for epoch in self._epochs), default=None
             )
             self._drain_done = set()
+        self._redrive_holder()
+
+    def _redrive_holder(self) -> None:
+        """Re-send what the previous holder (or the holder's previous
+        incarnation) never answered: span forwards whose splice never
+        came back, and the DrainDones it had collected."""
+        for message in list(self._unspliced.values()):
+            self._to_holder(message)
         for epoch in self._epochs:
             epoch["drained"] = False
         self._maybe_drain_done()
-
-    def _reforward_unspliced(self) -> None:
-        """Owner side: re-send span forwards whose splice never came
-        back (the sequencer died holding them)."""
-        if not self._unspliced:
-            return
-        target = self.lease.holder
-        if target == self.shard_index:
-            for message in list(self._unspliced.values()):
-                self._sequence_span(message)
-        else:
-            for message in self._unspliced.values():
-                self.network.send(
-                    self.server_id, shard_host_id(target), message,
-                    wire_size(message),
-                )
 
     # ------------------------------------------------------------------
     # Crash fault tolerance: shard death and restart
@@ -823,8 +700,6 @@ class ShardServer(IncompleteWorldServer):
         (the takeover-abort; local holders of the value entry never
         saw the action's code, so aborting is always safe) — and the
         elastic drain barrier shrinks to the survivor quorum."""
-        if self._crashed or shard == self.shard_index:
-            return
         self._dead_shards.add(shard)
         aborted = False
         for entry in self._entries:
@@ -845,39 +720,33 @@ class ShardServer(IncompleteWorldServer):
         if self.elastic is not None and self.lease.is_holder:
             self._check_drain_commit()
 
+    def resume(self, dead_shards, load_round: int) -> None:
+        """Continue the crashed incarnation this server replaces, from
+        its recovery log and what the survivors know: never reuse a
+        stream position or gsn it may have issued, know who else is
+        down, and join the survivors' load round."""
+        recovery = self.recovery
+        self._next_pos = self._base_pos = recovery.next_pos
+        self._validated_upto = recovery.next_pos - 1
+        self.lease.resume(recovery.next_gsn, recovery.max_gsn)
+        self._dead_shards.update(dead_shards)
+        self.load_round = load_round
+
     def announce_restart(self) -> None:
         """Broadcast the restart hello to every live peer."""
-        hello = ShardHello(self.shard_index)
-        for shard in range(self.partition.shards):
-            if shard != self.shard_index and shard not in self._dead_shards:
-                self.network.send(
-                    self.server_id, shard_host_id(shard), hello, wire_size(hello)
-                )
+        self._broadcast(ShardHello(self.shard_index))
 
-    def _on_shard_hello(self, hello: ShardHello) -> None:
+    def _on_shard_hello(self, src: ClientId, hello: ShardHello) -> None:
         """A crashed shard restarted (recovered from checkpoint+WAL):
         clear it from the dead set and replay whatever state it needs
         to rejoin the protocol."""
-        if self._crashed:
-            return
         self._dead_shards.discard(hello.shard)
         if hello.shard == self.lease.holder:
             # The sequencer came back still holding the lease (a pinned
-            # lease outlives its holder's crash): re-forward spans it
-            # never spliced and re-send the DrainDones its dead
-            # incarnation collected.
-            self._reforward_unspliced()
-            if self.elastic is not None:
-                for epoch in self._epochs:
-                    epoch["drained"] = False
-                self._maybe_drain_done()
-        if self.lease.is_holder and self.shard_index != hello.shard:
-            if self.control.fails_over:
-                beat = LeaseHeartbeat(self.lease.term, self.shard_index)
-                self.network.send(
-                    self.server_id, shard_host_id(hello.shard), beat,
-                    wire_size(beat),
-                )
+            # lease outlives its holder's crash).
+            self._redrive_holder()
+        if self.lease.is_holder:
+            self.lease.catch_up(hello.shard)
             if self.elastic is not None and self.partition.version > 0:
                 # Partition catch-up: an update/commit pair brings the
                 # restarted shard (whose copy restarted at version 0)
@@ -885,8 +754,8 @@ class ShardServer(IncompleteWorldServer):
                 update = PartitionUpdate(
                     self.partition.version, tuple(self.partition.boundaries)
                 )
-                self._send_elastic(hello.shard, update)
-                self._send_elastic(hello.shard, PartitionCommit(update.version))
+                self._send_peer(hello.shard, update)
+                self._send_peer(hello.shard, PartitionCommit(update.version))
 
     def _on_client_hello(self, src: ClientId, hello: ClientHello) -> None:
         """A reconnecting client asked to attach here (the K > 1
@@ -898,10 +767,7 @@ class ShardServer(IncompleteWorldServer):
                 radius=hello.radius,
                 interests=hello.interests,
             )
-        welcome = HandoffWelcome(self.shard_index, ())
-        self.network.send(
-            self.server_id, hello.client_id, welcome, wire_size(welcome)
-        )
+        self.send(hello.client_id, HandoffWelcome(self.shard_index, ()))
 
     # ------------------------------------------------------------------
     # Result distribution
@@ -926,18 +792,17 @@ class ShardServer(IncompleteWorldServer):
             ):
                 entry.span_result = message.result
                 self.shard_stats.span_results_relayed += 1
-                for shard in entry.span_involved:
-                    if shard != self.shard_index:
-                        relay = SpanResult(
-                            entry.gsn, entry.action.action_id, message.result
-                        )
-                        self.network.send(
-                            self.server_id,
-                            shard_host_id(shard),
-                            relay,
-                            wire_size(relay),
-                        )
+                self._tell_involved(
+                    entry,
+                    SpanResult(entry.gsn, entry.action.action_id, message.result),
+                )
         super()._record_completion(src, message)
+
+    def _tell_involved(self, entry: QueueEntry, message: object) -> None:
+        """Owner side: send a span's fate to the other involved shards."""
+        for shard in entry.span_involved:
+            if shard != self.shard_index:
+                self._send_peer(shard, message)
 
     def _on_span_result(self, src: ClientId, message: SpanResult) -> None:
         """Peer side: record the committed result of a spliced spanning
@@ -954,7 +819,7 @@ class ShardServer(IncompleteWorldServer):
         self.shard_stats.span_results_received += 1
         self._advance_frontier()
 
-    def _on_span_abort(self, message: SpanAbort) -> None:
+    def _on_span_abort(self, src: ClientId, message: SpanAbort) -> None:
         """Peer side: the owner aborted a spanning action; drop our
         spliced entry so the frontier can pass it."""
         pos = self._span_entries.get(message.action_id)
@@ -983,32 +848,13 @@ class ShardServer(IncompleteWorldServer):
     # ------------------------------------------------------------------
     # Orphan aborts (owner decides for spanning actions)
     # ------------------------------------------------------------------
-    def _abort_orphans(self) -> None:
-        aborted = False
-        for entry in self._entries:
-            if entry.completion is not None or entry.valid is not True:
-                continue
-            if entry.span and not entry.span_owner:
-                continue  # only the owner may abort a spanning action
-            holders = set(entry.sent) | {entry.action.client_id}
-            if any(holder in self.clients for holder in holders):
-                continue
-            entry.valid = False
-            self.stats.orphans_aborted += 1
-            self.stats.actions_dropped += 1
-            aborted = True
-            if entry.span:
-                for shard in entry.span_involved:
-                    if shard != self.shard_index:
-                        notice = SpanAbort(entry.gsn, entry.action.action_id)
-                        self.network.send(
-                            self.server_id,
-                            shard_host_id(shard),
-                            notice,
-                            wire_size(notice),
-                        )
-        if aborted:
-            self._advance_frontier()
+    def _abort_orphan(self, entry: QueueEntry) -> bool:
+        if entry.span and not entry.span_owner:
+            return False  # only the owner may abort a spanning action
+        super()._abort_orphan(entry)
+        if entry.span:
+            self._tell_involved(entry, SpanAbort(entry.gsn, entry.action.action_id))
+        return True
 
     # ------------------------------------------------------------------
     # Submission / resolution tracking (the handoff barrier)
@@ -1091,10 +937,9 @@ class ShardServer(IncompleteWorldServer):
             self._obs.on_shard_handoff(
                 self.sim.now, client_id, self.shard_index, target, "prepare"
             )
-        prepare = HandoffPrepare(target)
-        self.network.send(self.server_id, client_id, prepare, wire_size(prepare))
+        self.send(client_id, HandoffPrepare(target))
 
-    def _on_handoff_ready(self, message: HandoffReady) -> None:
+    def _on_handoff_ready(self, src: ClientId, message: HandoffReady) -> None:
         state = self._handoffs.get(message.client_id)
         if state is None:
             return  # client evicted or handoff cancelled meanwhile
@@ -1120,15 +965,10 @@ class ShardServer(IncompleteWorldServer):
             # The gaining shard died while the handoff drained: keep
             # the client — re-welcome it onto our own stream (same-src
             # welcomes do not switch streams client-side).
-            del self._handoffs[client_id]
-            welcome = HandoffWelcome(self.shard_index, ())
-            self.network.send(
-                self.server_id, client_id, welcome, wire_size(welcome)
-            )
+            self._end_handoff(client_id)
+            self.send(client_id, HandoffWelcome(self.shard_index, ()))
             return
-        if self.elastic is not None and any(
-            not epoch["synced"] for epoch in self._epochs
-        ):
+        if any(not epoch["synced"] for epoch in self._epochs):
             # A rebalance fence is still draining: park the transfer so
             # the region syncs reach the gaining shards first (FIFO
             # backbone ⇒ the adopter's store is fresh before adoption).
@@ -1138,17 +978,28 @@ class ShardServer(IncompleteWorldServer):
         record = self.clients[client_id]
         resolved = tuple(self._resolved_log.get(client_id, ()))
         transfer = HandoffTransfer(client_id, record.radius, record.interests, resolved)
-        del self._handoffs[client_id]
         self.detach_client(client_id)
         if self._obs is not None:
             self._obs.on_shard_handoff(
                 self.sim.now, client_id, self.shard_index, target, "transfer"
             )
-        self.network.send(
-            self.server_id, shard_host_id(target), transfer, wire_size(transfer)
-        )
+        self._send_peer(target, transfer)
 
-    def _on_handoff_transfer(self, message: HandoffTransfer) -> None:
+    def _end_handoff(self, client_id: ClientId) -> None:
+        """The one place a handoff ends — its transfer left, its client
+        was detached, or its gaining shard died: forget it, and let the
+        epochs that were waiting on it as a bulk handoff re-check their
+        drain (a gone client must not wedge the barrier)."""
+        self._handoffs.pop(client_id, None)
+        if client_id in self._parked_transfers:
+            self._parked_transfers.remove(client_id)
+        waiting = [epoch for epoch in self._epochs if client_id in epoch["bulk"]]
+        for epoch in waiting:
+            epoch["bulk"].discard(client_id)
+        if waiting:
+            self._maybe_drain_done()
+
+    def _on_handoff_transfer(self, src: ClientId, message: HandoffTransfer) -> None:
         """Adopt a migrating client and welcome it onto our stream."""
         self.attach_client(
             message.client_id,
@@ -1175,10 +1026,7 @@ class ShardServer(IncompleteWorldServer):
                 self.sim.now, message.client_id, self.shard_index, self.shard_index,
                 "adopt",
             )
-        welcome = HandoffWelcome(self.shard_index, message.resolved)
-        self.network.send(
-            self.server_id, message.client_id, welcome, wire_size(welcome)
-        )
+        self.send(message.client_id, HandoffWelcome(self.shard_index, message.resolved))
         if self.elastic is not None and self.partition.shards > 1:
             # Chained migration: a rebalance may have re-homed this
             # client while its transfer was in flight, making us a
@@ -1199,19 +1047,7 @@ class ShardServer(IncompleteWorldServer):
         self._outstanding_spans.pop(client_id, None)
         self._unresolved.pop(client_id, None)
         self._resolved_log.pop(client_id, None)
-        self._handoffs.pop(client_id, None)
-        if self.elastic is not None:
-            # A detach for any other reason (eviction, quarantine) must
-            # not wedge an epoch's drain barrier on a gone client.
-            if client_id in self._parked_transfers:
-                self._parked_transfers.remove(client_id)
-            changed = False
-            for epoch in self._epochs:
-                if client_id in epoch["bulk"]:
-                    epoch["bulk"].discard(client_id)
-                    changed = True
-            if changed:
-                self._maybe_drain_done()
+        self._end_handoff(client_id)
 
     # ------------------------------------------------------------------
     # Elastic rebalancing (docs/elasticity.md).  Dormant unless the
@@ -1226,54 +1062,29 @@ class ShardServer(IncompleteWorldServer):
                     self.elastic.interval_ms, self._elastic_tick, stop_at=stop_at
                 )
             )
-        if self.control.fails_over and self.partition.shards > 1:
-            # Seed the beat clock so a server (re)started now does not
-            # instantly suspect; a restarted one learns the current
-            # term/holder from the sequencer's catch-up heartbeat.
-            self.lease.last_beat_ms = self.sim.now
+        for period_ms, tick in self.lease.start():
             self._stoppers.append(
-                self.sim.call_every(
-                    self.control.heartbeat_interval_ms,
-                    self._lease_beat,
-                    stop_at=stop_at,
-                )
+                self.sim.call_every(period_ms, tick, stop_at=stop_at)
             )
-            self._stoppers.append(
-                self.sim.call_every(
-                    self.control.check_interval_ms,
-                    self._lease_check,
-                    stop_at=stop_at,
-                )
-            )
-
-    def _send_elastic(self, shard: int, message: object) -> None:
-        self.elastic_sent += 1
-        self.network.send(
-            self.server_id, shard_host_id(shard), message, wire_size(message)
-        )
 
     def _elastic_tick(self) -> None:
         """Report the load accumulated since the previous tick to the
-        controller (the sequencer, shard 0)."""
+        controller (the lease holder)."""
         cpu = self.host.cpu_time_used
         serialized = self.stats.actions_serialized
         report = LoadReport(
             self.shard_index,
-            self._load_round,
+            self.load_round,
             cpu - self._last_cpu_ms,
             serialized - self._last_serialized,
             len(self.clients),
         )
-        self._load_round += 1
+        self.load_round += 1
         self._last_cpu_ms = cpu
         self._last_serialized = serialized
-        target = self.lease.holder
-        if target == self.shard_index:
-            self._on_load_report(report)
-        elif target not in self._dead_shards:
-            self._send_elastic(target, report)
+        self._to_holder(report)
 
-    def _on_load_report(self, report: LoadReport) -> None:
+    def _on_load_report(self, src: ClientId, report: LoadReport) -> None:
         """Controller: collect one round of per-shard samples; track
         the imbalance streak; fire a rebalance past the hysteresis."""
         bucket = self._load_reports.setdefault(report.round, {})
@@ -1325,12 +1136,10 @@ class ShardServer(IncompleteWorldServer):
             }
         )
         update = PartitionUpdate(version, tuple(cuts))
-        for shard in range(self.partition.shards):
-            if shard != self.shard_index and shard not in self._dead_shards:
-                self._send_elastic(shard, update)
-        self._on_partition_update(update)
+        self._broadcast(update)
+        self._on_partition_update(self.server_id, update)
 
-    def _on_partition_update(self, update: PartitionUpdate) -> None:
+    def _on_partition_update(self, src: ClientId, update: PartitionUpdate) -> None:
         """Every shard: flip the partition copy, open an epoch with a
         fence at the current queue position, and begin bulk handoffs
         for every client this shard no longer owns."""
@@ -1392,9 +1201,7 @@ class ShardServer(IncompleteWorldServer):
     def _send_region_syncs(self, epoch: dict) -> None:
         """Losing side: ship the committed values of every written
         object in each transferred interval to its gaining shard."""
-        for shard in range(self.partition.shards):
-            if shard == self.shard_index:
-                continue
+        for shard in self._live_peers():
             new_lo, new_hi = self.partition.bounds(shard)
             lo = max(epoch["old_lo"], new_lo)
             hi = min(epoch["old_hi"], new_hi)
@@ -1418,9 +1225,9 @@ class ShardServer(IncompleteWorldServer):
                 continue
             sync = RegionSync(epoch["version"], lo, hi, tuple(entries))
             self.shard_stats.syncs_sent += 1
-            self._send_elastic(shard, sync)
+            self._send_peer(shard, sync)
 
-    def _on_region_sync(self, sync: RegionSync) -> None:
+    def _on_region_sync(self, src: ClientId, sync: RegionSync) -> None:
         """Gaining side: adopt strictly-newer values.  A span this
         shard committed after the loser stamped the sync loses the
         stamp comparison, so a racing sync never regresses the store."""
@@ -1441,14 +1248,9 @@ class ShardServer(IncompleteWorldServer):
         for epoch in list(self._epochs):
             if epoch["synced"] and not epoch["drained"] and not epoch["bulk"]:
                 epoch["drained"] = True
-                done = DrainDone(self.shard_index, epoch["version"])
-                target = self.lease.holder
-                if target == self.shard_index:
-                    self._on_drain_done(done)
-                elif target not in self._dead_shards:
-                    self._send_elastic(target, done)
+                self._to_holder(DrainDone(self.shard_index, epoch["version"]))
 
-    def _on_drain_done(self, done: DrainDone) -> None:
+    def _on_drain_done(self, src: ClientId, done: DrainDone) -> None:
         """Controller: after every live shard drained, commit the
         version so every shard retires the superseded boundaries."""
         if self._pending_version is None and self.lease.is_holder:
@@ -1477,16 +1279,26 @@ class ShardServer(IncompleteWorldServer):
         self._drain_done = set()
         self.shard_stats.rebalances += 1
         commit = PartitionCommit(version)
-        for shard in range(self.partition.shards):
-            if shard != self.shard_index and shard not in self._dead_shards:
-                self._send_elastic(shard, commit)
-        self._on_partition_commit(commit)
+        self._broadcast(commit)
+        self._on_partition_commit(self.server_id, commit)
 
-    def _on_partition_commit(self, commit: PartitionCommit) -> None:
+    def _on_partition_commit(self, src: ClientId, commit: PartitionCommit) -> None:
         self._epochs = [
             epoch for epoch in self._epochs if epoch["version"] != commit.version
         ]
         self._rebuild_legacy_boundaries()
+
+    def quiescent(self) -> bool:
+        """Nothing left to drain here: no handoff under way, no action
+        uncommitted, no rebalance epoch open and — on the lease holder,
+        which is the controller — no partition version awaiting its
+        drain quorum."""
+        return not (
+            self._handoffs
+            or self._entries
+            or self._epochs
+            or (self.lease.is_holder and self._pending_version is not None)
+        )
 
     @property
     def stripe(self) -> Tuple[float, float]:
@@ -1746,16 +1558,23 @@ class ShardedSeveEngine(SeveEngine):
     # Crash oracle: shard death, restart, client rejoin
     # (docs/control_plane.md).  Every partition replica applies every
     # window at the same virtual instant: the effects its slice owns
-    # for real, the rest only as far as keeps the ``_crashed`` flags and
+    # for real, the rest only as far as keeps ``crashed_shards`` and
     # the network's incarnation counters in lockstep.  Failover, span
     # takeover and the eviction of another partition's casualties travel
     # as ordinary protocol messages.
     # ------------------------------------------------------------------
+    def _live_shards(self) -> List[int]:
+        return [
+            shard
+            for shard in range(self.sharding.shards)
+            if shard not in self.crashed_shards
+        ]
+
     def _live_owned_servers(self) -> List[ShardServer]:
         return [
             self.shard_servers[shard]
             for shard in self.owned_shards
-            if not self.shard_servers[shard]._crashed
+            if shard not in self.crashed_shards
         ]
 
     def crash_shard(self, shard: int) -> List[ClientId]:
@@ -1765,11 +1584,10 @@ class ShardedSeveEngine(SeveEngine):
         migrating toward it — which die with it."""
         if shard in self.crashed_shards:
             raise ProtocolError(f"shard {shard} is already crashed")
-        if all(s._crashed or s.shard_index == shard for s in self.shard_servers):
+        if len(self.crashed_shards) + 1 == self.sharding.shards:
             raise ProtocolError("cannot crash the last live shard")
-        server = self.shard_servers[shard]
-        server._crashed = True
-        server.stop()
+        if shard in self.owned_shards:
+            self.shard_servers[shard].crash()
         self.crashed_shards.add(shard)
         self.network.crash(shard_host_id(shard))
         survivors = self._live_owned_servers()
@@ -1811,13 +1629,13 @@ class ShardedSeveEngine(SeveEngine):
         """Owned clients rejoining toward the shard that just died hello
         the first live shard instead."""
         host_id = shard_host_id(shard)
-        live = [s for s in self.shard_servers if not s._crashed]
+        live = self._live_shards()
         for client_id in self.owned_clients:
             if client_id in self.dead:
                 continue
             client = self.clients[client_id]
             if client._rejoin_target == host_id and live:
-                client._rejoin_target = shard_host_id(live[0].shard_index)
+                client._rejoin_target = shard_host_id(live[0])
 
     def restart_shard(self, shard: int) -> None:
         """Restart a crashed shard host: recover the committed store
@@ -1830,7 +1648,6 @@ class ShardedSeveEngine(SeveEngine):
             # stand-in is unparked so sends stamp the incarnation the
             # replacement server answers to.
             self.network.reconnect(shard_host_id(shard))
-            self.shard_servers[shard]._crashed = False
             self.crashed_shards.discard(shard)
             return
         config = self.config
@@ -1852,23 +1669,13 @@ class ShardedSeveEngine(SeveEngine):
         server = self._make_shard_server(
             shard, self.server_hosts[shard], state, info_bound, recovery
         )
-        # Continuity seeds: never reuse a stream position or gsn the
-        # dead incarnation may have issued.
-        server._next_pos = recovery.next_pos
-        server._base_pos = recovery.next_pos
-        server._validated_upto = recovery.next_pos - 1
-        server._next_gsn = recovery.next_gsn
-        server._gsn_high = recovery.max_gsn
-        server._dead_shards = set(self.crashed_shards) - {shard}
-        live = [
-            s for s in self.shard_servers
-            if not s._crashed and s.shard_index != shard
-        ]
-        if self._elastic is not None and live:
-            # Round counters are per-tick; joining at the survivors'
-            # round lets load rounds complete again (the harness
-            # oracle, like the crash notice itself).
-            server._load_round = max(s._load_round for s in live)
+        # Round counters are per-tick; joining at the survivors' round
+        # lets load rounds complete again (the harness oracle, like the
+        # crash notice itself).
+        server.resume(
+            self.crashed_shards - {shard},
+            max(self.shard_servers[k].load_round for k in self._live_shards()),
+        )
         self.shard_servers[shard] = server
         self.shard_states[shard] = state
         self.info_bounds[shard] = info_bound
@@ -1894,17 +1701,14 @@ class ShardedSeveEngine(SeveEngine):
         if self.config.liveness is not None:
             self._install_heartbeat(client_id)
         current = self.shard_of_client(client_id)
-        if current is not None and not self.shard_servers[current]._crashed:
+        if current is not None and current not in self.crashed_shards:
             # Reconnected before the liveness sweep: the shard's sent
             # marks are stale (pushes into the crash window died on the
             # wire), so evict first — the rejoin rebuilds from scratch.
             self.shard_servers[current].evict_client(client_id)
         target = self.home_shard(client_id)
-        if self.shard_servers[target]._crashed:
-            target = next(
-                k for k in range(self.sharding.shards)
-                if not self.shard_servers[k]._crashed
-            )
+        if target in self.crashed_shards:
+            target = self._live_shards()[0]
         self.clients[client_id].rejoin(
             shard_host_id(target), radius=self.world.client_radius(client_id)
         )
@@ -1935,19 +1739,7 @@ class ShardedSeveEngine(SeveEngine):
             # A crashed client still attached keeps the run live until
             # the shard's sweep presumes it dead (Section III-C).
             return False
-        if self._elastic is not None:
-            # A rebalance epoch still open on a shard, or a partition
-            # version awaiting drain on the controller.
-            if any(server._epochs for server in servers):
-                return False
-            if any(
-                server.lease.is_holder and server._pending_version is not None
-                for server in servers
-            ):
-                return False
-        return not any(
-            server._handoffs or server.uncommitted_count for server in servers
-        )
+        return all(server.quiescent() for server in servers)
 
     def elastic_balance(self) -> int:
         """Elastic control messages the owned shards sent minus those

@@ -2,13 +2,12 @@
 
 A miniature protocol-definition module in the spec form: every message
 class carries one ``@wire_message`` spec (the analyzer reads only its
-literal ``enveloped`` / ``group`` keywords), ``CONSERVATION_GROUPS``
-declares the counters, and ``PROTOCOL_MESSAGES`` marks the module as
-the definition module.  Seeded: an ``Orphan`` message nothing
-dispatches, and a spec-less ``Rogue`` class the node module handles
-anyway.  tests/test_protocol_analysis.py pins the exact finding
-histogram; expected_graph.json pins the flow graph extracted from this
-pair of files.
+literal ``enveloped`` / ``group`` keywords) and ``PROTOCOL_MESSAGES``
+marks the module as the definition module.  Seeded: an ``Orphan``
+message nothing handles, and a spec-less ``Rogue`` class the node
+module handles anyway.  tests/test_protocol_analysis.py pins the exact
+finding histogram; expected_graph.json pins the flow graph extracted
+from this pair of files.
 
 Never imported at runtime — analyzed purely as source.
 """
@@ -47,11 +46,9 @@ class Inner:
     pass
 
 
-PROTOCOL_MESSAGES = (Ping, Pong, Orphan, DeadEnd, Inner)
-CONSERVATION_GROUPS = {
-    "pings": {
-        "module": "proto_node.py",
-        "sent": "pings_sent",
-        "received": "pings_received",
-    },
-}
+@wire_message(tag=6, header=8, fields=[])
+class Tabled:
+    pass
+
+
+PROTOCOL_MESSAGES = (Ping, Pong, Orphan, DeadEnd, Inner, Tabled)

@@ -20,12 +20,16 @@ from repro.core.sharded import (
     ShardingConfig,
 )
 from repro.errors import ConfigurationError
-from repro.harness.architectures import _reliability_suite, build_world
+from repro.harness.architectures import (
+    _reliability_suite,
+    build_engine,
+    build_world,
+)
 from repro.harness.config import SimulationSettings
 from repro.harness.runner import run_simulation
-from repro.harness.workload import MoveWorkload
+from repro.harness.workload import MoveWorkload, start_run
 from repro.metrics.shard_audit import audit_sharded_run
-from repro.net.faults import FaultPlan
+from repro.net.faults import FaultPlan, parse_crash_plan
 from tests.test_parallel_backend import result_key
 
 
@@ -186,8 +190,7 @@ def _run_engine(settings, *, elastic=None, plan=None):
 
 def _assert_drained(engine):
     """Every elastic epoch retired and every control message consumed."""
-    assert all(not server._epochs for server in engine.shard_servers)
-    assert engine.shard_servers[0]._pending_version is None
+    assert all(server.quiescent() for server in engine.shard_servers)
     sent = sum(server.elastic_sent for server in engine.shard_servers)
     received = sum(server.elastic_received for server in engine.shard_servers)
     assert sent == received
@@ -314,6 +317,39 @@ def test_merge_while_handoff_barrier_drains():
     for client_id, client in engine.clients.items():
         assert not client._migrating
     _assert_drained(engine)
+    audit = audit_sharded_run(engine)
+    assert audit.consistent, audit.summary()
+
+
+@pytest.mark.parametrize("crash_at_ms", [303.0, 340.0, 376.0, 400.0])
+def test_epoch_retires_when_the_gaining_shard_dies_mid_bulk_handoff(crash_at_ms):
+    """The first PartitionUpdate lands at t = 302 ms and makes shard 1
+    bulk-hand clients 0, 3 and 10 to shard 2; they receive their
+    HandoffPrepare ~75 ms later.  Shard 2 dying in between leaves them
+    alive (they are not yet migrating toward it), so each handoff ends in
+    the dead-target re-welcome — which used to forget the epoch's bulk
+    set: shard 1 never reported its drain, the controller sat on pending
+    version 1, and the run idled to its stop deadline (t = 126 800 ms).
+    At 400 ms the clients already acknowledged and die with the shard:
+    that handoff ends through the same place, by way of the eviction."""
+    settings = FLASH.with_(
+        moves_per_client=32,
+        elastic=True,
+        elastic_interval_ms=300.0,
+        elastic_threshold=1.2,
+        elastic_hysteresis=1,
+        fault_plan=FaultPlan(crashes=parse_crash_plan(f"s2@{crash_at_ms:g}")),
+    )
+    engine = build_engine("seve", settings)
+    start_run(engine, MoveWorkload(engine, engine.world, settings), settings)
+    engine.run(until=settings.submit_horizon_ms)
+    engine.run_to_quiescence()
+    assert engine.crashed_shards == {2}
+    assert engine.slice_quiescent()
+    assert engine.sim.now < settings.submit_horizon_ms + 1_000.0
+    survivors = [engine.shard_servers[shard] for shard in (0, 1, 3)]
+    assert all(server.quiescent() for server in survivors)
+    assert len(engine.rebalance_events) >= 1
     audit = audit_sharded_run(engine)
     assert audit.consistent, audit.summary()
 

@@ -7,10 +7,11 @@ rule in the catalogue exactly once, pinned per-rule and per-site;
 (2) the extracted flow graph matches the golden expected_graph.json
 byte for byte, so the JSON format consumed by tooling cannot drift
 silently; (3) the shipped tree is clean — every spec'd message has a
-sender and a handler and every conservation-group message is counted
-on both ends, which is what lets scripts/test.sh fail CI on protocol
-drift (codec coverage is not a rule: encoder, decoder and sizer are
-compiled from the spec, see tests/test_codec.py); (4) the CLI front end wires
+sender and a handler, which is what lets scripts/test.sh fail CI on
+protocol drift (codec coverage and conservation accounting are not
+rules: encoder, decoder and sizer are compiled from the spec, see
+tests/test_codec.py, and a group's messages are counted at the servers'
+one message seam, see tests/test_message_seam.py); (4) the CLI front end wires
 the check up with the documented exit codes and the positional
 ``protocol`` shorthand; (5) the baseline ratchet rejects stale
 suppressions instead of letting the baseline rot.
@@ -51,8 +52,20 @@ def test_corpus_findings_point_at_the_seeded_sites():
     assert "Rogue" in findings["protocol-unregistered"].message
     assert findings["protocol-dead-handler"].path == node_py
     assert "DeadEnd" in findings["protocol-dead-handler"].message
-    assert findings["protocol-unaccounted-send"].path == node_py
-    assert findings["protocol-unaccounted-handler"].path == node_py
+
+
+def test_dispatch_table_keys_are_handler_sites():
+    """``Tabled`` and ``DeadEnd`` are handled only through the node's
+    ``HANDLERS`` table: the first is therefore no orphan, the second's
+    dead-handler finding sits on its table key."""
+    model = analyze_paths([CORPUS], root=REPO)
+    source = (CORPUS / "proto_node.py").read_text().splitlines()
+    for name in ("Tabled", "DeadEnd"):
+        (site,) = model.flows[name].handlers
+        assert f'{name}: "on_' in source[site[1] - 1]
+    (dead,) = [f for f in model.findings if f.rule == "protocol-dead-handler"]
+    assert (dead.path, dead.line) == model.flows["DeadEnd"].handlers[0]
+    assert not any("Tabled" in f.message for f in model.findings)
 
 
 def test_corpus_flow_graph_matches_golden_file():
@@ -87,7 +100,7 @@ def test_shipped_protocol_is_conformant():
     for name in ("SubmitAction", "ActionBatch", "CommitNotice", "LeaseGrant"):
         flow = flows[name]
         assert flow.senders, f"{name} has no constructor site"
-        assert flow.handlers, f"{name} has no dispatch branch"
+        assert flow.handlers, f"{name} has no handler site"
     # The elastic handoff messages are conservation-tracked.
     assert flows["PartitionUpdate"].conservation == "elastic"
     assert flows["DrainDone"].conservation == "elastic"
