@@ -19,6 +19,7 @@ from repro.core.info_bound import InformationBound
 from repro.net.simulator import Simulator
 from repro.world.geometry import Vec2
 from repro.world.walls import WallField, generate_walls
+from tests.reference.info_bound_reference import writer_index_of
 
 
 class _SetsAction(Action):
@@ -71,11 +72,32 @@ def test_info_bound_validation_200_actions(benchmark):
     def run():
         entries = _queue(seed=1)
         bound = InformationBound(threshold=45.0)
-        bound.validate(entries, 0)
+        bound.validate(entries, 0, writer_index=writer_index_of(entries))
         return bound
 
     bound = benchmark(run)
     assert bound.stats.validated == 200
+
+
+def test_info_bound_validation_1k_backlog(benchmark):
+    """Algorithm 7 on the ``sprawl_k1`` shape: 100 new actions behind a
+    validated backlog of 1 000, chains a handful of entries long — the
+    walk visits the conflicts, not the backlog."""
+    entries, index = build_closure_queue(1100, 1024)
+
+    def setup():
+        for entry in entries[1000:]:
+            entry.valid = None
+        return (), {}
+
+    def run():
+        bound = InformationBound(threshold=200.0)
+        bound.validate(entries, 1000, writer_index=index)
+        return bound
+
+    bound = benchmark.pedantic(run, setup=setup, rounds=20)
+    assert bound.stats.validated == 100
+    assert max(bound.stats.chain_lengths) < 50
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +149,26 @@ def test_push_cycle(benchmark, num_clients):
 
     closures = benchmark.pedantic(run, setup=setup, rounds=3)
     assert closures > 0
+
+
+def test_push_cycle_lagging_clients(benchmark):
+    """Ten push cycles over a 300-entry backlog of 128 crowded clients
+    (the ``crowd_k1`` shape): with nothing committing, the in-order
+    delivery guard soon holds every client at some entry whose closure
+    reaches below what it was already sent.  The backlog is nominated
+    once, and each lagging client retries only the entry it waits at."""
+
+    def setup():
+        return (build_push_server(128, 300, world_extent=160.0),), {}
+
+    def run(server):
+        for _ in range(10):
+            server._push_cycle()
+        return server
+
+    server = benchmark.pedantic(run, setup=setup, rounds=3)
+    assert server.stats.closures_deferred > 9 * 100
+    assert min(record.scanned_pos for record in server.clients.values()) < 299
 
 
 def test_transitive_closure_2048_uncommitted(benchmark):

@@ -160,12 +160,7 @@ def transitive_closure(
     chain: List[int] = [candidate_index]
     cursor = base_pos + candidate_index
     while accumulated:
-        best = -1
-        # Max-accumulation: visit order cannot change `best`.
-        for oid in accumulated:  # lint: allow(set-iteration)
-            writer = writer_index.last_writer_before(oid, cursor)
-            if writer > best:
-                best = writer
+        best = writer_index.latest_writer_before(accumulated, cursor)
         if best < base_pos:
             break  # no uncommitted writer of S below the cursor
         cursor = best

@@ -31,6 +31,7 @@ The model has two parts:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from repro.core.action import Action
@@ -82,9 +83,10 @@ class FirstBoundPredicate:
         """ω·RTT — the proactive push period."""
         return self.omega * self.rtt_ms
 
-    @property
+    @cached_property
     def reach(self) -> float:
-        """2·s·(1+ω)·RTT in world units (speed is per second)."""
+        """2·s·(1+ω)·RTT in world units (speed is per second).  Cached:
+        :meth:`affects` and :meth:`index_radius` read it per test."""
         return 2.0 * self.max_speed * self.horizon_ms / 1000.0
 
     def affects(
@@ -145,9 +147,3 @@ class FirstBoundPredicate:
         if self.use_velocity_culling and action.velocity is not None:
             return None
         return self.reach + action.radius + max_client_radius
-
-    def chain_bound(self, threshold: float) -> float:
-        """Equation (2): the combined (loose) bound on how far an action
-        affecting a client may originate once the Information Bound
-        threshold is added."""
-        return self.reach + threshold

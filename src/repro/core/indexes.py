@@ -9,17 +9,21 @@ that make both paths output-sensitive:
 
 * :class:`ClientSpatialIndex` — a uniform grid over committed avatar
   positions, so a newly validated action can locate its candidate
-  recipients with one radius query instead of testing every client.
+  recipients with one radius query — asked once per entry, the answer
+  kept on the recipients' pending lists — instead of testing every
+  client.
 * :class:`WriterIndex` — per-object ascending lists of *uncommitted*
-  writer queue positions, so the Algorithm 6 closure walk jumps between
-  actual writers of the accumulated read set instead of scanning every
-  queue entry.
+  writer queue positions, so the backward chain walks of Algorithm 6
+  (closure) and Algorithm 7 (Information Bound) jump between actual
+  writers of the accumulated read set instead of scanning every queue
+  entry.
 
 Both indexes are pure wall-clock accelerators.  The determinism
 invariant (docs/performance.md): they must be *observationally
 equivalent* to the scans they replace — same batches, same stats, same
-simulated costs — and the differential test in
-``tests/test_distribution_differential.py`` enforces exactly that.
+simulated costs — and the differential tests
+(``tests/test_distribution_differential.py``,
+``tests/test_info_bound_differential.py``) enforce exactly that.
 """
 
 from __future__ import annotations
@@ -38,13 +42,18 @@ from repro.world.spatial import UniformGridIndex
 _RADIUS_SLACK = 1e-9
 
 
+def _inflated(radius: float) -> float:
+    return radius + radius * _RADIUS_SLACK + _RADIUS_SLACK
+
+
 class ClientSpatialIndex:
     """Committed avatar positions of attached clients, grid-indexed.
 
     The server keeps this mirror of ζ_S's avatar positions up to date at
     attach/detach time and on every commit that writes an avatar object,
-    so a push cycle can ask "which clients could Equation (1) possibly
-    admit for this action?" in output-sensitive time.
+    so the push cycle that first sees an action can ask "which clients
+    could Equation (1) possibly admit for this?" in output-sensitive
+    time.
 
     Clients whose committed position is unknown (no avatar object yet,
     or an avatar without coordinates) are tracked separately and
@@ -116,21 +125,33 @@ class ClientSpatialIndex:
         position-less clients are always included.  The caller still
         runs the exact First Bound predicate on every candidate.
         """
-        inflated = radius + radius * _RADIUS_SLACK + _RADIUS_SLACK
+        inflated = _inflated(radius)
         grid = self._ensure_grid(inflated)
         found = grid.query_radius_points(center, inflated)
         if self._positionless:
             found.extend(self._positionless)
         return found
 
+    def is_candidate(self, client_id: ClientId, center: Vec2, radius: float) -> bool:
+        """Whether :meth:`candidates` would return the (indexed)
+        ``client_id`` — the same test, asked about one client."""
+        position = self._positions.get(client_id)
+        if position is None:
+            return True
+        dx = position.x - center.x
+        dy = position.y - center.y
+        inflated = _inflated(radius)
+        return dx * dx + dy * dy <= inflated * inflated
+
 
 class WriterIndex:
     """ObjectId -> ascending uncommitted writer positions (Algorithm 6).
 
-    The closure walk accumulates a read set S and repeatedly needs "the
-    latest still-uncommitted entry below position p whose write set
-    intersects S".  This index answers that with one bisect per object
-    in S instead of a backwards scan over the whole queue.
+    The chain walks of Algorithms 6 and 7 accumulate a read set S and
+    repeatedly need "the latest still-uncommitted entry below position
+    p whose write set intersects S".  :meth:`latest_writer_before`
+    answers that with one bisect per object in S instead of a backwards
+    scan over the whole queue.
 
     Positions are appended in serialization order (strictly ascending)
     and garbage-collected from the front as the commit frontier
@@ -188,14 +209,20 @@ class WriterIndex:
             elif head:
                 self._heads[oid] = head
 
-    def last_writer_before(self, oid: ObjectId, pos: int) -> int:
-        """Highest uncommitted writer position of ``oid`` strictly below
-        ``pos``, or -1 when there is none."""
-        positions = self._writers.get(oid)
-        if positions is None:
-            return -1
-        head = self._heads.get(oid, 0)
-        index = bisect_left(positions, pos, lo=head)
-        if index == head:
-            return -1
-        return positions[index - 1]
+    def latest_writer_before(self, oids: Iterable[ObjectId], pos: int) -> int:
+        """Highest uncommitted position strictly below ``pos`` that
+        writes any of ``oids``, or -1 when there is none — one step of
+        a backward chain walk."""
+        best = -1
+        writers = self._writers
+        heads = self._heads
+        # Max-accumulation: visit order cannot change `best`.
+        for oid in oids:  # lint: allow(set-iteration)
+            positions = writers.get(oid)
+            if positions is None:
+                continue
+            head = heads.get(oid, 0)
+            index = bisect_left(positions, pos, head)
+            if index > head and positions[index - 1] > best:
+                best = positions[index - 1]
+        return best

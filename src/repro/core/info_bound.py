@@ -7,13 +7,14 @@ Philosophers example: pairwise conflicts, world-spanning closure).
 
 The Information Bound Model breaks long chains greedily: at every
 simulation tick τ, each newly submitted action walks backwards through
-the uncommitted, still-valid actions; whenever a chain member conflicts
-(WS ∩ S ≠ ∅) but lies farther than ``threshold`` away, the *new* action
-is declared invalid and dropped (aborted at the server before
-distribution).  Dropping the occasional action at chain-breaking points
-keeps every surviving closure inside the Equation (2) bound while
-committing the vast majority of actions — Table II quantifies the drop
-rate as a function of move effect range.
+the uncommitted, still-valid actions that conflict with it (WS ∩ S ≠ ∅,
+found through the server's writer index rather than by scanning the
+queue); whenever such a chain member lies farther than ``threshold``
+away, the *new* action is declared invalid and dropped (aborted at the
+server before distribution).  Dropping the occasional action at
+chain-breaking points keeps every surviving closure inside the
+Equation (2) bound while committing the vast majority of actions —
+Table II quantifies the drop rate as a function of move effect range.
 
 The decision is sequential in submission order (paper: "the decision to
 drop actions is sequential"), so within one tick an earlier action can
@@ -39,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Protocol, Sequence, Set
 
 from repro.core.action import Action
+from repro.core.indexes import WriterIndex
 from repro.errors import ConfigurationError
 from repro.types import ObjectId
 
@@ -114,6 +116,9 @@ class InformationBound:
         self,
         entries: Sequence[ValidatableEntry],
         first_new_index: int,
+        *,
+        writer_index: WriterIndex,
+        base_pos: int = 0,
     ) -> List[int]:
         """Validate ``entries[first_new_index:]`` in submission order.
 
@@ -122,6 +127,15 @@ class InformationBound:
         already carry a ``valid`` verdict.  Each entry's ``valid`` field
         is set in place; the indices (into ``entries``) of dropped
         entries are returned so the caller can send abort notices.
+
+        ``writer_index`` is the server's
+        :class:`~repro.core.indexes.WriterIndex` over ``entries`` and
+        ``base_pos`` the queue position of ``entries[0]``: each chain
+        walk jumps between the uncommitted writers of its accumulated
+        read set, which meets the same conflicts, in the same
+        descending order, as scanning every earlier entry would
+        (``tests/reference/info_bound_reference.py`` keeps that scan as
+        the oracle).
 
         Under the delay policy, a chain-breaking entry with remaining
         delay budget is left *pending* (``valid`` stays ``None``) and
@@ -141,8 +155,7 @@ class InformationBound:
                 # order, not local chain geometry, admits it).  Skip it;
                 # it still participates in later entries' chains.
                 continue
-            admitted = self._admit(entries, index)
-            if admitted:
+            if self._admit(entries, index, writer_index, base_pos):
                 entry.valid = True
                 self.stats.validated += 1
                 if entry.deferrals > 0:
@@ -161,21 +174,28 @@ class InformationBound:
             dropped.append(index)
         return dropped
 
-    def _admit(self, entries: Sequence[ValidatableEntry], index: int) -> bool:
+    def _admit(
+        self,
+        entries: Sequence[ValidatableEntry],
+        index: int,
+        writer_index: WriterIndex,
+        base_pos: int,
+    ) -> bool:
         """Lines 19-34 of Algorithm 7 for the action at ``index``."""
         new_action = entries[index].action
         accumulated: Set[ObjectId] = set(new_action.reads)
         chain_length = 0
-        for j in range(index - 1, -1, -1):
-            earlier = entries[j]
+        cursor = base_pos + index
+        while True:
+            cursor = writer_index.latest_writer_before(accumulated, cursor)
+            if cursor < base_pos:
+                break  # no uncommitted writer of S below the cursor
+            earlier = entries[cursor - base_pos]
             if not earlier.valid:
                 continue  # dropped actions are no-ops, never conflict
-            earlier_action = earlier.action
-            if not (earlier_action.writes & accumulated):
-                continue
-            if self._too_far(new_action, earlier_action):
+            if self._too_far(new_action, earlier.action):
                 return False
-            accumulated |= earlier_action.reads
+            accumulated |= earlier.action.reads
             chain_length += 1
         self.stats.chain_lengths.append(chain_length)
         return True

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.action import Action, ActionId, BlindWrite
 from repro.core.closure import KnownValuesTracker, QueueEntry, transitive_closure
@@ -99,6 +99,14 @@ class ClientRecord:
     #: Virtual time the client's committed position last changed
     #: (t_C for the Section IV-B velocity-culled predicate).
     position_time: TimeMs = 0.0
+    #: Ascending queue positions nominated for this client and not yet
+    #: pushed: a superset of what ``_wants`` admits in its window
+    #: ``(scanned_pos, nominated]`` (docs/performance.md).
+    pending: List[int] = field(default_factory=list)
+    #: The committed position changed under a non-empty window, so
+    #: ``pending`` no longer bounds it: until the client has caught up,
+    #: its pushes walk the window itself.
+    stale: bool = False
 
 
 @dataclass
@@ -151,9 +159,10 @@ class IncompleteWorldServer:
     Two inverted indexes (see :mod:`repro.core.indexes` and
     docs/performance.md) make the distribution path output-sensitive in
     *wall-clock* terms: a spatial index over committed avatar positions
-    turns the push cycle's O(clients x actions) scan into per-action
-    candidate queries, and a per-object writer index lets Algorithm 6
-    jump between actual writers instead of scanning the queue.  Both are
+    turns the push cycle's O(clients x actions) scan into one candidate
+    query per action, whose answer waits on per-client pending lists,
+    and a per-object writer index lets Algorithms 6 and 7 jump between
+    actual writers instead of scanning the queue.  Both are
     observationally equivalent to the scans they replace — batches,
     stats, and the simulated :class:`ServerCosts` accounting are
     byte-identical to the scans kept as oracles in
@@ -226,6 +235,8 @@ class IncompleteWorldServer:
         self._next_pos = 0
         self._base_pos = 0  # pos of _entries[0]; == _next_pos when empty
         self._validated_upto = -1
+        #: Highest queue position whose push candidates were nominated.
+        self._nominated_upto = -1
         self._blind_seq = 0
         self._stoppers: List[Callable[[], None]] = []
         self._writer_index = WriterIndex()
@@ -543,7 +554,12 @@ class IncompleteWorldServer:
         # list view of the deque (same QueueEntry objects, so the
         # in-place ``valid`` verdicts land in the queue).
         entries_view = list(self._entries)
-        dropped_indices = self.info_bound.validate(entries_view, first_new)
+        dropped_indices = self.info_bound.validate(
+            entries_view,
+            first_new,
+            writer_index=self._writer_index,
+            base_pos=self._base_pos,
+        )
         # Advance the contiguous validation frontier; under the delay
         # policy a deferred entry (valid still None) stops it early.
         for entry in islice(entries_view, first_new, None):
@@ -584,12 +600,12 @@ class IncompleteWorldServer:
         self.stats.push_cycles += 1
         obs = self._obs
         started = obs.wall() if obs is not None else 0.0
-        candidates = self._push_candidates()
+        self._push_candidates()
         if obs is not None:
             obs.on_push_scan(
                 self.sim.now,
                 obs.wall() - started,
-                sum(len(positions) for positions in candidates.values()),
+                sum(len(record.pending) for record in self.clients.values()),
             )
             started = obs.wall()
         batches: List[Tuple[ClientId, List[OrderedAction]]] = []
@@ -601,9 +617,11 @@ class IncompleteWorldServer:
             # The reconnect resync re-attaches from scratch instead.
             if not self.network.is_registered(record.client_id):
                 continue
-            batch_entries, cost = self._collect_push(
-                record, candidates.get(record.client_id, ())
-            )
+            if not (record.pending or record.stale):
+                # Nothing nominated, so nothing in the window is wanted.
+                record.scanned_pos = max(record.scanned_pos, self._validated_upto)
+                continue
+            batch_entries, cost = self._collect_push(record)
             total_cost += cost
             if batch_entries:
                 batches.append((record.client_id, batch_entries))
@@ -635,98 +653,120 @@ class IncompleteWorldServer:
         for client_id, batch_entries in batches:
             self._send_batch(client_id, batch_entries)
 
-    def _push_candidates(self) -> Dict[ClientId, List[int]]:
-        """Invert the push scan: per client, the ascending queue
-        positions of newly validated entries that *might* affect it.
-
-        For each entry, one spatial query over committed avatar
-        positions yields the candidate recipients (Equation (1) can
-        admit no one outside ``reach + r_A + max r_C`` of p̄_A);
-        position-less actions, velocity-culled actions, and
-        position-less clients conservatively stay candidates for
-        everything.  Candidates are then exact-filtered per client by
-        :meth:`_wants`, so the result is observationally identical to
-        testing every client against every entry.
-        """
-        index = self._client_index
-        per_client: Dict[ClientId, List[int]] = {}
-        if not self.clients:
-            return per_client
-        start = max(
-            self._base_pos,
-            min(record.scanned_pos for record in self.clients.values()) + 1,
+    def _window(self, start: int, upto: int) -> Iterator[Tuple[int, QueueEntry]]:
+        """The queued entries at positions ``start`` .. ``upto`` (none
+        when the frontier has passed ``upto``); ``start >= _base_pos``."""
+        first = start - self._base_pos
+        return zip(
+            range(start, upto + 1),
+            islice(self._entries, first, max(first, upto + 1 - self._base_pos)),
         )
+
+    def _push_candidates(self) -> None:
+        """Nominate each newly validated entry, once, to the clients it
+        *might* affect, by appending its queue position to their
+        ``pending`` lists.
+
+        One spatial query over committed avatar positions yields the
+        candidate recipients (Equation (1) can admit no one outside
+        ``reach + r_A + max r_C`` of p̄_A); position-less actions,
+        velocity-culled actions, and position-less clients
+        conservatively stay candidates for everything.  Candidates are
+        exact-filtered per client by :meth:`_wants` when the list is
+        walked, so the result is observationally identical to testing
+        every client against every entry — as long as a list stays a
+        superset of what ``_wants`` admits, which only a change to the
+        client's committed position can break
+        (:meth:`_refresh_indexed_positions` marks the record stale
+        there; its ``position_time`` matters to velocity-culled actions
+        only, and those are on every list).
+        """
+        start = max(self._nominated_upto + 1, self._base_pos)
         upto = self._validated_upto
         if start > upto:
-            return per_client
-        all_ids: Optional[List[ClientId]] = None
+            return
+        self._nominated_upto = upto
+        index = self._client_index
+        clients = self.clients
         assert self.predicate is not None
+        index_radius = self.predicate.index_radius
         max_radius = index.max_client_radius
-        for pos, entry in zip(
-            range(start, upto + 1),
-            islice(self._entries, start - self._base_pos, upto + 1 - self._base_pos),
-        ):
+        for pos, entry in self._window(start, upto):
             if entry.valid is False:
                 continue
-            radius = self.predicate.index_radius(entry.action, max_radius)
+            action = entry.action
+            radius = index_radius(action, max_radius)
             if radius is None:
-                # Conservative broadcast candidates: every client.
-                if all_ids is None:
-                    all_ids = list(self.clients)
-                targets = all_ids
+                targets = clients  # conservative broadcast: every client
             else:
-                targets = index.candidates(entry.action.position, radius)
-                own = entry.action.client_id
-                if own not in targets:
-                    targets.append(own)  # own actions always come back
+                targets = index.candidates(action.position, radius)
+                if action.client_id not in targets:
+                    targets.append(action.client_id)  # own actions always come back
             for client_id in targets:
-                bucket = per_client.get(client_id)
-                if bucket is None:
-                    per_client[client_id] = [pos]
-                else:
-                    bucket.append(pos)
-        return per_client
+                record = clients.get(client_id)
+                if (
+                    record is not None
+                    and record.scanned_pos < pos
+                    and not record.stale
+                ):
+                    record.pending.append(pos)
+
+    def _renominated(self, record: ClientRecord, start: int) -> Iterator[int]:
+        """What a stale record walks in place of ``pending``: the
+        positions from ``start`` on that asking the index again about
+        every nominated entry would nominate for this client, at its
+        committed position now."""
+        client_id = record.client_id
+        index = self._client_index
+        index_radius = self.predicate.index_radius
+        max_radius = index.max_client_radius
+        for pos, entry in self._window(start, self._nominated_upto):
+            action = entry.action
+            radius = index_radius(action, max_radius)
+            if (
+                radius is None
+                or action.client_id == client_id
+                or index.is_candidate(client_id, action.position, radius)
+            ):
+                yield pos
 
     def _collect_push(
-        self,
-        record: ClientRecord,
-        candidate_positions: Sequence[int],
+        self, record: ClientRecord
     ) -> Tuple[List[OrderedAction], float]:
         """All validated actions in (scanned, validated] that this client
         needs — Equation (1) survivors, own actions, and their closures —
-        among ``candidate_positions``, the ascending queue positions
-        :meth:`_push_candidates` nominated for it.
+        among the positions nominated for it: ``record.pending``, or,
+        for a stale record, its window re-nominated as it is walked.
         """
-        start = max(record.scanned_pos + 1, self._base_pos)
-        client_position = self._client_position(record.client_id)
+        base = self._base_pos
+        start = max(record.scanned_pos + 1, base)
+        client_id = record.client_id
+        client_position = self._client_position(client_id)
         batch_entries: List[OrderedAction] = []
         cost = 0.0
-        entries = [
-            self._entries[pos - self._base_pos]
-            for pos in candidate_positions
-            if pos >= start
-        ]
-        deferred_pos: Optional[int] = None
-        for entry in entries:
-            if entry.valid is False or record.client_id in entry.sent:
+        pending, record.pending = record.pending, []
+        walk = self._renominated(record, start) if record.stale else pending
+        for at, pos in enumerate(walk):
+            if pos < start:
+                continue
+            entry = self._entries[pos - base]
+            if entry.valid is False or client_id in entry.sent:
                 continue
             if not self._wants(record, entry, client_position):
                 continue
-            closure_entries, closure_cost = self._closure_entries(
-                record.client_id, entry
-            )
+            closure_entries, closure_cost = self._closure_entries(client_id, entry)
             cost += closure_cost
             if closure_entries is None:
                 # In-order delivery guard: stop here so nothing newer
-                # overtakes this candidate; the clamped scanned_pos
-                # makes the next push cycle rescan it.
-                deferred_pos = entry.pos
-                break
+                # overtakes this candidate; it and everything after it
+                # wait for the next push cycle.
+                if not record.stale:
+                    record.pending = pending[at:]
+                record.scanned_pos = max(record.scanned_pos, pos - 1)
+                return batch_entries, cost
             batch_entries.extend(closure_entries)
-        if deferred_pos is not None:
-            record.scanned_pos = max(record.scanned_pos, deferred_pos - 1)
-        else:
-            record.scanned_pos = max(record.scanned_pos, self._validated_upto)
+        record.stale = False
+        record.scanned_pos = max(record.scanned_pos, self._validated_upto)
         return batch_entries, cost
 
     def _wants(
@@ -970,11 +1010,17 @@ class IncompleteWorldServer:
         """Mirror a commit's avatar writes into the spatial client index
         so candidate queries always see exactly ζ_S's positions."""
         for oid in values:
-            client_id = self._avatar_owner.get(oid)
-            if client_id is not None and client_id in self.clients:
-                self._client_index.update(
-                    client_id, self._client_position(client_id)
-                )
+            record = self.clients.get(self._avatar_owner.get(oid))
+            if record is None:
+                continue
+            position = self._client_position(record.client_id)
+            if position == self._client_index.position_of(record.client_id):
+                continue
+            self._client_index.update(record.client_id, position)
+            # Nominations made for the old position no longer bound
+            # what the client wants from a window it has not left yet.
+            if record.scanned_pos < self._nominated_upto:
+                record.stale = True
 
     def _note_submission(self, src: ClientId, action: Action) -> None:
         """Hook: a fresh (non-duplicate) submission from an attached

@@ -258,7 +258,8 @@ class Observer:
     def on_push_scan(
         self, now_ms: TimeMs, wall_s: float, candidates: int
     ) -> None:
-        """One First Bound candidate scan completed."""
+        """One First Bound nomination pass completed; ``candidates`` is
+        how many queue positions now wait on clients' pending lists."""
         self.metrics.counter("server.push.scans").inc()
         if self.profile is not None:
             self.profile.record("server.push.scan", wall_ms=wall_s * 1000.0)

@@ -23,10 +23,8 @@ Attribute schema
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.state.objects import WorldObject
-from repro.types import AttrValue, ObjectId, oid
+from repro.types import ObjectId, oid
 from repro.world.geometry import Vec2
 
 
@@ -67,8 +65,3 @@ def set_avatar_position(obj: WorldObject, position: Vec2) -> None:
     """Write an avatar's position attributes."""
     obj["x"] = position.x
     obj["y"] = position.y
-
-
-def avatar_values(obj: WorldObject) -> Dict[str, AttrValue]:
-    """Attribute dict of an avatar (copy) — convenience for results."""
-    return obj.as_dict()

@@ -288,29 +288,6 @@ class CombatWorld(World):
             cost_ms=cost_ms,
         )
 
-    def plan_heal(
-        self,
-        store: ObjectStore,
-        healer: ClientId,
-        target: ClientId,
-        action_id: ActionId,
-        *,
-        amount: int = 20,
-        cost_ms: float = 0.0,
-    ) -> HealAction:
-        """Plan a targeted heal."""
-        healer_oid = avatar_id(healer)
-        position = avatar_position(store.get(healer_oid))
-        return HealAction(
-            action_id,
-            healer_oid,
-            avatar_id(target),
-            amount=amount,
-            position=position,
-            heal_range=self.config.combat_range,
-            cost_ms=cost_ms,
-        )
-
     def plan_scrying(
         self,
         store: ObjectStore,

@@ -162,14 +162,6 @@ class PhilosophersWorld(World):
             self.radius * (1.0 + math.sin(angle)),
         )
 
-    def fork_position(self, index: int) -> Vec2:
-        """Physical position of fork ``index`` (between two seats)."""
-        angle = 2.0 * math.pi * (index - 0.5) / self.num_philosophers
-        return Vec2(
-            self.radius * (1.0 + math.cos(angle)),
-            self.radius * (1.0 + math.sin(angle)),
-        )
-
     # -- World interface ----------------------------------------------------
     def initial_objects(self) -> Iterable[WorldObject]:
         for index in range(self.num_philosophers):

@@ -128,8 +128,8 @@ class UniformGridIndex(Generic[ItemId]):
 
         Hot-path variant of :meth:`query_radius` for indexes that hold
         only point items (each lives in exactly one cell, so no dedup
-        set is needed) — the server's per-action client candidate query
-        runs through here once per validated entry per push cycle.  The
+        set is needed) — the server's client candidate query runs
+        through here, once per validated entry.  The
         distance test compares squared magnitudes, which can differ from
         :meth:`query_radius`'s rounded ``hypot`` by one ulp at the exact
         boundary; callers needing a conservative candidate set should

@@ -4,12 +4,14 @@ test-every-client push scan.
 
 Lifted verbatim from ``repro.core.closure.transitive_closure`` (its
 ``writer_index is None`` arm) and from
-``repro.core.server_incomplete.IncompleteWorldServer._collect_push``
-(its whole-window arm).  Neither consults
-:class:`~repro.core.indexes.WriterIndex` or
-:class:`~repro.core.indexes.ClientSpatialIndex`;
-``tests/test_distribution_differential.py`` and ``tests/test_indexes.py``
-hold the shipped server to these answers.
+``repro.core.server_incomplete.IncompleteWorldServer._push_cycle`` /
+``_collect_push`` (the whole-window arm, before per-client pending
+lists).  Neither consults :class:`~repro.core.indexes.WriterIndex`,
+:class:`~repro.core.indexes.ClientSpatialIndex` or a
+``ClientRecord.pending`` list;
+``tests/test_distribution_differential.py``,
+``tests/test_push_pending.py`` and ``tests/test_indexes.py`` hold the
+shipped server to these answers.
 """
 
 from __future__ import annotations
@@ -19,9 +21,11 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.core import engine as engine_module
 from repro.core import server_incomplete as server_module
+from repro.core import sharded as sharded_module
 from repro.core.closure import QueueEntry, _is_span_value
 from repro.core.messages import OrderedAction
 from repro.core.server_incomplete import ClientRecord, IncompleteWorldServer
+from repro.core.sharded import ShardServer
 from repro.errors import ProtocolError
 from repro.types import ClientId, ObjectId
 
@@ -67,16 +71,58 @@ def reference_transitive_closure(
     return chain, frozenset(accumulated)
 
 
-class FullScanServer(IncompleteWorldServer):
+class FullScan:
     """The push cycle that nominates nobody and tests everybody: every
-    client is checked against every entry of its (scanned, validated]
-    window."""
+    registered client is checked against every entry of its (scanned,
+    validated] window, every cycle.  It never reads or writes a
+    record's ``pending``/``stale`` (the base class's position hook may
+    still set ``stale``; nothing here looks).  Mixed in ahead of the
+    server class it replaces the push path of."""
 
     def _push_candidates(self):
-        return {}
+        raise AssertionError("the full scan nominates nobody")
+
+    def _renominated(self, record, start):
+        raise AssertionError("the full scan re-nominates nobody")
+
+    def _push_cycle(self) -> None:
+        self.stats.push_cycles += 1
+        obs = self._obs
+        started = 0.0
+        if obs is not None:
+            obs.on_push_scan(self.sim.now, 0.0, 0)
+            started = obs.wall()
+        batches: List[Tuple[ClientId, List[OrderedAction]]] = []
+        total_cost = 0.0
+        for record in self.clients.values():
+            if not self.network.is_registered(record.client_id):
+                continue
+            batch_entries, cost = self._collect_push(record)
+            total_cost += cost
+            if batch_entries:
+                batches.append((record.client_id, batch_entries))
+        if obs is not None:
+            obs.on_push_build(
+                self.sim.now,
+                total_cost,
+                len(batches),
+                sum(len(batch_entries) for _, batch_entries in batches),
+                obs.wall() - started,
+            )
+
+        def send_all() -> None:
+            self._distribute_batches(
+                [
+                    (client_id, batch_entries)
+                    for client_id, batch_entries in batches
+                    if client_id in self.clients
+                ]
+            )
+
+        self.host.execute(total_cost, send_all)
 
     def _collect_push(
-        self, record: ClientRecord, candidate_positions: Sequence[int]
+        self, record: ClientRecord
     ) -> Tuple[List[OrderedAction], float]:
         start = max(record.scanned_pos + 1, self._base_pos)
         client_position = self._client_position(record.client_id)
@@ -110,13 +156,23 @@ class FullScanServer(IncompleteWorldServer):
         return batch_entries, cost
 
 
+class FullScanServer(FullScan, IncompleteWorldServer):
+    """The single-serializer server on the full scan."""
+
+
+class FullScanShardServer(FullScan, ShardServer):
+    """A shard server on the full scan."""
+
+
 def use_reference_distribution(monkeypatch, server_cls=FullScanServer) -> None:
-    """Make every server a :class:`~repro.core.engine.SeveEngine`
-    builds from here on a ``server_cls`` that distributes with the two
-    scans above instead of the indexes."""
+    """Make every server a :class:`~repro.core.engine.SeveEngine` builds
+    from here on a ``server_cls`` — and every shard server of a sharded
+    engine a :class:`FullScanShardServer` — that distributes with the
+    two scans above instead of the indexes and the pending lists."""
 
     def closure_by_scan(entries, candidate_index, client_id, *, writer_index, base_pos=0):
         return reference_transitive_closure(entries, candidate_index, client_id)
 
     monkeypatch.setattr(server_module, "transitive_closure", closure_by_scan)
     monkeypatch.setattr(engine_module, "IncompleteWorldServer", server_cls)
+    monkeypatch.setattr(sharded_module, "ShardServer", FullScanShardServer)

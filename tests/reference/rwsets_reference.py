@@ -1,11 +1,18 @@
-"""Read/write-set algebra.
+"""Read/write-set algebra, and the plain backward chain walk.
 
 The server's entire consistency job in an action-based protocol is set
 algebra over declared read/write sets (that is the scalability
 argument): conflict tests, write-set unions, and the backward chain
-walks of Algorithm 6 and Algorithm 7.  This module collects those
-primitives so the two servers and the Information Bound share one
-implementation.
+walks of Algorithm 6 and Algorithm 7.  :func:`backward_chain` is that
+walk with nothing added — scan every earlier action, newest first, fold
+in the read set of each one whose write set meets the accumulated set.
+The two literal oracles kept here specialise it
+(``distribution_reference.reference_transitive_closure`` subtracts what
+the client was already sent, ``info_bound_reference`` stops at the first
+member that is too far away); the shipped walks in ``src/`` jump between
+writers through :class:`~repro.core.indexes.WriterIndex` instead.
+``tests/test_rwsets_pending.py`` pins the algebra; nothing under
+``src/`` imports this module (it lived at ``repro.core.rwsets``).
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ from repro.core.first_bound import FirstBoundPredicate
 from repro.core.info_bound import InformationBound
 from repro.errors import ConfigurationError
 from repro.world.geometry import Vec2
+from tests.reference.info_bound_reference import writer_index_of
 
 
 class SpatialAction(Action):
@@ -139,7 +140,7 @@ def test_independent_actions_all_admitted():
         (Vec2(0, 0), ("a",), ("a",)),
         (Vec2(100, 0), ("b",), ("b",)),
     )
-    dropped = bound.validate(entries, 0)
+    dropped = bound.validate(entries, 0, writer_index=writer_index_of(entries))
     assert dropped == []
     assert all(e.valid for e in entries)
     assert bound.stats.validated == 2
@@ -153,7 +154,7 @@ def test_nearby_conflict_admitted_far_conflict_dropped():
         (Vec2(5, 0), ("x",), ("x",)),   # conflicts at distance 5 <= 10
         (Vec2(50, 0), ("x",), ("x",)),  # conflicts at distance 45/50 > 10
     )
-    dropped = bound.validate(entries, 0)
+    dropped = bound.validate(entries, 0, writer_index=writer_index_of(entries))
     assert [entries[i].valid for i in range(3)] == [True, True, False]
     assert dropped == [2]
     assert bound.stats.dropped == 1
@@ -169,7 +170,7 @@ def test_dropped_entries_break_chains_for_successors():
         (Vec2(50, 0), ("x",), ("x",)),   # dropped (far from a0)
         (Vec2(52, 0), ("x",), ("x",)),   # conflicts with a0 (far) but NOT via a1
     )
-    bound.validate(entries, 0)
+    bound.validate(entries, 0, writer_index=writer_index_of(entries))
     assert entries[1].valid is False
     # a2 still directly conflicts with a0 at distance 52 -> dropped.
     assert entries[2].valid is False
@@ -182,7 +183,7 @@ def test_chain_breaking_saves_downstream_when_local():
         (Vec2(50, 0), ("x", "y"), ("y",)),  # links x-chain to y at 50 -> dropped
         (Vec2(52, 0), ("y",), ("y",)),      # reads y; only writer (a1) was dropped
     )
-    bound.validate(entries, 0)
+    bound.validate(entries, 0, writer_index=writer_index_of(entries))
     assert entries[1].valid is False
     assert entries[2].valid is True  # chain was cut by dropping a1
 
@@ -198,7 +199,7 @@ def test_sequential_decisions_within_tick():
         reads = (f"fork{i}", f"fork{i+1}")
         specs.append((Vec2(10.0 * i, 0), reads, reads))
     entries = make_entries(*specs)
-    bound.validate(entries, 0)
+    bound.validate(entries, 0, writer_index=writer_index_of(entries))
     # Adjacent conflicts are 10 <= 12 apart; transitive members are 20+
     # away, so every second action gets dropped, cutting the chain.
     verdicts = [e.valid for e in entries]
@@ -213,7 +214,7 @@ def test_actions_without_position_never_dropped():
         (Vec2(0, 0), ("x",), ("x",)),
         (None, ("x",), ("x",)),
     )
-    bound.validate(entries, 0)
+    bound.validate(entries, 0, writer_index=writer_index_of(entries))
     assert entries[1].valid is True
 
 
@@ -223,10 +224,10 @@ def test_validate_only_new_suffix():
         (Vec2(0, 0), ("x",), ("x",)),
         (Vec2(50, 0), ("x",), ("x",)),
     )
-    bound.validate(entries, 0)
+    bound.validate(entries, 0, writer_index=writer_index_of(entries))
     more = make_entries((Vec2(0, 0), ("z",), ("z",)))
     entries.append(more[0])
-    dropped = bound.validate(entries, 2)
+    dropped = bound.validate(entries, 2, writer_index=writer_index_of(entries))
     assert dropped == []
     assert bound.stats.validated == 3
 
@@ -238,7 +239,7 @@ def test_chain_length_stats_recorded():
         (Vec2(5, 0), ("x",), ("x",)),
         (Vec2(9, 0), ("x",), ("x",)),
     )
-    bound.validate(entries, 0)
+    bound.validate(entries, 0, writer_index=writer_index_of(entries))
     assert bound.stats.chain_lengths == [0, 1, 2]
 
 
@@ -251,7 +252,7 @@ def test_delay_policy_defers_instead_of_dropping():
         (Vec2(0, 0), ("x",), ("x",)),
         (Vec2(50, 0), ("x",), ("x",)),  # chain-breaker
     )
-    dropped = bound.validate(entries, 0)
+    dropped = bound.validate(entries, 0, writer_index=writer_index_of(entries))
     assert dropped == []
     assert entries[0].valid is True
     assert entries[1].valid is None  # deferred, not dropped
@@ -265,9 +266,9 @@ def test_delay_policy_drops_after_budget():
         (Vec2(0, 0), ("x",), ("x",)),
         (Vec2(50, 0), ("x",), ("x",)),
     )
-    bound.validate(entries, 0)
-    bound.validate(entries, 1)  # second deferral
-    dropped = bound.validate(entries, 1)  # budget exhausted
+    bound.validate(entries, 0, writer_index=writer_index_of(entries))
+    bound.validate(entries, 1, writer_index=writer_index_of(entries))  # second deferral
+    dropped = bound.validate(entries, 1, writer_index=writer_index_of(entries))  # budget exhausted
     assert dropped == [1]
     assert entries[1].valid is False
     assert bound.stats.dropped == 1
@@ -279,11 +280,11 @@ def test_delay_policy_rescues_when_conflict_commits():
         (Vec2(0, 0), ("x",), ("x",)),
         (Vec2(50, 0), ("x",), ("x",)),
     )
-    bound.validate(entries, 0)
+    bound.validate(entries, 0, writer_index=writer_index_of(entries))
     assert entries[1].valid is None
     # The conflicting predecessor commits and leaves the live queue.
     survivor = entries[1]
-    dropped = bound.validate([survivor], 0)
+    dropped = bound.validate([survivor], 0, writer_index=writer_index_of([survivor]))
     assert dropped == []
     assert survivor.valid is True
     assert bound.stats.rescued == 1
@@ -296,7 +297,7 @@ def test_delay_policy_holds_back_later_entries():
         (Vec2(50, 0), ("x",), ("x",)),   # deferred
         (Vec2(1, 0), ("z",), ("z",)),    # independent, but behind the hold
     )
-    bound.validate(entries, 0)
+    bound.validate(entries, 0, writer_index=writer_index_of(entries))
     assert entries[2].valid is None  # contiguity: not validated yet
 
 
@@ -307,8 +308,8 @@ def test_delay_policy_validation_resumes_next_round():
         (Vec2(50, 0), ("x",), ("x",)),
         (Vec2(1, 0), ("z",), ("z",)),
     )
-    bound.validate(entries, 0)      # defers entry 1
-    dropped = bound.validate(entries, 1)  # budget over: drop 1, admit 2
+    bound.validate(entries, 0, writer_index=writer_index_of(entries))      # defers entry 1
+    dropped = bound.validate(entries, 1, writer_index=writer_index_of(entries))  # budget over: drop 1, admit 2
     assert dropped == [1]
     assert entries[2].valid is True
 

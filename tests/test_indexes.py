@@ -24,11 +24,11 @@ def test_writer_index_tracks_ascending_positions():
     index.note_enqueued(2, {"a"})
     assert index.live_positions("a") == [0, 2]
     assert index.live_positions("b") == [0, 1]
-    assert index.last_writer_before("a", 2) == 0
-    assert index.last_writer_before("a", 3) == 2
-    assert index.last_writer_before("b", 1) == 0
-    assert index.last_writer_before("b", 0) == -1
-    assert index.last_writer_before("missing", 10) == -1
+    assert index.latest_writer_before(("a",), 2) == 0
+    assert index.latest_writer_before(("a",), 3) == 2
+    assert index.latest_writer_before(("b",), 1) == 0
+    assert index.latest_writer_before(("b",), 0) == -1
+    assert index.latest_writer_before(("missing",), 10) == -1
 
 
 def test_writer_index_gc_across_commits():
@@ -42,14 +42,14 @@ def test_writer_index_gc_across_commits():
     index.note_dequeued({"x", "y"}, 2)
     assert index.live_positions("x") == [2, 3, 4, 5]
     assert index.live_positions("y") == [3, 5]
-    assert index.last_writer_before("x", 10) == 5
-    assert index.last_writer_before("x", 2) == -1  # committed writers gone
+    assert index.latest_writer_before(("x",), 10) == 5
+    assert index.latest_writer_before(("x",), 2) == -1  # committed writers gone
     # Commit everything: index drains to empty.
     for pos in range(2, 6):
         index.note_dequeued({"x", "y"}, pos + 1)
     assert len(index) == 0
-    assert index.last_writer_before("x", 100) == -1
-    assert index.last_writer_before("y", 100) == -1
+    assert index.latest_writer_before(("x",), 100) == -1
+    assert index.latest_writer_before(("y",), 100) == -1
 
 
 def test_writer_index_gc_compacts_long_prefixes():
@@ -183,3 +183,46 @@ def test_spatial_client_index_boundary_is_conservative():
     index = ClientSpatialIndex()
     index.update(1, Vec2(30.0, 40.0))  # distance 50 exactly
     assert set(index.candidates(Vec2(0.0, 0.0), 50.0)) == {1}
+
+
+def test_is_candidate_answers_what_the_query_answers():
+    """``is_candidate`` is the radius query asked about one client: the
+    server re-nominates a stale client's window with it, and must get
+    exactly the clients ``candidates`` would have returned — boundary
+    slack, moved clients and position-less clients included."""
+    rng = random.Random(11)
+    index = ClientSpatialIndex()
+    for client_id in range(60):
+        index.update(client_id, Vec2(rng.uniform(0, 200), rng.uniform(0, 200)))
+    index.update(60, None)
+    index.update(61, Vec2(30.0, 40.0))  # exactly 50 from the origin
+    checked = 0
+    for round_ in range(40):
+        if round_ == 20:
+            for client_id in range(0, 60, 3):  # commits move a third of them
+                index.update(client_id, Vec2(rng.uniform(0, 200), rng.uniform(0, 200)))
+            index.update(5, None)
+        center = Vec2(0.0, 0.0) if round_ % 10 == 0 else Vec2(rng.uniform(0, 200), rng.uniform(0, 200))
+        radius = 50.0 if round_ % 10 == 0 else rng.uniform(1, 80)
+        found = set(index.candidates(center, radius))
+        for client_id in range(62):
+            assert index.is_candidate(client_id, center, radius) == (client_id in found)
+            checked += client_id in found
+    assert checked > 300
+    assert index.is_candidate(60, Vec2(0.0, 0.0), 0.0)  # position-less: always
+    assert index.is_candidate(61, Vec2(0.0, 0.0), 50.0)
+
+
+def test_latest_writer_before_takes_the_max_over_a_read_set():
+    index = WriterIndex()
+    index.note_enqueued(3, ["a"])
+    index.note_enqueued(5, ["b", "c"])
+    index.note_enqueued(8, ["a"])
+    assert index.latest_writer_before({"a", "b"}, 9) == 8
+    assert index.latest_writer_before({"a", "b"}, 8) == 5
+    assert index.latest_writer_before({"a"}, 8) == 3
+    assert index.latest_writer_before({"a", "b", "zzz"}, 3) == -1
+    assert index.latest_writer_before(set(), 9) == -1
+    index.note_dequeued(["a"], 4)  # the frontier passed position 3
+    assert index.latest_writer_before({"a"}, 8) == -1
+    assert index.latest_writer_before(("c",), 100) == 5

