@@ -1,4 +1,6 @@
-"""Golden fingerprints of ten seeded ``run_simulation`` calls.
+"""Golden fingerprints of seeded ``run_simulation`` calls: ten ``seve``
+runs, and a clean, a lossy and an evicting run of every other
+architecture.
 
 A fingerprint is everything the run decides in virtual time: dispatched
 events, the final clock, every response sample, per-client and total
@@ -15,6 +17,16 @@ through the window coordinator moved the ``virtual_ms`` of the five
 K = 4 one-partition entries by +1.00/+1.00/+0.64/+1.00/+1.00 ms (the
 run now ends at a barrier, at most one lookahead late) and no other
 field of any entry.
+
+The per-architecture entries (``<architecture>_clean`` / ``_lossy`` /
+``_evict`` and ``seve-naive_k4_w2_crashes``) were dumped at edf609e, the last commit
+that assembled the SEVE engines and the baselines separately and
+measured them through two branches of ``run_simulation``; they pin
+everything the runner reads from a finished run (``measured``), each
+surviving client's stable replica, and the consistency verdict — which
+is recorded, not asserted: ``ring`` is inconsistent by design, and a
+client that sat out a crash window is stale in every architecture that
+has no catch-up path.
 
 Regenerate (only when virtual-time behaviour is *meant* to change) with
 ``PYTHONPATH=src python tests/test_golden_runs.py``.
@@ -81,13 +93,77 @@ RUNS = {
     ),
 }
 
+#: Loss, jitter, duplication and one client crash/reconnect window.
+LOSSY = FaultPlan(
+    loss_rate=0.05,
+    jitter_ms=40,
+    duplicate_rate=0.02,
+    seed=7,
+    crashes=parse_crash_plan("3@1500:4000"),
+)
 
-def fingerprint(settings: SimulationSettings) -> dict:
-    """Run ``seve`` under ``settings`` and reduce it to JSON scalars.
+#: A client that returns after the liveness sweep (5 s timeout) evicted
+#: it and one that never comes back, on a loss-free network.
+EVICTING = FaultPlan(crashes=parse_crash_plan("3@1500:9000,5@3000"))
+
+#: ``name -> (architecture, settings)`` for every architecture the ten
+#: ``seve`` runs above do not cover.
+ARCHITECTURE_RUNS = {
+    f"{architecture}_{kind}": (architecture, settings)
+    for architecture in (
+        "central",
+        "broadcast",
+        "ring",
+        "locking",
+        "timestamp",
+        "zoned",
+        "seve-basic",
+        "incomplete",
+        "seve-naive",
+        "seve-hybrid",
+    )
+    for kind, settings in (
+        ("clean", BASE),
+        ("lossy", BASE.with_(fault_plan=LOSSY)),
+        ("evict", BASE.with_(fault_plan=EVICTING)),
+    )
+}
+# The sharded measurement path (merged partition snapshots) under
+# client and shard crashes.
+ARCHITECTURE_RUNS["seve-naive_k4_w2_crashes"] = (
+    "seve-naive",
+    _crashing("3@1500,9@1800:4000,s1@2000:3000", workers=2),
+)
+
+#: The ``RunResult`` scalars the runner measures from a finished run.
+MEASURED = (
+    "total_traffic_kb",
+    "client_traffic_kb",
+    "server_traffic_kb",
+    "drop_percent",
+    "avg_visible",
+    "avg_move_cost_ms",
+    "moves_submitted",
+    "responses_observed",
+    "total_cpu_ms",
+    "closure_cpu_ms",
+    "messages_dropped",
+    "messages_duplicated",
+    "retransmissions",
+    "clients_evicted",
+    "shard_rows",
+)
+
+
+def fingerprint(settings: SimulationSettings, architecture: str = "seve") -> dict:
+    """Run ``architecture`` under ``settings`` and reduce it to JSON
+    scalars.
 
     The inputs come from whatever the run measured: the engine
     ``runner.build_engine`` built, or the merged view
-    ``backend.run_partitioned`` returned.
+    ``backend.run_partitioned`` returned.  ``seve`` runs must come out
+    consistent; every other architecture has its verdict, its measured
+    scalars and its surviving replicas recorded as well.
     """
     views = []
 
@@ -103,14 +179,34 @@ def fingerprint(settings: SimulationSettings) -> dict:
     runner.build_engine = capturing(build_engine)
     backend.run_partitioned = capturing(run_partitioned)
     try:
-        result = runner.run_simulation("seve", settings)
+        result = runner.run_simulation(architecture, settings)
     finally:
         runner.build_engine = build_engine
         backend.run_partitioned = run_partitioned
     (view,) = views
     meter = view.network.meter
     stores = getattr(view, "shard_states", None) or [view.state]
-    assert result.consistency is not None and result.consistency.consistent
+    assert result.consistency is not None
+    if architecture == "seve":
+        assert result.consistency.consistent
+        extra = {}
+    else:
+        report = result.consistency
+        extra = {
+            "consistency": [
+                report.objects_checked,
+                report.exact_matches,
+                report.stale_but_consistent,
+                report.violation_count,
+            ],
+            "measured": {
+                name: _jsonable(getattr(result, name)) for name in MEASURED
+            },
+            "replica_crc": [
+                runner._stable_replica(view.clients[client_id]).checksum()
+                for client_id in view.live_client_ids()
+            ],
+        }
     return {
         "events": result.events,
         "virtual_ms": result.virtual_ms,
@@ -120,9 +216,15 @@ def fingerprint(settings: SimulationSettings) -> dict:
         ],
         "total_bytes": meter.total_bytes,
         "shard_state_crc": [store.checksum() for store in stores],
-        "dropped": sum(len(ids) for ids in view.dropped.values()),
+        "dropped": sum(len(ids) for ids in getattr(view, "dropped", {}).values()),
         "failovers": [dict(event) for event in result.failover_events],
+        **extra,
     }
+
+
+def _jsonable(value):
+    """``value`` as JSON loads it back (tuples inside shard rows)."""
+    return json.loads(json.dumps(value))
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
@@ -131,11 +233,17 @@ def test_run_matches_its_golden_fingerprint(name):
     assert fingerprint(RUNS[name]) == golden
 
 
+@pytest.mark.parametrize("name", sorted(ARCHITECTURE_RUNS))
+def test_architecture_run_matches_its_golden_fingerprint(name):
+    golden = json.loads(GOLDEN_PATH.read_text())[name]
+    architecture, settings = ARCHITECTURE_RUNS[name]
+    assert fingerprint(settings, architecture) == golden
+
+
 if __name__ == "__main__":
-    GOLDEN_PATH.write_text(
-        json.dumps(
-            {name: fingerprint(settings) for name, settings in RUNS.items()},
-            indent=1,
-        )
-        + "\n"
+    fingerprints = {name: fingerprint(settings) for name, settings in RUNS.items()}
+    fingerprints.update(
+        (name, fingerprint(settings, architecture))
+        for name, (architecture, settings) in ARCHITECTURE_RUNS.items()
     )
+    GOLDEN_PATH.write_text(json.dumps(fingerprints, indent=1) + "\n")
