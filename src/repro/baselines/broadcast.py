@@ -20,6 +20,7 @@ from typing import Optional
 from repro.baselines.common import BaselineClient, BaselineConfig, BaselineEngine
 from repro.core.messages import RelayedAction, SubmitAction, wire_size
 from repro.errors import ProtocolError
+from repro.metrics.consistency import check_uniform
 from repro.types import SERVER_ID, ClientId
 from repro.world.base import World
 
@@ -76,8 +77,14 @@ class BroadcastEngine(BaselineEngine):
             action.apply(client.store)
             client.evaluated += 1
             if action.client_id == client.client_id:
-                client.note_response(action)
+                client._cancel_retry(action.action_id)
+                client.note_confirmed(action.action_id)
 
         client.host.execute(
             action.cost_ms + self.config.eval_overhead_ms, evaluate
         )
+
+    def consistency_report(self, replicas):
+        # The relay keeps no advancing server state: consistency here
+        # means all replicas are identical.
+        return check_uniform(replicas), None

@@ -126,21 +126,7 @@ class CentralEngine(BaselineEngine):
             )
             client.evaluated += 1
             if payload.cause is not None and payload.cause.client_id == client.client_id:
-                self._confirm(client, payload)
+                # Response time: submission to authoritative update arrival.
+                client.note_confirmed(payload.cause)
 
         client.host.execute(self.config.update_apply_cost_ms, install)
-
-    def _confirm(self, client: BaselineClient, update: StateUpdate) -> None:
-        submitted_at = client._submit_times.pop(update.cause, None)
-        if submitted_at is None:
-            return
-        if client.on_confirmed is not None:
-            # Response time: submission to authoritative update arrival.
-            client.on_confirmed(_Confirmed(update.cause), self.sim.now - submitted_at)
-
-
-class _Confirmed:
-    """Minimal action stand-in for the confirmation hook (id only)."""
-
-    def __init__(self, action_id) -> None:
-        self.action_id = action_id

@@ -3,30 +3,27 @@
 All three baselines are client–server relay systems: clients submit
 actions; the server routes something (raw actions or evaluated state
 updates) to some set of clients.  They differ only in *who evaluates*
-and *who receives*.  :class:`BaselineClient` provides the client shell —
-a single local replica, a simulated CPU, submission bookkeeping and
-response-time measurement — and :class:`BaselineEngine` the common
-assembly (simulator, star network, hosts, world state).
-
-The engine also hosts the baselines' half of the fault-tolerance
-machinery (see docs/fault_model.md): deterministic fault injection on
-the network, idempotent absorption of client resubmissions (dedup by
-``ActionId``), heartbeat-driven liveness eviction, and crash/reconnect
-bookkeeping — so every architecture faces the same degraded network the
-SEVE engine does.
+and *who receives*.  The testbed underneath — simulator, star network,
+hosts, fault injector, heartbeats, crash bookkeeping, and each client's
+submission clock and retry timers — is the one the SEVE engines run on
+(:mod:`repro.core.chassis`), so every architecture faces the same
+degraded network.  What this module adds is the baselines' own server
+side: a :class:`BaselineClient` with a single full replica, the common
+front door (idempotent absorption of client resubmissions by
+``ActionId``), the heartbeat-driven liveness sweep with its eviction
+rule, and the drain rule (see docs/fault_model.md).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Set
 
 from repro.core.action import Action, ActionId
-from repro.core.messages import Heartbeat, SubmitAction, wire_size
-from repro.errors import ConfigurationError, ProtocolError
+from repro.core.chassis import ClientShell, EngineChassis
+from repro.core.messages import Heartbeat, SubmitAction
+from repro.errors import ConfigurationError
 from repro.net.faults import (
-    FaultInjector,
     FaultPlan,
     LivenessConfig,
     ReliabilityConfig,
@@ -34,8 +31,7 @@ from repro.net.faults import (
 )
 from repro.net.host import Host
 from repro.net.network import Network
-from repro.net.simulator import Event, Simulator
-from repro.net.stats import LatencySampler
+from repro.net.simulator import Simulator
 from repro.state.store import ObjectStore
 from repro.state.versioned import VersionedStore
 from repro.types import SERVER_ID, ClientId, TimeMs
@@ -77,7 +73,7 @@ class BaselineConfig:
             raise ConfigurationError("rtt_ms must be >= 0")
 
 
-class BaselineClient:
+class BaselineClient(ClientShell):
     """A baseline client: one local replica plus a CPU.
 
     The replica starts as a full snapshot of the initial world (the
@@ -98,95 +94,31 @@ class BaselineClient:
         retry_seed: int = 0,
         obs=None,
     ) -> None:
-        self.sim = sim
-        self.network = network
-        self.host = host
-        self.client_id = client_id
-        self.store = store
-        self.retry = retry
-        #: Optional :class:`repro.obs.Observer` (read-only telemetry).
-        self._obs = obs
-        self._submit_times: Dict[ActionId, TimeMs] = {}
-        self.submitted = 0
+        super().__init__(
+            sim, network, host, client_id, store,
+            retry=retry, retry_seed=retry_seed, obs=obs,
+        )
         self.evaluated = 0
-        #: Application-level resubmissions of unanswered actions.
-        self.retransmissions = 0
-        #: Actions given up on after ``RetryPolicy.max_attempts``.
-        self.retries_exhausted = 0
-        self._retry_timers: Dict[ActionId, Event] = {}
-        self._retry_rng = random.Random((retry_seed << 17) ^ (client_id * 0x9E3779B1))
-        self.on_confirmed: Optional[Callable[[Action, TimeMs], None]] = None
         network.register(client_id, handler)
+
+    @property
+    def store(self) -> ObjectStore:
+        """The client's one replica (its stable replica)."""
+        return self.stable
 
     def submit(self, action: Action) -> None:
         """Send a freshly created action to the server."""
-        if action.client_id != self.client_id:
-            raise ProtocolError(
-                f"client {self.client_id} cannot submit {action.action_id}"
-            )
-        self.submitted += 1
-        self._submit_times[action.action_id] = self.sim.now
-        message = SubmitAction(action)
-        self.network.send(self.client_id, SERVER_ID, message, wire_size(message))
-        if self.retry is not None:
-            self._arm_retry(action, 0)
-
-    def note_response(self, action: Action) -> None:
-        """The architecture observed the authoritative outcome of one of
-        this client's actions; record its response time."""
-        submitted_at = self._submit_times.pop(action.action_id, None)
-        self._cancel_retry(action.action_id)
-        if submitted_at is None:
-            return
-        if self.on_confirmed is not None:
-            self.on_confirmed(action, self.sim.now - submitted_at)
-
-    # -- reliability --------------------------------------------------------
-    def _arm_retry(self, action: Action, attempt: int) -> None:
-        if attempt >= self.retry.max_attempts:
-            self.retries_exhausted += 1
-            return
-        delay = self.retry.delay(attempt, self._retry_rng)
-        self._retry_timers[action.action_id] = self.sim.schedule(
-            delay, lambda: self._retry_fire(action, attempt)
-        )
-
-    def _retry_fire(self, action: Action, attempt: int) -> None:
-        action_id = action.action_id
-        self._retry_timers.pop(action_id, None)
-        if action_id not in self._submit_times:
-            return  # answered while the timer ran
-        if not self.network.is_registered(self.client_id):
-            return  # we crashed
-        self.retransmissions += 1
-        if self._obs is not None:
-            self._obs.on_client_retry(self.client_id, self.sim.now, attempt + 1)
-        message = SubmitAction(action)
-        self.network.send(self.client_id, SERVER_ID, message, wire_size(message))
-        self._arm_retry(action, attempt + 1)
-
-    def _cancel_retry(self, action_id: ActionId) -> None:
-        timer = self._retry_timers.pop(action_id, None)
-        if timer is not None:
-            timer.cancel()
-
-    def send_heartbeat(self) -> None:
-        """One liveness beacon to the server (deliberately unreliable)."""
-        if not self.network.is_registered(self.client_id):
-            return
-        message = Heartbeat(self.client_id)
-        self.network.send(
-            self.client_id, SERVER_ID, message, wire_size(message), reliable=False
-        )
+        self.note_submitted(action)
+        self._send_submission(action)
 
 
-class BaselineEngine:
+class BaselineEngine(EngineChassis):
     """Common assembly for the baseline architectures.
 
     Subclasses register the server handler and implement routing; the
-    engine exposes the same driving surface as
-    :class:`~repro.core.engine.SeveEngine` so the experiment harness can
-    treat all architectures uniformly.
+    :class:`~repro.core.chassis.EngineChassis` underneath is the one the
+    SEVE engines are assembled on, so the experiment harness drives and
+    measures all architectures uniformly.
     """
 
     def __init__(
@@ -195,56 +127,32 @@ class BaselineEngine:
         num_clients: int,
         config: Optional[BaselineConfig] = None,
     ) -> None:
-        if num_clients < 0:
-            raise ConfigurationError(f"num_clients must be >= 0, got {num_clients}")
-        self.world = world
-        self.config = config or BaselineConfig()
-        self.obs = self.config.obs
-        self.sim = Simulator(obs=self.obs)
-        plan = self.config.fault_plan
-        self.faults = (
-            FaultInjector(plan) if plan is not None and not plan.is_null else None
-        )
-        self.network = Network(
-            self.sim,
-            rtt_ms=self.config.rtt_ms,
-            bandwidth_bps=self.config.bandwidth_bps,
-            faults=self.faults,
-            reliability=self.config.reliability,
-            obs=self.obs,
-        )
-        self.server_host = Host(self.sim, SERVER_ID, obs=self.obs)
+        super().__init__(world, num_clients, config or BaselineConfig())
         self.state = VersionedStore(world.initial_objects())
-        self.response_times = LatencySampler()
-        self.clients: Dict[ClientId, BaselineClient] = {}
         #: Clients the server presumes dead (liveness eviction).
         self.evicted: Set[ClientId] = set()
-        #: Clients the harness crashed (may later reconnect).
-        self.dead: Set[ClientId] = set()
-        #: Liveness evictions performed (harness counter).
-        self.liveness_evictions = 0
+        #: Liveness evictions performed.
+        self.clients_evicted = 0
         #: Resubmissions absorbed by the ActionId dedup filter.
         self.duplicate_submissions = 0
         self._seen_actions: Set[ActionId] = set()
         self._last_heard: Dict[ClientId, TimeMs] = {}
-        self._heartbeat_stoppers: Dict[ClientId, Callable[[], None]] = {}
         self._stop_liveness: Optional[Callable[[], None]] = None
         self.network.register(SERVER_ID, self._server_dispatch)
         for client_id in range(num_clients):
-            host = Host(self.sim, client_id, obs=self.obs)
-            client = BaselineClient(
-                self.sim,
-                self.network,
-                host,
-                client_id,
-                self.state.snapshot(),
-                self._make_client_handler(client_id),
-                retry=self.config.retry,
-                retry_seed=plan.seed if plan is not None else 0,
-                obs=self.obs,
+            self._adopt(
+                BaselineClient(
+                    self.sim,
+                    self.network,
+                    Host(self.sim, client_id, obs=self.obs),
+                    client_id,
+                    self.state.snapshot(),
+                    self._make_client_handler(client_id),
+                    retry=self.config.retry,
+                    retry_seed=self.retry_seed,
+                    obs=self.obs,
+                )
             )
-            client.on_confirmed = self._make_confirm_hook(client_id)
-            self.clients[client_id] = client
             self._last_heard[client_id] = 0.0
 
     # -- subclass responsibilities ----------------------------------------
@@ -283,50 +191,24 @@ class BaselineEngine:
 
         return handler
 
-    def _make_confirm_hook(
-        self, client_id: ClientId
-    ) -> Callable[[Action, TimeMs], None]:
-        def hook(action: Action, response_ms: TimeMs) -> None:
-            self.response_times.record(response_ms, client_id)
-
-        return hook
-
     # -- liveness (Section III-C, applied uniformly) ------------------------
     def start(self, *, stop_at: Optional[TimeMs] = None) -> None:
         """Install heartbeats and the liveness sweep when configured
         (baselines have no other periodic server processes)."""
-        if self.config.liveness is None:
-            return
-        for client_id in self.clients:
-            self._install_heartbeat(client_id, stop_at=stop_at)
-        if self._stop_liveness is None:
+        self._start_heartbeats(stop_at)
+        if self.config.liveness is not None and self._stop_liveness is None:
             self._stop_liveness = self.sim.call_every(
-                self.config.liveness.effective_check_interval_ms,
+                self.config.liveness.timeout_ms / 2.0,
                 self._liveness_tick,
                 stop_at=stop_at,
             )
 
     def stop(self) -> None:
         """Tear down heartbeats and the liveness sweep."""
-        for stopper in list(self._heartbeat_stoppers.values()):
-            stopper()
-        self._heartbeat_stoppers.clear()
+        self._stop_heartbeats()
         if self._stop_liveness is not None:
             self._stop_liveness()
             self._stop_liveness = None
-
-    def _install_heartbeat(
-        self, client_id: ClientId, *, stop_at: Optional[TimeMs] = None
-    ) -> None:
-        client = self.clients[client_id]
-
-        def beat() -> None:
-            if client_id not in self.dead:
-                client.send_heartbeat()
-
-        self._heartbeat_stoppers[client_id] = self.sim.call_every(
-            self.config.liveness.heartbeat_interval_ms, beat, stop_at=stop_at
-        )
 
     def _liveness_tick(self) -> None:
         deadline = self.sim.now - self.config.liveness.timeout_ms
@@ -341,14 +223,7 @@ class BaselineEngine:
         self.evicted.add(client_id)
         self._last_heard.pop(client_id, None)
         self.network.reset_channels(client_id)
-        self.liveness_evictions += 1
-
-    def mark_dead(self, client_id: ClientId) -> None:
-        """The harness crashed this client: silence its heartbeat."""
-        self.dead.add(client_id)
-        stopper = self._heartbeat_stoppers.pop(client_id, None)
-        if stopper is not None:
-            stopper()
+        self.clients_evicted += 1
 
     def mark_alive(self, client_id: ClientId) -> None:
         """The harness reconnected this client."""
@@ -367,18 +242,10 @@ class BaselineEngine:
             if client_id not in self.dead and client_id not in self.evicted
         ]
 
-    # -- uniform driving surface --------------------------------------------
+    # -- driving ------------------------------------------------------------
     def planning_store(self, client_id: ClientId) -> ObjectStore:
         """The replica a client plans its next action from."""
         return self.clients[client_id].store
-
-    def submit(self, client_id: ClientId, action: Action) -> None:
-        """Submit an action on behalf of ``client_id``."""
-        self.clients[client_id].submit(action)
-
-    def run(self, until: Optional[TimeMs] = None) -> None:
-        """Advance the simulation."""
-        self.sim.run(until=until)
 
     def run_to_quiescence(self, max_extra_ms: TimeMs = 600_000.0) -> None:
         """Drain every in-flight event.

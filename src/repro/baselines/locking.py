@@ -81,6 +81,10 @@ class LockingEngine(BaselineEngine):
         self.stats = LockingStats()
         #: Actions awaiting grant or effect, by id (server side).
         self._in_flight: Dict[ActionId, Action] = {}
+        #: Each client's own actions awaiting their lock grant.
+        self._pending_actions: Dict[ClientId, Dict[ActionId, Action]] = {
+            client_id: {} for client_id in self.clients
+        }
 
     # ------------------------------------------------------------------
     # Server side
@@ -140,18 +144,10 @@ class LockingEngine(BaselineEngine):
     # ------------------------------------------------------------------
     def submit(self, client_id: ClientId, action: Action) -> None:
         """Phase 1: ask the server for the locks."""
-        client = self.clients[client_id]
-        client.submitted += 1
-        client._submit_times[action.action_id] = self.sim.now
-        self._pending_actions(client)[action.action_id] = action
+        self.clients[client_id].note_submitted(action)
+        self._pending_actions[client_id][action.action_id] = action
         message = SubmitAction(action)
         self.network.send(client_id, SERVER_ID, message, wire_size(message))
-
-    @staticmethod
-    def _pending_actions(client: BaselineClient) -> Dict[ActionId, Action]:
-        if not hasattr(client, "pending_actions"):
-            client.pending_actions = {}
-        return client.pending_actions
 
     def _on_client_message(
         self, client: BaselineClient, src: ClientId, payload: object
@@ -167,7 +163,7 @@ class LockingEngine(BaselineEngine):
 
     def _execute_under_lock(self, client: BaselineClient, action_id: ActionId) -> None:
         """Phase 2: locks held — run the action locally, ship the effect."""
-        action = self._pending_actions(client).pop(action_id, None)
+        action = self._pending_actions[client.client_id].pop(action_id, None)
         if action is None:
             raise ProtocolError(f"grant for unknown {action_id}")
 
@@ -196,18 +192,6 @@ class LockingEngine(BaselineEngine):
             else:
                 # Originator already holds the values (it computed them);
                 # the echo is its commit confirmation.
-                submitted_at = client._submit_times.pop(effect.action_id, None)
-                if submitted_at is not None and client.on_confirmed is not None:
-                    client.on_confirmed(
-                        _CommittedStub(effect.action_id),
-                        self.sim.now - submitted_at,
-                    )
+                client.note_confirmed(effect.action_id)
 
         client.host.execute(self.config.update_apply_cost_ms, install)
-
-
-class _CommittedStub:
-    """Action stand-in carrying only the id (for the confirm hook)."""
-
-    def __init__(self, action_id: ActionId) -> None:
-        self.action_id = action_id

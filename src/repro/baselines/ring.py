@@ -116,7 +116,8 @@ class RingEngine(BaselineEngine):
                 self.stats.evaluation_failures += 1
             client.evaluated += 1
             if action.client_id == client.client_id:
-                client.note_response(action)
+                client._cancel_retry(action.action_id)
+                client.note_confirmed(action.action_id)
 
         client.host.execute(
             action.cost_ms + self.config.eval_overhead_ms, evaluate

@@ -109,32 +109,27 @@ class TimestampEngine(BaselineEngine):
         #: Authoritative object versions (bumped on every commit).
         self._versions: Dict[ObjectId, int] = {}
         self._commit_seq = 0
+        #: Per client: the object versions its replica holds, and its
+        #: own transactions awaiting a verdict as ``(action, attempts)``.
+        self._client_versions: Dict[ClientId, Dict[ObjectId, int]] = {
+            client_id: {} for client_id in self.clients
+        }
+        self._client_retries: Dict[ClientId, Dict[ActionId, tuple]] = {
+            client_id: {} for client_id in self.clients
+        }
 
     # ------------------------------------------------------------------
     # Client side
     # ------------------------------------------------------------------
     def submit(self, client_id: ClientId, action: Action) -> None:
         client = self.clients[client_id]
-        client.submitted += 1
-        client._submit_times[action.action_id] = self.sim.now
-        self._client_retries(client)[action.action_id] = (action, 0)
+        client.note_submitted(action)
+        self._client_retries[client_id][action.action_id] = (action, 0)
         self._execute_tentatively(client, action)
-
-    @staticmethod
-    def _client_versions(client: BaselineClient) -> Dict[ObjectId, int]:
-        if not hasattr(client, "object_versions"):
-            client.object_versions = {}
-        return client.object_versions
-
-    @staticmethod
-    def _client_retries(client: BaselineClient):
-        if not hasattr(client, "retry_state"):
-            client.retry_state = {}
-        return client.retry_state
 
     def _execute_tentatively(self, client: BaselineClient, action: Action) -> None:
         def execute() -> None:
-            versions = self._client_versions(client)
+            versions = self._client_versions[client.client_id]
             read_versions = tuple(
                 sorted((oid, versions.get(oid, 0)) for oid in action.reads)
             )
@@ -168,7 +163,7 @@ class TimestampEngine(BaselineEngine):
                 client.store.merge(
                     {oid: dict(attrs) for oid, attrs in payload.written}
                 )
-                versions = self._client_versions(client)
+                versions = self._client_versions[client.client_id]
                 for oid, version in payload.versions:
                     versions[oid] = version
             if payload.action_id.client_id == client.client_id:
@@ -177,14 +172,10 @@ class TimestampEngine(BaselineEngine):
         client.host.execute(self.config.update_apply_cost_ms, apply)
 
     def _handle_own_decision(self, client: BaselineClient, decision: Decision) -> None:
-        retries = self._client_retries(client)
+        retries = self._client_retries[client.client_id]
         state = retries.pop(decision.action_id, None)
         if decision.committed:
-            submitted_at = client._submit_times.pop(decision.action_id, None)
-            if submitted_at is not None and client.on_confirmed is not None:
-                client.on_confirmed(
-                    _CommittedStub(decision.action_id), self.sim.now - submitted_at
-                )
+            client.note_confirmed(decision.action_id)
             return
         if state is None:
             return
@@ -242,9 +233,3 @@ class TimestampEngine(BaselineEngine):
         """Server-observed abort fraction."""
         return self.stats.abort_rate
 
-
-class _CommittedStub:
-    """Action stand-in carrying only the id (for the confirm hook)."""
-
-    def __init__(self, action_id: ActionId) -> None:
-        self.action_id = action_id

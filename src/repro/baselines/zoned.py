@@ -184,11 +184,7 @@ class ZonedCentralEngine(BaselineEngine):
                 payload.cause is not None
                 and payload.cause.client_id == client.client_id
             ):
-                submitted_at = client._submit_times.pop(payload.cause, None)
-                if submitted_at is not None and client.on_confirmed is not None:
-                    client.on_confirmed(
-                        _CommittedStub(payload.cause), self.sim.now - submitted_at
-                    )
+                client.note_confirmed(payload.cause)
 
         client.host.execute(self.config.update_apply_cost_ms, install)
 
@@ -197,7 +193,3 @@ class ZonedCentralEngine(BaselineEngine):
         """CPU utilisation of the most loaded zone server."""
         return max(host.utilization() for host in self.zone_hosts)
 
-
-class _CommittedStub:
-    def __init__(self, action_id) -> None:
-        self.action_id = action_id

@@ -22,11 +22,11 @@ delay — the effect Figures 6–8 measure.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Set
 
 from repro.core.action import ABORT_RESULT, Action, ActionId, ActionResult, BlindWrite
+from repro.core.chassis import ClientShell, ClientStats
 from repro.core.messages import (
     AbortNotice,
     ActionBatch,
@@ -37,10 +37,8 @@ from repro.core.messages import (
     HandoffPrepare,
     HandoffReady,
     HandoffWelcome,
-    Heartbeat,
     OrderedAction,
     PeerForward,
-    SubmitAction,
     wire_size,
 )
 from repro.core.pending import PendingQueue
@@ -51,6 +49,8 @@ from repro.net.network import Network
 from repro.net.simulator import Event, Simulator
 from repro.state.store import ObjectStore
 from repro.types import SERVER_ID, ClientId, TimeMs
+
+__all__ = ["ClientConfig", "ClientStats", "ProtocolClient"]
 
 
 @dataclass
@@ -64,9 +64,6 @@ class ClientConfig:
         Fault-tolerance mode (Section III-C): send a completion for
         *every* action applied, not just own ones, so the server can
         commit even when the originator has failed.
-    ``charge_optimistic_cost``
-        Whether optimistic evaluation occupies the client CPU (true in
-        the paper's setup; disable for analytical what-ifs).
     ``eval_overhead_ms``
         Fixed per-action synchronization/bookkeeping cost added to every
         evaluation.  The paper measures 60 ms of "synchronization and
@@ -94,7 +91,6 @@ class ClientConfig:
 
     send_completions: bool = False
     report_all_completions: bool = False
-    charge_optimistic_cost: bool = True
     eval_overhead_ms: float = 1.9
     interests: Optional[frozenset[str]] = None
     strict_stream: bool = True
@@ -107,29 +103,7 @@ class ClientConfig:
     record_observations: bool = False
 
 
-@dataclass
-class ClientStats:
-    """Per-client protocol counters (read by the experiment harness)."""
-
-    submitted: int = 0
-    confirmed: int = 0
-    aborted: int = 0
-    reconciliations: int = 0
-    stable_evaluations: int = 0
-    blind_writes_applied: int = 0
-    mismatches: int = 0
-    #: Duplicate stream deliveries skipped (non-strict mode only).
-    duplicates_skipped: int = 0
-    #: Application-level resubmissions of unanswered own actions.
-    retransmissions: int = 0
-    #: Own actions given up on after ``RetryPolicy.max_attempts``.
-    retries_exhausted: int = 0
-    #: Own echoes that arrived for actions no longer pending, or whose
-    #: older pending siblings' echoes were lost (non-strict mode only).
-    own_echoes_lost: int = 0
-
-
-class ProtocolClient:
+class ProtocolClient(ClientShell):
     """One client of an action-based protocol (Algorithms 1/4)."""
 
     def __init__(
@@ -144,32 +118,24 @@ class ProtocolClient:
         server_id: ClientId = SERVER_ID,
         obs=None,
     ) -> None:
-        self.sim = sim
-        self.network = network
-        self.host = host
-        self.client_id = client_id
-        #: The serializer this client currently speaks to.  Always
-        #: :data:`SERVER_ID` in single-server deployments; a sharded
-        #: deployment re-points it at handoff time.
-        self.server_id = server_id
         self.config = config or ClientConfig()
-        #: Optional :class:`repro.obs.Observer` (read-only telemetry).
-        self._obs = obs
-        #: ζ_CS — the stable replica, advanced only by the server stream.
-        self.stable = stable_store
-        #: ζ_CO — the optimistic replica, equal to ζ_CS plus the
-        #: optimistic effects of Q.
+        super().__init__(
+            sim,
+            network,
+            host,
+            client_id,
+            stable_store,
+            server_id=server_id,
+            retry=self.config.retry,
+            retry_seed=self.config.retry_seed,
+            obs=obs,
+        )
+        #: ζ_CO — the optimistic replica, equal to ζ_CS (``stable``)
+        #: plus the optimistic effects of Q.
         self.optimistic = stable_store.snapshot()
         self.queue = PendingQueue()
-        self.stats = ClientStats()
-        self._next_seq = 0
-        self._submit_times: Dict[ActionId, TimeMs] = {}
         self._applied_positions: Set[int] = set()
         self._gc_frontier = -1
-        self._retry_timers: Dict[ActionId, Event] = {}
-        self._retry_rng = random.Random(
-            (self.config.retry_seed << 17) ^ (client_id * 0x9E3779B1)
-        )
         #: Observation log (``record_observations``): one tuple per
         #: applied stream entry ``(server_id, pos, action_id, origin)``
         #: plus ``("epoch", shard_id)`` markers at handoff boundaries.
@@ -191,8 +157,6 @@ class ProtocolClient:
         #: Per-shard stream dedup state parked across handoffs, so a
         #: return to a previously visited shard keeps its positions.
         self._stream_state: Dict[ClientId, tuple] = {}
-        #: Hook: own action confirmed stable; args (action, response_ms).
-        self.on_confirmed: Optional[Callable[[Action, TimeMs], None]] = None
         #: Hook: own action dropped by the server; args (action_id,).
         self.on_aborted: Optional[Callable[[ActionId], None]] = None
         network.register(client_id, self._on_message)
@@ -200,12 +164,6 @@ class ProtocolClient:
     # ------------------------------------------------------------------
     # Action creation (Algorithm 1/4 step 2)
     # ------------------------------------------------------------------
-    def next_action_id(self) -> ActionId:
-        """Mint the id for the client's next action."""
-        action_id = ActionId(self.client_id, self._next_seq)
-        self._next_seq += 1
-        return action_id
-
     def _wire_action(self, action: Action) -> Action:
         """The action as it goes on the wire — identity for honest clients.
 
@@ -223,25 +181,14 @@ class ProtocolClient:
         message leaves for the server immediately (the paper's client
         sends the action concurrently with evaluating it).
         """
-        if action.client_id != self.client_id:
-            raise ProtocolError(
-                f"client {self.client_id} cannot submit {action.action_id}"
-            )
-        self.stats.submitted += 1
-        self._submit_times[action.action_id] = self.sim.now
+        self.note_submitted(action)
         if self._migrating:
             # Mid-handoff: park the submission, flushed to the new shard
             # on HandoffWelcome.  Optimistic bookkeeping proceeds as
             # usual below so the local experience is seamless.
             self._migration_buffer.append(action)
         else:
-            wire = self._wire_action(action)
-            message = SubmitAction(wire)
-            self.network.send(
-                self.client_id, self.server_id, message, wire_size(message)
-            )
-            if self.config.retry is not None:
-                self._arm_retry(wire, 0)
+            self._send_submission(self._wire_action(action))
 
         # The queue/replica update is synchronous so that protocol state
         # is never behind the network (a backlogged CPU must not let the
@@ -249,10 +196,9 @@ class ProtocolClient:
         # *cost* is charged to the CPU as a delay item.
         result = self._apply_optimistically(action)
         self.queue.push(action, result)
-        if self.config.charge_optimistic_cost:
-            cost = action.cost_ms + self.config.eval_overhead_ms
-            if cost > 0:
-                self.host.execute(cost, lambda: None)
+        cost = action.cost_ms + self.config.eval_overhead_ms
+        if cost > 0:
+            self.host.execute(cost, lambda: None)
 
     def _apply_optimistically(self, action: Action) -> ActionResult:
         """Evaluate ``action`` against ζ_CO, tolerating missing reads.
@@ -420,8 +366,7 @@ class ProtocolClient:
                 # Echo of an action we no longer track: it is still part
                 # of the committed order, so it must reach ζ_CS.
                 self.stats.own_echoes_lost += 1
-                self._submit_times.pop(action.action_id, None)
-                self._cancel_retry(action.action_id)
+                self._settle(action.action_id)
                 self.stats.stable_evaluations += 1
                 result = action.apply(self.stable)
                 self._propagate_writes(result)
@@ -440,10 +385,14 @@ class ProtocolClient:
         if self.config.send_completions:
             self._send_completion(action, stable_result, pos=entry.pos)
         self.stats.confirmed += 1
-        submitted_at = self._submit_times.pop(action.action_id, None)
         self._cancel_retry(action.action_id)
-        if self.on_confirmed is not None and submitted_at is not None:
-            self.on_confirmed(action, self.sim.now - submitted_at)
+        self.note_confirmed(action.action_id)
+
+    def _settle(self, action_id: ActionId) -> None:
+        """Own action ``action_id`` needs no answer any more: stop its
+        response clock (unreported) and its retry timer."""
+        self._submit_times.pop(action_id, None)
+        self._cancel_retry(action_id)
 
     def _fast_forward_to(self, action_id: ActionId) -> None:
         """Drop pending own actions older than ``action_id``.
@@ -459,8 +408,7 @@ class ProtocolClient:
         while self.queue and self.queue.head()[0].action_id != action_id:
             lost, _ = self.queue.pop_head()
             dropped = dropped | lost.writes
-            self._submit_times.pop(lost.action_id, None)
-            self._cancel_retry(lost.action_id)
+            self._settle(lost.action_id)
             self.stats.own_echoes_lost += 1
         if dropped:
             self._reconcile(extra_writes=dropped)
@@ -504,8 +452,7 @@ class ProtocolClient:
     # ------------------------------------------------------------------
     def _handle_abort(self, notice: AbortNotice) -> None:
         removed = self.queue.remove(notice.action_id)
-        self._submit_times.pop(notice.action_id, None)
-        self._cancel_retry(notice.action_id)
+        self._settle(notice.action_id)
         if removed is None:
             return  # already confirmed or never queued; nothing to undo
         self.stats.aborted += 1
@@ -524,15 +471,14 @@ class ProtocolClient:
         same FIFO channel, so reconciling over ζ_CS replaces the
         optimistic guess with the authoritative result."""
         removed = self.queue.remove(notice.action_id)
-        submitted_at = self._submit_times.pop(notice.action_id, None)
-        self._cancel_retry(notice.action_id)
         if removed is None:
+            self._settle(notice.action_id)
             return  # already confirmed (a late duplicate of the notice)
         self.stats.confirmed += 1
         self._reconcile(extra_writes=removed.writes)
         self.stats.reconciliations -= 1  # bookkeeping: commit, not mismatch
-        if self.on_confirmed is not None and submitted_at is not None:
-            self.on_confirmed(removed, self.sim.now - submitted_at)
+        self._cancel_retry(notice.action_id)
+        self.note_confirmed(notice.action_id)
 
     # ------------------------------------------------------------------
     # Shard handoff (sharded deployments only)
@@ -578,8 +524,7 @@ class ProtocolClient:
         extra: frozenset = frozenset()
         for action_id in welcome.resolved:
             removed = self.queue.remove(action_id)
-            self._submit_times.pop(action_id, None)
-            self._cancel_retry(action_id)
+            self._settle(action_id)
             if removed is not None:
                 extra = extra | removed.writes
         if extra:
@@ -591,13 +536,7 @@ class ProtocolClient:
         for action in self._migration_buffer:
             if action.action_id not in self._submit_times:
                 continue  # resolved while parked
-            wire = self._wire_action(action)
-            message = SubmitAction(wire)
-            self.network.send(
-                self.client_id, self.server_id, message, wire_size(message)
-            )
-            if self.config.retry is not None:
-                self._arm_retry(wire, 0)
+            self._send_submission(self._wire_action(action))
         self._migration_buffer.clear()
 
     # ------------------------------------------------------------------
@@ -636,47 +575,6 @@ class ProtocolClient:
         )
         self._hello_timer = self.sim.schedule(
             self.HELLO_RETRY_MS, self._send_hello
-        )
-
-    # ------------------------------------------------------------------
-    # Reliability: resubmission and heartbeats (Section III-C)
-    # ------------------------------------------------------------------
-    def _arm_retry(self, action: Action, attempt: int) -> None:
-        policy = self.config.retry
-        if attempt >= policy.max_attempts:
-            self.stats.retries_exhausted += 1
-            return
-        delay = policy.delay(attempt, self._retry_rng)
-        self._retry_timers[action.action_id] = self.sim.schedule(
-            delay, lambda: self._retry_fire(action, attempt)
-        )
-
-    def _retry_fire(self, action: Action, attempt: int) -> None:
-        action_id = action.action_id
-        self._retry_timers.pop(action_id, None)
-        if action_id not in self._submit_times:
-            return  # confirmed or aborted while the timer ran
-        if not self.network.is_registered(self.client_id):
-            return  # we crashed; a reconnect restarts nothing old
-        self.stats.retransmissions += 1
-        if self._obs is not None:
-            self._obs.on_client_retry(self.client_id, self.sim.now, attempt + 1)
-        message = SubmitAction(action)
-        self.network.send(self.client_id, self.server_id, message, wire_size(message))
-        self._arm_retry(action, attempt + 1)
-
-    def _cancel_retry(self, action_id: ActionId) -> None:
-        timer = self._retry_timers.pop(action_id, None)
-        if timer is not None:
-            timer.cancel()
-
-    def send_heartbeat(self) -> None:
-        """One liveness beacon to the server (deliberately unreliable)."""
-        if not self.network.is_registered(self.client_id):
-            return
-        message = Heartbeat(self.client_id)
-        self.network.send(
-            self.client_id, self.server_id, message, wire_size(message), reliable=False
         )
 
     # ------------------------------------------------------------------

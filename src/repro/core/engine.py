@@ -39,24 +39,24 @@ from repro.analysis.sanitizer import (
     resolve_mode as resolve_sanitizer_mode,
     wrap_store as wrap_sanitized,
 )
-from repro.core.action import Action, ActionId
+from repro.core.action import ActionId
+from repro.core.chassis import EngineChassis
 from repro.core.client import ClientConfig, ProtocolClient
 from repro.core.first_bound import FirstBoundPredicate
 from repro.core.info_bound import InformationBound
 from repro.core.server_basic import BasicServer
 from repro.core.server_incomplete import IncompleteWorldServer, ServerCosts
 from repro.errors import ConfigurationError
+from repro.metrics.audit import AuditLog
+from repro.metrics.consistency import check_uniform
 from repro.net.faults import (
-    FaultInjector,
     FaultPlan,
     LivenessConfig,
     ReliabilityConfig,
     RetryPolicy,
 )
 from repro.net.host import Host
-from repro.net.network import Network
-from repro.net.simulator import Simulator
-from repro.net.stats import LatencySampler
+from repro.state.store import ObjectStore
 from repro.state.versioned import VersionedStore
 from repro.types import SERVER_ID, ClientId, TimeMs
 from repro.world.base import World
@@ -164,8 +164,9 @@ class SeveConfig:
                 )
 
 
-class SeveEngine:
-    """A fully wired SEVE system over a :class:`World`."""
+class SeveEngine(EngineChassis):
+    """A fully wired SEVE system over a :class:`World`, assembled on the
+    :class:`~repro.core.chassis.EngineChassis` every architecture shares."""
 
     def __init__(
         self,
@@ -175,29 +176,7 @@ class SeveEngine:
         *,
         interests: Optional[Dict[ClientId, frozenset[str]]] = None,
     ) -> None:
-        if num_clients < 0:
-            raise ConfigurationError(f"num_clients must be >= 0, got {num_clients}")
-        self.world = world
-        self.config = config or SeveConfig()
-        self.obs = self.config.obs
-        self.sim = Simulator(obs=self.obs)
-        plan = self.config.fault_plan
-        self.faults = (
-            FaultInjector(plan) if plan is not None and not plan.is_null else None
-        )
-        self.network = Network(
-            self.sim,
-            rtt_ms=self.config.rtt_ms,
-            bandwidth_bps=self.config.bandwidth_bps,
-            faults=self.faults,
-            reliability=self.config.reliability,
-            obs=self.obs,
-        )
-        self.server_host = Host(self.sim, SERVER_ID, obs=self.obs)
-        #: Clients currently presumed crashed (driven by the harness).
-        self.dead: set[ClientId] = set()
-        self._heartbeat_stoppers: Dict[ClientId, Callable[[], None]] = {}
-        self.response_times = LatencySampler()
+        super().__init__(world, num_clients, config or SeveConfig())
         #: Actions dropped by the Information Bound Model, per client.
         self.dropped: Dict[ClientId, List[ActionId]] = {}
         sanitizer_mode = resolve_sanitizer_mode(self.config.rwset_sanitizer)
@@ -236,20 +215,11 @@ class SeveEngine:
                 on_quarantine=self._quarantine,
             )
         self._build_server()
-        self.clients: Dict[ClientId, ProtocolClient] = {}
-        self.client_hosts: Dict[ClientId, Host] = {}
         for client_id in range(num_clients):
             self._attach_client(
                 client_id,
                 (interests or {}).get(client_id),
             )
-        #: The clients this engine instance drives, in id order: all of
-        #: them, unless a partition replica (:mod:`repro.net.backend`)
-        #: narrows the slice.  Heartbeats, quiescence and quarantine
-        #: evictions cover the slice only — evidence about a cheater
-        #: another partition owns is recorded here, but its eviction
-        #: happens on its home replica.
-        self.owned_clients: List[ClientId] = list(self.clients)
         self._stop_at: Optional[TimeMs] = None
 
     # ------------------------------------------------------------------
@@ -261,6 +231,8 @@ class SeveEngine:
             self.world.initial_objects(), history_limit=config.history_limit
         )
         self.audit = None
+        self.predicate = self._make_predicate()
+        self.info_bound = self._make_info_bound()
         if config.mode == "basic":
             self.server: object = BasicServer(
                 self.sim,
@@ -272,28 +244,7 @@ class SeveEngine:
                 obs=self.obs,
                 detector=self.detector,
             )
-            self.predicate = None
-            self.info_bound = None
             return
-        self.predicate = (
-            FirstBoundPredicate(
-                max_speed=self.world.max_speed,
-                rtt_ms=config.rtt_ms,
-                omega=config.omega,
-                use_velocity_culling=config.use_velocity_culling,
-            )
-            if config.mode in ("first-bound", "seve", "hybrid")
-            else None
-        )
-        self.info_bound = (
-            InformationBound(
-                config.threshold,
-                policy=config.info_bound_policy,
-                max_delay_ticks=config.max_delay_ticks,
-            )
-            if config.mode in ("seve", "hybrid")
-            else None
-        )
         server_kwargs = dict(
             predicate=self.predicate,
             info_bound=self.info_bound,
@@ -326,16 +277,41 @@ class SeveEngine:
                 **server_kwargs,
             )
         if config.enable_audit:
-            from repro.metrics.audit import AuditLog
+            self.audit = self._make_audit()
+            self.server.on_commit = self._make_audit_hook(self.audit)
 
-            self.audit = AuditLog(
-                max_speed=self.world.max_speed or None,
-            )
-            self.server.on_commit = (
-                lambda pos, client_id, values: self.audit.record(
-                    pos, client_id, self.sim.now, values
-                )
-            )
+    def _make_predicate(self) -> Optional[FirstBoundPredicate]:
+        """The Equation (1) push predicate of the push modes."""
+        config = self.config
+        if config.mode not in ("first-bound", "seve", "hybrid"):
+            return None
+        return FirstBoundPredicate(
+            max_speed=self.world.max_speed,
+            rtt_ms=config.rtt_ms,
+            omega=config.omega,
+            use_velocity_culling=config.use_velocity_culling,
+        )
+
+    def _make_info_bound(self) -> Optional[InformationBound]:
+        """A fresh Information Bound (one per serializer) in the modes
+        that drop chain-breaking actions."""
+        config = self.config
+        if config.mode not in ("seve", "hybrid"):
+            return None
+        return InformationBound(
+            config.threshold,
+            policy=config.info_bound_policy,
+            max_delay_ticks=config.max_delay_ticks,
+        )
+
+    def _make_audit(self) -> AuditLog:
+        return AuditLog(max_speed=self.world.max_speed or None)
+
+    def _make_audit_hook(self, audit):
+        """The ``on_commit`` hook feeding one serializer's audit log."""
+        return lambda pos, client_id, values: audit.record(
+            pos, client_id, self.sim.now, values
+        )
 
     def _client_config(
         self, client_id: ClientId, interests: Optional[frozenset[str]]
@@ -343,7 +319,6 @@ class SeveEngine:
         """Build a client's protocol configuration (hook: the sharded
         engine relaxes stream strictness for cross-shard re-attachment)."""
         incomplete = self.config.mode != "basic"
-        plan = self.config.fault_plan
         return ClientConfig(
             send_completions=incomplete,
             report_all_completions=incomplete and self.config.fault_tolerant,
@@ -351,7 +326,7 @@ class SeveEngine:
             interests=interests,
             strict_stream=self.faults is None,
             retry=self.config.retry,
-            retry_seed=plan.seed if plan is not None else 0,
+            retry_seed=self.retry_seed,
             record_observations=self.config.record_observations,
         )
 
@@ -410,44 +385,30 @@ class SeveEngine:
             obs=self.obs,
             **extra_kwargs,
         )
-        client.on_confirmed = self._make_confirm_hook(client_id)
-        client.on_aborted = self._make_abort_hook(client_id)
-        self.clients[client_id] = client
-        self.client_hosts[client_id] = host
-        if isinstance(server, BasicServer):
-            server.attach_client(client_id)
-        else:
-            server.attach_client(
-                client_id,
-                radius=self.world.client_radius(client_id),
-                interests=interests,
-            )
+        self._adopt(client)
         self.dropped[client_id] = []
+        client.on_aborted = self.dropped[client_id].append
+        server.attach_client(
+            client_id,
+            radius=self.world.client_radius(client_id),
+            interests=interests,
+        )
 
     def _partial_initial_state(self, client_id: ClientId):
-        from repro.state.store import ObjectStore
-
         store = ObjectStore()
         avatar_oid = self.world.avatar_of(client_id)
         if avatar_oid is not None and avatar_oid in self.state:
             store.put(self.state.get(avatar_oid).copy())
         return store
 
-    def _make_confirm_hook(self, client_id: ClientId) -> Callable[[Action, TimeMs], None]:
-        def hook(action: Action, response_ms: TimeMs) -> None:
-            self.response_times.record(response_ms, client_id)
-
-        return hook
-
-    def _make_abort_hook(self, client_id: ClientId) -> Callable[[ActionId], None]:
-        def hook(action_id: ActionId) -> None:
-            self.dropped[client_id].append(action_id)
-
-        return hook
-
     # ------------------------------------------------------------------
     # Driving
     # ------------------------------------------------------------------
+    def _servers(self) -> list:
+        """Every serializer of the deployment (hook: the sharded engine
+        returns all its shards)."""
+        return [self.server]
+
     def _driven_servers(self) -> list:
         """The servers whose periodic processes this engine runs (hook:
         the sharded engine returns the shards of its slice)."""
@@ -460,30 +421,7 @@ class SeveEngine:
         self._stop_at = stop_at
         for server in self._driven_servers():
             server.start(stop_at=stop_at)
-        if self.config.liveness is not None:
-            for client_id in self.owned_clients:
-                self._install_heartbeat(client_id, stop_at=stop_at)
-
-    def _install_heartbeat(
-        self, client_id: ClientId, *, stop_at: Optional[TimeMs] = None
-    ) -> None:
-        client = self.clients[client_id]
-
-        def beat() -> None:
-            if client_id not in self.dead:
-                client.send_heartbeat()
-
-        self._heartbeat_stoppers[client_id] = self.sim.call_every(
-            self.config.liveness.heartbeat_interval_ms, beat, stop_at=stop_at
-        )
-
-    def mark_dead(self, client_id: ClientId) -> None:
-        """The harness crashed this client: stop its heartbeat and
-        exclude it from quiescence checks."""
-        self.dead.add(client_id)
-        stopper = self._heartbeat_stoppers.pop(client_id, None)
-        if stopper is not None:
-            stopper()
+        self._start_heartbeats(stop_at)
 
     def _quarantine(self, client_id: ClientId) -> None:
         """Detector verdict: evict ``client_id`` from every serializer.
@@ -492,19 +430,18 @@ class SeveEngine:
         orphan aborts), so a quarantined cheater looks to the rest of
         the system exactly like a crashed client the liveness sweep
         removed — honest clients' entries keep committing via the
-        fault-tolerant completion path.
+        fault-tolerant completion path.  Evidence about a cheater another
+        partition owns is recorded here; its eviction happens on its
+        home replica.
         """
         if client_id in self.quarantined:
             return
         if client_id not in self.owned_clients:
             return
         self.quarantined.add(client_id)
-        servers = getattr(self, "shard_servers", None) or [self.server]
-        for server in servers:
+        for server in self._servers():
             server.evict_client(client_id)
-        stopper = self._heartbeat_stoppers.pop(client_id, None)
-        if stopper is not None:
-            stopper()
+        self._stop_heartbeat(client_id)
         if self.on_quarantine is not None:
             self.on_quarantine(client_id)
 
@@ -560,32 +497,23 @@ class SeveEngine:
         self.dead.discard(client_id)
         if self.config.liveness is not None:
             self._install_heartbeat(client_id)
-        if not isinstance(self.server, BasicServer):
-            if client_id in self.server.clients:
-                self.server.detach_client(client_id)
-            self.server.attach_client(
-                client_id,
-                radius=self.world.client_radius(client_id),
-                interests=self.clients[client_id].config.interests,
-            )
-        else:
-            if client_id in self.server.pos:
-                self.server.detach_client(client_id)
-            self.server.attach_client(client_id)
+        if client_id in self.server.clients:
+            self.server.detach_client(client_id)
+        self.server.attach_client(
+            client_id,
+            radius=self.world.client_radius(client_id),
+            interests=self.clients[client_id].config.interests,
+        )
 
     def live_client_ids(self) -> list[ClientId]:
-        """Clients that are neither crashed nor evicted by the server —
+        """Clients that are neither crashed nor evicted by a server —
         the population over which end-of-run consistency is asserted."""
-        if isinstance(self.server, BasicServer):
-            tracked = self.server.pos
-        else:
-            tracked = self.server.clients
         return [
             client_id
             for client_id in self.clients
             if client_id not in self.dead
             and client_id not in self.quarantined
-            and client_id in tracked
+            and any(client_id in server.clients for server in self._servers())
         ]
 
     def client(self, client_id: ClientId) -> ProtocolClient:
@@ -599,14 +527,6 @@ class SeveEngine:
         workload generator can drive any architecture.)
         """
         return self.clients[client_id].optimistic
-
-    def submit(self, client_id: ClientId, action: Action) -> None:
-        """Submit an action on behalf of ``client_id``."""
-        self.clients[client_id].submit(action)
-
-    def run(self, until: Optional[TimeMs] = None) -> None:
-        """Advance the simulation (see :meth:`Simulator.run`)."""
-        self.sim.run(until=until)
 
     def run_to_quiescence(self, max_extra_ms: TimeMs = 600_000.0) -> None:
         """Drain all in-flight work after the workload stops submitting.
@@ -628,9 +548,7 @@ class SeveEngine:
         ``deadline``) so same-instant completions land."""
         for server in self._driven_servers():
             server.stop()
-        for stopper in list(self._heartbeat_stoppers.values()):
-            stopper()
-        self._heartbeat_stoppers.clear()
+        self._stop_heartbeats()
         self.sim.run(until=min(self.sim.now + 1.0, deadline))
 
     def _quiescent(self) -> bool:
@@ -640,23 +558,41 @@ class SeveEngine:
             if client_id not in self.dead and client_id not in self.quarantined
         ):
             return False
-        if self.config.liveness is not None:
+        if self.config.liveness is not None and any(
+            client_id in self.server.clients for client_id in self.dead
+        ):
             # A crashed client still attached keeps the run live until
             # the server's sweep presumes it dead (Section III-C).
-            tracked = (
-                self.server.pos
-                if isinstance(self.server, BasicServer)
-                else self.server.clients
-            )
-            if any(client_id in tracked for client_id in self.dead):
-                return False
-        if isinstance(self.server, IncompleteWorldServer):
-            return self.server.uncommitted_count == 0
-        return True
+            return False
+        return self.server.uncommitted_count == 0
 
     # ------------------------------------------------------------------
-    # Results
+    # Results: the measured surface, where it is real for SEVE
     # ------------------------------------------------------------------
+    @property
+    def clients_evicted(self) -> int:
+        """Clients the serializers' liveness sweeps presumed dead."""
+        return sum(server.stats.clients_evicted for server in self._servers())
+
+    @property
+    def closure_cpu_ms(self) -> float:
+        """Simulated CPU-ms the serializers spent computing closures."""
+        return sum(server.closure_cpu_ms for server in self._servers())
+
+    @property
+    def rwset_violations(self) -> tuple:
+        """Rendered violations the RW-set sanitizer collected."""
+        if self.rwset_recorder is None:
+            return ()
+        return tuple(violation.render() for violation in self.rwset_recorder.violations)
+
+    def consistency_report(self, replicas: Dict[ClientId, ObjectStore]):
+        if self.config.mode == "basic":
+            # Full replication: no advancing server state; consistency
+            # means all replicas are identical.
+            return check_uniform(replicas), None
+        return super().consistency_report(replicas)
+
     @property
     def total_dropped(self) -> int:
         """Actions dropped by the Information Bound Model."""

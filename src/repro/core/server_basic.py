@@ -60,7 +60,19 @@ class BasicServer:
     ``timestamp_cost_ms`` is the CPU cost of serializing one action
     (near zero — the point of the architecture is that the server does
     no game logic).
+
+    It answers to the surface the engine reads every serializer through
+    — ``clients``, ``attach_client``/``detach_client``/``evict_client``,
+    ``uncommitted_count``, ``closure_cpu_ms``, ``stats.clients_evicted``
+    — with the values of a server that commits nothing and computes no
+    closures.
     """
+
+    #: Serialized-but-uncommitted actions: the serializer keeps no
+    #: authoritative state, so nothing ever awaits a commit.
+    uncommitted_count = 0
+    #: Simulated CPU-ms spent on transitive closures (it builds none).
+    closure_cpu_ms = 0.0
 
     def __init__(
         self,
@@ -87,9 +99,9 @@ class BasicServer:
         self.detector = detector
         #: The global action queue; index == order number pos(a).
         self.queue: List[Action] = []
-        #: pos_C per client: index of the last action sent to C
-        #: (-1 before anything was sent).
-        self.pos: Dict[ClientId, int] = {}
+        #: The attached clients, each with its pos_C: the index of the
+        #: last action sent to C (-1 before anything was sent).
+        self.clients: Dict[ClientId, int] = {}
         self.stats = BasicServerStats()
         #: ActionIds already serialized (idempotent resubmission).
         self._seen_actions: Set[ActionId] = set()
@@ -100,17 +112,25 @@ class BasicServer:
         self._stop_liveness: Optional[Callable[[], None]] = None
         network.register(SERVER_ID, self._on_message)
 
-    def attach_client(self, client_id: ClientId) -> None:
-        """Start tracking a client (pos_C = -1: nothing sent yet)."""
-        if client_id in self.pos:
+    def attach_client(
+        self,
+        client_id: ClientId,
+        *,
+        radius: float = 0.0,
+        interests: Optional[frozenset[str]] = None,
+    ) -> None:
+        """Start tracking a client (pos_C = -1: nothing sent yet).  The
+        serializer sends everything to everyone, so ``radius`` and
+        ``interests`` filter nothing here."""
+        if client_id in self.clients:
             raise ProtocolError(f"client {client_id} already attached")
-        self.pos[client_id] = -1
+        self.clients[client_id] = -1
         self._detached.discard(client_id)
         self._last_heard[client_id] = self.sim.now
 
     def detach_client(self, client_id: ClientId) -> None:
         """Stop tracking a client (failure/disconnect)."""
-        self.pos.pop(client_id, None)
+        self.clients.pop(client_id, None)
         self._last_heard.pop(client_id, None)
         self._detached.add(client_id)
 
@@ -123,7 +143,7 @@ class BasicServer:
         if self.liveness is None or self._stop_liveness is not None:
             return
         self._stop_liveness = self.sim.call_every(
-            self.liveness.effective_check_interval_ms,
+            self.liveness.timeout_ms / 2.0,
             self._liveness_tick,
             stop_at=stop_at,
         )
@@ -135,7 +155,7 @@ class BasicServer:
             self._stop_liveness = None
 
     def _note_alive(self, client_id: ClientId) -> None:
-        if client_id in self.pos:
+        if client_id in self.clients:
             self._last_heard[client_id] = self.sim.now
 
     def _liveness_tick(self) -> None:
@@ -147,7 +167,7 @@ class BasicServer:
 
     def evict_client(self, client_id: ClientId) -> None:
         """Presume ``client_id`` dead and stop tracking it."""
-        if client_id not in self.pos:
+        if client_id not in self.clients:
             return
         self.detach_client(client_id)
         self.network.reset_channels(client_id)
@@ -180,7 +200,7 @@ class BasicServer:
                 return
             self.stats.duplicate_submissions += 1
             return
-        if src in self._detached and src not in self.pos:
+        if src in self._detached and src not in self.clients:
             # Evicted/disconnected: drop without burning the ActionId —
             # a delayed resubmission after re-attach must still be able
             # to serialize (never-attached clients still hit the
@@ -199,7 +219,7 @@ class BasicServer:
         self.host.execute(self.timestamp_cost_ms, serialize)
 
     def _serialize_and_reply(self, src: ClientId, action: Action) -> None:
-        if src not in self.pos:
+        if src not in self.clients:
             if src in self._detached:
                 # Evicted mid-flight (between receipt and this host
                 # completion): un-burn the id for resubmission.
@@ -210,25 +230,25 @@ class BasicServer:
         self.queue.append(action)
         self.stats.actions_serialized += 1
         if self._obs is not None:
-            recipients = len(self.pos) if self.eager else 1
+            recipients = len(self.clients) if self.eager else 1
             self._obs.on_server_relay(self.sim.now, recipients)
         if self.eager:
             # Push the new action to every client right away; the reply
             # batch below still covers anything a client may have missed
             # (e.g. actions serialized before it attached).
             entry = OrderedAction(position, action)
-            for client_id in self.pos:
-                if self.pos[client_id] >= position:
+            for client_id in self.clients:
+                if self.clients[client_id] >= position:
                     continue
                 self._send_batch(client_id, [entry])
-                self.pos[client_id] = position
+                self.clients[client_id] = position
         else:
             self._reply_window(src, position)
 
     def _reply_window(self, client_id: ClientId, upto: int) -> None:
         """Send all actions in (pos_C, upto] to ``client_id`` and
         advance pos_C (Algorithm 2 step (b))."""
-        start = self.pos[client_id] + 1
+        start = self.clients[client_id] + 1
         entries = [
             OrderedAction(position, self.queue[position])
             for position in range(start, upto + 1)
@@ -236,7 +256,7 @@ class BasicServer:
         if not entries:
             return
         self._send_batch(client_id, entries)
-        self.pos[client_id] = upto
+        self.clients[client_id] = upto
 
     def _send_batch(self, client_id: ClientId, entries: List[OrderedAction]) -> None:
         batch = ActionBatch(tuple(entries))

@@ -331,7 +331,7 @@ class IncompleteWorldServer:
         if self.liveness is not None:
             self._stoppers.append(
                 self.sim.call_every(
-                    self.liveness.effective_check_interval_ms,
+                    self.liveness.timeout_ms / 2.0,
                     self._liveness_tick,
                     stop_at=stop_at,
                 )
@@ -1109,6 +1109,11 @@ class IncompleteWorldServer:
     def uncommitted_count(self) -> int:
         """Live (serialized but not yet installed) actions."""
         return len(self._entries)
+
+    @property
+    def closure_cpu_ms(self) -> float:
+        """Simulated CPU-ms spent computing transitive closures."""
+        return self.stats.closures_computed * self.costs.closure_ms
 
     @property
     def commit_frontier(self) -> int:

@@ -96,7 +96,6 @@ from repro.core.control_plane import (
 )
 from repro.core.elastic import ElasticConfig, plan_boundaries, stripes_touching
 from repro.core.engine import SeveConfig, SeveEngine
-from repro.core.first_bound import FirstBoundPredicate
 from repro.core.info_bound import InformationBound
 from repro.core.messages import (
     ClientHello,
@@ -118,6 +117,7 @@ from repro.core.messages import (
 )
 from repro.core.server_incomplete import COUNTED_MESSAGES, IncompleteWorldServer
 from repro.errors import ConfigurationError, ProtocolError
+from repro.metrics.shard_audit import audit_sharded_run
 from repro.net.host import Host
 from repro.state.checkpoint import ShardRecoveryLog
 from repro.state.versioned import VersionedStore
@@ -136,12 +136,6 @@ class ShardingConfig:
     #: leave its stripe by before a handoff triggers (prevents border
     #: oscillation from thrashing migrations).
     handoff_margin: float = 10.0
-    #: Extra classification radius added to an action's own influence
-    #: radius when deciding which shards it spans.  ``None`` lets the
-    #: engine derive it (predicate reach + largest client radius +
-    #: handoff margin), which guarantees no client of an uninvolved
-    #: shard can pass the Equation (1) predicate for the action.
-    span_slack: Optional[float] = None
     #: Elastic rebalancer knobs (docs/elasticity.md).  ``None`` (the
     #: default) keeps the static equal-width stripes and leaves every
     #: elastic code path dormant — byte-identical to a deployment
@@ -1402,28 +1396,21 @@ class ShardedSeveEngine(SeveEngine):
             self.partition = ElasticPartition(self.sharding.world_width, shards)
         else:
             self.partition = RegionPartition(self.sharding.world_width, shards)
-        self.predicate = FirstBoundPredicate(
-            max_speed=self.world.max_speed,
-            rtt_ms=config.rtt_ms,
-            omega=config.omega,
-            use_velocity_culling=config.use_velocity_culling,
-        )
-        span_slack = self.sharding.span_slack
-        if span_slack is None:
-            max_client_radius = 0.0
-            for client_id in range(self._num_clients):
-                max_client_radius = max(
-                    max_client_radius, self.world.client_radius(client_id)
-                )
-            span_slack = (
-                self.predicate.reach
-                + max_client_radius
-                + self.sharding.handoff_margin
+        self.predicate = self._make_predicate()
+        max_client_radius = 0.0
+        for client_id in range(self._num_clients):
+            max_client_radius = max(
+                max_client_radius, self.world.client_radius(client_id)
             )
-        self.span_slack = span_slack
+        #: Extra classification radius added to an action's own
+        #: influence radius when deciding which shards it spans; wide
+        #: enough that no client of an uninvolved shard can pass the
+        #: Equation (1) predicate for the action.
+        self.span_slack = (
+            self.predicate.reach + max_client_radius + self.sharding.handoff_margin
+        )
 
         self.shard_servers: List[ShardServer] = []
-        self.server_hosts: Dict[int, Host] = {}
         self.shard_states: List[VersionedStore] = []
         self.info_bounds: List[Optional[InformationBound]] = []
         self.audits: list = []
@@ -1452,22 +1439,9 @@ class ShardedSeveEngine(SeveEngine):
         self.info_bound = self.info_bounds[0]
         self.audit = None
         if config.enable_audit:
-            from repro.metrics.audit import AuditLog
-
-            for _ in self.shard_servers:
-                self.audits.append(AuditLog(max_speed=self.world.max_speed or None))
+            self.audits = [self._make_audit() for _ in self.shard_servers]
             self.audit = self.audits[0]
         self._install_commit_hooks()
-
-    def _make_info_bound(self) -> Optional[InformationBound]:
-        config = self.config
-        if config.mode != "seve":
-            return None
-        return InformationBound(
-            config.threshold,
-            policy=config.info_bound_policy,
-            max_delay_ticks=config.max_delay_ticks,
-        )
 
     def _make_shard_server(
         self, shard, host, state, info_bound, recovery
@@ -1524,11 +1498,6 @@ class ShardedSeveEngine(SeveEngine):
                 hook(pos, client_id, values)
 
         return chained
-
-    def _make_audit_hook(self, audit):
-        return lambda pos, client_id, values: audit.record(
-            pos, client_id, self.sim.now, values
-        )
 
     def _home_server(self, client_id: ClientId):
         shard = self.home_shard(client_id)
@@ -1716,6 +1685,9 @@ class ShardedSeveEngine(SeveEngine):
     # ------------------------------------------------------------------
     # Driving
     # ------------------------------------------------------------------
+    def _servers(self) -> List[ShardServer]:
+        return self.shard_servers
+
     def _driven_servers(self) -> List[ShardServer]:
         return [self.shard_servers[shard] for shard in self.owned_shards]
 
@@ -1758,11 +1730,43 @@ class ShardedSeveEngine(SeveEngine):
         )
 
     # ------------------------------------------------------------------
-    # Results.  These read only ``shard_servers`` rows (``clients``,
-    # ``span_gsns``, ``rebalance_log``, ``failover_log``), ``clients``,
-    # ``dead`` and ``quarantined``, so :class:`repro.net.backend.MergedRun`
-    # applies the same rules to the rows the partitions snapshot.
+    # Results: the measured surface, where sharding makes it real.  These
+    # (and the inherited rules) read only ``shard_servers`` rows —
+    # ``clients``, ``stats``, ``shard_stats``, ``span_gsns``, ``stripe``,
+    # ``rebalance_log``, ``failover_log`` —, ``server_hosts`` rows,
+    # ``clients``, ``shard_states``, ``dead`` and ``quarantined``, so
+    # :class:`repro.net.backend.MergedRun` applies the same rules to the
+    # rows the partitions snapshot.
     # ------------------------------------------------------------------
+    @property
+    def shard_rows(self) -> list:
+        """One summary row per shard: committed/serialized counts, the
+        cross-shard message counters and the shard host's CPU time."""
+        return [
+            {
+                "shard": server.shard_index,
+                "clients": len(server.clients),
+                "serialized": server.stats.actions_serialized,
+                "committed": server.stats.actions_committed,
+                "spans_forwarded": server.shard_stats.spans_forwarded,
+                "spans_spliced": server.shard_stats.spans_spliced,
+                "handoffs_out": server.shard_stats.handoffs_out,
+                "handoffs_in": server.shard_stats.handoffs_in,
+                "cpu_ms": self.server_hosts[server.shard_index].cpu_time_used,
+                "push_cycles": server.stats.push_cycles,
+                "stripe": server.stripe,
+            }
+            for server in self.shard_servers
+        ]
+
+    def consistency_report(self, replicas):
+        """Shard stores legitimately diverge on each other's local
+        actions, so Theorem 1 is checked against any-shard history plus
+        the global span-order audit — over the live clients, whatever
+        population ``replicas`` names."""
+        audit = audit_sharded_run(self)
+        return audit.replica_report, audit
+
     @property
     def failover_events(self) -> tuple:
         """Completed lease transfers, across every shard's log."""
@@ -1787,15 +1791,6 @@ class ShardedSeveEngine(SeveEngine):
     def stripe_bounds(self) -> tuple:
         """Each shard's own view of its stripe ``(lo, hi)``."""
         return tuple(server.stripe for server in self.shard_servers)
-
-    def live_client_ids(self) -> list[ClientId]:
-        return [
-            client_id
-            for client_id in self.clients
-            if client_id not in self.dead
-            and client_id not in self.quarantined
-            and any(client_id in server.clients for server in self.shard_servers)
-        ]
 
     def shard_of_client(self, client_id: ClientId) -> Optional[int]:
         """The shard a client is currently attached to (None mid-flight)."""

@@ -34,6 +34,11 @@ PAPER_MOVE_COST_MS = 7.44
 #: The paper's calibration: ms of evaluation per 1000 visible walls.
 PAPER_COST_PER_KWALL_MS = 6.95
 
+#: Radius within which walls count as "visible" for the "walls" cost
+#: model (58 units makes 100k walls yield ~1000 visible, matching the
+#: paper's calibration point).
+WALL_COST_RADIUS = 58.0
+
 
 @dataclass(frozen=True)
 class SimulationSettings:
@@ -63,18 +68,13 @@ class SimulationSettings:
 
     # -- cost model ----------------------------------------------------------
     #: "fixed": every move costs ``move_cost_ms``.  "walls": cost scales
-    #: with the walls actually visible around the mover (the paper's
-    #: 6.95 ms per 1000 visible walls).
+    #: with the walls within ``WALL_COST_RADIUS`` of the mover (the
+    #: paper's 6.95 ms per 1000 visible walls).
     cost_model: str = "fixed"
     move_cost_ms: float = PAPER_MOVE_COST_MS
     #: Fixed synchronization/bookkeeping overhead per action evaluation
     #: (the paper's ~60 ms per 32-action round => ~1.9 ms/action).
     eval_overhead_ms: float = 1.9
-    cost_per_kwall_ms: float = PAPER_COST_PER_KWALL_MS
-    #: Radius within which walls count as "visible" for the cost model
-    #: (58 units makes 100k walls yield ~1000 visible, matching the
-    #: paper's calibration point).
-    wall_cost_radius: float = 58.0
 
     # -- protocol ----------------------------------------------------------
     omega: float = 0.5
@@ -176,9 +176,7 @@ class SimulationSettings:
     trace_out: Optional[str] = None
     #: Write the metrics-registry JSON export here (``--metrics-out``).
     metrics_out: Optional[str] = None
-    #: Collect the per-phase count/sim-ms/wall-ms breakdown
-    #: (``--profile``).  Off by default: wall-clock sampling is the one
-    #: observability cost worth gating.
+    #: Collect the per-phase count/sim-ms breakdown (``--profile``).
     profile: bool = False
 
     @property

@@ -16,13 +16,9 @@ from typing import Dict, Optional
 from repro.harness.architectures import build_engine, build_world
 from repro.harness.config import SimulationSettings
 from repro.harness.workload import MoveWorkload, start_run
-from repro.metrics.consistency import (
-    ConsistencyChecker,
-    ConsistencyReport,
-    check_uniform,
-)
+from repro.metrics.consistency import ConsistencyReport
 from repro.net.stats import SummaryStats
-from repro.types import SERVER_ID
+from repro.types import shard_host_id
 from repro.world.manhattan import ManhattanWorld
 
 
@@ -82,7 +78,7 @@ class RunResult:
     #: the first violation aborts the run.
     rwset_violations: tuple = ()
     #: Per-phase breakdown (``--profile``): phase name ->
-    #: {count, sim_ms, wall_ms}.  ``None`` when profiling was off.
+    #: {count, sim_ms}.  ``None`` when profiling was off.
     profile: Optional[Dict[str, Dict[str, float]]] = None
     #: Cross-shard consistency audit (sharded runs only; see
     #: :mod:`repro.metrics.shard_audit`).
@@ -178,7 +174,7 @@ def run_simulation(
     if settings.shards > 1:
         from repro.net.backend import run_partitioned
 
-        engine, workload = run_partitioned(
+        engine, workload_stats = run_partitioned(
             architecture,
             settings,
             parallel=settings.backend == "parallel",
@@ -192,8 +188,10 @@ def run_simulation(
         start_run(engine, workload, settings)
         engine.run(until=settings.submit_horizon_ms)
         engine.run_to_quiescence(max_extra_ms=settings.drain_ms)
+        workload_stats = workload.stats
 
-    sharded = engine.shard_servers if settings.shards > 1 else None
+    # Everything below reads the finished run through the surface
+    # repro.core.chassis.EngineChassis declares.
     consistency = None
     shard_audit = None
     if check_consistency:
@@ -206,103 +204,33 @@ def run_simulation(
             if faults_active or settings.adversary_active
             else engine.clients.keys()
         )
-        replicas = {
-            client_id: _stable_replica(engine.clients[client_id])
-            for client_id in client_ids
-        }
-        if sharded is not None:
-            # Shard stores legitimately diverge on each other's local
-            # actions, so Theorem 1 is checked against any-shard history
-            # plus the global span-order audit.
-            from repro.metrics.shard_audit import audit_sharded_run
+        consistency, shard_audit = engine.consistency_report(
+            {client_id: engine.clients[client_id].stable for client_id in client_ids}
+        )
 
-            shard_audit = audit_sharded_run(engine)
-            consistency = shard_audit.replica_report
-        elif architecture in ("seve-basic", "broadcast"):
-            # Full-replication architectures have no advancing server
-            # state; consistency there means all replicas are identical.
-            consistency = check_uniform(replicas)
-        else:
-            consistency = ConsistencyChecker(engine.state).check_all(replicas)
-
-    meter = engine.network.meter
+    meter = engine.meter
     num_clients = max(1, len(engine.clients))
     client_kb = (
         sum(meter.host_bytes(client_id) for client_id in engine.clients)
         / num_clients
         / 1024.0
     )
-    drop_percent = getattr(engine, "drop_percent", 0.0)
-    samples = workload.stats.visible_samples
-    costs = workload.stats.costs
-    client_hosts = (
-        engine.client_hosts.values()
-        if hasattr(engine, "client_hosts")
-        else [client.host for client in engine.clients.values()]
+    samples = workload_stats.visible_samples
+    costs = workload_stats.costs
+    total_cpu = sum(
+        host.cpu_time_used for host in engine.server_hosts.values()
+    ) + sum(host.cpu_time_used for host in engine.client_hosts.values())
+    server_traffic_kb = (
+        sum(meter.host_bytes(shard_host_id(shard)) for shard in engine.server_hosts)
+        / 1024.0
     )
-    server_hosts = (
-        list(engine.server_hosts.values())
-        if sharded is not None
-        else [engine.server_host]
-    )
-    total_cpu = sum(host.cpu_time_used for host in server_hosts) + sum(
-        host.cpu_time_used for host in client_hosts
-    )
-    closure_cpu = 0.0
-    shard_rows = None
-    if sharded is not None:
-        from repro.types import shard_host_id
-
-        for shard_server in sharded:
-            closure_cpu += (
-                shard_server.stats.closures_computed
-                * shard_server.costs.closure_ms
-            )
-        shard_rows = [
-            {
-                "shard": shard_server.shard_index,
-                "clients": len(shard_server.clients),
-                "serialized": shard_server.stats.actions_serialized,
-                "committed": shard_server.stats.actions_committed,
-                "spans_forwarded": shard_server.shard_stats.spans_forwarded,
-                "spans_spliced": shard_server.shard_stats.spans_spliced,
-                "handoffs_out": shard_server.shard_stats.handoffs_out,
-                "handoffs_in": shard_server.shard_stats.handoffs_in,
-                "cpu_ms": engine.server_hosts[
-                    shard_server.shard_index
-                ].cpu_time_used,
-                "push_cycles": shard_server.stats.push_cycles,
-                "stripe": shard_server.stripe,
-            }
-            for shard_server in sharded
-        ]
-        server_traffic_kb = (
-            sum(
-                meter.host_bytes(shard_host_id(shard))
-                for shard in range(len(sharded))
-            )
-            / 1024.0
-        )
-        clients_evicted = sum(
-            shard_server.stats.clients_evicted for shard_server in sharded
-        )
-    else:
-        server_stats = getattr(getattr(engine, "server", None), "stats", None)
-        if hasattr(server_stats, "closures_computed"):
-            closure_cpu = (
-                server_stats.closures_computed * engine.server.costs.closure_ms
-            )
-        server_traffic_kb = meter.host_bytes(SERVER_ID) / 1024.0
-        clients_evicted = getattr(server_stats, "clients_evicted", 0) or getattr(
-            engine, "liveness_evictions", 0
-        )
     profile = None
     if obs is not None:
         obs.record_run_summary(
             meter=meter,
             response_samples=engine.response_times.samples,
-            virtual_ms=engine.sim.now,
-            events=engine.sim.dispatched,
+            virtual_ms=engine.virtual_ms,
+            events=engine.events,
         )
         if settings.trace_out is not None and obs.trace is not None:
             obs.trace.write_chrome(settings.trace_out)
@@ -317,44 +245,27 @@ def run_simulation(
         total_traffic_kb=meter.total_kb,
         client_traffic_kb=client_kb,
         server_traffic_kb=server_traffic_kb,
-        drop_percent=drop_percent,
+        drop_percent=engine.drop_percent,
         avg_visible=(sum(samples) / len(samples)) if samples else 0.0,
         avg_move_cost_ms=(sum(costs) / len(costs)) if costs else 0.0,
         consistency=consistency,
-        virtual_ms=engine.sim.now,
+        virtual_ms=engine.virtual_ms,
         wall_seconds=time.perf_counter() - started,
-        events=engine.sim.dispatched,
-        moves_submitted=workload.stats.moves_submitted,
+        events=engine.events,
+        moves_submitted=workload_stats.moves_submitted,
         responses_observed=engine.response_times.summary().count,
         total_cpu_ms=total_cpu,
-        closure_cpu_ms=closure_cpu,
+        closure_cpu_ms=engine.closure_cpu_ms,
         messages_dropped=meter.messages_dropped,
         messages_duplicated=meter.messages_duplicated,
         retransmissions=meter.retransmissions,
-        clients_evicted=clients_evicted,
-        rwset_violations=tuple(
-            violation.render()
-            for violation in (
-                engine.rwset_recorder.violations
-                if getattr(engine, "rwset_recorder", None) is not None
-                else ()
-            )
-        ),
+        clients_evicted=engine.clients_evicted,
+        rwset_violations=engine.rwset_violations,
         profile=profile,
         shard_audit=shard_audit,
-        shard_rows=shard_rows,
-        rebalance_events=tuple(getattr(engine, "rebalance_events", ()) or ()),
+        shard_rows=engine.shard_rows,
+        rebalance_events=tuple(engine.rebalance_events),
         control_plane=settings.control_plane,
-        failover_events=tuple(
-            event.to_dict()
-            for event in getattr(engine, "failover_events", ()) or ()
-        ),
-        **getattr(engine, "detection_summary", dict)(),
+        failover_events=tuple(event.to_dict() for event in engine.failover_events),
+        **engine.detection_summary(),
     )
-
-
-def _stable_replica(client):
-    """The authoritative-facing replica of any architecture's client."""
-    if hasattr(client, "stable"):  # SEVE protocol client
-        return client.stable
-    return client.store  # baseline client

@@ -20,9 +20,12 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List
 
-from repro.core.action import ActionId
 from repro.errors import MissingObjectError
-from repro.harness.config import SimulationSettings
+from repro.harness.config import (
+    PAPER_COST_PER_KWALL_MS,
+    WALL_COST_RADIUS,
+    SimulationSettings,
+)
 from repro.types import ClientId
 from repro.world.avatar import avatar_id, avatar_position
 from repro.world.manhattan import ManhattanWorld
@@ -54,7 +57,6 @@ class MoveWorkload:
         self.stats = WorkloadStats()
         self._rng = random.Random(settings.seed + 1000)
         self._remaining: Dict[ClientId, int] = {}
-        self._next_seq: Dict[ClientId, int] = {}
         self._stoppers: Dict[ClientId, object] = {}
         #: Move quota parked by stop_client, restored by resume_client.
         self._halted: Dict[ClientId, int] = {}
@@ -79,7 +81,6 @@ class MoveWorkload:
             if owned is not None and client_id not in owned:
                 continue
             self._remaining[client_id] = self.settings.moves_per_client
-            self._next_seq[client_id] = 0
             self._stoppers[client_id] = self.engine.sim.call_every(
                 interval,
                 self._make_submitter(client_id),
@@ -129,7 +130,7 @@ class MoveWorkload:
     def _submit_one(self, client_id: ClientId) -> None:
         store = self.engine.planning_store(client_id)
         try:
-            action_id = self._mint_action_id(client_id)
+            action_id = self.engine.clients[client_id].next_action_id()
             cost = self._move_cost(store, client_id)
             action = self.world.plan_move(
                 store, client_id, action_id, cost_ms=cost
@@ -145,14 +146,6 @@ class MoveWorkload:
         )
         self.engine.submit(client_id, action)
 
-    def _mint_action_id(self, client_id: ClientId) -> ActionId:
-        client = self.engine.clients[client_id]
-        if hasattr(client, "next_action_id"):  # SEVE protocol client
-            return client.next_action_id()
-        seq = self._next_seq[client_id]
-        self._next_seq[client_id] = seq + 1
-        return ActionId(client_id, seq)
-
     def _move_cost(self, store, client_id: ClientId) -> float:
         settings = self.settings
         if settings.cost_model == "fixed":
@@ -160,10 +153,10 @@ class MoveWorkload:
         me = store.get(avatar_id(client_id))
         visible_walls = len(
             self.world.walls.walls_near(
-                avatar_position(me), settings.wall_cost_radius
+                avatar_position(me), WALL_COST_RADIUS
             )
         )
-        return settings.cost_per_kwall_ms * visible_walls / 1000.0
+        return PAPER_COST_PER_KWALL_MS * visible_walls / 1000.0
 
     @property
     def finished(self) -> bool:
@@ -178,7 +171,7 @@ def start_run(engine, workload: MoveWorkload, settings: SimulationSettings) -> N
     The one start sequence of every drive — the harness runner, each
     partition replica of a sharded run, and the race explorer.
     """
-    if getattr(engine, "detector", None) is not None:
+    if engine.detector is not None:
         # Quarantined cheaters must stop generating moves, or the drain
         # waits on submissions that can never commit.
         engine.on_quarantine = workload.stop_client
@@ -196,7 +189,7 @@ def start_run(engine, workload: MoveWorkload, settings: SimulationSettings) -> N
         _schedule_crash_windows(engine, workload, plan)
     else:
         engine.start()
-    workload.install(only=getattr(engine, "owned_clients", None))
+    workload.install(only=engine.owned_clients)
 
 
 def _schedule_crash_windows(engine, workload: MoveWorkload, plan) -> None:

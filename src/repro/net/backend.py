@@ -67,7 +67,6 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.messages import MessageCodec
@@ -204,18 +203,6 @@ class PartitionSnapshot:
     #: :meth:`SeveEngine.detection_summary` of the replica's engine
     #: (docs/adversary.md); empty on honest runs.
     detection: Dict[str, object]
-
-
-class _Rendered:
-    """A pre-rendered sanitizer violation (render() is cross-process)."""
-
-    __slots__ = ("text",)
-
-    def __init__(self, text: str) -> None:
-        self.text = text
-
-    def render(self) -> str:
-        return self.text
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +380,7 @@ class PartitionReplica:
                 stable=client.stable,
                 observations=client.observations,
                 stats=client.stats,
-                cpu_time_used=engine.client_hosts[client_id].cpu_time_used,
+                cpu_time_used=client.host.cpu_time_used,
                 dropped=engine.dropped[client_id],
             )
         shards = []
@@ -414,11 +401,6 @@ class PartitionReplica:
                     failover_log=tuple(server.failover_log),
                 )
             )
-        recorder = engine.rwset_recorder
-        violations = tuple(
-            violation.render()
-            for violation in (recorder.violations if recorder is not None else ())
-        )
         if self.obs is not None:
             # Surface the action classes the transport codec had to
             # pickle (no field encoding of their own) as a metric; zero
@@ -430,9 +412,9 @@ class PartitionReplica:
                 ).inc(count)
         return PartitionSnapshot(
             partition=self.partition,
-            now=engine.sim.now,
-            dispatched=engine.sim.dispatched,
-            meter=engine.network.meter,
+            now=engine.virtual_ms,
+            dispatched=engine.events,
+            meter=engine.meter,
             response_samples=list(engine.response_times.samples),
             response_by_client={
                 client_id: list(samples)
@@ -441,7 +423,7 @@ class PartitionReplica:
             workload=self.workload.stats,
             clients=clients,
             shards=shards,
-            rwset_violations=violations,
+            rwset_violations=engine.rwset_violations,
             observer=self.obs,
             dead=tuple(sorted(engine.dead)),
             detection=engine.detection_summary(),
@@ -627,38 +609,42 @@ def _drive(handles, settings) -> List[PartitionSnapshot]:
 # Merge: partition snapshots -> one engine-shaped view
 # ---------------------------------------------------------------------------
 class MergedRun:
-    """Engine-shaped view over the merged partition snapshots.
+    """The measured surface of a sharded run, over merged snapshots.
 
-    Exposes exactly the surface :func:`repro.harness.runner.run_simulation`
-    and :func:`repro.metrics.shard_audit.audit_sharded_run` consume from
-    a :class:`~repro.core.sharded.ShardedSeveEngine` at the end of a run
-    — clients, meters, shard servers/states, hosts, samplers — assembled
-    from picklable per-partition snapshots in deterministic (partition-,
-    then id-sorted) order.  Each snapshot row stands in for both the
-    protocol object and its host.
+    Carries exactly what :func:`repro.harness.runner.run_simulation`
+    reads from a finished engine (the surface
+    :class:`~repro.core.chassis.EngineChassis` declares) and what
+    :func:`repro.metrics.shard_audit.audit_sharded_run` consumes —
+    assembled from picklable per-partition snapshots in deterministic
+    (partition-, then id-sorted) order.  Each snapshot row stands in
+    for both the protocol object and its host, and the rules that
+    summarise the rows are the sharded engine's own.
     """
 
-    # The engine's own summary rules, applied to the snapshot rows.
+    _servers = ShardedSeveEngine._servers
     total_dropped = ShardedSeveEngine.total_dropped
     drop_percent = ShardedSeveEngine.drop_percent
+    clients_evicted = ShardedSeveEngine.clients_evicted
+    shard_rows = ShardedSeveEngine.shard_rows
     rebalance_events = ShardedSeveEngine.rebalance_events
     failover_events = ShardedSeveEngine.failover_events
     live_client_ids = ShardedSeveEngine.live_client_ids
     span_gsn_map = ShardedSeveEngine.span_gsn_map
+    consistency_report = ShardedSeveEngine.consistency_report
 
     def __init__(self, snapshots: List[PartitionSnapshot]) -> None:
         from repro.harness.workload import WorkloadStats
         from repro.net.stats import LatencySampler, TrafficMeter
 
         snapshots = sorted(snapshots, key=lambda s: s.partition)
-        meter = TrafficMeter()
+        self.meter = TrafficMeter()
         self.response_times = LatencySampler()
         self.workload_stats = WorkloadStats()
         merged_clients: Dict[ClientId, ClientSnapshot] = {}
         self.dead: set = set()
-        violations = []
+        self.rwset_violations: Tuple[str, ...] = ()
         for snapshot in snapshots:
-            meter.merge_from(snapshot.meter)
+            self.meter.merge_from(snapshot.meter)
             self.response_times.samples.extend(snapshot.response_samples)
             for client_id, samples in snapshot.response_by_client.items():
                 self.response_times.by_client[client_id].extend(samples)
@@ -669,12 +655,9 @@ class MergedRun:
             )
             merged_clients.update(snapshot.clients)
             self.dead.update(snapshot.dead)
-            violations.extend(_Rendered(text) for text in snapshot.rwset_violations)
-        self.network = SimpleNamespace(meter=meter)
-        self.sim = SimpleNamespace(
-            now=max(snapshot.now for snapshot in snapshots),
-            dispatched=sum(snapshot.dispatched for snapshot in snapshots),
-        )
+            self.rwset_violations += snapshot.rwset_violations
+        self.virtual_ms = max(snapshot.now for snapshot in snapshots)
+        self.events = sum(snapshot.dispatched for snapshot in snapshots)
         self.clients = {
             client_id: merged_clients[client_id]
             for client_id in sorted(merged_clients)
@@ -691,8 +674,9 @@ class MergedRun:
             shard.shard_index: shard for shard in self.shard_servers
         }
         self.shard_states = [shard.state for shard in self.shard_servers]
-        self.rwset_recorder = (
-            SimpleNamespace(violations=tuple(violations)) if violations else None
+        self.closure_cpu_ms = sum(
+            shard.stats.closures_computed * shard.costs.closure_ms
+            for shard in self.shard_servers
         )
 
         # Adversary detection (docs/adversary.md): sum the per-detector
@@ -736,10 +720,10 @@ def run_partitioned(
     *,
     parallel: bool,
     obs=None,
-) -> Tuple[MergedRun, SimpleNamespace]:
+) -> Tuple[MergedRun, object]:
     """Run a sharded deployment through the windowed scheduler.
 
-    Returns ``(merged_engine_view, workload_view)`` for the runner's
+    Returns ``(merged_run, workload_stats)`` for the runner's
     measurement pipeline.  The replicas are stepped inline, observing
     straight into ``obs`` when one is attached; ``parallel=True`` with
     more than one resolved worker spawns one worker process per
@@ -772,4 +756,4 @@ def run_partitioned(
         for snapshot in snapshots:
             if snapshot.observer not in (None, obs):
                 obs.merge_from(snapshot.observer)
-    return merged, SimpleNamespace(stats=merged.workload_stats)
+    return merged, merged.workload_stats

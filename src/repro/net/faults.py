@@ -433,12 +433,11 @@ class LivenessConfig:
 
     Clients send heartbeats every ``heartbeat_interval_ms``; a client
     not heard from (heartbeat *or* protocol message) for ``timeout_ms``
-    is presumed dead and evicted.  The eviction sweep runs every
-    ``check_interval_ms`` (default: half the timeout)."""
+    is presumed dead and evicted.  The eviction sweep runs every half
+    timeout (``timeout_ms / 2``)."""
 
     heartbeat_interval_ms: TimeMs = 1_000.0
     timeout_ms: TimeMs = 5_000.0
-    check_interval_ms: Optional[TimeMs] = None
 
     def __post_init__(self) -> None:
         if self.heartbeat_interval_ms <= 0:
@@ -450,11 +449,3 @@ class LivenessConfig:
                 "liveness timeout must exceed the heartbeat interval "
                 f"({self.timeout_ms} <= {self.heartbeat_interval_ms})"
             )
-
-    @property
-    def effective_check_interval_ms(self) -> TimeMs:
-        return (
-            self.check_interval_ms
-            if self.check_interval_ms is not None
-            else self.timeout_ms / 2.0
-        )

@@ -184,7 +184,7 @@ def fingerprint(settings: SimulationSettings, architecture: str = "seve") -> dic
         runner.build_engine = build_engine
         backend.run_partitioned = run_partitioned
     (view,) = views
-    meter = view.network.meter
+    meter = view.meter
     stores = getattr(view, "shard_states", None) or [view.state]
     assert result.consistency is not None
     if architecture == "seve":
@@ -203,7 +203,7 @@ def fingerprint(settings: SimulationSettings, architecture: str = "seve") -> dic
                 name: _jsonable(getattr(result, name)) for name in MEASURED
             },
             "replica_crc": [
-                runner._stable_replica(view.clients[client_id]).checksum()
+                view.clients[client_id].stable.checksum()
                 for client_id in view.live_client_ids()
             ],
         }
