@@ -412,7 +412,7 @@ class SeveEngine(EngineChassis):
     def _driven_servers(self) -> list:
         """The servers whose periodic processes this engine runs (hook:
         the sharded engine returns the shards of its slice)."""
-        return [self.server]
+        return self._servers()
 
     def start(self, *, stop_at: Optional[TimeMs] = None) -> None:
         """Install the driven servers' periodic processes (liveness

@@ -82,17 +82,7 @@ class Link:
         end but was not handed to anyone (fault drop, dead host); such
         messages count as ``undelivered`` rather than ``delivered``.
         """
-        if size_bytes < 0:
-            raise NetworkError(f"message size must be non-negative, got {size_bytes}")
-        if self._obs is not None:
-            self._obs.on_link_transmit(
-                self.src, self.dst, size_bytes, self.queue_delay()
-            )
-        start = max(self.sim.now, self._wire_free_at)
-        self._wire_free_at = start + self.serialization_delay(size_bytes)
-        arrival = self._wire_free_at + self.latency_ms + extra_delay
-        arrival = max(arrival, self._last_arrival)
-        self._last_arrival = arrival
+        arrival = self.remote_arrival(size_bytes, extra_delay)
         self.in_flight += 1
 
         def on_arrival() -> None:
@@ -108,10 +98,11 @@ class Link:
     def remote_arrival(
         self, size_bytes: int, extra_delay: TimeMs = 0.0
     ) -> TimeMs:
-        """Occupy the wire exactly as :meth:`transmit` would and return
-        the arrival time — without scheduling a local delivery event.
+        """Occupy the wire for one message and return its arrival time,
+        without scheduling a delivery: :meth:`transmit` is this plus its
+        counters and its arrival event.
 
-        Used by the windowed partition backends
+        Called on its own by the windowed partition backends
         (:mod:`repro.net.backend`) for messages whose destination lives
         in another partition: the sender side computes the arrival time
         (advancing this link's wire/FIFO state so later local traffic

@@ -417,10 +417,14 @@ class Network:
         *,
         inject_faults: bool = True,
     ) -> TimeMs:
-        if self.remote_sink is not None and dst in self.remote_hosts:
-            return self._send_remote(
-                src, dst, payload, size_bytes, inject_faults=inject_faults
-            )
+        """The one send path: meter, draw the fault decision, perturb
+        and stamp the destination's incarnation — once, whoever owns the
+        destination.  Only the last step differs: schedule a local
+        delivery, or — for a destination another partition owns — hand
+        the computed arrival to :attr:`remote_sink`.  Dropped messages
+        are handed over too (flagged): the owning partition charges the
+        drop to its meter at the arrival instant, exactly when a local
+        send's arrival event would have."""
         link = self.link(src, dst)
         self.meter.record(src, dst, size_bytes)
         dropped = False
@@ -432,68 +436,32 @@ class Network:
             )
         if self.perturb is not None:
             extra_delay += self.perturb(src, dst, payload, self.sim.now)
-
         incarnation = self._incarnation.get(dst, 0)
+        remote = self.remote_sink is not None and dst in self.remote_hosts
 
-        def deliver() -> bool:
-            if dropped:
-                self.meter.note_dropped(src, dst, size_bytes)
-                return False
-            return self._dispatch(src, dst, payload, size_bytes, incarnation)
+        def emit(dropped: bool) -> TimeMs:
+            if remote:
+                arrival = link.remote_arrival(size_bytes, extra_delay)
+                self.remote_sink(
+                    src, dst, payload, size_bytes, arrival, dropped, incarnation
+                )
+                return arrival
 
-        arrival = link.transmit(size_bytes, deliver, extra_delay)
+            def deliver() -> bool:
+                if dropped:
+                    self.meter.note_dropped(src, dst, size_bytes)
+                    return False
+                return self._dispatch(src, dst, payload, size_bytes, incarnation)
+
+            return link.transmit(size_bytes, deliver, extra_delay)
+
+        arrival = emit(dropped)
         if duplicate:
             # The duplicate copy occupies the wire like any message and
             # is not itself subject to further fault decisions.
             self.meter.record(src, dst, size_bytes)
             self.meter.note_duplicate()
-            link.transmit(
-                size_bytes,
-                lambda: self._dispatch(src, dst, payload, size_bytes, incarnation),
-                extra_delay,
-            )
-        return arrival
-
-    def _send_remote(
-        self,
-        src: ClientId,
-        dst: ClientId,
-        payload: object,
-        size_bytes: int,
-        *,
-        inject_faults: bool = True,
-    ) -> TimeMs:
-        """Divert a message whose destination another partition owns.
-
-        Mirrors :meth:`_send_raw` decision-for-decision — same metering,
-        same fault draws in the same order, same link-state math — but
-        instead of scheduling a local delivery it hands the computed
-        arrival to :attr:`remote_sink`.  Dropped messages are forwarded
-        too (flagged): the owning partition charges the drop to its
-        meter at the arrival instant, exactly when a local send's
-        arrival event would have.
-        """
-        link = self.link(src, dst)
-        self.meter.record(src, dst, size_bytes)
-        dropped = False
-        extra_delay: TimeMs = 0.0
-        duplicate = False
-        if self.faults is not None and inject_faults:
-            dropped, extra_delay, duplicate = self.faults.decide(
-                src, dst, self.sim.now
-            )
-        incarnation = self._incarnation.get(dst, 0)
-        arrival = link.remote_arrival(size_bytes, extra_delay)
-        self.remote_sink(
-            src, dst, payload, size_bytes, arrival, dropped, incarnation
-        )
-        if duplicate:
-            self.meter.record(src, dst, size_bytes)
-            self.meter.note_duplicate()
-            dup_arrival = link.remote_arrival(size_bytes, extra_delay)
-            self.remote_sink(
-                src, dst, payload, size_bytes, dup_arrival, False, incarnation
-            )
+            emit(False)
         return arrival
 
     def _dispatch(

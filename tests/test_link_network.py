@@ -190,3 +190,28 @@ def test_hosts_listing(sim):
     net.register(SERVER_ID, lambda src, msg: None)
     net.register(3, lambda src, msg: None)
     assert sorted(net.hosts) == [SERVER_ID, 3]
+
+
+def test_diverted_send_consults_perturb_like_a_local_one(sim):
+    # A send whose destination another partition owns goes through the
+    # same decisions as a local one; only its last step hands the
+    # arrival to the sink instead of scheduling a delivery.
+    network = Network(sim, rtt_ms=100.0)
+    network.register(SERVER_ID, lambda src, payload: None)
+    delivered = []
+    network.register(0, lambda src, payload: delivered.append(sim.now))
+    network.register(1, lambda src, payload: None)
+    seen, diverted = [], []
+    network.perturb = lambda src, dst, payload, now: seen.append(dst) or 7.0
+    network.remote_hosts = frozenset({1})
+    network.remote_sink = lambda *message: diverted.append(message)
+
+    local_arrival = network.send(SERVER_ID, 0, "hello", 10)
+    remote_arrival = network.send(SERVER_ID, 1, "hello", 10)
+    sim.run()
+
+    assert seen == [0, 1]
+    assert local_arrival == remote_arrival == 57.0
+    assert delivered == [57.0]
+    assert diverted == [(SERVER_ID, 1, "hello", 10, 57.0, False, 0)]
+    assert network.link(SERVER_ID, 1).delivered == 0
