@@ -183,8 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     obs.add_argument(
         "--profile", action="store_true",
-        help="collect and print the per-phase count/sim-ms/wall-ms "
-        "breakdown",
+        help="collect and print the per-phase count/sim-ms breakdown",
     )
 
     experiment = sub.add_parser(

@@ -471,8 +471,6 @@ class IncompleteWorldServer:
         at their committed versions.
         """
         index = entry.pos - self._base_pos
-        obs = self._obs
-        started = obs.wall() if obs is not None else 0.0
         chain, seed = transitive_closure(
             self._entries,
             index,
@@ -482,8 +480,8 @@ class IncompleteWorldServer:
         )
         self.stats.closures_computed += 1
         cost = self.costs.closure_ms
-        if obs is not None:
-            obs.on_push_closure(self.costs.closure_ms, obs.wall() - started)
+        if self._obs is not None:
+            self._obs.on_push_closure(cost)
         if chain is None:
             # Span-pending deferral (sharded deployments): the chain
             # touches a spliced spanning action whose committed result
@@ -548,8 +546,6 @@ class IncompleteWorldServer:
         if first_new >= len(self._entries):
             return
         new_count = len(self._entries) - first_new
-        obs = self._obs
-        started = obs.wall() if obs is not None else 0.0
         # Algorithm 7 indexes entries element-wise both ways; hand it a
         # list view of the deque (same QueueEntry objects, so the
         # in-place ``valid`` verdicts land in the queue).
@@ -567,13 +563,9 @@ class IncompleteWorldServer:
                 break
             self._validated_upto = entry.pos
         cost = self.costs.validate_ms * new_count
-        if obs is not None:
-            obs.on_validate(
-                self.sim.now,
-                cost,
-                new_count,
-                len(dropped_indices),
-                obs.wall() - started,
+        if self._obs is not None:
+            self._obs.on_validate(
+                self.sim.now, cost, new_count, len(dropped_indices)
             )
 
         notices = []
@@ -599,15 +591,12 @@ class IncompleteWorldServer:
         assert self.predicate is not None
         self.stats.push_cycles += 1
         obs = self._obs
-        started = obs.wall() if obs is not None else 0.0
         self._push_candidates()
         if obs is not None:
             obs.on_push_scan(
                 self.sim.now,
-                obs.wall() - started,
                 sum(len(record.pending) for record in self.clients.values()),
             )
-            started = obs.wall()
         batches: List[Tuple[ClientId, List[OrderedAction]]] = []
         total_cost = 0.0
         for record in self.clients.values():
@@ -631,7 +620,6 @@ class IncompleteWorldServer:
                 total_cost,
                 len(batches),
                 sum(len(batch_entries) for _, batch_entries in batches),
-                obs.wall() - started,
             )
 
         def send_all() -> None:

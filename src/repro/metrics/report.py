@@ -183,20 +183,19 @@ def profile_rows(profile: dict) -> List[List[Cell]]:
 
     Phases follow the ``layer.component[.step]`` naming convention of
     docs/observability.md; rows come out phase-name sorted with the
-    count, attributed simulated milliseconds, and measured wall-clock
-    milliseconds.
+    count and the attributed simulated milliseconds.
 
     >>> rows = profile_rows({
-    ...     "sim.dispatch": {"count": 12, "sim_ms": 0.0, "wall_ms": 0.25},
-    ...     "client.apply": {"count": 3, "sim_ms": 28.02, "wall_ms": 0.0},
+    ...     "sim.dispatch": {"count": 12, "sim_ms": 0.0},
+    ...     "client.apply": {"count": 3, "sim_ms": 28.02},
     ... })
     >>> rows[0]
-    ['client.apply', 3, 28.02, 0.0]
+    ['client.apply', 3, 28.02]
     >>> len(rows)
     2
     """
     return [
-        [phase, entry["count"], entry["sim_ms"], entry["wall_ms"]]
+        [phase, entry["count"], entry["sim_ms"]]
         for phase, entry in sorted(profile.items())
     ]
 
@@ -205,23 +204,23 @@ def profile_table(profile: dict, title: str = "Per-phase breakdown") -> Table:
     """The ``--profile`` breakdown as a renderable :class:`Table`.
 
     >>> table = profile_table({
-    ...     "server.push.closure": {"count": 2, "sim_ms": 0.08, "wall_ms": 0.01},
+    ...     "server.push.closure": {"count": 2, "sim_ms": 0.08},
     ... })
     >>> print(table.render())  # doctest: +NORMALIZE_WHITESPACE
     Per-phase breakdown
-    -------------------------------------------
-    phase                count  sim ms  wall ms
-    -------------------------------------------
-    server.push.closure      2    0.08     0.01
-    -------------------------------------------
-    note: sim ms = virtual time attributed to the phase; wall ms = host execution time
+    ----------------------------------
+    phase                count  sim ms
+    ----------------------------------
+    server.push.closure      2    0.08
+    ----------------------------------
+    note: sim ms = virtual time attributed to the phase; for wall-clock time per layer run benchmarks/perf/run.py --trace 1
     """
     table = Table(
         title,
-        ["phase", "count", "sim ms", "wall ms"],
+        ["phase", "count", "sim ms"],
         note=(
-            "sim ms = virtual time attributed to the phase; "
-            "wall ms = host execution time"
+            "sim ms = virtual time attributed to the phase; for wall-clock "
+            "time per layer run benchmarks/perf/run.py --trace 1"
         ),
     )
     for row in profile_rows(profile):

@@ -89,9 +89,8 @@ class Simulator:
 
     def __init__(self, *, obs=None) -> None:
         """``obs`` is an optional :class:`repro.obs.Observer`; when
-        attached, every dispatch is counted (and wall-timed under
-        profiling).  ``None`` — the default — takes the identical
-        unobserved code path."""
+        attached, every dispatch is counted.  ``None`` — the default —
+        takes the identical unobserved code path."""
         self._now: TimeMs = 0.0
         self._queue: List[_HeapEntry] = []
         self._seq = itertools.count()
@@ -150,13 +149,9 @@ class Simulator:
             self._live -= 1
             self._now = time
             self._dispatched += 1
-            obs = self._obs
-            if obs is None:
-                callback()
-            else:
-                started = obs.wall()
-                callback()
-                obs.on_dispatch(obs.wall() - started)
+            callback()
+            if self._obs is not None:
+                self._obs.on_dispatch()
             return True
         return False
 

@@ -10,8 +10,10 @@ three kinds of telemetry (each individually optional):
   spans and instant events keyed on virtual time, exportable as Chrome
   ``trace_event`` JSON for ``chrome://tracing`` / Perfetto;
 * a **per-phase profile** (:class:`PhaseProfile`) aggregating event
-  counts, simulated milliseconds, and wall-clock milliseconds for the
-  hot seams: simulator dispatch, host work-queue service, link
+  counts and simulated milliseconds — model outputs, not timings; the
+  wall-clock profiler is the perf ledger's traced run
+  (``python3 benchmarks/perf/run.py --workload W --seed S --trace 1``)
+  — for the hot seams: simulator dispatch, host work-queue service, link
   transmit / ARQ retries, the server push-cycle phases (First Bound
   candidate scan, Algorithm 6 closure, batch build), Information Bound
   validation, and the client apply/retry paths.
@@ -48,7 +50,6 @@ Standalone (no engine required):
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional
 
 from repro.obs.metrics import (
@@ -94,12 +95,12 @@ PHASES = (
 
 
 class PhaseProfile:
-    """Per-phase aggregation: count, simulated ms, wall-clock ms.
+    """Per-phase aggregation: count and simulated ms.
 
     ``sim_ms`` is virtual time attributed to the phase (the calibrated
-    ServerCosts/action charges); ``wall_ms`` is how long our Python
-    process spent executing it.  The two measure different things — see
-    docs/performance.md — and the breakdown reports both.
+    ServerCosts/action charges).  How long our Python process spent in
+    a phase is a different question, answered by the perf ledger's
+    traced run (docs/performance.md).
 
     >>> profile = PhaseProfile()
     >>> profile.record("server.push.closure", sim_ms=0.04)
@@ -111,36 +112,32 @@ class PhaseProfile:
     __slots__ = ("phases",)
 
     def __init__(self) -> None:
-        #: phase -> [count, sim_ms, wall_ms]
+        #: phase -> [count, sim_ms]
         self.phases: Dict[str, List[float]] = {}
 
-    def record(
-        self, phase: str, *, sim_ms: float = 0.0, wall_ms: float = 0.0, n: int = 1
-    ) -> None:
+    def record(self, phase: str, *, sim_ms: float = 0.0, n: int = 1) -> None:
         """Fold one observation into ``phase``'s aggregate."""
         slot = self.phases.get(phase)
         if slot is None:
-            self.phases[phase] = [n, sim_ms, wall_ms]
+            self.phases[phase] = [n, sim_ms]
         else:
             slot[0] += n
             slot[1] += sim_ms
-            slot[2] += wall_ms
 
     def merge_from(self, other: "PhaseProfile") -> None:
         """Fold another profile's aggregates into this one.
 
         Used to combine per-worker profiles from the parallel backend
-        into one report table — previously the non-main processes' wall
-        time simply vanished.
+        into one report table.
         """
-        for phase, (count, sim_ms, wall_ms) in other.phases.items():
-            self.record(phase, sim_ms=sim_ms, wall_ms=wall_ms, n=count)
+        for phase, (count, sim_ms) in other.phases.items():
+            self.record(phase, sim_ms=sim_ms, n=count)
 
     def as_dict(self) -> Dict[str, Dict[str, float]]:
         """The breakdown as plain data, phase-name sorted."""
         return {
-            phase: {"count": int(count), "sim_ms": sim_ms, "wall_ms": wall_ms}
-            for phase, (count, sim_ms, wall_ms) in sorted(self.phases.items())
+            phase: {"count": int(count), "sim_ms": sim_ms}
+            for phase, (count, sim_ms) in sorted(self.phases.items())
         }
 
 
@@ -148,10 +145,8 @@ class Observer:
     """The facade every instrumented seam talks to.
 
     ``trace=True`` attaches a :class:`TraceRecorder`; ``profile=True``
-    attaches a :class:`PhaseProfile` *and* enables wall-clock sampling
-    at the seams (wall sampling is the one cost worth gating — metrics
-    and trace appends are plain bookkeeping).  The metrics registry is
-    always present.
+    attaches a :class:`PhaseProfile`.  The metrics registry is always
+    present.
     """
 
     def __init__(self, *, trace: bool = False, profile: bool = False) -> None:
@@ -163,7 +158,7 @@ class Observer:
         """Fold another observer's telemetry into this one.
 
         The parallel backend gives each worker replica its own observer
-        (perf_counter samples cannot cross process boundaries mid-run)
+        (an observer cannot cross process boundaries mid-run)
         and merges them here at the end: metrics add, profiles add, and
         trace events concatenate in partition order.  Telemetry kinds
         the receiving observer did not enable are skipped.
@@ -175,25 +170,13 @@ class Observer:
             self.profile.merge_from(other.profile)
 
     # ------------------------------------------------------------------
-    # Wall-clock sampling (profiling only)
-    # ------------------------------------------------------------------
-    def wall(self) -> float:
-        """A wall-clock sample in seconds, or 0.0 when not profiling.
-
-        Instrumented seams bracket work with ``wall()`` pairs; without a
-        profile both samples are 0.0 and the subtraction contributes
-        nothing, so non-profiling observers skip the syscall entirely.
-        """
-        return time.perf_counter() if self.profile is not None else 0.0
-
-    # ------------------------------------------------------------------
     # Simulator / host / network seams
     # ------------------------------------------------------------------
-    def on_dispatch(self, wall_s: float) -> None:
-        """One simulator event dispatched (``wall_s`` from :meth:`wall`)."""
+    def on_dispatch(self) -> None:
+        """One simulator event dispatched."""
         self.metrics.counter("sim.dispatched").inc()
         if self.profile is not None:
-            self.profile.record("sim.dispatch", wall_ms=wall_s * 1000.0)
+            self.profile.record("sim.dispatch")
 
     def on_host_service(
         self,
@@ -255,26 +238,22 @@ class Observer:
     # ------------------------------------------------------------------
     # Server seams
     # ------------------------------------------------------------------
-    def on_push_scan(
-        self, now_ms: TimeMs, wall_s: float, candidates: int
-    ) -> None:
+    def on_push_scan(self, now_ms: TimeMs, candidates: int) -> None:
         """One First Bound nomination pass completed; ``candidates`` is
         how many queue positions now wait on clients' pending lists."""
         self.metrics.counter("server.push.scans").inc()
         if self.profile is not None:
-            self.profile.record("server.push.scan", wall_ms=wall_s * 1000.0)
+            self.profile.record("server.push.scan")
         if self.trace is not None:
             self.trace.instant(
                 "push.scan", now_ms, track="server", args={"candidates": candidates}
             )
 
-    def on_push_closure(self, sim_cost_ms: float, wall_s: float) -> None:
+    def on_push_closure(self, sim_cost_ms: float) -> None:
         """One Algorithm 6 transitive closure computed."""
         self.metrics.counter("server.closures").inc()
         if self.profile is not None:
-            self.profile.record(
-                "server.push.closure", sim_ms=sim_cost_ms, wall_ms=wall_s * 1000.0
-            )
+            self.profile.record("server.push.closure", sim_ms=sim_cost_ms)
 
     def on_push_build(
         self,
@@ -282,20 +261,12 @@ class Observer:
         sim_cost_ms: float,
         batches: int,
         entries: int,
-        wall_s: float,
     ) -> None:
-        """One push cycle finished building its batches.
-
-        ``wall_s`` covers the whole per-client collection loop and is
-        therefore *inclusive* of the cycle's closure wall time (which is
-        also reported on its own under ``server.push.closure``).
-        """
+        """One push cycle finished building its batches."""
         self.metrics.counter("server.push_cycles").inc()
         self.metrics.counter("server.push.entries").inc(entries)
         if self.profile is not None:
-            self.profile.record(
-                "server.push.build", sim_ms=sim_cost_ms, wall_ms=wall_s * 1000.0
-            )
+            self.profile.record("server.push.build", sim_ms=sim_cost_ms)
         if self.trace is not None:
             self.trace.complete(
                 "push.cycle",
@@ -306,16 +277,14 @@ class Observer:
             )
 
     def on_validate(
-        self, now_ms: TimeMs, sim_cost_ms: float, entries: int, dropped: int, wall_s: float
+        self, now_ms: TimeMs, sim_cost_ms: float, entries: int, dropped: int
     ) -> None:
         """One Information Bound validation tick (Algorithm 7)."""
         self.metrics.counter("server.validations").inc()
         if dropped:
             self.metrics.counter("server.actions_dropped").inc(dropped)
         if self.profile is not None:
-            self.profile.record(
-                "server.validate", sim_ms=sim_cost_ms, wall_ms=wall_s * 1000.0
-            )
+            self.profile.record("server.validate", sim_ms=sim_cost_ms)
         if self.trace is not None:
             self.trace.complete(
                 "validate",

@@ -88,10 +88,8 @@ class FullScan:
     def _push_cycle(self) -> None:
         self.stats.push_cycles += 1
         obs = self._obs
-        started = 0.0
         if obs is not None:
-            obs.on_push_scan(self.sim.now, 0.0, 0)
-            started = obs.wall()
+            obs.on_push_scan(self.sim.now, 0)
         batches: List[Tuple[ClientId, List[OrderedAction]]] = []
         total_cost = 0.0
         for record in self.clients.values():
@@ -107,7 +105,6 @@ class FullScan:
                 total_cost,
                 len(batches),
                 sum(len(batch_entries) for _, batch_entries in batches),
-                obs.wall() - started,
             )
 
         def send_all() -> None:

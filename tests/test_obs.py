@@ -208,10 +208,6 @@ class TestTraceRecorder:
 
 
 class TestObserver:
-    def test_wall_returns_zero_without_profile(self):
-        assert Observer().wall() == 0.0
-        assert Observer(profile=True).wall() > 0.0
-
     def test_trace_and_profile_optional(self):
         bare = Observer()
         assert bare.trace is None and bare.profile is None
@@ -220,15 +216,15 @@ class TestObserver:
 
     def test_seam_hooks_update_metrics_profile_and_trace(self):
         obs = Observer(trace=True, profile=True)
-        obs.on_dispatch(wall_s=0.001)
+        obs.on_dispatch()
         obs.on_host_service(3, start_ms=10.0, cost_ms=7.44, queue_delay_ms=2.0)
         obs.on_link_transmit(0, -1, size_bytes=120, queue_delay_ms=0.0)
         obs.on_arq_retransmit(0, -1, now_ms=50.0, seq=4)
         obs.on_arq_abandoned(0, -1, now_ms=60.0)
-        obs.on_push_scan(100.0, wall_s=0.0, candidates=5)
-        obs.on_push_closure(sim_cost_ms=0.04, wall_s=0.0)
-        obs.on_push_build(100.0, sim_cost_ms=0.2, batches=2, entries=6, wall_s=0.0)
-        obs.on_validate(110.0, sim_cost_ms=0.1, entries=3, dropped=1, wall_s=0.0)
+        obs.on_push_scan(100.0, candidates=5)
+        obs.on_push_closure(sim_cost_ms=0.04)
+        obs.on_push_build(100.0, sim_cost_ms=0.2, batches=2, entries=6)
+        obs.on_validate(110.0, sim_cost_ms=0.1, entries=3, dropped=1)
         obs.on_server_relay(120.0, recipients=8)
         obs.on_hybrid_bundle(130.0, members=3, deduplicated=2)
         obs.on_client_apply(2, now_ms=140.0, cost_ms=7.44)
@@ -265,10 +261,10 @@ class TestObserver:
 class TestPhaseProfile:
     def test_record_aggregates_per_phase(self):
         profile = PhaseProfile()
-        profile.record("server.validate", sim_ms=1.0, wall_ms=0.5)
-        profile.record("server.validate", sim_ms=2.0, wall_ms=0.5, n=3)
+        profile.record("server.validate", sim_ms=1.0)
+        profile.record("server.validate", sim_ms=2.0, n=3)
         assert profile.as_dict() == {
-            "server.validate": {"count": 4, "sim_ms": 3.0, "wall_ms": 1.0}
+            "server.validate": {"count": 4, "sim_ms": 3.0}
         }
 
     def test_as_dict_is_phase_sorted(self):

@@ -113,8 +113,6 @@ def test_seve_profile_covers_the_hot_seams():
     } <= set(observed.profile)
     # sim_ms comes from the run's own charges, not from observation.
     assert observed.profile["client.apply"]["sim_ms"] > 0
-    # Wall sampling really ran under profile=True.
-    assert observed.profile["sim.dispatch"]["wall_ms"] > 0
     assert observer.profile.as_dict() == observed.profile
 
 

@@ -198,8 +198,6 @@ def test_profile_merges_across_workers():
     # phases from every worker land in one table, with real counts
     assert "sim.dispatch" in profiled.profile
     assert profiled.profile["sim.dispatch"]["count"] == profiled.events
-    total_wall = sum(row["wall_ms"] for row in profiled.profile.values())
-    assert total_wall > 0.0
 
     # observation must not perturb the run (determinism contract)
     unprofiled = run("parallel", shards=2)
