@@ -73,7 +73,6 @@ FLAG_RE = re.compile(r"(?<![-\w])--[a-z][a-z0-9-]*")
 #: scripts/bench.sh, scripts/code_size.py (``--json``, shared with
 #: lint.py), the benchmark drivers, pytest, and pip.
 NON_CLI_FLAGS = frozenset({
-    "--baseline",
     "--benchmark-only",
     "--check",
     "--exact",
@@ -92,7 +91,6 @@ NON_CLI_FLAGS = frozenset({
     "--seconds",
     "--trace",
     "--workload",
-    "--write-baseline",
 })
 
 

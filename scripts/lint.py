@@ -2,9 +2,8 @@
 """Repo-root linter entry point: ``python scripts/lint.py [args...]``.
 
 Thin wrapper over ``python -m repro.analysis`` (src need not be on
-PYTHONPATH) that also applies the checked-in baseline
-``scripts/lint_baseline.json`` by default when it exists.  Same flags
-and exit codes as the module CLI — see docs/static_analysis.md.
+PYTHONPATH) that reports findings relative to the repo root.  Same
+flags and exit codes as the module CLI — see docs/static_analysis.md.
 """
 
 import sys
@@ -18,9 +17,6 @@ from repro.analysis.cli import main  # noqa: E402
 
 def _argv() -> list:
     argv = sys.argv[1:]
-    default_baseline = REPO_ROOT / "scripts" / "lint_baseline.json"
-    if "--baseline" not in argv and default_baseline.exists():
-        argv = [*argv, "--baseline", str(default_baseline)]
     if "--root" not in argv:
         argv = [*argv, "--root", str(REPO_ROOT)]
     return argv

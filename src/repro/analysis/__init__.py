@@ -11,8 +11,7 @@ Neither contract is self-enforcing, so this package checks both:
     AST determinism linter: a visitor-based rule engine banning
     wall-clock reads, unseeded RNGs, unsorted set iteration,
     ``id()``-based ordering, and unsorted dict iteration in
-    serialization paths from the library, with per-line suppressions
-    and a checked-in baseline.
+    serialization paths from the library, with per-line suppressions.
 :mod:`repro.analysis.rwset_static`
     Static RW-set escape analysis: for every :class:`Action` subclass,
     walk the ``compute``/``apply`` ASTs and flag store accesses that

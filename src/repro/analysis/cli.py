@@ -11,18 +11,12 @@ shorthand for ``--check``.
 
 Exit codes
 ----------
-0   clean — no findings beyond the baseline
-1   findings were reported, or the baseline holds stale suppressions
-2   usage error (unknown path, unreadable baseline, syntax error in a
-    checked file)
+0   clean — no findings
+1   findings were reported
+2   usage error (unknown path, syntax error in a checked file)
 
-A baseline file (``--baseline``) holds the keys of previously accepted
-findings; matching findings are filtered out so the checks can be
-introduced over an imperfect tree and ratcheted.  The ratchet only
-tightens: a baseline entry that no longer matches any reported finding
-(and is applicable to the executed checks and scanned paths) is a
-*stale suppression* and fails the run — regenerate with
-``--write-baseline`` to shrink the file.
+The one suppression mechanism is the inline ``# lint: allow(rule)``
+comment on the offending line (docs/static_analysis.md).
 """
 
 from __future__ import annotations
@@ -31,9 +25,9 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence
 
-from repro.analysis.lint import RULES, Finding, display_path, lint_paths
+from repro.analysis.lint import Finding, lint_paths
 from repro.analysis.rwset_static import RWSetEscape, check_paths
 
 #: Default targets per check when no paths are given on the command
@@ -50,29 +44,6 @@ _DEFAULT_PATHS = {
 #: Check names accepted positionally (``python -m repro.analysis
 #: protocol``) and by ``--check``.
 CHECK_NAMES = ("determinism", "rwset", "protocol", "races", "all")
-
-BaselineKey = Tuple[str, str, int]
-
-
-def _load_baseline(path: Path) -> Set[BaselineKey]:
-    """Read accepted finding keys from a baseline JSON file."""
-    data = json.loads(path.read_text())
-    return {
-        (str(entry[0]), str(entry[1]), int(entry[2]))
-        for entry in data.get("findings", [])
-    }
-
-
-def _write_baseline(path: Path, keys: Sequence[BaselineKey]) -> None:
-    document = {
-        "comment": (
-            "Accepted pre-existing findings of `python -m repro.analysis`; "
-            "see docs/static_analysis.md.  Regenerate with --write-baseline."
-        ),
-        "findings": [list(key) for key in sorted(set(keys))],
-    }
-    path.write_text(json.dumps(document, indent=2) + "\n")
-
 
 def _finding_dict(finding) -> dict:
     """JSON form of a lint Finding or an RWSetEscape."""
@@ -99,7 +70,7 @@ def _finding_dict(finding) -> dict:
 
 def _race_findings(budget: int, shrink_budget: int) -> List[Finding]:
     """Run the schedule-permutation explorer and fold violations into
-    synthetic findings so the baseline/JSON machinery applies.
+    synthetic findings so the rendering/JSON machinery applies.
 
     Dynamic check: ignores positional paths.  Each violation becomes a
     ``race-violation`` finding whose path is ``races:<scenario>``.
@@ -129,55 +100,6 @@ def _race_findings(budget: int, shrink_budget: int) -> List[Finding]:
                 )
             )
     return findings
-
-
-def _check_rules(check: str) -> Set[str]:
-    """Rule names a given check can report — used by the baseline
-    ratchet to decide which baseline entries the run should have
-    re-confirmed."""
-    from repro.analysis.protocol import PROTOCOL_RULES
-
-    return {
-        "determinism": set(RULES),
-        "rwset": {"rwset-escape"},
-        "protocol": set(PROTOCOL_RULES),
-        "races": {"race-violation"},
-    }[check]
-
-
-def _stale_suppressions(
-    baseline: Set[BaselineKey],
-    findings: Sequence,
-    checks: Sequence[str],
-    scanned: Sequence[str],
-) -> List[BaselineKey]:
-    """Baseline entries this run should have re-reported but did not.
-
-    An entry is *applicable* when its rule belongs to one of the
-    executed checks and its path falls under a scanned path (races
-    entries are applicable whenever the races check ran).  Applicable
-    entries with no matching finding are stale: the tree got cleaner,
-    so the baseline must shrink with it.
-    """
-    rules: Set[str] = set()
-    for check in checks:
-        rules |= _check_rules(check)
-    reported = {f.key() for f in findings}
-    prefixes = tuple(scanned)
-    stale = []
-    for key in sorted(baseline):
-        path, rule, _line = key
-        if rule not in rules or key in reported:
-            continue
-        if path.startswith("races:"):
-            if "races" not in checks:
-                continue
-        elif not any(
-            path == p or path.startswith(p.rstrip("/") + "/") for p in prefixes
-        ):
-            continue
-        stale.append(key)
-    return stale
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,18 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit a JSON document instead of one finding per line",
     )
     parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="suppress findings whose (path, rule, line) appear in FILE",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite --baseline to accept every current finding",
-    )
-    parser.add_argument(
         "--root",
         type=Path,
         default=None,
@@ -260,7 +170,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         checks = [args.check]
     findings: List = []
-    scanned_display: List[str] = []
     try:
         for check in checks:
             if check == "races":
@@ -275,7 +184,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 if not Path(path).exists():
                     print(f"error: no such path: {path}", file=sys.stderr)
                     return 2
-            scanned_display.extend(display_path(p, root) for p in paths)
             if check == "determinism":
                 findings.extend(lint_paths(paths, root=root))
             elif check == "rwset":
@@ -292,53 +200,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     findings.sort(key=lambda f: (f.path, f.line))
 
-    if args.write_baseline:
-        if args.baseline is None:
-            print("error: --write-baseline requires --baseline", file=sys.stderr)
-            return 2
-        _write_baseline(args.baseline, [f.key() for f in findings])
-        print(
-            f"wrote {len(findings)} accepted finding(s) to {args.baseline}",
-            file=sys.stderr,
-        )
-        return 0
-
-    baseline: Set[BaselineKey] = set()
-    if args.baseline is not None:
-        try:
-            baseline = _load_baseline(args.baseline)
-        except (OSError, json.JSONDecodeError, ValueError, IndexError) as exc:
-            print(
-                f"error: unreadable baseline {args.baseline}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
-    fresh = [f for f in findings if f.key() not in baseline]
-    stale = _stale_suppressions(baseline, findings, checks, scanned_display)
-
     if args.json:
         document = {
             "checks": checks,
-            "count": len(fresh),
-            "baselined": len(findings) - len(fresh),
-            "stale": [list(key) for key in stale],
-            "findings": [_finding_dict(f) for f in fresh],
+            "count": len(findings),
+            "findings": [_finding_dict(f) for f in findings],
         }
         print(json.dumps(document, indent=2))
     else:
-        for finding in fresh:
+        for finding in findings:
             print(finding.render())
-        if fresh:
+        if findings:
             print(
-                f"{len(fresh)} finding(s); see docs/static_analysis.md for "
+                f"{len(findings)} finding(s); see docs/static_analysis.md for "
                 "the rule catalogue and suppression syntax",
                 file=sys.stderr,
             )
-        for path, rule, line in stale:
-            print(
-                f"stale suppression: {path}:{line} [{rule}] no longer "
-                "reported — the baseline only shrinks; regenerate with "
-                "--write-baseline",
-                file=sys.stderr,
-            )
-    return 1 if fresh or stale else 0
+    return 1 if findings else 0

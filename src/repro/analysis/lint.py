@@ -55,7 +55,7 @@ import ast
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 #: Rule name -> one-line description (the ``--list-rules`` catalogue).
 RULES: Dict[str, str] = {
@@ -120,10 +120,6 @@ class Finding:
     def render(self) -> str:
         """``path:line:col: [rule] message`` — the human CLI format."""
         return f"{self.path}:{self.line}:{self.col}: [{self.rule}] {self.message}"
-
-    def key(self) -> Tuple[str, str, int]:
-        """Identity used for baseline matching."""
-        return (self.path, self.rule, self.line)
 
 
 def _suppressions(source: str) -> Dict[int, Set[str]]:

@@ -37,8 +37,7 @@ Checks
     ``_Names`` are exempt — the ARQ layer is beneath the protocol).
 
 Findings reuse the lint :class:`~repro.analysis.lint.Finding` shape, so
-the CLI baseline ratchet and ``# lint: allow(...)`` suppressions apply
-unchanged.
+``# lint: allow(...)`` suppressions apply unchanged.
 """
 
 from __future__ import annotations

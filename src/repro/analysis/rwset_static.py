@@ -80,10 +80,6 @@ class RWSetEscape:
             f"{self.message}"
         )
 
-    def key(self) -> Tuple[str, str, int]:
-        """Identity used for baseline matching (shared with lint)."""
-        return (self.path, RULE, self.line)
-
 
 # -- atoms: where can an id in an expression come from? -----------------
 # ("param", name) — an __init__ parameter; ("attr", name) — a self

@@ -4,7 +4,7 @@ Three contracts: (1) every rule in the catalogue fires on its known-bad
 corpus snippet — and *only* the expected rule fires, pinning the
 false-positive behaviour too; (2) the shipped library is clean, which is
 what lets scripts/test.sh fail CI on any new finding; (3) the CLI's
-JSON mode, baseline filtering, and exit codes behave as documented.
+JSON mode and exit codes behave as documented.
 """
 
 from __future__ import annotations
@@ -111,25 +111,3 @@ def test_cli_exit_codes_and_json_document():
 
     missing = _run_cli("--check", "determinism", "no/such/path.py")
     assert missing.returncode == 2
-
-
-def test_cli_baseline_accepts_and_ratchets(tmp_path):
-    baseline = tmp_path / "baseline.json"
-    wrote = _run_cli(
-        "--check", "determinism", str(CORPUS / "wall_clock.py"),
-        "--baseline", str(baseline), "--write-baseline",
-    )
-    assert wrote.returncode == 0
-    # Baselined findings no longer fail the run...
-    accepted = _run_cli(
-        "--check", "determinism", str(CORPUS / "wall_clock.py"),
-        "--baseline", str(baseline),
-    )
-    assert accepted.returncode == 0
-    # ...but a file with fresh findings still does (ratchet, not waiver).
-    fresh = _run_cli(
-        "--check", "determinism",
-        str(CORPUS / "wall_clock.py"), str(CORPUS / "id_ordering.py"),
-        "--baseline", str(baseline),
-    )
-    assert fresh.returncode == 1
