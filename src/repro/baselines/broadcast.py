@@ -52,7 +52,7 @@ class BroadcastEngine(BaselineEngine):
             )
         relayed = RelayedAction(payload.action, submitted_at=self.sim.now)
         size = wire_size(relayed)
-        relay_cost = self.config.relay_cost_ms * max(1, len(self.clients))
+        relay_cost = self.RELAY_COST_MS * max(1, len(self.clients))
 
         def relay() -> None:
             self.stats.actions_relayed += 1

@@ -129,4 +129,4 @@ class CentralEngine(BaselineEngine):
                 # Response time: submission to authoritative update arrival.
                 client.note_confirmed(payload.cause)
 
-        client.host.execute(self.config.update_apply_cost_ms, install)
+        client.host.execute(self.UPDATE_APPLY_COST_MS, install)

@@ -42,13 +42,10 @@ from repro.world.base import World
 class BaselineConfig:
     """Network and cost parameters shared by the baselines.
 
-    ``update_apply_cost_ms`` is the (cheap) cost of installing a state
-    update at a thin client; ``relay_cost_ms`` the per-destination cost
-    of the server's routing work; ``eval_overhead_ms`` the fixed
-    synchronization/bookkeeping cost added to every full action
-    evaluation (the paper's measured ~60 ms per 32-action round on top
-    of 32 x 7.44 ms, i.e. ~1.9 ms/action — this is what puts the
-    Figure 6 knee at 30-32 clients).
+    ``eval_overhead_ms`` is the fixed synchronization/bookkeeping cost
+    added to every full action evaluation (the paper's measured ~60 ms
+    per 32-action round on top of 32 x 7.44 ms, i.e. ~1.9 ms/action —
+    this is what puts the Figure 6 knee at 30-32 clients).
 
     The fault-tolerance knobs mirror :class:`repro.core.engine.SeveConfig`:
     ``fault_plan`` (deterministic injection), ``reliability`` (ARQ),
@@ -57,8 +54,6 @@ class BaselineConfig:
 
     rtt_ms: TimeMs = 238.0
     bandwidth_bps: Optional[float] = 100_000.0
-    update_apply_cost_ms: float = 0.1
-    relay_cost_ms: float = 0.01
     eval_overhead_ms: float = 1.9
     fault_plan: Optional[FaultPlan] = None
     reliability: Optional[ReliabilityConfig] = None
@@ -120,6 +115,11 @@ class BaselineEngine(EngineChassis):
     SEVE engines are assembled on, so the experiment harness drives and
     measures all architectures uniformly.
     """
+
+    #: The (cheap) cost of installing a state update at a thin client.
+    UPDATE_APPLY_COST_MS = 0.1
+    #: Per-destination cost of a relay server's routing work.
+    RELAY_COST_MS = 0.01
 
     def __init__(
         self,

@@ -194,4 +194,4 @@ class LockingEngine(BaselineEngine):
                 # the echo is its commit confirmation.
                 client.note_confirmed(effect.action_id)
 
-        client.host.execute(self.config.update_apply_cost_ms, install)
+        client.host.execute(self.UPDATE_APPLY_COST_MS, install)

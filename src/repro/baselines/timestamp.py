@@ -169,7 +169,7 @@ class TimestampEngine(BaselineEngine):
             if payload.action_id.client_id == client.client_id:
                 self._handle_own_decision(client, payload)
 
-        client.host.execute(self.config.update_apply_cost_ms, apply)
+        client.host.execute(self.UPDATE_APPLY_COST_MS, apply)
 
     def _handle_own_decision(self, client: BaselineClient, decision: Decision) -> None:
         retries = self._client_retries[client.client_id]

@@ -186,7 +186,7 @@ class ZonedCentralEngine(BaselineEngine):
             ):
                 client.note_confirmed(payload.cause)
 
-        client.host.execute(self.config.update_apply_cost_ms, install)
+        client.host.execute(self.UPDATE_APPLY_COST_MS, install)
 
     @property
     def busiest_zone_utilization(self) -> float:

@@ -35,7 +35,7 @@ from repro.core.action import Action, ActionId
 from repro.core.messages import Heartbeat, SubmitAction, wire_size
 from repro.errors import ConfigurationError, ProtocolError
 from repro.metrics.consistency import ConsistencyChecker
-from repro.net.faults import FaultInjector, RetryPolicy
+from repro.net.faults import RETRY_MAX_ATTEMPTS, FaultInjector, RetryPolicy
 from repro.net.host import Host
 from repro.net.network import Network
 from repro.net.simulator import Event, Simulator
@@ -60,7 +60,7 @@ class ClientStats:
     duplicates_skipped: int = 0
     #: Application-level resubmissions of unanswered own actions.
     retransmissions: int = 0
-    #: Own actions given up on after ``RetryPolicy.max_attempts``.
+    #: Own actions given up on after ``RETRY_MAX_ATTEMPTS`` resubmissions.
     retries_exhausted: int = 0
     #: Own echoes that arrived for actions no longer pending, or whose
     #: older pending siblings' echoes were lost (non-strict mode only).
@@ -149,7 +149,7 @@ class ClientShell:
             self._arm_retry(action, attempt)
 
     def _arm_retry(self, action: Action, attempt: int) -> None:
-        if attempt >= self.retry.max_attempts:
+        if attempt >= RETRY_MAX_ATTEMPTS:
             self.stats.retries_exhausted += 1
             return
         delay = self.retry.delay(attempt, self._retry_rng)

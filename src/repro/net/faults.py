@@ -344,6 +344,10 @@ class FaultInjector:
 # ---------------------------------------------------------------------------
 # Survival knobs
 # ---------------------------------------------------------------------------
+#: End-to-end resubmissions of one action before its client gives up.
+RETRY_MAX_ATTEMPTS = 6
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """End-to-end client resubmission: capped exponential backoff.
@@ -352,23 +356,19 @@ class RetryPolicy:
     ``min(timeout_ms * backoff**k, max_timeout_ms) + U(0, jitter_ms)``
     where the jitter is drawn from the *client's own* seeded RNG, never
     the shared fault RNG (so retries do not perturb fault decisions).
+    A client gives up on an action after :data:`RETRY_MAX_ATTEMPTS`.
     """
 
     timeout_ms: TimeMs = 1_000.0
     backoff: float = 2.0
     max_timeout_ms: TimeMs = 8_000.0
     jitter_ms: TimeMs = 0.0
-    max_attempts: int = 6
 
     def __post_init__(self) -> None:
         if self.timeout_ms <= 0:
             raise ConfigurationError(f"timeout must be > 0, got {self.timeout_ms}")
         if self.backoff < 1.0:
             raise ConfigurationError(f"backoff must be >= 1, got {self.backoff}")
-        if self.max_attempts < 1:
-            raise ConfigurationError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
 
     def delay(self, attempt: int, rng: random.Random) -> TimeMs:
         """Wait before resubmission number ``attempt`` (0-based)."""
@@ -388,7 +388,6 @@ class RetryPolicy:
             backoff=2.0,
             max_timeout_ms=2.0 * timeout,
             jitter_ms=0.1 * max(rtt_ms, 100.0),
-            max_attempts=6,
         )
 
 
@@ -397,25 +396,18 @@ class ReliabilityConfig:
     """The network-level ARQ transport (selective repeat + cumulative
     ACKs) that restores per-link reliable FIFO delivery over a lossy
     plan.  Sits *below* the handler layer, so every architecture
-    inherits it without protocol changes."""
+    inherits it without protocol changes.  The retransmit timeout
+    starts at ``rto_ms`` and doubles per retry up to ``max_rto_ms``."""
 
     rto_ms: TimeMs = 500.0
-    rto_backoff: float = 2.0
     max_rto_ms: TimeMs = 4_000.0
     #: Retransmissions of one packet before the sender gives up on it
     #: (the receiver is told to advance past the abandoned sequence).
     max_retries: int = 10
-    #: Simulated overhead bytes per data packet / per ACK.
-    header_bytes: int = 8
-    ack_bytes: int = 8
 
     def __post_init__(self) -> None:
         if self.rto_ms <= 0:
             raise ConfigurationError(f"rto must be > 0, got {self.rto_ms}")
-        if self.rto_backoff < 1.0:
-            raise ConfigurationError(
-                f"rto_backoff must be >= 1, got {self.rto_backoff}"
-            )
         if self.max_retries < 1:
             raise ConfigurationError(
                 f"max_retries must be >= 1, got {self.max_retries}"

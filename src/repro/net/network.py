@@ -41,6 +41,13 @@ from repro.types import SERVER_ID, ClientId, TimeMs
 Handler = Callable[[ClientId, object], None]
 
 
+#: Simulated overhead bytes per ARQ data packet / per ACK.
+_HEADER_BYTES = 8
+_ACK_BYTES = 8
+#: Growth of a channel's retransmit timeout per retry.
+_RTO_BACKOFF = 2.0
+
+
 @dataclass
 class _Packet:
     """ARQ data packet: a payload under a per-channel sequence number.
@@ -506,7 +513,7 @@ class Network:
         channel.unacked[seq] = [payload, size_bytes, 0]
         base = next(iter(channel.unacked))
         arrival = self._send_raw(
-            src, dst, _Packet(seq, base, payload), size_bytes + config.header_bytes
+            src, dst, _Packet(seq, base, payload), size_bytes + _HEADER_BYTES
         )
         if channel.timer is None:
             self._arm_timer(key, channel)
@@ -538,7 +545,7 @@ class Network:
             new_base = (
                 next(iter(channel.unacked)) if channel.unacked else channel.next_seq
             )
-            self._send_raw(src, dst, _Packet(-1, new_base, None), config.header_bytes)
+            self._send_raw(src, dst, _Packet(-1, new_base, None), _HEADER_BYTES)
         else:
             entry[2] += 1
             self.meter.note_retransmit()
@@ -546,10 +553,10 @@ class Network:
                 self._obs.on_arq_retransmit(src, dst, self.sim.now, head)
             base = next(iter(channel.unacked))
             self._send_raw(
-                src, dst, _Packet(head, base, entry[0]), entry[1] + config.header_bytes
+                src, dst, _Packet(head, base, entry[0]), entry[1] + _HEADER_BYTES
             )
             channel.rto_ms = min(
-                channel.rto_ms * config.rto_backoff, config.max_rto_ms
+                channel.rto_ms * _RTO_BACKOFF, config.max_rto_ms
             )
         if channel.unacked:
             self._arm_timer(key, channel)
@@ -579,7 +586,7 @@ class Network:
                 handler(src, payload)
         # Cumulative ACK (also re-ACKs duplicates, which is what lets a
         # sender whose ACK was lost stop retransmitting).
-        self._send_raw(dst, src, _Ack(channel.expected - 1), self.reliability.ack_bytes)
+        self._send_raw(dst, src, _Ack(channel.expected - 1), _ACK_BYTES)
 
     def _on_ack(self, src: ClientId, dst: ClientId, ack: _Ack) -> None:
         # ``src`` sent the ACK, so the data channel runs dst -> src.
