@@ -40,22 +40,19 @@ Architecture names
 
 from __future__ import annotations
 
-from typing import Union
-
 from repro.baselines.broadcast import BroadcastEngine
 from repro.baselines.central import CentralEngine
-from repro.baselines.common import BaselineConfig, BaselineEngine
+from repro.baselines.common import BaselineConfig
 from repro.baselines.locking import LockingEngine
 from repro.baselines.ring import RingEngine
 from repro.baselines.timestamp import TimestampEngine
 from repro.baselines.zoned import ZonedCentralEngine
+from repro.core.chassis import EngineChassis
 from repro.core.engine import SeveConfig, SeveEngine
 from repro.errors import ConfigurationError
 from repro.harness.config import SimulationSettings
 from repro.net.faults import LivenessConfig, ReliabilityConfig, RetryPolicy
 from repro.world.manhattan import ManhattanWorld
-
-Engine = Union[SeveEngine, BaselineEngine]
 
 #: All buildable architecture names.
 ARCHITECTURES = (
@@ -110,7 +107,7 @@ def build_engine(
     world: ManhattanWorld = None,
     *,
     obs=None,
-) -> Engine:
+) -> EngineChassis:
     """Assemble a ready-to-run engine for ``architecture``.
 
     ``world`` may be passed in to share one (expensively indexed) wall
