@@ -41,7 +41,7 @@ static_analysis() {
   # the total nor the largest file may grow past what the last PR that
   # shrank them landed (lower the two numbers when a PR shrinks them).
   python scripts/code_size.py --json \
-    | python -c 'import json,sys; size = json.load(sys.stdin); assert 0 < size["total"] <= 13966 and size["files"]["core/sharded.py"] <= 1196, size["total"]'
+    | python -c 'import json,sys; size = json.load(sys.stdin); assert 0 < size["total"] <= 13593 and size["files"]["core/sharded.py"] <= 1184, size["total"]'
 }
 
 # Documentation lint (links resolve; docs/index.md covers docs/*.md)

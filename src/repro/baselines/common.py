@@ -90,8 +90,14 @@ class BaselineClient(ClientShell):
         obs=None,
     ) -> None:
         super().__init__(
-            sim, network, host, client_id, store,
-            retry=retry, retry_seed=retry_seed, obs=obs,
+            sim,
+            network,
+            host,
+            client_id,
+            store,
+            retry=retry,
+            retry_seed=retry_seed,
+            obs=obs,
         )
         self.evaluated = 0
         network.register(client_id, handler)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Set
 
 from repro.core.action import ABORT_RESULT, Action, ActionId, ActionResult, BlindWrite
-from repro.core.chassis import ClientShell, ClientStats
+from repro.core.chassis import ClientShell
 from repro.core.messages import (
     AbortNotice,
     ActionBatch,
@@ -49,8 +49,6 @@ from repro.net.network import Network
 from repro.net.simulator import Event, Simulator
 from repro.state.store import ObjectStore
 from repro.types import SERVER_ID, ClientId, TimeMs
-
-__all__ = ["ClientConfig", "ClientStats", "ProtocolClient"]
 
 
 @dataclass
