@@ -99,8 +99,8 @@ def bench_sharding(num_clients: int, moves_per_client: int) -> dict:
     the classic engine — tests/test_sharded.py) so the numbers compare
     like with like.
     """
-    from repro.core.engine import SeveConfig
     from repro.core.sharded import ShardedSeveEngine, ShardingConfig
+    from repro.harness.architectures import seve_config
     from repro.harness.config import SimulationSettings
     from repro.harness.workload import MoveWorkload
     from repro.metrics.shard_audit import audit_sharded_run
@@ -125,16 +125,7 @@ def bench_sharding(num_clients: int, moves_per_client: int) -> dict:
     bottlenecks = []
     for shards in (1, 2, 4, 8):
         world = ManhattanWorld(num_clients, settings.manhattan_config())
-        config = SeveConfig(
-            mode="seve",
-            rtt_ms=settings.rtt_ms,
-            bandwidth_bps=None,
-            omega=settings.omega,
-            tick_ms=settings.tick_ms,
-            threshold=settings.effective_threshold,
-            eval_overhead_ms=settings.eval_overhead_ms,
-            record_observations=True,
-        )
+        config = seve_config(settings, "seve", record_observations=True)
         engine = ShardedSeveEngine(
             world,
             num_clients,

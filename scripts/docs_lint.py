@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Documentation lint: link integrity, doc-map coverage, flag and
-config-field freshness.
+config-field freshness, and the generated settings table.
 
-Five checks, all cheap enough for every test run:
+Six checks, all cheap enough for every test run:
 
 1. **Links resolve.**  Every relative markdown link in the repo's
    documentation (``README.md``, ``DESIGN.md``, ``EXPERIMENTS.md``,
@@ -19,29 +19,38 @@ Five checks, all cheap enough for every test run:
    must have a row — reachability alone would let a document hide
    behind a transitive link without an entry describing it.
 4. **Flags are real.**  Every ``--flag`` token the documentation
-   mentions must either be defined by ``src/repro/cli.py`` or appear
-   in the :data:`NON_CLI_FLAGS` allowlist of script/tool options, so
-   a renamed or removed CLI argument cannot leave stale advice behind.
+   mentions must either be an option of ``python -m repro run`` /
+   ``experiment`` (asked of the parser: most ``run`` flags are derived
+   from ``SimulationSettings``' fields, not written in ``cli.py``) or
+   appear in the :data:`NON_CLI_FLAGS` allowlist of script/tool
+   options, so a renamed or removed CLI argument cannot leave stale
+   advice behind.
 5. **Config fields are real.**  Every ``SeveConfig(keyword=...)`` /
    ``SeveConfig.field`` mention (likewise ``SimulationSettings`` and
    ``ShardingConfig``) in the *living* documentation — ``README.md``,
    ``DESIGN.md``, ``docs/*.md`` and the verify skill; not the
    historical ``ROADMAP.md``/``CHANGES.md`` — must name a field the
-   dataclass declares, so a deleted switch cannot stay advertised.
+   dataclass has, so a deleted switch cannot stay advertised.
+6. **The settings table is fresh.**  ``docs/settings.md`` is written
+   from the field declarations of ``SimulationSettings`` by
+   ``--write-settings``; the lint fails when regenerating would change
+   it.
 
 Exit status 0 when clean; 1 with one ``file: problem`` line per finding.
 
-Run:  python scripts/docs_lint.py
+Run:  python scripts/docs_lint.py [--write-settings]
 """
 
 from __future__ import annotations
 
-import ast
+import dataclasses
+import importlib
 import pathlib
 import re
 import sys
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "src"))
 
 #: Top-level documents linted in addition to docs/*.md.
 TOP_LEVEL_DOCS = (
@@ -68,10 +77,10 @@ DOC_MAP_ROW_RE = re.compile(r"^\|\s*\[[^\]]+\]\(([^)\s]+\.md)\)", re.MULTILINE)
 #: command examples are exactly the references that go stale.
 FLAG_RE = re.compile(r"(?<![-\w])--[a-z][a-z0-9-]*")
 
-#: Flags legitimately referenced by the documentation but not defined
-#: in ``src/repro/cli.py``: options of scripts/lint.py, scripts/test.sh,
+#: Flags legitimately referenced by the documentation but not options
+#: of ``python -m repro``: those of scripts/lint.py, scripts/test.sh,
 #: scripts/bench.sh, scripts/code_size.py (``--json``, shared with
-#: lint.py), the benchmark drivers, pytest, and pip.
+#: lint.py), this script, the benchmark drivers, pytest, and pip.
 NON_CLI_FLAGS = frozenset({
     "--benchmark-only",
     "--check",
@@ -91,16 +100,20 @@ NON_CLI_FLAGS = frozenset({
     "--seconds",
     "--trace",
     "--workload",
+    "--write-settings",
 })
 
 
-#: Config dataclasses the documentation names fields of -> the source
-#: file declaring each (parsed, never imported).
+#: Config dataclasses the documentation names fields of -> the module
+#: each lives in.
 CONFIG_CLASSES = {
-    "SeveConfig": "src/repro/core/engine.py",
-    "SimulationSettings": "src/repro/harness/config.py",
-    "ShardingConfig": "src/repro/core/sharded.py",
+    "SeveConfig": "repro.core.engine",
+    "SimulationSettings": "repro.harness.config",
+    "ShardingConfig": "repro.core.sharded",
 }
+
+#: The generated run-parameter table (check 6).
+SETTINGS_DOC = REPO_ROOT / "docs" / "settings.md"
 
 #: ``Class.name`` (group 2 = the name) or ``Class(`` for the classes above.
 CONFIG_REF_RE = re.compile(
@@ -236,31 +249,39 @@ def referenced_flags(text: str) -> list[str]:
     return sorted(set(FLAG_RE.findall(text)))
 
 
-def cli_flags(cli_source: str) -> frozenset:
-    """The long options ``src/repro/cli.py`` defines — every quoted
-    ``"--..."`` literal (all of which are ``add_argument`` names).
+def cli_flags() -> frozenset:
+    """The long options of ``python -m repro``'s subcommands, as its
+    parser reports them.
 
-    >>> sorted(cli_flags('p.add_argument("--shards", type=int)\\n'
-    ...                  'q.add_argument("--elastic", action="x")'))
-    ['--elastic', '--shards']
+    >>> {"--shards", "--spawn", "--crash-plan", "--moves"} <= cli_flags()
+    True
+    >>> "--num-clients" in cli_flags()  # the field's flag is --clients
+    False
     """
-    return frozenset(re.findall(r'"(--[a-z][a-z0-9-]*)"', cli_source))
+    from repro.cli import build_parser
+
+    subcommands = build_parser()._subparsers._group_actions[0].choices
+    return frozenset(
+        option
+        for subparser in subcommands.values()
+        for action in subparser._actions
+        for option in action.option_strings
+        if option.startswith("--")
+    )
 
 
 def lint_flags(docs: list[pathlib.Path]) -> list[str]:
     """``file: problem`` lines for ``--flag`` mentions that are neither
     CLI arguments nor allowlisted script options."""
-    known = cli_flags(
-        (REPO_ROOT / "src" / "repro" / "cli.py").read_text()
-    ) | NON_CLI_FLAGS
+    known = cli_flags() | NON_CLI_FLAGS
     problems = []
     for doc in docs:
         for flag in referenced_flags(doc.read_text()):
             if flag not in known:
                 problems.append(
                     f"{doc.relative_to(REPO_ROOT)}: stale flag "
-                    f"reference ({flag}) — not in repro/cli.py or the "
-                    f"NON_CLI_FLAGS allowlist"
+                    f"reference ({flag}) — not an option of python -m "
+                    f"repro or in the NON_CLI_FLAGS allowlist"
                 )
     return problems
 
@@ -299,31 +320,17 @@ def referenced_config_fields(text: str) -> list[tuple[str, str]]:
     return sorted(found)
 
 
-def dataclass_fields(source: str, class_name: str) -> frozenset:
-    """The annotated class-level names of ``class_name`` in ``source``.
-
-    >>> sorted(dataclass_fields(
-    ...     "class C:\\n    a: int = 1\\n    b: str\\n    def f(self): pass",
-    ...     "C"))
-    ['a', 'b']
-    """
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ClassDef) and node.name == class_name:
-            return frozenset(
-                item.target.id
-                for item in node.body
-                if isinstance(item, ast.AnnAssign)
-                and isinstance(item.target, ast.Name)
-            )
-    return frozenset()
-
-
 def lint_config_fields(docs: list[pathlib.Path]) -> list[str]:
     """``file: problem`` lines for config-field mentions that name no
-    declared field of the dataclass."""
+    field of the dataclass (inherited ones count)."""
     fields = {
-        name: dataclass_fields((REPO_ROOT / path).read_text(), name)
-        for name, path in CONFIG_CLASSES.items()
+        name: {
+            field.name
+            for field in dataclasses.fields(
+                getattr(importlib.import_module(module), name)
+            )
+        }
+        for name, module in CONFIG_CLASSES.items()
     }
     problems = []
     for doc in docs:
@@ -336,7 +343,86 @@ def lint_config_fields(docs: list[pathlib.Path]) -> list[str]:
     return problems
 
 
+SETTINGS_HEADER = """\
+# Run parameters
+
+<!-- Generated by `python scripts/docs_lint.py --write-settings` from the
+field declarations of `SimulationSettings`; do not edit by hand. -->
+
+Every run parameter is declared once, as a field of
+`SimulationSettings` in
+[`src/repro/harness/config.py`](../src/repro/harness/config.py): its
+Table I default, how `python -m repro run` spells it, what `--help` says,
+which values are legal and which per-layer configuration receives it.
+The flags, the range checks, the copies into the layer configs and this
+table are derived from those declarations.
+
+- **Table I default** is what `SimulationSettings()` — the experiment
+  drivers, the benchmarks, the tests — gets.  **CLI default** is given
+  where `python -m repro run` deliberately differs: `--clients`,
+  `--walls` and `--moves` default to a laptop-sized run, and
+  `--rwset-sanitizer` to `off` where Python's `None` defers to the
+  process-wide ambient mode.
+- `Optional` numeric knobs accept the literal `none`
+  (`--bandwidth-bps none`).
+- **consumed by** names the receiving `layer.field`: `testbed` is
+  `TestbedConfig` (every architecture), `seve` `SeveConfig`, `manhattan`
+  `ManhattanConfig`, `sharding` `ShardingConfig`, `elastic`
+  `ElasticConfig`, and `central` / `zoned` / `ring` those baseline
+  engines' constructors.  *harness* knobs are read from the settings
+  directly by the runner and the workload generator.
+- `fault_plan` and `adversary` are composite: their flag groups
+  (`--loss-rate` … `--crash-plan`, `--adversary`, `--adversary-seed`) are
+  documented in [fault_model.md](fault_model.md) and
+  [adversary.md](adversary.md).
+
+| flag | field | Table I default | CLI default | legal values | consumed by |
+|---|---|---|---|---|---|
+"""
+
+
+def settings_doc() -> str:
+    """The text of ``docs/settings.md``, from the declarations."""
+    from repro.cli import run_flags
+    from repro.harness.config import SimulationSettings
+
+    flag_of = {knob.name: flag for flag, knob in run_flags().items()}
+    rows = []
+    for knob in dataclasses.fields(SimulationSettings):
+        spec = knob.metadata
+        legal = [f"`{choice}`" for choice in spec.get("choices", ())]
+        legal += [f"≥ {spec['min']}"] if "min" in spec else []
+        legal += [f"> {spec['above']}"] if "above" in spec else []
+        targets = [
+            f"`{target if '.' in target else f'{target}.{knob.name}'}`"
+            for target in spec.get("to", "").split()
+        ]
+        cells = (
+            f"`{flag_of[knob.name]}`" if knob.name in flag_of else "(flag group)",
+            f"`{knob.name}`",
+            f"`{knob.default}`",
+            f"`{spec['cli']}`" if "cli" in spec else "",
+            ", ".join(legal),
+            ", ".join(targets) or "*harness*",
+        )
+        rows.append("| " + " | ".join(cells) + " |\n")
+    return SETTINGS_HEADER + "".join(rows)
+
+
+def lint_settings_doc() -> list[str]:
+    """One ``file: problem`` line when ``docs/settings.md`` is not what
+    the declarations generate."""
+    if SETTINGS_DOC.exists() and SETTINGS_DOC.read_text() == settings_doc():
+        return []
+    return [
+        f"{SETTINGS_DOC.relative_to(REPO_ROOT)}: stale — regenerate with "
+        f"python scripts/docs_lint.py --write-settings"
+    ]
+
+
 def main() -> int:
+    if "--write-settings" in sys.argv[1:]:
+        SETTINGS_DOC.write_text(settings_doc())
     docs_dir = REPO_ROOT / "docs"
     docs = [
         REPO_ROOT / name
@@ -355,6 +441,7 @@ def main() -> int:
         + lint_doc_map_table(docs_dir)
         + lint_flags(docs)
         + lint_config_fields(living)
+        + lint_settings_doc()
     )
     for problem in problems:
         print(problem)

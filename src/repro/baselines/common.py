@@ -16,19 +16,12 @@ rule, and the drain rule (see docs/fault_model.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Set
 
 from repro.core.action import Action, ActionId
-from repro.core.chassis import ClientShell, EngineChassis
+from repro.core.chassis import ClientShell, EngineChassis, TestbedConfig
 from repro.core.messages import Heartbeat, SubmitAction
-from repro.errors import ConfigurationError
-from repro.net.faults import (
-    FaultPlan,
-    LivenessConfig,
-    ReliabilityConfig,
-    RetryPolicy,
-)
+from repro.net.faults import RetryPolicy
 from repro.net.host import Host
 from repro.net.network import Network
 from repro.net.simulator import Simulator
@@ -38,34 +31,11 @@ from repro.types import SERVER_ID, ClientId, TimeMs
 from repro.world.base import World
 
 
-@dataclass(frozen=True)
-class BaselineConfig:
-    """Network and cost parameters shared by the baselines.
-
-    ``eval_overhead_ms`` is the fixed synchronization/bookkeeping cost
-    added to every full action evaluation (the paper's measured ~60 ms
-    per 32-action round on top of 32 x 7.44 ms, i.e. ~1.9 ms/action —
-    this is what puts the Figure 6 knee at 30-32 clients).
-
-    The fault-tolerance knobs mirror :class:`repro.core.engine.SeveConfig`:
-    ``fault_plan`` (deterministic injection), ``reliability`` (ARQ),
-    ``retry`` (client resubmission), ``liveness`` (heartbeat eviction).
-    """
-
-    rtt_ms: TimeMs = 238.0
-    bandwidth_bps: Optional[float] = 100_000.0
-    eval_overhead_ms: float = 1.9
-    fault_plan: Optional[FaultPlan] = None
-    reliability: Optional[ReliabilityConfig] = None
-    retry: Optional[RetryPolicy] = None
-    liveness: Optional[LivenessConfig] = None
-    #: Optional :class:`repro.obs.Observer` (read-only telemetry;
-    #: excluded from equality/repr like SeveConfig's).
-    obs: Optional[object] = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.rtt_ms < 0:
-            raise ConfigurationError("rtt_ms must be >= 0")
+#: The baselines' configuration *is* the shared testbed's: network and
+#: evaluation-overhead parameters plus the fault-tolerance knobs
+#: (``fault_plan``, ``reliability``, ``retry``, ``liveness``), declared
+#: once for every architecture.
+BaselineConfig = TestbedConfig
 
 
 class BaselineClient(ClientShell):

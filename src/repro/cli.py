@@ -3,8 +3,12 @@
 Three subcommands:
 
 ``run``
-    One simulation of any architecture under the Table I workload, with
-    the main knobs exposed as flags; prints a measurement report.
+    One simulation of any architecture under the Table I workload;
+    prints a measurement report.  Every scalar field of
+    :class:`~repro.harness.config.SimulationSettings` is a flag, derived
+    from the field's own declaration (spelling, default, help, choices);
+    only the composite fault and adversary plans have hand-written flag
+    groups.  docs/settings.md is the generated table.
 ``experiment``
     Regenerate a paper table/figure (or an ablation) and print it.
 ``list``
@@ -14,8 +18,9 @@ Three subcommands:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.adversary import AdversaryPlan, parse_adversary_plan
 from repro.errors import ConfigurationError
@@ -49,6 +54,44 @@ EXPERIMENTS = {
 }
 
 
+#: ``run --help`` groups a knob's ``group=`` may name, in print order.
+GROUPS = {
+    "elastic": "elastic sharding (docs/elasticity.md)",
+    "faults": "fault injection (docs/fault_model.md)",
+    "adversary": "adversaries (docs/adversary.md)",
+    "obs": "observability (docs/observability.md)",
+}
+
+
+def float_or_none(text: str) -> Optional[float]:
+    """The argparse ``type`` of an ``Optional[float]`` knob whose
+    ``None`` is a value (``--bandwidth-bps none``)."""
+    return None if text.lower() == "none" else float(text)
+
+
+#: Annotation of a scalar ``SimulationSettings`` field -> how argparse
+#: reads its flag; the composite fields (``fault_plan``, ``adversary``)
+#: are assembled from the hand-written flag groups below.
+FLAG_KINDS = {
+    "int": dict(type=int),
+    "float": dict(type=float),
+    "str": dict(type=str),
+    "bool": dict(action="store_true"),
+    "Optional[float]": dict(type=float_or_none),
+    "Optional[str]": dict(type=str),
+}
+
+
+def run_flags() -> Dict[str, dataclasses.Field]:
+    """Flag spelling -> the scalar ``SimulationSettings`` field it sets,
+    in declaration order."""
+    return {
+        knob.metadata.get("flag", "--" + knob.name.replace("_", "-")): knob
+        for knob in dataclasses.fields(SimulationSettings)
+        if knob.type in FLAG_KINDS
+    }
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -59,82 +102,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one architecture on the workload")
     run.add_argument("architecture", choices=ARCHITECTURES)
-    run.add_argument("--clients", type=int, default=32)
-    run.add_argument("--walls", type=int, default=10_000)
-    run.add_argument("--moves", type=int, default=50)
-    run.add_argument("--move-cost-ms", type=float, default=7.44)
-    run.add_argument("--visibility", type=float, default=30.0)
-    run.add_argument("--effect-range", type=float, default=10.0)
-    run.add_argument("--rtt-ms", type=float, default=238.0)
-    run.add_argument("--omega", type=float, default=0.5)
-    run.add_argument("--threshold", type=float, default=None)
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument(
-        "--shards", type=int, default=1,
-        help="shard servers partitioning the world into vertical stripes "
-        "(docs/sharding.md); requires a push-mode SEVE architecture",
-    )
-    run.add_argument(
-        "--backend", choices=("inproc", "parallel"), default="inproc",
-        help="execution backend (docs/parallel.md): 'inproc' runs "
-        "everything in this process, 'parallel' runs shard partitions "
-        "in spawned worker processes; results are byte-identical",
-    )
-    run.add_argument(
-        "--workers", type=int, default=0,
-        help="partition count for the windowed scheduler (0 = auto: "
-        "1 for inproc, one per shard for parallel; clamped to --shards)",
-    )
-    run.add_argument(
-        "--control-plane", choices=("single", "replicated"),
-        default="single",
-        help="spanning-action sequencer deployment (docs/control_plane.md): "
-        "'single' pins the role to shard 0 (byte-identical to the "
-        "pre-lease sequencer, but a crash of shard 0 is fatal); "
-        "'replicated' grants it through a leased quorum that fails "
-        "over when the holder's heartbeats stop",
-    )
+    groups = {name: run.add_argument_group(title) for name, title in GROUPS.items()}
+    for flag, knob in run_flags().items():
+        spec = knob.metadata
+        kind = dict(FLAG_KINDS[knob.type], **spec.get("argparse", {}))
+        if "choices" in spec:
+            kind["choices"] = [c for c in spec["choices"] if c is not None]
+        groups.get(spec.get("group"), run).add_argument(
+            flag, default=spec.get("cli", knob.default), help=spec.get("help"), **kind
+        )
     run.add_argument(
         "--no-consistency-check", action="store_true",
         help="skip the Theorem 1 sweep at quiescence",
     )
-    run.add_argument(
-        "--rwset-sanitizer", nargs="?", const="raise", default="off",
-        choices=("off", "report", "raise"), metavar="MODE",
-        help="check every store access during action evaluation against "
-        "the declared RS/WS (docs/static_analysis.md); bare flag = "
-        "'raise' (abort on first violation), 'report' collects them "
-        "into the run report instead",
-    )
-    elastic = run.add_argument_group("elastic sharding (docs/elasticity.md)")
-    elastic.add_argument(
-        "--elastic", action="store_true",
-        help="enable the live load-aware rebalancer: shard 0 collects "
-        "per-shard load deltas and splits hot stripes / merges cold "
-        "ones at run time (requires --shards > 1); off is "
-        "byte-identical to the static partition",
-    )
-    elastic.add_argument(
-        "--elastic-interval-ms", type=float, default=2000.0,
-        help="load-sampling period of the elastic controller (ms)",
-    )
-    elastic.add_argument(
-        "--elastic-threshold", type=float, default=2.0,
-        help="max/mean per-shard load ratio that counts a sampling "
-        "round as imbalanced (> 1)",
-    )
-    elastic.add_argument(
-        "--elastic-hysteresis", type=int, default=2,
-        help="consecutive imbalanced rounds before a rebalance fires",
-    )
-    elastic.add_argument(
-        "--elastic-min-stripe", type=float, default=None,
-        help="narrowest stripe a rebalance may produce, in world units "
-        "(default: derived from the span-classification slack)",
-    )
-    faults = run.add_argument_group(
-        "fault injection (docs/fault_model.md)"
-    )
+    faults = groups["faults"]
     faults.add_argument(
         "--loss-rate", type=float, default=0.0,
         help="per-message drop probability in [0, 1)",
@@ -159,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards >= 2, and killing shard 0 for good needs "
         "--control-plane replicated)",
     )
-    adversary = run.add_argument_group("adversaries (docs/adversary.md)")
+    adversary = groups["adversary"]
     adversary.add_argument(
         "--adversary", type=str, default=None, metavar="PLAN",
         help="per-client cheating models, e.g. 'lying-rs:0,forge:3+5' "
@@ -170,20 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     adversary.add_argument(
         "--adversary-seed", type=int, default=0,
         help="seed of the cheat models' dedicated RNG",
-    )
-    obs = run.add_argument_group("observability (docs/observability.md)")
-    obs.add_argument(
-        "--trace-out", type=str, default=None, metavar="PATH",
-        help="write a Chrome trace_event JSON file (open in Perfetto "
-        "or chrome://tracing)",
-    )
-    obs.add_argument(
-        "--metrics-out", type=str, default=None, metavar="PATH",
-        help="write the metrics-registry JSON export",
-    )
-    obs.add_argument(
-        "--profile", action="store_true",
-        help="collect and print the per-phase count/sim-ms breakdown",
     )
 
     experiment = sub.add_parser(
@@ -227,34 +194,20 @@ def _adversary_plan(args: argparse.Namespace) -> Optional[AdversaryPlan]:
     )
 
 
-def _command_run(args: argparse.Namespace) -> int:
-    settings = SimulationSettings(
-        num_clients=args.clients,
-        num_walls=args.walls,
-        moves_per_client=args.moves,
-        move_cost_ms=args.move_cost_ms,
-        visibility=args.visibility,
-        move_effect_range=args.effect_range,
-        rtt_ms=args.rtt_ms,
-        omega=args.omega,
-        threshold=args.threshold,
-        seed=args.seed,
-        shards=args.shards,
-        control_plane=args.control_plane,
-        elastic=args.elastic,
-        elastic_interval_ms=args.elastic_interval_ms,
-        elastic_threshold=args.elastic_threshold,
-        elastic_hysteresis=args.elastic_hysteresis,
-        elastic_min_stripe=args.elastic_min_stripe,
-        backend=args.backend,
-        workers=args.workers,
-        rwset_sanitizer=args.rwset_sanitizer,
+def settings_from_args(args: argparse.Namespace) -> SimulationSettings:
+    """The run a parsed ``run`` command line describes."""
+    return SimulationSettings(
         fault_plan=_fault_plan(args),
         adversary=_adversary_plan(args),
-        trace_out=args.trace_out,
-        metrics_out=args.metrics_out,
-        profile=args.profile,
+        **{
+            knob.name: getattr(args, flag[2:].replace("-", "_"))
+            for flag, knob in run_flags().items()
+        },
     )
+
+
+def _command_run(args: argparse.Namespace) -> int:
+    settings = settings_from_args(args)
     result = run_simulation(
         args.architecture,
         settings,
@@ -272,7 +225,7 @@ def _command_run(args: argparse.Namespace) -> int:
     table.add_row("avg visible avatars", result.avg_visible)
     if result.consistency is not None:
         table.add_row("consistency", result.consistency.summary())
-    if args.rwset_sanitizer != "off":
+    if settings.rwset_sanitizer != "off":
         table.add_row(
             "rwset violations",
             len(result.rwset_violations) if result.rwset_violations else 0,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Set
 
 from repro.core.action import ABORT_RESULT, Action, ActionId, ActionResult, BlindWrite
-from repro.core.chassis import ClientShell
+from repro.core.chassis import ClientShell, TestbedConfig
 from repro.core.messages import (
     AbortNotice,
     ActionBatch,
@@ -89,7 +89,7 @@ class ClientConfig:
 
     send_completions: bool = False
     report_all_completions: bool = False
-    eval_overhead_ms: float = 1.9
+    eval_overhead_ms: float = TestbedConfig.eval_overhead_ms
     interests: Optional[frozenset[str]] = None
     strict_stream: bool = True
     retry: Optional[RetryPolicy] = None

@@ -40,7 +40,7 @@ from repro.analysis.sanitizer import (
     wrap_store as wrap_sanitized,
 )
 from repro.core.action import ActionId
-from repro.core.chassis import EngineChassis
+from repro.core.chassis import EngineChassis, TestbedConfig
 from repro.core.client import ClientConfig, ProtocolClient
 from repro.core.first_bound import FirstBoundPredicate
 from repro.core.info_bound import InformationBound
@@ -49,12 +49,6 @@ from repro.core.server_incomplete import IncompleteWorldServer, ServerCosts
 from repro.errors import ConfigurationError
 from repro.metrics.audit import AuditLog
 from repro.metrics.consistency import check_uniform
-from repro.net.faults import (
-    FaultPlan,
-    LivenessConfig,
-    ReliabilityConfig,
-    RetryPolicy,
-)
 from repro.net.host import Host
 from repro.state.store import ObjectStore
 from repro.state.versioned import VersionedStore
@@ -66,12 +60,12 @@ MODES = ("basic", "incomplete", "first-bound", "seve", "hybrid")
 
 
 @dataclass(frozen=True)
-class SeveConfig:
-    """Engine configuration (defaults follow Table I of the paper)."""
+class SeveConfig(TestbedConfig):
+    """Engine configuration: the shared testbed (network, evaluation
+    overhead, fault plan and its reliability trio, observer) plus what
+    only the SEVE protocol has (defaults follow Table I of the paper)."""
 
     mode: str = "seve"
-    rtt_ms: TimeMs = 238.0
-    bandwidth_bps: Optional[float] = 100_000.0
     omega: float = 0.5
     tick_ms: TimeMs = 100.0
     #: Information Bound threshold in world units (Table I: 1.5 x
@@ -85,9 +79,6 @@ class SeveConfig:
     use_velocity_culling: bool = False
     #: Fault-tolerant completions (every client reports every action).
     fault_tolerant: bool = False
-    #: Per-evaluation synchronization overhead charged at clients (see
-    #: :class:`repro.core.client.ClientConfig.eval_overhead_ms`).
-    eval_overhead_ms: float = 1.9
     #: Ship the full initial world state to every client replica (the
     #: login-time download games perform).  Off by default: incomplete
     #: replicas start with just their own avatar and grow through blind
@@ -109,26 +100,11 @@ class SeveConfig:
     #: unbounded, which the Theorem 1 consistency checks rely on; bound
     #: it for long memory-sensitive runs).
     history_limit: Optional[int] = None
-    #: Deterministic fault injection (``None`` or a null plan keeps the
-    #: network perfectly reliable and takes the identical code path).
-    fault_plan: Optional[FaultPlan] = None
-    #: ARQ transport restoring reliable FIFO delivery over a lossy plan.
-    reliability: Optional[ReliabilityConfig] = None
-    #: End-to-end client resubmission of unanswered actions.
-    retry: Optional[RetryPolicy] = None
-    #: Server-side heartbeat eviction (Section III-C).
-    liveness: Optional[LivenessConfig] = None
     #: Record every applied stream entry into ``client.observations``
     #: (see :class:`repro.core.client.ClientConfig.record_observations`)
     #: — input to the sharded consistency audit and differential tests.
     #: Pure bookkeeping; never changes scheduling or results.
     record_observations: bool = False
-    #: Optional :class:`repro.obs.Observer` threaded through every
-    #: component (simulator, network, hosts, server, clients).  Excluded
-    #: from equality/repr: telemetry is not part of the experiment
-    #: identity, and observation never changes results (the differential
-    #: tests pin this).
-    obs: Optional[object] = field(default=None, compare=False, repr=False)
     #: Dynamic RW-set sanitizer (docs/static_analysis.md): check every
     #: store access during ``Action.apply`` on client replicas against
     #: the action's declared RS/WS.  ``"raise"`` aborts on the first
@@ -141,10 +117,12 @@ class SeveConfig:
     #: client ids.  ``None`` or a null plan keeps every client honest
     #: and takes the identical code path (no detector is constructed);
     #: a non-null plan substitutes seeded cheating clients and arms the
-    #: server-side detection/quarantine layer.
+    #: server-side detection/quarantine layer.  (Its type is checked
+    #: where a run is declared: ``SimulationSettings.__post_init__``.)
     adversary: Optional[object] = None
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.mode not in MODES:
             raise ConfigurationError(
                 f"unknown mode {self.mode!r}; expected one of {MODES}"
@@ -154,14 +132,6 @@ class SeveConfig:
                 f"unknown rwset_sanitizer {self.rwset_sanitizer!r}; "
                 "expected None, 'off', 'report', or 'raise'"
             )
-        if self.adversary is not None:
-            from repro.adversary import AdversaryPlan
-
-            if not isinstance(self.adversary, AdversaryPlan):
-                raise ConfigurationError(
-                    f"adversary must be an AdversaryPlan, "
-                    f"got {type(self.adversary).__name__}"
-                )
 
 
 class SeveEngine(EngineChassis):

@@ -80,6 +80,10 @@ class InfoBoundStats:
         return 100.0 * self.drop_rate
 
 
+#: What may happen to a chain-breaking action (see :class:`InformationBound`).
+POLICIES = ("drop", "delay")
+
+
 class InformationBound:
     """Greedy chain-breaking validator (Algorithm 7's ``onNextTick``).
 
@@ -103,7 +107,7 @@ class InformationBound:
     ) -> None:
         if threshold < 0:
             raise ConfigurationError(f"threshold must be >= 0, got {threshold}")
-        if policy not in ("drop", "delay"):
+        if policy not in POLICIES:
             raise ConfigurationError(f"unknown policy {policy!r}")
         if max_delay_ticks < 0:
             raise ConfigurationError("max_delay_ticks must be >= 0")

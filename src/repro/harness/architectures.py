@@ -40,6 +40,8 @@ Architecture names
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.baselines.broadcast import BroadcastEngine
 from repro.baselines.central import CentralEngine
 from repro.baselines.common import BaselineConfig
@@ -78,27 +80,73 @@ _SEVE_MODES = {
 }
 
 
+#: Baseline architecture -> its engine.  Besides the shared testbed
+#: config each takes the knobs the settings declare ``to=`` its name
+#: (``visibility`` is Central's and Zoned's ``interest_radius``); the
+#: zoned deployment is the docstring's 3x3 grid.
+_BASELINES = {
+    "central": CentralEngine,
+    "broadcast": BroadcastEngine,
+    "ring": RingEngine,
+    "locking": LockingEngine,
+    "timestamp": TimestampEngine,
+    "zoned": partial(ZonedCentralEngine, zone_grid=3),
+}
+
+
 def build_world(settings: SimulationSettings) -> ManhattanWorld:
     """The Manhattan People world for these settings."""
     return ManhattanWorld(settings.num_clients, settings.manhattan_config())
 
 
-def _reliability_suite(settings: SimulationSettings):
-    """The (reliability, retry, liveness) trio a fault plan demands.
+def _testbed(settings: SimulationSettings, obs) -> dict:
+    """The :class:`~repro.core.chassis.TestbedConfig` fields of a run:
+    the knobs the settings declare ``to=`` it, the observer, and the
+    (reliability, retry, liveness) trio a fault plan demands.
 
-    A ``None`` or null plan returns all-``None`` — the engines then take
-    the identical code path they take with no plan at all (the
+    A ``None`` or null plan leaves the trio at ``None`` — the engines
+    then take the identical code path they take with no plan at all (the
     differential-test contract).  A lossy/jittery plan enables the ARQ
     transport and client retries; scheduled crashes additionally enable
     heartbeat liveness.
     """
+    testbed = dict(settings.for_layer("testbed"), obs=obs)
     plan = settings.fault_plan
-    if plan is None or plan.is_null:
-        return None, None, None
-    reliability = ReliabilityConfig.for_rtt(settings.rtt_ms)
-    retry = RetryPolicy.for_rtt(settings.rtt_ms)
-    liveness = LivenessConfig() if plan.crashes else None
-    return reliability, retry, liveness
+    if plan is not None and not plan.is_null:
+        testbed.update(
+            reliability=ReliabilityConfig.for_rtt(settings.rtt_ms),
+            retry=RetryPolicy.for_rtt(settings.rtt_ms),
+            liveness=LivenessConfig() if plan.crashes else None,
+        )
+    return testbed
+
+
+def seve_config(
+    settings: SimulationSettings, mode: str, *, obs=None, **overrides
+) -> SeveConfig:
+    """The :class:`SeveConfig` of a ``mode`` engine for these settings:
+    the testbed fields, every knob declared ``to=`` the SEVE layer, and
+    what is computed from several; ``overrides`` replace any of them
+    (the differential tests pin ``record_observations=True``)."""
+    config = dict(
+        _testbed(settings, obs),
+        **settings.for_layer("seve"),
+        mode=mode,
+        threshold=settings.effective_threshold,
+        # Crash plans force fault-tolerant completions: the server
+        # must be able to commit actions whose originator died.
+        # Adversary plans force them too: a quarantined cheater's
+        # entries must commit from honest reporters.
+        fault_tolerant=settings.fault_tolerant
+        or bool(settings.fault_plan and settings.fault_plan.crashes)
+        or settings.adversary_active,
+        # The cross-shard consistency audit replays per-client
+        # observation logs, so sharded runs always record them
+        # (pure bookkeeping — never changes scheduling).
+        record_observations=settings.shards > 1,
+    )
+    config.update(overrides)
+    return SeveConfig(**config)
 
 
 def build_engine(
@@ -115,66 +163,34 @@ def build_engine(
     optional :class:`repro.obs.Observer` threaded through every layer of
     the built engine; ``None`` keeps the unobserved code paths.
     """
+    if architecture not in ARCHITECTURES:
+        raise ConfigurationError(
+            f"unknown architecture {architecture!r}; expected one of {ARCHITECTURES}"
+        )
     if world is None:
         world = build_world(settings)
-    reliability, retry, liveness = _reliability_suite(settings)
-    if architecture in _SEVE_MODES:
-        config = SeveConfig(
-            mode=_SEVE_MODES[architecture],
-            rtt_ms=settings.rtt_ms,
-            bandwidth_bps=settings.bandwidth_bps,
-            omega=settings.omega,
-            tick_ms=settings.tick_ms,
-            threshold=settings.effective_threshold,
-            info_bound_policy=settings.info_bound_policy,
-            max_delay_ticks=settings.max_delay_ticks,
-            use_velocity_culling=settings.use_velocity_culling,
-            # Crash plans force fault-tolerant completions: the server
-            # must be able to commit actions whose originator died.
-            # Adversary plans force them too: a quarantined cheater's
-            # entries must commit from honest reporters.
-            fault_tolerant=settings.fault_tolerant
-            or bool(settings.fault_plan and settings.fault_plan.crashes)
-            or settings.adversary_active,
-            eval_overhead_ms=settings.eval_overhead_ms,
-            fault_plan=settings.fault_plan,
-            reliability=reliability,
-            retry=retry,
-            liveness=liveness,
-            # The cross-shard consistency audit replays per-client
-            # observation logs, so sharded runs always record them
-            # (pure bookkeeping — never changes scheduling).
-            record_observations=settings.shards > 1,
-            backbone_latency_ms=settings.backbone_latency_ms,
-            obs=obs,
-            rwset_sanitizer=settings.rwset_sanitizer,
-            adversary=settings.adversary,
+    mode = _SEVE_MODES.get(architecture)
+    if settings.shards > 1 and mode not in ("seve", "first-bound"):
+        raise ConfigurationError(
+            f"--shards > 1 requires a push-mode SEVE architecture "
+            f"('seve' or 'seve-naive'); got {architecture!r}"
         )
+    if mode is not None:
+        config = seve_config(settings, mode, obs=obs)
         if settings.shards > 1:
             from repro.core.sharded import ShardedSeveEngine, ShardingConfig
 
-            if _SEVE_MODES[architecture] not in ("seve", "first-bound"):
-                raise ConfigurationError(
-                    f"--shards > 1 requires a push-mode SEVE architecture "
-                    f"('seve' or 'seve-naive'); got {architecture!r}"
-                )
             return ShardedSeveEngine(
                 world,
                 settings.num_clients,
                 config,
                 sharding=ShardingConfig(
-                    shards=settings.shards,
-                    world_width=settings.world_width,
                     elastic=settings.elastic_config(),
                     control=settings.control_plane_config(),
+                    **settings.for_layer("sharding"),
                 ),
             )
         return SeveEngine(world, settings.num_clients, config)
-    if settings.shards > 1:
-        raise ConfigurationError(
-            f"--shards > 1 requires a push-mode SEVE architecture "
-            f"('seve' or 'seve-naive'); got {architecture!r}"
-        )
     if settings.rwset_sanitizer not in (None, "off"):
         raise ConfigurationError(
             f"--rwset-sanitizer is only wired through the SEVE engines "
@@ -186,46 +202,9 @@ def build_engine(
             f"(the detection layer lives on their validation path); "
             f"got {architecture!r}"
         )
-    baseline_config = BaselineConfig(
-        rtt_ms=settings.rtt_ms,
-        bandwidth_bps=settings.bandwidth_bps,
-        eval_overhead_ms=settings.eval_overhead_ms,
-        fault_plan=settings.fault_plan,
-        reliability=reliability,
-        retry=retry,
-        liveness=liveness,
-        obs=obs,
-    )
-    if architecture == "central":
-        return CentralEngine(
-            world,
-            settings.num_clients,
-            baseline_config,
-            interest_radius=settings.visibility,
-        )
-    if architecture == "broadcast":
-        return BroadcastEngine(world, settings.num_clients, baseline_config)
-    if architecture == "locking":
-        return LockingEngine(world, settings.num_clients, baseline_config)
-    if architecture == "timestamp":
-        return TimestampEngine(world, settings.num_clients, baseline_config)
-    if architecture == "zoned":
-        return ZonedCentralEngine(
-            world,
-            settings.num_clients,
-            baseline_config,
-            zone_grid=3,
-            world_width=settings.world_width,
-            world_height=settings.world_height,
-            interest_radius=settings.visibility,
-        )
-    if architecture == "ring":
-        return RingEngine(
-            world,
-            settings.num_clients,
-            baseline_config,
-            visibility=settings.visibility,
-        )
-    raise ConfigurationError(
-        f"unknown architecture {architecture!r}; expected one of {ARCHITECTURES}"
+    return _BASELINES[architecture](
+        world,
+        settings.num_clients,
+        BaselineConfig(**_testbed(settings, obs)),
+        **settings.for_layer(architecture),
     )

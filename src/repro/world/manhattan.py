@@ -31,6 +31,10 @@ from repro.world.movement import MoveAction
 from repro.world.walls import WallField, generate_walls
 
 
+#: The spawn layouts (:attr:`ManhattanConfig.spawn`).
+SPAWN_MODES = ("cluster", "grid", "uniform")
+
+
 @dataclass(frozen=True)
 class ManhattanConfig:
     """Parameters of the Manhattan People world (defaults: Table I)."""
@@ -63,7 +67,7 @@ class ManhattanConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.spawn not in ("cluster", "grid", "uniform"):
+        if self.spawn not in SPAWN_MODES:
             raise ConfigurationError(f"unknown spawn mode {self.spawn!r}")
         if self.avatar_speed < 0:
             raise ConfigurationError("avatar_speed must be >= 0")

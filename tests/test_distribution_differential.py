@@ -21,14 +21,15 @@ import pytest
 
 from repro.core import engine as engine_module
 from repro.core.action import BlindWrite
-from repro.core.engine import SeveConfig, SeveEngine
+from repro.core.engine import SeveEngine
 from repro.core.messages import ActionBatch, GroupBundle
 from repro.core.server_incomplete import IncompleteWorldServer
 from repro.core.indexes import ClientSpatialIndex
+from repro.harness.architectures import seve_config
 from repro.harness.config import SimulationSettings
 from repro.harness.runner import run_simulation
 from repro.harness.workload import MoveWorkload
-from repro.net.faults import CrashWindow, FaultPlan
+from repro.net.faults import CrashWindow, FaultPlan, parse_crash_plan
 from repro.net.network import Network
 from repro.types import SERVER_ID
 from repro.world.manhattan import ManhattanWorld
@@ -69,16 +70,7 @@ def _entry_fingerprint(ordered):
 
 def _run_workload(mode: str, *, settings=DIFF_SETTINGS):
     world = ManhattanWorld(settings.num_clients, settings.manhattan_config())
-    config = SeveConfig(
-        mode=mode,
-        rtt_ms=settings.rtt_ms,
-        bandwidth_bps=settings.bandwidth_bps,
-        omega=settings.omega,
-        tick_ms=settings.tick_ms,
-        threshold=settings.effective_threshold,
-        eval_overhead_ms=settings.eval_overhead_ms,
-    )
-    engine = SeveEngine(world, settings.num_clients, config)
+    engine = SeveEngine(world, settings.num_clients, seve_config(settings, mode))
 
     sends = []
     real_send = engine.network.send
@@ -217,8 +209,8 @@ def test_server_without_avatar_lookup_matches_the_full_scan(monkeypatch):
 #: a fresh server whose positions continue the dead one's).
 #: (Clients 7 and 9 live on shards that survive.  A client whose own
 #: crash window overlaps its home shard's ends inconsistent with or
-#: without this PR — client 3 here — which is ROADMAP's chaos sweep's to
-#: shrink, not this differential's to pin.)
+#: without this PR — client 3 here — which the strict xfail at the end
+#: of this file pins, shrunk, for ROADMAP item 4a's fix to flip.)
 _CLIENT_CRASHES = (CrashWindow(7, 700.0, 1_600.0), CrashWindow(9, 900.0))
 FAULT_PLANS = {
     1: FaultPlan(
@@ -312,3 +304,41 @@ def test_pending_lists_match_the_full_scan_under_loss_and_crashes(
     # spatial index and never re-nominated; the shipped server did both.
     assert brute_calls == {"candidates": 0, "renominated": 0}
     assert calls["candidates"] > 0 and calls["renominated"] > 0
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP 4a")
+def test_client_crash_inside_its_home_shards_crash_stays_consistent():
+    """The live Theorem 1 violation of ROADMAP item 4a, shrunk from 12
+    moves to 2 (0.13 s): client 3 crashes at 600 ms while its home shard
+    2 is down (500-1100 ms), rejoins through the redirect path at
+    900 ms, and ends with a stable ``avatar:3`` one move ahead of the
+    committed store — "25 object replicas checked: 24 current,
+    0 stale-but-committed, 1 violations".
+
+    Measured while shrinking — the same run is *consistent* at
+    ``shards=3``, at ``workers=2``, with 20 clients or fewer, with
+    ``jitter_ms=0``, with ``duplicate_rate=0``, and loss-free.  As a
+    command line (exit status 1)::
+
+        python -m repro run seve --clients 24 --walls 300 --moves 2 \\
+          --world-width 400 --world-height 400 --spawn uniform \\
+          --spawn-extent 140 --rtt-ms 150 --bandwidth-bps none \\
+          --move-interval-ms 200 --move-cost-ms 1 --eval-overhead-ms 0.1 \\
+          --seed 13 --shards 4 --loss-rate 0.05 --jitter-ms 20 \\
+          --dup-rate 0.02 --fault-seed 7 --crash-plan 3@600:900,s2@500:1100
+
+    Fixing it is item 4's PR: the strict xfail makes that PR flip this
+    test instead of re-finding the plan.
+    """
+    settings = DIFF_SETTINGS.with_(
+        num_clients=24,
+        moves_per_client=2,
+        spawn="uniform",
+        shards=4,
+        fault_plan=FaultPlan(
+            loss_rate=0.05, jitter_ms=20.0, duplicate_rate=0.02, seed=7,
+            crashes=parse_crash_plan("3@600:900,s2@500:1100"),
+        ),
+    )
+    report = run_simulation("seve", settings).consistency
+    assert report.consistent, report.summary()

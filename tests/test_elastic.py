@@ -12,7 +12,6 @@ import pytest
 
 from repro.core.action import ActionId
 from repro.core.elastic import ElasticConfig, plan_boundaries, stripes_touching
-from repro.core.engine import SeveConfig
 from repro.core.sharded import (
     ElasticPartition,
     RegionPartition,
@@ -20,11 +19,7 @@ from repro.core.sharded import (
     ShardingConfig,
 )
 from repro.errors import ConfigurationError
-from repro.harness.architectures import (
-    _reliability_suite,
-    build_engine,
-    build_world,
-)
+from repro.harness.architectures import build_engine, build_world, seve_config
 from repro.harness.config import SimulationSettings
 from repro.harness.runner import run_simulation
 from repro.harness.workload import MoveWorkload, start_run
@@ -144,20 +139,7 @@ def _run_engine(settings, *, elastic=None, plan=None):
     for white-box assertions."""
     settings = settings.with_(fault_plan=plan)
     world = build_world(settings)
-    reliability, retry, _ = _reliability_suite(settings)
-    config = SeveConfig(
-        mode="seve",
-        rtt_ms=settings.rtt_ms,
-        bandwidth_bps=None,
-        omega=settings.omega,
-        tick_ms=settings.tick_ms,
-        threshold=settings.effective_threshold,
-        eval_overhead_ms=settings.eval_overhead_ms,
-        fault_plan=plan,
-        reliability=reliability,
-        retry=retry,
-        record_observations=True,
-    )
+    config = seve_config(settings, "seve", record_observations=True)
     engine = ShardedSeveEngine(
         world,
         settings.num_clients,

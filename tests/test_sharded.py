@@ -17,7 +17,7 @@ from repro.core.sharded import (
 from repro.core.action import BlindWrite
 from repro.core.messages import SpanForward
 from repro.errors import ConfigurationError, ProtocolError
-from repro.harness.architectures import _reliability_suite, build_engine, build_world
+from repro.harness.architectures import build_engine, build_world, seve_config
 from repro.harness.config import SimulationSettings
 from repro.harness.runner import run_simulation
 from repro.harness.workload import MoveWorkload
@@ -109,20 +109,7 @@ def _run_engine(shards, plan):
     wire traffic."""
     settings = DIFF.with_(fault_plan=plan)
     world = build_world(settings)
-    reliability, retry, _ = _reliability_suite(settings)
-    config = SeveConfig(
-        mode="seve",
-        rtt_ms=settings.rtt_ms,
-        bandwidth_bps=None,
-        omega=settings.omega,
-        tick_ms=settings.tick_ms,
-        threshold=settings.effective_threshold,
-        eval_overhead_ms=settings.eval_overhead_ms,
-        fault_plan=plan,
-        reliability=reliability,
-        retry=retry,
-        record_observations=True,
-    )
+    config = seve_config(settings, "seve", record_observations=True)
     if shards is None:
         engine = SeveEngine(world, settings.num_clients, config)
     else:

@@ -3,13 +3,18 @@ settings object."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.adversary import AdversaryPlan
 from repro.errors import ConfigurationError
 from repro.harness.architectures import ARCHITECTURES, build_engine, build_world
 from repro.harness.config import SimulationSettings
 from repro.harness.runner import run_simulation
 from repro.harness.workload import MoveWorkload
+from repro.net.faults import FaultPlan
+from tests.test_cli import off_default
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +81,61 @@ def test_every_architecture_builds(small_settings):
 def test_unknown_architecture_rejected(small_settings):
     with pytest.raises(ConfigurationError):
         build_engine("quantum", small_settings)
+
+
+@pytest.mark.parametrize(
+    "architecture, changes",
+    [
+        ("seve", dict(shards=1, elastic=False)),
+        ("seve", dict(shards=3)),
+        ("central", dict(shards=1, elastic=False, rwset_sanitizer=None, adversary=None)),
+        ("zoned", dict(shards=1, elastic=False, rwset_sanitizer=None, adversary=None)),
+        ("ring", dict(shards=1, elastic=False, rwset_sanitizer=None, adversary=None)),
+    ],
+)
+def test_built_engine_carries_every_mapped_knob(architecture, changes):
+    """With every knob off its default, each value a declaration maps
+    ``to=`` a layer is found on that layer's object in the built engine
+    (a forgotten or misspelled mapping shows up as the layer's own
+    default, or as an ``AttributeError``)."""
+    knobs = dataclasses.fields(SimulationSettings)
+    values = {
+        knob.name: off_default(knob, salt)
+        for salt, knob in enumerate(knobs)
+        if knob.name not in ("fault_plan", "adversary")
+    }
+    values.update(
+        fault_plan=FaultPlan(loss_rate=0.01, seed=3),
+        adversary=AdversaryPlan(assignments=(("forge", (1,)),), seed=2),
+        num_clients=3, num_walls=7, backend="inproc", trace_out=None, metrics_out=None,
+        omega=0.25,  # the First Bound predicate wants it inside (0, 1)
+    )
+    settings = SimulationSettings(**values).with_(**changes)
+    engine = build_engine(architecture, settings)
+    layers = {architecture: engine, "testbed": engine.config, "manhattan": engine.world.config}
+    if architecture == "seve":
+        layers["seve"] = engine.config
+    if settings.shards > 1:
+        layers.update(sharding=engine.sharding, elastic=engine.sharding.elastic)
+    checked = set()
+    for knob in knobs:
+        for target in knob.metadata.get("to", "").split():
+            layer, _, renamed = target.partition(".")
+            if layer in layers:
+                received = getattr(layers[layer], renamed or knob.name)
+                assert received == getattr(settings, knob.name), target
+                checked.add(layer)
+    assert checked == set(layers)
+    # The other direction, for a forgotten mapping: a knob that shares
+    # its name with a field of a layer's config is mapped to it, unless
+    # the builder computes that field from several knobs.
+    computed = {"threshold", "fault_tolerant", "elastic"}
+    for layer in checked - {architecture}:
+        names = {name for name in layers if layers[name] is layers[layer]}
+        for received in dataclasses.fields(layers[layer]):
+            if received.name in values and received.name not in computed:
+                mapped = SimulationSettings.__dataclass_fields__[received.name].metadata.get("to", "")
+                assert names & set(mapped.split()), (layer, received.name)
 
 
 # ---------------------------------------------------------------------------
