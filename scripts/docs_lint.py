@@ -364,7 +364,9 @@ table are derived from those declarations.
   `--rwset-sanitizer` to `off` where Python's `None` defers to the
   process-wide ambient mode.
 - `Optional` numeric knobs accept the literal `none`
-  (`--bandwidth-bps none`).
+  (`--bandwidth-bps none`).  Every float knob must be finite: `nan`,
+  `inf` and `-inf` end in one `repro: error:` line and exit code 2,
+  like any value outside **legal values**.
 - **consumed by** names the receiving `layer.field`: `testbed` is
   `TestbedConfig` (every architecture), `seve` `SeveConfig`, `manhattan`
   `ManhattanConfig`, `sharding` `ShardingConfig`, `elastic`
@@ -376,8 +378,8 @@ table are derived from those declarations.
   documented in [fault_model.md](fault_model.md) and
   [adversary.md](adversary.md).
 
-| flag | field | Table I default | CLI default | legal values | consumed by |
-|---|---|---|---|---|---|
+| flag | field | Table I default | CLI default | legal values | consumed by | `--help` |
+|---|---|---|---|---|---|---|
 """
 
 
@@ -404,6 +406,7 @@ def settings_doc() -> str:
             f"`{spec['cli']}`" if "cli" in spec else "",
             ", ".join(legal),
             ", ".join(targets) or "*harness*",
+            spec.get("help", ""),
         )
         rows.append("| " + " | ".join(cells) + " |\n")
     return SETTINGS_HEADER + "".join(rows)

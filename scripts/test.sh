@@ -4,12 +4,14 @@
 #
 # Usage:
 #   scripts/test.sh            everything: lints, doctests, fast suite,
-#                              sharded + parallel + adversary smoke
-#                              runs, the perf benchmark's self-tests,
+#                              sharded + parallel + adversary +
+#                              malformed-input smoke runs, the perf
+#                              benchmark's self-tests,
 #                              the parallel-backend differential,
 #                              slow differentials, fault matrix
 #   scripts/test.sh --fast     lints, doctests, fast suite, parallel +
-#                              adversary smoke (pre-commit gate)
+#                              adversary + malformed-input smoke
+#                              (pre-commit gate)
 #   scripts/test.sh --faults   fault matrix only (-m faults)
 #
 # The fault matrix replays degraded-network and churn scenarios (loss,
@@ -110,6 +112,16 @@ controlplane_smoke() {
     --crash-plan 's2@1500:3500' --rtt-ms 150 --seed 13 >/dev/null
 }
 
+# Malformed-input smoke (ROADMAP aim 3: a typed error, never a hang): a
+# non-finite move period used to never return; the run must
+# end in exit 2, and a hang fails the script instead of stalling it.
+malformed_input_smoke() {
+  local status=0
+  timeout 20 python -m repro run seve --clients 4 --walls 0 --moves 2 \
+    --move-interval-ms inf >/dev/null 2>&1 || status=$?
+  [ "$status" -eq 2 ]
+}
+
 # The perf benchmark's self-tests (benchmarks/perf/README.md, ~20 s at
 # smoke scale): its probes patch the layers' seams by name, so a renamed
 # method fails here instead of in the benchmark.
@@ -125,6 +137,7 @@ case "${1:-}" in
     adversary_smoke
     elastic_smoke
     controlplane_smoke
+    malformed_input_smoke
     ;;
   --faults)
     python -m pytest -x -q -m faults
@@ -138,6 +151,7 @@ case "${1:-}" in
     adversary_smoke
     elastic_smoke
     controlplane_smoke
+    malformed_input_smoke
     perf_benchmark_selftests
     # Full parallel-vs-inproc differential (clean + lossy, K ∈ {1,2,4})
     python -m pytest -x -q tests/test_parallel_backend.py

@@ -38,6 +38,7 @@ derived from ``dataclasses.fields(SimulationSettings)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from math import isfinite
 from typing import Optional
 
 from repro.adversary import AdversaryPlan
@@ -103,9 +104,13 @@ class SimulationSettings:
         help="world extent along y",
     )
     num_walls: int = knob(
-        ManhattanConfig.num_walls, flag="--walls", cli=10_000, to="manhattan"
+        ManhattanConfig.num_walls, flag="--walls", cli=10_000, to="manhattan",
+        help="number of walls (Table I: 0 - 100,000)",
     )
-    num_clients: int = knob(64, flag="--clients", cli=32, min=0)
+    num_clients: int = knob(
+        64, flag="--clients", cli=32, min=0,
+        help="number of clients, one avatar each (Table I: 0 - 64)",
+    )
     #: The paper's max rate of change s.
     avatar_speed: float = knob(
         ManhattanConfig.avatar_speed, to="manhattan",
@@ -114,10 +119,12 @@ class SimulationSettings:
     visibility: float = knob(
         ManhattanConfig.visibility, min=0,
         to="manhattan central.interest_radius zoned.interest_radius ring",
+        help="avatar visibility: how far a client sees (world units)",
     )
     move_effect_range: float = knob(
         ManhattanConfig.effect_range, flag="--effect-range", min=0,
         to="manhattan.effect_range",
+        help="move effect range: radius a move can influence (world units)",
     )
     spawn: str = knob(
         ManhattanConfig.spawn, choices=SPAWN_MODES, to="manhattan",
@@ -133,14 +140,19 @@ class SimulationSettings:
     )
 
     # -- network (EMULab emulation) ---------------------------------------
-    rtt_ms: float = knob(TestbedConfig.rtt_ms, above=0, to="testbed")
+    rtt_ms: float = knob(
+        TestbedConfig.rtt_ms, above=0, to="testbed",
+        help="average client-server round-trip latency (ms)",
+    )
     bandwidth_bps: Optional[float] = knob(
         TestbedConfig.bandwidth_bps, above=0, to="testbed",
         help="per-client link bandwidth in bits/s; 'none' = unbounded",
     )
 
     # -- workload ----------------------------------------------------------
-    moves_per_client: int = knob(100, flag="--moves", cli=50, min=0)
+    moves_per_client: int = knob(
+        100, flag="--moves", cli=50, min=0, help="moves each client generates"
+    )
     move_interval_ms: float = knob(
         300.0, above=0, help="move generation period per client (ms)"
     )
@@ -153,19 +165,26 @@ class SimulationSettings:
         f"{WALL_COST_RADIUS:g} units of the mover ('walls')",
     )
     #: The paper's measured average evaluation time per move at 100k walls.
-    move_cost_ms: float = knob(7.44, min=0)
+    move_cost_ms: float = knob(
+        7.44, min=0, help="CPU time one move evaluation costs a host (ms)"
+    )
     eval_overhead_ms: float = knob(
         TestbedConfig.eval_overhead_ms, min=0, to="testbed",
         help="fixed synchronization overhead per action evaluation (ms)",
     )
 
     # -- protocol ----------------------------------------------------------
-    omega: float = knob(SeveConfig.omega, to="seve")
+    omega: float = knob(
+        SeveConfig.omega, to="seve",
+        help="First Bound push period as a fraction of the RTT, in (0, 1)",
+    )
     tick_ms: float = knob(
         SeveConfig.tick_ms, to="seve", help="server validation tick period (ms)"
     )
     #: Information Bound threshold; ``None`` = 1.5 x visibility (Table I).
-    threshold: Optional[float] = knob(None)
+    threshold: Optional[float] = knob(
+        None, help="Information Bound chain threshold (default: 1.5 x --visibility)"
+    )
     info_bound_policy: str = knob(
         SeveConfig.info_bound_policy, choices=POLICIES, to="seve",
         help="chain-breaking actions are dropped (Algorithm 7) or first "
@@ -290,7 +309,7 @@ class SimulationSettings:
     )
 
     # -- run ------------------------------------------------------------------
-    seed: int = knob(0, to="manhattan")
+    seed: int = knob(0, to="manhattan", help="seed of the world and the workload")
     drain_ms: float = knob(
         120_000.0, min=0, help="hard cap on post-workload drain time (ms)"
     )
@@ -330,6 +349,8 @@ class SimulationSettings:
                 )
             if value is None:
                 continue
+            if isinstance(value, float) and not isfinite(value):
+                raise ConfigurationError(f"{declared.name} must be finite, got {value}")
             if "min" in spec and value < spec["min"]:
                 raise ConfigurationError(
                     f"{declared.name} must be >= {spec['min']}, got {value}"

@@ -312,25 +312,13 @@ class PartitionReplica:
         this partition's meter at the instant a local send's arrival
         event would have.
         """
-        sim = self.engine.sim
-        network = self.engine.network
-        meter = network.meter
+        post_at = self.engine.sim.post_at
+        arrive = self.engine.network._arrive
         for arrival, _, _, src, dst, frame, size, dropped, incarnation in sorted(
             entries, key=lambda e: (e[0], e[1], e[2])
         ):
-            if dropped:
-                sim.schedule_at(
-                    arrival,
-                    lambda s=src, d=dst, z=size: meter.note_dropped(s, d, z),
-                )
-            else:
-                payload = self.codec.decode(frame)
-                sim.schedule_at(
-                    arrival,
-                    lambda s=src, d=dst, p=payload, z=size, i=incarnation: (
-                        network._dispatch(s, d, p, z, i)
-                    ),
-                )
+            payload = None if dropped else self.codec.decode(frame)
+            post_at(arrival, arrive, (src, dst, payload, size, incarnation, dropped))
 
     # -- driving -----------------------------------------------------------
     def start(self) -> None:

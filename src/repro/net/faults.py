@@ -30,6 +30,7 @@ The module also hosts the knobs for surviving the faults:
 from __future__ import annotations
 
 import random
+from math import inf
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Optional, Tuple
 
@@ -104,11 +105,14 @@ class CrashWindow:
     shard_index: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.at_ms < 0:
-            raise ConfigurationError(f"crash time must be >= 0, got {self.at_ms}")
-        if self.reconnect_at_ms is not None and self.reconnect_at_ms <= self.at_ms:
+        if not 0 <= self.at_ms < inf:
             raise ConfigurationError(
-                f"reconnect at {self.reconnect_at_ms} must follow crash at {self.at_ms}"
+                f"crash time must be finite and >= 0, got {self.at_ms}"
+            )
+        back = self.reconnect_at_ms
+        if back is not None and not self.at_ms < back < inf:
+            raise ConfigurationError(
+                f"reconnect at {back} must be finite and follow crash at {self.at_ms}"
             )
         if self.shard_index is not None and self.shard_index < 0:
             raise ConfigurationError(
@@ -257,8 +261,10 @@ class FaultPlan:
             raise ConfigurationError(
                 f"duplicate_rate must be in [0, 1), got {self.duplicate_rate}"
             )
-        if self.jitter_ms < 0:
-            raise ConfigurationError(f"jitter_ms must be >= 0, got {self.jitter_ms}")
+        if not 0 <= self.jitter_ms < inf:
+            raise ConfigurationError(
+                f"jitter_ms must be finite and >= 0, got {self.jitter_ms}"
+            )
         object.__setattr__(self, "partitions", tuple(self.partitions))
         object.__setattr__(self, "crashes", tuple(self.crashes))
 

@@ -12,19 +12,15 @@ is what the response-time figures measure.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Deque, Optional
+from typing import Callable, Deque, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.net.simulator import Simulator
 from repro.types import ClientId, TimeMs
 
 
-@dataclass
-class _WorkItem:
-    cost_ms: TimeMs
-    run: Callable[[], None]
-    enqueued_at: TimeMs
+#: One queued work item: ``(cost_ms, run, enqueued_at)``.
+_Queued = Tuple[TimeMs, Callable[[], None], TimeMs]
 
 
 class Host:
@@ -51,8 +47,7 @@ class Host:
         #: Optional :class:`repro.obs.Observer` recording each serviced
         #: work item (span + queue-delay histogram); never affects costs.
         self._obs = obs
-        self._queue: Deque[_WorkItem] = deque()
-        self._busy_until: TimeMs = 0.0
+        self._queue: Deque[_Queued] = deque()
         self._running = False
         #: Total CPU-milliseconds consumed so far (post scaling).
         self.cpu_time_used: TimeMs = 0.0
@@ -80,7 +75,7 @@ class Host:
         """
         if cost_ms < 0:
             raise SimulationError(f"work cost must be non-negative, got {cost_ms}")
-        self._queue.append(_WorkItem(cost_ms, on_done, self.sim.now))
+        self._queue.append((cost_ms, on_done, self.sim.now))
         if not self._running:
             self._start_next()
 
@@ -89,24 +84,24 @@ class Host:
             self._running = False
             return
         self._running = True
-        item = self._queue.popleft()
-        scaled = item.cost_ms * self.speed_factor
+        cost_ms, run, enqueued_at = self._queue.popleft()
+        scaled = cost_ms * self.speed_factor
         started_at = self.sim.now
-        queue_delay = started_at - item.enqueued_at
+        queue_delay = started_at - enqueued_at
         self.total_queue_delay += queue_delay
-        self._busy_until = started_at + scaled
+        self.sim.post(scaled, self._finish, (scaled, run, started_at, queue_delay))
 
-        def finish() -> None:
-            self.cpu_time_used += scaled
-            self.items_completed += 1
-            if self._obs is not None:
-                self._obs.on_host_service(
-                    self.host_id, started_at, scaled, queue_delay
-                )
-            item.run()
-            self._start_next()
-
-        self.sim.schedule(scaled, finish)
+    def _finish(self, item: tuple) -> None:
+        """The running item's completion event — ``(scaled cost, run,
+        started_at, queue_delay)``: account for it, run its callback,
+        start the next one."""
+        scaled, run, started_at, queue_delay = item
+        self.cpu_time_used += scaled
+        self.items_completed += 1
+        if self._obs is not None:
+            self._obs.on_host_service(self.host_id, started_at, scaled, queue_delay)
+        run()
+        self._start_next()
 
     def utilization(self, elapsed: Optional[TimeMs] = None) -> float:
         """Fraction of virtual time this CPU has spent busy.

@@ -14,7 +14,7 @@ cap into a real constraint for the Broadcast architecture.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Any, Callable, Optional, Tuple
 
 from repro.errors import NetworkError
 from repro.net.simulator import Simulator
@@ -69,10 +69,11 @@ class Link:
     def transmit(
         self,
         size_bytes: int,
-        deliver: Callable[[], None],
+        deliver: Callable[[Any], Optional[bool]],
+        record: Any,
         extra_delay: TimeMs = 0.0,
     ) -> TimeMs:
-        """Send a message; ``deliver`` runs at the arrival time.
+        """Send a message; ``deliver(record)`` runs at the arrival time.
 
         Returns the (absolute) delivery time, which callers may use for
         bookkeeping.  FIFO order is guaranteed per link even when
@@ -84,16 +85,16 @@ class Link:
         """
         arrival = self.remote_arrival(size_bytes, extra_delay)
         self.in_flight += 1
-
-        def on_arrival() -> None:
-            self.in_flight -= 1
-            if deliver() is False:
-                self.undelivered += 1
-            else:
-                self.delivered += 1
-
-        self.sim.schedule_at(arrival, on_arrival)
+        self.sim.post_at(arrival, self._arrive, (deliver, record))
         return arrival
+
+    def _arrive(self, message: Tuple[Callable[[Any], Optional[bool]], Any]) -> None:
+        deliver, record = message
+        self.in_flight -= 1
+        if deliver(record) is False:
+            self.undelivered += 1
+        else:
+            self.delivered += 1
 
     def remote_arrival(
         self, size_bytes: int, extra_delay: TimeMs = 0.0

@@ -40,6 +40,10 @@ from repro.types import SERVER_ID, ClientId, TimeMs
 #: Handler invoked on message arrival: ``handler(src, payload)``.
 Handler = Callable[[ClientId, object], None]
 
+#: One message on its way: ``(src, dst, payload, size_bytes,
+#: incarnation, dropped)`` — everything its arrival event needs.
+_Delivery = Tuple[ClientId, ClientId, object, int, int, bool]
+
 
 #: Simulated overhead bytes per ARQ data packet / per ACK.
 _HEADER_BYTES = 8
@@ -426,12 +430,10 @@ class Network:
     ) -> TimeMs:
         """The one send path: meter, draw the fault decision, perturb
         and stamp the destination's incarnation — once, whoever owns the
-        destination.  Only the last step differs: schedule a local
-        delivery, or — for a destination another partition owns — hand
-        the computed arrival to :attr:`remote_sink`.  Dropped messages
-        are handed over too (flagged): the owning partition charges the
-        drop to its meter at the arrival instant, exactly when a local
-        send's arrival event would have."""
+        destination — into one delivery record.  A dropped message is a
+        record too (flagged): its arrival event charges the drop to the
+        meter of whichever partition owns the destination, at the same
+        instant either way; a duplicated one is two records."""
         link = self.link(src, dst)
         self.meter.record(src, dst, size_bytes)
         dropped = False
@@ -444,41 +446,41 @@ class Network:
         if self.perturb is not None:
             extra_delay += self.perturb(src, dst, payload, self.sim.now)
         incarnation = self._incarnation.get(dst, 0)
-        remote = self.remote_sink is not None and dst in self.remote_hosts
-
-        def emit(dropped: bool) -> TimeMs:
-            if remote:
-                arrival = link.remote_arrival(size_bytes, extra_delay)
-                self.remote_sink(
-                    src, dst, payload, size_bytes, arrival, dropped, incarnation
-                )
-                return arrival
-
-            def deliver() -> bool:
-                if dropped:
-                    self.meter.note_dropped(src, dst, size_bytes)
-                    return False
-                return self._dispatch(src, dst, payload, size_bytes, incarnation)
-
-            return link.transmit(size_bytes, deliver, extra_delay)
-
-        arrival = emit(dropped)
+        arrival = self._emit(
+            link, (src, dst, payload, size_bytes, incarnation, dropped), extra_delay
+        )
         if duplicate:
             # The duplicate copy occupies the wire like any message and
             # is not itself subject to further fault decisions.
             self.meter.record(src, dst, size_bytes)
             self.meter.note_duplicate()
-            emit(False)
+            self._emit(
+                link, (src, dst, payload, size_bytes, incarnation, False), extra_delay
+            )
         return arrival
 
-    def _dispatch(
-        self,
-        src: ClientId,
-        dst: ClientId,
-        payload: object,
-        size_bytes: int,
-        incarnation: int = 0,
-    ) -> bool:
+    def _emit(self, link: Link, record: _Delivery, extra_delay: TimeMs) -> TimeMs:
+        """Put one delivery record on ``link``: its arrival is an event
+        here, or — for a destination another partition owns — an entry
+        handed to :attr:`remote_sink`."""
+        src, dst, payload, size_bytes, incarnation, dropped = record
+        if self.remote_sink is not None and dst in self.remote_hosts:
+            arrival = link.remote_arrival(size_bytes, extra_delay)
+            self.remote_sink(
+                src, dst, payload, size_bytes, arrival, dropped, incarnation
+            )
+            return arrival
+        return link.transmit(size_bytes, self._arrive, record, extra_delay)
+
+    def _arrive(self, record: _Delivery) -> bool:
+        """A delivery record reached its destination: the arrival event
+        of every message, local (:meth:`Link.transmit`) or injected by
+        the owning partition (:mod:`repro.net.backend`).  Returns
+        whether a handler took it."""
+        src, dst, payload, size_bytes, incarnation, dropped = record
+        if dropped:
+            self.meter.note_dropped(src, dst, size_bytes)
+            return False
         handler = self._handlers.get(dst)
         if handler is None or incarnation != self._incarnation.get(dst, 0):
             self.meter.note_undelivered(src, dst, size_bytes)

@@ -6,10 +6,12 @@ a single :class:`Simulator`; time only advances when the event at the
 head of the queue is dispatched.  Ties are broken by insertion order, so
 a run is fully reproducible given the same inputs.
 
-The heap holds plain ``(time, seq, event)`` tuples rather than rich
-event objects: ``seq`` is unique, so comparisons never reach the event
-handle and stay in C-speed tuple ordering.  The :class:`Event` handle
-exists only for cancellation; the live-event count is maintained
+The heap holds plain ``(time, seq, fn, arg)`` tuples and dispatch is
+``fn(arg)``: ``seq`` is unique, so comparisons never reach the callable
+and stay in C-speed tuple ordering, and an event costs its tuple and
+nothing else (:meth:`Simulator.post`).  An :class:`Event` handle is
+allocated only for the callers that keep one to cancel
+(:meth:`Simulator.schedule`); the live-event count is maintained
 incrementally so :attr:`Simulator.pending` is O(1) instead of an O(n)
 queue scan (see docs/performance.md).
 """
@@ -18,32 +20,24 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, List, Optional, Tuple
+from math import inf
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.types import TimeMs
 
 
 class Event:
-    """Handle for a scheduled callback.
+    """Cancellable handle for a scheduled callback (see
+    :meth:`Simulator.schedule`); ``time`` is when it is due."""
 
-    Events dispatch in ``(time, seq)`` order; ``seq`` is a monotonically
-    increasing insertion counter, which makes dispatch order (and hence
-    the whole simulation) deterministic.
-    """
-
-    __slots__ = ("time", "seq", "callback", "cancelled", "_sim")
+    __slots__ = ("time", "callback", "cancelled", "_sim")
 
     def __init__(
-        self,
-        time: TimeMs,
-        seq: int,
-        callback: Optional[Callable[[], None]],
-        sim: "Simulator",
+        self, time: TimeMs, callback: Callable[[], None], sim: "Simulator"
     ) -> None:
         self.time = time
-        self.seq = seq
-        self.callback = callback
+        self.callback: Optional[Callable[[], None]] = callback
         self.cancelled = False
         self._sim = sim
 
@@ -66,12 +60,21 @@ class Event:
         state = "cancelled" if self.cancelled else (
             "pending" if self.callback is not None else "dispatched"
         )
-        return f"Event(time={self.time}, seq={self.seq}, {state})"
+        return f"Event(time={self.time}, {state})"
 
 
-#: One heap slot: (time, seq, handle).  seq is unique, so the handle is
-#: never compared.
-_HeapEntry = Tuple[TimeMs, int, Event]
+def _fire(event: Event) -> None:
+    """The ``fn`` of a heap entry whose ``arg`` is an :class:`Event`
+    handle: run its callback, once."""
+    callback = event.callback
+    event.callback = None
+    callback()
+
+
+#: One heap slot: (time, seq, fn, arg).  seq is unique, so fn and arg
+#: are never compared.  ``fn is _fire`` marks a handle entry — the only
+#: kind that can have been cancelled.
+_HeapEntry = Tuple[TimeMs, int, Callable[[Any], None], Any]
 
 
 class Simulator:
@@ -80,7 +83,8 @@ class Simulator:
     Usage::
 
         sim = Simulator()
-        sim.schedule(10.0, lambda: print(sim.now))
+        sim.post(10.0, print, "ten ms in")
+        timer = sim.schedule(20.0, lambda: print(sim.now))  # cancellable
         sim.run()
 
     The clock unit is the millisecond throughout this package, matching
@@ -113,24 +117,32 @@ class Simulator:
         """Total number of events dispatched so far (for diagnostics)."""
         return self._dispatched
 
-    def schedule(self, delay: TimeMs, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` to run ``delay`` ms from now.
+    def post(self, delay: TimeMs, fn: Callable[[Any], None], arg: Any) -> None:
+        """Schedule ``fn(arg)`` to run ``delay`` ms from now.
 
-        Returns the :class:`Event`, which the caller may ``cancel()``.
-        Raises :class:`SimulationError` for negative delays — scheduling
-        into the past would silently reorder causality.
+        The handle-free form every per-message caller uses: the event
+        is its heap tuple.  Raises :class:`SimulationError` for a
+        negative (or NaN) delay — scheduling into the past would
+        silently reorder causality.
         """
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule {delay}ms into the past")
-        time = self._now + delay
-        seq = next(self._seq)
-        event = Event(time, seq, callback, self)
-        heapq.heappush(self._queue, (time, seq, event))
+        heapq.heappush(self._queue, (self._now + delay, next(self._seq), fn, arg))
         self._live += 1
+
+    def post_at(self, time: TimeMs, fn: Callable[[Any], None], arg: Any) -> None:
+        """:meth:`post` at absolute virtual time ``time``."""
+        self.post(time - self._now, fn, arg)
+
+    def schedule(self, delay: TimeMs, callback: Callable[[], None]) -> Event:
+        """:meth:`post` for a caller that may change its mind: returns
+        the :class:`Event`, which the caller may ``cancel()``."""
+        event = Event(self._now + delay, callback, self)
+        self.post(delay, _fire, event)
         return event
 
     def schedule_at(self, time: TimeMs, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` at absolute virtual time ``time``."""
+        """:meth:`schedule` at absolute virtual time ``time``."""
         return self.schedule(time - self._now, callback)
 
     def step(self) -> bool:
@@ -141,15 +153,13 @@ class Simulator:
         """
         queue = self._queue
         while queue:
-            time, _seq, event = heapq.heappop(queue)
-            if event.cancelled:
+            time, _seq, fn, arg = heapq.heappop(queue)
+            if fn is _fire and arg.cancelled:
                 continue  # already removed from the live count
-            callback = event.callback
-            event.callback = None
             self._live -= 1
             self._now = time
             self._dispatched += 1
-            callback()
+            fn(arg)
             if self._obs is not None:
                 self._obs.on_dispatch()
             return True
@@ -169,12 +179,7 @@ class Simulator:
         observe a consistent end-of-run time.
         """
         dispatched = 0
-        queue = self._queue
-        while queue:
-            time, _seq, event = queue[0]
-            if event.cancelled:
-                heapq.heappop(queue)
-                continue
+        while (time := self.next_event_time()) is not None:
             if until is not None and time > until:
                 break
             if max_events is not None and dispatched >= max_events:
@@ -195,14 +200,7 @@ class Simulator:
         any cross-partition messages arriving at that instant have been
         injected.
         """
-        queue = self._queue
-        while queue:
-            time, _seq, event = queue[0]
-            if event.cancelled:
-                heapq.heappop(queue)
-                continue
-            if time >= end:
-                break
+        while (time := self.next_event_time()) is not None and time < end:
             self.step()
         if end > self._now:
             self._now = end
@@ -211,8 +209,8 @@ class Simulator:
         """Time of the earliest pending event, or ``None`` when idle."""
         queue = self._queue
         while queue:
-            time, _seq, event = queue[0]
-            if event.cancelled:
+            time, _seq, fn, arg = queue[0]
+            if fn is _fire and arg.cancelled:
                 heapq.heappop(queue)
                 continue
             return time
@@ -233,27 +231,26 @@ class Simulator:
         periodic process when called.  If ``stop_at`` is given, the
         process stops itself once the clock passes that time.
         """
-        if interval <= 0:
-            raise SimulationError(f"periodic interval must be positive, got {interval}")
+        if not 0 < interval < inf:
+            raise SimulationError(
+                f"periodic interval must be positive and finite, got {interval}"
+            )
         stopped = False
-        pending_event: dict[str, Optional[Event]] = {"event": None}
 
         def fire() -> None:
+            nonlocal event
             if stopped:
                 return
             callback()
             if stop_at is not None and self._now + interval > stop_at:
                 return
-            pending_event["event"] = self.schedule(interval, fire)
+            event = self.schedule(interval, fire)
 
-        first_delay = interval if start_delay is None else start_delay
-        pending_event["event"] = self.schedule(first_delay, fire)
+        event = self.schedule(interval if start_delay is None else start_delay, fire)
 
         def stop() -> None:
             nonlocal stopped
             stopped = True
-            event = pending_event["event"]
-            if event is not None:
-                event.cancel()
+            event.cancel()  # a no-op once dispatched
 
         return stop

@@ -76,9 +76,11 @@ class WorldObject:
         return dict(self._attrs)
 
     def update(self, values: Mapping[str, AttrValue]) -> None:
-        """Set several attributes at once."""
+        """Set several attributes at once (all valid, or none set)."""
         for name, value in values.items():
-            self[name] = value
+            if not isinstance(value, _ALLOWED_VALUE_TYPES):
+                _check_value(name, value)  # raises
+        self._attrs.update(values)
 
     def state_token(self) -> Tuple[Tuple[str, AttrValue], ...]:
         """Canonical hashable representation of the current state.

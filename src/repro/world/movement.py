@@ -15,7 +15,7 @@ the bounce direction), so every replica evaluates it identically.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, Optional
+from typing import Dict, FrozenSet, Iterator, Optional, Tuple
 
 from repro.core.action import Action, ActionId
 from repro.errors import ActionAborted
@@ -61,6 +61,14 @@ class MoveAction(Action):
         self._others = tuple(sorted(neighbors - {avatar_oid}))
         self.walls = walls
         self.duration_s = duration_s
+        #: ``(start, target, verdict)`` of the last wall test.  Every
+        #: replica is handed this same object and, by Theorem 1, reads
+        #: the same avatar, so all but the first evaluation ask about a
+        #: segment already answered.  The field is immutable and the
+        #: verdict a pure function of the two points, so the key is the
+        #: whole input: a replica whose avatar differs (an optimistic
+        #: guess, a rejoiner) misses and walks.
+        self._wall_verdict: Optional[Tuple[Vec2, Vec2, bool]] = None
 
     def compute(self, store: ObjectStore) -> ValuesDict:
         me = store.get(self.avatar_oid)
@@ -93,7 +101,12 @@ class MoveAction(Action):
 
     def _blocked(self, store: ObjectStore, start: Vec2, target: Vec2) -> bool:
         """Collision test: world border, walls, then declared avatars."""
-        if self.walls.path_blocked(start, target):
+        memo = self._wall_verdict
+        if memo is None or memo[0] != start or memo[1] != target:
+            memo = self._wall_verdict = (
+                start, target, self.walls.path_blocked(start, target)
+            )
+        if memo[2]:
             return True
         for other in self._neighbor_states(store):
             if not other.get("alive", True):

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import dataclasses
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -187,3 +190,39 @@ def test_impossible_run_flags_end_in_one_error_line_not_a_traceback(
     assert captured.err.startswith("repro: error: ")
     assert captured.err.count("\n") == 1
     assert offender in captured.err
+
+
+#: Every float-valued ``run`` flag -> the name its error line must carry:
+#: the declared knobs, plus the FaultPlan floats behind hand-written flags.
+FLOAT_FLAGS = {
+    **{
+        flag: knob.name
+        for flag, knob in run_flags().items()
+        if knob.type in ("float", "Optional[float]")
+    },
+    "--loss-rate": "loss_rate",
+    "--jitter-ms": "jitter_ms",
+    "--dup-rate": "duplicate_rate",
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", sorted(FLOAT_FLAGS))
+def test_non_finite_float_flags_end_in_one_error_line_not_a_hang(flag, value):
+    # ``--move-interval-ms inf`` and ``nan`` used to never return;
+    # ``--rtt-ms nan``/``inf``, ``--move-cost-ms nan``, ``--bandwidth-bps
+    # nan``, ``--drain-ms nan``, ``--visibility nan`` and ``--jitter-ms
+    # nan`` used to exit 0 with a report of a run that never happened.
+    # A subprocess with a timeout, so a hang fails instead of stalling.
+    root = pathlib.Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "run", "seve", "--clients", "4",
+         "--walls", "0", "--moves", "2", f"{flag}={value}"],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True, text=True, timeout=20,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("repro: error: ")
+    assert done.stderr.count("\n") == 1
+    assert FLOAT_FLAGS[flag] in done.stderr

@@ -33,10 +33,12 @@ from repro.net.faults import CrashWindow, FaultPlan, parse_crash_plan
 from repro.net.network import Network
 from repro.types import SERVER_ID
 from repro.world.manhattan import ManhattanWorld
+from repro.world.walls import WallField
 from tests.reference.distribution_reference import (
     FullScanServer,
     use_reference_distribution,
 )
+from tests.reference.movement_reference import use_reference_movement
 
 DIFF_SETTINGS = SimulationSettings(
     num_clients=32,
@@ -304,6 +306,43 @@ def test_pending_lists_match_the_full_scan_under_loss_and_crashes(
     # spatial index and never re-nominated; the shipped server did both.
     assert brute_calls == {"candidates": 0, "renominated": 0}
     assert calls["candidates"] > 0 and calls["renominated"] > 0
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "settings",
+    [
+        DIFF_SETTINGS.with_(num_clients=16, spawn_extent=40.0),
+        DIFF_SETTINGS.with_(
+            num_clients=24, moves_per_client=12, spawn="uniform",
+            fault_plan=FAULT_PLANS[1],
+        ),
+    ],
+    ids=["crowd", "lossy-crashes"],
+)
+def test_remembered_wall_verdicts_change_no_outcome(settings, monkeypatch):
+    """A ``MoveAction`` walks the wall grid once per distinct segment
+    instead of once per replica; against the form that walks every time
+    (``tests/reference/movement_reference.py``) every batch on the wire
+    and every measured result must be identical."""
+    walks = {"n": 0}
+    real_walk = WallField.first_obstruction
+
+    def counted_walk(walls, start, end):
+        walks["n"] += 1
+        return real_walk(walls, start, end)
+
+    monkeypatch.setattr(WallField, "first_obstruction", counted_walk)
+    sends, observed, _ = _run_faulty(monkeypatch, settings)
+    remembered, walks["n"] = walks["n"], 0
+    use_reference_movement(monkeypatch)
+    walked_sends, walked_observed, _ = _run_faulty(monkeypatch, settings)
+
+    assert sends == walked_sends
+    assert observed == walked_observed
+    assert len(sends) > 100
+    # Not a vacuous pass: replicas did share verdicts.
+    assert 0 < remembered < walks["n"]
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP 4a")

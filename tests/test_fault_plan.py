@@ -265,8 +265,8 @@ def test_link_clamps_jittered_arrivals_to_fifo():
     arrivals = []
     # First message gets huge extra delay, second gets none: without the
     # clamp the second would overtake the first.
-    link.transmit(100, lambda: arrivals.append("first") or True, 500.0)
-    link.transmit(100, lambda: arrivals.append("second") or True, 0.0)
+    link.transmit(100, arrivals.append, "first", 500.0)
+    link.transmit(100, arrivals.append, "second", 0.0)
     sim.run()
     assert arrivals == ["first", "second"]
 
@@ -279,7 +279,7 @@ def test_link_without_jitter_unchanged():
     link = Link(sim, 0, -1, latency_ms=50.0, bandwidth_bps=8_000.0)
     times = []
     for _ in range(5):
-        link.transmit(100, lambda: times.append(sim.now) or True)
+        link.transmit(100, lambda record: times.append(sim.now), None)
     sim.run()
     # 100 bytes at 8kbps = 100ms serialization each, + 50ms latency.
     assert times == [150.0, 250.0, 350.0, 450.0, 550.0]

@@ -119,3 +119,45 @@ def test_items_interleave_with_simulator_time(sim, host):
     sim.schedule(5.0, lambda: done.append(("event", sim.now)))
     sim.run()
     assert done == [("event", 5.0), ("work", 10.0)]
+
+
+class ServiceLog:
+    """The one observer hook a host calls."""
+
+    def __init__(self):
+        self.calls = []
+
+    def on_host_service(self, host_id, start_ms, cost_ms, queue_delay_ms):
+        self.calls.append((host_id, start_ms, cost_ms, queue_delay_ms))
+
+
+def test_scripted_burst_is_served_fifo_with_exact_accounting(sim):
+    # Three items at t=0, a fourth arriving mid-burst, a fifth after the
+    # host went idle; speed_factor 2 doubles every cost.
+    log = ServiceLog()
+    host = Host(sim, 7, speed_factor=2.0, obs=log)
+    done = []
+
+    def item(label, cost_ms):
+        host.execute(cost_ms, lambda: done.append((label, sim.now)))
+
+    item("a", 5.0)
+    item("b", 0.0)
+    item("c", 1.5)
+    sim.schedule(4.0, lambda: item("d", 2.0))
+    sim.schedule(30.0, lambda: item("e", 1.0))
+    sim.run()
+
+    assert done == [("a", 10.0), ("b", 10.0), ("c", 13.0), ("d", 17.0), ("e", 32.0)]
+    assert log.calls == [
+        (7, 0.0, 10.0, 0.0),
+        (7, 10.0, 0.0, 10.0),
+        (7, 10.0, 3.0, 10.0),
+        (7, 13.0, 4.0, 9.0),
+        (7, 30.0, 2.0, 0.0),
+    ]
+    assert host.cpu_time_used == 19.0
+    assert host.total_queue_delay == 29.0
+    assert host.items_completed == 5
+    assert not host.busy and host.queue_length == 0
+    assert sim.dispatched == 7  # one completion event per item + two arrivals

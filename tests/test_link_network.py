@@ -17,7 +17,7 @@ from repro.types import SERVER_ID
 def test_latency_only_delivery(sim):
     link = Link(sim, 0, 1, latency_ms=50.0)
     arrivals = []
-    link.transmit(100, lambda: arrivals.append(sim.now))
+    link.transmit(100, lambda tag: arrivals.append(sim.now), None)
     sim.run()
     assert arrivals == [50.0]
 
@@ -26,7 +26,7 @@ def test_serialization_delay_adds_to_latency(sim):
     # 1000 bytes at 100 kbps = 8000 bits / 100000 bps = 80 ms on the wire.
     link = Link(sim, 0, 1, latency_ms=50.0, bandwidth_bps=100_000)
     arrivals = []
-    link.transmit(1000, lambda: arrivals.append(sim.now))
+    link.transmit(1000, lambda tag: arrivals.append(sim.now), None)
     sim.run()
     assert arrivals == [pytest.approx(130.0)]
 
@@ -34,8 +34,8 @@ def test_serialization_delay_adds_to_latency(sim):
 def test_messages_queue_behind_each_other(sim):
     link = Link(sim, 0, 1, latency_ms=0.0, bandwidth_bps=100_000)
     arrivals = []
-    link.transmit(1000, lambda: arrivals.append(("a", sim.now)))
-    link.transmit(1000, lambda: arrivals.append(("b", sim.now)))
+    link.transmit(1000, lambda tag: arrivals.append((tag, sim.now)), "a")
+    link.transmit(1000, lambda tag: arrivals.append((tag, sim.now)), "b")
     sim.run()
     assert arrivals == [("a", pytest.approx(80.0)), ("b", pytest.approx(160.0))]
 
@@ -43,8 +43,8 @@ def test_messages_queue_behind_each_other(sim):
 def test_fifo_even_with_mixed_sizes(sim):
     link = Link(sim, 0, 1, latency_ms=10.0, bandwidth_bps=100_000)
     arrivals = []
-    link.transmit(5000, lambda: arrivals.append("big"))
-    link.transmit(10, lambda: arrivals.append("small"))
+    link.transmit(5000, arrivals.append, "big")
+    link.transmit(10, arrivals.append, "small")
     sim.run()
     assert arrivals == ["big", "small"]
 
@@ -56,7 +56,7 @@ def test_infinite_bandwidth_no_serialization(sim):
 
 def test_queue_delay_reflects_backlog(sim):
     link = Link(sim, 0, 1, latency_ms=0.0, bandwidth_bps=100_000)
-    link.transmit(1000, lambda: None)
+    link.transmit(1000, id, None)
     assert link.queue_delay() == pytest.approx(80.0)
 
 
@@ -68,13 +68,13 @@ def test_negative_latency_rejected(sim):
 def test_negative_size_rejected(sim):
     link = Link(sim, 0, 1, latency_ms=1.0)
     with pytest.raises(NetworkError):
-        link.transmit(-5, lambda: None)
+        link.transmit(-5, id, None)
 
 
 def test_delivery_counter(sim):
     link = Link(sim, 0, 1, latency_ms=1.0)
-    link.transmit(1, lambda: None)
-    link.transmit(1, lambda: None)
+    link.transmit(1, id, None)
+    link.transmit(1, id, None)
     sim.run()
     assert link.delivered == 2
     assert link.in_flight == 0

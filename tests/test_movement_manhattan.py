@@ -7,6 +7,7 @@ import math
 import pytest
 
 from repro.core.action import ActionId
+from repro.core.messages import MessageCodec, SubmitAction
 from repro.errors import ConfigurationError
 from repro.state.store import ObjectStore
 from repro.world.avatar import avatar_id, avatar_object, avatar_position
@@ -62,6 +63,52 @@ def test_wall_blocks_and_turns_90():
     assert avatar_position(me) == Vec2(50, 50)  # stays put
     assert me["bumps"] == 1
     assert abs(float(me["heading"])) == pytest.approx(math.pi / 2)
+
+
+class CountedWalls(WallField):
+    """A wall field that counts its grid walks."""
+
+    walks = 0
+
+    def first_obstruction(self, start, end):
+        self.walks += 1
+        return super().first_obstruction(start, end)
+
+
+def test_wall_verdict_is_remembered_per_segment_not_per_action():
+    # Every replica evaluates the same action object; replicas that read
+    # the same avatar ask about the same segment and share one walk, a
+    # replica whose avatar differs gets its own.
+    wall = Wall(0, Vec2(55, 40), Vec2(55, 60))
+    walls = CountedWalls([wall], width=100.0, height=100.0)
+    in_the_open = (0, Vec2(20, 50), 0.0)
+    at_the_wall = (0, Vec2(50, 50), 0.0)
+    action = move(0, walls)
+
+    outcomes = []
+    for spec in (in_the_open, at_the_wall, in_the_open):
+        store = store_with_avatars(spec)
+        action.apply(store)
+        outcomes.append((store.get("avatar:0")["bumps"], walls.walks))
+    assert outcomes == [(0, 1), (1, 2), (0, 3)]
+
+    action.apply(store_with_avatars(in_the_open))
+    assert walls.walks == 3  # equal stores in a row: one walk
+
+
+def test_decoded_copy_of_an_evaluated_move_walks_again():
+    # The memo is a slot on the action, not state of the wall field: the
+    # copy another partition decodes starts without it.
+    walls = CountedWalls([], width=100.0, height=100.0)
+    standing = (0, Vec2(20, 50), 0.0)
+    action = move(0, walls)
+    result = action.apply(store_with_avatars(standing))
+    codec = MessageCodec(walls=walls)
+    copy = codec.decode(codec.encode(SubmitAction(action))).action
+    assert action.apply(store_with_avatars(standing)) == result
+    assert walls.walks == 1
+    assert copy.apply(store_with_avatars(standing)) == result
+    assert walls.walks == 2
 
 
 def test_border_bounce():

@@ -42,6 +42,40 @@ def test_negative_delay_rejected(sim):
         sim.schedule(-1.0, lambda: None)
 
 
+@pytest.mark.parametrize("delay", [-1.0, float("nan")])
+def test_post_rejects_a_delay_that_is_not_a_time(sim, delay):
+    for enqueue in (
+        lambda: sim.post(delay, print, None),
+        lambda: sim.schedule(delay, lambda: None),
+    ):
+        with pytest.raises(SimulationError):
+            enqueue()
+    assert sim.pending == 0
+
+
+def test_posted_and_handle_events_share_one_insertion_order(sim):
+    # Handle-free (post) and cancellable (schedule) events are one
+    # queue: equal times dispatch in insertion order, and a cancelled
+    # handle between them is neither dispatched nor counted.
+    order = []
+    sim.post(5.0, order.append, "a")
+    sim.schedule(5.0, lambda: order.append("b"))
+    sim.post_at(5.0, order.append, "c")
+    dropped = sim.schedule(5.0, lambda: order.append("never"))
+    sim.post(5.0, order.append, "d")
+    sim.schedule_at(5.0, lambda: order.append("e"))
+    assert (sim.pending, sim.dispatched) == (6, 0)
+    dropped.cancel()
+    assert (sim.pending, sim.dispatched) == (5, 0)
+    for done, label in enumerate("abcde", start=1):
+        assert sim.step() is True
+        assert order[-1] == label
+        assert (sim.pending, sim.dispatched) == (5 - done, done)
+    assert sim.step() is False
+    assert order == list("abcde")
+    assert sim.now == 5.0
+
+
 def test_zero_delay_runs_at_current_time(sim):
     fired = []
     sim.schedule(0.0, lambda: fired.append(sim.now))
@@ -191,6 +225,13 @@ def test_call_every_stop_function(sim):
     sim.schedule(25.0, stop)
     sim.run(until=100.0)
     assert times == [10.0, 20.0]
+
+
+@pytest.mark.parametrize("interval", [0.0, -5.0, float("inf"), float("nan")])
+def test_call_every_rejects_an_interval_that_never_recurs(sim, interval):
+    with pytest.raises(SimulationError):
+        sim.call_every(interval, lambda: None)
+    assert sim.pending == 0
 
 
 def test_call_every_stop_at(sim):
