@@ -38,7 +38,10 @@ virtual-time result:
 ends depend only on event and arrival times, never on who owns what;
 ``parallel=True`` (with W > 1) merely spawns one OS process per replica
 (``spawn`` start method everywhere — see :func:`spawn_context`) and
-exchanges the same per-epoch bundles over pipes.  Byte-identical
+exchanges the same per-epoch bundles over pipes: the worker that owns
+partition 0 runs :func:`_drive` over its own replica and a pipe to each
+sibling, and the calling process only waits for the W snapshots
+(:func:`_run_workers`).  Byte-identical
 ``RunResult``s are a construction property, not a hope: same replica
 build, same window ends, same injection order, same merge pipeline.
 The differential tests in ``tests/test_parallel_backend.py`` pin it.
@@ -235,8 +238,8 @@ class PartitionReplica:
         self.settings = settings
         self.partition = partition
         #: The caller's observer when the replica runs in the caller's
-        #: process; a spawned worker builds its own, which the
-        #: coordinator merges at the end.
+        #: process; a spawned worker builds its own, which the caller
+        #: merges at the end.
         self.obs = obs if obs is not None else settings.make_observer()
         self.engine = engine = build_engine(architecture, settings, obs=self.obs)
         shards = settings.shards
@@ -326,6 +329,12 @@ class PartitionReplica:
         from repro.harness.workload import start_run
 
         start_run(self.engine, self.workload, self.settings)
+
+    def launch(self) -> Tuple[List[ClientId], BarrierReport]:
+        """Start, and tell the coordinator what it needs before the
+        first window: the clients owned and the first report."""
+        self.start()
+        return self.owned_clients, self.report()
 
     def report(self) -> BarrierReport:
         bundles = self._outgoing
@@ -419,110 +428,19 @@ class PartitionReplica:
 
 
 # ---------------------------------------------------------------------------
-# Replica handles: inline and subprocess, one interface
-# ---------------------------------------------------------------------------
-class _InlineHandle:
-    """A partition replica stepped inline in the coordinator process."""
-
-    def __init__(
-        self, architecture: str, settings, partition: int, workers: int, obs
-    ) -> None:
-        self.replica = PartitionReplica(
-            architecture, settings, partition, workers, obs=obs
-        )
-        self._reply: Optional[BarrierReport] = None
-        self._snapshot: Optional[PartitionSnapshot] = None
-
-    def launch(self) -> Tuple[List[ClientId], BarrierReport]:
-        self.replica.start()
-        return self.replica.owned_clients, self.replica.report()
-
-    def post_window(self, end: TimeMs, entries: List[Entry]) -> None:
-        self._reply = self.replica.run_window(end, entries)
-
-    def recv_report(self) -> BarrierReport:
-        return self._reply
-
-    def post_finish(self, deadline: TimeMs) -> None:
-        self._snapshot = self.replica.finish(deadline)
-
-    def recv_snapshot(self) -> PartitionSnapshot:
-        return self._snapshot
-
-    def close(self) -> None:
-        pass
-
-
-class _ProcessHandle:
-    """A partition replica in its own spawned worker process.
-
-    Commands are posted to *all* workers before any reply is awaited —
-    that concurrency is the entire point of the parallel backend.
-    """
-
-    def __init__(
-        self, architecture: str, settings, partition: int, workers: int, ctx
-    ) -> None:
-        from repro.net.worker import partition_worker_main
-
-        parent, child = ctx.Pipe()
-        self.conn = parent
-        self.process = ctx.Process(
-            target=partition_worker_main,
-            args=(child, architecture, settings, partition, workers),
-            daemon=True,
-        )
-        self.process.start()
-        child.close()
-
-    def _recv(self):
-        try:
-            message = self.conn.recv()
-        except EOFError:
-            self.process.join()
-            raise SimulationError(
-                f"partition worker exited unexpectedly "
-                f"(exit code {self.process.exitcode})"
-            )
-        if message[0] == "error":
-            raise SimulationError(
-                f"partition worker failed:\n{message[1]}"
-            )
-        return message
-
-    def launch(self) -> Tuple[List[ClientId], BarrierReport]:
-        _, owned_clients, report = self._recv()
-        return owned_clients, report
-
-    def post_window(self, end: TimeMs, entries: List[Entry]) -> None:
-        self.conn.send(("window", end, entries))
-
-    def recv_report(self) -> BarrierReport:
-        return self._recv()[1]
-
-    def post_finish(self, deadline: TimeMs) -> None:
-        self.conn.send(("finish", deadline))
-
-    def recv_snapshot(self) -> PartitionSnapshot:
-        return self._recv()[1]
-
-    def close(self) -> None:
-        try:
-            self.conn.send(("exit",))
-        except (OSError, ValueError):
-            pass
-        self.process.join(timeout=10)
-        if self.process.is_alive():
-            self.process.terminate()
-            self.process.join(timeout=5)
-        self.conn.close()
-
-
-# ---------------------------------------------------------------------------
 # The coordinator
 # ---------------------------------------------------------------------------
-def _drive(handles, settings) -> List[PartitionSnapshot]:
-    """Advance every partition through the shared window schedule.
+def _drive(replicas, pipes, settings, obs=None) -> List[PartitionSnapshot]:
+    """Advance every partition through the shared window schedule and
+    return the snapshots of ``replicas``.
+
+    ``replicas`` are the partition replicas ``0 … len(replicas) − 1``
+    (:class:`PartitionReplica`), stepped right here in partition order
+    (they may share one observer, so their order shows in it); ``pipes``
+    are open connections to the sibling workers that serve the
+    partitions after them (:mod:`repro.net.worker` has the protocol).
+    A window is posted down every pipe before any replica is stepped,
+    so the siblings run while this process does.
 
     This loop *is* the determinism argument: every sharded run goes
     through it, whatever its partition count and backend, so the window
@@ -539,19 +457,22 @@ def _drive(handles, settings) -> List[PartitionSnapshot]:
         )
     horizon = settings.submit_horizon_ms
     deadline = horizon + settings.drain_ms
+    workers = len(replicas) + len(pipes)
 
-    launches = [handle.launch() for handle in handles]
+    launches = [replica.launch() for replica in replicas]
+    launches.extend(conn.recv() for conn in pipes)
     host_owner: Dict[ClientId, int] = {}
     for partition, (owned_clients, _) in enumerate(launches):
         for client_id in owned_clients:
             host_owner[client_id] = partition
     for shard in range(settings.shards):
         host_owner[shard_host_id(shard)] = worker_of_shard(
-            shard, settings.shards, len(handles)
+            shard, settings.shards, workers
         )
 
     reports = [report for _, report in launches]
     now: TimeMs = 0.0
+    windows = windows_with_traffic = messages = 0
     while True:
         bundles = [entry for report in reports for entry in report.bundles]
         if (
@@ -580,17 +501,30 @@ def _drive(handles, settings) -> List[PartitionSnapshot]:
                 break  # globally idle
         else:
             next_end = min(min(candidates) + lookahead, deadline)
-        inboxes: List[List[Entry]] = [[] for _ in handles]
+        inboxes: List[List[Entry]] = [[] for _ in range(workers)]
         for entry in bundles:
             inboxes[host_owner[entry[4]]].append(entry)
-        for handle, inbox in zip(handles, inboxes):
-            handle.post_window(next_end, inbox)
-        reports = [handle.recv_report() for handle in handles]
+        for conn, inbox in zip(pipes, inboxes[len(replicas):]):
+            conn.send(("window", next_end, inbox))
+        reports = [
+            replica.run_window(next_end, inbox)
+            for replica, inbox in zip(replicas, inboxes)
+        ]
+        reports.extend(conn.recv() for conn in pipes)
         now = next_end
+        windows += 1
+        if bundles:
+            windows_with_traffic += 1
+            messages += len(bundles)
 
-    for handle in handles:
-        handle.post_finish(deadline)
-    return [handle.recv_snapshot() for handle in handles]
+    if obs is not None:
+        counter = obs.metrics.counter
+        counter("backend.windows").inc(windows)
+        counter("backend.windows_with_traffic").inc(windows_with_traffic)
+        counter("backend.cross_partition_messages").inc(messages)
+    for conn in pipes:
+        conn.send(("finish", deadline))
+    return [replica.finish(deadline) for replica in replicas]
 
 
 # ---------------------------------------------------------------------------
@@ -702,6 +636,77 @@ class MergedRun:
 # ---------------------------------------------------------------------------
 # Entry point (called from the harness runner)
 # ---------------------------------------------------------------------------
+def _run_workers(architecture: str, settings, workers: int) -> List[PartitionSnapshot]:
+    """Spawn one worker per partition, wait for W snapshots, reap.
+
+    Worker 0 — the lead — is handed one end of a command pipe to every
+    sibling and runs :func:`_drive`; the caller keeps only the read end
+    of one result pipe per worker, on which each ships its own snapshot
+    (or its traceback).  The result pipes are drained in arrival order:
+    a snapshot is far larger than a pipe buffer, so listening to one
+    fixed worker first would leave the others blocked mid-write.  A
+    worker that dies takes the others down with it (its peers read
+    end-of-file), so every pipe resolves and the error names them all.
+    """
+    from multiprocessing.connection import wait
+
+    from repro.net.worker import partition_worker_main
+
+    ctx = spawn_context()
+    commands = [ctx.Pipe() for _ in range(1, workers)]
+    # What each worker is handed: the lead its end of every command
+    # pipe, each sibling the other end of its own.
+    peers = [[lead for lead, _ in commands]]
+    peers += [[sibling] for _, sibling in commands]
+    pending: Dict[object, int] = {}
+    processes: list = []
+    snapshots: List[PartitionSnapshot] = []
+    failures: Dict[int, str] = {}
+    try:
+        for partition, ends in enumerate(peers):
+            receive, send = ctx.Pipe(duplex=False)
+            pending[receive] = partition
+            process = ctx.Process(
+                target=partition_worker_main,
+                args=(send, architecture, settings, partition, workers, ends),
+                daemon=True,
+            )
+            process.start()
+            processes.append(process)
+            # The worker holds its own copies now; while ours stay
+            # open, the peers of a dead worker never read end-of-file.
+            for conn in (send, *ends):
+                conn.close()
+        while pending:
+            for conn in wait(list(pending)):
+                partition = pending.pop(conn)
+                try:
+                    kind, body = conn.recv()
+                except EOFError:
+                    kind, body = "error", "it exited unexpectedly, without a report"
+                conn.close()
+                if kind == "done":
+                    snapshots.append(body)
+                else:
+                    failures[partition] = body
+    finally:
+        for process in processes:
+            if pending:  # leaving on an exception: nobody is listening
+                process.terminate()
+            process.join()
+        for conn in pending:
+            conn.close()
+    if failures:
+        raise SimulationError(
+            "\n".join(
+                f"partition worker {partition} failed "
+                f"(exit code {processes[partition].exitcode}):\n{report}"
+                for partition, report in sorted(failures.items())
+            )
+        )
+    return sorted(snapshots, key=lambda snapshot: snapshot.partition)
+
+
 def run_partitioned(
     architecture: str,
     settings,
@@ -715,8 +720,9 @@ def run_partitioned(
     measurement pipeline.  The replicas are stepped inline, observing
     straight into ``obs`` when one is attached; ``parallel=True`` with
     more than one resolved worker spawns one worker process per
-    partition instead and merges their observers into ``obs`` at the
-    end.
+    partition instead — the one that owns partition 0 drives the
+    windows, this process only waits — and merges their observers into
+    ``obs`` at the end.
     """
     workers = resolve_workers(settings)
     if settings.shards < 2:
@@ -724,21 +730,13 @@ def run_partitioned(
             f"run_partitioned needs shards > 1 (got shards={settings.shards})"
         )
     if parallel and workers > 1:
-        ctx = spawn_context()
-        handles: list = [
-            _ProcessHandle(architecture, settings, partition, workers, ctx)
-            for partition in range(workers)
-        ]
+        snapshots = _run_workers(architecture, settings, workers)
     else:
-        handles = [
-            _InlineHandle(architecture, settings, partition, workers, obs)
+        replicas = [
+            PartitionReplica(architecture, settings, partition, workers, obs=obs)
             for partition in range(workers)
         ]
-    try:
-        snapshots = _drive(handles, settings)
-    finally:
-        for handle in handles:
-            handle.close()
+        snapshots = _drive(replicas, [], settings, obs)
     merged = MergedRun(snapshots)
     if obs is not None:
         for snapshot in snapshots:

@@ -16,14 +16,24 @@ pytest or a real script file (never a stdin heredoc).
 
 from __future__ import annotations
 
+import functools
+import json
 import multiprocessing
+import os
+import signal
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.harness.config import SimulationSettings
 from repro.harness.runner import run_simulation
-from repro.net.backend import resolve_workers, spawn_context, worker_of_shard
+from repro.net.backend import (
+    BarrierReport,
+    _drive,
+    resolve_workers,
+    spawn_context,
+    worker_of_shard,
+)
 from repro.net.faults import FaultPlan
 
 #: Small-but-sharded workload: big enough to exercise cross-shard span
@@ -151,7 +161,9 @@ def test_fork_start_method_is_unsupported():
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
     "shards, workers",
-    [(2, 2), (4, 4), (4, 2)],  # (4, 2): each partition owns two shards
+    # (4, 2): each partition owns two shards; (4, 3): uneven stripes
+    # (2 + 1 + 1 shards) and a lead with two siblings.
+    [(2, 2), (4, 4), (4, 2), (4, 3)],
 )
 def test_one_partition_matches_many_matches_parallel(shards, workers):
     one = run("inproc", shards=shards)
@@ -171,6 +183,13 @@ def test_parallel_matches_inproc_k2_lossy():
     assert parallel.messages_dropped > 0  # the plan actually fired
 
 
+def test_parallel_matches_inproc_k4_lossy_three_siblings():
+    inproc = run("inproc", plan=LOSSY, workers=4, shards=4)
+    parallel = run("parallel", plan=LOSSY, workers=4, shards=4)
+    assert result_key(inproc) == result_key(parallel)
+    assert parallel.messages_dropped > 0
+
+
 @pytest.mark.parametrize("degenerate", [dict(shards=1), dict(shards=2, workers=1)])
 def test_parallel_with_nothing_to_partition_runs_in_process(
     degenerate, monkeypatch
@@ -187,6 +206,153 @@ def test_parallel_with_nothing_to_partition_runs_in_process(
     inproc = run("inproc", **degenerate)
     parallel = run("parallel", **degenerate)
     assert result_key(inproc) == result_key(parallel)
+
+
+# ----------------------------------------------------------------------
+# The coordinator's step order, over fakes
+# ----------------------------------------------------------------------
+class _FakeReplica:
+    """Stands in for a ``PartitionReplica`` stepped by ``_drive``:
+    busy until its first window, quiescent after it."""
+
+    def __init__(self, partition, log):
+        self.partition, self.log = partition, log
+
+    def launch(self):
+        return [], BarrierReport([], 0.0, False)
+
+    def run_window(self, end, entries):
+        self.log.append(("step", self.partition))
+        return BarrierReport([], None, True)
+
+    def finish(self, deadline):
+        self.log.append(("finish", self.partition))
+        return f"snapshot {self.partition}"
+
+
+class _FakePipe:
+    """Stands in for the pipe to a sibling worker serving a replica
+    with the same script."""
+
+    def __init__(self, partition, log):
+        self.partition, self.log = partition, log
+        self.replies = [([], BarrierReport([], 0.0, False))]
+
+    def send(self, message):
+        self.log.append(("post " + message[0], self.partition))
+        if message[0] == "window":
+            self.replies.append(BarrierReport([], None, True))
+
+    def recv(self):
+        self.log.append(("recv", self.partition))
+        return self.replies.pop(0)
+
+
+def test_drive_posts_to_every_sibling_before_stepping_its_own_replicas():
+    # Siblings must be running while the coordinating process steps its
+    # own replicas, or the parallel backend is serial with extra pipes;
+    # and the replicas stepped inline share one observer, so their
+    # order is part of the byte-identity contract.
+    log = []
+    replicas = [_FakeReplica(0, log), _FakeReplica(1, log)]
+    pipes = [_FakePipe(2, log), _FakePipe(3, log)]
+    snapshots = _drive(replicas, pipes, SimulationSettings(**BASE, shards=4))
+    assert snapshots == ["snapshot 0", "snapshot 1"]
+    assert log == [
+        ("recv", 2), ("recv", 3),  # the siblings' launch reports
+        ("post window", 2), ("post window", 3),
+        ("step", 0), ("step", 1),
+        ("recv", 2), ("recv", 3),
+        ("post finish", 2), ("post finish", 3),
+        ("finish", 0), ("finish", 1),
+    ]  # fmt: skip
+
+
+# ----------------------------------------------------------------------
+# A worker that dies is a SimulationError, never a hang
+# ----------------------------------------------------------------------
+def _saboteur(victim, how, results, architecture, settings, partition, workers, peers):
+    """Spawn target standing in for ``partition_worker_main``: the real
+    thing, after booby-trapping the replica class in the worker that
+    owns partition ``victim`` (a spawned worker is a fresh interpreter,
+    so a monkeypatch in the test process would not reach it)."""
+    from repro.net import backend, worker
+
+    if partition == victim and how == "raise while building":
+
+        def build(self, *args, **kwargs):
+            raise RuntimeError("sabotaged build")
+
+        backend.PartitionReplica.__init__ = build
+    elif partition == victim:
+        run_window = backend.PartitionReplica.run_window
+        windows = []
+
+        def killed_in_third_window(self, end, entries):
+            windows.append(end)
+            if len(windows) == 3:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return run_window(self, end, entries)
+
+        backend.PartitionReplica.run_window = killed_in_third_window
+    worker.partition_worker_main(
+        results, architecture, settings, partition, workers, peers
+    )
+
+
+@pytest.fixture
+def one_minute():
+    """Fail the test, instead of stalling the suite, if it hangs."""
+
+    def expired(signum, frame):
+        raise TimeoutError("the parallel run hung")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "victim, how, expected",
+    [
+        # The sibling tells the caller itself; the lead reads
+        # end-of-file where it expected the launch report.
+        (1, "raise while building", [
+            "partition worker 1 failed (exit code 1)",
+            "RuntimeError: sabotaged build",
+            "partition worker 0 failed (exit code 1)",
+        ]),
+        # Nobody hears from a killed sibling: the lead turns the
+        # end-of-file into its own error report.
+        (2, "killed mid-window", [
+            "partition worker 2 failed (exit code -9)",
+            "exited unexpectedly",
+            "partition worker 0 failed (exit code 1)",
+            "EOFError",
+        ]),
+        # The lead killed: its siblings read end-of-file on pipes only
+        # the lead and they hold, and unwind.
+        (0, "killed mid-window", [
+            "partition worker 0 failed (exit code -9)",
+            "partition worker 1 failed (exit code 1)",
+            "partition worker 2 failed (exit code 1)",
+        ]),
+    ],
+)  # fmt: skip
+def test_dead_worker_is_an_error_never_a_hang(
+    victim, how, expected, monkeypatch, one_minute
+):
+    monkeypatch.setattr(
+        "repro.net.worker.partition_worker_main",
+        functools.partial(_saboteur, victim, how),
+    )
+    with pytest.raises(SimulationError) as raised:
+        run("parallel", shards=4, workers=3)
+    for text in expected:
+        assert text in str(raised.value)
+    assert multiprocessing.active_children() == []
 
 
 # ----------------------------------------------------------------------
@@ -211,6 +377,34 @@ def test_metrics_merge_across_workers(tmp_path):
     assert out.exists()
     baseline = run("inproc", shards=2, workers=2)
     assert result_key(result) == result_key(baseline)
+
+
+def test_window_counters_agree_across_backends(tmp_path):
+    # What the barrier schedule cost, from the run's own artefacts: the
+    # coordinator counts its windows into the metrics registry, wherever
+    # it runs.
+    def counters(backend):
+        out = tmp_path / f"{backend}.json"
+        run(backend, shards=4, workers=2, metrics_out=str(out))
+        metrics = json.loads(out.read_text())
+        return {
+            name: row["value"]
+            for name, row in metrics.items()
+            if name.startswith("backend.")
+        }
+
+    inproc = counters("inproc")
+    assert inproc == counters("parallel")
+    assert set(inproc) == {
+        "backend.windows",
+        "backend.windows_with_traffic",
+        "backend.cross_partition_messages",
+    }
+    assert (
+        0
+        < inproc["backend.windows_with_traffic"]
+        <= min(inproc["backend.windows"], inproc["backend.cross_partition_messages"])
+    )
 
 
 @pytest.mark.parametrize("workers", [0, 2])
