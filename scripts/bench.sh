@@ -16,9 +16,8 @@
 # and lossy (docs/adversary.md).  BENCH_elastic.json records
 # bottleneck-shard cost under a K=4 flash crowd with the live
 # rebalancer off vs on, clean and lossy (docs/elasticity.md).
-# BENCH_controlplane.json records the replicated sequencer's
-# throughput parity with the shard-0 singleton and the failover outage
-# after a permanent sequencer kill (docs/control_plane.md).
+# BENCH_controlplane.json records the gsn-lease failover outage after
+# a permanent sequencer kill (docs/control_plane.md).
 # BENCH_protocol.json records the protocol conformance toolchain:
 # flow-graph size and finding count (must be zero) plus the race
 # explorer's schedule/run counts (docs/static_analysis.md).

@@ -18,13 +18,14 @@ Six checks, all cheap enough for every test run:
    under ``docs/``, and every ``docs/*.md`` (except the index itself)
    must have a row — reachability alone would let a document hide
    behind a transitive link without an entry describing it.
-4. **Flags are real.**  Every ``--flag`` token the documentation
-   mentions must either be an option of ``python -m repro run`` /
-   ``experiment`` (asked of the parser: most ``run`` flags are derived
-   from ``SimulationSettings``' fields, not written in ``cli.py``) or
-   appear in the :data:`NON_CLI_FLAGS` allowlist of script/tool
-   options, so a renamed or removed CLI argument cannot leave stale
-   advice behind.
+4. **Flags are real.**  Every ``--flag`` token the living
+   documentation (as in check 5) mentions must either be an option of
+   ``python -m repro run`` / ``experiment`` (asked of the parser: most
+   ``run`` flags are derived from ``SimulationSettings``' fields, not
+   written in ``cli.py``) or appear in the :data:`NON_CLI_FLAGS`
+   allowlist of script/tool options, so a renamed or removed CLI
+   argument cannot leave stale advice behind — while the history may
+   still say what a removed flag did.
 5. **Config fields are real.**  Every ``SeveConfig(keyword=...)`` /
    ``SeveConfig.field`` mention (likewise ``SimulationSettings`` and
    ``ShardingConfig``) in the *living* documentation — ``README.md``,
@@ -442,7 +443,7 @@ def main() -> int:
         lint_links(docs)
         + lint_doc_map(docs_dir)
         + lint_doc_map_table(docs_dir)
-        + lint_flags(docs)
+        + lint_flags(living)
         + lint_config_fields(living)
         + lint_settings_doc()
     )

@@ -309,9 +309,7 @@ def _build_k2_failover() -> PreparedRun:
     plan = FaultPlan(
         seed=7, crashes=(CrashWindow(-1, 600.0, None, shard_index=0),)
     )
-    settings = _explore_settings(
-        control_plane="replicated", fault_plan=plan, seed=13
-    )
+    settings = _explore_settings(fault_plan=plan, seed=13)
     # Shard hosts can die holding control messages, so elastic
     # conservation is waived exactly as the engine's own quiescence
     # term waives it (there is no elastic config here anyway).
@@ -440,8 +438,8 @@ def default_scenarios() -> List[RaceScenario]:
         RaceScenario(
             name="k2-failover",
             description=(
-                "K=2 replicated control plane with a permanent shard-0 "
-                "crash: one lease failover mid-run; backbone permuted"
+                "K=2 with a permanent shard-0 crash, which arms the "
+                "gsn lease: one failover mid-run; backbone permuted"
             ),
             build=_build_k2_failover,
             scope="backbone",

@@ -31,8 +31,8 @@ from repro.harness.runner import run_simulation
 from repro.metrics.report import (
     Table,
     adversary_rows,
-    control_plane_rows,
     elastic_rows,
+    failover_rows,
     fault_rows,
     profile_table,
     shard_table,
@@ -136,9 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--crash-plan", type=str, default=None, metavar="SPEC",
         help="crash windows, e.g. '0@800:2500,3@1200,s1@2000:6000' "
         "(TARGET@crash_ms[:reconnect_ms], comma-separated; TARGET is a "
-        "client id, or sN for shard host N — shard windows need "
-        "--shards >= 2, and killing shard 0 for good needs "
-        "--control-plane replicated)",
+        "client id, or sN for shard host N — at least one shard must "
+        "stay up, and a shard window lets the sequencer fail over)",
     )
     adversary = groups["adversary"]
     adversary.add_argument(
@@ -241,8 +240,8 @@ def _command_run(args: argparse.Namespace) -> int:
     if settings.elastic:
         for metric, value in elastic_rows(result):
             table.add_row(metric, value)
-    if settings.control_plane == "replicated":
-        for metric, value in control_plane_rows(result):
+    if result.failover_events:
+        for metric, value in failover_rows(result):
             table.add_row(metric, value)
     table.add_row("virtual time (s)", result.virtual_ms / 1000.0)
     table.add_row("wall time (s)", result.wall_seconds)

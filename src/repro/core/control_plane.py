@@ -36,11 +36,13 @@ live voters (at K = 2 the lone survivor self-grants) instead of a
 strict majority of the original membership.
 
 Every shard server hosts a :class:`GsnLease`, and term 0 is
-pre-granted to shard 0.  ``--control-plane single`` is
-:data:`PINNED_LEASE`, the config whose lease never times out: no
-heartbeat or check timer is armed, so no lease message is ever sent and
-shard 0 sequences for the whole run.  ``--control-plane replicated``
-is the default :class:`ControlPlaneConfig`.  See docs/control_plane.md.
+pre-granted to shard 0.  Whether the lease can move follows from the
+run's crash plan (:class:`repro.core.sharded.ShardedSeveEngine` decides
+it in one place): a plan that schedules a shard crash gets the default
+:class:`ControlPlaneConfig`, any other run :data:`PINNED_LEASE`, the
+config whose lease never times out — no heartbeat or check timer is
+armed, so no lease message is ever sent and shard 0 sequences for the
+whole run.  See docs/control_plane.md.
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ from repro.types import TimeMs
 
 @dataclass(frozen=True)
 class ControlPlaneConfig:
-    """Knobs of the gsn lease (defaults: ``--control-plane replicated``)."""
+    """Knobs of the gsn lease (defaults: the lease of a run whose crash
+    plan schedules a shard crash)."""
 
     #: Period of the leaseholder's ``LeaseHeartbeat`` broadcast.
     heartbeat_interval_ms: TimeMs = 500.0
@@ -92,7 +95,7 @@ class ControlPlaneConfig:
         return math.isfinite(self.lease_timeout_ms)
 
 
-#: ``--control-plane single``: the lease that never times out.
+#: The lease that never times out: every run without a shard crash.
 PINNED_LEASE = ControlPlaneConfig(lease_timeout_ms=math.inf)
 
 

@@ -1,36 +1,30 @@
 """Elastic load-aware sharding: variable-width stripes, epoch-versioned.
 
-The static :class:`~repro.core.sharded.RegionPartition` slices the
-world into K equal vertical stripes; a flash crowd in one stripe
-leaves the other K-1 shards idle.  This module holds the *data plane*
-of the elastic rebalancer (docs/elasticity.md):
+A new :class:`~repro.core.sharded.RegionPartition` slices the world
+into K equal vertical stripes; a flash crowd in one stripe leaves the
+other K-1 shards idle.  This module holds the operator-facing side of
+the elastic rebalancer (docs/elasticity.md):
 
-* :class:`ElasticConfig` — the operator-facing knobs (`--elastic`,
-  sampling interval, imbalance threshold, hysteresis window, minimum
-  stripe width).
+* :class:`ElasticConfig` — the knobs (`--elastic`, sampling interval,
+  imbalance threshold, hysteresis window, minimum stripe width).
 * :func:`plan_boundaries` — the pure load-density quantile planner the
-  controller (the sequencer, shard 0) runs over one round of per-shard
-  ``LoadReport`` samples.
-* :func:`stripes_touching` — classification against a superseded (but
-  not yet committed) set of interior cuts, used for the
-  union-of-epochs span classification during a rebalance.
+  controller (the lease holder, shard 0 unless a failover moved it)
+  runs over one round of per-shard ``LoadReport`` samples.
 
-The mutable partition itself
-(:class:`~repro.core.sharded.ElasticPartition`) lives next to the
-static :class:`~repro.core.sharded.RegionPartition` it subclasses; the
-control-plane protocol (load rounds, fences, region syncs, drain
+The partition is the same :class:`~repro.core.sharded.RegionPartition`
+a static run uses — its ``apply`` moves the interior cuts under a new
+version; the control protocol (load rounds, fences, region syncs, drain
 barrier) lives on :class:`~repro.core.sharded.ShardServer`; the
 messages live in :mod:`repro.core.messages`.
 
-A deployment without an :class:`ElasticConfig` never constructs any of
-this — the static partition object, classification, and handoff paths
-are untouched, which is what keeps ``--elastic`` off byte-identical to
-the static engine (the differential tests pin this down).
+A deployment without an :class:`ElasticConfig` never moves a cut and
+never sends a control message, which is what keeps ``--elastic`` off
+byte-identical to the static engine (the differential tests pin this
+down).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -73,22 +67,6 @@ class ElasticConfig:
             raise ConfigurationError(
                 f"elastic min_stripe must be positive, got {self.min_stripe}"
             )
-
-
-def stripes_touching(
-    boundaries: Sequence[float], x: float, radius: float
-) -> Tuple[int, ...]:
-    """Ascending stripe indices (under interior cuts ``boundaries``)
-    intersecting [x - radius, x + radius].
-
-    >>> stripes_touching([25.0, 50.0, 75.0], 24.0, 3.0)
-    (0, 1)
-    >>> stripes_touching([25.0, 50.0, 75.0], 60.0, 0.0)
-    (2,)
-    """
-    lo = bisect_right(boundaries, x - radius)
-    hi = bisect_right(boundaries, x + radius)
-    return tuple(range(lo, hi + 1))
 
 
 def plan_boundaries(

@@ -96,10 +96,6 @@ class SeveConfig(TestbedConfig):
     #: scheduler's lookahead (docs/parallel.md).
     backbone_latency_ms: float = 1.0
     costs: ServerCosts = field(default_factory=ServerCosts)
-    #: Retained committed versions per object on the server (``None`` =
-    #: unbounded, which the Theorem 1 consistency checks rely on; bound
-    #: it for long memory-sensitive runs).
-    history_limit: Optional[int] = None
     #: Record every applied stream entry into ``client.observations``
     #: (see :class:`repro.core.client.ClientConfig.record_observations`)
     #: — input to the sharded consistency audit and differential tests.
@@ -197,9 +193,7 @@ class SeveEngine(EngineChassis):
     # ------------------------------------------------------------------
     def _build_server(self) -> None:
         config = self.config
-        self.state = VersionedStore(
-            self.world.initial_objects(), history_limit=config.history_limit
-        )
+        self.state = VersionedStore(self.world.initial_objects())
         self.audit = None
         self.predicate = self._make_predicate()
         self.info_bound = self._make_info_bound()

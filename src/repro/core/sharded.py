@@ -66,12 +66,17 @@ recovers its committed store and gsn counter from checkpoint+WAL
 adopt-or-abort the dead shard's span obligations.  The sequencer is
 whichever shard holds the gsn lease, shard 0 at term 0; the lease, its
 election and the gsn counter are :class:`repro.core.control_plane.GsnLease`,
-which each shard server hosts.  With ``--control-plane replicated`` a
-heartbeat-driven quorum failover moves the lease — sequencing and the
-elastic controller with it — to a deterministically elected survivor,
-so the sequencer is no longer a single point of failure.  The default
-``single`` control plane is the same lease with a timeout that never
-expires: it stays on shard 0 and no lease message is ever sent.
+which each shard server hosts.  The run's crash plan decides whether the
+lease may move: when it schedules a shard crash, a heartbeat-driven
+quorum failover moves the lease — sequencing and the elastic controller
+with it — to a deterministically elected survivor, so the sequencer is
+no longer a single point of failure; otherwise the lease is pinned to
+shard 0 and no lease message is ever sent.
+
+*Stripes* — one :class:`RegionPartition` type describes the stripes by
+their interior cuts.  Every shard owns a copy; a static run never
+changes it, and the elastic rebalancer (docs/elasticity.md) moves the
+cuts of every copy under a new version.
 
 *The peer seam* — every message a shard server receives goes through
 the base server's one dispatcher and the ``HANDLERS`` table; every
@@ -94,7 +99,7 @@ from repro.core.control_plane import (
     FailoverEvent,
     GsnLease,
 )
-from repro.core.elastic import ElasticConfig, plan_boundaries, stripes_touching
+from repro.core.elastic import ElasticConfig, plan_boundaries
 from repro.core.engine import SeveConfig, SeveEngine
 from repro.core.info_bound import InformationBound
 from repro.core.messages import (
@@ -141,9 +146,6 @@ class ShardingConfig:
     #: elastic code path dormant — byte-identical to a deployment
     #: without the rebalancer.
     elastic: Optional[ElasticConfig] = None
-    #: gsn-lease knobs (docs/control_plane.md).  The default pins the
-    #: lease to shard 0 for the whole run (``--control-plane single``).
-    control: ControlPlaneConfig = PINNED_LEASE
 
     def __post_init__(self) -> None:
         if self.shards < 1:
@@ -157,72 +159,27 @@ class ShardingConfig:
 
 
 class RegionPartition:
-    """Vertical-stripe partition of the world's x axis.
+    """Vertical-stripe partition of the world's x axis, defined by its
+    interior cuts.
 
-    Stripe k owns x ∈ [k·w, (k+1)·w) with w = world_width / shards;
-    positions outside [0, world_width) clamp to the border stripes, so
-    every position has exactly one owner.
+    Stripe k owns x in [boundaries[k-1], boundaries[k]) with the world
+    edges closing the first and last stripe; positions outside
+    [0, world_width) clamp to the border stripes, so every position has
+    exactly one owner.  A new partition has equal-width stripes at
+    version 0; ``apply`` swaps the cuts in place and bumps the version
+    (the elastic rebalancer's data plane — docs/elasticity.md).  Every
+    shard server (and hence every partition replica of the parallel
+    backend) owns its *own copy* and flips it when the controller's
+    ``PartitionUpdate`` arrives, so the flip happens at the same virtual
+    time on every backend.
 
     >>> partition = RegionPartition(100.0, 4)
+    >>> partition.boundaries, partition.version
+    ([25.0, 50.0, 75.0], 0)
     >>> partition.shard_of(10.0), partition.shard_of(99.0)
     (0, 3)
     >>> partition.shards_touching(24.0, 3.0)
     (0, 1)
-    >>> partition.shards_touching(50.0, 0.0)
-    (2,)
-    """
-
-    def __init__(self, world_width: float, shards: int) -> None:
-        if shards < 1:
-            raise ConfigurationError(f"shards must be >= 1, got {shards}")
-        if world_width <= 0:
-            raise ConfigurationError(f"world_width must be positive, got {world_width}")
-        self.world_width = world_width
-        self.shards = shards
-        self.stripe_width = world_width / shards
-
-    def shard_of(self, x: float) -> int:
-        """Owner stripe of position ``x`` (clamped at the borders)."""
-        return min(self.shards - 1, max(0, int(x / self.stripe_width)))
-
-    def bounds(self, shard: int) -> Tuple[float, float]:
-        """The [lo, hi) x-interval stripe ``shard`` owns."""
-        return shard * self.stripe_width, (shard + 1) * self.stripe_width
-
-    def shards_touching(self, x: float, radius: float) -> Tuple[int, ...]:
-        """Ascending stripe indices intersecting [x - radius, x + radius]."""
-        lo = self.shard_of(x - radius)
-        hi = self.shard_of(x + radius)
-        return tuple(range(lo, hi + 1))
-
-    def home_with_hysteresis(self, x: float, current: int, margin: float) -> int:
-        """The stripe ``x`` belongs to, with a ``margin`` of tolerance
-        around ``current``'s borders: a position within margin of the
-        current stripe stays home."""
-        lo, hi = self.bounds(current)
-        if lo - margin <= x < hi + margin:
-            return current
-        return self.shard_of(x)
-
-
-class ElasticPartition(RegionPartition):
-    """Vertical-stripe partition with mutable, versioned boundaries
-    (the elastic rebalancer's data plane — docs/elasticity.md).
-
-    Stripe k owns x in [boundaries[k-1], boundaries[k]) with the world
-    edges closing the first and last stripe; positions outside the
-    world clamp to the border stripes exactly like the static
-    partition.  ``apply`` swaps the interior cuts in place and bumps
-    the version.  Every shard server (and hence every partition
-    replica of the parallel backend) owns its *own copy* and flips it
-    when the controller's ``PartitionUpdate`` arrives, so the flip
-    happens at the same virtual time on every backend.
-
-    >>> partition = ElasticPartition(100.0, 4)
-    >>> partition.boundaries
-    [25.0, 50.0, 75.0]
-    >>> partition.shard_of(10.0), partition.shard_of(99.0)
-    (0, 3)
     >>> partition.apply(1, (40.0, 50.0, 60.0))
     >>> partition.shard_of(10.0), partition.shard_of(45.0), partition.version
     (0, 1, 1)
@@ -238,13 +195,19 @@ class ElasticPartition(RegionPartition):
         shards: int,
         boundaries: Optional[Sequence[float]] = None,
     ) -> None:
-        super().__init__(world_width, shards)
+        if shards < 1:
+            raise ConfigurationError(f"shards must be >= 1, got {shards}")
+        if world_width <= 0:
+            raise ConfigurationError(f"world_width must be positive, got {world_width}")
         if boundaries is None:
-            boundaries = [self.stripe_width * k for k in range(1, shards)]
+            width = world_width / shards
+            boundaries = [width * k for k in range(1, shards)]
         if len(boundaries) != shards - 1:
             raise ConfigurationError(
                 f"need {shards - 1} interior boundaries, got {len(boundaries)}"
             )
+        self.world_width = world_width
+        self.shards = shards
         self.boundaries: List[float] = list(boundaries)
         self.version = 0
 
@@ -254,16 +217,27 @@ class ElasticPartition(RegionPartition):
         self.boundaries = list(boundaries)
 
     def shard_of(self, x: float) -> int:
+        """Owner stripe of position ``x`` (clamped at the borders)."""
         return bisect_right(self.boundaries, x)
 
     def bounds(self, shard: int) -> Tuple[float, float]:
+        """The [lo, hi) x-interval stripe ``shard`` owns."""
         lo = self.boundaries[shard - 1] if shard > 0 else 0.0
-        hi = (
-            self.boundaries[shard]
-            if shard < self.shards - 1
-            else self.world_width
-        )
+        hi = self.boundaries[shard] if shard < self.shards - 1 else self.world_width
         return lo, hi
+
+    def shards_touching(self, x: float, radius: float) -> Tuple[int, ...]:
+        """Ascending stripe indices intersecting [x - radius, x + radius]."""
+        return tuple(range(self.shard_of(x - radius), self.shard_of(x + radius) + 1))
+
+    def home_with_hysteresis(self, x: float, current: int, margin: float) -> int:
+        """The stripe ``x`` belongs to, with a ``margin`` of tolerance
+        around ``current``'s borders: a position within margin of the
+        current stripe stays home."""
+        lo, hi = self.bounds(current)
+        if lo - margin <= x < hi + margin:
+            return current
+        return self.shard_of(x)
 
 
 @dataclass
@@ -329,7 +303,6 @@ class ShardServer(IncompleteWorldServer):
         #: Checkpoint+WAL recovery log; ``None`` unless the run's fault
         #: plan schedules shard crashes (zero overhead otherwise).
         self.recovery = recovery
-        self.control = control
         #: Shards the harness's crash oracle reported down (and not yet
         #: restarted) — the perfect failure detector of the simulation.
         #: Never rebound: the lease holds a reference.
@@ -358,10 +331,6 @@ class ShardServer(IncompleteWorldServer):
         #: Open epochs: partition versions applied here but not yet
         #: committed by the controller (fence not passed everywhere).
         self._epochs: List[dict] = []
-        #: Interior-cut lists of the open epochs' *superseded*
-        #: partitions; span classification unions these with the
-        #: current cuts so in-flight writes reach old and new owners.
-        self._legacy_boundaries: List[List[float]] = []
         #: Outbound handoff transfers parked until every open epoch's
         #: region syncs went out (syncs precede adoptions on FIFO
         #: backbone links, so a gainer never adopts into a stale store).
@@ -474,7 +443,7 @@ class ShardServer(IncompleteWorldServer):
         the conservative classification slack) intersects.
 
         During a rebalance epoch the *union* over the current and every
-        superseded-but-uncommitted partition decides: a write into
+        open epoch's superseded partition decides: a write into
         contested territory must reach old and new owner alike, so
         neither store goes stale while ownership is in flight."""
         if self.partition.shards == 1:
@@ -482,15 +451,13 @@ class ShardServer(IncompleteWorldServer):
         if action.position is None:
             # No spatial footprint: conservatively involves everyone.
             return tuple(range(self.partition.shards))
-        radius = action.radius + self.span_slack
-        involved = self.partition.shards_touching(action.position.x, radius)
-        if not self._legacy_boundaries:
+        x, radius = action.position.x, action.radius + self.span_slack
+        involved = self.partition.shards_touching(x, radius)
+        if not self._epochs:
             return involved
         touched = set(involved)
-        for boundaries in self._legacy_boundaries:
-            touched.update(
-                stripes_touching(boundaries, action.position.x, radius)
-            )
+        for epoch in self._epochs:
+            touched.update(epoch["old"].shards_touching(x, radius))
         return tuple(sorted(touched))
 
     def _admit(self, src: ClientId, action: Action) -> None:
@@ -557,7 +524,7 @@ class ShardServer(IncompleteWorldServer):
     # ------------------------------------------------------------------
     def _on_span_forward(self, src: ClientId, message: SpanForward) -> None:
         if not self.lease.is_holder:
-            if self.control.fails_over:
+            if self.lease.config.fails_over:
                 # Stale routing during a lease failover: the owner
                 # re-forwards to the new holder on the LeaseGrant.
                 return
@@ -736,8 +703,8 @@ class ShardServer(IncompleteWorldServer):
         to rejoin the protocol."""
         self._dead_shards.discard(hello.shard)
         if hello.shard == self.lease.holder:
-            # The sequencer came back still holding the lease (a pinned
-            # lease outlives its holder's crash).
+            # The sequencer came back still holding the lease (it
+            # restarted before a survivor's check took the lease over).
             self._redrive_holder()
         if self.lease.is_holder:
             self.lease.catch_up(hello.shard)
@@ -1137,23 +1104,20 @@ class ShardServer(IncompleteWorldServer):
         """Every shard: flip the partition copy, open an epoch with a
         fence at the current queue position, and begin bulk handoffs
         for every client this shard no longer owns."""
-        if update.version <= self.partition.version:
+        partition = self.partition
+        if update.version <= partition.version:
             return  # defensive: the backbone is reliable and FIFO
-        old_boundaries = list(self.partition.boundaries)
-        old_lo, old_hi = self.partition.bounds(self.shard_index)
-        self.partition.apply(update.version, update.boundaries)
+        old = RegionPartition(partition.world_width, partition.shards, partition.boundaries)
+        partition.apply(update.version, update.boundaries)
         epoch = {
             "version": update.version,
             "fence": self._next_pos,
-            "old_lo": old_lo,
-            "old_hi": old_hi,
-            "old_boundaries": old_boundaries,
+            "old": old,
             "synced": False,
             "drained": False,
             "bulk": set(),
         }
         self._epochs.append(epoch)
-        self._rebuild_legacy_boundaries()
         for client_id in sorted(self.clients):
             if client_id in self._handoffs:
                 continue  # already migrating; adoption re-checks its home
@@ -1168,11 +1132,6 @@ class ShardServer(IncompleteWorldServer):
                 self.shard_stats.bulk_handoffs += 1
                 self._begin_handoff(client_id, target)
         self._maybe_fence()
-
-    def _rebuild_legacy_boundaries(self) -> None:
-        self._legacy_boundaries = [
-            list(epoch["old_boundaries"]) for epoch in self._epochs
-        ]
 
     def _maybe_fence(self) -> None:
         """Once the commit frontier passes an epoch's fence, everything
@@ -1195,10 +1154,11 @@ class ShardServer(IncompleteWorldServer):
     def _send_region_syncs(self, epoch: dict) -> None:
         """Losing side: ship the committed values of every written
         object in each transferred interval to its gaining shard."""
+        old_lo, old_hi = epoch["old"].bounds(self.shard_index)
         for shard in self._live_peers():
             new_lo, new_hi = self.partition.bounds(shard)
-            lo = max(epoch["old_lo"], new_lo)
-            hi = min(epoch["old_hi"], new_hi)
+            lo = max(old_lo, new_lo)
+            hi = min(old_hi, new_hi)
             if lo >= hi:
                 continue
             entries = []
@@ -1280,7 +1240,6 @@ class ShardServer(IncompleteWorldServer):
         self._epochs = [
             epoch for epoch in self._epochs if epoch["version"] != commit.version
         ]
-        self._rebuild_legacy_boundaries()
 
     def quiescent(self) -> bool:
         """Nothing left to drain here: no handoff under way, no action
@@ -1352,50 +1311,22 @@ class ShardedSeveEngine(SeveEngine):
                 f"sharded deployments support the push modes "
                 f"('seve', 'first-bound'); got {config.mode!r}"
             )
-        plan = config.fault_plan
-        shard_windows = plan.shard_crashes if plan is not None else ()
-        for window in shard_windows:
-            if not 0 <= window.shard_index < shards:
-                raise ConfigurationError(
-                    f"crash plan targets shard {window.shard_index}, but "
-                    f"the deployment has {shards} shard(s)"
-                )
-        if shard_windows and shards == 1:
-            raise ConfigurationError(
-                "shard crash windows require shards >= 2 (a one-shard "
-                "deployment has no survivor to keep serializing)"
-            )
-        if not self.sharding.control.fails_over and shards > 1:
-            permanent = [
-                w for w in shard_windows
-                if w.shard_index == 0 and w.reconnect_at_ms is None
-            ]
-            if permanent:
-                raise ConfigurationError(
-                    "the single control plane cannot survive a permanent "
-                    "shard-0 crash (the sequencer never comes back); "
-                    "use --control-plane replicated or give the window "
-                    "a restart time"
-                )
-        elastic = self.sharding.elastic if shards > 1 else None
-        self._elastic = elastic
+        self._elastic = self.sharding.elastic if shards > 1 else None
         #: Shards currently down (crash oracle's view).
         self.crashed_shards: set = set()
         #: Per-shard checkpoint+WAL logs; armed only when the plan
-        #: schedules shard crashes (zero overhead otherwise).
+        #: schedules shard crashes (zero overhead otherwise).  The same
+        #: fact arms lease failover: a lease whose holder can die must
+        #: be able to move, one whose holder cannot stays pinned.
         self._recovery_logs: Dict[int, ShardRecoveryLog] = {}
-        self._arm_recovery = bool(shard_windows)
+        self._arm_recovery = bool(config.fault_plan and config.fault_plan.shard_crashes)
         #: The shards this engine instance drives: all of them, unless
         #: a partition replica narrows the slice (see ``owned_clients``).
         self.owned_shards: List[int] = list(range(shards))
-        if elastic is not None:
-            # Every shard keeps its own mutable partition copy; copies
-            # flip independently as the PartitionUpdate reaches each
-            # shard (docs/elasticity.md).  The engine's copy tracks the
-            # controller's (shard 0 shares the engine partition).
-            self.partition = ElasticPartition(self.sharding.world_width, shards)
-        else:
-            self.partition = RegionPartition(self.sharding.world_width, shards)
+        # Every shard keeps its own partition copy; under elastic the
+        # copies flip independently as the PartitionUpdate reaches each
+        # shard (docs/elasticity.md).  The engine's copy is shard 0's.
+        self.partition = RegionPartition(self.sharding.world_width, shards)
         self.predicate = self._make_predicate()
         max_client_radius = 0.0
         for client_id in range(self._num_clients):
@@ -1422,9 +1353,7 @@ class ShardedSeveEngine(SeveEngine):
                 self.network.add_server(host_id)
                 host = Host(self.sim, host_id, obs=self.obs)
             self.server_hosts[shard] = host
-            state = VersionedStore(
-                self.world.initial_objects(), history_limit=config.history_limit
-            )
+            state = VersionedStore(self.world.initial_objects())
             info_bound = self._make_info_bound()
             recovery = None
             if self._arm_recovery:
@@ -1447,11 +1376,10 @@ class ShardedSeveEngine(SeveEngine):
         self, shard, host, state, info_bound, recovery
     ) -> ShardServer:
         config = self.config
-        shards = self.sharding.shards
-        if self._elastic is None or shard == 0:
+        if shard == 0:
             partition = self.partition
         else:
-            partition = ElasticPartition(self.sharding.world_width, shards)
+            partition = RegionPartition(self.sharding.world_width, self.sharding.shards)
         return ShardServer(
             self.sim,
             self.network,
@@ -1471,7 +1399,7 @@ class ShardedSeveEngine(SeveEngine):
             obs=self.obs,
             detector=self.detector,
             elastic=self._elastic,
-            control=self.sharding.control,
+            control=ControlPlaneConfig() if self._arm_recovery else PINNED_LEASE,
             recovery=recovery,
         )
 
@@ -1550,11 +1478,11 @@ class ShardedSeveEngine(SeveEngine):
         """Kill shard ``shard``'s host: park its server, notify the
         owned survivors (the simulation's perfect failure detector), and
         return the owned casualty clients — those attached there or
-        migrating toward it — which die with it."""
+        migrating toward it — which die with it.  (A plan that would
+        take the last live shard down is rejected with the run's
+        settings: ``validate_crash_windows``.)"""
         if shard in self.crashed_shards:
             raise ProtocolError(f"shard {shard} is already crashed")
-        if len(self.crashed_shards) + 1 == self.sharding.shards:
-            raise ProtocolError("cannot crash the last live shard")
         if shard in self.owned_shards:
             self.shard_servers[shard].crash()
         self.crashed_shards.add(shard)
@@ -1619,12 +1547,9 @@ class ShardedSeveEngine(SeveEngine):
             self.network.reconnect(shard_host_id(shard))
             self.crashed_shards.discard(shard)
             return
-        config = self.config
         recovery = self._recovery_logs[shard]
         self.network.revive(shard_host_id(shard))
-        state = VersionedStore(
-            self.world.initial_objects(), history_limit=config.history_limit
-        )
+        state = VersionedStore(self.world.initial_objects())
         recovered = recovery.recover()
         updates = {}
         for oid in sorted(recovered.ids()):

@@ -186,7 +186,6 @@ def build_engine(
                 config,
                 sharding=ShardingConfig(
                     elastic=settings.elastic_config(),
-                    control=settings.control_plane_config(),
                     **settings.for_layer("sharding"),
                 ),
             )

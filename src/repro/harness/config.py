@@ -206,23 +206,13 @@ class SimulationSettings:
     #: 1 = the classic single serializer; K > 1 requires a push mode
     #: (``seve`` / ``seve-naive``).  Crash and liveness fault plans are
     #: supported at every K (docs/control_plane.md): clients rejoin via
-    #: the protocol-level hello path, and shard hosts recover from
-    #: checkpoint+WAL.
+    #: the protocol-level hello path, shard hosts recover from
+    #: checkpoint+WAL, and a plan that crashes a shard lets the
+    #: sequencer's lease fail over.
     shards: int = knob(
         1, min=1, to="sharding",
         help="shard servers partitioning the world into vertical stripes "
         "(docs/sharding.md); requires a push-mode SEVE architecture",
-    )
-    #: "single" never times the lease out, so no lease message is ever
-    #: sent.  Shard crash plans that kill shard 0 without a restart
-    #: require "replicated".
-    control_plane: str = knob(
-        "single", choices=("single", "replicated"),
-        help="spanning-action sequencer deployment (docs/control_plane.md): "
-        "'single' pins the role to shard 0 (byte-identical to the "
-        "pre-lease sequencer, but a crash of shard 0 is fatal); "
-        "'replicated' grants it through a leased quorum that fails "
-        "over when the holder's heartbeats stop",
     )
     #: Off takes the identical static-partition code path (the
     #: differential tests pin this).
@@ -366,36 +356,24 @@ class SimulationSettings:
             )
         if self.elastic:
             self.elastic_config()  # validate the knobs eagerly
-        if self.fault_plan is not None and self.fault_plan.crashes:
-            validate_crash_windows(self.fault_plan.crashes)
-            if self.fault_plan.shard_crashes and self.shards < 2:
-                raise ConfigurationError(
-                    "shard crash windows require shards >= 2 (a one-shard "
-                    "run has no survivor to keep serializing)"
-                )
-            for window in self.fault_plan.shard_crashes:
-                if window.shard_index >= self.shards:
-                    raise ConfigurationError(
-                        f"crash plan targets shard {window.shard_index} "
-                        f"but the run has only {self.shards} shard(s)"
-                    )
-                if (
-                    window.shard_index == 0
-                    and window.reconnect_at_ms is None
-                    and self.control_plane == "single"
-                ):
-                    raise ConfigurationError(
-                        "killing shard 0 permanently under the 'single' "
-                        "control plane loses the sequencer forever; use "
-                        "--control-plane replicated or schedule a restart"
-                    )
-        if self.adversary is not None and not isinstance(
-            self.adversary, AdversaryPlan
-        ):
-            raise ConfigurationError(
-                f"adversary must be an AdversaryPlan, "
-                f"got {type(self.adversary).__name__}"
+        if self.fault_plan is not None:
+            validate_crash_windows(
+                self.fault_plan.crashes, shards=self.shards, clients=self.num_clients
             )
+        if self.adversary is not None:
+            if not isinstance(self.adversary, AdversaryPlan):
+                raise ConfigurationError(
+                    f"adversary must be an AdversaryPlan, "
+                    f"got {type(self.adversary).__name__}"
+                )
+            for model, client_ids in self.adversary.assignments:
+                for client_id in client_ids:
+                    if client_id >= self.num_clients:
+                        raise ConfigurationError(
+                            f"adversary entry '{model}:{client_id}' names "
+                            f"client {client_id}, but the run has "
+                            f"{self.num_clients} client(s)"
+                        )
 
     def for_layer(self, layer: str) -> dict:
         """The keyword arguments ``layer``'s config dataclass takes from
@@ -448,15 +426,6 @@ class SimulationSettings:
         """The :class:`~repro.core.elastic.ElasticConfig` for this run,
         or ``None`` when rebalancing is off."""
         return ElasticConfig(**self.for_layer("elastic")) if self.elastic else None
-
-    def control_plane_config(self):
-        """The :class:`~repro.core.control_plane.ControlPlaneConfig`
-        for this run: the pinned lease under ``single``."""
-        from repro.core.control_plane import PINNED_LEASE, ControlPlaneConfig
-
-        if self.control_plane == "replicated":
-            return ControlPlaneConfig()
-        return PINNED_LEASE
 
     def manhattan_config(self) -> ManhattanConfig:
         """The world configuration this experiment runs on."""

@@ -92,12 +92,10 @@ class RunResult:
     #: One dict per committed partition change, from the controller's
     #: log: {version, at_ms, imbalance, boundaries}.
     rebalance_events: tuple = ()
-    # -- replicated control plane (docs/control_plane.md) --
-    #: Which sequencer the run used: "single" or "replicated".
-    control_plane: str = "single"
+    # -- gsn-lease failover (docs/control_plane.md) --
     #: One dict per completed gsn-lease transfer:
-    #: {term, holder, at_ms, latency_ms}.  Empty unless the replicated
-    #: control plane actually failed over.
+    #: {term, holder, at_ms, latency_ms}.  Empty unless a shard crash
+    #: actually moved the lease.
     failover_events: tuple = ()
     # -- adversaries (docs/adversary.md); all empty without a plan --
     #: One :class:`repro.core.detection.DetectionRecord` per (detector,
@@ -121,7 +119,7 @@ class RunResult:
 
     @property
     def failovers(self) -> int:
-        """Completed gsn-lease transfers (replicated control plane)."""
+        """Completed gsn-lease transfers."""
         return len(self.failover_events)
 
     @property
@@ -265,7 +263,6 @@ def run_simulation(
         shard_audit=shard_audit,
         shard_rows=engine.shard_rows,
         rebalance_events=tuple(engine.rebalance_events),
-        control_plane=settings.control_plane,
         failover_events=tuple(event.to_dict() for event in engine.failover_events),
         **engine.detection_summary(),
     )

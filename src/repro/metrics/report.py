@@ -150,20 +150,20 @@ def elastic_rows(result) -> List[List[Cell]]:
     return rows
 
 
-def control_plane_rows(result) -> List[List[Cell]]:
-    """Replicated-control-plane rows for a :class:`RunResult`.
+def failover_rows(result) -> List[List[Cell]]:
+    """Sequencer-failover rows for a :class:`RunResult`.
 
     Returned as ``(metric, value)`` pairs ready for ``Table.add_row`` —
-    the CLI appends them when ``--control-plane replicated`` was on.
-    One row per completed failover shows the new sequencer, when its
-    lease was granted, and the campaign latency (suspicion to grant).
+    the CLI appends them when the run has failover events.  One row per
+    completed failover shows the new sequencer, when its lease was
+    granted, and the campaign latency (suspicion to grant).
 
     >>> from types import SimpleNamespace
-    >>> control_plane_rows(SimpleNamespace(failover_events=(
+    >>> failover_rows(SimpleNamespace(failover_events=(
     ...     {"term": 1, "holder": 2, "at_ms": 2002.0, "latency_ms": 2.0},
     ... )))
     [['sequencer failovers', 1], ['failover[t1]', 'shard 2 @2002ms (campaign 2ms)']]
-    >>> control_plane_rows(SimpleNamespace(failover_events=()))
+    >>> failover_rows(SimpleNamespace(failover_events=()))
     [['sequencer failovers', 0]]
     """
     rows: List[List[Cell]] = [

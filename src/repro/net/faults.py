@@ -131,6 +131,14 @@ class CrashWindow:
             return f"s{self.shard_index}"
         return str(self.client_id)
 
+    @property
+    def spec(self) -> str:
+        """This window in crash-plan syntax, e.g. ``"s2@1500:3500"``."""
+        back = self.reconnect_at_ms
+        return f"{self.target_label}@{self.at_ms:g}" + (
+            f":{back:g}" if back is not None else ""
+        )
+
     def to_dict(self) -> Dict[str, Any]:
         data: Dict[str, Any] = {
             "client_id": self.client_id,
@@ -151,15 +159,25 @@ class CrashWindow:
         )
 
 
-def validate_crash_windows(windows: Iterable[CrashWindow]) -> None:
-    """Reject duplicate or overlapping windows for the same target.
+def validate_crash_windows(
+    windows: Iterable[CrashWindow],
+    *,
+    shards: Optional[int] = None,
+    clients: Optional[int] = None,
+) -> None:
+    """Reject a crash plan that cannot be scheduled, naming the entry.
 
     Two windows for one client (or one shard) overlap when the second
     crash fires while the first is still in effect — i.e. before the
-    first reconnect, or ever, when the first window never reconnects.
-    Scheduling such a plan would double-crash the host, so it is a
-    configuration error naming the offending entry.
+    first reconnect, or ever, when the first window never reconnects;
+    scheduling such a plan would double-crash the host.  Given the
+    run's ``clients`` and ``shards``, every target must also exist, and
+    at every shard crash at least one shard must stay up — so a
+    one-shard run takes no shard window at all.  A shard restarting at
+    the very instant another crashes counts as down: the order of the
+    two events is not a property of the plan.
     """
+    windows = list(windows)
     by_target: Dict[Tuple[str, int], list] = {}
     for window in windows:
         key = ("s", window.shard_index) if window.is_shard else ("c", window.client_id)
@@ -169,16 +187,33 @@ def validate_crash_windows(windows: Iterable[CrashWindow]) -> None:
         for prev, nxt in zip(group, group[1:]):
             clear_at = prev.reconnect_at_ms
             if clear_at is None or nxt.at_ms < clear_at:
-                prev_desc = f"{prev.target_label}@{prev.at_ms:g}" + (
-                    f":{prev.reconnect_at_ms:g}" if prev.reconnect_at_ms else ""
-                )
-                nxt_desc = f"{nxt.target_label}@{nxt.at_ms:g}" + (
-                    f":{nxt.reconnect_at_ms:g}" if nxt.reconnect_at_ms else ""
-                )
                 raise ConfigurationError(
-                    f"crash-plan entry {nxt_desc!r} overlaps earlier window "
-                    f"{prev_desc!r} for the same target"
+                    f"crash-plan entry {nxt.spec!r} overlaps earlier window "
+                    f"{prev.spec!r} for the same target"
                 )
+    for window in windows:
+        if window.is_shard:
+            target, count, noun = window.shard_index, shards, "shard"
+        else:
+            target, count, noun = window.client_id, clients, "client"
+        if count is not None and not 0 <= target < count:
+            raise ConfigurationError(
+                f"crash-plan entry {window.spec!r} targets {noun} {target}, "
+                f"but the run has {count} {noun}(s)"
+            )
+    shard_windows = [w for w in windows if w.is_shard] if shards is not None else []
+    for window in shard_windows:
+        down = [
+            other for other in shard_windows
+            if other.at_ms <= window.at_ms
+            and (other.reconnect_at_ms is None or window.at_ms <= other.reconnect_at_ms)
+        ]
+        if len({other.shard_index for other in down}) == shards:
+            raise ConfigurationError(
+                f"crash plan takes every shard down at {window.at_ms:g} ms "
+                f"({', '.join(other.spec for other in down)}); at least one "
+                "shard must stay up"
+            )
 
 
 def parse_crash_plan(text: str) -> Tuple[CrashWindow, ...]:
@@ -198,9 +233,11 @@ def parse_crash_plan(text: str) -> Tuple[CrashWindow, ...]:
         if not chunk:
             continue
         try:
-            target_part, _, when_part = chunk.partition("@")
-            if not when_part:
+            target_part, at, when_part = chunk.partition("@")
+            if not at:
                 raise ValueError("missing '@'")
+            if not when_part:
+                raise ValueError("missing crash time after '@'")
             crash_part, _, reconnect_part = when_part.partition(":")
             at_ms = float(crash_part)
             reconnect = float(reconnect_part) if reconnect_part else None

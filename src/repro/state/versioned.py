@@ -1,19 +1,18 @@
 """Versioned store: an :class:`ObjectStore` with per-object version
-counters and a bounded multiversion history.
+counters and a multiversion history.
 
 Section II-B of the paper discusses timestamp-based protocols built on
 multiversion serializability; the Incomplete World server also needs to
 know *which committed prefix* a value belongs to when seeding blind
 writes.  :class:`VersionedStore` provides both: every committed write
-bumps the object's version, and a bounded number of historical versions
-are retained for inspection (tests use them to assert that replicas only
-ever observe committed prefixes).
+bumps the object's version, and every historical version is retained
+for inspection (the Theorem 1 consistency checks use them to assert
+that replicas only ever observe committed prefixes).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import MissingObjectError
 from repro.state.objects import WorldObject
@@ -25,22 +24,11 @@ VersionEntry = Tuple[int, int, Dict[str, AttrValue]]
 
 
 class VersionedStore(ObjectStore):
-    """Object store that tracks versions and bounded history.
+    """Object store that tracks versions and their history."""
 
-    ``history_limit`` bounds retained versions per object (``None`` =
-    unbounded; the current version is always retrievable regardless of
-    the limit).
-    """
-
-    def __init__(
-        self,
-        objects: Iterable[WorldObject] = (),
-        *,
-        history_limit: Optional[int] = None,
-    ) -> None:
+    def __init__(self, objects: Iterable[WorldObject] = ()) -> None:
         self._versions: Dict[ObjectId, int] = {}
-        self._history: Dict[ObjectId, Deque[VersionEntry]] = {}
-        self.history_limit = history_limit
+        self._history: Dict[ObjectId, List[VersionEntry]] = {}
         super().__init__(objects)
 
     # -- write paths (all funnel through put/install) --------------------
@@ -78,8 +66,7 @@ class VersionedStore(ObjectStore):
     ) -> None:
         version = self._versions.get(oid, 0) + 1
         self._versions[oid] = version
-        history = self._history.setdefault(oid, deque(maxlen=self.history_limit))
-        history.append((version, commit_index, attrs))
+        self._history.setdefault(oid, []).append((version, commit_index, attrs))
 
     # -- version queries --------------------------------------------------
     def version(self, oid: ObjectId) -> int:
@@ -96,7 +83,7 @@ class VersionedStore(ObjectStore):
     def value_at_version(
         self, oid: ObjectId, version: int
     ) -> Optional[Dict[str, AttrValue]]:
-        """Attribute dict of ``oid`` at ``version`` if still retained."""
+        """Attribute dict of ``oid`` at ``version``, if it had one."""
         for retained_version, _, attrs in self._history.get(oid, ()):
             if retained_version == version:
                 return dict(attrs)

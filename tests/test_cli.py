@@ -177,6 +177,15 @@ def test_ledger_workloads_are_command_lines():
         (["--bandwidth-bps", "0"], "bandwidth_bps"),
         (["--world-width", "0"], "world_width"),
         (["--world-height", "-3"], "world_height"),
+        # Every shard down at once used to end in a ProtocolError
+        # traceback from the crash oracle mid-run.
+        (["--shards", "2", "--crash-plan", "s0@100,s1@200"], "every shard down"),
+        (["--shards", "2", "--crash-plan", "s0@100:300,s1@200:400"], "every shard down"),
+        # Entries naming a client the run does not have used to be
+        # ignored: exit 0, no crash, no cheater.
+        (["--clients", "4", "--crash-plan", "99@100"], "'99@100'"),
+        (["--clients", "4", "--adversary", "lying-rs:99"], "'lying-rs:99'"),
+        (["--crash-plan", "3@"], "missing crash time"),
     ],
 )
 def test_impossible_run_flags_end_in_one_error_line_not_a_traceback(
@@ -192,7 +201,19 @@ def test_impossible_run_flags_end_in_one_error_line_not_a_traceback(
     assert offender in captured.err
 
 
-#: Every float-valued ``run`` flag -> the name its error line must carry:
+def test_a_permanent_sequencer_kill_fails_over_from_the_command_line(capsys):
+    """No flag needed: the plan's shard crash arms the lease failover
+    (this command line used to exit 2 and ask for one)."""
+    code = main([
+        "run", "seve", "--clients", "8", "--walls", "0", "--moves", "8",
+        "--shards", "4", "--crash-plan", "s0@1500", "--seed", "7",
+    ])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert [line.split() for line in out.splitlines() if "failovers" in line] == [
+        ["sequencer", "failovers", "1"]
+    ]
+
 #: the declared knobs, plus the FaultPlan floats behind hand-written flags.
 FLOAT_FLAGS = {
     **{

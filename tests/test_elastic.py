@@ -11,13 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.action import ActionId
-from repro.core.elastic import ElasticConfig, plan_boundaries, stripes_touching
-from repro.core.sharded import (
-    ElasticPartition,
-    RegionPartition,
-    ShardedSeveEngine,
-    ShardingConfig,
-)
+from repro.core.elastic import ElasticConfig, plan_boundaries
+from repro.core.sharded import RegionPartition, ShardedSeveEngine, ShardingConfig
 from repro.errors import ConfigurationError
 from repro.harness.architectures import build_engine, build_world, seve_config
 from repro.harness.config import SimulationSettings
@@ -73,7 +68,7 @@ def test_plan_boundaries_respects_min_stripe():
 
 
 def test_elastic_partition_applies_versions():
-    partition = ElasticPartition(100.0, 4)
+    partition = RegionPartition(100.0, 4)
     assert partition.version == 0
     assert partition.boundaries == [25.0, 50.0, 75.0]
     partition.apply(1, (10.0, 50.0, 90.0))
@@ -88,13 +83,21 @@ def test_elastic_partition_applies_versions():
 
 
 def test_stripes_touching_matches_partition_classification():
-    boundaries = [25.0, 50.0, 75.0]
-    partition = ElasticPartition(100.0, 4, boundaries=list(boundaries))
-    for x in (0.0, 24.0, 25.0, 49.9, 60.0, 99.0):
-        for radius in (0.0, 3.0, 30.0):
-            assert stripes_touching(boundaries, x, radius) == (
-                partition.shards_touching(x, radius)
-            )
+    """The stripes a disc touches by their [lo, hi) intervals are the
+    ones the partition classifies it into, under the equal cuts and
+    under moved ones."""
+    for cuts in ([25.0, 50.0, 75.0], [10.0, 12.0, 80.0]):
+        partition = RegionPartition(100.0, 4, boundaries=cuts)
+        for x in (0.0, 10.0, 24.0, 25.0, 49.9, 60.0, 99.0):
+            for radius in (0.0, 3.0, 30.0):
+                lo, hi = x - radius, x + radius
+                expected = tuple(
+                    shard
+                    for shard in range(4)
+                    if partition.bounds(shard)[0] <= hi
+                    and lo < partition.bounds(shard)[1]
+                )
+                assert partition.shards_touching(x, radius) == expected, (cuts, x, radius)
 
 
 def test_settings_reject_elastic_without_shards():
@@ -182,12 +185,14 @@ def _assert_drained(engine):
 # Off-path byte-identity: --elastic off IS the static engine
 # ---------------------------------------------------------------------------
 def test_elastic_off_is_structurally_static():
-    """With no ElasticConfig the engine builds the exact static
-    partition: one shared immutable RegionPartition, no control plane."""
+    """With no ElasticConfig every shard's partition stays what it was
+    built as — version 0, equal-width cuts, no epoch ever opened — and
+    no elastic control message is sent."""
     _, _, engine = _run_engine(FLASH)
-    assert type(engine.partition) is RegionPartition
     for server in engine.shard_servers:
-        assert server.partition is engine.partition  # shared, never copied
+        assert server.partition.version == 0
+        assert server.partition.boundaries == [1000.0, 2000.0, 3000.0]
+        assert server._epochs == []
         assert server.elastic is None
         assert server.elastic_sent == 0 and server.elastic_received == 0
         assert server.rebalance_log == []
@@ -205,7 +210,7 @@ def test_inert_elastic_run_matches_static_fingerprint():
     assert elastic_state == static_state
     assert elastic_obs == static_obs
     assert engine.rebalance_events == ()
-    assert type(engine.partition) is ElasticPartition
+    assert all(server.partition.version == 0 for server in engine.shard_servers)
     _assert_drained(engine)
 
 

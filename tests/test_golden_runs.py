@@ -1,4 +1,4 @@
-"""Golden fingerprints of seeded ``run_simulation`` calls: ten ``seve``
+"""Golden fingerprints of seeded ``run_simulation`` calls: nine ``seve``
 runs, and a clean, a lossy and an evicting run of every other
 architecture.
 
@@ -27,6 +27,18 @@ surviving client's stable replica, and the consistency verdict — which
 is recorded, not asserted: ``ring`` is inconsistent by design, and a
 client that sat out a crash window is stale in every architecture that
 has no catch-up path.
+
+Re-dumped once when the ``--control-plane`` setting went and a run's
+crash plan started deciding lease failover (a shard crash arms it):
+``seve_k4_replicated`` is gone (its settings became ``seve_k4_single``'s);
+``seve_k4_single_restart`` now fails over — term 1 to shard 1 at
+2 002 ms instead of waiting out shard 0's restart — which moves its
+events, clock, responses and bytes; ``seve_k4_w2_mixed_crashes`` and
+``seve-naive_k4_w2_crashes`` gain the lease heartbeats (events
+3 804 → 3 930 and 3 438 → 3 564, plus their total and server bytes)
+with responses and shard stores unchanged.  No other value moved; the
+``single`` / ``replicated`` in entry names record which setting they
+were dumped under.
 
 Regenerate (only when virtual-time behaviour is *meant* to change) with
 ``PYTHONPATH=src python tests/test_golden_runs.py``.
@@ -67,19 +79,14 @@ RUNS = {
     # Dense enough that the Information Bound drops a dozen moves.
     "seve_k1": BASE.with_(num_clients=32, spawn_extent=80.0),
     "seve_k4_single": BASE.with_(shards=4),
-    "seve_k4_replicated": BASE.with_(shards=4, control_plane="replicated"),
-    "seve_k4_replicated_crash": _crashing(
-        "s2@1500:3500", control_plane="replicated"
-    ),
-    # The two runs in which the sequencer itself dies: the lease moves
-    # (replicated), or shard 0 comes back and is re-forwarded to (single).
-    "seve_k4_replicated_failover": _crashing("s0@1500", control_plane="replicated"),
+    "seve_k4_replicated_crash": _crashing("s2@1500:3500"),
+    # The two runs in which the sequencer itself dies: for good, or to
+    # come back 2 s later — the lease moves in both.
+    "seve_k4_replicated_failover": _crashing("s0@1500"),
     "seve_k4_single_restart": _crashing("s0@1500:3500"),
     # The same drive split over two partitions.
     "seve_k4_w2": BASE.with_(shards=4, workers=2),
-    "seve_k4_w2_replicated_crash": _crashing(
-        "s2@1500:3500", control_plane="replicated", workers=2
-    ),
+    "seve_k4_w2_replicated_crash": _crashing("s2@1500:3500", workers=2),
     "seve_k4_w2_mixed_crashes": _crashing(
         "3@1500,9@1800:4000,s1@2000:3000", workers=2
     ),
@@ -106,7 +113,7 @@ LOSSY = FaultPlan(
 #: it and one that never comes back, on a loss-free network.
 EVICTING = FaultPlan(crashes=parse_crash_plan("3@1500:9000,5@3000"))
 
-#: ``name -> (architecture, settings)`` for every architecture the ten
+#: ``name -> (architecture, settings)`` for every architecture the nine
 #: ``seve`` runs above do not cover.
 ARCHITECTURE_RUNS = {
     f"{architecture}_{kind}": (architecture, settings)

@@ -208,14 +208,6 @@ def test_history_records_full_states():
     assert attrs["health"] == 100  # merge records the merged full state
 
 
-def test_history_limit_bounds_retention():
-    store = VersionedStore([make_obj()], history_limit=2)
-    for i in range(5):
-        store.merge({"avatar:0": {"x": float(i)}})
-    assert len(store.history("avatar:0")) == 2
-    assert store.version("avatar:0") == 6
-
-
 def test_value_at_version():
     store = VersionedStore([make_obj()])
     store.merge({"avatar:0": {"x": 2.0}})

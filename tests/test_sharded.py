@@ -31,7 +31,7 @@ from tests.test_parallel_backend import result_key
 # ---------------------------------------------------------------------------
 def test_shard_of_owns_stripes_and_clamps():
     partition = RegionPartition(100.0, 4)
-    assert partition.stripe_width == 25.0
+    assert partition.boundaries == [25.0, 50.0, 75.0]
     assert partition.shard_of(0.0) == 0
     assert partition.shard_of(24.999) == 0
     assert partition.shard_of(25.0) == 1
@@ -302,29 +302,37 @@ def test_shards_accept_crash_plans_and_liveness():
 
 
 def test_shard_crash_window_guards():
-    """The guards that remain: shard windows need K >= 2, a real shard
-    index, and killing shard 0 for good needs the replicated plane."""
-    dead_shard = FaultPlan(seed=3, crashes=(
-        CrashWindow(-1, 500.0, 1500.0, shard_index=1),
-    ))
-    with pytest.raises(ConfigurationError):
-        SimulationSettings(shards=1, fault_plan=dead_shard)
-    out_of_range = FaultPlan(seed=3, crashes=(
-        CrashWindow(-1, 500.0, None, shard_index=5),
-    ))
-    with pytest.raises(ConfigurationError):
-        build_engine("seve", DIFF.with_(shards=2, fault_plan=out_of_range))
-    kill_zero = FaultPlan(seed=3, crashes=(
-        CrashWindow(-1, 500.0, None, shard_index=0),
-    ))
-    with pytest.raises(ConfigurationError):
-        build_engine("seve", DIFF.with_(shards=2, fault_plan=kill_zero))
-    # The identical plan is legal once the sequencer is replicated.
-    engine = build_engine(
-        "seve",
-        DIFF.with_(shards=2, fault_plan=kill_zero, control_plane="replicated"),
-    )
-    assert isinstance(engine, ShardedSeveEngine)
+    """The crash-plan rules, written once and checked with the run's
+    settings: every target exists, and one shard stays up at every
+    crash (a restart at the instant of another crash does not count)."""
+    for shards, plan, offender in (
+        (1, "s0@500:1500", "every shard down at 500 ms (s0@500:1500)"),
+        (2, "s5@500", "'s5@500' targets shard 5"),
+        (2, "9@500", "'9@500' targets client 9"),
+        (2, "s0@100,s1@200", "every shard down at 200 ms"),
+        (2, "s0@100:300,s1@200:400", "every shard down at 200 ms"),
+        (2, "s1@300:400,s0@100:300", "every shard down at 300 ms"),
+    ):
+        crashes = FaultPlan(crashes=parse_crash_plan(plan))
+        with pytest.raises(ConfigurationError) as excinfo:
+            DIFF.with_(shards=shards, fault_plan=crashes)
+        assert offender in str(excinfo.value), plan
+    # A crash after the other shard's restart leaves one shard up.
+    DIFF.with_(shards=2, fault_plan=FaultPlan(crashes=parse_crash_plan(
+        "s0@100:300,s1@301:400"
+    )))
+
+
+@pytest.mark.parametrize(
+    "plan, timers",
+    [(None, 0), (FaultPlan(crashes=parse_crash_plan("3@500")), 0),
+     (FaultPlan(crashes=parse_crash_plan("s2@500")), 2)],
+    ids=["fault-free", "client-only", "shard-crash"],
+)
+def test_the_lease_is_armed_exactly_when_the_plan_crashes_a_shard(plan, timers):
+    engine = build_engine("seve", DIFF.with_(shards=4, fault_plan=plan))
+    for server in engine.shard_servers:
+        assert len(server.lease.start()) == timers
 
 
 def test_sharded_engine_rejects_pull_modes():
@@ -345,8 +353,7 @@ def test_settings_validate_shard_count():
 
 
 # ---------------------------------------------------------------------------
-# Crash fault tolerance and the replicated control plane
-# (docs/control_plane.md)
+# Crash fault tolerance and lease failover (docs/control_plane.md)
 # ---------------------------------------------------------------------------
 #: Small clustered deployment whose centre-spawn keeps spanning actions
 #: in flight throughout — crashes land mid-span by construction.
@@ -376,45 +383,28 @@ def _assert_survivors_consistent(result):
     assert result.responses_observed > 0
 
 
-def test_replicated_plane_is_protocol_transparent_fault_free():
-    """Fault-free, the lease is pre-granted to shard 0: no election
-    ever fires and every protocol outcome matches single mode exactly —
-    only the heartbeat traffic differs."""
-    single = run_simulation("seve", FAULTED.with_(shards=2))
-    repl = run_simulation(
-        "seve", FAULTED.with_(shards=2, control_plane="replicated")
-    )
-    assert repl.failovers == 0
-    assert repl.moves_submitted == single.moves_submitted
-    assert repl.responses_observed == single.responses_observed
-    assert repl.response.mean == single.response.mean
-    assert repl.shard_audit.span_observations == (
-        single.shard_audit.span_observations
-    )
-    assert repl.total_traffic_kb > single.total_traffic_kb  # heartbeats
-
-
-def test_misrouted_span_forward_is_an_error_only_when_the_lease_is_pinned():
-    """Every shard holds the lease state under both planes.  A
-    SpanForward reaching a non-holder is stale routing while a failover
-    can be in flight (``replicated``: ignored, the owner re-forwards on
-    the grant), but under ``single`` the lease cannot move, so nothing
-    legitimate ever sends one: it stays a ProtocolError."""
+@pytest.mark.parametrize(
+    "plan, raises",
+    [(None, True), (FaultPlan(crashes=parse_crash_plan("s1@1500:3500")), False)],
+    ids=["no-shard-crash", "shard-crash"],
+)
+def test_misrouted_span_forward_is_an_error_without_shard_crashes(plan, raises):
+    """Every shard holds the lease state in every run.  A SpanForward
+    reaching a non-holder is stale routing while a failover can be in
+    flight (a plan with shard crashes: ignored, the owner re-forwards
+    on the grant), but without shard crashes the lease cannot move, so
+    nothing legitimate ever sends one: it stays a ProtocolError."""
     forward = SpanForward(0, (0, 1), BlindWrite.from_server(0, {}))
-    for control_plane, raises in (("single", True), ("replicated", False)):
-        engine = build_engine(
-            "seve", FAULTED.with_(shards=2, control_plane=control_plane)
-        )
-        holder, other = engine.shard_servers
-        assert (holder.lease.term, holder.lease.holder) == (0, 0)
-        assert holder.lease.is_holder and not other.lease.is_holder
-        assert other.control.fails_over is not raises
-        if raises:
-            with pytest.raises(ProtocolError, match="only shard 0 sequences"):
-                other._on_message(shard_host_id(0), forward)
-        else:
+    engine = build_engine("seve", FAULTED.with_(shards=2, fault_plan=plan))
+    holder, other = engine.shard_servers
+    assert (holder.lease.term, holder.lease.holder) == (0, 0)
+    assert holder.lease.is_holder and not other.lease.is_holder
+    if raises:
+        with pytest.raises(ProtocolError, match="only shard 0 sequences"):
             other._on_message(shard_host_id(0), forward)
-        assert other.shard_stats.spans_sequenced == 0
+    else:
+        other._on_message(shard_host_id(0), forward)
+    assert other.shard_stats.spans_sequenced == 0
 
 
 @pytest.mark.faults
@@ -434,18 +424,13 @@ def test_shard_crash_and_restart_recovers(shards):
 
 @pytest.mark.faults
 def test_permanent_sequencer_crash_fails_over():
-    """Killing shard 0 for good under the replicated plane: the lease
-    quorum elects a new sequencer and the run completes with audits
-    green — the exact run the singleton sequencer could never survive."""
+    """Killing shard 0 for good: the plan's shard crash arms the lease,
+    its quorum elects a new sequencer and the run completes with audits
+    green — the exact run a pinned sequencer could never survive."""
     plan = FaultPlan(
         seed=7, crashes=(CrashWindow(-1, 2000.0, None, shard_index=0),)
     )
-    result = run_simulation(
-        "seve",
-        FAULTED.with_(
-            shards=4, fault_plan=plan, control_plane="replicated"
-        ),
-    )
+    result = run_simulation("seve", FAULTED.with_(shards=4, fault_plan=plan))
     _assert_survivors_consistent(result)
     assert result.failovers >= 1
     first = result.failover_events[0]
@@ -491,7 +476,6 @@ def test_shard_crash_during_elastic_epochs():
             elastic=True,
             elastic_interval_ms=400.0,
             elastic_hysteresis=2,
-            control_plane="replicated",
         ),
     )
     _assert_survivors_consistent(result)
@@ -508,9 +492,7 @@ def test_backends_agree_under_shard_crash():
     plan = FaultPlan(
         seed=7, crashes=(CrashWindow(-1, 1500.0, 3500.0, shard_index=2),)
     )
-    base = FAULTED.with_(
-        shards=4, fault_plan=plan, control_plane="replicated"
-    )
+    base = FAULTED.with_(shards=4, fault_plan=plan)
     one = run_simulation("seve", base)
     many = run_simulation("seve", base.with_(workers=4))
     parallel = run_simulation(
