@@ -4,13 +4,15 @@
 #
 # Usage:
 #   scripts/test.sh            everything: lints, doctests, fast suite,
-#                              sharded + parallel + adversary +
-#                              malformed-input smoke runs, the perf
+#                              sharded + parallel + window-ratchet +
+#                              adversary + malformed-input smoke
+#                              runs, the perf
 #                              benchmark's self-tests,
 #                              the parallel-backend differential,
 #                              slow differentials, fault matrix
 #   scripts/test.sh --fast     lints, doctests, fast suite, parallel +
-#                              adversary + malformed-input smoke
+#                              window-ratchet + adversary +
+#                              malformed-input smoke
 #                              (pre-commit gate)
 #   scripts/test.sh --faults   fault matrix only (-m faults)
 #
@@ -53,6 +55,7 @@ lint_and_doctests() {
   python scripts/docs_lint.py
   python -m pytest -x -q --doctest-modules \
     src/repro/obs src/repro/metrics/report.py src/repro/net/stats.py \
+    src/repro/net/faults.py \
     src/repro/core/detection.py src/repro/core/elastic.py \
     src/repro/core/sharded.py \
     src/repro/harness/config.py scripts/docs_lint.py
@@ -101,6 +104,24 @@ parallel_smoke() {
       sleep 0.1
     done
   done
+}
+
+# The window ratchet (docs/parallel.md): the smoke-scale sprawl_k4_par
+# shape of benchmarks/perf/workloads.py through the real CLI.  Like the
+# code-size ratchet, its barrier count may not rise past what the last
+# PR that lowered it landed (lower the number when a PR fuses windows).
+window_ratchet() {
+  local metrics windows
+  metrics=$(mktemp)
+  python -m repro run seve --spawn uniform --world-width 600 --clients 48 \
+    --walls 500 --moves 3 --shards 4 --workers 2 --backend parallel \
+    --seed 1000 --metrics-out "$metrics" >/dev/null
+  windows=$(python -c 'import json,sys; print(json.load(open(sys.argv[1]))["backend.windows"]["value"])' "$metrics")
+  rm -f "$metrics"
+  if [ "$windows" -gt 192 ]; then
+    echo "window_ratchet: $windows barrier windows, ceiling 192" >&2
+    return 1
+  fi
 }
 
 # Adversary smoke (docs/adversary.md): three cheating clients on a
@@ -155,6 +176,7 @@ case "${1:-}" in
     lint_and_doctests
     python -m pytest -x -q -m "not slow"
     parallel_smoke
+    window_ratchet
     adversary_smoke
     elastic_smoke
     controlplane_smoke
@@ -169,6 +191,7 @@ case "${1:-}" in
     sharded_smoke
     derived_flags_smoke
     parallel_smoke
+    window_ratchet
     adversary_smoke
     elastic_smoke
     controlplane_smoke

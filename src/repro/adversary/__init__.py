@@ -49,6 +49,7 @@ from repro.core.action import ActionResult
 from repro.core.client import ProtocolClient
 from repro.core.messages import Completion, SubmitAction, wire_size
 from repro.errors import ConfigurationError
+from repro.net.faults import split_plan
 from repro.types import ClientId
 from repro.world.avatar import avatar_id
 from repro.world.movement import MoveAction
@@ -158,22 +159,18 @@ def parse_adversary_plan(
 ) -> Tuple[Tuple[str, Tuple[ClientId, ...]], ...]:
     """Parse the CLI assignment syntax ``MODEL:ID[+ID...][,...]``.
 
-    The empty string parses to the null plan's empty assignment tuple.
+    The empty string parses to the null plan's empty assignment tuple;
+    an empty entry or client id is an error (:func:`split_plan`).
     """
     assignments = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
+    for part in split_plan(text, ",", "--adversary entry"):
         try:
             model, _, ids = part.partition(":")
-            client_ids = tuple(
-                int(token) for token in ids.split("+") if token
-            )
+            client_ids = tuple(map(int, split_plan(ids, "+", "client id")))
             if not client_ids:
                 raise ValueError("no client ids")
             assignments.append((model.strip(), client_ids))
-        except ValueError as exc:
+        except (ValueError, ConfigurationError) as exc:
             raise ConfigurationError(
                 f"bad --adversary entry {part!r} "
                 f"(want MODEL:ID[+ID...]): {exc}"

@@ -104,12 +104,8 @@ class ClientStats:
     stable_evaluations: int = 0
     blind_writes_applied: int = 0
     mismatches: int = 0
-    #: Duplicate stream deliveries skipped (non-strict mode only).
-    duplicates_skipped: int = 0
     #: Application-level resubmissions of unanswered own actions.
     retransmissions: int = 0
-    #: Own actions given up on after ``RETRY_MAX_ATTEMPTS`` resubmissions.
-    retries_exhausted: int = 0
     #: Own echoes that arrived for actions no longer pending, or whose
     #: older pending siblings' echoes were lost (non-strict mode only).
     own_echoes_lost: int = 0
@@ -198,8 +194,7 @@ class ClientShell:
 
     def _arm_retry(self, action: Action, attempt: int) -> None:
         if attempt >= RETRY_MAX_ATTEMPTS:
-            self.stats.retries_exhausted += 1
-            return
+            return  # the action is given up on: no more resubmissions
         delay = self.retry.delay(attempt, self._retry_rng)
         self._retry_timers[action.action_id] = self.sim.schedule(
             delay, lambda: self._retry_fire(action, attempt)

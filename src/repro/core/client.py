@@ -289,8 +289,7 @@ class ProtocolClient(ClientShell):
                     raise ProtocolError(
                         f"client {self.client_id}: duplicate delivery of pos {entry.pos}"
                     )
-                self.stats.duplicates_skipped += 1
-                return
+                return  # non-strict: skip the duplicate delivery
             self._applied_positions.add(entry.pos)
         cost = entry.action.cost_ms + (
             0.0 if isinstance(entry.action, BlindWrite) else self.config.eval_overhead_ms

@@ -119,7 +119,6 @@ class IncompleteServerStats:
     closures_computed: int = 0
     entries_distributed: int = 0
     blind_writes_sent: int = 0
-    blind_objects_sent: int = 0
     batches_sent: int = 0
     push_cycles: int = 0
     #: Resubmissions absorbed by the ActionId dedup filter.
@@ -508,7 +507,6 @@ class IncompleteWorldServer:
             self._blind_seq += 1
             self.known.record_blind_write(client_id, seed_needed)
             self.stats.blind_writes_sent += 1
-            self.stats.blind_objects_sent += len(seed_needed)
             batch_entries.append(OrderedAction(-1, blind))
         for chain_index in chain:
             chained = self._entries[chain_index]
@@ -955,7 +953,6 @@ class IncompleteWorldServer:
                         self._blind_seq += 1
                         self.known.record_blind_write(client_id, seed_needed)
                         self.stats.blind_writes_sent += 1
-                        self.stats.blind_objects_sent += len(seed_needed)
                         self._send_batch(client_id, [OrderedAction(-1, blind)])
                     if action_id is not None and action_id.client_id == client_id:
                         # The parked reply was to the entry's own

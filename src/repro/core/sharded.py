@@ -119,6 +119,7 @@ from repro.core.messages import (
     SpanForward,
     SpanResult,
     SpanSplice,
+    SubmitAction,
 )
 from repro.core.server_incomplete import COUNTED_MESSAGES, IncompleteWorldServer
 from repro.errors import ConfigurationError, ProtocolError
@@ -248,12 +249,6 @@ class ShardStats:
     spans_forwarded: int = 0
     #: Sequenced spanning actions spliced into this shard's stream.
     spans_spliced: int = 0
-    #: Span results relayed to involved peers (owner side).
-    span_results_relayed: int = 0
-    #: Span results received and recorded (peer side).
-    span_results_received: int = 0
-    #: Submissions parked behind an outstanding span forward.
-    actions_held: int = 0
     #: Handoffs this shard initiated (clients migrating out).
     handoffs_out: int = 0
     #: Handoffs this shard completed (clients adopted).
@@ -264,10 +259,6 @@ class ShardStats:
     rebalances: int = 0
     #: Clients bulk-handed-off because a rebalance moved their stripe.
     bulk_handoffs: int = 0
-    #: Region syncs sent to gaining shards (losing side).
-    syncs_sent: int = 0
-    #: Region syncs received from losing shards (gaining side).
-    syncs_received: int = 0
 
 
 class ShardServer(IncompleteWorldServer):
@@ -373,6 +364,9 @@ class ShardServer(IncompleteWorldServer):
         self._resolved_log: Dict[ClientId, List[ActionId]] = {}
         #: In-progress outbound handoffs: client -> {"target", "ready"}.
         self._handoffs: Dict[ClientId, dict] = {}
+        #: Ids of spanning submissions whose admission (and so their
+        #: span forward) still waits on this shard's host.
+        self._queued_spans: set = set()
         #: Live span entries by action id -> queue position.
         self._span_entries: Dict[ActionId, int] = {}
         #: All gsns ever assigned to span actions seen by this shard
@@ -380,6 +374,15 @@ class ShardServer(IncompleteWorldServer):
         self.span_gsns: Dict[ActionId, int] = {}
         super().__init__(*args, **kwargs)
         self._handlers.update(self.lease.handlers)
+        #: This shard runs something that can put a message on the
+        #: backbone at any event: a lease that can move, the elastic
+        #: controller, a liveness sweep or a cheat quarantine (an
+        #: eviction can abort a span), or an ARQ receiver (a gap can
+        #: hold back a trigger and release it on a later packet).
+        self._speaks_at_will = control.fails_over or any(
+            part is not None
+            for part in (elastic, self.liveness, self.detector, self.network.reliability)
+        )
 
     # ------------------------------------------------------------------
     # The peer seam (docs/sharding.md): the dispatch table, and the
@@ -461,23 +464,13 @@ class ShardServer(IncompleteWorldServer):
         return tuple(sorted(touched))
 
     def _admit(self, src: ClientId, action: Action) -> None:
-        if src not in self.clients:
-            self._seen_actions.discard(action.action_id)
-            self._forget_submission(src, action)
-            return
-        if self._outstanding_spans.get(src):
-            # A span forward of this client is in flight; admitting now
-            # would serialize this action *before* it locally while the
-            # client's stream expects submission order.  Park it.
-            self._held.setdefault(src, []).append(action)
-            self.shard_stats.actions_held += 1
-            return
-        involved = self._involved_shards(action)
-        if len(involved) > 1:
-            self._forward_span(src, action, involved)
-        else:
-            super()._admit(src, action)
-            self._note_stream_high()
+        self._queued_spans.discard(action.action_id)
+        self._held.setdefault(src, []).append(action)
+        # While a span forward of this client is in flight the action
+        # stays parked: admitting it now would serialize it *before* the
+        # span locally while the client's stream expects submission order.
+        if not self._outstanding_spans.get(src):
+            self._drain_held(src)
 
     def _note_stream_high(self) -> None:
         """Record the stream-position high-water in the recovery log so
@@ -503,7 +496,9 @@ class ShardServer(IncompleteWorldServer):
 
     def _drain_held(self, client_id: ClientId) -> None:
         """Admit parked submissions in order; stop (still holding the
-        rest) if one of them is itself a spanning action."""
+        rest) if one of them is itself a spanning action.  Parked ones
+        exist only while a span forward is outstanding, so a submission
+        admitted with none outstanding is the only one drained."""
         held = self._held.get(client_id)
         while held:
             action = held.pop(0)
@@ -752,7 +747,6 @@ class ShardServer(IncompleteWorldServer):
                 and entry.action.action_id == message.action_id
             ):
                 entry.span_result = message.result
-                self.shard_stats.span_results_relayed += 1
                 self._tell_involved(
                     entry,
                     SpanResult(entry.gsn, entry.action.action_id, message.result),
@@ -777,7 +771,6 @@ class ShardServer(IncompleteWorldServer):
             return
         entry.span_result = message.result
         entry.record_completion(message.result, src)
-        self.shard_stats.span_results_received += 1
         self._advance_frontier()
 
     def _on_span_abort(self, src: ClientId, message: SpanAbort) -> None:
@@ -822,6 +815,8 @@ class ShardServer(IncompleteWorldServer):
     # ------------------------------------------------------------------
     def _note_submission(self, src: ClientId, action: Action) -> None:
         self._unresolved.setdefault(src, set()).add(action.action_id)
+        if len(self._involved_shards(action)) > 1:
+            self._queued_spans.add(action.action_id)
 
     def _forget_submission(self, src: ClientId, action: Action) -> None:
         bucket = self._unresolved.get(src)
@@ -913,13 +908,8 @@ class ShardServer(IncompleteWorldServer):
         of its accepted submissions has resolved — including parked and
         span-forwarded ones, which stay unresolved until they commit."""
         state = self._handoffs.get(client_id)
-        if state is None or not state["ready"]:
-            return
-        if self._unresolved.get(client_id):
-            return
-        if self._held.get(client_id) or self._outstanding_spans.get(client_id):
-            return  # defensive: these imply unresolved ids, but be explicit
-        self._finalize_handoff(client_id, state["target"])
+        if state and state["ready"] and not self._unresolved.get(client_id):
+            self._finalize_handoff(client_id, state["target"])
 
     def _finalize_handoff(self, client_id: ClientId, target: int) -> None:
         if target in self._dead_shards:
@@ -1177,15 +1167,12 @@ class ShardServer(IncompleteWorldServer):
                 )
             if not entries:
                 continue
-            sync = RegionSync(epoch["version"], lo, hi, tuple(entries))
-            self.shard_stats.syncs_sent += 1
-            self._send_peer(shard, sync)
+            self._send_peer(shard, RegionSync(epoch["version"], lo, hi, tuple(entries)))
 
     def _on_region_sync(self, src: ClientId, sync: RegionSync) -> None:
         """Gaining side: adopt strictly-newer values.  A span this
         shard committed after the loser stamped the sync loses the
         stamp comparison, so a racing sync never regresses the store."""
-        self.shard_stats.syncs_received += 1
         updates = {}
         for oid, gsn, local, attrs in sync.entries:
             if (gsn, local) <= self._sync_stamps.get(oid, (-1, 0)):
@@ -1251,6 +1238,16 @@ class ShardServer(IncompleteWorldServer):
             or self._entries
             or self._epochs
             or (self.lease.is_holder and self._pending_version is not None)
+        )
+
+    def speaks_unprompted(self) -> bool:
+        """Whether this shard may put a message on the backbone before
+        a trigger (:meth:`ShardedSeveEngine.backbone_trigger`) reaches
+        it: while a client that acknowledged its handoff waits for its
+        transfer, while a spanning submission waits on the host, and
+        always when it runs something that speaks at will."""
+        return self._speaks_at_will or bool(self._queued_spans) or any(
+            state["ready"] for state in self._handoffs.values()
         )
 
     @property
@@ -1340,6 +1337,10 @@ class ShardedSeveEngine(SeveEngine):
         self.span_slack = (
             self.predicate.reach + max_client_radius + self.sharding.handoff_margin
         )
+        #: The static stripes and the spanning submissions sent so far:
+        #: what :meth:`backbone_trigger` classifies by.
+        self._stripes = RegionPartition(self.sharding.world_width, shards)
+        self._spanning_ids: set = set()
 
         self.shard_servers: List[ShardServer] = []
         self.shard_states: List[VersionedStore] = []
@@ -1376,17 +1377,15 @@ class ShardedSeveEngine(SeveEngine):
         self, shard, host, state, info_bound, recovery
     ) -> ShardServer:
         config = self.config
-        if shard == 0:
-            partition = self.partition
-        else:
-            partition = RegionPartition(self.sharding.world_width, self.sharding.shards)
         return ShardServer(
             self.sim,
             self.network,
             host,
             state,
             shard_index=shard,
-            partition=partition,
+            partition=self.partition
+            if shard == 0
+            else RegionPartition(self.sharding.world_width, self.sharding.shards),
             span_slack=self.span_slack,
             handoff_margin=self.sharding.handoff_margin,
             predicate=self.predicate,
@@ -1407,17 +1406,13 @@ class ShardedSeveEngine(SeveEngine):
         """(Re)wire each live server's commit hook: the audit record
         plus, when crash recovery is armed, the WAL append."""
         for shard, server in enumerate(self.shard_servers):
-            hooks = []
-            if self.audits:
-                hooks.append(self._make_audit_hook(self.audits[shard]))
+            hooks = [self._make_audit_hook(self.audits[shard])] if self.audits else []
             if server.recovery is not None:
                 hooks.append(server.recovery.on_commit)
-            if not hooks:
-                continue
-            if len(hooks) == 1:
-                server.on_commit = hooks[0]
-            else:
+            if len(hooks) > 1:
                 server.on_commit = self._chain_hooks(tuple(hooks))
+            elif hooks:
+                server.on_commit = hooks[0]
 
     @staticmethod
     def _chain_hooks(hooks):
@@ -1637,6 +1632,33 @@ class ShardedSeveEngine(SeveEngine):
             # the shard's sweep presumes it dead (Section III-C).
             return False
         return all(server.quiescent() for server in servers)
+
+    def backbone_trigger(self, dst: ClientId, payload: object) -> bool:
+        """Whether delivering ``payload`` to shard host ``dst`` can make
+        that shard speak on the backbone — a *trigger*
+        (docs/parallel.md): a submission whose disc, span slack
+        included, crosses a static stripe border, the originator's
+        completion of one, a span forward, a splice at its owner, or a
+        handoff acknowledgement.  A pure function of the payload, the
+        destination and the static stripes (a completion's by way of its
+        originator's own submission, which the same partition sent), so
+        every partition classifies a message alike."""
+        kind = type(payload)
+        if kind is SubmitAction:
+            action = payload.action
+            if action.position is not None:
+                x, reach = action.position.x, action.radius + self.span_slack
+                if len(self._stripes.shards_touching(x, reach)) == 1:
+                    return False
+            self._spanning_ids.add(action.action_id)
+            return True
+        if kind is Completion:
+            action_id = payload.action_id
+            own = payload.reporter == action_id.client_id
+            return own and action_id in self._spanning_ids
+        if kind is SpanSplice:
+            return dst == shard_host_id(payload.owner)
+        return kind is SpanForward or kind is HandoffReady
 
     def elastic_balance(self) -> int:
         """Elastic control messages the owned shards sent minus those

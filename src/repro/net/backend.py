@@ -17,25 +17,39 @@ virtual-time result:
   that object construction, seeds, and ids line up exactly.  With
   W = 1 the one replica owns everything, nothing is diverted and no
   frame is ever encoded.
-* Cross-partition messages are not delivered locally.  A transport
-  divert at the bottom of :class:`~repro.net.network.Network`
-  (``remote_sink``/``remote_hosts``) computes the arrival time on the
+* Cross-partition messages are not delivered locally.  The replica
+  takes the last step of every send of its engine's
+  :class:`~repro.net.network.Network` (:meth:`PartitionReplica.emit`):
+  for a foreign destination it computes the arrival time on the
   sender's copy of the link (occupying wire/FIFO state exactly as a
   local transmit would, including fault draws) and hands the message —
   encoded with the compact binary codec from
   :mod:`repro.core.messages` — to the coordinator, which routes it to
   the partition owning the destination at the next **epoch barrier**.
-* Virtual time advances in bounded windows.  With lookahead ``L`` (the
-  smallest one-way link latency in the deployment) any message sent at
-  time ``t`` arrives no earlier than ``t + L``; so after a barrier at
-  which the globally earliest pending event is ``E``, every replica can
-  safely run ``[now, E + L)`` without hearing from anyone.  Incoming
-  messages are injected at the barrier in a canonical order —
-  ``(arrival, source partition, per-partition send seq)`` — so tie
-  dispatch order is identical no matter how the bundles raced.
+* Virtual time advances in bounded windows, each as long as the
+  shards' **send promises** allow.  At a barrier every shard promises
+  the earliest virtual time it could put a message on the backbone: a
+  quiet shard, the earliest pending arrival of a *trigger* — a message
+  that can make it speak there
+  (:meth:`~repro.core.sharded.ShardedSeveEngine.backbone_trigger`) —
+  and a shard that may speak unprompted (a handoff finishing, a
+  spanning submission on its host, a fault plan, elastic control, an
+  adversary plan), the globally earliest pending event ``E``.  A
+  backbone message is then sent no earlier than the smallest promise
+  ``P`` and arrives ``backbone_latency_ms`` later, and a client-link
+  message sent at or after ``E`` arrives ``rtt_ms / 2`` later, so every
+  replica can safely run ``[now, min(P + backbone_latency_ms, E +
+  rtt_ms / 2, deadline))`` without hearing from anyone.  Each backbone send is checked against
+  its shard's promise, and one sent earlier is a
+  :class:`~repro.errors.SimulationError`.  Incoming messages are
+  injected at the barrier in a canonical order — ``(arrival, source
+  partition, place in that partition's bundle)`` — so tie dispatch
+  order is identical no matter how the bundles raced.
 
 **Every W and both backends run the identical schedule.**  The window
-ends depend only on event and arrival times, never on who owns what;
+ends depend only on event and arrival times and on what the shards
+promise, which the partition owning each shard works out the same way
+whoever owns the rest;
 ``parallel=True`` (with W > 1) merely spawns one OS process per replica
 (``spawn`` start method everywhere — see :func:`spawn_context`) and
 exchanges the same per-epoch bundles over pipes: the worker that owns
@@ -68,8 +82,10 @@ final millisecond.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.messages import MessageCodec
@@ -78,17 +94,28 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.types import ClientId, TimeMs, shard_host_id
 
 #: One cross-partition message in flight: ``(arrival, src_partition,
-#: send_seq, src, dst, frame, size, dropped, incarnation)``.  ``frame``
-#: is the codec-encoded payload (``None`` for fault-dropped messages,
-#: which still arrive as meter debits).  ``incarnation`` is the
-#: destination host's incarnation as the *sender* observed it at send
-#: time — crash windows are applied on every replica at the same
-#: virtual instants, so the counters agree, and a message aimed at a
-#: dead incarnation dies at the owner's dispatch exactly as a local
-#: send would.
+#: send_seq, src, dst, frame, size, dropped, incarnation, trigger)``.
+#: ``send_seq`` is the entry's place in its partition's bundle (a
+#: bundle is routed at the barrier that ends the window it was sent
+#: in).  ``frame`` is the codec-encoded payload (``None`` for
+#: fault-dropped messages, which still arrive as meter debits).
+#: ``incarnation`` is the destination host's incarnation as the
+#: *sender* observed it at send time — crash windows are applied on
+#: every replica at the same virtual instants, so the counters agree,
+#: and a message aimed at a dead incarnation dies at the owner's
+#: dispatch exactly as a local send would.  ``trigger`` flags a message
+#: that can make its destination shard speak on the backbone.
 Entry = Tuple[
-    TimeMs, int, int, ClientId, ClientId, Optional[bytes], int, bool, int
+    TimeMs, int, int, ClientId, ClientId, Optional[bytes], int, bool, int, bool
 ]
+#: Index of the trigger flag in an :data:`Entry`.
+TRIGGER = 9
+
+#: What can end a window, in the order a tie is attributed: the
+#: smallest send promise plus the backbone latency, the earliest event
+#: plus the client-link latency, the drain deadline, or — nothing
+#: pending before the horizon — the horizon itself.
+WINDOW_ENDS = ("promise", "client_link", "deadline", "idle")
 
 
 def spawn_context():
@@ -145,6 +172,11 @@ class BarrierReport:
     #: flight between partitions is invisible to each one's local
     #: predicate.
     elastic_balance: int = 0
+    #: The earliest time an owned shard may send on the backbone: its
+    #: earliest pending trigger arrival, ``inf`` when none is pending,
+    #: and ``-inf`` — the coordinator reads it as the global next event
+    #: — while one may speak unprompted.
+    promise: TimeMs = -math.inf
 
 
 @dataclass
@@ -219,9 +251,10 @@ class PartitionReplica:
     time RNG draw and id assignment matches every other replica.  It
     then narrows the engine to the shards and clients it owns — the
     engine's lifecycle rules (start, crash windows, quiescence, stop)
-    consult that slice — and diverts traffic addressed to foreign hosts
-    through the network's ``remote_sink``.  The replica itself is
-    transport only: build, divert, and step.
+    consult that slice — and takes the last step of every send
+    (:meth:`emit`), diverting traffic addressed to foreign hosts and
+    keeping its shards' send promises.  The replica itself is transport
+    only: build, divert, and step.
     """
 
     def __init__(
@@ -262,48 +295,57 @@ class PartitionReplica:
             == partition
         ]
         self.codec = MessageCodec(walls=getattr(engine.world, "walls", None))
-        owned_hosts = set(self.owned_clients) | {
-            shard_host_id(shard) for shard in self.owned_shards
-        }
-        all_hosts = set(range(settings.num_clients)) | {
-            shard_host_id(shard) for shard in range(shards)
-        }
-        engine.network.remote_hosts = frozenset(all_hosts - owned_hosts)
-        engine.network.remote_sink = self._sink
+        #: Pending trigger arrivals per owned shard host (a heap each),
+        #: and the send promises the current window runs under.
+        self._triggers = {shard_host_id(shard): [] for shard in self.owned_shards}
+        self._granted: Dict[ClientId, TimeMs] = {}
+        #: Every host of the deployment but the owned ones.
+        self.remote_hosts = frozenset(
+            {*range(settings.num_clients), *map(shard_host_id, range(shards))}
+            - {*self.owned_clients, *self._triggers}
+        )
         self._outgoing: List[Entry] = []
-        self._send_seq = 0
         self._discard_remote = False
         self.workload = MoveWorkload(engine, engine.world, settings)
+        engine.network.partition = self
 
     # -- transport ---------------------------------------------------------
-    def _sink(
-        self,
-        src: ClientId,
-        dst: ClientId,
-        payload: object,
-        size_bytes: int,
-        arrival: TimeMs,
-        dropped: bool,
-        incarnation: int = 0,
-    ) -> None:
-        if self._discard_remote:
-            return
-        seq = self._send_seq
-        self._send_seq += 1
-        frame = None if dropped else self.codec.encode(payload)
-        self._outgoing.append(
-            (
-                arrival,
-                self.partition,
-                seq,
-                src,
-                dst,
-                frame,
-                size_bytes,
-                dropped,
-                incarnation,
+    def emit(self, link, record, extra_delay: TimeMs) -> TimeMs:
+        """The last step of every send (``Network._emit``).  A delivery
+        to a host this partition owns is scheduled on ``link``; one to
+        a foreign host occupies the link the same way and is encoded
+        into an outgoing bundle entry.  A message that can make its
+        destination shard speak on the backbone is flagged, or noted in
+        that shard's trigger heap when the shard is local."""
+        src, dst, payload, size, incarnation, dropped = record
+        trigger = not dropped and self.engine.backbone_trigger(dst, payload)
+        if dst not in self.remote_hosts:
+            arrival = link.transmit(
+                size, self.engine.network._arrive, record, extra_delay
             )
-        )
+            if trigger:
+                heappush(self._triggers[dst], arrival)
+            return arrival
+        arrival = link.remote_arrival(size, extra_delay)
+        if not self._discard_remote:
+            frame = None if dropped else self.codec.encode(payload)
+            self._outgoing.append((
+                arrival, self.partition, len(self._outgoing), src, dst,
+                frame, size, dropped, incarnation, trigger,
+            ))  # fmt: skip
+        return arrival
+
+    def check(self, src: ClientId, payload: object, now: TimeMs) -> None:
+        """The soundness net, on every backbone send: a shard speaking
+        before the promise it made at the last barrier is an error."""
+        promise = self._granted.get(src, -math.inf)
+        if now < promise:
+            shard = next(k for k in self.owned_shards if shard_host_id(k) == src)
+            raise SimulationError(
+                f"shard {shard} sent a {type(payload).__name__} on the "
+                f"backbone at {now} ms, before the {promise} ms it promised "
+                "at the last barrier"
+            )
 
     def _inject(self, entries: List[Entry]) -> None:
         """Schedule incoming cross-partition messages in canonical order.
@@ -313,15 +355,19 @@ class PartitionReplica:
         how the bundles were concatenated upstream.  Fault-dropped
         messages are injected too: they burn one dispatch and debit
         this partition's meter at the instant a local send's arrival
-        event would have.
+        event would have.  A flagged trigger is noted for its shard, as
+        the local send it stands for would have been, and brings the
+        promise the window runs under forward to its arrival.
         """
         post_at = self.engine.sim.post_at
         arrive = self.engine.network._arrive
-        for arrival, _, _, src, dst, frame, size, dropped, incarnation in sorted(
-            entries, key=lambda e: (e[0], e[1], e[2])
-        ):
+        for entry in sorted(entries, key=lambda e: (e[0], e[1], e[2])):
+            arrival, _, _, src, dst, frame, size, dropped, incarnation, trigger = entry
             payload = None if dropped else self.codec.decode(frame)
             post_at(arrival, arrive, (src, dst, payload, size, incarnation, dropped))
+            if trigger:
+                heappush(self._triggers[dst], arrival)
+                self._granted[dst] = min(self._granted[dst], arrival)
 
     # -- driving -----------------------------------------------------------
     def start(self) -> None:
@@ -336,9 +382,26 @@ class PartitionReplica:
         self.start()
         return self.owned_clients, self.report()
 
+    def _promises(self) -> Dict[ClientId, TimeMs]:
+        """Each owned shard's send promise at this barrier, by host:
+        its earliest trigger arrival not yet dispatched (``inf`` when
+        none is pending), or ``-inf`` while it may speak unprompted."""
+        engine, promises = self.engine, {}
+        for shard in self.owned_shards:
+            host = shard_host_id(shard)
+            heap = self._triggers[host]
+            while heap and heap[0] < engine.sim.now:
+                heappop(heap)
+            promises[host] = (
+                -math.inf
+                if engine.shard_servers[shard].speaks_unprompted()
+                else heap[0] if heap else math.inf
+            )
+        return promises
+
     def report(self) -> BarrierReport:
-        bundles = self._outgoing
-        self._outgoing = []
+        bundles, self._outgoing = self._outgoing, []
+        self._granted = self._promises()
         engine = self.engine
         return BarrierReport(
             bundles=bundles,
@@ -348,10 +411,12 @@ class PartitionReplica:
             quiescent=engine.sim.now >= self.settings.submit_horizon_ms
             and engine.slice_quiescent(),
             elastic_balance=engine.elastic_balance(),
+            promise=min(self._granted.values()),
         )
 
     def run_window(self, end: TimeMs, entries: List[Entry]) -> BarrierReport:
-        """Inject the routed entries, run ``[now, end)``, and report."""
+        """Inject the routed entries, run ``[now, end)`` under the
+        promises they leave, and report."""
         self._inject(entries)
         self.engine.sim.run_window(end)
         return self.report()
@@ -359,11 +424,11 @@ class PartitionReplica:
     def finish(self, deadline: TimeMs) -> PartitionSnapshot:
         """Stop the owned slice, drain the final millisecond, snapshot.
 
-        Sends to foreign hosts during the drain are discarded: the run
-        is over, as a one-partition run leaves same-instant arrivals
-        undispatched in its queue.
+        Sends to foreign hosts during the drain are discarded, and no
+        send is held to a promise: the run is over, as a one-partition
+        run leaves same-instant arrivals undispatched in its queue.
         """
-        self._discard_remote = True
+        self._discard_remote, self._granted = True, {}
         self.engine.stop_and_drain(deadline)
         return self.snapshot()
 
@@ -446,14 +511,15 @@ def _drive(replicas, pipes, settings, obs=None) -> List[PartitionSnapshot]:
     through it, whatever its partition count and backend, so the window
     ends, the bundle routing, the injection order and the stop instant
     — everything that could reorder events — are decided in exactly
-    one place.
+    one place.  A window ends at the first of ``WINDOW_ENDS`` (see the
+    module doc); with an observer attached, ``backend.window_end.*``
+    counts which term ended each.
     """
-    lookahead = min(settings.rtt_ms / 2.0, settings.backbone_latency_ms)
-    if lookahead <= 0:
+    one_way, backbone = settings.rtt_ms / 2.0, settings.backbone_latency_ms
+    if min(one_way, backbone) <= 0:
         raise ConfigurationError(
             "windowed partition scheduling needs positive link latencies "
-            f"(one-way rtt/2 = {settings.rtt_ms / 2.0}, backbone = "
-            f"{settings.backbone_latency_ms})"
+            f"(one-way rtt/2 = {one_way}, backbone = {backbone})"
         )
     horizon = settings.submit_horizon_ms
     deadline = horizon + settings.drain_ms
@@ -472,7 +538,8 @@ def _drive(replicas, pipes, settings, obs=None) -> List[PartitionSnapshot]:
 
     reports = [report for _, report in launches]
     now: TimeMs = 0.0
-    windows = windows_with_traffic = messages = 0
+    windows_with_traffic = messages = 0
+    ended = dict.fromkeys(WINDOW_ENDS, 0)
     while True:
         bundles = [entry for report in reports for entry in report.bundles]
         if (
@@ -496,11 +563,17 @@ def _drive(replicas, pipes, settings, obs=None) -> List[PartitionSnapshot]:
             if now < horizon:
                 # Queues drained early: advance the clock to the
                 # horizon, where quiescence is first asked about.
-                next_end = horizon
+                next_end, why = horizon, "idle"
             else:
                 break  # globally idle
         else:
-            next_end = min(min(candidates) + lookahead, deadline)
+            soonest = min(candidates)
+            promises = [report.promise for report in reports]
+            promises.extend(entry[0] for entry in bundles if entry[TRIGGER])
+            promise = max(soonest, min(promises))
+            ends = (promise + backbone, soonest + one_way, deadline)
+            next_end = min(ends)
+            why = WINDOW_ENDS[ends.index(next_end)]
         inboxes: List[List[Entry]] = [[] for _ in range(workers)]
         for entry in bundles:
             inboxes[host_owner[entry[4]]].append(entry)
@@ -512,16 +585,18 @@ def _drive(replicas, pipes, settings, obs=None) -> List[PartitionSnapshot]:
         ]
         reports.extend(conn.recv() for conn in pipes)
         now = next_end
-        windows += 1
+        ended[why] += 1
         if bundles:
             windows_with_traffic += 1
             messages += len(bundles)
 
     if obs is not None:
         counter = obs.metrics.counter
-        counter("backend.windows").inc(windows)
+        counter("backend.windows").inc(sum(ended.values()))
         counter("backend.windows_with_traffic").inc(windows_with_traffic)
         counter("backend.cross_partition_messages").inc(messages)
+        for why, count in ended.items():
+            counter(f"backend.window_end.{why}").inc(count)
     for conn in pipes:
         conn.send(("finish", deadline))
     return [replica.finish(deadline) for replica in replicas]

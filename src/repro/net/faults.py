@@ -32,7 +32,7 @@ from __future__ import annotations
 import random
 from math import inf
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.types import ClientId, TimeMs
@@ -216,6 +216,29 @@ def validate_crash_windows(
             )
 
 
+def split_plan(text: str, separator: str, what: str) -> List[str]:
+    """The stripped ``separator``-separated parts of a CLI plan string
+    (``--crash-plan``, ``--adversary``); blank text has none.  An empty
+    part — ``a,,b``, a trailing ``,``, an id list ending in ``+`` — is a
+    :class:`ConfigurationError` naming ``what``, never skipped.
+
+    >>> split_plan(" 0@800, s1@900 ", ",", "crash-plan entry")
+    ['0@800', 's1@900']
+    >>> split_plan("", ",", "crash-plan entry")
+    []
+    >>> split_plan("3+", "+", "client id")
+    Traceback (most recent call last):
+    ...
+    repro.errors.ConfigurationError: empty client id in '3+'
+    """
+    if not text.strip():
+        return []
+    parts = [part.strip() for part in text.split(separator)]
+    if "" in parts:
+        raise ConfigurationError(f"empty {what} in {text!r}")
+    return parts
+
+
 def parse_crash_plan(text: str) -> Tuple[CrashWindow, ...]:
     """Parse the CLI crash-plan syntax into :class:`CrashWindow` tuples.
 
@@ -228,10 +251,7 @@ def parse_crash_plan(text: str) -> Tuple[CrashWindow, ...]:
     are rejected (they would double-crash the host).
     """
     windows = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    for chunk in split_plan(text, ",", "crash-plan entry"):
         try:
             target_part, at, when_part = chunk.partition("@")
             if not at:
@@ -239,25 +259,15 @@ def parse_crash_plan(text: str) -> Tuple[CrashWindow, ...]:
             if not when_part:
                 raise ValueError("missing crash time after '@'")
             crash_part, _, reconnect_part = when_part.partition(":")
-            at_ms = float(crash_part)
-            reconnect = float(reconnect_part) if reconnect_part else None
-            if target_part.startswith("s") or target_part.startswith("S"):
-                windows.append(
-                    CrashWindow(
-                        client_id=-1,
-                        at_ms=at_ms,
-                        reconnect_at_ms=reconnect,
-                        shard_index=int(target_part[1:]),
-                    )
+            shard = target_part[:1] in ("s", "S")
+            windows.append(
+                CrashWindow(
+                    client_id=-1 if shard else int(target_part),
+                    at_ms=float(crash_part),
+                    reconnect_at_ms=float(reconnect_part) if reconnect_part else None,
+                    shard_index=int(target_part[1:]) if shard else None,
                 )
-            else:
-                windows.append(
-                    CrashWindow(
-                        client_id=int(target_part),
-                        at_ms=at_ms,
-                        reconnect_at_ms=reconnect,
-                    )
-                )
+            )
         except (ValueError, ConfigurationError) as exc:
             raise ConfigurationError(
                 f"bad crash-plan entry {chunk!r} "

@@ -158,19 +158,14 @@ class Network:
         self._incarnation: Dict[ClientId, int] = {}
         self._sender_channels: Dict[Tuple[ClientId, ClientId], _SenderChannel] = {}
         self._receiver_channels: Dict[Tuple[ClientId, ClientId], _ReceiverChannel] = {}
-        #: Cross-partition transport divert (windowed backends,
-        #: :mod:`repro.net.backend`).  When ``remote_sink`` is set,
-        #: messages to a host in ``remote_hosts`` are not delivered
-        #: locally: the sender computes the arrival time (occupying the
-        #: link exactly as a local transmit would) and hands
-        #: ``(src, dst, payload, size, arrival, dropped, incarnation)``
-        #: to the sink, which batches it for the partition that owns
-        #: ``dst``.  Both default to "off" and cost nothing when no
-        #: host is remote.
-        self.remote_sink: Optional[
-            Callable[[ClientId, ClientId, object, int, TimeMs, bool, int], None]
-        ] = None
-        self.remote_hosts: frozenset[ClientId] = frozenset()
+        #: The partition replica driving this network in a windowed
+        #: sharded run (:class:`repro.net.backend.PartitionReplica`),
+        #: ``None`` otherwise.  It takes the last step of every send —
+        #: ``partition.emit(link, record, extra_delay)`` schedules the
+        #: delivery here, or diverts a message for a host another
+        #: partition owns to that partition, and keeps the shards' send
+        #: promises — and ``partition.check`` sees every backbone send.
+        self.partition = None
         #: Schedule-perturbation hook for the race explorer
         #: (:mod:`repro.analysis.races`): ``(src, dst, payload, now) ->
         #: extra delay ms`` consulted on every raw send (the perturber
@@ -393,6 +388,8 @@ class Network:
             # Backbone traffic is reliable FIFO by construction: equal
             # link latency, no jitter, no loss — so the ARQ layer and
             # the fault injector are both bypassed.
+            if self.partition is not None:
+                self.partition.check(src, payload, self.sim.now)
             return self._send_raw(src, dst, payload, size_bytes, inject_faults=False)
         if self.reliability is not None and reliable is not False:
             return self._send_reliable(src, dst, payload, size_bytes)
@@ -461,16 +458,10 @@ class Network:
 
     def _emit(self, link: Link, record: _Delivery, extra_delay: TimeMs) -> TimeMs:
         """Put one delivery record on ``link``: its arrival is an event
-        here, or — for a destination another partition owns — an entry
-        handed to :attr:`remote_sink`."""
-        src, dst, payload, size_bytes, incarnation, dropped = record
-        if self.remote_sink is not None and dst in self.remote_hosts:
-            arrival = link.remote_arrival(size_bytes, extra_delay)
-            self.remote_sink(
-                src, dst, payload, size_bytes, arrival, dropped, incarnation
-            )
-            return arrival
-        return link.transmit(size_bytes, self._arrive, record, extra_delay)
+        here — or whatever the :attr:`partition` makes of it."""
+        if self.partition is not None:
+            return self.partition.emit(link, record, extra_delay)
+        return link.transmit(record[3], self._arrive, record, extra_delay)
 
     def _arrive(self, record: _Delivery) -> bool:
         """A delivery record reached its destination: the arrival event

@@ -207,7 +207,6 @@ class ShardRecoveryLog:
         self.wal: List[tuple] = []
         self.max_gsn = -1
         self.max_pos = -1
-        self.records_appended = 0
 
     def on_commit(self, pos: int, client_id, values) -> None:
         """Commit hook: append the WAL record, then let the checkpoint
@@ -225,7 +224,6 @@ class ShardRecoveryLog:
                 ],
             )
         )
-        self.records_appended += 1
         before = self.policy.covered_upto
         self.policy.on_commit(pos, client_id, values)
         if self.policy.covered_upto != before:
@@ -241,7 +239,6 @@ class ShardRecoveryLog:
     def note_gsn(self, gsn: int) -> None:
         """Record a sequencer gsn assignment."""
         self.wal.append(("gsn", gsn))
-        self.records_appended += 1
         if gsn > self.max_gsn:
             self.max_gsn = gsn
 

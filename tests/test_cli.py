@@ -186,6 +186,11 @@ def test_ledger_workloads_are_command_lines():
         (["--clients", "4", "--crash-plan", "99@100"], "'99@100'"),
         (["--clients", "4", "--adversary", "lying-rs:99"], "'lying-rs:99'"),
         (["--crash-plan", "3@"], "missing crash time"),
+        # An empty id or comma entry used to be skipped: exit 0.
+        (["--adversary", "lying-rs:3+"], "empty client id"),
+        (["--adversary", "lying-rs:3,,forge:2"], "empty --adversary entry"),
+        (["--crash-plan", "3@600,,4@700"], "empty crash-plan entry"),
+        (["--crash-plan", "3@600,"], "empty crash-plan entry"),
     ],
 )
 def test_impossible_run_flags_end_in_one_error_line_not_a_traceback(

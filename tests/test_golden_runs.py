@@ -40,6 +40,14 @@ with responses and shard stores unchanged.  No other value moved; the
 ``single`` / ``replicated`` in entry names record which setting they
 were dumped under.
 
+Re-dumped again when windows started ending where a shard can next
+speak on the backbone (its send promise) instead of one backbone
+latency past the next event: the two fault-free K = 4 entries,
+``seve_k4_single`` and ``seve_k4_w2``, stop one window later — events
+4 229 → 4 241, ``virtual_ms`` 10 570.24 → 10 644.24 (+74 ms, under
+rtt/2 = 75 ms).  Every other value of every entry is unchanged: a run
+with a fault plan or the elastic rebalancer keeps the old schedule.
+
 Regenerate (only when virtual-time behaviour is *meant* to change) with
 ``PYTHONPATH=src python tests/test_golden_runs.py``.
 """

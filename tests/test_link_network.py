@@ -194,8 +194,8 @@ def test_hosts_listing(sim):
 
 def test_diverted_send_consults_perturb_like_a_local_one(sim):
     # A send whose destination another partition owns goes through the
-    # same decisions as a local one; only its last step hands the
-    # arrival to the sink instead of scheduling a delivery.
+    # same decisions as a local one; only its last step — the
+    # partition's — diverts it instead of scheduling a delivery.
     network = Network(sim, rtt_ms=100.0)
     network.register(SERVER_ID, lambda src, payload: None)
     delivered = []
@@ -203,9 +203,17 @@ def test_diverted_send_consults_perturb_like_a_local_one(sim):
     network.register(1, lambda src, payload: None)
     seen, diverted = [], []
     network.perturb = lambda src, dst, payload, now: seen.append(dst) or 7.0
-    network.remote_hosts = frozenset({1})
-    network.remote_sink = lambda *message: diverted.append(message)
 
+    class Partition:
+        """Owns host 0; host 1 lives elsewhere."""
+
+        def emit(self, link, record, extra_delay):
+            if record[1] == 0:
+                return link.transmit(record[3], network._arrive, record, extra_delay)
+            diverted.append((record, extra_delay))
+            return link.remote_arrival(record[3], extra_delay)
+
+    network.partition = Partition()
     local_arrival = network.send(SERVER_ID, 0, "hello", 10)
     remote_arrival = network.send(SERVER_ID, 1, "hello", 10)
     sim.run()
@@ -213,5 +221,5 @@ def test_diverted_send_consults_perturb_like_a_local_one(sim):
     assert seen == [0, 1]
     assert local_arrival == remote_arrival == 57.0
     assert delivered == [57.0]
-    assert diverted == [(SERVER_ID, 1, "hello", 10, 57.0, False, 0)]
+    assert diverted == [((SERVER_ID, 1, "hello", 10, 0, False), 7.0)]
     assert network.link(SERVER_ID, 1).delivered == 0

@@ -20,14 +20,18 @@ import functools
 import json
 import multiprocessing
 import os
+import re
 import signal
 
 import pytest
 
+from repro.core.messages import Completion, SpanForward, SubmitAction
+from repro.core.sharded import ShardedSeveEngine, ShardServer
 from repro.errors import ConfigurationError, SimulationError
 from repro.harness.config import SimulationSettings
 from repro.harness.runner import run_simulation
 from repro.net.backend import (
+    WINDOW_ENDS,
     BarrierReport,
     _drive,
     resolve_workers,
@@ -35,6 +39,7 @@ from repro.net.backend import (
     worker_of_shard,
 )
 from repro.net.faults import FaultPlan
+from repro.types import shard_host_id
 
 #: Small-but-sharded workload: big enough to exercise cross-shard span
 #: forwarding, handoff, and the sequencer; small enough to keep the
@@ -380,12 +385,14 @@ def test_metrics_merge_across_workers(tmp_path):
 
 
 def test_window_counters_agree_across_backends(tmp_path):
-    # What the barrier schedule cost, from the run's own artefacts: the
-    # coordinator counts its windows into the metrics registry, wherever
-    # it runs.
-    def counters(backend):
-        out = tmp_path / f"{backend}.json"
-        run(backend, shards=4, workers=2, metrics_out=str(out))
+    # What the barrier schedule cost and what ended each window, from
+    # the run's own artefacts: the coordinator counts them into the
+    # metrics registry, wherever it runs, and the schedule is one for
+    # every W.
+    def counters(backend, workers):
+        out = tmp_path / f"{backend}-{workers}.json"
+        result = run(backend, shards=4, workers=workers, metrics_out=str(out))
+        assert sum(row["spans_forwarded"] for row in result.shard_rows) > 0
         metrics = json.loads(out.read_text())
         return {
             name: row["value"]
@@ -393,18 +400,92 @@ def test_window_counters_agree_across_backends(tmp_path):
             if name.startswith("backend.")
         }
 
-    inproc = counters("inproc")
-    assert inproc == counters("parallel")
+    ends = [f"backend.window_end.{why}" for why in WINDOW_ENDS]
+    schedule = ["backend.windows", *ends]
+    one, inproc = counters("inproc", 1), counters("inproc", 2)
+    assert inproc == counters("parallel", 2)
+    assert [one[name] for name in schedule] == [inproc[name] for name in schedule]
     assert set(inproc) == {
-        "backend.windows",
+        *schedule,
         "backend.windows_with_traffic",
         "backend.cross_partition_messages",
     }
+    windows = inproc["backend.windows"]
+    assert sum(inproc[name] for name in ends) == windows
+    # Spans end windows by their promises; the quiet stretches between
+    # them run to the client-link bound.
+    assert inproc["backend.window_end.promise"] > 0
+    assert inproc["backend.window_end.client_link"] > 0
     assert (
         0
         < inproc["backend.windows_with_traffic"]
-        <= min(inproc["backend.windows"], inproc["backend.cross_partition_messages"])
+        <= min(windows, inproc["backend.cross_partition_messages"])
     )
+    assert one["backend.windows_with_traffic"] == 0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_backbone_send_before_its_promise_is_an_error(workers, monkeypatch):
+    # The soundness net under the window rule: shard 1 calls its
+    # spanning submissions quiet, so it promises later than it forwards
+    # them — and the first such forward names everything.
+    original = ShardedSeveEngine.backbone_trigger
+
+    def under_promising(engine, dst, payload):
+        return original(engine, dst, payload) and not (
+            type(payload) is SubmitAction and dst == shard_host_id(1)
+        )
+
+    monkeypatch.setattr(ShardedSeveEngine, "backbone_trigger", under_promising)
+    with pytest.raises(SimulationError) as raised:
+        run("inproc", shards=4, workers=workers)
+    match = re.fullmatch(
+        r"shard 1 sent a SpanForward on the backbone at (\S+) ms, "
+        r"before the (\S+) ms it promised at the last barrier",
+        str(raised.value),
+    )
+    assert match is not None, str(raised.value)
+    sent, promised = map(float, match.groups())
+    assert sent < promised
+
+
+@pytest.mark.parametrize(
+    "dropped, speaks",
+    [
+        # the originator's completion, which the owner relays
+        (Completion, "SpanResult"),
+        # the forward, which the sequencer splices at once
+        (SpanForward, "SpanSplice"),
+        # a spanning admission still on the owner's host at a barrier
+        ("queued admission", "SpanForward"),
+    ],
+)
+def test_every_promise_rule_is_load_bearing(dropped, speaks, monkeypatch):
+    # Each of these promise rules, left out, lets some shard speak
+    # before its promise on the smoke-scale sprawl_k4 shape (the
+    # handoff rules need a larger run to fire).
+    if dropped == "queued admission":
+        note = ShardServer._note_submission
+
+        def forgetful(server, src, action):
+            note(server, src, action)
+            server._queued_spans.discard(action.action_id)
+
+        monkeypatch.setattr(ShardServer, "_note_submission", forgetful)
+    else:
+        original = ShardedSeveEngine.backbone_trigger
+        monkeypatch.setattr(
+            ShardedSeveEngine,
+            "backbone_trigger",
+            lambda engine, dst, payload: type(payload) is not dropped
+            and original(engine, dst, payload),
+        )
+    settings = SimulationSettings(
+        num_clients=48, num_walls=500, moves_per_client=3, world_width=600.0,
+        spawn="uniform", shards=4, seed=1001,
+    )  # fmt: skip
+    with pytest.raises(SimulationError, match=f"sent a {speaks} on the backbone"):
+        run_simulation("seve", settings)
 
 
 @pytest.mark.parametrize("workers", [0, 2])
