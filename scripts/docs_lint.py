@@ -367,7 +367,9 @@ table are derived from those declarations.
 - `Optional` numeric knobs accept the literal `none`
   (`--bandwidth-bps none`).  Every float knob must be finite: `nan`,
   `inf` and `-inf` end in one `repro: error:` line and exit code 2,
-  like any value outside **legal values**.
+  like any value outside **legal values** — checked for every knob,
+  so an out-of-range `--elastic-threshold` is refused without
+  `--elastic` too.  The layers do not check these ranges again.
 - **consumed by** names the receiving `layer.field`: `testbed` is
   `TestbedConfig` (every architecture), `seve` `SeveConfig`, `manhattan`
   `ManhattanConfig`, `sharding` `ShardingConfig`, `elastic`
@@ -387,15 +389,14 @@ table are derived from those declarations.
 def settings_doc() -> str:
     """The text of ``docs/settings.md``, from the declarations."""
     from repro.cli import run_flags
-    from repro.harness.config import SimulationSettings
+    from repro.harness.config import RANGES, SimulationSettings
 
     flag_of = {knob.name: flag for flag, knob in run_flags().items()}
     rows = []
     for knob in dataclasses.fields(SimulationSettings):
         spec = knob.metadata
         legal = [f"`{choice}`" for choice in spec.get("choices", ())]
-        legal += [f"≥ {spec['min']}"] if "min" in spec else []
-        legal += [f"> {spec['above']}"] if "above" in spec else []
+        legal += [f"{words} {spec[key]}" for key, (_, words) in RANGES.items() if key in spec]
         targets = [
             f"`{target if '.' in target else f'{target}.{knob.name}'}`"
             for target in spec.get("to", "").split()

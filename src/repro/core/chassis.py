@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, List, Optional
 
 from repro.core.action import Action, ActionId
@@ -151,9 +152,7 @@ class ClientShell:
         self._next_seq = 0
         self._submit_times: Dict[ActionId, TimeMs] = {}
         self._retry_timers: Dict[ActionId, Event] = {}
-        # Private jitter stream: the seed is mixed with the client id so
-        # clients draw independently, and never touches the fault RNG.
-        self._retry_rng = random.Random((retry_seed << 17) ^ (client_id * 0x9E3779B1))
+        self._retry_seed = (retry_seed << 17) ^ (client_id * 0x9E3779B1)
         #: Hook: own action confirmed; args (action_id, response_ms).
         self.on_confirmed: Optional[Callable[[ActionId, TimeMs], None]] = None
 
@@ -185,6 +184,13 @@ class ClientShell:
             self.on_confirmed(action_id, self.sim.now - submitted_at)
 
     # -- reliability: resubmission and heartbeats (Section III-C) ----------
+    @cached_property
+    def _retry_rng(self) -> random.Random:
+        """Private jitter stream, built on the first retry draw (only a
+        fault-plan run draws).  Its seed is mixed with the client id so
+        clients draw independently, and it never touches the fault RNG."""
+        return random.Random(self._retry_seed)
+
     def _send_submission(self, action: Action, attempt: int = 0) -> None:
         """Send ``action`` to the serializer and arm its retry timer."""
         message = SubmitAction(action)

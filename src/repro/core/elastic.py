@@ -28,12 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.errors import ConfigurationError
-
 
 @dataclass(frozen=True)
 class ElasticConfig:
-    """Tuning knobs of the elastic rebalancer (docs/elasticity.md)."""
+    """Tuning knobs of the elastic rebalancer (docs/elasticity.md).
+    Their legal ranges are declared once, on the ``elastic_*``
+    :class:`~repro.harness.config.SimulationSettings` knobs that fill
+    them."""
 
     #: Load-sampling period: every shard reports a (cpu, serialized)
     #: delta to the controller once per interval.
@@ -48,25 +49,6 @@ class ElasticConfig:
     #: ``None`` lets the engine derive it from the span-classification
     #: slack (stripes narrower than the slack make every action span).
     min_stripe: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.interval_ms <= 0:
-            raise ConfigurationError(
-                f"elastic interval_ms must be positive, got {self.interval_ms}"
-            )
-        if self.threshold <= 1.0:
-            raise ConfigurationError(
-                f"elastic threshold must be > 1 (max/mean ratio), "
-                f"got {self.threshold}"
-            )
-        if self.hysteresis < 1:
-            raise ConfigurationError(
-                f"elastic hysteresis must be >= 1 round, got {self.hysteresis}"
-            )
-        if self.min_stripe is not None and self.min_stripe <= 0:
-            raise ConfigurationError(
-                f"elastic min_stripe must be positive, got {self.min_stripe}"
-            )
 
 
 def plan_boundaries(

@@ -54,7 +54,8 @@ class FirstBoundPredicate:
         Round-trip time between client and server (use RTT_max when
         clients differ, per the paper).
     omega:
-        ω ∈ (0, 1) — the push-interval fraction of RTT.
+        ω ∈ (0, 1) — the push-interval fraction of RTT (the range is
+        declared on the ``omega`` settings knob).
     use_velocity_culling:
         Enable the Section IV-B refinement for actions that carry a
         velocity vector.
@@ -66,12 +67,8 @@ class FirstBoundPredicate:
     use_velocity_culling: bool = False
 
     def __post_init__(self) -> None:
-        if not 0 < self.omega < 1:
-            raise ConfigurationError(f"omega must be in (0, 1), got {self.omega}")
         if self.max_speed < 0:
             raise ConfigurationError(f"max_speed must be >= 0, got {self.max_speed}")
-        if self.rtt_ms < 0:
-            raise ConfigurationError(f"rtt_ms must be >= 0, got {self.rtt_ms}")
 
     @property
     def horizon_ms(self) -> TimeMs:

@@ -28,17 +28,19 @@ the *name* of the default of the per-layer config that consumes it
 (``flag``, and ``cli`` where the CLI's default differs on purpose:
 ``--clients`` 32, ``--walls`` 10 000 and ``--moves`` 50 are a
 laptop-sized run, not Table I), what ``--help`` says, which values
-are legal (``choices``, ``min``, ``above``) and which per-layer config
-field(s) receive it (``to``).  The CLI's flags (:mod:`repro.cli`), the
-checks in ``__post_init__``, the copies into the layer configs
-(:meth:`SimulationSettings.for_layer`) and docs/settings.md are all
-derived from ``dataclasses.fields(SimulationSettings)``.
+are legal (``choices``, ``min``, ``above``, ``below``) and which
+per-layer config field(s) receive it (``to``).  The CLI's flags
+(:mod:`repro.cli`), the checks in ``__post_init__``, the copies into the
+layer configs (:meth:`SimulationSettings.for_layer`) and
+docs/settings.md are all derived from
+``dataclasses.fields(SimulationSettings)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 from math import isfinite
+from operator import ge, gt, lt
 from typing import Optional
 
 from repro.adversary import AdversaryPlan
@@ -71,15 +73,20 @@ def knob(default, **spec):
     ``help``, ``group``, ``argparse``
         The flag's help text, its ``--help`` group, and extra
         ``add_argument`` keywords (``metavar``, ``nargs``, ``const``).
-    ``choices`` / ``min`` / ``above``
-        Legal values: one of ``choices``; ``>= min``; ``> above``
-        (``None``, where a field allows it, passes the range checks).
+    ``choices`` / ``min`` / ``above`` / ``below``
+        Legal values: one of ``choices``; ``>= min``; ``> above``;
+        ``< below`` (``None``, where a field allows it, passes the range
+        checks).
     ``to``
         The per-layer config fields that receive the value, as
         space-separated ``layer`` or ``layer.field`` (a bare layer means
         a field of the same name); see :meth:`SimulationSettings.for_layer`.
     """
     return field(default=default, metadata=spec)
+
+
+#: ``knob`` range key -> (what a legal value passes, how an error says it).
+RANGES = {"min": (ge, ">="), "above": (gt, ">"), "below": (lt, "<")}
 
 
 @dataclass(frozen=True)
@@ -175,8 +182,8 @@ class SimulationSettings:
 
     # -- protocol ----------------------------------------------------------
     omega: float = knob(
-        SeveConfig.omega, to="seve",
-        help="First Bound push period as a fraction of the RTT, in (0, 1)",
+        SeveConfig.omega, above=0, below=1, to="seve",
+        help="First Bound push period as a fraction of the RTT",
     )
     tick_ms: float = knob(
         SeveConfig.tick_ms, to="seve", help="server validation tick period (ms)"
@@ -224,20 +231,20 @@ class SimulationSettings:
         "byte-identical to the static partition",
     )
     elastic_interval_ms: float = knob(
-        ElasticConfig.interval_ms, group="elastic", to="elastic.interval_ms",
+        ElasticConfig.interval_ms, above=0, group="elastic", to="elastic.interval_ms",
         help="load-sampling period of the elastic controller (ms)",
     )
     elastic_threshold: float = knob(
-        ElasticConfig.threshold, group="elastic", to="elastic.threshold",
+        ElasticConfig.threshold, above=1, group="elastic", to="elastic.threshold",
         help="max/mean per-shard load ratio that counts a sampling "
-        "round as imbalanced (> 1)",
+        "round as imbalanced",
     )
     elastic_hysteresis: int = knob(
-        ElasticConfig.hysteresis, group="elastic", to="elastic.hysteresis",
+        ElasticConfig.hysteresis, min=1, group="elastic", to="elastic.hysteresis",
         help="consecutive imbalanced rounds before a rebalance fires",
     )
     elastic_min_stripe: Optional[float] = knob(
-        ElasticConfig.min_stripe, group="elastic", to="elastic.min_stripe",
+        ElasticConfig.min_stripe, above=0, group="elastic", to="elastic.min_stripe",
         help="narrowest stripe a rebalance may produce, in world units "
         "(default: derived from the span-classification slack)",
     )
@@ -341,21 +348,16 @@ class SimulationSettings:
                 continue
             if isinstance(value, float) and not isfinite(value):
                 raise ConfigurationError(f"{declared.name} must be finite, got {value}")
-            if "min" in spec and value < spec["min"]:
-                raise ConfigurationError(
-                    f"{declared.name} must be >= {spec['min']}, got {value}"
-                )
-            if "above" in spec and value <= spec["above"]:
-                raise ConfigurationError(
-                    f"{declared.name} must be > {spec['above']}, got {value}"
-                )
+            for key, (legal, words) in RANGES.items():
+                if key in spec and not legal(value, spec[key]):
+                    raise ConfigurationError(
+                        f"{declared.name} must be {words} {spec[key]}, got {value}"
+                    )
         if self.elastic and self.shards < 2:
             raise ConfigurationError(
                 "elastic rebalancing needs shards > 1 (one stripe has "
                 "nothing to split)"
             )
-        if self.elastic:
-            self.elastic_config()  # validate the knobs eagerly
         if self.fault_plan is not None:
             validate_crash_windows(
                 self.fault_plan.crashes, shards=self.shards, clients=self.num_clients

@@ -17,6 +17,7 @@ from repro.harness.architectures import build_engine, build_world
 from repro.harness.config import SimulationSettings
 from repro.harness.workload import MoveWorkload, start_run
 from repro.metrics.consistency import ConsistencyReport
+from repro.net.simulator import parked_collector
 from repro.net.stats import SummaryStats
 from repro.types import shard_host_id
 from repro.world.manhattan import ManhattanWorld
@@ -162,7 +163,19 @@ def run_simulation(
     change a virtual-time result.  Single-serializer runs use the
     per-event loop below.  Partition replicas build their own worlds,
     so a pre-built ``world`` serves single-serializer runs only.
+
+    The cyclic garbage collector is parked for the whole call — build,
+    drive, merge and audit — and the caller's state restored on return
+    or raise; the finished engine is left for the caller's next
+    collection (docs/performance.md, "The run parks the collector").
     """
+    with parked_collector():
+        return _run(architecture, settings, world, check_consistency, obs)
+
+
+# A function of its own, so that the finished engine is unreachable by
+# the time the collector comes back on.
+def _run(architecture, settings, world, check_consistency, obs) -> RunResult:
     started = time.perf_counter()
     if obs is None:
         obs = settings.make_observer()

@@ -14,10 +14,14 @@ allocated only for the callers that keep one to cancel
 (:meth:`Simulator.schedule`); the live-event count is maintained
 incrementally so :attr:`Simulator.pending` is O(1) instead of an O(n)
 queue scan (see docs/performance.md).
+
+A process that runs simulations turns CPython's cyclic garbage
+collector off for the length of each run (:class:`parked_collector`).
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 import itertools
 from math import inf
@@ -69,6 +73,32 @@ def _fire(event: Event) -> None:
     callback = event.callback
     event.callback = None
     callback()
+
+
+class parked_collector:
+    """``with parked_collector():`` runs its body with the cyclic
+    garbage collector off and puts the caller's state back on every
+    exit; a caller that has it off already is left alone.
+
+    Thresholds are not touched and nothing is collected here: what the
+    body allocated waits for the caller's next collection.  Sound for a
+    run because reference counting frees what its events allocate: the
+    garbage only the collector can free grows with the size of a run,
+    never with its length (:class:`_Periodic`; docs/performance.md, "The
+    run parks the collector").  A class, not a generator, because
+    leaving a generator allocates once more after the collector is back
+    on, which would run that next collection inside the ``with``.
+    """
+
+    __slots__ = ("_resume",)
+
+    def __enter__(self) -> None:
+        self._resume = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info) -> None:
+        if self._resume:
+            gc.enable()
 
 
 #: One heap slot: (time, seq, fn, arg).  seq is unique, so fn and arg
@@ -227,7 +257,7 @@ class Simulator:
         """Install a periodic callback every ``interval`` ms.
 
         The first firing happens after ``start_delay`` (default: one
-        ``interval``).  Returns a zero-argument function that stops the
+        ``interval``).  Returns a zero-argument callable that stops the
         periodic process when called.  If ``stop_at`` is given, the
         process stops itself once the clock passes that time.
         """
@@ -235,22 +265,42 @@ class Simulator:
             raise SimulationError(
                 f"periodic interval must be positive and finite, got {interval}"
             )
-        stopped = False
+        return _Periodic(self, interval, callback, start_delay, stop_at).stop
 
-        def fire() -> None:
-            nonlocal event
-            if stopped:
-                return
-            callback()
-            if stop_at is not None and self._now + interval > stop_at:
-                return
-            event = self.schedule(interval, fire)
 
-        event = self.schedule(interval if start_delay is None else start_delay, fire)
+class _Periodic:
+    """One :meth:`Simulator.call_every` process.
 
-        def stop() -> None:
-            nonlocal stopped
-            stopped = True
-            event.cancel()  # a no-op once dispatched
+    It is never part of a reference cycle that outlives it: its pending
+    :class:`Event` holds the bound :meth:`fire` only until dispatch, and
+    an ended process — stopped, or past ``stop_at`` — has let go of its
+    callback, so reference counting frees it and whatever the callback
+    held (docs/performance.md, "The run parks the collector").
+    """
 
-        return stop
+    __slots__ = ("_sim", "_interval", "_callback", "_stop_at", "_event")
+
+    def __init__(self, sim: Simulator, interval, callback, start_delay, stop_at) -> None:
+        self._sim = sim
+        self._interval = interval
+        self._callback: Optional[Callable[[], None]] = callback
+        self._stop_at = inf if stop_at is None else stop_at
+        self._event = sim.schedule(interval if start_delay is None else start_delay, self.fire)
+
+    def fire(self) -> None:
+        if self._callback is None:
+            return  # stopped by its own callback; see below
+        self._callback()
+        if self._sim._now + self._interval > self._stop_at:
+            self._callback = None
+            return
+        # Rescheduled even when the callback has just stopped the
+        # process, which makes that firing a no-op: the event count and
+        # the final clock of every run depend on it.
+        self._event = self._sim.schedule(self._interval, self.fire)
+
+    def stop(self) -> None:
+        """End the process; its pending firing is cancelled (a no-op
+        once dispatched)."""
+        self._callback = None
+        self._event.cancel()

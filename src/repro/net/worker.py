@@ -38,25 +38,29 @@ def partition_worker_main(
 ) -> None:
     """Run one :class:`~repro.net.backend.PartitionReplica`: the lead
     (``partition == 0``; ``peers`` = one command pipe per sibling, in
-    partition order) drives the windows, a sibling serves ``peers[0]``."""
+    partition order) drives the windows, a sibling serves ``peers[0]``.
+    The cyclic garbage collector stays off for the worker's whole life,
+    as it does for a run in the caller."""
     from repro.net.backend import PartitionReplica, _drive
+    from repro.net.simulator import parked_collector
 
-    try:
-        replica = PartitionReplica(architecture, settings, partition, workers)
-        if partition == 0:
-            (snapshot,) = _drive([replica], peers, settings, replica.obs)
-        else:
-            snapshot = _serve(replica, peers[0])
-        results.send(("done", snapshot))
-    except BaseException:
+    with parked_collector():
         try:
-            results.send(("error", traceback.format_exc()))
-        except Exception:
-            pass
-        raise
-    finally:
-        for conn in [results, *peers]:
-            conn.close()
+            replica = PartitionReplica(architecture, settings, partition, workers)
+            if partition == 0:
+                (snapshot,) = _drive([replica], peers, settings, replica.obs)
+            else:
+                snapshot = _serve(replica, peers[0])
+            results.send(("done", snapshot))
+        except BaseException:
+            try:
+                results.send(("error", traceback.format_exc()))
+            except Exception:
+                pass
+            raise
+        finally:
+            for conn in [results, *peers]:
+                conn.close()
 
 
 def _serve(replica, conn):

@@ -11,6 +11,7 @@ from repro.core.culling import moving_effect_affects, projected_position, sphere
 from repro.core.first_bound import FirstBoundPredicate
 from repro.core.info_bound import InformationBound
 from repro.errors import ConfigurationError
+from repro.harness.config import SimulationSettings
 from repro.world.geometry import Vec2
 from tests.reference.info_bound_reference import writer_index_of
 
@@ -48,9 +49,12 @@ def test_derived_quantities():
 
 
 def test_omega_bounds_validated():
+    """ω's (0, 1) is declared on the ``omega`` settings knob; the
+    predicate takes what the settings let through."""
     for omega in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(ConfigurationError):
-            predicate(omega=omega)
+            SimulationSettings(omega=omega)
+    assert SimulationSettings(omega=0.99).omega == 0.99
 
 
 def test_equation1_inside_and_outside():

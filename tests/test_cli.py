@@ -27,6 +27,8 @@ def off_default(knob: dataclasses.Field, salt: int):
         return True
     if knob.type == "Optional[str]":
         return f"out{salt}.json"
+    if "below" in spec:  # a bounded interval: halfway from the default up
+        return (knob.default + spec["below"]) / 2
     step = salt + (1 if knob.type == "int" else 0.5)
     return max(value for value in (*defaults, 0) if value is not None) + step
 
@@ -191,6 +193,14 @@ def test_ledger_workloads_are_command_lines():
         (["--adversary", "lying-rs:3,,forge:2"], "empty --adversary entry"),
         (["--crash-plan", "3@600,,4@700"], "empty crash-plan entry"),
         (["--crash-plan", "3@600,"], "empty crash-plan entry"),
+        # Ranges the layers used to check for themselves (an elastic
+        # knob only under --elastic): now declared on the knob.
+        (["--omega", "0"], "omega"),
+        (["--omega", "1"], "omega"),
+        (["--elastic-interval-ms", "0"], "elastic_interval_ms"),
+        (["--elastic-threshold", "1"], "elastic_threshold"),
+        (["--elastic-hysteresis", "0"], "elastic_hysteresis"),
+        (["--elastic-min-stripe", "0"], "elastic_min_stripe"),
     ],
 )
 def test_impossible_run_flags_end_in_one_error_line_not_a_traceback(

@@ -27,14 +27,19 @@ from tests.test_parallel_backend import result_key
 # Planner and partition geometry
 # ---------------------------------------------------------------------------
 def test_elastic_config_validates():
-    with pytest.raises(ConfigurationError):
-        ElasticConfig(interval_ms=0.0)
-    with pytest.raises(ConfigurationError):
-        ElasticConfig(threshold=1.0)
-    with pytest.raises(ConfigurationError):
-        ElasticConfig(hysteresis=0)
-    with pytest.raises(ConfigurationError):
-        ElasticConfig(min_stripe=-1.0)
+    """The elastic knobs' ranges are declared on the settings and checked
+    with or without ``elastic=True``; :class:`ElasticConfig` takes what
+    the settings let through."""
+    for bad in (
+        dict(elastic_interval_ms=0.0),
+        dict(elastic_threshold=1.0),
+        dict(elastic_hysteresis=0),
+        dict(elastic_min_stripe=0.0),
+    ):
+        for elastic in (dict(), dict(elastic=True, shards=4)):
+            with pytest.raises(ConfigurationError):
+                SimulationSettings(**bad, **elastic)
+    assert SimulationSettings(elastic_min_stripe=None).elastic_min_stripe is None
 
 
 def test_plan_boundaries_equalizes_uniform_density():

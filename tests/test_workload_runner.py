@@ -108,7 +108,6 @@ def test_built_engine_carries_every_mapped_knob(architecture, changes):
         fault_plan=FaultPlan(loss_rate=0.01, seed=3),
         adversary=AdversaryPlan(assignments=(("forge", (1,)),), seed=2),
         num_clients=3, num_walls=7, backend="inproc", trace_out=None, metrics_out=None,
-        omega=0.25,  # the First Bound predicate wants it inside (0, 1)
     )
     settings = SimulationSettings(**values).with_(**changes)
     engine = build_engine(architecture, settings)
