@@ -172,6 +172,11 @@ class Action(abc.ABC):
             values = self.compute(store)
         except ActionAborted:
             return ABORT_RESULT
+        return self._write_back(store, values)
+
+    def _write_back(self, store: ObjectStore, values: ValuesDict) -> ActionResult:
+        """Store computed ``values`` (declared writes only) and return
+        them as the result."""
         undeclared = set(values) - set(self.writes)
         if undeclared:
             raise ProtocolError(

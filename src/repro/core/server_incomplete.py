@@ -107,6 +107,14 @@ class ClientRecord:
     #: ``pending`` no longer bounds it: until the client has caught up,
     #: its pushes walk the window itself.
     stale: bool = False
+    #: ``(pos, epoch)`` once the in-order guard deferred this client's
+    #: push: the position of the deferred chain's oldest member and the
+    #: server's ``_park_epoch`` then.  Until that entry commits, the
+    #: epoch moves or a commit moves the client, every walk would stop at
+    #: the same deferral, so the push cycle repeats its accounting
+    #: instead (docs/performance.md, "Work whose inputs have not changed
+    #: is not redone").
+    parked: Optional[Tuple[int, int]] = None
 
 
 @dataclass
@@ -237,6 +245,11 @@ class IncompleteWorldServer:
         #: Highest queue position whose push candidates were nominated.
         self._nominated_upto = -1
         self._blind_seq = 0
+        #: Bumped whenever something other than a client's own closures
+        #: changes what a walk below its candidate meets (an entry
+        #: dropped, a ``sent`` mark added or scrubbed): it unparks every
+        #: client (``ClientRecord.parked``).
+        self._park_epoch = 0
         self._stoppers: List[Callable[[], None]] = []
         self._writer_index = WriterIndex()
         self._client_index = ClientSpatialIndex()
@@ -310,6 +323,7 @@ class IncompleteWorldServer:
         # absent from ``clients`` and a scrubbed holder decide alike.
         for entry in self._entries:
             entry.sent.discard(client_id)
+        self._park_epoch += 1
         self._client_index.remove(client_id)
         avatar_oid = self.avatar_of(client_id)
         if avatar_oid is not None and self._avatar_owner.get(avatar_oid) == client_id:
@@ -477,10 +491,7 @@ class IncompleteWorldServer:
             writer_index=self._writer_index,
             base_pos=self._base_pos,
         )
-        self.stats.closures_computed += 1
-        cost = self.costs.closure_ms
-        if self._obs is not None:
-            self._obs.on_push_closure(cost)
+        cost = self._charge_closure()
         if chain is None:
             # Span-pending deferral (sharded deployments): the chain
             # touches a spliced spanning action whose committed result
@@ -490,12 +501,14 @@ class IncompleteWorldServer:
             return None, cost
         record = self.clients.get(client_id)
         if record is not None:
-            if chain and self._entries[chain[0]].pos < record.high_water:
+            oldest = self._entries[chain[0]].pos
+            if oldest < record.high_water:
                 # transitive_closure marked the chain sent in place;
                 # undo that so a later retry rebuilds it from scratch.
                 for chain_index in chain:
                     self._entries[chain_index].sent.discard(client_id)
                 self.stats.closures_deferred += 1
+                record.parked = (oldest, self._park_epoch)
                 return None, cost
             record.high_water = max(record.high_water, entry.pos)
         batch_entries: List[OrderedAction] = []
@@ -515,6 +528,14 @@ class IncompleteWorldServer:
             )
             cost += self.costs.push_entry_ms
         return batch_entries, cost
+
+    def _charge_closure(self) -> float:
+        """Count one Algorithm 6 closure and return its simulated cost."""
+        self.stats.closures_computed += 1
+        cost = self.costs.closure_ms
+        if self._obs is not None:
+            self._obs.on_push_closure(cost)
+        return cost
 
     def _wire_action(self, client_id: ClientId, entry: QueueEntry) -> Action:
         """The action to put on the wire for ``entry`` -> ``client_id``.
@@ -723,8 +744,18 @@ class IncompleteWorldServer:
         needs — Equation (1) survivors, own actions, and their closures —
         among the positions nominated for it: ``record.pending``, or,
         for a stale record, its window re-nominated as it is walked.
+
+        A parked client (``ClientRecord.parked``) is not walked: the walk
+        would stop at the same deferral, having changed nothing, so only
+        that deferral is counted and charged.
         """
         base = self._base_pos
+        parked = record.parked
+        if parked is not None:
+            if parked[0] >= base and parked[1] == self._park_epoch:
+                self.stats.closures_deferred += 1
+                return [], self._charge_closure()
+            record.parked = None
         start = max(record.scanned_pos + 1, base)
         client_id = record.client_id
         client_position = self._client_position(client_id)
@@ -993,11 +1024,13 @@ class IncompleteWorldServer:
 
     def _refresh_indexed_positions(self, values: Dict[ObjectId, dict]) -> None:
         """Mirror a commit's avatar writes into the spatial client index
-        so candidate queries always see exactly ζ_S's positions."""
+        so candidate queries always see exactly ζ_S's positions, and
+        unpark each client written: what it wants may have changed."""
         for oid in values:
             record = self.clients.get(self._avatar_owner.get(oid))
             if record is None:
                 continue
+            record.parked = None
             position = self._client_position(record.client_id)
             if position == self._client_index.position_of(record.client_id):
                 continue
@@ -1029,6 +1062,7 @@ class IncompleteWorldServer:
             avatar_oid = self.avatar_of(record.client_id)
             if avatar_oid is not None and avatar_oid in entry.action.writes:
                 record.position_time = self.sim.now
+                record.parked = None
 
     # ------------------------------------------------------------------
     # Liveness and fault tolerance (Section III-C)
@@ -1082,10 +1116,16 @@ class IncompleteWorldServer:
         """Treat ``entry``, whose holders are all gone, as never
         submitted; whether it was aborted.  (Hook: only a spanning
         action's owner shard may decide, and it tells the others.)"""
-        entry.valid = False
+        self._drop(entry)
         self.stats.orphans_aborted += 1
-        self.stats.actions_dropped += 1
         return True
+
+    def _drop(self, entry: QueueEntry) -> None:
+        """Drop the validated ``entry``: it leaves every chain it was in,
+        so every parked client walks again."""
+        entry.valid = False
+        self.stats.actions_dropped += 1
+        self._park_epoch += 1
 
     # ------------------------------------------------------------------
     # Introspection

@@ -667,9 +667,8 @@ class ShardServer(IncompleteWorldServer):
                 and entry.completion is None
                 and entry.valid is True
             ):
-                entry.valid = False
+                self._drop(entry)
                 self.stats.orphans_aborted += 1
-                self.stats.actions_dropped += 1
                 aborted = True
         if aborted:
             self._advance_frontier()
@@ -782,8 +781,7 @@ class ShardServer(IncompleteWorldServer):
         entry = self._entries[pos - self._base_pos]
         if entry.completion is not None:
             return  # result won the race; the abort is stale
-        entry.valid = False
-        self.stats.actions_dropped += 1
+        self._drop(entry)
         self._advance_frontier()
 
     def _wire_action(self, client_id: ClientId, entry: QueueEntry) -> Action:
@@ -971,6 +969,7 @@ class ShardServer(IncompleteWorldServer):
                 and entry.action.client_id == message.client_id
             ):
                 entry.sent.add(message.client_id)
+        self._park_epoch += 1
         self.shard_stats.handoffs_in += 1
         if self._obs is not None:
             self._obs.on_shard_handoff(

@@ -21,7 +21,6 @@ __all__ = [
     "CombatWorld",
     "ManhattanWorld",
     "PhilosophersWorld",
-    "SiegeWorld",
     "MoveAction",
     "UniformGridIndex",
     "Vec2",
@@ -38,7 +37,6 @@ _LAZY = {
     "CombatWorld": ("repro.world.combat", "CombatWorld"),
     "ManhattanWorld": ("repro.world.manhattan", "ManhattanWorld"),
     "PhilosophersWorld": ("repro.world.philosophers", "PhilosophersWorld"),
-    "SiegeWorld": ("repro.world.siege", "SiegeWorld"),
     "MoveAction": ("repro.world.movement", "MoveAction"),
     "Wall": ("repro.world.walls", "Wall"),
     "World": ("repro.world.base", "World"),

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.adversary import AdversaryPlan, parse_adversary_plan
 from repro.core import engine as engine_module
+from repro.core import server_incomplete as server_module
 from repro.core.action import BlindWrite
 from repro.core.engine import SeveEngine
 from repro.core.messages import ActionBatch, GroupBundle
@@ -33,6 +35,7 @@ from repro.net.faults import CrashWindow, FaultPlan, parse_crash_plan
 from repro.net.network import Network
 from repro.types import SERVER_ID
 from repro.world.manhattan import ManhattanWorld
+from repro.world.movement import MoveAction
 from repro.world.walls import WallField
 from tests.reference.distribution_reference import (
     FullScanServer,
@@ -68,6 +71,18 @@ def _entry_fingerprint(ordered):
         )
         return ("blind", ordered.pos, action.action_id, payload)
     return ("action", ordered.pos, action.action_id)
+
+
+def _counting_walks(patch, calls):
+    """Count the closure walks every server makes, in ``calls["walks"]``
+    (the shipped one skips a parked client's; the full scan never does)."""
+    walk = server_module.transitive_closure
+
+    def counted_walk(*args, **kwargs):
+        calls["walks"] += 1
+        return walk(*args, **kwargs)
+
+    patch.setattr(server_module, "transitive_closure", counted_walk)
 
 
 def _run_workload(mode: str, *, settings=DIFF_SETTINGS):
@@ -106,11 +121,14 @@ def _run_workload(mode: str, *, settings=DIFF_SETTINGS):
 
     engine.network.send = logging_send
 
+    calls = {"walks": 0}
     workload = MoveWorkload(engine, world, settings)
-    engine.start(stop_at=settings.workload_duration_ms + 2_000.0)
-    workload.install()
-    engine.run(until=settings.workload_duration_ms + 2_000.0)
-    engine.run_to_quiescence()
+    with pytest.MonkeyPatch.context() as patch:
+        _counting_walks(patch, calls)
+        engine.start(stop_at=settings.workload_duration_ms + 2_000.0)
+        workload.install()
+        engine.run(until=settings.workload_duration_ms + 2_000.0)
+        engine.run_to_quiescence()
 
     final_state = {
         oid: tuple(sorted(engine.state.get(oid).as_dict().items()))
@@ -126,6 +144,7 @@ def _run_workload(mode: str, *, settings=DIFF_SETTINGS):
         "client_stats": client_stats,
         "sim_end": engine.sim.now,
         "moves": workload.stats.moves_submitted,
+        "walks": calls["walks"],
     }
 
 
@@ -148,6 +167,9 @@ def test_indexed_and_brute_distribution_are_observationally_identical(
     # vacuous pass where the push path never ran).
     assert indexed["server_stats"].entries_distributed > 0
     assert indexed["server_stats"].push_cycles > 0
+    # ... and a blocked client waited on its blocker: the shipped server
+    # charged closures it did not walk, the full scan walked each one.
+    assert indexed["walks"] < brute["walks"] == brute["server_stats"].closures_computed
 
 
 @pytest.mark.slow
@@ -229,9 +251,10 @@ FAULT_PLANS = {
 
 def _run_faulty(monkeypatch, settings):
     """One ``run_simulation`` with every server -> client batch logged
-    at the network seam, and the index/re-nomination calls counted."""
+    at the network seam, and the index/re-nomination calls and the
+    closure walks counted."""
     sends = []
-    calls = {"candidates": 0, "renominated": 0}
+    calls = {"candidates": 0, "renominated": 0, "walks": 0}
     real_send = Network.send
     real_candidates = ClientSpatialIndex.candidates
     real_renominated = IncompleteWorldServer._renominated
@@ -262,6 +285,7 @@ def _run_faulty(monkeypatch, settings):
         patch.setattr(Network, "send", logging_send)
         patch.setattr(ClientSpatialIndex, "candidates", counted_candidates)
         patch.setattr(IncompleteWorldServer, "_renominated", counted_renominated)
+        _counting_walks(patch, calls)
         result = run_simulation("seve", settings)
     rows = tuple(tuple(sorted(row.items())) for row in result.shard_rows or ())
     observed = (
@@ -276,6 +300,9 @@ def _run_faulty(monkeypatch, settings):
         result.retransmissions,
         result.clients_evicted,
         result.drop_percent,
+        result.closure_cpu_ms,
+        result.detection_records,
+        result.rwset_violations,
         result.consistency.consistent,
         rows,
     )
@@ -303,9 +330,12 @@ def test_pending_lists_match_the_full_scan_under_loss_and_crashes(
     assert len(sends) > 100
     assert observed[-2], "the faulty run itself must stay consistent"
     # The oracle is independent of what it checks: it never asked the
-    # spatial index and never re-nominated; the shipped server did both.
-    assert brute_calls == {"candidates": 0, "renominated": 0}
+    # spatial index, never re-nominated and walked every closure it
+    # charged; the shipped server did both and parked blocked clients
+    # (the closure CPU, equal on both sides, is in ``observed``).
+    assert brute_calls["candidates"] == brute_calls["renominated"] == 0
     assert calls["candidates"] > 0 and calls["renominated"] > 0
+    assert calls["walks"] < brute_calls["walks"]
 
 
 @pytest.mark.slow
@@ -317,32 +347,54 @@ def test_pending_lists_match_the_full_scan_under_loss_and_crashes(
             num_clients=24, moves_per_client=12, spawn="uniform",
             fault_plan=FAULT_PLANS[1],
         ),
+        # Five cheat models at K = 4, every evaluation under the
+        # sanitizer: detection and quarantine must not move either.
+        DIFF_SETTINGS.with_(
+            num_clients=24, moves_per_client=8, spawn_extent=60.0, shards=4,
+            adversary=AdversaryPlan(parse_adversary_plan(
+                "lying-rs:3,forge:5,lying-ws:7,nondet:11,replay:13"
+            )),
+            rwset_sanitizer="raise",
+        ),
     ],
-    ids=["crowd", "lossy-crashes"],
+    ids=["crowd", "lossy-crashes", "k4-adversary"],
 )
-def test_remembered_wall_verdicts_change_no_outcome(settings, monkeypatch):
-    """A ``MoveAction`` walks the wall grid once per distinct segment
-    instead of once per replica; against the form that walks every time
-    (``tests/reference/movement_reference.py``) every batch on the wire
-    and every measured result must be identical."""
-    walks = {"n": 0}
+def test_remembered_evaluations_change_no_outcome(settings, monkeypatch):
+    """A ``MoveAction`` evaluates once per distinct set of consulted
+    inputs instead of once per replica; against the form that evaluates
+    every time (``tests/reference/movement_reference.py``) every batch
+    on the wire and every measured result must be identical."""
+    counts = {"computes": 0, "walls": 0}
     real_walk = WallField.first_obstruction
 
+    def count_computes():
+        compute = MoveAction.compute
+
+        def counted_compute(action, store, *args):
+            counts["computes"] += 1
+            return compute(action, store, *args)
+
+        monkeypatch.setattr(MoveAction, "compute", counted_compute)
+
     def counted_walk(walls, start, end):
-        walks["n"] += 1
+        counts["walls"] += 1
         return real_walk(walls, start, end)
 
     monkeypatch.setattr(WallField, "first_obstruction", counted_walk)
+    count_computes()
     sends, observed, _ = _run_faulty(monkeypatch, settings)
-    remembered, walks["n"] = walks["n"], 0
+    remembered, counts["computes"] = counts["computes"], 0
+    remembered_walls, counts["walls"] = counts["walls"], 0
     use_reference_movement(monkeypatch)
+    count_computes()
     walked_sends, walked_observed, _ = _run_faulty(monkeypatch, settings)
 
     assert sends == walked_sends
     assert observed == walked_observed
     assert len(sends) > 100
-    # Not a vacuous pass: replicas did share verdicts.
-    assert 0 < remembered < walks["n"]
+    # Not a vacuous pass: replicas did share evaluations and wall walks.
+    assert 0 < remembered < counts["computes"]
+    assert 0 < remembered_walls < counts["walls"]
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP 4a")

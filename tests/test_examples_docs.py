@@ -45,6 +45,13 @@ def test_dining_philosophers_example(capsys):
     assert "unbounded" in out
 
 
+def test_siege_example(capsys):
+    run_example("siege.py")
+    out = capsys.readouterr().out
+    assert "walls demolished" in out
+    assert "0 violations" in out
+
+
 def test_quickstart_example(capsys):
     run_example("quickstart.py")
     out = capsys.readouterr().out

@@ -6,15 +6,18 @@ import math
 
 import pytest
 
+from repro.adversary import _TolerantMoveAction
+from repro.analysis.sanitizer import SanitizedStore, SanitizerRecorder
 from repro.core.action import ActionId
 from repro.core.messages import MessageCodec, SubmitAction
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, MissingObjectError
 from repro.state.store import ObjectStore
 from repro.world.avatar import avatar_id, avatar_object, avatar_position
 from repro.world.geometry import Vec2
 from repro.world.manhattan import ManhattanConfig, ManhattanWorld
 from repro.world.movement import COLLISION_DISTANCE, MoveAction
 from repro.world.walls import Wall, WallField
+from tests.reference.movement_reference import use_reference_movement
 
 
 def open_field(width=100.0, height=100.0, walls=()):
@@ -65,6 +68,13 @@ def test_wall_blocks_and_turns_90():
     assert abs(float(me["heading"])) == pytest.approx(math.pi / 2)
 
 
+# ---------------------------------------------------------------------------
+# The evaluation memo: one evaluation per distinct consulted input
+# ---------------------------------------------------------------------------
+#: Nearly due east.  The memo never keys a zero, and 0.0 is one.
+EAST = 0.1
+
+
 class CountedWalls(WallField):
     """A wall field that counts its grid walks."""
 
@@ -75,40 +85,192 @@ class CountedWalls(WallField):
         return super().first_obstruction(start, end)
 
 
-def test_wall_verdict_is_remembered_per_segment_not_per_action():
+@pytest.fixture
+def computes(monkeypatch):
+    """Counts ``MoveAction.compute`` calls: the evaluations the memo did
+    not repeat."""
+    count = {"n": 0}
+    real = MoveAction.compute
+
+    def counted(self, store, *args):
+        count["n"] += 1
+        return real(self, store, *args)
+
+    monkeypatch.setattr(MoveAction, "compute", counted)
+    return count
+
+
+class ReadLog(SanitizedStore):
+    """A report-mode sanitized store that logs, in order, every id an
+    action reads from it."""
+
+    def __init__(self, objects, log):
+        super().__init__(objects, recorder=SanitizerRecorder(mode="report"))
+        self.log = log
+
+    def _check_read(self, oid):
+        if self._scopes:
+            self.log.append(oid)
+        super()._check_read(oid)
+
+
+def evaluations(action, worlds):
+    """Apply ``action`` once to a fresh store per spec list in ``worlds``:
+    the ids each application read, its outcome, and the violations."""
+    log, outcomes = [], []
+    for specs in worlds:
+        store = ReadLog([avatar_object(i, p, heading=h, speed=10.0) for i, p, h in specs], log)
+        try:
+            outcomes.append((action.apply(store), store.get(avatar_id(0)).as_dict()))
+        except MissingObjectError as missing:
+            outcomes.append(("missing", str(missing)))
+        outcomes.append(store.recorder.violations)
+        log.append("|")
+    return log, outcomes
+
+
+def test_wall_verdict_is_remembered_per_segment_not_per_action(computes):
     # Every replica evaluates the same action object; replicas that read
     # the same avatar ask about the same segment and share one walk, a
     # replica whose avatar differs gets its own.
     wall = Wall(0, Vec2(55, 40), Vec2(55, 60))
     walls = CountedWalls([wall], width=100.0, height=100.0)
-    in_the_open = (0, Vec2(20, 50), 0.0)
-    at_the_wall = (0, Vec2(50, 50), 0.0)
-    action = move(0, walls)
+    in_the_open = (0, Vec2(20, 50), EAST)
+    at_the_wall = (0, Vec2(50, 50), EAST)
+    action = move(0, walls, neighbors={avatar_id(1)})
+    far = (1, Vec2(80, 20), EAST)
 
     outcomes = []
     for spec in (in_the_open, at_the_wall, in_the_open):
-        store = store_with_avatars(spec)
+        store = store_with_avatars(spec, far)
         action.apply(store)
         outcomes.append((store.get("avatar:0")["bumps"], walls.walks))
     assert outcomes == [(0, 1), (1, 2), (0, 3)]
 
-    action.apply(store_with_avatars(in_the_open))
-    assert walls.walks == 3  # equal stores in a row: one walk
+    action.apply(store_with_avatars(in_the_open, far))
+    assert (walls.walks, computes["n"]) == (3, 3)  # equal stores: no evaluation
+    # Same segment, another neighbour: evaluated, but the walls' verdict
+    # on the segment stands.
+    action.apply(store_with_avatars(in_the_open, (1, Vec2(80, 21), EAST)))
+    assert (walls.walks, computes["n"]) == (3, 4)
 
 
-def test_decoded_copy_of_an_evaluated_move_walks_again():
+def test_equal_consulted_inputs_run_compute_once(computes):
+    action = move(0, open_field(), neighbors={avatar_id(1)})
+    specs = ((0, Vec2(50, 50), EAST), (1, Vec2(20, 20), EAST))
+    stores = [store_with_avatars(*specs) for _ in range(3)]
+    results = [action.apply(store) for store in stores]
+    assert computes["n"] == 1
+    assert results[0] == results[1] == results[2]
+    # The repeats wrote the same values back.
+    moved = [store.get(avatar_id(0)).as_dict() for store in stores]
+    assert moved[0] == moved[1] == moved[2] != avatar_object(0, Vec2(50, 50)).as_dict()
+
+
+def test_a_neighbour_past_the_one_that_stopped_the_scan_may_differ(computes):
+    mover = (0, Vec2(50, 50), EAST)
+    target = Vec2(50, 50) + Vec2.from_heading(EAST).scaled(10.0)
+    stopper = (1, target, EAST)  # stands on the target: the scan stops here
+    action = move(0, open_field(), neighbors={avatar_id(1), avatar_id(2)})
+    for elsewhere in (Vec2(10, 10), Vec2(90, 10)):
+        store = store_with_avatars(mover, stopper, (2, elsewhere, EAST))
+        action.apply(store)
+        assert store.get(avatar_id(0))["bumps"] == 1
+    assert computes["n"] == 1
+
+
+def test_a_consulted_neighbour_that_differs_misses(computes):
+    mover = (0, Vec2(50, 50), EAST)
+    action = move(0, open_field(), neighbors={avatar_id(1), avatar_id(2)})
+    for second in (Vec2(10, 10), Vec2(10, 11), Vec2(10, 11)):
+        action.apply(store_with_avatars(mover, (1, Vec2(90, 90), EAST), (2, second, EAST)))
+    # No collision, so the scan consulted both: the second move misses
+    # though its outcome is the same, the third repeats it.
+    assert computes["n"] == 2
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ((0, Vec2(50, 50), 0.0), (1, Vec2(20, 20), EAST)),  # a zero heading
+        ((0, Vec2(50, 50), EAST), (1, Vec2(0.0, 20), EAST)),
+        ((0, Vec2(50, 50), EAST), (1, Vec2(-0.0, 20), EAST)),
+        ((0, Vec2(50, 50), EAST), (1, Vec2(NAN, 20), EAST)),
+    ],
+    ids=["zero-heading", "zero", "minus-zero", "nan"],
+)
+def test_a_key_holding_a_zero_or_a_nan_never_hits(computes, first, second):
+    action = move(0, open_field(), neighbors={avatar_id(1)})
+    for _ in range(2):
+        action.apply(store_with_avatars(first, second))
+    assert computes["n"] == 2
+
+
+def test_a_missing_consulted_neighbour_raises_where_the_walk_does(monkeypatch):
+    mover = (0, Vec2(50, 50), EAST)
+    both = [mover, (1, Vec2(90, 90), EAST), (2, Vec2(10, 10), EAST)]
+    worlds = [both, both[:2], both, both[:2]]
+
+    def make():
+        return move(0, open_field(), neighbors={avatar_id(1), avatar_id(2)})
+
+    remembered = evaluations(make(), worlds)
+    with monkeypatch.context() as patch:
+        use_reference_movement(patch)
+        walked = evaluations(make(), worlds)
+    assert remembered == walked
+    assert remembered[1][2] == ("missing", str(MissingObjectError(avatar_id(2))))
+
+
+def test_tolerant_move_reads_what_the_walk_reads_under_the_sanitizer(monkeypatch):
+    # The lying-rs cheater's wire copy hides avatar:2 from its read set
+    # and skips it where a replica does not hold it; the membership
+    # probe is a read, so each skip is a violation on record.
+    mover = (0, Vec2(50, 50), EAST)
+    target = Vec2(50, 50) + Vec2.from_heading(EAST).scaled(10.0)
+    near, far = (1, Vec2(90, 90), EAST), (2, Vec2(10, 10), EAST)
+    worlds = [
+        [mover, near, far],
+        [mover, near, far],
+        [mover, near],
+        [mover, near],
+        [mover, near, (2, target, EAST)],
+        [mover, (1, target, EAST), far],
+        [mover, (1, target, EAST)],
+    ]
+
+    def make():
+        action = _TolerantMoveAction(
+            ActionId(0, 0), avatar_id(0), neighbors=frozenset({avatar_id(1), avatar_id(2)}),
+            walls=open_field(), duration_s=1.0, effect_range=10.0, position=Vec2(0, 0),
+        )
+        action.reads = action.reads - {avatar_id(2)}
+        return action
+
+    remembered = evaluations(make(), worlds)
+    with monkeypatch.context() as patch:
+        use_reference_movement(patch)
+        walked = evaluations(make(), worlds)
+    assert remembered == walked
+    assert any(violations for violations in remembered[1][1::2])
+
+
+def test_decoded_copy_of_an_evaluated_move_walks_again(computes):
     # The memo is a slot on the action, not state of the wall field: the
     # copy another partition decodes starts without it.
     walls = CountedWalls([], width=100.0, height=100.0)
-    standing = (0, Vec2(20, 50), 0.0)
+    standing = (0, Vec2(20, 50), EAST)
     action = move(0, walls)
     result = action.apply(store_with_avatars(standing))
     codec = MessageCodec(walls=walls)
     copy = codec.decode(codec.encode(SubmitAction(action))).action
     assert action.apply(store_with_avatars(standing)) == result
-    assert walls.walks == 1
+    assert (walls.walks, computes["n"]) == (1, 1)
     assert copy.apply(store_with_avatars(standing)) == result
-    assert walls.walks == 2
+    assert (walls.walks, computes["n"]) == (2, 2)
 
 
 def test_border_bounce():

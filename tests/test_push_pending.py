@@ -14,6 +14,12 @@ batches out of the same push cycle, and the same per-client marks after
 it.  The shard-level cases (``note_shard_down``, ``resume()``) run in
 ``tests/test_distribution_differential.py``'s crash-plan differential.
 
+A client the guard deferred is parked on its blocker
+(``ClientRecord.parked``) and not walked again until something its walk
+depends on changes.  The parking tests fire each such event, on plain
+and on shard servers, and require a walk in the next push cycle with,
+again, the oracle's batches.
+
 The count gates at the end pin the saving itself, on counts that repeat
 exactly: one index query per serialized entry at most, and no
 ``_collect_push`` for a client with nothing pending.
@@ -22,15 +28,26 @@ exactly: one index query per serialized entry at most, and no
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
-from repro.core.action import Action, ActionId, ActionResult, BlindWrite
+from repro.core import server_incomplete as server_module
+from repro.core.action import ABORT_RESULT, Action, ActionId, ActionResult, BlindWrite
 from repro.core.first_bound import FirstBoundPredicate
 from repro.core.indexes import ClientSpatialIndex
 from repro.core.info_bound import InformationBound
-from repro.core.messages import ActionBatch, Completion, SubmitAction, wire_size
+from repro.core.messages import (
+    ActionBatch,
+    Completion,
+    HandoffTransfer,
+    SpanAbort,
+    SpanSplice,
+    SubmitAction,
+    wire_size,
+)
 from repro.core.server_incomplete import IncompleteWorldServer
+from repro.core.sharded import ShardServer
 from repro.harness.architectures import build_engine, build_world
 from repro.harness.config import SimulationSettings
 from repro.harness.workload import MoveWorkload, start_run
@@ -40,10 +57,10 @@ from repro.net.network import Network
 from repro.net.simulator import Simulator
 from repro.state.objects import WorldObject
 from repro.state.versioned import VersionedStore
-from repro.types import SERVER_ID
+from repro.types import SERVER_ID, shard_host_id
 from repro.world.avatar import avatar_id, avatar_object
 from repro.world.geometry import Vec2
-from tests.reference.distribution_reference import FullScanServer
+from tests.reference.distribution_reference import FullScanServer, FullScanShardServer
 
 #: Client radius r_C.  With reach 3 (s = 10, RTT = 100, ω = 0.5) and
 #: action radius 1, Equation (1) admits an action within 14 units.
@@ -186,10 +203,16 @@ class Twins:
     """The shipped server and the full-scan oracle, told the same things
     in the same order; every answer must match."""
 
-    def __init__(self, spots=SPOTS, **options):
-        self.shipped = Rig(IncompleteWorldServer, spots, **options)
-        self.oracle = Rig(FullScanServer, spots, **options)
+    def __init__(
+        self, spots=SPOTS, *, servers=(IncompleteWorldServer, FullScanServer), **options
+    ):
+        shipped, oracle = servers
+        self.shipped = Rig(shipped, spots, **options)
+        self.oracle = Rig(oracle, spots, **options)
         self.stats_equal()
+
+    def servers(self):
+        return (self.shipped.server, self.oracle.server)
 
     def __getattr__(self, operation):
         def both(*args, **kwargs):
@@ -435,6 +458,226 @@ def test_replacement_server_resumed_past_position_zero():
     batches, marks = twins.push()
     assert twins.delivered(batches, C) == [44]
     assert marks[C][0] == 45
+    twins.stats_equal()
+
+
+# ---------------------------------------------------------------------------
+# A blocked client waits for its blocker
+# ---------------------------------------------------------------------------
+@pytest.fixture
+def walks(monkeypatch):
+    """``walks(twins)``: the closure walks the shipped server of ``twins``
+    made since the last call.  (The oracle walks every closure it
+    counts: its push cycle never parks anyone.)"""
+    counts = Counter()
+    walk = server_module.transitive_closure
+
+    def counted(entries, candidate_index, client_id, *, writer_index, base_pos=0):
+        counts[writer_index] += 1
+        return walk(
+            entries, candidate_index, client_id,
+            writer_index=writer_index, base_pos=base_pos,
+        )
+
+    monkeypatch.setattr(server_module, "transitive_closure", counted)
+
+    def since_last_call(twins):
+        index = twins.shipped.server._writer_index
+        made, counts[index] = counts[index], 0
+        return made
+
+    return since_last_call
+
+
+class HookLog:
+    """An observer that logs the push path's per-closure and per-cycle
+    hooks (the scan hook differs by design: the oracle nominates no one)."""
+
+    def __init__(self):
+        self.calls = []
+
+    def on_push_closure(self, cost):
+        self.calls.append(("closure", cost))
+
+    def on_push_build(self, *args):
+        self.calls.append(("build", args))
+
+    def on_push_scan(self, *args):
+        pass
+
+
+def park_c(twins, walks):
+    """Hold C back (``Twins.hold_c_back``) and let the deferral park it
+    on the blocker ``e1``: the push cycle after that walks nothing."""
+    held = twins.hold_c_back()
+    twins.push()
+    assert twins.c_record().parked is not None
+    walks(twins)
+    batches, _ = twins.push()
+    assert walks(twins) == 0 and twins.delivered(batches, C) == []
+    twins.stats_equal()
+    return held
+
+
+def test_a_parked_client_is_charged_its_deferral_but_not_walked(walks):
+    twins = Twins()
+    logs = []
+    for server in twins.servers():
+        server._obs = HookLog()
+        logs.append(server._obs.calls)
+    park_c(twins, walks)
+    server = twins.shipped.server
+    # A's own e3 reaches back to e1 as well.
+    assert [c for c, record in server.clients.items() if record.parked] == [A, C]
+    deferred = server.stats.closures_deferred
+    for _ in range(3):
+        batches, _ = twins.push()
+        assert walks(twins) == 0
+    assert server.stats.closures_deferred == deferred + 2 * 3
+    twins.stats_equal()
+    assert logs[0] == logs[1] and ("closure", 0.04) in logs[0]
+
+
+def test_parked_client_walks_once_its_blocker_commits(walks):
+    twins = Twins()
+    e0, e1, e2, e3 = park_c(twins, walks)
+    twins.commit(e0, x=0.0, y=0.0)  # (a commit that moves C unparks too)
+    twins.push()
+    walks(twins)
+    twins.push()
+    assert walks(twins) == 0  # parked on e1 again
+    twins.commit(e1, x=500.0, y=0.0)
+    batches, _ = twins.push()
+    assert walks(twins) > 0
+    assert twins.delivered(batches, C) == [e3]
+    twins.stats_equal()
+
+
+def test_parked_client_walks_after_a_commit_writes_its_avatar(walks):
+    twins = Twins()
+    e0, *_ = park_c(twins, walks)
+    twins.commit(e0, x=0.0, y=0.0)  # in place: only t_C moves
+    assert not twins.c_record().stale
+    batches, _ = twins.push()
+    assert walks(twins) > 0
+    assert twins.delivered(batches, C) == []
+    twins.stats_equal()
+
+
+def test_parked_client_walks_after_a_commit_moves_only_its_position_time():
+    """An own move that aborted declared the avatar but wrote nothing:
+    only t_C moves, and with it where a culled arrow projects."""
+    twins = Twins(culling=True)
+    e0 = twins.submit(C, SPOTS[C])
+    twins.submit(B, SPOTS[B], writes=(TOKEN,))
+    twins.submit(A, SPOTS[A])
+    twins.push()
+    # Loosed at C's feet, reading the token: wanted, and deferred.
+    e3 = twins.submit(A, SPOTS[C], reads=(TOKEN,), velocity=Vec2(20.0, 0.0))
+    twins.push()
+    assert twins.c_record().parked is not None
+    twins.wait(5_000.0)
+    for rig in (twins.shipped, twins.oracle):
+        action_id = rig.server._entries[0].action.action_id
+        message = Completion(e0, action_id, ABORT_RESULT, reporter=C)
+        rig.network.send(C, SERVER_ID, message, wire_size(message))
+        rig.sim.run()
+    batches, marks = twins.push()
+    # Projected to t_C, 5 s on, the arrow is 100 units off: the walk
+    # passes it without a closure, where a parked C would still wait.
+    assert twins.delivered(batches, C) == [] and marks[C][0] == e3
+    assert twins.c_record().parked is None
+    twins.stats_equal()
+
+
+def test_parked_client_walks_after_a_region_sync_moves_it(walks):
+    twins = Twins()
+    park_c(twins, walks)
+    for rig in (twins.shipped, twins.oracle):
+        rig.state.merge({avatar_id(C): {"x": 2.0, "y": 0.0}}, commit_index=-1)
+        rig.server._refresh_indexed_positions({avatar_id(C): {}})
+    record = twins.c_record()
+    assert record.stale
+    twins.push()
+    assert walks(twins) > 0
+    # Parked again, stale: the skipped cycle leaves it as the walk would.
+    batches, _ = twins.push()
+    assert walks(twins) == 0 and twins.delivered(batches, C) == []
+    assert record.stale and record.pending == [] and record.parked is not None
+    twins.stats_equal()
+
+
+def test_parked_client_walks_after_a_detach(walks):
+    twins = Twins()
+    park_c(twins, walks)
+    twins.detach(B)  # scrubs B from every sent mark
+    twins.push()
+    assert walks(twins) > 0
+    twins.stats_equal()
+
+
+def test_parked_client_walks_after_an_orphan_abort(walks):
+    E = 4
+    twins = Twins({**SPOTS, E: Vec2(2_000, 2_000)})
+    park_c(twins, walks)
+    e4 = twins.submit(E, Vec2(2_000, 2_000))  # wanted by nobody else
+    twins.crash(E)
+    twins.detach(E)
+    twins.push()
+    walks(twins)
+    twins.push()
+    assert walks(twins) == 0
+    for server in twins.servers():
+        server._abort_orphans()  # e4's only holder is gone
+        assert server._entries[e4 - server._base_pos].valid is False
+    twins.push()
+    assert walks(twins) > 0
+    twins.stats_equal()
+
+
+SHARDS = (ShardServer, FullScanShardServer)
+
+
+def _splice_far_span(twins):
+    """Splice a spanning action that shard 1 owns into both servers."""
+    action = Step(ActionId(B, 1_000), at=Vec2(2_000, 2_000))
+    for server in twins.servers():
+        server._on_span_splice(shard_host_id(1), SpanSplice(0, 1, (0, 1), action))
+    twins.push()
+    return action
+
+
+def test_parked_client_walks_after_a_span_orphan_abort(walks):
+    twins = Twins(servers=SHARDS)
+    park_c(twins, walks)
+    _splice_far_span(twins)
+    for server in twins.servers():
+        server.note_shard_down(1)  # the owner died before the result
+    twins.push()
+    assert walks(twins) > 0
+    twins.stats_equal()
+
+
+def test_parked_client_walks_after_a_span_abort(walks):
+    twins = Twins(servers=SHARDS)
+    park_c(twins, walks)
+    action = _splice_far_span(twins)
+    for server in twins.servers():
+        server._on_span_abort(shard_host_id(1), SpanAbort(0, action.action_id))
+    twins.push()
+    assert walks(twins) > 0
+    twins.stats_equal()
+
+
+def test_parked_client_walks_after_a_handoff_adoption(walks):
+    E = 4
+    twins = Twins({**SPOTS, E: Vec2(3, 3)}, servers=SHARDS)
+    twins.detach(E)  # E lives on another shard for now
+    park_c(twins, walks)
+    for server in twins.servers():
+        server._on_handoff_transfer(shard_host_id(1), HandoffTransfer(E, RADIUS))
+    twins.push()
+    assert walks(twins) > 0
     twins.stats_equal()
 
 

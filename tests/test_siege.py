@@ -1,21 +1,22 @@
-"""Tests for the destructible-environment (siege) world."""
+"""Tests for the destructible-environment (siege) world of
+``examples/siege.py``."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.action import ActionId
-from repro.core.engine import SeveConfig, SeveEngine
-from repro.state.store import ObjectStore
-from repro.world.avatar import avatar_id, avatar_object
-from repro.world.geometry import Vec2
-from repro.world.siege import (
+from examples.siege import (
     DemolishAction,
     SiegeConfig,
     SiegeMoveAction,
     SiegeWorld,
     wall_id,
 )
+from repro.core.action import ActionId
+from repro.core.engine import SeveConfig, SeveEngine
+from repro.state.store import ObjectStore
+from repro.world.avatar import avatar_id, avatar_object
+from repro.world.geometry import Vec2
 from repro.world.walls import Wall, WallField
 
 
