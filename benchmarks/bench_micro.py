@@ -18,7 +18,7 @@ from repro.core.indexes import WriterIndex
 from repro.core.info_bound import InformationBound
 from repro.net.simulator import Simulator
 from repro.world.geometry import Vec2
-from repro.world.walls import WallField, generate_walls
+from repro.world.walls import WallField
 from tests.reference.info_bound_reference import writer_index_of
 
 
@@ -100,11 +100,21 @@ def test_info_bound_validation_1k_backlog(benchmark):
     assert max(bound.stats.chain_lengths) < 50
 
 
+#: The ``crowd_k1`` wall density: 20 000 walls over 1000 x 1000.
+CROWD_WALLS = dict(count=20_000, width=1000.0, height=1000.0, seed=2)
+
+
 @pytest.fixture(scope="module")
 def wall_field():
-    """The ``crowd_k1`` wall density: 20 000 walls over 1000 x 1000."""
-    walls = generate_walls(20_000, world_width=1000.0, world_height=1000.0, seed=2)
-    return WallField(walls, width=1000.0, height=1000.0)
+    """The ``crowd_k1`` field, generated as ``ManhattanWorld`` does."""
+    return WallField.generate(**CROWD_WALLS)
+
+
+def test_wall_field_build_20k_walls(benchmark):
+    """Generating the ``crowd_k1`` field: columns and cell table, the
+    bulk of every process's world set-up."""
+    field = benchmark(WallField.generate, **CROWD_WALLS)
+    assert len(field) == 20_000
 
 
 def test_first_obstruction_20k_walls(benchmark, wall_field):

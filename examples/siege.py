@@ -39,7 +39,7 @@ from repro.world.avatar import avatar_id, avatar_object, avatar_position
 from repro.world.base import World
 from repro.world.geometry import Vec2, reflect_heading_90, segments_intersect
 from repro.world.movement import COLLISION_DISTANCE
-from repro.world.walls import Wall, WallField, generate_walls
+from repro.world.walls import WallField
 
 
 def wall_id(index: int) -> ObjectId:
@@ -118,7 +118,7 @@ class SiegeMoveAction(Action):
             wall_obj = store.get(wall_oid)
             if not wall_obj.get("intact", True):
                 continue  # rubble is walkable
-            wall = self.geometry.walls[oid_index(wall_oid)]
+            wall = self.geometry.wall(oid_index(wall_oid))
             if segments_intersect(start, target, wall.a, wall.b):
                 return True
         for neighbor_oid in sorted(self.neighbors):
@@ -195,16 +195,12 @@ class SiegeWorld(World):
         self.config = config or SiegeConfig()
         cfg = self.config
         self.num_avatars = num_avatars
-        self.geometry = WallField(
-            generate_walls(
-                cfg.num_walls,
-                world_width=cfg.width,
-                world_height=cfg.height,
-                wall_length=cfg.wall_length,
-                seed=cfg.seed,
-            ),
+        self.geometry = WallField.generate(
+            cfg.num_walls,
             width=cfg.width,
             height=cfg.height,
+            wall_length=cfg.wall_length,
+            seed=cfg.seed,
         )
         rng = random.Random(cfg.seed + 1)
         half = min(cfg.spawn_extent, cfg.width, cfg.height) / 2.0
@@ -227,8 +223,8 @@ class SiegeWorld(World):
                 heading=self._headings[index],
                 speed=self.config.avatar_speed,
             )
-        for wall in self.geometry.walls:
-            yield WorldObject(wall_id(wall.index), {"intact": True})
+        for index in range(len(self.geometry)):
+            yield WorldObject(wall_id(index), {"intact": True})
 
     def avatar_of(self, client_id: ClientId) -> Optional[ObjectId]:
         if 0 <= client_id < self.num_avatars:

@@ -150,12 +150,8 @@ class MoveWorkload:
         settings = self.settings
         if settings.cost_model == "fixed":
             return settings.move_cost_ms
-        me = store.get(avatar_id(client_id))
-        visible_walls = len(
-            self.world.walls.walls_near(
-                avatar_position(me), WALL_COST_RADIUS
-            )
-        )
+        me = avatar_position(store.get(avatar_id(client_id)))
+        visible_walls = self.world.walls.count_near(me, WALL_COST_RADIUS)
         return PAPER_COST_PER_KWALL_MS * visible_walls / 1000.0
 
     @property

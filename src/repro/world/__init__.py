@@ -25,10 +25,10 @@ __all__ = [
     "UniformGridIndex",
     "Vec2",
     "Wall",
+    "WallField",
     "World",
     "avatar_object",
     "avatar_position",
-    "generate_walls",
     "segments_intersect",
     "set_avatar_position",
 ]
@@ -39,10 +39,10 @@ _LAZY = {
     "PhilosophersWorld": ("repro.world.philosophers", "PhilosophersWorld"),
     "MoveAction": ("repro.world.movement", "MoveAction"),
     "Wall": ("repro.world.walls", "Wall"),
+    "WallField": ("repro.world.walls", "WallField"),
     "World": ("repro.world.base", "World"),
     "avatar_object": ("repro.world.avatar", "avatar_object"),
     "avatar_position": ("repro.world.avatar", "avatar_position"),
-    "generate_walls": ("repro.world.walls", "generate_walls"),
     "set_avatar_position": ("repro.world.avatar", "set_avatar_position"),
 }
 

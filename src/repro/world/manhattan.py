@@ -28,7 +28,7 @@ from repro.world.avatar import avatar_id, avatar_object, avatar_position
 from repro.world.base import World
 from repro.world.geometry import Vec2
 from repro.world.movement import MoveAction
-from repro.world.walls import WallField, generate_walls
+from repro.world.walls import WallField
 
 
 #: The spawn layouts (:attr:`ManhattanConfig.spawn`).
@@ -80,16 +80,12 @@ class ManhattanWorld(World):
         self.config = config or ManhattanConfig()
         self.num_avatars = num_avatars
         cfg = self.config
-        self.walls = WallField(
-            generate_walls(
-                cfg.num_walls,
-                world_width=cfg.width,
-                world_height=cfg.height,
-                wall_length=cfg.wall_length,
-                seed=cfg.seed,
-            ),
+        self.walls = WallField.generate(
+            cfg.num_walls,
             width=cfg.width,
             height=cfg.height,
+            wall_length=cfg.wall_length,
+            seed=cfg.seed,
         )
         rng = random.Random(cfg.seed + 1)
         self._spawn_positions = self._spawn_layout(rng)
@@ -230,10 +226,6 @@ class ManhattanWorld(World):
                 store, position, self.config.visibility, exclude=me_oid
             )
         )
-
-    def visible_wall_count(self, position: Vec2) -> int:
-        """Walls within visibility of ``position`` (cost-model input)."""
-        return len(self.walls.walls_near(position, self.config.visibility))
 
     def __repr__(self) -> str:
         return (

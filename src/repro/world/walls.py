@@ -7,17 +7,20 @@ Manhattan People), generated deterministically from a seed.
 Walls are *static geometry*: immutable, identical at every replica, and
 therefore kept out of the object store and out of action read sets (a
 read set entry for something that can never change would only bloat the
-closure computation).  :class:`WallField` bundles the walls with a
-per-cell table of flat wall records and the world bounds, and answers
-the path queries moves need (docs/performance.md, "Wall-collision
-kernel").
+closure computation).  :class:`WallField` holds the walls as four
+coordinate columns, a per-cell table of packed wall records and the
+world bounds, and answers the path queries moves need
+(docs/performance.md, "Wall-collision kernel").  :class:`Wall` is only
+the value its queries hand out.
 """
 
 from __future__ import annotations
 
 import random
+import struct
+from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError
 from repro.world.geometry import (
@@ -57,47 +60,18 @@ class Wall:
         )
 
 
-def generate_walls(
-    count: int,
-    *,
-    world_width: float,
-    world_height: float,
-    wall_length: float = 10.0,
-    seed: int = 0,
-) -> List[Wall]:
-    """Generate ``count`` axis-aligned walls uniformly over the world.
+#: One wall as the collision kernel reads it: ``(ax, ay, bx, by, index)``
+#: packed into 36 bytes.  A cell's walls are one ``bytes`` of these,
+#: walked with ``iter_unpack``: the table keeps no object per wall.
+_RECORD = struct.Struct("=4di")
 
-    Each wall is horizontal or vertical with equal probability and fits
-    entirely inside the world rectangle.  Deterministic in ``seed``.
-    """
-    if count < 0:
-        raise ConfigurationError(f"wall count must be non-negative, got {count}")
-    if wall_length <= 0:
-        raise ConfigurationError(f"wall length must be positive, got {wall_length}")
-    if world_width < wall_length or world_height < wall_length:
-        raise ConfigurationError(
-            f"world ({world_width}x{world_height}) too small for "
-            f"walls of length {wall_length}"
-        )
-    rng = random.Random(seed)
-    walls: List[Wall] = []
-    for index in range(count):
-        if rng.random() < 0.5:  # horizontal
-            x = rng.uniform(0.0, world_width - wall_length)
-            y = rng.uniform(0.0, world_height)
-            a, b = Vec2(x, y), Vec2(x + wall_length, y)
-        else:  # vertical
-            x = rng.uniform(0.0, world_width)
-            y = rng.uniform(0.0, world_height - wall_length)
-            a, b = Vec2(x, y), Vec2(x, y + wall_length)
-        walls.append(Wall(index, a, b))
-    return walls
-
-
-#: One wall as the collision kernel reads it: ``(ax, ay, bx, by, index)``.
-_Record = Tuple[float, float, float, float, int]
+#: The same records read for their ``index`` alone.
+_INDEX = struct.Struct("=32xi")
 
 _Cell = Tuple[int, int]
+
+#: The ``ax``, ``ay``, ``bx``, ``by`` columns, indexed by wall.
+_Columns = Tuple[array, array, array, array]
 
 
 def _cell_span(low: float, high: float, cell_size: float) -> range:
@@ -106,52 +80,102 @@ def _cell_span(low: float, high: float, cell_size: float) -> range:
     return range(int(low // cell_size), int(high // cell_size) + 1)
 
 
-def _build_cell_table(
-    walls: Iterable[Wall], cell_size: float
-) -> Dict[_Cell, Tuple[_Record, ...]]:
-    """Per-cell tuples of wall records over a uniform grid of square
-    cells: a wall is listed in every cell its bounding box overlaps."""
-    cells: Dict[_Cell, List[_Record]] = {}
-    for wall in walls:
-        (ax, ay), (bx, by) = wall.a, wall.b
-        record = (ax, ay, bx, by, wall.index)
-        min_x, min_y, max_x, max_y = wall.bbox()
-        for cx in _cell_span(min_x, max_x, cell_size):
-            for cy in _cell_span(min_y, max_y, cell_size):
+def _build_cell_table(columns: _Columns, cell_size: float) -> Dict[_Cell, bytes]:
+    """Per-cell packed wall records over a uniform grid of square cells:
+    a wall is listed in every cell its bounding box overlaps."""
+    pack = _RECORD.pack
+    cells: Dict[_Cell, List[bytes]] = {}
+    for index, (ax, ay, bx, by) in enumerate(zip(*columns)):
+        record = pack(ax, ay, bx, by, index)
+        for cx in _cell_span(min(ax, bx), max(ax, bx), cell_size):
+            for cy in _cell_span(min(ay, by), max(ay, by), cell_size):
                 cells.setdefault((cx, cy), []).append(record)
-    return {cell: tuple(records) for cell, records in cells.items()}
+    return {cell: b"".join(records) for cell, records in cells.items()}
 
 
 class WallField:
     """Static wall geometry with a per-cell wall table and world bounds.
 
-    Every replica holds (a reference to) the same :class:`WallField`;
-    all of its queries are pure functions of immutable data, so using it
-    inside :meth:`Action.compute` preserves the determinism contract.
+    Built from :class:`Wall` values numbered ``0, 1, …`` in order, or
+    straight from the seeded generator (:meth:`generate`).  Every
+    replica holds (a reference to) the same :class:`WallField`; all of
+    its queries are pure functions of immutable data, so using it inside
+    :meth:`Action.compute` preserves the determinism contract.
     """
 
     def __init__(
         self,
-        walls: Iterable[Wall],
+        walls: Iterable[Wall] = (),
         *,
         width: float,
         height: float,
         cell_size: float = 25.0,
     ) -> None:
         if width <= 0 or height <= 0:
-            raise ConfigurationError(
-                f"world must have positive extent, got {width}x{height}"
-            )
+            raise ConfigurationError(f"world must have positive extent, got {width}x{height}")
         if cell_size <= 0:
             raise ConfigurationError(f"cell_size must be positive, got {cell_size}")
         self.width = width
         self.height = height
-        self.walls: Tuple[Wall, ...] = tuple(walls)
         self._cell_size = cell_size
-        self._cells = _build_cell_table(self.walls, cell_size)
+        columns: _Columns = (array("d"), array("d"), array("d"), array("d"))
+        for position, wall in enumerate(walls):
+            if wall.index != position:
+                raise ConfigurationError(f"wall {wall.index} listed at {position}")
+            for column, value in zip(columns, (*wall.a, *wall.b)):
+                column.append(value)
+        self._fill(columns)
+
+    def _fill(self, columns: _Columns) -> "WallField":
+        self._columns = columns
+        self._cells = _build_cell_table(columns, self._cell_size)
+        return self
+
+    @classmethod
+    def generate(
+        cls,
+        count: int,
+        *,
+        width: float,
+        height: float,
+        wall_length: float = 10.0,
+        seed: int = 0,
+        cell_size: float = 25.0,
+    ) -> "WallField":
+        """``count`` axis-aligned walls uniformly over the world.
+
+        Each wall is horizontal or vertical with equal probability and
+        fits entirely inside the world rectangle.  Deterministic in
+        ``seed``; the coordinates go straight into the columns.
+        """
+        if count < 0:
+            raise ConfigurationError(f"wall count must be non-negative, got {count}")
+        if wall_length <= 0:
+            raise ConfigurationError(f"wall length must be positive, got {wall_length}")
+        if width < wall_length or height < wall_length:
+            raise ConfigurationError(
+                f"world ({width}x{height}) too small for walls of length {wall_length}"
+            )
+        rng = random.Random(seed)
+        columns = ax, ay, bx, by = tuple(array("d", [0.0]) * count for _ in range(4))
+        for i in range(count):
+            if rng.random() < 0.5:  # horizontal
+                x = rng.uniform(0.0, width - wall_length)
+                y = rng.uniform(0.0, height)
+                ax[i], ay[i], bx[i], by[i] = x, y, x + wall_length, y
+            else:  # vertical
+                x = rng.uniform(0.0, width)
+                y = rng.uniform(0.0, height - wall_length)
+                ax[i], ay[i], bx[i], by[i] = x, y, x, y + wall_length
+        return cls(width=width, height=height, cell_size=cell_size)._fill(columns)
 
     def __len__(self) -> int:
-        return len(self.walls)
+        return len(self._columns[0])
+
+    def wall(self, index: int) -> Wall:
+        """Wall ``index`` as a value."""
+        ax, ay, bx, by = self._columns
+        return Wall(index, Vec2(ax[index], ay[index]), Vec2(bx[index], by[index]))
 
     def clamp_inside(self, p: Vec2) -> Vec2:
         """``p`` clamped into the world rectangle."""
@@ -163,33 +187,31 @@ class WallField:
 
     def _cells_of_box(
         self, min_x: float, min_y: float, max_x: float, max_y: float
-    ) -> List[Tuple[_Record, ...]]:
+    ) -> List[bytes]:
         """The non-empty cells overlapping the box."""
-        size = self._cell_size
-        cells = self._cells
-        found = []
-        for cx in _cell_span(min_x, max_x, size):
-            for cy in _cell_span(min_y, max_y, size):
-                records = cells.get((cx, cy))
-                if records is not None:
-                    found.append(records)
-        return found
+        size, cells = self._cell_size, self._cells
+        return [
+            cells[cx, cy]
+            for cx in _cell_span(min_x, max_x, size)
+            for cy in _cell_span(min_y, max_y, size)
+            if (cx, cy) in cells
+        ]
+
+    def _indices_near(self, center: Vec2, radius: float) -> Set[int]:
+        (x, y), r = center, radius
+        box = self._cells_of_box(x - r, y - r, x + r, y + r)
+        return {index for records in box for (index,) in _INDEX.iter_unpack(records)}
 
     def walls_near(self, center: Vec2, radius: float) -> List[Wall]:
-        """Walls whose grid cells fall within ``radius`` of ``center``.
+        """Walls whose grid cells fall within ``radius`` of ``center``,
+        by index."""
+        return [self.wall(i) for i in sorted(self._indices_near(center, radius))]
 
-        This is the "walls a client sees" set whose size drives the
-        paper's per-move cost (6.95 ms per 1000 visible walls).
-        """
-        x, y = center
-        indices = {
-            record[4]
-            for records in self._cells_of_box(
-                x - radius, y - radius, x + radius, y + radius
-            )
-            for record in records
-        }
-        return [self.walls[i] for i in sorted(indices)]
+    def count_near(self, center: Vec2, radius: float) -> int:
+        """``len(walls_near(center, radius))``: the "walls a client
+        sees" count that drives the paper's per-move cost (6.95 ms per
+        1000 visible walls)."""
+        return len(self._indices_near(center, radius))
 
     def first_obstruction(self, start: Vec2, end: Vec2) -> Optional[Wall]:
         """The wall a straight move from ``start`` to ``end`` hits first
@@ -202,7 +224,8 @@ class WallField:
         wall only where that predicate must say no: all four products
         clear of the collinear tolerance, and one pair on the same side.
         Every other wall (a hit, or anything near-collinear) goes through
-        the predicate itself, and hits are ranked by the ``Vec2`` code.
+        the predicate itself, and hits are ranked by the ``Vec2`` code;
+        only the winner becomes a :class:`Wall`.
         """
         sx, sy = start
         ex, ey = end
@@ -210,12 +233,12 @@ class WallField:
         dy = ey - sy
         eps = COLLINEAR_EPS
         neg = -COLLINEAR_EPS
-        best: Optional[Wall] = None
         best_key: Tuple[float, int] = (float("inf"), -1)
+        best_ends: Optional[Tuple[Vec2, Vec2]] = None
         for records in self._cells_of_box(
             min(sx, ex), min(sy, ey), max(sx, ex), max(sy, ey)
         ):
-            for ax, ay, bx, by, index in records:
+            for ax, ay, bx, by, index in _RECORD.iter_unpack(records):
                 wx = bx - ax
                 wy = by - ay
                 c1 = dx * (ay - sy) - dy * (ax - sx)
@@ -230,13 +253,13 @@ class WallField:
                         continue  # the wall lies to one side of the move's line
                 if not segments_intersect_xy(sx, sy, ex, ey, ax, ay, bx, by):
                     continue
-                wall = self.walls[index]
-                hit = segment_intersection_point(start, end, wall.a, wall.b)
+                a, b = Vec2(ax, ay), Vec2(bx, by)
+                hit = segment_intersection_point(start, end, a, b)
                 distance = start.distance_to(hit) if hit is not None else 0.0
-                key = (distance, wall.index)
+                key = (distance, index)
                 if key < best_key:
-                    best, best_key = wall, key
-        return best
+                    best_key, best_ends = key, (a, b)
+        return None if best_ends is None else Wall(best_key[1], *best_ends)
 
     def path_blocked(self, start: Vec2, end: Vec2) -> bool:
         """Whether any wall (or the world border) obstructs the path."""

@@ -1,11 +1,15 @@
-"""The wall queries as they were before the flat per-cell table.
+"""The walls as objects, and the wall queries as they were before the
+flat per-cell table.
 
-Lifted verbatim from ``repro.world.walls.WallField``: walls inserted by
-bounding box into a :class:`UniformGridIndex`, ``first_obstruction``
-building a candidate set with ``query_box`` and running the ``Vec2``
-predicate on every candidate, ``walls_near`` sorting ``query_radius``.
-``tests/test_walls_differential.py`` holds the shipped
-:class:`~repro.world.walls.WallField` to these answers.
+``generate_walls`` is the object generator ``WallField.generate``
+replaced: one frozen :class:`Wall` with two ``Vec2`` s per wall, drawn
+in the same order with the same float operations.  The queries are
+lifted verbatim from the old ``repro.world.walls.WallField``: walls
+inserted by bounding box into a :class:`UniformGridIndex`,
+``first_obstruction`` building a candidate set with ``query_box`` and
+running the ``Vec2`` predicate on every candidate, ``walls_near``
+sorting ``query_radius``.  ``tests/test_walls_differential.py`` holds
+the shipped :class:`~repro.world.walls.WallField` to these answers.
 
 The ``Vec2`` predicate is kept here too (``_orientation`` on ``Vec2``
 arithmetic), so the oracle does not run through the scalar form the
@@ -14,11 +18,51 @@ shipped ``segments_intersect`` now delegates to.
 
 from __future__ import annotations
 
+import math
+import random
 from typing import Iterable, List, Optional, Tuple
 
+from repro.errors import ConfigurationError
 from repro.world.geometry import Vec2, segment_intersection_point
 from repro.world.spatial import UniformGridIndex
 from repro.world.walls import Wall
+
+
+def generate_walls(
+    count: int,
+    *,
+    world_width: float,
+    world_height: float,
+    wall_length: float = 10.0,
+    seed: int = 0,
+) -> List[Wall]:
+    """Generate ``count`` axis-aligned walls uniformly over the world.
+
+    Each wall is horizontal or vertical with equal probability and fits
+    entirely inside the world rectangle.  Deterministic in ``seed``.
+    """
+    if count < 0:
+        raise ConfigurationError(f"wall count must be non-negative, got {count}")
+    if wall_length <= 0:
+        raise ConfigurationError(f"wall length must be positive, got {wall_length}")
+    if world_width < wall_length or world_height < wall_length:
+        raise ConfigurationError(
+            f"world ({world_width}x{world_height}) too small for "
+            f"walls of length {wall_length}"
+        )
+    rng = random.Random(seed)
+    walls: List[Wall] = []
+    for index in range(count):
+        if rng.random() < 0.5:  # horizontal
+            x = rng.uniform(0.0, world_width - wall_length)
+            y = rng.uniform(0.0, world_height)
+            a, b = Vec2(x, y), Vec2(x + wall_length, y)
+        else:  # vertical
+            x = rng.uniform(0.0, world_width)
+            y = rng.uniform(0.0, world_height - wall_length)
+            a, b = Vec2(x, y), Vec2(x, y + wall_length)
+        walls.append(Wall(index, a, b))
+    return walls
 
 
 def _orientation(a: Vec2, b: Vec2, c: Vec2) -> int:
@@ -61,7 +105,16 @@ def segments_intersect(p1: Vec2, p2: Vec2, q1: Vec2, q2: Vec2) -> bool:
 class ReferenceWallField:
     """``WallField``'s queries over the generic grid index."""
 
-    def __init__(self, walls: Iterable[Wall], *, cell_size: float = 25.0) -> None:
+    def __init__(
+        self,
+        walls: Iterable[Wall],
+        *,
+        width: float = math.inf,
+        height: float = math.inf,
+        cell_size: float = 25.0,
+    ) -> None:
+        self.width = width
+        self.height = height
         self.walls: Tuple[Wall, ...] = tuple(walls)
         self._index: UniformGridIndex[int] = UniformGridIndex(cell_size)
         for wall in self.walls:
@@ -87,3 +140,8 @@ class ReferenceWallField:
             if key < best_key:
                 best, best_key = wall, key
         return best
+
+    def path_blocked(self, start: Vec2, end: Vec2) -> bool:
+        if not (0.0 <= end.x <= self.width and 0.0 <= end.y <= self.height):
+            return True
+        return self.first_obstruction(start, end) is not None

@@ -201,6 +201,14 @@ def test_ledger_workloads_are_command_lines():
         (["--elastic-threshold", "1"], "elastic_threshold"),
         (["--elastic-hysteresis", "0"], "elastic_hysteresis"),
         (["--elastic-min-stripe", "0"], "elastic_min_stripe"),
+        # Malformed --adversary model strings: an unknown or empty or
+        # mis-cased model, no ids, an id that is not a number.
+        (["--adversary", "bogus:1"], "unknown adversary model 'bogus'"),
+        (["--adversary", ":1"], "unknown adversary model ''"),
+        (["--adversary", "lying-rs"], "no client ids"),
+        (["--adversary", "lying-rs:x"], "'lying-rs:x'"),
+        (["--adversary", "lying-rs:1:2"], "'lying-rs:1:2'"),
+        (["--adversary", "LYING-RS:1"], "unknown adversary model 'LYING-RS'"),
     ],
 )
 def test_impossible_run_flags_end_in_one_error_line_not_a_traceback(

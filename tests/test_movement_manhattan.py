@@ -11,6 +11,7 @@ from repro.analysis.sanitizer import SanitizedStore, SanitizerRecorder
 from repro.core.action import ActionId
 from repro.core.messages import MessageCodec, SubmitAction
 from repro.errors import ConfigurationError, MissingObjectError
+from repro.harness.config import WALL_COST_RADIUS
 from repro.state.store import ObjectStore
 from repro.world.avatar import avatar_id, avatar_object, avatar_position
 from repro.world.geometry import Vec2
@@ -425,7 +426,10 @@ def test_visible_avatar_count():
 
 
 def test_visible_wall_count_scales_with_walls():
+    """The walls cost model's input: walls within ``WALL_COST_RADIUS``."""
     few = ManhattanWorld(1, ManhattanConfig(num_walls=50, seed=4))
     many = ManhattanWorld(1, ManhattanConfig(num_walls=2000, seed=4))
     center = Vec2(500, 500)
-    assert many.visible_wall_count(center) > few.visible_wall_count(center)
+    assert many.walls.count_near(center, WALL_COST_RADIUS) > few.walls.count_near(
+        center, WALL_COST_RADIUS
+    )

@@ -18,7 +18,13 @@ from repro.world.geometry import (
     segment_intersection_point,
     segments_intersect,
 )
-from repro.world.walls import Wall, WallField, generate_walls
+from repro.world.walls import Wall, WallField
+
+
+def generate_walls(count, *, world_width, world_height, **kwargs):
+    """The walls of a generated field, as values."""
+    field = WallField.generate(count, width=world_width, height=world_height, **kwargs)
+    return [field.wall(index) for index in range(len(field))]
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +95,13 @@ def test_field_requires_positive_extent():
         WallField((), width=0.0, height=10.0)
 
 
+def test_field_numbers_walls_by_position(field):
+    assert len(field) == 2
+    assert field.wall(1) == Wall(1, Vec2(10, 10), Vec2(20, 10))
+    with pytest.raises(ConfigurationError):
+        WallField([Wall(1, Vec2(10, 10), Vec2(20, 10))], width=100.0, height=100.0)
+
+
 def test_clamp_and_inside(field):
     assert field.inside(Vec2(50, 50))
     assert not field.inside(Vec2(150, 50))
@@ -99,6 +112,8 @@ def test_walls_near(field):
     nearby = field.walls_near(Vec2(50, 50), 15.0)
     assert [w.index for w in nearby] == [0]
     assert field.walls_near(Vec2(90, 90), 5.0) == []
+    assert field.count_near(Vec2(50, 50), 15.0) == 1
+    assert field.count_near(Vec2(30, 30), 40.0) == 2
 
 
 def test_first_obstruction_hits_crossing_wall(field):
@@ -148,7 +163,7 @@ def test_obstruction_matches_brute_force(x0, y0, x1, y1):
 
     blocking = [w for w in _BRUTE_WALLS if segments_intersect(start, end, w.a, w.b)]
     expected = min(blocking, key=lambda w: (distance(w), w.index), default=None)
-    assert _BRUTE_FIELD.first_obstruction(start, end) is expected
+    assert _BRUTE_FIELD.first_obstruction(start, end) == expected
 
 
 # ---------------------------------------------------------------------------

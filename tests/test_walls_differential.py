@@ -1,11 +1,13 @@
-"""The flat wall-collision kernel against the generic-index oracle.
+"""The column wall field and its kernel against the object oracle.
 
-:class:`~repro.world.walls.WallField` answers ``first_obstruction`` and
-``walls_near`` from a per-cell table of flat records with the
-intersection predicate's cross products inlined;
-``tests/reference/walls_reference.py`` is the path it replaced
-(``UniformGridIndex`` + the ``Vec2`` predicate).  The two must agree on
-the *same* ``Wall`` object for every query — the simulation's
+:class:`~repro.world.walls.WallField` generates its walls straight into
+coordinate columns and answers ``first_obstruction``, ``path_blocked``,
+``walls_near`` and ``count_near`` from a per-cell table of packed
+records with the intersection predicate's cross products inlined;
+``tests/reference/walls_reference.py`` is what it replaced (one
+``Wall`` object per wall, ``UniformGridIndex`` + the ``Vec2``
+predicate).  Every generated wall must be bit-identical, and the two
+must agree on the *same* wall for every query — the simulation's
 byte-identity rests on it — including the degenerate ones: endpoints on
 wall ends and midpoints, collinear overlaps, zero-length moves, and
 nudges around the predicate's 1e-12 tolerance.
@@ -15,14 +17,15 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 from typing import Iterator, Tuple
 
 import pytest
 
 from repro.world.geometry import Vec2, segments_intersect
 from repro.world.spatial import UniformGridIndex
-from repro.world.walls import Wall, WallField, generate_walls
-from tests.reference.walls_reference import ReferenceWallField
+from repro.world.walls import _RECORD, Wall, WallField
+from tests.reference.walls_reference import ReferenceWallField, generate_walls
 from tests.reference.walls_reference import segments_intersect as vec2_segments_intersect
 
 #: Wall count and world size of the benchmark's two wall densities.
@@ -31,13 +34,38 @@ DENSITIES = {
     "sprawl": dict(count=10_000, width=4000.0, height=1000.0),
 }
 
+#: ... and of the paper's Table I world.
+TABLE_I = dict(count=100_000, width=1000.0, height=1000.0)
+
 MOVE_LENGTHS = (0.0, 3.0, 30.0)
 AXIS_HEADINGS = (0.0, math.pi / 2.0, math.pi, -math.pi / 2.0)
 
 
 def _fields(count: int, width: float, height: float, seed: int):
+    """The shipped field, generated as ``ManhattanWorld`` does, and the
+    oracle over the object generator's walls."""
     walls = generate_walls(count, world_width=width, world_height=height, seed=seed)
-    return WallField(walls, width=width, height=height), ReferenceWallField(walls)
+    field = WallField.generate(count, width=width, height=height, seed=seed)
+    return field, ReferenceWallField(walls, width=width, height=height)
+
+
+def _bits(wall: Wall) -> bytes:
+    return struct.pack("<q4d", wall.index, *wall.a, *wall.b)
+
+
+@pytest.mark.parametrize(
+    "shape", [DENSITIES["sprawl"], DENSITIES["crowd_k1"], TABLE_I], ids=["10k", "20k", "100k"]
+)
+def test_generator_reproduces_every_wall_bit_for_bit(shape):
+    """The column generator draws what the object generator drew, in the
+    same order with the same float operations: every wall bit-identical,
+    and the table the same as one built from the ``Wall`` list."""
+    count, width, height = shape["count"], shape["width"], shape["height"]
+    walls = generate_walls(count, world_width=width, world_height=height, seed=0)
+    field = WallField.generate(count, width=width, height=height, seed=0)
+    assert len(field) == count
+    assert [_bits(field.wall(i)) for i in range(count)] == [_bits(w) for w in walls]
+    assert WallField(walls, width=width, height=height)._cells == field._cells
 
 
 def _nudged(rng: random.Random, value: float) -> float:
@@ -67,7 +95,6 @@ def _queries(
     """Seeded moves: half uniform over the world, half anchored on a
     wall (start or end on its line, often collinear with it), every
     coordinate possibly nudged."""
-    walls = field.walls
     for _ in range(count):
         length = rng.choice(MOVE_LENGTHS)
         if rng.random() < 0.5:
@@ -78,7 +105,7 @@ def _queries(
         if rng.random() < 0.5:
             point = Vec2(rng.uniform(0.0, field.width), rng.uniform(0.0, field.height))
         else:
-            wall = walls[rng.randrange(len(walls))]
+            wall = field.wall(rng.randrange(len(field)))
             point = _anchor(rng, wall)
             if rng.random() < 0.3:  # exactly along the wall: collinear overlap
                 along = length if rng.random() < 0.5 else -length
@@ -99,14 +126,16 @@ FULL_SWEEP = 100_000
 @pytest.mark.slow
 @pytest.mark.parametrize("density", sorted(DENSITIES))
 def test_first_obstruction_returns_the_oracles_wall(density, queries=FULL_SWEEP // 10):
-    """Seeded queries over the two densities, 0 mismatches: 20k of them
-    here, >= 200k in the full sweep."""
+    """Seeded queries over the two densities, 0 mismatches in
+    ``first_obstruction`` or ``path_blocked``: 20k of them here, >= 200k
+    in the full sweep."""
     field, oracle = _fields(**DENSITIES[density], seed=1)
     rng = random.Random(f"walls-differential-{density}")
     hits = 0
     for start, end in _queries(rng, field, queries):
         expected = oracle.first_obstruction(start, end)
-        assert field.first_obstruction(start, end) is expected, (start, end)
+        assert field.first_obstruction(start, end) == expected, (start, end)
+        assert field.path_blocked(start, end) == oracle.path_blocked(start, end)
         hits += expected is not None
     # The generator must exercise both answers, or the test shows nothing.
     assert queries // 20 < hits < queries - queries // 20
@@ -122,10 +151,9 @@ def test_walls_near_returns_the_oracles_list(density):
             _nudged(rng, rng.uniform(-50.0, field.height + 50.0)),
         )
         radius = rng.choice((0.0, 5.0, 10.0, 25.0, 60.0))
-        got = field.walls_near(center, radius)
         expected = oracle.walls_near(center, radius)
-        assert len(got) == len(expected)
-        assert all(a is b for a, b in zip(got, expected))
+        assert field.walls_near(center, radius) == expected
+        assert field.count_near(center, radius) == len(expected)
 
 
 def test_scalar_predicate_matches_the_vec2_predicate():
@@ -157,7 +185,7 @@ def test_wall_on_one_side_of_the_move_can_still_be_hit():
     field = WallField([wall], width=200.0, height=200.0)
     assert len(field._cells) == 1  # wall and move share one cell
     assert vec2_segments_intersect(start, end, wall.a, wall.b)
-    assert field.first_obstruction(start, end) is wall
+    assert field.first_obstruction(start, end) == wall
     assert field.path_blocked(start, end)
 
 
@@ -173,7 +201,7 @@ def test_disjoint_bounding_boxes_can_still_be_hit():
     assert min(start.x, end.x) - max(wall.a.x, wall.b.x) > 1e-12
     field = WallField([wall], width=200.0, height=200.0)
     assert vec2_segments_intersect(start, end, wall.a, wall.b)
-    assert field.first_obstruction(start, end) is wall
+    assert field.first_obstruction(start, end) == wall
 
 
 # ---------------------------------------------------------------------------
@@ -184,13 +212,13 @@ def _assert_table_matches_insert_box(walls, cell_size: float = 25.0) -> None:
     index: UniformGridIndex[int] = UniformGridIndex(cell_size)
     for wall in walls:
         index.insert_box(wall.index, *wall.bbox())
-    listed = {
-        cell: sorted(record[-1] for record in records)
-        for cell, records in field._cells.items()
+    table = {
+        cell: list(_RECORD.iter_unpack(records)) for cell, records in field._cells.items()
     }
+    listed = {cell: sorted(record[-1] for record in records) for cell, records in table.items()}
     assert listed == {cell: sorted(items) for cell, items in index._cells.items()}
     by_index = {wall.index: wall for wall in walls}
-    for records in field._cells.values():
+    for records in table.values():
         assert len({record[-1] for record in records}) == len(records)
         for ax, ay, bx, by, wall_index in records:
             wall = by_index[wall_index]
@@ -218,7 +246,7 @@ def test_table_with_negative_cell_coordinates():
     ]
     _assert_table_matches_insert_box(walls)
     field = WallField(walls, width=100.0, height=100.0)
-    oracle = ReferenceWallField(walls)
+    oracle = ReferenceWallField(walls, width=100.0, height=100.0)
     assert set(field._cells) >= {(-2, -1), (-1, -1), (-1, 0)}
     for start, end in (
         (Vec2(-22.0, -8.0), Vec2(-22.0, -2.0)),
@@ -226,8 +254,8 @@ def test_table_with_negative_cell_coordinates():
         (Vec2(-26.0, 5.0), Vec2(-24.0, 5.0)),
         (Vec2(-60.0, -60.0), Vec2(-40.0, -40.0)),
     ):
-        assert field.first_obstruction(start, end) is oracle.first_obstruction(start, end)
-    assert field.first_obstruction(Vec2(-22.0, -8.0), Vec2(-22.0, -2.0)) is walls[0]
+        assert field.first_obstruction(start, end) == oracle.first_obstruction(start, end)
+    assert field.first_obstruction(Vec2(-22.0, -8.0), Vec2(-22.0, -2.0)) == walls[0]
     assert field.walls_near(Vec2(-10.0, -10.0), 20.0) == oracle.walls_near(
         Vec2(-10.0, -10.0), 20.0
     )

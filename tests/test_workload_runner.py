@@ -10,10 +10,15 @@ import pytest
 from repro.adversary import AdversaryPlan
 from repro.errors import ConfigurationError
 from repro.harness.architectures import ARCHITECTURES, build_engine, build_world
-from repro.harness.config import SimulationSettings
+from repro.harness.config import (
+    PAPER_COST_PER_KWALL_MS,
+    WALL_COST_RADIUS,
+    SimulationSettings,
+)
 from repro.harness.runner import run_simulation
 from repro.harness.workload import MoveWorkload
 from repro.net.faults import FaultPlan
+from tests.reference.walls_reference import ReferenceWallField, generate_walls
 from tests.test_cli import off_default
 
 
@@ -164,6 +169,44 @@ def test_workload_cost_model_walls(small_settings):
     assert costs and all(cost >= 0 for cost in costs)
     # Costs vary with local wall density.
     assert len(set(round(c, 4) for c in costs)) > 1
+
+
+def test_walls_cost_model_counts_the_oracles_walls(small_settings, monkeypatch):
+    """Each move of a ``walls`` run costs 6.95 ms per 1000 of the walls
+    the object oracle lists within ``WALL_COST_RADIUS`` of the mover."""
+    settings = small_settings.with_(cost_model="walls", num_walls=3_000)
+    world = build_world(settings)
+    config = world.config
+    oracle = ReferenceWallField(
+        generate_walls(
+            config.num_walls,
+            world_width=config.width,
+            world_height=config.height,
+            wall_length=config.wall_length,
+            seed=config.seed,
+        )
+    )
+    planned = []
+    plan_move = world.plan_move
+
+    def recorded(*args, **kwargs):
+        action = plan_move(*args, **kwargs)
+        planned.append(action.position)
+        return action
+
+    monkeypatch.setattr(world, "plan_move", recorded)
+    engine = build_engine("seve", settings, world)
+    workload = MoveWorkload(engine, world, settings)
+    engine.start()
+    workload.install()
+    engine.run(until=settings.workload_duration_ms + 1000)
+    assert len(planned) == len(workload.stats.costs) > 0
+    expected = [
+        PAPER_COST_PER_KWALL_MS * len(oracle.walls_near(position, WALL_COST_RADIUS)) / 1000.0
+        for position in planned
+    ]
+    assert workload.stats.costs == expected
+    assert len(set(expected)) > 1
 
 
 def test_workload_is_deterministic(small_settings):
