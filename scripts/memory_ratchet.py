@@ -1,14 +1,21 @@
 #!/usr/bin/env python
-"""The memory ratchet (docs/performance.md, "Wall-collision kernel").
+"""The memory ratchet (docs/performance.md, "Wall-collision kernel" and
+"Replicas own, not mirror").
 
-Builds the paper's Table I world (``SimulationSettings()`` defaults:
-100 000 walls over 1000 x 1000, 64 avatars, seed 0) the way every
-process of a run does, and measures the bytes it holds with
-``tracemalloc``, almost all of it the wall field.  The count repeats
-exactly for an interpreter version.  Exits 1 when it is above the
-ceiling.  Like the code-size, window and work ratchets, the ceiling may
-only come down: a change that shrinks the world lowers it to what it
-lands.
+Measures, with ``tracemalloc``, the bytes two built things hold:
+
+* the paper's Table I world (``SimulationSettings()`` defaults: 100 000
+  walls over 1000 x 1000, 64 avatars, seed 0), built the way every
+  process of a run builds it — almost all of it the wall field;
+* a partition replica of one fixed sharded shape (256 clients spread
+  over 1000 x 1000, 1 000 walls, K = 4, seed 0): the one replica of
+  W = 1, and partition 0 of W = 2, which builds only its two shards and
+  the clients homed on them.
+
+Each count repeats exactly for an interpreter version.  Exits 1 when
+one is above its ceiling.  Like the code-size, window and work ratchets,
+the ceilings may only come down: a change that shrinks what is built
+lowers them to what it lands.
 
     PYTHONPATH=src python scripts/memory_ratchet.py
 """
@@ -21,34 +28,72 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.harness.architectures import build_world  # noqa: E402
 from repro.harness.config import SimulationSettings  # noqa: E402
+from repro.net.backend import PartitionReplica  # noqa: E402
 
 #: Bytes.  While the field kept a frozen ``Wall`` and two ``Vec2`` s per
 #: wall plus a record tuple, the same world held 42 951 432.
 CEILING = 8_442_272
+#: The replica shape.
+REPLICA = SimulationSettings(
+    num_clients=256, num_walls=1_000, world_width=1000.0, spawn="uniform",
+    shards=4, seed=0,
+)  # fmt: skip
+#: Bytes per ``(workers, partition)``.  While every replica mirrored the
+#: whole deployment and each client built its star links to every shard
+#: at registration, they held 2 906 551 and 2 902 479.
+REPLICA_CEILINGS = {(1, 0): 2_384_551, (2, 0): 1_329_097}
 
 
-def traced_bytes() -> int:
-    """Bytes the Table I world holds once built."""
-    settings = SimulationSettings()
-    build_world(settings.with_(num_walls=0))  # first-call caches, outside the count
+def traced(build, warm) -> int:
+    """Bytes what ``build()`` returns holds once built."""
+    warm()  # first-call caches, outside the count
     # A full collection empties the interpreter's free lists, so every
     # tuple, list and float the build makes is a traced allocation, not a
     # recycled one whose count would depend on what ran before.
     gc.collect()
     tracemalloc.start()
     try:
-        world = build_world(settings)
+        built = build()
         size, _peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    del world
+    del built
     return size
+
+
+def traced_bytes() -> int:
+    """Bytes the Table I world holds once built."""
+    settings = SimulationSettings()
+    return traced(
+        lambda: build_world(settings),
+        lambda: build_world(settings.with_(num_walls=0)),
+    )
+
+
+def replica_bytes(workers: int, partition: int) -> int:
+    """Bytes partition ``partition`` of a ``workers``-way run of the
+    replica shape holds once built."""
+    settings = REPLICA.with_(workers=workers)
+    return traced(
+        lambda: PartitionReplica("seve", settings, partition, workers),
+        lambda: PartitionReplica("seve", REPLICA.with_(num_clients=4, num_walls=0), 0, 1),
+    )
 
 
 def main() -> int:
     size = traced_bytes()
     print(f"memory_ratchet: Table I world {size} bytes (ceiling {CEILING})")
-    return 1 if size > CEILING else 0
+    over = size > CEILING
+    sizes = {}
+    for (workers, partition), ceiling in REPLICA_CEILINGS.items():
+        sizes[workers] = replica_bytes(workers, partition)
+        print(
+            f"memory_ratchet: replica {partition} of W = {workers} "
+            f"{sizes[workers]} bytes (ceiling {ceiling})"
+        )
+        over |= sizes[workers] > ceiling
+    print(f"memory_ratchet: W = 2 / W = 1 {sizes[2] / sizes[1]:.3f}")
+    return 1 if over else 0
 
 
 if __name__ == "__main__":

@@ -45,7 +45,7 @@ static_analysis() {
   # the total nor the largest file may grow past what the last PR that
   # shrank them landed (lower the two numbers when a PR shrinks them).
   python scripts/code_size.py --json \
-    | python -c 'import json,sys; size = json.load(sys.stdin); assert 0 < size["total"] <= 13255 and size["files"]["core/sharded.py"] <= 1100, size["total"]'
+    | python -c 'import json,sys; size = json.load(sys.stdin); assert 0 < size["total"] <= 13225 and size["files"]["core/sharded.py"] <= 1097, size["total"]'
 }
 
 # Documentation lint (links resolve; docs/index.md covers docs/*.md)
@@ -132,9 +132,11 @@ work_ratchet() {
   python scripts/work_ratchet.py
 }
 
-# The memory ratchet (docs/performance.md, "Wall-collision kernel"): the
-# traced bytes a Table I world (100 000 walls, seed 0) holds, under a
-# checked-in ceiling that may only come down.
+# The memory ratchet (docs/performance.md, "Wall-collision kernel" and
+# "Replicas own, not mirror"): the traced bytes a Table I world (100 000
+# walls, seed 0) and a built partition replica (256 clients, K = 4, at
+# W = 1 and partition 0 of W = 2) hold, each under a checked-in ceiling
+# that may only come down.
 memory_ratchet() {
   python scripts/memory_ratchet.py
 }

@@ -514,10 +514,10 @@ class EngineChassis:
         self.server_hosts: Dict[int, Host] = {0: self.server_host}
         self.response_times = LatencySampler()
         self.clients: Dict[ClientId, ClientShell] = {}
-        #: The clients this engine instance drives, in id order: all of
-        #: them, unless a partition replica (:mod:`repro.net.backend`)
-        #: narrows the slice.  Heartbeats, move generation, quiescence
-        #: and quarantine evictions cover the slice only.
+        #: The clients this engine instance built and drives, in id
+        #: order: all of them, unless it is a partition replica's slice
+        #: (:mod:`repro.net.backend`).  Heartbeats, move generation,
+        #: quiescence and quarantine evictions cover the slice only.
         self.owned_clients: List[ClientId] = []
         #: Clients currently presumed crashed (driven by the harness).
         self.dead: set[ClientId] = set()

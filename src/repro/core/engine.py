@@ -312,7 +312,7 @@ class SeveEngine(EngineChassis):
         if incomplete and not self.config.seed_full_state:
             stable = self._partial_initial_state(client_id)
         else:
-            stable = self.state.snapshot()
+            stable = self._seed_store().snapshot()
         model = (
             self.config.adversary.model_of(client_id)
             if self.adversary_active
@@ -356,11 +356,19 @@ class SeveEngine(EngineChassis):
             interests=interests,
         )
 
+    def _seed_store(self) -> ObjectStore:
+        """A store holding the world's initial objects, which a client
+        built with the engine is seeded from (hook: the sharded engine
+        reads one of the shards it owns).  The serializer's store holds
+        exactly them until the run starts."""
+        return self.state
+
     def _partial_initial_state(self, client_id: ClientId):
         store = ObjectStore()
+        seeds = self._seed_store()
         avatar_oid = self.world.avatar_of(client_id)
-        if avatar_oid is not None and avatar_oid in self.state:
-            store.put(self.state.get(avatar_oid).copy())
+        if avatar_oid is not None and avatar_oid in seeds:
+            store.put(seeds.get(avatar_oid).copy())
         return store
 
     # ------------------------------------------------------------------

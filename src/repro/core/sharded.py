@@ -372,6 +372,8 @@ class ShardServer(IncompleteWorldServer):
         #: (splice time; kept for the cross-shard consistency audit).
         self.span_gsns: Dict[ActionId, int] = {}
         super().__init__(*args, **kwargs)
+        if recovery is not None:
+            self.on_commit = recovery.on_commit
         self._handlers.update(self.lease.handlers)
         #: This shard runs something that can put a message on the
         #: backbone at any event: a lease that can move, the elastic
@@ -1259,6 +1261,15 @@ class ShardedSeveEngine(SeveEngine):
     FIFO backbone links.  Clients attach to the shard owning their
     spawn position and migrate as their avatars cross stripe borders.
 
+    ``owned_shards`` (all of them by default) is the slice this instance
+    builds and drives — a partition replica's (:mod:`repro.net.backend`).
+    Only an owned shard gets a server, host, store and Information
+    Bound, and only a client homed on one gets a protocol client, host
+    and stores.  Every other shard and client is an *address stub*: a
+    registered network address with no object behind it, so routing
+    and the crash windows' incarnation counters work as for a built
+    host, while every message to it leaves for the partition owning it.
+
     One shard is :class:`SeveEngine` itself: :class:`ShardingConfig`
     asks for at least two.
     """
@@ -1271,9 +1282,14 @@ class ShardedSeveEngine(SeveEngine):
         *,
         sharding: Optional[ShardingConfig] = None,
         interests: Optional[Dict[ClientId, frozenset]] = None,
+        owned_shards: Optional[Sequence[int]] = None,
     ) -> None:
         self.sharding = sharding or ShardingConfig()
         self._num_clients = num_clients
+        #: The shards this engine instance builds and drives, in order.
+        self.owned_shards: List[int] = sorted(
+            range(self.sharding.shards) if owned_shards is None else owned_shards
+        )
         super().__init__(world, num_clients, config, interests=interests)
 
     # ------------------------------------------------------------------
@@ -1291,6 +1307,8 @@ class ShardedSeveEngine(SeveEngine):
                 f"sharded deployments support the push modes "
                 f"('seve', 'first-bound'); got {config.mode!r}"
             )
+        if config.enable_audit:
+            raise ConfigurationError("the audit log is a single serializer's")
         self._elastic = self.sharding.elastic
         #: Shards currently down (crash oracle's view).
         self.crashed_shards: set = set()
@@ -1300,9 +1318,6 @@ class ShardedSeveEngine(SeveEngine):
         #: be able to move, one whose holder cannot stays pinned.
         self._recovery_logs: Dict[int, ShardRecoveryLog] = {}
         self._arm_recovery = bool(config.fault_plan and config.fault_plan.shard_crashes)
-        #: The shards this engine instance drives: all of them, unless
-        #: a partition replica narrows the slice (see ``owned_clients``).
-        self.owned_shards: List[int] = list(range(shards))
         # Every shard keeps its own partition copy; under elastic the
         # copies flip independently as the PartitionUpdate reaches each
         # shard (docs/elasticity.md).  The engine's copy is shard 0's.
@@ -1325,17 +1340,21 @@ class ShardedSeveEngine(SeveEngine):
         self._stripes = RegionPartition(self.sharding.world_width, shards)
         self._spanning_ids: set = set()
 
-        self.shard_servers: List[ShardServer] = []
-        self.shard_states: List[VersionedStore] = []
-        self.info_bounds: List[Optional[InformationBound]] = []
-        self.audits: list = []
+        #: Per shard index: its server, store and Information Bound —
+        #: ``None`` for a shard another partition owns, whose host is an
+        #: address stub here.
+        self.shard_servers: List[Optional[ShardServer]] = [None] * shards
+        self.shard_states: List[Optional[VersionedStore]] = [None] * shards
+        self.info_bounds: List[Optional[InformationBound]] = [None] * shards
+        self.server_hosts: Dict[int, Host] = {}
         for shard in range(shards):
             host_id = shard_host_id(shard)
-            if shard == 0:
-                host = self.server_host  # shard 0 reuses the base host
-            else:
-                self.network.add_server(host_id)
-                host = Host(self.sim, host_id, obs=self.obs)
+            self.network.add_server(host_id)
+            if shard not in self.owned_shards:
+                self.network.register_stub(host_id)
+                continue
+            # Shard 0 reuses the base host.
+            host = self.server_host if shard == 0 else Host(self.sim, host_id, obs=self.obs)
             self.server_hosts[shard] = host
             state = VersionedStore(self.world.initial_objects())
             info_bound = self._make_info_bound()
@@ -1343,18 +1362,21 @@ class ShardedSeveEngine(SeveEngine):
             if self._arm_recovery:
                 recovery = ShardRecoveryLog(state, clock=lambda: self.sim.now)
                 self._recovery_logs[shard] = recovery
-            server = self._make_shard_server(shard, host, state, info_bound, recovery)
-            self.shard_servers.append(server)
-            self.shard_states.append(state)
-            self.info_bounds.append(info_bound)
+            self.shard_servers[shard] = self._make_shard_server(
+                shard, host, state, info_bound, recovery
+            )
+            self.shard_states[shard] = state
+            self.info_bounds[shard] = info_bound
         self.server = self.shard_servers[0]
         self.state = self.shard_states[0]
         self.info_bound = self.info_bounds[0]
         self.audit = None
-        if config.enable_audit:
-            self.audits = [self._make_audit() for _ in self.shard_servers]
-            self.audit = self.audits[0]
-        self._install_commit_hooks()
+        #: Each client's home shard: the stripe of its avatar's initial
+        #: position, which every partition reads alike.
+        seeds = self._seed_store()
+        self._homes = [
+            self._initial_home(seeds, client_id) for client_id in range(self._num_clients)
+        ]
 
     def _make_shard_server(
         self, shard, host, state, info_bound, recovery
@@ -1385,25 +1407,22 @@ class ShardedSeveEngine(SeveEngine):
             recovery=recovery,
         )
 
-    def _install_commit_hooks(self) -> None:
-        """(Re)wire each live server's commit hook: the audit record
-        plus, when crash recovery is armed, the WAL append."""
-        for shard, server in enumerate(self.shard_servers):
-            hooks = [self._make_audit_hook(self.audits[shard])] if self.audits else []
-            if server.recovery is not None:
-                hooks.append(server.recovery.on_commit)
-            if len(hooks) > 1:
-                server.on_commit = self._chain_hooks(tuple(hooks))
-            elif hooks:
-                server.on_commit = hooks[0]
+    def _seed_store(self) -> VersionedStore:
+        # Every shard store holds the world's initial objects until the
+        # run starts, and a partition holds only its own shards' stores.
+        return self.shard_states[self.owned_shards[0]]
 
-    @staticmethod
-    def _chain_hooks(hooks):
-        def chained(pos, client_id, values):
-            for hook in hooks:
-                hook(pos, client_id, values)
+    def _initial_home(self, seeds: VersionedStore, client_id: ClientId) -> int:
+        avatar_oid = self.world.avatar_of(client_id)
+        obj = seeds.get(avatar_oid) if avatar_oid in seeds else {}
+        return self._stripes.shard_of(float(obj["x"])) if "x" in obj else 0
 
-        return chained
+    def _attach_client(self, client_id: ClientId, interests) -> None:
+        """Build an owned client; register any other as an address stub."""
+        if self._homes[client_id] in self.owned_shards:
+            super()._attach_client(client_id, interests)
+        else:
+            self.network.register_stub(client_id)
 
     def _home_server(self, client_id: ClientId):
         shard = self.home_shard(client_id)
@@ -1411,13 +1430,7 @@ class ShardedSeveEngine(SeveEngine):
 
     def home_shard(self, client_id: ClientId) -> int:
         """The shard owning the client's initial avatar position."""
-        avatar_oid = self.world.avatar_of(client_id)
-        if avatar_oid is None or avatar_oid not in self.state:
-            return 0
-        obj = self.state.get(avatar_oid)
-        if "x" not in obj:
-            return 0
-        return self.partition.shard_of(float(obj["x"]))
+        return self._homes[client_id]
 
     def _client_config(self, client_id, interests):
         config = super()._client_config(client_id, interests)
@@ -1518,8 +1531,8 @@ class ShardedSeveEngine(SeveEngine):
         if shard not in self.crashed_shards:
             raise ProtocolError(f"shard {shard} is not crashed")
         if shard not in self.owned_shards:
-            # Another partition restarts it for real; here the dormant
-            # stand-in is unparked so sends stamp the incarnation the
+            # Another partition restarts it for real; here the address
+            # stub is unparked so sends stamp the incarnation the
             # replacement server answers to.
             self.network.reconnect(shard_host_id(shard))
             self.crashed_shards.discard(shard)
@@ -1545,7 +1558,7 @@ class ShardedSeveEngine(SeveEngine):
         # crash notice itself).
         server.resume(
             self.crashed_shards - {shard},
-            max(self.shard_servers[k].load_round for k in self._live_shards()),
+            max((peer.load_round for peer in self._live_owned_servers()), default=0),
         )
         self.shard_servers[shard] = server
         self.shard_states[shard] = state
@@ -1554,7 +1567,6 @@ class ShardedSeveEngine(SeveEngine):
             self.server = server
             self.state = state
             self.info_bound = info_bound
-        self._install_commit_hooks()
         self.crashed_shards.discard(shard)
         server.start(stop_at=self._stop_at)
         server.announce_restart()
@@ -1582,7 +1594,7 @@ class ShardedSeveEngine(SeveEngine):
     # Driving
     # ------------------------------------------------------------------
     def _servers(self) -> List[ShardServer]:
-        return self.shard_servers
+        return [server for server in self.shard_servers if server is not None]
 
     def _driven_servers(self) -> List[ShardServer]:
         return [self.shard_servers[shard] for shard in self.owned_shards]
@@ -1652,7 +1664,7 @@ class ShardedSeveEngine(SeveEngine):
 
     # ------------------------------------------------------------------
     # Results: the measured surface, where sharding makes it real.  These
-    # (and the inherited rules) read only ``shard_servers`` rows —
+    # (and the inherited rules) read only ``_servers()`` rows —
     # ``clients``, ``stats``, ``shard_stats``, ``span_gsns``, ``stripe``,
     # ``rebalance_log``, ``failover_log`` —, ``server_hosts`` rows,
     # ``clients``, ``shard_states``, ``dead`` and ``quarantined``, so
@@ -1677,7 +1689,7 @@ class ShardedSeveEngine(SeveEngine):
                 "push_cycles": server.stats.push_cycles,
                 "stripe": server.stripe,
             }
-            for server in self.shard_servers
+            for server in self._servers()
         ]
 
     def consistency_report(self, replicas):
@@ -1692,7 +1704,7 @@ class ShardedSeveEngine(SeveEngine):
     def failover_events(self) -> tuple:
         """Completed lease transfers, across every shard's log."""
         events = []
-        for server in self.shard_servers:
+        for server in self._servers():
             events.extend(server.failover_log)
         return tuple(sorted(events, key=lambda e: (e.at_ms, e.term)))
 
@@ -1702,7 +1714,7 @@ class ShardedSeveEngine(SeveEngine):
         across servers: failovers can move the controller mid-run)."""
         merged = []
         seen = set()
-        for server in self.shard_servers:
+        for server in self._servers():
             for event in server.rebalance_log:
                 if event["version"] not in seen:
                     seen.add(event["version"])
@@ -1711,11 +1723,11 @@ class ShardedSeveEngine(SeveEngine):
 
     def stripe_bounds(self) -> tuple:
         """Each shard's own view of its stripe ``(lo, hi)``."""
-        return tuple(server.stripe for server in self.shard_servers)
+        return tuple(server.stripe for server in self._servers())
 
     def shard_of_client(self, client_id: ClientId) -> Optional[int]:
         """The shard a client is currently attached to (None mid-flight)."""
-        for server in self.shard_servers:
+        for server in self._servers():
             if client_id in server.clients:
                 return server.shard_index
         return None
@@ -1723,7 +1735,7 @@ class ShardedSeveEngine(SeveEngine):
     def span_gsn_map(self) -> Dict[ActionId, int]:
         """Union of every shard's gsn assignments (audit input)."""
         merged: Dict[ActionId, int] = {}
-        for server in self.shard_servers:
+        for server in self._servers():
             merged.update(server.span_gsns)
         return merged
 

@@ -155,6 +155,7 @@ def build_engine(
     world: ManhattanWorld = None,
     *,
     obs=None,
+    owned_shards=None,
 ) -> EngineChassis:
     """Assemble a ready-to-run engine for ``architecture``.
 
@@ -162,6 +163,8 @@ def build_engine(
     field across several runs of the same settings.  ``obs`` is an
     optional :class:`repro.obs.Observer` threaded through every layer of
     the built engine; ``None`` keeps the unobserved code paths.
+    ``owned_shards`` is a partition replica's slice of a sharded
+    deployment (default: every shard).
     """
     if architecture not in ARCHITECTURES:
         raise ConfigurationError(
@@ -188,6 +191,7 @@ def build_engine(
                     elastic=settings.elastic_config(),
                     **settings.for_layer("sharding"),
                 ),
+                owned_shards=owned_shards,
             )
         return SeveEngine(world, settings.num_clients, config)
     if settings.rwset_sanitizer not in (None, "off"):

@@ -8,15 +8,18 @@ backend choose how the run uses real cores; they never change a
 virtual-time result:
 
 * :func:`run_partitioned` executes a sharded run as W **partition
-  replicas**.  Each replica builds the *full* engine from the same
-  :class:`~repro.harness.config.SimulationSettings` (identical RNG
-  draws, identical object graphs) and narrows it to its slice: the
-  shard servers it owns get their periodic processes started, and the
-  workload generator submits only for the clients homed on those
-  shards.  Everything else in the replica stays dormant — it exists so
-  that object construction, seeds, and ids line up exactly.  With
-  W = 1 the one replica owns everything, nothing is diverted and no
-  frame is ever encoded.
+  replicas**.  Each replica builds the world from the same
+  :class:`~repro.harness.config.SimulationSettings` and then only its
+  slice of the deployment: the shard servers it owns, and the clients
+  homed on those shards.  Every other shard and client is an *address
+  stub* — a registered network address with no object behind it — so
+  routing and the crash oracle's incarnation counters work as for a
+  built host.  Static agreement needs no mirroring: every RNG a built
+  entity draws from is its own (a client's retry jitter, a cheater's
+  choices), the shared workload stream draws every client's phase
+  offset whoever owns it, and no constructor posts an event, so what a
+  replica skips cannot shift what it keeps.  With W = 1 the one replica
+  owns everything, nothing is diverted and no frame is ever encoded.
 * Cross-partition messages are not delivered locally.  The replica
   takes the last step of every send of its engine's
   :class:`~repro.net.network.Network` (:meth:`PartitionReplica.emit`):
@@ -63,11 +66,12 @@ The differential tests in ``tests/test_parallel_backend.py`` pin it.
 **The lifecycle rules live on the engine, the transport here.**  Start,
 crash windows, quiescence and stop-and-drain are methods of
 :class:`~repro.core.sharded.ShardedSeveEngine` that consult the slice
-the engine drives (``owned_shards``/``owned_clients``); a
-:class:`PartitionReplica` only builds, narrows, diverts and steps.
+the engine builds and drives (``owned_shards``/``owned_clients``); a
+:class:`PartitionReplica` only builds, diverts and steps.
 Fault plans — including shard crash/restart windows and client
 crash/reconnect windows (docs/control_plane.md) — fire on every replica
-at the same virtual instants; failover, span-obligation takeover, and
+at the same virtual instants, on the built hosts and the stubs alike;
+failover, span-obligation takeover, and
 eviction of foreign casualties all travel as ordinary protocol messages
 through the barrier transport.
 
@@ -244,17 +248,18 @@ class PartitionSnapshot:
 # The partition replica
 # ---------------------------------------------------------------------------
 class PartitionReplica:
-    """One partition's full engine with only its own slice activated.
+    """One partition's slice of the engine.
 
-    The replica builds the complete deployment from ``settings`` — all
-    K shards, all clients, the full world — so that every construction-
-    time RNG draw and id assignment matches every other replica.  It
-    then narrows the engine to the shards and clients it owns — the
-    engine's lifecycle rules (start, crash windows, quiescence, stop)
-    consult that slice — and takes the last step of every send
-    (:meth:`emit`), diverting traffic addressed to foreign hosts and
-    keeping its shards' send promises.  The replica itself is transport
-    only: build, divert, and step.
+    The replica builds the engine for the shards it owns and the clients
+    homed on them (:class:`~repro.core.sharded.ShardedSeveEngine`'s
+    ``owned_shards``); every foreign shard and client is an address
+    stub, registered so that the crash windows every replica applies
+    keep its incarnation in step with its owner's, and nothing more.
+    The engine's lifecycle rules (start, crash windows,
+    quiescence, stop) consult that slice.  The replica takes the last
+    step of every send (:meth:`emit`), diverting traffic addressed to
+    foreign hosts and keeping its shards' send promises.  The replica
+    itself is transport only: build, divert, and step.
     """
 
     def __init__(
@@ -274,11 +279,8 @@ class PartitionReplica:
         #: process; a spawned worker builds its own, which the caller
         #: merges at the end.
         self.obs = obs if obs is not None else settings.make_observer()
-        self.engine = engine = build_engine(architecture, settings, obs=self.obs)
         shards = settings.shards
-        # Home shards derive from the deterministic build, so every
-        # replica computes the same ownership.
-        engine.owned_shards = self.owned_shards = [
+        self.owned_shards = [
             shard
             for shard in range(shards)
             if worker_of_shard(shard, shards, workers) == partition
@@ -288,12 +290,11 @@ class PartitionReplica:
                 f"partition {partition} of {workers} owns no shard "
                 f"(shards={shards})"
             )
-        engine.owned_clients = self.owned_clients = [
-            client_id
-            for client_id in range(settings.num_clients)
-            if worker_of_shard(engine.home_shard(client_id), shards, workers)
-            == partition
-        ]
+        self.engine = engine = build_engine(
+            architecture, settings, obs=self.obs, owned_shards=self.owned_shards
+        )
+        #: The clients homed on the owned shards — the ones built.
+        self.owned_clients = engine.owned_clients
         self.codec = MessageCodec(walls=getattr(engine.world, "walls", None))
         #: Pending trigger arrivals per owned shard host (a heap each),
         #: and the send promises the current window runs under.

@@ -45,6 +45,12 @@ Handler = Callable[[ClientId, object], None]
 _Delivery = Tuple[ClientId, ClientId, object, int, int, bool]
 
 
+def _stub(src: ClientId, payload: object) -> None:
+    """The handler of an address stub: the partition diverts every
+    message to it, so none can arrive."""
+    raise NetworkError(f"a {type(payload).__name__} from {src} reached an address stub")
+
+
 #: Simulated overhead bytes per ARQ data packet / per ACK.
 _HEADER_BYTES = 8
 _ACK_BYTES = 8
@@ -138,10 +144,11 @@ class Network:
         self._links: Dict[Tuple[ClientId, ClientId], Link] = {}
         #: Ids treated as star hubs.  The classic topology has exactly
         #: one (:data:`SERVER_ID`); sharded deployments declare their
-        #: extra serializer hosts via :meth:`add_server` before any
-        #: client registers.  A list, not a set: registration iterates
-        #: it, and iteration order must be deterministic.
-        self._server_ids: list[ClientId] = [SERVER_ID]
+        #: extra serializer hosts via :meth:`add_server`.
+        self._server_ids: set[ClientId] = {SERVER_ID}
+        #: Every client id ever registered: each has an uplink and a
+        #: downlink to every server hub, created on first use.
+        self._clients: set[ClientId] = set()
         #: One-way latency of server<->server backbone links (sharded
         #: deployments).  Backbone sends bypass fault injection and the
         #: ARQ layer: shards are modelled as co-located machines on a
@@ -185,14 +192,12 @@ class Network:
         """Declare ``server_id`` an additional star hub (sharded
         deployments).
 
-        Must be called before any client registers: each subsequently
-        registered client gets an uplink/downlink pair to *every*
-        declared server.  Server<->server backbone links are created
-        lazily on first use with ``server_link_latency_ms`` one-way
-        latency and no bandwidth cap.
+        Every registered client has an uplink/downlink pair to every
+        declared server, and server<->server backbone links have
+        ``server_link_latency_ms`` one-way latency and no bandwidth cap;
+        both are created on first use (:meth:`link`).
         """
-        if server_id not in self._server_ids:
-            self._server_ids.append(server_id)
+        self._server_ids.add(server_id)
 
     def is_server(self, host_id: ClientId) -> bool:
         """Whether ``host_id`` is a declared server hub."""
@@ -201,36 +206,24 @@ class Network:
     def register(self, host_id: ClientId, handler: Handler) -> None:
         """Attach a host and its message handler.
 
-        Registering a client creates its uplink/downlink pairs to every
-        server; registering a server just records the handler.
+        A client's uplink/downlink pairs to the servers are created on
+        first use and outlive a crash or unregister (with their
+        counters); registering a server just records the handler.
         """
         if host_id in self._handlers:
             raise NetworkError(f"host {host_id} is already registered")
         self._parked.pop(host_id, None)
         self._handlers[host_id] = handler
-        if host_id in self._server_ids:
-            return
-        if (host_id, SERVER_ID) in self._links:
-            # Re-registration after a crash/unregister: the physical
-            # links (and their counters) persist.
-            return
-        for server_id in self._server_ids:
-            self._links[(host_id, server_id)] = Link(
-                self.sim,
-                host_id,
-                server_id,
-                latency_ms=self.one_way_ms,
-                bandwidth_bps=self.bandwidth_bps,
-                obs=self._obs,
-            )
-            self._links[(server_id, host_id)] = Link(
-                self.sim,
-                server_id,
-                host_id,
-                latency_ms=self.one_way_ms,
-                bandwidth_bps=self.server_bandwidth_bps or self.bandwidth_bps,
-                obs=self._obs,
-            )
+        if host_id not in self._server_ids:
+            self._clients.add(host_id)
+
+    def register_stub(self, host_id: ClientId) -> None:
+        """Register ``host_id`` as an *address stub*: a host another
+        partition of a windowed run owns (:mod:`repro.net.backend`),
+        with no object behind it here.  It crashes and reconnects like
+        any host, so its incarnation stays in step with its owner's,
+        and the :attr:`partition` diverts every message sent to it."""
+        self.register(host_id, _stub)
 
     def unregister(self, host_id: ClientId) -> None:
         """Detach a host permanently (client leaves for good).
@@ -315,48 +308,37 @@ class Network:
         return list(self._handlers)
 
     def link(self, src: ClientId, dst: ClientId) -> Link:
-        """The directed link from ``src`` to ``dst``.
+        """The directed link from ``src`` to ``dst``, created on first
+        use.
 
-        Star edges (client <-> server) are created at registration;
-        client <-> client *peer* links are created lazily on first use
-        (the Section VII hybrid architecture sends bulk traffic between
-        peers) with the same one-way latency and the client bandwidth
-        cap.
+        A star edge joins a registered client and a server hub (the
+        client bandwidth cap; a downlink takes the server cap when there
+        is one); a backbone edge joins two hubs (``server_link_latency_ms``,
+        uncapped); a client <-> client *peer* link (the Section VII
+        hybrid architecture's bulk traffic) joins two registered clients
+        at the star latency and the client cap.  A link nobody used yet
+        is idle from time 0, so creating it late gives the same arrivals
+        as creating it at registration.
         """
         try:
             return self._links[(src, dst)]
         except KeyError:
-            src_is_server = src in self._server_ids
-            dst_is_server = dst in self._server_ids
-            if src_is_server and dst_is_server:
-                # Shard backbone: low-latency, uncapped, created lazily.
-                link = Link(
-                    self.sim,
-                    src,
-                    dst,
-                    latency_ms=self.server_link_latency_ms,
-                    bandwidth_bps=None,
-                    obs=self._obs,
-                )
-                self._links[(src, dst)] = link
-                return link
-            if (
-                not src_is_server
-                and not dst_is_server
-                and src in self._handlers
-                and dst in self._handlers
-            ):
-                link = Link(
-                    self.sim,
-                    src,
-                    dst,
-                    latency_ms=self.one_way_ms,
-                    bandwidth_bps=self.bandwidth_bps,
-                    obs=self._obs,
-                )
-                self._links[(src, dst)] = link
-                return link
-            raise NetworkError(f"no link {src} -> {dst}") from None
+            pass
+        src_is_server = src in self._server_ids
+        dst_is_server = dst in self._server_ids
+        latency, bandwidth = self.one_way_ms, self.bandwidth_bps
+        if src_is_server and dst_is_server:
+            latency, bandwidth = self.server_link_latency_ms, None
+        elif src_is_server and dst in self._clients:
+            bandwidth = self.server_bandwidth_bps or self.bandwidth_bps
+        elif dst_is_server and src in self._clients:
+            pass  # an uplink
+        elif src_is_server or dst_is_server or not {src, dst} <= self._handlers.keys():
+            raise NetworkError(f"no link {src} -> {dst}")
+        link = self._links[(src, dst)] = Link(
+            self.sim, src, dst, latency_ms=latency, bandwidth_bps=bandwidth, obs=self._obs
+        )
+        return link
 
     # ------------------------------------------------------------------
     # Messaging

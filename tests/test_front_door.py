@@ -77,6 +77,8 @@ def test_a_resubmission_is_absorbed_and_counted(architecture):
     engine.sim.run()
     assert accepted == [action.action_id]
     assert engine.server.stats.duplicate_submissions == 1
+    if architecture in SEVE_DOORS:
+        assert engine.server.stats.actions_serialized == 1
 
 
 @pytest.mark.parametrize(
@@ -99,6 +101,8 @@ def test_a_detached_clients_submission_burns_no_id(architecture, relayed):
     engine.sim.run()
     assert accepted == [action.action_id]
     assert server.stats.duplicate_submissions == int(relayed)
+    if not relayed:
+        assert server.stats.actions_serialized == 1
 
 
 @pytest.mark.parametrize("architecture", SEVE_DOORS)

@@ -25,6 +25,7 @@ import signal
 
 import pytest
 
+from repro.adversary import AdversaryPlan, parse_adversary_plan
 from repro.core.messages import Completion, SpanForward, SubmitAction
 from repro.core.sharded import ShardedSeveEngine, ShardServer
 from repro.errors import ConfigurationError, SimulationError
@@ -33,12 +34,13 @@ from repro.harness.runner import run_simulation
 from repro.net.backend import (
     WINDOW_ENDS,
     BarrierReport,
+    PartitionReplica,
     _drive,
     resolve_workers,
     spawn_context,
     worker_of_shard,
 )
-from repro.net.faults import FaultPlan
+from repro.net.faults import FaultPlan, parse_crash_plan
 from repro.types import shard_host_id
 
 #: Small-but-sharded workload: big enough to exercise cross-shard span
@@ -211,6 +213,89 @@ def test_parallel_with_nothing_to_partition_runs_in_process(
     inproc = run("inproc", **degenerate)
     parallel = run("parallel", **degenerate)
     assert result_key(inproc) == result_key(parallel)
+
+
+# ----------------------------------------------------------------------
+# Ownership: a replica builds its slice, and the rest are address stubs
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("shards, workers", [(4, 2), (4, 3)])
+def test_a_replica_builds_only_what_it_owns(shards, workers):
+    settings = SimulationSettings(**BASE, shards=shards, workers=workers)
+    whole = PartitionReplica("seve", settings, 0, 1)
+    homes = [whole.engine.home_shard(c) for c in range(BASE["num_clients"])]
+    owners = []
+    for partition in range(workers):
+        replica = PartitionReplica("seve", settings, partition, workers)
+        engine, owned = replica.engine, replica.owned_shards
+        assert replica.owned_clients == [
+            client_id
+            for client_id, home in enumerate(homes)
+            if worker_of_shard(home, shards, workers) == partition
+        ]
+        assert sorted(engine.clients) == replica.owned_clients
+        assert sorted(engine.client_hosts) == replica.owned_clients
+        for built in (engine.shard_servers, engine.shard_states, engine.info_bounds):
+            assert [k for k, part in enumerate(built) if part is not None] == owned
+        assert sorted(engine.server_hosts) == owned
+        # Every foreign shard and client is a registered address, so
+        # crash windows keep its incarnation in step with its owner's.
+        assert all(engine.network.is_registered(h) for h in replica.remote_hosts)
+        # Nothing built posted an event or drew from the workload's
+        # stream, so what a replica skips cannot shift what it keeps.
+        assert repr(engine.sim._seq) == repr(whole.engine.sim._seq)
+        assert replica.workload._rng.getstate() == whole.workload._rng.getstate()
+        owners.extend(replica.owned_clients)
+    assert sorted(owners) == list(range(BASE["num_clients"]))
+
+
+def _partition_of(client_id, shards=4, workers=2):
+    settings = SimulationSettings(**BASE, shards=shards)
+    home = PartitionReplica("seve", settings, 0, 1).engine.home_shard(client_id)
+    return worker_of_shard(home, shards, workers)
+
+
+def test_stub_crashes_and_reconnects_match_across_partitions():
+    # One client and one shard of each partition crash; client 3 and
+    # both shards come back, so each replica crashes and reconnects the
+    # other partition's stubs in step with their owners.
+    assert (_partition_of(3), _partition_of(4)) == (0, 1)
+    assert (worker_of_shard(1, 4, 2), worker_of_shard(2, 4, 2)) == (0, 1)
+    plan = FaultPlan(crashes=parse_crash_plan("3@600:1500,4@700,s1@800:1400,s2@1000:1800"))
+    one = run("inproc", plan=plan, shards=4)
+    many = run("inproc", plan=plan, shards=4, workers=2)
+    spawned = run("parallel", plan=plan, shards=4, workers=2)
+    key = result_key(one, events=False)
+    assert key == result_key(many, events=False) == result_key(spawned, events=False)
+    assert one.shard_audit.consistent
+
+
+def test_cheaters_in_both_partitions_match_across_partitions():
+    # A cheater draws from its own stream (keyed by plan seed, client id
+    # and model), so a replica that builds only its own cheaters draws
+    # exactly what the one-partition run draws for them.
+    cheaters = parse_adversary_plan("nondet:0+4,lying-rs:6,equivocate:1")
+    assert {_partition_of(c) for _, ids in cheaters for c in ids} == {0, 1}
+    plan = AdversaryPlan(assignments=cheaters, seed=5)
+    one = run("inproc", shards=4, adversary=plan)
+    many = run("inproc", shards=4, workers=2, adversary=plan)
+    assert result_key(one, events=False) == result_key(many, events=False)
+    assert one.clients_evicted > 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP 4b: MoveWorkload.resume_client draws a reconnecting "
+    "client's phase offset from the one shared workload stream, and a "
+    "replica draws only for the clients it owns, so two reconnects in "
+    "different partitions get different offsets at W = 2 than at W = 1; "
+    "a per-client stream fixes it but re-samples the reconnect goldens",
+)
+def test_reconnects_in_two_partitions_match_across_partitions():
+    assert (_partition_of(3), _partition_of(4)) == (0, 1)
+    plan = FaultPlan(crashes=parse_crash_plan("3@600:1500,4@700:1600"))
+    one = run("inproc", plan=plan, shards=4)
+    many = run("inproc", plan=plan, shards=4, workers=2)
+    assert result_key(one, events=False) == result_key(many, events=False)
 
 
 # ----------------------------------------------------------------------
