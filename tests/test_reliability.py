@@ -8,7 +8,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.engine import SeveConfig, SeveEngine
+from repro.core.messages import SubmitAction
 from repro.errors import NetworkError
+from repro.harness.architectures import build_engine
 from repro.net.faults import (
     FaultInjector,
     FaultPlan,
@@ -229,8 +231,7 @@ def test_arq_restarts_fresh_after_reconnect():
 
 
 # ---------------------------------------------------------------------------
-# Liveness eviction (Section III-C); the ActionId dedup rules are checked
-# on every server kind in tests/test_front_door.py
+# Server-side idempotency (ActionId dedup)
 # ---------------------------------------------------------------------------
 def _tiny_world(n=3, seed=3):
     return ManhattanWorld(
@@ -240,6 +241,60 @@ def _tiny_world(n=3, seed=3):
     )
 
 
+def test_basic_server_absorbs_resubmission():
+    world = _tiny_world()
+    engine = SeveEngine(
+        world, 3, SeveConfig(mode="basic", rtt_ms=50.0, tick_ms=20.0)
+    )
+    client = engine.client(0)
+    action = world.plan_move(
+        client.optimistic, 0, client.next_action_id(), cost_ms=1.0
+    )
+    client.submit(action)  # the real submission, via the network
+    engine.server._on_message(0, SubmitAction(action))  # a retransmission
+    engine.sim.run()
+    assert engine.server.stats.duplicate_submissions == 1
+    assert engine.server.stats.actions_serialized == 1
+
+
+def test_incomplete_server_absorbs_resubmission():
+    world = _tiny_world()
+    engine = SeveEngine(
+        world, 3, SeveConfig(mode="seve", rtt_ms=50.0, tick_ms=20.0)
+    )
+    client = engine.client(0)
+    action = world.plan_move(
+        client.optimistic, 0, client.next_action_id(), cost_ms=1.0
+    )
+    client.submit(action)
+    engine.server._on_message(0, SubmitAction(action))
+    engine.run(until=5_000.0)
+    assert engine.server.stats.duplicate_submissions == 1
+    assert engine.server.stats.actions_serialized == 1
+
+
+def test_baseline_server_absorbs_resubmission():
+    from repro.harness.config import SimulationSettings
+
+    settings = SimulationSettings(
+        num_clients=3, num_walls=10, moves_per_client=0,
+        world_width=150.0, world_height=150.0, spawn_extent=20.0, seed=3,
+    )
+    engine = build_engine("central", settings)
+    client = engine.clients[0]
+    action = engine.world.plan_move(
+        client.store, 0, __import__("repro.core.action", fromlist=["ActionId"]).ActionId(0, 0),
+        cost_ms=1.0,
+    )
+    engine.server._on_message(0, SubmitAction(action))
+    engine.server._on_message(0, SubmitAction(action))
+    engine.sim.run()
+    assert engine.server.stats.duplicate_submissions == 1
+
+
+# ---------------------------------------------------------------------------
+# Liveness eviction (Section III-C)
+# ---------------------------------------------------------------------------
 LIVENESS = LivenessConfig(
     heartbeat_interval_ms=500.0, timeout_ms=2_000.0
 )

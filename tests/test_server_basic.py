@@ -150,3 +150,40 @@ def test_timestamp_cost_delays_serialization():
     rig.sim.run()
     # one-way 50ms + 10ms server CPU + one-way 50ms back
     assert rig.sim.now == pytest.approx(110.0)
+
+
+# ---------------------------------------------------------------------------
+# Detach/eviction races (regression: dropped submissions used to burn
+# the ActionId, absorbing the client's post-reattach resubmission as a
+# "duplicate" forever)
+# ---------------------------------------------------------------------------
+def test_detached_submission_is_not_absorbed_as_duplicate():
+    rig = Rig()
+    rig.server.detach_client(0)
+    action = rig.submit(0)
+    rig.sim.run()
+    assert rig.server.queue_length == 0
+    rig.server.attach_client(0)
+    message = SubmitAction(action)
+    rig.network.send(0, SERVER_ID, message, wire_size(message))
+    rig.sim.run()
+    assert rig.server.queue_length == 1
+    assert rig.server.queue[0] is action
+    assert rig.server.stats.duplicate_submissions == 0
+
+
+def test_eviction_between_receipt_and_serialize_unburns_action_id():
+    rig = Rig()
+    action = Noop(ActionId(0, 99))
+    # Deliver directly, then detach before the host's serialize work
+    # item runs — the raced-eviction window.
+    rig.server._on_message(0, SubmitAction(action))
+    rig.server.detach_client(0)
+    rig.sim.run()
+    assert rig.server.queue_length == 0
+    rig.server.attach_client(0)
+    message = SubmitAction(action)
+    rig.network.send(0, SERVER_ID, message, wire_size(message))
+    rig.sim.run()
+    assert rig.server.queue_length == 1
+    assert rig.server.stats.duplicate_submissions == 0
