@@ -79,19 +79,39 @@ derived_flags_smoke() {
 }
 
 # Same run through the multiprocessing backend (docs/parallel.md): two
-# spawned shard workers behind the CLI; exercises worker launch, the
-# codec transport, bundle routing, and the merged audit/report path.
-# Then K = 4 on three workers — uneven stripes, a lead with two
-# siblings.  Each run gets a session of its own, and a process still
-# running in it two seconds after the command returned is a worker
-# nobody reaped.  (multiprocessing's resource tracker outlives its
-# parent by an instant, and stays a zombie under an init that reaps
-# nothing: hence the patience, and the run states.)
+# shard workers behind the CLI, forked on Linux; exercises worker
+# launch, the codec transport, bundle routing, and the merged
+# audit/report path.  Then K = 4 on three workers — uneven stripes, a
+# lead with two siblings — and, on Linux, K = 2 driven from a
+# `python -` heredoc: a spawned worker re-imports `__main__` and cannot
+# start from one, a forked worker re-imports nothing.  Each run gets a
+# session of its own, and a process still running in it two seconds
+# after the command returned is a worker nobody reaped.
+# (multiprocessing's resource tracker, which the spawn path starts,
+# outlives its parent by an instant, and stays a zombie under an init
+# that reaps nothing: hence the patience, and the run states.)
 parallel_smoke() {
   local shape tries
-  for shape in "--shards 2" "--shards 4 --workers 3"; do
-    setsid python -m repro run seve --clients 8 --walls 0 --moves 10 \
-      $shape --backend parallel --seed 7 >/dev/null &
+  local shapes=("--shards 2" "--shards 4 --workers 3")
+  if [ "$(uname -s)" = Linux ]; then
+    shapes+=(heredoc)
+  fi
+  for shape in "${shapes[@]}"; do
+    if [ "$shape" = heredoc ]; then
+      setsid python - <<'EOF' &
+from repro.harness.config import SimulationSettings
+from repro.harness.runner import run_simulation
+
+settings = SimulationSettings(
+    num_clients=8, num_walls=0, moves_per_client=10, shards=2,
+    backend="parallel", seed=7,
+)
+assert run_simulation("seve", settings).shard_audit.consistent
+EOF
+    else
+      setsid python -m repro run seve --clients 8 --walls 0 --moves 10 \
+        $shape --backend parallel --seed 7 >/dev/null &
+    fi
     wait $!
     tries=0
     while pgrep --session $! --runstates D,R,S,T >/dev/null; do

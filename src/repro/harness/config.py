@@ -281,12 +281,12 @@ class SimulationSettings:
     # -- execution backend (docs/parallel.md) -------------------------------
     #: Virtual-time results are byte-identical between the two — the
     #: backend is a wall-clock choice, never a semantics choice; with
-    #: one shard or one resolved worker ``parallel`` spawns nothing.
+    #: one shard or one resolved worker ``parallel`` starts no process.
     backend: str = knob(
         "inproc", choices=("inproc", "parallel"),
         help="execution backend (docs/parallel.md): 'inproc' runs "
         "everything in this process, 'parallel' runs shard partitions "
-        "in spawned worker processes; results are byte-identical",
+        "in worker processes, forked on Linux; results are byte-identical",
     )
     #: Partition count of the window coordinator every sharded run goes
     #: through.  W changes wall-clock only (docs/parallel.md, "One

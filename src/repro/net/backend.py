@@ -3,7 +3,7 @@ in this process or across ``multiprocessing`` workers.
 
 Every run with ``shards > 1`` goes through :func:`run_partitioned` and
 its coordinator loop :func:`_drive` — as one partition or as several,
-stepped inline or in spawned workers.  The partition count W and the
+stepped inline or in worker processes.  The partition count W and the
 backend choose how the run uses real cores; they never change a
 virtual-time result:
 
@@ -53,8 +53,9 @@ virtual-time result:
 ends depend only on event and arrival times and on what the shards
 promise, which the partition owning each shard works out the same way
 whoever owns the rest;
-``parallel=True`` (with W > 1) merely spawns one OS process per replica
-(``spawn`` start method everywhere — see :func:`spawn_context`) and
+``parallel=True`` (with W > 1) merely starts one OS process per replica
+(forked on single-threaded Linux, spawned elsewhere — see
+:func:`start_context`) and
 exchanges the same per-epoch bundles over pipes: the worker that owns
 partition 0 runs :func:`_drive` over its own replica and a pipe to each
 sibling, and the calling process only waits for the W snapshots
@@ -88,6 +89,8 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import sys
+import threading
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
@@ -95,6 +98,9 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.messages import MessageCodec
 from repro.core.sharded import ShardedSeveEngine
 from repro.errors import ConfigurationError, SimulationError
+from repro.harness.architectures import build_engine
+from repro.harness.workload import MoveWorkload, WorkloadStats, start_run
+from repro.net.stats import LatencySampler, TrafficMeter
 from repro.types import ClientId, TimeMs, shard_host_id
 
 #: One cross-partition message in flight: ``(arrival, src_partition,
@@ -122,18 +128,24 @@ TRIGGER = 9
 WINDOW_ENDS = ("promise", "client_link", "deadline", "idle")
 
 
-def spawn_context():
-    """The ``multiprocessing`` context every backend component uses.
+def start_context():
+    """The ``multiprocessing`` context partition workers start from.
 
-    Always ``spawn``: fork would duplicate the parent's interpreter
-    state (open observers, pytest fixtures, random module state) into
-    the workers on Linux while macOS/Windows spawn fresh interpreters —
-    the same run would then behave differently per platform.  Spawn
-    gives every worker a clean interpreter everywhere, at the cost of
-    requiring everything shipped to a worker to be picklable (settings,
-    snapshots, and bundles are, by design).
+    ``fork`` on Linux when the caller runs one thread, ``spawn``
+    everywhere else (macOS, Windows, a threaded caller, whose locks a
+    fork could copy mid-hold).  A forked worker skips the interpreter
+    boot, the re-run of ``__main__`` and the imports a spawned one pays
+    before it can build anything.  Either way a worker builds its own
+    replica from the settings and shares none with the caller by
+    memory; the in-process backend, which runs the replicas inside the
+    caller, is pinned byte-identical to both.  The one process-wide
+    setting a run reads, the ambient sanitizer mode, a forked worker
+    inherits as the in-process replicas read it (docs/parallel.md,
+    "Worker processes").  Everything a spawned worker is handed
+    (settings, snapshots, bundles) is picklable, by design.
     """
-    return multiprocessing.get_context("spawn")
+    forkable = sys.platform == "linux" and threading.active_count() == 1
+    return multiprocessing.get_context("fork" if forkable else "spawn")
 
 
 def resolve_workers(settings) -> int:
@@ -270,13 +282,10 @@ class PartitionReplica:
         workers: int,
         obs=None,
     ) -> None:
-        from repro.harness.architectures import build_engine
-        from repro.harness.workload import MoveWorkload
-
         self.settings = settings
         self.partition = partition
         #: The caller's observer when the replica runs in the caller's
-        #: process; a spawned worker builds its own, which the caller
+        #: process; a worker process builds its own, which the caller
         #: merges at the end.
         self.obs = obs if obs is not None else settings.make_observer()
         shards = settings.shards
@@ -373,8 +382,6 @@ class PartitionReplica:
     # -- driving -----------------------------------------------------------
     def start(self) -> None:
         """Activate the owned slice."""
-        from repro.harness.workload import start_run
-
         start_run(self.engine, self.workload, self.settings)
 
     def launch(self) -> Tuple[List[ClientId], BarrierReport]:
@@ -613,8 +620,9 @@ class MergedRun:
     reads from a finished engine (the surface
     :class:`~repro.core.chassis.EngineChassis` declares) and what
     :func:`repro.metrics.shard_audit.audit_sharded_run` consumes —
-    assembled from picklable per-partition snapshots in deterministic
-    (partition-, then id-sorted) order.  Each snapshot row stands in
+    assembled from the picklable per-partition snapshots, which both
+    backends hand over in partition order, then id-sorted within each
+    kind of row.  Each snapshot row stands in
     for both the protocol object and its host, and the rules that
     summarise the rows are the sharded engine's own.
     """
@@ -631,10 +639,6 @@ class MergedRun:
     consistency_report = ShardedSeveEngine.consistency_report
 
     def __init__(self, snapshots: List[PartitionSnapshot]) -> None:
-        from repro.harness.workload import WorkloadStats
-        from repro.net.stats import LatencySampler, TrafficMeter
-
-        snapshots = sorted(snapshots, key=lambda s: s.partition)
         self.meter = TrafficMeter()
         self.response_times = LatencySampler()
         self.workload_stats = WorkloadStats()
@@ -713,7 +717,7 @@ class MergedRun:
 # Entry point (called from the harness runner)
 # ---------------------------------------------------------------------------
 def _run_workers(architecture: str, settings, workers: int) -> List[PartitionSnapshot]:
-    """Spawn one worker per partition, wait for W snapshots, reap.
+    """Start one worker per partition, wait for W snapshots, reap.
 
     Worker 0 — the lead — is handed one end of a command pipe to every
     sibling and runs :func:`_drive`; the caller keeps only the read end
@@ -723,12 +727,15 @@ def _run_workers(architecture: str, settings, workers: int) -> List[PartitionSna
     fixed worker first would leave the others blocked mid-write.  A
     worker that dies takes the others down with it (its peers read
     end-of-file), so every pipe resolves and the error names them all.
+    That needs every copy of a dead worker's ends closed: a forked
+    worker inherits each end the caller holds when it starts, and is
+    handed the ones that are not its own to close first thing.
     """
     from multiprocessing.connection import wait
 
     from repro.net.worker import partition_worker_main
 
-    ctx = spawn_context()
+    ctx = start_context()
     commands = [ctx.Pipe() for _ in range(1, workers)]
     # What each worker is handed: the lead its end of every command
     # pipe, each sibling the other end of its own.
@@ -736,15 +743,22 @@ def _run_workers(architecture: str, settings, workers: int) -> List[PartitionSna
     peers += [[sibling] for _, sibling in commands]
     pending: Dict[object, int] = {}
     processes: list = []
-    snapshots: List[PartitionSnapshot] = []
-    failures: Dict[int, str] = {}
+    # What each worker shipped, by partition: ("done", snapshot) or
+    # ("error", traceback).
+    reports: Dict[int, tuple] = {}
     try:
         for partition, ends in enumerate(peers):
             receive, send = ctx.Pipe(duplex=False)
             pending[receive] = partition
+            # A forked worker inherits every end open here; besides its
+            # own, that is each result read end so far and the command
+            # ends of the workers still to come.  Spawn passes on only
+            # what ``args`` names.
+            later = [end for rest in peers[partition + 1 :] for end in rest]
+            foreign = [*pending, *later] if ctx.get_start_method() == "fork" else []
             process = ctx.Process(
                 target=partition_worker_main,
-                args=(send, architecture, settings, partition, workers, ends),
+                args=(send, architecture, settings, partition, workers, ends, foreign),
                 daemon=True,
             )
             process.start()
@@ -757,14 +771,10 @@ def _run_workers(architecture: str, settings, workers: int) -> List[PartitionSna
             for conn in wait(list(pending)):
                 partition = pending.pop(conn)
                 try:
-                    kind, body = conn.recv()
+                    reports[partition] = conn.recv()
                 except EOFError:
-                    kind, body = "error", "it exited unexpectedly, without a report"
+                    reports[partition] = "error", "it exited unexpectedly, without a report"
                 conn.close()
-                if kind == "done":
-                    snapshots.append(body)
-                else:
-                    failures[partition] = body
     finally:
         for process in processes:
             if pending:  # leaving on an exception: nobody is listening
@@ -772,6 +782,7 @@ def _run_workers(architecture: str, settings, workers: int) -> List[PartitionSna
             process.join()
         for conn in pending:
             conn.close()
+    failures = {p: body for p, (kind, body) in reports.items() if kind != "done"}
     if failures:
         raise SimulationError(
             "\n".join(
@@ -780,7 +791,7 @@ def _run_workers(architecture: str, settings, workers: int) -> List[PartitionSna
                 for partition, report in sorted(failures.items())
             )
         )
-    return sorted(snapshots, key=lambda snapshot: snapshot.partition)
+    return [reports[partition][1] for partition in range(workers)]
 
 
 def run_partitioned(
@@ -795,7 +806,7 @@ def run_partitioned(
     Returns ``(merged_run, workload_stats)`` for the runner's
     measurement pipeline.  The replicas are stepped inline, observing
     straight into ``obs`` when one is attached; ``parallel=True`` with
-    more than one resolved worker spawns one worker process per
+    more than one resolved worker starts one worker process per
     partition instead — the one that owns partition 0 drives the
     windows, this process only waits — and merges their observers into
     ``obs`` at the end.

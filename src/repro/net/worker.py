@@ -1,8 +1,15 @@
 """Worker-process entry point for the parallel backend.
 
 ``partition_worker_main`` runs one partition replica of a sharded run
-inside a freshly **spawned** interpreter (see
-:func:`repro.net.backend.spawn_context` for why spawn, never fork).
+in a process of its own: forked from the caller on single-threaded
+Linux, a freshly spawned interpreter elsewhere
+(:func:`repro.net.backend.start_context`).  Both run this same code.  A
+forked worker first closes every pipe end it inherited but does not
+own — the caller's result read ends and the other workers' command
+ends — since a pipe reads end-of-file only once every copy of its
+other end is closed; a spawned one was never handed those, and closes
+nothing.
+
 Every worker holds the write end of a **result pipe** to the process
 that called :func:`~repro.net.backend.run_partitioned` and ships exactly
 one message on it: ``("done", PartitionSnapshot)``, or ``("error",
@@ -39,13 +46,18 @@ from repro.errors import SimulationError
 
 
 def partition_worker_main(
-    results, architecture: str, settings, partition: int, workers: int, peers
+    results, architecture: str, settings, partition: int, workers: int, peers, foreign
 ) -> None:
     """Run one :class:`~repro.net.backend.PartitionReplica`: the lead
     (``partition == 0``; ``peers`` = one command pipe per sibling, in
     partition order) drives the windows, a sibling serves ``peers[0]``.
-    The cyclic garbage collector stays off for the worker's whole life,
-    as it does for a run in the caller."""
+    ``foreign`` are the inherited pipe ends that belong to others
+    (empty unless forked); they are closed before anything else.  The
+    cyclic garbage collector stays off for the worker's whole life, as
+    it does for a run in the caller."""
+    for conn in foreign:
+        conn.close()
+
     from repro.net.backend import PartitionReplica, _drive
     from repro.net.simulator import parked_collector
 

@@ -151,7 +151,7 @@ def test_a_partition_worker_drives_with_the_collector_off(collector, monkeypatch
     gc.set_threshold(50, 2, 2)
     results = Outbox()
     with counting_collections() as counts:
-        partition_worker_main(results, "seve", ledger_shape("sprawl_k4"), 0, 1, [])
+        partition_worker_main(results, "seve", ledger_shape("sprawl_k4"), 0, 1, [], [])
     assert states == [False]
     assert not counts
     assert gc.isenabled()

@@ -4,14 +4,15 @@ The load-bearing guarantee (docs/parallel.md): every sharded run goes
 through one window coordinator, and for the same settings and seed the
 partition count W and the backend change wall-clock only — results are
 not statistically close but *identical* on every deterministic output,
-whether one inline partition, several inline partitions, or spawned
-worker processes step the replicas.  Any divergence is an ownership,
-transport or merge bug, never "expected noise".
+whether one inline partition, several inline partitions, or worker
+processes, forked or spawned, step the replicas.  Any divergence is an
+ownership, transport or merge bug, never "expected noise".
 
-Multiprocessing note: workers use the ``spawn`` start method and
-re-import ``__main__``; under pytest that is pytest's own entry point,
-which is importable, so these tests need no guard beyond running via
-pytest or a real script file (never a stdin heredoc).
+Multiprocessing note: workers fork on single-threaded Linux and spawn
+elsewhere (:func:`~repro.net.backend.start_context`).  A spawned worker
+re-imports ``__main__``; under pytest that is pytest's own entry point,
+which is importable.  ``test_fork_matches_spawn_matches_inproc`` forces
+spawn, so the spawn path runs on Linux too.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import multiprocessing
 import os
 import re
 import signal
+import sys
+import threading
 
 import pytest
 
@@ -37,15 +40,16 @@ from repro.net.backend import (
     PartitionReplica,
     _drive,
     resolve_workers,
-    spawn_context,
+    start_context,
     worker_of_shard,
 )
 from repro.net.faults import FaultPlan, parse_crash_plan
+from repro.net.worker import partition_worker_main
 from repro.types import shard_host_id
 
 #: Small-but-sharded workload: big enough to exercise cross-shard span
 #: forwarding, handoff, and the sequencer; small enough to keep the
-#: spawned-worker differentials fast.
+#: worker-process differentials fast.
 BASE = dict(
     num_clients=8,
     num_walls=120,
@@ -107,6 +111,20 @@ def run(backend, plan=None, **overrides):
     return run_simulation("seve", settings)
 
 
+@pytest.fixture
+def one_minute():
+    """Fail the test, instead of stalling the suite, if it hangs."""
+
+    def expired(signum, frame):
+        raise TimeoutError("the parallel run hung")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
 # ----------------------------------------------------------------------
 # Unit behavior: worker resolution and shard ownership
 # ----------------------------------------------------------------------
@@ -143,28 +161,30 @@ def test_partitioned_run_requires_multiple_shards():
         run_partitioned("seve", SimulationSettings(**BASE, shards=1), parallel=False)
 
 
-def test_spawn_context_uses_spawn_start_method():
-    # fork would inherit the parent's RNG/module state and break the
-    # Linux/macOS identity guarantee; the backend must pin spawn.
-    context = spawn_context()
-    assert isinstance(
-        context, type(multiprocessing.get_context("spawn"))
-    )
-    assert context.get_start_method() == "spawn"
+@pytest.mark.skipif(sys.platform != "linux", reason="fork is the Linux path")
+def test_start_context_forks_only_on_single_threaded_linux(monkeypatch):
+    # Fork skips the worker's interpreter boot and imports; it is safe
+    # only on Linux and only while no other thread could hold a lock
+    # the child would inherit mid-hold.
+    assert threading.active_count() == 1
+    assert start_context().get_start_method() == "fork"
 
+    release = threading.Event()
+    second = threading.Thread(target=release.wait)
+    second.start()
+    try:
+        assert start_context().get_start_method() == "spawn"
+    finally:
+        release.set()
+        second.join(timeout=10)
+    assert not second.is_alive()
 
-@pytest.mark.skip(
-    reason="documents the start-method constraint: the parallel backend "
-    "always uses multiprocessing spawn (never fork), so worker entry "
-    "points must be importable — a __main__ loaded from stdin or an "
-    "unguarded script cannot host a parallel run"
-)
-def test_fork_start_method_is_unsupported():
-    pass
+    monkeypatch.setattr(sys, "platform", "darwin")
+    assert start_context().get_start_method() == "spawn"
 
 
 # ----------------------------------------------------------------------
-# Partition independence: W = 1 == W > 1 == spawned workers, byte for byte
+# Partition independence: W = 1 == W > 1 == worker processes, byte for byte
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
     "shards, workers",
@@ -175,8 +195,8 @@ def test_fork_start_method_is_unsupported():
 def test_one_partition_matches_many_matches_parallel(shards, workers):
     one = run("inproc", shards=shards)
     many = run("inproc", shards=shards, workers=workers)
-    spawned = run("parallel", shards=shards, workers=workers)
-    assert result_key(one) == result_key(many) == result_key(spawned)
+    parallel = run("parallel", shards=shards, workers=workers)
+    assert result_key(one) == result_key(many) == result_key(parallel)
     assert one.shard_audit.consistent
 
 
@@ -203,13 +223,13 @@ def test_parallel_with_nothing_to_partition_runs_in_process(
 ):
     # One shard, or one resolved worker: the parallel backend steps the
     # run right here — same result as inproc, and no worker process is
-    # ever spawned.
+    # ever started.
     from repro.net import backend
 
-    def no_spawn():
-        raise AssertionError("degenerate parallel run spawned a process")
+    def no_start():
+        raise AssertionError("degenerate parallel run started a process")
 
-    monkeypatch.setattr(backend, "spawn_context", no_spawn)
+    monkeypatch.setattr(backend, "start_context", no_start)
     inproc = run("inproc", **degenerate)
     parallel = run("parallel", **degenerate)
     assert result_key(inproc) == result_key(parallel)
@@ -254,19 +274,51 @@ def _partition_of(client_id, shards=4, workers=2):
     return worker_of_shard(home, shards, workers)
 
 
+#: One client and one shard of each partition of K = 4, W = 2 crash;
+#: client 3 and both shards come back.
+CRASHES_IN_EACH_PARTITION = "3@600:1500,4@700,s1@800:1400,s2@1000:1800"
+
+
 def test_stub_crashes_and_reconnects_match_across_partitions():
-    # One client and one shard of each partition crash; client 3 and
-    # both shards come back, so each replica crashes and reconnects the
-    # other partition's stubs in step with their owners.
+    # Each replica crashes and reconnects the other partition's stubs
+    # in step with their owners.
     assert (_partition_of(3), _partition_of(4)) == (0, 1)
     assert (worker_of_shard(1, 4, 2), worker_of_shard(2, 4, 2)) == (0, 1)
-    plan = FaultPlan(crashes=parse_crash_plan("3@600:1500,4@700,s1@800:1400,s2@1000:1800"))
+    plan = FaultPlan(crashes=parse_crash_plan(CRASHES_IN_EACH_PARTITION))
     one = run("inproc", plan=plan, shards=4)
     many = run("inproc", plan=plan, shards=4, workers=2)
-    spawned = run("parallel", plan=plan, shards=4, workers=2)
+    parallel = run("parallel", plan=plan, shards=4, workers=2)
     key = result_key(one, events=False)
-    assert key == result_key(many, events=False) == result_key(spawned, events=False)
+    assert key == result_key(many, events=False) == result_key(parallel, events=False)
     assert one.shard_audit.consistent
+
+
+@pytest.mark.parametrize("crashes", [None, CRASHES_IN_EACH_PARTITION], ids=["clean", "crashes"])
+def test_fork_matches_spawn_matches_inproc(crashes, monkeypatch, one_minute):
+    # Both start methods run the same worker code; forcing spawn keeps
+    # that path exercised where the backend would fork.
+    from repro.net import backend
+
+    plan = FaultPlan(crashes=parse_crash_plan(crashes)) if crashes else None
+    if sys.platform == "linux":
+        assert start_context().get_start_method() == "fork"
+    inproc = run("inproc", plan=plan, shards=4, workers=2)
+    forked = run("parallel", plan=plan, shards=4, workers=2)
+    spawn = multiprocessing.get_context("spawn")
+    monkeypatch.setattr(backend, "start_context", lambda: spawn)
+    spawned = run("parallel", plan=plan, shards=4, workers=2)
+    assert result_key(forked) == result_key(spawned) == result_key(inproc)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/fd")
+def test_parallel_run_leaves_no_descriptor_open(one_minute):
+    # The caller closes every pipe end it made, whatever the workers did.
+    def descriptors():
+        return sorted(os.listdir("/proc/self/fd"))
+
+    before = descriptors()
+    run("parallel", shards=4, workers=3)
+    assert descriptors() == before
 
 
 def test_cheaters_in_both_partitions_match_across_partitions():
@@ -393,13 +445,18 @@ GARBAGE = {
 }
 
 
-def _saboteur(victim, how, results, architecture, settings, partition, workers, peers):
-    """Spawn target standing in for ``partition_worker_main``: the real
+def _saboteur(
+    victim, how, results, architecture, settings, partition, workers, peers, foreign
+):
+    """Worker target standing in for ``partition_worker_main``: the real
     thing, after booby-trapping the replica class in the worker that
-    owns partition ``victim``, or the lead's pipe to it (a spawned
-    worker is a fresh interpreter, so a monkeypatch in the test process
-    would not reach it)."""
-    from repro.net import backend, worker
+    owns partition ``victim``, or the lead's pipe to it.  The trap is
+    set inside the worker, which a monkeypatch in the test process
+    would not reach were it spawned.  The real thing is the function
+    imported with this module: in a forked worker the module attribute
+    ``repro.net.worker.partition_worker_main`` is still the test's
+    stand-in, so calling through it would recurse."""
+    from repro.net import backend
 
     if how in GARBAGE:
         if partition == 0:
@@ -422,23 +479,9 @@ def _saboteur(victim, how, results, architecture, settings, partition, workers, 
             return run_window(self, end, entries)
 
         backend.PartitionReplica.run_window = killed_in_third_window
-    worker.partition_worker_main(
-        results, architecture, settings, partition, workers, peers
+    partition_worker_main(
+        results, architecture, settings, partition, workers, peers, foreign
     )
-
-
-@pytest.fixture
-def one_minute():
-    """Fail the test, instead of stalling the suite, if it hangs."""
-
-    def expired(signum, frame):
-        raise TimeoutError("the parallel run hung")
-
-    previous = signal.signal(signal.SIGALRM, expired)
-    signal.alarm(60)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize(
