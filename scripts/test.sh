@@ -41,11 +41,12 @@ static_analysis() {
   python scripts/lint.py --check races
   python scripts/lint.py --check determinism --json src/repro \
     | python -c 'import json,sys; json.load(sys.stdin)'
-  # The size numbers CHANGES.md/ROADMAP quote, as a ratchet: neither
-  # the total nor the largest file may grow past what the last PR that
-  # shrank them landed (lower the two numbers when a PR shrinks them).
+  # The size numbers CHANGES.md/ROADMAP quote, as a ratchet: the total
+  # may not grow past what the last PR that shrank it landed (lower the
+  # number when a PR shrinks it), and no file under core/ may pass 900
+  # code lines (ROADMAP item 5).
   python scripts/code_size.py --json \
-    | python -c 'import json,sys; size = json.load(sys.stdin); assert 0 < size["total"] <= 13225 and size["files"]["core/sharded.py"] <= 1097, size["total"]'
+    | python -c 'import json,sys; size = json.load(sys.stdin); big = {f: n for f, n in size["files"].items() if f.startswith("core/") and n > 900}; assert 0 < size["total"] <= 13221 and not big, (size["total"], big)'
 }
 
 # Documentation lint (links resolve; docs/index.md covers docs/*.md)

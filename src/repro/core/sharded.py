@@ -76,19 +76,25 @@ shard 0 and no lease message is ever sent.
 *Stripes* — one :class:`RegionPartition` type describes the stripes by
 their interior cuts.  Every shard owns a copy; a static run never
 changes it, and the elastic rebalancer (docs/elasticity.md) moves the
-cuts of every copy under a new version.
+cuts of every copy under a new version.  The rebalancer's whole epoch
+machine — load rounds, controller, fences, region syncs, drain barrier
+— is :class:`repro.core.elastic.Rebalancer`, which each shard server
+hosts beside its lease and calls at the events it follows; it sees the
+server only through a :class:`ShardView`.
 
 *The peer seam* — every message a shard server receives goes through
-the base server's one dispatcher and the ``HANDLERS`` table; every
-message it sends a peer goes through ``_send_peer``, ``_broadcast`` or
-``_to_holder``.  Conservation-group messages are counted there and
-nowhere else (docs/sharding.md).
+the base server's one dispatcher and the ``HANDLERS`` table (with the
+lease's and the rebalancer's tables merged in); every message it sends
+a peer goes through ``_send_peer``, ``_broadcast`` or ``_to_holder``.
+Conservation-group messages are counted there and nowhere else
+(docs/sharding.md).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.action import Action, ActionId, BlindWrite
@@ -99,21 +105,16 @@ from repro.core.control_plane import (
     FailoverEvent,
     GsnLease,
 )
-from repro.core.elastic import ElasticConfig, plan_boundaries
+from repro.core.elastic import ElasticConfig, Rebalancer
 from repro.core.engine import SeveConfig, SeveEngine
 from repro.core.info_bound import InformationBound
 from repro.core.messages import (
     ClientHello,
     Completion,
-    DrainDone,
     HandoffPrepare,
     HandoffReady,
     HandoffTransfer,
     HandoffWelcome,
-    LoadReport,
-    PartitionCommit,
-    PartitionUpdate,
-    RegionSync,
     ShardHello,
     SpanAbort,
     SpanForward,
@@ -263,13 +264,46 @@ class ShardStats:
     bulk_handoffs: int = 0
 
 
+class ShardView:
+    """What a shard server shows its
+    :class:`~repro.core.elastic.Rebalancer`: a narrow read-only view,
+    never the server itself (the attributes are listed there).  Each is
+    read from the server at the moment the unit asks."""
+
+    __slots__ = ("_server",)
+
+    def __init__(self, server: "ShardServer") -> None:
+        self._server = server
+
+    shard_index = property(attrgetter("_server.shard_index"))
+    partition = property(attrgetter("_server.partition"))
+    dead = property(attrgetter("_server._dead_shards"))
+    is_holder = property(attrgetter("_server.lease.is_holder"))
+    next_pos = property(attrgetter("_server._next_pos"))
+    base_pos = property(attrgetter("_server._base_pos"))
+    store = property(attrgetter("_server.state"))
+    clients = property(attrgetter("_server.clients"))
+    cpu_ms = property(attrgetter("_server.host.cpu_time_used"))
+    serialized = property(attrgetter("_server.stats.actions_serialized"))
+    stats = property(attrgetter("_server.shard_stats"))
+    now = property(attrgetter("_server.sim.now"))
+    send_peer = property(attrgetter("_server._send_peer"))
+    broadcast = property(attrgetter("_server._broadcast"))
+    to_holder = property(attrgetter("_server._to_holder"))
+    rehome = property(attrgetter("_server._rehome"))
+    finalize = property(attrgetter("_server._finalize_handoff"))
+    refresh = property(attrgetter("_server._refresh_indexed_positions"))
+
+
 class ShardServer(IncompleteWorldServer):
     """One shard: a full Incomplete World server over one world stripe.
 
     Extends the base server with span classification and two-phase
     forwarding (owner side), gsn splicing and value-entry distribution
-    (every involved side), result/abort relays, the client-handoff
-    state machine and the elastic epoch machine; hosts the gsn lease.
+    (every involved side), result/abort relays and the client-handoff
+    state machine; hosts the gsn lease and the elastic
+    :class:`~repro.core.elastic.Rebalancer`, two transport-free units it
+    calls at the events they follow.
     """
 
     def __init__(
@@ -298,7 +332,7 @@ class ShardServer(IncompleteWorldServer):
         #: Never rebound: the lease holds a reference.
         self._dead_shards: set = set()
         #: This shard's end of the gsn lease (term 0: shard 0 holds it).
-        #: The holder is the sequencer — it assigns every gsn — and hosts
+        #: The holder is the sequencer — it assigns every gsn — and runs
         #: the elastic controller.
         self.lease = GsnLease(
             shard_index,
@@ -316,38 +350,6 @@ class ShardServer(IncompleteWorldServer):
         #: Action ids this sequencer already assigned a gsn (dedup for
         #: failover re-forwards that race an in-flight splice).
         self._sequenced_ids: set = set()
-        # -- elastic rebalancer state (dormant when elastic is None) ----
-        self.elastic = elastic
-        #: Open epochs: partition versions applied here but not yet
-        #: committed by the controller (fence not passed everywhere).
-        self._epochs: List[dict] = []
-        #: Outbound handoff transfers parked until every open epoch's
-        #: region syncs went out (syncs precede adoptions on FIFO
-        #: backbone links, so a gainer never adopts into a stale store).
-        self._parked_transfers: List[ClientId] = []
-        #: Last-writer stamp per object: (gsn of last spanning write or
-        #: -1, 1 if a local write followed it).  Region syncs carry the
-        #: stamp; receivers apply strictly-newer entries only.
-        self._sync_stamps: Dict[object, Tuple[int, int]] = {}
-        #: Load-report rounds ticked so far; a restarted shard joins at
-        #: the survivors' round (:meth:`resume`).
-        self.load_round = 0
-        self._last_cpu_ms = 0.0
-        self._last_serialized = 0
-        self._min_stripe = 0.0
-        if elastic is not None:
-            self._min_stripe = (
-                elastic.min_stripe
-                if elastic.min_stripe is not None
-                else max(1.0, 2.0 * span_slack)
-            )
-        # -- controller (sequencer) state -------------------------------
-        self._load_reports: Dict[int, Dict[int, LoadReport]] = {}
-        self._imbalance_streak = 0
-        self._pending_version: Optional[int] = None
-        self._drain_done: set = set()
-        #: Committed rebalances: {version, at_ms, imbalance, boundaries}.
-        self.rebalance_log: List[dict] = []
         #: Per-client count of span forwards not yet spliced back.
         self._outstanding_spans: Dict[ClientId, int] = {}
         #: Per-client submissions parked behind an outstanding span
@@ -374,7 +376,11 @@ class ShardServer(IncompleteWorldServer):
         super().__init__(*args, **kwargs)
         if recovery is not None:
             self.on_commit = recovery.on_commit
+        #: This shard's end of the elastic rebalancer (inert without an
+        #: ElasticConfig); it sees the server through a narrow view.
+        self.rebalancer = Rebalancer(elastic, ShardView(self), span_slack)
         self._handlers.update(self.lease.handlers)
+        self._handlers.update(self.rebalancer.handlers)
         #: This shard runs something that can put a message on the
         #: backbone at any event: a lease that can move, the elastic
         #: controller, a liveness sweep or a cheat quarantine (an
@@ -391,9 +397,10 @@ class ShardServer(IncompleteWorldServer):
     # The peer seam (docs/sharding.md): the dispatch table, and the
     # three ways a message leaves for another shard
     # ------------------------------------------------------------------
-    #: The base server's three plus this class's thirteen; the four
-    #: lease messages are the lease's own (``GsnLease.HANDLERS``, merged
-    #: in per instance).
+    #: The base server's three plus this class's eight; the four lease
+    #: and five elastic messages are the units' own
+    #: (``GsnLease.HANDLERS``, ``Rebalancer.HANDLERS``, merged in per
+    #: instance).
     HANDLERS = {
         **IncompleteWorldServer.HANDLERS,
         SpanForward: "_on_span_forward",
@@ -402,11 +409,6 @@ class ShardServer(IncompleteWorldServer):
         SpanAbort: "_on_span_abort",
         HandoffTransfer: "_on_handoff_transfer",
         HandoffReady: "_on_handoff_ready",
-        LoadReport: "_on_load_report",
-        PartitionUpdate: "_on_partition_update",
-        DrainDone: "_on_drain_done",
-        PartitionCommit: "_on_partition_commit",
-        RegionSync: "_on_region_sync",
         ShardHello: "_on_shard_hello",
         ClientHello: "_on_client_hello",
     }
@@ -421,17 +423,11 @@ class ShardServer(IncompleteWorldServer):
             self.elastic_sent += 1
         self.send(shard_host_id(shard), message)
 
-    def _live_peers(self) -> List[int]:
-        return [
-            shard
-            for shard in range(self.partition.shards)
-            if shard != self.shard_index and shard not in self._dead_shards
-        ]
-
     def _broadcast(self, message: object) -> None:
         """Send ``message`` to every live peer."""
-        for shard in self._live_peers():
-            self._send_peer(shard, message)
+        for shard in range(self.partition.shards):
+            if shard != self.shard_index and shard not in self._dead_shards:
+                self._send_peer(shard, message)
 
     def _to_holder(self, message: object) -> None:
         """Hand ``message`` to the lease holder — the sequencer and
@@ -457,12 +453,9 @@ class ShardServer(IncompleteWorldServer):
             return tuple(range(self.partition.shards))
         x, radius = action.position.x, action.radius + self.span_slack
         involved = self.partition.shards_touching(x, radius)
-        if not self._epochs:
-            return involved
-        touched = set(involved)
-        for epoch in self._epochs:
-            touched.update(epoch["old"].shards_touching(x, radius))
-        return tuple(sorted(touched))
+        if self.rebalancer.epochs:
+            return self.rebalancer.widen(x, radius, involved)
+        return involved
 
     def _admit(self, src: ClientId, action: Action) -> None:
         self._queued_spans.discard(action.action_id)
@@ -544,7 +537,7 @@ class ShardServer(IncompleteWorldServer):
             # re-sent); the first gsn stands.
             return
         self._sequenced_ids.add(message.action.action_id)
-        if self.elastic is not None:
+        if self.rebalancer.config is not None:
             # Re-classify against the sequencer's partition view: the
             # owner may have forwarded under boundaries it had not yet
             # seen superseded (the controller flips one backbone-hop
@@ -562,11 +555,10 @@ class ShardServer(IncompleteWorldServer):
             self.recovery.note_gsn(gsn)
         self.host.execute(self.costs.timestamp_ms, lambda: None)
         splice = SpanSplice(gsn, message.owner, message.involved, message.action)
-        live = self._live_peers()
         for shard in message.involved:
             if shard == self.shard_index:
                 self._on_span_splice(self.server_id, splice)
-            elif shard in live:
+            elif shard not in self._dead_shards:
                 self._send_peer(shard, splice)
 
     def _on_span_splice(self, src: ClientId, splice: SpanSplice) -> None:
@@ -625,14 +617,7 @@ class ShardServer(IncompleteWorldServer):
         """The gsn lease changed hands (the lease's ``on_moved``): adopt
         the controller role if it came here, then re-drive whatever the
         old holder died holding."""
-        if self.elastic is not None and self.lease.is_holder:
-            # Adopt the controller role mid-drain: the pending version
-            # is whatever epoch is still open locally (updates are
-            # broadcast all-or-nothing, so every survivor agrees).
-            self._pending_version = max(
-                (epoch["version"] for epoch in self._epochs), default=None
-            )
-            self._drain_done = set()
+        self.rebalancer.adopt()
         self._redrive_holder()
 
     def _redrive_holder(self) -> None:
@@ -641,9 +626,7 @@ class ShardServer(IncompleteWorldServer):
         came back, and the DrainDones it had collected."""
         for message in list(self._unspliced.values()):
             self._to_holder(message)
-        for epoch in self._epochs:
-            epoch["drained"] = False
-        self._maybe_drain_done()
+        self.rebalancer.redrive()
 
     # ------------------------------------------------------------------
     # Crash fault tolerance: shard death and restart
@@ -672,8 +655,7 @@ class ShardServer(IncompleteWorldServer):
                 aborted = True
         if aborted:
             self._advance_frontier()
-        if self.elastic is not None and self.lease.is_holder:
-            self._check_drain_commit()
+        self.rebalancer.shard_down()
 
     def resume(self, dead_shards, load_round: int) -> None:
         """Continue the crashed incarnation this server replaces, from
@@ -685,7 +667,7 @@ class ShardServer(IncompleteWorldServer):
         self._validated_upto = recovery.next_pos - 1
         self.lease.resume(recovery.next_gsn, recovery.max_gsn)
         self._dead_shards.update(dead_shards)
-        self.load_round = load_round
+        self.rebalancer.load_round = load_round
 
     def announce_restart(self) -> None:
         """Broadcast the restart hello to every live peer."""
@@ -702,15 +684,7 @@ class ShardServer(IncompleteWorldServer):
             self._redrive_holder()
         if self.lease.is_holder:
             self.lease.catch_up(hello.shard)
-            if self.elastic is not None and self.partition.version > 0:
-                # Partition catch-up: an update/commit pair brings the
-                # restarted shard (whose copy restarted at version 0)
-                # to the current boundaries without a drain barrier.
-                update = PartitionUpdate(
-                    self.partition.version, tuple(self.partition.boundaries)
-                )
-                self._send_peer(hello.shard, update)
-                self._send_peer(hello.shard, PartitionCommit(update.version))
+            self.rebalancer.catch_up(hello.shard)
 
     def _on_client_hello(self, src: ClientId, hello: ClientHello) -> None:
         """A reconnecting client asked to attach here (the K > 1
@@ -823,30 +797,16 @@ class ShardServer(IncompleteWorldServer):
             self._resolved_log.setdefault(client_id, []).append(action_id)
         if client_id in self._handoffs:
             self._maybe_finalize(client_id)
-        if (
-            self.elastic is not None
-            and entry.valid is not False
-            and entry.completion is not None
-        ):
-            # Last-writer stamps for region syncs: spanning writes are
-            # ordered by gsn on every involved shard; a local write
-            # after the last span strictly supersedes it (and can only
-            # exist on the territory's owner).
-            if entry.span:
-                for oid in sorted(entry.completion.written_ids()):
-                    self._sync_stamps[oid] = (entry.gsn, 0)
-            else:
-                for oid in sorted(entry.completion.written_ids()):
-                    prev = self._sync_stamps.get(oid, (-1, 0))
-                    self._sync_stamps[oid] = (prev[0], 1)
+        if self.rebalancer.config is not None:
+            self.rebalancer.note_resolved(entry)
 
     def _advance_frontier(self) -> None:
         super()._advance_frontier()
-        if self._epochs:
+        if self.rebalancer.epochs:
             # Commits merged above may have pushed _base_pos past an
             # epoch fence; syncs must read the post-merge store, so the
             # fence check runs after the whole frontier walk.
-            self._maybe_fence()
+            self.rebalancer.fence()
 
     # ------------------------------------------------------------------
     # Handoff state machine (owner side)
@@ -854,20 +814,30 @@ class ShardServer(IncompleteWorldServer):
     def _note_position_change(self, entry: QueueEntry) -> None:
         super()._note_position_change(entry)
         client_id = entry.action.client_id
-        record = self.clients.get(client_id)
-        if record is None or client_id in self._handoffs:
+        if client_id not in self.clients:
             return
         avatar_oid = self.avatar_of(client_id)
-        if avatar_oid is None or avatar_oid not in entry.action.writes:
-            return
+        if avatar_oid is not None and avatar_oid in entry.action.writes:
+            self._rehome(client_id)
+
+    def _rehome(self, client_id: ClientId) -> Optional[int]:
+        """The one re-home rule: begin handing ``client_id`` off to the
+        stripe its committed position belongs to (with the hysteresis
+        margin) when that is a live other shard.  The target, or
+        ``None`` when it stays — or is already migrating, in which case
+        its adoption re-checks its home."""
+        if client_id in self._handoffs:
+            return None
         position = self._client_position(client_id)
         if position is None:
-            return
+            return None
         target = self.partition.home_with_hysteresis(
             position.x, self.shard_index, self.handoff_margin
         )
-        if target != self.shard_index and target not in self._dead_shards:
-            self._begin_handoff(client_id, target)
+        if target == self.shard_index or target in self._dead_shards:
+            return None
+        self._begin_handoff(client_id, target)
+        return target
 
     def _begin_handoff(self, client_id: ClientId, target: int) -> None:
         self._handoffs[client_id] = {"target": target, "ready": False}
@@ -892,9 +862,10 @@ class ShardServer(IncompleteWorldServer):
         span-forwarded ones, which stay unresolved until they commit."""
         state = self._handoffs.get(client_id)
         if state and state["ready"] and not self._unresolved.get(client_id):
-            self._finalize_handoff(client_id, state["target"])
+            self._finalize_handoff(client_id)
 
-    def _finalize_handoff(self, client_id: ClientId, target: int) -> None:
+    def _finalize_handoff(self, client_id: ClientId) -> None:
+        target = self._handoffs[client_id]["target"]
         if target in self._dead_shards:
             # The gaining shard died while the handoff drained: keep
             # the client — re-welcome it onto our own stream (same-src
@@ -902,13 +873,8 @@ class ShardServer(IncompleteWorldServer):
             self._end_handoff(client_id)
             self.send(client_id, HandoffWelcome(self.shard_index, ()))
             return
-        if any(not epoch["synced"] for epoch in self._epochs):
-            # A rebalance fence is still draining: park the transfer so
-            # the region syncs reach the gaining shards first (FIFO
-            # backbone ⇒ the adopter's store is fresh before adoption).
-            if client_id not in self._parked_transfers:
-                self._parked_transfers.append(client_id)
-            return
+        if self.rebalancer.parks(client_id):
+            return  # a rebalance fence is still draining
         record = self.clients[client_id]
         resolved = tuple(self._resolved_log.get(client_id, ()))
         transfer = HandoffTransfer(client_id, record.radius, record.interests, resolved)
@@ -925,13 +891,7 @@ class ShardServer(IncompleteWorldServer):
         epochs that were waiting on it as a bulk handoff re-check their
         drain (a gone client must not wedge the barrier)."""
         self._handoffs.pop(client_id, None)
-        if client_id in self._parked_transfers:
-            self._parked_transfers.remove(client_id)
-        waiting = [epoch for epoch in self._epochs if client_id in epoch["bulk"]]
-        for epoch in waiting:
-            epoch["bulk"].discard(client_id)
-        if waiting:
-            self._maybe_drain_done()
+        self.rebalancer.handoff_ended(client_id)
 
     def _on_handoff_transfer(self, src: ClientId, message: HandoffTransfer) -> None:
         """Adopt a migrating client and welcome it onto our stream."""
@@ -962,19 +922,13 @@ class ShardServer(IncompleteWorldServer):
                 "adopt",
             )
         self.send(message.client_id, HandoffWelcome(self.shard_index, message.resolved))
-        if self.elastic is not None:
+        if self.rebalancer.config is not None:
             # Chained migration: a rebalance may have re-homed this
             # client while its transfer was in flight, making us a
             # stale target.  Forward it on (the Prepare follows the
             # Welcome on the same FIFO downlink, so the client finishes
             # this migration before parking for the next).
-            position = self._client_position(message.client_id)
-            if position is not None:
-                target = self.partition.home_with_hysteresis(
-                    position.x, self.shard_index, self.handoff_margin
-                )
-                if target != self.shard_index and target not in self._dead_shards:
-                    self._begin_handoff(message.client_id, target)
+            self._rehome(message.client_id)
 
     def detach_client(self, client_id: ClientId) -> None:
         super().detach_client(client_id)
@@ -984,245 +938,15 @@ class ShardServer(IncompleteWorldServer):
         self._resolved_log.pop(client_id, None)
         self._end_handoff(client_id)
 
-    # ------------------------------------------------------------------
-    # Elastic rebalancing (docs/elasticity.md).  Dormant unless the
-    # deployment passes an ElasticConfig; every method below is only
-    # reachable from the load tick or an elastic control message.
-    # ------------------------------------------------------------------
     def start(self, *, stop_at: Optional[TimeMs] = None) -> None:
         super().start(stop_at=stop_at)
-        if self.elastic is not None:
-            self._stoppers.append(
-                self.sim.call_every(
-                    self.elastic.interval_ms, self._elastic_tick, stop_at=stop_at
-                )
-            )
-        for period_ms, tick in self.lease.start():
-            self._stoppers.append(
-                self.sim.call_every(period_ms, tick, stop_at=stop_at)
-            )
-
-    def _elastic_tick(self) -> None:
-        """Report the load accumulated since the previous tick to the
-        controller (the lease holder)."""
-        cpu = self.host.cpu_time_used
-        serialized = self.stats.actions_serialized
-        report = LoadReport(
-            self.shard_index,
-            self.load_round,
-            cpu - self._last_cpu_ms,
-            serialized - self._last_serialized,
-            len(self.clients),
-        )
-        self.load_round += 1
-        self._last_cpu_ms = cpu
-        self._last_serialized = serialized
-        self._to_holder(report)
-
-    def _on_load_report(self, src: ClientId, report: LoadReport) -> None:
-        """Controller: collect one round of per-shard samples; track
-        the imbalance streak; fire a rebalance past the hysteresis."""
-        bucket = self._load_reports.setdefault(report.round, {})
-        bucket[report.shard] = report
-        if len(bucket) < self.partition.shards:
-            return
-        del self._load_reports[report.round]
-        shards = self.partition.shards
-        loads = [bucket[k].cpu_ms for k in range(shards)]
-        if sum(loads) <= 0.0:
-            # Fixed-cost deployments can run with zero modelled server
-            # cpu; fall back to the serialization counters.
-            loads = [float(bucket[k].serialized) for k in range(shards)]
-        total = sum(loads)
-        if total <= 0.0:
-            self._imbalance_streak = 0
-            return
-        imbalance = max(loads) * shards / total
-        if imbalance < self.elastic.threshold:
-            self._imbalance_streak = 0
-            return
-        self._imbalance_streak += 1
-        if self._imbalance_streak < self.elastic.hysteresis:
-            return
-        if self._pending_version is not None:
-            return  # one rebalance in flight at a time
-        self._imbalance_streak = 0
-        self._start_rebalance(loads, imbalance)
-
-    def _start_rebalance(self, loads: List[float], imbalance: float) -> None:
-        bounds = [self.partition.bounds(k) for k in range(self.partition.shards)]
-        cuts = plan_boundaries(
-            loads, bounds, self.partition.world_width, self._min_stripe
-        )
-        if all(
-            abs(new - old) < 1e-9
-            for new, old in zip(cuts, self.partition.boundaries)
-        ):
-            return  # as balanced as the planner can make it
-        version = self.partition.version + 1
-        self._pending_version = version
-        self._drain_done = set()
-        self.rebalance_log.append(
-            {
-                "version": version,
-                "at_ms": self.sim.now,
-                "imbalance": imbalance,
-                "boundaries": tuple(cuts),
-            }
-        )
-        update = PartitionUpdate(version, tuple(cuts))
-        self._broadcast(update)
-        self._on_partition_update(self.server_id, update)
-
-    def _on_partition_update(self, src: ClientId, update: PartitionUpdate) -> None:
-        """Every shard: flip the partition copy, open an epoch with a
-        fence at the current queue position, and begin bulk handoffs
-        for every client this shard no longer owns."""
-        partition = self.partition
-        if update.version <= partition.version:
-            return  # defensive: the backbone is reliable and FIFO
-        old = RegionPartition(partition.world_width, partition.shards, partition.boundaries)
-        partition.apply(update.version, update.boundaries)
-        epoch = {
-            "version": update.version,
-            "fence": self._next_pos,
-            "old": old,
-            "synced": False,
-            "drained": False,
-            "bulk": set(),
-        }
-        self._epochs.append(epoch)
-        for client_id in sorted(self.clients):
-            if client_id in self._handoffs:
-                continue  # already migrating; adoption re-checks its home
-            position = self._client_position(client_id)
-            if position is None:
-                continue
-            target = self.partition.home_with_hysteresis(
-                position.x, self.shard_index, self.handoff_margin
-            )
-            if target != self.shard_index and target not in self._dead_shards:
-                epoch["bulk"].add(client_id)
-                self.shard_stats.bulk_handoffs += 1
-                self._begin_handoff(client_id, target)
-        self._maybe_fence()
-
-    def _maybe_fence(self) -> None:
-        """Once the commit frontier passes an epoch's fence, everything
-        serialized under the old boundaries has resolved: send the
-        region syncs, then release any parked handoff transfers."""
-        for epoch in self._epochs:
-            if not epoch["synced"] and self._base_pos >= epoch["fence"]:
-                self._send_region_syncs(epoch)
-                epoch["synced"] = True
-        if self._parked_transfers and not any(
-            not epoch["synced"] for epoch in self._epochs
-        ):
-            parked, self._parked_transfers = self._parked_transfers, []
-            for client_id in parked:
-                state = self._handoffs.get(client_id)
-                if state is not None:
-                    self._finalize_handoff(client_id, state["target"])
-        self._maybe_drain_done()
-
-    def _send_region_syncs(self, epoch: dict) -> None:
-        """Losing side: ship the committed values of every written
-        object in each transferred interval to its gaining shard."""
-        old_lo, old_hi = epoch["old"].bounds(self.shard_index)
-        for shard in self._live_peers():
-            new_lo, new_hi = self.partition.bounds(shard)
-            lo = max(old_lo, new_lo)
-            hi = min(old_hi, new_hi)
-            if lo >= hi:
-                continue
-            entries = []
-            for oid in sorted(self.state.ids()):
-                if self.state.version(oid) <= 1:
-                    continue  # still the seeded initial value everywhere
-                obj = self.state.get(oid)
-                if "x" not in obj:
-                    continue
-                x = float(obj["x"])
-                if not lo <= x < hi:
-                    continue
-                gsn, local = self._sync_stamps.get(oid, (-1, 0))
-                entries.append(
-                    (oid, gsn, local, tuple(sorted(obj.as_dict().items())))
-                )
-            if not entries:
-                continue
-            self._send_peer(shard, RegionSync(epoch["version"], lo, hi, tuple(entries)))
-
-    def _on_region_sync(self, src: ClientId, sync: RegionSync) -> None:
-        """Gaining side: adopt strictly-newer values.  A span this
-        shard committed after the loser stamped the sync loses the
-        stamp comparison, so a racing sync never regresses the store."""
-        updates = {}
-        for oid, gsn, local, attrs in sync.entries:
-            if (gsn, local) <= self._sync_stamps.get(oid, (-1, 0)):
-                continue
-            self._sync_stamps[oid] = (gsn, local)
-            updates[oid] = dict(attrs)
-        if updates:
-            self.state.merge(updates, commit_index=-1)
-            self._refresh_indexed_positions(updates)
-
-    def _maybe_drain_done(self) -> None:
-        """An epoch is drained here once its fence passed (syncs sent)
-        and every bulk-handoff transfer left; tell the controller."""
-        for epoch in list(self._epochs):
-            if epoch["synced"] and not epoch["drained"] and not epoch["bulk"]:
-                epoch["drained"] = True
-                self._to_holder(DrainDone(self.shard_index, epoch["version"]))
-
-    def _on_drain_done(self, src: ClientId, done: DrainDone) -> None:
-        """Controller: after every live shard drained, commit the
-        version so every shard retires the superseded boundaries."""
-        if self._pending_version is None and self.lease.is_holder:
-            # A controller that took over mid-drain (lease failover or
-            # sequencer restart) adopts the version the survivors are
-            # still draining; unreachable fault-free — the controller
-            # that started a rebalance is the one collecting its dones.
-            self._pending_version = done.version
-            self._drain_done = set()
-        if done.version != self._pending_version:
-            return
-        self._drain_done.add(done.shard)
-        self._check_drain_commit()
-
-    def _check_drain_commit(self) -> None:
-        """Commit the pending version once the drain quorum — every
-        shard not known dead — has reported; re-checked when a shard
-        dies so a crash mid-drain cannot wedge the epoch."""
-        if self._pending_version is None:
-            return
-        needed = set(range(self.partition.shards)) - self._dead_shards
-        if not needed.issubset(self._drain_done):
-            return
-        version = self._pending_version
-        self._pending_version = None
-        self._drain_done = set()
-        self.shard_stats.rebalances += 1
-        commit = PartitionCommit(version)
-        self._broadcast(commit)
-        self._on_partition_commit(self.server_id, commit)
-
-    def _on_partition_commit(self, src: ClientId, commit: PartitionCommit) -> None:
-        self._epochs = [
-            epoch for epoch in self._epochs if epoch["version"] != commit.version
-        ]
+        for period_ms, tick in self.rebalancer.start() + self.lease.start():
+            self._stoppers.append(self.sim.call_every(period_ms, tick, stop_at=stop_at))
 
     def quiescent(self) -> bool:
         """Nothing left to drain here: no handoff under way, no action
-        uncommitted, no rebalance epoch open and — on the lease holder,
-        which is the controller — no partition version awaiting its
-        drain quorum."""
-        return not (
-            self._handoffs
-            or self._entries
-            or self._epochs
-            or (self.lease.is_holder and self._pending_version is not None)
-        )
+        uncommitted, and the rebalancer quiescent."""
+        return not (self._handoffs or self._entries) and self.rebalancer.quiescent()
 
     def speaks_unprompted(self) -> bool:
         """Whether this shard may put a message on the backbone before
@@ -1243,6 +967,11 @@ class ShardServer(IncompleteWorldServer):
     def failover_log(self) -> List[FailoverEvent]:
         """Completed lease transfers this shard won."""
         return self.lease.log
+
+    @property
+    def rebalance_log(self) -> List[dict]:
+        """Rebalances this shard's controller started."""
+        return self.rebalancer.rebalance_log
 
     def __repr__(self) -> str:
         return (
@@ -1309,7 +1038,6 @@ class ShardedSeveEngine(SeveEngine):
             )
         if config.enable_audit:
             raise ConfigurationError("the audit log is a single serializer's")
-        self._elastic = self.sharding.elastic
         #: Shards currently down (crash oracle's view).
         self.crashed_shards: set = set()
         #: Per-shard checkpoint+WAL logs; armed only when the plan
@@ -1323,11 +1051,10 @@ class ShardedSeveEngine(SeveEngine):
         # shard (docs/elasticity.md).  The engine's copy is shard 0's.
         self.partition = RegionPartition(self.sharding.world_width, shards)
         self.predicate = self._make_predicate()
-        max_client_radius = 0.0
-        for client_id in range(self._num_clients):
-            max_client_radius = max(
-                max_client_radius, self.world.client_radius(client_id)
-            )
+        max_client_radius = max(
+            (self.world.client_radius(client) for client in range(self._num_clients)),
+            default=0.0,
+        )
         #: Extra classification radius added to an action's own
         #: influence radius when deciding which shards it spans; wide
         #: enough that no client of an uninvolved shard can pass the
@@ -1402,7 +1129,7 @@ class ShardedSeveEngine(SeveEngine):
             server_id=shard_host_id(shard),
             obs=self.obs,
             detector=self.detector,
-            elastic=self._elastic,
+            elastic=self.sharding.elastic,
             control=ControlPlaneConfig() if self._arm_recovery else PINNED_LEASE,
             recovery=recovery,
         )
@@ -1556,10 +1283,8 @@ class ShardedSeveEngine(SeveEngine):
         # Round counters are per-tick; joining at the survivors' round
         # lets load rounds complete again (the harness oracle, like the
         # crash notice itself).
-        server.resume(
-            self.crashed_shards - {shard},
-            max((peer.load_round for peer in self._live_owned_servers()), default=0),
-        )
+        rounds = [peer.rebalancer.load_round for peer in self._live_owned_servers()]
+        server.resume(self.crashed_shards - {shard}, max(rounds, default=0))
         self.shard_servers[shard] = server
         self.shard_states[shard] = state
         self.info_bounds[shard] = info_bound
@@ -1654,7 +1379,7 @@ class ShardedSeveEngine(SeveEngine):
         shard crash windows are armed: a shard host can then eat a
         control message by dying with it, and a restarted shard's
         counters reset."""
-        if self._elastic is None or self._arm_recovery:
+        if self.sharding.elastic is None or self._arm_recovery:
             return 0
         return sum(
             self.shard_servers[shard].elastic_sent
@@ -1720,10 +1445,6 @@ class ShardedSeveEngine(SeveEngine):
                     seen.add(event["version"])
                     merged.append(event)
         return tuple(sorted(merged, key=lambda event: event["version"]))
-
-    def stripe_bounds(self) -> tuple:
-        """Each shard's own view of its stripe ``(lo, hi)``."""
-        return tuple(server.stripe for server in self._servers())
 
     def shard_of_client(self, client_id: ClientId) -> Optional[int]:
         """The shard a client is currently attached to (None mid-flight)."""

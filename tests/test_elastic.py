@@ -197,10 +197,11 @@ def test_elastic_off_is_structurally_static():
     for server in engine.shard_servers:
         assert server.partition.version == 0
         assert server.partition.boundaries == [1000.0, 2000.0, 3000.0]
-        assert server._epochs == []
-        assert server.elastic is None
+        assert server.rebalancer.epochs == []
+        assert server.rebalancer.config is None
         assert server.elastic_sent == 0 and server.elastic_received == 0
-        assert server.rebalance_log == []
+        assert server.rebalancer.rebalance_log == []
+        assert server.rebalancer.stamps == {}
     assert engine.rebalance_events == ()
 
 
@@ -233,7 +234,7 @@ def test_flash_crowd_rebalances_and_stays_consistent():
         cuts = event["boundaries"]
         assert list(cuts) == sorted(cuts)
     # Variable-width stripes: the final cuts moved off the equal grid.
-    lo, hi = engine.stripe_bounds()[0]
+    lo, hi = engine.shard_servers[0].stripe
     assert (lo, hi) != (0.0, 1000.0)
     # Every shard converged to the same committed partition.
     versions = {server.partition.version for server in engine.shard_servers}
@@ -305,7 +306,7 @@ def test_merge_while_handoff_barrier_drains():
     )
     assert out > 0 and out == into
     assert not any(server._handoffs for server in engine.shard_servers)
-    assert not any(server._parked_transfers for server in engine.shard_servers)
+    assert not any(server.rebalancer.parked for server in engine.shard_servers)
     for client_id, client in engine.clients.items():
         assert not client._migrating
     _assert_drained(engine)
