@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.baselines.common import BaselineClient, BaselineConfig, BaselineEngine
-from repro.core.messages import RelayedAction, SubmitAction, wire_size
+from repro.core.messages import RelayedAction, SubmitAction
 from repro.errors import ProtocolError
 from repro.metrics.consistency import check_uniform
-from repro.types import SERVER_ID, ClientId
+from repro.types import ClientId
 from repro.world.base import World
 
 
@@ -51,16 +51,11 @@ class BroadcastEngine(BaselineEngine):
                 f"broadcast server: unexpected {type(payload).__name__}"
             )
         relayed = RelayedAction(payload.action, submitted_at=self.sim.now)
-        size = wire_size(relayed)
         relay_cost = self.RELAY_COST_MS * max(1, len(self.clients))
 
         def relay() -> None:
             self.stats.actions_relayed += 1
-            for client_id in self.clients:
-                if client_id not in self.server.clients:
-                    continue  # presumed dead (Section III-C)
-                self.network.send(SERVER_ID, client_id, relayed, size)
-                self.stats.messages_sent += 1
+            self.stats.messages_sent += len(self._fan_out(relayed))
 
         self.server_host.execute(relay_cost, relay)
 

@@ -19,15 +19,14 @@ machine (Figure 1's scalability-vs-complexity tradeoff).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 from repro.baselines.common import BaselineClient, BaselineConfig, BaselineEngine
-from repro.core.action import Action, ActionResult
-from repro.core.messages import StateUpdate, SubmitAction, wire_size
+from repro.core.messages import StateUpdate, SubmitAction
 from repro.errors import ProtocolError
-from repro.types import SERVER_ID, ClientId
+from repro.net.host import Host
+from repro.types import ClientId
 from repro.world.base import World
-from repro.world.geometry import Vec2
 
 
 @dataclass
@@ -68,46 +67,31 @@ class CentralEngine(BaselineEngine):
             )
         action = payload.action
         submitted_at = self.sim.now
+        host = self._evaluator(src)
 
         def evaluate() -> None:
             result = action.apply(self.state)
             self.state.merge(result.values())  # record versions
             self.stats.actions_evaluated += 1
-            self._fan_out(action, result, submitted_at)
+            update = StateUpdate(
+                result.written, cause=action.action_id, submitted_at=submitted_at
+            )
+            recipients = self._fan_out(
+                update,
+                lambda client_id: client_id == action.client_id
+                or self._near(client_id, action.position, self.interest_radius),
+            )
+            self._evaluated(src, host, recipients)
 
-        self.server_host.execute(
-            action.cost_ms + self.config.eval_overhead_ms, evaluate
-        )
+        host.execute(action.cost_ms + self.config.eval_overhead_ms, evaluate)
 
-    def _fan_out(
-        self, action: Action, result: ActionResult, submitted_at: float
-    ) -> None:
-        update = StateUpdate(
-            result.written, cause=action.action_id, submitted_at=submitted_at
-        )
-        size = wire_size(update)
-        actor_position = action.position
-        for client_id in self.clients:
-            if client_id not in self.server.clients:
-                continue  # presumed dead (Section III-C)
-            if client_id != action.client_id and not self._interested(
-                client_id, actor_position
-            ):
-                continue
-            self.network.send(SERVER_ID, client_id, update, size)
-            self.stats.updates_sent += 1
+    def _evaluator(self, src: ClientId) -> Host:
+        """The CPU that evaluates ``src``'s actions."""
+        return self.server_host
 
-    def _interested(
-        self, client_id: ClientId, actor_position: Optional[Vec2]
-    ) -> bool:
-        if self.interest_radius is None or actor_position is None:
-            return True
-        avatar_oid = self.world.avatar_of(client_id)
-        if avatar_oid is None or avatar_oid not in self.state:
-            return True
-        obj = self.state.get(avatar_oid)
-        position = Vec2(float(obj["x"]), float(obj["y"]))
-        return position.distance_to(actor_position) <= self.interest_radius
+    def _evaluated(self, src: ClientId, host: Host, recipients: List[ClientId]) -> None:
+        """Count an evaluation ``host`` finished for ``src``."""
+        self.stats.updates_sent += len(recipients)
 
     # ------------------------------------------------------------------
     # Client side: install updates

@@ -1,13 +1,17 @@
 """Shared machinery of the baseline architectures.
 
-All three baselines are client–server relay systems: clients submit
-actions; the server routes something (raw actions or evaluated state
-updates) to some set of clients.  They differ only in *who evaluates*
-and *who receives*.  The testbed underneath — simulator, star network,
-hosts, fault injector, heartbeats, crash bookkeeping, and each client's
-submission clock and retry timers — is the one the SEVE engines run on
-(:mod:`repro.core.chassis`), so every architecture faces the same
-degraded network.  What this module adds is the baselines' own server
+Every baseline is a client–server relay system: clients submit
+actions; the server routes something (raw actions, evaluated state
+updates, lock effects or certification verdicts) to some set of
+clients.  They differ only in *who evaluates* and *who receives*, so
+the receiving is written once here: :meth:`BaselineEngine._fan_out`
+sends to every attached client a predicate admits (an evicted client
+is presumed dead, Section III-C), and :meth:`BaselineEngine._near` is
+the one area-of-interest rule.  The testbed underneath — simulator,
+star network, hosts, fault injector, heartbeats, crash bookkeeping, and
+each client's submission clock and retry timers — is the one the SEVE
+engines run on (:mod:`repro.core.chassis`), so every architecture faces
+the same degraded network.  What this module adds is the baselines' own server
 side: a :class:`BaselineClient` with a single full replica, a
 :class:`BaselineServer` on the serializers' shared
 :class:`~repro.core.chassis.ServerShell` (heartbeat liveness and
@@ -17,7 +21,7 @@ eviction, idempotent absorption of client resubmissions by
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, List, Optional
 
 from repro.core.action import Action
 from repro.core.chassis import (
@@ -27,15 +31,16 @@ from repro.core.chassis import (
     ServerStats,
     TestbedConfig,
 )
-from repro.core.messages import SubmitAction
+from repro.core.messages import SubmitAction, wire_size
 from repro.net.faults import RetryPolicy
 from repro.net.host import Host
 from repro.net.network import Network
 from repro.net.simulator import Simulator
 from repro.state.store import ObjectStore
 from repro.state.versioned import VersionedStore
-from repro.types import ClientId, TimeMs
+from repro.types import SERVER_ID, ClientId, TimeMs
 from repro.world.base import World
+from repro.world.geometry import Vec2
 
 
 #: The baselines' configuration *is* the shared testbed's: network and
@@ -167,6 +172,44 @@ class BaselineEngine(EngineChassis):
         self, client: BaselineClient, src: ClientId, payload: object
     ) -> None:
         raise NotImplementedError
+
+    # -- the server's back half ---------------------------------------------
+    def _fan_out(
+        self, message: object, admits: Optional[Callable[[ClientId], bool]] = None
+    ) -> List[ClientId]:
+        """Send ``message`` to every attached client ``admits`` (default:
+        all) lets through, in id order, and return the recipients.  An
+        evicted client is presumed dead (Section III-C)."""
+        recipients = [
+            client_id
+            for client_id in self.clients
+            if client_id in self.server.clients
+            and (admits is None or admits(client_id))
+        ]
+        size = wire_size(message)
+        for client_id in recipients:
+            self.network.send(SERVER_ID, client_id, message, size)
+        return recipients
+
+    def _near(
+        self, client_id: ClientId, position: Optional[Vec2], radius: Optional[float]
+    ) -> bool:
+        """The area-of-interest rule: the client's avatar lies within
+        ``radius`` of ``position``.  Without a radius, a position or an
+        avatar with one, everything is of interest."""
+        if radius is None or position is None:
+            return True
+        avatar = self._position(client_id)
+        return avatar is None or avatar.distance_to(position) <= radius
+
+    def _position(self, client_id: ClientId) -> Optional[Vec2]:
+        """Where the client's avatar stands in the server's state, if it
+        has one with a position."""
+        avatar = self.world.avatar_of(client_id)
+        obj = self.state.get(avatar) if avatar in self.state else {}
+        if "x" not in obj or "y" not in obj:
+            return None
+        return Vec2(float(obj["x"]), float(obj["y"]))
 
     # -- wiring -------------------------------------------------------------
     def _make_client_handler(

@@ -22,36 +22,12 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.baselines.common import BaselineClient, BaselineConfig, BaselineEngine
-from repro.core.action import Action, ActionId, ActionResult
-from repro.core.messages import SubmitAction, wire_size
+from repro.core.action import Action, ActionId
+from repro.core.messages import Effect, LockGrant, SubmitAction, wire_size
 from repro.errors import ProtocolError
 from repro.state.locks import LockTable
-from repro.types import SERVER_ID, ClientId, TimeMs
+from repro.types import SERVER_ID, ClientId
 from repro.world.base import World
-
-
-@dataclass(frozen=True)
-class LockGrant:
-    """Server -> client: every lock for this action is now held."""
-
-    action_id: ActionId
-
-
-@dataclass(frozen=True)
-class Effect:
-    """Client -> server -> clients: the executed action's writes."""
-
-    action_id: ActionId
-    written: tuple  # canonicalised values, as ActionResult.written
-    submitted_at: TimeMs = 0.0
-
-
-def _message_size(message: object) -> int:
-    if isinstance(message, LockGrant):
-        return 24
-    if isinstance(message, Effect):
-        return 24 + sum(8 + 12 * len(attrs) for _, attrs in message.written)
-    return wire_size(message)
 
 
 @dataclass
@@ -113,7 +89,7 @@ class LockingEngine(BaselineEngine):
 
         def granted() -> None:
             grant = LockGrant(action.action_id)
-            self.network.send(SERVER_ID, src, grant, _message_size(grant))
+            self.network.send(SERVER_ID, src, grant, wire_size(grant))
 
         immediate = self.locks.acquire(
             action.action_id,
@@ -135,9 +111,7 @@ class LockingEngine(BaselineEngine):
         self.state.merge(values)
         self.locks.release(effect.action_id)
         self.stats.effects_broadcast += 1
-        size = _message_size(effect)
-        for client_id in self.clients:
-            self.network.send(SERVER_ID, client_id, effect, size)
+        self._fan_out(effect)
 
     # ------------------------------------------------------------------
     # Client side
@@ -175,9 +149,7 @@ class LockingEngine(BaselineEngine):
                 result.written,
                 submitted_at=client._submit_times.get(action_id, 0.0),
             )
-            self.network.send(
-                client.client_id, SERVER_ID, effect, _message_size(effect)
-            )
+            self.network.send(client.client_id, SERVER_ID, effect, wire_size(effect))
 
         client.host.execute(
             action.cost_ms + self.config.eval_overhead_ms, execute

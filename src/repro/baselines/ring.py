@@ -29,11 +29,10 @@ from typing import Optional
 
 from repro.baselines.common import BaselineClient, BaselineConfig, BaselineEngine
 from repro.core.action import Action
-from repro.core.messages import RelayedAction, SubmitAction, wire_size
+from repro.core.messages import RelayedAction, SubmitAction
 from repro.errors import ActionAborted, MissingObjectError, ProtocolError
-from repro.types import SERVER_ID, ClientId
+from repro.types import ClientId
 from repro.world.base import World
-from repro.world.geometry import Vec2
 
 
 @dataclass
@@ -77,29 +76,14 @@ class RingEngine(BaselineEngine):
             # replica so future routing decisions see fresh positions.
             self._apply_quietly(action, self.state)
             self.stats.actions_relayed += 1
-            relayed = RelayedAction(action, submitted_at=self.sim.now)
-            size = wire_size(relayed)
-            for client_id in self.clients:
-                if client_id not in self.server.clients:
-                    continue  # presumed dead (Section III-C)
-                if client_id != action.client_id and not self._sees(
-                    client_id, action.position
-                ):
-                    continue
-                self.network.send(SERVER_ID, client_id, relayed, size)
-                self.stats.messages_sent += 1
+            recipients = self._fan_out(
+                RelayedAction(action, submitted_at=self.sim.now),
+                lambda client_id: client_id == action.client_id
+                or self._near(client_id, action.position, self.visibility),
+            )
+            self.stats.messages_sent += len(recipients)
 
         self.server_host.execute(self.tracking_cost_ms, route)
-
-    def _sees(self, client_id: ClientId, actor_position: Optional[Vec2]) -> bool:
-        if actor_position is None:
-            return True
-        avatar_oid = self.world.avatar_of(client_id)
-        if avatar_oid is None or avatar_oid not in self.state:
-            return True
-        obj = self.state.get(avatar_oid)
-        position = Vec2(float(obj["x"]), float(obj["y"]))
-        return position.distance_to(actor_position) <= self.visibility
 
     # ------------------------------------------------------------------
     # Client: evaluate whatever arrives, in arrival order

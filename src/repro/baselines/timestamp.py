@@ -22,56 +22,14 @@ The paper's criticisms, both observable here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.baselines.common import BaselineClient, BaselineConfig, BaselineEngine
 from repro.core.action import Action, ActionId
+from repro.core.messages import Certify, Decision, wire_size
 from repro.errors import ProtocolError
-from repro.types import SERVER_ID, ClientId, ObjectId, TimeMs
+from repro.types import SERVER_ID, ClientId, ObjectId
 from repro.world.base import World
-
-
-@dataclass(frozen=True)
-class Certify:
-    """Client -> server: a tentatively executed transaction."""
-
-    action_id: ActionId
-    #: Versions of the read set at local execution time.
-    read_versions: Tuple[Tuple[ObjectId, int], ...]
-    #: The written values (canonicalised like ActionResult.written).
-    written: tuple
-    submitted_at: TimeMs = 0.0
-
-
-@dataclass(frozen=True)
-class Decision:
-    """Server -> all clients: global history entry.
-
-    Committed entries carry the authoritative values and their new
-    versions; aborted entries carry only the verdict (the originator
-    retries, nobody else cares).
-    """
-
-    action_id: ActionId
-    committed: bool
-    written: tuple
-    versions: Tuple[Tuple[ObjectId, int], ...]
-
-
-def _size(message: object) -> int:
-    if isinstance(message, Certify):
-        return (
-            32
-            + 12 * len(message.read_versions)
-            + sum(8 + 12 * len(attrs) for _, attrs in message.written)
-        )
-    if isinstance(message, Decision):
-        return (
-            24
-            + 12 * len(message.versions)
-            + sum(8 + 12 * len(attrs) for _, attrs in message.written)
-        )
-    raise TypeError(type(message).__name__)
 
 
 @dataclass
@@ -144,7 +102,7 @@ class TimestampEngine(BaselineEngine):
                 result.written,
                 submitted_at=client._submit_times.get(action.action_id, 0.0),
             )
-            self.network.send(client.client_id, SERVER_ID, message, _size(message))
+            self.network.send(client.client_id, SERVER_ID, message, wire_size(message))
 
         client.host.execute(
             action.cost_ms + self.config.eval_overhead_ms, execute
@@ -219,14 +177,10 @@ class TimestampEngine(BaselineEngine):
         else:
             self.stats.aborted += 1
             decision = Decision(certify.action_id, False, (), ())
-        size = _size(decision)
-        if decision.committed:
-            for client_id in self.clients:
-                if client_id not in self.server.clients:
-                    continue  # presumed dead (Section III-C)
-                self.network.send(SERVER_ID, client_id, decision, size)
-        elif src in self.server.clients:
-            self.network.send(SERVER_ID, src, decision, size)
+        # A commit goes to everyone, an abort to its originator only.
+        self._fan_out(
+            decision, None if decision.committed else lambda client_id: client_id == src
+        )
 
     @property
     def abort_rate(self) -> float:

@@ -14,12 +14,17 @@ interaction metric it destroys: two players in different shards can
 never affect each other, which is the "degrading the massive multiplayer
 experience" the paper quotes.
 
-The zoned engine reuses the Central model's evaluation flow but runs one
-simulated CPU per zone; cross-zone visibility is handled by forwarding
-updates to neighbouring zones' subscribers (the paper notes "great
-complications arise from attempts to overlap zones" — our overlap is
-the minimal correct one: interest regions may span zones, actions do
-not).
+The zoned engine *is* the Central engine on a grid of zone CPUs: it
+overrides only which CPU evaluates an action (the acting client's
+zone's) and what it counts afterwards (zone handoffs and cross-zone
+updates).  Evaluation, the interest fan-out and the thin clients are
+Central's, so a run whose clients never leave one zone measures exactly
+like ``central``.  The zone CPUs are registered as server hosts, so
+their evaluation counts towards the run's total CPU.  Cross-zone
+visibility falls out of the one interest rule, which ignores tiles (the
+paper notes "great complications arise from attempts to overlap zones" —
+our overlap is the minimal correct one: interest regions may span zones,
+actions do not).
 """
 
 from __future__ import annotations
@@ -27,27 +32,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.baselines.common import BaselineClient, BaselineConfig, BaselineEngine
-from repro.core.action import Action, ActionResult
-from repro.core.messages import StateUpdate, SubmitAction, wire_size
-from repro.errors import ConfigurationError, ProtocolError
+from repro.baselines.central import CentralEngine, CentralStats
+from repro.baselines.common import BaselineConfig
+from repro.errors import ConfigurationError
 from repro.net.host import Host
-from repro.types import SERVER_ID, ClientId, TimeMs
+from repro.types import SERVER_ID, ClientId
 from repro.world.base import World
 from repro.world.geometry import Vec2
 
 
 @dataclass
-class ZonedStats:
-    """Counters for the zoned architecture."""
+class ZonedStats(CentralStats):
+    """Central's counters plus the zoning ones."""
 
-    actions_evaluated: int = 0
-    updates_sent: int = 0
     handoffs: int = 0
     cross_zone_updates: int = 0
 
 
-class ZonedCentralEngine(BaselineEngine):
+class ZonedCentralEngine(CentralEngine):
     """Central evaluation sharded over a grid of zone servers.
 
     ``zone_grid`` is the number of tiles per side (a 2x2 grid = 4 zone
@@ -69,21 +71,24 @@ class ZonedCentralEngine(BaselineEngine):
     ) -> None:
         if zone_grid < 1:
             raise ConfigurationError(f"zone_grid must be >= 1, got {zone_grid}")
-        super().__init__(world, num_clients, config)
+        super().__init__(world, num_clients, config, interest_radius=interest_radius)
         self.zone_grid = zone_grid
         self.world_width = world_width
         self.world_height = world_height
-        self.interest_radius = interest_radius
         self.stats = ZonedStats()
-        #: One CPU per zone server (ids below SERVER_ID are synthetic).
+        #: One CPU per zone server (ids below SERVER_ID are synthetic),
+        #: measured like any server's: zone ``z`` is server host ``z + 1``.
         self.zone_hosts: List[Host] = [
             Host(self.sim, SERVER_ID - 1 - index)
             for index in range(zone_grid * zone_grid)
         ]
+        self.server_hosts.update(
+            (zone + 1, host) for zone, host in enumerate(self.zone_hosts)
+        )
         #: Current zone of each client's avatar (tracked authoritatively).
-        self._client_zone: Dict[ClientId, int] = {}
-        for client_id in self.clients:
-            self._client_zone[client_id] = self._zone_of_client(client_id)
+        self._client_zone: Dict[ClientId, int] = {
+            client_id: self._zone_of_client(client_id) for client_id in self.clients
+        }
 
     # ------------------------------------------------------------------
     # Zone geometry
@@ -97,17 +102,8 @@ class ZonedCentralEngine(BaselineEngine):
         return row * self.zone_grid + col
 
     def _zone_of_client(self, client_id: ClientId) -> int:
-        position = self._client_position(client_id)
+        position = self._position(client_id)
         return self.zone_of_point(position) if position is not None else 0
-
-    def _client_position(self, client_id: ClientId) -> Optional[Vec2]:
-        avatar_oid = self.world.avatar_of(client_id)
-        if avatar_oid is None or avatar_oid not in self.state:
-            return None
-        obj = self.state.get(avatar_oid)
-        if "x" not in obj or "y" not in obj:
-            return None
-        return Vec2(float(obj["x"]), float(obj["y"]))
 
     def zone_population(self) -> Dict[int, int]:
         """Clients per zone (authoritative view)."""
@@ -117,79 +113,24 @@ class ZonedCentralEngine(BaselineEngine):
         return population
 
     # ------------------------------------------------------------------
-    # Server side: evaluate on the acting client's zone CPU
+    # What differs from Central: the evaluating CPU and the counters
     # ------------------------------------------------------------------
-    def _on_server_message(self, src: ClientId, payload: object) -> None:
-        if not isinstance(payload, SubmitAction):
-            raise ProtocolError(f"zoned server: unexpected {type(payload).__name__}")
-        action = payload.action
-        zone = self._client_zone.get(src, 0)
-        host = self.zone_hosts[zone]
-        submitted_at = self.sim.now
+    def _evaluator(self, src: ClientId) -> Host:
+        """The acting client's zone CPU."""
+        return self.zone_hosts[self._client_zone.get(src, 0)]
 
-        def evaluate() -> None:
-            result = action.apply(self.state)
-            self.state.merge(result.values())
-            self.stats.actions_evaluated += 1
-            self._track_handoff(src)
-            self._fan_out(zone, action, result, submitted_at)
-
-        host.execute(action.cost_ms + self.config.eval_overhead_ms, evaluate)
-
-    def _track_handoff(self, client_id: ClientId) -> None:
-        new_zone = self._zone_of_client(client_id)
-        if new_zone != self._client_zone.get(client_id):
-            self._client_zone[client_id] = new_zone
+    def _evaluated(self, src: ClientId, host: Host, recipients: List[ClientId]) -> None:
+        super()._evaluated(src, host, recipients)
+        new_zone = self._zone_of_client(src)
+        if new_zone != self._client_zone.get(src):
+            self._client_zone[src] = new_zone
             self.stats.handoffs += 1
-
-    def _fan_out(
-        self, acting_zone: int, action: Action, result: ActionResult,
-        submitted_at: TimeMs,
-    ) -> None:
-        update = StateUpdate(
-            result.written, cause=action.action_id, submitted_at=submitted_at
+        acting_zone = self.zone_hosts.index(host)
+        self.stats.cross_zone_updates += sum(
+            self._client_zone.get(client_id) != acting_zone for client_id in recipients
         )
-        size = wire_size(update)
-        for client_id in self.clients:
-            if client_id != action.client_id and not self._interested(
-                client_id, action.position
-            ):
-                continue
-            if self._client_zone.get(client_id) != acting_zone:
-                self.stats.cross_zone_updates += 1
-            self.network.send(SERVER_ID, client_id, update, size)
-            self.stats.updates_sent += 1
-
-    def _interested(self, client_id: ClientId, position: Optional[Vec2]) -> bool:
-        if self.interest_radius is None or position is None:
-            return True
-        client_position = self._client_position(client_id)
-        if client_position is None:
-            return True
-        return client_position.distance_to(position) <= self.interest_radius
-
-    # ------------------------------------------------------------------
-    # Client side: thin views, as in Central
-    # ------------------------------------------------------------------
-    def _on_client_message(
-        self, client: BaselineClient, src: ClientId, payload: object
-    ) -> None:
-        if not isinstance(payload, StateUpdate):
-            raise ProtocolError(f"zoned client: unexpected {type(payload).__name__}")
-
-        def install() -> None:
-            client.store.merge({oid: dict(attrs) for oid, attrs in payload.values})
-            client.evaluated += 1
-            if (
-                payload.cause is not None
-                and payload.cause.client_id == client.client_id
-            ):
-                client.note_confirmed(payload.cause)
-
-        client.host.execute(self.UPDATE_APPLY_COST_MS, install)
 
     @property
     def busiest_zone_utilization(self) -> float:
         """CPU utilisation of the most loaded zone server."""
         return max(host.utilization() for host in self.zone_hosts)
-

@@ -37,7 +37,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 from repro.core.action import Action, ActionId, ActionResult, BlindWrite
 from repro.errors import ProtocolError
 from repro.net.network import _Ack, _Packet
-from repro.types import ClientId, TimeMs
+from repro.types import ClientId, ObjectId, TimeMs
 from repro.world.geometry import Vec2
 
 
@@ -376,6 +376,10 @@ def _r_result(codec, r: _Reader) -> ActionResult:
 
 I64 = _number(_I64)
 F64 = _number(_F64)
+BOOL = Kind(
+    lambda codec, out, flag: out.append(1 if flag else 0),
+    lambda codec, r: bool(r.byte()),
+)
 STR = Kind(_w_str, _r_str)
 ACTION_ID = Kind(
     lambda codec, out, action_id: out.extend(_ACTION_ID.pack(*action_id)),
@@ -624,7 +628,7 @@ class CommitNotice:
 )
 @dataclass(frozen=True)
 class StateUpdate:
-    """Server -> client (Central/RING baselines): authoritative values.
+    """Server -> client (Central/Zoned baselines): authoritative values.
 
     ``cause`` identifies the action whose evaluation produced the
     update, so the originator can measure its response time.
@@ -729,6 +733,80 @@ class RelayedAction:
 
     action: Action
     submitted_at: TimeMs = 0.0
+
+
+@wire_message(tag=11, header=24, fields=[("action_id", ACTION_ID)])
+@dataclass(frozen=True)
+class LockGrant:
+    """Server -> client (locking baseline): every lock for this action
+    is now held."""
+
+    action_id: ActionId
+
+
+@wire_message(
+    tag=12,
+    header=24,
+    fields=[("action_id", ACTION_ID), ("written", WRITTEN), ("submitted_at", F64)],
+)
+@dataclass(frozen=True)
+class Effect:
+    """Client -> server -> clients (locking baseline): the executed
+    action's writes."""
+
+    action_id: ActionId
+    written: tuple  # canonicalised like ActionResult.written
+    submitted_at: TimeMs = 0.0
+
+
+#: Object versions (timestamp ordering), modelled at 12 bytes apiece.
+VERSIONS = seq(record(STR, I64), each=12)
+
+
+@wire_message(
+    tag=13,
+    header=32,
+    fields=[
+        ("action_id", ACTION_ID),
+        ("read_versions", VERSIONS),
+        ("written", WRITTEN),
+        ("submitted_at", F64),
+    ],
+)
+@dataclass(frozen=True)
+class Certify:
+    """Client -> server (timestamp baseline): a tentatively executed
+    transaction, with the versions of its read set at execution time."""
+
+    action_id: ActionId
+    read_versions: Tuple[Tuple[ObjectId, int], ...]
+    written: tuple  # canonicalised like ActionResult.written
+    submitted_at: TimeMs = 0.0
+
+
+@wire_message(
+    tag=14,
+    header=24,
+    fields=[
+        ("action_id", ACTION_ID),
+        ("committed", BOOL),
+        ("written", WRITTEN),
+        ("versions", VERSIONS),
+    ],
+)
+@dataclass(frozen=True)
+class Decision:
+    """Server -> clients (timestamp baseline): a global history entry.
+
+    Committed entries carry the authoritative values and their new
+    versions; aborted entries carry only the verdict (the originator
+    retries, nobody else cares).
+    """
+
+    action_id: ActionId
+    committed: bool
+    written: tuple
+    versions: Tuple[Tuple[ObjectId, int], ...]
 
 
 # ----------------------------------------------------------------------

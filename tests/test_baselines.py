@@ -1,4 +1,5 @@
-"""Integration tests for the Central, Broadcast and RING baselines."""
+"""Integration tests for the Central, Broadcast and RING baselines, and
+for the fan-out every relay baseline shares."""
 
 from __future__ import annotations
 
@@ -10,6 +11,8 @@ from repro.baselines.common import BaselineConfig
 from repro.baselines.ring import RingEngine
 from repro.core.action import ActionId
 from repro.errors import ProtocolError
+from repro.harness.architectures import build_engine
+from repro.harness.config import SimulationSettings
 from repro.world.manhattan import ManhattanConfig, ManhattanWorld
 
 
@@ -208,3 +211,35 @@ def test_ring_diverges_under_filtering():
         {cid: c.store for cid, c in engine.clients.items()}
     )
     assert divergent, "expected replica divergence under visibility filtering"
+
+
+# ----------------------------------------------------------------------
+# The one fan-out, across all six relay baselines
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "architecture", ["central", "zoned", "broadcast", "ring", "locking", "timestamp"]
+)
+def test_an_evicted_client_receives_no_server_message(architecture):
+    """Section III-C: a client the server evicted is presumed dead, so
+    no fan-out reaches it, even while it is alive and near the actor."""
+    settings = SimulationSettings(
+        num_clients=3, num_walls=0, moves_per_client=0, spawn_extent=5.0, seed=3
+    )
+    engine = build_engine(architecture, settings)
+    received = {client_id: [] for client_id in engine.clients}
+    on_client_message = engine._on_client_message
+
+    def recording(client, src, payload):
+        received[client.client_id].append(type(payload).__name__)
+        on_client_message(client, src, payload)
+
+    engine._on_client_message = recording
+    engine.server.evict_client(0)
+    action = engine.world.plan_move(
+        engine.planning_store(1), 1, ActionId(1, 0), cost_ms=1.0
+    )
+    engine.submit(1, action)
+    engine.run_to_quiescence()
+    assert engine.response_times.summary().count == 1
+    assert received[0] == []
+    assert received[2], "the attached bystander is in range of the actor"

@@ -25,11 +25,14 @@ from repro.core.messages import (
     WIRE_SPECS,
     AbortNotice,
     ActionBatch,
+    Certify,
     ClientHello,
     CommitNotice,
     Completion,
     CodecError,
+    Decision,
     DrainDone,
+    Effect,
     GroupBundle,
     HandoffPrepare,
     HandoffReady,
@@ -41,6 +44,7 @@ from repro.core.messages import (
     LeaseRequest,
     LeaseVote,
     LoadReport,
+    LockGrant,
     MessageCodec,
     OrderedAction,
     PartitionCommit,
@@ -242,6 +246,16 @@ MESSAGES = [
     _Packet(
         7, 2, PeerForward(1, ActionBatch((OrderedAction(-1, blind_write(7)),)))
     ),
+    # -- the concurrency-control baselines' messages ---------------------
+    LockGrant(ActionId(-1, 2**31)),
+    Effect(ActionId(3, 4), RESULT.written, submitted_at=250.25),
+    Certify(
+        ActionId(5, 0),
+        read_versions=(("avatar:3", 0), ("avatar:5", 2**40)),
+        written=(),
+        submitted_at=-0.0,
+    ),
+    Decision(ActionId(5, 1), True, RESULT.written, (("avatar:3", 7),)),
 ]
 
 

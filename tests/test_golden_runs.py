@@ -48,6 +48,16 @@ latency past the next event: the two fault-free K = 4 entries,
 rtt/2 = 75 ms).  Every other value of every entry is unchanged: a run
 with a fault plan or the elastic rebalancer keeps the old schedule.
 
+Re-dumped when the baselines' fan-out was written once
+(``BaselineEngine._fan_out``) and Zoned became Central on a zone grid:
+exactly four entries moved.  ``zoned_clean`` / ``_lossy`` / ``_evict``
+now count their zone servers' CPU, so ``measured.total_cpu_ms`` reads
+1 838.48 / 1 837.88 / 1 817.40 ms (was 45.2 / 44.6 / 42.8), equal to
+``central_*``'s.  ``locking_evict`` no longer sends effects to the
+evicted client: ``events`` 11 381 → 11 377, ``total_bytes`` 336 224 →
+335 904, ``measured.total_traffic_kb`` and ``server_traffic_kb``
+328.34375 → 328.03125.  No other field of any entry moved.
+
 Regenerate (only when virtual-time behaviour is *meant* to change) with
 ``PYTHONPATH=src python tests/test_golden_runs.py``.
 """

@@ -7,12 +7,17 @@ out, and collapses when everyone crowds into one zone — the paper's
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.baselines.common import BaselineConfig
 from repro.baselines.zoned import ZonedCentralEngine
 from repro.core.action import ActionId
 from repro.errors import ConfigurationError
+from repro.harness.architectures import build_engine
+from repro.harness.config import SimulationSettings
+from repro.harness.runner import run_simulation
 from repro.world.geometry import Vec2
 from repro.world.manhattan import ManhattanConfig, ManhattanWorld
 
@@ -147,3 +152,19 @@ def test_cross_zone_updates_preserve_visibility():
         {cid: c.store for cid, c in engine.clients.items()}
     )
     assert report.consistent
+
+
+def test_a_zoned_run_inside_one_zone_measures_like_central():
+    """A zone is a small Central server: with every client inside one
+    tile, the zoned run is the central run on another CPU, and the zone
+    CPUs count like the central server's."""
+    settings = SimulationSettings(
+        num_clients=12, num_walls=50, moves_per_client=6, spawn_extent=60.0, seed=4
+    )
+    assert len(build_engine("zoned", settings).zone_population()) == 1
+    central = run_simulation("central", settings)
+    zoned = run_simulation("zoned", settings)
+    wall_clock = {"architecture", "wall_seconds"}
+    for field in dataclasses.fields(central):
+        if field.name not in wall_clock:
+            assert getattr(zoned, field.name) == getattr(central, field.name), field.name
