@@ -48,12 +48,10 @@ RULE = "rwset-escape"
 _ACTION_BASES = frozenset({"Action", "BlindWrite"})
 
 #: Store methods whose argument carries object ids that are *read*.
-_READ_METHODS = frozenset(
-    {"get", "values_of", "values_of_present", "missing", "has_all"}
-)
+_READ_METHODS = frozenset({"get", "values_of", "values_of_present"})
 
 #: Store methods whose argument carries object ids that are *written*.
-_WRITE_METHODS = frozenset({"install", "merge", "discard"})
+_WRITE_METHODS = frozenset({"install", "merge"})
 
 #: Wrappers that preserve "ids drawn from a safe source".
 _SAFE_WRAPPERS = frozenset(

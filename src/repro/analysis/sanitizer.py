@@ -262,28 +262,12 @@ class SanitizedStore(ObjectStore):
             self._check_read(oid)
         return super().values_of_present(oids)
 
-    def has_all(self, oids: Iterable[ObjectId]) -> bool:
-        oids = list(oids)
-        for oid in oids:
-            self._check_read(oid)
-        return super().has_all(oids)
-
-    def missing(self, oids: Iterable[ObjectId]) -> frozenset[ObjectId]:
-        oids = list(oids)
-        for oid in oids:
-            self._check_read(oid)
-        return super().missing(oids)
-
     # ``values_of`` needs no override: it reads through :meth:`get`.
 
     # -- checked writes --------------------------------------------------
     def put(self, obj: WorldObject) -> None:
         self._check_write(obj.oid)
         super().put(obj)
-
-    def discard(self, oid: ObjectId) -> None:
-        self._check_write(oid)
-        super().discard(oid)
 
     def install(self, values: ValuesDict) -> None:
         for oid in values:
@@ -297,12 +281,8 @@ class SanitizedStore(ObjectStore):
 
     # -- snapshots -------------------------------------------------------
     def snapshot(self) -> "SanitizedStore":
-        """Deep copy that stays sanitized, sharing this recorder.
-
-        Clients build their optimistic replica by snapshotting the
-        stable one, so sanitization must survive the copy for ζ_CO
-        applications to be checked too.
-        """
+        """Deep copy that stays sanitized, sharing this recorder, so an
+        action applied to the copy is checked like one applied here."""
         clone = SanitizedStore(recorder=self.recorder, label=self.label)
         for oid, obj in self._objects.items():
             clone._objects[oid] = obj.copy()

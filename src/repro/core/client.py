@@ -1,9 +1,10 @@
 """Client-side action protocol: Algorithms 1, 3 and 4 of the paper.
 
-A :class:`ProtocolClient` maintains two replicas of the world state —
-the optimistic version ζ_CO and the stable version ζ_CS — plus the
-pending queue Q of locally generated actions not yet received back from
-the server.  Locally created actions are applied to ζ_CO immediately
+A :class:`ProtocolClient` maintains one replica of the world state, the
+stable version ζ_CS, plus the pending queue Q of locally generated
+actions not yet received back from the server.  The optimistic version
+ζ_CO is an overlay on ζ_CS holding private copies of only the objects
+in WS(Q).  Locally created actions are applied to ζ_CO immediately
 (optimistic evaluation) and sent to the server for serialization; the
 serialized stream coming back from the server is applied to ζ_CS, and
 disagreements between the optimistic and stable evaluation of an own
@@ -47,7 +48,7 @@ from repro.net.faults import RetryPolicy
 from repro.net.host import Host
 from repro.net.network import Network
 from repro.net.simulator import Event, Simulator
-from repro.state.store import ObjectStore
+from repro.state.store import ObjectStore, OverlayStore
 from repro.types import SERVER_ID, ClientId, TimeMs
 
 
@@ -128,9 +129,9 @@ class ProtocolClient(ClientShell):
             retry_seed=self.config.retry_seed,
             obs=obs,
         )
-        #: ζ_CO — the optimistic replica, equal to ζ_CS (``stable``)
-        #: plus the optimistic effects of Q.
-        self.optimistic = stable_store.snapshot()
+        #: ζ_CO — ζ_CS (``stable``) plus the optimistic effects of Q:
+        #: an overlay holding private copies of the objects in WS(Q).
+        self.optimistic = OverlayStore(stable_store)
         self.queue = PendingQueue()
         self._applied_positions: Set[int] = set()
         self._gc_frontier = -1
@@ -207,7 +208,11 @@ class ProtocolClient(ClientShell):
         guess then degrades to the abort result; the authoritative
         evaluation on ζ_CS will disagree and trigger reconciliation,
         which is exactly the designed recovery path.
+
+        The action's writes are copied into the overlay first: the
+        evaluation updates the objects it writes in place.
         """
+        self.optimistic.hold(action.writes)
         try:
             return action.apply(self.optimistic)
         except MissingObjectError:
@@ -322,25 +327,15 @@ class ProtocolClient(ClientShell):
 
     def _process_remote_action(self, entry: OrderedAction) -> None:
         """Step 4: remote action (or server blind write) applied to ζ_CS,
-        with its writes copied to ζ_CO outside WS(Q)."""
+        which ζ_CO reads through outside WS(Q)."""
         action = entry.action
         if isinstance(action, BlindWrite):
             self.stats.blind_writes_applied += 1
         else:
             self.stats.stable_evaluations += 1
         result = action.apply(self.stable)
-        self._propagate_writes(result)
         if self.config.report_all_completions and not isinstance(action, BlindWrite):
             self._send_completion(action, result, pos=entry.pos)
-
-    def _propagate_writes(self, result: ActionResult) -> None:
-        values = {
-            oid: attrs
-            for oid, attrs in result.values().items()
-            if not self.queue.writes(oid)
-        }
-        if values:
-            self.optimistic.merge(values)
 
     def _process_own_action(self, entry: OrderedAction) -> None:
         """Step 5: our own action came back; compare with its optimistic
@@ -366,7 +361,6 @@ class ProtocolClient(ClientShell):
                 self._settle(action.action_id)
                 self.stats.stable_evaluations += 1
                 result = action.apply(self.stable)
-                self._propagate_writes(result)
                 if self.config.send_completions:
                     self._send_completion(action, result, pos=entry.pos)
                 return
@@ -375,10 +369,13 @@ class ProtocolClient(ClientShell):
         _, optimistic_result = self.queue.pop_head()
         if stable_result != optimistic_result:
             self.stats.mismatches += 1
-            # The confirmed action left Q, so its writes are no longer
-            # in WS(Q); include them in the rollback set explicitly or
-            # ζ_CO would keep the stale optimistic guess.
-            self._reconcile(extra_writes=action.writes)
+            self._reconcile()
+        else:
+            # The guess was right: what only this action wrote reads
+            # through to ζ_CS again.
+            self.optimistic.release(
+                oid for oid in action.writes if not self.queue.writes(oid)
+            )
         if self.config.send_completions:
             self._send_completion(action, stable_result, pos=entry.pos)
         self.stats.confirmed += 1
@@ -401,14 +398,11 @@ class ProtocolClient(ClientShell):
         was never submitted".  Either way the optimistic entry must go,
         and ζ_CO must be reconciled without it.
         """
-        dropped: frozenset = frozenset()
         while self.queue and self.queue.head()[0].action_id != action_id:
             lost, _ = self.queue.pop_head()
-            dropped = dropped | lost.writes
             self._settle(lost.action_id)
             self.stats.own_echoes_lost += 1
-        if dropped:
-            self._reconcile(extra_writes=dropped)
+        self._reconcile()
 
     def _send_completion(
         self, action: Action, result: ActionResult, pos: int = -1
@@ -419,23 +413,20 @@ class ProtocolClient(ClientShell):
     # ------------------------------------------------------------------
     # Reconciliation (Algorithm 3)
     # ------------------------------------------------------------------
-    def _reconcile(self, extra_writes: frozenset = frozenset()) -> None:
+    def _reconcile(self) -> None:
         """ζ_CO(WS(Q)) ← ζ_CS(WS(Q)); replay Q against ζ_CO.
 
-        ``extra_writes`` extends the rollback set with writes of an
-        action that was just *removed* from Q (an abort): its optimistic
-        effects must be undone even though it no longer contributes to
-        WS(Q).
+        The overlay drops every private copy — those of WS(Q) and those
+        of actions just removed from Q (an abort, a confirmation that
+        disagreed), whose optimistic effects must be undone too — and
+        the replay copies WS(Q) from ζ_CS afresh.
 
         The replay cost is charged to the CPU as a follow-up work item
         (pure delay) so queueing behaviour stays realistic while the
         state machine remains synchronous.
         """
         self.stats.reconciliations += 1
-        write_set = self.queue.write_set() | extra_writes
-        self.optimistic.install(self.stable.values_of_present(write_set))
-        for oid in self.stable.missing(write_set):
-            self.optimistic.discard(oid)
+        self.optimistic.release()
         replay_cost = 0.0
         for index, (action, _) in enumerate(self.queue):
             replay_cost += action.cost_ms + self.config.eval_overhead_ms
@@ -455,7 +446,7 @@ class ProtocolClient(ClientShell):
         self.stats.aborted += 1
         # Undo the dropped action's optimistic effect by reconciling the
         # remaining queue against the stable state.
-        self._reconcile(extra_writes=removed.writes)
+        self._reconcile()
         self.stats.reconciliations -= 1  # bookkeeping: abort, not mismatch
         if self.on_aborted is not None:
             self.on_aborted(notice.action_id)
@@ -472,7 +463,7 @@ class ProtocolClient(ClientShell):
             self._settle(notice.action_id)
             return  # already confirmed (a late duplicate of the notice)
         self.stats.confirmed += 1
-        self._reconcile(extra_writes=removed.writes)
+        self._reconcile()
         self.stats.reconciliations -= 1  # bookkeeping: commit, not mismatch
         self._cancel_retry(notice.action_id)
         self.note_confirmed(notice.action_id)
@@ -518,16 +509,14 @@ class ProtocolClient(ClientShell):
                 src, (set(), -1)
             )
             self.server_id = src
-        extra: frozenset = frozenset()
+        resolved = False
         for action_id in welcome.resolved:
-            removed = self.queue.remove(action_id)
+            resolved |= self.queue.remove(action_id) is not None
             self._settle(action_id)
-            if removed is not None:
-                extra = extra | removed.writes
-        if extra:
+        if resolved:
             # Resolved by the old shard but the echo may never reach us
             # (its stream is stale now): undo the optimistic guesses.
-            self._reconcile(extra_writes=extra)
+            self._reconcile()
         self._migrating = False
         self._migration_target = None
         for action in self._migration_buffer:

@@ -319,10 +319,10 @@ class SeveEngine(EngineChassis):
             else None
         )
         if self.rwset_recorder is not None and model is None:
-            # The client snapshots this store for its optimistic replica,
-            # and SanitizedStore.snapshot stays sanitized — so one wrap
-            # here covers ζ_CS and ζ_CO (and, via inheritance, every
-            # shard-attached client of the sharded engine too).  Cheater
+            # The client's optimistic overlay reads through this store
+            # and shares its action scope — so one wrap here covers ζ_CS
+            # and ζ_CO (and, via inheritance, every shard-attached
+            # client of the sharded engine too).  Cheater
             # replicas stay unwrapped: a cheater won't sanitize itself,
             # and the lying-RS evidence must come from its *victims*.
             stable = wrap_sanitized(

@@ -2,9 +2,10 @@
 
 The state of a virtual world is a database of objects
 (:class:`~repro.state.objects.WorldObject`) held in an
-:class:`~repro.state.store.ObjectStore`.  Clients maintain two stores
-(optimistic and stable replicas, possibly partial); the Incomplete World
-server maintains the authoritative store.  A
+:class:`~repro.state.store.ObjectStore`.  Clients maintain a stable
+replica, possibly partial, and over it an optimistic
+:class:`~repro.state.store.OverlayStore`; the Incomplete World server
+maintains the authoritative store.  A
 :class:`~repro.state.versioned.VersionedStore` additionally records a
 per-object version counter and a bounded multiversion history, which the
 consistency checker and the timestamp-protocol discussion in the paper

@@ -11,7 +11,7 @@ does not know the object" (never as "the object does not exist").
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Iterable, Iterator, Mapping, Optional
+from typing import Dict, Iterable, Iterator, Optional
 
 from repro.errors import MissingObjectError
 from repro.state.objects import WorldObject
@@ -55,10 +55,6 @@ class ObjectStore:
     def put(self, obj: WorldObject) -> None:
         """Insert or replace an object."""
         self._objects[obj.oid] = obj
-
-    def discard(self, oid: ObjectId) -> None:
-        """Remove an object if present (no error when absent)."""
-        self._objects.pop(oid, None)
 
     def __contains__(self, oid: ObjectId) -> bool:
         return oid in self._objects
@@ -122,14 +118,6 @@ class ObjectStore:
             else:
                 existing.update(attrs)
 
-    def has_all(self, oids: Iterable[ObjectId]) -> bool:
-        """Whether this replica holds every id in ``oids``."""
-        return all(oid in self._objects for oid in oids)
-
-    def missing(self, oids: Iterable[ObjectId]) -> frozenset[ObjectId]:
-        """The subset of ``oids`` this replica does not hold."""
-        return frozenset(oid for oid in oids if oid not in self._objects)
-
     # -- snapshots & checksums -------------------------------------------
     def snapshot(self) -> "ObjectStore":
         """Independent deep copy of the store."""
@@ -179,8 +167,52 @@ class ObjectStore:
         return f"ObjectStore({len(self._objects)} objects)"
 
 
-def restrict(values: Mapping[ObjectId, Dict[str, AttrValue]],
-             oids: Iterable[ObjectId]) -> ValuesDict:
-    """Restrict a values dict to the ids in ``oids`` (present ones only)."""
-    wanted = set(oids)
-    return {oid: dict(attrs) for oid, attrs in values.items() if oid in wanted}
+class OverlayStore(ObjectStore):
+    """A store that reads through to ``base`` except where it holds a
+    private copy: a client's optimistic replica ζ_CO over its stable
+    ζ_CS, holding only the objects its pending actions write.
+
+    :meth:`hold` copies objects from ``base`` before they are written
+    here (copy-on-write); an id ``base`` lacks is held as absent, so it
+    stays absent here until :meth:`release`.  :meth:`get`, ``in`` and
+    :meth:`objects` see the overlay over ``base``; ``get`` and ``in``
+    ask ``base`` first, whose :attr:`action_scope` the overlay shares,
+    so a sanitized base checks reads of held copies too.  An evaluation
+    writes held copies in place, through :meth:`get`; the rest of the
+    store's surface (``len``, :meth:`ids`, the bulk writers) sees the
+    held copies alone.  No store drops an object, so ``base`` holds
+    every object held here.
+    """
+
+    def __init__(self, base: ObjectStore) -> None:
+        super().__init__()
+        self.base = base
+        self.action_scope = base.action_scope
+
+    def get(self, oid: ObjectId) -> WorldObject:
+        obj = self._objects.get(oid, self.base.get(oid))
+        if obj is None:
+            raise MissingObjectError(oid)
+        return obj
+
+    def __contains__(self, oid: ObjectId) -> bool:
+        return oid in self.base and self._objects.get(oid, oid) is not None
+
+    def objects(self) -> Iterator[WorldObject]:
+        merged = {**self.base._objects, **self._objects}
+        for oid, obj in self._objects.items():
+            if obj is None:
+                del merged[oid]
+        return iter(merged.values())
+
+    def hold(self, oids: Iterable[ObjectId]) -> None:
+        """Take private copies of ``oids`` not held yet."""
+        for oid in oids:
+            if oid not in self._objects:
+                obj = self.base._objects.get(oid)
+                self._objects[oid] = None if obj is None else obj.copy()
+
+    def release(self, oids: Optional[Iterable[ObjectId]] = None) -> None:
+        """Drop the private copies of ``oids`` (of all, by default)."""
+        for oid in list(self._objects) if oids is None else oids:
+            self._objects.pop(oid, None)

@@ -55,12 +55,6 @@ class VersionedStore(ObjectStore):
                 oid, self._objects[oid].as_dict(), commit_index=commit_index
             )
 
-    def discard(self, oid: ObjectId) -> None:
-        """Remove an object and its history."""
-        super().discard(oid)
-        self._versions.pop(oid, None)
-        self._history.pop(oid, None)
-
     def _record_version(
         self, oid: ObjectId, attrs: Dict[str, AttrValue], commit_index: int
     ) -> None:

@@ -421,7 +421,7 @@ def test_visible_avatar_count():
         (2, Vec2(170, 100), 0.0),
     )
     assert world.visible_avatar_count(store, 0) == 1
-    store.discard(avatar_id(0))
+    store = store_with_avatars((1, Vec2(110, 100), 0.0))
     assert world.visible_avatar_count(store, 0) == 0
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.errors import MissingObjectError, ProtocolError
 from repro.state.objects import WorldObject
-from repro.state.store import ObjectStore, restrict
+from repro.state.store import ObjectStore, OverlayStore
 from repro.state.versioned import VersionedStore
 
 
@@ -91,11 +91,6 @@ def test_store_missing_raises_typed_error():
     assert isinstance(info.value, KeyError)
 
 
-def test_store_discard_absent_is_noop():
-    store = ObjectStore()
-    store.discard("nothing:0")  # must not raise
-
-
 def test_values_of_returns_copies():
     store = ObjectStore([make_obj()])
     values = store.values_of(["avatar:0"])
@@ -137,13 +132,6 @@ def test_merge_creates_absent_objects():
     assert store.get("new:0")["x"] == 1.0
 
 
-def test_has_all_and_missing():
-    store = ObjectStore([make_obj()])
-    assert store.has_all(["avatar:0"])
-    assert not store.has_all(["avatar:0", "ghost:1"])
-    assert store.missing(["avatar:0", "ghost:1"]) == frozenset({"ghost:1"})
-
-
 def test_snapshot_is_deep():
     store = ObjectStore([make_obj()])
     snap = store.snapshot()
@@ -175,9 +163,44 @@ def test_diff_reports_mismatch_kinds():
     assert "mismatch" in diff["avatar:0"]
 
 
-def test_restrict_helper():
-    values = {"a:0": {"x": 1.0}, "b:0": {"x": 2.0}}
-    assert restrict(values, ["a:0", "c:0"]) == {"a:0": {"x": 1.0}}
+# ---------------------------------------------------------------------------
+# OverlayStore
+# ---------------------------------------------------------------------------
+def test_overlay_reads_through_to_its_base():
+    base = ObjectStore([make_obj()])
+    overlay = OverlayStore(base)
+    base.merge({"avatar:0": {"x": 5.0}, "new:0": {"x": 1.0}})
+    assert overlay.get("avatar:0")["x"] == 5.0
+    assert "new:0" in overlay and "ghost:1" not in overlay
+    assert sorted(obj.oid for obj in overlay.objects()) == ["avatar:0", "new:0"]
+    with pytest.raises(MissingObjectError):
+        overlay.get("ghost:1")
+
+
+def test_overlay_writes_held_copies_only():
+    base = ObjectStore([make_obj(), make_obj("wall:1")])
+    overlay = OverlayStore(base)
+    overlay.hold(["avatar:0"])
+    overlay.get("avatar:0").update({"x": 9.0})
+    base.merge({"avatar:0": {"health": 50}, "wall:1": {"x": 3.0}})
+    assert base.get("avatar:0")["x"] == 1.0
+    assert overlay.get("avatar:0").as_dict() == {"x": 9.0, "y": 2.0, "health": 100}
+    assert overlay.get("wall:1")["x"] == 3.0
+    assert [obj["x"] for obj in overlay.objects()] == [9.0, 3.0]
+    overlay.release(["avatar:0"])
+    assert overlay.get("avatar:0") is base.get("avatar:0")
+
+
+def test_overlay_holds_an_id_its_base_lacks_as_absent():
+    base = ObjectStore()
+    overlay = OverlayStore(base)
+    overlay.hold(["late:0"])
+    base.merge({"late:0": {"x": 1.0}})
+    assert "late:0" not in overlay and list(overlay.objects()) == []
+    with pytest.raises(MissingObjectError):
+        overlay.get("late:0")
+    overlay.release()
+    assert overlay.get("late:0")["x"] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -221,14 +244,6 @@ def test_versioned_snapshot_is_plain_store():
     assert isinstance(snap, ObjectStore)
     assert not isinstance(snap, VersionedStore)
     assert snap.get("avatar:0") == store.get("avatar:0")
-
-
-def test_discard_clears_history():
-    store = VersionedStore([make_obj()])
-    store.discard("avatar:0")
-    assert store.history("avatar:0") == ()
-    with pytest.raises(MissingObjectError):
-        store.version("avatar:0")
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,15 @@ from repro.analysis.sanitizer import (
     wrap_store,
 )
 from repro.core.action import Action, ActionId
+from repro.core.client import ProtocolClient
 from repro.core.engine import SeveConfig, SeveEngine
 from repro.errors import ProtocolError
+from repro.net.host import Host
+from repro.net.network import Network
+from repro.net.simulator import Simulator
 from repro.state.objects import WorldObject
 from repro.state.store import ObjectStore
+from repro.types import SERVER_ID
 
 
 class LyingReadAction(Action):
@@ -154,6 +159,26 @@ def test_snapshot_stays_sanitized_and_shares_the_recorder():
     assert clone.recorder is store.recorder
     with pytest.raises(RWSetViolation):
         LyingReadAction(ActionId(0, 0), "avatar").apply(clone)
+
+
+def test_optimistic_reads_of_objects_the_client_writes_are_checked():
+    # ζ_CO keeps its own copy of 'wind' while the first action is
+    # pending; the second action's undeclared read of it must still be
+    # recorded, as a read on the client's store.
+    sim = Simulator()
+    network = Network(sim, rtt_ms=100.0)
+    network.register(SERVER_ID, lambda src, message: None)
+    recorder = SanitizerRecorder(mode="report")
+    stable = _replica(1, SanitizedStore, recorder=recorder, label="c0")
+    client = ProtocolClient(sim, network, Host(sim, 0), 0, stable)
+    # An honest write of 'wind': the object it peeks at is its target.
+    client.submit(LyingReadAction(ActionId(0, 0), "wind", peek="wind"))
+    assert recorder.violations == []
+    client.submit(LyingReadAction(ActionId(0, 1), "avatar"))
+    assert [(v.kind, v.oid, v.store) for v in recorder.violations] == [
+        ("read", "wind", "c0")
+    ]
+    assert client.optimistic.get("avatar").get("pos") == 1
 
 
 def test_wrap_store_is_a_view_not_a_copy():
