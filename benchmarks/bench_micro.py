@@ -17,6 +17,7 @@ from repro.core.closure import QueueEntry, transitive_closure
 from repro.core.indexes import WriterIndex
 from repro.core.info_bound import InformationBound
 from repro.net.simulator import Simulator
+from repro.world.avatar import avatar_id
 from repro.world.geometry import Vec2
 from repro.world.walls import WallField
 from tests.reference.info_bound_reference import writer_index_of
@@ -174,6 +175,42 @@ def test_push_cycle_lagging_clients(benchmark):
     def run(server):
         for _ in range(10):
             server._push_cycle()
+        return server
+
+    server = benchmark.pedantic(run, setup=setup, rounds=3)
+    assert server.stats.closures_deferred > 9 * 100
+    assert min(record.scanned_pos for record in server.clients.values()) < 299
+
+
+def test_push_cycle_drifting_clients(benchmark):
+    """The lagging shape above, with every held client walking at the
+    predicate's maximum speed s: its committed avatar moves s·ω·RTT
+    (0.5 units; reach is 3) between cycles, as a commit or a region sync
+    moves it.  Each move unparks it, so every cycle walks every client.
+    A held client keeps its list while it stays within reach of the
+    position its window was nominated from, and rebuilds it once when it
+    leaves (after the seventh move)."""
+
+    def setup():
+        server = build_push_server(128, 300, world_extent=160.0)
+        predicate = server.predicate
+        stride = predicate.max_speed * predicate.push_interval_ms / 1000.0
+        rng = random.Random(3)
+        steps = {
+            client_id: Vec2.from_heading(rng.uniform(-math.pi, math.pi)).scaled(stride)
+            for client_id in server.clients
+        }
+        return (server, steps), {}
+
+    def run(server, steps):
+        for _ in range(10):
+            server._push_cycle()
+            for client_id, step in steps.items():
+                oid = avatar_id(client_id)
+                avatar = server.state.get(oid)
+                moved = {oid: {"x": avatar["x"] + step.x, "y": avatar["y"] + step.y}}
+                server.state.merge(moved)
+                server._refresh_indexed_positions(moved)
         return server
 
     server = benchmark.pedantic(run, setup=setup, rounds=3)

@@ -46,7 +46,7 @@ static_analysis() {
   # number when a PR shrinks it), and no file under core/ may pass 900
   # code lines (ROADMAP item 5).
   python scripts/code_size.py --json \
-    | python -c 'import json,sys; size = json.load(sys.stdin); big = {f: n for f, n in size["files"].items() if f.startswith("core/") and n > 900}; assert 0 < size["total"] <= 13143 and not big, (size["total"], big)'
+    | python -c 'import json,sys; size = json.load(sys.stdin); big = {f: n for f, n in size["files"].items() if f.startswith("core/") and n > 900}; assert 0 < size["total"] <= 13141 and not big, (size["total"], big)'
 }
 
 # Documentation lint (links resolve; docs/index.md covers docs/*.md)
@@ -146,9 +146,10 @@ window_ratchet() {
 }
 
 # The work ratchet (docs/performance.md, "Work whose inputs have not
-# changed is not redone"): closure walks and move evaluations on the
-# smoke-scale crowd_k1 and sprawl_k4 shapes, each under a checked-in
-# ceiling that may only come down.
+# changed is not redone" and "Nominate once"): closure walks, move
+# evaluations and push-path re-nominations on the smoke-scale crowd_k1
+# and sprawl_k4 shapes, each under a checked-in ceiling that may only
+# come down.
 work_ratchet() {
   python scripts/work_ratchet.py
 }

@@ -131,16 +131,24 @@ class FirstBoundPredicate:
         and must be tested against every client.
 
         For a plain sphere of influence, every client the Equation (1)
-        test can admit lies within ``reach + r_A + max r_C`` of p̄_A, so
-        a radius query over committed client positions is a superset of
-        the exact predicate.  Two cases defeat indexing and make
-        every client a candidate: actions without a position (conservatively affect
-        everyone), and — under velocity culling — actions with a
-        velocity vector, whose projected position depends on each
-        client's own t_C and therefore has no single query center.
+        test can admit lies within ``reach + r_A + max r_C`` of p̄_A.
+        The radius adds a drift margin m = 2·``reach`` to that, so a
+        nomination made from a client's committed position q still
+        covers every position p the client is later tested at while
+        ‖p − q‖ ≤ 2·``reach``: the server lets a client drift ``reach``
+        from the anchor its open window was nominated from, and every
+        nomination is made within ``reach`` of that anchor
+        (docs/performance.md, "Nominate once").  The margin is derived
+        from the predicate, not a setting.
+
+        Two cases defeat indexing and make every client a candidate:
+        actions without a position (conservatively affect everyone),
+        and — under velocity culling — actions with a velocity vector,
+        whose projected position depends on each client's own t_C and
+        therefore has no single query center.
         """
         if action.position is None:
             return None
         if self.use_velocity_culling and action.velocity is not None:
             return None
-        return self.reach + action.radius + max_client_radius
+        return 3.0 * self.reach + action.radius + max_client_radius

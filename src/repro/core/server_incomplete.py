@@ -79,6 +79,12 @@ def _no_avatar(client_id: ClientId) -> None:
     return None
 
 
+#: The anchor of a client without a committed position.  The index
+#: nominates such a client for every entry, and any position it is
+#: later placed at is further than ``reach`` from here.
+UNPLACED = Vec2(float("inf"), float("inf"))
+
+
 @dataclass
 class ClientRecord:
     """Per-client distribution state."""
@@ -100,12 +106,17 @@ class ClientRecord:
     position_time: TimeMs = 0.0
     #: Ascending queue positions nominated for this client and not yet
     #: pushed: a superset of what ``_wants`` admits in its window
-    #: ``(scanned_pos, nominated]`` (docs/performance.md).
+    #: ``(scanned_pos, nominated]`` at any committed position within
+    #: ``reach`` of ``anchor`` (docs/performance.md).
     pending: List[int] = field(default_factory=list)
-    #: The committed position changed under a non-empty window, so
-    #: ``pending`` no longer bounds it: until the client has caught up,
-    #: its pushes walk the window itself.
-    stale: bool = False
+    #: The committed position the open window's nominations were made
+    #: from (:data:`UNPLACED` for a position-less client).  ``None``
+    #: once the client has drifted more than ``reach`` from it under an
+    #: open window: ``pending`` no longer bounds what it wants, nothing
+    #: is appended to it, and the next walk re-nominates the window.
+    #: (A ``Vec2`` is never false: ``record.anchor`` reads "has one",
+    #: and ``position or UNPLACED`` places a position-less client.)
+    anchor: Optional[Vec2] = None
     #: ``(pos, epoch)`` once the in-order guard deferred this client's
     #: push: the position of the deferred chain's oldest member and the
     #: server's ``_park_epoch`` then.  Until that entry commits, the
@@ -268,7 +279,9 @@ class IncompleteWorldServer(ServerShell):
         if avatar_oid is not None:
             self._avatar_owner[avatar_oid] = client_id
         self._client_index.note_radius(radius)
-        self._client_index.update(client_id, self._client_position(client_id))
+        position = self._client_position(client_id)
+        self._client_index.update(client_id, position)
+        self.clients[client_id].anchor = position or UNPLACED
 
     def _client_record(
         self, client_id: ClientId, radius: float, interests: Optional[frozenset[str]]
@@ -552,7 +565,7 @@ class IncompleteWorldServer(ServerShell):
             # The reconnect resync re-attaches from scratch instead.
             if not self.network.is_registered(record.client_id):
                 continue
-            if not (record.pending or record.stale):
+            if not record.pending and record.anchor:
                 # Nothing nominated, so nothing in the window is wanted.
                 record.scanned_pos = max(record.scanned_pos, self._validated_upto)
                 continue
@@ -602,18 +615,20 @@ class IncompleteWorldServer(ServerShell):
         ``pending`` lists.
 
         One spatial query over committed avatar positions yields the
-        candidate recipients (Equation (1) can admit no one outside
-        ``reach + r_A + max r_C`` of p̄_A); position-less actions,
+        candidate recipients at :meth:`FirstBoundPredicate.index_radius`
+        (Equation (1)'s ``reach + r_A + max r_C`` around p̄_A, widened
+        by the drift margin 2·``reach``); position-less actions,
         velocity-culled actions, and position-less clients
         conservatively stay candidates for everything.  Candidates are
         exact-filtered per client by :meth:`_wants` when the list is
         walked, so the result is observationally identical to testing
         every client against every entry — as long as a list stays a
-        superset of what ``_wants`` admits, which only a change to the
-        client's committed position can break
-        (:meth:`_refresh_indexed_positions` marks the record stale
-        there; its ``position_time`` matters to velocity-culled actions
-        only, and those are on every list).
+        superset of what ``_wants`` admits, which only a client drifting
+        further than ``reach`` from its anchor can break
+        (:meth:`_refresh_indexed_positions` drops the anchor there, and
+        a record without one is re-nominated, not appended to; its
+        ``position_time`` matters to velocity-culled actions only, and
+        those are on every list).
         """
         start = max(self._nominated_upto + 1, self._base_pos)
         upto = self._validated_upto
@@ -638,39 +653,33 @@ class IncompleteWorldServer(ServerShell):
                     targets.append(action.client_id)  # own actions always come back
             for client_id in targets:
                 record = clients.get(client_id)
-                if (
-                    record is not None
-                    and record.scanned_pos < pos
-                    and not record.stale
-                ):
+                if record is not None and record.anchor and record.scanned_pos < pos:
                     record.pending.append(pos)
 
-    def _renominated(self, record: ClientRecord, start: int) -> Iterator[int]:
-        """What a stale record walks in place of ``pending``: the
-        positions from ``start`` on that asking the index again about
-        every nominated entry would nominate for this client, at its
-        committed position now."""
-        client_id = record.client_id
-        index = self._client_index
-        index_radius = self.predicate.index_radius
-        max_radius = index.max_client_radius
-        for pos, entry in self._window(start, self._nominated_upto):
-            action = entry.action
-            radius = index_radius(action, max_radius)
-            if (
-                radius is None
-                or action.client_id == client_id
-                or index.is_candidate(client_id, action.position, radius)
-            ):
-                yield pos
+    def _renominated(self, record: ClientRecord, start: int) -> List[int]:
+        """The ``pending`` list of a record without an anchor, rebuilt
+        once: the positions from ``start`` on that asking the index again
+        about every nominated entry, at the widened radius, would
+        nominate for this client at its committed position now — which
+        becomes its anchor."""
+        client_id, index = record.client_id, self._client_index
+        record.anchor = index.position_of(client_id) or UNPLACED
+        radius_of, max_radius = self.predicate.index_radius, index.max_client_radius
+        return [
+            pos
+            for pos, entry in self._window(start, self._nominated_upto)
+            if (radius := radius_of(entry.action, max_radius)) is None
+            or entry.action.client_id == client_id
+            or index.is_candidate(client_id, entry.action.position, radius)
+        ]
 
     def _collect_push(
         self, record: ClientRecord
     ) -> Tuple[List[OrderedAction], float]:
         """All validated actions in (scanned, validated] that this client
         needs — Equation (1) survivors, own actions, and their closures —
-        among the positions nominated for it: ``record.pending``, or,
-        for a stale record, its window re-nominated as it is walked.
+        among the positions nominated for it: ``record.pending``,
+        rebuilt first (:meth:`_renominated`) if the record has no anchor.
 
         A parked client (``ClientRecord.parked``) is not walked: the walk
         would stop at the same deferral, having changed nothing, so only
@@ -688,9 +697,9 @@ class IncompleteWorldServer(ServerShell):
         client_position = self._client_position(client_id)
         batch_entries: List[OrderedAction] = []
         cost = 0.0
-        pending, record.pending = record.pending, []
-        walk = self._renominated(record, start) if record.stale else pending
-        for at, pos in enumerate(walk):
+        pending = record.pending if record.anchor else self._renominated(record, start)
+        record.pending = []
+        for at, pos in enumerate(pending):
             if pos < start:
                 continue
             entry = self._entries[pos - base]
@@ -704,12 +713,12 @@ class IncompleteWorldServer(ServerShell):
                 # In-order delivery guard: stop here so nothing newer
                 # overtakes this candidate; it and everything after it
                 # wait for the next push cycle.
-                if not record.stale:
-                    record.pending = pending[at:]
+                record.pending = pending[at:]
                 record.scanned_pos = max(record.scanned_pos, pos - 1)
                 return batch_entries, cost
             batch_entries.extend(closure_entries)
-        record.stale = False
+        # The window is empty now: the client is anchored where it stands.
+        record.anchor = self._client_index.position_of(client_id) or UNPLACED
         record.scanned_pos = max(record.scanned_pos, self._validated_upto)
         return batch_entries, cost
 
@@ -950,7 +959,15 @@ class IncompleteWorldServer(ServerShell):
     def _refresh_indexed_positions(self, values: Dict[ObjectId, dict]) -> None:
         """Mirror a commit's avatar writes into the spatial client index
         so candidate queries always see exactly ζ_S's positions, and
-        unpark each client written: what it wants may have changed."""
+        unpark each client written: what it wants may have changed.
+
+        A client whose window ``(scanned_pos, _nominated_upto]`` is
+        empty is re-anchored where it now stands.  Under an open window
+        it keeps its anchor q while it stays within ``reach`` of it:
+        every entry in the window was nominated from within ``reach`` of
+        q at the widened radius, so by the triangle inequality it covers
+        every position p with ‖p − q‖ ≤ ``reach``.  A client that drifts
+        further loses its anchor, and its next walk re-nominates."""
         for oid in values:
             record = self.clients.get(self._avatar_owner.get(oid))
             if record is None:
@@ -960,10 +977,11 @@ class IncompleteWorldServer(ServerShell):
             if position == self._client_index.position_of(record.client_id):
                 continue
             self._client_index.update(record.client_id, position)
-            # Nominations made for the old position no longer bound
-            # what the client wants from a window it has not left yet.
-            if record.scanned_pos < self._nominated_upto:
-                record.stale = True
+            placed = position or UNPLACED
+            if record.scanned_pos >= self._nominated_upto:
+                record.anchor = placed
+            elif record.anchor and placed.distance_to(record.anchor) > self.predicate.reach:
+                record.anchor = None
 
     def _note_completion(self, entry: QueueEntry, message: Completion) -> None:
         """Hook: ``message`` passed every screen and is about to be

@@ -75,8 +75,8 @@ class FullScan:
     """The push cycle that nominates nobody and tests everybody: every
     registered client is checked against every entry of its (scanned,
     validated] window, every cycle.  It never reads or writes a
-    record's ``pending``/``stale`` (the base class's position hook may
-    still set ``stale``; nothing here looks).  Mixed in ahead of the
+    record's ``pending``/``anchor`` (the base class's position hook may
+    still set ``anchor``; nothing here looks).  Mixed in ahead of the
     server class it replaces the push path of."""
 
     def _push_candidates(self):

@@ -73,6 +73,23 @@ def test_missing_positions_are_conservative():
     assert p.affects(spatial, None, client_radius=0.0)
 
 
+def test_index_radius_is_equation1_widened_by_the_drift_margin():
+    """The spatial candidate radius: reach + r_A + max r_C (Equation
+    (1)) plus the margin 2·reach, so 3·reach + r_A + max r_C.  A client
+    Equation (1) admits, moved up to 2·reach, is still inside it."""
+    p = predicate()
+    action = SpatialAction(0, Vec2(0, 0), radius=4.0)
+    # 3 * reach(6) + r_A(4) + max r_C(5) = 27
+    assert p.index_radius(action, 5.0) == pytest.approx(27.0)
+    assert p.affects(action, Vec2(15, 0), client_radius=5.0)
+    assert 15 + 2 * p.reach == pytest.approx(p.index_radius(action, 5.0))
+    assert p.index_radius(SpatialAction(1, None), 5.0) is None
+    culled = predicate(use_velocity_culling=True)
+    arrow = SpatialAction(2, Vec2(0, 0), velocity=Vec2(1.0, 0.0))
+    assert culled.index_radius(arrow, 5.0) is None
+    assert culled.index_radius(action, 5.0) == pytest.approx(27.0)
+
+
 def test_velocity_culling_uses_projection():
     p = predicate(use_velocity_culling=True)
     # Action at origin moving away from the client at 100 u/s.

@@ -8,6 +8,7 @@ from __future__ import annotations
 import random
 
 from repro.core.action import Action, ActionId
+from repro.core.first_bound import FirstBoundPredicate
 from repro.core.indexes import ClientSpatialIndex, WriterIndex
 from repro.core.closure import QueueEntry, transitive_closure
 from repro.world.geometry import Vec2
@@ -211,6 +212,52 @@ def test_is_candidate_answers_what_the_query_answers():
     assert checked > 300
     assert index.is_candidate(60, Vec2(0.0, 0.0), 0.0)  # position-less: always
     assert index.is_candidate(61, Vec2(0.0, 0.0), 50.0)
+
+
+class _PlacedAction(Action):
+    def __init__(self, seq, position, radius):
+        super().__init__(
+            ActionId(0, seq), reads=frozenset(), writes=frozenset(),
+            position=position, radius=radius,
+        )
+
+    def compute(self, store):
+        return {}
+
+
+def test_is_candidate_answers_what_the_query_answers_at_the_widened_radius():
+    """The server nominates (``candidates``) and re-nominates
+    (``is_candidate``) at ``FirstBoundPredicate.index_radius`` —
+    Equation (1)'s radius widened by the drift margin 2·reach — and the
+    two must agree there too: for every action, every client, and a
+    client exactly on the widened boundary."""
+    predicate = FirstBoundPredicate(max_speed=10.0, rtt_ms=100.0, omega=0.5)
+    rng = random.Random(12)
+    index = ClientSpatialIndex()
+    for client_id in range(80):
+        index.note_radius(rng.uniform(0, 10))
+        index.update(client_id, Vec2(rng.uniform(0, 300), rng.uniform(0, 300)))
+    index.update(80, None)
+    # reach 3, so 3·3 + r_A 1 + max r_C: the widened radius of ``edge``.
+    edge = _PlacedAction(-1, Vec2(0.0, 0.0), 1.0)
+    widened = predicate.index_radius(edge, index.max_client_radius)
+    assert widened == 3 * predicate.reach + 1.0 + index.max_client_radius
+    index.update(81, Vec2(widened * 0.6, widened * 0.8))  # on the boundary
+    actions = [edge] + [
+        _PlacedAction(seq, Vec2(rng.uniform(0, 300), rng.uniform(0, 300)), rng.uniform(0, 5))
+        for seq in range(60)
+    ]
+    checked = 0
+    for action in actions:
+        radius = predicate.index_radius(action, index.max_client_radius)
+        found = set(index.candidates(action.position, radius))
+        for client_id in range(82):
+            assert index.is_candidate(client_id, action.position, radius) == (
+                client_id in found
+            )
+            checked += client_id in found
+    assert checked > 100
+    assert index.is_candidate(81, edge.position, widened)
 
 
 def test_latest_writer_before_takes_the_max_over_a_read_set():

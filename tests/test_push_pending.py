@@ -14,6 +14,13 @@ batches out of the same push cycle, and the same per-client marks after
 it.  The shard-level cases (``note_shard_down``, ``resume()``) run in
 ``tests/test_distribution_differential.py``'s crash-plan differential.
 
+A nomination is made at Equation (1)'s radius widened by a drift
+margin of 2·reach, so a client's list survives while its committed
+position stays within reach of the position the open window was
+nominated from (``ClientRecord.anchor``); a client that drifts further
+loses its anchor and has its list rebuilt once.  The drift tests script
+both sides of that margin, and a sum of small drifts that crosses it.
+
 A client the guard deferred is parked on its blocker
 (``ClientRecord.parked``) and not walked again until something its walk
 depends on changes.  The parking tests fire each such event, on plain
@@ -187,6 +194,12 @@ class Rig:
         }
         return batches, marks
 
+    def sync(self, client, x, y):
+        """Move ``client``'s committed avatar as a region sync does: no
+        queue entry, only the store and the position hook."""
+        self.state.merge({avatar_id(client): {"x": x, "y": y}}, commit_index=-1)
+        self.server._refresh_indexed_positions({avatar_id(client): {}})
+
     # -- faults --------------------------------------------------------------
     def crash(self, client):
         self.network.crash(client)
@@ -269,17 +282,17 @@ def test_lagging_client_moves_into_range_of_an_older_entry():
     assert twins.delivered(batches, C) == []
     assert marks[C][0] == e3 - 1  # held at e3
     record = twins.c_record()
-    assert record.pending == [e3] and not record.stale
+    assert record.pending == [e3] and record.anchor is not None
 
     # C's own move commits: it now stands next to D, far from A.
     twins.commit(e0, x=995.0, y=0.0)
-    assert record.stale
+    assert record.anchor is None
 
     batches, marks = twins.push()
     # e3 went out of range, the older e4 came into it.
     assert twins.delivered(batches, C) == [e4]
     assert marks[C][0] == e4
-    assert record.pending == [] and not record.stale
+    assert record.pending == [] and record.anchor is not None
     twins.stats_equal()
 
 
@@ -303,9 +316,9 @@ def test_lagging_client_moves_out_of_range_of_what_was_pending():
 def test_lagging_client_whose_position_time_alone_changes_under_culling():
     """Section IV-B projects a moving effect back to the time t_C of the
     client's last committed position; t_C moves on every commit that
-    declares the avatar, even when x and y stay put.  No stale mark is
-    needed for it: a velocity-culled action has no query centre, so it
-    was nominated to everybody and is on the list already."""
+    declares the avatar, even when x and y stay put.  No re-nomination
+    is needed for it: a velocity-culled action has no query centre, so
+    it was nominated to everybody and is on the list already."""
     twins = Twins(culling=True)
     e0, e1, e2, e3 = twins.hold_c_back()
     twins.wait(5_000.0)
@@ -317,7 +330,7 @@ def test_lagging_client_whose_position_time_alone_changes_under_culling():
     assert twins.c_record().pending == [e3, e4]
 
     twins.commit(e0, x=0.0, y=0.0)  # same place, new t_C
-    assert not twins.c_record().stale
+    assert twins.c_record().anchor is not None
     twins.commit(e1, x=500.0, y=0.0)  # the blocker commits: e3 is free
     batches, _ = twins.push()
     assert twins.delivered(batches, C) == [e3, e4]
@@ -336,6 +349,119 @@ def test_arrow_that_position_time_takes_out_of_range():
     batches, marks = twins.push()
     assert twins.delivered(batches, C) == [e3]
     assert marks[C][0] == e4
+    twins.stats_equal()
+
+
+# ---------------------------------------------------------------------------
+# A held client that drifts: the margin, the anchor, one rebuild
+# ---------------------------------------------------------------------------
+@pytest.fixture
+def renominations(monkeypatch):
+    """``renominations()``: the ``_renominated`` rebuilds made so far
+    (only the shipped server has any: the oracle raises on one)."""
+    calls = []
+    rebuild = IncompleteWorldServer._renominated
+
+    def counted(server, record, start):
+        calls.append(record.client_id)
+        return rebuild(server, record, start)
+
+    monkeypatch.setattr(IncompleteWorldServer, "_renominated", counted)
+    return lambda: len(calls)
+
+
+def test_held_client_drifting_inside_the_margin_keeps_its_list(renominations):
+    """C drifts 2 units (reach 3) while held: no re-nomination.  The
+    entry 15.5 units off, out of Equation (1)'s 14 at the anchor and in
+    range after the drift, was nominated through the margin."""
+    twins = Twins()
+    e0, e1, e2, e3 = twins.hold_c_back()
+    e4 = twins.submit(D, Vec2(15.5, 0))
+    twins.push()
+    record = twins.c_record()
+    assert record.pending == [e3, e4]
+    twins.commit(e0, x=2.0, y=0.0)
+    assert record.anchor == SPOTS[C]
+    batches, _ = twins.push()  # unparked by the move, deferred again
+    assert twins.delivered(batches, C) == [] and record.pending == [e3, e4]
+    twins.commit(e1, x=500.0, y=0.0)
+    batches, _ = twins.push()
+    assert twins.delivered(batches, C) == [e3, e4]
+    assert renominations() == 0
+    twins.stats_equal()
+
+
+def test_drifts_inside_the_margin_that_sum_past_it_renominate(renominations):
+    """Three 2.5-unit steps: each inside the margin, together 7.5 units
+    from the anchor.  An anchor that followed each step would never
+    re-nominate, and the entry at 21 (past the widened 20 from where C
+    stood, 13.5 from where it ends) would be lost."""
+    twins = Twins()
+    e0, e1, e2, e3 = twins.hold_c_back()
+    far = twins.submit(D, Vec2(21.0, 0))
+    twins.push()
+    record = twins.c_record()
+    assert record.pending == [e3]
+    twins.sync(C, 2.5, 0.0)
+    assert record.anchor == SPOTS[C]
+    twins.sync(C, 5.0, 0.0)
+    assert record.anchor is None
+    twins.sync(C, 7.5, 0.0)
+    twins.push()
+    assert renominations() == 1
+    assert record.anchor == Vec2(7.5, 0.0) and record.pending == [e3, far]
+    twins.commit(e0, x=7.5, y=0.0)
+    twins.commit(e1, x=500.0, y=0.0)
+    batches, _ = twins.push()
+    assert twins.delivered(batches, C) == [e3, far]
+    assert renominations() == 1
+    twins.stats_equal()
+
+
+def test_drift_after_a_renomination_reaches_an_older_entry(renominations):
+    """C jumps 10 units and is re-nominated there; the entry at 26 is 16
+    away, out of Equation (1)'s 14 but inside the widened radius.  C
+    then drifts 2.5 units, inside the margin, into range of it: it is
+    delivered.  A re-nomination at the unwidened radius would drop it."""
+    twins = Twins()
+    e0, e1, e2, e3 = twins.hold_c_back()
+    older = twins.submit(D, Vec2(26.0, 0))
+    twins.push()
+    twins.sync(C, 10.0, 0.0)
+    twins.push()
+    record = twins.c_record()
+    assert renominations() == 1
+    assert record.anchor == Vec2(10.0, 0.0) and record.pending == [e3, older]
+    twins.sync(C, 12.5, 0.0)
+    assert record.anchor == Vec2(10.0, 0.0)
+    twins.commit(e0, x=12.5, y=0.0)
+    twins.commit(e1, x=500.0, y=0.0)
+    batches, _ = twins.push()
+    assert twins.delivered(batches, C) == [e3, older]
+    assert renominations() == 1
+    twins.stats_equal()
+
+
+def test_held_client_renominates_once_across_deferred_cycles(renominations, walks):
+    """C leaves its anchor, then drifts half a unit per cycle while the
+    guard holds it: every drift unparks it and every cycle walks and
+    defers, but its window is rebuilt once."""
+    twins = Twins()
+    e0, e1, e2, e3 = park_c(twins, walks)
+    twins.sync(C, 8.0, 0.0)
+    deferred = twins.shipped.server.stats.closures_deferred
+    for step in range(1, 6):
+        batches, _ = twins.push()
+        assert walks(twins) > 0 and twins.delivered(batches, C) == []
+        twins.sync(C, 8.0 + 0.5 * step, 0.0)
+    assert twins.shipped.server.stats.closures_deferred >= deferred + 5
+    assert renominations() == 1
+    assert twins.c_record().pending == [e3]
+    twins.commit(e0, x=10.5, y=0.0)
+    twins.commit(e1, x=500.0, y=0.0)
+    batches, _ = twins.push()
+    assert twins.delivered(batches, C) == [e3]
+    assert renominations() == 1
     twins.stats_equal()
 
 
@@ -389,10 +515,8 @@ def test_stale_client_whose_whole_window_committed_while_it_was_away():
     twins.push()
     # Someone moves C (a region sync would) while nothing it was
     # nominated for is left in the queue: nothing to re-nominate from.
-    for rig in (twins.shipped, twins.oracle):
-        rig.state.merge({avatar_id(C): {"x": 40.0, "y": 40.0}}, commit_index=-1)
-        rig.server._refresh_indexed_positions({avatar_id(C): {}})
-    assert twins.c_record().stale
+    twins.sync(C, 40.0, 40.0)
+    assert twins.c_record().anchor is None
     twins.commit(mine, x=1000.0, y=1.0)
     # ... and one more entry comes and goes between two push cycles,
     # so the commit frontier is past everything ever nominated.
@@ -402,7 +526,7 @@ def test_stale_client_whose_whole_window_committed_while_it_was_away():
     twins.reconnect(C)
     batches, marks = twins.push()
     assert twins.delivered(batches, C) == []
-    assert marks[C][0] == unseen and not twins.c_record().stale
+    assert marks[C][0] == unseen and twins.c_record().anchor is not None
     twins.stats_equal()
 
 
@@ -563,7 +687,7 @@ def test_parked_client_walks_after_a_commit_writes_its_avatar(walks):
     twins = Twins()
     e0, *_ = park_c(twins, walks)
     twins.commit(e0, x=0.0, y=0.0)  # in place: only t_C moves
-    assert not twins.c_record().stale
+    assert twins.c_record().anchor is not None
     batches, _ = twins.push()
     assert walks(twins) > 0
     assert twins.delivered(batches, C) == []
@@ -597,19 +721,20 @@ def test_parked_client_walks_after_a_commit_moves_only_its_position_time():
 
 
 def test_parked_client_walks_after_a_region_sync_moves_it(walks):
+    """The sync moves C 4 units, past the drift margin (reach 3): its
+    window is re-nominated on the walk the move unparks, once."""
     twins = Twins()
-    park_c(twins, walks)
-    for rig in (twins.shipped, twins.oracle):
-        rig.state.merge({avatar_id(C): {"x": 2.0, "y": 0.0}}, commit_index=-1)
-        rig.server._refresh_indexed_positions({avatar_id(C): {}})
+    e0, e1, e2, e3 = park_c(twins, walks)
+    twins.sync(C, 4.0, 0.0)
     record = twins.c_record()
-    assert record.stale
+    assert record.anchor is None
     twins.push()
     assert walks(twins) > 0
-    # Parked again, stale: the skipped cycle leaves it as the walk would.
+    assert record.anchor == Vec2(4.0, 0.0) and record.pending == [e3]
+    # Parked again: the skipped cycle leaves it as the walk would.
     batches, _ = twins.push()
     assert walks(twins) == 0 and twins.delivered(batches, C) == []
-    assert record.stale and record.pending == [] and record.parked is not None
+    assert record.pending == [e3] and record.parked is not None
     twins.stats_equal()
 
 
@@ -723,9 +848,7 @@ def test_positionless_client_and_culled_action_are_everyones_candidates():
     assert twins.delivered(batches, C) == [here, nowhere]
     assert twins.delivered(batches, D) == [there, nowhere]
     # P's avatar appears (a region sync, a late spawn): it is placed.
-    for rig in (twins.shipped, twins.oracle):
-        rig.state.merge({avatar_id(P): {"x": 1000.0, "y": 3.0}}, commit_index=-1)
-        rig.server._refresh_indexed_positions({avatar_id(P): {}})
+    twins.sync(P, 1000.0, 3.0)
     assert twins.shipped.server._client_index.positionless_count == 0
     here2 = twins.submit(A, SPOTS[A])
     there2 = twins.submit(D, SPOTS[D])
@@ -738,8 +861,9 @@ def test_positionless_client_and_culled_action_are_everyones_candidates():
 # ---------------------------------------------------------------------------
 # Everything at once, seeded
 # ---------------------------------------------------------------------------
-#: Seeds whose script leaves some client stale at a push cycle (most do;
-#: 1 and 5 happen not to); odd seeds run under velocity culling.
+#: Seeds whose script leaves some client without an anchor at a push
+#: cycle (most do; 1 and 5 happen not to); odd seeds run under velocity
+#: culling.
 SCRIPT_SEEDS = [0, 2, 3, 4, 6, 7, 8, 9, 10, 11, 12, 13]
 
 
@@ -747,8 +871,10 @@ SCRIPT_SEEDS = [0, 2, 3, 4, 6, 7, 8, 9, 10, 11, 12, 13]
 def test_random_scripts_match_the_full_scan(seed):
     """Random interleavings of submissions (some reading the shared
     token, so closures reach back and the guard defers), in-order
-    commits that move the originator, parked handlers, detach/attach
-    and evictions, with a push cycle after every few steps."""
+    commits that move the originator — about a third of them a drift
+    inside the margin, the rest a jump past it — parked handlers,
+    detach/attach and evictions, with a push cycle after every few
+    steps."""
     rng = random.Random(seed)
     clients = list(range(8))
     spots = {
@@ -758,6 +884,7 @@ def test_random_scripts_match_the_full_scan(seed):
     where = dict(spots)
     parked, detached = set(), set()
     stale_walks = deferred = 0
+    moves = Counter()
     for step in range(160):
         roll = rng.random()
         server = twins.shipped.server
@@ -777,7 +904,12 @@ def test_random_scripts_match_the_full_scan(seed):
             reporters = [c for c in sorted(head.sent) if c in up]
             if head.valid is not False and reporters:
                 owner = head.action.client_id
-                where[owner] = Vec2(rng.uniform(0, 60), rng.uniform(0, 60))
+                was = where[owner]
+                if rng.random() < 0.3:  # at most 2.9 units: inside the margin
+                    where[owner] = was + Vec2(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                else:
+                    where[owner] = Vec2(rng.uniform(0, 60), rng.uniform(0, 60))
+                moves[was.distance_to(where[owner]) > 3.0] += 1
                 twins.commit(
                     head.pos, by=reporters[0], x=where[owner].x, y=where[owner].y
                 )
@@ -804,7 +936,7 @@ def test_random_scripts_match_the_full_scan(seed):
             detached.add(client)
             twins.reconnect(client)
         else:
-            stale_walks += sum(record.stale for record in server.clients.values())
+            stale_walks += sum(record.anchor is None for record in server.clients.values())
             twins.wait(50.0)
             twins.push()
             deferred = server.stats.closures_deferred
@@ -812,6 +944,7 @@ def test_random_scripts_match_the_full_scan(seed):
     assert twins.shipped.server.stats.entries_distributed > 50
     assert deferred > 0
     assert stale_walks > 0
+    assert moves[False] > 0 and moves[True] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -844,7 +977,7 @@ def test_one_index_query_per_entry_and_no_collect_without_pending(
 
     def counted_collect(server, record):
         counts["collects"] += 1
-        counts["idle_collects"] += not (record.pending or record.stale)
+        counts["idle_collects"] += not (record.pending or record.anchor is None)
         return real_collect(server, record)
 
     monkeypatch.setattr(ClientSpatialIndex, "candidates", counted_candidates)
