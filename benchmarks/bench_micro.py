@@ -101,8 +101,13 @@ def test_info_bound_validation_1k_backlog(benchmark):
     assert max(bound.stats.chain_lengths) < 50
 
 
-#: The ``crowd_k1`` wall density: 20 000 walls over 1000 x 1000.
+#: The ``crowd_k1`` wall density: 20 000 walls over 1000 x 1000, about
+#: 12 walls in each of 1 600 cells.
 CROWD_WALLS = dict(count=20_000, width=1000.0, height=1000.0, seed=2)
+
+#: The sprawl density: 10 000 walls over 4000 x 1000, one or two walls
+#: in most of some 5 700 cells.
+SPRAWL_WALLS = dict(count=10_000, width=4000.0, height=1000.0, seed=2)
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +121,13 @@ def test_wall_field_build_20k_walls(benchmark):
     bulk of every process's world set-up."""
     field = benchmark(WallField.generate, **CROWD_WALLS)
     assert len(field) == 20_000
+
+
+def test_wall_field_build_10k_sprawl_walls(benchmark):
+    """Generating the sprawl workloads' field: half the walls of
+    ``crowd_k1`` spread over four times the area."""
+    field = benchmark(WallField.generate, **SPRAWL_WALLS)
+    assert len(field) == 10_000
 
 
 def test_first_obstruction_20k_walls(benchmark, wall_field):

@@ -306,7 +306,10 @@ class SiegeWorld(World):
                 return None
             wall_index = min(
                 intact,
-                key=lambda wall: (wall.midpoint.distance_to(position), wall.index),
+                key=lambda wall: (
+                    (wall.a + wall.b).scaled(0.5).distance_to(position),
+                    wall.index,
+                ),
             ).index
         return DemolishAction(
             action_id,

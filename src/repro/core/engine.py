@@ -504,17 +504,18 @@ class SeveEngine(EngineChassis):
         self.sim.run(until=min(self.sim.now + 1.0, deadline))
 
     def _quiescent(self) -> bool:
+        # The O(1) term first: the drain loop asks after every event.
+        if self.server.uncommitted_count:
+            return False
         if any(
             client.pending_count
             for client_id, client in self.clients.items()
             if client_id not in self.dead and client_id not in self.quarantined
         ):
             return False
-        if self.server.awaiting_eviction(self.dead):
-            # A crashed client still attached keeps the run live until
-            # the server's sweep presumes it dead (Section III-C).
-            return False
-        return self.server.uncommitted_count == 0
+        # A crashed client still attached keeps the run live until the
+        # server's sweep presumes it dead (Section III-C).
+        return not self.server.awaiting_eviction(self.dead)
 
     # ------------------------------------------------------------------
     # Results: the measured surface, where it is real for SEVE

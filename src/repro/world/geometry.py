@@ -10,7 +10,7 @@ charged to the simulated CPU is supplied by the calibrated cost model in
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional
 
 
 class Vec2(NamedTuple):
@@ -185,16 +185,6 @@ def segment_intersection_point(
     return min(candidates, key=p1.distance_to)
 
 
-def point_segment_distance(p: Vec2, a: Vec2, b: Vec2) -> float:
-    """Distance from point ``p`` to segment ``ab``."""
-    ab = b - a
-    length_sq = ab.dot(ab)
-    if length_sq == 0.0:
-        return p.distance_to(a)
-    t = clamp((p - a).dot(ab) / length_sq, 0.0, 1.0)
-    return p.distance_to(a + ab.scaled(t))
-
-
 def reflect_heading_90(heading: float, rng_sign: int = 1) -> float:
     """New heading after the paper's 90° bounce.
 
@@ -210,16 +200,3 @@ def reflect_heading_90(heading: float, rng_sign: int = 1) -> float:
     while new_heading < -math.pi:
         new_heading += 2 * math.pi
     return new_heading
-
-
-def bounding_box(
-    a: Vec2, b: Vec2, margin: float = 0.0
-) -> Tuple[float, float, float, float]:
-    """Axis-aligned bounding box ``(min_x, min_y, max_x, max_y)`` of a
-    segment, optionally inflated by ``margin``."""
-    return (
-        min(a.x, b.x) - margin,
-        min(a.y, b.y) - margin,
-        max(a.x, b.x) + margin,
-        max(a.y, b.y) + margin,
-    )

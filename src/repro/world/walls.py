@@ -19,8 +19,9 @@ from __future__ import annotations
 import random
 import struct
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import DefaultDict, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError
 from repro.world.geometry import (
@@ -41,23 +42,9 @@ class Wall:
     b: Vec2
 
     @property
-    def midpoint(self) -> Vec2:
-        """Centre point of the wall (used for spatial indexing)."""
-        return Vec2((self.a.x + self.b.x) / 2.0, (self.a.y + self.b.y) / 2.0)
-
-    @property
     def horizontal(self) -> bool:
         """Whether the wall runs along the x axis."""
         return self.a.y == self.b.y
-
-    def bbox(self) -> Tuple[float, float, float, float]:
-        """Axis-aligned bounding box ``(min_x, min_y, max_x, max_y)``."""
-        return (
-            min(self.a.x, self.b.x),
-            min(self.a.y, self.b.y),
-            max(self.a.x, self.b.x),
-            max(self.a.y, self.b.y),
-        )
 
 
 #: One wall as the collision kernel reads it: ``(ax, ay, bx, by, index)``
@@ -82,14 +69,26 @@ def _cell_span(low: float, high: float, cell_size: float) -> range:
 
 def _build_cell_table(columns: _Columns, cell_size: float) -> Dict[_Cell, bytes]:
     """Per-cell packed wall records over a uniform grid of square cells:
-    a wall is listed in every cell its bounding box overlaps."""
+    a wall is listed in every cell its bounding box overlaps, cells in
+    first-listed order, records by wall index.  Floor is monotone, so
+    the floored ends, put in order, span exactly the box's cells; most
+    walls lie in one cell and skip the span loop."""
     pack = _RECORD.pack
-    cells: Dict[_Cell, List[bytes]] = {}
+    cells: DefaultDict[_Cell, List[bytes]] = defaultdict(list)
     for index, (ax, ay, bx, by) in enumerate(zip(*columns)):
         record = pack(ax, ay, bx, by, index)
-        for cx in _cell_span(min(ax, bx), max(ax, bx), cell_size):
-            for cy in _cell_span(min(ay, by), max(ay, by), cell_size):
-                cells.setdefault((cx, cy), []).append(record)
+        x0, x1 = int(ax // cell_size), int(bx // cell_size)
+        y0, y1 = int(ay // cell_size), int(by // cell_size)
+        if x0 == x1 and y0 == y1:
+            cells[x0, y0].append(record)
+            continue
+        if x0 > x1:
+            x0, x1 = x1, x0
+        if y0 > y1:
+            y0, y1 = y1, y0
+        for cx in range(x0, x1 + 1):
+            for cy in range(y0, y1 + 1):
+                cells[cx, cy].append(record)
     return {cell: b"".join(records) for cell, records in cells.items()}
 
 
@@ -157,15 +156,17 @@ class WallField:
                 f"world ({width}x{height}) too small for walls of length {wall_length}"
             )
         rng = random.Random(seed)
+        draw, uniform = rng.random, rng.uniform
+        free_x, free_y = width - wall_length, height - wall_length
         columns = ax, ay, bx, by = tuple(array("d", [0.0]) * count for _ in range(4))
         for i in range(count):
-            if rng.random() < 0.5:  # horizontal
-                x = rng.uniform(0.0, width - wall_length)
-                y = rng.uniform(0.0, height)
+            if draw() < 0.5:  # horizontal
+                x = uniform(0.0, free_x)
+                y = uniform(0.0, height)
                 ax[i], ay[i], bx[i], by[i] = x, y, x + wall_length, y
             else:  # vertical
-                x = rng.uniform(0.0, width)
-                y = rng.uniform(0.0, height - wall_length)
+                x = uniform(0.0, width)
+                y = uniform(0.0, free_y)
                 ax[i], ay[i], bx[i], by[i] = x, y, x, y + wall_length
         return cls(width=width, height=height, cell_size=cell_size)._fill(columns)
 

@@ -11,6 +11,11 @@ running the ``Vec2`` predicate on every candidate, ``walls_near``
 sorting ``query_radius``.  ``tests/test_walls_differential.py`` holds
 the shipped :class:`~repro.world.walls.WallField` to these answers.
 
+``build_cell_table`` is the per-cell table builder as the flat kernel
+first shipped it (a ``range`` per axis and ``setdefault`` per cell);
+the shipped one-pass builder must return the same ``dict``, key order
+included.
+
 The ``Vec2`` predicate is kept here too (``_orientation`` on ``Vec2``
 arithmetic), so the oracle does not run through the scalar form the
 shipped ``segments_intersect`` now delegates to.
@@ -20,12 +25,40 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Iterable, List, Optional, Tuple
+from array import array
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.world.geometry import Vec2, segment_intersection_point
 from repro.world.spatial import UniformGridIndex
-from repro.world.walls import Wall
+from repro.world.walls import _RECORD, Wall
+
+
+def wall_bbox(wall: Wall) -> Tuple[float, float, float, float]:
+    """Axis-aligned bounding box ``(min_x, min_y, max_x, max_y)``."""
+    (ax, ay), (bx, by) = wall.a, wall.b
+    return min(ax, bx), min(ay, by), max(ax, bx), max(ay, by)
+
+
+def _cell_span(low: float, high: float, cell_size: float) -> range:
+    """Grid coordinates, along one axis, of the cells overlapping
+    ``[low, high]``."""
+    return range(int(low // cell_size), int(high // cell_size) + 1)
+
+
+def build_cell_table(
+    columns: Tuple[array, array, array, array], cell_size: float
+) -> Dict[Tuple[int, int], bytes]:
+    """Per-cell packed wall records over a uniform grid of square cells:
+    a wall is listed in every cell its bounding box overlaps."""
+    pack = _RECORD.pack
+    cells: Dict[Tuple[int, int], List[bytes]] = {}
+    for index, (ax, ay, bx, by) in enumerate(zip(*columns)):
+        record = pack(ax, ay, bx, by, index)
+        for cx in _cell_span(min(ax, bx), max(ax, bx), cell_size):
+            for cy in _cell_span(min(ay, by), max(ay, by), cell_size):
+                cells.setdefault((cx, cy), []).append(record)
+    return {cell: b"".join(records) for cell, records in cells.items()}
 
 
 def generate_walls(
@@ -118,7 +151,7 @@ class ReferenceWallField:
         self.walls: Tuple[Wall, ...] = tuple(walls)
         self._index: UniformGridIndex[int] = UniformGridIndex(cell_size)
         for wall in self.walls:
-            self._index.insert_box(wall.index, *wall.bbox())
+            self._index.insert_box(wall.index, *wall_bbox(wall))
 
     def walls_near(self, center: Vec2, radius: float) -> List[Wall]:
         candidates = self._index.query_radius(center, radius)

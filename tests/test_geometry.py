@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 
 from repro.world.geometry import (
     Vec2,
-    bounding_box,
     clamp,
-    point_segment_distance,
     reflect_heading_90,
     segment_intersection_point,
     segments_intersect,
@@ -117,14 +115,6 @@ def test_collinear_overlap_returns_nearest_point():
     assert p == Vec2(4.0, 0.0)
 
 
-def test_point_segment_distance():
-    assert point_segment_distance(Vec2(5, 5), Vec2(0, 0), Vec2(10, 0)) == 5.0
-    assert point_segment_distance(Vec2(-3, 4), Vec2(0, 0), Vec2(10, 0)) == 5.0
-    assert point_segment_distance(Vec2(1, 1), Vec2(2, 2), Vec2(2, 2)) == pytest.approx(
-        math.sqrt(2)
-    )
-
-
 # ---------------------------------------------------------------------------
 # Bounce
 # ---------------------------------------------------------------------------
@@ -138,10 +128,6 @@ def test_reflect_heading_stays_canonical():
     assert -math.pi <= h <= math.pi
 
 
-def test_bounding_box_with_margin():
-    assert bounding_box(Vec2(1, 5), Vec2(3, 2), margin=1.0) == (0.0, 1.0, 4.0, 6.0)
-
-
 # ---------------------------------------------------------------------------
 # Properties
 # ---------------------------------------------------------------------------
@@ -153,13 +139,6 @@ def test_intersection_is_symmetric(a, b, c, d):
 @given(a=vectors, b=vectors)
 def test_segment_intersects_itself(a, b):
     assert segments_intersect(a, b, a, b)
-
-
-@given(a=vectors, b=vectors, p=vectors)
-def test_point_distance_nonnegative_and_bounded(a, b, p):
-    d = point_segment_distance(p, a, b)
-    assert d >= 0.0
-    assert d <= p.distance_to(a) + 1e-9
 
 
 @given(v=vectors, angle=st.floats(min_value=-math.pi, max_value=math.pi))

@@ -71,11 +71,9 @@ def test_invalid_parameters_rejected():
         generate_walls(1, world_width=100.0, world_height=100.0, wall_length=0.0)
 
 
-def test_wall_midpoint_and_bbox():
-    wall = Wall(0, Vec2(0, 0), Vec2(10, 0))
-    assert wall.midpoint == Vec2(5, 0)
-    assert wall.bbox() == (0.0, 0.0, 10.0, 0.0)
-    assert wall.horizontal
+def test_wall_horizontal():
+    assert Wall(0, Vec2(0, 0), Vec2(10, 0)).horizontal
+    assert not Wall(1, Vec2(0, 0), Vec2(0, 10)).horizontal
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,14 @@ predicate).  Every generated wall must be bit-identical, and the two
 must agree on the *same* wall for every query — the simulation's
 byte-identity rests on it — including the degenerate ones: endpoints on
 wall ends and midpoints, collinear overlaps, zero-length moves, and
-nudges around the predicate's 1e-12 tolerance.
+nudges around the predicate's 1e-12 tolerance.  The per-cell table
+itself must equal the one the reference builder makes, key order
+included.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import struct
@@ -25,7 +28,12 @@ import pytest
 from repro.world.geometry import Vec2, segments_intersect
 from repro.world.spatial import UniformGridIndex
 from repro.world.walls import _RECORD, Wall, WallField
-from tests.reference.walls_reference import ReferenceWallField, generate_walls
+from tests.reference.walls_reference import (
+    ReferenceWallField,
+    build_cell_table,
+    generate_walls,
+    wall_bbox,
+)
 from tests.reference.walls_reference import segments_intersect as vec2_segments_intersect
 
 #: Wall count and world size of the benchmark's two wall densities.
@@ -211,7 +219,7 @@ def _assert_table_matches_insert_box(walls, cell_size: float = 25.0) -> None:
     field = WallField(walls, width=100.0, height=100.0, cell_size=cell_size)
     index: UniformGridIndex[int] = UniformGridIndex(cell_size)
     for wall in walls:
-        index.insert_box(wall.index, *wall.bbox())
+        index.insert_box(wall.index, *wall_bbox(wall))
     table = {
         cell: list(_RECORD.iter_unpack(records)) for cell, records in field._cells.items()
     }
@@ -223,6 +231,65 @@ def _assert_table_matches_insert_box(walls, cell_size: float = 25.0) -> None:
         for ax, ay, bx, by, wall_index in records:
             wall = by_index[wall_index]
             assert (Vec2(ax, ay), Vec2(bx, by)) == (wall.a, wall.b)
+
+
+def _walls(*ends: Tuple[float, float, float, float]):
+    return [Wall(i, Vec2(ax, ay), Vec2(bx, by)) for i, (ax, ay, bx, by) in enumerate(ends)]
+
+
+#: Hand-made walls on the table's edge cases, in a 100 x 100 world.
+TABLE_CASES = {
+    "cell_boundaries": _walls(
+        (0.0, 0.0, 25.0, 0.0), (25.0, 0.0, 25.0, 25.0), (50.0, 25.0, 50.0, 50.0),
+        (0.0, 50.0, 50.0, 50.0), (25.0, 25.0, 25.0, 25.0), (50.0, 0.0, 25.0, 0.0),
+        (math.nextafter(25.0, 0.0), 10.0, 25.0, 10.0),
+    ),
+    "zero_length": _walls(
+        (10.0, 10.0, 10.0, 10.0), (30.0, 70.0, 30.0, 70.0), (0.0, 0.0, 0.0, 0.0),
+        (10.0, 10.0, 10.0, 10.0),
+    ),
+    "diagonal_2x2": _walls(
+        (20.0, 20.0, 30.0, 30.0), (30.0, 20.0, 20.0, 30.0), (45.0, 55.0, 55.0, 45.0),
+        (74.0, 26.0, 76.0, 24.0),
+    ),
+    "far_edge": _walls(
+        (90.0, 100.0, 100.0, 100.0), (100.0, 90.0, 100.0, 100.0),
+        (100.0, 100.0, 95.0, 100.0), (99.5, 0.0, 99.5, 100.0),
+    ),
+    "reversed_and_negative": _walls(
+        (15.0, 5.0, 5.0, 5.0), (-30.0, -5.0, -20.0, -5.0), (-0.5, 12.0, -0.5, -12.0),
+    ),
+    "empty": [],
+}
+
+
+def _case(walls, cell_size: float = 25.0):
+    return lambda: WallField(walls, width=100.0, height=100.0, cell_size=cell_size)
+
+
+#: Every field the builder is differenced on: the benchmark's two
+#: densities and Table I as ``generate`` builds them, each hand-made case
+#: from a ``Wall`` list, and two non-default cell sizes.
+TABLE_FIELDS = {
+    **{
+        name: functools.partial(WallField.generate, **shape, seed=5)
+        for name, shape in (*DENSITIES.items(), ("table_i", TABLE_I))
+    },
+    **{name: _case(walls) for name, walls in TABLE_CASES.items()},
+    "cell_size_7.5": functools.partial(
+        WallField.generate, 3_000, width=300.0, height=300.0, seed=6, cell_size=7.5
+    ),
+    "cell_boundaries_cell_size_10": _case(TABLE_CASES["cell_boundaries"], cell_size=10.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_FIELDS))
+def test_cell_table_matches_the_reference_builder(name):
+    """The shipped builder returns the reference builder's ``dict``:
+    same cells in the same insertion order, same records in each."""
+    field = TABLE_FIELDS[name]()
+    reference = build_cell_table(field._columns, field._cell_size)
+    assert list(field._cells.items()) == list(reference.items())
 
 
 def test_table_lists_each_wall_in_exactly_its_insert_box_cells():
