@@ -42,8 +42,10 @@ REPLICA = SimulationSettings(
 #: whole deployment and each client built its star links to every shard
 #: at registration, they held 2 906 551 and 2 902 479; while each client
 #: kept its optimistic replica as a full copy of its stable one,
-#: 2 384 551 and 1 329 097.
-REPLICA_CEILINGS = {(1, 0): 2_278_735, (2, 0): 1_274_745}
+#: 2 384 551 and 1 329 097; while each shard's gsn lease kept its own
+#: bound dispatch table and the handoff barrier's three maps lived on
+#: the server, 2 278 735 and 1 274 745.
+REPLICA_CEILINGS = {(1, 0): 2_277_871, (2, 0): 1_274_297}
 
 
 def traced(build, warm) -> int:

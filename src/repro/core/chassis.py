@@ -242,6 +242,13 @@ class ClientShell:
         )
 
 
+def bound_handlers(owner) -> Dict[type, Callable[[ClientId, object], None]]:
+    """``owner.HANDLERS`` (message type -> handler method name) bound to
+    ``owner``: the dispatch table of a server, or of a transport-free
+    unit its shard server merges in."""
+    return {kind: getattr(owner, name) for kind, name in owner.HANDLERS.items()}
+
+
 @dataclass
 class ServerStats:
     """The front-door counters every server keeps; each server's own
@@ -319,10 +326,7 @@ class ServerShell:
         #: simulation-length histories, see docs/fault_model.md).
         self._seen_actions: Set[ActionId] = set()
         self._stoppers: List[Callable[[], None]] = []
-        self._handlers: Dict[type, Callable[[ClientId, object], None]] = {
-            message_type: getattr(self, name)
-            for message_type, name in self.HANDLERS.items()
-        }
+        self._handlers = bound_handlers(self)
         network.register(server_id, self._on_message)
 
     # ------------------------------------------------------------------
@@ -424,17 +428,17 @@ class ServerShell:
         handler(src, payload)
 
     def _on_unhandled(self, src: ClientId, payload: object) -> None:
-        """A message this server has no handler for: a protocol
-        ``breach`` by ``src`` when a detector is armed, an error
-        otherwise."""
-        kind = type(payload).__name__
+        """A message this server has no handler for."""
+        self.breach(src, f"unexpected {type(payload).__name__}")
+
+    def breach(self, src: ClientId, what: str) -> None:
+        """``src`` sent ``what``, which the protocol does not allow: a
+        ``breach`` flagged against it when a detector is armed, an
+        error otherwise."""
+        server = type(self).__name__
         if self.detector is None:
-            raise ProtocolError(
-                f"{type(self).__name__}: unexpected {kind} from {src}"
-            )
-        self.detector.flag(
-            "breach", src, detail=f"unexpected {kind} to {type(self).__name__}"
-        )
+            raise ProtocolError(f"{server}: {what} from {src}")
+        self.detector.flag("breach", src, detail=f"{what} to {server}")
 
     def send(self, dst: ClientId, message: object) -> None:
         """Put ``message`` on the wire from this server's address, at its

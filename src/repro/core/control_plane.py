@@ -135,10 +135,12 @@ class GsnLease:
     holder, the election that moves them, and the gsn counter the
     holder assigns from — a transport-free state machine.
 
-    Messages come in through :attr:`handlers` (``handler(src,
-    message)``; the host merges them into its dispatch table) and time
-    through ``now()``; everything the lease says goes out through the
-    host's ``send_peer(shard, message)`` and ``broadcast(message)``.
+    Messages come in through :attr:`HANDLERS` (``handler(src,
+    message)``; the host binds them with
+    :func:`~repro.core.chassis.bound_handlers` and merges them into its
+    dispatch table) and time through ``now()``; everything the lease
+    says goes out through the host's ``send_peer(shard, message)`` and
+    ``broadcast(message)``.
     ``dead`` is the host's live set of shards known down (the
     simulation's perfect failure detector) and ``on_moved()`` is called
     after the holder changed.  :meth:`start` hands the host the two
@@ -195,10 +197,6 @@ class GsnLease:
         #: gsn this shard has observed (its vote payload).
         self.next_gsn = 0
         self.gsn_high = -1
-        self.handlers = {
-            message_type: getattr(self, name)
-            for message_type, name in self.HANDLERS.items()
-        }
 
     @property
     def is_holder(self) -> bool:

@@ -12,9 +12,10 @@ other K-1 shards idle.  This module holds the whole elastic rebalancer
   runs over one round of per-shard ``LoadReport`` samples.
 * :class:`Rebalancer` — one shard's end of the control protocol: the
   load tick, the controller, the open epochs with their fences and
-  region syncs, the parked transfers and the drain barrier.  Like the
-  gsn lease it is a transport-free unit: it reaches its shard server
-  only through a narrow view (:class:`repro.core.sharded.ShardView`;
+  region syncs, and the drain barrier.  Like the gsn lease and the
+  client handoff barrier (:mod:`repro.core.handoff`) it is a
+  transport-free unit: it reaches its shard server only through a
+  narrow view (:class:`repro.core.sharded.ShardView`;
   tests/test_rebalancer.py drives it with no engine).
 
 The partition is the same :class:`~repro.core.sharded.RegionPartition`
@@ -138,15 +139,15 @@ class Epoch:
 class Rebalancer:
     """One shard's end of the elastic rebalancer: its load tick, the
     controller role (live on the lease holder), the open epochs, the
-    parked transfers, the region-sync stamps and the drain barrier — a
-    transport-free state machine, as
-    :class:`~repro.core.control_plane.GsnLease` is.
+    region-sync stamps and the drain barrier — a transport-free state
+    machine, as :class:`~repro.core.control_plane.GsnLease` is.
 
-    Messages come in through :attr:`handlers` (``handler(src,
-    message)``; the host merges them into its dispatch table) and the
-    host's events through the hook methods.  Everything else goes
-    through ``view``, a narrow read-only view of the shard server —
-    never the server itself — read afresh at each use:
+    Messages come in through :attr:`HANDLERS` (``handler(src,
+    message)``; the host binds them with
+    :func:`~repro.core.chassis.bound_handlers` and merges them into its
+    dispatch table) and the host's events through the hook methods.
+    Everything else goes through ``view``, a narrow view of the shard
+    server — never the server itself — read afresh at each use:
 
     * ``shard_index``; ``partition``, the shard's own ``RegionPartition``
       copy, which the unit flips; ``dead``, the shards known down;
@@ -159,10 +160,12 @@ class Rebalancer:
       ``now``, the virtual clock;
     * the seam helpers ``send_peer(shard, message)``,
       ``broadcast(message)`` and ``to_holder(message)``;
-    * three requests: ``rehome(client)`` begins the client's handoff to
-      its new home and returns the target (``None``: it stays, or is
-      already migrating), ``finalize(client)`` sends a parked transfer,
-      ``refresh(values)`` re-indexes the positions a sync merged.
+    * ``handoff``, the shard's :class:`~repro.core.handoff.HandoffBarrier`:
+      ``rehome(client)`` begins the client's handoff to its new home and
+      returns the target (``None``: it stays, or is already migrating),
+      ``release()`` sends the transfers parked behind a fence; and the
+      request ``refresh(values)``, which re-indexes the positions a sync
+      merged.  (The view shows more, for the barrier: see there.)
 
     With ``config=None`` the unit is inert: no timer, no stamps, no
     epoch, always quiescent.  ``src`` is unused throughout.
@@ -172,8 +175,8 @@ class Rebalancer:
     # its memory ratchet (scripts/memory_ratchet.py).
     __slots__ = (
         "config", "view", "min_stripe", "load_round", "last_load", "epochs",
-        "parked", "stamps", "reports", "streak", "pending_version",
-        "drain_done", "rebalance_log",
+        "stamps", "reports", "streak", "pending_version", "drain_done",
+        "rebalance_log",
     )
 
     #: Dispatch table, in the form of the servers' ``HANDLERS``.
@@ -203,11 +206,6 @@ class Rebalancer:
         self.last_load: Tuple[float, int] = (0.0, 0)
         #: Open epochs, oldest first.
         self.epochs: List[Epoch] = []
-        #: Outbound handoff transfers parked until every open epoch's
-        #: region syncs went out (syncs precede adoptions on FIFO
-        #: backbone links, so a gainer never adopts into a stale store).
-        #: Every one is an open handoff: a handoff's end un-parks it.
-        self.parked: List[ClientId] = []
         #: Last-writer stamp per object: (gsn of last spanning write or
         #: -1, 1 if a local write followed it).  Region syncs carry the
         #: stamp; receivers apply strictly-newer entries only.
@@ -222,12 +220,6 @@ class Rebalancer:
         #: Rebalances this controller started: {version, at_ms,
         #: imbalance, boundaries}.
         self.rebalance_log: List[dict] = []
-
-    @property
-    def handlers(self) -> dict:
-        """The dispatch table bound to this unit — built on demand: the
-        host merges it once, and a kept copy would cost every shard."""
-        return {kind: getattr(self, name) for kind, name in self.HANDLERS.items()}
 
     def start(self) -> List[Tuple[TimeMs, Callable[[], None]]]:
         """The ``(period_ms, callback)`` timers the host must run: the
@@ -309,7 +301,7 @@ class Rebalancer:
         partition.apply(update.version, update.boundaries)
         self.epochs.append(epoch)
         for client_id in sorted(self.view.clients):
-            if self.view.rehome(client_id) is not None:
+            if self.view.handoff.rehome(client_id) is not None:
                 epoch.bulk.add(client_id)
                 self.view.stats.bulk_handoffs += 1
         self.fence()
@@ -337,18 +329,22 @@ class Rebalancer:
     def fence(self) -> None:
         """Once the commit frontier passes an epoch's fence, everything
         serialized under the old boundaries has resolved: send the
-        region syncs, then release any parked handoff transfers.  The
-        host calls it after a whole frontier walk, so syncs read the
-        post-merge store."""
+        region syncs, then let the handoff barrier send the transfers
+        it parked behind the fences.  The host calls it after a whole
+        frontier walk, so syncs read the post-merge store."""
         for epoch in self.epochs:
             if not epoch.synced and self.view.base_pos >= epoch.fence:
                 self._send_region_syncs(epoch)
                 epoch.synced = True
-        if self.parked and all(epoch.synced for epoch in self.epochs):
-            parked, self.parked = self.parked, []
-            for client_id in parked:
-                self.view.finalize(client_id)
+        if self.fenced():
+            self.view.handoff.release()
         self._maybe_drain_done()
+
+    def fenced(self) -> bool:
+        """Whether every open epoch's region syncs went out: a handoff
+        transfer may leave (the syncs reach the gaining shard first on
+        the FIFO backbone, so its store is fresh before adoption)."""
+        return all(epoch.synced for epoch in self.epochs)
 
     def _send_region_syncs(self, epoch: Epoch) -> None:
         """Losing side: ship the committed values of every written
@@ -389,23 +385,10 @@ class Rebalancer:
             self.view.refresh(updates)
 
     # -- handoffs the epochs wait on ---------------------------------------
-    def parks(self, client_id: ClientId) -> bool:
-        """Whether a handoff transfer must wait for a fence still
-        draining (the region syncs reach the gaining shard first on the
-        FIFO backbone, so its store is fresh before adoption); parks
-        it if so."""
-        if all(epoch.synced for epoch in self.epochs):
-            return False
-        if client_id not in self.parked:
-            self.parked.append(client_id)
-        return True
-
     def handoff_ended(self, client_id: ClientId) -> None:
-        """A handoff ended, whichever way: un-park it, and let the
-        epochs that waited on it as a bulk handoff re-check their drain
-        (a gone client must not wedge the barrier)."""
-        if client_id in self.parked:
-            self.parked.remove(client_id)
+        """A handoff ended, whichever way: the epochs that waited on it
+        as a bulk handoff re-check their drain (a gone client must not
+        wedge the barrier)."""
         waiting = [epoch for epoch in self.epochs if client_id in epoch.bulk]
         for epoch in waiting:
             epoch.bulk.discard(client_id)

@@ -998,15 +998,18 @@ class IncompleteWorldServer(ServerShell):
         The sharded server clears unresolved-tracking and logs the
         resolution for handoff."""
 
-    def _note_position_change(self, entry: QueueEntry) -> None:
+    def _note_position_change(self, entry: QueueEntry) -> bool:
         """Track t_C for velocity culling: the originator's committed
-        position just (potentially) changed."""
+        position just (potentially) changed.  Whether it did — the
+        entry wrote an attached originator's avatar."""
         record = self.clients.get(entry.action.client_id)
         if record is not None:
             avatar_oid = self.avatar_of(record.client_id)
             if avatar_oid is not None and avatar_oid in entry.action.writes:
                 record.position_time = self.sim.now
                 record.parked = None
+                return True
+        return False
 
     # ------------------------------------------------------------------
     # Liveness and fault tolerance (Section III-C)

@@ -49,7 +49,12 @@ every one of the client's actions has resolved the owner transfers the
 subscription over the backbone, and the new shard adopts and welcomes
 the client, which atomically switches streams.  Resolved-action ids
 ride along so the client can retire pending entries whose echoes died
-with the old stream.
+with the old stream.  The barrier — open handoffs, per-client
+unresolved and resolved ids, transfers parked behind a rebalance fence,
+and the handoff and rejoin handlers, which take the client from the
+message's sender — is :class:`repro.core.handoff.HandoffBarrier`, a
+transport-free unit each shard server hosts and calls at the events it
+follows.
 
 A deployment has at least two shards: one serializer is the classic
 :class:`~repro.core.engine.SeveEngine`, which the harness builds for
@@ -80,14 +85,15 @@ cuts of every copy under a new version.  The rebalancer's whole epoch
 machine — load rounds, controller, fences, region syncs, drain barrier
 — is :class:`repro.core.elastic.Rebalancer`, which each shard server
 hosts beside its lease and calls at the events it follows; it sees the
-server only through a :class:`ShardView`.
+server only through a :class:`ShardView`, which it shares with the
+handoff barrier.
 
 *The peer seam* — every message a shard server receives goes through
 the base server's one dispatcher and the ``HANDLERS`` table (with the
-lease's and the rebalancer's tables merged in); every message it sends
-a peer goes through ``_send_peer``, ``_broadcast`` or ``_to_holder``.
-Conservation-group messages are counted there and nowhere else
-(docs/sharding.md).
+lease's, the rebalancer's and the handoff barrier's tables merged in);
+every message it sends a peer goes through ``_send_peer``,
+``_broadcast`` or ``_to_holder``.  Conservation-group messages are
+counted there and nowhere else (docs/sharding.md).
 """
 
 from __future__ import annotations
@@ -98,6 +104,7 @@ from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.action import Action, ActionId, BlindWrite
+from repro.core.chassis import bound_handlers
 from repro.core.closure import QueueEntry
 from repro.core.control_plane import (
     PINNED_LEASE,
@@ -107,14 +114,11 @@ from repro.core.control_plane import (
 )
 from repro.core.elastic import ElasticConfig, Rebalancer
 from repro.core.engine import SeveConfig, SeveEngine
+from repro.core.handoff import HandoffBarrier
 from repro.core.info_bound import InformationBound
 from repro.core.messages import (
-    ClientHello,
     Completion,
-    HandoffPrepare,
     HandoffReady,
-    HandoffTransfer,
-    HandoffWelcome,
     ShardHello,
     SpanAbort,
     SpanForward,
@@ -265,10 +269,12 @@ class ShardStats:
 
 
 class ShardView:
-    """What a shard server shows its
-    :class:`~repro.core.elastic.Rebalancer`: a narrow read-only view,
-    never the server itself (the attributes are listed there).  Each is
-    read from the server at the moment the unit asks."""
+    """What a shard server shows its transport-free units — the
+    :class:`~repro.core.elastic.Rebalancer` and the
+    :class:`~repro.core.handoff.HandoffBarrier`, which share one: a
+    narrow view, never the server itself (each unit lists what it
+    reads).  Each attribute is read from the server at the moment the
+    unit asks."""
 
     __slots__ = ("_server",)
 
@@ -287,11 +293,18 @@ class ShardView:
     serialized = property(attrgetter("_server.stats.actions_serialized"))
     stats = property(attrgetter("_server.shard_stats"))
     now = property(attrgetter("_server.sim.now"))
+    obs = property(attrgetter("_server._obs"))
+    rebalancer = property(attrgetter("_server.rebalancer"))
+    handoff = property(attrgetter("_server.handoff"))
+    send = property(attrgetter("_server.send"))
     send_peer = property(attrgetter("_server._send_peer"))
     broadcast = property(attrgetter("_server._broadcast"))
     to_holder = property(attrgetter("_server._to_holder"))
-    rehome = property(attrgetter("_server._rehome"))
-    finalize = property(attrgetter("_server._finalize_handoff"))
+    position = property(attrgetter("_server._client_position"))
+    attach = property(attrgetter("_server.attach_client"))
+    adopt = property(attrgetter("_server._adopt"))
+    detach = property(attrgetter("_server.detach_client"))
+    breach = property(attrgetter("_server.breach"))
     refresh = property(attrgetter("_server._refresh_indexed_positions"))
 
 
@@ -300,10 +313,11 @@ class ShardServer(IncompleteWorldServer):
 
     Extends the base server with span classification and two-phase
     forwarding (owner side), gsn splicing and value-entry distribution
-    (every involved side), result/abort relays and the client-handoff
-    state machine; hosts the gsn lease and the elastic
-    :class:`~repro.core.elastic.Rebalancer`, two transport-free units it
-    calls at the events they follow.
+    (every involved side) and result/abort relays; hosts three
+    transport-free units it calls at the events they follow: the gsn
+    lease, the elastic :class:`~repro.core.elastic.Rebalancer` and the
+    client :class:`~repro.core.handoff.HandoffBarrier` (the last two
+    see the server through one :class:`ShardView`).
     """
 
     def __init__(
@@ -321,7 +335,6 @@ class ShardServer(IncompleteWorldServer):
         self.shard_index = shard_index
         self.partition = partition
         self.span_slack = span_slack
-        self.handoff_margin = handoff_margin
         self.shard_stats = ShardStats()
         # -- crash tolerance (docs/control_plane.md) --------------------
         #: Checkpoint+WAL recovery log; ``None`` unless the run's fault
@@ -356,15 +369,6 @@ class ShardServer(IncompleteWorldServer):
         #: (admitted in arrival order once the splice returns, so the
         #: client's stream order matches its submission order).
         self._held: Dict[ClientId, List[Action]] = {}
-        #: Per-client ids of accepted submissions not yet resolved
-        #: (committed or dropped) — the handoff barrier.
-        self._unresolved: Dict[ClientId, set] = {}
-        #: Per-client resolution log for the current attachment epoch,
-        #: shipped in HandoffTransfer so the client can retire pending
-        #: entries whose echoes died with the old stream.
-        self._resolved_log: Dict[ClientId, List[ActionId]] = {}
-        #: In-progress outbound handoffs: client -> {"target", "ready"}.
-        self._handoffs: Dict[ClientId, dict] = {}
         #: Ids of spanning submissions whose admission (and so their
         #: span forward) still waits on this shard's host.
         self._queued_spans: set = set()
@@ -376,11 +380,14 @@ class ShardServer(IncompleteWorldServer):
         super().__init__(*args, **kwargs)
         if recovery is not None:
             self.on_commit = recovery.on_commit
-        #: This shard's end of the elastic rebalancer (inert without an
-        #: ElasticConfig); it sees the server through a narrow view.
-        self.rebalancer = Rebalancer(elastic, ShardView(self), span_slack)
-        self._handlers.update(self.lease.handlers)
-        self._handlers.update(self.rebalancer.handlers)
+        #: This shard's ends of the elastic rebalancer (inert without an
+        #: ElasticConfig) and of the client handoff; both see the server
+        #: through one narrow view.
+        view = ShardView(self)
+        self.rebalancer = Rebalancer(elastic, view, span_slack)
+        self.handoff = HandoffBarrier(view, handoff_margin)
+        for unit in (self.lease, self.rebalancer, self.handoff):
+            self._handlers.update(bound_handlers(unit))
         #: This shard runs something that can put a message on the
         #: backbone at any event: a lease that can move, the elastic
         #: controller, a liveness sweep or a cheat quarantine (an
@@ -397,20 +404,17 @@ class ShardServer(IncompleteWorldServer):
     # The peer seam (docs/sharding.md): the dispatch table, and the
     # three ways a message leaves for another shard
     # ------------------------------------------------------------------
-    #: The base server's three plus this class's eight; the four lease
-    #: and five elastic messages are the units' own
-    #: (``GsnLease.HANDLERS``, ``Rebalancer.HANDLERS``, merged in per
-    #: instance).
+    #: The base server's three plus this class's five; the four lease,
+    #: five elastic and three handoff messages are the units' own
+    #: (``GsnLease.HANDLERS``, ``Rebalancer.HANDLERS``,
+    #: ``HandoffBarrier.HANDLERS``, merged in per instance).
     HANDLERS = {
         **IncompleteWorldServer.HANDLERS,
         SpanForward: "_on_span_forward",
         SpanSplice: "_on_span_splice",
         SpanResult: "_on_span_result",
         SpanAbort: "_on_span_abort",
-        HandoffTransfer: "_on_handoff_transfer",
-        HandoffReady: "_on_handoff_ready",
         ShardHello: "_on_shard_hello",
-        ClientHello: "_on_client_hello",
     }
 
     def _send_peer(self, shard: int, message: object) -> None:
@@ -686,18 +690,6 @@ class ShardServer(IncompleteWorldServer):
             self.lease.catch_up(hello.shard)
             self.rebalancer.catch_up(hello.shard)
 
-    def _on_client_hello(self, src: ClientId, hello: ClientHello) -> None:
-        """A reconnecting client asked to attach here (the K > 1
-        rejoin path).  Idempotent: hello retries and handoff races
-        resolve to re-welcomes."""
-        if hello.client_id not in self.clients:
-            self.attach_client(
-                hello.client_id,
-                radius=hello.radius,
-                interests=hello.interests,
-            )
-        self.send(hello.client_id, HandoffWelcome(self.shard_index, ()))
-
     # ------------------------------------------------------------------
     # Result distribution
     # ------------------------------------------------------------------
@@ -769,34 +761,17 @@ class ShardServer(IncompleteWorldServer):
         return True
 
     # ------------------------------------------------------------------
-    # Submission / resolution tracking (the handoff barrier)
+    # The events the handoff barrier follows
     # ------------------------------------------------------------------
     def _note_submission(self, src: ClientId, action: Action) -> None:
-        self._unresolved.setdefault(src, set()).add(action.action_id)
+        self.handoff.submitted(src, action.action_id)
         if len(self._involved_shards(action)) > 1:
             self._queued_spans.add(action.action_id)
-
-    def _release(self, src: ClientId, action: Action) -> None:
-        super()._release(src, action)
-        bucket = self._unresolved.get(src)
-        if bucket is not None:
-            bucket.discard(action.action_id)
-            if not bucket:
-                del self._unresolved[src]
 
     def _note_resolved(self, entry: QueueEntry) -> None:
         action_id = entry.action.action_id
         self._span_entries.pop(action_id, None)
-        client_id = entry.action.client_id
-        bucket = self._unresolved.get(client_id)
-        if bucket is not None:
-            bucket.discard(action_id)
-            if not bucket:
-                del self._unresolved[client_id]
-        if client_id in self.clients:
-            self._resolved_log.setdefault(client_id, []).append(action_id)
-        if client_id in self._handoffs:
-            self._maybe_finalize(client_id)
+        self.handoff.resolved(entry.action.client_id, action_id)
         if self.rebalancer.config is not None:
             self.rebalancer.note_resolved(entry)
 
@@ -808,135 +783,31 @@ class ShardServer(IncompleteWorldServer):
             # fence check runs after the whole frontier walk.
             self.rebalancer.fence()
 
-    # ------------------------------------------------------------------
-    # Handoff state machine (owner side)
-    # ------------------------------------------------------------------
     def _note_position_change(self, entry: QueueEntry) -> None:
-        super()._note_position_change(entry)
-        client_id = entry.action.client_id
-        if client_id not in self.clients:
-            return
-        avatar_oid = self.avatar_of(client_id)
-        if avatar_oid is not None and avatar_oid in entry.action.writes:
-            self._rehome(client_id)
+        if super()._note_position_change(entry):
+            self.handoff.rehome(entry.action.client_id)
 
-    def _rehome(self, client_id: ClientId) -> Optional[int]:
-        """The one re-home rule: begin handing ``client_id`` off to the
-        stripe its committed position belongs to (with the hysteresis
-        margin) when that is a live other shard.  The target, or
-        ``None`` when it stays — or is already migrating, in which case
-        its adoption re-checks its home."""
-        if client_id in self._handoffs:
-            return None
-        position = self._client_position(client_id)
-        if position is None:
-            return None
-        target = self.partition.home_with_hysteresis(
-            position.x, self.shard_index, self.handoff_margin
-        )
-        if target == self.shard_index or target in self._dead_shards:
-            return None
-        self._begin_handoff(client_id, target)
-        return target
-
-    def _begin_handoff(self, client_id: ClientId, target: int) -> None:
-        self._handoffs[client_id] = {"target": target, "ready": False}
-        self.shard_stats.handoffs_out += 1
-        if self._obs is not None:
-            self._obs.on_shard_handoff(
-                self.sim.now, client_id, self.shard_index, target, "prepare"
-            )
-        self.send(client_id, HandoffPrepare(target))
-
-    def _on_handoff_ready(self, src: ClientId, message: HandoffReady) -> None:
-        state = self._handoffs.get(message.client_id)
-        if state is None:
-            return  # client evicted or handoff cancelled meanwhile
-        state["ready"] = True
-        self._maybe_finalize(message.client_id)
-
-    def _maybe_finalize(self, client_id: ClientId) -> None:
-        """Complete the handoff once the barrier holds: the client has
-        acknowledged (its FIFO uplink is drained into us) and every one
-        of its accepted submissions has resolved — including parked and
-        span-forwarded ones, which stay unresolved until they commit."""
-        state = self._handoffs.get(client_id)
-        if state and state["ready"] and not self._unresolved.get(client_id):
-            self._finalize_handoff(client_id)
-
-    def _finalize_handoff(self, client_id: ClientId) -> None:
-        target = self._handoffs[client_id]["target"]
-        if target in self._dead_shards:
-            # The gaining shard died while the handoff drained: keep
-            # the client — re-welcome it onto our own stream (same-src
-            # welcomes do not switch streams client-side).
-            self._end_handoff(client_id)
-            self.send(client_id, HandoffWelcome(self.shard_index, ()))
-            return
-        if self.rebalancer.parks(client_id):
-            return  # a rebalance fence is still draining
-        record = self.clients[client_id]
-        resolved = tuple(self._resolved_log.get(client_id, ()))
-        transfer = HandoffTransfer(client_id, record.radius, record.interests, resolved)
-        self.detach_client(client_id)
-        if self._obs is not None:
-            self._obs.on_shard_handoff(
-                self.sim.now, client_id, self.shard_index, target, "transfer"
-            )
-        self._send_peer(target, transfer)
-
-    def _end_handoff(self, client_id: ClientId) -> None:
-        """The one place a handoff ends — its transfer left, its client
-        was detached, or its gaining shard died: forget it, and let the
-        epochs that were waiting on it as a bulk handoff re-check their
-        drain (a gone client must not wedge the barrier)."""
-        self._handoffs.pop(client_id, None)
-        self.rebalancer.handoff_ended(client_id)
-
-    def _on_handoff_transfer(self, src: ClientId, message: HandoffTransfer) -> None:
-        """Adopt a migrating client and welcome it onto our stream."""
-        self.attach_client(
-            message.client_id,
-            radius=message.radius,
-            interests=message.interests,
-        )
-        # The handoff barrier guarantees every action this client ever
-        # submitted committed on its previous shard before the transfer
-        # — and committing needed the client's own completion, so the
-        # client has stably applied all of them.  Its span entries still
-        # uncommitted *here* must not be redelivered (the client, as
-        # originator, would receive the real action and re-evaluate it,
-        # diverging from the committed result): mark them sent, so
-        # closures subtract their writes instead of pushing them.
+    def _adopt(self, client_id: ClientId, radius: float, interests) -> None:
+        """Attach a client handed over by another shard.  The barrier
+        guarantees every action it ever submitted committed on its
+        previous shard before the transfer — and committing needed the
+        client's own completion, so the client has stably applied all
+        of them.  Its span entries still uncommitted *here* must not be
+        redelivered (the client, as originator, would receive the real
+        action and re-evaluate it, diverging from the committed
+        result): mark them sent, so closures subtract their writes
+        instead of pushing them."""
+        self.attach_client(client_id, radius=radius, interests=interests)
         for entry in self._entries:
-            if (
-                entry.valid is not False
-                and entry.action.client_id == message.client_id
-            ):
-                entry.sent.add(message.client_id)
+            if entry.valid is not False and entry.action.client_id == client_id:
+                entry.sent.add(client_id)
         self._park_epoch += 1
-        self.shard_stats.handoffs_in += 1
-        if self._obs is not None:
-            self._obs.on_shard_handoff(
-                self.sim.now, message.client_id, self.shard_index, self.shard_index,
-                "adopt",
-            )
-        self.send(message.client_id, HandoffWelcome(self.shard_index, message.resolved))
-        if self.rebalancer.config is not None:
-            # Chained migration: a rebalance may have re-homed this
-            # client while its transfer was in flight, making us a
-            # stale target.  Forward it on (the Prepare follows the
-            # Welcome on the same FIFO downlink, so the client finishes
-            # this migration before parking for the next).
-            self._rehome(message.client_id)
 
     def detach_client(self, client_id: ClientId) -> None:
         super().detach_client(client_id)
         self._held.pop(client_id, None)
         self._outstanding_spans.pop(client_id, None)
-        self._unresolved.pop(client_id, None)
-        self._resolved_log.pop(client_id, None)
-        self._end_handoff(client_id)
+        self.handoff.detached(client_id)
 
     def start(self, *, stop_at: Optional[TimeMs] = None) -> None:
         super().start(stop_at=stop_at)
@@ -944,9 +815,10 @@ class ShardServer(IncompleteWorldServer):
             self._stoppers.append(self.sim.call_every(period_ms, tick, stop_at=stop_at))
 
     def quiescent(self) -> bool:
-        """Nothing left to drain here: no handoff under way, no action
-        uncommitted, and the rebalancer quiescent."""
-        return not (self._handoffs or self._entries) and self.rebalancer.quiescent()
+        """Nothing left to drain here: no action uncommitted, and the
+        handoff barrier and the rebalancer quiescent."""
+        units = (self.handoff, self.rebalancer)
+        return not self._entries and all(unit.quiescent() for unit in units)
 
     def speaks_unprompted(self) -> bool:
         """Whether this shard may put a message on the backbone before
@@ -954,8 +826,8 @@ class ShardServer(IncompleteWorldServer):
         it: while a client that acknowledged its handoff waits for its
         transfer, while a spanning submission waits on the host, and
         always when it runs something that speaks at will."""
-        return self._speaks_at_will or bool(self._queued_spans) or any(
-            state["ready"] for state in self._handoffs.values()
+        return self._speaks_at_will or bool(self._queued_spans) or (
+            self.handoff.speaks_unprompted()
         )
 
     @property

@@ -332,11 +332,6 @@ class FaultPlan:
         )
 
     @property
-    def client_crashes(self) -> Tuple[CrashWindow, ...]:
-        """The crash windows targeting clients."""
-        return tuple(w for w in self.crashes if not w.is_shard)
-
-    @property
     def shard_crashes(self) -> Tuple[CrashWindow, ...]:
         """The crash windows targeting shard hosts."""
         return tuple(w for w in self.crashes if w.is_shard)

@@ -377,24 +377,6 @@ class Network:
             return self._send_reliable(src, dst, payload, size_bytes)
         return self._send_raw(src, dst, payload, size_bytes)
 
-    def broadcast_from_server(
-        self,
-        payload: object,
-        size_bytes: int,
-        *,
-        exclude: Optional[ClientId] = None,
-    ) -> None:
-        """Send ``payload`` from the server to every registered client.
-
-        Each destination is metered separately — a broadcast to *n*
-        clients costs *n* messages, which is exactly the quadratic load
-        Figure 9 measures for the Broadcast architecture.
-        """
-        for host_id in list(self._handlers):
-            if host_id in self._server_ids or host_id == exclude:
-                continue
-            self.send(SERVER_ID, host_id, payload, size_bytes)
-
     # ------------------------------------------------------------------
     # Raw (fault-injected) path
     # ------------------------------------------------------------------

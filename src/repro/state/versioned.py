@@ -12,7 +12,7 @@ that replicas only ever observe committed prefixes).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.errors import MissingObjectError
 from repro.state.objects import WorldObject
@@ -73,15 +73,6 @@ class VersionedStore(ObjectStore):
     def history(self, oid: ObjectId) -> Tuple[VersionEntry, ...]:
         """Retained versions of ``oid``, oldest first."""
         return tuple(self._history.get(oid, ()))
-
-    def value_at_version(
-        self, oid: ObjectId, version: int
-    ) -> Optional[Dict[str, AttrValue]]:
-        """Attribute dict of ``oid`` at ``version``, if it had one."""
-        for retained_version, _, attrs in self._history.get(oid, ()):
-            if retained_version == version:
-                return dict(attrs)
-        return None
 
     def snapshot(self) -> "ObjectStore":
         """Plain (unversioned) deep copy — replicas do not need history."""

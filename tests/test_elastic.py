@@ -305,8 +305,8 @@ def test_merge_while_handoff_barrier_drains():
         server.shard_stats.handoffs_in for server in engine.shard_servers
     )
     assert out > 0 and out == into
-    assert not any(server._handoffs for server in engine.shard_servers)
-    assert not any(server.rebalancer.parked for server in engine.shard_servers)
+    assert not any(server.handoff.open for server in engine.shard_servers)
+    assert not any(server.handoff.parked for server in engine.shard_servers)
     for client_id, client in engine.clients.items():
         assert not client._migrating
     _assert_drained(engine)

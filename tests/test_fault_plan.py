@@ -191,7 +191,6 @@ def test_parse_crash_plan_shard_targets():
     assert windows[0].is_shard and not windows[1].is_shard
     assert windows[0].target_label == "s1"
     assert FaultPlan(crashes=windows).shard_crashes == windows[:1]
-    assert FaultPlan(crashes=windows).client_crashes == windows[1:]
 
 
 @pytest.mark.parametrize("text", ["0", "x@100", "0@100:50", "0@-5", "s@100", "s-1@100"])

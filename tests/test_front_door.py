@@ -63,6 +63,13 @@ def _deliver(engine, client_id, action):
     engine.server._on_message(client_id, SubmitAction(action))
 
 
+def _serialized(server) -> list:
+    """The actions a SEVE server serialized and has not yet retired."""
+    if hasattr(server, "queue"):
+        return list(server.queue)  # the basic serializer keeps its log
+    return [entry.action for entry in server._entries]
+
+
 def _silence(engine, client_id):
     engine.network.crash(client_id)
     engine.mark_dead(client_id)
@@ -96,6 +103,8 @@ def test_a_detached_clients_submission_burns_no_id(architecture, relayed):
     engine.submit(0, action)
     engine.sim.run()
     assert accepted == ([action.action_id] if relayed else [])
+    if not relayed:
+        assert _serialized(server) == []
     server.attach_client(0)
     _deliver(engine, 0, action)
     engine.sim.run()
@@ -103,6 +112,8 @@ def test_a_detached_clients_submission_burns_no_id(architecture, relayed):
     assert server.stats.duplicate_submissions == int(relayed)
     if not relayed:
         assert server.stats.actions_serialized == 1
+        (serialized,) = _serialized(server)
+        assert serialized is action
 
 
 @pytest.mark.parametrize("architecture", SEVE_DOORS)

@@ -6,6 +6,7 @@ crash oracle.  No simulator, network or shard server is built.
 
 from __future__ import annotations
 
+from repro.core.chassis import bound_handlers
 from repro.core.control_plane import (
     PINNED_LEASE,
     ControlPlaneConfig,
@@ -74,7 +75,7 @@ class Cluster:
             if dst in silent:
                 continue
             delivered.append((src, dst, message))
-            self.leases[dst].handlers[type(message)](src, message)
+            bound_handlers(self.leases[dst])[type(message)](src, message)
         return delivered
 
     def sent(self, kind: type) -> list:

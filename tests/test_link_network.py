@@ -141,29 +141,6 @@ def test_traffic_metered_per_message(sim):
     assert net.meter.host_bytes(0) == 300
 
 
-def test_broadcast_meters_every_destination(sim):
-    net = Network(sim, rtt_ms=10.0)
-    net.register(SERVER_ID, lambda src, msg: None)
-    received = []
-    for cid in range(3):
-        net.register(cid, lambda src, msg, cid=cid: received.append(cid))
-    net.broadcast_from_server("x", 50)
-    sim.run()
-    assert sorted(received) == [0, 1, 2]
-    assert net.meter.total_bytes == 150
-
-
-def test_broadcast_exclude(sim):
-    net = Network(sim, rtt_ms=10.0)
-    net.register(SERVER_ID, lambda src, msg: None)
-    received = []
-    for cid in range(3):
-        net.register(cid, lambda src, msg, cid=cid: received.append(cid))
-    net.broadcast_from_server("x", 50, exclude=1)
-    sim.run()
-    assert sorted(received) == [0, 2]
-
-
 def test_per_client_bandwidth_is_independent(sim):
     # Two clients each push 1000 bytes; with per-client 100 kbps uplinks
     # they serialize in parallel and both arrive at 80ms + latency.

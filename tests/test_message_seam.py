@@ -14,6 +14,7 @@ import pytest
 from repro.analysis.protocol import analyze_paths
 from repro.core.control_plane import GsnLease
 from repro.core.elastic import Rebalancer
+from repro.core.handoff import HandoffBarrier
 from repro.core.hybrid import HybridRelayServer
 from repro.core.messages import (
     CONSERVATION_GROUPS,
@@ -42,7 +43,12 @@ ELASTIC_GROUP = CONSERVATION_GROUPS["elastic"]
 
 #: The tables, and the modules whose handlers are ``isinstance`` chains
 #: the analyzer still reads.
-SERVER_TABLES = (ShardServer.HANDLERS, GsnLease.HANDLERS, Rebalancer.HANDLERS)
+SERVER_TABLES = (
+    ShardServer.HANDLERS,
+    GsnLease.HANDLERS,
+    Rebalancer.HANDLERS,
+    HandoffBarrier.HANDLERS,
+)
 CHAIN_MODULES = ("core/client.py", "core/server_basic.py", "baselines/", "net/")
 
 
@@ -67,13 +73,12 @@ def test_every_protocol_message_has_a_table_entry_or_a_surviving_chain():
 
 
 def test_a_shard_servers_table_is_its_class_table_plus_the_leases():
-    """Plus the rebalancer's: each unit's messages are bound to it."""
+    """Plus the rebalancer's and the handoff barrier's: each unit's
+    messages are bound to it."""
     assert set(IncompleteWorldServer.HANDLERS) < set(ShardServer.HANDLERS)
     assert HybridRelayServer.HANDLERS is IncompleteWorldServer.HANDLERS
     server = build_engine("seve", ELASTIC_K2).shard_servers[1]
-    assert set(server._handlers) == set(ShardServer.HANDLERS) | set(
-        GsnLease.HANDLERS
-    ) | set(Rebalancer.HANDLERS)
+    assert set(server._handlers) == set().union(*SERVER_TABLES)
     assert len(server._handlers) == 20
     for kind, handler in server._handlers.items():
         owner = server
@@ -81,6 +86,8 @@ def test_a_shard_servers_table_is_its_class_table_plus_the_leases():
             owner = server.lease
         elif kind in Rebalancer.HANDLERS:
             owner = server.rebalancer
+        elif kind in HandoffBarrier.HANDLERS:
+            owner = server.handoff
         assert handler.__self__ is owner, kind.__name__
 
 

@@ -231,13 +231,6 @@ def test_history_records_full_states():
     assert attrs["health"] == 100  # merge records the merged full state
 
 
-def test_value_at_version():
-    store = VersionedStore([make_obj()])
-    store.merge({"avatar:0": {"x": 2.0}})
-    assert store.value_at_version("avatar:0", 2)["x"] == 2.0
-    assert store.value_at_version("avatar:0", 99) is None
-
-
 def test_versioned_snapshot_is_plain_store():
     store = VersionedStore([make_obj()])
     snap = store.snapshot()

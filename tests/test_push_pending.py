@@ -806,7 +806,7 @@ def test_parked_client_walks_after_a_handoff_adoption(walks):
     twins.detach(E)  # E lives on another shard for now
     park_c(twins, walks)
     for server in twins.servers():
-        server._on_handoff_transfer(shard_host_id(1), HandoffTransfer(E, RADIUS))
+        server.handoff.on_transfer(shard_host_id(1), HandoffTransfer(E, RADIUS))
     twins.push()
     assert walks(twins) > 0
     twins.stats_equal()

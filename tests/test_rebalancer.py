@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
+from repro.core.chassis import bound_handlers
 from repro.core.elastic import ElasticConfig, Rebalancer
 from repro.core.messages import (
     DrainDone,
@@ -20,6 +21,7 @@ from repro.core.messages import (
 from repro.core.sharded import RegionPartition, ShardStats, ShardView
 from repro.state.objects import WorldObject
 from repro.state.versioned import VersionedStore
+from tests.test_handoff_barrier import VIEW as BARRIER_VIEW
 
 WIDTH = 300.0
 CONFIG = ElasticConfig(interval_ms=100.0, threshold=1.5, hysteresis=2)
@@ -27,10 +29,19 @@ HOT = [30.0, 0.0, 0.0]  # imbalance 3.0
 EVEN = [10.0, 10.0, 10.0]
 
 
+#: What the rebalancer reads of the view; the rest of it is the handoff
+#: barrier's (tests/test_handoff_barrier.py).
+VIEW = {
+    "shard_index", "partition", "dead", "is_holder", "next_pos", "base_pos",
+    "store", "clients", "cpu_ms", "serialized", "stats", "now",
+    "send_peer", "broadcast", "to_holder", "handoff", "refresh",
+}
+
+
 class Shard:
     """One fake shard server and its unit's view: what the view reads
     are plain attributes a test sets, and what the unit asks of it is
-    recorded."""
+    recorded.  It stands in for its handoff barrier too."""
 
     def __init__(self, cluster: "Cluster", index: int, config) -> None:
         self.cluster = cluster
@@ -46,8 +57,9 @@ class Shard:
         self.cpu_ms, self.serialized = 0.0, 0
         #: Client -> the shard a re-home hands it to (absent: it stays).
         self.homes: dict = {}
-        self.finalized: list = []
+        self.releases = 0
         self.refreshed: list = []
+        self.handoff = self
         self.unit = Rebalancer(config, self, span_slack=5.0)
 
     @property
@@ -68,15 +80,15 @@ class Shard:
 
     def to_holder(self, message) -> None:
         if self.is_holder:
-            self.unit.handlers[type(message)](None, message)
+            bound_handlers(self.unit)[type(message)](None, message)
         else:
             self.send_peer(self.cluster.holder, message)
 
     def rehome(self, client):
         return self.homes.pop(client, None)
 
-    def finalize(self, client) -> None:
-        self.finalized.append(client)
+    def release(self) -> None:
+        self.releases += 1
 
     def refresh(self, values) -> None:
         self.refreshed.append(values)
@@ -114,7 +126,7 @@ class Cluster:
             if dst in silent:
                 continue
             delivered.append((src, dst, message))
-            self.peers[dst].unit.handlers[type(message)](src, message)
+            bound_handlers(self.peers[dst].unit)[type(message)](src, message)
         return delivered
 
     def load_round(self, cpu_deltas) -> list:
@@ -263,13 +275,15 @@ def test_bulk_handoffs_hold_the_drain_and_parked_transfers_wait_for_the_fence():
     (epoch,) = loser.unit.epochs
     assert epoch.bulk == {5} and loser.stats.bulk_handoffs == 1
     assert (epoch.fence, epoch.synced) == (3, False)
-    assert loser.unit.parks(5) and loser.unit.parks(5)
-    assert loser.unit.parked == [5]  # parked once
+    assert not loser.unit.fenced() and loser.releases == 0
+    loser.unit.fence()  # still short of the fence: transfers stay parked
+    assert loser.releases == 0
     loser.base_pos = 3
     loser.unit.fence()
-    assert loser.finalized == [5] and loser.unit.parked == []
+    assert loser.unit.fenced() and loser.releases == 1  # the barrier sends
     assert cluster.wire == []  # the transfer has not left: no DrainDone
-    assert not loser.unit.parks(6)  # every fence passed: nothing parks
+    loser.unit.handoff_ended(4)  # not a bulk handoff of this epoch
+    assert cluster.wire == []
     loser.unit.handoff_ended(5)
     assert kinds(cluster.deliver()) == [
         (1, 0, "DrainDone"), (0, 1, "PartitionCommit"), (0, 2, "PartitionCommit"),
@@ -334,8 +348,7 @@ def test_an_inert_unit_starts_no_timer_and_stays_quiescent():
         unit.shard_down()
         unit.catch_up(1)
         unit.handoff_ended(3)
-        assert not unit.parks(3)
-        assert unit.quiescent()
+        assert unit.fenced() and unit.quiescent()
     assert cluster.wire == []
     assert all(
         (unit.epochs, unit.stamps, unit.pending_version, unit.rebalance_log)
@@ -345,12 +358,9 @@ def test_an_inert_unit_starts_no_timer_and_stays_quiescent():
 
 
 def test_the_shard_servers_view_shows_exactly_what_the_fake_shard_shows():
-    """The real view and this file's fake agree on the unit's surface."""
+    """The real view and this file's fake agree on the unit's surface;
+    the barrier's fake covers the rest of the view."""
     shown = {name for name, value in vars(ShardView).items() if isinstance(value, property)}
-    assert shown == {
-        "shard_index", "partition", "dead", "is_holder", "next_pos", "base_pos",
-        "store", "clients", "cpu_ms", "serialized", "stats", "now",
-        "send_peer", "broadcast", "to_holder", "rehome", "finalize", "refresh",
-    }
+    assert shown == VIEW | BARRIER_VIEW
     fake = Cluster().peers[0]
-    assert all(hasattr(fake, name) for name in shown)
+    assert all(hasattr(fake, name) for name in VIEW)

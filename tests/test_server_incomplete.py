@@ -241,38 +241,3 @@ def test_server_closure_cost_charged():
     assert host.cpu_time_used == pytest.approx(
         rig.server.costs.timestamp_ms + rig.server.costs.closure_ms
     )
-
-
-# ---------------------------------------------------------------------------
-# Detach/eviction races (regression: dropped submissions used to burn
-# the ActionId, absorbing the client's post-reattach resubmission as a
-# "duplicate" forever)
-# ---------------------------------------------------------------------------
-def test_detached_submission_is_not_absorbed_as_duplicate():
-    rig = Rig()
-    rig.server.detach_client(0)
-    action = rig.submit(0, "o:0")
-    assert rig.server.stats.actions_serialized == 0
-    rig.server.attach_client(0)
-    message = SubmitAction(action)
-    rig.network.send(0, SERVER_ID, message, wire_size(message))
-    rig.sim.run()
-    assert rig.server.stats.actions_serialized == 1
-    assert rig.server.stats.duplicate_submissions == 0
-
-
-def test_eviction_between_receipt_and_admission_unburns_action_id():
-    rig = Rig()
-    action = Touch(ActionId(0, 99), "o:0")
-    # Deliver directly, then detach before the host's admission work
-    # item runs — the raced-eviction window.
-    rig.server._on_message(0, SubmitAction(action))
-    rig.server.detach_client(0)
-    rig.sim.run()
-    assert rig.server.stats.actions_serialized == 0
-    rig.server.attach_client(0)
-    message = SubmitAction(action)
-    rig.network.send(0, SERVER_ID, message, wire_size(message))
-    rig.sim.run()
-    assert rig.server.stats.actions_serialized == 1
-    assert rig.server.stats.duplicate_submissions == 0
