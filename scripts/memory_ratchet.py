@@ -1,6 +1,7 @@
 #!/usr/bin/env python
-"""The memory ratchet (docs/performance.md, "Wall-collision kernel" and
-"Replicas own, not mirror").
+"""The memory ratchet (docs/performance.md, "Wall-collision kernel",
+"Replicas own, not mirror" and "The audit runs where the replicas
+live").
 
 Measures, with ``tracemalloc``, the bytes two built things hold:
 
@@ -11,6 +12,12 @@ Measures, with ``tracemalloc``, the bytes two built things hold:
   over 1000 x 1000, 1 000 walls, K = 4, seed 0): the one replica of
   W = 1, and partition 0 of W = 2, which builds only its two shards and
   the clients homed on them.
+
+It also counts what crosses a pipe at the end of a run: the pickled
+bytes of each partition's end-of-run snapshot (what a worker ships to
+the caller) on the smoke-scale ``sprawl_k4_par`` shape of
+``benchmarks/perf/workloads.py`` at W = 2, seed 1000, stepped in
+process.  That count is deterministic.
 
 Each count repeats exactly for an interpreter version.  Exits 1 when
 one is above its ceiling.  Like the code-size, window and work ratchets,
@@ -23,12 +30,13 @@ import gc
 import pathlib
 import sys
 import tracemalloc
+from multiprocessing.reduction import ForkingPickler
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.harness.architectures import build_world  # noqa: E402
 from repro.harness.config import SimulationSettings  # noqa: E402
-from repro.net.backend import PartitionReplica  # noqa: E402
+from repro.net.backend import PartitionReplica, _drive  # noqa: E402
 
 #: Bytes.  While the field kept a frozen ``Wall`` and two ``Vec2`` s per
 #: wall plus a record tuple, the same world held 42 951 432.
@@ -46,6 +54,15 @@ REPLICA = SimulationSettings(
 #: bound dispatch table and the handoff barrier's three maps lived on
 #: the server, 2 278 735 and 1 274 745.
 REPLICA_CEILINGS = {(1, 0): 2_277_871, (2, 0): 1_274_297}
+#: The run whose end-of-run snapshots are weighed.
+SNAPSHOT = SimulationSettings(
+    num_clients=48, num_walls=500, moves_per_client=3, world_width=600.0,
+    spawn="uniform", shards=4, workers=2, seed=1000,
+)  # fmt: skip
+#: Pickled bytes per partition.  While a snapshot carried its shards'
+#: stores and gsn maps and its clients' stable replicas and observation
+#: logs (the audit ran in the caller), 39 946 and 36 233.
+SNAPSHOT_CEILINGS = [7_763, 6_915]
 
 
 def traced(build, warm) -> int:
@@ -84,6 +101,14 @@ def replica_bytes(workers: int, partition: int) -> int:
     )
 
 
+def snapshot_bytes() -> list:
+    """Pickled bytes of each partition's end-of-run snapshot of the
+    ``SNAPSHOT`` run, as a worker would send it."""
+    replicas = [PartitionReplica("seve", SNAPSHOT, p, 2) for p in range(2)]
+    snapshots = _drive(replicas, [], SNAPSHOT)
+    return [len(ForkingPickler.dumps(snapshot)) for snapshot in snapshots]
+
+
 def main() -> int:
     size = traced_bytes()
     print(f"memory_ratchet: Table I world {size} bytes (ceiling {CEILING})")
@@ -97,6 +122,13 @@ def main() -> int:
         )
         over |= sizes[workers] > ceiling
     print(f"memory_ratchet: W = 2 / W = 1 {sizes[2] / sizes[1]:.3f}")
+    weighed = zip(snapshot_bytes(), SNAPSHOT_CEILINGS)
+    for partition, (size, ceiling) in enumerate(weighed):
+        print(
+            f"memory_ratchet: end-of-run snapshot of partition {partition} "
+            f"{size} bytes pickled (ceiling {ceiling})"
+        )
+        over |= size > ceiling
     return 1 if over else 0
 
 

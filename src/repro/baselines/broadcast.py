@@ -79,7 +79,7 @@ class BroadcastEngine(BaselineEngine):
             action.cost_ms + self.config.eval_overhead_ms, evaluate
         )
 
-    def consistency_report(self, replicas):
+    def consistency_report(self, client_ids):
         # The relay keeps no advancing server state: consistency here
         # means all replicas are identical.
-        return check_uniform(replicas), None
+        return check_uniform(self.stable_replicas(client_ids)), None

@@ -669,9 +669,14 @@ class EngineChassis:
         """Clients the servers evicted (liveness sweep or quarantine)."""
         return sum(server.stats.clients_evicted for server in self._servers())
 
-    def consistency_report(self, replicas: Dict[ClientId, ObjectStore]):
-        """The Theorem 1 verdict over ``replicas`` (stable replica by
-        client id), as ``(ConsistencyReport, cross-shard audit or None)``:
-        every held value must be a committed version in the server
-        store's history."""
+    def stable_replicas(self, client_ids) -> Dict[ClientId, ObjectStore]:
+        """The stable replicas of ``client_ids``, by client id."""
+        return {client_id: self.clients[client_id].stable for client_id in client_ids}
+
+    def consistency_report(self, client_ids):
+        """The Theorem 1 verdict over the stable replicas of
+        ``client_ids``, as ``(ConsistencyReport, cross-shard audit or
+        None)``: every held value must be a committed version in the
+        server store's history."""
+        replicas = self.stable_replicas(client_ids)
         return ConsistencyChecker(self.state).check_all(replicas), None

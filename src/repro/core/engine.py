@@ -532,12 +532,12 @@ class SeveEngine(EngineChassis):
             return ()
         return tuple(violation.render() for violation in self.rwset_recorder.violations)
 
-    def consistency_report(self, replicas: Dict[ClientId, ObjectStore]):
+    def consistency_report(self, client_ids):
         if self.config.mode == "basic":
             # Full replication: no advancing server state; consistency
             # means all replicas are identical.
-            return check_uniform(replicas), None
-        return super().consistency_report(replicas)
+            return check_uniform(self.stable_replicas(client_ids)), None
+        return super().consistency_report(client_ids)
 
     @property
     def total_dropped(self) -> int:

@@ -19,7 +19,7 @@ Conventions
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Optional
+from typing import FrozenSet, Optional
 
 #: The class that every client implicitly subscribes to.
 DEFAULT_CLASS = "default"
@@ -53,8 +53,3 @@ def is_consequential(
     if interests is None:
         return True
     return action_class == DEFAULT_CLASS or action_class in interests
-
-
-def classes_of(actions: Iterable) -> FrozenSet[str]:
-    """The set of interest classes appearing in ``actions`` (diagnostics)."""
-    return frozenset(action.interest_class for action in actions)

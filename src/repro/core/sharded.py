@@ -1289,11 +1289,11 @@ class ShardedSeveEngine(SeveEngine):
             for server in self._servers()
         ]
 
-    def consistency_report(self, replicas):
+    def consistency_report(self, client_ids):
         """Shard stores legitimately diverge on each other's local
         actions, so Theorem 1 is checked against any-shard history plus
         the global span-order audit — over the live clients, whatever
-        population ``replicas`` names."""
+        population ``client_ids`` names."""
         audit = audit_sharded_run(self)
         return audit.replica_report, audit
 

@@ -215,9 +215,7 @@ def _run(architecture, settings, world, check_consistency, obs) -> RunResult:
             if faults_active or settings.adversary_active
             else engine.clients.keys()
         )
-        consistency, shard_audit = engine.consistency_report(
-            {client_id: engine.clients[client_id].stable for client_id in client_ids}
-        )
+        consistency, shard_audit = engine.consistency_report(client_ids)
 
     meter = engine.meter
     num_clients = max(1, len(engine.clients))

@@ -197,7 +197,3 @@ class AuditLog:
         for record in self.records:
             store.merge(record.values())
         return store
-
-    def alerts_for(self, client_id: ClientId) -> List[CheatAlert]:
-        """Alerts attributed to one client."""
-        return [alert for alert in self.alerts if alert.client_id == client_id]

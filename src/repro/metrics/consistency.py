@@ -21,11 +21,32 @@ exist on no committed timeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.state.store import ObjectStore
 from repro.state.versioned import VersionedStore
 from repro.types import ClientId, ObjectId
+
+#: What some committed stores say about one held value: whether it is
+#: the current value in one of them, whether it is a retained version in
+#: one of them, and ``(shard, value)`` for the highest-numbered store
+#: holding the object (``None`` when none does).
+Verdict = Tuple[bool, bool, Optional[Tuple[int, dict]]]
+
+
+def look(
+    stores: Iterable[Tuple[int, VersionedStore]], oid: ObjectId, held: dict
+) -> Verdict:
+    """The verdict of ``stores`` — ``(shard, store)`` pairs, ascending —
+    on ``held`` as the value of ``oid``."""
+    historical, committed = False, None
+    for shard, store in stores:
+        if oid in store:
+            committed = shard, store.get(oid).as_dict()
+            if held == committed[1]:
+                return True, historical, committed
+        historical |= held in [attrs for _, _, attrs in store.history(oid)]
+    return False, historical, committed
 
 
 @dataclass
@@ -66,6 +87,22 @@ class ConsistencyReport:
             f"{self.violation_count} violations"
         )
 
+    def record(
+        self, client_id: ClientId, oid: ObjectId, held: dict, verdicts: List[Verdict]
+    ) -> None:
+        """Theorem 1's rule for one held value, judged by the stores
+        behind ``verdicts`` together: current in one, else a retained
+        committed version in one (stale), else a violation."""
+        self.objects_checked += 1
+        if any(current for current, _, _ in verdicts):
+            self.exact_matches += 1
+        elif any(historical for _, historical, _ in verdicts):
+            self.stale_but_consistent += 1
+        else:
+            held_by = [committed for _, _, committed in verdicts if committed]
+            _, committed = max(held_by, default=(0, {}))
+            self.violations.append(Violation(client_id, oid, held, committed))
+
 
 class ConsistencyChecker:
     """Compares client replicas against the server's committed history."""
@@ -73,45 +110,17 @@ class ConsistencyChecker:
     def __init__(self, server_state: VersionedStore) -> None:
         self.server_state = server_state
 
-    def check_replica(
-        self, client_id: ClientId, replica: ObjectStore
-    ) -> ConsistencyReport:
-        """Check one client's stable replica."""
-        report = ConsistencyReport()
-        self._sweep(client_id, replica, report)
-        return report
-
     def check_all(
         self, replicas: Dict[ClientId, ObjectStore]
     ) -> ConsistencyReport:
         """Check every client's stable replica (one aggregate report)."""
         report = ConsistencyReport()
+        stores = ((0, self.server_state),)
         for client_id, replica in replicas.items():
-            self._sweep(client_id, replica, report)
+            for obj in replica.objects():
+                held = obj.as_dict()
+                report.record(client_id, obj.oid, held, [look(stores, obj.oid, held)])
         return report
-
-    def _sweep(
-        self, client_id: ClientId, replica: ObjectStore, report: ConsistencyReport
-    ) -> None:
-        for obj in replica.objects():
-            report.objects_checked += 1
-            held = obj.as_dict()
-            if obj.oid in self.server_state:
-                committed_now = self.server_state.get(obj.oid).as_dict()
-            else:
-                committed_now = {}
-            if held == committed_now:
-                report.exact_matches += 1
-                continue
-            history = [
-                attrs for _, _, attrs in self.server_state.history(obj.oid)
-            ]
-            if held in history:
-                report.stale_but_consistent += 1
-            else:
-                report.violations.append(
-                    Violation(client_id, obj.oid, held, committed_now)
-                )
 
 
 def check_uniform(replicas: Dict[ClientId, ObjectStore]) -> ConsistencyReport:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence, Union
+from typing import List, Sequence, Union
 
 Cell = Union[str, int, float, None]
 
@@ -271,23 +271,4 @@ def shard_table(result, title: str = "Per-shard breakdown") -> Table:
             row["push_cycles"],
             round(row["cpu_ms"], 2),
         )
-    return table
-
-
-def series_table(
-    title: str,
-    x_name: str,
-    xs: Iterable[Cell],
-    series: dict,
-    note: str = "",
-) -> Table:
-    """Build a table from an x-axis and named y-series (figure shape).
-
-    ``series`` maps a column name to a list parallel to ``xs``.
-    """
-    columns = [x_name, *series]
-    table = Table(title, columns, note=note)
-    ys = list(series.values())
-    for index, x in enumerate(xs):
-        table.add_row(x, *(column[index] for column in ys))
     return table

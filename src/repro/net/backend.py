@@ -82,7 +82,11 @@ counters balance — in-flight bundles at that instant are discarded (any
 message that could *create* work implies some partition was not
 quiescent; see docs/parallel.md for the argument) — or when the drain
 budget runs out.  Each replica then stops its slice and drains one
-final millisecond.
+final millisecond, and the partitions run the end-of-run audit where
+their replicas and stores live: one exchange through the coordinator
+hands each the others' residue and the global gsn map
+(:mod:`repro.metrics.shard_audit`), and only the answers reach the
+merge.
 """
 
 from __future__ import annotations
@@ -100,6 +104,7 @@ from repro.core.sharded import ShardedSeveEngine
 from repro.errors import ConfigurationError, SimulationError
 from repro.harness.architectures import build_engine
 from repro.harness.workload import MoveWorkload, WorkloadStats, start_run
+from repro.metrics.shard_audit import AuditShare, Residue, combine
 from repro.net.stats import LatencySampler, TrafficMeter
 from repro.types import ClientId, TimeMs, shard_host_id
 
@@ -197,10 +202,9 @@ class BarrierReport:
 
 @dataclass
 class ClientSnapshot:
-    """End-of-run state of one owned client (picklable)."""
+    """End-of-run state of one owned client (picklable).  Its replica
+    and observation log stay in the partition: the audit ran there."""
 
-    stable: object
-    observations: Optional[list]
     stats: object
     #: Simulated CPU-milliseconds the client's host burned (the row
     #: doubles as the host row of :attr:`MergedRun.client_hosts`).
@@ -213,15 +217,14 @@ class ClientSnapshot:
 class ShardSnapshot:
     """End-of-run state of one owned shard server (picklable): the row
     of :attr:`MergedRun.shard_servers` that stands in for the
-    :class:`~repro.core.sharded.ShardServer`, attribute for attribute."""
+    :class:`~repro.core.sharded.ShardServer`, attribute for attribute.
+    Its store and gsn map stay in the partition: the audit ran there."""
 
     shard_index: int
     clients: frozenset
     stats: object
     shard_stats: object
     costs: object
-    span_gsns: Dict
-    state: object
     cpu_time_used: float
     #: Controller-side rebalance log (empty unless it held the lease).
     rebalance_log: tuple
@@ -233,7 +236,11 @@ class ShardSnapshot:
 
 @dataclass
 class PartitionSnapshot:
-    """Everything a partition contributes to the merged run result."""
+    """Everything a partition contributes to the merged run result —
+    counters, samples, per-client and per-shard rows and its completed
+    share of the end-of-run audit, never a store or a replica: on
+    ``sprawl_k4_par`` it pickles to about 0.2 MB
+    (``scripts/memory_ratchet.py`` caps a smoke-scale one)."""
 
     partition: int
     now: TimeMs
@@ -254,6 +261,8 @@ class PartitionSnapshot:
     #: :meth:`SeveEngine.detection_summary` of the replica's engine
     #: (docs/adversary.md); empty on honest runs.
     detection: Dict[str, object]
+    #: The partition's answered share of the end-of-run audit.
+    audit: AuditShare
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +438,10 @@ class PartitionReplica:
         self.engine.sim.run_window(end)
         return self.report()
 
-    def finish(self, deadline: TimeMs) -> PartitionSnapshot:
-        """Stop the owned slice, drain the final millisecond, snapshot.
+    def finish(self, deadline: TimeMs) -> Tuple[List[Residue], Dict]:
+        """Stop the owned slice, drain the final millisecond, and run
+        the local pass of the audit; returns what the exchange needs
+        from this partition: its residue and its shards' gsn map.
 
         Sends to foreign hosts during the drain are discarded, and no
         send is held to a promise: the run is over, as a one-partition
@@ -438,6 +449,14 @@ class PartitionReplica:
         """
         self._discard_remote, self._granted = True, {}
         self.engine.stop_and_drain(deadline)
+        self._audit = AuditShare.of(self.engine)
+        return self._audit.residue, self.engine.span_gsn_map()
+
+    def audit(self, residues, gsns) -> PartitionSnapshot:
+        """Answer the exchange — every other partition's residue
+        (``None`` in this one's place) and the global gsn map — and
+        snapshot."""
+        self._audit.answer(self.engine, residues, gsns)
         return self.snapshot()
 
     # -- results -----------------------------------------------------------
@@ -447,8 +466,6 @@ class PartitionReplica:
         for client_id in self.owned_clients:
             client = engine.clients[client_id]
             clients[client_id] = ClientSnapshot(
-                stable=client.stable,
-                observations=client.observations,
                 stats=client.stats,
                 cpu_time_used=client.host.cpu_time_used,
                 dropped=engine.dropped[client_id],
@@ -463,8 +480,6 @@ class PartitionReplica:
                     stats=server.stats,
                     shard_stats=server.shard_stats,
                     costs=server.costs,
-                    span_gsns=dict(server.span_gsns),
-                    state=engine.shard_states[shard],
                     cpu_time_used=engine.server_hosts[shard].cpu_time_used,
                     rebalance_log=tuple(server.rebalance_log),
                     stripe=tuple(server.stripe),
@@ -497,6 +512,7 @@ class PartitionReplica:
             observer=self.obs,
             dead=tuple(sorted(engine.dead)),
             detection=engine.detection_summary(),
+            audit=self._audit,
         )
 
 
@@ -605,9 +621,18 @@ def _drive(replicas, pipes, settings, obs=None) -> List[PartitionSnapshot]:
         counter("backend.cross_partition_messages").inc(messages)
         for why, count in ended.items():
             counter(f"backend.window_end.{why}").inc(count)
+    # The audit exchange: every partition offers its residue and gsn
+    # map, and is handed the others' residue and the union of the maps.
     for conn in pipes:
         conn.send(("finish", deadline))
-    return [replica.finish(deadline) for replica in replicas]
+    offers = [replica.finish(deadline) for replica in replicas]
+    offers.extend(conn.recv() for conn in pipes)
+    gsns = {key: gsn for _, span_gsns in offers for key, gsn in span_gsns.items()}
+    residues = [residue for residue, _ in offers]
+    handed = [[*residues[:p], None, *residues[p + 1 :]] for p in range(workers)]
+    for conn, others in zip(pipes, handed[len(replicas) :]):
+        conn.send(("audit", others, gsns))
+    return [replica.audit(others, gsns) for replica, others in zip(replicas, handed)]
 
 
 # ---------------------------------------------------------------------------
@@ -618,13 +643,13 @@ class MergedRun:
 
     Carries exactly what :func:`repro.harness.runner.run_simulation`
     reads from a finished engine (the surface
-    :class:`~repro.core.chassis.EngineChassis` declares) and what
-    :func:`repro.metrics.shard_audit.audit_sharded_run` consumes —
-    assembled from the picklable per-partition snapshots, which both
-    backends hand over in partition order, then id-sorted within each
-    kind of row.  Each snapshot row stands in
-    for both the protocol object and its host, and the rules that
-    summarise the rows are the sharded engine's own.
+    :class:`~repro.core.chassis.EngineChassis` declares) — assembled
+    from the picklable per-partition snapshots, which both backends
+    hand over in partition order, then id-sorted within each kind of
+    row.  Each snapshot row stands in for both the protocol object and
+    its host, and the rules that summarise the rows are the sharded
+    engine's own.  The audit's verdict is combined from the
+    partitions' answered shares (:func:`repro.metrics.shard_audit.combine`).
     """
 
     _servers = ShardedSeveEngine._servers
@@ -635,8 +660,6 @@ class MergedRun:
     rebalance_events = ShardedSeveEngine.rebalance_events
     failover_events = ShardedSeveEngine.failover_events
     live_client_ids = ShardedSeveEngine.live_client_ids
-    span_gsn_map = ShardedSeveEngine.span_gsn_map
-    consistency_report = ShardedSeveEngine.consistency_report
 
     def __init__(self, snapshots: List[PartitionSnapshot]) -> None:
         self.meter = TrafficMeter()
@@ -675,7 +698,7 @@ class MergedRun:
         self.server_hosts = {
             shard.shard_index: shard for shard in self.shard_servers
         }
-        self.shard_states = [shard.state for shard in self.shard_servers]
+        self.audits = [snapshot.audit for snapshot in snapshots]
         self.closure_cpu_ms = sum(
             shard.stats.closures_computed * shard.costs.closure_ms
             for shard in self.shard_servers
@@ -712,6 +735,12 @@ class MergedRun:
     def detection_summary(self) -> Dict[str, object]:
         return self._detection
 
+    def consistency_report(self, client_ids):
+        """The sharded engine's verdict (any-shard history plus span
+        order, over the live clients), from the partitions' answers."""
+        audit = combine(self.audits, set(self.live_client_ids()))
+        return audit.replica_report, audit
+
 
 # ---------------------------------------------------------------------------
 # Entry point (called from the harness runner)
@@ -720,13 +749,17 @@ def _run_workers(architecture: str, settings, workers: int) -> List[PartitionSna
     """Start one worker per partition, wait for W snapshots, reap.
 
     Worker 0 — the lead — is handed one end of a command pipe to every
-    sibling and runs :func:`_drive`; the caller keeps only the read end
-    of one result pipe per worker, on which each ships its own snapshot
-    (or its traceback).  The result pipes are drained in arrival order:
-    a snapshot is far larger than a pipe buffer, so listening to one
-    fixed worker first would leave the others blocked mid-write.  A
-    worker that dies takes the others down with it (its peers read
-    end-of-file), so every pipe resolves and the error names them all.
+    sibling and runs :func:`_drive`, the end-of-run audit exchange
+    included; the caller keeps only the read end of one result pipe per
+    worker, on which each ships its own snapshot (or its traceback).  A
+    snapshot carries counters, rows and the partition's answered audit
+    share, never a store or a replica (about 0.2 MB on
+    ``sprawl_k4_par``), so the caller holds no more than W of those.
+    The result pipes are drained in arrival order: a snapshot is still
+    larger than a pipe buffer, so listening to one fixed worker first
+    would leave the others blocked mid-write.  A worker that dies takes
+    the others down with it (its peers read end-of-file), so every pipe
+    resolves and the error names them all.
     That needs every copy of a dead worker's ends closed: a forked
     worker inherits each end the caller holds when it starts, and is
     handed the ones that are not its own to close first thing.

@@ -27,8 +27,13 @@ command pipe:
   cross-partition entries, run virtual time up to ``end``, reply with
   the ``BarrierReport``;
 * lead → sibling: ``("finish", deadline)`` — stop the owned slice,
-  drain, ship the snapshot to the caller and return.  There is no
-  reply: the lead is finishing its own replica and waits for nobody.
+  drain, run the local pass of the audit and reply with the offer
+  ``(residue, span_gsns)``;
+* lead → sibling: ``("audit", residues, gsns)`` — answer for the owned
+  stores on the other partitions' residue, check the owned clients'
+  span order, ship the snapshot to the caller and return.  There is no
+  reply: the lead is answering for its own replica and waits for
+  nobody.
 
 A peer that hangs up is an exception like any other (``EOFError``,
 ``BrokenPipeError``), so one death unwinds every worker and the caller
@@ -91,6 +96,8 @@ def _serve(replica, conn):
         if command == "window" and len(message) == 3:
             conn.send(replica.run_window(message[1], message[2]))
         elif command == "finish" and len(message) == 2:
-            return replica.finish(message[1])
+            conn.send(replica.finish(message[1]))
+        elif command == "audit" and len(message) == 3:
+            return replica.audit(message[1], message[2])
         else:
             raise SimulationError(f"unknown worker command: {message!r:.80}")

@@ -25,7 +25,7 @@ def replica(value):
 
 def test_exact_match_is_consistent():
     checker = ConsistencyChecker(server_with_history())
-    report = checker.check_replica(0, replica(2))
+    report = checker.check_all({0: replica(2)})
     assert report.consistent
     assert report.exact_matches == 1
     assert report.stale_but_consistent == 0
@@ -33,14 +33,14 @@ def test_exact_match_is_consistent():
 
 def test_stale_committed_value_is_consistent():
     checker = ConsistencyChecker(server_with_history())
-    report = checker.check_replica(0, replica(1))
+    report = checker.check_all({0: replica(1)})
     assert report.consistent
     assert report.stale_but_consistent == 1
 
 
 def test_uncommitted_value_is_violation():
     checker = ConsistencyChecker(server_with_history())
-    report = checker.check_replica(3, replica(99))
+    report = checker.check_all({3: replica(99)})
     assert not report.consistent
     assert report.violation_count == 1
     violation = report.violations[0]
@@ -52,7 +52,7 @@ def test_uncommitted_value_is_violation():
 def test_unknown_object_is_violation():
     checker = ConsistencyChecker(server_with_history())
     ghost = ObjectStore([WorldObject("ghost:0", {"v": 1})])
-    report = checker.check_replica(0, ghost)
+    report = checker.check_all({0: ghost})
     assert not report.consistent
 
 

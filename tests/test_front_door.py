@@ -126,12 +126,15 @@ def test_a_detach_between_receipt_and_admission_unburns_the_id(architecture):
     server.detach_client(0)
     engine.sim.run()
     assert server.stats.actions_serialized == 0
+    assert _serialized(server) == []
     server.attach_client(0)
     _deliver(engine, 0, action)
     engine.sim.run()
     assert server.stats.actions_serialized == 1
     assert server.stats.duplicate_submissions == 0
     assert accepted == [action.action_id] * 2
+    (serialized,) = _serialized(server)
+    assert serialized is action
 
 
 @pytest.mark.parametrize("architecture", FRONT_DOORS)

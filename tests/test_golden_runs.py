@@ -186,11 +186,14 @@ def fingerprint(settings: SimulationSettings, architecture: str = "seve") -> dic
 
     The inputs come from whatever the run measured: the engine
     ``runner.build_engine`` built, or the merged view
-    ``backend.run_partitioned`` returned.  ``seve`` runs must come out
-    consistent; every other architecture has its verdict, its measured
-    scalars and its surviving replicas recorded as well.
+    ``backend.run_partitioned`` returned.  The merged view carries no
+    store or replica (they stay in the partitions), so a sharded run's
+    are read off the replicas ``backend._drive`` stepped, in partition
+    order — every golden run is in-process.  ``seve`` runs must come
+    out consistent; every other architecture has its verdict, its
+    measured scalars and its surviving replicas recorded as well.
     """
-    views = []
+    views, replicas = [], []
 
     def capturing(fn):
         def wrapper(*args, **kwargs):
@@ -200,17 +203,29 @@ def fingerprint(settings: SimulationSettings, architecture: str = "seve") -> dic
 
         return wrapper
 
+    def driving(replicas_, *args, **kwargs):
+        replicas.extend(replicas_)
+        return drive(replicas_, *args, **kwargs)
+
     build_engine, run_partitioned = runner.build_engine, backend.run_partitioned
+    drive = backend._drive
     runner.build_engine = capturing(build_engine)
     backend.run_partitioned = capturing(run_partitioned)
+    backend._drive = driving
     try:
         result = runner.run_simulation(architecture, settings)
     finally:
         runner.build_engine = build_engine
         backend.run_partitioned = run_partitioned
+        backend._drive = drive
     (view,) = views
     meter = view.meter
-    stores = getattr(view, "shard_states", None) or [view.state]
+    if replicas:
+        stores = [r.engine.shard_states[k] for r in replicas for k in r.owned_shards]
+        stable = {c: r.engine.clients[c].stable for r in replicas for c in r.owned_clients}
+    else:
+        stores = [view.state]
+        stable = {c: client.stable for c, client in view.clients.items()}
     assert result.consistency is not None
     if architecture == "seve":
         assert result.consistency.consistent
@@ -228,8 +243,7 @@ def fingerprint(settings: SimulationSettings, architecture: str = "seve") -> dic
                 name: _jsonable(getattr(result, name)) for name in MEASURED
             },
             "replica_crc": [
-                view.clients[client_id].stable.checksum()
-                for client_id in view.live_client_ids()
+                stable[client_id].checksum() for client_id in view.live_client_ids()
             ],
         }
     return {

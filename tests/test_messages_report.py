@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.action import ActionId, ActionResult, BlindWrite
-from repro.core.interest import DEFAULT_CLASS, classes_of, is_consequential, profile
+from repro.core.interest import DEFAULT_CLASS, is_consequential, profile
 from repro.core.messages import (
     AbortNotice,
     ActionBatch,
@@ -17,7 +17,7 @@ from repro.core.messages import (
     SubmitAction,
     wire_size,
 )
-from repro.metrics.report import Table, format_table, series_table
+from repro.metrics.report import Table
 from repro.types import SERVER_ID, oid, oid_index, oid_kind
 
 
@@ -85,12 +85,6 @@ def test_is_consequential_rules():
     assert not is_consequential("insect", profile("human"))
 
 
-def test_classes_of():
-    actions = [blind(), blind()]
-    actions[0].interest_class = "combat"
-    assert classes_of(actions) == frozenset({"combat", DEFAULT_CLASS})
-
-
 # ---------------------------------------------------------------------------
 # types helpers
 # ---------------------------------------------------------------------------
@@ -139,12 +133,3 @@ def test_nan_rendered_as_na():
     table = Table("Demo", ("v",))
     table.add_row(float("nan"))
     assert "n/a" in table.render()
-
-
-def test_series_table_builder():
-    table = series_table(
-        "Fig", "x", [1, 2], {"a": [10.0, 20.0], "b": [30.0, 40.0]}
-    )
-    assert table.columns == ["x", "a", "b"]
-    assert table.rows == [[1, 10.0, 30.0], [2, 20.0, 40.0]]
-    assert format_table(table)

@@ -17,6 +17,7 @@ spawn, so the spawn path runs on Linux too.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import multiprocessing
@@ -351,6 +352,137 @@ def test_reconnects_in_two_partitions_match_across_partitions():
 
 
 # ----------------------------------------------------------------------
+# The end-of-run audit: every field, at every W and backend
+# ----------------------------------------------------------------------
+#: A clean run, a shard crash and a live rebalancer.
+AUDIT_SHAPES = {
+    "clean": {},
+    "shard crash": dict(plan=FaultPlan(crashes=parse_crash_plan("s2@1500:3500"))),
+    "elastic": dict(
+        elastic=True,
+        elastic_interval_ms=500,
+        elastic_threshold=1.05,
+        elastic_hysteresis=1,
+    ),
+}
+
+#: ``(backend, workers)`` of the three ways a K = 4 run executes.
+EVERY_W = (("inproc", 1), ("inproc", 2), ("parallel", 2))
+#: Twice ``BASE``'s clients: enough that replicas go stale.
+AUDITED = dict(shards=4, num_clients=16)
+
+
+def audits_at_every_w(**overrides):
+    """Both Theorem 1 reports of ``run(…, **AUDITED, **overrides)``,
+    field for field, asserted equal for every entry of ``EVERY_W``;
+    returns the W = 1 run."""
+    runs = [
+        run(backend, workers=workers, **AUDITED, **overrides)
+        for backend, workers in EVERY_W
+    ]
+    reports = [
+        (dataclasses.asdict(r.consistency), dataclasses.asdict(r.shard_audit))
+        for r in runs
+    ]
+    assert reports[1] == reports[0]
+    assert reports[2] == reports[0]
+    return runs[0]
+
+
+@pytest.mark.parametrize("shape", sorted(AUDIT_SHAPES))
+def test_audit_reports_match_field_for_field(shape):
+    one = audits_at_every_w(**AUDIT_SHAPES[shape])
+    audit = one.shard_audit
+    assert audit.consistent and audit.replica_report is not None
+    assert audit.clients_checked == AUDITED["num_clients"]
+    assert audit.span_observations > 0
+    assert audit.replica_report.stale_but_consistent > 0
+    if shape == "elastic":
+        assert one.rebalance_events
+
+
+def _planted_finish(monkeypatch, plants):
+    """Wrap ``PartitionReplica.finish`` so that, in whichever replica
+    owns the client, each ``(client_id, plant)`` of ``plants`` runs on
+    that client before the run's last millisecond and its audit.  Set
+    before the workers fork, so they inherit it."""
+    if start_context().get_start_method() != "fork":
+        pytest.skip("workers inherit the wrapped finish only when forked")
+    finish = PartitionReplica.finish
+
+    def planted(replica, deadline):
+        for client_id, plant in plants:
+            if client_id in replica.owned_clients:
+                plant(replica.engine.clients[client_id])
+        return finish(replica, deadline)
+
+    monkeypatch.setattr(PartitionReplica, "finish", planted)
+
+
+def _two_span_observations(monkeypatch):
+    """``(client, i, j)``: positions in one client's observation log of
+    two spanning actions of one epoch with different gsns, read off an
+    unplanted W = 1 run (the run is deterministic, so the positions
+    hold at every W)."""
+    engines = []
+    finish = PartitionReplica.finish
+
+    def capturing(replica, deadline):
+        engines.append(replica.engine)
+        return finish(replica, deadline)
+
+    monkeypatch.setattr(PartitionReplica, "finish", capturing)
+    run("inproc", **AUDITED)
+    monkeypatch.setattr(PartitionReplica, "finish", finish)
+    (engine,) = engines
+    gsns = engine.span_gsn_map()
+    for client_id in sorted(engine.clients):
+        seen = {}
+        for index, record in enumerate(engine.clients[client_id].observations):
+            if record[0] == "epoch":
+                seen = {}
+                continue
+            gsn = gsns.get(record[3] if record[3] is not None else record[2])
+            if gsn is not None and seen and gsn not in seen:
+                return client_id, next(iter(seen.values())), index
+            if gsn is not None:
+                seen.setdefault(gsn, index)
+    raise AssertionError("no client observed two spanning actions in one epoch")
+
+
+def test_planted_faults_are_reported_alike_at_every_w(monkeypatch):
+    # A value no shard ever committed, held by a client of partition 0
+    # for an avatar homed in partition 1; and two spanning actions
+    # swapped in one client's observation log.
+    from repro.world.avatar import avatar_id
+
+    settings = SimulationSettings(**{**BASE, **AUDITED})
+    whole = PartitionReplica("seve", settings, 0, 1).engine
+    homes = [whole.home_shard(c) for c in range(AUDITED["num_clients"])]
+    holder = next(c for c, home in enumerate(homes) if worker_of_shard(home, 4, 2) == 0)
+    owner = next(c for c, home in enumerate(homes) if worker_of_shard(home, 4, 2) == 1)
+    lie = {"x": -1.0, "y": -1.0, "never": "committed"}
+    swapper, i, j = _two_span_observations(monkeypatch)
+
+    def swap(client):
+        log = client.observations
+        log[i], log[j] = log[j], log[i]
+
+    _planted_finish(monkeypatch, [
+        (holder, lambda client: client.stable.install({avatar_id(owner): lie})),
+        (swapper, swap),
+    ])  # fmt: skip
+    one = audits_at_every_w()
+    violations = one.consistency.violations
+    assert [(v.client_id, v.oid, v.held) for v in violations] == [
+        (holder, avatar_id(owner), lie)
+    ]
+    assert violations[0].committed  # the avatar's value in some store
+    assert [v.client_id for v in one.shard_audit.order_violations] == [swapper]
+    assert one.shard_audit.replica_report.violations == violations
+
+
+# ----------------------------------------------------------------------
 # The coordinator's step order, over fakes
 # ----------------------------------------------------------------------
 class _FakeReplica:
@@ -369,6 +501,10 @@ class _FakeReplica:
 
     def finish(self, deadline):
         self.log.append(("finish", self.partition))
+        return [f"residue {self.partition}"], {self.partition: 0, "last": self.partition}
+
+    def audit(self, residues, gsns):
+        self.log.append(("audit", self.partition, residues, gsns))
         return f"snapshot {self.partition}"
 
 
@@ -381,9 +517,13 @@ class _FakePipe:
         self.replies = [([], BarrierReport([], 0.0, False))]
 
     def send(self, message):
-        self.log.append(("post " + message[0], self.partition))
+        audit = message[1:] if message[0] == "audit" else ()
+        self.log.append(("post " + message[0], self.partition, *audit))
         if message[0] == "window":
             self.replies.append(BarrierReport([], None, True))
+        elif message[0] == "finish":
+            gsns = {self.partition: 0, "last": self.partition}
+            self.replies.append(([f"residue {self.partition}"], gsns))
 
     def recv(self):
         self.log.append(("recv", self.partition))
@@ -394,12 +534,20 @@ def test_drive_posts_to_every_sibling_before_stepping_its_own_replicas():
     # Siblings must be running while the coordinating process steps its
     # own replicas, or the parallel backend is serial with extra pipes;
     # and the replicas stepped inline share one observer, so their
-    # order is part of the byte-identity contract.
+    # order is part of the byte-identity contract.  The same holds for
+    # both halves of the audit exchange: each partition is handed every
+    # other one's residue and the gsn maps merged in partition order.
     log = []
     replicas = [_FakeReplica(0, log), _FakeReplica(1, log)]
     pipes = [_FakePipe(2, log), _FakePipe(3, log)]
     snapshots = _drive(replicas, pipes, SimulationSettings(**BASE, shards=4))
     assert snapshots == ["snapshot 0", "snapshot 1"]
+    residues = [[f"residue {p}"] for p in range(4)]
+
+    def others(partition):
+        return [None if p == partition else r for p, r in enumerate(residues)]
+
+    gsns = {0: 0, 1: 0, 2: 0, 3: 0, "last": 3}
     assert log == [
         ("recv", 2), ("recv", 3),  # the siblings' launch reports
         ("post window", 2), ("post window", 3),
@@ -407,6 +555,9 @@ def test_drive_posts_to_every_sibling_before_stepping_its_own_replicas():
         ("recv", 2), ("recv", 3),
         ("post finish", 2), ("post finish", 3),
         ("finish", 0), ("finish", 1),
+        ("recv", 2), ("recv", 3),  # the siblings' residue and gsn maps
+        ("post audit", 2, others(2), gsns), ("post audit", 3, others(3), gsns),
+        ("audit", 0, others(0), gsns), ("audit", 1, others(1), gsns),
     ]  # fmt: skip
 
 
@@ -437,6 +588,14 @@ def _truncated_frame(window):
     _, end, entries = window
     return ("window", end, [*entries, (end, 0, 0, 0, 0, frame, 8, False, 0, False)])
 
+
+#: Where a worker is killed: ``PartitionReplica`` method, fatal call.
+KILLS = {
+    "killed mid-window": ("run_window", 3),
+    # the two halves of the audit exchange
+    "killed before its residue": ("finish", 1),
+    "killed while answering": ("audit", 1),
+}
 
 GARBAGE = {
     "non-tuple command": lambda window: "window",
@@ -469,16 +628,17 @@ def _saboteur(
 
         backend.PartitionReplica.__init__ = build
     elif partition == victim:
-        run_window = backend.PartitionReplica.run_window
-        windows = []
+        method, fatal = KILLS[how]
+        original = getattr(backend.PartitionReplica, method)
+        calls = []
 
-        def killed_in_third_window(self, end, entries):
-            windows.append(end)
-            if len(windows) == 3:
+        def killed(self, *args):
+            calls.append(args)
+            if len(calls) == fatal:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return run_window(self, end, entries)
+            return original(self, *args)
 
-        backend.PartitionReplica.run_window = killed_in_third_window
+        setattr(backend.PartitionReplica, method, killed)
     partition_worker_main(
         results, architecture, settings, partition, workers, peers, foreign
     )
@@ -526,6 +686,20 @@ def _saboteur(
             "CodecError",
             "partition worker 0 failed (exit code 1)",
         ]),
+        # A sibling killed before it offers its residue: the lead reads
+        # end-of-file where it expected the offer.
+        (2, "killed before its residue", [
+            "partition worker 2 failed (exit code -9)",
+            "exited unexpectedly",
+            "partition worker 0 failed (exit code 1)",
+            "EOFError",
+        ]),
+        # A sibling killed while it answers: the lead has handed out
+        # the exchange and waits for nobody, so it alone fails.
+        (2, "killed while answering", [
+            "partition worker 2 failed (exit code -9)",
+            "exited unexpectedly",
+        ]),
     ],
 )  # fmt: skip
 def test_dead_worker_is_an_error_never_a_hang(
@@ -539,6 +713,8 @@ def test_dead_worker_is_an_error_never_a_hang(
         run("parallel", shards=4, workers=3)
     for text in expected:
         assert text in str(raised.value)
+    if how == "killed while answering":
+        assert "partition worker 0" not in str(raised.value)
     assert multiprocessing.active_children() == []
 
 
