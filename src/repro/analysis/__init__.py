@@ -12,24 +12,21 @@ Neither contract is self-enforcing, so this package checks both:
     wall-clock reads, unseeded RNGs, unsorted set iteration,
     ``id()``-based ordering, and unsorted dict iteration in
     serialization paths from the library, with per-line suppressions.
-:mod:`repro.analysis.rwset_static`
-    Static RW-set escape analysis: for every :class:`Action` subclass,
-    walk the ``compute``/``apply`` ASTs and flag store accesses that
-    can touch object ids outside the declared ``reads``/``writes``.
 :mod:`repro.analysis.sanitizer`
     Dynamic RW-set sanitizer: a TSan-style opt-in
-    :class:`~repro.state.store.ObjectStore` wrapper that records every
-    actual get/set during :meth:`Action.apply` and flags accesses
-    outside RS(a)/WS(a) (``--rwset-sanitizer``).
+    :class:`~repro.state.store.ObjectStore` wrapper that checks every
+    actual access during :meth:`Action.apply` and flags reads outside
+    RS(a), enumerations of the whole store and writes outside WS(a)
+    (``--rwset-sanitizer``; ``scripts/sanitizer_coverage.py`` checks
+    that every world action line runs under it in the tests).
 
-Run the first two from the command line with ``python -m
-repro.analysis`` (see :mod:`repro.analysis.cli` for flags and exit
-codes); ``scripts/lint.py`` is the repo-root wrapper the test driver
-uses.
+Run the linter, the protocol analyzer and the race explorer from the
+command line with ``python -m repro.analysis`` (see
+:mod:`repro.analysis.cli` for flags and exit codes); ``scripts/lint.py``
+is the repo-root wrapper the test driver uses.
 """
 
 from repro.analysis.lint import Finding, lint_paths
-from repro.analysis.rwset_static import RWSetEscape, check_paths
 from repro.analysis.sanitizer import (
     RWSetViolation,
     SanitizedStore,
@@ -40,8 +37,6 @@ from repro.analysis.sanitizer import (
 __all__ = [
     "Finding",
     "lint_paths",
-    "RWSetEscape",
-    "check_paths",
     "RWSetViolation",
     "SanitizedStore",
     "SanitizerRecorder",

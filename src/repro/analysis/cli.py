@@ -1,11 +1,12 @@
 """Command-line front end for the static checks: ``python -m
 repro.analysis`` (docs/static_analysis.md).
 
-Runs the determinism linter, the static RW-set escape analysis, the
-protocol conformance analyzer, and/or the schedule-permutation race
-explorer over a set of files or directories and prints findings one
-per line (``path:line:col: [rule] message``), or a JSON document with
-``--json`` for CI consumption.  A bare check name may be given as the
+Runs the determinism linter, the protocol conformance analyzer, and/or
+the schedule-permutation race explorer over a set of files or
+directories and prints findings one per line (``path:line:col: [rule]
+message``), or a JSON document with ``--json`` for CI consumption.
+Declared read/write sets are checked at runtime, not here: see
+:mod:`repro.analysis.sanitizer`.  A bare check name may be given as the
 first positional argument (``python -m repro.analysis protocol``) as
 shorthand for ``--check``.
 
@@ -28,43 +29,28 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro.analysis.lint import Finding, lint_paths
-from repro.analysis.rwset_static import RWSetEscape, check_paths
 
 #: Default targets per check when no paths are given on the command
-#: line.  The determinism linter covers the whole library; the RW-set
-#: checker only makes sense where Action subclasses live; the protocol
+#: line.  The determinism linter covers the whole library; the protocol
 #: analyzer needs every module that constructs or handles messages.
 _DEFAULT_PATHS = {
     "determinism": ["src/repro"],
-    "rwset": ["src/repro/world", "examples"],
     "protocol": ["src/repro/core", "src/repro/net", "src/repro/baselines"],
     "races": [],
 }
 
 #: Check names accepted positionally (``python -m repro.analysis
 #: protocol``) and by ``--check``.
-CHECK_NAMES = ("determinism", "rwset", "protocol", "races", "all")
+CHECK_NAMES = ("determinism", "protocol", "races", "all")
 
-def _finding_dict(finding) -> dict:
-    """JSON form of a lint Finding or an RWSetEscape."""
-    if isinstance(finding, Finding):
-        return {
-            "path": finding.path,
-            "line": finding.line,
-            "col": finding.col,
-            "rule": finding.rule,
-            "message": finding.message,
-        }
-    assert isinstance(finding, RWSetEscape)
+def _finding_dict(finding: Finding) -> dict:
+    """JSON form of a Finding."""
     return {
         "path": finding.path,
         "line": finding.line,
-        "rule": "rwset-escape",
+        "col": finding.col,
+        "rule": finding.rule,
         "message": finding.message,
-        "class": finding.cls,
-        "method": finding.method,
-        "kind": finding.kind,
-        "expr": finding.expr,
     }
 
 
@@ -106,8 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(
-            "Determinism linter and static RW-set conformance checker "
-            "for the repro codebase (docs/static_analysis.md)."
+            "Determinism linter, protocol conformance analyzer and race "
+            "explorer for the repro codebase (docs/static_analysis.md)."
         ),
     )
     parser.add_argument(
@@ -122,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="determinism",
         help=(
             "which analysis to run (default: determinism; 'all' = "
-            "determinism + rwset + protocol; 'races' runs the dynamic "
+            "determinism + protocol; 'races' runs the dynamic "
             "schedule-permutation explorer and is never implied)"
         ),
     )
@@ -166,10 +152,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     root = (args.root or Path.cwd()).resolve()
 
     if args.check == "all":
-        checks = ["determinism", "rwset", "protocol"]
+        checks = ["determinism", "protocol"]
     else:
         checks = [args.check]
-    findings: List = []
+    findings: List[Finding] = []
     try:
         for check in checks:
             if check == "races":
@@ -186,8 +172,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     return 2
             if check == "determinism":
                 findings.extend(lint_paths(paths, root=root))
-            elif check == "rwset":
-                findings.extend(check_paths(paths, root=root))
             else:
                 from repro.analysis.protocol import (
                     check_paths as protocol_check_paths,

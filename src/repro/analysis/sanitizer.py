@@ -1,13 +1,16 @@
 """Dynamic RW-set sanitizer: runtime conformance checking of declared
 read/write sets (docs/static_analysis.md).
 
-The static escape analysis (:mod:`repro.analysis.rwset_static`) proves
-what it can before running anything; this module checks what actually
-happens.  A :class:`SanitizedStore` is a drop-in
+The server never runs action code: it trusts each action's declared
+RS(a)/WS(a) and does set algebra over them.  This module checks that
+trust where the code runs.  A :class:`SanitizedStore` is a drop-in
 :class:`~repro.state.store.ObjectStore` whose accesses are scoped to
-the action currently being applied: every read outside RS(a) and every
-write outside WS(a) becomes a :class:`Violation` — raised immediately
-in ``raise`` mode, collected for the run report in ``report`` mode.
+the action currently being applied: every read outside RS(a), every
+enumeration of the whole store and every write outside WS(a) becomes a
+:class:`Violation` — raised immediately in ``raise`` mode, collected
+for the run report in ``report`` mode.  ``scripts/sanitizer_coverage.py``
+checks that every line of every world action runs under it somewhere
+in the tests.
 
 This matters because :meth:`Action.apply` only enforces half the
 contract on its own — it rejects values computed for undeclared
@@ -36,7 +39,7 @@ mode) without threading a flag through each construction site.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Callable, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import ProtocolError
 from repro.state.objects import WorldObject
@@ -83,7 +86,7 @@ class Violation:
     action: str  # repr of the offending ActionId
     action_type: str
     kind: str  # "read" | "write"
-    oid: ObjectId
+    oid: Optional[ObjectId]  # ``None``: the action enumerated the store
     declared: FrozenSet[ObjectId]
     store: str  # label of the store the access hit
     #: Originating client of the offending action (``ActionId.client_id``)
@@ -95,9 +98,10 @@ class Violation:
 
     def render(self) -> str:
         declared_set = "RS" if self.kind == "read" else "WS"
+        what = "the whole store" if self.oid is None else f"object {self.oid!r}"
         return (
-            f"{self.action} ({self.action_type}) {self.kind} of object "
-            f"{self.oid!r} outside declared {declared_set}="
+            f"{self.action} ({self.action_type}) {self.kind} of {what} "
+            f"outside declared {declared_set}="
             f"{sorted(self.declared)!r} on store {self.store or '?'}"
         )
 
@@ -206,38 +210,26 @@ class SanitizedStore(ObjectStore):
         return _ActionScope(self, action)
 
     # -- checks ----------------------------------------------------------
-    def _check_read(self, oid: ObjectId) -> None:
-        if not self._scopes:
-            return
-        action = self._scopes[-1]
-        self.recorder.reads_checked += 1
-        if oid not in action.reads:
-            self.recorder.record(
-                Violation(
-                    repr(action.action_id),
-                    type(action).__name__,
-                    "read",
-                    oid,
-                    action.reads,
-                    self.label,
-                    client_id=action.action_id.client_id,
-                    seq=action.action_id.seq,
-                )
-            )
+    def _check_read(self, oid: Optional[ObjectId]) -> None:
+        if self._scopes:
+            self.recorder.reads_checked += 1
+            self._check(self._scopes[-1], "read", oid)
 
     def _check_write(self, oid: ObjectId) -> None:
-        if not self._scopes:
-            return
-        action = self._scopes[-1]
-        self.recorder.writes_checked += 1
-        if oid not in action.writes:
+        if self._scopes:
+            self.recorder.writes_checked += 1
+            self._check(self._scopes[-1], "write", oid)
+
+    def _check(self, action, kind: str, oid: Optional[ObjectId]) -> None:
+        declared = action.reads if kind == "read" else action.writes
+        if oid not in declared:
             self.recorder.record(
                 Violation(
                     repr(action.action_id),
                     type(action).__name__,
-                    "write",
+                    kind,
                     oid,
-                    action.writes,
+                    declared,
                     self.label,
                     client_id=action.action_id.client_id,
                     seq=action.action_id.seq,
@@ -263,6 +255,26 @@ class SanitizedStore(ObjectStore):
         return super().values_of_present(oids)
 
     # ``values_of`` needs no override: it reads through :meth:`get`.
+
+    # -- checked enumeration ---------------------------------------------
+    # Which ids a replica holds is replica state outside any RS(a), so an
+    # action that enumerates the store reads undeclared state whatever it
+    # declared: each of these is a read of ``None``, never declared.
+    def __iter__(self) -> Iterator[ObjectId]:
+        self._check_read(None)
+        return super().__iter__()
+
+    def __len__(self) -> int:
+        self._check_read(None)
+        return super().__len__()
+
+    def objects(self) -> Iterator[WorldObject]:
+        self._check_read(None)
+        return super().objects()
+
+    def ids(self) -> FrozenSet[ObjectId]:
+        self._check_read(None)
+        return super().ids()
 
     # -- checked writes --------------------------------------------------
     def put(self, obj: WorldObject) -> None:

@@ -24,14 +24,14 @@ need randomness must derive it from ``self.action_id`` (see
 Neither half of the contract is taken on faith (see
 docs/static_analysis.md): the :mod:`repro.analysis.lint` AST linter
 bans the nondeterminism sources (wall clocks, unseeded RNGs, unsorted
-set iteration) from the library; :mod:`repro.analysis.rwset_static`
-checks statically that ``compute``/``apply`` can only touch declared
-object ids; and the :mod:`repro.analysis.sanitizer` RW-set sanitizer
-(``--rwset-sanitizer``) records every actual store access during
-:meth:`Action.apply` at runtime and flags reads outside RS(a) and
-writes outside WS(a) — the undeclared-*write* check below catches only
-half of the lie, and an undeclared read silently breaks replica
-convergence.
+set iteration) from the library, and the :mod:`repro.analysis.sanitizer`
+RW-set sanitizer (``--rwset-sanitizer``) checks every actual store
+access during :meth:`Action.apply` at runtime and flags reads outside
+RS(a), enumerations of the whole store and writes outside WS(a) — the
+undeclared-*write* check below catches only half of the lie, and an
+undeclared read silently breaks replica convergence.  The tests run
+every line of every world action under it
+(``scripts/sanitizer_coverage.py``).
 """
 
 from __future__ import annotations

@@ -169,15 +169,13 @@ class MoveAction(Action):
     def compute(
         self,
         store: ObjectStore,
-        me: Optional[WorldObject] = None,
-        others: Optional[Iterator[WorldObject]] = None,
+        me: WorldObject,
+        others: Iterator[WorldObject],
     ) -> ValuesDict:
         """The move's values: bumped by the border, a wall or a live
         neighbour at the target, else advanced.  ``me`` and ``others`` —
-        the avatar and the neighbours still to test — are read from
-        ``store`` unless :meth:`_apply` has begun reading them."""
-        if me is None:
-            me = store.get(self.avatar_oid)
+        the avatar and the neighbours still to test — are what
+        :meth:`_apply` has begun reading from ``store``."""
         if not me.get("alive", True):
             raise ActionAborted(f"{self.avatar_oid} is dead")  # combat worlds
         start = Vec2(float(me["x"]), float(me["y"]))
@@ -191,8 +189,6 @@ class MoveAction(Action):
             walled = not last.seen  # only a move the walls let through scans
         else:
             walled = self.walls.path_blocked(start, target)
-        if others is None:
-            others = self._neighbor_states(store)
         bumped = walled or _collides(others, target)
         values: Dict[str, AttrValue]
         if bumped:

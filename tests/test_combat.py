@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.sanitizer import SanitizedStore
 from repro.core.action import ActionId
 from repro.state.store import ObjectStore
 from repro.world.avatar import avatar_id, avatar_object
@@ -23,7 +24,7 @@ def arena(*healths, positions=None):
         pos = (positions or {}).get(index, Vec2(10.0 * index, 0.0))
         obj = avatar_object(index, pos, health=health)
         objects.append(obj)
-    return ObjectStore(objects)
+    return SanitizedStore(objects)
 
 
 def aid(seq=0, client=0):
@@ -169,6 +170,13 @@ def test_scrying_skips_dead_and_ties_break_deterministically():
     tie = arena(100, 50, 50)
     scry(0, [1, 2]).apply(tie)
     assert tie.get(avatar_id(1))["health"] == 80  # lowest oid wins ties
+
+
+def test_dead_healer_scrying_fails():
+    store = arena(100, 50)
+    store.get(avatar_id(0))["alive"] = False
+    assert scry(0, [1]).apply(store).aborted
+    assert store.get(avatar_id(1))["health"] == 50
 
 
 def test_scrying_with_everyone_dead_is_noop():

@@ -12,7 +12,6 @@ from repro.core.action import ActionId
 from repro.core.messages import MessageCodec, SubmitAction
 from repro.errors import ConfigurationError, MissingObjectError
 from repro.harness.config import WALL_COST_RADIUS
-from repro.state.store import ObjectStore
 from repro.world.avatar import avatar_id, avatar_object, avatar_position
 from repro.world.geometry import Vec2
 from repro.world.manhattan import ManhattanConfig, ManhattanWorld
@@ -27,7 +26,7 @@ def open_field(width=100.0, height=100.0, walls=()):
 
 def store_with_avatars(*specs):
     """specs: (index, position, heading) tuples."""
-    return ObjectStore(
+    return SanitizedStore(
         avatar_object(i, p, heading=h, speed=10.0) for i, p, h in specs
     )
 

@@ -5,10 +5,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.sanitizer import SanitizedStore
 from repro.core.action import ActionId
 from repro.core.engine import SeveConfig, SeveEngine
 from repro.errors import ConfigurationError
-from repro.state.store import ObjectStore
 from repro.world.philosophers import (
     FORK_FREE,
     GrabForksAction,
@@ -26,7 +26,7 @@ def world():
 
 @pytest.fixture
 def store(world):
-    return ObjectStore(world.initial_objects())
+    return SanitizedStore(world.initial_objects())
 
 
 def test_world_layout(world):

@@ -137,4 +137,11 @@ def test_cli_all_includes_protocol():
     result = _run_cli("--check", "all", "--root", str(REPO), "--json")
     assert result.returncode == 0, result.stdout + result.stderr
     document = json.loads(result.stdout)
-    assert document["checks"] == ["determinism", "rwset", "protocol"]
+    assert document["checks"] == ["determinism", "protocol"]
+
+
+def test_cli_has_no_static_rwset_check():
+    # Declared read/write sets are checked at runtime by the sanitizer.
+    result = _run_cli("--check", "rwset", "--root", str(REPO))
+    assert result.returncode == 2
+    assert "invalid choice: 'rwset'" in result.stderr

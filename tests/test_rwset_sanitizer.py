@@ -47,7 +47,7 @@ class LyingReadAction(Action):
         self.peek = peek
 
     def compute(self, store):
-        direction = store.get(self.peek).get("direction")  # lint: allow(rwset-escape)
+        direction = store.get(self.peek).get("direction")
         return {self.target: {"pos": direction}}
 
 
@@ -66,8 +66,49 @@ class LyingWriteAction(Action):
         return {self.target: {"pos": store.get(self.target).get("pos")}}
 
     def _apply(self, store):
-        store.merge({"bystander": {"hit": True}})  # lint: allow(rwset-escape)
+        store.merge({"bystander": {"hit": True}})
         return super()._apply(store)
+
+
+class SneakyAction(Action):
+    """Declares RS = WS = {target} and escapes them one way: a read of
+    an undeclared attribute's id, of a literal id, of the whole store, or
+    a write keyed by the undeclared id."""
+
+    def __init__(self, action_id: ActionId, target: str, victim: str, escape: str):
+        self.victim = victim  # never fed into reads=/writes=
+        super().__init__(
+            action_id,
+            reads=frozenset({target}),
+            writes=frozenset({target}),
+        )
+        self.target = target
+        self.escape = escape
+
+    def compute(self, store):
+        pos = store.get(self.target).get("pos")
+        if self.escape == "attribute":
+            pos = store.get(self.victim).get("hit")
+        elif self.escape == "literal":
+            pos = store.get("wind").get("direction")
+        elif self.escape == "whole store":
+            for oid in store:
+                pos += 0
+        written = self.victim if self.escape == "write" else self.target
+        return {written: {"pos": pos}}
+
+
+class EnumeratingAction(Action):
+    """Declares every object of :func:`_replica` and enumerates the store."""
+
+    def __init__(self, enumerate_store):
+        everything = frozenset({"avatar", "wind", "bystander"})
+        super().__init__(ActionId(0, 0), reads=everything, writes=everything)
+        self.enumerate_store = enumerate_store
+
+    def compute(self, store):
+        self.enumerate_store(store)
+        return {}
 
 
 def _replica(wind_direction: int, store_cls=ObjectStore, **kwargs):
@@ -110,6 +151,55 @@ def test_sanitizer_catches_the_undeclared_write():
         LyingWriteAction(ActionId(0, 0), "avatar").apply(store)
     assert excinfo.value.violation.kind == "write"
     assert excinfo.value.violation.oid == "bystander"
+
+
+def test_sneaky_action_escapes_are_all_caught():
+    # The three undeclared reads raise on a raise-mode sanitized store;
+    # the undeclared write is caught by Action._write_back on any store.
+    for escape, oid in (
+        ("attribute", "bystander"), ("literal", "wind"), ("whole store", None)
+    ):
+        action = SneakyAction(ActionId(0, 0), "avatar", "bystander", escape)
+        with pytest.raises(RWSetViolation) as excinfo:
+            action.apply(_replica(1, SanitizedStore))
+        violation = excinfo.value.violation
+        assert (violation.kind, violation.oid) == ("read", oid), escape
+        assert violation.action_type == "SneakyAction"
+    store = _replica(1, SanitizedStore)
+    action = SneakyAction(ActionId(0, 0), "avatar", "bystander", "write")
+    with pytest.raises(ProtocolError, match="wrote undeclared objects") as excinfo:
+        action.apply(store)
+    assert not isinstance(excinfo.value, RWSetViolation)
+    assert store.recorder.violations == []
+
+
+@pytest.mark.parametrize(
+    "enumerate_store",
+    [
+        lambda store: [oid for oid in store],
+        len,
+        lambda store: [obj for obj in store.objects()],
+        lambda store: store.ids(),
+    ],
+    ids=["iter", "len", "objects", "ids"],
+)
+def test_enumerating_the_store_is_an_undeclared_read(enumerate_store):
+    # Which ids a replica holds is state outside every RS(a), so even an
+    # action that declares each object reads undeclared state this way.
+    # The violation takes the recorder's path: report mode and the
+    # interception hook see it.
+    hooked = []
+    recorder = SanitizerRecorder(
+        mode="report", on_violation=lambda v: hooked.append(v) or False
+    )
+    store = _replica(1, SanitizedStore, recorder=recorder)
+    EnumeratingAction(enumerate_store).apply(store)
+    assert [(v.kind, v.oid) for v in recorder.violations] == [("read", None)]
+    assert hooked == recorder.violations
+    assert "read of the whole store outside declared RS" in hooked[0].render()
+    # Outside an apply, enumeration stays unchecked.
+    enumerate_store(store)
+    assert len(recorder.violations) == 1
 
 
 def test_report_mode_collects_and_lets_the_run_continue():

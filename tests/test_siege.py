@@ -12,6 +12,7 @@ from examples.siege import (
     SiegeWorld,
     wall_id,
 )
+from repro.analysis.sanitizer import SanitizedStore
 from repro.core.action import ActionId
 from repro.core.engine import SeveConfig, SeveEngine
 from repro.state.store import ObjectStore
@@ -29,7 +30,7 @@ def one_wall_setup():
     geometry = WallField(
         [Wall(0, Vec2(55, 40), Vec2(55, 60))], width=100.0, height=100.0
     )
-    store = ObjectStore([
+    store = SanitizedStore([
         avatar_object(0, Vec2(50, 50), heading=0.0, speed=10.0),
     ])
     from repro.state.objects import WorldObject
@@ -67,6 +68,14 @@ def test_rubble_is_walkable():
     me = store.get(avatar_id(0))
     assert me["x"] == pytest.approx(60.0)
     assert me["bumps"] == 0
+
+
+def test_dead_avatar_does_not_move():
+    geometry, store = one_wall_setup()
+    store.get(avatar_id(0))["alive"] = False
+    before = store.get(avatar_id(0)).as_dict()
+    assert make_move(geometry).apply(store).aborted
+    assert store.get(avatar_id(0)).as_dict() == before
 
 
 def test_move_reads_the_walls_on_its_path():
