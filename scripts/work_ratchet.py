@@ -30,7 +30,8 @@ from repro.world.movement import MoveAction  # noqa: E402
 #: re-nominations)``).  Before a blocked client waited on its blocker and
 #: a move was evaluated once per distinct input, the first two counts
 #: were 250 / 311 and 259 / 335; before nominations carried a drift
-#: margin, the re-nominations were 3 and 52.
+#: margin, the re-nominations were 3 and 52; before a span's owner-shard
+#: clients got its code, ``sprawl_k4`` read 257 walks and 2 re-nominations.
 SHAPES = {
     "crowd_k1": (
         SimulationSettings(num_clients=16, num_walls=2_000, moves_per_client=4, seed=1000),
@@ -41,7 +42,7 @@ SHAPES = {
             num_clients=48, num_walls=500, moves_per_client=3, world_width=600.0,
             spawn="uniform", shards=4, seed=1000,
         ),
-        (257, 146, 2),
+        (204, 146, 0),
     ),
 }
 WHAT = ("closure walks", "move evaluations", "re-nominations")

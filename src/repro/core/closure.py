@@ -62,9 +62,9 @@ class QueueEntry:
     #: for local entries).  The owner uses it to broadcast the result.
     span_involved: Tuple[int, ...] = ()
     #: Committed result of the spanning action, once known (set from the
-    #: originator's completion on the owner, from SpanResult on peers).
-    #: Until it arrives, non-originators cannot be sent this entry —
-    #: they receive its *values*, not its code.
+    #: first screened completion on the owner, from SpanResult on peers).
+    #: Until it arrives, a peer cannot send this entry: its clients
+    #: receive the *values*, not the code.
     span_result: Optional[ActionResult] = None
     #: Owning shard's index (set on spliced peers), so survivors can
     #: abort span entries orphaned by the owner shard crashing before
@@ -95,19 +95,21 @@ class QueueEntry:
         self.reporters.add(reporter)
 
 
-def _is_span_value(entry: QueueEntry, client_id: ClientId) -> bool:
-    """Whether ``entry`` reaches ``client_id`` as a *value* entry.
+def _is_span_value(entry: QueueEntry) -> bool:
+    """Whether ``entry`` reaches this shard's clients as a *value* entry:
+    a spanning action spliced here from another owner.
 
-    A spliced spanning action is evaluated only by its originator (on
-    the owner shard); every other client receives its committed result
-    as a positioned blind write.  A value entry cannot be sent before
-    the result is known; once known it walks like a normal entry — its
-    reads still fold into the seed, because the result carries only the
-    attributes the action actually wrote, and the underlying objects
-    must reach the client complete (via the blind-write seed) before
-    the partial result values land on top.
+    The owner's clients get the code: on the owner's stream a span's
+    inputs are exactly those its originator read, so Theorem 1 makes
+    every evaluation there agree.  A peer's clients receive the
+    committed result as a positioned blind write, which cannot be sent
+    before the result is known; once known it walks like a normal
+    entry — its reads still fold into the seed, because the result
+    carries only the attributes the action actually wrote, and the
+    underlying objects must reach the client complete (via the
+    blind-write seed) before the partial result values land on top.
     """
-    return entry.span and entry.action.client_id != client_id
+    return entry.span and not entry.span_owner
 
 
 def transitive_closure(
@@ -129,15 +131,15 @@ def transitive_closure(
     updates of the paper's pseudocode.
 
     Spanning actions (sharded deployments) change the walk in one way:
-    an entry that reaches C as a value entry (see :func:`_is_span_value`)
-    whose committed result is not known yet defers the *whole* closure —
-    the walk unwinds its sent marks and returns ``(None, ∅)`` so the
-    server retries later.  Partial delivery is not an option, because
-    skipping the span entry would let C evaluate younger chain members
-    against pre-span values.  Once the result is known the value entry
-    walks exactly like a normal entry (reads fold into the seed): the
-    result blind-write carries only the attributes actually written, so
-    the objects underneath must still reach C complete via the seed.
+    a value entry (see :func:`_is_span_value`) whose committed result is
+    not known yet defers the *whole* closure — the walk unwinds its
+    sent marks and returns ``(None, ∅)`` so the server retries later.
+    Partial delivery is not an option, because skipping the span entry
+    would let C evaluate younger chain members against pre-span values.
+    Once the result is known the value entry walks exactly like a
+    normal entry (reads fold into the seed): the result blind-write
+    carries only the attributes actually written, so the objects
+    underneath must still reach C complete via the seed.
 
     ``writer_index`` is the server's
     :class:`~repro.core.indexes.WriterIndex` over ``entries`` and
@@ -154,7 +156,7 @@ def transitive_closure(
         raise ProtocolError(
             f"closure candidate pos {candidate.pos} already sent to {client_id}"
         )
-    if _is_span_value(candidate, client_id) and candidate.span_result is None:
+    if _is_span_value(candidate) and candidate.span_result is None:
         return None, frozenset()  # result not yet known: defer
     accumulated: Set[ObjectId] = set(candidate.action.reads)
     chain: List[int] = [candidate_index]
@@ -172,7 +174,7 @@ def transitive_closure(
             continue  # writer of an oid meanwhile removed from S
         if client_id in entry.sent:
             accumulated -= action.writes
-        elif _is_span_value(entry, client_id) and entry.span_result is None:
+        elif _is_span_value(entry) and entry.span_result is None:
             for index in chain[1:]:
                 entries[index].sent.discard(client_id)
             return None, frozenset()

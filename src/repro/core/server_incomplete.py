@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
-from repro.core.action import Action, BlindWrite
+from repro.core.action import Action, ActionId, BlindWrite
 from repro.core.chassis import ServerShell, ServerStats
 from repro.core.closure import KnownValuesTracker, QueueEntry, transitive_closure
 from repro.core.first_bound import FirstBoundPredicate
@@ -480,9 +480,9 @@ class IncompleteWorldServer(ServerShell):
     def _wire_action(self, client_id: ClientId, entry: QueueEntry) -> Action:
         """The action to put on the wire for ``entry`` -> ``client_id``.
 
-        Hook for the sharded server, which replaces spliced spanning
-        actions with value-carrying blind writes for everyone but the
-        originator.  The base server always sends the action itself.
+        Hook for the sharded server, which replaces a spanning action
+        spliced from another owner with a value-carrying blind write.
+        The base server always sends the action itself.
         """
         return entry.action
 
@@ -855,17 +855,19 @@ class IncompleteWorldServer(ServerShell):
             values = entry.completion.values()
             self.state.merge(values, commit_index=entry.pos)
             self._refresh_indexed_positions(values)
+            written = entry.completion.written_ids()
+            self.known.record_commit(entry.pos, written, entry.sent)
+            action_id = entry.action.action_id
             if deferred_positions and entry.pos in deferred_positions:
                 # Someone's reactive reply to this entry is still
                 # parked; remember what it wrote so the retry can teach
                 # the committed values (see _retry_deferred_replies).
-                self._deferred_commits[entry.pos] = (
-                    entry.action.action_id,
-                    entry.completion.written_ids(),
-                )
-            self.known.record_commit(
-                entry.pos, entry.completion.written_ids(), entry.sent
-            )
+                self._deferred_commits[entry.pos] = (action_id, written)
+            elif entry.span and action_id.client_id not in entry.sent:
+                # A fault-tolerant owner client's report committed the
+                # span before a push reached its originator, whose echo
+                # can never arrive.
+                self._teach_commit(action_id.client_id, entry.pos, action_id, written)
             self.stats.actions_committed += 1
             self._note_position_change(entry)
             if self.on_commit is not None:
@@ -904,28 +906,8 @@ class IncompleteWorldServer(ServerShell):
                 if pos < self._base_pos:
                     # Committed meanwhile: reply from the committed value.
                     record = self._deferred_commits.get(pos)
-                    action_id, written = record if record else (None, None)
-                    seed_needed = (
-                        self.known.filter_seed(client_id, written)
-                        if written
-                        else frozenset()
-                    )
-                    if seed_needed:
-                        blind = BlindWrite.from_server(
-                            self._blind_seq,
-                            self.state.values_of_present(seed_needed),
-                        )
-                        self._blind_seq += 1
-                        self.known.record_blind_write(client_id, seed_needed)
-                        self.stats.blind_writes_sent += 1
-                        self._send_batch(client_id, [OrderedAction(-1, blind)])
-                    if action_id is not None and action_id.client_id == client_id:
-                        # The parked reply was to the entry's own
-                        # originator: its echo can never arrive (the
-                        # entry left the queue), so confirm the pending
-                        # submission explicitly or the client waits
-                        # forever.
-                        self.send(client_id, CommitNotice(pos, action_id))
+                    if record:
+                        self._teach_commit(client_id, pos, *record)
                     self.stats.replies_answered += 1
                     continue
                 entry = self._entries[pos - self._base_pos]
@@ -955,6 +937,28 @@ class IncompleteWorldServer(ServerShell):
                 for pos, record in self._deferred_commits.items()
                 if pos in live
             }
+
+    def _teach_commit(
+        self, client_id: ClientId, pos: int, action_id: ActionId, written: frozenset
+    ) -> None:
+        """Send ``client_id`` the committed values of what the entry at
+        ``pos`` wrote that it does not hold, as a blind write; and, when
+        it is the entry's own originator, confirm the submission with a
+        CommitNotice, since its echo can never arrive (the entry left
+        the queue) and the client would wait forever."""
+        if client_id not in self.clients or not self.network.is_registered(client_id):
+            return  # detached, or crashed: nobody to teach
+        seed_needed = self.known.filter_seed(client_id, written)
+        if seed_needed:
+            blind = BlindWrite.from_server(
+                self._blind_seq, self.state.values_of_present(seed_needed)
+            )
+            self._blind_seq += 1
+            self.known.record_blind_write(client_id, seed_needed)
+            self.stats.blind_writes_sent += 1
+            self._send_batch(client_id, [OrderedAction(-1, blind)])
+        if action_id.client_id == client_id:
+            self.send(client_id, CommitNotice(pos, action_id))
 
     def _refresh_indexed_positions(self, values: Dict[ObjectId, dict]) -> None:
         """Mirror a commit's avatar writes into the spatial client index

@@ -32,14 +32,16 @@ serialize through a deterministic two-phase forward:
    observed by clients of exactly one shard and may interleave freely
    between spanning actions).
 
-Only the *originator* ever evaluates a spanning action.  Everyone else
-— including every client of every peer shard — receives its committed
-result as a positioned :class:`~repro.core.action.BlindWrite` (a
-*value entry*), which is only deliverable once the owner has relayed
-the originator's completion via ``SpanResult``.  A closure touching a
-spanning action whose result is still unknown defers whole (see
-:func:`repro.core.closure.transitive_closure`); this is what prevents
-replica divergence from K independent evaluations against K replicas.
+On its owner shard a spliced spanning action is an ordinary entry:
+every client attached there gets the code, and on the owner's stream
+its inputs are exactly those its originator read.  Every client of a
+*peer* shard receives its committed result as a positioned
+:class:`~repro.core.action.BlindWrite` (a *value entry*), deliverable
+only once the owner has relayed the result via ``SpanResult``.  A
+peer's closure touching a span whose result is still unknown defers
+whole (see :func:`repro.core.closure.transitive_closure`); this is what
+prevents replica divergence from K independent evaluations against K
+replicas.
 
 *Handoff* — when a client's committed avatar position leaves its
 shard's stripe by more than a hysteresis margin, the owner initiates a
@@ -105,7 +107,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.action import Action, ActionId, BlindWrite
 from repro.core.chassis import bound_handlers
-from repro.core.closure import QueueEntry
+from repro.core.closure import QueueEntry, _is_span_value
 from repro.core.control_plane import (
     PINNED_LEASE,
     ControlPlaneConfig,
@@ -694,8 +696,9 @@ class ShardServer(IncompleteWorldServer):
     # Result distribution
     # ------------------------------------------------------------------
     def _note_completion(self, entry: QueueEntry, message: Completion) -> None:
-        """Owner side: the originator's completion doubles as the span's
-        committed result; relay it to the involved peers before the
+        """Owner side: the first completion of a span — its
+        originator's, or under fault tolerance any owner client's — is
+        its committed result; relay it to the involved peers before the
         frontier (possibly) pops the entry.  It passed the cheat screen
         first, so a lying result is never broadcast."""
         if entry.span and entry.span_owner and entry.span_result is None:
@@ -737,10 +740,9 @@ class ShardServer(IncompleteWorldServer):
         self._advance_frontier()
 
     def _wire_action(self, client_id: ClientId, entry: QueueEntry) -> Action:
-        if entry.span and entry.action.client_id != client_id:
-            # Value entry: everyone but the originator receives the
-            # committed result, not the code (only the originator ever
-            # evaluates a spanning action).
+        if _is_span_value(entry):
+            # A span spliced from another owner: this shard's clients
+            # receive the committed result, not the code.
             assert entry.span_result is not None, "span closures defer until known"
             return BlindWrite(
                 entry.action.action_id,
@@ -793,9 +795,9 @@ class ShardServer(IncompleteWorldServer):
         previous shard before the transfer — and committing needed the
         client's own completion, so the client has stably applied all
         of them.  Its span entries still uncommitted *here* must not be
-        redelivered (the client, as originator, would receive the real
-        action and re-evaluate it, diverging from the committed
-        result): mark them sent, so closures subtract their writes
+        redelivered (their value entries carry its own action ids, so
+        the client would take them for echoes of actions it already
+        settled): mark them sent, so closures subtract their writes
         instead of pushing them."""
         self.attach_client(client_id, radius=radius, interests=interests)
         for entry in self._entries:
@@ -1220,12 +1222,14 @@ class ShardedSeveEngine(SeveEngine):
         """Whether delivering ``payload`` to shard host ``dst`` can make
         that shard speak on the backbone — a *trigger*
         (docs/parallel.md): a submission whose disc, span slack
-        included, crosses a static stripe border, the originator's
-        completion of one, a span forward, a splice at its owner, or a
-        handoff acknowledgement.  A pure function of the payload, the
-        destination and the static stripes (a completion's by way of its
-        originator's own submission, which the same partition sent), so
-        every partition classifies a message alike."""
+        included, crosses a static stripe border, a completion of one
+        (any completion under fault tolerance, when an owner client's
+        report may carry the result), a span forward, a splice at its
+        owner, or a handoff acknowledgement.  A pure function of the
+        payload, the destination and the run settings (a completion's
+        by way of its originator's own submission, which the same
+        partition sent), so every partition classifies a message
+        alike."""
         kind = type(payload)
         if kind is SubmitAction:
             action = payload.action
@@ -1236,9 +1240,7 @@ class ShardedSeveEngine(SeveEngine):
             self._spanning_ids.add(action.action_id)
             return True
         if kind is Completion:
-            action_id = payload.action_id
-            own = payload.reporter == action_id.client_id
-            return own and action_id in self._spanning_ids
+            return self.config.fault_tolerant or payload.action_id in self._spanning_ids
         if kind is SpanSplice:
             return dst == shard_host_id(payload.owner)
         return kind is SpanForward or kind is HandoffReady

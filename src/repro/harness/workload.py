@@ -176,8 +176,8 @@ def start_run(engine, workload: MoveWorkload, settings: SimulationSettings) -> N
         # Periodic fault machinery (heartbeats, liveness sweeps) must
         # stop eventually or the simulator never drains; give it a
         # grace window past the workload for retries to settle.
-        # Sharded runs get the full drain budget: spanning actions
-        # serialize on their originators' results (one RTT per
+        # Sharded runs get the full drain budget: a peer's closures
+        # over a span serialize on its owner's result (one RTT per
         # conflict-chain link), so a jittery queue needs far longer to
         # empty — freezing pushes early would strand uncommitted spans.
         grace = settings.drain_ms if settings.shards > 1 else 15_000.0

@@ -43,7 +43,7 @@ def reference_transitive_closure(
         raise ProtocolError(
             f"closure candidate pos {candidate.pos} already sent to {client_id}"
         )
-    if _is_span_value(candidate, client_id) and candidate.span_result is None:
+    if _is_span_value(candidate) and candidate.span_result is None:
         return None, frozenset()  # result not yet known: defer
     accumulated: Set[ObjectId] = set(candidate.action.reads)
     chain: List[int] = [candidate_index]
@@ -58,7 +58,7 @@ def reference_transitive_closure(
             continue
         if client_id in entry.sent:
             accumulated -= action.writes
-        elif _is_span_value(entry, client_id) and entry.span_result is None:
+        elif _is_span_value(entry) and entry.span_result is None:
             for index in chain[1:]:
                 entries[index].sent.discard(client_id)
             return None, frozenset()

@@ -401,22 +401,25 @@ def test_remembered_evaluations_change_no_outcome(settings, monkeypatch):
 def test_client_crash_inside_its_home_shards_crash_stays_consistent():
     """The live Theorem 1 violation of ROADMAP item 4a, shrunk from 12
     moves to 2 (0.13 s): client 3 crashes at 600 ms while its home shard
-    2 is down (500-1100 ms), rejoins through the redirect path at
-    900 ms, and ends with a stable ``avatar:3`` one move ahead of the
-    committed store — "25 object replicas checked: 24 current,
+    2 is down (400-1000 ms), rejoins at 900 ms, before the shard is
+    back, and ends with a stable ``avatar:3`` one move ahead of the
+    committed store — "27 object replicas checked: 26 current,
     0 stale-but-committed, 1 violations".
 
-    Measured while shrinking — the same run is *consistent* at
-    ``shards=3``, at ``workers=2``, with 20 clients or fewer, with
-    ``jitter_ms=0``, with ``duplicate_rate=0``, and loss-free.  As a
-    command line (exit status 1)::
+    The plan was ``s2@500:1100`` until a span's owner-shard clients
+    started getting its code: that plan comes out consistent since,
+    while ``s2@400:1000`` fails before and after.  Measured on this
+    plan — it stays inconsistent at ``shards=3``, at ``workers=2``,
+    with 20 clients, with ``duplicate_rate=0``, loss-free, and without
+    the shard crash (the client crash alone), and is consistent with
+    ``jitter_ms=0``.  As a command line (exit status 1)::
 
         python -m repro run seve --clients 24 --walls 300 --moves 2 \\
           --world-width 400 --world-height 400 --spawn uniform \\
           --spawn-extent 140 --rtt-ms 150 --bandwidth-bps none \\
           --move-interval-ms 200 --move-cost-ms 1 --eval-overhead-ms 0.1 \\
           --seed 13 --shards 4 --loss-rate 0.05 --jitter-ms 20 \\
-          --dup-rate 0.02 --fault-seed 7 --crash-plan 3@600:900,s2@500:1100
+          --dup-rate 0.02 --fault-seed 7 --crash-plan 3@600:900,s2@400:1000
 
     Fixing it is item 4's PR: the strict xfail makes that PR flip this
     test instead of re-finding the plan.
@@ -428,7 +431,7 @@ def test_client_crash_inside_its_home_shards_crash_stays_consistent():
         shards=4,
         fault_plan=FaultPlan(
             loss_rate=0.05, jitter_ms=20.0, duplicate_rate=0.02, seed=7,
-            crashes=parse_crash_plan("3@600:900,s2@500:1100"),
+            crashes=parse_crash_plan("3@600:900,s2@400:1000"),
         ),
     )
     report = run_simulation("seve", settings).consistency

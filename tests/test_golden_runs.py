@@ -58,6 +58,21 @@ evicted client: ``events`` 11 381 → 11 377, ``total_bytes`` 336 224 →
 335 904, ``measured.total_traffic_kb`` and ``server_traffic_kb``
 328.34375 → 328.03125.  No other field of any entry moved.
 
+Re-dumped when a span's owner-shard clients started getting its code
+(only peer shards' clients get its value): exactly the nine K = 4
+entries moved, every ``seve_k4_*`` and ``seve-naive_k4_w2_crashes``.
+Each moved ``events``, ``virtual_ms``, ``responses``, ``client_bytes``
+and ``total_bytes``; the four with a shard crash or the rebalancer
+also moved ``shard_state_crc``.  The fault-free runs end sooner
+(``virtual_ms`` 10 644.24 → 6 176.82) with the same 192 responses.
+The crash runs confirm more moves: 125 → 137 (``replicated_crash``),
+188 → 192 (the two sequencer-crash runs, which also end at 4 379.1 ms,
+not 10 346.52) and 103 → 126 (``mixed_crashes``).
+``seve-naive_k4_w2_crashes`` also moved ``measured``, ``replica_crc``
+and ``consistency`` (13 / 12 / 1 / 0 → 19 / 13 / 6 / 0 objects /
+exact / stale / violations): it still reports 0 violations.  Every
+K = 1 and baseline entry is bit-equal.
+
 Regenerate (only when virtual-time behaviour is *meant* to change) with
 ``PYTHONPATH=src python tests/test_golden_runs.py``.
 """

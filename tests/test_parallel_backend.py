@@ -389,6 +389,26 @@ def audits_at_every_w(**overrides):
     return runs[0]
 
 
+def test_fault_tolerant_runs_without_a_fault_plan_match_at_every_w():
+    # Every client reports every completion, so an owner client's
+    # report may carry a span's result to the peers: under fault
+    # tolerance every completion is a trigger, or a shard sends its
+    # SpanResult before the promise it made.
+    settings = SimulationSettings(
+        num_clients=48, num_walls=500, moves_per_client=3, world_width=600.0,
+        spawn="uniform", shards=4, seed=1000, fault_tolerant=True,
+    )  # fmt: skip
+    runs = []
+    for backend, workers in EVERY_W:
+        result = run_simulation("seve", settings.with_(backend=backend, workers=workers))
+        fields = dataclasses.asdict(result)
+        del fields["wall_seconds"], fields["settings"]
+        runs.append(repr(fields))
+    assert result.consistency.consistent and result.shard_audit.consistent
+    assert result.responses_observed == result.moves_submitted
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
 @pytest.mark.parametrize("shape", sorted(AUDIT_SHAPES))
 def test_audit_reports_match_field_for_field(shape):
     one = audits_at_every_w(**AUDIT_SHAPES[shape])

@@ -8,11 +8,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import server_incomplete
 from repro.core.engine import SeveConfig
 from repro.core.sharded import (
     RegionPartition,
     ShardedSeveEngine,
     ShardingConfig,
+    ShardServer,
 )
 from repro.core.action import BlindWrite
 from repro.core.messages import SpanForward
@@ -23,6 +25,7 @@ from repro.harness.runner import run_simulation
 from repro.harness.workload import MoveWorkload
 from repro.net.faults import CrashWindow, FaultPlan, LivenessConfig, parse_crash_plan
 from repro.types import shard_host_id
+from tests.test_golden_runs import RUNS as GOLDEN_RUNS
 from tests.test_parallel_backend import result_key
 
 
@@ -208,6 +211,60 @@ def test_all_clients_remain_attached_after_handoffs():
             )
             == shard
         )
+
+
+# ---------------------------------------------------------------------------
+# Who evaluates a span: its owner's clients run the code, peers get values
+# ---------------------------------------------------------------------------
+def test_owner_clients_get_span_code_and_peer_clients_get_values(monkeypatch):
+    # The golden cluster straddles the x = 500 stripe border at K = 4.
+    wired, deferrals = [], []
+    wire_action = ShardServer._wire_action
+    walk = server_incomplete.transitive_closure
+
+    def recording_wire(server, client_id, entry):
+        action = wire_action(server, client_id, entry)
+        if entry.span:
+            wired.append((entry, client_id, action))
+        return action
+
+    def recording_walk(entries, index, client_id, **kwargs):
+        chain, seed = walk(entries, index, client_id, **kwargs)
+        if chain is None:
+            deferrals.append([e for e in entries if e.span and e.span_result is None])
+        return chain, seed
+
+    monkeypatch.setattr(ShardServer, "_wire_action", recording_wire)
+    monkeypatch.setattr(server_incomplete, "transitive_closure", recording_walk)
+    result = run_simulation("seve", GOLDEN_RUNS["seve_k4_single"])
+    assert result.shard_audit.consistent, result.shard_audit.summary()
+
+    owned = [(e, c, a) for e, c, a in wired if e.span_owner]
+    peers = [(e, c, a) for e, c, a in wired if not e.span_owner]
+    assert all(action is entry.action for entry, _, action in owned)
+    assert all(
+        isinstance(action, BlindWrite) and action.origin == entry.action.action_id
+        for entry, _, action in peers
+    )
+    # Not vacuous: owned spans reached clients other than their
+    # originators as code, and peers' clients got values.
+    assert any(client != entry.action.client_id for entry, client, _ in owned)
+    assert peers
+    # A closure defers only on a span some *other* shard owns and has
+    # not resolved yet — never on one its own shard owns.
+    assert deferrals
+    assert all(any(not e.span_owner for e in pending) for pending in deferrals)
+
+
+def test_a_span_an_owner_client_committed_still_confirms_its_originator():
+    # Fault tolerance lets any owner client's report commit a span; one
+    # whose originator was still waiting on an older peer span gets a
+    # CommitNotice, or the run would wait out its drain deadline.
+    settings = GOLDEN_RUNS["seve_k4_replicated_failover"]
+    result = run_simulation("seve", settings)
+    assert result.responses_observed == result.moves_submitted
+    assert result.virtual_ms < settings.submit_horizon_ms + settings.drain_ms
+    assert result.shard_audit.consistent, result.shard_audit.summary()
 
 
 # ---------------------------------------------------------------------------
