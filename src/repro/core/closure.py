@@ -63,9 +63,13 @@ class QueueEntry:
     span_involved: Tuple[int, ...] = ()
     #: Committed result of the spanning action, once known (set from the
     #: first screened completion on the owner, from SpanResult on peers).
-    #: Until it arrives, a peer cannot send this entry: its clients
-    #: receive the *values*, not the code.
+    #: Until it arrives, a peer whose clients receive the *values* (see
+    #: ``span_code``) cannot send this entry.
     span_result: Optional[ActionResult] = None
+    #: Peer side: the verdict at splice that this stream gives the span
+    #: the inputs the owner's stream gives it, so this shard's clients
+    #: get its code, as the owner's do (repro.core.sharded).
+    span_code: bool = False
     #: Owning shard's index (set on spliced peers), so survivors can
     #: abort span entries orphaned by the owner shard crashing before
     #: it relayed a result (docs/control_plane.md).
@@ -97,19 +101,21 @@ class QueueEntry:
 
 def _is_span_value(entry: QueueEntry) -> bool:
     """Whether ``entry`` reaches this shard's clients as a *value* entry:
-    a spanning action spliced here from another owner.
+    a spanning action spliced here from another owner, whose inputs on
+    this stream the splice could not prove equal to the owner's.
 
     The owner's clients get the code: on the owner's stream a span's
     inputs are exactly those its originator read, so Theorem 1 makes
-    every evaluation there agree.  A peer's clients receive the
-    committed result as a positioned blind write, which cannot be sent
-    before the result is known; once known it walks like a normal
-    entry — its reads still fold into the seed, because the result
-    carries only the attributes the action actually wrote, and the
-    underlying objects must reach the client complete (via the
+    every evaluation there agree.  So do a peer's clients when the
+    peer's verdict (``span_code``) holds.  Otherwise a peer's clients
+    receive the committed result as a positioned blind write, which
+    cannot be sent before the result is known; once known it walks like
+    a normal entry — its reads still fold into the seed, because the
+    result carries only the attributes the action actually wrote, and
+    the underlying objects must reach the client complete (via the
     blind-write seed) before the partial result values land on top.
     """
-    return entry.span and not entry.span_owner
+    return entry.span and not entry.span_owner and not entry.span_code
 
 
 def transitive_closure(

@@ -44,6 +44,13 @@ from repro.core.messages import (
 from repro.types import ClientId, TimeMs
 
 
+#: The last-writer stamp (see :attr:`Rebalancer.stamps`) of an object
+#: no writer has touched.
+NO_STAMP = (-1, 0, None, ())
+#: The writer half of a stamp for a value from outside the stream.
+OUTSIDE = (None, ())
+
+
 @dataclass(frozen=True)
 class ElasticConfig:
     """Tuning knobs of the elastic rebalancer (docs/elasticity.md).
@@ -139,7 +146,7 @@ class Epoch:
 class Rebalancer:
     """One shard's end of the elastic rebalancer: its load tick, the
     controller role (live on the lease holder), the open epochs, the
-    region-sync stamps and the drain barrier — a transport-free state
+    last-writer stamps and the drain barrier — a transport-free state
     machine, as :class:`~repro.core.control_plane.GsnLease` is.
 
     Messages come in through :attr:`HANDLERS` (``handler(src,
@@ -167,8 +174,9 @@ class Rebalancer:
       request ``refresh(values)``, which re-indexes the positions a sync
       merged.  (The view shows more, for the barrier: see there.)
 
-    With ``config=None`` the unit is inert: no timer, no stamps, no
-    epoch, always quiescent.  ``src`` is unused throughout.
+    With ``config=None`` the unit is inert: no timer, no epoch, always
+    quiescent; it still keeps the last-writer stamps its host's span
+    verdict reads.  ``src`` is unused throughout.
     """
 
     # One per shard server: slots keep a built partition replica inside
@@ -207,9 +215,13 @@ class Rebalancer:
         #: Open epochs, oldest first.
         self.epochs: List[Epoch] = []
         #: Last-writer stamp per object: (gsn of last spanning write or
-        #: -1, 1 if a local write followed it).  Region syncs carry the
-        #: stamp; receivers apply strictly-newer entries only.
-        self.stamps: Dict[object, Tuple[int, int]] = {}
+        #: -1, 1 if a local write followed it, the last writer's action
+        #: id, its involved shards).  Region syncs carry the first two;
+        #: receivers apply strictly-newer entries only.  The last two
+        #: are ``(None, ())`` for a write from outside the stream (a
+        #: region sync, or the host's dirty mark) and ``()`` for a
+        #: local writer; the host's span verdict reads them.
+        self.stamps: Dict[object, tuple] = {}
         # -- controller (lease holder) state ------------------------------
         self.reports: Dict[int, Dict[int, LoadReport]] = {}
         self.streak = 0
@@ -316,15 +328,22 @@ class Rebalancer:
         return tuple(sorted(touched))
 
     def note_resolved(self, entry) -> None:
-        """Last-writer stamps for region syncs: spanning writes are
-        ordered by gsn on every involved shard; a local write after the
-        last span strictly supersedes it (and can only exist on the
-        territory's owner)."""
+        """Last-writer stamps: spanning writes are ordered by gsn on
+        every involved shard; a local write after the last span
+        strictly supersedes it (and can only exist on the territory's
+        owner).  The host keeps them on every sharded run."""
         if entry.valid is False or entry.completion is None:
             return
         stamps = self.stamps
         for oid in sorted(entry.completion.written_ids()):
-            stamps[oid] = (entry.gsn, 0) if entry.span else (stamps.get(oid, (-1, 0))[0], 1)
+            order = (entry.gsn, 0) if entry.span else (stamps.get(oid, NO_STAMP)[0], 1)
+            stamps[oid] = order + (entry.action.action_id, entry.span_involved)
+
+    def mark_dirty(self, oid) -> None:
+        """``oid``'s value on this shard came from outside its stream
+        (the host adopted its client by handoff): no writer vouches
+        for it until the next one commits."""
+        self.stamps[oid] = self.stamps.get(oid, NO_STAMP)[:2] + OUTSIDE
 
     def fence(self) -> None:
         """Once the commit frontier passes an epoch's fence, everything
@@ -365,7 +384,7 @@ class Rebalancer:
                 obj = view.store.get(oid)
                 if "x" not in obj or not lo <= float(obj["x"]) < hi:
                     continue
-                gsn, local = self.stamps.get(oid, (-1, 0))
+                gsn, local = self.stamps.get(oid, NO_STAMP)[:2]
                 entries.append((oid, gsn, local, tuple(sorted(obj.as_dict().items()))))
             if entries:
                 view.send_peer(shard, RegionSync(epoch.version, lo, hi, tuple(entries)))
@@ -376,9 +395,9 @@ class Rebalancer:
         stamp comparison, so a racing sync never regresses the store."""
         updates = {}
         for oid, gsn, local, attrs in sync.entries:
-            if (gsn, local) <= self.stamps.get(oid, (-1, 0)):
+            if (gsn, local) <= self.stamps.get(oid, NO_STAMP)[:2]:
                 continue
-            self.stamps[oid] = (gsn, local)
+            self.stamps[oid] = (gsn, local) + OUTSIDE
             updates[oid] = dict(attrs)
         if updates:
             self.view.store.merge(updates, commit_index=-1)

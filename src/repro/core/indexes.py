@@ -174,7 +174,7 @@ class WriterIndex:
         )
 
     def live_positions(self, oid: ObjectId) -> List[int]:
-        """The live (un-GC'd) writer positions of ``oid`` (for tests)."""
+        """The live (un-GC'd) writer positions of ``oid``, ascending."""
         positions = self._writers.get(oid, [])
         return positions[self._heads.get(oid, 0):]
 

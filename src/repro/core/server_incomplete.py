@@ -481,7 +481,8 @@ class IncompleteWorldServer(ServerShell):
         """The action to put on the wire for ``entry`` -> ``client_id``.
 
         Hook for the sharded server, which replaces a spanning action
-        spliced from another owner with a value-carrying blind write.
+        spliced from another owner with a value-carrying blind write,
+        unless the splice proved its inputs here equal to the owner's.
         The base server always sends the action itself.
         """
         return entry.action
@@ -863,10 +864,10 @@ class IncompleteWorldServer(ServerShell):
                 # parked; remember what it wrote so the retry can teach
                 # the committed values (see _retry_deferred_replies).
                 self._deferred_commits[entry.pos] = (action_id, written)
-            elif entry.span and action_id.client_id not in entry.sent:
-                # A fault-tolerant owner client's report committed the
-                # span before a push reached its originator, whose echo
-                # can never arrive.
+            elif action_id.client_id not in entry.sent:
+                # Another holder's fault-tolerant report committed the
+                # entry before a push reached its originator, whose
+                # echo can never arrive.
                 self._teach_commit(action_id.client_id, entry.pos, action_id, written)
             self.stats.actions_committed += 1
             self._note_position_change(entry)

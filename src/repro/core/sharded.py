@@ -34,14 +34,16 @@ serialize through a deterministic two-phase forward:
 
 On its owner shard a spliced spanning action is an ordinary entry:
 every client attached there gets the code, and on the owner's stream
-its inputs are exactly those its originator read.  Every client of a
-*peer* shard receives its committed result as a positioned
-:class:`~repro.core.action.BlindWrite` (a *value entry*), deliverable
-only once the owner has relayed the result via ``SpanResult``.  A
-peer's closure touching a span whose result is still unknown defers
-whole (see :func:`repro.core.closure.transitive_closure`); this is what
-prevents replica divergence from K independent evaluations against K
-replicas.
+its inputs are exactly those its originator read.  A *peer* shard
+decides once, at splice, whether the span's inputs on its own stream
+are provably those the owner's stream gives it; if so its clients get
+the code too.  Otherwise they receive the committed result as a
+positioned :class:`~repro.core.action.BlindWrite` (a *value entry*),
+deliverable only once the owner has relayed the result via
+``SpanResult``.  A peer's closure touching a value entry whose result
+is still unknown defers whole (see
+:func:`repro.core.closure.transitive_closure`); this is what prevents
+replica divergence from K independent evaluations against K replicas.
 
 *Handoff* — when a client's committed avatar position leaves its
 shard's stripe by more than a hysteresis margin, the owner initiates a
@@ -583,6 +585,10 @@ class ShardServer(IncompleteWorldServer):
         entry = QueueEntry(self._next_pos, action, arrived_at=self.sim.now)
         entry.span = True
         entry.span_owner = splice.owner == self.shard_index
+        # Only where no span can abort and no store change outside the
+        # stream: on a shard that never speaks at will.
+        peer = not (entry.span_owner or self._speaks_at_will)
+        entry.span_code = peer and self._inputs_match_owner(splice)
         entry.span_owner_shard = splice.owner
         entry.gsn = splice.gsn
         entry.span_involved = splice.involved
@@ -616,6 +622,35 @@ class ShardServer(IncompleteWorldServer):
                 self._outstanding_spans.pop(originator, None)
                 self._drain_held(originator)
 
+    def _inputs_match_owner(self, splice: SpanSplice) -> bool:
+        """Peer side, before the splice enqueues: whether each object
+        the span reads holds here what the owner's stream gives it, so
+        this shard's clients may get its code (docs/sharding.md, "Value
+        entries").  Its last committed writer here
+        (``Rebalancer.stamps``) and every writer still queued here must
+        be spans the owner splices too; and the object must be the
+        mover's avatar, written here by the mover's actions up to this
+        one with no seq missing, or the avatar of a client attached
+        here."""
+        owner, action = splice.owner, splice.action
+        mover, seq = action.action_id
+        live, base = self._writer_index.live_positions, self._base_pos
+        # All-accumulation: visit order cannot change the verdict.
+        for oid in action.reads:  # lint: allow(set-iteration)
+            stamp = self.rebalancer.stamps.get(oid)
+            queued = [self._entries[pos - base] for pos in live(oid)]
+            run = [stamp[2:]] if stamp else []  # (writer id, involved shards)
+            run += [(entry.action.action_id, entry.span_involved) for entry in queued]
+            if not all(owner in involved for _, involved in run):
+                return False  # a local writer, or a dirty mark
+            if oid in action.writes:
+                first = stamp[2].seq if stamp else 0
+                if [w for w, _ in run] != [ActionId(mover, n) for n in range(first, seq)]:
+                    return False
+            elif oid not in self._avatar_owner:
+                return False
+        return True
+
     # ------------------------------------------------------------------
     # The sequencer moved or came back (docs/control_plane.md)
     # ------------------------------------------------------------------
@@ -643,8 +678,10 @@ class ShardServer(IncompleteWorldServer):
         Survivors adopt the dead shard's span obligations — peer
         entries whose owner can no longer relay a result are aborted
         (the takeover-abort; local holders of the value entry never
-        saw the action's code, so aborting is always safe) — and the
-        elastic drain barrier shrinks to the survivor quorum."""
+        saw the action's code, so aborting is always safe: a run with
+        a shard crash speaks at will, so no peer sends a span's code)
+        — and the elastic drain barrier shrinks to the survivor
+        quorum."""
         self._dead_shards.add(shard)
         aborted = False
         for entry in self._entries:
@@ -741,14 +778,12 @@ class ShardServer(IncompleteWorldServer):
 
     def _wire_action(self, client_id: ClientId, entry: QueueEntry) -> Action:
         if _is_span_value(entry):
-            # A span spliced from another owner: this shard's clients
-            # receive the committed result, not the code.
+            # A span spliced from another owner whose inputs here may
+            # differ: this shard's clients receive the committed
+            # result, not the code.
             assert entry.span_result is not None, "span closures defer until known"
-            return BlindWrite(
-                entry.action.action_id,
-                entry.span_result.values(),
-                origin=entry.action.action_id,
-            )
+            action_id = entry.action.action_id
+            return BlindWrite(action_id, entry.span_result.values(), origin=action_id)
         return entry.action
 
     # ------------------------------------------------------------------
@@ -774,8 +809,7 @@ class ShardServer(IncompleteWorldServer):
         action_id = entry.action.action_id
         self._span_entries.pop(action_id, None)
         self.handoff.resolved(entry.action.client_id, action_id)
-        if self.rebalancer.config is not None:
-            self.rebalancer.note_resolved(entry)
+        self.rebalancer.note_resolved(entry)
 
     def _advance_frontier(self) -> None:
         super()._advance_frontier()
@@ -795,11 +829,13 @@ class ShardServer(IncompleteWorldServer):
         previous shard before the transfer — and committing needed the
         client's own completion, so the client has stably applied all
         of them.  Its span entries still uncommitted *here* must not be
-        redelivered (their value entries carry its own action ids, so
-        the client would take them for echoes of actions it already
-        settled): mark them sent, so closures subtract their writes
-        instead of pushing them."""
+        redelivered (they carry its own action ids, so the client would
+        take them for echoes of actions it already settled): mark them
+        sent, so closures subtract their writes instead of pushing them.
+        Its avatar's value here may predate writes this stream never
+        saw: the stamp goes dirty until one of its writers commits."""
         self.attach_client(client_id, radius=radius, interests=interests)
+        self.rebalancer.mark_dirty(self.avatar_of(client_id))
         for entry in self._entries:
             if entry.valid is not False and entry.action.client_id == client_id:
                 entry.sent.add(client_id)

@@ -201,7 +201,6 @@ def test_elastic_off_is_structurally_static():
         assert server.rebalancer.config is None
         assert server.elastic_sent == 0 and server.elastic_received == 0
         assert server.rebalancer.rebalance_log == []
-        assert server.rebalancer.stamps == {}
     assert engine.rebalance_events == ()
 
 

@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.action import ActionId
 from repro.core.engine import SeveConfig, SeveEngine
+from repro.harness import runner
 from repro.harness.architectures import build_engine, build_world
 from repro.harness.config import SimulationSettings
 from repro.harness.workload import MoveWorkload
@@ -21,6 +22,7 @@ from repro.metrics.consistency import ConsistencyChecker
 from repro.net.faults import CrashWindow, FaultPlan
 from repro.types import SERVER_ID
 from repro.world.manhattan import ManhattanConfig, ManhattanWorld
+from tests.test_golden_runs import BASE as GOLDEN_BASE, LOSSY
 
 
 SETTINGS = SimulationSettings(
@@ -269,3 +271,27 @@ def test_seve_without_fault_tolerance_stalls_gracefully():
             entry.action.apply(replay)
     survivor = engine.client(1).stable
     assert survivor.get(avatar_id(1)) == replay.get(avatar_id(1))
+
+
+def test_a_commit_that_overtakes_the_originators_push_confirms_it(monkeypatch):
+    # Fault tolerance lets any holder's report commit an entry.  In this
+    # seeded lossy K = 1 run one commits a move of client 7, which never
+    # crashes, before the push echoing it reaches client 7; the entry
+    # leaves the queue, so the server confirms the move with a
+    # CommitNotice.  Without the notice client 7 confirms 11 of 12.
+    engines = []
+    build = runner.build_engine
+
+    def capturing(*args, **kwargs):
+        engines.append(build(*args, **kwargs))
+        return engines[-1]
+
+    monkeypatch.setattr(runner, "build_engine", capturing)
+    settings = GOLDEN_BASE.with_(fault_plan=LOSSY, fault_tolerant=True)
+    result = runner.run_simulation("seve", settings)
+    assert result.consistency.consistent
+    (engine,) = engines
+    crashed = {window.client_id for window in LOSSY.crashes}
+    for client_id in sorted(set(engine.clients) - crashed):
+        confirmed = engine.response_times.client_summary(client_id).count
+        assert confirmed == settings.moves_per_client, client_id

@@ -73,6 +73,24 @@ and ``consistency`` (13 / 12 / 1 / 0 → 19 / 13 / 6 / 0 objects /
 exact / stale / violations): it still reports 0 violations.  Every
 K = 1 and baseline entry is bit-equal.
 
+Re-dumped when a peer shard's clients started getting a span's code
+where the splice proves its inputs there equal to the owner's, and a
+fault-tolerant commit that overtakes an originator's push started
+confirming local entries too: exactly three entries moved.  The two
+fault-free K = 4 runs, ``seve_k4_single`` (also the golden
+``tests/test_gc_parking.py`` reads) and ``seve_k4_w2``, moved
+``events`` 3 825 → 3 784, ``virtual_ms`` 6 176.82 → 4 276.0 (what the
+same cluster takes at K = 1), ``responses`` (still 192), ``client_bytes``
+and ``total_bytes`` 156 180 → 168 256 (+7.7 %: code is larger on the
+wire than a value).  ``seve-hybrid_lossy`` confirms 187 moves, not
+184 (client 7, which never crashes, now confirms all 12), and ends at
+6 811.67 ms, not 6 252.54; its ``events``, bytes, ``shard_state_crc``,
+``replica_crc``, ``measured`` and ``consistency`` (76 / 51 / 25 / 0 →
+76 / 52 / 24 / 0 objects / exact / stale / violations) moved with it.
+The other seven K = 4 entries speak at will (crash, failover, elastic,
+client-crash plans), so none of their spans is code on a peer and they
+are bit-equal, as is every other K = 1 and baseline entry.
+
 Regenerate (only when virtual-time behaviour is *meant* to change) with
 ``PYTHONPATH=src python tests/test_golden_runs.py``.
 """

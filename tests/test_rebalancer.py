@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
+from repro.core.action import ActionId
 from repro.core.chassis import bound_handlers
 from repro.core.elastic import ElasticConfig, Rebalancer
 from repro.core.messages import (
@@ -316,7 +317,7 @@ def test_a_region_sync_never_regresses_a_newer_stamp():
     assert gainer.store.get("a:0")["x"] == 120.0 and gainer.refreshed == []
     sync(5, 1, 132.0)  # a local write after the gainer's last span
     assert gainer.store.get("a:0")["x"] == 132.0
-    assert gainer.unit.stamps["a:0"] == (5, 1)
+    assert gainer.unit.stamps["a:0"] == (5, 1, None, ())  # no writer vouches
     assert gainer.refreshed == [{"a:0": {"x": 132.0}}]
     sync(5, 1, 133.0)
     assert gainer.store.get("a:0")["x"] == 132.0
@@ -325,16 +326,28 @@ def test_a_region_sync_never_regresses_a_newer_stamp():
 def test_resolved_entries_stamp_their_writes():
     unit = Cluster().units[0]
 
-    def entry(gsn, span, written, valid=True):
+    def entry(gsn, span, written, valid=True, seq=0):
         completion = SimpleNamespace(written_ids=lambda: set(written))
-        return SimpleNamespace(gsn=gsn, span=span, valid=valid, completion=completion)
+        return SimpleNamespace(
+            gsn=gsn, span=span, valid=valid, completion=completion,
+            action=SimpleNamespace(action_id=ActionId(3, seq)),
+            span_involved=(0, 2) if span else (),
+        )  # fmt: skip
 
     unit.note_resolved(entry(7, True, ["a:0", "b:0"]))
-    unit.note_resolved(entry(None, False, ["a:0"]))
+    unit.note_resolved(entry(None, False, ["a:0"], seq=1))
     unit.note_resolved(entry(9, True, ["c:0"], valid=False))  # dropped
-    assert unit.stamps == {"a:0": (7, 1), "b:0": (7, 0)}
-    unit.note_resolved(entry(8, True, ["a:0"]))
-    assert unit.stamps["a:0"] == (8, 0)
+    assert unit.stamps == {
+        "a:0": (7, 1, ActionId(3, 1), ()),
+        "b:0": (7, 0, ActionId(3, 0), (0, 2)),
+    }
+    unit.note_resolved(entry(8, True, ["a:0"], seq=2))
+    assert unit.stamps["a:0"] == (8, 0, ActionId(3, 2), (0, 2))
+    # A dirty mark keeps the region-sync order and drops the writer.
+    unit.mark_dirty("a:0")
+    unit.mark_dirty("d:0")
+    assert unit.stamps["a:0"] == (8, 0, None, ())
+    assert unit.stamps["d:0"] == (-1, 0, None, ())
 
 
 def test_an_inert_unit_starts_no_timer_and_stays_quiescent():

@@ -9,15 +9,17 @@ from __future__ import annotations
 import pytest
 
 from repro.core import server_incomplete
+from repro.core.action import Action, ActionId, ActionResult, BlindWrite
+from repro.core.closure import QueueEntry, _is_span_value
 from repro.core.engine import SeveConfig
+from repro.core.messages import SpanForward, SpanSplice
+from repro.core.server_incomplete import IncompleteWorldServer
 from repro.core.sharded import (
     RegionPartition,
     ShardedSeveEngine,
     ShardingConfig,
     ShardServer,
 )
-from repro.core.action import BlindWrite
-from repro.core.messages import SpanForward
 from repro.errors import ConfigurationError, ProtocolError
 from repro.harness.architectures import build_engine, build_world
 from repro.harness.config import SimulationSettings
@@ -26,7 +28,7 @@ from repro.harness.workload import MoveWorkload
 from repro.net.faults import CrashWindow, FaultPlan, LivenessConfig, parse_crash_plan
 from repro.types import shard_host_id
 from tests.test_golden_runs import RUNS as GOLDEN_RUNS
-from tests.test_parallel_backend import result_key
+from tests.test_parallel_backend import EVERY_W, result_key
 
 
 # ---------------------------------------------------------------------------
@@ -214,46 +216,205 @@ def test_all_clients_remain_attached_after_handoffs():
 
 
 # ---------------------------------------------------------------------------
-# Who evaluates a span: its owner's clients run the code, peers get values
+# Who evaluates a span: its owner's clients run the code, and so do a peer's
+# when the splice proves the span's inputs there equal to the owner's
 # ---------------------------------------------------------------------------
-def test_owner_clients_get_span_code_and_peer_clients_get_values(monkeypatch):
-    # The golden cluster straddles the x = 500 stripe border at K = 4.
-    wired, deferrals = [], []
+def _record_span_traffic(monkeypatch):
+    """Patch the shard servers to record, per (shard, action id), each
+    peer splice's verdict and each span's committed inputs (the store
+    as the entry leaves the queue), each span's owner, every span entry
+    wired to a client and every closure that deferred."""
+    log = dict(verdicts={}, inputs={}, owners={}, wired=[], deferrals=[])
+    verdict = ShardServer._inputs_match_owner
+    resolved = ShardServer._note_resolved
     wire_action = ShardServer._wire_action
     walk = server_incomplete.transitive_closure
+
+    def recording_verdict(server, splice):
+        holds = verdict(server, splice)
+        log["verdicts"][server.shard_index, splice.action.action_id] = holds
+        log["owners"][splice.action.action_id] = splice.owner
+        return holds
+
+    def recording_resolved(server, entry):
+        if entry.span and entry.valid is not False:
+            reads = sorted(entry.action.reads)
+            log["inputs"][server.shard_index, entry.action.action_id] = [
+                server.state.get(oid).as_dict() for oid in reads
+            ]
+        resolved(server, entry)
 
     def recording_wire(server, client_id, entry):
         action = wire_action(server, client_id, entry)
         if entry.span:
-            wired.append((entry, client_id, action))
+            log["wired"].append((server.shard_index, entry, client_id, action))
         return action
 
     def recording_walk(entries, index, client_id, **kwargs):
         chain, seed = walk(entries, index, client_id, **kwargs)
         if chain is None:
-            deferrals.append([e for e in entries if e.span and e.span_result is None])
+            log["deferrals"].append(
+                [e for e in entries if _is_span_value(e) and e.span_result is None]
+            )
         return chain, seed
 
+    monkeypatch.setattr(ShardServer, "_inputs_match_owner", recording_verdict)
+    monkeypatch.setattr(ShardServer, "_note_resolved", recording_resolved)
     monkeypatch.setattr(ShardServer, "_wire_action", recording_wire)
     monkeypatch.setattr(server_incomplete, "transitive_closure", recording_walk)
-    result = run_simulation("seve", GOLDEN_RUNS["seve_k4_single"])
+    return log
+
+
+def test_owner_clients_get_span_code_and_peer_clients_get_values(monkeypatch):
+    # Peer clients get values exactly when the verdict fails, and code
+    # when it holds.  The golden cluster straddles the x = 500 stripe
+    # border at K = 4; with 24 clients some peer splices fail it.
+    log = _record_span_traffic(monkeypatch)
+    result = run_simulation("seve", GOLDEN_RUNS["seve_k4_single"].with_(num_clients=24))
     assert result.shard_audit.consistent, result.shard_audit.summary()
 
-    owned = [(e, c, a) for e, c, a in wired if e.span_owner]
-    peers = [(e, c, a) for e, c, a in wired if not e.span_owner]
-    assert all(action is entry.action for entry, _, action in owned)
-    assert all(
-        isinstance(action, BlindWrite) and action.origin == entry.action.action_id
-        for entry, _, action in peers
-    )
+    verdicts = log["verdicts"]
+    for shard, entry, client, action in log["wired"]:
+        action_id = entry.action.action_id
+        if entry.span_owner:
+            assert action is entry.action
+        elif verdicts[shard, action_id]:
+            assert entry.span_code and action is entry.action
+        else:
+            assert isinstance(action, BlindWrite) and action.origin == action_id
+    # The verdict is sound: every span a peer sent as code read there
+    # exactly the committed inputs it read on its owner's stream.
+    inputs = log["inputs"]
+    code = [key for key, holds in verdicts.items() if holds]
+    for shard, action_id in code:
+        owner = log["owners"][action_id]
+        assert inputs[shard, action_id] == inputs[owner, action_id]
     # Not vacuous: owned spans reached clients other than their
-    # originators as code, and peers' clients got values.
-    assert any(client != entry.action.client_id for entry, client, _ in owned)
-    assert peers
-    # A closure defers only on a span some *other* shard owns and has
-    # not resolved yet — never on one its own shard owns.
-    assert deferrals
-    assert all(any(not e.span_owner for e in pending) for pending in deferrals)
+    # originators as code, peers' clients got code, and got values.
+    assert code and not all(verdicts.values())
+    wired = log["wired"]
+    assert any(e.span_owner and c != e.action.client_id for _, e, c, _ in wired)
+    assert any(not e.span_owner and a is e.action for _, e, _, a in wired)
+    assert any(isinstance(a, BlindWrite) for _, _, _, a in wired)
+    # A closure defers only on a value entry whose result is unknown.
+    assert all(log["deferrals"])
+
+
+class _Span(Action):
+    """A move of ``mover`` that reads its ``neighbours``' avatars."""
+
+    def __init__(self, mover, seq, *neighbours):
+        avatar = f"avatar:{mover}"
+        reads = {avatar, *(f"avatar:{n}" for n in neighbours)}
+        super().__init__(ActionId(mover, seq), reads=frozenset(reads), writes=frozenset({avatar}))
+
+    def compute(self, store):
+        return {}
+
+
+@pytest.fixture
+def stripes():
+    """A built, unstarted K = 3 engine: clients 2, 5 and 8 are attached
+    to shard 0, 1, 3, 4 and 7 to shard 1, and 0, 6, 9, 10, 11 to shard
+    2.  ``splice(shard, owner, action)`` splices ``action`` there and
+    returns whether that shard's clients get its code."""
+    settings = SimulationSettings(
+        num_clients=12, num_walls=0, moves_per_client=2, world_width=900.0,
+        world_height=300.0, spawn="uniform", shards=3, seed=5,
+    )  # fmt: skip
+    engine = build_engine("seve", settings)
+    assert [sorted(server.clients) for server in engine.shard_servers] == [
+        [2, 5, 8], [1, 3, 4, 7], [0, 6, 9, 10, 11],
+    ]  # fmt: skip
+    gsns = iter(range(100))
+
+    def splice(shard, owner, action):
+        server = engine.shard_servers[shard]
+        message = SpanSplice(next(gsns), owner, (0, 1, 2), action)
+        server._on_span_splice(shard_host_id(owner), message)
+        return server._entries[-1].span_code
+
+    return engine, splice
+
+
+def test_a_peer_gets_the_code_of_a_run_of_the_movers_spans(stripes):
+    _, splice = stripes
+    assert splice(1, 0, _Span(2, 0, 3))  # neighbour 3 is attached to shard 1
+    assert splice(1, 0, _Span(2, 1, 3, 4))
+    assert not splice(1, 1, _Span(3, 0))  # code on its owner by ownership
+
+
+def test_a_mover_whose_previous_action_was_local_gets_values(stripes):
+    _, splice = stripes
+    # (2, 0) was local on shard 0, so shard 1's stream never held it.
+    assert not splice(1, 0, _Span(2, 1, 3))
+    assert not splice(1, 0, _Span(2, 2, 3))
+
+
+@pytest.mark.parametrize("neighbour", [5, 0], ids=["owner", "third-shard"])
+def test_a_neighbour_homed_elsewhere_gets_values(stripes, neighbour):
+    _, splice = stripes
+    assert not splice(1, 0, _Span(2, 0, 3, neighbour))
+
+
+def test_a_queued_local_writer_of_an_input_gets_values(stripes):
+    engine, splice = stripes
+    server = engine.shard_servers[1]
+    IncompleteWorldServer._admit(server, 3, _Span(3, 0))
+    assert not splice(1, 0, _Span(2, 0, 3))
+
+
+def test_an_adopted_client_is_dirty_until_one_of_its_spans_commits(stripes):
+    engine, splice = stripes
+    server = engine.shard_servers[1]
+    server._adopt(8, radius=engine.world.client_radius(8), interests=None)
+    assert not splice(1, 1, _Span(8, 0))  # owned here, involving shard 0
+    assert not splice(1, 0, _Span(2, 0, 8))  # its avatar's stamp is dirty
+    (owned, _) = server._entries
+    owned.record_completion(ActionResult.of({"avatar:8": {"x": 450.0}}), 8)
+    server._advance_frontier()
+    assert splice(1, 0, _Span(2, 1, 8))
+
+
+def test_no_span_goes_out_as_code_in_a_run_with_a_client_crash_plan(monkeypatch):
+    log = _record_span_traffic(monkeypatch)
+    plan = FaultPlan(crashes=parse_crash_plan("3@1500:4000"))
+    result = run_simulation("seve", GOLDEN_RUNS["seve_k4_single"].with_(fault_plan=plan))
+    assert result.shard_audit.consistent, result.shard_audit.summary()
+    assert not any(log["verdicts"].values())
+    peers = [action for _, entry, _, action in log["wired"] if not entry.span_owner]
+    assert peers and all(isinstance(action, BlindWrite) for action in peers)
+
+
+@pytest.mark.parametrize("backend, workers", EVERY_W)
+def test_peer_clients_reports_of_span_code_agree_with_the_span_result(
+    backend, workers, monkeypatch, tmp_path
+):
+    # A Theorem 1 tripwire: under fault tolerance a peer client that got
+    # a span's code reports what it computed, and record_completion
+    # raises a ProtocolError if that differs from the owner's
+    # SpanResult.  Each cross-check is one line in a file, so that
+    # forked workers count too.
+    checks = tmp_path / "checks"
+    record = QueueEntry.record_completion
+
+    def counting(entry, result, reporter):
+        # A SpanResult's reporter is its owner's (negative) host id.
+        if entry.span_code and entry.completion is not None:
+            if (reporter < 0) != any(r < 0 for r in entry.reporters):
+                with open(checks, "a") as out:
+                    out.write(f"{entry.action.action_id}\n")
+        record(entry, result, reporter)
+
+    monkeypatch.setattr(QueueEntry, "record_completion", counting)
+    settings = SimulationSettings(
+        num_clients=48, num_walls=500, moves_per_client=3, world_width=600.0,
+        spawn="uniform", shards=4, seed=1001, fault_tolerant=True,
+        backend=backend, workers=workers,
+    )  # fmt: skip
+    result = run_simulation("seve", settings)
+    assert result.shard_audit.consistent, result.shard_audit.summary()
+    assert checks.exists() and checks.read_text().count("\n") >= 1
 
 
 def test_a_span_an_owner_client_committed_still_confirms_its_originator():
