@@ -16,8 +16,8 @@ recording the two halves of the protocol analyzer on the shipped tree:
   explored, engine runs, perturbable virtual-time windows per
   scenario, and explorer wall time.  The acceptance gate is the
   tentpole claim: all permuted delivery orders hold the invariants
-  (quiescence, cross-shard audit, elastic conservation, deferred-reply
-  accounting), with the identity schedule byte-deterministic.
+  (quiescence, cross-shard audit, elastic conservation), with the
+  identity schedule byte-deterministic.
 
 Run:  PYTHONPATH=src python benchmarks/bench_protocol.py [--quick]
 """

@@ -17,9 +17,9 @@ the link's last arrival).
 
 Every permuted run must satisfy the same invariants as the natural
 schedule: the engine drains to quiescence, the cross-shard audits stay
-green, the elastic send/receive counters conserve, and every parked
-deferred reply is eventually answered (the PR 9 replica-gap
-conservation law).  Byte-identity is asserted where the protocol
+green and the elastic send/receive counters conserve (a deferred reply
+never answered leaves its originator pending, so the run never
+quiesces).  Byte-identity is asserted where the protocol
 promises it — two runs of the *same* schedule — never across different
 schedules, which may legitimately serialize in a different order.
 
@@ -233,12 +233,6 @@ def _check_common(engine) -> List[str]:
     return problems
 
 
-def _deferred_reply_stats(servers) -> Tuple[int, int]:
-    parked = sum(server.stats.replies_parked for server in servers)
-    answered = sum(server.stats.replies_answered for server in servers)
-    return parked, answered
-
-
 def _check_sharded(engine, *, conservation: bool = True) -> List[str]:
     from repro.metrics.shard_audit import audit_sharded_run
 
@@ -257,21 +251,6 @@ def _check_sharded(engine, *, conservation: bool = True) -> List[str]:
         problems.append(
             "undrained: a live shard still holds a handoff, an uncommitted "
             "action, an open epoch or a pending version"
-        )
-    parked, answered = _deferred_reply_stats(engine.shard_servers)
-    if parked != answered:
-        problems.append(
-            f"deferred-replies: parked={parked} answered={answered}"
-        )
-    return problems
-
-
-def _check_reactive(engine) -> List[str]:
-    problems = _check_common(engine)
-    parked, answered = _deferred_reply_stats([engine.server])
-    if parked != answered:
-        problems.append(
-            f"deferred-replies: parked={parked} answered={answered}"
         )
     return problems
 
@@ -319,7 +298,7 @@ def _build_k2_failover() -> PreparedRun:
 
 
 def _build_reactive_deferred() -> PreparedRun:
-    """Single-server reactive mode, scripted for reply parking.
+    """Single-server reactive mode, scripted for deferred replies.
 
     The stock move workload cannot exercise the deferred-reply path:
     incomplete-mode clients plan from their optimistic replica, which
@@ -331,10 +310,11 @@ def _build_reactive_deferred() -> PreparedRun:
     blocker's completion can round-trip, a move that *reads* the
     blocker's avatar.  The closure chain for that reply pulls the
     blocker's older entry, trips the in-order guard, and the reply
-    parks until the blocker's entry commits — the exact surface of the
-    PR 9 replica gap.  Whether the park happens at all depends on the
-    submission/completion interleaving, which is what the explorer
-    permutes (scope "all": there is no backbone here).
+    waits on client 0's pending list until the blocker's entry commits
+    — the exact surface of the PR 9 replica gap.  Whether the deferral
+    happens at all depends on the submission/completion interleaving,
+    which is what the explorer permutes (scope "all": there is no
+    backbone here).
     """
     from repro.core.action import ActionId
     from repro.harness.architectures import build_engine
@@ -405,12 +385,12 @@ def _build_reactive_deferred() -> PreparedRun:
             engine.sim.schedule_at(
                 t0 + 25.0, lambda b=blocker: submit(0, (b,))
             )
-            # The witness's chain pulls client 0's parked entry, and
+            # The witness's chain pulls client 0's deferred entry, and
             # its fault-tolerant completion reports can commit the
-            # entry while the reply is still parked — the
-            # committed-values reply path (the crashed rounds keep the
-            # blocker's own completion out of that race; round 1
-            # leaves it alive for the ordinary retry path).
+            # entry while the reply is still deferred — the commit-time
+            # teach (the crashed rounds keep the blocker's own
+            # completion out of that race; round 1 leaves it alive for
+            # the ordinary retry path).
             engine.sim.schedule_at(
                 t0 + 30.0, lambda: submit(witness, (0,))
             )
@@ -418,7 +398,7 @@ def _build_reactive_deferred() -> PreparedRun:
         engine.run_to_quiescence()
 
     return PreparedRun(
-        engine=engine, run=run, check=lambda: _check_reactive(engine)
+        engine=engine, run=run, check=lambda: _check_common(engine)
     )
 
 

@@ -452,9 +452,9 @@ class ProtocolClient(ClientShell):
             self.on_aborted(notice.action_id)
 
     def _handle_commit_notice(self, notice: CommitNotice) -> None:
-        """Our action committed while the reactive reply to it was
-        parked — the echo can never arrive (the entry left the server's
-        queue), so retire the optimistic entry here.  The committed
+        """Our action committed while we did not hold it — the echo
+        can never arrive (the entry left the server's queue), so retire
+        the optimistic entry here.  The committed
         values arrived in the blind write preceding this notice on the
         same FIFO channel, so reconciling over ζ_CS replaces the
         optimistic guess with the authoritative result."""

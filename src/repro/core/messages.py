@@ -606,9 +606,10 @@ class AbortNotice:
 @wire_message(tag=43, header=32, fields=[("pos", I64), ("action_id", ACTION_ID)])
 @dataclass(frozen=True)
 class CommitNotice:
-    """Server -> originating client: this action committed while the
-    reactive reply to it was parked by the in-order guard, so its echo
-    can no longer be delivered (the entry has left the queue).
+    """Server -> originating client: an entry that commits while its
+    originator does not hold it teaches the originator the committed
+    values and confirms the action, whose echo can no longer be
+    delivered (the entry has left the queue).  This is the confirmation.
 
     The committed values travel in the blind write sent just before
     this notice on the same FIFO channel; the notice itself retires the

@@ -34,7 +34,6 @@ from repro.core.indexes import ClientSpatialIndex, WriterIndex
 from repro.core.info_bound import InformationBound
 from repro.core.interest import is_consequential
 from repro.core.messages import (
-    CONSERVATION_GROUPS,
     AbortNotice,
     ActionBatch,
     CommitNotice,
@@ -68,12 +67,6 @@ class ServerCosts:
     validate_ms: float = 0.01
 
 
-#: Messages whose spec says ``group="elastic"`` (the one conservation
-#: group): counted once on each side of a server's message seam
-#: (docs/sharding.md).
-COUNTED_MESSAGES = frozenset(CONSERVATION_GROUPS["elastic"])
-
-
 def _no_avatar(client_id: ClientId) -> None:
     """The ``avatar_of`` of a server that was given none."""
     return None
@@ -104,10 +97,15 @@ class ClientRecord:
     #: Virtual time the client's committed position last changed
     #: (t_C for the Section IV-B velocity-culled predicate).
     position_time: TimeMs = 0.0
-    #: Ascending queue positions nominated for this client and not yet
-    #: pushed: a superset of what ``_wants`` admits in its window
-    #: ``(scanned_pos, nominated]`` at any committed position within
-    #: ``reach`` of ``anchor`` (docs/performance.md).
+    #: Ascending queue positions owed to this client.  Push mode: those
+    #: nominated and not yet pushed, a superset of what ``_wants``
+    #: admits in its window ``(scanned_pos, nominated]`` at any
+    #: committed position within ``reach`` of ``anchor``
+    #: (docs/performance.md).  Reactive mode: its own submissions not
+    #: yet answered, waiting behind the oldest one the in-order guard
+    #: deferred.  An entry that commits while its originator does not
+    #: hold it teaches the originator the committed values and confirms
+    #: the action (``_advance_frontier``).
     pending: List[int] = field(default_factory=list)
     #: The committed position the open window's nominations were made
     #: from (:data:`UNPLACED` for a position-less client).  ``None``
@@ -144,15 +142,6 @@ class IncompleteServerStats(ServerStats):
     orphans_aborted: int = 0
     #: Closures deferred to preserve per-client pos-ascending delivery.
     closures_deferred: int = 0
-    #: Replies parked by the in-order delivery guard (reactive mode).
-    #: Conservation: every parked reply must eventually be answered
-    #: (pushed, blind-written from committed values, or retired with
-    #: its client) — ``replies_parked == replies_answered`` at
-    #: quiescence is the invariant that catches the PR 9
-    #: deferred-push replica gap mechanically.
-    replies_parked: int = 0
-    #: Parked replies later answered or retired (see replies_parked).
-    replies_answered: int = 0
 
 
 class IncompleteWorldServer(ServerShell):
@@ -235,27 +224,12 @@ class IncompleteWorldServer(ServerShell):
         #: dropped, a ``sent`` mark added or scrubbed): it unparks every
         #: client (``ClientRecord.parked``).
         self._park_epoch = 0
+        #: Whether a reactive reply waits behind a deferral: only then
+        #: does a frontier advance walk the clients' ``pending`` lists.
+        self._replies_owed = False
         self._writer_index = WriterIndex()
         self._client_index = ClientSpatialIndex()
         self._avatar_owner: Dict[ObjectId, ClientId] = {}
-        #: Reactive replies deferred by the in-order delivery guard,
-        #: per client; retried whenever the commit frontier advances.
-        self._deferred_replies: Dict[ClientId, List[int]] = {}
-        #: ``pos -> (action_id, written ids)`` of entries that committed
-        #: while a reply to them was still deferred — the retry answers
-        #: from the committed value instead of dropping the reply (the
-        #: non-push replica gap), and confirms the originator's pending
-        #: submission with a CommitNotice (its echo can never arrive).
-        #: GC'd as the parked positions drain.
-        self._deferred_commits: Dict[int, tuple] = {}
-        #: Set by :meth:`crash`: this server's host died.
-        self._crashed = False
-        #: :data:`COUNTED_MESSAGES` that crossed this server's seam, out
-        #: and in.  Quiescence requires the sums over all servers to
-        #: match, so that none is still in flight.  (Only shard servers
-        #: exchange them: the group is backbone control traffic.)
-        self.elastic_sent = 0
-        self.elastic_received = 0
         # The shell keeps the attached clients (records: ClientRecord).
         # Shard servers get their own negative host ids.
         super().__init__(
@@ -296,12 +270,6 @@ class IncompleteWorldServer(ServerShell):
     def detach_client(self, client_id: ClientId) -> None:
         """Unregister a failed/departed client."""
         super().detach_client(client_id)
-        retired = self._deferred_replies.pop(client_id, None)
-        if retired:
-            # A departed client's parked replies are retired, not
-            # dropped: count them answered so the parked/answered
-            # conservation invariant stays balanced at quiescence.
-            self.stats.replies_answered += len(retired)
         self.known.forget_client(client_id)
         # A departed client holds nothing: scrub it from sent(a) so a
         # later re-attach rebuilds full closures (entries "sent" into a
@@ -332,35 +300,14 @@ class IncompleteWorldServer(ServerShell):
             )
         super().start(stop_at=stop_at)
 
-    def crash(self) -> None:
-        """This server's host died: it handles nothing from now on."""
-        self._crashed = True
-        self.stop()
-
     # ------------------------------------------------------------------
-    # The message seam: one dispatcher in, the shell's ``send`` out
+    # Admission (the shell's dispatcher hands messages in)
     # ------------------------------------------------------------------
     #: The shell's table plus completions (subclasses extend it).
     HANDLERS = {
         **ServerShell.HANDLERS,
         Completion: "_record_completion",
     }
-
-    def _on_message(self, src: ClientId, payload: object) -> None:
-        """The receiving side of the message seam: every message this
-        server is handed goes through here, and only here."""
-        if self._crashed:
-            return  # a crashed server handles nothing
-        if src in self._last_heard:
-            self._last_heard[src] = self.sim.now
-        kind = type(payload)
-        handler = self._handlers.get(kind)
-        if handler is None:
-            self._on_unhandled(src, payload)
-            return
-        if kind in COUNTED_MESSAGES:
-            self.elastic_received += 1
-        handler(src, payload)
 
     def _accept(self, src: ClientId, message: SubmitAction) -> None:
         """Charge a fresh submission's timestamping cost; :meth:`_admit`
@@ -387,21 +334,38 @@ class IncompleteWorldServer(ServerShell):
             entry.valid = True
             self._validated_upto = entry.pos
         if self.predicate is None:
-            self._reply(src, entry)
+            record = self.clients[src]
+            record.pending.append(entry.pos)
+            self._reply(record)
 
     # ------------------------------------------------------------------
     # Reactive replies (plain Incomplete World Model)
     # ------------------------------------------------------------------
-    def _reply(self, client_id: ClientId, entry: QueueEntry) -> None:
-        """Algorithm 5 step 3(b): answer a submission with its closure."""
+    def _reply(self, record: ClientRecord) -> None:
+        """Algorithm 5 step 3(b): answer the client's unanswered
+        submissions (``record.pending``), oldest first, each with its
+        closure.  One the in-order guard defers stops the walk: it and
+        every newer one wait for a later frontier advance, as a push
+        waits for a later cycle.  A submission that committed meanwhile
+        needs no reply (the commit taught its originator)."""
+        client_id = record.client_id
         if not self.network.is_registered(client_id):
-            return  # connection dropped since the submission arrived
-        batch_entries, _ = self._closure_entries(client_id, entry)
-        if batch_entries is None:
-            self._deferred_replies.setdefault(client_id, []).append(entry.pos)
-            self.stats.replies_parked += 1
-            return
-        self._send_batch(client_id, batch_entries)
+            return  # connection dropped: a resync or eviction clears it
+        base = self._base_pos
+        pending = record.pending
+        for at, pos in enumerate(pending):
+            if pos < base:
+                continue
+            entry = self._entries[pos - base]
+            if entry.valid is False or client_id in entry.sent:
+                continue
+            batch_entries, _ = self._closure_entries(client_id, entry)
+            if batch_entries is None:
+                record.pending = pending[at:]
+                self._replies_owed = True
+                return
+            self._send_batch(client_id, batch_entries)
+        record.pending = []
 
     def _closure_entries(
         self, client_id: ClientId, entry: QueueEntry
@@ -831,16 +795,8 @@ class IncompleteWorldServer(ServerShell):
         return True
 
     def _advance_frontier(self) -> None:
-        """Install ready entries in strict queue order; GC the queue."""
-        deferred_positions = (
-            {
-                pos
-                for positions in self._deferred_replies.values()
-                for pos in positions
-            }
-            if self._deferred_replies
-            else None
-        )
+        """Install ready entries in strict queue order; GC the queue;
+        then retry the reactive replies the in-order guard deferred."""
         while self._entries and self._entries[0].committed_ready:
             entry = self._entries.popleft()
             self._base_pos = entry.pos + 1
@@ -859,85 +815,22 @@ class IncompleteWorldServer(ServerShell):
             written = entry.completion.written_ids()
             self.known.record_commit(entry.pos, written, entry.sent)
             action_id = entry.action.action_id
-            if deferred_positions and entry.pos in deferred_positions:
-                # Someone's reactive reply to this entry is still
-                # parked; remember what it wrote so the retry can teach
-                # the committed values (see _retry_deferred_replies).
-                self._deferred_commits[entry.pos] = (action_id, written)
-            elif action_id.client_id not in entry.sent:
-                # Another holder's fault-tolerant report committed the
-                # entry before a push reached its originator, whose
-                # echo can never arrive.
+            if action_id.client_id not in entry.sent:
+                # An entry that commits while its originator does not
+                # hold it (another holder's report overtook the push, or
+                # the guard still defers the reply) teaches the
+                # originator the committed values and confirms the
+                # action: its echo can never arrive.
                 self._teach_commit(action_id.client_id, entry.pos, action_id, written)
             self.stats.actions_committed += 1
             self._note_position_change(entry)
             if self.on_commit is not None:
                 self.on_commit(entry.pos, entry.action.client_id, values)
-        if self._deferred_replies:
-            self._retry_deferred_replies()
-
-    def _retry_deferred_replies(self) -> None:
-        """Re-attempt reactive replies parked by the in-order guard.
-
-        Runs whenever the commit frontier advances.  The blockers are
-        strictly older than the deferred entry, so by the time the
-        frontier reaches it everything below has left the queue, the
-        chain is the entry alone, and the retry must succeed — a
-        deferred reply is delayed, never lost.
-
-        An entry can also *commit* while its reply is parked (a
-        fault-tolerant reporter or a spliced span result overtakes the
-        guard).  The entry has left the queue, so the closure reply is
-        moot — but the client still needs its values, or a pull-style
-        client would never learn about the neighbours the entry wrote
-        (the non-push replica gap): answer with a blind write of the
-        committed values instead of dropping.
-        """
-        for client_id in list(self._deferred_replies):
-            if client_id not in self.clients:
-                self.stats.replies_answered += len(
-                    self._deferred_replies[client_id]
-                )
-                del self._deferred_replies[client_id]
-                continue
-            if not self.network.is_registered(client_id):
-                continue  # keep parked; resync or eviction will clear it
-            still: List[int] = []
-            for pos in self._deferred_replies[client_id]:
-                if pos < self._base_pos:
-                    # Committed meanwhile: reply from the committed value.
-                    record = self._deferred_commits.get(pos)
-                    if record:
-                        self._teach_commit(client_id, pos, *record)
-                    self.stats.replies_answered += 1
-                    continue
-                entry = self._entries[pos - self._base_pos]
-                if entry.valid is False or client_id in entry.sent:
-                    self.stats.replies_answered += 1
-                    continue
-                batch_entries, _ = self._closure_entries(client_id, entry)
-                if batch_entries is None:
-                    still.append(pos)
-                else:
-                    self._send_batch(client_id, batch_entries)
-                    self.stats.replies_answered += 1
-            if still:
-                self._deferred_replies[client_id] = still
-            else:
-                del self._deferred_replies[client_id]
-        if self._deferred_commits:
-            # GC: keep a committed-behind record only while some parked
-            # client still references its position.
-            live = {
-                pos
-                for positions in self._deferred_replies.values()
-                for pos in positions
-            }
-            self._deferred_commits = {
-                pos: record
-                for pos, record in self._deferred_commits.items()
-                if pos in live
-            }
+        if self._replies_owed:
+            self._replies_owed = False
+            for record in self.clients.values():
+                if record.pending:
+                    self._reply(record)
 
     def _teach_commit(
         self, client_id: ClientId, pos: int, action_id: ActionId, written: frozenset

@@ -92,10 +92,10 @@ hosts beside its lease and calls at the events it follows; it sees the
 server only through a :class:`ShardView`, which it shares with the
 handoff barrier.
 
-*The peer seam* — every message a shard server receives goes through
-the base server's one dispatcher and the ``HANDLERS`` table (with the
-lease's, the rebalancer's and the handoff barrier's tables merged in);
-every message it sends a peer goes through ``_send_peer``,
+*The peer seam* — every message a shard server receives passes its
+crash guard, then the shell's one dispatcher and the ``HANDLERS`` table
+(with the lease's, the rebalancer's and the handoff barrier's tables
+merged in); every message it sends a peer goes through ``_send_peer``,
 ``_broadcast`` or ``_to_holder``.  Conservation-group messages are
 counted there and nowhere else (docs/sharding.md).
 """
@@ -121,6 +121,7 @@ from repro.core.engine import SeveConfig, SeveEngine
 from repro.core.handoff import HandoffBarrier
 from repro.core.info_bound import InformationBound
 from repro.core.messages import (
+    CONSERVATION_GROUPS,
     Completion,
     HandoffReady,
     ShardHello,
@@ -130,13 +131,18 @@ from repro.core.messages import (
     SpanSplice,
     SubmitAction,
 )
-from repro.core.server_incomplete import COUNTED_MESSAGES, IncompleteWorldServer
+from repro.core.server_incomplete import IncompleteWorldServer
 from repro.errors import ConfigurationError, ProtocolError
 from repro.metrics.shard_audit import audit_sharded_run
 from repro.net.host import Host
 from repro.state.checkpoint import ShardRecoveryLog
 from repro.state.versioned import VersionedStore
 from repro.types import ClientId, TimeMs, shard_host_id
+
+#: Messages whose spec says ``group="elastic"`` (the one conservation
+#: group): counted once on each side of a shard server's message seam
+#: (docs/sharding.md).
+COUNTED_MESSAGES = frozenset(CONSERVATION_GROUPS["elastic"])
 
 
 @dataclass(frozen=True)
@@ -381,6 +387,13 @@ class ShardServer(IncompleteWorldServer):
         #: All gsns ever assigned to span actions seen by this shard
         #: (splice time; kept for the cross-shard consistency audit).
         self.span_gsns: Dict[ActionId, int] = {}
+        #: Set by :meth:`crash`: this shard's host died.
+        self._crashed = False
+        #: :data:`COUNTED_MESSAGES` that crossed this server's seam, out
+        #: and in.  Quiescence requires the sums over all shards to
+        #: match, so that none is still in flight.
+        self.elastic_sent = 0
+        self.elastic_received = 0
         super().__init__(*args, **kwargs)
         if recovery is not None:
             self.on_commit = recovery.on_commit
@@ -420,6 +433,20 @@ class ShardServer(IncompleteWorldServer):
         SpanAbort: "_on_span_abort",
         ShardHello: "_on_shard_hello",
     }
+
+    def crash(self) -> None:
+        """This shard's host died: it handles nothing from now on."""
+        self._crashed = True
+        self.stop()
+
+    def _on_message(self, src: ClientId, payload: object) -> None:
+        """The crash guard and the inbound count, then the shell's
+        dispatcher."""
+        if self._crashed:
+            return  # a crashed server handles nothing
+        if type(payload) in COUNTED_MESSAGES:
+            self.elastic_received += 1
+        super()._on_message(src, payload)
 
     def _send_peer(self, shard: int, message: object) -> None:
         """Send ``message`` to shard ``shard`` over the backbone.  A

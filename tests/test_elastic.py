@@ -2,15 +2,13 @@
 docs/elasticity.md): the planner, the off-path byte-identity contract,
 flash-crowd rebalancing with the cross-shard audits, partition-version
 edge cases (splits racing spans, merges racing handoff drains, lossy
-transport), the windowed-scheduler differential, and the deferred-reply
-replica-gap regression.
+transport) and the windowed-scheduler differential.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.action import ActionId
 from repro.core.elastic import ElasticConfig, plan_boundaries
 from repro.core.sharded import RegionPartition, ShardedSeveEngine, ShardingConfig
 from repro.errors import ConfigurationError
@@ -376,71 +374,3 @@ def test_partition_count_does_not_change_an_elastic_run():
     assert result_key(one) == result_key(two)
     assert one.rebalances >= 1
     assert two.shard_audit.consistent, two.shard_audit.summary()
-
-
-# ---------------------------------------------------------------------------
-# Deferred-reply replica gap (ROADMAP: non-push backends never teach
-# replicas about neighbours when the entry commits before the retry)
-# ---------------------------------------------------------------------------
-def test_committed_deferred_reply_teaches_committed_values():
-    """A reply parked by the in-order guard whose entry commits first
-    must answer with the committed values, not drop silently."""
-    _, _, engine = _run_engine(FLASH)
-    server = next(s for s in engine.shard_servers if s.clients)
-    # Find a (client, object) pair the server has never taught: in the
-    # wide world some avatar is out of every other client's visibility.
-    target = next(iter(sorted(server.clients)))
-    oid = next(
-        oid
-        for oid in sorted(server.state.ids())
-        if server.known.needs(target, oid)
-    )
-    # Park a reply to a position that has already committed, with the
-    # commit-time record _advance_frontier would have left behind.
-    pos = server._base_pos - 1
-    server._deferred_replies[target] = [pos]
-    server._deferred_commits[pos] = (ActionId(-9, 0), frozenset({oid}))
-    sent_before = server.stats.blind_writes_sent
-    server._retry_deferred_replies()
-    assert server.stats.blind_writes_sent == sent_before + 1
-    assert not server.known.needs(target, oid)  # the client was taught
-    assert server._deferred_replies.get(target) is None
-    assert pos not in server._deferred_commits  # GC'd with the drain
-
-
-def test_advance_frontier_teaches_parked_reply_through_real_pipeline():
-    """End-to-end through the real frontier: an entry commits while a
-    reply to it is parked; _advance_frontier records its written ids
-    and the retry it triggers answers with a blind write of them."""
-    from repro.core.action import ActionResult, BlindWrite
-    from repro.core.closure import QueueEntry
-
-    _, _, engine = _run_engine(FLASH.with_(shards=2))
-    server = next(s for s in engine.shard_servers if s.clients)
-    target = next(iter(sorted(server.clients)))
-    oid = next(
-        oid
-        for oid in sorted(server.state.ids())
-        if server.known.needs(target, oid)
-    )
-    # Enqueue a committed-ready server entry (a value-neutral blind
-    # write of the object's current state) exactly as _admit would,
-    # with a reply to it already parked for the target client.
-    values = {oid: dict(server.state.get(oid).as_dict())}
-    blind = BlindWrite.from_server(9999, values)
-    entry = QueueEntry(server._next_pos, blind, arrived_at=engine.sim.now)
-    server._next_pos += 1
-    server._entries.append(entry)
-    server._writer_index.note_enqueued(entry.pos, blind.writes)
-    entry.valid = True
-    entry.completion = ActionResult.of(values)
-    server._deferred_replies[target] = [entry.pos]
-    sent_before = server.stats.blind_writes_sent
-    server._advance_frontier()
-    # The frontier committed the entry, the retry taught the client,
-    # and the commit record was GC'd with the drain.
-    assert server._base_pos == entry.pos + 1
-    assert server.stats.blind_writes_sent == sent_before + 1
-    assert not server.known.needs(target, oid)
-    assert server._deferred_replies.get(target) is None
-    assert server._deferred_commits == {}

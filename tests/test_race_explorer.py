@@ -12,8 +12,8 @@ The explorer's value rests on three properties, each pinned here:
    the reactive deferred-reply weave) hold their invariants under all
    permutation rules.  This is the CI gate in scripts/test.sh.
 3. *A reintroduced PR 9-style gap is caught and shrunk* — seeding the
-   historical deferred-push bug (committed-while-parked replies
-   silently dropped) flips the explorer to VIOLATIONS with a minimal
+   historical deferred-push bug (an entry that commits while its reply
+   is deferred is neither taught nor confirmed) flips the explorer to VIOLATIONS with a minimal
    reordering trace, while the identity schedule still passes: exactly
    the class of bug example-based tests missed the first time.
 """
@@ -95,55 +95,33 @@ def test_default_scenarios_pass_all_schedules():
 
 def test_reactive_scenario_exercises_reply_parking():
     # Guard against the scenario silently going vacuous: the weave must
-    # actually park reactive replies behind the in-order guard, and
-    # every parked reply must eventually be answered (PR 9 invariant).
+    # actually defer reactive replies behind the in-order guard, and
+    # every deferred reply must eventually leave its client's pending
+    # list (answered, or taught when its entry committed first).
     prepared = _scenario("reactive-deferred").build()
     prepared.run()
     assert prepared.check() == []
-    stats = prepared.engine.server.stats
-    assert stats.replies_parked > 0
-    assert stats.replies_parked == stats.replies_answered
+    server = prepared.engine.server
+    assert server.stats.closures_deferred > 0
+    assert all(not record.pending for record in server.clients.values())
 
 
 # ----------------------------------------------------------------------
 # Regression: the explorer catches a reintroduced PR 9 deferred-push gap
 # ----------------------------------------------------------------------
-def _buggy_retry_deferred_replies(self):
-    """The historical bug: committed-while-parked replies are dropped
-    on the floor instead of being taught/acknowledged, leaving the
-    originator pending forever under the right delivery order."""
-    for client_id in list(self._deferred_replies):
-        if client_id not in self.clients:
-            del self._deferred_replies[client_id]
-            continue
-        if not self.network.is_registered(client_id):
-            continue
-        still = []
-        for pos in self._deferred_replies[client_id]:
-            if pos < self._base_pos:
-                continue  # BUG: committed-meanwhile reply vanishes
-            entry = self._entries[pos - self._base_pos]
-            if entry.valid is False or client_id in entry.sent:
-                self.stats.replies_answered += 1
-                continue
-            batch_entries, _ = self._closure_entries(client_id, entry)
-            if batch_entries is None:
-                still.append(pos)
-            else:
-                self._send_batch(client_id, batch_entries)
-                self.stats.replies_answered += 1
-        if still:
-            self._deferred_replies[client_id] = still
-        else:
-            del self._deferred_replies[client_id]
+def _no_teach_commit(self, client_id, pos, action_id, written):
+    """The historical bug: an entry that commits while its originator
+    does not hold it (a reactive reply still deferred) is neither
+    taught nor confirmed, leaving the originator pending forever under
+    the right delivery order."""
 
 
 @pytest.mark.slow
 def test_seeded_deferred_reply_gap_is_caught_and_shrunk(monkeypatch):
     monkeypatch.setattr(
         server_incomplete.IncompleteWorldServer,
-        "_retry_deferred_replies",
-        _buggy_retry_deferred_replies,
+        "_teach_commit",
+        _no_teach_commit,
     )
     report = explore([_scenario("reactive-deferred")])
     assert not report.ok, "seeded PR 9 gap must be caught"
