@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Documentation lint: link integrity, doc-map coverage, flag and
-config-field freshness, and the generated settings table.
+"""Documentation lint: link integrity, doc-map coverage, flag,
+config-field and code-name freshness, and the generated settings table.
 
-Six checks, all cheap enough for every test run:
+Seven checks, all cheap enough for every test run:
 
 1. **Links resolve.**  Every relative markdown link in the repo's
    documentation (``README.md``, ``DESIGN.md``, ``EXPERIMENTS.md``,
@@ -36,6 +36,14 @@ Six checks, all cheap enough for every test run:
    from the field declarations of ``SimulationSettings`` by
    ``--write-settings``; the lint fails when regenerating would change
    it.
+7. **Code names are real.**  Every ``Class.name`` inside a backticked
+   code span of the living documentation (as in check 5), where
+   ``Class`` is a class defined under ``src/repro``, must name
+   something the class has: an attribute, method or property (its
+   bases' included), a field it annotates, or an attribute its methods
+   assign on ``self``.  A trailing ``*`` makes the name a prefix
+   (``UniformGridIndex.query_*``).  So a renamed or moved method cannot
+   stay advertised under its old owner.
 
 Exit status 0 when clean; 1 with one ``file: problem`` line per finding.
 
@@ -44,6 +52,7 @@ Run:  python scripts/docs_lint.py [--write-settings]
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import importlib
 import pathlib
@@ -123,6 +132,11 @@ CONFIG_REF_RE = re.compile(
 
 #: A keyword argument name (``name=``, not ``name==``).
 KEYWORD_RE = re.compile(r"([A-Za-z_]\w*)\s*=(?!=)")
+
+#: Inline code spans (one may wrap a line), and inside one a
+#: ``Class.name`` reference (check 7).
+CODE_SPAN_RE = re.compile(r"`([^`]+)`")
+CLASS_NAME_RE = re.compile(r"(?<!\w)([A-Z]\w*)\.([A-Za-z_]\w*\*?)")
 
 
 def extract_links(text: str) -> list[str]:
@@ -344,6 +358,78 @@ def lint_config_fields(docs: list[pathlib.Path]) -> list[str]:
     return problems
 
 
+def referenced_class_names(text: str) -> list[tuple[str, str]]:
+    """``(Class, name)`` for every ``Class.name`` inside a backticked
+    code span of ``text``, code fences stripped (dedup'd, sorted).
+
+    >>> referenced_class_names(
+    ...     "`ShardServer.speaks_unprompted()`, `UniformGridIndex.query_*` "
+    ...     "and `repro.core.spans.SpanPipeline.on_splice`; Foo.bar is prose."
+    ... )
+    [('ShardServer', 'speaks_unprompted'), ('SpanPipeline', 'on_splice'), ('UniformGridIndex', 'query_*')]
+    """
+    found = set()
+    for span in CODE_SPAN_RE.findall(FENCE_RE.sub("", text)):
+        found.update(CLASS_NAME_RE.findall(span))
+    return sorted(found)
+
+
+def class_names() -> dict:
+    """Every class defined under ``src/repro`` -> the names it has: what
+    ``dir`` reports of it, and the fields and ``self`` attributes that
+    it and its bases defined there declare."""
+    src = REPO_ROOT / "src"
+    own: dict = {}  # (module, class) -> annotated fields and self attributes
+    for path in sorted((src / "repro").rglob("*.py")):
+        module = ".".join(path.relative_to(src).with_suffix("").parts)
+        module = module.removesuffix(".__init__")
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            found = own.setdefault((module, node.name), set())
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name):
+                    found.add(sub.target.id)  # a field
+                elif (
+                    isinstance(sub, ast.Attribute)
+                    and isinstance(sub.ctx, ast.Store)
+                    and isinstance(sub.value, ast.Name)
+                    and sub.value.id == "self"
+                ):
+                    found.add(sub.attr)
+    names: dict = {}
+    for (module, name), attrs in own.items():
+        found = names.setdefault(name, set())
+        found.update(attrs)
+        cls = getattr(importlib.import_module(module), name, None)
+        if isinstance(cls, type):  # else nested in a function: its AST only
+            found.update(dir(cls))
+            for base in cls.__mro__:
+                found.update(own.get((base.__module__, base.__name__), ()))
+    return names
+
+
+def lint_class_names(docs: list[pathlib.Path]) -> list[str]:
+    """``file: problem`` lines for ``Class.name`` mentions of a class
+    under ``src/repro`` that has no such name."""
+    names = class_names()
+    problems = []
+    for doc in docs:
+        for cls, name in referenced_class_names(doc.read_text()):
+            if cls not in names:
+                continue
+            if name.endswith("*"):
+                real = any(known.startswith(name[:-1]) for known in names[cls])
+            else:
+                real = name in names[cls]
+            if not real:
+                problems.append(
+                    f"{doc.relative_to(REPO_ROOT)}: stale code name "
+                    f"({cls}.{name}) — {cls} has no such attribute"
+                )
+    return problems
+
+
 SETTINGS_HEADER = """\
 # Run parameters
 
@@ -446,6 +532,7 @@ def main() -> int:
         + lint_doc_map_table(docs_dir)
         + lint_flags(living)
         + lint_config_fields(living)
+        + lint_class_names(living)
         + lint_settings_doc()
     )
     for problem in problems:

@@ -52,8 +52,10 @@ REPLICA = SimulationSettings(
 #: kept its optimistic replica as a full copy of its stable one,
 #: 2 384 551 and 1 329 097; while each shard's gsn lease kept its own
 #: bound dispatch table and the handoff barrier's three maps lived on
-#: the server, 2 278 735 and 1 274 745.
-REPLICA_CEILINGS = {(1, 0): 2_277_871, (2, 0): 1_274_297}
+#: the server, 2 278 735 and 1 274 745; while the span pipeline's state
+#: lived on the server beside a per-client count of span forwards and
+#: the sequencer's dedup was a set, 2 277 359 and 1 274 041.
+REPLICA_CEILINGS = {(1, 0): 2_276_879, (2, 0): 1_273_801}
 #: The run whose end-of-run snapshots are weighed.
 SNAPSHOT = SimulationSettings(
     num_clients=48, num_walls=500, moves_per_client=3, world_width=600.0,

@@ -47,32 +47,26 @@ class QueueEntry:
     completion: Optional[ActionResult] = None
     #: Clients that reported a completion (fault-tolerant mode).
     reporters: Set[ClientId] = field(default_factory=set)
-    #: Sharded deployments: this entry is a spliced *spanning* action
-    #: (its influence disc crosses shard borders; see repro.core.sharded).
-    span: bool = False
-    #: Whether this shard owns the spanning action (received the
-    #: original submission; its originator is attached here).
-    span_owner: bool = False
-    #: Global sequence number assigned by the sequencer shard (-1 for
-    #: ordinary local entries).  Splices land in gsn order on every
-    #: involved shard, which embeds all observed orders into one global
-    #: serializable order.
+    #: Sharded deployments: the global sequence number of a spliced
+    #: *spanning* action (its influence disc crosses shard borders; see
+    #: repro.core.spans), -1 for an ordinary local entry.  Splices land
+    #: in gsn order on every involved shard, which embeds all observed
+    #: orders into one global serializable order.
     gsn: int = -1
     #: The shard indices this spanning action was spliced into (empty
     #: for local entries).  The owner uses it to broadcast the result.
     span_involved: Tuple[int, ...] = ()
     #: Committed result of the spanning action, once known (set from the
     #: first screened completion on the owner, from SpanResult on peers).
-    #: Until it arrives, a peer whose clients receive the *values* (see
-    #: ``span_code``) cannot send this entry.
+    #: Until it arrives a value entry (``span_value``) cannot be sent.
     span_result: Optional[ActionResult] = None
-    #: Peer side: the verdict at splice that this stream gives the span
-    #: the inputs the owner's stream gives it, so this shard's clients
-    #: get its code, as the owner's do (repro.core.sharded).
-    span_code: bool = False
-    #: Owning shard's index (set on spliced peers), so survivors can
-    #: abort span entries orphaned by the owner shard crashing before
-    #: it relayed a result (docs/control_plane.md).
+    #: A span's verdict, taken once at splice: this shard's clients get
+    #: its committed result, not its code (see :func:`_is_span_value`).
+    span_value: bool = False
+    #: The spanning action's owner shard, where its originator is
+    #: attached (-1 for a local entry).  Survivors abort the span
+    #: entries of an owner that crashed before it relayed a result
+    #: (docs/control_plane.md).
     span_owner_shard: int = -1
 
     @property
@@ -107,15 +101,16 @@ def _is_span_value(entry: QueueEntry) -> bool:
     The owner's clients get the code: on the owner's stream a span's
     inputs are exactly those its originator read, so Theorem 1 makes
     every evaluation there agree.  So do a peer's clients when the
-    peer's verdict (``span_code``) holds.  Otherwise a peer's clients
-    receive the committed result as a positioned blind write, which
-    cannot be sent before the result is known; once known it walks like
+    peer's verdict at splice (:class:`~repro.core.spans.SpanPipeline`)
+    holds.  Otherwise a peer's clients receive the committed result as
+    a positioned blind write, which cannot be sent before the result
+    is known; once known it walks like
     a normal entry — its reads still fold into the seed, because the
     result carries only the attributes the action actually wrote, and
     the underlying objects must reach the client complete (via the
     blind-write seed) before the partial result values land on top.
     """
-    return entry.span and not entry.span_owner and not entry.span_code
+    return entry.span_value
 
 
 def transitive_closure(

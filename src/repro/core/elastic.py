@@ -172,7 +172,8 @@ class Rebalancer:
       returns the target (``None``: it stays, or is already migrating),
       ``release()`` sends the transfers parked behind a fence; and the
       request ``refresh(values)``, which re-indexes the positions a sync
-      merged.  (The view shows more, for the barrier: see there.)
+      merged.  (The view shows more, for the barrier and the span
+      pipeline: see there.)
 
     With ``config=None`` the unit is inert: no timer, no epoch, always
     quiescent; it still keeps the last-writer stamps its host's span
@@ -220,7 +221,8 @@ class Rebalancer:
         #: receivers apply strictly-newer entries only.  The last two
         #: are ``(None, ())`` for a write from outside the stream (a
         #: region sync, or the host's dirty mark) and ``()`` for a
-        #: local writer; the host's span verdict reads them.
+        #: local writer; the host's span pipeline reads them for its
+        #: peer verdict.
         self.stamps: Dict[object, tuple] = {}
         # -- controller (lease holder) state ------------------------------
         self.reports: Dict[int, Dict[int, LoadReport]] = {}
@@ -336,7 +338,7 @@ class Rebalancer:
             return
         stamps = self.stamps
         for oid in sorted(entry.completion.written_ids()):
-            order = (entry.gsn, 0) if entry.span else (stamps.get(oid, NO_STAMP)[0], 1)
+            order = (entry.gsn, 0) if entry.gsn >= 0 else (stamps.get(oid, NO_STAMP)[0], 1)
             stamps[oid] = order + (entry.action.action_id, entry.span_involved)
 
     def mark_dirty(self, oid) -> None:

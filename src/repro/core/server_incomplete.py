@@ -325,18 +325,25 @@ class IncompleteWorldServer(ServerShell):
             # Detached between receipt and admission.
             self._release(src, action)
             return
-        entry = QueueEntry(self._next_pos, action, arrived_at=self.sim.now)
-        self._next_pos += 1
-        self._entries.append(entry)
-        self._writer_index.note_enqueued(entry.pos, action.writes)
-        self.stats.actions_serialized += 1
-        if self.info_bound is None:
-            entry.valid = True
-            self._validated_upto = entry.pos
+        entry = self._enqueue(action, self.info_bound is None)
         if self.predicate is None:
             record = self.clients[src]
             record.pending.append(entry.pos)
             self._reply(record)
+
+    def _enqueue(self, action: Action, valid: bool) -> QueueEntry:
+        """Timestamp ``action`` at the next stream position.  A ``valid``
+        entry skips Information Bound validation, and one contiguous
+        with the validation frontier is distributable at once (else the
+        next tick's frontier walk passes over the pre-set verdict)."""
+        entry = QueueEntry(self._next_pos, action, self.sim.now, valid=valid or None)
+        self._next_pos += 1
+        self._entries.append(entry)
+        self._writer_index.note_enqueued(entry.pos, action.writes)
+        self.stats.actions_serialized += 1
+        if valid and self._validated_upto == entry.pos - 1:
+            self._validated_upto = entry.pos
+        return entry
 
     # ------------------------------------------------------------------
     # Reactive replies (plain Incomplete World Model)
@@ -444,10 +451,10 @@ class IncompleteWorldServer(ServerShell):
     def _wire_action(self, client_id: ClientId, entry: QueueEntry) -> Action:
         """The action to put on the wire for ``entry`` -> ``client_id``.
 
-        Hook for the sharded server, which replaces a spanning action
-        spliced from another owner with a value-carrying blind write,
-        unless the splice proved its inputs here equal to the owner's.
-        The base server always sends the action itself.
+        Hook for the sharded server, whose span pipeline replaces a
+        value entry (:func:`~repro.core.closure._is_span_value`) with a
+        blind write carrying its committed result.  The base server
+        always sends the action itself.
         """
         return entry.action
 

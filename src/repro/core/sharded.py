@@ -13,37 +13,13 @@ Design
 ------
 *Local actions* — whose influence disc lies inside one stripe — are
 timestamped, validated, and distributed entirely by their owner shard:
-the common case, and the source of the K-way scaling.
-
-*Spanning actions* — whose influence disc crosses a stripe border —
-serialize through a deterministic two-phase forward:
-
-1. The owner shard (where the originator is attached) admits and
-   dedups the action, classifies its involved shard set, and forwards
-   it to the **sequencer** — the shard holding the gsn lease, shard 0
-   unless a failover moved it — instead of its local queue.
-2. The sequencer assigns a monotonically increasing **global sequence
-   number** (gsn) and broadcasts a splice to every involved shard over
-   the fault-free FIFO backbone.  Each shard splices the action into
-   its local stream at its next position; because splices leave the
-   sequencer in gsn order and backbone links are FIFO, every shard
-   orders all spanning actions identically — so each client's observed
-   stream embeds into one global serializable order (local actions are
-   observed by clients of exactly one shard and may interleave freely
-   between spanning actions).
-
-On its owner shard a spliced spanning action is an ordinary entry:
-every client attached there gets the code, and on the owner's stream
-its inputs are exactly those its originator read.  A *peer* shard
-decides once, at splice, whether the span's inputs on its own stream
-are provably those the owner's stream gives it; if so its clients get
-the code too.  Otherwise they receive the committed result as a
-positioned :class:`~repro.core.action.BlindWrite` (a *value entry*),
-deliverable only once the owner has relayed the result via
-``SpanResult``.  A peer's closure touching a value entry whose result
-is still unknown defers whole (see
-:func:`repro.core.closure.transitive_closure`); this is what prevents
-replica divergence from K independent evaluations against K replicas.
+the common case, and the source of the K-way scaling.  *Spanning
+actions* — whose disc crosses a stripe border — are forwarded to the
+sequencer, given a global sequence number and spliced into the stream
+of every involved shard.  Forwarding, sequencing, splicing, who
+evaluates a span and the relay of its result or abort are
+:class:`repro.core.spans.SpanPipeline`, a transport-free unit each
+shard server hosts.
 
 *Handoff* — when a client's committed avatar position leaves its
 shard's stripe by more than a hysteresis margin, the owner initiates a
@@ -90,14 +66,15 @@ machine — load rounds, controller, fences, region syncs, drain barrier
 — is :class:`repro.core.elastic.Rebalancer`, which each shard server
 hosts beside its lease and calls at the events it follows; it sees the
 server only through a :class:`ShardView`, which it shares with the
-handoff barrier.
+handoff barrier and the span pipeline.
 
 *The peer seam* — every message a shard server receives passes its
 crash guard, then the shell's one dispatcher and the ``HANDLERS`` table
-(with the lease's, the rebalancer's and the handoff barrier's tables
-merged in); every message it sends a peer goes through ``_send_peer``,
-``_broadcast`` or ``_to_holder``.  Conservation-group messages are
-counted there and nowhere else (docs/sharding.md).
+(with the lease's, the span pipeline's, the rebalancer's and the
+handoff barrier's tables merged in); every message it sends a peer
+goes through ``_send_peer``, ``_broadcast`` or ``_to_holder``.
+Conservation-group messages are counted there and nowhere else
+(docs/sharding.md).
 """
 
 from __future__ import annotations
@@ -107,9 +84,9 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.action import Action, ActionId, BlindWrite
+from repro.core.action import Action, ActionId
 from repro.core.chassis import bound_handlers
-from repro.core.closure import QueueEntry, _is_span_value
+from repro.core.closure import QueueEntry
 from repro.core.control_plane import (
     PINNED_LEASE,
     ControlPlaneConfig,
@@ -125,13 +102,12 @@ from repro.core.messages import (
     Completion,
     HandoffReady,
     ShardHello,
-    SpanAbort,
     SpanForward,
-    SpanResult,
     SpanSplice,
     SubmitAction,
 )
 from repro.core.server_incomplete import IncompleteWorldServer
+from repro.core.spans import SpanPipeline
 from repro.errors import ConfigurationError, ProtocolError
 from repro.metrics.shard_audit import audit_sharded_run
 from repro.net.host import Host
@@ -280,11 +256,12 @@ class ShardStats:
 
 class ShardView:
     """What a shard server shows its transport-free units — the
-    :class:`~repro.core.elastic.Rebalancer` and the
-    :class:`~repro.core.handoff.HandoffBarrier`, which share one: a
-    narrow view, never the server itself (each unit lists what it
-    reads).  Each attribute is read from the server at the moment the
-    unit asks."""
+    :class:`~repro.core.elastic.Rebalancer`, the
+    :class:`~repro.core.handoff.HandoffBarrier` and the
+    :class:`~repro.core.spans.SpanPipeline`, which share one: a narrow
+    view, never the server itself (each unit lists what it reads).
+    Each attribute is read from the server at the moment the unit
+    asks."""
 
     __slots__ = ("_server",)
 
@@ -316,18 +293,30 @@ class ShardView:
     detach = property(attrgetter("_server.detach_client"))
     breach = property(attrgetter("_server.breach"))
     refresh = property(attrgetter("_server._refresh_indexed_positions"))
+    lease = property(attrgetter("_server.lease"))
+    speaks_at_will = property(attrgetter("_server._speaks_at_will"))
+    host = property(attrgetter("_server.host"))
+    costs = property(attrgetter("_server.costs"))
+    recovery = property(attrgetter("_server.recovery"))
+    entries = property(attrgetter("_server._entries"))
+    writer_index = property(attrgetter("_server._writer_index"))
+    avatar_owner = property(attrgetter("_server._avatar_owner"))
+    admit = property(attrgetter("_server._admit_local"))
+    enqueue = property(attrgetter("_server._enqueue"))
+    drop = property(attrgetter("_server._drop"))
+    advance = property(attrgetter("_server._advance_frontier"))
 
 
 class ShardServer(IncompleteWorldServer):
     """One shard: a full Incomplete World server over one world stripe.
 
-    Extends the base server with span classification and two-phase
-    forwarding (owner side), gsn splicing and value-entry distribution
-    (every involved side) and result/abort relays; hosts three
-    transport-free units it calls at the events they follow: the gsn
-    lease, the elastic :class:`~repro.core.elastic.Rebalancer` and the
-    client :class:`~repro.core.handoff.HandoffBarrier` (the last two
-    see the server through one :class:`ShardView`).
+    Extends the base server with the peer seam, shard crash takeover
+    and handoff adoption; hosts four transport-free units it calls at
+    the events they follow: the gsn lease, the
+    :class:`~repro.core.spans.SpanPipeline`, the elastic
+    :class:`~repro.core.elastic.Rebalancer` and the client
+    :class:`~repro.core.handoff.HandoffBarrier` (the last three see the
+    server through one :class:`ShardView`).
     """
 
     def __init__(
@@ -344,7 +333,6 @@ class ShardServer(IncompleteWorldServer):
     ) -> None:
         self.shard_index = shard_index
         self.partition = partition
-        self.span_slack = span_slack
         self.shard_stats = ShardStats()
         # -- crash tolerance (docs/control_plane.md) --------------------
         #: Checkpoint+WAL recovery log; ``None`` unless the run's fault
@@ -367,26 +355,6 @@ class ShardServer(IncompleteWorldServer):
             dead=self._dead_shards,
             on_moved=self._sequencer_moved,
         )
-        #: Owner-side span forwards awaiting their splice, re-forwarded
-        #: when the sequencer dies (lease failover or restart hello).
-        self._unspliced: Dict[ActionId, SpanForward] = {}
-        #: Action ids this sequencer already assigned a gsn (dedup for
-        #: failover re-forwards that race an in-flight splice).
-        self._sequenced_ids: set = set()
-        #: Per-client count of span forwards not yet spliced back.
-        self._outstanding_spans: Dict[ClientId, int] = {}
-        #: Per-client submissions parked behind an outstanding span
-        #: (admitted in arrival order once the splice returns, so the
-        #: client's stream order matches its submission order).
-        self._held: Dict[ClientId, List[Action]] = {}
-        #: Ids of spanning submissions whose admission (and so their
-        #: span forward) still waits on this shard's host.
-        self._queued_spans: set = set()
-        #: Live span entries by action id -> queue position.
-        self._span_entries: Dict[ActionId, int] = {}
-        #: All gsns ever assigned to span actions seen by this shard
-        #: (splice time; kept for the cross-shard consistency audit).
-        self.span_gsns: Dict[ActionId, int] = {}
         #: Set by :meth:`crash`: this shard's host died.
         self._crashed = False
         #: :data:`COUNTED_MESSAGES` that crossed this server's seam, out
@@ -397,13 +365,14 @@ class ShardServer(IncompleteWorldServer):
         super().__init__(*args, **kwargs)
         if recovery is not None:
             self.on_commit = recovery.on_commit
-        #: This shard's ends of the elastic rebalancer (inert without an
-        #: ElasticConfig) and of the client handoff; both see the server
-        #: through one narrow view.
+        #: This shard's ends of the span pipeline, the elastic rebalancer
+        #: (inert without an ElasticConfig) and the client handoff; all
+        #: three see the server through one narrow view.
         view = ShardView(self)
+        self.spans = SpanPipeline(view, span_slack)
         self.rebalancer = Rebalancer(elastic, view, span_slack)
         self.handoff = HandoffBarrier(view, handoff_margin)
-        for unit in (self.lease, self.rebalancer, self.handoff):
+        for unit in (self.lease, self.spans, self.rebalancer, self.handoff):
             self._handlers.update(bound_handlers(unit))
         #: This shard runs something that can put a message on the
         #: backbone at any event: a lease that can move, the elastic
@@ -421,16 +390,13 @@ class ShardServer(IncompleteWorldServer):
     # The peer seam (docs/sharding.md): the dispatch table, and the
     # three ways a message leaves for another shard
     # ------------------------------------------------------------------
-    #: The base server's three plus this class's five; the four lease,
-    #: five elastic and three handoff messages are the units' own
-    #: (``GsnLease.HANDLERS``, ``Rebalancer.HANDLERS``,
-    #: ``HandoffBarrier.HANDLERS``, merged in per instance).
+    #: The base server's three plus the restart hello; the four lease,
+    #: four span, five elastic and three handoff messages are the
+    #: units' own (``GsnLease.HANDLERS``, ``SpanPipeline.HANDLERS``,
+    #: ``Rebalancer.HANDLERS``, ``HandoffBarrier.HANDLERS``, merged in
+    #: per instance).
     HANDLERS = {
         **IncompleteWorldServer.HANDLERS,
-        SpanForward: "_on_span_forward",
-        SpanSplice: "_on_span_splice",
-        SpanResult: "_on_span_result",
-        SpanAbort: "_on_span_abort",
         ShardHello: "_on_shard_hello",
     }
 
@@ -473,210 +439,21 @@ class ShardServer(IncompleteWorldServer):
             self._send_peer(self.lease.holder, message)
 
     # ------------------------------------------------------------------
-    # Admission: classification, hold-back, forwarding (owner side)
+    # Admission: the span pipeline classifies, holds back and forwards
     # ------------------------------------------------------------------
-    def _involved_shards(self, action: Action) -> Tuple[int, ...]:
-        """The shards whose regions the action's influence disc (plus
-        the conservative classification slack) intersects.
-
-        During a rebalance epoch the *union* over the current and every
-        open epoch's superseded partition decides: a write into
-        contested territory must reach old and new owner alike, so
-        neither store goes stale while ownership is in flight."""
-        if action.position is None:
-            # No spatial footprint: conservatively involves everyone.
-            return tuple(range(self.partition.shards))
-        x, radius = action.position.x, action.radius + self.span_slack
-        involved = self.partition.shards_touching(x, radius)
-        if self.rebalancer.epochs:
-            return self.rebalancer.widen(x, radius, involved)
-        return involved
+    #: The base admission (timestamp and enqueue), which the span
+    #: pipeline calls for a local action.
+    _admit_local = IncompleteWorldServer._admit
 
     def _admit(self, src: ClientId, action: Action) -> None:
-        self._queued_spans.discard(action.action_id)
-        self._held.setdefault(src, []).append(action)
-        # While a span forward of this client is in flight the action
-        # stays parked: admitting it now would serialize it *before* the
-        # span locally while the client's stream expects submission order.
-        if not self._outstanding_spans.get(src):
-            self._drain_held(src)
+        self.spans.admit(src, action)
 
-    def _note_stream_high(self) -> None:
-        """Record the stream-position high-water in the recovery log so
-        a restarted incarnation never re-issues an admitted position."""
+    def _enqueue(self, action: Action, valid: bool) -> QueueEntry:
+        entry = super()._enqueue(action, valid)
         if self.recovery is not None:
-            self.recovery.note_stream(self._next_pos - 1)
-
-    def _forward_span(
-        self, src: ClientId, action: Action, involved: Tuple[int, ...]
-    ) -> None:
-        self._outstanding_spans[src] = self._outstanding_spans.get(src, 0) + 1
-        self.shard_stats.spans_forwarded += 1
-        if self._obs is not None:
-            self._obs.on_shard_forward(self.sim.now, self.shard_index, len(involved))
-        message = SpanForward(self.shard_index, involved, action)
-        # Tracked until the splice returns; re-forwarded if the
-        # sequencer dies first (lease failover or restart hello).
-        self._unspliced[action.action_id] = message
-        # A dead sequencer drops the send at dispatch; the forward
-        # stays in _unspliced and is re-sent once a successor is
-        # granted the lease (or the restarted sequencer hellos).
-        self._to_holder(message)
-
-    def _drain_held(self, client_id: ClientId) -> None:
-        """Admit parked submissions in order; stop (still holding the
-        rest) if one of them is itself a spanning action.  Parked ones
-        exist only while a span forward is outstanding, so a submission
-        admitted with none outstanding is the only one drained."""
-        held = self._held.get(client_id)
-        while held:
-            action = held.pop(0)
-            if client_id not in self.clients:
-                self._release(client_id, action)
-                continue
-            involved = self._involved_shards(action)
-            if len(involved) > 1:
-                self._forward_span(client_id, action, involved)
-                return
-            super()._admit(client_id, action)
-            self._note_stream_high()
-        self._held.pop(client_id, None)
-
-    # ------------------------------------------------------------------
-    # Sequencing and splicing
-    # ------------------------------------------------------------------
-    def _on_span_forward(self, src: ClientId, message: SpanForward) -> None:
-        if not self.lease.is_holder:
-            if self.lease.config.fails_over:
-                # Stale routing during a lease failover: the owner
-                # re-forwards to the new holder on the LeaseGrant.
-                return
-            raise ProtocolError(
-                f"shard {self.shard_index} received a SpanForward "
-                f"(only shard {self.lease.holder} sequences)"
-            )
-        self._sequence_span(message)
-
-    def _sequence_span(self, message: SpanForward) -> None:
-        """Assign the next gsn and broadcast the splice to every
-        involved shard (self-splices run synchronously; peers receive
-        over FIFO backbone links, preserving gsn order per shard)."""
-        if message.owner in self._dead_shards:
-            # The owner shard died after forwarding: its originator is
-            # gone with it, so sequencing would only create entries
-            # every survivor must then takeover-abort.
-            return
-        if message.action.action_id in self._sequenced_ids:
-            # A failover re-forward raced the original splice (the dead
-            # holder's broadcast was already in flight when the owner
-            # re-sent); the first gsn stands.
-            return
-        self._sequenced_ids.add(message.action.action_id)
-        if self.rebalancer.config is not None:
-            # Re-classify against the sequencer's partition view: the
-            # owner may have forwarded under boundaries it had not yet
-            # seen superseded (the controller flips one backbone-hop
-            # earlier than everyone else).  The union can only grow, so
-            # every store that needs this write gets the splice.
-            touched = set(message.involved)
-            touched.update(self._involved_shards(message.action))
-            if len(touched) > len(message.involved):
-                message = SpanForward(
-                    message.owner, tuple(sorted(touched)), message.action
-                )
-        gsn = self.lease.assign_gsn()
-        self.shard_stats.spans_sequenced += 1
-        if self.recovery is not None:
-            self.recovery.note_gsn(gsn)
-        self.host.execute(self.costs.timestamp_ms, lambda: None)
-        splice = SpanSplice(gsn, message.owner, message.involved, message.action)
-        for shard in message.involved:
-            if shard == self.shard_index:
-                self._on_span_splice(self.server_id, splice)
-            elif shard not in self._dead_shards:
-                self._send_peer(shard, splice)
-
-    def _on_span_splice(self, src: ClientId, splice: SpanSplice) -> None:
-        """Splice a sequenced spanning action into the local stream at
-        the next position, pre-validated (the sequencer's gsn order
-        admits it; Information Bound geometry does not apply)."""
-        action = splice.action
-        if action.action_id in self.span_gsns:
-            return  # duplicate splice from a failover re-forward
-        if splice.owner in self._dead_shards:
-            # Spliced while the owner crashed (broadcast in flight):
-            # its result can never arrive, so never enqueue it (the
-            # takeover abort only sweeps entries spliced *before* the
-            # crash notice).
-            return
-        entry = QueueEntry(self._next_pos, action, arrived_at=self.sim.now)
-        entry.span = True
-        entry.span_owner = splice.owner == self.shard_index
-        # Only where no span can abort and no store change outside the
-        # stream: on a shard that never speaks at will.
-        peer = not (entry.span_owner or self._speaks_at_will)
-        entry.span_code = peer and self._inputs_match_owner(splice)
-        entry.span_owner_shard = splice.owner
-        entry.gsn = splice.gsn
-        entry.span_involved = splice.involved
-        entry.valid = True
-        self._next_pos += 1
-        self._entries.append(entry)
-        self._writer_index.note_enqueued(entry.pos, action.writes)
-        self.stats.actions_serialized += 1
-        self.shard_stats.spans_spliced += 1
-        if self._validated_upto == entry.pos - 1:
-            # Contiguous with the validation frontier: distributable now
-            # (otherwise the next validation tick's frontier walk passes
-            # over the pre-set verdict).
-            self._validated_upto = entry.pos
-        self._span_entries[action.action_id] = entry.pos
-        self.span_gsns[action.action_id] = splice.gsn
-        self.lease.observe_gsn(splice.gsn)
-        self._note_stream_high()
-        self.host.execute(self.costs.timestamp_ms, lambda: None)
-        if self._obs is not None:
-            self._obs.on_shard_splice(
-                self.sim.now, self.shard_index, splice.gsn, entry.pos
-            )
-        if entry.span_owner:
-            self._unspliced.pop(action.action_id, None)
-            originator = action.client_id
-            remaining = self._outstanding_spans.get(originator, 0) - 1
-            if remaining > 0:
-                self._outstanding_spans[originator] = remaining
-            else:
-                self._outstanding_spans.pop(originator, None)
-                self._drain_held(originator)
-
-    def _inputs_match_owner(self, splice: SpanSplice) -> bool:
-        """Peer side, before the splice enqueues: whether each object
-        the span reads holds here what the owner's stream gives it, so
-        this shard's clients may get its code (docs/sharding.md, "Value
-        entries").  Its last committed writer here
-        (``Rebalancer.stamps``) and every writer still queued here must
-        be spans the owner splices too; and the object must be the
-        mover's avatar, written here by the mover's actions up to this
-        one with no seq missing, or the avatar of a client attached
-        here."""
-        owner, action = splice.owner, splice.action
-        mover, seq = action.action_id
-        live, base = self._writer_index.live_positions, self._base_pos
-        # All-accumulation: visit order cannot change the verdict.
-        for oid in action.reads:  # lint: allow(set-iteration)
-            stamp = self.rebalancer.stamps.get(oid)
-            queued = [self._entries[pos - base] for pos in live(oid)]
-            run = [stamp[2:]] if stamp else []  # (writer id, involved shards)
-            run += [(entry.action.action_id, entry.span_involved) for entry in queued]
-            if not all(owner in involved for _, involved in run):
-                return False  # a local writer, or a dirty mark
-            if oid in action.writes:
-                first = stamp[2].seq if stamp else 0
-                if [w for w, _ in run] != [ActionId(mover, n) for n in range(first, seq)]:
-                    return False
-            elif oid not in self._avatar_owner:
-                return False
-        return True
+            # A restarted incarnation never re-issues an admitted position.
+            self.recovery.note_stream(entry.pos)
+        return entry
 
     # ------------------------------------------------------------------
     # The sequencer moved or came back (docs/control_plane.md)
@@ -692,8 +469,7 @@ class ShardServer(IncompleteWorldServer):
         """Re-send what the previous holder (or the holder's previous
         incarnation) never answered: span forwards whose splice never
         came back, and the DrainDones it had collected."""
-        for message in list(self._unspliced.values()):
-            self._to_holder(message)
+        self.spans.redrive()
         self.rebalancer.redrive()
 
     # ------------------------------------------------------------------
@@ -712,17 +488,9 @@ class ShardServer(IncompleteWorldServer):
         self._dead_shards.add(shard)
         aborted = False
         for entry in self._entries:
-            if (
-                entry.span
-                and not entry.span_owner
-                and entry.span_owner_shard == shard
-                and entry.span_result is None
-                and entry.completion is None
-                and entry.valid is True
-            ):
-                self._drop(entry)
-                self.stats.orphans_aborted += 1
-                aborted = True
+            unresolved = entry.completion is None and entry.valid is True
+            if entry.span_owner_shard == shard and unresolved:
+                aborted = super()._abort_orphan(entry)
         if aborted:
             self._advance_frontier()
         self.rebalancer.shard_down()
@@ -757,85 +525,29 @@ class ShardServer(IncompleteWorldServer):
             self.rebalancer.catch_up(hello.shard)
 
     # ------------------------------------------------------------------
-    # Result distribution
+    # The events the span pipeline follows
     # ------------------------------------------------------------------
     def _note_completion(self, entry: QueueEntry, message: Completion) -> None:
-        """Owner side: the first completion of a span — its
-        originator's, or under fault tolerance any owner client's — is
-        its committed result; relay it to the involved peers before the
-        frontier (possibly) pops the entry.  It passed the cheat screen
-        first, so a lying result is never broadcast."""
-        if entry.span and entry.span_owner and entry.span_result is None:
-            entry.span_result = message.result
-            self._tell_involved(
-                entry, SpanResult(entry.gsn, entry.action.action_id, message.result)
-            )
-
-    def _tell_involved(self, entry: QueueEntry, message: object) -> None:
-        """Owner side: send a span's fate to the other involved shards."""
-        for shard in entry.span_involved:
-            if shard != self.shard_index:
-                self._send_peer(shard, message)
-
-    def _on_span_result(self, src: ClientId, message: SpanResult) -> None:
-        """Peer side: record the committed result of a spliced spanning
-        action — unblocking value-entry distribution and the commit
-        frontier."""
-        pos = self._span_entries.get(message.action_id)
-        if pos is None or pos < self._base_pos:
-            return  # already resolved (e.g. aborted) — nothing to do
-        entry = self._entries[pos - self._base_pos]
-        if entry.span_result is not None:
-            return
-        entry.span_result = message.result
-        entry.record_completion(message.result, src)
-        self._advance_frontier()
-
-    def _on_span_abort(self, src: ClientId, message: SpanAbort) -> None:
-        """Peer side: the owner aborted a spanning action; drop our
-        spliced entry so the frontier can pass it."""
-        pos = self._span_entries.get(message.action_id)
-        if pos is None or pos < self._base_pos:
-            return
-        entry = self._entries[pos - self._base_pos]
-        if entry.completion is not None:
-            return  # result won the race; the abort is stale
-        self._drop(entry)
-        self._advance_frontier()
+        # It passed the cheat screen first, so a lying result is never
+        # relayed.
+        self.spans.completed(entry, message.result)
 
     def _wire_action(self, client_id: ClientId, entry: QueueEntry) -> Action:
-        if _is_span_value(entry):
-            # A span spliced from another owner whose inputs here may
-            # differ: this shard's clients receive the committed
-            # result, not the code.
-            assert entry.span_result is not None, "span closures defer until known"
-            action_id = entry.action.action_id
-            return BlindWrite(action_id, entry.span_result.values(), origin=action_id)
-        return entry.action
+        return self.spans.wire(entry)
 
-    # ------------------------------------------------------------------
-    # Orphan aborts (owner decides for spanning actions)
-    # ------------------------------------------------------------------
     def _abort_orphan(self, entry: QueueEntry) -> bool:
-        if entry.span and not entry.span_owner:
-            return False  # only the owner may abort a spanning action
-        super()._abort_orphan(entry)
-        if entry.span:
-            self._tell_involved(entry, SpanAbort(entry.gsn, entry.action.action_id))
-        return True
+        return self.spans.orphaned(entry) and super()._abort_orphan(entry)
 
     # ------------------------------------------------------------------
-    # The events the handoff barrier follows
+    # The events the units follow
     # ------------------------------------------------------------------
     def _note_submission(self, src: ClientId, action: Action) -> None:
         self.handoff.submitted(src, action.action_id)
-        if len(self._involved_shards(action)) > 1:
-            self._queued_spans.add(action.action_id)
+        self.spans.submitted(action)
 
     def _note_resolved(self, entry: QueueEntry) -> None:
-        action_id = entry.action.action_id
-        self._span_entries.pop(action_id, None)
-        self.handoff.resolved(entry.action.client_id, action_id)
+        self.spans.resolved(entry)
+        self.handoff.resolved(entry.action.client_id, entry.action.action_id)
         self.rebalancer.note_resolved(entry)
 
     def _advance_frontier(self) -> None:
@@ -870,8 +582,7 @@ class ShardServer(IncompleteWorldServer):
 
     def detach_client(self, client_id: ClientId) -> None:
         super().detach_client(client_id)
-        self._held.pop(client_id, None)
-        self._outstanding_spans.pop(client_id, None)
+        self.spans.detached(client_id)
         self.handoff.detached(client_id)
 
     def start(self, *, stop_at: Optional[TimeMs] = None) -> None:
@@ -891,9 +602,7 @@ class ShardServer(IncompleteWorldServer):
         it: while a client that acknowledged its handoff waits for its
         transfer, while a spanning submission waits on the host, and
         always when it runs something that speaks at will."""
-        return self._speaks_at_will or bool(self._queued_spans) or (
-            self.handoff.speaks_unprompted()
-        )
+        return self._speaks_at_will or bool(self.spans.queued) or self.handoff.speaks_unprompted()
 
     @property
     def stripe(self) -> Tuple[float, float]:
@@ -1327,7 +1036,7 @@ class ShardedSeveEngine(SeveEngine):
     # ------------------------------------------------------------------
     # Results: the measured surface, where sharding makes it real.  These
     # (and the inherited rules) read only ``_servers()`` rows —
-    # ``clients``, ``stats``, ``shard_stats``, ``span_gsns``, ``stripe``,
+    # ``clients``, ``stats``, ``shard_stats``, ``spans.gsns``, ``stripe``,
     # ``rebalance_log``, ``failover_log`` —, ``server_hosts`` rows,
     # ``clients``, ``shard_states``, ``dead`` and ``quarantined``, so
     # :class:`repro.net.backend.MergedRun` applies the same rules to the
@@ -1394,7 +1103,7 @@ class ShardedSeveEngine(SeveEngine):
         """Union of every shard's gsn assignments (audit input)."""
         merged: Dict[ActionId, int] = {}
         for server in self._servers():
-            merged.update(server.span_gsns)
+            merged.update(server.spans.gsns)
         return merged
 
     def __repr__(self) -> str:

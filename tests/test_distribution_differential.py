@@ -436,3 +436,30 @@ def test_client_crash_inside_its_home_shards_crash_stays_consistent():
     )
     report = run_simulation("seve", settings).consistency
     assert report.consistent, report.summary()
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP 4a")
+def test_a_client_crash_alone_at_one_shard_stays_consistent_and_quiesces():
+    """ROADMAP item 4a's class at K = 1, with no network fault: client 3
+    crashes at 600 ms and rejoins at 900 ms.  The run idles to its
+    drain deadline (120 900 ms virtual, 47 of 48 responses) and ends
+    "40 object replicas checked: 27 current, 0 stale-but-committed,
+    13 violations".  Its head entry is client 3's own second move,
+    valid, with an empty sent(a), which client 3 still holds pending
+    and nothing re-sends.  As a command line (exit status 1)::
+
+        python -m repro run seve --clients 24 --walls 300 --moves 2 \\
+          --world-width 400 --world-height 400 --spawn uniform \\
+          --spawn-extent 140 --rtt-ms 150 --bandwidth-bps none \\
+          --move-interval-ms 200 --move-cost-ms 1 --eval-overhead-ms 0.1 \\
+          --seed 13 --fault-seed 1 --crash-plan 3@600:900
+    """
+    settings = DIFF_SETTINGS.with_(
+        num_clients=24,
+        moves_per_client=2,
+        spawn="uniform",
+        fault_plan=FaultPlan(seed=1, crashes=parse_crash_plan("3@600:900")),
+    )
+    result = run_simulation("seve", settings)
+    assert result.consistency.consistent, result.consistency.summary()
+    assert result.virtual_ms < settings.submit_horizon_ms + settings.drain_ms

@@ -27,6 +27,7 @@ from repro.core.messages import (
 )
 from repro.core.server_incomplete import IncompleteWorldServer
 from repro.core.sharded import ShardServer
+from repro.core.spans import SpanPipeline
 from repro.errors import ProtocolError
 from repro.harness.architectures import build_engine
 from repro.harness.config import SimulationSettings
@@ -46,6 +47,7 @@ ELASTIC_GROUP = CONSERVATION_GROUPS["elastic"]
 SERVER_TABLES = (
     ShardServer.HANDLERS,
     GsnLease.HANDLERS,
+    SpanPipeline.HANDLERS,
     Rebalancer.HANDLERS,
     HandoffBarrier.HANDLERS,
 )
@@ -73,8 +75,8 @@ def test_every_protocol_message_has_a_table_entry_or_a_surviving_chain():
 
 
 def test_a_shard_servers_table_is_its_class_table_plus_the_leases():
-    """Plus the rebalancer's and the handoff barrier's: each unit's
-    messages are bound to it."""
+    """Plus the span pipeline's, the rebalancer's and the handoff
+    barrier's: each unit's messages are bound to it."""
     assert set(IncompleteWorldServer.HANDLERS) < set(ShardServer.HANDLERS)
     assert HybridRelayServer.HANDLERS is IncompleteWorldServer.HANDLERS
     server = build_engine("seve", ELASTIC_K2).shard_servers[1]
@@ -84,6 +86,8 @@ def test_a_shard_servers_table_is_its_class_table_plus_the_leases():
         owner = server
         if kind in GsnLease.HANDLERS:
             owner = server.lease
+        elif kind in SpanPipeline.HANDLERS:
+            owner = server.spans
         elif kind in Rebalancer.HANDLERS:
             owner = server.rebalancer
         elif kind in HandoffBarrier.HANDLERS:

@@ -847,7 +847,7 @@ def test_every_promise_rule_is_load_bearing(dropped, speaks, monkeypatch):
 
         def forgetful(server, src, action):
             note(server, src, action)
-            server._queued_spans.discard(action.action_id)
+            server.spans.queued.discard(action.action_id)
 
         monkeypatch.setattr(ShardServer, "_note_submission", forgetful)
     else:

@@ -773,7 +773,7 @@ def _splice_far_span(twins):
     """Splice a spanning action that shard 1 owns into both servers."""
     action = Step(ActionId(B, 1_000), at=Vec2(2_000, 2_000))
     for server in twins.servers():
-        server._on_span_splice(shard_host_id(1), SpanSplice(0, 1, (0, 1), action))
+        server.spans.on_splice(shard_host_id(1), SpanSplice(0, 1, (0, 1), action))
     twins.push()
     return action
 
@@ -794,7 +794,7 @@ def test_parked_client_walks_after_a_span_abort(walks):
     park_c(twins, walks)
     action = _splice_far_span(twins)
     for server in twins.servers():
-        server._on_span_abort(shard_host_id(1), SpanAbort(0, action.action_id))
+        server.spans.on_abort(shard_host_id(1), SpanAbort(0, action.action_id))
     twins.push()
     assert walks(twins) > 0
     twins.stats_equal()

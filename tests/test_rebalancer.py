@@ -23,6 +23,7 @@ from repro.core.sharded import RegionPartition, ShardStats, ShardView
 from repro.state.objects import WorldObject
 from repro.state.versioned import VersionedStore
 from tests.test_handoff_barrier import VIEW as BARRIER_VIEW
+from tests.test_sharded import SPAN_VIEW
 
 WIDTH = 300.0
 CONFIG = ElasticConfig(interval_ms=100.0, threshold=1.5, hysteresis=2)
@@ -329,7 +330,7 @@ def test_resolved_entries_stamp_their_writes():
     def entry(gsn, span, written, valid=True, seq=0):
         completion = SimpleNamespace(written_ids=lambda: set(written))
         return SimpleNamespace(
-            gsn=gsn, span=span, valid=valid, completion=completion,
+            gsn=gsn if span else -1, valid=valid, completion=completion,
             action=SimpleNamespace(action_id=ActionId(3, seq)),
             span_involved=(0, 2) if span else (),
         )  # fmt: skip
@@ -372,8 +373,9 @@ def test_an_inert_unit_starts_no_timer_and_stays_quiescent():
 
 def test_the_shard_servers_view_shows_exactly_what_the_fake_shard_shows():
     """The real view and this file's fake agree on the unit's surface;
-    the barrier's fake covers the rest of the view."""
+    the barrier's and the span pipeline's fakes cover the rest of the
+    view."""
     shown = {name for name, value in vars(ShardView).items() if isinstance(value, property)}
-    assert shown == VIEW | BARRIER_VIEW
+    assert shown == VIEW | BARRIER_VIEW | SPAN_VIEW
     fake = Cluster().peers[0]
     assert all(hasattr(fake, name) for name in VIEW)

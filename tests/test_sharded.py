@@ -6,20 +6,25 @@ configuration guards.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core import server_incomplete
 from repro.core.action import Action, ActionId, ActionResult, BlindWrite
 from repro.core.closure import QueueEntry, _is_span_value
+from repro.core.elastic import Rebalancer
 from repro.core.engine import SeveConfig
+from repro.core.indexes import WriterIndex
 from repro.core.messages import SpanForward, SpanSplice
-from repro.core.server_incomplete import IncompleteWorldServer
 from repro.core.sharded import (
     RegionPartition,
     ShardedSeveEngine,
     ShardingConfig,
     ShardServer,
+    ShardStats,
 )
+from repro.core.spans import SpanPipeline
 from repro.errors import ConfigurationError, ProtocolError
 from repro.harness.architectures import build_engine, build_world
 from repro.harness.config import SimulationSettings
@@ -27,6 +32,7 @@ from repro.harness.runner import run_simulation
 from repro.harness.workload import MoveWorkload
 from repro.net.faults import CrashWindow, FaultPlan, LivenessConfig, parse_crash_plan
 from repro.types import shard_host_id
+from repro.world.geometry import Vec2
 from tests.test_golden_runs import RUNS as GOLDEN_RUNS
 from tests.test_parallel_backend import EVERY_W, result_key
 
@@ -225,19 +231,19 @@ def _record_span_traffic(monkeypatch):
     as the entry leaves the queue), each span's owner, every span entry
     wired to a client and every closure that deferred."""
     log = dict(verdicts={}, inputs={}, owners={}, wired=[], deferrals=[])
-    verdict = ShardServer._inputs_match_owner
+    verdict = SpanPipeline._inputs_match_owner
     resolved = ShardServer._note_resolved
     wire_action = ShardServer._wire_action
     walk = server_incomplete.transitive_closure
 
-    def recording_verdict(server, splice):
-        holds = verdict(server, splice)
-        log["verdicts"][server.shard_index, splice.action.action_id] = holds
+    def recording_verdict(unit, splice):
+        holds = verdict(unit, splice)
+        log["verdicts"][unit.view.shard_index, splice.action.action_id] = holds
         log["owners"][splice.action.action_id] = splice.owner
         return holds
 
     def recording_resolved(server, entry):
-        if entry.span and entry.valid is not False:
+        if entry.gsn >= 0 and entry.valid is not False:
             reads = sorted(entry.action.reads)
             log["inputs"][server.shard_index, entry.action.action_id] = [
                 server.state.get(oid).as_dict() for oid in reads
@@ -246,7 +252,7 @@ def _record_span_traffic(monkeypatch):
 
     def recording_wire(server, client_id, entry):
         action = wire_action(server, client_id, entry)
-        if entry.span:
+        if entry.gsn >= 0:
             log["wired"].append((server.shard_index, entry, client_id, action))
         return action
 
@@ -258,7 +264,7 @@ def _record_span_traffic(monkeypatch):
             )
         return chain, seed
 
-    monkeypatch.setattr(ShardServer, "_inputs_match_owner", recording_verdict)
+    monkeypatch.setattr(SpanPipeline, "_inputs_match_owner", recording_verdict)
     monkeypatch.setattr(ShardServer, "_note_resolved", recording_resolved)
     monkeypatch.setattr(ShardServer, "_wire_action", recording_wire)
     monkeypatch.setattr(server_incomplete, "transitive_closure", recording_walk)
@@ -276,10 +282,10 @@ def test_owner_clients_get_span_code_and_peer_clients_get_values(monkeypatch):
     verdicts = log["verdicts"]
     for shard, entry, client, action in log["wired"]:
         action_id = entry.action.action_id
-        if entry.span_owner:
+        if entry.span_owner_shard == shard:
             assert action is entry.action
         elif verdicts[shard, action_id]:
-            assert entry.span_code and action is entry.action
+            assert not entry.span_value and action is entry.action
         else:
             assert isinstance(action, BlindWrite) and action.origin == action_id
     # The verdict is sound: every span a peer sent as code read there
@@ -293,8 +299,8 @@ def test_owner_clients_get_span_code_and_peer_clients_get_values(monkeypatch):
     # originators as code, peers' clients got code, and got values.
     assert code and not all(verdicts.values())
     wired = log["wired"]
-    assert any(e.span_owner and c != e.action.client_id for _, e, c, _ in wired)
-    assert any(not e.span_owner and a is e.action for _, e, _, a in wired)
+    assert any(e.span_owner_shard == s and c != e.action.client_id for s, e, c, _ in wired)
+    assert any(e.span_owner_shard != s and a is e.action for s, e, _, a in wired)
     assert any(isinstance(a, BlindWrite) for _, _, _, a in wired)
     # A closure defers only on a value entry whose result is unknown.
     assert all(log["deferrals"])
@@ -312,36 +318,109 @@ class _Span(Action):
         return {}
 
 
+class Stripe:
+    """One fake shard and its span pipeline's view, with no engine: what
+    the view reads are plain attributes, the queue is a list with its
+    writer index, and what the pipeline sends is recorded in ``sent``.
+    An inert :class:`Rebalancer` keeps the last-writer stamps."""
+
+    def __init__(self, index: int, clients) -> None:
+        self.shard_index = index
+        self.partition = RegionPartition(900.0, 3)
+        self.dead: set = set()
+        self.clients = dict.fromkeys(clients)
+        self.avatar_owner = {f"avatar:{client}": client for client in clients}
+        self.stats = ShardStats()
+        self.now, self.obs, self.recovery = 0.0, None, None
+        self.speaks_at_will = False
+        self.lease = SimpleNamespace(is_holder=False, observe_gsn=lambda gsn: None)
+        self.host = SimpleNamespace(execute=lambda cost_ms, job: None)
+        self.costs = SimpleNamespace(timestamp_ms=0.0)
+        self.entries: list = []
+        self.base_pos = 0
+        self.writer_index = WriterIndex()
+        self.sent: list = []
+        self.rebalancer = Rebalancer(None, self)
+        self.unit = SpanPipeline(self, 0.0)
+
+    def to_holder(self, message) -> None:
+        self.sent.append(message)
+
+    def send_peer(self, shard: int, message) -> None:
+        self.sent.append((shard, message))
+
+    def admit(self, client, action) -> None:
+        """The server's local admission (Information Bound validation
+        still to come)."""
+        if client in self.clients:
+            self.enqueue(action, False)
+
+    def enqueue(self, action, valid: bool) -> QueueEntry:
+        pos = self.base_pos + len(self.entries)
+        entry = QueueEntry(pos, action, self.now, valid=valid or None)
+        self.entries.append(entry)
+        self.writer_index.note_enqueued(pos, action.writes)
+        return entry
+
+    def drop(self, entry) -> None:
+        entry.valid = False
+
+    def advance(self) -> None:
+        """The commit frontier, as far as the pipeline and the stamps
+        see it."""
+        while self.entries and self.entries[0].committed_ready:
+            entry = self.entries.pop(0)
+            self.base_pos = entry.pos + 1
+            self.writer_index.note_dequeued(entry.action.writes, self.base_pos)
+            self.rebalancer.note_resolved(entry)
+            self.unit.resolved(entry)
+
+    def adopt(self, client) -> None:
+        """What ``ShardServer._adopt`` does that the verdict reads: the
+        client is attached, and its avatar's stamp is dirty."""
+        self.clients[client] = None
+        self.avatar_owner[f"avatar:{client}"] = client
+        self.rebalancer.mark_dirty(f"avatar:{client}")
+
+
+#: What the span pipeline reads of the view; the rest of it is the
+#: rebalancer's and the handoff barrier's (tests/test_rebalancer.py).
+SPAN_VIEW = {
+    "shard_index", "partition", "dead", "clients", "stats", "now", "obs",
+    "rebalancer", "lease", "speaks_at_will", "host", "costs", "recovery",
+    "entries", "base_pos", "writer_index", "avatar_owner", "send_peer",
+    "to_holder", "admit", "enqueue", "drop", "advance",
+}
+
+
+def test_the_fake_stripe_shows_what_the_span_pipeline_reads():
+    fake = Stripe(0, ())
+    assert all(hasattr(fake, name) for name in SPAN_VIEW)
+
+
 @pytest.fixture
 def stripes():
-    """A built, unstarted K = 3 engine: clients 2, 5 and 8 are attached
-    to shard 0, 1, 3, 4 and 7 to shard 1, and 0, 6, 9, 10, 11 to shard
-    2.  ``splice(shard, owner, action)`` splices ``action`` there and
-    returns whether that shard's clients get its code."""
-    settings = SimulationSettings(
-        num_clients=12, num_walls=0, moves_per_client=2, world_width=900.0,
-        world_height=300.0, spawn="uniform", shards=3, seed=5,
-    )  # fmt: skip
-    engine = build_engine("seve", settings)
-    assert [sorted(server.clients) for server in engine.shard_servers] == [
-        [2, 5, 8], [1, 3, 4, 7], [0, 6, 9, 10, 11],
-    ]  # fmt: skip
+    """Three fake shards of a 900-wide world: clients 2, 5 and 8 are
+    attached to shard 0, 1, 3, 4 and 7 to shard 1, and 0, 6, 9, 10, 11
+    to shard 2.  ``splice(shard, owner, action)`` splices ``action``
+    there and returns whether that shard's clients get its code."""
+    shards = [Stripe(0, [2, 5, 8]), Stripe(1, [1, 3, 4, 7]), Stripe(2, [0, 6, 9, 10, 11])]
     gsns = iter(range(100))
 
     def splice(shard, owner, action):
-        server = engine.shard_servers[shard]
+        stripe = shards[shard]
         message = SpanSplice(next(gsns), owner, (0, 1, 2), action)
-        server._on_span_splice(shard_host_id(owner), message)
-        return server._entries[-1].span_code
+        stripe.unit.on_splice(shard_host_id(owner), message)
+        return not stripe.entries[-1].span_value
 
-    return engine, splice
+    return shards, splice
 
 
 def test_a_peer_gets_the_code_of_a_run_of_the_movers_spans(stripes):
     _, splice = stripes
     assert splice(1, 0, _Span(2, 0, 3))  # neighbour 3 is attached to shard 1
     assert splice(1, 0, _Span(2, 1, 3, 4))
-    assert not splice(1, 1, _Span(3, 0))  # code on its owner by ownership
+    assert splice(1, 1, _Span(3, 0))  # code on its owner by ownership
 
 
 def test_a_mover_whose_previous_action_was_local_gets_values(stripes):
@@ -358,22 +437,49 @@ def test_a_neighbour_homed_elsewhere_gets_values(stripes, neighbour):
 
 
 def test_a_queued_local_writer_of_an_input_gets_values(stripes):
-    engine, splice = stripes
-    server = engine.shard_servers[1]
-    IncompleteWorldServer._admit(server, 3, _Span(3, 0))
+    shards, splice = stripes
+    shards[1].admit(3, _Span(3, 0))
     assert not splice(1, 0, _Span(2, 0, 3))
 
 
 def test_an_adopted_client_is_dirty_until_one_of_its_spans_commits(stripes):
-    engine, splice = stripes
-    server = engine.shard_servers[1]
-    server._adopt(8, radius=engine.world.client_radius(8), interests=None)
-    assert not splice(1, 1, _Span(8, 0))  # owned here, involving shard 0
+    shards, splice = stripes
+    stripe = shards[1]
+    stripe.adopt(8)
+    assert splice(1, 1, _Span(8, 0))  # owned here, involving shard 0: code
     assert not splice(1, 0, _Span(2, 0, 8))  # its avatar's stamp is dirty
-    (owned, _) = server._entries
+    (owned, _) = stripe.entries
     owned.record_completion(ActionResult.of({"avatar:8": {"x": 450.0}}), 8)
-    server._advance_frontier()
+    stripe.advance()
     assert splice(1, 0, _Span(2, 1, 8))
+
+
+class _Step(Action):
+    """A move of ``mover`` at x, with a 5-unit influence disc."""
+
+    def __init__(self, mover, seq, x):
+        avatar = frozenset({f"avatar:{mover}"})
+        super().__init__(
+            ActionId(mover, seq), reads=avatar, writes=avatar, position=Vec2(x, 0.0), radius=5.0
+        )
+
+    def compute(self, store):
+        return {}
+
+
+def test_a_submission_behind_an_unspliced_span_waits_for_the_owner_splice():
+    stripe = Stripe(0, [2])
+    unit = stripe.unit
+    span, local, later = _Step(2, 0, 298.0), _Step(2, 1, 100.0), _Step(2, 2, 100.0)
+    unit.admit(2, span)  # crosses the x = 300 border: forwarded
+    assert stripe.sent == [SpanForward(0, (0, 1), span)] and stripe.entries == []
+    unit.admit(2, local)  # held behind the span
+    assert stripe.entries == [] and unit.held == {2: [local]}
+    unit.on_splice(shard_host_id(0), SpanSplice(0, 0, (0, 1), span))
+    assert [(e.pos, e.action) for e in stripe.entries] == [(0, span), (1, local)]
+    assert unit.held == {} and unit.unspliced == {}
+    unit.admit(2, later)  # no span in flight: admitted at once
+    assert stripe.entries[-1].action is later and len(stripe.sent) == 1
 
 
 def test_no_span_goes_out_as_code_in_a_run_with_a_client_crash_plan(monkeypatch):
@@ -382,7 +488,7 @@ def test_no_span_goes_out_as_code_in_a_run_with_a_client_crash_plan(monkeypatch)
     result = run_simulation("seve", GOLDEN_RUNS["seve_k4_single"].with_(fault_plan=plan))
     assert result.shard_audit.consistent, result.shard_audit.summary()
     assert not any(log["verdicts"].values())
-    peers = [action for _, entry, _, action in log["wired"] if not entry.span_owner]
+    peers = [action for shard, entry, _, action in log["wired"] if entry.span_owner_shard != shard]
     assert peers and all(isinstance(action, BlindWrite) for action in peers)
 
 
@@ -400,7 +506,7 @@ def test_peer_clients_reports_of_span_code_agree_with_the_span_result(
 
     def counting(entry, result, reporter):
         # A SpanResult's reporter is its owner's (negative) host id.
-        if entry.span_code and entry.completion is not None:
+        if entry.gsn >= 0 and not entry.span_value and entry.completion is not None:
             if (reporter < 0) != any(r < 0 for r in entry.reporters):
                 with open(checks, "a") as out:
                     out.write(f"{entry.action.action_id}\n")
