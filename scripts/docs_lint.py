@@ -2,7 +2,7 @@
 """Documentation lint: link integrity, doc-map coverage, flag,
 config-field and code-name freshness, and the generated settings table.
 
-Seven checks, all cheap enough for every test run:
+Eight checks, all cheap enough for every test run:
 
 1. **Links resolve.**  Every relative markdown link in the repo's
    documentation (``README.md``, ``DESIGN.md``, ``EXPERIMENTS.md``,
@@ -44,6 +44,12 @@ Seven checks, all cheap enough for every test run:
    assign on ``self``.  A trailing ``*`` makes the name a prefix
    (``UniformGridIndex.query_*``).  So a renamed or moved method cannot
    stay advertised under its old owner.
+8. **Repo paths are real.**  Every path inside a backticked code span
+   of the living documentation (as in check 5) that starts with
+   ``src/``, ``tests/``, ``scripts/``, ``benchmarks/``, ``docs/`` or
+   ``examples/`` must exist (a ``*`` in it is a glob that must match
+   something; a ``::`` suffix names something inside the file), so a
+   moved or deleted file cannot stay cited.
 
 Exit status 0 when clean; 1 with one ``file: problem`` line per finding.
 
@@ -137,6 +143,10 @@ KEYWORD_RE = re.compile(r"([A-Za-z_]\w*)\s*=(?!=)")
 #: ``Class.name`` reference (check 7).
 CODE_SPAN_RE = re.compile(r"`([^`]+)`")
 CLASS_NAME_RE = re.compile(r"(?<!\w)([A-Z]\w*)\.([A-Za-z_]\w*\*?)")
+#: A repo path inside a code span (check 8).
+REPO_PATH_RE = re.compile(
+    r"(?<![\w./-])((?:src|tests|scripts|benchmarks|docs|examples)/[\w./*-]*)"
+)
 
 
 def extract_links(text: str) -> list[str]:
@@ -430,6 +440,38 @@ def lint_class_names(docs: list[pathlib.Path]) -> list[str]:
     return problems
 
 
+def referenced_repo_paths(text: str) -> list[str]:
+    """Every repo path inside a backticked code span of ``text``, code
+    fences stripped (dedup'd, sorted).
+
+    >>> referenced_repo_paths(
+    ...     "`tests/test_sharded.py::test_x`, `python scripts/lint.py`, "
+    ...     "`docs/*.md`; src/prose/path.py is prose, `repro/obs` no path."
+    ... )
+    ['docs/*.md', 'scripts/lint.py', 'tests/test_sharded.py']
+    """
+    found = set()
+    for span in CODE_SPAN_RE.findall(FENCE_RE.sub("", text)):
+        found.update(path.rstrip(".") for path in REPO_PATH_RE.findall(span))
+    return sorted(found)
+
+
+def lint_repo_paths(docs: list[pathlib.Path]) -> list[str]:
+    """``file: problem`` lines for cited repo paths that do not exist."""
+    problems = []
+    for doc in docs:
+        for path in referenced_repo_paths(doc.read_text()):
+            if "*" in path:
+                real = any(REPO_ROOT.glob(path))
+            else:
+                real = (REPO_ROOT / path).exists()
+            if not real:
+                problems.append(
+                    f"{doc.relative_to(REPO_ROOT)}: stale repo path ({path})"
+                )
+    return problems
+
+
 SETTINGS_HEADER = """\
 # Run parameters
 
@@ -533,6 +575,7 @@ def main() -> int:
         + lint_flags(living)
         + lint_config_fields(living)
         + lint_class_names(living)
+        + lint_repo_paths(living)
         + lint_settings_doc()
     )
     for problem in problems:

@@ -54,8 +54,10 @@ REPLICA = SimulationSettings(
 #: bound dispatch table and the handoff barrier's three maps lived on
 #: the server, 2 278 735 and 1 274 745; while the span pipeline's state
 #: lived on the server beside a per-client count of span forwards and
-#: the sequencer's dedup was a set, 2 277 359 and 1 274 041.
-REPLICA_CEILINGS = {(1, 0): 2_276_879, (2, 0): 1_273_801}
+#: the sequencer's dedup was a set, 2 277 359 and 1 274 041; while every
+#: host, link, client and server kept its own observer reference,
+#: 2 276 879 and 1 273 801.
+REPLICA_CEILINGS = {(1, 0): 2_274_599, (2, 0): 1_272_617}
 #: The run whose end-of-run snapshots are weighed.
 SNAPSHOT = SimulationSettings(
     num_clients=48, num_walls=500, moves_per_client=3, world_width=600.0,
@@ -63,8 +65,9 @@ SNAPSHOT = SimulationSettings(
 )  # fmt: skip
 #: Pickled bytes per partition.  While a snapshot carried its shards'
 #: stores and gsn maps and its clients' stable replicas and observation
-#: logs (the audit ran in the caller), 39 946 and 36 233.
-SNAPSHOT_CEILINGS = [7_763, 6_915]
+#: logs (the audit ran in the caller), 39 946 and 36 233; while each
+#: client row carried its own counters, 7 763 and 6 915.
+SNAPSHOT_CEILINGS = [7_231, 6_479]
 
 
 def traced(build, warm) -> int:

@@ -21,6 +21,7 @@ eviction, idempotent absorption of client resubmissions by
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro.core.action import Action
@@ -69,17 +70,9 @@ class BaselineClient(ClientShell):
         *,
         retry: Optional[RetryPolicy] = None,
         retry_seed: int = 0,
-        obs=None,
     ) -> None:
         super().__init__(
-            sim,
-            network,
-            host,
-            client_id,
-            store,
-            retry=retry,
-            retry_seed=retry_seed,
-            obs=obs,
+            sim, network, host, client_id, store, retry=retry, retry_seed=retry_seed
         )
         self.evaluated = 0
         network.register(client_id, handler)
@@ -95,6 +88,14 @@ class BaselineClient(ClientShell):
         self._send_submission(action)
 
 
+@dataclass
+class RelayStats(ServerStats):
+    """The baseline server's counters (its front door's included)."""
+
+    #: Submissions relayed to the architecture past the door.
+    actions_relayed: int = 0
+
+
 class BaselineServer(ServerShell):
     """The baselines' server side: the shell's front door — every client
     is attached when the engine is built, an eviction detaches it and a
@@ -105,8 +106,8 @@ class BaselineServer(ServerShell):
     def __init__(self, engine: "BaselineEngine") -> None:
         self._engine = engine
         super().__init__(
-            engine.sim, engine.network, engine.server_host, ServerStats(),
-            liveness=engine.config.liveness, obs=engine.obs,
+            engine.sim, engine.network, engine.server_host, RelayStats(),
+            liveness=engine.config.liveness,
         )
 
     def _serves_unattached(self, src: ClientId) -> bool:
@@ -114,8 +115,7 @@ class BaselineServer(ServerShell):
         return True
 
     def _accept(self, src: ClientId, message: SubmitAction) -> None:
-        if self._obs is not None:
-            self._obs.on_server_relay(self.sim.now, len(self._engine.clients))
+        self.stats.actions_relayed += 1
         self._engine._on_server_message(src, message)
 
     def _on_unhandled(self, src: ClientId, payload: object) -> None:
@@ -152,13 +152,12 @@ class BaselineEngine(EngineChassis):
                 BaselineClient(
                     self.sim,
                     self.network,
-                    Host(self.sim, client_id, obs=self.obs),
+                    Host(self.sim, client_id),
                     client_id,
                     self.state.snapshot(),
                     self._make_client_handler(client_id),
                     retry=self.config.retry,
                     retry_seed=self.retry_seed,
-                    obs=self.obs,
                 )
             )
             self.server.attach_client(client_id)

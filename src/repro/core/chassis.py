@@ -37,7 +37,7 @@ module is that testbed, written once:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Set
 
@@ -91,12 +91,6 @@ class TestbedConfig:
     retry: Optional[RetryPolicy] = None
     #: Server-side heartbeat eviction (Section III-C).
     liveness: Optional[LivenessConfig] = None
-    #: Optional :class:`repro.obs.Observer` threaded through every
-    #: component (simulator, network, hosts, server, clients).  Excluded
-    #: from equality/repr: telemetry is not part of the experiment
-    #: identity, and observation never changes results (the differential
-    #: tests pin this).
-    obs: Optional[object] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.rtt_ms < 0:
@@ -119,6 +113,19 @@ class ClientStats:
     #: Own echoes that arrived for actions no longer pending, or whose
     #: older pending siblings' echoes were lost (non-strict mode only).
     own_echoes_lost: int = 0
+    #: Stream entries accepted for evaluation, and the simulated CPU
+    #: they were charged.
+    entries_applied: int = 0
+    apply_cpu_ms: float = 0.0
+
+    @classmethod
+    def total(cls, rows) -> "ClientStats":
+        """The field-wise sum of ``rows``."""
+        total = cls()
+        for row in rows:
+            for name, value in vars(row).items():
+                setattr(total, name, getattr(total, name) + value)
+        return total
 
 
 class ClientShell:
@@ -139,7 +146,6 @@ class ClientShell:
         server_id: ClientId = SERVER_ID,
         retry: Optional[RetryPolicy] = None,
         retry_seed: int = 0,
-        obs=None,
     ) -> None:
         self.sim = sim
         self.network = network
@@ -155,8 +161,6 @@ class ClientShell:
         #: End-to-end resubmission of unanswered own actions (``None``
         #: disables retries; the server absorbs resubmissions by id).
         self.retry = retry
-        #: Optional :class:`repro.obs.Observer` (read-only telemetry).
-        self._obs = obs
         self.stats = ClientStats()
         self._next_seq = 0
         self._submit_times: Dict[ActionId, TimeMs] = {}
@@ -223,8 +227,8 @@ class ClientShell:
         if not self.network.is_registered(self.client_id):
             return  # we crashed; a reconnect restarts nothing old
         self.stats.retransmissions += 1
-        if self._obs is not None:
-            self._obs.on_client_retry(self.client_id, self.sim.now, attempt + 1)
+        if self.sim.obs is not None:
+            self.sim.obs.on_client_retry(self.client_id, self.sim.now, attempt + 1)
         self._send_submission(action, attempt + 1)
 
     def _cancel_retry(self, action_id: ActionId) -> None:
@@ -301,7 +305,6 @@ class ServerShell:
         liveness: Optional[LivenessConfig] = None,
         detector=None,
         server_id: ClientId = SERVER_ID,
-        obs=None,
     ) -> None:
         self.sim = sim
         self.network = network
@@ -315,8 +318,6 @@ class ServerShell:
         self.detector = detector
         #: Network address this server sends/receives as.
         self.server_id = server_id
-        #: Optional :class:`repro.obs.Observer` (read-only telemetry).
-        self._obs = obs
         #: The attached clients, each with the server's record of it.
         self.clients: Dict[ClientId, object] = {}
         #: Attached client -> virtual time last heard from (any message),
@@ -496,8 +497,7 @@ class EngineChassis:
             raise ConfigurationError(f"num_clients must be >= 0, got {num_clients}")
         self.world = world
         self.config = config
-        self.obs = config.obs
-        self.sim = Simulator(obs=self.obs)
+        self.sim = Simulator()
         plan = config.fault_plan
         self.faults = (
             FaultInjector(plan) if plan is not None and not plan.is_null else None
@@ -510,9 +510,8 @@ class EngineChassis:
             bandwidth_bps=config.bandwidth_bps,
             faults=self.faults,
             reliability=config.reliability,
-            obs=self.obs,
         )
-        self.server_host = Host(self.sim, SERVER_ID, obs=self.obs)
+        self.server_host = Host(self.sim, SERVER_ID)
         #: Serializer hosts by shard index (shard 0's host id *is*
         #: :data:`SERVER_ID`; only sharded deployments add more).
         self.server_hosts: Dict[int, Host] = {0: self.server_host}
@@ -637,6 +636,11 @@ class EngineChassis:
     def events(self) -> int:
         """Simulator events dispatched."""
         return self.sim.dispatched
+
+    @property
+    def client_stats(self) -> ClientStats:
+        """Every client's counters, summed."""
+        return ClientStats.total(client.stats for client in self.clients.values())
 
     @property
     def client_hosts(self) -> Dict[ClientId, Host]:

@@ -115,7 +115,6 @@ class ProtocolClient(ClientShell):
         *,
         config: Optional[ClientConfig] = None,
         server_id: ClientId = SERVER_ID,
-        obs=None,
     ) -> None:
         self.config = config or ClientConfig()
         super().__init__(
@@ -127,7 +126,6 @@ class ProtocolClient(ClientShell):
             server_id=server_id,
             retry=self.config.retry,
             retry_seed=self.config.retry_seed,
-            obs=obs,
         )
         #: ζ_CO — ζ_CS (``stable``) plus the optimistic effects of Q:
         #: an overlay holding private copies of the objects in WS(Q).
@@ -299,8 +297,8 @@ class ProtocolClient(ClientShell):
         cost = entry.action.cost_ms + (
             0.0 if isinstance(entry.action, BlindWrite) else self.config.eval_overhead_ms
         )
-        if self._obs is not None:
-            self._obs.on_client_apply(self.client_id, self.sim.now, cost)
+        self.stats.entries_applied += 1
+        self.stats.apply_cpu_ms += cost
         self.host.execute(cost, lambda: self._process_entry(entry))
 
     def _process_entry(self, entry: OrderedAction) -> None:

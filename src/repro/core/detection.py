@@ -30,8 +30,8 @@ records on its peers' hosts (see ``Violation.client_id``).  A seventh,
 handler for, such as a completion sent to the basic serializer, and
 completions for positions that never existed).
 
-Every flag increments a per-detector counter (mirrored into
-``repro.obs`` as ``adversary.detect.<name>``) and quarantines the
+Every flag increments a per-detector counter (``repro.obs`` exports
+the counts as ``adversary.detect.<name>``) and quarantines the
 cheater once through the ``on_quarantine`` hook — the engine evicts the
 client via the PR 2 eviction machinery and aborts its orphaned entries.
 The detector is only constructed for runs with a non-null
@@ -133,8 +133,6 @@ class CheatDetector:
     owned_of: Optional[Callable[[ClientId], Optional[ObjectId]]] = None
     #: Virtual clock (the engine's ``sim.now``), for record timestamps.
     clock: Optional[Callable[[], TimeMs]] = None
-    #: Observer facade for ``adversary.detect.*`` counters (optional).
-    obs: object = None
     #: Called once per newly quarantined client.
     on_quarantine: Optional[Callable[[ClientId], None]] = None
     #: Maximum credible distance (world units) between an action's
@@ -168,8 +166,6 @@ class CheatDetector:
              action: object = "", detail: str = "") -> None:
         """Record evidence against ``client_id`` and quarantine it once."""
         self.counts[detector] = self.counts.get(detector, 0) + 1
-        if self.obs is not None:
-            self.obs.metrics.counter(f"adversary.detect.{detector}").inc()
         key = (detector, client_id)
         if key not in self._flagged:
             self._flagged.add(key)

@@ -175,7 +175,6 @@ class SeveEngine(EngineChassis):
             self.detector = CheatDetector(
                 owned_of=self.world.avatar_of,
                 clock=lambda: self.sim.now,
-                obs=self.obs,
                 on_quarantine=self._quarantine,
             )
         self._build_server()
@@ -203,7 +202,6 @@ class SeveEngine(EngineChassis):
                 eager=True,
                 timestamp_cost_ms=config.costs.timestamp_ms,
                 liveness=config.liveness,
-                obs=self.obs,
                 detector=self.detector,
             )
             return
@@ -214,7 +212,6 @@ class SeveEngine(EngineChassis):
             costs=config.costs,
             avatar_of=self.world.avatar_of,
             liveness=config.liveness,
-            obs=self.obs,
             detector=self.detector,
         )
         if config.mode == "hybrid":
@@ -301,7 +298,7 @@ class SeveEngine(EngineChassis):
     def _attach_client(
         self, client_id: ClientId, interests: Optional[frozenset[str]]
     ) -> None:
-        host = Host(self.sim, client_id, obs=self.obs)
+        host = Host(self.sim, client_id)
         incomplete = self.config.mode != "basic"
         client_config = self._client_config(client_id, interests)
         # Basic-mode clients replicate the full initial state; incomplete
@@ -344,7 +341,6 @@ class SeveEngine(EngineChassis):
             stable,
             config=client_config,
             server_id=server_id,
-            obs=self.obs,
             **extra_kwargs,
         )
         self._adopt(client)
@@ -547,7 +543,7 @@ class SeveEngine(EngineChassis):
     @property
     def drop_percent(self) -> float:
         """Dropped actions as a percentage of all submissions."""
-        submitted = sum(client.stats.submitted for client in self.clients.values())
+        submitted = self.client_stats.submitted
         if submitted == 0:
             return 0.0
         return 100.0 * self.total_dropped / submitted

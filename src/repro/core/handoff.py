@@ -48,6 +48,12 @@ from repro.core.messages import (
 from repro.types import ClientId
 
 
+#: Hysteresis, in world units, a committed avatar position must leave
+#: its stripe by before a handoff triggers (prevents border oscillation
+#: from thrashing migrations).
+HANDOFF_MARGIN = 10.0
+
+
 class HandoffBarrier:
     """One shard's end of the client handoff: the open handoffs, each
     attached client's unresolved and resolved ids, and the transfers
@@ -59,8 +65,8 @@ class HandoffBarrier:
     dispatch table) and the server's events through the hook methods.
     Everything else goes through ``view``, read afresh at each use:
     ``shard_index``, ``partition``, ``dead``, ``clients``, ``stats``,
-    ``now`` and ``obs``; the sends ``send(client, message)`` and
-    ``send_peer(shard, message)``; ``position(client)``, the committed
+    ``now`` and ``sim`` (its observer); the sends ``send(client,
+    message)`` and ``send_peer(shard, message)``; ``position(client)``, the committed
     position; the requests ``attach(client, radius=, interests=)``,
     ``adopt(client, radius, interests)`` (attach, and mark the client's
     queued entries sent), ``detach(client)`` and ``breach(src, what)``
@@ -178,6 +184,7 @@ class HandoffBarrier:
                 client_id, record.radius, record.interests, tuple(resolved)
             )
             view.detach(client_id)
+            view.stats.handoff_transfers += 1
             self._trace(client_id, target, "transfer")
             view.send_peer(target, transfer)
 
@@ -229,5 +236,5 @@ class HandoffBarrier:
 
     def _trace(self, client: ClientId, target: int, stage: str) -> None:
         view = self.view
-        if view.obs is not None:
-            view.obs.on_shard_handoff(view.now, client, view.shard_index, target, stage)
+        if view.sim.obs is not None:
+            view.sim.obs.on_shard_handoff(view.now, client, view.shard_index, target, stage)

@@ -175,8 +175,8 @@ class HybridRelayServer(IncompleteWorldServer):
         )
         self.send(head, bundle)
         self.hybrid_stats.bundles_sent += 1
-        if self._obs is not None:
-            self._obs.on_hybrid_bundle(
+        if self.sim.obs is not None:
+            self.sim.obs.on_hybrid_bundle(
                 self.sim.now,
                 len(members),
                 self.hybrid_stats.deduplicated_entries - deduplicated_before,

@@ -25,6 +25,7 @@ ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import List, Optional, Set
 
 from repro.core.action import Action
@@ -45,6 +46,8 @@ class BasicServerStats(ServerStats):
     actions_serialized: int = 0
     batches_sent: int = 0
     actions_delivered: int = 0  # sum over batches of entries sent
+    #: The serializer relays every action it serializes, as it stands.
+    actions_relayed = property(attrgetter("actions_serialized"))
 
 
 class BasicServer(ServerShell):
@@ -76,7 +79,6 @@ class BasicServer(ServerShell):
         eager: bool = False,
         timestamp_cost_ms: float = 0.0,
         liveness: Optional[LivenessConfig] = None,
-        obs=None,
         detector=None,
     ) -> None:
         self.eager = eager
@@ -89,7 +91,7 @@ class BasicServer(ServerShell):
         self._detached: Set[ClientId] = set()
         super().__init__(
             sim, network, host, BasicServerStats(),
-            liveness=liveness, detector=detector, obs=obs,
+            liveness=liveness, detector=detector,
         )
 
     def _client_record(self, client_id, radius, interests) -> int:
@@ -128,9 +130,6 @@ class BasicServer(ServerShell):
         position = len(self.queue)
         self.queue.append(action)
         self.stats.actions_serialized += 1
-        if self._obs is not None:
-            recipients = len(self.clients) if self.eager else 1
-            self._obs.on_server_relay(self.sim.now, recipients)
         if self.eager:
             # Push the new action to every client right away; the reply
             # batch below still covers anything a client may have missed

@@ -142,6 +142,14 @@ class IncompleteServerStats(ServerStats):
     orphans_aborted: int = 0
     #: Closures deferred to preserve per-client pos-ascending delivery.
     closures_deferred: int = 0
+    #: Wire entries of the closure replies built (blind writes included)
+    #: and the simulated CPU charged for them: the closures and a
+    #: per-entry cost, which a push cycle's batch build pays.
+    entries_built: int = 0
+    build_cpu_ms: float = 0.0
+    #: Validation ticks that had new entries, and their simulated CPU.
+    validations: int = 0
+    validate_cpu_ms: float = 0.0
 
 
 class IncompleteWorldServer(ServerShell):
@@ -188,7 +196,6 @@ class IncompleteWorldServer(ServerShell):
         avatar_of: Optional[Callable[[ClientId], ObjectId]] = None,
         liveness: Optional[LivenessConfig] = None,
         server_id: ClientId = SERVER_ID,
-        obs=None,
         detector=None,
     ) -> None:
         if info_bound is not None and predicate is None:
@@ -234,7 +241,7 @@ class IncompleteWorldServer(ServerShell):
         # Shard servers get their own negative host ids.
         super().__init__(
             sim, network, host, IncompleteServerStats(),
-            liveness=liveness, detector=detector, server_id=server_id, obs=obs,
+            liveness=liveness, detector=detector, server_id=server_id,
         )
 
     # ------------------------------------------------------------------
@@ -438,14 +445,15 @@ class IncompleteWorldServer(ServerShell):
                 OrderedAction(chained.pos, self._wire_action(client_id, chained))
             )
             cost += self.costs.push_entry_ms
+            self.stats.build_cpu_ms += self.costs.push_entry_ms
+        self.stats.entries_built += len(batch_entries)
         return batch_entries, cost
 
     def _charge_closure(self) -> float:
         """Count one Algorithm 6 closure and return its simulated cost."""
         self.stats.closures_computed += 1
         cost = self.costs.closure_ms
-        if self._obs is not None:
-            self._obs.on_push_closure(cost)
+        self.stats.build_cpu_ms += cost
         return cost
 
     def _wire_action(self, client_id: ClientId, entry: QueueEntry) -> Action:
@@ -494,8 +502,10 @@ class IncompleteWorldServer(ServerShell):
                 break
             self._validated_upto = entry.pos
         cost = self.costs.validate_ms * new_count
-        if self._obs is not None:
-            self._obs.on_validate(
+        self.stats.validations += 1
+        self.stats.validate_cpu_ms += cost
+        if self.sim.obs is not None:
+            self.sim.obs.on_validate(
                 self.sim.now, cost, new_count, len(dropped_indices)
             )
 
@@ -521,7 +531,7 @@ class IncompleteWorldServer(ServerShell):
     def _push_cycle(self) -> None:
         assert self.predicate is not None
         self.stats.push_cycles += 1
-        obs = self._obs
+        obs = self.sim.obs
         self._push_candidates()
         if obs is not None:
             obs.on_push_scan(

@@ -95,7 +95,7 @@ from repro.core.control_plane import (
 )
 from repro.core.elastic import ElasticConfig, Rebalancer
 from repro.core.engine import SeveConfig, SeveEngine
-from repro.core.handoff import HandoffBarrier
+from repro.core.handoff import HANDOFF_MARGIN, HandoffBarrier
 from repro.core.info_bound import InformationBound
 from repro.core.messages import (
     CONSERVATION_GROUPS,
@@ -129,10 +129,6 @@ class ShardingConfig:
     shards: int = 2
     #: Width of the world's x extent; stripes partition [0, world_width).
     world_width: float = 1000.0
-    #: Hysteresis, in world units, a committed avatar position must
-    #: leave its stripe by before a handoff triggers (prevents border
-    #: oscillation from thrashing migrations).
-    handoff_margin: float = 10.0
     #: Elastic rebalancer knobs (docs/elasticity.md).  ``None`` (the
     #: default) keeps the static equal-width stripes and leaves every
     #: elastic code path dormant — byte-identical to a deployment
@@ -148,8 +144,6 @@ class ShardingConfig:
             raise ConfigurationError(
                 f"world_width must be positive, got {self.world_width}"
             )
-        if self.handoff_margin < 0:
-            raise ConfigurationError("handoff_margin must be >= 0")
 
 
 class RegionPartition:
@@ -246,6 +240,8 @@ class ShardStats:
     handoffs_out: int = 0
     #: Handoffs this shard completed (clients adopted).
     handoffs_in: int = 0
+    #: Clients this shard detached and handed to their gaining shard.
+    handoff_transfers: int = 0
     #: Spanning actions sequenced by this shard (sequencer only).
     spans_sequenced: int = 0
     #: Rebalances committed (controller only; docs/elasticity.md).
@@ -280,7 +276,7 @@ class ShardView:
     serialized = property(attrgetter("_server.stats.actions_serialized"))
     stats = property(attrgetter("_server.shard_stats"))
     now = property(attrgetter("_server.sim.now"))
-    obs = property(attrgetter("_server._obs"))
+    sim = property(attrgetter("_server.sim"))
     rebalancer = property(attrgetter("_server.rebalancer"))
     handoff = property(attrgetter("_server.handoff"))
     send = property(attrgetter("_server.send"))
@@ -325,7 +321,6 @@ class ShardServer(IncompleteWorldServer):
         shard_index: int,
         partition: RegionPartition,
         span_slack: float = 0.0,
-        handoff_margin: float = 10.0,
         elastic: Optional[ElasticConfig] = None,
         control: ControlPlaneConfig = PINNED_LEASE,
         recovery: Optional[ShardRecoveryLog] = None,
@@ -371,7 +366,7 @@ class ShardServer(IncompleteWorldServer):
         view = ShardView(self)
         self.spans = SpanPipeline(view, span_slack)
         self.rebalancer = Rebalancer(elastic, view, span_slack)
-        self.handoff = HandoffBarrier(view, handoff_margin)
+        self.handoff = HandoffBarrier(view, HANDOFF_MARGIN)
         for unit in (self.lease, self.spans, self.rebalancer, self.handoff):
             self._handlers.update(bound_handlers(unit))
         #: This shard runs something that can put a message on the
@@ -706,7 +701,7 @@ class ShardedSeveEngine(SeveEngine):
         #: enough that no client of an uninvolved shard can pass the
         #: Equation (1) predicate for the action.
         self.span_slack = (
-            self.predicate.reach + max_client_radius + self.sharding.handoff_margin
+            self.predicate.reach + max_client_radius + HANDOFF_MARGIN
         )
         #: The static stripes and the spanning submissions sent so far:
         #: what :meth:`backbone_trigger` classifies by.
@@ -727,7 +722,7 @@ class ShardedSeveEngine(SeveEngine):
                 self.network.register_stub(host_id)
                 continue
             # Shard 0 reuses the base host.
-            host = self.server_host if shard == 0 else Host(self.sim, host_id, obs=self.obs)
+            host = self.server_host if shard == 0 else Host(self.sim, host_id)
             self.server_hosts[shard] = host
             state = VersionedStore(self.world.initial_objects())
             info_bound = self._make_info_bound()
@@ -765,7 +760,6 @@ class ShardedSeveEngine(SeveEngine):
             if shard == 0
             else RegionPartition(self.sharding.world_width, self.sharding.shards),
             span_slack=self.span_slack,
-            handoff_margin=self.sharding.handoff_margin,
             predicate=self.predicate,
             info_bound=info_bound,
             tick_ms=config.tick_ms,
@@ -773,7 +767,6 @@ class ShardedSeveEngine(SeveEngine):
             avatar_of=self.world.avatar_of,
             liveness=config.liveness,
             server_id=shard_host_id(shard),
-            obs=self.obs,
             detector=self.detector,
             elastic=self.sharding.elastic,
             control=ControlPlaneConfig() if self._arm_recovery else PINNED_LEASE,

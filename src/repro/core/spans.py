@@ -62,8 +62,9 @@ class SpanPipeline:
     Messages come in through :attr:`HANDLERS` and the server's events
     through the hook methods.  Everything else goes through ``view``,
     read afresh at each use: ``shard_index``, ``partition``, ``dead``,
-    ``clients``, ``stats``, ``now``, ``obs``, ``rebalancer`` (its
-    ``epochs``, ``widen``, ``stamps`` and ``config``), ``lease``,
+    ``clients``, ``stats``, ``now``, ``sim`` (its observer),
+    ``rebalancer`` (its ``epochs``, ``widen``, ``stamps`` and
+    ``config``), ``lease``,
     ``speaks_at_will``, ``host``, ``costs`` and ``recovery``; the queue
     as ``entries`` from ``base_pos`` with its ``writer_index``, and
     ``avatar_owner``; the sends ``send_peer(shard, message)`` and
@@ -159,8 +160,8 @@ class SpanPipeline:
             # splices it back at once, and drains the rest.
             self.held[client_id] = actions
             view.stats.spans_forwarded += 1
-            if view.obs is not None:
-                view.obs.on_shard_forward(view.now, view.shard_index, len(involved))
+            if view.sim.obs is not None:
+                view.sim.obs.on_shard_forward(view.now, view.shard_index, len(involved))
             message = SpanForward(view.shard_index, involved, action)
             # Tracked until the splice returns: a dead sequencer drops
             # the send at dispatch, and the forward is re-sent once a
@@ -287,8 +288,8 @@ class SpanPipeline:
         self.gsns[action_id] = splice.gsn
         view.lease.observe_gsn(splice.gsn)
         view.host.execute(view.costs.timestamp_ms, lambda: None)
-        if view.obs is not None:
-            view.obs.on_shard_splice(view.now, view.shard_index, splice.gsn, entry.pos)
+        if view.sim.obs is not None:
+            view.sim.obs.on_shard_splice(view.now, view.shard_index, splice.gsn, entry.pos)
         if owner:
             self.unspliced.pop(action_id, None)
             self._drain(action.client_id, self.held.pop(action.client_id, []))

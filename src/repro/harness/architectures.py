@@ -99,10 +99,10 @@ def build_world(settings: SimulationSettings) -> ManhattanWorld:
     return ManhattanWorld(settings.num_clients, settings.manhattan_config())
 
 
-def _testbed(settings: SimulationSettings, obs) -> dict:
+def _testbed(settings: SimulationSettings) -> dict:
     """The :class:`~repro.core.chassis.TestbedConfig` fields of a run:
-    the knobs the settings declare ``to=`` it, the observer, and the
-    (reliability, retry, liveness) trio a fault plan demands.
+    the knobs the settings declare ``to=`` it and the (reliability,
+    retry, liveness) trio a fault plan demands.
 
     A ``None`` or null plan leaves the trio at ``None`` — the engines
     then take the identical code path they take with no plan at all (the
@@ -110,7 +110,7 @@ def _testbed(settings: SimulationSettings, obs) -> dict:
     transport and client retries; scheduled crashes additionally enable
     heartbeat liveness.
     """
-    testbed = dict(settings.for_layer("testbed"), obs=obs)
+    testbed = dict(settings.for_layer("testbed"))
     plan = settings.fault_plan
     if plan is not None and not plan.is_null:
         testbed.update(
@@ -121,15 +121,13 @@ def _testbed(settings: SimulationSettings, obs) -> dict:
     return testbed
 
 
-def seve_config(
-    settings: SimulationSettings, mode: str, *, obs=None, **overrides
-) -> SeveConfig:
+def seve_config(settings: SimulationSettings, mode: str, **overrides) -> SeveConfig:
     """The :class:`SeveConfig` of a ``mode`` engine for these settings:
     the testbed fields, every knob declared ``to=`` the SEVE layer, and
     what is computed from several; ``overrides`` replace any of them
     (the differential tests pin ``record_observations=True``)."""
     config = dict(
-        _testbed(settings, obs),
+        _testbed(settings),
         **settings.for_layer("seve"),
         mode=mode,
         threshold=settings.effective_threshold,
@@ -154,17 +152,15 @@ def build_engine(
     settings: SimulationSettings,
     world: ManhattanWorld = None,
     *,
-    obs=None,
     owned_shards=None,
 ) -> EngineChassis:
     """Assemble a ready-to-run engine for ``architecture``.
 
     ``world`` may be passed in to share one (expensively indexed) wall
-    field across several runs of the same settings.  ``obs`` is an
-    optional :class:`repro.obs.Observer` threaded through every layer of
-    the built engine; ``None`` keeps the unobserved code paths.
-    ``owned_shards`` is a partition replica's slice of a sharded
-    deployment (default: every shard).
+    field across several runs of the same settings.  An observer is
+    attached afterwards, as the engine's ``sim.obs``.  ``owned_shards``
+    is a partition replica's slice of a sharded deployment (default:
+    every shard).
     """
     if architecture not in ARCHITECTURES:
         raise ConfigurationError(
@@ -179,7 +175,7 @@ def build_engine(
             f"('seve' or 'seve-naive'); got {architecture!r}"
         )
     if mode is not None:
-        config = seve_config(settings, mode, obs=obs)
+        config = seve_config(settings, mode)
         if settings.shards > 1:
             from repro.core.sharded import ShardedSeveEngine, ShardingConfig
 
@@ -208,6 +204,6 @@ def build_engine(
     return _BASELINES[architecture](
         world,
         settings.num_clients,
-        BaselineConfig(**_testbed(settings, obs)),
+        BaselineConfig(**_testbed(settings)),
         **settings.for_layer(architecture),
     )

@@ -151,10 +151,13 @@ def run_simulation(
 ) -> RunResult:
     """Run one architecture under the Table I workload and measure it.
 
-    ``obs`` is an optional pre-built :class:`repro.obs.Observer`; when
-    ``None``, one is constructed automatically if the settings request
-    any observability output (``trace_out``/``metrics_out``/``profile``)
-    and the requested exports are written at the end of the run.
+    ``obs`` is an optional pre-built :class:`repro.obs.Observer`, attached
+    as the run's ``Simulator.obs``; when ``None``, one is constructed
+    automatically if the settings request any observability output
+    (``trace_out``/``metrics_out``/``profile``).  At the end of the run
+    its counters and profile are read from the finished run
+    (:meth:`~repro.obs.Observer.record_run_summary`) and the requested
+    exports are written.
 
     A sharded run (``settings.shards > 1``) always goes through the
     window coordinator of :mod:`repro.net.backend`, as one partition or
@@ -194,7 +197,8 @@ def _run(architecture, settings, world, check_consistency, obs) -> RunResult:
     else:
         if world is None:
             world = build_world(settings)
-        engine = build_engine(architecture, settings, world, obs=obs)
+        engine = build_engine(architecture, settings, world)
+        engine.sim.obs = obs
         workload = MoveWorkload(engine, world, settings)
         start_run(engine, workload, settings)
         engine.run(until=settings.submit_horizon_ms)
@@ -235,12 +239,7 @@ def _run(architecture, settings, world, check_consistency, obs) -> RunResult:
     )
     profile = None
     if obs is not None:
-        obs.record_run_summary(
-            meter=meter,
-            response_samples=engine.response_times.samples,
-            virtual_ms=engine.virtual_ms,
-            events=engine.events,
-        )
+        obs.record_run_summary(engine)
         if settings.trace_out is not None and obs.trace is not None:
             obs.trace.write_chrome(settings.trace_out)
         if settings.metrics_out is not None:

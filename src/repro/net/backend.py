@@ -99,6 +99,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.chassis import ClientStats
 from repro.core.messages import MessageCodec
 from repro.core.sharded import ShardedSeveEngine
 from repro.errors import ConfigurationError, SimulationError
@@ -203,12 +204,14 @@ class BarrierReport:
 @dataclass
 class ClientSnapshot:
     """End-of-run state of one owned client (picklable).  Its replica
-    and observation log stay in the partition: the audit ran there."""
+    and observation log stay in the partition: the audit ran there;
+    its counters travel summed, in :attr:`PartitionSnapshot.client_stats`."""
 
-    stats: object
-    #: Simulated CPU-milliseconds the client's host burned (the row
-    #: doubles as the host row of :attr:`MergedRun.client_hosts`).
+    #: Simulated CPU-milliseconds the client's host burned and the work
+    #: items it completed (the row doubles as the host row of
+    #: :attr:`MergedRun.client_hosts`).
     cpu_time_used: float
+    items_completed: int
     #: Ids of this client's actions the Information Bound dropped.
     dropped: list
 
@@ -226,6 +229,9 @@ class ShardSnapshot:
     shard_stats: object
     costs: object
     cpu_time_used: float
+    items_completed: int
+    #: The shard's Information Bound (its drop counts).
+    info_bound: object
     #: Controller-side rebalance log (empty unless it held the lease).
     rebalance_log: tuple
     #: The ``(lo, hi)`` stripe this shard owns at the end of the run.
@@ -250,6 +256,8 @@ class PartitionSnapshot:
     response_by_client: Dict[ClientId, List[float]]
     workload: object
     clients: Dict[ClientId, ClientSnapshot]
+    #: The owned clients' counters, summed.
+    client_stats: ClientStats
     shards: List[ShardSnapshot]
     rwset_violations: Tuple[str, ...]
     #: The observer the replica wrote into, if any.
@@ -280,7 +288,10 @@ class PartitionReplica:
     quiescence, stop) consult that slice.  The replica takes the last
     step of every send (:meth:`emit`), diverting traffic addressed to
     foreign hosts and keeping its shards' send promises.  The replica
-    itself is transport only: build, divert, and step.
+    itself is transport only: build, divert, and step.  Whoever drives
+    it attaches the observer, as any run's, to ``engine.sim.obs``: the
+    caller's own in-process, or one a worker builds from the settings,
+    which the caller merges at the end.
     """
 
     def __init__(
@@ -289,14 +300,9 @@ class PartitionReplica:
         settings,
         partition: int,
         workers: int,
-        obs=None,
     ) -> None:
         self.settings = settings
         self.partition = partition
-        #: The caller's observer when the replica runs in the caller's
-        #: process; a worker process builds its own, which the caller
-        #: merges at the end.
-        self.obs = obs if obs is not None else settings.make_observer()
         shards = settings.shards
         self.owned_shards = [
             shard
@@ -309,7 +315,7 @@ class PartitionReplica:
                 f"(shards={shards})"
             )
         self.engine = engine = build_engine(
-            architecture, settings, obs=self.obs, owned_shards=self.owned_shards
+            architecture, settings, owned_shards=self.owned_shards
         )
         #: The clients homed on the owned shards — the ones built.
         self.owned_clients = engine.owned_clients
@@ -466,8 +472,8 @@ class PartitionReplica:
         for client_id in self.owned_clients:
             client = engine.clients[client_id]
             clients[client_id] = ClientSnapshot(
-                stats=client.stats,
                 cpu_time_used=client.host.cpu_time_used,
+                items_completed=client.host.items_completed,
                 dropped=engine.dropped[client_id],
             )
         shards = []
@@ -481,18 +487,21 @@ class PartitionReplica:
                     shard_stats=server.shard_stats,
                     costs=server.costs,
                     cpu_time_used=engine.server_hosts[shard].cpu_time_used,
+                    items_completed=engine.server_hosts[shard].items_completed,
+                    info_bound=server.info_bound,
                     rebalance_log=tuple(server.rebalance_log),
                     stripe=tuple(server.stripe),
                     failover_log=tuple(server.failover_log),
                 )
             )
-        if self.obs is not None:
+        obs = engine.sim.obs
+        if obs is not None:
             # Surface the action classes the transport codec had to
             # pickle (no field encoding of their own) as a metric; zero
             # leaves the metrics registry untouched and the merged
             # output byte-identical.
             for type_name, count in sorted(self.codec.pickle_fallbacks.items()):
-                self.obs.metrics.counter(
+                obs.metrics.counter(
                     f"codec.action_pickle.{type_name}"
                 ).inc(count)
         return PartitionSnapshot(
@@ -507,9 +516,10 @@ class PartitionReplica:
             },
             workload=self.workload.stats,
             clients=clients,
+            client_stats=engine.client_stats,
             shards=shards,
             rwset_violations=engine.rwset_violations,
-            observer=self.obs,
+            observer=obs,
             dead=tuple(sorted(engine.dead)),
             detection=engine.detection_summary(),
             audit=self._audit,
@@ -683,6 +693,7 @@ class MergedRun:
             self.rwset_violations += snapshot.rwset_violations
         self.virtual_ms = max(snapshot.now for snapshot in snapshots)
         self.events = sum(snapshot.dispatched for snapshot in snapshots)
+        self.client_stats = ClientStats.total(s.client_stats for s in snapshots)
         self.clients = {
             client_id: merged_clients[client_id]
             for client_id in sorted(merged_clients)
@@ -853,9 +864,11 @@ def run_partitioned(
         snapshots = _run_workers(architecture, settings, workers)
     else:
         replicas = [
-            PartitionReplica(architecture, settings, partition, workers, obs=obs)
+            PartitionReplica(architecture, settings, partition, workers)
             for partition in range(workers)
         ]
+        for replica in replicas:
+            replica.engine.sim.obs = obs
         snapshots = _drive(replicas, [], settings, obs)
     merged = MergedRun(snapshots)
     if obs is not None:

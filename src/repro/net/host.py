@@ -24,32 +24,14 @@ _Queued = Tuple[TimeMs, Callable[[], None], TimeMs]
 
 
 class Host:
-    """A simulated machine with one CPU and a FIFO run queue.
+    """A simulated machine with one CPU and a FIFO run queue."""
 
-    ``speed_factor`` scales all costs (a host with ``speed_factor=2.0``
-    takes twice as long per item); the paper's client machines also ran
-    background programs, which an experiment can model this way.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        host_id: ClientId,
-        *,
-        speed_factor: float = 1.0,
-        obs=None,
-    ) -> None:
-        if speed_factor <= 0:
-            raise SimulationError(f"speed_factor must be positive, got {speed_factor}")
+    def __init__(self, sim: Simulator, host_id: ClientId) -> None:
         self.sim = sim
         self.host_id = host_id
-        self.speed_factor = speed_factor
-        #: Optional :class:`repro.obs.Observer` recording each serviced
-        #: work item (span + queue-delay histogram); never affects costs.
-        self._obs = obs
         self._queue: Deque[_Queued] = deque()
         self._running = False
-        #: Total CPU-milliseconds consumed so far (post scaling).
+        #: Total CPU-milliseconds consumed so far.
         self.cpu_time_used: TimeMs = 0.0
         #: Number of work items completed.
         self.items_completed: int = 0
@@ -85,21 +67,21 @@ class Host:
             return
         self._running = True
         cost_ms, run, enqueued_at = self._queue.popleft()
-        scaled = cost_ms * self.speed_factor
         started_at = self.sim.now
         queue_delay = started_at - enqueued_at
         self.total_queue_delay += queue_delay
-        self.sim.post(scaled, self._finish, (scaled, run, started_at, queue_delay))
+        self.sim.post(cost_ms, self._finish, (cost_ms, run, started_at, queue_delay))
 
     def _finish(self, item: tuple) -> None:
-        """The running item's completion event — ``(scaled cost, run,
+        """The running item's completion event — ``(cost, run,
         started_at, queue_delay)``: account for it, run its callback,
         start the next one."""
-        scaled, run, started_at, queue_delay = item
-        self.cpu_time_used += scaled
+        cost_ms, run, started_at, queue_delay = item
+        self.cpu_time_used += cost_ms
         self.items_completed += 1
-        if self._obs is not None:
-            self._obs.on_host_service(self.host_id, started_at, scaled, queue_delay)
+        obs = self.sim.obs
+        if obs is not None:
+            obs.on_host_service(self.host_id, started_at, cost_ms, queue_delay)
         run()
         self._start_next()
 

@@ -36,7 +36,6 @@ class Link:
         *,
         latency_ms: TimeMs,
         bandwidth_bps: Optional[float] = None,
-        obs=None,
     ) -> None:
         if latency_ms < 0:
             raise NetworkError(f"latency must be non-negative, got {latency_ms}")
@@ -47,9 +46,6 @@ class Link:
         self.dst = dst
         self.latency_ms = latency_ms
         self.bandwidth_bps = bandwidth_bps or None
-        #: Optional :class:`repro.obs.Observer` counting transmissions
-        #: and sampling wire-queue delay; read-only bookkeeping.
-        self._obs = obs
         self._wire_free_at: TimeMs = 0.0
         self._last_arrival: TimeMs = 0.0
         #: Messages currently in flight (for diagnostics).
@@ -114,10 +110,9 @@ class Link:
         """
         if size_bytes < 0:
             raise NetworkError(f"message size must be non-negative, got {size_bytes}")
-        if self._obs is not None:
-            self._obs.on_link_transmit(
-                self.src, self.dst, size_bytes, self.queue_delay()
-            )
+        obs = self.sim.obs
+        if obs is not None:
+            obs.on_link_transmit(size_bytes, self.queue_delay())
         start = max(self.sim.now, self._wire_free_at)
         self._wire_free_at = start + self.serialization_delay(size_bytes)
         arrival = self._wire_free_at + self.latency_ms + extra_delay

@@ -109,19 +109,16 @@ class Network:
         *,
         rtt_ms: TimeMs,
         bandwidth_bps: Optional[float] = None,
-        server_bandwidth_bps: Optional[float] = None,
         faults: Optional[FaultInjector] = None,
         reliability: Optional[ReliabilityConfig] = None,
-        obs=None,
     ) -> None:
         """Create a network whose client<->server one-way latency is
         ``rtt_ms / 2`` (the paper assumes symmetric halves of the RTT).
 
         ``bandwidth_bps`` caps each client's uplink and downlink
-        individually (the paper's 100 Kbps).  ``server_bandwidth_bps``
-        optionally caps the server's aggregate uplink; by default the
-        server side is not the bottleneck (its links inherit the client
-        cap per destination, which already rate-limits each downlink).
+        individually (the paper's 100 Kbps).  The server side is not the
+        bottleneck: its links inherit the client cap per destination,
+        which already rate-limits each downlink.
 
         ``faults`` injects per-message loss/jitter/duplication;
         ``reliability`` layers the ARQ transport on top (see module
@@ -133,12 +130,8 @@ class Network:
         self.rtt_ms = rtt_ms
         self.one_way_ms = rtt_ms / 2.0
         self.bandwidth_bps = bandwidth_bps
-        self.server_bandwidth_bps = server_bandwidth_bps
         self.faults = faults
         self.reliability = reliability
-        #: Optional :class:`repro.obs.Observer`, propagated to every
-        #: link this network creates; also records ARQ retransmissions.
-        self._obs = obs
         self.meter = TrafficMeter()
         self._handlers: Dict[ClientId, Handler] = {}
         self._links: Dict[Tuple[ClientId, ClientId], Link] = {}
@@ -329,14 +322,13 @@ class Network:
         latency, bandwidth = self.one_way_ms, self.bandwidth_bps
         if src_is_server and dst_is_server:
             latency, bandwidth = self.server_link_latency_ms, None
-        elif src_is_server and dst in self._clients:
-            bandwidth = self.server_bandwidth_bps or self.bandwidth_bps
-        elif dst_is_server and src in self._clients:
-            pass  # an uplink
-        elif src_is_server or dst_is_server or not {src, dst} <= self._handlers.keys():
+        elif src_is_server or dst_is_server:
+            if (dst if src_is_server else src) not in self._clients:
+                raise NetworkError(f"no link {src} -> {dst}")
+        elif not {src, dst} <= self._handlers.keys():
             raise NetworkError(f"no link {src} -> {dst}")
         link = self._links[(src, dst)] = Link(
-            self.sim, src, dst, latency_ms=latency, bandwidth_bps=bandwidth, obs=self._obs
+            self.sim, src, dst, latency_ms=latency, bandwidth_bps=bandwidth
         )
         return link
 
@@ -497,8 +489,8 @@ class Network:
             # abandoned sequence number.
             del channel.unacked[head]
             self.meter.note_abandoned()
-            if self._obs is not None:
-                self._obs.on_arq_abandoned(src, dst, self.sim.now)
+            if self.sim.obs is not None:
+                self.sim.obs.on_arq_abandoned(src, dst, self.sim.now)
             new_base = (
                 next(iter(channel.unacked)) if channel.unacked else channel.next_seq
             )
@@ -506,8 +498,8 @@ class Network:
         else:
             entry[2] += 1
             self.meter.note_retransmit()
-            if self._obs is not None:
-                self._obs.on_arq_retransmit(src, dst, self.sim.now, head)
+            if self.sim.obs is not None:
+                self.sim.obs.on_arq_retransmit(src, dst, self.sim.now, head)
             base = next(iter(channel.unacked))
             self._send_raw(
                 src, dst, _Packet(head, base, entry[0]), entry[1] + _HEADER_BYTES

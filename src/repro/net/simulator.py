@@ -121,16 +121,16 @@ class Simulator:
     the paper's reporting unit.
     """
 
-    def __init__(self, *, obs=None) -> None:
-        """``obs`` is an optional :class:`repro.obs.Observer`; when
-        attached, every dispatch is counted.  ``None`` — the default —
-        takes the identical unobserved code path."""
+    def __init__(self) -> None:
         self._now: TimeMs = 0.0
         self._queue: List[_HeapEntry] = []
         self._seq = itertools.count()
         self._dispatched = 0
         self._live = 0
-        self._obs = obs
+        #: The run's :class:`repro.obs.Observer`, attached once by whoever
+        #: drives the run; every instrumented seam reads it here.
+        #: ``None`` — the default — takes the identical unobserved path.
+        self.obs = None
 
     @property
     def now(self) -> TimeMs:
@@ -190,8 +190,6 @@ class Simulator:
             self._now = time
             self._dispatched += 1
             fn(arg)
-            if self._obs is not None:
-                self._obs.on_dispatch()
             return True
         return False
 

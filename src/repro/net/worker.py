@@ -69,8 +69,9 @@ def partition_worker_main(
     with parked_collector():
         try:
             replica = PartitionReplica(architecture, settings, partition, workers)
+            replica.engine.sim.obs = obs = settings.make_observer()
             if partition == 0:
-                (snapshot,) = _drive([replica], peers, settings, replica.obs)
+                (snapshot,) = _drive([replica], peers, settings, obs)
             else:
                 snapshot = _serve(replica, peers[0])
             results.send(("done", snapshot))

@@ -9,8 +9,8 @@ three kinds of telemetry (each individually optional):
 * a **structured trace** (:class:`~repro.obs.trace.TraceRecorder`) of
   spans and instant events keyed on virtual time, exportable as Chrome
   ``trace_event`` JSON for ``chrome://tracing`` / Perfetto;
-* a **per-phase profile** (:class:`PhaseProfile`) aggregating event
-  counts and simulated milliseconds — model outputs, not timings; the
+* a **per-phase profile** (:class:`PhaseProfile`) of event counts
+  and simulated milliseconds — model outputs, not timings; the
   wall-clock profiler is the perf ledger's traced run
   (``python3 benchmarks/perf/run.py --workload W --seed S --trace 1``)
   — for the hot seams: simulator dispatch, host work-queue service, link
@@ -18,13 +18,18 @@ three kinds of telemetry (each individually optional):
   candidate scan, Algorithm 6 closure, batch build), Information Bound
   validation, and the client apply/retry paths.
 
-The layer is **zero-overhead when disabled**: every instrumented seam
-guards on ``obs is not None``, so the default (no observer) run executes
-the identical pre-observability code path — a differential test pins
-this down byte-for-byte.  When enabled, observation is read-only: the
-observer never schedules events, never charges simulated cost, and
-never draws randomness, so an observed run is byte-identical to an
-unobserved one (docs/observability.md states the full contract).
+The layer is **zero-overhead when disabled**: an observer is attached
+once, as the run's ``Simulator.obs``, and every instrumented seam reads
+it there and guards on ``obs is not None``, so the default (no
+observer) run executes the identical unobserved code path — a
+differential test pins this down byte-for-byte.  When enabled,
+observation is read-only: the observer never schedules events, never
+charges simulated cost, and never draws randomness, so an observed run
+is byte-identical to an unobserved one (docs/observability.md states
+the full contract).  Each event is counted once, by the layer it
+happens in: the exported counters and the profile rows are read from
+the layers' own stats at the end of the run (``COUNTERS``, ``PHASES``);
+the per-event hooks only sample three histograms and record the trace.
 
 Usage with the harness (or pass ``--trace-out``/``--metrics-out``/
 ``--profile`` to ``python -m repro run``)::
@@ -40,12 +45,14 @@ Usage with the harness (or pass ``--trace-out``/``--metrics-out``/
 
 Standalone (no engine required):
 
->>> obs = Observer(trace=True, profile=True)
->>> obs.on_client_apply(client_id=3, now_ms=500.0, cost_ms=7.44)
->>> obs.metrics.counter("client.applies").value
+>>> obs = Observer(trace=True)
+>>> obs.on_host_service(3, start_ms=500.0, cost_ms=7.44, queue_delay_ms=2.0)
+>>> obs.metrics.histogram("host.queue_delay_ms").count
 1
->>> obs.profile.as_dict()["client.apply"]["sim_ms"]
-7.44
+>>> len(obs.trace)
+1
+>>> COUNTERS["client.retries"]    # the stat the exported counter reads
+'clients.retransmissions'
 """
 
 from __future__ import annotations
@@ -75,23 +82,91 @@ __all__ = [
     "LATENCY_BUCKETS_MS",
     "SIZE_BUCKETS_BYTES",
     "PHASES",
+    "COUNTERS",
 ]
 
-#: Canonical phase names (docs/observability.md's naming convention):
-#: ``layer.component[.step]``, lowercase, dot-separated.
-PHASES = (
-    "sim.dispatch",
-    "host.service",
-    "net.transmit",
-    "net.arq.retransmit",
-    "server.push.scan",
-    "server.push.closure",
-    "server.push.build",
-    "server.validate",
-    "server.relay",
-    "client.apply",
-    "client.retry",
-)
+#: Every counter an observed run exports but the backend's window
+#: counters and the codec's, and the stat it reads once, at the end of
+#: the run: ``rows.field``, summed over the rows (:func:`_stat`).  A
+#: counter is written when its stat is non-zero — or, if
+#: ``PRESENT_WITH`` names another counter, exactly when that one's is.
+COUNTERS = {
+    "sim.dispatched": "run.events",
+    "host.items": "hosts.items_completed",
+    "net.messages": "meter.total_messages",
+    "net.bytes": "meter.total_bytes",
+    "net.arq.retransmits": "meter.retransmissions",
+    "net.arq.abandoned": "meter.messages_abandoned",
+    "server.push.scans": "servers.push_cycles",
+    "server.push_cycles": "servers.push_cycles",
+    "server.push.entries": "servers.entries_built",
+    "server.closures": "servers.closures_computed",
+    "server.validations": "servers.validations",
+    "server.actions_dropped": "bounds.dropped",
+    "server.relays": "servers.actions_relayed",
+    "server.shard.forwards": "shards.spans_forwarded",
+    "server.shard.splices": "shards.spans_spliced",
+    "server.shard.handoff.prepare": "shards.handoffs_out",
+    "server.shard.handoff.transfer": "shards.handoff_transfers",
+    "server.shard.handoff.adopt": "shards.handoffs_in",
+    "server.hybrid.bundles": "hybrid.bundles_sent",
+    "server.hybrid.deduplicated": "hybrid.deduplicated_entries",
+    "client.applies": "clients.entries_applied",
+    "client.retries": "clients.retransmissions",
+}
+PRESENT_WITH = {
+    "net.bytes": "net.messages",
+    "server.push.entries": "server.push_cycles",
+    "server.hybrid.deduplicated": "server.hybrid.bundles",
+}
+
+#: The ``--profile`` phases (docs/observability.md's naming convention:
+#: ``layer.component[.step]``), each read the same way as a counter:
+#: its count stat and, where the phase is charged simulated CPU, the
+#: stat of that charge.  A phase is listed when its count is non-zero.
+PHASES = {
+    "sim.dispatch": ("run.events", None),
+    "host.service": ("hosts.items_completed", "hosts.cpu_time_used"),
+    "net.transmit": ("meter.total_messages", None),
+    "net.arq.retransmit": ("meter.retransmissions", None),
+    "server.push.scan": ("servers.push_cycles", None),
+    "server.push.closure": ("servers.closures_computed", "run.closure_cpu_ms"),
+    "server.push.build": ("servers.push_cycles", "servers.build_cpu_ms"),
+    "server.validate": ("servers.validations", "servers.validate_cpu_ms"),
+    "server.relay": ("servers.actions_relayed", None),
+    "client.apply": ("clients.entries_applied", "clients.apply_cpu_ms"),
+    "client.retry": ("clients.retransmissions", None),
+}
+
+
+def _servers_with(attribute: str):
+    return lambda run: [
+        getattr(server, attribute)
+        for server in run._servers()
+        if getattr(server, attribute, None) is not None
+    ]
+
+
+#: The rows a stat path names, read off a finished engine or a
+#: :class:`~repro.net.backend.MergedRun` (the surface
+#: :class:`~repro.core.chassis.EngineChassis` declares).
+_ROWS = {
+    "run": lambda run: (run,),
+    "meter": lambda run: (run.meter,),
+    "hosts": lambda run: (*run.server_hosts.values(), *run.client_hosts.values()),
+    "servers": _servers_with("stats"),
+    "shards": _servers_with("shard_stats"),
+    "hybrid": _servers_with("hybrid_stats"),
+    "bounds": lambda run: [bound.stats for bound in _servers_with("info_bound")(run)],
+    "clients": lambda run: (run.client_stats,),
+}
+
+
+def _stat(run, path: str) -> float:
+    """The stat ``path`` (``rows.field``) of the finished ``run``,
+    summed over its rows; a row without the field counts zero."""
+    rows, name = path.split(".")
+    return sum(getattr(row, name, 0) for row in _ROWS[rows](run))
 
 
 class PhaseProfile:
@@ -170,14 +245,9 @@ class Observer:
             self.profile.merge_from(other.profile)
 
     # ------------------------------------------------------------------
-    # Simulator / host / network seams
+    # Per-event seams: the three histograms and the trace.  Every count
+    # is the run's own, read at the end (record_run_summary).
     # ------------------------------------------------------------------
-    def on_dispatch(self) -> None:
-        """One simulator event dispatched."""
-        self.metrics.counter("sim.dispatched").inc()
-        if self.profile is not None:
-            self.profile.record("sim.dispatch")
-
     def on_host_service(
         self,
         host_id: ClientId,
@@ -186,74 +256,37 @@ class Observer:
         queue_delay_ms: TimeMs,
     ) -> None:
         """One host work item finished its CPU service."""
-        self.metrics.counter("host.items").inc()
         self.metrics.histogram("host.queue_delay_ms").record(queue_delay_ms)
-        if self.profile is not None:
-            self.profile.record("host.service", sim_ms=cost_ms)
         if self.trace is not None:
             self.trace.complete(
                 "host.service", start_ms, cost_ms, track=f"host-{host_id}"
             )
 
-    def on_link_transmit(
-        self,
-        src: ClientId,
-        dst: ClientId,
-        size_bytes: int,
-        queue_delay_ms: TimeMs,
-    ) -> None:
+    def on_link_transmit(self, size_bytes: int, queue_delay_ms: TimeMs) -> None:
         """One message accepted by a link for transmission."""
-        self.metrics.counter("net.messages").inc()
-        self.metrics.counter("net.bytes").inc(size_bytes)
         self.metrics.histogram("net.queue_delay_ms").record(queue_delay_ms)
         self.metrics.histogram(
             "net.message_bytes", SIZE_BUCKETS_BYTES
         ).record(size_bytes)
-        if self.profile is not None:
-            self.profile.record("net.transmit")
+
+    def _instant(self, name: str, now_ms: TimeMs, track: str, **args) -> None:
+        if self.trace is not None:
+            self.trace.instant(name, now_ms, track=track, args=args)
 
     def on_arq_retransmit(
         self, src: ClientId, dst: ClientId, now_ms: TimeMs, seq: int
     ) -> None:
         """The ARQ transport retransmitted one data packet."""
-        self.metrics.counter("net.arq.retransmits").inc()
-        if self.profile is not None:
-            self.profile.record("net.arq.retransmit")
-        if self.trace is not None:
-            self.trace.instant(
-                "arq.retransmit",
-                now_ms,
-                track="net",
-                args={"src": src, "dst": dst, "seq": seq},
-            )
+        self._instant("arq.retransmit", now_ms, "net", src=src, dst=dst, seq=seq)
 
     def on_arq_abandoned(self, src: ClientId, dst: ClientId, now_ms: TimeMs) -> None:
         """The ARQ transport gave up on one data packet."""
-        self.metrics.counter("net.arq.abandoned").inc()
-        if self.trace is not None:
-            self.trace.instant(
-                "arq.abandoned", now_ms, track="net", args={"src": src, "dst": dst}
-            )
+        self._instant("arq.abandoned", now_ms, "net", src=src, dst=dst)
 
-    # ------------------------------------------------------------------
-    # Server seams
-    # ------------------------------------------------------------------
     def on_push_scan(self, now_ms: TimeMs, candidates: int) -> None:
         """One First Bound nomination pass completed; ``candidates`` is
         how many queue positions now wait on clients' pending lists."""
-        self.metrics.counter("server.push.scans").inc()
-        if self.profile is not None:
-            self.profile.record("server.push.scan")
-        if self.trace is not None:
-            self.trace.instant(
-                "push.scan", now_ms, track="server", args={"candidates": candidates}
-            )
-
-    def on_push_closure(self, sim_cost_ms: float) -> None:
-        """One Algorithm 6 transitive closure computed."""
-        self.metrics.counter("server.closures").inc()
-        if self.profile is not None:
-            self.profile.record("server.push.closure", sim_ms=sim_cost_ms)
+        self._instant("push.scan", now_ms, "server", candidates=candidates)
 
     def on_push_build(
         self,
@@ -263,10 +296,6 @@ class Observer:
         entries: int,
     ) -> None:
         """One push cycle finished building its batches."""
-        self.metrics.counter("server.push_cycles").inc()
-        self.metrics.counter("server.push.entries").inc(entries)
-        if self.profile is not None:
-            self.profile.record("server.push.build", sim_ms=sim_cost_ms)
         if self.trace is not None:
             self.trace.complete(
                 "push.cycle",
@@ -280,11 +309,6 @@ class Observer:
         self, now_ms: TimeMs, sim_cost_ms: float, entries: int, dropped: int
     ) -> None:
         """One Information Bound validation tick (Algorithm 7)."""
-        self.metrics.counter("server.validations").inc()
-        if dropped:
-            self.metrics.counter("server.actions_dropped").inc(dropped)
-        if self.profile is not None:
-            self.profile.record("server.validate", sim_ms=sim_cost_ms)
         if self.trace is not None:
             self.trace.complete(
                 "validate",
@@ -294,36 +318,15 @@ class Observer:
                 args={"entries": entries, "dropped": dropped},
             )
 
-    def on_server_relay(self, now_ms: TimeMs, recipients: int) -> None:
-        """A serializer/relay server routed one action (basic server or
-        a baseline architecture's dispatch)."""
-        self.metrics.counter("server.relays").inc()
-        if self.profile is not None:
-            self.profile.record("server.relay")
-
     def on_shard_forward(self, now_ms: TimeMs, owner: int, involved: int) -> None:
         """An owner shard forwarded a spanning action to the sequencer."""
-        self.metrics.counter("server.shard.forwards").inc()
-        if self.trace is not None:
-            self.trace.instant(
-                "shard.forward",
-                now_ms,
-                track=f"shard-{owner}",
-                args={"involved": involved},
-            )
+        self._instant("shard.forward", now_ms, f"shard-{owner}", involved=involved)
 
     def on_shard_splice(
         self, now_ms: TimeMs, shard: int, gsn: int, pos: int
     ) -> None:
         """A shard spliced a sequenced spanning action into its stream."""
-        self.metrics.counter("server.shard.splices").inc()
-        if self.trace is not None:
-            self.trace.instant(
-                "shard.splice",
-                now_ms,
-                track=f"shard-{shard}",
-                args={"gsn": gsn, "pos": pos},
-            )
+        self._instant("shard.splice", now_ms, f"shard-{shard}", gsn=gsn, pos=pos)
 
     def on_shard_handoff(
         self,
@@ -335,77 +338,52 @@ class Observer:
     ) -> None:
         """One stage of a client handoff (``prepare``/``transfer``/
         ``adopt``) between shards."""
-        self.metrics.counter(f"server.shard.handoff.{stage}").inc()
-        if self.trace is not None:
-            self.trace.instant(
-                "shard.handoff",
-                now_ms,
-                track=f"shard-{src_shard}",
-                args={"client": client_id, "to": dst_shard, "stage": stage},
-            )
+        self._instant(
+            "shard.handoff", now_ms, f"shard-{src_shard}",
+            client=client_id, to=dst_shard, stage=stage,
+        )
 
     def on_hybrid_bundle(
         self, now_ms: TimeMs, members: int, deduplicated: int
     ) -> None:
         """The hybrid relay server shipped one deduplicated bundle."""
-        self.metrics.counter("server.hybrid.bundles").inc()
-        self.metrics.counter("server.hybrid.deduplicated").inc(deduplicated)
-        if self.trace is not None:
-            self.trace.instant(
-                "hybrid.bundle",
-                now_ms,
-                track="server",
-                args={"members": members, "deduplicated": deduplicated},
-            )
-
-    # ------------------------------------------------------------------
-    # Client seams
-    # ------------------------------------------------------------------
-    def on_client_apply(
-        self, client_id: ClientId, now_ms: TimeMs, cost_ms: float
-    ) -> None:
-        """A client accepted one stream entry for evaluation."""
-        self.metrics.counter("client.applies").inc()
-        if self.profile is not None:
-            self.profile.record("client.apply", sim_ms=cost_ms)
+        self._instant(
+            "hybrid.bundle", now_ms, "server",
+            members=members, deduplicated=deduplicated,
+        )
 
     def on_client_retry(
         self, client_id: ClientId, now_ms: TimeMs, attempt: int
     ) -> None:
         """A client resubmitted an unanswered action end-to-end."""
-        self.metrics.counter("client.retries").inc()
-        if self.profile is not None:
-            self.profile.record("client.retry")
-        if self.trace is not None:
-            self.trace.instant(
-                "client.retry",
-                now_ms,
-                track=f"host-{client_id}",
-                args={"attempt": attempt},
-            )
+        self._instant("client.retry", now_ms, f"host-{client_id}", attempt=attempt)
 
     # ------------------------------------------------------------------
     # End-of-run summary
     # ------------------------------------------------------------------
-    def record_run_summary(
-        self,
-        *,
-        meter=None,
-        response_samples=None,
-        virtual_ms: Optional[TimeMs] = None,
-        events: Optional[int] = None,
-    ) -> None:
-        """Fold a finished run's headline measurements into the registry.
-
-        ``meter`` is a :class:`~repro.net.stats.TrafficMeter` (exported
-        via its ``export_metrics``); ``response_samples`` an iterable of
-        stable response times (ms).
-        """
-        if meter is not None:
-            meter.export_metrics(self.metrics)
-        if response_samples is not None:
-            self.metrics.histogram("response_ms").record_many(response_samples)
-        if virtual_ms is not None:
-            self.metrics.gauge("run.virtual_ms").set(virtual_ms)
-        if events is not None:
-            self.metrics.gauge("run.events").set(events)
+    def record_run_summary(self, run) -> None:
+        """Fold a finished run — an engine, or a sharded run's
+        :class:`~repro.net.backend.MergedRun` — into the registry and
+        the profile: every ``COUNTERS`` and ``PHASES`` row from the
+        run's own stats, the ``TrafficMeter`` totals (``traffic.*``),
+        the detectors' hit counts (``adversary.detect.*``), a
+        ``response_ms`` histogram of stable response times, and the
+        ``run.virtual_ms`` / ``run.events`` gauges."""
+        counter = self.metrics.counter
+        values = {name: _stat(run, path) for name, path in COUNTERS.items()}
+        for name, value in values.items():
+            if values[PRESENT_WITH.get(name, name)]:
+                counter(name).inc(value)
+        detected = run.detection_summary().get("detector_counts", {})
+        for detector, count in detected.items():
+            counter(f"adversary.detect.{detector}").inc(count)
+        run.meter.export_metrics(self.metrics)
+        self.metrics.histogram("response_ms").record_many(run.response_times.samples)
+        self.metrics.gauge("run.virtual_ms").set(run.virtual_ms)
+        self.metrics.gauge("run.events").set(run.events)
+        if self.profile is not None:
+            for phase, (count, sim_ms) in PHASES.items():
+                n = _stat(run, count)
+                if n:
+                    charged = 0.0 if sim_ms is None else _stat(run, sim_ms)
+                    self.profile.record(phase, sim_ms=charged, n=n)

@@ -85,30 +85,46 @@ def dump_store(store: ObjectStore, *, virtual_time: TimeMs = 0.0) -> str:
     return json.dumps(payload, sort_keys=True, indent=None, separators=(",", ":"))
 
 
-def load_store(text: str) -> ObjectStore:
-    """Rebuild an :class:`ObjectStore` from :func:`dump_store` output."""
+def _payload(text: str) -> dict:
+    """The JSON object a checkpoint's text holds; anything else is a
+    :class:`ProtocolError`."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as error:
         raise ProtocolError(f"corrupt checkpoint: {error}") from error
+    if not isinstance(payload, dict):
+        raise ProtocolError(f"corrupt checkpoint: a {type(payload).__name__}")
+    return payload
+
+
+def load_store(text: str) -> ObjectStore:
+    """Rebuild an :class:`ObjectStore` from :func:`dump_store` output;
+    malformed text is a :class:`ProtocolError`."""
+    payload = _payload(text)
     if payload.get("format") != FORMAT:
         raise ProtocolError(
             f"not a {FORMAT} checkpoint: format={payload.get('format')!r}"
         )
     store = ObjectStore()
-    for oid, attrs in payload["objects"].items():
-        store.put(
-            WorldObject(
-                oid, {name: _decode_value(value) for name, value in attrs.items()}
+    try:
+        for oid, attrs in payload["objects"].items():
+            store.put(
+                WorldObject(
+                    oid, {name: _decode_value(value) for name, value in attrs.items()}
+                )
             )
-        )
+    except (AttributeError, KeyError, TypeError, ValueError) as error:
+        raise ProtocolError(f"corrupt checkpoint: {error!r}") from error
     return store
 
 
 def checkpoint_time(text: str) -> TimeMs:
-    """The virtual time recorded in a checkpoint."""
-    payload = json.loads(text)
-    return float(payload.get("virtual_time", 0.0))
+    """The virtual time recorded in a checkpoint; malformed text is a
+    :class:`ProtocolError`."""
+    try:
+        return float(_payload(text).get("virtual_time", 0.0))
+    except (TypeError, ValueError) as error:
+        raise ProtocolError(f"corrupt checkpoint: {error!r}") from error
 
 
 class CheckpointPolicy:

@@ -87,7 +87,7 @@ class FullScan:
 
     def _push_cycle(self) -> None:
         self.stats.push_cycles += 1
-        obs = self._obs
+        obs = self.sim.obs
         if obs is not None:
             obs.on_push_scan(self.sim.now, 0)
         batches: List[Tuple[ClientId, List[OrderedAction]]] = []

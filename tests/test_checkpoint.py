@@ -76,6 +76,22 @@ def test_load_rejects_garbage():
         load_store('{"format": "something-else", "objects": {}}')
 
 
+@pytest.mark.parametrize(
+    "read, text",
+    [
+        (load_store, "[]"),
+        (load_store, '{"format": "repro-checkpoint-v1"}'),
+        (load_store, '{"format": "repro-checkpoint-v1", "objects": {"o": {"t": {"__tuple__": 1}}}}'),
+        (checkpoint_time, "not json"),
+        (checkpoint_time, "[]"),
+    ],
+    ids=["list", "no-objects", "bad-tuple", "time-not-json", "time-list"],
+)
+def test_malformed_checkpoints_are_protocol_errors(read, text):
+    with pytest.raises(ProtocolError):
+        read(text)
+
+
 def test_nested_tuples_roundtrip():
     store = ObjectStore([WorldObject("o:0", {"t": ((1, 2), (3, (4,)))})])
     restored = load_store(dump_store(store))

@@ -37,7 +37,7 @@ MARGIN = 10.0
 #: What the barrier reads of the view; the rest of it is the
 #: rebalancer's (tests/test_rebalancer.py).
 VIEW = {
-    "shard_index", "partition", "dead", "clients", "stats", "now", "obs",
+    "shard_index", "partition", "dead", "clients", "stats", "now", "sim",
     "send", "send_peer", "position", "attach", "adopt", "detach", "breach",
     "rebalancer",
 }
@@ -72,7 +72,7 @@ class Shard:
         self.clients: dict = {}
         self.stats = ShardStats()
         self.now = 0.0
-        self.obs = self  # records the handoff stages
+        self.sim = SimpleNamespace(obs=self)  # records the handoff stages
         self.stages: list = []
         #: Client -> committed position (absent: the server knows none).
         self.positions: dict = {}

@@ -71,19 +71,6 @@ def test_saturation_accumulates_queue_delay(sim, host):
     assert host.total_queue_delay > 0
 
 
-def test_speed_factor_scales_cost(sim):
-    slow = Host(sim, 1, speed_factor=2.0)
-    done = []
-    slow.execute(10.0, lambda: done.append(sim.now))
-    sim.run()
-    assert done == [20.0]
-
-
-def test_speed_factor_must_be_positive(sim):
-    with pytest.raises(SimulationError):
-        Host(sim, 1, speed_factor=0.0)
-
-
 def test_cpu_time_and_items_accounting(sim, host):
     host.execute(5.0, lambda: None)
     host.execute(7.0, lambda: None)
@@ -122,7 +109,7 @@ def test_items_interleave_with_simulator_time(sim, host):
 
 
 class ServiceLog:
-    """The one observer hook a host calls."""
+    """The one observer hook a host calls, attached as ``sim.obs``."""
 
     def __init__(self):
         self.calls = []
@@ -133,19 +120,20 @@ class ServiceLog:
 
 def test_scripted_burst_is_served_fifo_with_exact_accounting(sim):
     # Three items at t=0, a fourth arriving mid-burst, a fifth after the
-    # host went idle; speed_factor 2 doubles every cost.
+    # host went idle.
     log = ServiceLog()
-    host = Host(sim, 7, speed_factor=2.0, obs=log)
+    sim.obs = log
+    host = Host(sim, 7)
     done = []
 
     def item(label, cost_ms):
         host.execute(cost_ms, lambda: done.append((label, sim.now)))
 
-    item("a", 5.0)
+    item("a", 10.0)
     item("b", 0.0)
-    item("c", 1.5)
-    sim.schedule(4.0, lambda: item("d", 2.0))
-    sim.schedule(30.0, lambda: item("e", 1.0))
+    item("c", 3.0)
+    sim.schedule(4.0, lambda: item("d", 4.0))
+    sim.schedule(30.0, lambda: item("e", 2.0))
     sim.run()
 
     assert done == [("a", 10.0), ("b", 10.0), ("c", 13.0), ("d", 17.0), ("e", 32.0)]

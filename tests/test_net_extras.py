@@ -1,34 +1,12 @@
-"""Additional network/host coverage: server-side bandwidth caps,
-bandwidth-driven congestion collapse, and link backlog accounting."""
+"""Additional network/host coverage: bandwidth-driven congestion
+collapse and link backlog accounting."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.net.network import Network
-from repro.net.simulator import Simulator
 from repro.types import SERVER_ID
-
-
-def test_server_bandwidth_caps_downlink(sim):
-    fast_net = Network(sim, rtt_ms=0.0, bandwidth_bps=None)
-    fast_net.register(SERVER_ID, lambda src, msg: None)
-    arrivals = []
-    fast_net.register(0, lambda src, msg: arrivals.append(sim.now))
-    fast_net.send(SERVER_ID, 0, "a", 1000)
-    sim.run()
-    assert arrivals == [0.0]
-
-    slow_sim = Simulator()
-    slow_net = Network(
-        slow_sim, rtt_ms=0.0, bandwidth_bps=None, server_bandwidth_bps=100_000
-    )
-    slow_net.register(SERVER_ID, lambda src, msg: None)
-    slow_arrivals = []
-    slow_net.register(0, lambda src, msg: slow_arrivals.append(slow_sim.now))
-    slow_net.send(SERVER_ID, 0, "a", 1000)
-    slow_sim.run()
-    assert slow_arrivals == [pytest.approx(80.0)]  # 8000 bits / 100 kbps
 
 
 def test_sustained_overload_grows_link_backlog(sim):

@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 
+from repro.core.chassis import ClientStats
 from repro.errors import ObservabilityError
+from repro.net.stats import LatencySampler, TrafficMeter
 from repro.obs import (
     LATENCY_BUCKETS_MS,
     PHASES,
@@ -207,6 +210,32 @@ class TestTraceRecorder:
 # ----------------------------------------------------------------------
 
 
+def _finished_run():
+    """What :meth:`Observer.record_run_summary` reads of a finished run
+    (the surface :class:`~repro.core.chassis.EngineChassis` declares):
+    one server, one host, one 120-byte message."""
+    meter = TrafficMeter()
+    meter.record(0, -1, 120)
+    server = SimpleNamespace(
+        stats=SimpleNamespace(push_cycles=1, closures_computed=2, entries_built=0),
+        info_bound=SimpleNamespace(stats=SimpleNamespace(dropped=1)),
+    )
+    return SimpleNamespace(
+        events=42,
+        virtual_ms=5_000.0,
+        closure_cpu_ms=0.08,
+        meter=meter,
+        response_times=LatencySampler([238.0, 250.0]),
+        server_hosts={0: SimpleNamespace(items_completed=1, cpu_time_used=7.44)},
+        client_hosts={},
+        client_stats=ClientStats(
+            entries_applied=1, apply_cpu_ms=7.44, retransmissions=1
+        ),
+        _servers=lambda: [server],
+        detection_summary=lambda: {"detector_counts": {"forgery": 2}},
+    )
+
+
 class TestObserver:
     def test_trace_and_profile_optional(self):
         bare = Observer()
@@ -216,46 +245,52 @@ class TestObserver:
 
     def test_seam_hooks_update_metrics_profile_and_trace(self):
         obs = Observer(trace=True, profile=True)
-        obs.on_dispatch()
         obs.on_host_service(3, start_ms=10.0, cost_ms=7.44, queue_delay_ms=2.0)
-        obs.on_link_transmit(0, -1, size_bytes=120, queue_delay_ms=0.0)
+        obs.on_link_transmit(size_bytes=120, queue_delay_ms=0.0)
         obs.on_arq_retransmit(0, -1, now_ms=50.0, seq=4)
         obs.on_arq_abandoned(0, -1, now_ms=60.0)
         obs.on_push_scan(100.0, candidates=5)
-        obs.on_push_closure(sim_cost_ms=0.04)
         obs.on_push_build(100.0, sim_cost_ms=0.2, batches=2, entries=6)
         obs.on_validate(110.0, sim_cost_ms=0.1, entries=3, dropped=1)
-        obs.on_server_relay(120.0, recipients=8)
+        obs.on_shard_forward(115.0, owner=1, involved=2)
+        obs.on_shard_splice(116.0, shard=0, gsn=0, pos=4)
+        obs.on_shard_handoff(117.0, 2, src_shard=0, dst_shard=1, stage="prepare")
         obs.on_hybrid_bundle(130.0, members=3, deduplicated=2)
-        obs.on_client_apply(2, now_ms=140.0, cost_ms=7.44)
         obs.on_client_retry(2, now_ms=150.0, attempt=1)
-
+        # The hooks sample three histograms and record the trace; they
+        # count nothing ...
+        assert obs.metrics.names() == [
+            "host.queue_delay_ms", "net.message_bytes", "net.queue_delay_ms",
+        ]
+        assert obs.profile.as_dict() == {}
+        # (one trace event per hook but the link's)
+        assert len(obs.trace) == 11 and obs.trace.open_spans() == 0
+        # ... the counters and the profile are the run's own stats.
+        obs.record_run_summary(_finished_run())
         counters = {
-            name
+            name: obs.metrics.get(name).value
             for name in obs.metrics.names()
             if obs.metrics.get(name).to_dict()["type"] == "counter"
         }
         assert {
-            "sim.dispatched", "host.items", "net.messages", "net.bytes",
-            "net.arq.retransmits", "net.arq.abandoned", "server.push.scans",
-            "server.closures", "server.push_cycles", "server.push.entries",
-            "server.validations", "server.actions_dropped", "server.relays",
-            "server.hybrid.bundles", "server.hybrid.deduplicated",
-            "client.applies", "client.retries",
-        } <= counters
-        # Every phase the hooks recorded is a canonical PHASES name.
+            "sim.dispatched": 42, "host.items": 1, "net.messages": 1,
+            "net.bytes": 120, "server.push.scans": 1, "server.push_cycles": 1,
+            "server.push.entries": 0, "server.closures": 2,
+            "server.actions_dropped": 1, "client.applies": 1,
+            "client.retries": 1, "adversary.detect.forgery": 2,
+        }.items() <= counters.items()
+        assert "server.relays" not in counters  # zero and unpaired: absent
         assert set(obs.profile.phases) <= set(PHASES)
-        assert obs.profile.as_dict()["host.service"]["sim_ms"] == 7.44
-        assert len(obs.trace) > 0 and obs.trace.open_spans() == 0
+        assert obs.profile.as_dict()["host.service"] == {"count": 1, "sim_ms": 7.44}
+        assert obs.profile.as_dict()["server.push.closure"]["sim_ms"] == 0.08
 
     def test_record_run_summary_folds_in_headline_metrics(self):
         obs = Observer()
-        obs.record_run_summary(
-            response_samples=[238.0, 250.0], virtual_ms=5_000.0, events=42
-        )
+        obs.record_run_summary(_finished_run())
         assert obs.metrics.histogram("response_ms").count == 2
         assert obs.metrics.gauge("run.virtual_ms").value == 5_000.0
         assert obs.metrics.gauge("run.events").value == 42.0
+        assert obs.metrics.counter("traffic.bytes").value == 120
 
 
 class TestPhaseProfile:

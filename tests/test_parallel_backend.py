@@ -866,6 +866,40 @@ def test_every_promise_rule_is_load_bearing(dropped, speaks, monkeypatch):
         run_simulation("seve", settings)
 
 
+#: Counters that count cross-partition traffic, so depend on W by
+#: definition.
+PER_PARTITIONING = {"backend.cross_partition_messages", "backend.windows_with_traffic"}
+#: Histograms whose ``sum`` adds the same samples in a merge order that
+#: depends on W: equal up to the last place, so left out.
+MERGE_ORDERED_SUMS = {"host.queue_delay_ms", "response_ms"}
+
+
+def _records(settings, path):
+    """What ``--metrics-out`` and ``--profile`` record of a run, less
+    what depends on how it was partitioned."""
+    result = run_simulation("seve", settings.with_(metrics_out=str(path), profile=True))
+    metrics = {
+        name: {
+            key: value
+            for key, value in record.items()
+            if not (key == "sum" and name in MERGE_ORDERED_SUMS)
+        }
+        for name, record in json.loads(path.read_text()).items()
+        if name not in PER_PARTITIONING
+    }
+    counts = {phase: row["count"] for phase, row in result.profile.items()}
+    return metrics, counts
+
+
+def test_records_do_not_depend_on_the_partitioning(tmp_path):
+    settings = SimulationSettings(**BASE, shards=2)
+    one = _records(settings.with_(workers=1), tmp_path / "w1.json")
+    assert one[0]["server.shard.splices"]["value"] > 0  # not vacuous
+    assert _records(settings.with_(workers=2), tmp_path / "w2.json") == one
+    parallel = settings.with_(backend="parallel", workers=2)
+    assert _records(parallel, tmp_path / "parallel.json") == one
+
+
 @pytest.mark.parametrize("workers", [0, 2])
 def test_caller_supplied_observer_sees_a_sharded_run(workers):
     # The replicas observe into the observer the caller passed, not only

@@ -620,20 +620,18 @@ def walks(monkeypatch):
 
 
 class HookLog:
-    """An observer that logs the push path's per-closure and per-cycle
-    hooks (the scan hook differs by design: the oracle nominates no one)."""
+    """An observer that logs the push path's per-cycle build hook and
+    ignores the others (the scan hook differs by design: the oracle
+    nominates no one)."""
 
     def __init__(self):
         self.calls = []
 
-    def on_push_closure(self, cost):
-        self.calls.append(("closure", cost))
-
     def on_push_build(self, *args):
         self.calls.append(("build", args))
 
-    def on_push_scan(self, *args):
-        pass
+    def __getattr__(self, hook):
+        return lambda *args: None
 
 
 def park_c(twins, walks):
@@ -653,19 +651,21 @@ def test_a_parked_client_is_charged_its_deferral_but_not_walked(walks):
     twins = Twins()
     logs = []
     for server in twins.servers():
-        server._obs = HookLog()
-        logs.append(server._obs.calls)
+        server.sim.obs = HookLog()
+        logs.append(server.sim.obs.calls)
     park_c(twins, walks)
     server = twins.shipped.server
     # A's own e3 reaches back to e1 as well.
     assert [c for c, record in server.clients.items() if record.parked] == [A, C]
     deferred = server.stats.closures_deferred
+    computed = server.stats.closures_computed
     for _ in range(3):
         batches, _ = twins.push()
         assert walks(twins) == 0
     assert server.stats.closures_deferred == deferred + 2 * 3
+    assert server.stats.closures_computed == computed + 2 * 3  # each charged
     twins.stats_equal()
-    assert logs[0] == logs[1] and ("closure", 0.04) in logs[0]
+    assert logs[0] == logs[1] and logs[0]
 
 
 def test_parked_client_walks_once_its_blocker_commits(walks):

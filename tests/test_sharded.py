@@ -15,6 +15,7 @@ from repro.core.action import Action, ActionId, ActionResult, BlindWrite
 from repro.core.closure import QueueEntry, _is_span_value
 from repro.core.elastic import Rebalancer
 from repro.core.engine import SeveConfig
+from repro.core.handoff import HANDOFF_MARGIN
 from repro.core.indexes import WriterIndex
 from repro.core.messages import SpanForward, SpanSplice
 from repro.core.sharded import (
@@ -82,8 +83,6 @@ def test_sharding_config_validates():
         ShardingConfig(shards=1)  # one serializer is the classic engine
     with pytest.raises(ConfigurationError):
         ShardingConfig(world_width=0.0)
-    with pytest.raises(ConfigurationError):
-        ShardingConfig(handoff_margin=-1.0)
     with pytest.raises(ConfigurationError):
         RegionPartition(100.0, 0)
     with pytest.raises(ConfigurationError):
@@ -215,7 +214,7 @@ def test_all_clients_remain_attached_after_handoffs():
         obj = engine.shard_states[shard].get(engine.world.avatar_of(client_id))
         assert (
             engine.partition.home_with_hysteresis(
-                float(obj["x"]), shard, engine.sharding.handoff_margin
+                float(obj["x"]), shard, HANDOFF_MARGIN
             )
             == shard
         )
@@ -331,7 +330,7 @@ class Stripe:
         self.clients = dict.fromkeys(clients)
         self.avatar_owner = {f"avatar:{client}": client for client in clients}
         self.stats = ShardStats()
-        self.now, self.obs, self.recovery = 0.0, None, None
+        self.now, self.sim, self.recovery = 0.0, SimpleNamespace(obs=None), None
         self.speaks_at_will = False
         self.lease = SimpleNamespace(is_holder=False, observe_gsn=lambda gsn: None)
         self.host = SimpleNamespace(execute=lambda cost_ms, job: None)
@@ -386,7 +385,7 @@ class Stripe:
 #: What the span pipeline reads of the view; the rest of it is the
 #: rebalancer's and the handoff barrier's (tests/test_rebalancer.py).
 SPAN_VIEW = {
-    "shard_index", "partition", "dead", "clients", "stats", "now", "obs",
+    "shard_index", "partition", "dead", "clients", "stats", "now", "sim",
     "rebalancer", "lease", "speaks_at_will", "host", "costs", "recovery",
     "entries", "base_pos", "writer_index", "avatar_owner", "send_peer",
     "to_holder", "admit", "enqueue", "drop", "advance",
