@@ -7,8 +7,9 @@ recording the two halves of the protocol analyzer on the shipped tree:
 * **Static flow graph** — files scanned, message types mapped, how many
   are registered / enveloped / conservation-tracked / codec-covered,
   analyzer wall time, and the finding count (must be zero: every
-  message has a sender and a handler).  A message *is* a
-  ``@wire_message`` spec and the codec is compiled from the specs, so
+  message has a sender and a handler).  A message *is* one
+  declaration — fields that state their kinds under a
+  ``@wire_message`` spec — and the codec is compiled from it, so
   registered and codec-covered both equal the number of specs by
   construction; conservation-tracked counts the specs with a
   ``group=``, which the servers' message seam counts on both ends.

@@ -1,10 +1,11 @@
 """Protocol messages exchanged between clients and the server.
 
-Every message is a plain dataclass that carries exactly one
-:func:`wire_message` spec next to its fields: its frame tag, its fields
-in wire order with the :class:`Kind` of each, and the constant part of
-its modelled size.  Everything else is *derived* from the specs when
-the module is imported:
+Every message is a plain dataclass declared once: each field states
+its :class:`Kind` where it is declared (``pos: int = wire(I64)``), the
+declaration order is the wire order, and one :func:`wire_message`
+decorator adds the frame tag and the constant part of the modelled
+size.  Everything else is *derived* from those declarations when the
+module is imported:
 
 * :func:`wire_size` — the simulated size the traffic meter bills
   (Figure 9), so it sees realistic relative magnitudes;
@@ -17,11 +18,16 @@ the module is imported:
   handlers against (``PROTOCOL_MESSAGES``, ``ENVELOPED_MESSAGES``, the
   members of ``CONSERVATION_GROUPS``).
 
-Adding a message is therefore one class with one spec (plus a
-round-trip sample in ``tests/test_codec.py``); a type without a spec is
-a ``TypeError`` from :func:`wire_size` and a :class:`CodecError` from
-the codec, never a silent fallback.  Pickle survives only *inside*
-frames, for world-specific action classes and exotic attribute values.
+Adding a message is therefore one class whose fields name their kinds,
+under one decorator (plus a round-trip sample in
+``tests/test_codec.py``); a field without a kind is a ``TypeError``
+when the class is declared, and a type without a spec is a
+``TypeError`` from :func:`wire_size` and a :class:`CodecError` from the
+codec, never a silent fallback.  The composite layouts inside fields
+(attribute values, actions, results, bundle items) are kinds built from
+the same few combinators, each stated once for writing, reading and
+sizing.  Pickle survives only *inside* frames, for world-specific
+action classes and exotic attribute values.
 """
 
 from __future__ import annotations
@@ -39,6 +45,8 @@ from repro.errors import ProtocolError
 from repro.net.network import _Ack, _Packet
 from repro.types import ClientId, ObjectId, TimeMs
 from repro.world.geometry import Vec2
+from repro.world.movement import MoveAction
+from repro.world.walls import WallField
 
 
 class CodecError(ProtocolError):
@@ -56,25 +64,6 @@ _I64 = struct.Struct(">q")
 _F64 = struct.Struct(">d")
 _ACTION_ID = struct.Struct(">qq")
 _VEC2 = struct.Struct(">dd")
-
-#: Action sub-tags (inside frame bodies).
-_ACT_MOVE = ord("M")
-_ACT_BLIND = ord("B")
-_ACT_PICKLED = ord("P")
-
-#: GroupBundle member-item markers: shared-table reference vs inline entry.
-_GB_REF = ord("R")
-_GB_ENTRY = ord("E")
-
-#: Attribute-value sub-tags.
-_VAL_NONE = ord("N")
-_VAL_TRUE = ord("T")
-_VAL_FALSE = ord("F")
-_VAL_INT = ord("I")
-_VAL_FLOAT = ord("D")
-_VAL_STR = ord("S")
-_VAL_TUPLE = ord("U")
-_VAL_PICKLED = ord("P")
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
@@ -115,7 +104,7 @@ class _Reader:
 
 
 # ----------------------------------------------------------------------
-# Field kinds: the reusable vocabulary the message specs are written in.
+# Field kinds: the reusable vocabulary the messages are written in.
 # ----------------------------------------------------------------------
 class Kind(NamedTuple):
     """How one kind of field is written, read back, and sized.
@@ -146,6 +135,15 @@ def _number(fmt: struct.Struct) -> Kind:
         out += fmt.pack(value)
 
     return Kind(write, lambda codec, r: r.unpack(fmt)[0])
+
+
+def _const(value) -> Kind:
+    """Nothing on the wire; reads back ``value``."""
+    return Kind(lambda codec, out, ignored: None, lambda codec, r: value)
+
+
+def _always(value) -> bool:
+    return True
 
 
 def optional(kind: Kind) -> Kind:
@@ -199,6 +197,59 @@ def record(*kinds: Kind, base: int = 0) -> Kind:
     return Kind(write, read, _flat_sum(base, sized) if base or sized else None)
 
 
+def instance(make: Callable, base: Optional[int] = None, /, **parts: Kind) -> Kind:
+    """An object written as its named attributes, in the order given,
+    and read back as ``make(**parts)``; modelled at ``base`` bytes plus
+    whatever the parts add, or not modelled when ``base`` is ``None``."""
+    named = tuple(parts.items())
+    getters = [(attrgetter(name), kind) for name, kind in named]
+    sized = [(f".{name}", kind.size) for name, kind in named if kind.size]
+
+    def write(codec, out, value):
+        for get, kind in getters:
+            kind.write(codec, out, get(value))
+
+    def read(codec, r):
+        return make(**{name: kind.read(codec, r) for name, kind in named})
+
+    return Kind(write, read, None if base is None else _flat_sum(base, sized))
+
+
+def choice(
+    what: str, *alternatives: Tuple[str, Callable[[Any], bool], Kind], size=None
+) -> Kind:
+    """A one-character sub-tag, then the value in the kind of the first
+    alternative ``(sub_tag, test, kind)`` whose test holds (the last
+    test holds for anything); read back by the sub-tag's kind.  An
+    unknown sub-tag is a :class:`CodecError`."""
+    tagged = [(ord(sub_tag), test, kind) for sub_tag, test, kind in alternatives]
+    kind_of = {sub_tag: kind for sub_tag, _, kind in tagged}
+
+    def write(codec, out, value):
+        for sub_tag, test, kind in tagged:
+            if test(value):
+                out.append(sub_tag)
+                return kind.write(codec, out, value)
+
+    def read(codec, r):
+        sub_tag = r.byte()
+        if sub_tag not in kind_of:
+            raise CodecError(f"unknown {what} sub-tag {sub_tag}")
+        return kind_of[sub_tag].read(codec, r)
+
+    return Kind(write, read, size)
+
+
+def mapped(kind: Kind, to_wire: Callable, from_wire: Callable, size=None) -> Kind:
+    """``kind`` written from ``to_wire(value)`` and read back through
+    ``from_wire``."""
+    return Kind(
+        lambda codec, out, value: kind.write(codec, out, to_wire(value)),
+        lambda codec, r: from_wire(kind.read(codec, r)),
+        size,
+    )
+
+
 def _w_str(codec, out: bytearray, text: str) -> None:
     raw = text.encode("utf-8")
     out += _U32.pack(len(raw))
@@ -213,58 +264,8 @@ def _r_str(codec, r: _Reader) -> str:
         raise CodecError(f"corrupt string field: {exc}") from exc
 
 
-def _w_value(codec, out: bytearray, value) -> None:
-    if value is None:
-        out.append(_VAL_NONE)
-    elif value is True:
-        out.append(_VAL_TRUE)
-    elif value is False:
-        out.append(_VAL_FALSE)
-    elif type(value) is int and _INT64_MIN <= value <= _INT64_MAX:
-        out.append(_VAL_INT)
-        out += _I64.pack(value)
-    elif type(value) is float:
-        out.append(_VAL_FLOAT)
-        out += _F64.pack(value)
-    elif type(value) is str:
-        out.append(_VAL_STR)
-        _w_str(codec, out, value)
-    elif type(value) is tuple:
-        out.append(_VAL_TUPLE)
-        out += _U32.pack(len(value))
-        for item in value:
-            _w_value(codec, out, item)
-    else:
-        out.append(_VAL_PICKLED)
-        _w_pickled(out, value)
-
-
-def _r_value(codec, r: _Reader):
-    kind = r.byte()
-    if kind == _VAL_NONE:
-        return None
-    if kind == _VAL_TRUE:
-        return True
-    if kind == _VAL_FALSE:
-        return False
-    if kind == _VAL_INT:
-        return r.unpack(_I64)[0]
-    if kind == _VAL_FLOAT:
-        return r.unpack(_F64)[0]
-    if kind == _VAL_STR:
-        return _r_str(codec, r)
-    if kind == _VAL_TUPLE:
-        (count,) = r.unpack(_U32)
-        return tuple(_r_value(codec, r) for _ in range(count))
-    if kind == _VAL_PICKLED:
-        return _r_pickled(codec, r)
-    raise CodecError(f"unknown value sub-tag {kind}")
-
-
-def _w_pickled(out: bytearray, obj: object) -> None:
+def _w_pickled(codec, out: bytearray, obj: object) -> None:
     """A u32-length-prefixed pickle; wall fields become a token."""
-    from repro.world.walls import WallField
-
     buffer = io.BytesIO()
     pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
     pickler.persistent_id = (
@@ -290,88 +291,20 @@ def _r_pickled(codec, r: _Reader) -> object:
         raise CodecError(f"corrupt pickled payload: {exc}") from exc
 
 
-def _w_action(codec, out: bytearray, action: Action) -> None:
-    from repro.world.movement import MoveAction
-
-    if type(action) is MoveAction:
-        out.append(_ACT_MOVE)
-        out += _ACTION_ID.pack(*action.action_id)
-        _w_str(codec, out, action.avatar_oid)
-        STR_SET.write(codec, out, action.neighbors)
-        out += _F64.pack(action.duration_s)
-        out += _F64.pack(action.radius)
-        VEC2.write(codec, out, action.position)
-        OPT_VEC2.write(codec, out, action.velocity)
-        out += _F64.pack(action.cost_ms)
-    elif type(action) is BlindWrite:
-        out.append(_ACT_BLIND)
-        out += _ACTION_ID.pack(*action.action_id)
-        # a ValuesDict (oid -> attrs dict) in insertion order has the
-        # layout of a canonicalised written tuple
-        WRITTEN.write(
-            codec,
-            out,
-            [(oid, tuple(attrs.items())) for oid, attrs in action._values.items()],
-        )
-        OPT_ACTION_ID.write(codec, out, action.origin)
-    else:
-        # world-specific action classes ship as pickles; counted so a
-        # hot one is visible (``codec.action_pickle`` on the parallel
-        # backend) and can be given a field encoding here
-        name = type(action).__name__
-        codec.pickle_fallbacks[name] = codec.pickle_fallbacks.get(name, 0) + 1
-        out.append(_ACT_PICKLED)
-        _w_pickled(out, action)
+def _w_pickled_action(codec, out: bytearray, action: Action) -> None:
+    # world-specific action classes ship as pickles; counted so a hot
+    # one is visible (``codec.action_pickle`` on the parallel backend)
+    # and can be given a field encoding in ``ACTION``
+    name = type(action).__name__
+    codec.pickle_fallbacks[name] = codec.pickle_fallbacks.get(name, 0) + 1
+    _w_pickled(codec, out, action)
 
 
-def _r_action(codec, r: _Reader) -> Action:
-    from repro.world.movement import MoveAction
-
-    kind = r.byte()
-    if kind == _ACT_MOVE:
-        if codec._walls is None:
-            raise CodecError(
-                "cannot decode MoveAction: codec has no wall field bound"
-            )
-        action_id = ACTION_ID.read(codec, r)
-        avatar_oid = _r_str(codec, r)
-        neighbors = STR_SET.read(codec, r)
-        (duration_s,) = r.unpack(_F64)
-        (effect_range,) = r.unpack(_F64)
-        position = VEC2.read(codec, r)
-        velocity = OPT_VEC2.read(codec, r)
-        (cost_ms,) = r.unpack(_F64)
-        try:
-            return MoveAction(
-                action_id,
-                avatar_oid,
-                neighbors=neighbors,
-                walls=codec._walls,
-                duration_s=duration_s,
-                effect_range=effect_range,
-                position=position,
-                velocity=velocity,
-                cost_ms=cost_ms,
-            )
-        except ProtocolError as exc:
-            raise CodecError(f"corrupt move action fields: {exc}") from exc
-    if kind == _ACT_BLIND:
-        action_id = ACTION_ID.read(codec, r)
-        values = {oid: dict(attrs) for oid, attrs in WRITTEN.read(codec, r)}
-        return BlindWrite(action_id, values, origin=OPT_ACTION_ID.read(codec, r))
-    if kind == _ACT_PICKLED:
-        return _r_pickled(codec, r)
-    raise CodecError(f"unknown action sub-tag {kind}")
-
-
-def _w_result(codec, out: bytearray, result: ActionResult) -> None:
-    out.append(1 if result.aborted else 0)
-    WRITTEN.write(codec, out, result.written)
-
-
-def _r_result(codec, r: _Reader) -> ActionResult:
-    aborted = bool(r.byte())
-    return ActionResult(WRITTEN.read(codec, r), aborted)
+def _move(walls, action_id, avatar_oid, radius, **rest) -> MoveAction:
+    try:
+        return MoveAction(action_id, avatar_oid, walls=walls, effect_range=radius, **rest)
+    except ProtocolError as exc:
+        raise CodecError(f"corrupt move action fields: {exc}") from exc
 
 
 I64 = _number(_I64)
@@ -381,6 +314,7 @@ BOOL = Kind(
     lambda codec, r: bool(r.byte()),
 )
 STR = Kind(_w_str, _r_str)
+PICKLED = Kind(_w_pickled, _r_pickled)
 ACTION_ID = Kind(
     lambda codec, out, action_id: out.extend(_ACTION_ID.pack(*action_id)),
     lambda codec, r: ActionId(*r.unpack(_ACTION_ID)),
@@ -391,25 +325,64 @@ VEC2 = Kind(
     lambda codec, r: Vec2(*r.unpack(_VEC2)),
 )
 OPT_VEC2 = optional(VEC2)
-_STRS = seq(STR)
 #: A str set travels sorted (deterministic frames) at 4 modelled bytes a
 #: member; ``None`` (no interest filter) is distinct from the empty set.
-STR_SET = Kind(
-    lambda codec, out, members: _STRS.write(codec, out, sorted(members)),
-    lambda codec, r: frozenset(_STRS.read(codec, r)),
-    lambda members: 4 * len(members),
-)
+STR_SET = mapped(seq(STR), sorted, frozenset, lambda members: 4 * len(members))
 OPT_STR_SET = optional(STR_SET)
+#: A move's wall field never travels: it reads back as the decoding
+#: codec's own (seed-derived, identical on every host).
+WALLS = Kind(lambda codec, out, walls: None, lambda codec, r: codec._bound_walls())
 #: Any attribute value: None/bool/int64/float/str/tuple field-encoded,
-#: anything else pickled.
-VALUE = Kind(_w_value, _r_value)
+#: anything else pickled.  A tuple's items are values again.
+VALUE = choice(
+    "value",
+    ("N", lambda value: value is None, _const(None)),
+    ("T", lambda value: value is True, _const(True)),
+    ("F", lambda value: value is False, _const(False)),
+    ("I", lambda value: type(value) is int and _INT64_MIN <= value <= _INT64_MAX, I64),
+    ("D", lambda value: type(value) is float, F64),
+    ("S", lambda value: type(value) is str, STR),
+    ("U", lambda value: type(value) is tuple, seq(Kind(
+        lambda codec, out, value: VALUE.write(codec, out, value),
+        lambda codec, r: VALUE.read(codec, r),
+    ))),
+    ("P", _always, PICKLED),
+)
 #: An object's attributes, 12 bytes apiece, and a canonicalised written
 #: tuple (see ``ActionResult.of``) of them at 8 bytes per object.
 ATTRS = seq(record(STR, VALUE), each=12)
 WRITTEN = seq(record(STR, ATTRS, base=8))
-RESULT = Kind(_w_result, _r_result, lambda result: WRITTEN.size(result.written))
+RESULT = instance(ActionResult, 0, aborted=BOOL, written=WRITTEN)
 #: Actions self-report their size (:meth:`Action.wire_size`).
-ACTION = Kind(_w_action, _r_action, methodcaller("wire_size"))
+ACTION = choice(
+    "action",
+    ("M", lambda action: type(action) is MoveAction, instance(
+        _move,
+        walls=WALLS,
+        action_id=ACTION_ID,
+        avatar_oid=STR,
+        neighbors=STR_SET,
+        duration_s=F64,
+        radius=F64,
+        position=VEC2,
+        velocity=OPT_VEC2,
+        cost_ms=F64,
+    )),
+    ("B", lambda action: type(action) is BlindWrite, instance(
+        lambda action_id, _values, origin: BlindWrite(action_id, _values, origin=origin),
+        action_id=ACTION_ID,
+        # an oid -> attrs dict in insertion order has the layout of a
+        # canonicalised written tuple
+        _values=mapped(
+            WRITTEN,
+            lambda values: [(oid, tuple(attrs.items())) for oid, attrs in values.items()],
+            dict,
+        ),
+        origin=OPT_ACTION_ID,
+    )),
+    ("P", _always, Kind(_w_pickled_action, _r_pickled)),
+    size=methodcaller("wire_size"),
+)
 #: A whole nested frame, billed as the message it carries.  The write
 #: goes through ``codec.encode`` so nested frames are counted as frames.
 FRAME = Kind(
@@ -428,7 +401,6 @@ class WireSpec(NamedTuple):
 
     cls: type
     tag: int
-    fields: Tuple[Tuple[str, Kind], ...]
     header: Optional[int]
     enveloped: bool
     group: Optional[str]
@@ -444,51 +416,53 @@ _SPEC_OF_TAG: Dict[int, WireSpec] = {}
 _SIZERS: Dict[type, Callable[[Any], int]] = {}
 
 
+def wire(kind: Kind, **options) -> Any:
+    """A message field of ``kind``: a :func:`dataclasses.field` whose
+    metadata holds the kind; ``default=`` and ``kw_only=`` pass
+    through."""
+    return dataclasses.field(metadata={"kind": kind}, **options)
+
+
 def wire_message(
     *,
     tag: int,
-    fields: List[Tuple[str, Kind]],
     header: Optional[int],
     enveloped: bool = False,
     group: Optional[str] = None,
+    kinds: Tuple[Kind, ...] = (),
 ) -> Callable[[type], type]:
     """Class decorator declaring a dataclass a wire message.
 
-    ``tag`` is the frame tag — part of the on-wire format, never
-    renumber.  ``fields`` lists every dataclass field with its kind, in
-    wire order.  ``header`` is the constant part of the modelled size
-    (ids, positions and other fixed-width fields); ``None`` marks a
-    transport frame beneath the protocol, billed by the layer that sends
-    it and left out of ``PROTOCOL_MESSAGES``.  ``enveloped`` messages
-    only travel inside another message's fields and so have no dispatch
-    branch of their own.  ``group`` enrols the message in that
-    ``CONSERVATION_GROUPS`` entry: it is counted on both sides of the
-    servers' message seam.
+    The fields travel in declaration order, each in the kind it was
+    declared with (:func:`wire`); a field without one is a
+    ``TypeError`` here.  ``kinds`` gives them in declaration order
+    instead, for a dataclass declared where the kinds cannot be
+    imported (the net layer's ARQ frames).  ``tag`` is the frame tag —
+    part of the on-wire format, never renumber.  ``header`` is the
+    constant part of the modelled size (ids, positions and other
+    fixed-width fields); ``None`` marks a transport frame beneath the
+    protocol, billed by the layer that sends it and left out of
+    ``PROTOCOL_MESSAGES``.  ``enveloped`` messages only travel inside
+    another message's fields and so have no dispatch branch of their
+    own.  ``group`` enrols the message in that ``CONSERVATION_GROUPS``
+    entry: it is counted on both sides of the servers' message seam.
 
     The analyzer (``repro.analysis.protocol``) reads these decorators
     statically, so keep ``enveloped`` and ``group`` literal.
     """
 
     def declare(cls: type) -> type:
-        names = [name for name, _ in fields]
-        if sorted(names) != sorted(f.name for f in dataclasses.fields(cls)):
-            raise TypeError(f"{cls.__name__}: spec {names} != dataclass fields")
+        fields = dataclasses.fields(cls)
+        declared = kinds or [field.metadata.get("kind") for field in fields]
+        if len(declared) != len(fields) or None in declared:
+            raise TypeError(f"{cls.__name__}: a field has no wire kind")
         if tag in _SPEC_OF_TAG or not 0 < tag <= 0xFF:
             raise ValueError(f"{cls.__name__}: tag {tag} taken or out of range")
-        accessors = [(attrgetter(name), kind) for name, kind in fields]
-        sized = [(f".{name}", kind.size) for name, kind in fields if kind.size]
-
-        def write(codec, out, message):
-            for get, kind in accessors:
-                kind.write(codec, out, get(message))
-
-        def read(codec, r):
-            return cls(**{name: kind.read(codec, r) for name, kind in fields})
-
-        size = None if header is None else _flat_sum(header, sized)
-        body = Kind(write, read, size)
-        spec = WireSpec(cls, tag, tuple(fields), header, enveloped, group, body)
-        WIRE_SPECS[cls] = _SPEC_OF_TAG[tag] = spec
+        parts = {field.name: kind for field, kind in zip(fields, declared)}
+        body = instance(cls, header, **parts)
+        WIRE_SPECS[cls] = _SPEC_OF_TAG[tag] = WireSpec(
+            cls, tag, header, enveloped, group, body
+        )
         if body.size:
             _SIZERS[cls] = body.size
         return cls
@@ -524,17 +498,15 @@ def _read_frame(codec: "MessageCodec", reader: _Reader) -> object:
 # ----------------------------------------------------------------------
 # The messages
 # ----------------------------------------------------------------------
-@wire_message(tag=1, header=16, fields=[("action", ACTION)])
+@wire_message(tag=1, header=16)
 @dataclass(frozen=True)
 class SubmitAction:
     """Client -> server: a freshly created action to be serialized."""
 
-    action: Action
+    action: Action = wire(ACTION)
 
 
-@wire_message(
-    tag=2, header=8, enveloped=True, fields=[("pos", I64), ("action", ACTION)]
-)
+@wire_message(tag=2, header=8, enveloped=True)
 @dataclass(frozen=True)
 class OrderedAction:
     """One entry of the server's serialized stream.
@@ -545,17 +517,15 @@ class OrderedAction:
     structurally, never by an ``isinstance`` dispatch branch of its own.
     """
 
-    pos: int
-    action: Action
+    pos: int = wire(I64)
+    action: Action = wire(ACTION)
 
 
 #: An ordered entry inside another message: the body without a frame.
 ENTRY = WIRE_SPECS[OrderedAction].body
 
 
-@wire_message(
-    tag=3, header=16, fields=[("last_installed", I64), ("entries", seq(ENTRY))]
-)
+@wire_message(tag=3, header=16)
 @dataclass(frozen=True)
 class ActionBatch:
     """Server -> client: an ordered batch of actions.
@@ -567,43 +537,34 @@ class ActionBatch:
     server's commit frontier for client-side garbage collection.
     """
 
-    entries: Tuple[OrderedAction, ...]
-    last_installed: int = -1
+    last_installed: int = wire(I64, default=-1, kw_only=True)
+    entries: Tuple[OrderedAction, ...] = wire(seq(ENTRY))
 
 
-@wire_message(
-    tag=4,
-    header=32,
-    fields=[
-        ("pos", I64),
-        ("action_id", ACTION_ID),
-        ("reporter", I64),
-        ("result", RESULT),
-    ],
-)
+@wire_message(tag=4, header=32)
 @dataclass(frozen=True)
 class Completion:
     """Client -> server: stable result *u* of an action (Algorithm 4
     step 5), enabling the server to install ζ_S(i)."""
 
-    pos: int
-    action_id: ActionId
-    result: ActionResult
+    pos: int = wire(I64)
+    action_id: ActionId = wire(ACTION_ID)
     #: Which client produced the completion (relevant in the
     #: fault-tolerant mode where every evaluating client responds).
-    reporter: ClientId = -2
+    reporter: ClientId = wire(I64, default=-2, kw_only=True)
+    result: ActionResult = wire(RESULT)
 
 
-@wire_message(tag=5, header=24, fields=[("action_id", ACTION_ID)])
+@wire_message(tag=5, header=24)
 @dataclass(frozen=True)
 class AbortNotice:
     """Server -> originating client: the Information Bound Model dropped
     this action; roll back its optimistic effects."""
 
-    action_id: ActionId
+    action_id: ActionId = wire(ACTION_ID)
 
 
-@wire_message(tag=43, header=32, fields=[("pos", I64), ("action_id", ACTION_ID)])
+@wire_message(tag=43, header=32)
 @dataclass(frozen=True)
 class CommitNotice:
     """Server -> originating client: an entry that commits while its
@@ -618,15 +579,11 @@ class CommitNotice:
     gap the schedule-permutation explorer flushed out
     (docs/static_analysis.md)."""
 
-    pos: int
-    action_id: ActionId
+    pos: int = wire(I64)
+    action_id: ActionId = wire(ACTION_ID)
 
 
-@wire_message(
-    tag=6,
-    header=24,
-    fields=[("values", WRITTEN), ("cause", OPT_ACTION_ID), ("submitted_at", F64)],
-)
+@wire_message(tag=6, header=24)
 @dataclass(frozen=True)
 class StateUpdate:
     """Server -> client (Central/Zoned baselines): authoritative values.
@@ -635,12 +592,12 @@ class StateUpdate:
     update, so the originator can measure its response time.
     """
 
-    values: tuple  # canonicalised like ActionResult.written
-    cause: Optional[ActionId] = None
-    submitted_at: TimeMs = 0.0
+    values: tuple = wire(WRITTEN)  # canonicalised like ActionResult.written
+    cause: Optional[ActionId] = wire(OPT_ACTION_ID, default=None)
+    submitted_at: TimeMs = wire(F64, default=0.0)
 
 
-@wire_message(tag=9, header=8, fields=[("final_dst", I64), ("payload", FRAME)])
+@wire_message(tag=9, header=8)
 @dataclass(frozen=True)
 class PeerForward:
     """Server -> relay peer: a batch to pass on to ``final_dst``.
@@ -650,26 +607,8 @@ class PeerForward:
     spent once, the relay pays the second hop.
     """
 
-    final_dst: ClientId
-    payload: "ActionBatch"
-
-
-def _w_bundle_item(codec, out: bytearray, item) -> None:
-    if isinstance(item, int):
-        out.append(_GB_REF)
-        out += _I64.pack(item)
-    else:
-        out.append(_GB_ENTRY)
-        ENTRY.write(codec, out, item)
-
-
-def _r_bundle_item(codec, r: _Reader):
-    marker = r.byte()
-    if marker == _GB_REF:
-        return r.unpack(_I64)[0]
-    if marker == _GB_ENTRY:
-        return ENTRY.read(codec, r)
-    raise CodecError(f"unknown bundle item marker {marker}")
+    final_dst: ClientId = wire(I64)
+    payload: "ActionBatch" = wire(FRAME)
 
 
 #: ``GroupBundle.members``: per recipient 8 bytes plus its items, each a
@@ -678,10 +617,11 @@ MEMBERS = seq(
     record(
         I64,
         seq(
-            Kind(
-                _w_bundle_item,
-                _r_bundle_item,
-                lambda item: 4 if isinstance(item, int) else ENTRY.size(item),
+            choice(
+                "bundle item",
+                ("R", lambda item: isinstance(item, int), I64),
+                ("E", _always, ENTRY),
+                size=lambda item: 4 if isinstance(item, int) else ENTRY.size(item),
             )
         ),
         base=8,
@@ -689,11 +629,7 @@ MEMBERS = seq(
 )
 
 
-@wire_message(
-    tag=10,
-    header=16,
-    fields=[("last_installed", I64), ("shared", seq(ENTRY)), ("members", MEMBERS)],
-)
+@wire_message(tag=10, header=16)
 @dataclass(frozen=True)
 class GroupBundle:
     """Server -> relay head: one push cycle's batches for a relay group,
@@ -709,12 +645,12 @@ class GroupBundle:
     the egress saving over unicasting overlapping batches.
     """
 
-    shared: Tuple[OrderedAction, ...]
-    members: Tuple[Tuple[ClientId, tuple], ...]
-    last_installed: int = -1
+    last_installed: int = wire(I64, default=-1, kw_only=True)
+    shared: Tuple[OrderedAction, ...] = wire(seq(ENTRY))
+    members: Tuple[Tuple[ClientId, tuple], ...] = wire(MEMBERS)
 
 
-@wire_message(tag=7, header=8, fields=[("sender", I64)])
+@wire_message(tag=7, header=8)
 @dataclass(frozen=True)
 class Heartbeat:
     """Client -> server: liveness beacon (Section III-C).
@@ -723,78 +659,56 @@ class Heartbeat:
     lossy network ate carries exactly the information the server needs
     (nothing arrived)."""
 
-    sender: ClientId = -2
+    sender: ClientId = wire(I64, default=-2)
 
 
-@wire_message(tag=8, header=24, fields=[("submitted_at", F64), ("action", ACTION)])
+@wire_message(tag=8, header=24)
 @dataclass(frozen=True)
 class RelayedAction:
     """Server -> client (Broadcast/RING baselines): a raw forwarded
     action for local evaluation."""
 
-    action: Action
-    submitted_at: TimeMs = 0.0
+    submitted_at: TimeMs = wire(F64, default=0.0, kw_only=True)
+    action: Action = wire(ACTION)
 
 
-@wire_message(tag=11, header=24, fields=[("action_id", ACTION_ID)])
+@wire_message(tag=11, header=24)
 @dataclass(frozen=True)
 class LockGrant:
     """Server -> client (locking baseline): every lock for this action
     is now held."""
 
-    action_id: ActionId
+    action_id: ActionId = wire(ACTION_ID)
 
 
-@wire_message(
-    tag=12,
-    header=24,
-    fields=[("action_id", ACTION_ID), ("written", WRITTEN), ("submitted_at", F64)],
-)
+@wire_message(tag=12, header=24)
 @dataclass(frozen=True)
 class Effect:
     """Client -> server -> clients (locking baseline): the executed
     action's writes."""
 
-    action_id: ActionId
-    written: tuple  # canonicalised like ActionResult.written
-    submitted_at: TimeMs = 0.0
+    action_id: ActionId = wire(ACTION_ID)
+    written: tuple = wire(WRITTEN)  # canonicalised like ActionResult.written
+    submitted_at: TimeMs = wire(F64, default=0.0)
 
 
 #: Object versions (timestamp ordering), modelled at 12 bytes apiece.
 VERSIONS = seq(record(STR, I64), each=12)
 
 
-@wire_message(
-    tag=13,
-    header=32,
-    fields=[
-        ("action_id", ACTION_ID),
-        ("read_versions", VERSIONS),
-        ("written", WRITTEN),
-        ("submitted_at", F64),
-    ],
-)
+@wire_message(tag=13, header=32)
 @dataclass(frozen=True)
 class Certify:
     """Client -> server (timestamp baseline): a tentatively executed
     transaction, with the versions of its read set at execution time."""
 
-    action_id: ActionId
-    read_versions: Tuple[Tuple[ObjectId, int], ...]
-    written: tuple  # canonicalised like ActionResult.written
-    submitted_at: TimeMs = 0.0
+    action_id: ActionId = wire(ACTION_ID)
+    read_versions: Tuple[Tuple[ObjectId, int], ...] = wire(VERSIONS)
+    written: tuple = wire(WRITTEN)  # canonicalised like ActionResult.written
+    submitted_at: TimeMs = wire(F64, default=0.0)
 
 
-@wire_message(
-    tag=14,
-    header=24,
-    fields=[
-        ("action_id", ACTION_ID),
-        ("committed", BOOL),
-        ("written", WRITTEN),
-        ("versions", VERSIONS),
-    ],
-)
+@wire_message(tag=14, header=24)
 @dataclass(frozen=True)
 class Decision:
     """Server -> clients (timestamp baseline): a global history entry.
@@ -804,10 +718,10 @@ class Decision:
     retries, nobody else cares).
     """
 
-    action_id: ActionId
-    committed: bool
-    written: tuple
-    versions: Tuple[Tuple[ObjectId, int], ...]
+    action_id: ActionId = wire(ACTION_ID)
+    committed: bool = wire(BOOL)
+    written: tuple = wire(WRITTEN)
+    versions: Tuple[Tuple[ObjectId, int], ...] = wire(VERSIONS)
 
 
 # ----------------------------------------------------------------------
@@ -819,27 +733,19 @@ SHARDS = seq(I64, each=4)
 ACTION_IDS = seq(ACTION_ID, each=8)
 
 
-@wire_message(
-    tag=16,
-    header=24,
-    fields=[("owner", I64), ("involved", SHARDS), ("action", ACTION)],
-)
+@wire_message(tag=16, header=24)
 @dataclass(frozen=True)
 class SpanForward:
     """Owner shard -> sequencer: a spanning action awaiting a global
     sequence number.  ``involved`` names every shard whose region the
     action's influence disc intersects (owner included)."""
 
-    owner: int
-    involved: Tuple[int, ...]
-    action: Action
+    owner: int = wire(I64)
+    involved: Tuple[int, ...] = wire(SHARDS)
+    action: Action = wire(ACTION)
 
 
-@wire_message(
-    tag=17,
-    header=32,
-    fields=[("gsn", I64), ("owner", I64), ("involved", SHARDS), ("action", ACTION)],
-)
+@wire_message(tag=17, header=32)
 @dataclass(frozen=True)
 class SpanSplice:
     """Sequencer -> involved shards: splice this spanning action into
@@ -848,66 +754,53 @@ class SpanSplice:
     what makes every shard agree on the relative order of spanning
     actions."""
 
-    gsn: int
-    owner: int
-    involved: Tuple[int, ...]
-    action: Action
+    gsn: int = wire(I64)
+    owner: int = wire(I64)
+    involved: Tuple[int, ...] = wire(SHARDS)
+    action: Action = wire(ACTION)
 
 
-@wire_message(
-    tag=18,
-    header=32,
-    fields=[("gsn", I64), ("action_id", ACTION_ID), ("result", RESULT)],
-)
+@wire_message(tag=18, header=32)
 @dataclass(frozen=True)
 class SpanResult:
     """Owner shard -> involved peers: the committed result of a
     spanning action (the originator's completion, relayed)."""
 
-    gsn: int
-    action_id: ActionId
-    result: ActionResult
+    gsn: int = wire(I64)
+    action_id: ActionId = wire(ACTION_ID)
+    result: ActionResult = wire(RESULT)
 
 
-@wire_message(tag=19, header=32, fields=[("gsn", I64), ("action_id", ACTION_ID)])
+@wire_message(tag=19, header=32)
 @dataclass(frozen=True)
 class SpanAbort:
     """Owner shard -> involved peers: the spanning action was aborted
     (orphaned or dropped); peers mark their spliced entry invalid."""
 
-    gsn: int
-    action_id: ActionId
+    gsn: int = wire(I64)
+    action_id: ActionId = wire(ACTION_ID)
 
 
-@wire_message(tag=20, header=16, fields=[("new_shard", I64)])
+@wire_message(tag=20, header=16)
 @dataclass(frozen=True)
 class HandoffPrepare:
     """Shard -> client: your region owner is changing; stop submitting
     to me and acknowledge with :class:`HandoffReady`."""
 
-    new_shard: int
+    new_shard: int = wire(I64)
 
 
-@wire_message(tag=21, header=16, fields=[("client_id", I64)])
+@wire_message(tag=21, header=16)
 @dataclass(frozen=True)
 class HandoffReady:
     """Client -> old shard: I have stopped submitting.  Sent on the
     same FIFO channel as submissions, so receipt proves the shard has
     everything the client ever sent it."""
 
-    client_id: ClientId
+    client_id: ClientId = wire(I64)
 
 
-@wire_message(
-    tag=22,
-    header=32,
-    fields=[
-        ("client_id", I64),
-        ("radius", F64),
-        ("interests", OPT_STR_SET),
-        ("resolved", ACTION_IDS),
-    ],
-)
+@wire_message(tag=22, header=32)
 @dataclass(frozen=True)
 class HandoffTransfer:
     """Old shard -> new shard (backbone): adopt this client.
@@ -916,19 +809,19 @@ class HandoffTransfer:
     committed or aborted — relayed to the client so it can retire
     pending entries whose stream echoes will never arrive."""
 
-    client_id: ClientId
-    radius: float
-    interests: Optional[frozenset] = None
-    resolved: Tuple[ActionId, ...] = ()
+    client_id: ClientId = wire(I64)
+    radius: float = wire(F64)
+    interests: Optional[frozenset] = wire(OPT_STR_SET, default=None)
+    resolved: Tuple[ActionId, ...] = wire(ACTION_IDS, default=())
 
 
-@wire_message(tag=23, header=16, fields=[("shard", I64), ("resolved", ACTION_IDS)])
+@wire_message(tag=23, header=16)
 @dataclass(frozen=True)
 class HandoffWelcome:
     """New shard -> client: you are mine now; switch your stream."""
 
-    shard: int
-    resolved: Tuple[ActionId, ...] = ()
+    shard: int = wire(I64)
+    resolved: Tuple[ActionId, ...] = wire(ACTION_IDS, default=())
 
 
 # ----------------------------------------------------------------------
@@ -936,18 +829,7 @@ class HandoffWelcome:
 # docs/elasticity.md).  All five travel only between shard servers on
 # the fault-free FIFO backbone, and all five are conservation-tracked.
 # ----------------------------------------------------------------------
-@wire_message(
-    tag=32,
-    header=32,
-    group="elastic",
-    fields=[
-        ("shard", I64),
-        ("round", I64),
-        ("cpu_ms", F64),
-        ("serialized", I64),
-        ("clients", I64),
-    ],
-)
+@wire_message(tag=32, header=32, group="elastic")
 @dataclass(frozen=True)
 class LoadReport:
     """Shard -> controller (shard 0): one load sample — the cpu and
@@ -955,19 +837,14 @@ class LoadReport:
     Every shard reports once per elastic interval; the controller
     evaluates a round once all K reports for it have arrived."""
 
-    shard: int
-    round: int
-    cpu_ms: float
-    serialized: int
-    clients: int
+    shard: int = wire(I64)
+    round: int = wire(I64)
+    cpu_ms: float = wire(F64)
+    serialized: int = wire(I64)
+    clients: int = wire(I64)
 
 
-@wire_message(
-    tag=33,
-    header=16,
-    group="elastic",
-    fields=[("version", I64), ("boundaries", seq(F64, each=8))],
-)
+@wire_message(tag=33, header=16, group="elastic")
 @dataclass(frozen=True)
 class PartitionUpdate:
     """Controller -> every shard: flip your partition copy to
@@ -976,42 +853,30 @@ class PartitionUpdate:
     handoffs for clients it no longer owns, and union-of-epochs span
     classification until the version commits."""
 
-    version: int
-    boundaries: Tuple[float, ...]
+    version: int = wire(I64)
+    boundaries: Tuple[float, ...] = wire(seq(F64, each=8))
 
 
-@wire_message(
-    tag=34, header=16, group="elastic", fields=[("shard", I64), ("version", I64)]
-)
+@wire_message(tag=34, header=16, group="elastic")
 @dataclass(frozen=True)
 class DrainDone:
     """Shard -> controller: my fence for ``version`` passed, my region
     syncs went out, and every bulk-handoff transfer has been sent."""
 
-    shard: int
-    version: int
+    shard: int = wire(I64)
+    version: int = wire(I64)
 
 
-@wire_message(tag=35, header=8, group="elastic", fields=[("version", I64)])
+@wire_message(tag=35, header=8, group="elastic")
 @dataclass(frozen=True)
 class PartitionCommit:
     """Controller -> every shard: all K shards drained ``version``;
     retire the superseded boundaries from span classification."""
 
-    version: int
+    version: int = wire(I64)
 
 
-@wire_message(
-    tag=36,
-    header=32,
-    group="elastic",
-    fields=[
-        ("version", I64),
-        ("lo", F64),
-        ("hi", F64),
-        ("entries", seq(record(STR, I64, I64, ATTRS, base=16))),
-    ],
-)
+@wire_message(tag=36, header=32, group="elastic")
 @dataclass(frozen=True)
 class RegionSync:
     """Losing shard -> gaining shard: committed values of every
@@ -1024,77 +889,71 @@ class RegionSync:
     only if the stamp is strictly newer than its own, so a sync racing
     a span it already committed never regresses the store."""
 
-    version: int
-    lo: float
-    hi: float
-    entries: Tuple[tuple, ...] = ()
+    version: int = wire(I64)
+    lo: float = wire(F64)
+    hi: float = wire(F64)
+    entries: Tuple[tuple, ...] = wire(
+        seq(record(STR, I64, I64, ATTRS, base=16)), default=()
+    )
 
 
 # ----------------------------------------------------------------------
 # Control-plane messages (docs/control_plane.md).  Backbone-only, like
 # the elastic messages above.
 # ----------------------------------------------------------------------
-@wire_message(tag=37, header=12, fields=[("term", I64), ("holder", I64)])
+@wire_message(tag=37, header=12)
 @dataclass(frozen=True)
 class LeaseHeartbeat:
     """Leaseholder -> every shard: I still hold the gsn lease for
     ``term``.  Silence past the lease timeout triggers an election."""
 
-    term: int
-    holder: int
+    term: int = wire(I64)
+    holder: int = wire(I64)
 
 
-@wire_message(tag=38, header=12, fields=[("term", I64), ("candidate", I64)])
+@wire_message(tag=38, header=12)
 @dataclass(frozen=True)
 class LeaseRequest:
     """Candidate -> every shard: vote for me as holder of ``term``."""
 
-    term: int
-    candidate: int
+    term: int = wire(I64)
+    candidate: int = wire(I64)
 
 
-@wire_message(
-    tag=39, header=16, fields=[("term", I64), ("voter", I64), ("max_gsn", I64)]
-)
+@wire_message(tag=39, header=16)
 @dataclass(frozen=True)
 class LeaseVote:
     """Voter -> candidate: one vote for ``term``, carrying the highest
     gsn this voter has observed so the winner's floor clears it."""
 
-    term: int
-    voter: int
-    max_gsn: int
+    term: int = wire(I64)
+    voter: int = wire(I64)
+    max_gsn: int = wire(I64)
 
 
-@wire_message(
-    tag=40, header=16, fields=[("term", I64), ("holder", I64), ("gsn_floor", I64)]
-)
+@wire_message(tag=40, header=16)
 @dataclass(frozen=True)
 class LeaseGrant:
     """New holder -> every shard: the round for ``term`` completed;
     ``holder`` sequences from ``gsn_floor`` up.  Receivers re-forward
     any spanning actions the dead holder never spliced."""
 
-    term: int
-    holder: int
-    gsn_floor: int
+    term: int = wire(I64)
+    holder: int = wire(I64)
+    gsn_floor: int = wire(I64)
 
 
-@wire_message(tag=41, header=8, fields=[("shard", I64)])
+@wire_message(tag=41, header=8)
 @dataclass(frozen=True)
 class ShardHello:
     """Restarted shard -> every shard: I am back (recovered from
     checkpoint+WAL).  Receivers clear me from their dead set; the
     leaseholder re-sends the current lease and partition version."""
 
-    shard: int
+    shard: int = wire(I64)
 
 
-@wire_message(
-    tag=42,
-    header=16,
-    fields=[("client_id", I64), ("radius", F64), ("interests", OPT_STR_SET)],
-)
+@wire_message(tag=42, header=16)
 @dataclass(frozen=True)
 class ClientHello:
     """Reconnecting client -> its shard: re-attach me (the protocol
@@ -1103,16 +962,15 @@ class ClientHello:
     with a :class:`HandoffWelcome`; the client retries until one
     arrives, so a hello racing a handoff or a second crash is safe."""
 
-    client_id: ClientId
-    radius: float
-    interests: Optional[frozenset] = None
+    client_id: ClientId = wire(I64)
+    radius: float = wire(F64)
+    interests: Optional[frozenset] = wire(OPT_STR_SET, default=None)
 
 
-# The net-layer ARQ frames travel through worker bundles too.
-wire_message(
-    tag=24, header=None, fields=[("seq", I64), ("base", I64), ("payload", OPT_FRAME)]
-)(_Packet)
-wire_message(tag=25, header=None, fields=[("upto", I64)])(_Ack)
+# The net-layer ARQ frames travel through worker bundles too; declared
+# beneath this module, they take their kinds in declaration order.
+wire_message(tag=24, header=None, kinds=(I64, I64, OPT_FRAME))(_Packet)
+wire_message(tag=25, header=None, kinds=(I64,))(_Ack)
 
 
 # ----------------------------------------------------------------------
@@ -1205,12 +1063,15 @@ class MessageCodec:
             messages.append(_read_frame(self, reader))
         return messages
 
+    def _bound_walls(self) -> WallField:
+        if self._walls is None:
+            raise CodecError(
+                "cannot decode a wall-field reference: codec has no wall "
+                "field bound"
+            )
+        return self._walls
+
     def _persistent_load(self, pid: object) -> object:
         if pid == _WALLS_TOKEN:
-            if self._walls is None:
-                raise CodecError(
-                    "cannot decode wall-field reference: codec has no "
-                    "wall field bound"
-                )
-            return self._walls
+            return self._bound_walls()
         raise CodecError(f"unknown persistent id {pid!r}")

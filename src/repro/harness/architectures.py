@@ -111,12 +111,11 @@ def _testbed(settings: SimulationSettings) -> dict:
     heartbeat liveness.
     """
     testbed = dict(settings.for_layer("testbed"))
-    plan = settings.fault_plan
-    if plan is not None and not plan.is_null:
+    if settings.faults_active:
         testbed.update(
             reliability=ReliabilityConfig.for_rtt(settings.rtt_ms),
             retry=RetryPolicy.for_rtt(settings.rtt_ms),
-            liveness=LivenessConfig() if plan.crashes else None,
+            liveness=LivenessConfig() if settings.fault_plan.crashes else None,
         )
     return testbed
 

@@ -392,6 +392,11 @@ class SimulationSettings:
         return received
 
     @property
+    def faults_active(self) -> bool:
+        """Whether a non-null fault plan is armed for this run."""
+        return self.fault_plan is not None and not self.fault_plan.is_null
+
+    @property
     def adversary_active(self) -> bool:
         """Whether a non-null adversary plan is armed for this run."""
         return self.adversary is not None and not self.adversary.is_null

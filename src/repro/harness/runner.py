@@ -182,8 +182,6 @@ def _run(architecture, settings, world, check_consistency, obs) -> RunResult:
     started = time.perf_counter()
     if obs is None:
         obs = settings.make_observer()
-    plan = settings.fault_plan
-    faults_active = plan is not None and not plan.is_null
 
     if settings.shards > 1:
         from repro.net.backend import run_partitioned
@@ -216,7 +214,7 @@ def _run(architecture, settings, world, check_consistency, obs) -> RunResult:
         # construction, so Theorem 1 is asserted over the honest rest.
         client_ids = (
             engine.live_client_ids()
-            if faults_active or settings.adversary_active
+            if settings.faults_active or settings.adversary_active
             else engine.clients.keys()
         )
         consistency, shard_audit = engine.consistency_report(client_ids)

@@ -171,8 +171,7 @@ def start_run(engine, workload: MoveWorkload, settings: SimulationSettings) -> N
         # Quarantined cheaters must stop generating moves, or the drain
         # waits on submissions that can never commit.
         engine.on_quarantine = workload.stop_client
-    plan = settings.fault_plan
-    if plan is not None and not plan.is_null:
+    if settings.faults_active:
         # Periodic fault machinery (heartbeats, liveness sweeps) must
         # stop eventually or the simulator never drains; give it a
         # grace window past the workload for retries to settle.
@@ -182,7 +181,7 @@ def start_run(engine, workload: MoveWorkload, settings: SimulationSettings) -> N
         # empty — freezing pushes early would strand uncommitted spans.
         grace = settings.drain_ms if settings.shards > 1 else 15_000.0
         engine.start(stop_at=settings.submit_horizon_ms + grace)
-        _schedule_crash_windows(engine, workload, plan)
+        _schedule_crash_windows(engine, workload, settings.fault_plan)
     else:
         engine.start()
     workload.install(only=engine.owned_clients)

@@ -756,8 +756,13 @@ class MergedRun:
 # ---------------------------------------------------------------------------
 # Entry point (called from the harness runner)
 # ---------------------------------------------------------------------------
-def _run_workers(architecture: str, settings, workers: int) -> List[PartitionSnapshot]:
+def _run_workers(
+    architecture: str, settings, workers: int, obs
+) -> List[PartitionSnapshot]:
     """Start one worker per partition, wait for W snapshots, reap.
+
+    Each worker observes into an empty observer of ``obs``'s shape
+    (none when ``obs`` is ``None``), which its snapshot carries back.
 
     Worker 0 — the lead — is handed one end of a command pipe to every
     sibling and runs :func:`_drive`, the end-of-run audit exchange
@@ -802,7 +807,10 @@ def _run_workers(architecture: str, settings, workers: int) -> List[PartitionSna
             foreign = [*pending, *later] if ctx.get_start_method() == "fork" else []
             process = ctx.Process(
                 target=partition_worker_main,
-                args=(send, architecture, settings, partition, workers, ends, foreign),
+                args=(
+                    send, architecture, settings, partition, workers, ends, foreign,
+                    None if obs is None else obs.blank(),
+                ),
                 daemon=True,
             )
             process.start()
@@ -861,7 +869,7 @@ def run_partitioned(
             f"run_partitioned needs shards > 1 (got shards={settings.shards})"
         )
     if parallel and workers > 1:
-        snapshots = _run_workers(architecture, settings, workers)
+        snapshots = _run_workers(architecture, settings, workers, obs)
     else:
         replicas = [
             PartitionReplica(architecture, settings, partition, workers)

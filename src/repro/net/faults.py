@@ -321,7 +321,8 @@ class FaultPlan:
 
         A null plan must be indistinguishable from no plan (the
         differential test's contract), so everything gated on faults
-        checks ``plan is not None and not plan.is_null``.
+        checks ``SimulationSettings.faults_active`` (a layer that sees
+        only a plan checks ``plan is not None and not plan.is_null``).
         """
         return (
             self.loss_rate == 0.0

@@ -51,13 +51,22 @@ from repro.errors import SimulationError
 
 
 def partition_worker_main(
-    results, architecture: str, settings, partition: int, workers: int, peers, foreign
+    results,
+    architecture: str,
+    settings,
+    partition: int,
+    workers: int,
+    peers,
+    foreign,
+    obs=None,
 ) -> None:
     """Run one :class:`~repro.net.backend.PartitionReplica`: the lead
     (``partition == 0``; ``peers`` = one command pipe per sibling, in
     partition order) drives the windows, a sibling serves ``peers[0]``.
     ``foreign`` are the inherited pipe ends that belong to others
-    (empty unless forked); they are closed before anything else.  The
+    (empty unless forked); they are closed before anything else.
+    ``obs`` is the replica's observer (an empty one of the caller's
+    shape, or ``None``); the snapshot carries it back.  The
     cyclic garbage collector stays off for the worker's whole life, as
     it does for a run in the caller."""
     for conn in foreign:
@@ -69,7 +78,7 @@ def partition_worker_main(
     with parked_collector():
         try:
             replica = PartitionReplica(architecture, settings, partition, workers)
-            replica.engine.sim.obs = obs = settings.make_observer()
+            replica.engine.sim.obs = obs
             if partition == 0:
                 (snapshot,) = _drive([replica], peers, settings, obs)
             else:

@@ -229,6 +229,11 @@ class Observer:
         self.trace: Optional[TraceRecorder] = TraceRecorder() if trace else None
         self.profile: Optional[PhaseProfile] = PhaseProfile() if profile else None
 
+    def blank(self) -> "Observer":
+        """An empty observer of this one's shape (same trace and
+        profile switches), for a replica observed in another process."""
+        return Observer(trace=self.trace is not None, profile=self.profile is not None)
+
     def merge_from(self, other: "Observer") -> None:
         """Fold another observer's telemetry into this one.
 

@@ -17,22 +17,22 @@ def wire_message(**spec):
     return lambda cls: cls
 
 
-@wire_message(tag=1, header=8, fields=[], group="pings")
+@wire_message(tag=1, header=8, group="pings")
 class Ping:
     pass
 
 
-@wire_message(tag=2, header=8, fields=[])
+@wire_message(tag=2, header=8)
 class Pong:
     pass
 
 
-@wire_message(tag=3, header=8, fields=[])
+@wire_message(tag=3, header=8)
 class Orphan:
     pass
 
 
-@wire_message(tag=4, header=8, fields=[])
+@wire_message(tag=4, header=8)
 class DeadEnd:
     pass
 
@@ -41,12 +41,12 @@ class Rogue:
     pass
 
 
-@wire_message(tag=5, header=8, fields=[], enveloped=True)
+@wire_message(tag=5, header=8, enveloped=True)
 class Inner:
     pass
 
 
-@wire_message(tag=6, header=8, fields=[])
+@wire_message(tag=6, header=8)
 class Tabled:
     pass
 

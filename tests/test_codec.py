@@ -308,23 +308,15 @@ def test_golden_frames_pin_the_wire_format_and_the_traffic_model():
 
 def test_every_registered_message_type_has_a_round_trip_sample():
     # Exhaustiveness ratchet: declaring a message without adding a
-    # boundary-value sample above fails here.  Together with the spec
-    # checks below this is the whole cost of a new message: one class,
-    # one spec, one sample.
+    # boundary-value sample above fails here.  Together with the
+    # declaration checks below this is the whole cost of a new message:
+    # one class whose fields name their kinds, one sample.
     sampled = {type(m) for m in MESSAGES}
     missing = [c.__name__ for c in WIRE_SPECS if c not in sampled]
     assert missing == []
     assert set(PROTOCOL_MESSAGES) == {
         cls for cls, spec in WIRE_SPECS.items() if spec.header is not None
     }
-
-
-def test_specs_have_unique_tags_and_cover_exactly_the_dataclass_fields():
-    tags = [spec.tag for spec in WIRE_SPECS.values()]
-    assert len(set(tags)) == len(tags)
-    for cls, spec in WIRE_SPECS.items():
-        declared = sorted(f.name for f in dataclasses.fields(cls))
-        assert sorted(name for name, _ in spec.fields) == declared, cls.__name__
 
 
 def test_a_dataclass_without_a_spec_is_rejected_not_pickled():
@@ -343,22 +335,27 @@ def test_a_dataclass_without_a_spec_is_rejected_not_pickled():
         codec().decode(b"\x7f\x00\x00\x00\x01N")
 
 
-def test_a_spec_that_misses_a_field_or_reuses_a_tag_fails_at_declaration():
-    from repro.core.messages import I64, wire_message
+def test_a_field_without_a_kind_or_a_bad_tag_fails_at_declaration():
+    from repro.core.messages import I64, wire, wire_message
 
     @dataclasses.dataclass(frozen=True)
-    class TwoFields:
-        a: int
+    class Kindless:
+        a: int = wire(I64)
         b: int = 0
 
-    with pytest.raises(TypeError, match="TwoFields"):
-        wire_message(tag=200, header=8, fields=[("a", I64)])(TwoFields)
-    taken = WIRE_SPECS[Heartbeat].tag
-    with pytest.raises(ValueError, match="TwoFields"):
-        wire_message(tag=taken, header=8, fields=[("a", I64), ("b", I64)])(
-            TwoFields
-        )
-    assert TwoFields not in WIRE_SPECS
+    @dataclasses.dataclass(frozen=True)
+    class Kinded:
+        a: int = wire(I64)
+
+    before = dict(WIRE_SPECS)
+    with pytest.raises(TypeError, match="Kindless"):
+        wire_message(tag=200, header=8)(Kindless)
+    with pytest.raises(TypeError, match="Kinded"):
+        wire_message(tag=200, header=None, kinds=(I64, I64))(Kinded)
+    for tag in (WIRE_SPECS[Heartbeat].tag, 0, 256):
+        with pytest.raises(ValueError, match="Kinded"):
+            wire_message(tag=tag, header=8)(Kinded)
+    assert WIRE_SPECS == before
 
 
 class _Teleport(Action):

@@ -625,7 +625,7 @@ GARBAGE = {
 
 
 def _saboteur(
-    victim, how, results, architecture, settings, partition, workers, peers, foreign
+    victim, how, results, architecture, settings, partition, workers, peers, foreign, obs
 ):
     """Worker target standing in for ``partition_worker_main``: the real
     thing, after booby-trapping the replica class in the worker that
@@ -660,7 +660,7 @@ def _saboteur(
 
         setattr(backend.PartitionReplica, method, killed)
     partition_worker_main(
-        results, architecture, settings, partition, workers, peers, foreign
+        results, architecture, settings, partition, workers, peers, foreign, obs
     )
 
 
@@ -874,21 +874,29 @@ PER_PARTITIONING = {"backend.cross_partition_messages", "backend.windows_with_tr
 MERGE_ORDERED_SUMS = {"host.queue_delay_ms", "response_ms"}
 
 
-def _records(settings, path):
-    """What ``--metrics-out`` and ``--profile`` record of a run, less
-    what depends on how it was partitioned."""
-    result = run_simulation("seve", settings.with_(metrics_out=str(path), profile=True))
-    metrics = {
+def _unpartitioned(metrics):
+    """Metric records by name, less what depends on how the run was
+    partitioned."""
+    return {
         name: {
             key: value
             for key, value in record.items()
             if not (key == "sum" and name in MERGE_ORDERED_SUMS)
         }
-        for name, record in json.loads(path.read_text()).items()
+        for name, record in metrics.items()
         if name not in PER_PARTITIONING
     }
-    counts = {phase: row["count"] for phase, row in result.profile.items()}
-    return metrics, counts
+
+
+def _counts(profile):
+    return {phase: row["count"] for phase, row in profile.items()}
+
+
+def _records(settings, path):
+    """What ``--metrics-out`` and ``--profile`` record of a run, less
+    what depends on how it was partitioned."""
+    result = run_simulation("seve", settings.with_(metrics_out=str(path), profile=True))
+    return _unpartitioned(json.loads(path.read_text())), _counts(result.profile)
 
 
 def test_records_do_not_depend_on_the_partitioning(tmp_path):
@@ -900,18 +908,35 @@ def test_records_do_not_depend_on_the_partitioning(tmp_path):
     assert _records(parallel, tmp_path / "parallel.json") == one
 
 
-@pytest.mark.parametrize("workers", [0, 2])
-def test_caller_supplied_observer_sees_a_sharded_run(workers):
+@pytest.mark.parametrize(
+    "workers, backend",
+    [
+        pytest.param(0, "inproc", id="0"),
+        pytest.param(2, "inproc", id="2"),
+        pytest.param(2, "parallel", id="parallel"),
+    ],
+)
+def test_caller_supplied_observer_sees_a_sharded_run(workers, backend):
     # The replicas observe into the observer the caller passed, not only
-    # into ones built from the settings' own observability requests.
+    # into ones built from the settings' own observability requests: a
+    # worker process observes into an empty observer of its shape, which
+    # is merged into it.
     from repro.obs import Observer
 
-    obs = Observer(profile=True)
-    settings = SimulationSettings(**BASE, shards=4, workers=workers)
-    result = run_simulation("seve", settings, obs=obs)
+    def observed(settings):
+        obs = Observer(profile=True)
+        return run_simulation("seve", settings, obs=obs), obs
+
+    settings = SimulationSettings(**BASE, shards=4)
+    result, obs = observed(settings.with_(workers=workers, backend=backend))
     assert result.profile == obs.profile.as_dict()
     assert result.profile["sim.dispatch"]["count"] == result.events
-    requested = run_simulation("seve", settings.with_(profile=True))
-    assert {name: row["count"] for name, row in result.profile.items()} == {
-        name: row["count"] for name, row in requested.profile.items()
-    }
+    requested = run_simulation(
+        "seve", settings.with_(workers=workers, backend=backend, profile=True)
+    )
+    assert _counts(result.profile) == _counts(requested.profile)
+    one, one_obs = observed(settings.with_(workers=1))
+    assert _counts(result.profile) == _counts(one.profile)
+    metrics = _unpartitioned(obs.metrics.to_dict())
+    assert "backend.windows" in metrics and "net.message_bytes" in metrics
+    assert metrics == _unpartitioned(one_obs.metrics.to_dict())
