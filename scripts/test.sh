@@ -32,7 +32,7 @@ export PYTHONPATH=src
 # runs in the world-action tests on a store under the RW-set
 # sanitizer, which checks that it touches only declared object ids),
 # the protocol conformance analyzer (every spec'd message has a sender
-# and a handler site: a dispatch-table key or an isinstance branch),
+# and a handler site: a dispatch-table key),
 # and the schedule-permutation race smoke (the default scenarios under
 # every permutation rule, ~1s).
 # The JSON mode is exercised too so the CI output format cannot rot.
@@ -48,7 +48,7 @@ static_analysis() {
   # number when a PR shrinks it), and no file under core/ may pass 900
   # code lines (ROADMAP item 5).
   python scripts/code_size.py --json \
-    | python -c 'import json,sys; size = json.load(sys.stdin); big = {f: n for f, n in size["files"].items() if f.startswith("core/") and n > 900}; assert 0 < size["total"] <= 12384 and not big, (size["total"], big)'
+    | python -c 'import json,sys; size = json.load(sys.stdin); big = {f: n for f, n in size["files"].items() if f.startswith("core/") and n > 900}; assert 0 < size["total"] <= 12276 and not big, (size["total"], big)'
 }
 
 # Documentation lint (links resolve; docs/index.md covers docs/*.md)

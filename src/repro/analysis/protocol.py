@@ -4,10 +4,11 @@ The distributed protocol grown on top of SEVE — cross-shard span
 forwarding, elastic epoch drains, gsn lease elections, crash/restart
 incarnations — is a set of message dataclasses (``core/messages.py``)
 wired to constructor sites (senders) and handler sites spread over many
-modules.  A handler site is a key of a ``HANDLERS = {Message: "method",
-...}`` dispatch table (the servers and the gsn lease) or an
-``isinstance`` branch of a dispatcher-named function (the clients, the
-basic server, the baselines, the ARQ layer).  Example-based tests
+modules.  Every receiver dispatches through a table, so a handler site
+is one thing: a key of a dict literal assigned to a name ending in
+``HANDLERS`` (``HANDLERS = {Message: "method", ...}`` of the servers,
+their units and the client, the baselines' ``SERVER_HANDLERS`` and
+``CLIENT_HANDLERS``).  Example-based tests
 exercise a handful of schedules; this module checks the *shape* of the
 protocol mechanically, by AST extraction, against what the protocol
 module declares: one ``@wire_message(...)`` spec per message class —
@@ -32,7 +33,7 @@ Checks
 ``protocol-dead-handler``
     A handler site for a message no scanned module constructs.
 ``protocol-unregistered``
-    A public class of the protocol module that a dispatcher handles but
+    A public class of the protocol module that a table dispatches but
     that carries no spec — it can be neither sized nor encoded (private
     ``_Names`` are exempt — the ARQ layer is beneath the protocol).
 
@@ -43,10 +44,9 @@ Findings reuse the lint :class:`~repro.analysis.lint.Finding` shape, so
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.lint import (
     Finding,
@@ -68,11 +68,8 @@ PROTOCOL_RULES: Dict[str, str] = {
     ),
 }
 
-#: Function names that mark a message dispatcher.
-_HANDLER_NAME_RE = re.compile(r"(^|_)(on_|dispatch|deliver|handle)")
-
-#: Name a dispatch table is assigned to.
-_TABLE_NAME = "HANDLERS"
+#: Suffix of the name a dispatch table is assigned to.
+_TABLE_SUFFIX = "HANDLERS"
 
 #: Name of the class decorator that declares a message's spec.
 _SPEC_DECORATOR = "wire_message"
@@ -125,51 +122,6 @@ class ProtocolModel:
                 self.flows[name].to_dict() for name in sorted(self.flows)
             ],
         }
-
-
-# ----------------------------------------------------------------------
-# AST helpers
-# ----------------------------------------------------------------------
-def _isinstance_names(test: ast.AST) -> List[ast.AST]:
-    """Class-name nodes of an ``isinstance(x, T)`` / ``not isinstance``
-    / ``type(x) is T`` test; empty list when the test is neither."""
-    if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
-        return _isinstance_names(test.operand)
-    if isinstance(test, ast.BoolOp):
-        names: List[ast.AST] = []
-        for value in test.values:
-            names.extend(_isinstance_names(value))
-        return names
-    if (
-        isinstance(test, ast.Call)
-        and isinstance(test.func, ast.Name)
-        and test.func.id == "isinstance"
-        and len(test.args) == 2
-    ):
-        target = test.args[1]
-        if isinstance(target, ast.Tuple):
-            return list(target.elts)
-        return [target]
-    if (
-        isinstance(test, ast.Compare)
-        and len(test.ops) == 1
-        and isinstance(test.ops[0], (ast.Is, ast.Eq))
-        and isinstance(test.left, ast.Call)
-        and isinstance(test.left.func, ast.Name)
-        and test.left.func.id == "type"
-        and len(test.left.args) == 1
-    ):
-        return [test.comparators[0]]
-    return []
-
-
-def _name_ids(nodes: Iterable[ast.AST]) -> List[Tuple[str, int]]:
-    """(identifier, line) for every plain-``Name`` node in ``nodes``."""
-    out = []
-    for node in nodes:
-        if isinstance(node, ast.Name):
-            out.append((node.id, node.lineno))
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -239,23 +191,19 @@ def _scan_module(
     path: str, source: str, tree: ast.Module, known: Set[str]
 ) -> _ModuleScan:
     scan = _ModuleScan(path, suppressed=_suppressions(source))
-    handled: List[ast.AST] = []
     for node in ast.walk(tree):
-        # Handlers: the keys of a dispatch table ...
-        if isinstance(node, ast.Assign):
-            if isinstance(node.value, ast.Dict) and any(
-                isinstance(target, ast.Name) and target.id == _TABLE_NAME
+        # Handlers: the keys of a dispatch table.
+        if (
+            isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Dict)
+            and any(
+                isinstance(target, ast.Name) and target.id.endswith(_TABLE_SUFFIX)
                 for target in node.targets
-            ):
-                handled.extend(key for key in node.value.keys if key is not None)
-        # ... and isinstance dispatch inside dispatcher-named functions
-        # (a negated guard handles the message in the rest of the body).
-        elif isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef)
-        ) and _HANDLER_NAME_RE.search(node.name):
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.If):
-                    handled.extend(_isinstance_names(sub.test))
+            )
+        ):
+            for key in node.value.keys:
+                if isinstance(key, ast.Name) and key.id in known:
+                    scan.handler_sites.setdefault(key.id, []).append(key.lineno)
         # Senders: every bare-name constructor call of a known message.
         elif (
             isinstance(node, ast.Call)
@@ -263,9 +211,6 @@ def _scan_module(
             and node.func.id in known
         ):
             scan.sender_sites.setdefault(node.func.id, []).append(node.lineno)
-    for name, line in _name_ids(handled):
-        if name in known:
-            scan.handler_sites.setdefault(name, []).append(line)
     return scan
 
 

@@ -19,7 +19,6 @@ from typing import Optional
 
 from repro.baselines.common import BaselineClient, BaselineConfig, BaselineEngine
 from repro.core.messages import RelayedAction, SubmitAction
-from repro.errors import ProtocolError
 from repro.metrics.consistency import check_uniform
 from repro.types import ClientId
 from repro.world.base import World
@@ -36,6 +35,9 @@ class BroadcastStats:
 class BroadcastEngine(BaselineEngine):
     """Relay-everything architecture."""
 
+    SERVER_HANDLERS = {SubmitAction: "_relay"}
+    CLIENT_HANDLERS = {RelayedAction: "_evaluate"}
+
     def __init__(
         self,
         world: World,
@@ -45,12 +47,8 @@ class BroadcastEngine(BaselineEngine):
         super().__init__(world, num_clients, config)
         self.stats = BroadcastStats()
 
-    def _on_server_message(self, src: ClientId, payload: object) -> None:
-        if not isinstance(payload, SubmitAction):
-            raise ProtocolError(
-                f"broadcast server: unexpected {type(payload).__name__}"
-            )
-        relayed = RelayedAction(payload.action, submitted_at=self.sim.now)
+    def _relay(self, src: ClientId, message: SubmitAction) -> None:
+        relayed = RelayedAction(message.action, submitted_at=self.sim.now)
         relay_cost = self.RELAY_COST_MS * max(1, len(self.clients))
 
         def relay() -> None:
@@ -59,14 +57,8 @@ class BroadcastEngine(BaselineEngine):
 
         self.server_host.execute(relay_cost, relay)
 
-    def _on_client_message(
-        self, client: BaselineClient, src: ClientId, payload: object
-    ) -> None:
-        if not isinstance(payload, RelayedAction):
-            raise ProtocolError(
-                f"broadcast client: unexpected {type(payload).__name__}"
-            )
-        action = payload.action
+    def _evaluate(self, client: BaselineClient, message: RelayedAction) -> None:
+        action = message.action
 
         def evaluate() -> None:
             action.apply(client.store)

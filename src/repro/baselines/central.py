@@ -23,7 +23,6 @@ from typing import List, Optional
 
 from repro.baselines.common import BaselineClient, BaselineConfig, BaselineEngine
 from repro.core.messages import StateUpdate, SubmitAction
-from repro.errors import ProtocolError
 from repro.net.host import Host
 from repro.types import ClientId
 from repro.world.base import World
@@ -45,6 +44,9 @@ class CentralEngine(BaselineEngine):
     the originator).  ``None`` sends every update to every client.
     """
 
+    SERVER_HANDLERS = {SubmitAction: "_evaluate"}
+    CLIENT_HANDLERS = {StateUpdate: "_install"}
+
     def __init__(
         self,
         world: World,
@@ -60,12 +62,8 @@ class CentralEngine(BaselineEngine):
     # ------------------------------------------------------------------
     # Server side: evaluate, then fan out by interest
     # ------------------------------------------------------------------
-    def _on_server_message(self, src: ClientId, payload: object) -> None:
-        if not isinstance(payload, SubmitAction):
-            raise ProtocolError(
-                f"central server: unexpected {type(payload).__name__}"
-            )
-        action = payload.action
+    def _evaluate(self, src: ClientId, message: SubmitAction) -> None:
+        action = message.action
         submitted_at = self.sim.now
         host = self._evaluator(src)
 
@@ -96,21 +94,14 @@ class CentralEngine(BaselineEngine):
     # ------------------------------------------------------------------
     # Client side: install updates
     # ------------------------------------------------------------------
-    def _on_client_message(
-        self, client: BaselineClient, src: ClientId, payload: object
-    ) -> None:
-        if not isinstance(payload, StateUpdate):
-            raise ProtocolError(
-                f"central client: unexpected {type(payload).__name__}"
-            )
-
+    def _install(self, client: BaselineClient, update: StateUpdate) -> None:
         def install() -> None:
             client.store.merge(
-                {oid: dict(attrs) for oid, attrs in payload.values}
+                {oid: dict(attrs) for oid, attrs in update.values}
             )
             client.evaluated += 1
-            if payload.cause is not None and payload.cause.client_id == client.client_id:
+            if update.cause is not None and update.cause.client_id == client.client_id:
                 # Response time: submission to authoritative update arrival.
-                client.note_confirmed(payload.cause)
+                client.note_confirmed(update.cause)
 
         client.host.execute(self.UPDATE_APPLY_COST_MS, install)

@@ -22,7 +22,7 @@ eviction, idempotent absorption of client resubmissions by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.core.action import Action
 from repro.core.chassis import (
@@ -33,6 +33,7 @@ from repro.core.chassis import (
     TestbedConfig,
 )
 from repro.core.messages import SubmitAction, wire_size
+from repro.errors import ProtocolError
 from repro.net.faults import RetryPolicy
 from repro.net.host import Host
 from repro.net.network import Network
@@ -127,7 +128,7 @@ class BaselineServer(ServerShell):
 class BaselineEngine(EngineChassis):
     """Common assembly for the baseline architectures.
 
-    Subclasses implement the server handler and routing; the
+    Subclasses declare their handler tables and routing; the
     :class:`~repro.core.chassis.EngineChassis` underneath is the one the
     SEVE engines are assembled on, so the experiment harness drives and
     measures all architectures uniformly.
@@ -163,14 +164,28 @@ class BaselineEngine(EngineChassis):
             self.server.attach_client(client_id)
 
     # -- subclass responsibilities ----------------------------------------
+    #: Dispatch tables: message type -> name of the engine method that
+    #: handles it, called as ``handler(src, message)`` for a message past
+    #: the server's front door and as ``handler(client, message)`` for
+    #: one a client receives.
+    SERVER_HANDLERS: Dict[type, str] = {}
+    CLIENT_HANDLERS: Dict[type, str] = {}
+
     def _on_server_message(self, src: ClientId, payload: object) -> None:
-        """A message past the server's front door."""
-        raise NotImplementedError
+        getattr(self, self._handler(self.SERVER_HANDLERS, payload))(src, payload)
 
     def _on_client_message(
         self, client: BaselineClient, src: ClientId, payload: object
     ) -> None:
-        raise NotImplementedError
+        getattr(self, self._handler(self.CLIENT_HANDLERS, payload))(client, payload)
+
+    def _handler(self, table: Dict[type, str], payload: object) -> str:
+        name = table.get(type(payload))
+        if name is None:
+            raise ProtocolError(
+                f"{type(self).__name__}: unexpected {type(payload).__name__}"
+            )
+        return name
 
     # -- the server's back half ---------------------------------------------
     def _fan_out(
@@ -243,23 +258,9 @@ class BaselineEngine(EngineChassis):
         """The replica a client plans its next action from."""
         return self.clients[client_id].store
 
-    def run_to_quiescence(self, max_extra_ms: TimeMs = 600_000.0) -> None:
-        """Drain every in-flight event.
-
-        With liveness machinery running, the event queue never empties
-        on its own: step until every surviving client's submissions are
-        answered and every crashed client has been evicted, then tear
-        the periodic processes down and drain the remainder.  Without
-        liveness, stop() is a no-op and the queue empties naturally —
-        the identical pre-fault code path.
-        """
-        deadline = self.sim.now + max_extra_ms
-        if self._heartbeat_stoppers or self.server.running:
-            while self.sim.now < deadline:
-                if not self.sim.step():
-                    break
-                if self._quiescent():
-                    break
+    def stop_and_drain(self, deadline: TimeMs) -> None:
+        """End of run: tear the periodic processes down, then dispatch
+        every event left before ``deadline``."""
         self.stop()
         while self.sim.now < deadline and self.sim.step():
             pass

@@ -43,6 +43,9 @@ class LockingStats:
 class LockingEngine(BaselineEngine):
     """Distributed-locking client-server net-VE."""
 
+    SERVER_HANDLERS = {SubmitAction: "_on_lock_request", Effect: "_on_effect"}
+    CLIENT_HANDLERS = {LockGrant: "_execute_under_lock", Effect: "_apply_effect"}
+
     def __init__(
         self,
         world: World,
@@ -65,23 +68,17 @@ class LockingEngine(BaselineEngine):
     # ------------------------------------------------------------------
     # Server side
     # ------------------------------------------------------------------
-    def _on_server_message(self, src: ClientId, payload: object) -> None:
-        if isinstance(payload, SubmitAction):
-            action = payload.action
+    def _on_lock_request(self, src: ClientId, message: SubmitAction) -> None:
+        self.server_host.execute(
+            self.lock_manager_cost_ms,
+            lambda: self._handle_lock_request(src, message.action),
+        )
 
-            def process() -> None:
-                self._handle_lock_request(src, action)
-
-            self.server_host.execute(self.lock_manager_cost_ms, process)
-        elif isinstance(payload, Effect):
-            self.server_host.execute(
-                self.lock_manager_cost_ms,
-                lambda: self._handle_effect(src, payload),
-            )
-        else:
-            raise ProtocolError(
-                f"locking server: unexpected {type(payload).__name__}"
-            )
+    def _on_effect(self, src: ClientId, effect: Effect) -> None:
+        self.server_host.execute(
+            self.lock_manager_cost_ms,
+            lambda: self._handle_effect(src, effect),
+        )
 
     def _handle_lock_request(self, src: ClientId, action: Action) -> None:
         self.stats.lock_requests += 1
@@ -123,20 +120,9 @@ class LockingEngine(BaselineEngine):
         message = SubmitAction(action)
         self.network.send(client_id, SERVER_ID, message, wire_size(message))
 
-    def _on_client_message(
-        self, client: BaselineClient, src: ClientId, payload: object
-    ) -> None:
-        if isinstance(payload, LockGrant):
-            self._execute_under_lock(client, payload.action_id)
-        elif isinstance(payload, Effect):
-            self._apply_effect(client, payload)
-        else:
-            raise ProtocolError(
-                f"locking client: unexpected {type(payload).__name__}"
-            )
-
-    def _execute_under_lock(self, client: BaselineClient, action_id: ActionId) -> None:
+    def _execute_under_lock(self, client: BaselineClient, grant: LockGrant) -> None:
         """Phase 2: locks held — run the action locally, ship the effect."""
+        action_id = grant.action_id
         action = self._pending_actions[client.client_id].pop(action_id, None)
         if action is None:
             raise ProtocolError(f"grant for unknown {action_id}")

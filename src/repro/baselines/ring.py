@@ -30,7 +30,7 @@ from typing import Optional
 from repro.baselines.common import BaselineClient, BaselineConfig, BaselineEngine
 from repro.core.action import Action
 from repro.core.messages import RelayedAction, SubmitAction
-from repro.errors import ActionAborted, MissingObjectError, ProtocolError
+from repro.errors import ActionAborted, MissingObjectError
 from repro.types import ClientId
 from repro.world.base import World
 
@@ -49,6 +49,9 @@ class RingStats:
 class RingEngine(BaselineEngine):
     """Visibility-filtered relay (RING/DIVE-style interest management)."""
 
+    SERVER_HANDLERS = {SubmitAction: "_route"}
+    CLIENT_HANDLERS = {RelayedAction: "_evaluate"}
+
     def __init__(
         self,
         world: World,
@@ -66,10 +69,8 @@ class RingEngine(BaselineEngine):
     # ------------------------------------------------------------------
     # Server: track positions, route by visibility
     # ------------------------------------------------------------------
-    def _on_server_message(self, src: ClientId, payload: object) -> None:
-        if not isinstance(payload, SubmitAction):
-            raise ProtocolError(f"ring server: unexpected {type(payload).__name__}")
-        action = payload.action
+    def _route(self, src: ClientId, message: SubmitAction) -> None:
+        action = message.action
 
         def route() -> None:
             # Position tracking: the server applies the action to its own
@@ -88,12 +89,8 @@ class RingEngine(BaselineEngine):
     # ------------------------------------------------------------------
     # Client: evaluate whatever arrives, in arrival order
     # ------------------------------------------------------------------
-    def _on_client_message(
-        self, client: BaselineClient, src: ClientId, payload: object
-    ) -> None:
-        if not isinstance(payload, RelayedAction):
-            raise ProtocolError(f"ring client: unexpected {type(payload).__name__}")
-        action = payload.action
+    def _evaluate(self, client: BaselineClient, message: RelayedAction) -> None:
+        action = message.action
 
         def evaluate() -> None:
             if not self._apply_quietly(action, client.store):

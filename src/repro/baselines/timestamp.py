@@ -27,7 +27,6 @@ from typing import Dict, Optional
 from repro.baselines.common import BaselineClient, BaselineConfig, BaselineEngine
 from repro.core.action import Action, ActionId
 from repro.core.messages import Certify, Decision, wire_size
-from repro.errors import ProtocolError
 from repro.types import SERVER_ID, ClientId, ObjectId
 from repro.world.base import World
 
@@ -50,6 +49,9 @@ class TimestampStats:
 
 class TimestampEngine(BaselineEngine):
     """Optimistic concurrency control with server-side certification."""
+
+    SERVER_HANDLERS = {Certify: "_on_certify"}
+    CLIENT_HANDLERS = {Decision: "_on_decision"}
 
     def __init__(
         self,
@@ -108,24 +110,17 @@ class TimestampEngine(BaselineEngine):
             action.cost_ms + self.config.eval_overhead_ms, execute
         )
 
-    def _on_client_message(
-        self, client: BaselineClient, src: ClientId, payload: object
-    ) -> None:
-        if not isinstance(payload, Decision):
-            raise ProtocolError(
-                f"timestamp client: unexpected {type(payload).__name__}"
-            )
-
+    def _on_decision(self, client: BaselineClient, decision: Decision) -> None:
         def apply() -> None:
-            if payload.committed:
+            if decision.committed:
                 client.store.merge(
-                    {oid: dict(attrs) for oid, attrs in payload.written}
+                    {oid: dict(attrs) for oid, attrs in decision.written}
                 )
                 versions = self._client_versions[client.client_id]
-                for oid, version in payload.versions:
+                for oid, version in decision.versions:
                     versions[oid] = version
-            if payload.action_id.client_id == client.client_id:
-                self._handle_own_decision(client, payload)
+            if decision.action_id.client_id == client.client_id:
+                self._handle_own_decision(client, decision)
 
         client.host.execute(self.UPDATE_APPLY_COST_MS, apply)
 
@@ -147,13 +142,9 @@ class TimestampEngine(BaselineEngine):
     # ------------------------------------------------------------------
     # Server side: backward validation
     # ------------------------------------------------------------------
-    def _on_server_message(self, src: ClientId, payload: object) -> None:
-        if not isinstance(payload, Certify):
-            raise ProtocolError(
-                f"timestamp server: unexpected {type(payload).__name__}"
-            )
+    def _on_certify(self, src: ClientId, certify: Certify) -> None:
         self.server_host.execute(
-            self.certify_cost_ms, lambda: self._certify(src, payload)
+            self.certify_cost_ms, lambda: self._certify(src, certify)
         )
 
     def _certify(self, src: ClientId, certify: Certify) -> None:

@@ -17,7 +17,7 @@ module is that testbed, written once:
     :class:`repro.net.backend.MergedRun` carries the same names over
     merged partition snapshots.  What genuinely differs between engines
     stays an override: ``start``/``stop``, ``mark_alive``,
-    ``_quiescent`` and each side's ``run_to_quiescence`` drain rule.
+    ``_quiescent`` and each side's ``stop_and_drain`` rule.
 :class:`ClientShell`
     What every client wears: its address and CPU, its stable replica,
     the submit-time table response times are measured from, the
@@ -249,7 +249,9 @@ class ClientShell:
 def bound_handlers(owner) -> Dict[type, Callable[[ClientId, object], None]]:
     """``owner.HANDLERS`` (message type -> handler method name) bound to
     ``owner``: the dispatch table of a server, or of a transport-free
-    unit its shard server merges in."""
+    unit its shard server merges in.  Every receiver's table has that
+    form; a client looks its handler up from the class instead, since
+    one bound table per client is memory a run of thousands pays for."""
     return {kind: getattr(owner, name) for kind, name in owner.HANDLERS.items()}
 
 
@@ -600,6 +602,17 @@ class EngineChassis:
     def run(self, until: Optional[TimeMs] = None) -> None:
         """Advance the simulation (see :meth:`Simulator.run`)."""
         self.sim.run(until=until)
+
+    def run_to_quiescence(self, max_extra_ms: TimeMs = 600_000.0) -> None:
+        """Drain all in-flight work after the workload stops submitting:
+        step until the engine's ``_quiescent()`` holds (or the queue
+        empties, or ``max_extra_ms`` pass), then its
+        ``stop_and_drain(deadline)`` ends the run.  With liveness
+        machinery running the queue never empties on its own."""
+        deadline = self.sim.now + max_extra_ms
+        while self.sim.now < deadline and self.sim.step() and not self._quiescent():
+            pass
+        self.stop_and_drain(deadline)
 
     # ------------------------------------------------------------------
     # The measured surface: everything ``run_simulation`` reads from a

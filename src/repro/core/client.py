@@ -219,51 +219,53 @@ class ProtocolClient(ClientShell):
     # ------------------------------------------------------------------
     # Server stream handling (Algorithm 1/4 steps 3-5)
     # ------------------------------------------------------------------
+    #: Dispatch table: message type -> name of its handler method,
+    #: called as ``handler(src, message)`` — the servers' form, looked
+    #: up from the class (a client keeps no table of its own).
+    HANDLERS = {
+        HandoffPrepare: "_begin_migration",
+        HandoffWelcome: "_complete_migration",
+        ActionBatch: "_on_batch",
+        AbortNotice: "_handle_abort",
+        CommitNotice: "_handle_commit_notice",
+        GroupBundle: "_relay_bundle",
+        PeerForward: "_on_forward",
+    }
+
     def _on_message(self, src: ClientId, payload: object) -> None:
-        if isinstance(payload, HandoffPrepare):
-            self._begin_migration(src, payload)
-            return
-        if isinstance(payload, HandoffWelcome):
-            self._complete_migration(src, payload)
-            return
-        if (
-            src < 0
-            and src != self.server_id
-            and isinstance(payload, (ActionBatch, AbortNotice, CommitNotice))
-        ):
-            # Stale stream from a shard we have handed off from; its
-            # committed effects (if any) were reconciled at handoff
-            # time, so applying the late batch would double-apply.
-            return
-        if isinstance(payload, GroupBundle):
-            payload = self._relay_bundle(payload)
-            if payload is None:
-                return
-        if isinstance(payload, PeerForward):
-            # Hybrid mode (§VII): a head forwarded our batch to us.
-            payload = payload.payload
-        if isinstance(payload, ActionBatch):
-            if payload.last_installed > self._gc_frontier:
-                self._gc_frontier = payload.last_installed
-                self._garbage_collect()
-            for entry in payload.entries:
-                self._enqueue_entry(entry)
-        elif isinstance(payload, AbortNotice):
-            self._handle_abort(payload)
-        elif isinstance(payload, CommitNotice):
-            self._handle_commit_notice(payload)
-        else:
+        name = self.HANDLERS.get(type(payload))
+        if name is None:
             raise ProtocolError(
                 f"client {self.client_id}: unexpected message "
                 f"{type(payload).__name__} from {src}"
             )
+        getattr(self, name)(src, payload)
 
-    def _relay_bundle(self, bundle: GroupBundle):
+    def _stale(self, src: ClientId) -> bool:
+        """Whether ``src`` is a shard we have handed off from: its
+        committed effects (if any) were reconciled at handoff time, so
+        applying its late stream would double-apply."""
+        return src < 0 and src != self.server_id
+
+    def _on_batch(self, src: ClientId, batch: ActionBatch) -> None:
+        if self._stale(src):
+            return
+        if batch.last_installed > self._gc_frontier:
+            self._gc_frontier = batch.last_installed
+            self._garbage_collect()
+        for entry in batch.entries:
+            self._enqueue_entry(entry)
+
+    def _on_forward(self, src: ClientId, forward: PeerForward) -> None:
+        """Hybrid mode (§VII): a head forwarded our batch to us."""
+        self._on_batch(src, forward.payload)
+
+    def _relay_bundle(self, src: ClientId, bundle: GroupBundle) -> None:
         """Hybrid mode (§VII): we are this cycle's relay head.
 
         Rebuild each member's batch from the shared entry table, forward
-        peers' batches over peer links, and return our own batch (or
-        ``None`` when the bundle held nothing for us).
+        peers' batches over peer links, and apply our own (when the
+        bundle holds one for us).
         """
         own_batch = None
         for member, items in bundle.members:
@@ -279,7 +281,8 @@ class ProtocolClient(ClientShell):
                 self.network.send(
                     self.client_id, member, forward, wire_size(forward)
                 )
-        return own_batch
+        if own_batch is not None:
+            self._on_batch(src, own_batch)
 
     def _enqueue_entry(self, entry: OrderedAction) -> None:
         if entry.pos >= 0:
@@ -436,7 +439,9 @@ class ProtocolClient(ClientShell):
     # ------------------------------------------------------------------
     # Aborts (Information Bound Model drops)
     # ------------------------------------------------------------------
-    def _handle_abort(self, notice: AbortNotice) -> None:
+    def _handle_abort(self, src: ClientId, notice: AbortNotice) -> None:
+        if self._stale(src):
+            return
         removed = self.queue.remove(notice.action_id)
         self._settle(notice.action_id)
         if removed is None:
@@ -449,13 +454,15 @@ class ProtocolClient(ClientShell):
         if self.on_aborted is not None:
             self.on_aborted(notice.action_id)
 
-    def _handle_commit_notice(self, notice: CommitNotice) -> None:
+    def _handle_commit_notice(self, src: ClientId, notice: CommitNotice) -> None:
         """Our action committed while we did not hold it — the echo
         can never arrive (the entry left the server's queue), so retire
         the optimistic entry here.  The committed
         values arrived in the blind write preceding this notice on the
         same FIFO channel, so reconciling over ζ_CS replaces the
         optimistic guess with the authoritative result."""
+        if self._stale(src):
+            return
         removed = self.queue.remove(notice.action_id)
         if removed is None:
             self._settle(notice.action_id)

@@ -476,20 +476,6 @@ class SeveEngine(EngineChassis):
         """
         return self.clients[client_id].optimistic
 
-    def run_to_quiescence(self, max_extra_ms: TimeMs = 600_000.0) -> None:
-        """Drain all in-flight work after the workload stops submitting.
-
-        Stops the server's periodic processes once every pending action
-        has been confirmed or aborted, then drains remaining events.
-        """
-        deadline = self.sim.now + max_extra_ms
-        while self.sim.now < deadline:
-            if not self.sim.step():
-                break
-            if self._quiescent():
-                break
-        self.stop_and_drain(deadline)
-
     def stop_and_drain(self, deadline: TimeMs) -> None:
         """End of run: stop the driven servers' periodic processes and
         the heartbeats, then dispatch one final millisecond (capped at

@@ -443,8 +443,8 @@ def wire_message(
     fixed-width fields); ``None`` marks a transport frame beneath the
     protocol, billed by the layer that sends it and left out of
     ``PROTOCOL_MESSAGES``.  ``enveloped`` messages only travel inside
-    another message's fields and so have no dispatch branch of their
-    own.  ``group`` enrols the message in that ``CONSERVATION_GROUPS``
+    another message's fields and so have no dispatch-table entry of
+    their own.  ``group`` enrols the message in that ``CONSERVATION_GROUPS``
     entry: it is counted on both sides of the servers' message seam.
 
     The analyzer (``repro.analysis.protocol``) reads these decorators
@@ -514,7 +514,7 @@ class OrderedAction:
     ``pos`` is the action's global order number (its position in the
     server queue); clients apply entries in stream order.  Enveloped:
     it rides in batch/bundle/splice entries and is consumed
-    structurally, never by an ``isinstance`` dispatch branch of its own.
+    structurally, never through a dispatch-table entry of its own.
     """
 
     pos: int = wire(I64)

@@ -193,27 +193,18 @@ class Simulator:
             return True
         return False
 
-    def run(
-        self,
-        until: Optional[TimeMs] = None,
-        max_events: Optional[int] = None,
-    ) -> None:
-        """Run until the queue drains, ``until`` is reached, or
-        ``max_events`` have been dispatched.
+    def run(self, until: Optional[TimeMs] = None) -> None:
+        """Run until the queue drains or ``until`` is reached.
 
         When ``until`` is given, every event with ``time <= until`` is
         dispatched and the clock is then advanced to exactly ``until``
         (even if the queue drained earlier), so that periodic processes
         observe a consistent end-of-run time.
         """
-        dispatched = 0
         while (time := self.next_event_time()) is not None:
             if until is not None and time > until:
                 break
-            if max_events is not None and dispatched >= max_events:
-                return
             self.step()
-            dispatched += 1
         if until is not None and until > self._now:
             self._now = until
 

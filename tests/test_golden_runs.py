@@ -312,6 +312,22 @@ def test_architecture_run_matches_its_golden_fingerprint(name):
     assert fingerprint(settings, architecture) == golden
 
 
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP 16: a submission in flight at a client crash is never resent",
+)
+def test_a_baseline_run_with_a_crash_window_quiesces_before_its_deadline():
+    """The stall of ROADMAP item 16, on the ``central_evict`` golden's
+    settings: client 3 submits ``a[3.4]`` 82 ms before its crash at
+    1 500 ms, the one retry fires while it is down and
+    ``ClientShell._retry_fire`` does not re-arm it, so the submission
+    stays unanswered, ``BaselineEngine._quiescent`` never holds and the
+    run idles past its drain deadline (125 000 ms virtual, 4 200 + 120 000
+    ms allowed).  Fixing it is item 16's PR, which flips this test."""
+    result = runner.run_simulation("central", BASE.with_(fault_plan=EVICTING))
+    assert result.virtual_ms < BASE.submit_horizon_ms + BASE.drain_ms
+
 if __name__ == "__main__":
     fingerprints = {name: fingerprint(settings) for name, settings in RUNS.items()}
     fingerprints.update(

@@ -1,17 +1,24 @@
 """The servers' one message seam (docs/sharding.md, "The peer seam"):
 the dispatch tables are total over the protocol, an unknown payload ends
-in one typed error, conservation-group messages are counted exactly
-where they cross the seam, and a crashed server handles nothing.
+in one typed error at every receiver, conservation-group messages are
+counted exactly where they cross the seam, and a crashed server handles
+nothing.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
-from repro.analysis.protocol import analyze_paths
+from repro.baselines import (
+    BroadcastEngine,
+    CentralEngine,
+    LockingEngine,
+    RingEngine,
+    TimestampEngine,
+)
+from repro.core.client import ProtocolClient
 from repro.core.control_plane import GsnLease
 from repro.core.elastic import Rebalancer
 from repro.core.handoff import HandoffBarrier
@@ -31,10 +38,9 @@ from repro.core.spans import SpanPipeline
 from repro.errors import ProtocolError
 from repro.harness.architectures import build_engine
 from repro.harness.config import SimulationSettings
-from repro.types import shard_host_id
+from repro.types import SERVER_ID, shard_host_id
 from tests.test_codec import MESSAGES
 
-REPO = Path(__file__).resolve().parent.parent
 SETTINGS = SimulationSettings(num_clients=4, num_walls=0, moves_per_client=2, seed=5)
 ELASTIC_K2 = SETTINGS.with_(shards=2, elastic=True)
 
@@ -42,8 +48,7 @@ ELASTIC_K2 = SETTINGS.with_(shards=2, elastic=True)
 SAMPLE = {type(message): message for message in MESSAGES}
 ELASTIC_GROUP = CONSERVATION_GROUPS["elastic"]
 
-#: The tables, and the modules whose handlers are ``isinstance`` chains
-#: the analyzer still reads.
+#: A shard server's tables: its own and its units'.
 SERVER_TABLES = (
     ShardServer.HANDLERS,
     GsnLease.HANDLERS,
@@ -51,27 +56,32 @@ SERVER_TABLES = (
     Rebalancer.HANDLERS,
     HandoffBarrier.HANDLERS,
 )
-CHAIN_MODULES = ("core/client.py", "core/server_basic.py", "baselines/", "net/")
+#: Every other receiver's table: the client's and the baselines' (the
+#: zoned engine's are Central's).
+RECEIVER_TABLES = (
+    ProtocolClient.HANDLERS,
+    *(
+        table
+        for engine in (
+            CentralEngine, BroadcastEngine, RingEngine, LockingEngine, TimestampEngine
+        )
+        for table in (engine.SERVER_HANDLERS, engine.CLIENT_HANDLERS)
+    ),
+)
+BASELINES = ("central", "broadcast", "ring", "locking", "timestamp", "zoned")
 
 
-def test_every_protocol_message_has_a_table_entry_or_a_surviving_chain():
+def test_every_protocol_message_has_a_table_entry():
     """The runtime twin of ``protocol-orphan``: adding a message without
-    registering a handler fails here."""
+    registering a handler fails here.  A shard server binds each of its
+    messages once; an enveloped message has no entry of its own."""
     entries = Counter(kind for table in SERVER_TABLES for kind in table)
-    model = analyze_paths(
-        [REPO / "src/repro" / p for p in ("core", "net", "baselines")], root=REPO
-    )
+    assert set(entries.values()) == {1}
+    tabled = set(entries).union(*RECEIVER_TABLES)
     for message in PROTOCOL_MESSAGES:
-        if message in ENVELOPED_MESSAGES:
-            continue
-        if message in entries:
-            assert entries[message] == 1, message.__name__
-            continue
-        sites = [path for path, _ in model.flows[message.__name__].handlers]
-        assert sites, f"{message.__name__} has no handler anywhere"
-        assert all(
-            any(module in path for module in CHAIN_MODULES) for path in sites
-        ), (message.__name__, sites)
+        assert (message in tabled) != (message in ENVELOPED_MESSAGES), (
+            message.__name__
+        )
 
 
 def test_a_shard_servers_table_is_its_class_table_plus_the_leases():
@@ -118,6 +128,32 @@ def test_an_unspecd_payload_ends_in_one_protocol_error(
     stranger = ActionBatch if server_type is ShardServer else SpanAbort
     with pytest.raises(ProtocolError, match=stranger.__name__):
         server._on_message(0, SAMPLE[stranger])
+
+
+@pytest.mark.parametrize(
+    "architecture, side",
+    [(arch, side) for arch in BASELINES for side in ("server", "client")]
+    + [("seve-basic", "client")],
+)
+def test_a_message_no_table_lists_ends_in_one_protocol_error(architecture, side):
+    """Every receiver outside the servers' seam — a baseline's server
+    and client side, the protocol client — has the same rule: a message
+    its table does not list is a ``ProtocolError`` naming the receiver
+    and the message type."""
+
+    class Stray:
+        pass
+
+    engine = build_engine(architecture, SETTINGS)
+    if side == "server":
+        src, receive = 0, engine.server._on_message
+    else:
+        src, receive = SERVER_ID, engine.network._handlers[0]
+    receiver = "client 0" if architecture == "seve-basic" else type(engine).__name__
+    for message in (Stray(), SAMPLE[SpanAbort]):
+        name = type(message).__name__
+        with pytest.raises(ProtocolError, match=f"{receiver}: unexpected.*{name}"):
+            receive(src, message)
 
 
 def _round_trip(message):

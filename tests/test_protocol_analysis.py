@@ -54,14 +54,17 @@ def test_corpus_findings_point_at_the_seeded_sites():
 
 
 def test_dispatch_table_keys_are_handler_sites():
-    """``Tabled`` and ``DeadEnd`` are handled only through the node's
-    ``HANDLERS`` table: the first is therefore no orphan, the second's
-    dead-handler finding sits on its table key."""
+    """Every handler site is a key of a table whose name ends in
+    ``HANDLERS`` (``Tabled`` is handled only through ``PEER_HANDLERS``,
+    so it is no orphan); the ``isinstance`` test on ``Orphan`` is not a
+    handler site, and the dead-handler finding sits on ``DeadEnd``'s
+    key."""
     model = analyze_paths([CORPUS], root=REPO)
     source = (CORPUS / "proto_node.py").read_text().splitlines()
-    for name in ("Tabled", "DeadEnd"):
+    for name in ("Ping", "Pong", "Tabled", "DeadEnd"):
         (site,) = model.flows[name].handlers
         assert f'{name}: "on_' in source[site[1] - 1]
+    assert model.flows["Orphan"].handlers == []
     (dead,) = [f for f in model.findings if f.rule == "protocol-dead-handler"]
     assert (dead.path, dead.line) == model.flows["DeadEnd"].handlers[0]
     assert not any("Tabled" in f.message for f in model.findings)

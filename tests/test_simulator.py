@@ -129,14 +129,6 @@ def test_run_until_inclusive_of_boundary_events(sim):
     assert fired == [30]
 
 
-def test_max_events_limits_dispatch(sim):
-    fired = []
-    for i in range(10):
-        sim.schedule(float(i), lambda i=i: fired.append(i))
-    sim.run(max_events=3)
-    assert fired == [0, 1, 2]
-
-
 def test_step_returns_false_on_empty_queue(sim):
     assert sim.step() is False
 
