@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional
+from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
 from repro.core.action import Action, ActionId
 from repro.core.engine import SeveConfig, SeveEngine
@@ -34,12 +34,12 @@ from repro.metrics.consistency import ConsistencyChecker
 from repro.metrics.report import Table
 from repro.state.objects import WorldObject
 from repro.state.store import ObjectStore, ValuesDict
-from repro.types import AttrValue, ClientId, ObjectId, oid, oid_index, oid_kind
+from repro.types import AttrValue, ClientId, ObjectId, oid, oid_kind
 from repro.world.avatar import avatar_id, avatar_object, avatar_position
 from repro.world.base import World
 from repro.world.geometry import Vec2, reflect_heading_90, segments_intersect
 from repro.world.movement import COLLISION_DISTANCE
-from repro.world.walls import WallField
+from repro.world.walls import Wall, WallField
 
 
 def wall_id(index: int) -> ObjectId:
@@ -62,7 +62,7 @@ class SiegeMoveAction(Action):
         avatar_oid: ObjectId,
         *,
         neighbors: FrozenSet[ObjectId],
-        wall_objects: FrozenSet[ObjectId],
+        walls: Tuple[Wall, ...],
         geometry: WallField,
         duration_s: float,
         effect_range: float,
@@ -72,7 +72,8 @@ class SiegeMoveAction(Action):
     ) -> None:
         super().__init__(
             action_id,
-            reads=frozenset({avatar_oid}) | neighbors | wall_objects,
+            reads=frozenset({avatar_oid, *(wall_id(wall.index) for wall in walls)})
+            | neighbors,
             writes=frozenset({avatar_oid}),
             position=position,
             radius=effect_range,
@@ -81,7 +82,7 @@ class SiegeMoveAction(Action):
         )
         self.avatar_oid = avatar_oid
         self.neighbors = neighbors
-        self.wall_objects = wall_objects
+        self.walls = walls
         self.geometry = geometry
         self.duration_s = duration_s
 
@@ -114,11 +115,9 @@ class SiegeMoveAction(Action):
     def _blocked(self, store: ObjectStore, start: Vec2, target: Vec2) -> bool:
         if not self.geometry.inside(target):
             return True
-        for wall_oid in sorted(self.wall_objects):
-            wall_obj = store.get(wall_oid)
-            if not wall_obj.get("intact", True):
+        for wall in self.walls:
+            if not store.get(wall_id(wall.index)).get("intact", True):
                 continue  # rubble is walkable
-            wall = self.geometry.wall(oid_index(wall_oid))
             if segments_intersect(start, target, wall.a, wall.b):
                 return True
         for neighbor_oid in sorted(self.neighbors):
@@ -253,10 +252,7 @@ class SiegeWorld(World):
         me = store.get(me_oid)
         position = avatar_position(me)
         step = cfg.avatar_speed * cfg.move_duration_s
-        wall_objects = frozenset(
-            wall_id(wall.index)
-            for wall in self.geometry.walls_near(position, step + cfg.wall_length)
-        )
+        walls = tuple(self.geometry.walls_near(position, step + cfg.wall_length))
         neighbors = frozenset(
             obj.oid
             for obj in store.objects()
@@ -269,7 +265,7 @@ class SiegeWorld(World):
             action_id,
             me_oid,
             neighbors=neighbors,
-            wall_objects=wall_objects,
+            walls=walls,
             geometry=self.geometry,
             duration_s=cfg.move_duration_s,
             effect_range=cfg.effect_range,

@@ -22,13 +22,34 @@
 # flow-graph size and finding count (must be zero) plus the race
 # explorer's schedule/run counts (docs/static_analysis.md).
 #
+# Then it runs the paper's 16 tables and figures (EXPERIMENTS.md), one
+# pytest module each under benchmarks/: each rewrites its table under
+# benchmarks/results/ and asserts the shape the paper reports, so a
+# failed shape assert fails this script (about 2.6 minutes on 2 vCPUs).
+#
 # Usage:  scripts/bench.sh [--quick]        (--quick: smaller end-to-end run)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src
 
+PAPER_BENCHES=(
+  table1_settings figure6 figure7 figure8 figure9 figure10 table2
+  server_capacity protocol_comparison zone_crowding hybrid
+  ablation_culling ablation_delay ablation_interest ablation_omega
+  ablation_threshold
+)
+
+paper_benches() {
+  local name files=()
+  for name in "${PAPER_BENCHES[@]}"; do
+    files+=("benchmarks/bench_$name.py")
+  done
+  python -m pytest -q --benchmark-only "${files[@]}"
+}
+
 scripts/test.sh
+paper_benches
 python benchmarks/bench_wallclock.py "$@"
 python benchmarks/bench_adversary.py "$@"
 python benchmarks/bench_elastic.py "$@"

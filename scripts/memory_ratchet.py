@@ -39,8 +39,9 @@ from repro.harness.config import SimulationSettings  # noqa: E402
 from repro.net.backend import PartitionReplica, _drive  # noqa: E402
 
 #: Bytes.  While the field kept a frozen ``Wall`` and two ``Vec2`` s per
-#: wall plus a record tuple, the same world held 42 951 432.
-CEILING = 8_442_272
+#: wall plus a record tuple, the same world held 42 951 432; while it
+#: also kept four coordinate columns beside its cell records, 8 442 208.
+CEILING = 5_241_916
 #: The replica shape.
 REPLICA = SimulationSettings(
     num_clients=256, num_walls=1_000, world_width=1000.0, spawn="uniform",
@@ -56,8 +57,9 @@ REPLICA = SimulationSettings(
 #: lived on the server beside a per-client count of span forwards and
 #: the sequencer's dedup was a set, 2 277 359 and 1 274 041; while every
 #: host, link, client and server kept its own observer reference,
-#: 2 276 879 and 1 273 801.
-REPLICA_CEILINGS = {(1, 0): 2_274_599, (2, 0): 1_272_617}
+#: 2 276 879 and 1 273 801; while the wall field kept its coordinate
+#: columns, 2 274 599 and 1 272 617.
+REPLICA_CEILINGS = {(1, 0): 2_240_387, (2, 0): 1_239_301}
 #: The run whose end-of-run snapshots are weighed.
 SNAPSHOT = SimulationSettings(
     num_clients=48, num_walls=500, moves_per_client=3, world_width=600.0,

@@ -291,14 +291,16 @@ def _build_reactive_deferred() -> PreparedRun:
     incomplete-mode clients plan from their optimistic replica, which
     starts with only their own avatar, so their declared read sets
     never overlap.  This scenario scripts the overlap instead.  Each
-    round, a *blocker* client submits a self-only move; client 0 then
-    submits a self-only move (setting its server-side high-water mark
-    past the blocker's still-uncommitted entry) and, before the
-    blocker's completion can round-trip, a move that *reads* the
-    blocker's avatar.  The closure chain for that reply pulls the
-    blocker's older entry, trips the in-order guard, and the reply
-    waits on client 0's pending list until the blocker's entry commits
-    — the exact surface of the PR 9 replica gap.  Whether the deferral
+    round, a *blocker* client submits a move that, in the rounds where
+    it crashes, declares client 0's avatar; client 0 then submits a
+    self-only move (setting its server-side high-water mark past the
+    blocker's still-uncommitted entry) and, before the blocker's
+    completion can round-trip, a move that *reads* the blocker's
+    avatar.  The closure chain for that reply pulls the blocker's older
+    entry late: it has no completion, and client 0 holds a newer write
+    of what it reads, so it ships neither as its value nor as code.
+    The reply waits on client 0's pending list until a completion
+    arrives — the exact surface of the PR 9 replica gap.  Whether the deferral
     happens at all depends on the submission/completion interleaving,
     which is what the explorer permutes (scope "all": there is no
     backbone here).
@@ -367,7 +369,8 @@ def _build_reactive_deferred() -> PreparedRun:
         for r in range(rounds):
             t0 = 5.0 + r * period
             blocker = 1 + r
-            engine.sim.schedule_at(t0, lambda b=blocker: submit(b, ()))
+            reads = (0,) if r in crash_rounds else ()
+            engine.sim.schedule_at(t0, lambda b=blocker, n=reads: submit(b, n))
             engine.sim.schedule_at(t0 + 5.0, lambda: submit(0, ()))
             engine.sim.schedule_at(
                 t0 + 25.0, lambda b=blocker: submit(0, (b,))
@@ -415,7 +418,7 @@ def default_scenarios() -> List[RaceScenario]:
             name="reactive-deferred",
             description=(
                 "single-server reactive Incomplete World Model with "
-                "fault-tolerant completions: the deferred-reply parking "
+                "fault-tolerant completions: the deferred-reply "
                 "surface (PR 9); all client<->server delivery permuted"
             ),
             build=_build_reactive_deferred,

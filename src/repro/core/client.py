@@ -24,7 +24,7 @@ delay — the effect Figures 6–8 measure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Set
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.core.action import ABORT_RESULT, Action, ActionId, ActionResult, BlindWrite
 from repro.core.chassis import ClientShell, TestbedConfig
@@ -104,6 +104,13 @@ class ClientConfig:
 
 class ProtocolClient(ClientShell):
     """One client of an action-based protocol (Algorithms 1/4)."""
+
+    #: Stream entries delivered and waiting for the CPU, oldest first
+    #: (a client's own list from its first delivery on, short: a list
+    #: that empties gives its slots back, so an idle client holds about
+    #: 56 bytes): the host runs one :meth:`_process_next` per entry, in
+    #: the same order.
+    _arrivals: Optional[List[OrderedAction]] = None
 
     def __init__(
         self,
@@ -302,7 +309,14 @@ class ProtocolClient(ClientShell):
         )
         self.stats.entries_applied += 1
         self.stats.apply_cpu_ms += cost
-        self.host.execute(cost, lambda: self._process_entry(entry))
+        if self._arrivals is None:
+            self._arrivals = []
+        self._arrivals.append(entry)
+        self.host.execute(cost, self._process_next)
+
+    def _process_next(self) -> None:
+        """The CPU finished applying the oldest delivered entry."""
+        self._process_entry(self._arrivals.pop(0))
 
     def _process_entry(self, entry: OrderedAction) -> None:
         if not self.network.is_registered(self.client_id):

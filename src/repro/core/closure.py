@@ -20,11 +20,13 @@ format.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.action import Action, ActionResult
+from repro.core.action import Action, ActionResult, BlindWrite
 from repro.core.indexes import WriterIndex
+from repro.core.messages import OrderedAction
 from repro.errors import ProtocolError
 from repro.types import ClientId, ObjectId, TimeMs
 
@@ -61,13 +63,23 @@ class QueueEntry:
     #: Until it arrives a value entry (``span_value``) cannot be sent.
     span_result: Optional[ActionResult] = None
     #: A span's verdict, taken once at splice: this shard's clients get
-    #: its committed result, not its code (see :func:`_is_span_value`).
+    #: its committed result, not its code.  The owner's clients get the
+    #: code: on the owner's stream a span's inputs are exactly those its
+    #: originator read.  So do a peer's clients when the peer's verdict at
+    #: splice (:class:`~repro.core.spans.SpanPipeline`) holds.  A value
+    #: entry cannot be sent before the result is known; once known it
+    #: walks like a normal entry (its reads still fold into the seed:
+    #: the result carries only the attributes the action wrote).
     span_value: bool = False
     #: The spanning action's owner shard, where its originator is
     #: attached (-1 for a local entry).  Survivors abort the span
     #: entries of an owner that crashed before it relayed a result
     #: (docs/control_plane.md).
     span_owner_shard: int = -1
+    #: The one wire entry every client gets for this entry unless it is
+    #: late for that client (its code, or a span value entry's result),
+    #: built on first send.
+    wired: Optional[OrderedAction] = None
 
     @property
     def committed_ready(self) -> bool:
@@ -93,24 +105,43 @@ class QueueEntry:
         self.reporters.add(reporter)
 
 
-def _is_span_value(entry: QueueEntry) -> bool:
-    """Whether ``entry`` reaches this shard's clients as a *value* entry:
-    a spanning action spliced here from another owner, whose inputs on
-    this stream the splice could not prove equal to the owner's.
+def ships_as_value(entry: QueueEntry, client_id: ClientId, high_water: int) -> bool:
+    """Whether a late ``entry`` (below ``client_id``'s high-water mark
+    and not yet sent to it) reaches the client as its committed value:
+    a local entry, not the client's own, whose completion is known.
 
-    The owner's clients get the code: on the owner's stream a span's
-    inputs are exactly those its originator read, so Theorem 1 makes
-    every evaluation there agree.  So do a peer's clients when the
-    peer's verdict at splice (:class:`~repro.core.spans.SpanPipeline`)
-    holds.  Otherwise a peer's clients receive the committed result as
-    a positioned blind write, which cannot be sent before the result
-    is known; once known it walks like
-    a normal entry — its reads still fold into the seed, because the
-    result carries only the attributes the action actually wrote, and
-    the underlying objects must reach the client complete (via the
-    blind-write seed) before the partial result values land on top.
+    The client already applied newer entries, so the code could read
+    their writes; the value cannot.  No entry the client holds above
+    ``entry`` writes what ``entry`` wrote (every action reads what it
+    writes, so such a holder would have pulled ``entry`` when it was
+    sent), so the value never lands on a newer write.
     """
-    return entry.span_value
+    late = entry.pos < high_water and entry.action.client_id != client_id
+    return late and entry.gsn < 0 and entry.completion is not None
+
+
+def value_action(entry: QueueEntry, result: ActionResult) -> BlindWrite:
+    """``entry``'s committed ``result`` as a positioned blind write (a
+    *value entry*): the attributes the action wrote, merged over the
+    objects underneath."""
+    action_id = entry.action.action_id
+    return BlindWrite(action_id, result.values(), origin=action_id)
+
+
+def _holds_newer_write(entries, entry, client_id, high_water, chain, writers, base) -> bool:
+    """Whether the client holds a write of RS(``entry``) newer than
+    ``entry``: an entry at a position in ``(entry.pos, high_water]``,
+    sent to it and not a member of this ``chain`` (indices from
+    ``base``), found through the :class:`WriterIndex` ``writers``."""
+    members = {base + index for index in chain}
+    for oid in entry.action.reads:  # lint: allow(set-iteration)
+        positions = writers.live_positions(oid)
+        for pos in positions[bisect_right(positions, entry.pos):]:
+            if pos > high_water:
+                break
+            if client_id in entries[pos - base].sent and pos not in members:
+                return True
+    return False
 
 
 def transitive_closure(
@@ -120,6 +151,7 @@ def transitive_closure(
     *,
     writer_index: WriterIndex,
     base_pos: int = 0,
+    high_water: int = -1,
 ) -> Tuple[Optional[List[int]], frozenset[ObjectId]]:
     """Algorithm 6 for ``entries[candidate_index]`` and client C.
 
@@ -131,16 +163,25 @@ def transitive_closure(
     (including the candidate), mirroring the in-place ``sent(a)``
     updates of the paper's pseudocode.
 
-    Spanning actions (sharded deployments) change the walk in one way:
-    a value entry (see :func:`_is_span_value`) whose committed result is
-    not known yet defers the *whole* closure — the walk unwinds its
-    sent marks and returns ``(None, ∅)`` so the server retries later.
-    Partial delivery is not an option, because skipping the span entry
-    would let C evaluate younger chain members against pre-span values.
-    Once the result is known the value entry walks exactly like a
-    normal entry (reads fold into the seed): the result blind-write
-    carries only the attributes actually written, so the objects
-    underneath must still reach C complete via the seed.
+    A *late* entry — one below ``high_water``, the highest position C
+    holds — is applied by C after newer entries, so its code could read
+    their writes.  It ships one of three ways:
+
+    1. as its committed value (:func:`ships_as_value`); its writes, not
+       its reads, fold into S, so the objects underneath still reach C
+       complete before the partial values merge;
+    2. as code, when C holds no write of its read set newer than it
+       (:func:`_holds_newer_write`): C's copy of that set is then the
+       state before it;
+    3. otherwise, and for every late spanning action, not at all: the
+       walk unwinds its sent marks and returns ``(None, ∅)`` so the
+       server retries later — typically once the entry's completion
+       arrives and rule 1 applies.
+
+    A span value entry (``QueueEntry.span_value``) whose committed
+    result is not known yet defers the closure the same way.  Partial
+    delivery is not an option: skipping an entry would let C evaluate
+    younger chain members against older values.
 
     ``writer_index`` is the server's
     :class:`~repro.core.indexes.WriterIndex` over ``entries`` and
@@ -154,36 +195,41 @@ def transitive_closure(
     if candidate.valid is False:
         raise ProtocolError(f"cannot build closure for dropped {candidate.pos}")
     if client_id in candidate.sent:
-        raise ProtocolError(
-            f"closure candidate pos {candidate.pos} already sent to {client_id}"
-        )
-    if _is_span_value(candidate) and candidate.span_result is None:
-        return None, frozenset()  # result not yet known: defer
-    accumulated: Set[ObjectId] = set(candidate.action.reads)
-    chain: List[int] = [candidate_index]
-    cursor = base_pos + candidate_index
-    while accumulated:
-        best = writer_index.latest_writer_before(accumulated, cursor)
-        if best < base_pos:
-            break  # no uncommitted writer of S below the cursor
-        cursor = best
-        entry = entries[best - base_pos]
-        if entry.valid is False:
-            continue  # dropped entries are no-ops, never join
+        raise ProtocolError(f"closure candidate pos {candidate.pos} already sent to {client_id}")
+    accumulated: Set[ObjectId] = set()
+    chain: List[int] = []
+    index: Optional[int] = candidate_index
+    while index is not None:
+        entry = entries[index]
         action = entry.action
-        if not (action.writes & accumulated):
-            continue  # writer of an oid meanwhile removed from S
-        if client_id in entry.sent:
-            accumulated -= action.writes
-        elif _is_span_value(entry) and entry.span_result is None:
-            for index in chain[1:]:
-                entries[index].sent.discard(client_id)
+        if ships_as_value(entry, client_id, high_water):
+            accumulated |= action.writes
+        elif (entry.span_value and entry.span_result is None) or (
+            entry.pos < high_water
+            and (entry.gsn >= 0 or _holds_newer_write(
+                entries, entry, client_id, high_water, chain, writer_index, base_pos
+            ))
+        ):
+            for member in chain:
+                entries[member].sent.discard(client_id)
             return None, frozenset()
         else:
             accumulated |= action.reads
-            chain.append(best - base_pos)
-            entry.sent.add(client_id)
-    candidate.sent.add(client_id)
+        chain.append(index)
+        entry.sent.add(client_id)
+        index, cursor = None, entry.pos
+        while accumulated:
+            best = writer_index.latest_writer_before(accumulated, cursor)
+            if best < base_pos:
+                break  # no uncommitted writer of S below the cursor
+            cursor = best
+            writer = entries[best - base_pos]
+            if writer.valid is False or not (writer.action.writes & accumulated):
+                continue  # dropped (a no-op), or writes only what left S
+            if client_id not in writer.sent:
+                index = best - base_pos  # joins the chain
+                break
+            accumulated -= writer.action.writes
     chain.reverse()
     return chain, frozenset(accumulated)
 

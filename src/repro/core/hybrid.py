@@ -150,7 +150,9 @@ class HybridRelayServer(IncompleteWorldServer):
         group_batches: List[Tuple[ClientId, List[OrderedAction]]],
     ) -> None:
         shared: List[OrderedAction] = []
-        shared_index: Dict[int, int] = {}  # pos -> index into shared
+        # entry -> index into shared: a code entry is one object per
+        # queue entry, a late value entry one per member.
+        shared_index: Dict[OrderedAction, int] = {}
         members = []
         deduplicated_before = self.hybrid_stats.deduplicated_entries
         for client_id, batch_entries in group_batches:
@@ -159,11 +161,11 @@ class HybridRelayServer(IncompleteWorldServer):
                 if entry.pos < 0:
                     items.append(entry)  # member-specific blind write
                     continue
-                index = shared_index.get(entry.pos)
+                index = shared_index.get(entry)
                 if index is None:
                     index = len(shared)
                     shared.append(entry)
-                    shared_index[entry.pos] = index
+                    shared_index[entry] = index
                 else:
                     self.hybrid_stats.deduplicated_entries += 1
                 items.append(index)

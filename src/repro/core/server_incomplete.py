@@ -28,7 +28,13 @@ from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.action import Action, ActionId, BlindWrite
 from repro.core.chassis import ServerShell, ServerStats
-from repro.core.closure import KnownValuesTracker, QueueEntry, transitive_closure
+from repro.core.closure import (
+    KnownValuesTracker,
+    QueueEntry,
+    ships_as_value,
+    transitive_closure,
+    value_action,
+)
 from repro.core.first_bound import FirstBoundPredicate
 from repro.core.indexes import ClientSpatialIndex, WriterIndex
 from repro.core.info_bound import InformationBound
@@ -89,10 +95,11 @@ class ClientRecord:
     interests: Optional[frozenset[str]] = None
     #: Queue position up to which push candidates have been considered.
     scanned_pos: int = -1
-    #: Highest queue position ever delivered to this client.  Algorithm 6
-    #: subtracts the writes of already-sent entries assuming the client
-    #: applies entries in pos order; a closure chain that would pull an
-    #: entry *below* this mark breaks that assumption and is deferred.
+    #: Highest queue position ever delivered to this client.  An entry a
+    #: closure pulls below this mark is *late*: the client applies it
+    #: after newer entries, so it ships as its committed value, as code
+    #: when no newer write of its reads reached the client, or defers
+    #: (:func:`~repro.core.closure.transitive_closure`).
     high_water: int = -1
     #: Virtual time the client's committed position last changed
     #: (t_C for the Section IV-B velocity-culled predicate).
@@ -102,7 +109,7 @@ class ClientRecord:
     #: admits in its window ``(scanned_pos, nominated]`` at any
     #: committed position within ``reach`` of ``anchor``
     #: (docs/performance.md).  Reactive mode: its own submissions not
-    #: yet answered, waiting behind the oldest one the in-order guard
+    #: yet answered, waiting behind the oldest one whose closure was
     #: deferred.  An entry that commits while its originator does not
     #: hold it teaches the originator the committed values and confirms
     #: the action (``_advance_frontier``).
@@ -115,14 +122,6 @@ class ClientRecord:
     #: (A ``Vec2`` is never false: ``record.anchor`` reads "has one",
     #: and ``position or UNPLACED`` places a position-less client.)
     anchor: Optional[Vec2] = None
-    #: ``(pos, epoch)`` once the in-order guard deferred this client's
-    #: push: the position of the deferred chain's oldest member and the
-    #: server's ``_park_epoch`` then.  Until that entry commits, the
-    #: epoch moves or a commit moves the client, every walk would stop at
-    #: the same deferral, so the push cycle repeats its accounting
-    #: instead (docs/performance.md, "Work whose inputs have not changed
-    #: is not redone").
-    parked: Optional[Tuple[int, int]] = None
 
 
 @dataclass
@@ -140,7 +139,8 @@ class IncompleteServerStats(ServerStats):
     push_cycles: int = 0
     #: Entries aborted because every client holding them failed.
     orphans_aborted: int = 0
-    #: Closures deferred to preserve per-client pos-ascending delivery.
+    #: Closures deferred: a late entry that could ship neither as its
+    #: value nor as code, or a span value whose result is not known.
     closures_deferred: int = 0
     #: Wire entries of the closure replies built (blind writes included)
     #: and the simulated CPU charged for them: the closures and a
@@ -226,13 +226,8 @@ class IncompleteWorldServer(ServerShell):
         #: Highest queue position whose push candidates were nominated.
         self._nominated_upto = -1
         self._blind_seq = 0
-        #: Bumped whenever something other than a client's own closures
-        #: changes what a walk below its candidate meets (an entry
-        #: dropped, a ``sent`` mark added or scrubbed): it unparks every
-        #: client (``ClientRecord.parked``).
-        self._park_epoch = 0
         #: Whether a reactive reply waits behind a deferral: only then
-        #: does a frontier advance walk the clients' ``pending`` lists.
+        #: does a completion walk the clients' ``pending`` lists.
         self._replies_owed = False
         self._writer_index = WriterIndex()
         self._client_index = ClientSpatialIndex()
@@ -286,7 +281,6 @@ class IncompleteWorldServer(ServerShell):
         # absent from ``clients`` and a scrubbed holder decide alike.
         for entry in self._entries:
             entry.sent.discard(client_id)
-        self._park_epoch += 1
         self._client_index.remove(client_id)
         avatar_oid = self.avatar_of(client_id)
         if avatar_oid is not None and self._avatar_owner.get(avatar_oid) == client_id:
@@ -358,10 +352,10 @@ class IncompleteWorldServer(ServerShell):
     def _reply(self, record: ClientRecord) -> None:
         """Algorithm 5 step 3(b): answer the client's unanswered
         submissions (``record.pending``), oldest first, each with its
-        closure.  One the in-order guard defers stops the walk: it and
-        every newer one wait for a later frontier advance, as a push
-        waits for a later cycle.  A submission that committed meanwhile
-        needs no reply (the commit taught its originator)."""
+        closure.  A deferred closure stops the walk: it and every newer
+        one wait for a later completion, as a push waits for a later
+        cycle.  A submission that committed meanwhile needs no reply
+        (the commit taught its originator)."""
         client_id = record.client_id
         if not self.network.is_registered(client_id):
             return  # connection dropped: a resync or eviction clears it
@@ -387,67 +381,57 @@ class IncompleteWorldServer(ServerShell):
         """Compute Algorithm 6's reply A for ``entry`` -> ``client_id``.
 
         Returns the ordered wire entries (blind-write prefix included)
-        and the simulated CPU cost of computing them.
-
-        Returns ``(None, cost)`` — the in-order delivery guard — when
-        the closure chain would pull an entry older than something the
-        client already holds.  Algorithm 6's sent(a) subtraction assumes
-        each client applies entries in pos order; delivering a skipped
-        entry late (because a fault-delayed commit kept it in the queue
-        long enough for a later chain to re-pull it) would make the
-        client evaluate it against *future* values of its read set and
-        diverge.  A deferral always waits on strictly older entries, so
-        it unwinds as the commit frontier advances: once the blockers
-        commit they leave the queue and the blind-write seed covers them
-        at their committed versions.
+        and the simulated CPU cost of computing them, or ``(None,
+        cost)`` when the closure is deferred
+        (:func:`~repro.core.closure.transitive_closure`: a late entry
+        that can ship neither as its value nor as code, or a span value
+        whose result is not known yet).  A late entry ships as its value
+        (:func:`~repro.core.closure.ships_as_value`); every other entry
+        ships as the one :class:`OrderedAction` its queue entry keeps
+        for every client: its code, or a span value entry's committed
+        result (``QueueEntry.span_value``).
         """
-        index = entry.pos - self._base_pos
+        record = self.clients[client_id]
+        high_water = record.high_water
         chain, seed = transitive_closure(
-            self._entries,
-            index,
-            client_id,
-            writer_index=self._writer_index,
-            base_pos=self._base_pos,
+            self._entries, entry.pos - self._base_pos, client_id, writer_index=self._writer_index,
+            base_pos=self._base_pos, high_water=high_water,
         )
         cost = self._charge_closure()
         if chain is None:
-            # Span-pending deferral (sharded deployments): the chain
-            # touches a spliced spanning action whose committed result
-            # has not arrived yet.  transitive_closure already unwound
-            # its sent marks; retry on a later cycle.
             self.stats.closures_deferred += 1
             return None, cost
-        record = self.clients.get(client_id)
-        if record is not None:
-            oldest = self._entries[chain[0]].pos
-            if oldest < record.high_water:
-                # transitive_closure marked the chain sent in place;
-                # undo that so a later retry rebuilds it from scratch.
-                for chain_index in chain:
-                    self._entries[chain_index].sent.discard(client_id)
-                self.stats.closures_deferred += 1
-                record.parked = (oldest, self._park_epoch)
-                return None, cost
-            record.high_water = max(record.high_water, entry.pos)
-        batch_entries: List[OrderedAction] = []
-        seed_needed = self.known.filter_seed(client_id, seed)
-        if seed_needed:
-            blind = BlindWrite.from_server(
-                self._blind_seq, self.state.values_of(seed_needed)
-            )
-            self._blind_seq += 1
-            self.known.record_blind_write(client_id, seed_needed)
-            self.stats.blind_writes_sent += 1
-            batch_entries.append(OrderedAction(-1, blind))
+        record.high_water = max(high_water, entry.pos)
+        batch_entries = self._seed(client_id, seed, self.state.values_of)
         for chain_index in chain:
             chained = self._entries[chain_index]
-            batch_entries.append(
-                OrderedAction(chained.pos, self._wire_action(client_id, chained))
-            )
+            if ships_as_value(chained, client_id, high_water):
+                wired = OrderedAction(chained.pos, value_action(chained, chained.completion))
+            elif chained.wired is None:
+                action = chained.action
+                if chained.span_value:  # one committed result for every client
+                    action = value_action(chained, chained.span_result)
+                wired = chained.wired = OrderedAction(chained.pos, action)
+            else:
+                wired = chained.wired
+            batch_entries.append(wired)
             cost += self.costs.push_entry_ms
             self.stats.build_cpu_ms += self.costs.push_entry_ms
         self.stats.entries_built += len(batch_entries)
         return batch_entries, cost
+
+    def _seed(self, client_id: ClientId, oids: frozenset, values_of) -> List[OrderedAction]:
+        """The blind write (a one-entry list; empty when none is needed)
+        carrying ``values_of`` the objects of ``oids`` whose committed
+        version ``client_id`` does not hold."""
+        needed = self.known.filter_seed(client_id, oids)
+        if not needed:
+            return []
+        blind = BlindWrite.from_server(self._blind_seq, values_of(needed))
+        self._blind_seq += 1
+        self.known.record_blind_write(client_id, needed)
+        self.stats.blind_writes_sent += 1
+        return [OrderedAction(-1, blind)]
 
     def _charge_closure(self) -> float:
         """Count one Algorithm 6 closure and return its simulated cost."""
@@ -455,16 +439,6 @@ class IncompleteWorldServer(ServerShell):
         cost = self.costs.closure_ms
         self.stats.build_cpu_ms += cost
         return cost
-
-    def _wire_action(self, client_id: ClientId, entry: QueueEntry) -> Action:
-        """The action to put on the wire for ``entry`` -> ``client_id``.
-
-        Hook for the sharded server, whose span pipeline replaces a
-        value entry (:func:`~repro.core.closure._is_span_value`) with a
-        blind write carrying its committed result.  The base server
-        always sends the action itself.
-        """
-        return entry.action
 
     def _send_batch(
         self, client_id: ClientId, batch_entries: List[OrderedAction]
@@ -564,13 +538,8 @@ class IncompleteWorldServer(ServerShell):
             )
 
         def send_all() -> None:
-            self._distribute_batches(
-                [
-                    (client_id, batch_entries)
-                    for client_id, batch_entries in batches
-                    if client_id in self.clients
-                ]
-            )
+            clients = self.clients
+            self._distribute_batches([batch for batch in batches if batch[0] in clients])
 
         self.host.execute(total_cost, send_all)
 
@@ -662,18 +631,8 @@ class IncompleteWorldServer(ServerShell):
         needs — Equation (1) survivors, own actions, and their closures —
         among the positions nominated for it: ``record.pending``,
         rebuilt first (:meth:`_renominated`) if the record has no anchor.
-
-        A parked client (``ClientRecord.parked``) is not walked: the walk
-        would stop at the same deferral, having changed nothing, so only
-        that deferral is counted and charged.
         """
         base = self._base_pos
-        parked = record.parked
-        if parked is not None:
-            if parked[0] >= base and parked[1] == self._park_epoch:
-                self.stats.closures_deferred += 1
-                return [], self._charge_closure()
-            record.parked = None
         start = max(record.scanned_pos + 1, base)
         client_id = record.client_id
         client_position = self._client_position(client_id)
@@ -692,9 +651,9 @@ class IncompleteWorldServer(ServerShell):
             closure_entries, closure_cost = self._closure_entries(client_id, entry)
             cost += closure_cost
             if closure_entries is None:
-                # In-order delivery guard: stop here so nothing newer
-                # overtakes this candidate; it and everything after it
-                # wait for the next push cycle.
+                # Deferred: stop here so nothing newer overtakes this
+                # candidate; it and everything after it wait for the
+                # next push cycle.
                 record.pending = pending[at:]
                 record.scanned_pos = max(record.scanned_pos, pos - 1)
                 return batch_entries, cost
@@ -813,7 +772,8 @@ class IncompleteWorldServer(ServerShell):
 
     def _advance_frontier(self) -> None:
         """Install ready entries in strict queue order; GC the queue;
-        then retry the reactive replies the in-order guard deferred."""
+        then retry the deferred reactive replies (a completion may be
+        what they waited for)."""
         while self._entries and self._entries[0].committed_ready:
             entry = self._entries.popleft()
             self._base_pos = entry.pos + 1
@@ -835,7 +795,7 @@ class IncompleteWorldServer(ServerShell):
             if action_id.client_id not in entry.sent:
                 # An entry that commits while its originator does not
                 # hold it (another holder's report overtook the push, or
-                # the guard still defers the reply) teaches the
+                # its reply is still deferred) teaches the
                 # originator the committed values and confirms the
                 # action: its echo can never arrive.
                 self._teach_commit(action_id.client_id, entry.pos, action_id, written)
@@ -859,22 +819,14 @@ class IncompleteWorldServer(ServerShell):
         the queue) and the client would wait forever."""
         if client_id not in self.clients or not self.network.is_registered(client_id):
             return  # detached, or crashed: nobody to teach
-        seed_needed = self.known.filter_seed(client_id, written)
-        if seed_needed:
-            blind = BlindWrite.from_server(
-                self._blind_seq, self.state.values_of_present(seed_needed)
-            )
-            self._blind_seq += 1
-            self.known.record_blind_write(client_id, seed_needed)
-            self.stats.blind_writes_sent += 1
-            self._send_batch(client_id, [OrderedAction(-1, blind)])
+        seed = self._seed(client_id, written, self.state.values_of_present)
+        self._send_batch(client_id, seed)
         if action_id.client_id == client_id:
             self.send(client_id, CommitNotice(pos, action_id))
 
     def _refresh_indexed_positions(self, values: Dict[ObjectId, dict]) -> None:
         """Mirror a commit's avatar writes into the spatial client index
-        so candidate queries always see exactly ζ_S's positions, and
-        unpark each client written: what it wants may have changed.
+        so candidate queries always see exactly ζ_S's positions.
 
         A client whose window ``(scanned_pos, _nominated_upto]`` is
         empty is re-anchored where it now stands.  Under an open window
@@ -887,7 +839,6 @@ class IncompleteWorldServer(ServerShell):
             record = self.clients.get(self._avatar_owner.get(oid))
             if record is None:
                 continue
-            record.parked = None
             position = self._client_position(record.client_id)
             if position == self._client_index.position_of(record.client_id):
                 continue
@@ -922,7 +873,6 @@ class IncompleteWorldServer(ServerShell):
             avatar_oid = self.avatar_of(record.client_id)
             if avatar_oid is not None and avatar_oid in entry.action.writes:
                 record.position_time = self.sim.now
-                record.parked = None
                 return True
         return False
 
@@ -960,11 +910,9 @@ class IncompleteWorldServer(ServerShell):
         return True
 
     def _drop(self, entry: QueueEntry) -> None:
-        """Drop the validated ``entry``: it leaves every chain it was in,
-        so every parked client walks again."""
+        """Drop the validated ``entry``: it leaves every chain it was in."""
         entry.valid = False
         self.stats.actions_dropped += 1
-        self._park_epoch += 1
 
     # ------------------------------------------------------------------
     # Introspection

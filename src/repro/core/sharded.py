@@ -527,9 +527,6 @@ class ShardServer(IncompleteWorldServer):
         # relayed.
         self.spans.completed(entry, message.result)
 
-    def _wire_action(self, client_id: ClientId, entry: QueueEntry) -> Action:
-        return self.spans.wire(entry)
-
     def _abort_orphan(self, entry: QueueEntry) -> bool:
         return self.spans.orphaned(entry) and super()._abort_orphan(entry)
 
@@ -573,7 +570,6 @@ class ShardServer(IncompleteWorldServer):
         for entry in self._entries:
             if entry.valid is not False and entry.action.client_id == client_id:
                 entry.sent.add(client_id)
-        self._park_epoch += 1
 
     def detach_client(self, client_id: ClientId) -> None:
         super().detach_client(client_id)

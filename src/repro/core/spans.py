@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.core.action import Action, ActionId, ActionResult, BlindWrite
+from repro.core.action import Action, ActionId, ActionResult
 from repro.core.closure import QueueEntry
 from repro.core.messages import SpanAbort, SpanForward, SpanResult, SpanSplice
 from repro.errors import ProtocolError
@@ -201,15 +201,6 @@ class SpanPipeline:
         splice never came back."""
         for message in list(self.unspliced.values()):
             self.view.to_holder(message)
-
-    def wire(self, entry: QueueEntry) -> Action:
-        """What this shard's clients get for ``entry``: a value entry's
-        committed result as a blind write, any other entry's code."""
-        if entry.span_value:
-            assert entry.span_result is not None, "span closures defer until known"
-            action_id = entry.action.action_id
-            return BlindWrite(action_id, entry.span_result.values(), origin=action_id)
-        return entry.action
 
     # -- sequencing and splicing -------------------------------------------------
     def on_forward(self, src: ClientId, message: SpanForward) -> None:

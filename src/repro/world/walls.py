@@ -7,11 +7,10 @@ Manhattan People), generated deterministically from a seed.
 Walls are *static geometry*: immutable, identical at every replica, and
 therefore kept out of the object store and out of action read sets (a
 read set entry for something that can never change would only bloat the
-closure computation).  :class:`WallField` holds the walls as four
-coordinate columns, a per-cell table of packed wall records and the
-world bounds, and answers the path queries moves need
-(docs/performance.md, "Wall-collision kernel").  :class:`Wall` is only
-the value its queries hand out.
+closure computation).  :class:`WallField` holds the walls as a per-cell
+table of packed wall records and the world bounds, and answers the path
+queries moves need (docs/performance.md, "Wall-collision kernel").
+:class:`Wall` is only the value its queries hand out.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import struct
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import DefaultDict, Dict, Iterable, List, Optional, Set, Tuple
+from typing import DefaultDict, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.world.geometry import (
@@ -93,7 +92,8 @@ def _build_cell_table(columns: _Columns, cell_size: float) -> Dict[_Cell, bytes]
 
 
 class WallField:
-    """Static wall geometry with a per-cell wall table and world bounds.
+    """Static wall geometry: a per-cell table of packed wall records
+    (nothing else per wall) and the world bounds.
 
     Built from :class:`Wall` values numbered ``0, 1, …`` in order, or
     straight from the seeded generator (:meth:`generate`).  Every
@@ -126,7 +126,7 @@ class WallField:
         self._fill(columns)
 
     def _fill(self, columns: _Columns) -> "WallField":
-        self._columns = columns
+        self._count = len(columns[0])
         self._cells = _build_cell_table(columns, self._cell_size)
         return self
 
@@ -145,7 +145,7 @@ class WallField:
 
         Each wall is horizontal or vertical with equal probability and
         fits entirely inside the world rectangle.  Deterministic in
-        ``seed``; the coordinates go straight into the columns.
+        ``seed``; the coordinates go straight into the cell records.
         """
         if count < 0:
             raise ConfigurationError(f"wall count must be non-negative, got {count}")
@@ -171,12 +171,7 @@ class WallField:
         return cls(width=width, height=height, cell_size=cell_size)._fill(columns)
 
     def __len__(self) -> int:
-        return len(self._columns[0])
-
-    def wall(self, index: int) -> Wall:
-        """Wall ``index`` as a value."""
-        ax, ay, bx, by = self._columns
-        return Wall(index, Vec2(ax[index], ay[index]), Vec2(bx[index], by[index]))
+        return self._count
 
     def clamp_inside(self, p: Vec2) -> Vec2:
         """``p`` clamped into the world rectangle."""
@@ -198,21 +193,26 @@ class WallField:
             if (cx, cy) in cells
         ]
 
-    def _indices_near(self, center: Vec2, radius: float) -> Set[int]:
+    def _box_near(self, center: Vec2, radius: float) -> List[bytes]:
         (x, y), r = center, radius
-        box = self._cells_of_box(x - r, y - r, x + r, y + r)
-        return {index for records in box for (index,) in _INDEX.iter_unpack(records)}
+        return self._cells_of_box(x - r, y - r, x + r, y + r)
 
     def walls_near(self, center: Vec2, radius: float) -> List[Wall]:
         """Walls whose grid cells fall within ``radius`` of ``center``,
-        by index."""
-        return [self.wall(i) for i in sorted(self._indices_near(center, radius))]
+        by index, decoded from their cell records."""
+        ends = {
+            index: (Vec2(ax, ay), Vec2(bx, by))
+            for records in self._box_near(center, radius)
+            for ax, ay, bx, by, index in _RECORD.iter_unpack(records)
+        }
+        return [Wall(index, *ends[index]) for index in sorted(ends)]
 
     def count_near(self, center: Vec2, radius: float) -> int:
         """``len(walls_near(center, radius))``: the "walls a client
         sees" count that drives the paper's per-move cost (6.95 ms per
         1000 visible walls)."""
-        return len(self._indices_near(center, radius))
+        box = self._box_near(center, radius)
+        return len({index for records in box for (index,) in _INDEX.iter_unpack(records)})
 
     def first_obstruction(self, start: Vec2, end: Vec2) -> Optional[Wall]:
         """The wall a straight move from ``start`` to ``end`` hits first

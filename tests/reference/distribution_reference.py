@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Set, Tuple
 from repro.core import engine as engine_module
 from repro.core import server_incomplete as server_module
 from repro.core import sharded as sharded_module
-from repro.core.closure import QueueEntry, _is_span_value
+from repro.core.closure import QueueEntry, ships_as_value
 from repro.core.messages import OrderedAction
 from repro.core.server_incomplete import ClientRecord, IncompleteWorldServer
 from repro.core.sharded import ShardServer
@@ -30,12 +30,40 @@ from repro.errors import ProtocolError
 from repro.types import ClientId, ObjectId
 
 
+def _reference_holds_newer_write(
+    entries: Sequence[QueueEntry],
+    late: int,
+    client_id: ClientId,
+    high_water: int,
+    chain: List[int],
+) -> bool:
+    """Whether C holds a write of the read set of ``entries[late]``
+    newer than it, by scanning every later queue entry up to the
+    high-water mark."""
+    entry = entries[late]
+    for j in range(late + 1, len(entries)):
+        newer = entries[j]
+        if newer.pos > high_water:
+            break
+        if (
+            j not in chain
+            and client_id in newer.sent
+            and newer.action.writes & entry.action.reads
+        ):
+            return True
+    return False
+
+
 def reference_transitive_closure(
     entries: Sequence[QueueEntry],
     candidate_index: int,
     client_id: ClientId,
+    high_water: int = -1,
 ) -> Tuple[Optional[List[int]], frozenset[ObjectId]]:
-    """Algorithm 6 by scanning every earlier queue entry."""
+    """Algorithm 6 by scanning every earlier queue entry, with the late
+    entry rule of ``transitive_closure``: below ``high_water`` an entry
+    ships as its value, as code when C holds no newer write of its
+    reads, or defers the closure."""
     candidate = entries[candidate_index]
     if candidate.valid is False:
         raise ProtocolError(f"cannot build closure for dropped {candidate.pos}")
@@ -43,10 +71,31 @@ def reference_transitive_closure(
         raise ProtocolError(
             f"closure candidate pos {candidate.pos} already sent to {client_id}"
         )
-    if _is_span_value(candidate) and candidate.span_result is None:
-        return None, frozenset()  # result not yet known: defer
-    accumulated: Set[ObjectId] = set(candidate.action.reads)
-    chain: List[int] = [candidate_index]
+    accumulated: Set[ObjectId] = set()
+    chain: List[int] = []
+
+    def join(j: int) -> bool:
+        entry = entries[j]
+        if ships_as_value(entry, client_id, high_water):
+            accumulated.update(entry.action.writes)
+        elif (entry.span_value and entry.span_result is None) or (
+            entry.pos < high_water
+            and (
+                entry.gsn >= 0
+                or _reference_holds_newer_write(entries, j, client_id, high_water, chain)
+            )
+        ):
+            for index in chain:
+                entries[index].sent.discard(client_id)
+            return False
+        else:
+            accumulated.update(entry.action.reads)
+        chain.append(j)
+        entry.sent.add(client_id)
+        return True
+
+    if not join(candidate_index):
+        return None, frozenset()
     # Iterate via reversed() rather than indexing so a deque-backed
     # queue costs O(1) per entry.
     descending = islice(reversed(entries), len(entries) - candidate_index, None)
@@ -58,15 +107,8 @@ def reference_transitive_closure(
             continue
         if client_id in entry.sent:
             accumulated -= action.writes
-        elif _is_span_value(entry) and entry.span_result is None:
-            for index in chain[1:]:
-                entries[index].sent.discard(client_id)
+        elif not join(j):
             return None, frozenset()
-        else:
-            accumulated |= action.reads
-            chain.append(j)
-            entry.sent.add(client_id)
-    candidate.sent.add(client_id)
     chain.reverse()
     return chain, frozenset(accumulated)
 
@@ -167,8 +209,12 @@ def use_reference_distribution(monkeypatch, server_cls=FullScanServer) -> None:
     engine a :class:`FullScanShardServer` — that distributes with the
     two scans above instead of the indexes and the pending lists."""
 
-    def closure_by_scan(entries, candidate_index, client_id, *, writer_index, base_pos=0):
-        return reference_transitive_closure(entries, candidate_index, client_id)
+    def closure_by_scan(
+        entries, candidate_index, client_id, *, writer_index, base_pos=0, high_water=-1
+    ):
+        return reference_transitive_closure(
+            entries, candidate_index, client_id, high_water
+        )
 
     monkeypatch.setattr(server_module, "transitive_closure", closure_by_scan)
     monkeypatch.setattr(engine_module, "IncompleteWorldServer", server_cls)

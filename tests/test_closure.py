@@ -8,7 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.action import Action, ActionId, ActionResult
-from repro.core.closure import KnownValuesTracker, QueueEntry, transitive_closure
+from repro.core.closure import (
+    KnownValuesTracker,
+    QueueEntry,
+    ships_as_value,
+    transitive_closure,
+)
 from repro.core.indexes import WriterIndex
 from repro.errors import ProtocolError
 
@@ -35,13 +40,13 @@ def entry(pos, reads, writes, client=0, valid=True, sent=()):
 C = 7  # the requesting client
 
 
-def closure(entries, candidate_index):
+def closure(entries, candidate_index, high_water=-1):
     """Algorithm 6 for client C over a queue starting at position 0."""
     writer_index = WriterIndex()
     for queue_entry in entries:
         writer_index.note_enqueued(queue_entry.pos, queue_entry.action.writes)
     return transitive_closure(
-        entries, candidate_index, C, writer_index=writer_index
+        entries, candidate_index, C, writer_index=writer_index, high_water=high_water
     )
 
 
@@ -120,6 +125,68 @@ def test_closure_read_modify_write_keeps_base_value_in_seed():
     chain, seed = closure(entries, 1)
     assert chain == [0, 1]
     assert "x" in seed
+
+
+# ---------------------------------------------------------------------------
+# Late entries: below C's high-water mark and not yet sent to C
+# ---------------------------------------------------------------------------
+def completed(queue_entry):
+    """``queue_entry`` with its originator's completion recorded."""
+    values = {oid: {"v": queue_entry.pos} for oid in queue_entry.action.writes}
+    queue_entry.record_completion(ActionResult.of(values), queue_entry.action.client_id)
+    return queue_entry
+
+
+def test_completed_late_entry_ships_as_its_value_and_folds_only_its_writes():
+    entries = [
+        completed(entry(0, ["y"], ["x"])),  # late: C holds e1 above it
+        entry(1, [], ["y"], sent=[C]),  # a newer write of what e0 read
+        entry(2, ["x"], ["z"]),
+    ]
+    chain, seed = closure(entries, 2, high_water=1)
+    assert chain == [0, 2]
+    assert ships_as_value(entries[0], C, 1)
+    # The value carries x; y, which only e0's code would read, stays out.
+    assert seed == frozenset({"x", "z"})
+    assert C in entries[0].sent
+
+
+def test_late_entry_without_a_completion_ships_as_code_when_c_holds_no_newer_read():
+    entries = [
+        entry(0, ["y"], ["x"]),
+        entry(1, [], ["w"], sent=[C]),  # newer, but writes nothing e0 reads
+        entry(2, ["x"], ["z"]),
+    ]
+    chain, seed = closure(entries, 2, high_water=1)
+    assert chain == [0, 2]
+    assert not ships_as_value(entries[0], C, 1)
+    assert seed == frozenset({"x", "y", "z"})
+
+
+def test_late_entry_without_a_completion_defers_when_c_holds_a_newer_read():
+    entries = [
+        entry(0, ["y"], ["x"]),
+        entry(1, [], ["y"], sent=[C]),  # C applied a newer y than e0 read
+        entry(2, ["x"], ["z"]),
+    ]
+    assert closure(entries, 2, high_water=1) == (None, frozenset())
+    assert C not in entries[0].sent and C not in entries[2].sent
+    # One completion later it goes as its value.
+    completed(entries[0])
+    chain, _ = closure(entries, 2, high_water=1)
+    assert chain == [0, 2] and ships_as_value(entries[0], C, 1)
+
+
+def test_late_span_defers_even_with_a_known_result():
+    span = completed(entry(0, ["y"], ["x"]))
+    span.gsn = 0
+    entries = [span, entry(1, [], ["w"], sent=[C]), entry(2, ["x"], ["z"])]
+    assert closure(entries, 2, high_water=1) == (None, frozenset())
+    assert not any(C in queue_entry.sent for queue_entry in entries[::2])
+    # Not late (C holds nothing above it): an ordinary chain member.
+    entries[1].sent.clear()
+    chain, _ = closure(entries, 2)
+    assert chain == [0, 2]
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,25 @@ The other seven K = 4 entries speak at will (crash, failover, elastic,
 client-crash plans), so none of their spans is code on a peer and they
 are bit-equal, as is every other K = 1 and baseline entry.
 
+Re-dumped when a late closure entry (one below the client's
+high-water mark) started shipping as its committed value, or as code
+when the client holds no newer write of its reads, instead of waiting
+for the commit frontier: exactly four entries moved, every one with 0
+violations.  ``seve_k1`` no longer waits seconds behind the frontier:
+``virtual_ms`` 9 200.62 → 4 276.0 (what the K = 4 fault-free runs
+take), mean response 2 408.6 → 395.6 ms, 383 responses, not 372, and
+1 move dropped, not 12; ``events``, ``client_bytes`` and
+``total_bytes`` (879 856 → 961 880: neighbours' moves now reach each
+client) moved with it.  ``seve-hybrid_clean`` moved ``events``
+2 446 → 2 459, bytes, ``measured`` traffic and closure CPU and
+``replica_crc``, with the same 192 responses and clock.  The two lossy
+runs deliver sooner into their crash windows and so retransmit more:
+``seve-hybrid_lossy`` confirms 186 moves, not 187, and ends at
+6 827.58 ms, not 6 811.67; ``seve-naive_lossy`` confirms 187, not 186
+(the extra one 4.0 s after its submission), ends at 7 407.53 ms, not
+6 227.83, and its ``consistency`` reads 78 / 55 / 23 / 0, not
+76 / 53 / 23 / 0.  Every K = 4 entry and every baseline is bit-equal.
+
 Regenerate (only when virtual-time behaviour is *meant* to change) with
 ``PYTHONPATH=src python tests/test_golden_runs.py``.
 """

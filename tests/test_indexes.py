@@ -7,10 +7,10 @@ from __future__ import annotations
 
 import random
 
-from repro.core.action import Action, ActionId
+from repro.core.action import Action, ActionId, ActionResult
 from repro.core.first_bound import FirstBoundPredicate
 from repro.core.indexes import ClientSpatialIndex, WriterIndex
-from repro.core.closure import QueueEntry, transitive_closure
+from repro.core.closure import QueueEntry, ships_as_value, transitive_closure
 from repro.world.geometry import Vec2
 from tests.reference.distribution_reference import reference_transitive_closure
 
@@ -106,8 +106,12 @@ def _random_queue(rng, num_entries, num_objects, base_pos=0):
 
 
 def test_indexed_closure_matches_brute_force_on_random_queues():
+    """Random queues, sent marks, completions, spans and high-water
+    marks: the late-entry rule (value, code or deferral) decides alike
+    through the writer index and by scanning."""
     rng = random.Random(42)
-    for trial in range(30):
+    outcomes = set()
+    for trial in range(60):
         base_pos = rng.randrange(0, 50)
         entries, index = _random_queue(rng, 60, 12, base_pos=base_pos)
         # Random pre-existing sent state for a few clients.
@@ -115,6 +119,10 @@ def test_indexed_closure_matches_brute_force_on_random_queues():
             for client in range(3):
                 if rng.random() < 0.2:
                     entry.sent.add(client)
+            if rng.random() < 0.4:
+                entry.completion = ActionResult.of({})
+            if rng.random() < 0.05:
+                entry.gsn = entry.pos
         candidate_index = rng.randrange(len(entries))
         if entries[candidate_index].valid is False:
             continue
@@ -123,19 +131,31 @@ def test_indexed_closure_matches_brute_force_on_random_queues():
             continue
         import copy
 
+        high_water = max(
+            (e.pos for e in entries if client_id in e.sent), default=-1
+        )
         brute_entries = copy.deepcopy(entries)
         brute_chain, brute_seed = reference_transitive_closure(
-            brute_entries, candidate_index, client_id
+            brute_entries, candidate_index, client_id, high_water
         )
         indexed_chain, indexed_seed = transitive_closure(
             entries, candidate_index, client_id,
-            writer_index=index, base_pos=base_pos,
+            writer_index=index, base_pos=base_pos, high_water=high_water,
+        )
+        late = [
+            ships_as_value(entries[i], client_id, high_water)
+            for i in indexed_chain or ()
+            if entries[i].pos < high_water
+        ]
+        outcomes.update(
+            ["deferred"] if indexed_chain is None else ["value" if v else "code" for v in late]
         )
         assert indexed_chain == brute_chain, f"trial {trial}"
         assert indexed_seed == brute_seed, f"trial {trial}"
         assert [sorted(e.sent) for e in entries] == [
             sorted(e.sent) for e in brute_entries
         ], f"trial {trial}"
+    assert outcomes == {"deferred", "value", "code"}
 
 
 # ----------------------------------------------------------------------

@@ -4,9 +4,8 @@ The push cycle used to re-ask the client spatial index about every
 unsent entry on every cycle; it now asks once per entry and keeps the
 answer on each candidate's ``ClientRecord.pending``
 (docs/performance.md, "Nominate once").  The re-query existed for the
-client that *lags* — held back by the in-order delivery guard, or
-disconnected — while the facts a nomination was based on change under
-it.  Each test here scripts one such case on two hand-driven servers,
+client that *lags* — held back by a deferred closure, or disconnected —
+while the facts a nomination was based on change under it.  Each test here scripts one such case on two hand-driven servers,
 the shipped one and the ``FullScanServer`` oracle of
 ``tests/reference/distribution_reference.py`` (which keeps no lists and
 tests every client against its whole window), and requires the same
@@ -21,11 +20,12 @@ nominated from (``ClientRecord.anchor``); a client that drifts further
 loses its anchor and has its list rebuilt once.  The drift tests script
 both sides of that margin, and a sum of small drifts that crosses it.
 
-A client the guard deferred is parked on its blocker
-(``ClientRecord.parked``) and not walked again until something its walk
-depends on changes.  The parking tests fire each such event, on plain
-and on shard servers, and require a walk in the next push cycle with,
-again, the oracle's batches.
+A client is held back here by the third way a late closure entry
+ships (``transitive_closure``): the entry has no completion yet and the
+client holds a newer write of what it reads, so the closure defers.
+The client is walked again on every push cycle.  The deferred-client
+tests fire each event that changes what such a walk meets, on plain
+and on shard servers, and require, again, the oracle's batches.
 
 The count gates at the end pin the saving itself, on counts that repeat
 exactly: one index query per serialized entry at most, and no
@@ -255,12 +255,14 @@ class Twins:
         ]
 
     def hold_c_back(self):
-        """Leave C deferred by the in-order delivery guard: it holds
-        ``e2`` when ``e3`` arrives, whose closure reaches below that,
-        to B's uncommitted token write ``e1``, which C was never sent.
-        C's own ``e0`` stays at the head of the queue, uncommitted."""
+        """Leave C deferred: it holds ``e2`` when ``e3`` arrives, whose
+        closure reaches below that, to B's uncommitted token write
+        ``e1``, which C was never sent.  ``e1`` is late, has no
+        completion, and reads A's avatar, which C's ``e2`` wrote: it can
+        ship neither as its value nor as code.  C's own ``e0`` stays at
+        the head of the queue, uncommitted."""
         e0 = self.submit(C, SPOTS[C])
-        e1 = self.submit(B, SPOTS[B], writes=(TOKEN,))
+        e1 = self.submit(B, SPOTS[B], reads=(avatar_id(A),), writes=(TOKEN,))
         e2 = self.submit(A, SPOTS[A])
         batches, _ = self.push()
         assert self.delivered(batches, C) == [e0, e2]
@@ -382,7 +384,7 @@ def test_held_client_drifting_inside_the_margin_keeps_its_list(renominations):
     assert record.pending == [e3, e4]
     twins.commit(e0, x=2.0, y=0.0)
     assert record.anchor == SPOTS[C]
-    batches, _ = twins.push()  # unparked by the move, deferred again
+    batches, _ = twins.push()  # walked again, deferred again
     assert twins.delivered(batches, C) == [] and record.pending == [e3, e4]
     twins.commit(e1, x=500.0, y=0.0)
     batches, _ = twins.push()
@@ -443,9 +445,9 @@ def test_drift_after_a_renomination_reaches_an_older_entry(renominations):
 
 
 def test_held_client_renominates_once_across_deferred_cycles(renominations, walks):
-    """C leaves its anchor, then drifts half a unit per cycle while the
-    guard holds it: every drift unparks it and every cycle walks and
-    defers, but its window is rebuilt once."""
+    """C leaves its anchor, then drifts half a unit per cycle while a
+    deferral holds it: every cycle walks and defers, but its window is
+    rebuilt once."""
     twins = Twins()
     e0, e1, e2, e3 = park_c(twins, walks)
     twins.sync(C, 8.0, 0.0)
@@ -592,22 +594,18 @@ def test_replacement_server_resumed_past_position_zero():
 
 
 # ---------------------------------------------------------------------------
-# A blocked client waits for its blocker
+# A deferred client is walked every cycle, and agrees with the full scan
 # ---------------------------------------------------------------------------
 @pytest.fixture
 def walks(monkeypatch):
     """``walks(twins)``: the closure walks the shipped server of ``twins``
-    made since the last call.  (The oracle walks every closure it
-    counts: its push cycle never parks anyone.)"""
+    made since the last call."""
     counts = Counter()
     walk = server_module.transitive_closure
 
-    def counted(entries, candidate_index, client_id, *, writer_index, base_pos=0):
+    def counted(entries, candidate_index, client_id, *, writer_index, **marks):
         counts[writer_index] += 1
-        return walk(
-            entries, candidate_index, client_id,
-            writer_index=writer_index, base_pos=base_pos,
-        )
+        return walk(entries, candidate_index, client_id, writer_index=writer_index, **marks)
 
     monkeypatch.setattr(server_module, "transitive_closure", counted)
 
@@ -619,67 +617,44 @@ def walks(monkeypatch):
     return since_last_call
 
 
-class HookLog:
-    """An observer that logs the push path's per-cycle build hook and
-    ignores the others (the scan hook differs by design: the oracle
-    nominates no one)."""
-
-    def __init__(self):
-        self.calls = []
-
-    def on_push_build(self, *args):
-        self.calls.append(("build", args))
-
-    def __getattr__(self, hook):
-        return lambda *args: None
-
-
 def park_c(twins, walks):
-    """Hold C back (``Twins.hold_c_back``) and let the deferral park it
-    on the blocker ``e1``: the push cycle after that walks nothing."""
+    """Hold C back (``Twins.hold_c_back``): every push cycle after that
+    walks C's closure again and defers it again."""
     held = twins.hold_c_back()
-    twins.push()
-    assert twins.c_record().parked is not None
-    walks(twins)
-    batches, _ = twins.push()
-    assert walks(twins) == 0 and twins.delivered(batches, C) == []
+    for _ in range(2):
+        deferred = twins.shipped.server.stats.closures_deferred
+        batches, _ = twins.push()
+        assert walks(twins) > 0 and twins.delivered(batches, C) == []
+        assert twins.shipped.server.stats.closures_deferred > deferred
     twins.stats_equal()
     return held
-
-
-def test_a_parked_client_is_charged_its_deferral_but_not_walked(walks):
-    twins = Twins()
-    logs = []
-    for server in twins.servers():
-        server.sim.obs = HookLog()
-        logs.append(server.sim.obs.calls)
-    park_c(twins, walks)
-    server = twins.shipped.server
-    # A's own e3 reaches back to e1 as well.
-    assert [c for c, record in server.clients.items() if record.parked] == [A, C]
-    deferred = server.stats.closures_deferred
-    computed = server.stats.closures_computed
-    for _ in range(3):
-        batches, _ = twins.push()
-        assert walks(twins) == 0
-    assert server.stats.closures_deferred == deferred + 2 * 3
-    assert server.stats.closures_computed == computed + 2 * 3  # each charged
-    twins.stats_equal()
-    assert logs[0] == logs[1] and logs[0]
 
 
 def test_parked_client_walks_once_its_blocker_commits(walks):
     twins = Twins()
     e0, e1, e2, e3 = park_c(twins, walks)
-    twins.commit(e0, x=0.0, y=0.0)  # (a commit that moves C unparks too)
-    twins.push()
-    walks(twins)
-    twins.push()
-    assert walks(twins) == 0  # parked on e1 again
+    twins.commit(e0, x=0.0, y=0.0)
+    batches, _ = twins.push()
+    assert walks(twins) > 0 and twins.delivered(batches, C) == []
     twins.commit(e1, x=500.0, y=0.0)
     batches, _ = twins.push()
-    assert walks(twins) > 0
     assert twins.delivered(batches, C) == [e3]
+    twins.stats_equal()
+
+
+def test_parked_client_gets_its_blocker_as_a_value_once_it_completes(walks):
+    """The blocker's completion arrives while C's own ``e0`` still holds
+    the commit frontier back: the blocker ships as its value, not as
+    code, and nothing waits for the frontier."""
+    twins = Twins()
+    e0, e1, e2, e3 = park_c(twins, walks)
+    twins.commit(e1, x=500.0, y=0.0)
+    assert twins.shipped.server.commit_frontier < e0
+    batches, _ = twins.push()
+    assert twins.delivered(batches, C) == [e1, e3]
+    [(_, entries)] = [(dst, entries) for dst, entries in batches if dst == C]
+    value = next(fingerprint for fingerprint in entries if fingerprint[0] == e1)
+    assert value[1] == ActionId(B, 1) and len(value) == 3  # a blind write
     twins.stats_equal()
 
 
@@ -699,13 +674,14 @@ def test_parked_client_walks_after_a_commit_moves_only_its_position_time():
     only t_C moves, and with it where a culled arrow projects."""
     twins = Twins(culling=True)
     e0 = twins.submit(C, SPOTS[C])
-    twins.submit(B, SPOTS[B], writes=(TOKEN,))
+    twins.submit(B, SPOTS[B], reads=(avatar_id(A),), writes=(TOKEN,))
     twins.submit(A, SPOTS[A])
     twins.push()
     # Loosed at C's feet, reading the token: wanted, and deferred.
+    deferred = twins.shipped.server.stats.closures_deferred
     e3 = twins.submit(A, SPOTS[C], reads=(TOKEN,), velocity=Vec2(20.0, 0.0))
     twins.push()
-    assert twins.c_record().parked is not None
+    assert twins.shipped.server.stats.closures_deferred > deferred
     twins.wait(5_000.0)
     for rig in (twins.shipped, twins.oracle):
         action_id = rig.server._entries[0].action.action_id
@@ -714,15 +690,14 @@ def test_parked_client_walks_after_a_commit_moves_only_its_position_time():
         rig.sim.run()
     batches, marks = twins.push()
     # Projected to t_C, 5 s on, the arrow is 100 units off: the walk
-    # passes it without a closure, where a parked C would still wait.
+    # passes it without a closure.
     assert twins.delivered(batches, C) == [] and marks[C][0] == e3
-    assert twins.c_record().parked is None
     twins.stats_equal()
 
 
 def test_parked_client_walks_after_a_region_sync_moves_it(walks):
     """The sync moves C 4 units, past the drift margin (reach 3): its
-    window is re-nominated on the walk the move unparks, once."""
+    window is re-nominated on the next walk, once."""
     twins = Twins()
     e0, e1, e2, e3 = park_c(twins, walks)
     twins.sync(C, 4.0, 0.0)
@@ -731,10 +706,9 @@ def test_parked_client_walks_after_a_region_sync_moves_it(walks):
     twins.push()
     assert walks(twins) > 0
     assert record.anchor == Vec2(4.0, 0.0) and record.pending == [e3]
-    # Parked again: the skipped cycle leaves it as the walk would.
     batches, _ = twins.push()
-    assert walks(twins) == 0 and twins.delivered(batches, C) == []
-    assert record.pending == [e3] and record.parked is not None
+    assert walks(twins) > 0 and twins.delivered(batches, C) == []
+    assert record.pending == [e3]
     twins.stats_equal()
 
 
@@ -755,9 +729,6 @@ def test_parked_client_walks_after_an_orphan_abort(walks):
     twins.crash(E)
     twins.detach(E)
     twins.push()
-    walks(twins)
-    twins.push()
-    assert walks(twins) == 0
     for server in twins.servers():
         server._abort_orphans()  # e4's only holder is gone
         assert server._entries[e4 - server._base_pos].valid is False
@@ -870,7 +841,7 @@ SCRIPT_SEEDS = [0, 2, 3, 4, 6, 7, 8, 9, 10, 11, 12, 13]
 @pytest.mark.parametrize("seed", SCRIPT_SEEDS)
 def test_random_scripts_match_the_full_scan(seed):
     """Random interleavings of submissions (some reading the shared
-    token, so closures reach back and the guard defers), in-order
+    token, so closures reach back to late entries and some defer), in-order
     commits that move the originator — about a third of them a drift
     inside the margin, the rest a jump past it — parked handlers,
     detach/attach and evictions, with a push cycle after every few
@@ -895,7 +866,9 @@ def test_random_scripts_match_the_full_scan(seed):
             if rng.random() < 0.4:
                 sets["reads"] = (TOKEN,)
             elif rng.random() < 0.3:
+                # A token write reading a neighbour: late, it may defer.
                 sets["writes"] = (TOKEN,)
+                sets["reads"] = (avatar_id(rng.choice(clients)),)
             if rng.random() < 0.15:
                 sets["velocity"] = Vec2(rng.uniform(-40, 40), rng.uniform(-40, 40))
             twins.submit(client, where[client], **sets)

@@ -12,10 +12,11 @@ The explorer's value rests on three properties, each pinned here:
    the reactive deferred-reply weave) hold their invariants under all
    permutation rules.  This is the CI gate in scripts/test.sh.
 3. *A reintroduced PR 9-style gap is caught and shrunk* — seeding the
-   historical deferred-push bug (an entry that commits while its reply
-   is deferred is neither taught nor confirmed) flips the explorer to VIOLATIONS with a minimal
-   reordering trace, while the identity schedule still passes: exactly
-   the class of bug example-based tests missed the first time.
+   historical deferred-push bug (a reply that waits for the commit
+   frontier, and an entry that commits while its reply is deferred is
+   neither taught nor confirmed) flips the explorer to VIOLATIONS with a
+   minimal reordering trace, while the identity schedule still passes:
+   exactly the class of bug example-based tests missed the first time.
 """
 
 from __future__ import annotations
@@ -95,9 +96,10 @@ def test_default_scenarios_pass_all_schedules():
 
 def test_reactive_scenario_exercises_reply_parking():
     # Guard against the scenario silently going vacuous: the weave must
-    # actually defer reactive replies behind the in-order guard, and
-    # every deferred reply must eventually leave its client's pending
-    # list (answered, or taught when its entry committed first).
+    # actually defer reactive replies behind a late entry that can ship
+    # neither as its value nor as code, and every deferred reply must
+    # eventually leave its client's pending list (answered, or taught
+    # when its entry committed first).
     prepared = _scenario("reactive-deferred").build()
     prepared.run()
     assert prepared.check() == []
@@ -116,8 +118,32 @@ def _no_teach_commit(self, client_id, pos, action_id, written):
     the right delivery order."""
 
 
+def _frontier_guard(walk):
+    """The in-order guard the bug lived behind: a closure reaching
+    below the client's high-water mark waits until the commit frontier
+    passes the late entry.  Without it a deferred reply goes out on the
+    late entry's first completion, which reaches the server before any
+    completion of what depends on it, so the entry the reply carries
+    cannot commit first and the missing teach never bites."""
+
+    def guarded(entries, candidate_index, client_id, *, high_water=-1, **index):
+        chain, seed = walk(entries, candidate_index, client_id, **index)
+        if chain is not None and entries[chain[0]].pos < high_water:
+            for member in chain:
+                entries[member].sent.discard(client_id)
+            return None, frozenset()
+        return chain, seed
+
+    return guarded
+
+
 @pytest.mark.slow
 def test_seeded_deferred_reply_gap_is_caught_and_shrunk(monkeypatch):
+    monkeypatch.setattr(
+        server_incomplete,
+        "transitive_closure",
+        _frontier_guard(server_incomplete.transitive_closure),
+    )
     monkeypatch.setattr(
         server_incomplete.IncompleteWorldServer,
         "_teach_commit",

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core import server_incomplete
 from repro.core.action import Action, ActionId, ActionResult, BlindWrite
-from repro.core.closure import QueueEntry, _is_span_value
+from repro.core.closure import QueueEntry
 from repro.core.elastic import Rebalancer
 from repro.core.engine import SeveConfig
 from repro.core.handoff import HANDOFF_MARGIN
@@ -232,7 +232,7 @@ def _record_span_traffic(monkeypatch):
     log = dict(verdicts={}, inputs={}, owners={}, wired=[], deferrals=[])
     verdict = SpanPipeline._inputs_match_owner
     resolved = ShardServer._note_resolved
-    wire_action = ShardServer._wire_action
+    closure_entries = ShardServer._closure_entries
     walk = server_incomplete.transitive_closure
 
     def recording_verdict(unit, splice):
@@ -249,23 +249,30 @@ def _record_span_traffic(monkeypatch):
             ]
         resolved(server, entry)
 
-    def recording_wire(server, client_id, entry):
-        action = wire_action(server, client_id, entry)
-        if entry.gsn >= 0:
-            log["wired"].append((server.shard_index, entry, client_id, action))
-        return action
+    def recording_closure(server, client_id, candidate):
+        wired, cost = closure_entries(server, client_id, candidate)
+        for ordered in wired or ():
+            entry = server._entries[ordered.pos - server._base_pos] if ordered.pos >= 0 else None
+            if entry is not None and entry.gsn >= 0:
+                log["wired"].append((server.shard_index, entry, client_id, ordered.action))
+        return wired, cost
 
-    def recording_walk(entries, index, client_id, **kwargs):
-        chain, seed = walk(entries, index, client_id, **kwargs)
+    def recording_walk(entries, index, client_id, *, high_water=-1, **kwargs):
+        chain, seed = walk(entries, index, client_id, high_water=high_water, **kwargs)
         if chain is None:
             log["deferrals"].append(
-                [e for e in entries if _is_span_value(e) and e.span_result is None]
+                [
+                    e
+                    for e in entries
+                    if (e.span_value and e.span_result is None)
+                    or (e.pos < high_water and client_id not in e.sent and e.valid is not False)
+                ]
             )
         return chain, seed
 
     monkeypatch.setattr(SpanPipeline, "_inputs_match_owner", recording_verdict)
     monkeypatch.setattr(ShardServer, "_note_resolved", recording_resolved)
-    monkeypatch.setattr(ShardServer, "_wire_action", recording_wire)
+    monkeypatch.setattr(ShardServer, "_closure_entries", recording_closure)
     monkeypatch.setattr(server_incomplete, "transitive_closure", recording_walk)
     return log
 
@@ -301,7 +308,8 @@ def test_owner_clients_get_span_code_and_peer_clients_get_values(monkeypatch):
     assert any(e.span_owner_shard == s and c != e.action.client_id for s, e, c, _ in wired)
     assert any(e.span_owner_shard != s and a is e.action for s, e, _, a in wired)
     assert any(isinstance(a, BlindWrite) for _, _, _, a in wired)
-    # A closure defers only on a value entry whose result is unknown.
+    # A closure defers only on a value entry whose result is unknown, or
+    # on a late entry.
     assert all(log["deferrals"])
 
 

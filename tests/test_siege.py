@@ -25,11 +25,13 @@ def tiny_world(num_walls=0, **kwargs):
     return SiegeWorld(2, SiegeConfig(num_walls=num_walls, seed=3, **kwargs))
 
 
+#: The wall of :func:`one_wall_setup`.
+WALL = Wall(0, Vec2(55, 40), Vec2(55, 60))
+
+
 def one_wall_setup():
     """An avatar facing a single wall directly in its path."""
-    geometry = WallField(
-        [Wall(0, Vec2(55, 40), Vec2(55, 60))], width=100.0, height=100.0
-    )
+    geometry = WallField([WALL], width=100.0, height=100.0)
     store = SanitizedStore([
         avatar_object(0, Vec2(50, 50), heading=0.0, speed=10.0),
     ])
@@ -44,7 +46,7 @@ def make_move(geometry, seq=0):
         ActionId(0, seq),
         avatar_id(0),
         neighbors=frozenset(),
-        wall_objects=frozenset({wall_id(0)}),
+        walls=(WALL,),
         geometry=geometry,
         duration_s=1.0,
         effect_range=10.0,

@@ -22,9 +22,13 @@ from repro.world.walls import Wall, WallField
 
 
 def generate_walls(count, *, world_width, world_height, **kwargs):
-    """The walls of a generated field, as values."""
+    """The walls of a generated field, as values, decoded from its cell
+    records."""
     field = WallField.generate(count, width=world_width, height=world_height, **kwargs)
-    return [field.wall(index) for index in range(len(field))]
+    center = Vec2(world_width / 2, world_height / 2)
+    walls = field.walls_near(center, max(world_width, world_height))
+    assert len(walls) == len(field)
+    return walls
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +99,7 @@ def test_field_requires_positive_extent():
 
 def test_field_numbers_walls_by_position(field):
     assert len(field) == 2
-    assert field.wall(1) == Wall(1, Vec2(10, 10), Vec2(20, 10))
+    assert field.walls_near(Vec2(15, 10), 1.0) == [Wall(1, Vec2(10, 10), Vec2(20, 10))]
     with pytest.raises(ConfigurationError):
         WallField([Wall(1, Vec2(10, 10), Vec2(20, 10))], width=100.0, height=100.0)
 

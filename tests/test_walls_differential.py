@@ -17,10 +17,10 @@ included.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 import struct
+from array import array
 from typing import Iterator, Tuple
 
 import pytest
@@ -72,7 +72,8 @@ def test_generator_reproduces_every_wall_bit_for_bit(shape):
     walls = generate_walls(count, world_width=width, world_height=height, seed=0)
     field = WallField.generate(count, width=width, height=height, seed=0)
     assert len(field) == count
-    assert [_bits(field.wall(i)) for i in range(count)] == [_bits(w) for w in walls]
+    decoded = field.walls_near(Vec2(width / 2, height / 2), max(width, height))
+    assert [_bits(wall) for wall in decoded] == [_bits(w) for w in walls]
     assert WallField(walls, width=width, height=height)._cells == field._cells
 
 
@@ -98,11 +99,11 @@ def _anchor(rng: random.Random, wall: Wall) -> Vec2:
 
 
 def _queries(
-    rng: random.Random, field: WallField, count: int
+    rng: random.Random, oracle: ReferenceWallField, count: int
 ) -> Iterator[Tuple[Vec2, Vec2]]:
-    """Seeded moves: half uniform over the world, half anchored on a
-    wall (start or end on its line, often collinear with it), every
-    coordinate possibly nudged."""
+    """Seeded moves: half uniform over the world, half anchored on one
+    of the oracle's walls (start or end on its line, often collinear
+    with it), every coordinate possibly nudged."""
     for _ in range(count):
         length = rng.choice(MOVE_LENGTHS)
         if rng.random() < 0.5:
@@ -111,9 +112,9 @@ def _queries(
             heading = rng.choice(AXIS_HEADINGS)
         step = Vec2(length * math.cos(heading), length * math.sin(heading))
         if rng.random() < 0.5:
-            point = Vec2(rng.uniform(0.0, field.width), rng.uniform(0.0, field.height))
+            point = Vec2(rng.uniform(0.0, oracle.width), rng.uniform(0.0, oracle.height))
         else:
-            wall = field.wall(rng.randrange(len(field)))
+            wall = oracle.walls[rng.randrange(len(oracle.walls))]
             point = _anchor(rng, wall)
             if rng.random() < 0.3:  # exactly along the wall: collinear overlap
                 along = length if rng.random() < 0.5 else -length
@@ -140,7 +141,7 @@ def test_first_obstruction_returns_the_oracles_wall(density, queries=FULL_SWEEP 
     field, oracle = _fields(**DENSITIES[density], seed=1)
     rng = random.Random(f"walls-differential-{density}")
     hits = 0
-    for start, end in _queries(rng, field, queries):
+    for start, end in _queries(rng, oracle, queries):
         expected = oracle.first_obstruction(start, end)
         assert field.first_obstruction(start, end) == expected, (start, end)
         assert field.path_blocked(start, end) == oracle.path_blocked(start, end)
@@ -167,9 +168,9 @@ def test_walls_near_returns_the_oracles_list(density):
 def test_scalar_predicate_matches_the_vec2_predicate():
     """``segments_intersect`` now delegates to the scalar form; the
     oracle keeps the ``Vec2`` arithmetic it used to run."""
-    field, _ = _fields(count=2_000, width=200.0, height=200.0, seed=3)
+    field, oracle = _fields(count=2_000, width=200.0, height=200.0, seed=3)
     rng = random.Random("predicate")
-    for start, end in _queries(rng, field, 600):
+    for start, end in _queries(rng, oracle, 600):
         for wall in field.walls_near(start, 30.0):
             assert segments_intersect(start, end, wall.a, wall.b) == (
                 vec2_segments_intersect(start, end, wall.a, wall.b)
@@ -264,7 +265,27 @@ TABLE_CASES = {
 
 
 def _case(walls, cell_size: float = 25.0):
-    return lambda: WallField(walls, width=100.0, height=100.0, cell_size=cell_size)
+    """A hand-made case: its field, and the walls it was built from."""
+    return lambda: (
+        WallField(walls, width=100.0, height=100.0, cell_size=cell_size),
+        walls,
+    )
+
+
+def _generated(count: int, width: float, height: float, seed: int, cell_size: float = 25.0):
+    """A generated field, and the object generator's walls for it."""
+    return lambda: (
+        WallField.generate(count, width=width, height=height, seed=seed, cell_size=cell_size),
+        generate_walls(count, world_width=width, world_height=height, seed=seed),
+    )
+
+
+def _columns(walls) -> Tuple[array, array, array, array]:
+    """The ``ax``, ``ay``, ``bx``, ``by`` columns of ``walls``, by index."""
+    return tuple(
+        array("d", [getattr(getattr(wall, end), axis) for wall in walls])
+        for end, axis in (("a", "x"), ("a", "y"), ("b", "x"), ("b", "y"))
+    )
 
 
 #: Every field the builder is differenced on: the benchmark's two
@@ -272,13 +293,11 @@ def _case(walls, cell_size: float = 25.0):
 #: from a ``Wall`` list, and two non-default cell sizes.
 TABLE_FIELDS = {
     **{
-        name: functools.partial(WallField.generate, **shape, seed=5)
+        name: _generated(**shape, seed=5)
         for name, shape in (*DENSITIES.items(), ("table_i", TABLE_I))
     },
     **{name: _case(walls) for name, walls in TABLE_CASES.items()},
-    "cell_size_7.5": functools.partial(
-        WallField.generate, 3_000, width=300.0, height=300.0, seed=6, cell_size=7.5
-    ),
+    "cell_size_7.5": _generated(3_000, 300.0, 300.0, seed=6, cell_size=7.5),
     "cell_boundaries_cell_size_10": _case(TABLE_CASES["cell_boundaries"], cell_size=10.0),
 }
 
@@ -287,8 +306,8 @@ TABLE_FIELDS = {
 def test_cell_table_matches_the_reference_builder(name):
     """The shipped builder returns the reference builder's ``dict``:
     same cells in the same insertion order, same records in each."""
-    field = TABLE_FIELDS[name]()
-    reference = build_cell_table(field._columns, field._cell_size)
+    field, walls = TABLE_FIELDS[name]()
+    reference = build_cell_table(_columns(walls), field._cell_size)
     assert list(field._cells.items()) == list(reference.items())
 
 
