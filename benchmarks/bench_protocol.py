@@ -1,24 +1,13 @@
-"""Benchmark of the protocol conformance toolchain
+"""Benchmark of the schedule-permutation race explorer
 (docs/static_analysis.md).
 
-Emits ``BENCH_protocol.json`` (repo root)
-recording the two halves of the protocol analyzer on the shipped tree:
-
-* **Static flow graph** — files scanned, message types mapped, how many
-  are registered / enveloped / conservation-tracked / codec-covered,
-  analyzer wall time, and the finding count (must be zero: every
-  message has a sender and a handler).  A message *is* one
-  declaration — fields that state their kinds under a
-  ``@wire_message`` spec — and the codec is compiled from it, so
-  registered and codec-covered both equal the number of specs by
-  construction; conservation-tracked counts the specs with a
-  ``group=``, which the servers' message seam counts on both ends.
-* **Schedule-permutation explorer** — scenarios replayed, schedules
-  explored, engine runs, perturbable virtual-time windows per
-  scenario, and explorer wall time.  The acceptance gate is the
-  tentpole claim: all permuted delivery orders hold the invariants
-  (quiescence, cross-shard audit, elastic conservation), with the
-  identity schedule byte-deterministic.
+Emits ``BENCH_protocol.json`` (repo root) recording scenarios replayed,
+schedules explored, engine runs, perturbable virtual-time windows per
+scenario, and explorer wall time.  The acceptance gate: all permuted
+delivery orders hold the invariants (quiescence, cross-shard audit,
+elastic conservation), with the identity schedule byte-deterministic.  The protocol's shape (every message handled, every
+handled type spec'd and sent) is a test-suite assertion over the runtime
+dispatch tables, ``tests/test_message_seam.py``, and is not timed here.
 
 Run:  PYTHONPATH=src python benchmarks/bench_protocol.py [--quick]
 """
@@ -30,33 +19,6 @@ import pathlib
 import time
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-
-SCAN_ROOTS = ["src/repro/core", "src/repro/net", "src/repro/baselines"]
-
-
-def bench_static() -> dict:
-    from repro.analysis.protocol import analyze_paths
-
-    started = time.perf_counter()
-    model = analyze_paths(
-        [REPO_ROOT / p for p in SCAN_ROOTS], root=REPO_ROOT
-    )
-    elapsed = time.perf_counter() - started
-    flows = model.flows.values()
-    return {
-        "files_scanned": model.files_scanned,
-        "messages": len(model.flows),
-        "registered": len(model.flows),
-        "enveloped": sum(1 for f in flows if f.enveloped),
-        "conservation_tracked": sum(
-            1 for f in flows if f.conservation is not None
-        ),
-        "codec_covered": len(model.flows),
-        "handler_sites": sum(len(f.handlers) for f in flows),
-        "sender_sites": sum(len(f.senders) for f in flows),
-        "findings": len(model.findings),
-        "wall_s": round(elapsed, 3),
-    }
 
 
 def bench_explorer(quick: bool) -> dict:
@@ -89,50 +51,36 @@ def bench_explorer(quick: bool) -> dict:
 
 def main(argv: list[str]) -> int:
     quick = "--quick" in argv
-    static = bench_static()
     explorer = bench_explorer(quick)
 
-    passed = static["findings"] == 0 and explorer["ok"]
     report = {
         "benchmark": "protocol",
         "description": (
-            "Protocol conformance toolchain on the shipped tree: the "
-            "static message-flow graph analyzer over the per-message "
-            "wire specs (finding count must be zero) and the "
-            "schedule-permutation "
-            "race explorer (every permuted delivery order must hold "
-            "the invariants; identity schedules byte-deterministic)."
+            "Schedule-permutation race explorer on the shipped tree: "
+            "every permuted delivery order must hold the invariants; "
+            "identity schedules byte-deterministic."
         ),
-        "unit": "schedules explored / engine runs / analyzer wall s",
-        "static": static,
+        "unit": "schedules explored / engine runs / explorer wall s",
         "explorer": explorer,
         "acceptance": {
-            "metric": "zero static findings and zero schedule violations",
-            "static_findings": static["findings"],
+            "metric": "zero schedule violations",
             "explorer_ok": explorer["ok"],
-            "passed": passed,
+            "passed": explorer["ok"],
         },
     }
     text = json.dumps(report, indent=2)
     (REPO_ROOT / "BENCH_protocol.json").write_text(text + "\n")
     print(text)
     print(
-        f"static: {static['messages']} message types over "
-        f"{static['files_scanned']} files, {static['findings']} "
-        f"finding(s) in {static['wall_s']}s"
-    )
-    print(
         f"explorer: {explorer['schedules']} schedule(s) / "
         f"{explorer['runs']} run(s) across {explorer['scenarios']} "
         f"scenario(s) in {explorer['wall_s']}s"
     )
-    gate = report["acceptance"]
     print(
-        f"protocol acceptance: findings={gate['static_findings']}, "
-        f"explorer_ok={gate['explorer_ok']}: "
-        f"{'PASS' if gate['passed'] else 'FAIL'}"
+        f"protocol acceptance: explorer_ok={explorer['ok']}: "
+        f"{'PASS' if explorer['ok'] else 'FAIL'}"
     )
-    return 0 if passed else 1
+    return 0 if explorer["ok"] else 1
 
 
 if __name__ == "__main__":

@@ -18,9 +18,9 @@
 # rebalancer off vs on, clean and lossy (docs/elasticity.md).
 # BENCH_controlplane.json records the gsn-lease failover outage after
 # a permanent sequencer kill (docs/control_plane.md).
-# BENCH_protocol.json records the protocol conformance toolchain:
-# flow-graph size and finding count (must be zero) plus the race
-# explorer's schedule/run counts (docs/static_analysis.md).
+# BENCH_protocol.json records the race explorer's schedule and run
+# counts; every permuted order must hold the invariants
+# (docs/static_analysis.md).
 #
 # Then it runs the paper's 16 tables and figures (EXPERIMENTS.md), one
 # pytest module each under benchmarks/: each rewrites its table under

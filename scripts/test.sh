@@ -30,16 +30,15 @@ export PYTHONPATH=src
 # id() ordering are banned from the library — plus the sanitizer
 # coverage gate (every line of every world Action's compute/_apply
 # runs in the world-action tests on a store under the RW-set
-# sanitizer, which checks that it touches only declared object ids),
-# the protocol conformance analyzer (every spec'd message has a sender
-# and a handler site: a dispatch-table key),
+# sanitizer, which checks that it touches only declared object ids)
 # and the schedule-permutation race smoke (the default scenarios under
-# every permutation rule, ~1s).
+# every permutation rule, ~1s).  The protocol's shape (every message
+# handled, every handled type spec'd and sent) is checked from the
+# runtime dispatch tables by tests/test_message_seam.py, in the suite.
 # The JSON mode is exercised too so the CI output format cannot rot.
 static_analysis() {
   python scripts/lint.py --check determinism src/repro scripts examples
   python scripts/sanitizer_coverage.py
-  python scripts/lint.py --check protocol
   python scripts/lint.py --check races
   python scripts/lint.py --check determinism --json src/repro \
     | python -c 'import json,sys; json.load(sys.stdin)'
@@ -48,7 +47,7 @@ static_analysis() {
   # number when a PR shrinks it), and no file under core/ may pass 900
   # code lines (ROADMAP item 5).
   python scripts/code_size.py --json \
-    | python -c 'import json,sys; size = json.load(sys.stdin); big = {f: n for f, n in size["files"].items() if f.startswith("core/") and n > 900}; assert 0 < size["total"] <= 12275 and not big, (size["total"], big)'
+    | python -c 'import json,sys; size = json.load(sys.stdin); big = {f: n for f, n in size["files"].items() if f.startswith("core/") and n > 900}; assert 0 < size["total"] <= 12033 and not big, (size["total"], big)'
 }
 
 # Documentation lint (links resolve; docs/index.md covers docs/*.md)

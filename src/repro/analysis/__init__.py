@@ -20,10 +20,12 @@ Neither contract is self-enforcing, so this package checks both:
     (``--rwset-sanitizer``; ``scripts/sanitizer_coverage.py`` checks
     that every world action line runs under it in the tests).
 
-Run the linter, the protocol analyzer and the race explorer from the
-command line with ``python -m repro.analysis`` (see
-:mod:`repro.analysis.cli` for flags and exit codes); ``scripts/lint.py``
-is the repo-root wrapper the test driver uses.
+Run the linter and the race explorer from the command line with
+``python -m repro.analysis`` (see :mod:`repro.analysis.cli` for flags
+and exit codes); ``scripts/lint.py`` is the repo-root wrapper
+``scripts/test.sh`` uses.  The protocol's shape (every message
+handled, every handled type spec'd and sent) is checked from the
+runtime dispatch tables by ``tests/test_message_seam.py``.
 """
 
 from repro.analysis.lint import Finding, lint_paths

@@ -1,13 +1,14 @@
 """Command-line front end for the static checks: ``python -m
 repro.analysis`` (docs/static_analysis.md).
 
-Runs the determinism linter, the protocol conformance analyzer, and/or
-the schedule-permutation race explorer over a set of files or
-directories and prints findings one per line (``path:line:col: [rule]
-message``), or a JSON document with ``--json`` for CI consumption.
-Declared read/write sets are checked at runtime, not here: see
-:mod:`repro.analysis.sanitizer`.  A bare check name may be given as the
-first positional argument (``python -m repro.analysis protocol``) as
+Runs the determinism linter over a set of files or directories, or
+the schedule-permutation race explorer, and prints findings one per
+line (``path:line:col: [rule] message``), or a JSON document with
+``--json`` for CI consumption.  Declared read/write sets are checked at
+runtime, not here: see :mod:`repro.analysis.sanitizer`; so is the
+protocol's shape, from the dispatch tables
+(``tests/test_message_seam.py``).  A bare check name may be given as
+the first positional argument (``python -m repro.analysis races``) as
 shorthand for ``--check``.
 
 Exit codes
@@ -30,18 +31,13 @@ from typing import List, Optional, Sequence
 
 from repro.analysis.lint import Finding, lint_paths
 
-#: Default targets per check when no paths are given on the command
-#: line.  The determinism linter covers the whole library; the protocol
-#: analyzer needs every module that constructs or handles messages.
-_DEFAULT_PATHS = {
-    "determinism": ["src/repro"],
-    "protocol": ["src/repro/core", "src/repro/net", "src/repro/baselines"],
-    "races": [],
-}
+#: Default target of the determinism linter when no paths are given on
+#: the command line: the whole library.
+_DEFAULT_PATH = "src/repro"
 
 #: Check names accepted positionally (``python -m repro.analysis
-#: protocol``) and by ``--check``.
-CHECK_NAMES = ("determinism", "protocol", "races", "all")
+#: races``) and by ``--check``.
+CHECK_NAMES = ("determinism", "races")
 
 def _finding_dict(finding: Finding) -> dict:
     """JSON form of a Finding."""
@@ -92,24 +88,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(
-            "Determinism linter, protocol conformance analyzer and race "
-            "explorer for the repro codebase (docs/static_analysis.md)."
+            "Determinism linter and race explorer for the repro "
+            "codebase (docs/static_analysis.md)."
         ),
     )
     parser.add_argument(
         "paths",
         nargs="*",
         type=Path,
-        help="files or directories to check (defaults depend on --check)",
+        help="files or directories to lint (default: src/repro)",
     )
     parser.add_argument(
         "--check",
         choices=list(CHECK_NAMES),
         default="determinism",
         help=(
-            "which analysis to run (default: determinism; 'all' = "
-            "determinism + protocol; 'races' runs the dynamic "
-            "schedule-permutation explorer and is never implied)"
+            "which analysis to run (default: determinism; 'races' runs "
+            "the dynamic schedule-permutation explorer)"
         ),
     )
     parser.add_argument(
@@ -143,41 +138,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # Positional sugar: `python -m repro.analysis protocol` reads as
-    # `--check protocol`.
+    # Positional sugar: `python -m repro.analysis races` reads as
+    # `--check races`.
     if argv and argv[0] in CHECK_NAMES:
         argv[0:1] = ["--check", argv[0]]
     parser = build_parser()
     args = parser.parse_args(argv)
     root = (args.root or Path.cwd()).resolve()
 
-    if args.check == "all":
-        checks = ["determinism", "protocol"]
-    else:
-        checks = [args.check]
-    findings: List[Finding] = []
     try:
-        for check in checks:
-            if check == "races":
-                findings.extend(
-                    _race_findings(args.race_budget, args.race_shrink_budget)
-                )
-                continue
-            paths = [Path(p).resolve() for p in args.paths] or [
-                root / p for p in _DEFAULT_PATHS[check]
-            ]
+        if args.check == "races":
+            findings = _race_findings(args.race_budget, args.race_shrink_budget)
+        else:
+            paths = [Path(p).resolve() for p in args.paths] or [root / _DEFAULT_PATH]
             for path in paths:
-                if not Path(path).exists():
+                if not path.exists():
                     print(f"error: no such path: {path}", file=sys.stderr)
                     return 2
-            if check == "determinism":
-                findings.extend(lint_paths(paths, root=root))
-            else:
-                from repro.analysis.protocol import (
-                    check_paths as protocol_check_paths,
-                )
-
-                findings.extend(protocol_check_paths(paths, root=root))
+            findings = lint_paths(paths, root=root)
     except (SyntaxError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -186,7 +164,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.json:
         document = {
-            "checks": checks,
+            "checks": [args.check],
             "count": len(findings),
             "findings": [_finding_dict(f) for f in findings],
         }

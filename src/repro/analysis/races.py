@@ -2,7 +2,9 @@
 (docs/static_analysis.md).
 
 The protocol's ordering assumptions (gsn splice order, elastic epoch
-fences, lease terms, the in-order closure guard) are exercised by
+fences, lease terms, the late-entry rule of ``core/closure.py``: a
+closure entry below the client's high-water mark ships as its value,
+as code, or waits for a completion) are exercised by
 example schedules only: whatever delivery order the simulator's
 deterministic heap happens to produce.  This module *systematically
 perturbs* that order.  A :class:`SchedulePerturber` installed on the

@@ -289,9 +289,9 @@ class ServerShell:
     """
 
     #: Dispatch table: message type -> name of its handler method,
-    #: called as ``handler(src, message)``.  Subclasses extend it; the
-    #: protocol analyzer (docs/static_analysis.md) reads the keys as
-    #: handler sites, so keep it a literal dict of class names.
+    #: called as ``handler(src, message)``.  Subclasses extend it; every
+    #: class attribute named ``*HANDLERS`` is checked against the
+    #: protocol (docs/static_analysis.md, "Protocol shape").
     HANDLERS = {
         Heartbeat: "_on_heartbeat",
         SubmitAction: "_on_submit",

@@ -87,9 +87,6 @@ class SeveConfig(TestbedConfig):
     #: Attach a server-side audit log with cheat detection (Section
     #: II-B's "servers can also log MMO statistics to detect cheating").
     enable_audit: bool = False
-    #: Relay-group size for the hybrid mode (§VII future work): server
-    #: egress per group tends toward 1/group_size.
-    hybrid_group_size: int = 4
     #: One-way latency (ms) of the shard-to-shard backbone links
     #: (:class:`repro.core.sharded.ShardedSeveEngine`); ignored by the
     #: single-serializer engines.  Also bounds the windowed partition
@@ -223,7 +220,6 @@ class SeveEngine(EngineChassis):
                 self.network,
                 self.server_host,
                 self.state,
-                group_size=config.hybrid_group_size,
                 bundling=not (plan is not None and plan.crashes),
                 **server_kwargs,
             )

@@ -10,7 +10,7 @@ overlapping push batches, and the server pays for every copy.
 
 :class:`HybridRelayServer` keeps every control-plane responsibility at
 the server and offloads only the bulk fan-out.  Clients are grouped (in
-attach order) into relay groups of ``group_size``; each group's first
+attach order) into relay groups of ``GROUP_SIZE``; each group's first
 live member is its **relay head**.  Each push cycle, the group's
 batches are folded into one :class:`~repro.core.messages.GroupBundle`
 whose shared entries are deduplicated — an action pushed to all four
@@ -30,8 +30,11 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.messages import GroupBundle, OrderedAction
 from repro.core.server_incomplete import IncompleteWorldServer
-from repro.errors import ConfigurationError
 from repro.types import ClientId
+
+#: Clients per relay group: server egress per group tends toward
+#: 1/GROUP_SIZE, and the head's uplink pays for the other members.
+GROUP_SIZE = 4
 
 
 @dataclass
@@ -48,13 +51,8 @@ class HybridStats:
 class HybridRelayServer(IncompleteWorldServer):
     """Incomplete World server with peer-relayed, deduplicated fan-out."""
 
-    def __init__(
-        self, *args, group_size: int = 4, bundling: bool = True, **kwargs
-    ) -> None:
-        if group_size < 1:
-            raise ConfigurationError(f"group_size must be >= 1, got {group_size}")
+    def __init__(self, *args, bundling: bool = True, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.group_size = group_size
         #: Relay bundling assumes heads do not fail with a bundle in
         #: flight — the server marks entries sent to every member when
         #: the bundle leaves, so a head crash silently strands the other
@@ -107,10 +105,10 @@ class HybridRelayServer(IncompleteWorldServer):
         index = self._group_slot.get(client_id)
         if index is None:
             return []
-        start = index - index % self.group_size
+        start = index - index % GROUP_SIZE
         return [
             candidate
-            for candidate in self._attach_order[start : start + self.group_size]
+            for candidate in self._attach_order[start : start + GROUP_SIZE]
             if candidate in self.clients and self.network.is_registered(candidate)
         ]
 

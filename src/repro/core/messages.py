@@ -14,9 +14,9 @@ module is imported:
   backend, :mod:`repro.net.backend`): length-prefixed, tag-dispatched
   frames, self-delimiting, so the same frames can back a checkpoint or
   WAL file;
-* the registries the protocol conformance analyzer checks senders and
-  handlers against (``PROTOCOL_MESSAGES``, ``ENVELOPED_MESSAGES``, the
-  members of ``CONSERVATION_GROUPS``).
+* the registries the dispatch tables are checked against
+  (``PROTOCOL_MESSAGES``, ``ENVELOPED_MESSAGES``, the members of
+  ``CONSERVATION_GROUPS``).
 
 Adding a message is therefore one class whose fields name their kinds,
 under one decorator (plus a round-trip sample in
@@ -447,8 +447,8 @@ def wire_message(
     their own.  ``group`` enrols the message in that ``CONSERVATION_GROUPS``
     entry: it is counted on both sides of the servers' message seam.
 
-    The analyzer (``repro.analysis.protocol``) reads these decorators
-    statically, so keep ``enveloped`` and ``group`` literal.
+    ``tests/test_message_seam.py`` checks the protocol's shape from
+    the registries built here and the receivers' dispatch tables.
     """
 
     def declare(cls: type) -> type:
@@ -974,8 +974,8 @@ wire_message(tag=25, header=None, kinds=(I64,))(_Ack)
 
 
 # ----------------------------------------------------------------------
-# Protocol registries (repro.analysis.protocol, docs/static_analysis.md),
-# all derived from the specs above.
+# Protocol registries (docs/static_analysis.md, "Protocol shape"), all
+# derived from the specs above.
 # ----------------------------------------------------------------------
 #: The closed set of message types the protocol is made of: every spec
 #: with a modelled size, in declaration order.
@@ -983,9 +983,8 @@ PROTOCOL_MESSAGES = tuple(
     spec.cls for spec in WIRE_SPECS.values() if spec.header is not None
 )
 
-#: Messages that only travel *inside* another message's fields; the
-#: flow-graph analyzer exempts these from the every-message-has-a-handler
-#: rule.
+#: Messages that only travel *inside* another message's fields, so no
+#: dispatch table handles them.
 ENVELOPED_MESSAGES = tuple(
     spec.cls for spec in WIRE_SPECS.values() if spec.enveloped
 )

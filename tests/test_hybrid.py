@@ -4,16 +4,13 @@ and unchanged consistency."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.engine import SeveConfig, SeveEngine
-from repro.errors import ConfigurationError
 from repro.metrics.consistency import ConsistencyChecker
 from repro.types import SERVER_ID
 from repro.world.manhattan import ManhattanConfig, ManhattanWorld
 
 
-def build(mode, num_clients=8, group_size=4, seed=9):
+def build(mode, num_clients=8, seed=9):
     world = ManhattanWorld(
         num_clients,
         ManhattanConfig(width=200.0, height=200.0, num_walls=30,
@@ -21,8 +18,7 @@ def build(mode, num_clients=8, group_size=4, seed=9):
     )
     engine = SeveEngine(
         world, num_clients,
-        SeveConfig(mode=mode, rtt_ms=100.0, tick_ms=20.0,
-                   hybrid_group_size=group_size),
+        SeveConfig(mode=mode, rtt_ms=100.0, tick_ms=20.0),
     )
     engine.start(stop_at=60_000)
     return world, engine
@@ -46,16 +42,8 @@ def drive(world, engine, moves=6, interval=200.0):
     engine.run_to_quiescence()
 
 
-def test_group_size_validated():
-    from repro.core.hybrid import HybridRelayServer
-
-    world, engine = build("hybrid")
-    with pytest.raises(ConfigurationError):
-        build("hybrid", group_size=0)
-
-
 def test_relay_head_assignment():
-    world, engine = build("hybrid", num_clients=8, group_size=4)
+    world, engine = build("hybrid", num_clients=8)
     server = engine.server
     # Groups are spatial, so membership is data-driven; the invariants:
     # every client belongs to exactly one group of <= 4 mutually
@@ -126,7 +114,7 @@ def test_hybrid_latency_cost_is_ordered():
 
 
 def test_dead_head_falls_back_to_direct():
-    world, engine = build("hybrid", num_clients=4, group_size=4)
+    world, engine = build("hybrid", num_clients=4)
     # Kill the head before anyone acts.
     engine.network.unregister(0)
     engine.server.detach_client(0)

@@ -4,7 +4,8 @@ Three contracts: (1) every rule in the catalogue fires on its known-bad
 corpus snippet — and *only* the expected rule fires, pinning the
 false-positive behaviour too; (2) the shipped library is clean, which is
 what lets scripts/test.sh fail CI on any new finding; (3) the CLI's
-JSON mode and exit codes behave as documented.
+JSON mode, exit codes and positional shorthand behave as documented,
+and it offers no check that a runtime check replaced.
 """
 
 from __future__ import annotations
@@ -111,3 +112,41 @@ def test_cli_exit_codes_and_json_document():
 
     missing = _run_cli("--check", "determinism", "no/such/path.py")
     assert missing.returncode == 2
+
+
+def _run_module(*args):
+    return subprocess.run(
+        [sys.executable, "-m", "repro.analysis", *args],
+        capture_output=True,
+        text=True,
+        cwd=REPO,
+        env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
+    )
+
+
+def test_cli_positional_shorthand_and_exit_codes():
+    """A bare check name reads as ``--check``.  The protocol's shape is
+    checked from the dispatch tables (``tests/test_message_seam.py``),
+    not here, so neither ``protocol`` nor ``all`` is a check name."""
+    clean = _run_cli("determinism", "--json", str(CORPUS / "suppressed.py"))
+    assert clean.returncode == 0, clean.stderr
+    document = json.loads(clean.stdout)
+    assert document["checks"] == ["determinism"]
+    assert set(document) == {"checks", "count", "findings"}
+
+    dirty = _run_cli("determinism", str(CORPUS / "wall_clock.py"))
+    assert dirty.returncode == 1
+
+    # A positional ``protocol`` is read as a path, and there is none.
+    assert _run_module("protocol").returncode == 2
+    for name in ("protocol", "all"):
+        result = _run_module("--check", name)
+        assert result.returncode == 2
+        assert f"invalid choice: '{name}'" in result.stderr
+
+
+def test_cli_has_no_static_rwset_check():
+    # Declared read/write sets are checked at runtime by the sanitizer.
+    result = _run_module("--check", "rwset", "--root", str(REPO))
+    assert result.returncode == 2
+    assert "invalid choice: 'rwset'" in result.stderr

@@ -3,21 +3,23 @@ the dispatch tables are total over the protocol, an unknown payload ends
 in one typed error at every receiver, conservation-group messages are
 counted exactly where they cross the seam, and a crashed server handles
 nothing.
+
+The protocol's shape is checked here, from the runtime registries
+(docs/static_analysis.md, "Protocol shape"): ``protocol_findings`` runs
+three rules over every dispatch table the ``repro`` package defines.
 """
 
 from __future__ import annotations
 
+import ast
+import importlib
+import pkgutil
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from repro.baselines import (
-    BroadcastEngine,
-    CentralEngine,
-    LockingEngine,
-    RingEngine,
-    TimestampEngine,
-)
+import repro
 from repro.core.client import ProtocolClient
 from repro.core.control_plane import GsnLease
 from repro.core.elastic import Rebalancer
@@ -29,6 +31,7 @@ from repro.core.messages import (
     PROTOCOL_MESSAGES,
     WIRE_SPECS,
     ActionBatch,
+    CommitNotice,
     ShardHello,
     SpanAbort,
 )
@@ -56,32 +59,110 @@ SERVER_TABLES = (
     Rebalancer.HANDLERS,
     HandoffBarrier.HANDLERS,
 )
-#: Every other receiver's table: the client's and the baselines' (the
-#: zoned engine's are Central's).
-RECEIVER_TABLES = (
-    ProtocolClient.HANDLERS,
-    *(
-        table
-        for engine in (
-            CentralEngine, BroadcastEngine, RingEngine, LockingEngine, TimestampEngine
-        )
-        for table in (engine.SERVER_HANDLERS, engine.CLIENT_HANDLERS)
-    ),
-)
 BASELINES = ("central", "broadcast", "ring", "locking", "timestamp", "zoned")
+
+SOURCE = Path(repro.__file__).parent
+
+
+def discover_tables():
+    """Every dispatch table of the ``repro`` package: a dict held by a
+    class attribute whose name ends in ``HANDLERS``, keyed
+    ``"Class.ATTRIBUTE"``."""
+    tables = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.endswith("__main__"):
+            continue
+        module = importlib.import_module(info.name)
+        for cls in vars(module).values():
+            if not isinstance(cls, type) or cls.__module__ != info.name:
+                continue
+            for name, table in vars(cls).items():
+                if name.endswith("HANDLERS") and isinstance(table, dict):
+                    tables[f"{cls.__qualname__}.{name}"] = table
+    return tables
+
+
+def called_names():
+    """The name of every bare-name call in ``src/repro`` outside
+    ``core/messages.py`` (whose decoder builds every message): the one
+    static part of the check."""
+    names = set()
+    for path in sorted(SOURCE.rglob("*.py")):
+        if path != SOURCE / "core" / "messages.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                    names.add(node.func.id)
+    return names
+
+
+def protocol_findings(tables, called):
+    """``(rule, message)`` for each breach of the protocol's shape:
+
+    * ``protocol-orphan`` — a message of the protocol, not enveloped,
+      that no table handles;
+    * ``protocol-unregistered`` — a table key with no wire spec, or an
+      enveloped one (it never arrives on its own);
+    * ``protocol-dead-handler`` — a table key nothing constructs.
+    """
+    handled = set().union(*tables.values())
+    findings = [
+        ("protocol-orphan", message.__name__)
+        for message in PROTOCOL_MESSAGES
+        if message not in handled and message not in ENVELOPED_MESSAGES
+    ]
+    for kind in sorted(handled, key=lambda kind: kind.__name__):
+        if kind not in WIRE_SPECS or kind in ENVELOPED_MESSAGES:
+            findings.append(("protocol-unregistered", kind.__name__))
+        elif kind.__name__ not in called:
+            findings.append(("protocol-dead-handler", kind.__name__))
+    return findings
+
+
+TABLES = discover_tables()
+CALLED = called_names()
 
 
 def test_every_protocol_message_has_a_table_entry():
-    """The runtime twin of ``protocol-orphan``: adding a message without
-    registering a handler fails here.  A shard server binds each of its
-    messages once; an enveloped message has no entry of its own."""
+    """The shipped tree breaks no rule of the protocol's shape: adding a
+    message without a handler, a handler without a spec or a handler
+    nothing sends fails here.  A shard server binds each of its
+    messages once."""
+    assert protocol_findings(TABLES, CALLED) == []
     entries = Counter(kind for table in SERVER_TABLES for kind in table)
     assert set(entries.values()) == {1}
-    tabled = set(entries).union(*RECEIVER_TABLES)
-    for message in PROTOCOL_MESSAGES:
-        assert (message in tabled) != (message in ENVELOPED_MESSAGES), (
-            message.__name__
-        )
+
+
+def test_tables_are_discovered_not_listed():
+    """Every receiver's table is found, so the check is never vacuous:
+    the servers' and their units', the client's and each baseline's
+    two (the zoned engine's are Central's; the chassis' tables are the
+    base its subclasses extend)."""
+    assert len(TABLES) == 20
+    assert sum(map(len, TABLES.values())) == 44
+    assert TABLES["ProtocolClient.HANDLERS"] is ProtocolClient.HANDLERS
+    for table in SERVER_TABLES:
+        assert any(found is table for found in TABLES.values())
+    for engine in ("Central", "Broadcast", "Ring", "Locking", "Timestamp"):
+        for side in ("SERVER", "CLIENT"):
+            assert TABLES[f"{engine}Engine.{side}_HANDLERS"]
+
+
+def test_planted_tables_fire_each_rule_once():
+    """A spec'd message no table handles, a table keyed on a class with
+    no spec and an entry for a message nothing constructs: one finding
+    each, naming the message."""
+
+    class Stray:
+        pass
+
+    tables = {name: dict(table) for name, table in TABLES.items()}
+    del tables["ProtocolClient.HANDLERS"][CommitNotice]
+    tables["Planted.HANDLERS"] = {Stray: "on_stray"}
+    assert sorted(protocol_findings(tables, CALLED - {"ShardHello"})) == [
+        ("protocol-dead-handler", "ShardHello"),
+        ("protocol-orphan", "CommitNotice"),
+        ("protocol-unregistered", "Stray"),
+    ]
 
 
 def test_a_shard_servers_table_is_its_class_table_plus_the_leases():

@@ -119,9 +119,12 @@ def _no_teach_commit(self, client_id, pos, action_id, written):
 
 
 def _frontier_guard(walk):
-    """The in-order guard the bug lived behind: a closure reaching
-    below the client's high-water mark waits until the commit frontier
-    passes the late entry.  Without it a deferred reply goes out on the
+    """A frontier wait in front of the late-entry rule of
+    ``core/closure.py``, which ships an entry below the client's
+    high-water mark as its value or as code, or defers the closure
+    until a completion arrives: here such a closure waits instead until
+    the commit frontier passes the late entry, which is what exposes
+    the bug.  Under the rule alone a deferred reply goes out on the
     late entry's first completion, which reaches the server before any
     completion of what depends on it, so the entry the reply carries
     cannot commit first and the missing teach never bites."""
