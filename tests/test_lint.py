@@ -125,9 +125,9 @@ def _run_module(*args):
 
 
 def test_cli_positional_shorthand_and_exit_codes():
-    """A bare check name reads as ``--check``.  The protocol's shape is
-    checked from the dispatch tables (``tests/test_message_seam.py``),
-    not here, so neither ``protocol`` nor ``all`` is a check name."""
+    """A bare check name reads as ``--check`` (that ``protocol`` and
+    ``all`` are no check names is pinned in
+    ``tests/test_protocol_analysis.py``)."""
     clean = _run_cli("determinism", "--json", str(CORPUS / "suppressed.py"))
     assert clean.returncode == 0, clean.stderr
     document = json.loads(clean.stdout)
@@ -137,12 +137,8 @@ def test_cli_positional_shorthand_and_exit_codes():
     dirty = _run_cli("determinism", str(CORPUS / "wall_clock.py"))
     assert dirty.returncode == 1
 
-    # A positional ``protocol`` is read as a path, and there is none.
-    assert _run_module("protocol").returncode == 2
-    for name in ("protocol", "all"):
-        result = _run_module("--check", name)
-        assert result.returncode == 2
-        assert f"invalid choice: '{name}'" in result.stderr
+    missing = _run_cli("determinism", "no/such/path.py")
+    assert missing.returncode == 2
 
 
 def test_cli_has_no_static_rwset_check():

@@ -1,150 +1,132 @@
-"""Self-test of the protocol conformance analyzer
-(docs/static_analysis.md).
+"""Self-test of the protocol's shape check (docs/static_analysis.md,
+"Protocol shape").
 
-Mirrors test_lint.py's contracts for the protocol checks: (1) the
-known-bad corpus pair under tests/lint_corpus/protocol/ fires every
-rule in the catalogue exactly once, pinned per-rule and per-site;
-(2) the extracted flow graph matches the golden expected_graph.json
-byte for byte, so the JSON format consumed by tooling cannot drift
-silently; (3) the shipped tree is clean — every spec'd message has a
-sender and a handler, which is what lets scripts/test.sh fail CI on
-protocol drift (codec coverage and conservation accounting are not
-rules: encoder, decoder and sizer are compiled from the spec, see
-tests/test_codec.py, and a group's messages are counted at the servers'
-one message seam, see tests/test_message_seam.py); (4) the CLI front end wires
-the check up with the documented exit codes and the positional
-``protocol`` shorthand.
+``tests/test_message_seam.py`` finds every dispatch table of the
+``repro`` package and ``protocol_findings`` runs three rules over them.
+This module pins the checker itself: (1) a planted corpus, the real
+tables with one breach of each rule seeded in, fires every rule exactly
+once, at the seeded message; (2) every table entry is a handler site,
+and a table is found by its attribute's name, whatever comes before
+``HANDLERS``; (3) the tables are found, not listed, and finding none is
+a finding, not a pass; (4) the shipped tree is conformant; (5) the CLI
+offers no protocol check, since the suite runs this one.
 """
 
 from __future__ import annotations
 
-import json
-import subprocess
-import sys
 from collections import Counter
-from pathlib import Path
 
-from repro.analysis.protocol import PROTOCOL_RULES, analyze_paths, check_paths
+from repro.core.client import ProtocolClient
+from repro.core.messages import (
+    CONSERVATION_GROUPS,
+    ENVELOPED_MESSAGES,
+    PROTOCOL_MESSAGES,
+    WIRE_SPECS,
+    CommitNotice,
+    DrainDone,
+    PartitionUpdate,
+)
+from tests.test_lint import _run_module
+from tests.test_message_seam import CALLED, SERVER_TABLES, TABLES, protocol_findings
 
-REPO = Path(__file__).resolve().parent.parent
-CORPUS = REPO / "tests" / "lint_corpus" / "protocol"
-SCAN_ROOTS = [
-    REPO / "src" / "repro" / "core",
-    REPO / "src" / "repro" / "net",
-    REPO / "src" / "repro" / "baselines",
-]
+PROTOCOL_RULES = ("protocol-orphan", "protocol-unregistered", "protocol-dead-handler")
+
+
+class Stray:
+    """A class with no wire spec."""
+
+
+def planted_findings():
+    """The real tables with ``CommitNotice`` dropped from the client's,
+    a table keyed on ``Stray``, and the one call constructing
+    ``ShardHello`` gone from the called names."""
+    tables = {key: dict(table) for key, table in TABLES.items()}
+    del tables[ProtocolClient, "HANDLERS"][CommitNotice]
+    tables[Stray, "HANDLERS"] = {Stray: "on_stray"}
+    return protocol_findings(tables, CALLED - {"ShardHello"})
 
 
 def test_corpus_fires_every_rule_exactly_once():
-    findings = check_paths([CORPUS], root=REPO)
-    histogram = Counter(f.rule for f in findings)
+    histogram = Counter(rule for rule, _ in planted_findings())
     assert dict(histogram) == {rule: 1 for rule in PROTOCOL_RULES}
 
 
 def test_corpus_findings_point_at_the_seeded_sites():
-    findings = {f.rule: f for f in check_paths([CORPUS], root=REPO)}
-    messages_py = "tests/lint_corpus/protocol/proto_messages.py"
-    node_py = "tests/lint_corpus/protocol/proto_node.py"
-    assert findings["protocol-orphan"].path == messages_py
-    assert "Orphan" in findings["protocol-orphan"].message
-    assert findings["protocol-unregistered"].path == messages_py
-    assert "Rogue" in findings["protocol-unregistered"].message
-    assert findings["protocol-dead-handler"].path == node_py
-    assert "DeadEnd" in findings["protocol-dead-handler"].message
+    assert dict(planted_findings()) == {
+        "protocol-orphan": "CommitNotice",
+        "protocol-unregistered": "Stray",
+        "protocol-dead-handler": "ShardHello",
+    }
 
 
 def test_dispatch_table_keys_are_handler_sites():
-    """Every handler site is a key of a table whose name ends in
-    ``HANDLERS`` (``Tabled`` is handled only through ``PEER_HANDLERS``,
-    so it is no orphan); the ``isinstance`` test on ``Orphan`` is not a
-    handler site, and the dead-handler finding sits on ``DeadEnd``'s
-    key."""
-    model = analyze_paths([CORPUS], root=REPO)
-    source = (CORPUS / "proto_node.py").read_text().splitlines()
-    for name in ("Ping", "Pong", "Tabled", "DeadEnd"):
-        (site,) = model.flows[name].handlers
-        assert f'{name}: "on_' in source[site[1] - 1]
-    assert model.flows["Orphan"].handlers == []
-    (dead,) = [f for f in model.findings if f.rule == "protocol-dead-handler"]
-    assert (dead.path, dead.line) == model.flows["DeadEnd"].handlers[0]
-    assert not any("Tabled" in f.message for f in model.findings)
+    """Each entry maps a spec'd message to a method of the class that
+    holds the table.  The six messages that only a baseline's
+    ``SERVER_HANDLERS`` or ``CLIENT_HANDLERS`` handles are no orphans;
+    a check that read plain ``HANDLERS`` alone would report each."""
+    for (owner, name), table in TABLES.items():
+        for kind, method in table.items():
+            site = f"{owner.__qualname__}.{name}[{kind.__name__}]"
+            assert kind in WIRE_SPECS, site
+            assert callable(getattr(owner, method, None)), site
+    plain = {key: table for key, table in TABLES.items() if key[1] == "HANDLERS"}
+    assert protocol_findings(plain, CALLED) == [
+        ("protocol-orphan", name)
+        for name in ("StateUpdate", "RelayedAction", "LockGrant", "Effect",
+                     "Certify", "Decision")
+    ]
 
 
-def test_corpus_flow_graph_matches_golden_file():
-    model = analyze_paths([CORPUS], root=REPO)
-    golden = json.loads((CORPUS / "expected_graph.json").read_text())
-    assert model.graph_dict() == golden
-
-
-def test_missing_registry_is_a_finding_not_a_pass(tmp_path):
-    (tmp_path / "plain.py").write_text("class NotAProtocol:\n    pass\n")
-    findings = check_paths([tmp_path])
-    assert [f.rule for f in findings] == ["protocol-unregistered"]
-    assert "no PROTOCOL_MESSAGES registry" in findings[0].message
+def test_missing_registry_is_a_finding_not_a_pass():
+    """Every receiver's table is found: the servers' and their units',
+    the client's and each baseline's two (the zoned engine's are
+    Central's; the chassis' tables are the base its subclasses extend).
+    With no table found, every message that travels on its own is an
+    orphan, so a discovery that missed them would fail, not pass."""
+    assert len(TABLES) == 20
+    assert sum(map(len, TABLES.values())) == 44
+    assert TABLES[ProtocolClient, "HANDLERS"] is ProtocolClient.HANDLERS
+    for table in SERVER_TABLES:
+        assert any(found is table for found in TABLES.values())
+    named = {f"{owner.__qualname__}.{name}" for owner, name in TABLES}
+    for engine in ("Central", "Broadcast", "Ring", "Locking", "Timestamp"):
+        for side in ("SERVER", "CLIENT"):
+            key = f"{engine}Engine.{side}_HANDLERS"
+            assert key in named
+    assert protocol_findings({}, CALLED) == [
+        ("protocol-orphan", message.__name__)
+        for message in PROTOCOL_MESSAGES
+        if message not in ENVELOPED_MESSAGES
+    ]
 
 
 def test_shipped_protocol_is_conformant():
-    model = analyze_paths(SCAN_ROOTS, root=REPO)
-    assert model.findings == [], "\n".join(
-        f.render() for f in model.findings
-    )
-    assert model.definition_module == "src/repro/core/messages.py"
-    flows = model.flows
-    # The graph is the spec'd messages and nothing else (the module's
-    # other classes -- CodecError, MessageCodec, Kind -- are not messages).
-    from repro.core.messages import ENVELOPED_MESSAGES, PROTOCOL_MESSAGES
-
-    assert sorted(flows) == sorted(c.__name__ for c in PROTOCOL_MESSAGES)
-    assert [n for n, f in flows.items() if f.enveloped] == [
-        c.__name__ for c in ENVELOPED_MESSAGES
-    ]
-    # Every message the engine relies on is present and fully wired.
+    """No finding, the tables handle exactly the messages that travel on
+    their own, and the ones the engine relies on are constructed and
+    handled."""
+    assert protocol_findings(TABLES, CALLED) == []
+    handled = set().union(*TABLES.values())
+    assert handled == set(PROTOCOL_MESSAGES) - set(ENVELOPED_MESSAGES)
+    names = {kind.__name__ for kind in handled}
     for name in ("SubmitAction", "ActionBatch", "CommitNotice", "LeaseGrant"):
-        flow = flows[name]
-        assert flow.senders, f"{name} has no constructor site"
-        assert flow.handlers, f"{name} has no handler site"
-    # The elastic handoff messages are conservation-tracked.
-    assert flows["PartitionUpdate"].conservation == "elastic"
-    assert flows["DrainDone"].conservation == "elastic"
-
-
-def _run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "repro.analysis", *args],
-        capture_output=True,
-        text=True,
-        cwd=REPO,
-        env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
-    )
+        assert name in names and name in CALLED, name
+    assert {PartitionUpdate, DrainDone} <= set(CONSERVATION_GROUPS["elastic"])
 
 
 def test_cli_positional_shorthand_and_exit_codes():
-    clean = _run_cli("protocol", "--root", str(REPO), "--json")
-    assert clean.returncode == 0, clean.stderr
-    document = json.loads(clean.stdout)
-    assert document["checks"] == ["protocol"]
-    assert document["count"] == 0
-    assert set(document) == {"checks", "count", "findings"}
-
-    dirty = _run_cli("protocol", "--root", str(REPO), "--json", str(CORPUS))
-    assert dirty.returncode == 1
-    document = json.loads(dirty.stdout)
-    assert document["count"] == len(PROTOCOL_RULES)
-    assert {f["rule"] for f in document["findings"]} == set(PROTOCOL_RULES)
-
-    missing = _run_cli("protocol", "no/such/dir")
-    assert missing.returncode == 2
+    """The suite checks the protocol's shape, so the CLI has no
+    ``protocol`` check: ``--check protocol`` is refused, and a bare
+    ``protocol`` reads as a path that does not exist."""
+    result = _run_module("--check", "protocol")
+    assert result.returncode == 2
+    assert "invalid choice: 'protocol'" in result.stderr
+    assert _run_module("protocol").returncode == 2
 
 
 def test_cli_all_includes_protocol():
-    result = _run_cli("--check", "all", "--root", str(REPO), "--json")
-    assert result.returncode == 0, result.stdout + result.stderr
-    document = json.loads(result.stdout)
-    assert document["checks"] == ["determinism", "protocol"]
-
-
-def test_cli_has_no_static_rwset_check():
-    # Declared read/write sets are checked at runtime by the sanitizer.
-    result = _run_cli("--check", "rwset", "--root", str(REPO))
+    """``all`` named the determinism and protocol checks.  With the
+    protocol checked by the suite it would mean ``determinism`` alone,
+    so it is no check name."""
+    result = _run_module("--check", "all")
     assert result.returncode == 2
-    assert "invalid choice: 'rwset'" in result.stderr
+    assert "invalid choice: 'all'" in result.stderr
