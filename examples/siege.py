@@ -328,8 +328,7 @@ def main() -> None:
     engine = SeveEngine(
         world,
         6,
-        SeveConfig(mode="seve", tick_ms=50.0, seed_full_state=True,
-                   enable_audit=True),
+        SeveConfig(mode="seve", tick_ms=50.0, seed_full_state=True),
     )
     engine.start(stop_at=120_000)
 
@@ -377,7 +376,6 @@ def main() -> None:
     table.add_row("moves dropped", engine.total_dropped)
     table.add_row("mean response (ms)", summary.mean)
     table.add_row("consistency", report.summary())
-    table.add_row("audit alerts", len(engine.audit.alerts))
     print(table.render())
     print(
         "\nEvery wall's fate is agreed on by every replica: demolitions\n"

@@ -58,8 +58,9 @@ REPLICA = SimulationSettings(
 #: the sequencer's dedup was a set, 2 277 359 and 1 274 041; while every
 #: host, link, client and server kept its own observer reference,
 #: 2 276 879 and 1 273 801; while the wall field kept its coordinate
-#: columns, 2 274 599 and 1 272 617.
-REPLICA_CEILINGS = {(1, 0): 2_240_387, (2, 0): 1_239_301}
+#: columns, 2 274 599 and 1 272 617; while every shard server kept its
+#: own server cost table, 2 240 387 and 1 239 301.
+REPLICA_CEILINGS = {(1, 0): 2_240_163, (2, 0): 1_239_093}
 #: The run whose end-of-run snapshots are weighed.
 SNAPSHOT = SimulationSettings(
     num_clients=48, num_walls=500, moves_per_client=3, world_width=600.0,
@@ -68,8 +69,9 @@ SNAPSHOT = SimulationSettings(
 #: Pickled bytes per partition.  While a snapshot carried its shards'
 #: stores and gsn maps and its clients' stable replicas and observation
 #: logs (the audit ran in the caller), 39 946 and 36 233; while each
-#: client row carried its own counters, 7 763 and 6 915.
-SNAPSHOT_CEILINGS = [7_231, 6_479]
+#: client row carried its own counters, 7 763 and 6 915; while each
+#: shard row carried its server's cost table, 7 231 and 6 479.
+SNAPSHOT_CEILINGS = [7_102, 6_350]
 
 
 def traced(build, warm) -> int:

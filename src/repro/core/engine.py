@@ -31,7 +31,7 @@ Usage::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.analysis.sanitizer import (
@@ -45,9 +45,8 @@ from repro.core.client import ClientConfig, ProtocolClient
 from repro.core.first_bound import FirstBoundPredicate
 from repro.core.info_bound import InformationBound
 from repro.core.server_basic import BasicServer
-from repro.core.server_incomplete import IncompleteWorldServer, ServerCosts
+from repro.core.server_incomplete import IncompleteWorldServer
 from repro.errors import ConfigurationError
-from repro.metrics.audit import AuditLog
 from repro.metrics.consistency import check_uniform
 from repro.net.host import Host
 from repro.state.store import ObjectStore
@@ -84,15 +83,11 @@ class SeveConfig(TestbedConfig):
     #: replicas start with just their own avatar and grow through blind
     #: writes, which exercises the protocol's seeding path.
     seed_full_state: bool = False
-    #: Attach a server-side audit log with cheat detection (Section
-    #: II-B's "servers can also log MMO statistics to detect cheating").
-    enable_audit: bool = False
     #: One-way latency (ms) of the shard-to-shard backbone links
     #: (:class:`repro.core.sharded.ShardedSeveEngine`); ignored by the
     #: single-serializer engines.  Also bounds the windowed partition
     #: scheduler's lookahead (docs/parallel.md).
     backbone_latency_ms: float = 1.0
-    costs: ServerCosts = field(default_factory=ServerCosts)
     #: Record every applied stream entry into ``client.observations``
     #: (see :class:`repro.core.client.ClientConfig.record_observations`)
     #: — input to the sharded consistency audit and differential tests.
@@ -188,7 +183,6 @@ class SeveEngine(EngineChassis):
     def _build_server(self) -> None:
         config = self.config
         self.state = VersionedStore(self.world.initial_objects())
-        self.audit = None
         self.predicate = self._make_predicate()
         self.info_bound = self._make_info_bound()
         if config.mode == "basic":
@@ -197,7 +191,6 @@ class SeveEngine(EngineChassis):
                 self.network,
                 self.server_host,
                 eager=True,
-                timestamp_cost_ms=config.costs.timestamp_ms,
                 liveness=config.liveness,
                 detector=self.detector,
             )
@@ -206,7 +199,6 @@ class SeveEngine(EngineChassis):
             predicate=self.predicate,
             info_bound=self.info_bound,
             tick_ms=config.tick_ms,
-            costs=config.costs,
             avatar_of=self.world.avatar_of,
             liveness=config.liveness,
             detector=self.detector,
@@ -231,9 +223,6 @@ class SeveEngine(EngineChassis):
                 self.state,
                 **server_kwargs,
             )
-        if config.enable_audit:
-            self.audit = self._make_audit()
-            self.server.on_commit = self._make_audit_hook(self.audit)
 
     def _make_predicate(self) -> Optional[FirstBoundPredicate]:
         """The Equation (1) push predicate of the push modes."""
@@ -257,15 +246,6 @@ class SeveEngine(EngineChassis):
             config.threshold,
             policy=config.info_bound_policy,
             max_delay_ticks=config.max_delay_ticks,
-        )
-
-    def _make_audit(self) -> AuditLog:
-        return AuditLog(max_speed=self.world.max_speed or None)
-
-    def _make_audit_hook(self, audit):
-        """The ``on_commit`` hook feeding one serializer's audit log."""
-        return lambda pos, client_id, values: audit.record(
-            pos, client_id, self.sim.now, values
         )
 
     def _client_config(

@@ -38,6 +38,11 @@ from repro.net.network import Network
 from repro.net.simulator import Simulator
 from repro.types import ClientId
 
+#: Simulated CPU cost of timestamping one action, in ms: near zero, the
+#: point of the architecture being that the server runs no game logic
+#: (docs/calibration.md).
+TIMESTAMP_MS = 0.02
+
 
 @dataclass
 class BasicServerStats(ServerStats):
@@ -53,10 +58,9 @@ class BasicServerStats(ServerStats):
 class BasicServer(ServerShell):
     """Timestamp-and-serialize server (Algorithm 2).
 
-    ``timestamp_cost_ms`` is the CPU cost of serializing one action
-    (near zero — the point of the architecture is that the server does
-    no game logic).  Its record of an attached client C is pos_C: the
-    index of the last action sent to C (-1 before anything was sent).
+    Serializing one action costs :data:`TIMESTAMP_MS` of server CPU.
+    Its record of an attached client C is pos_C: the index of the last
+    action sent to C (-1 before anything was sent).
 
     It answers to the surface the engine reads every serializer through
     — the :class:`~repro.core.chassis.ServerShell`'s, plus
@@ -77,12 +81,10 @@ class BasicServer(ServerShell):
         host: Host,
         *,
         eager: bool = False,
-        timestamp_cost_ms: float = 0.0,
         liveness: Optional[LivenessConfig] = None,
         detector=None,
     ) -> None:
         self.eager = eager
-        self.timestamp_cost_ms = timestamp_cost_ms
         #: The global action queue; index == order number pos(a).
         self.queue: List[Action] = []
         #: Clients that attached once but detached/evicted since: their
@@ -119,7 +121,7 @@ class BasicServer(ServerShell):
         def serialize() -> None:
             self._serialize_and_reply(src, action)
 
-        self.host.execute(self.timestamp_cost_ms, serialize)
+        self.host.execute(TIMESTAMP_MS, serialize)
 
     def _serialize_and_reply(self, src: ClientId, action: Action) -> None:
         if src not in self.clients:

@@ -47,6 +47,7 @@ from repro.core.messages import (
     OrderedAction,
     SubmitAction,
 )
+from repro.core.server_basic import TIMESTAMP_MS
 from repro.errors import ConfigurationError, ProtocolError
 from repro.net.faults import LivenessConfig
 from repro.net.host import Host
@@ -57,20 +58,14 @@ from repro.types import SERVER_ID, ClientId, ObjectId, TimeMs
 from repro.world.geometry import Vec2
 
 
-@dataclass
-class ServerCosts:
-    """Simulated CPU costs of the server's bookkeeping, in ms.
-
-    Defaults are calibrated to the paper's measurements: 0.04 ms per
-    transitive-closure computation, with timestamping and per-entry push
-    overhead sized so a single server saturates around the paper's
-    empirically determined limit of ~3500 clients.
-    """
-
-    timestamp_ms: float = 0.02
-    closure_ms: float = 0.04
-    push_entry_ms: float = 0.02
-    validate_ms: float = 0.01
+# Simulated CPU costs of the server's bookkeeping, in ms, calibrated to
+# the paper's measurements (docs/calibration.md): 0.04 ms per
+# transitive-closure computation, with timestamping (``TIMESTAMP_MS``)
+# and per-entry push overhead sized so a single server saturates around
+# the paper's empirically determined limit of ~3500 clients.
+CLOSURE_MS = 0.04
+PUSH_ENTRY_MS = 0.02
+VALIDATE_MS = 0.01
 
 
 def _no_avatar(client_id: ClientId) -> None:
@@ -175,7 +170,7 @@ class IncompleteWorldServer(ServerShell):
     and a per-object writer index lets Algorithms 6 and 7 jump between
     actual writers instead of scanning the queue.  Both are
     observationally equivalent to the scans they replace — batches,
-    stats, and the simulated :class:`ServerCosts` accounting are
+    stats, and the simulated CPU cost accounting are
     byte-identical to the scans kept as oracles in
     ``tests/reference/distribution_reference.py``.  A server built
     without ``avatar_of`` knows no client's position, so the spatial
@@ -192,7 +187,6 @@ class IncompleteWorldServer(ServerShell):
         predicate: Optional[FirstBoundPredicate] = None,
         info_bound: Optional[InformationBound] = None,
         tick_ms: TimeMs = 100.0,
-        costs: Optional[ServerCosts] = None,
         avatar_of: Optional[Callable[[ClientId], ObjectId]] = None,
         liveness: Optional[LivenessConfig] = None,
         server_id: ClientId = SERVER_ID,
@@ -209,13 +203,12 @@ class IncompleteWorldServer(ServerShell):
         self.predicate = predicate
         self.info_bound = info_bound
         self.tick_ms = tick_ms
-        self.costs = costs or ServerCosts()
         #: Client -> avatar object id.  Without one every client is
         #: position-less: a push candidate for every action.
         self.avatar_of = avatar_of or _no_avatar
         self.known = KnownValuesTracker()
         #: Optional hook fired after each commit with
-        #: ``(pos, client_id, values)`` — the audit log attaches here.
+        #: ``(pos, client_id, values)`` — a shard's recovery log attaches here.
         self.on_commit: Optional[
             Callable[[int, ClientId, Dict[ObjectId, dict]], None]
         ] = None
@@ -315,9 +308,9 @@ class IncompleteWorldServer(ServerShell):
         enqueues it."""
         action = message.action
         self._note_submission(src, action)
-        cost = self.costs.timestamp_ms
+        cost = TIMESTAMP_MS
         if self.predicate is None:
-            cost += self.costs.closure_ms
+            cost += CLOSURE_MS
         self.host.execute(cost, lambda: self._admit(src, action))
 
     def _admit(self, src: ClientId, action: Action) -> None:
@@ -415,8 +408,8 @@ class IncompleteWorldServer(ServerShell):
             else:
                 wired = chained.wired
             batch_entries.append(wired)
-            cost += self.costs.push_entry_ms
-            self.stats.build_cpu_ms += self.costs.push_entry_ms
+            cost += PUSH_ENTRY_MS
+            self.stats.build_cpu_ms += PUSH_ENTRY_MS
         self.stats.entries_built += len(batch_entries)
         return batch_entries, cost
 
@@ -436,7 +429,7 @@ class IncompleteWorldServer(ServerShell):
     def _charge_closure(self) -> float:
         """Count one Algorithm 6 closure and return its simulated cost."""
         self.stats.closures_computed += 1
-        cost = self.costs.closure_ms
+        cost = CLOSURE_MS
         self.stats.build_cpu_ms += cost
         return cost
 
@@ -475,7 +468,7 @@ class IncompleteWorldServer(ServerShell):
             if entry.valid is None:
                 break
             self._validated_upto = entry.pos
-        cost = self.costs.validate_ms * new_count
+        cost = VALIDATE_MS * new_count
         self.stats.validations += 1
         self.stats.validate_cpu_ms += cost
         if self.sim.obs is not None:
@@ -925,7 +918,7 @@ class IncompleteWorldServer(ServerShell):
     @property
     def closure_cpu_ms(self) -> float:
         """Simulated CPU-ms spent computing transitive closures."""
-        return self.stats.closures_computed * self.costs.closure_ms
+        return self.stats.closures_computed * CLOSURE_MS
 
     @property
     def commit_frontier(self) -> int:

@@ -292,7 +292,6 @@ class ShardView:
     lease = property(attrgetter("_server.lease"))
     speaks_at_will = property(attrgetter("_server._speaks_at_will"))
     host = property(attrgetter("_server.host"))
-    costs = property(attrgetter("_server.costs"))
     recovery = property(attrgetter("_server.recovery"))
     entries = property(attrgetter("_server._entries"))
     writer_index = property(attrgetter("_server._writer_index"))
@@ -673,8 +672,6 @@ class ShardedSeveEngine(SeveEngine):
                 f"sharded deployments support the push modes "
                 f"('seve', 'first-bound'); got {config.mode!r}"
             )
-        if config.enable_audit:
-            raise ConfigurationError("the audit log is a single serializer's")
         #: Shards currently down (crash oracle's view).
         self.crashed_shards: set = set()
         #: Per-shard checkpoint+WAL logs; armed only when the plan
@@ -734,7 +731,6 @@ class ShardedSeveEngine(SeveEngine):
         self.server = self.shard_servers[0]
         self.state = self.shard_states[0]
         self.info_bound = self.info_bounds[0]
-        self.audit = None
         #: Each client's home shard: the stripe of its avatar's initial
         #: position, which every partition reads alike.
         seeds = self._seed_store()
@@ -759,7 +755,6 @@ class ShardedSeveEngine(SeveEngine):
             predicate=self.predicate,
             info_bound=info_bound,
             tick_ms=config.tick_ms,
-            costs=config.costs,
             avatar_of=self.world.avatar_of,
             liveness=config.liveness,
             server_id=shard_host_id(shard),

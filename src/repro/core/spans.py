@@ -49,6 +49,7 @@ from typing import Dict, List, Tuple
 from repro.core.action import Action, ActionId, ActionResult
 from repro.core.closure import QueueEntry
 from repro.core.messages import SpanAbort, SpanForward, SpanResult, SpanSplice
+from repro.core.server_basic import TIMESTAMP_MS
 from repro.errors import ProtocolError
 from repro.types import ClientId, shard_host_id
 
@@ -65,7 +66,7 @@ class SpanPipeline:
     ``clients``, ``stats``, ``now``, ``sim`` (its observer),
     ``rebalancer`` (its ``epochs``, ``widen``, ``stamps`` and
     ``config``), ``lease``,
-    ``speaks_at_will``, ``host``, ``costs`` and ``recovery``; the queue
+    ``speaks_at_will``, ``host`` and ``recovery``; the queue
     as ``entries`` from ``base_pos`` with its ``writer_index``, and
     ``avatar_owner``; the sends ``send_peer(shard, message)`` and
     ``to_holder(message)``; and the requests ``admit(client, action)``
@@ -240,7 +241,7 @@ class SpanPipeline:
         view.stats.spans_sequenced += 1
         if view.recovery is not None:
             view.recovery.note_gsn(gsn)
-        view.host.execute(view.costs.timestamp_ms, lambda: None)
+        view.host.execute(TIMESTAMP_MS, lambda: None)
         splice = SpanSplice(gsn, message.owner, message.involved, message.action)
         for shard in message.involved:
             if shard == view.shard_index:
@@ -278,7 +279,7 @@ class SpanPipeline:
         self.live[action_id] = entry
         self.gsns[action_id] = splice.gsn
         view.lease.observe_gsn(splice.gsn)
-        view.host.execute(view.costs.timestamp_ms, lambda: None)
+        view.host.execute(TIMESTAMP_MS, lambda: None)
         if view.sim.obs is not None:
             view.sim.obs.on_shard_splice(view.now, view.shard_index, splice.gsn, entry.pos)
         if owner:

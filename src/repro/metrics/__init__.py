@@ -2,7 +2,6 @@
 statistics, cross-replica consistency (Theorem 1), and report tables.
 """
 
-from repro.metrics.audit import AuditLog, CheatAlert
 from repro.metrics.consistency import (
     ConsistencyChecker,
     ConsistencyReport,
@@ -12,8 +11,6 @@ from repro.metrics.consistency import (
 from repro.metrics.report import Table, format_table
 
 __all__ = [
-    "AuditLog",
-    "CheatAlert",
     "ConsistencyChecker",
     "ConsistencyReport",
     "Table",

@@ -101,6 +101,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.chassis import ClientStats
 from repro.core.messages import MessageCodec
+from repro.core.server_incomplete import CLOSURE_MS
 from repro.core.sharded import ShardedSeveEngine
 from repro.errors import ConfigurationError, SimulationError
 from repro.harness.architectures import build_engine
@@ -227,7 +228,6 @@ class ShardSnapshot:
     clients: frozenset
     stats: object
     shard_stats: object
-    costs: object
     cpu_time_used: float
     items_completed: int
     #: The shard's Information Bound (its drop counts).
@@ -485,7 +485,6 @@ class PartitionReplica:
                     clients=frozenset(server.clients),
                     stats=server.stats,
                     shard_stats=server.shard_stats,
-                    costs=server.costs,
                     cpu_time_used=engine.server_hosts[shard].cpu_time_used,
                     items_completed=engine.server_hosts[shard].items_completed,
                     info_bound=server.info_bound,
@@ -711,7 +710,7 @@ class MergedRun:
         }
         self.audits = [snapshot.audit for snapshot in snapshots]
         self.closure_cpu_ms = sum(
-            shard.stats.closures_computed * shard.costs.closure_ms
+            shard.stats.closures_computed * CLOSURE_MS
             for shard in self.shard_servers
         )
 

@@ -173,7 +173,7 @@ class PhaseProfile:
     """Per-phase aggregation: count and simulated ms.
 
     ``sim_ms`` is virtual time attributed to the phase (the calibrated
-    ServerCosts/action charges).  How long our Python process spent in
+    server/action charges).  How long our Python process spent in
     a phase is a different question, answered by the perf ledger's
     traced run (docs/performance.md).
 

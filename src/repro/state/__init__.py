@@ -12,16 +12,16 @@ consistency checker and the timestamp-protocol discussion in the paper
 rely on.
 """
 
-from repro.state.checkpoint import CheckpointPolicy, dump_store, load_store
+from repro.state.checkpoint import ShardRecoveryLog, dump_store, load_store
 from repro.state.locks import LockTable
 from repro.state.objects import WorldObject
 from repro.state.store import ObjectStore
 from repro.state.versioned import VersionedStore
 
 __all__ = [
-    "CheckpointPolicy",
     "LockTable",
     "ObjectStore",
+    "ShardRecoveryLog",
     "VersionedStore",
     "WorldObject",
     "dump_store",

@@ -5,10 +5,10 @@ database … most net-VEs use commercial databases only to commit and
 read at periodic checkpoints."  This module provides that layer for the
 simulation: a canonical JSON serialization of an
 :class:`~repro.state.store.ObjectStore` plus a
-:class:`CheckpointPolicy` that snapshots the authoritative state every
-*N* commits (hooking the server's ``on_commit``), so a crashed server
-can be restored from checkpoint + audit-log replay
-(:meth:`repro.metrics.audit.AuditLog.replay`).
+:class:`ShardRecoveryLog` that snapshots the authoritative state every
+*N* commits and logs the commits in between (hooking the server's
+``on_commit``), so a crashed server restarts from checkpoint + WAL
+replay.
 
 The format is deliberately boring: a sorted JSON object mapping object
 ids to attribute dicts, with tuples and dict values encoded as tagged
@@ -127,18 +127,30 @@ def checkpoint_time(text: str) -> TimeMs:
         raise ProtocolError(f"corrupt checkpoint: {error!r}") from error
 
 
-class CheckpointPolicy:
-    """Snapshot the authoritative state every ``interval_commits``.
+class ShardRecoveryLog:
+    """Checkpoint + write-ahead log (WAL) for one serializer.
 
-    Attach via the server's commit hook::
+    The log holds the latest checkpoint (a :func:`dump_store` string),
+    the commits made since it, and two high-water marks, so a crashed
+    shard host restarts into exactly its committed state
+    (docs/control_plane.md):
 
-        policy = CheckpointPolicy(server.state, interval_commits=50,
-                                  clock=lambda: sim.now)
-        server.on_commit = policy.on_commit
+    * every ``interval_commits`` commits it checkpoints the store and
+      truncates the WAL;
+    * the WAL holds one ``(pos, [(oid, attrs), ...])`` record per
+      commit since the checkpoint: the values the commit wrote,
+      appended from the server's ``on_commit`` hook (splice and
+      blind-write entries included, so cross-shard writes recover too);
+    * ``max_gsn`` / ``max_pos`` are the highest sequencer gsn and
+      stream position ever issued, so a restarted incarnation never
+      reuses one.
 
-    Checkpoints are retained in memory (``keep`` most recent); callers
-    persist ``policy.latest`` wherever they like — it is already a
-    self-contained JSON string.
+    Recovery = load the checkpoint (or start from an empty store) and
+    merge the WAL in order.  Known gap, by design: values merged via
+    elastic ``RegionSync`` bypass the commit hook, so a restart during
+    an open elastic epoch recovers only commit-path writes (the
+    restarted shard re-learns current boundaries via its hello; see
+    docs/control_plane.md).
     """
 
     def __init__(
@@ -146,90 +158,28 @@ class CheckpointPolicy:
         store: ObjectStore,
         *,
         interval_commits: int = 100,
-        keep: int = 4,
         clock: Optional[Callable[[], TimeMs]] = None,
     ) -> None:
         if interval_commits <= 0:
             raise ProtocolError("interval_commits must be positive")
-        if keep <= 0:
-            raise ProtocolError("keep must be positive")
         self.store = store
         self.interval_commits = interval_commits
-        self.keep = keep
         self.clock = clock or (lambda: 0.0)
-        self.checkpoints: List[str] = []
-        self.commits_seen = 0
-        #: Commit position covered by the latest checkpoint (-1: none).
-        self.covered_upto = -1
-
-    def on_commit(self, pos: int, client_id, values) -> None:
-        """Commit hook: count commits, snapshot on the interval."""
-        self.commits_seen += 1
-        if self.commits_seen % self.interval_commits == 0:
-            self.take(pos)
-
-    def take(self, pos: int) -> str:
-        """Take a checkpoint now, covering commits up to ``pos``."""
-        text = dump_store(self.store, virtual_time=self.clock())
-        self.checkpoints.append(text)
-        if len(self.checkpoints) > self.keep:
-            self.checkpoints.pop(0)
-        self.covered_upto = pos
-        return text
-
-    @property
-    def latest(self) -> Optional[str]:
-        """The most recent checkpoint, if any."""
-        return self.checkpoints[-1] if self.checkpoints else None
-
-    def restore_latest(self) -> ObjectStore:
-        """Rebuild a store from the most recent checkpoint."""
-        if not self.checkpoints:
-            raise ProtocolError("no checkpoint taken yet")
-        return load_store(self.checkpoints[-1])
-
-
-class ShardRecoveryLog:
-    """Checkpoint + write-ahead log for one shard server.
-
-    The WAL records every committed write *between* checkpoints plus
-    the sequencer's gsn assignments, so a crashed shard host restarts
-    into exactly its committed state (docs/control_plane.md):
-
-    * ``("commit", pos, [(oid, attrs), ...])`` — the values one commit
-      wrote, appended from the server's ``on_commit`` hook (splice and
-      blind-write entries included, so cross-shard writes recover too).
-    * ``("gsn", n)`` — the sequencer assigned gsn ``n``; replay
-      restores the counter so re-sequenced spans never reuse a number.
-
-    A checkpoint truncates the commit records it covers.  Recovery =
-    load the latest checkpoint, re-apply the WAL in order.  Known gap,
-    by design: values merged via elastic ``RegionSync`` bypass the
-    commit hook, so a restart during an open elastic epoch recovers
-    only commit-path writes (the restarted shard re-learns current
-    boundaries via its hello; see docs/control_plane.md).
-    """
-
-    def __init__(
-        self,
-        store: ObjectStore,
-        *,
-        interval_commits: int = 100,
-        clock: Optional[Callable[[], TimeMs]] = None,
-    ) -> None:
-        self.policy = CheckpointPolicy(
-            store, interval_commits=interval_commits, keep=1, clock=clock
-        )
+        #: The latest checkpoint, ``None`` before the first.
+        self.checkpoint: Optional[str] = None
         self.wal: List[tuple] = []
         self.max_gsn = -1
         self.max_pos = -1
 
     def on_commit(self, pos: int, client_id, values) -> None:
-        """Commit hook: append the WAL record, then let the checkpoint
-        policy decide whether this commit closes an interval."""
+        """Commit hook: append the WAL record; on the interval,
+        checkpoint the store instead and drop the records it covers."""
+        if len(self.wal) + 1 == self.interval_commits:
+            self.checkpoint = dump_store(self.store, virtual_time=self.clock())
+            self.wal = []
+            return
         self.wal.append(
             (
-                "commit",
                 pos,
                 # WAL records are per-replica recovery artifacts (same
                 # contract as the checkpoint encoder above), and the
@@ -240,21 +190,9 @@ class ShardRecoveryLog:
                 ],
             )
         )
-        before = self.policy.covered_upto
-        self.policy.on_commit(pos, client_id, values)
-        if self.policy.covered_upto != before:
-            # The checkpoint covers everything up to pos; drop the
-            # commit records it subsumes (gsn records survive — the
-            # counter is not part of the store snapshot).
-            self.wal = [
-                rec
-                for rec in self.wal
-                if rec[0] != "commit" or rec[1] > self.policy.covered_upto
-            ]
 
     def note_gsn(self, gsn: int) -> None:
-        """Record a sequencer gsn assignment."""
-        self.wal.append(("gsn", gsn))
+        """Record a sequencer gsn assignment (high-water only)."""
         if gsn > self.max_gsn:
             self.max_gsn = gsn
 
@@ -269,16 +207,11 @@ class ShardRecoveryLog:
             self.max_pos = pos
 
     def recover(self) -> ObjectStore:
-        """The committed store at crash time: latest checkpoint (or an
-        empty store) plus the WAL's commit records in order."""
-        if self.policy.latest is not None:
-            store = self.policy.restore_latest()
-        else:
-            store = ObjectStore()
-        for rec in self.wal:
-            if rec[0] != "commit":
-                continue
-            store.merge({oid: dict(attrs) for oid, attrs in rec[2]})
+        """The committed store at crash time: the checkpoint (or an
+        empty store) plus the WAL's records in order."""
+        store = ObjectStore() if self.checkpoint is None else load_store(self.checkpoint)
+        for _, written in self.wal:
+            store.merge({oid: dict(attrs) for oid, attrs in written})
         return store
 
     @property

@@ -1,5 +1,6 @@
 """Tests for the checkpoint (persistence) layer: exact round-trips,
-periodic snapshots, and crash recovery via checkpoint + audit replay."""
+the recovery log's periodic snapshots and high-water marks, and crash
+recovery via checkpoint + WAL replay."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ProtocolError
 from repro.state.checkpoint import (
-    CheckpointPolicy,
+    ShardRecoveryLog,
     checkpoint_time,
     dump_store,
     load_store,
@@ -124,72 +125,65 @@ def test_roundtrip_property(objects):
 
 
 # ---------------------------------------------------------------------------
-# Policy
+# The recovery log: checkpoint + WAL + high-water marks
 # ---------------------------------------------------------------------------
-def test_policy_snapshots_on_interval():
+def commit(log, store, pos, x):
+    """Commit ``avatar:0.x = x`` at ``pos`` the way a server does: merge,
+    then fire the hook."""
+    values = {"avatar:0": {"x": float(x)}}
+    store.merge(values)
+    log.on_commit(pos, 0, values)
+
+
+def test_recovery_log_checkpoints_on_interval():
     store = sample_store()
-    policy = CheckpointPolicy(store, interval_commits=3, clock=lambda: 42.0)
+    log = ShardRecoveryLog(store, interval_commits=3, clock=lambda: 42.0)
     for pos in range(7):
-        store.merge({"avatar:0": {"x": float(pos)}})
-        policy.on_commit(pos, 0, {})
-    assert len(policy.checkpoints) == 2  # after commits 3 and 6
-    assert policy.covered_upto == 5
-    restored = policy.restore_latest()
-    assert restored.get("avatar:0")["x"] == 5.0
-    assert checkpoint_time(policy.latest) == 42.0
+        commit(log, store, pos, pos)
+    # Checkpoints after the 3rd and 6th commits (positions 2 and 5); the
+    # WAL keeps the one commit since.
+    assert load_store(log.checkpoint).get("avatar:0")["x"] == 5.0
+    assert checkpoint_time(log.checkpoint) == 42.0
+    assert log.wal == [(6, [("avatar:0", {"x": 6.0})])]
+    assert log.recover().diff(store) == {}
 
 
-def test_policy_retention_bound():
+def test_recover_without_checkpoint_merges_the_wal():
     store = sample_store()
-    policy = CheckpointPolicy(store, interval_commits=1, keep=2)
-    for pos in range(5):
-        policy.on_commit(pos, 0, {})
-    assert len(policy.checkpoints) == 2
+    log = ShardRecoveryLog(store, interval_commits=10)
+    commit(log, store, 0, 1)
+    commit(log, store, 1, 2)
+    assert log.checkpoint is None
+    # An empty store plus the commits in order: the written attributes
+    # at their latest values, nothing else.
+    recovered = log.recover()
+    assert sorted(recovered.ids()) == ["avatar:0"]
+    assert dict(recovered.get("avatar:0").as_dict()) == {"x": 2.0}
 
 
-def test_policy_requires_checkpoint_before_restore():
-    policy = CheckpointPolicy(sample_store(), interval_commits=10)
-    assert policy.latest is None
-    with pytest.raises(ProtocolError):
-        policy.restore_latest()
+def test_recovery_log_keeps_high_water_marks_without_gsn_records():
+    log = ShardRecoveryLog(sample_store())
+    assert (log.next_gsn, log.next_pos) == (0, 0)
+    for gsn in (0, 3, 1):
+        log.note_gsn(gsn)
+    for pos in (4, 2):
+        log.note_stream(pos)
+    assert (log.max_gsn, log.next_gsn) == (3, 4)
+    assert (log.max_pos, log.next_pos) == (4, 5)
+    assert log.wal == []
 
 
-def test_policy_validates_parameters():
-    with pytest.raises(ProtocolError):
-        CheckpointPolicy(sample_store(), interval_commits=0)
-    with pytest.raises(ProtocolError):
-        CheckpointPolicy(sample_store(), keep=0)
+def test_recovery_log_rejects_nonpositive_interval():
+    for interval in (0, -1):
+        with pytest.raises(ProtocolError):
+            ShardRecoveryLog(sample_store(), interval_commits=interval)
 
 
 # ---------------------------------------------------------------------------
-# Crash recovery: checkpoint + audit-log replay == live state
+# Crash recovery: the recovery log attached to a running server
 # ---------------------------------------------------------------------------
-def test_recovery_from_checkpoint_plus_replay():
-    from repro.core.engine import SeveConfig, SeveEngine
-    from repro.metrics.audit import AuditLog
-    from repro.world.manhattan import ManhattanConfig, ManhattanWorld
-
-    world = ManhattanWorld(
-        4,
-        ManhattanConfig(width=150.0, height=150.0, num_walls=20,
-                        spawn="cluster", spawn_extent=40.0, seed=6),
-    )
-    engine = SeveEngine(world, 4, SeveConfig(mode="seve", rtt_ms=100.0,
-                                             tick_ms=20.0))
-    engine.start(stop_at=60_000)
-
-    policy = CheckpointPolicy(engine.state, interval_commits=5,
-                              clock=lambda: engine.sim.now)
-    # A "WAL": audit records everything since the last checkpoint.
-    wal = AuditLog()
-    last_covered = {"pos": -1}
-
-    def on_commit(pos, client_id, values):
-        wal.record(pos, client_id, engine.sim.now, values)
-        policy.on_commit(pos, client_id, values)
-
-    engine.server.on_commit = on_commit
-
+def drive_moves(engine, world):
+    """Eight moves per client, 150 ms apart, then run to quiescence."""
     for cid in range(4):
         client = engine.client(cid)
 
@@ -206,12 +200,32 @@ def test_recovery_from_checkpoint_plus_replay():
     engine.run(until=3000.0)
     engine.run_to_quiescence()
 
-    assert policy.latest is not None
-    # Recovery: load the checkpoint, replay WAL records after it.
-    recovered = policy.restore_latest()
-    for record in wal.records:
-        if record.pos > policy.covered_upto:
-            recovered.merge(record.values())
+
+def small_world():
+    from repro.world.manhattan import ManhattanConfig, ManhattanWorld
+
+    return ManhattanWorld(
+        4,
+        ManhattanConfig(width=150.0, height=150.0, num_walls=20,
+                        spawn="cluster", spawn_extent=40.0, seed=6),
+    )
+
+
+def test_recovery_from_checkpoint_plus_replay():
+    from repro.core.engine import SeveConfig, SeveEngine
+
+    world = small_world()
+    engine = SeveEngine(world, 4, SeveConfig(mode="seve", rtt_ms=100.0,
+                                             tick_ms=20.0))
+    engine.start(stop_at=60_000)
+    log = ShardRecoveryLog(engine.state, interval_commits=5,
+                           clock=lambda: engine.sim.now)
+    engine.server.on_commit = log.on_commit
+    drive_moves(engine, world)
+
+    assert log.checkpoint is not None
+    # Recovery: load the checkpoint, replay the WAL records after it.
+    recovered = log.recover()
     for obj in engine.state.objects():
         assert recovered.get(obj.oid) == obj, obj.oid
 
@@ -225,15 +239,9 @@ def test_recovery_under_lossy_transport(sharded):
     deployment."""
     from repro.core.engine import SeveConfig, SeveEngine
     from repro.core.sharded import ShardedSeveEngine, ShardingConfig
-    from repro.metrics.audit import AuditLog
     from repro.net.faults import FaultPlan, ReliabilityConfig, RetryPolicy
-    from repro.world.manhattan import ManhattanConfig, ManhattanWorld
 
-    world = ManhattanWorld(
-        4,
-        ManhattanConfig(width=150.0, height=150.0, num_walls=20,
-                        spawn="cluster", spawn_extent=40.0, seed=6),
-    )
+    world = small_world()
     config = SeveConfig(
         mode="seve",
         rtt_ms=100.0,
@@ -253,47 +261,31 @@ def test_recovery_under_lossy_transport(sharded):
     engine.start(stop_at=60_000)
 
     initial = ObjectStore([obj.copy() for obj in engine.state.objects()])
-    policy = CheckpointPolicy(engine.state, interval_commits=5,
-                              clock=lambda: engine.sim.now)
-    wal = AuditLog()
+    log = ShardRecoveryLog(engine.state, interval_commits=5,
+                           clock=lambda: engine.sim.now)
+    # A log that never reaches its interval keeps every commit.
+    full = ShardRecoveryLog(engine.state, interval_commits=10**9)
 
     def on_commit(pos, client_id, values):
-        wal.record(pos, client_id, engine.sim.now, values)
-        policy.on_commit(pos, client_id, values)
+        full.on_commit(pos, client_id, values)
+        log.on_commit(pos, client_id, values)
 
     engine.server.on_commit = on_commit
-
-    for cid in range(4):
-        client = engine.client(cid)
-
-        def submit(cid=cid, client=client, n={"left": 8}):
-            if n["left"] <= 0:
-                return
-            n["left"] -= 1
-            client.submit(world.plan_move(
-                client.optimistic, cid, client.next_action_id(), cost_ms=1.0
-            ))
-
-        engine.sim.call_every(150.0, submit, start_delay=4.0 + cid,
-                              stop_at=1500.0)
-    engine.run(until=3000.0)
-    engine.run_to_quiescence()
+    drive_moves(engine, world)
 
     # The run really fought the fault plan.
     assert engine.network.meter.messages_dropped > 0
     assert engine.network.meter.retransmissions > 0
-    assert len(wal) > 0
-    assert policy.latest is not None
+    assert len(full.wal) == engine.server.stats.actions_committed > 0
+    assert log.checkpoint is not None
 
     # Full-WAL replay over the initial state equals the live state.
-    replayed = wal.replay(initial)
+    for _, written in full.wal:
+        initial.merge(dict(written))
     for obj in engine.state.objects():
-        assert replayed.get(obj.oid) == obj, obj.oid
+        assert initial.get(obj.oid) == obj, obj.oid
 
     # Checkpoint restore + post-checkpoint WAL suffix equals it too.
-    recovered = policy.restore_latest()
-    for record in wal.records:
-        if record.pos > policy.covered_upto:
-            recovered.merge(record.values())
+    recovered = log.recover()
     for obj in engine.state.objects():
         assert recovered.get(obj.oid) == obj, obj.oid

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.action import Action, ActionId
 from repro.core.messages import ActionBatch, SubmitAction, wire_size
-from repro.core.server_basic import BasicServer
+from repro.core.server_basic import TIMESTAMP_MS, BasicServer
 from repro.errors import ProtocolError
 from repro.net.host import Host
 from repro.net.network import Network
@@ -145,8 +145,7 @@ def test_stats_counters():
 
 def test_timestamp_cost_delays_serialization():
     rig = Rig()
-    rig.server.timestamp_cost_ms = 10.0
     rig.submit(0)
     rig.sim.run()
-    # one-way 50ms + 10ms server CPU + one-way 50ms back
-    assert rig.sim.now == pytest.approx(110.0)
+    # one-way 50ms + the timestamping CPU + one-way 50ms back
+    assert rig.sim.now == pytest.approx(100.0 + TIMESTAMP_MS)

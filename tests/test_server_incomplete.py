@@ -12,7 +12,8 @@ from repro.core.messages import (
     SubmitAction,
     wire_size,
 )
-from repro.core.server_incomplete import IncompleteWorldServer
+from repro.core.server_basic import TIMESTAMP_MS
+from repro.core.server_incomplete import CLOSURE_MS, IncompleteWorldServer
 from repro.errors import ConfigurationError, ProtocolError
 from repro.core.first_bound import FirstBoundPredicate
 from repro.core.info_bound import InformationBound
@@ -239,5 +240,5 @@ def test_server_closure_cost_charged():
     rig.submit(0, "o:0")
     host = rig.server.host
     assert host.cpu_time_used == pytest.approx(
-        rig.server.costs.timestamp_ms + rig.server.costs.closure_ms
+        TIMESTAMP_MS + CLOSURE_MS
     )

@@ -342,7 +342,6 @@ class Stripe:
         self.speaks_at_will = False
         self.lease = SimpleNamespace(is_holder=False, observe_gsn=lambda gsn: None)
         self.host = SimpleNamespace(execute=lambda cost_ms, job: None)
-        self.costs = SimpleNamespace(timestamp_ms=0.0)
         self.entries: list = []
         self.base_pos = 0
         self.writer_index = WriterIndex()
@@ -394,7 +393,7 @@ class Stripe:
 #: rebalancer's and the handoff barrier's (tests/test_rebalancer.py).
 SPAN_VIEW = {
     "shard_index", "partition", "dead", "clients", "stats", "now", "sim",
-    "rebalancer", "lease", "speaks_at_will", "host", "costs", "recovery",
+    "rebalancer", "lease", "speaks_at_will", "host", "recovery",
     "entries", "base_pos", "writer_index", "avatar_owner", "send_peer",
     "to_holder", "admit", "enqueue", "drop", "advance",
 }
