@@ -70,7 +70,7 @@ def _audit_or_die(result) -> None:
 
 
 def bench_failover(quick: bool) -> dict:
-    from repro.core.control_plane import ControlPlaneConfig
+    from repro.core.control_plane import LEASE_TIMEOUT_MS
     from repro.harness.runner import run_simulation
 
     result = run_simulation("seve", _settings(quick))
@@ -80,7 +80,7 @@ def bench_failover(quick: bool) -> dict:
     grant = result.failover_events[0]
     return {
         "crash_at_ms": CRASH_AT_MS,
-        "lease_timeout_ms": ControlPlaneConfig().lease_timeout_ms,
+        "lease_timeout_ms": LEASE_TIMEOUT_MS,
         "new_holder": grant["holder"],
         "term": grant["term"],
         "grant_at_ms": grant["at_ms"],

@@ -3,7 +3,7 @@
 
 A *code line* is a physical line carrying a token that is not a comment,
 a blank or part of a docstring (a string that is a whole statement).
-Prints per-package and total code lines and the field counts of the four
+Prints per-package and total code lines and the field counts of the three
 configuration dataclasses; ``--json`` adds the per-file counts.
 """
 import dataclasses
@@ -31,10 +31,10 @@ def code_lines(source: str) -> int:
 
 
 def main() -> None:
-    from repro.core import control_plane, engine, sharded
+    from repro.core import engine, sharded
     from repro.harness.config import SimulationSettings
 
-    configs = (engine.SeveConfig, SimulationSettings, sharded.ShardingConfig, control_plane.ControlPlaneConfig)
+    configs = (engine.SeveConfig, SimulationSettings, sharded.ShardingConfig)
     fields = {cls.__name__: len(dataclasses.fields(cls)) for cls in configs}
     files = {str(p.relative_to(ROOT)): code_lines(p.read_text()) for p in sorted(ROOT.rglob("*.py"))}
     packages: dict = {}

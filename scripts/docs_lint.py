@@ -2,7 +2,7 @@
 """Documentation lint: link integrity, doc-map coverage, flag,
 config-field and code-name freshness, and the generated settings table.
 
-Eight checks, all cheap enough for every test run:
+Nine checks, all cheap enough for every test run:
 
 1. **Links resolve.**  Every relative markdown link in the repo's
    documentation (``README.md``, ``DESIGN.md``, ``EXPERIMENTS.md``,
@@ -50,6 +50,14 @@ Eight checks, all cheap enough for every test run:
    ``examples/`` must exist (a ``*`` in it is a glob that must match
    something; a ``::`` suffix names something inside the file), so a
    moved or deleted file cannot stay cited.
+9. **Bare class names are real.**  A backticked code span of the
+   living documentation (as in check 5) that is one bare name of two
+   or more characters starting with a capital — a CamelCase class or
+   an ``UPPER_CASE`` constant — must name a class, or a constant
+   assigned at module or class level, defined under ``src/repro`` or
+   ``tests/reference``, or a Python builtin, or be in the short
+   :data:`FOREIGN_NAMES` allowlist.  So a deleted class or constant
+   cannot stay advertised by its bare name.
 
 Exit status 0 when clean; 1 with one ``file: problem`` line per finding.
 
@@ -59,6 +67,7 @@ Run:  python scripts/docs_lint.py [--write-settings]
 from __future__ import annotations
 
 import ast
+import builtins
 import dataclasses
 import importlib
 import pathlib
@@ -143,6 +152,19 @@ KEYWORD_RE = re.compile(r"([A-Za-z_]\w*)\s*=(?!=)")
 #: ``Class.name`` reference (check 7).
 CODE_SPAN_RE = re.compile(r"`([^`]+)`")
 CLASS_NAME_RE = re.compile(r"(?<!\w)([A-Z]\w*)\.([A-Za-z_]\w*\*?)")
+#: A code span that is one bare capitalised name (check 9).
+BARE_NAME_RE = re.compile(r"[A-Z][A-Za-z0-9_]+")
+#: Bare names the documentation cites that are defined outside
+#: ``src/repro`` and ``tests/reference`` (check 9).
+FOREIGN_NAMES = frozenset({
+    "MESSAGES",  # tests/test_codec.py's sample table
+    "Optional",  # typing
+    "PYTHONPATH",  # an environment variable
+    "RUSAGE_CHILDREN",  # the resource module
+    "Speedometer",  # benchmarks/perf/calib.py
+    "Stripe",  # tests/test_sharded.py's fake shard
+    "VmHWM",  # a /proc/self/status field
+})
 #: A repo path inside a code span (check 8).
 REPO_PATH_RE = re.compile(
     r"(?<![\w./-])((?:src|tests|scripts|benchmarks|docs|examples)/[\w./*-]*)"
@@ -440,6 +462,60 @@ def lint_class_names(docs: list[pathlib.Path]) -> list[str]:
     return problems
 
 
+def referenced_bare_names(text: str) -> list[str]:
+    """Every backticked code span of ``text`` that is one bare
+    capitalised name, code fences stripped (dedup'd, sorted).
+
+    >>> referenced_bare_names(
+    ...     "`GsnLease`, `LEASE_TIMEOUT_MS`, `GsnLease.start`, `E`, "
+    ...     "`Random()` and `repro.net`; GsnLease is prose."
+    ... )
+    ['GsnLease', 'LEASE_TIMEOUT_MS']
+    """
+    return sorted({
+        span
+        for span in CODE_SPAN_RE.findall(FENCE_RE.sub("", text))
+        if BARE_NAME_RE.fullmatch(span)
+    })
+
+
+def defined_names() -> set:
+    """Every class, and every name assigned at module or class level,
+    under ``src/repro`` and ``tests/reference``."""
+    names = set()
+    for root in ("src/repro", "tests/reference"):
+        for path in sorted((REPO_ROOT / root).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ClassDef):
+                    names.add(node.name)
+                if not isinstance(node, (ast.Module, ast.ClassDef)):
+                    continue
+                for statement in node.body:
+                    if isinstance(statement, ast.Assign):
+                        targets = statement.targets
+                    elif isinstance(statement, ast.AnnAssign):
+                        targets = [statement.target]
+                    else:
+                        continue
+                    names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def lint_bare_names(docs: list[pathlib.Path]) -> list[str]:
+    """``file: problem`` lines for bare capitalised names that are
+    neither defined in the tree, builtins nor allowlisted."""
+    known = defined_names() | set(dir(builtins)) | FOREIGN_NAMES
+    problems = []
+    for doc in docs:
+        for name in referenced_bare_names(doc.read_text()):
+            if name not in known:
+                problems.append(
+                    f"{doc.relative_to(REPO_ROOT)}: stale bare name ({name}) "
+                    f"— no class or constant of src/repro or tests/reference"
+                )
+    return problems
+
+
 def referenced_repo_paths(text: str) -> list[str]:
     """Every repo path inside a backticked code span of ``text``, code
     fences stripped (dedup'd, sorted).
@@ -576,6 +652,7 @@ def main() -> int:
         + lint_config_fields(living)
         + lint_class_names(living)
         + lint_repo_paths(living)
+        + lint_bare_names(living)
         + lint_settings_doc()
     )
     for problem in problems:

@@ -59,8 +59,10 @@ REPLICA = SimulationSettings(
 #: host, link, client and server kept its own observer reference,
 #: 2 276 879 and 1 273 801; while the wall field kept its coordinate
 #: columns, 2 274 599 and 1 272 617; while every shard server kept its
-#: own server cost table, 2 240 387 and 1 239 301.
-REPLICA_CEILINGS = {(1, 0): 2_240_163, (2, 0): 1_239_093}
+#: own server cost table, 2 240 387 and 1 239 301; while every client
+#: kept a retry-policy reference beside its jitter seed, 2 240 163 and
+#: 1 239 093.
+REPLICA_CEILINGS = {(1, 0): 2_225_659, (2, 0): 1_231_477}
 #: The run whose end-of-run snapshots are weighed.
 SNAPSHOT = SimulationSettings(
     num_clients=48, num_walls=500, moves_per_client=3, world_width=600.0,

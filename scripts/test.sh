@@ -47,7 +47,7 @@ static_analysis() {
   # number when a PR shrinks it), and no file under core/ may pass 900
   # code lines (ROADMAP item 5).
   python scripts/code_size.py --json \
-    | python -c 'import json,sys; size = json.load(sys.stdin); big = {f: n for f, n in size["files"].items() if f.startswith("core/") and n > 900}; assert 0 < size["total"] <= 11833 and not big, (size["total"], big)'
+    | python -c 'import json,sys; size = json.load(sys.stdin); big = {f: n for f, n in size["files"].items() if f.startswith("core/") and n > 900}; assert 0 < size["total"] <= 11702 and not big, (size["total"], big)'
 }
 
 # Documentation lint (links resolve; docs/index.md covers docs/*.md)

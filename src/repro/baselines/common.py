@@ -34,7 +34,6 @@ from repro.core.chassis import (
 )
 from repro.core.messages import SubmitAction, wire_size
 from repro.errors import ProtocolError
-from repro.net.faults import RetryPolicy
 from repro.net.host import Host
 from repro.net.network import Network
 from repro.net.simulator import Simulator
@@ -46,9 +45,8 @@ from repro.world.geometry import Vec2
 
 
 #: The baselines' configuration *is* the shared testbed's: network and
-#: evaluation-overhead parameters plus the fault-tolerance knobs
-#: (``fault_plan``, ``reliability``, ``retry``, ``liveness``), declared
-#: once for every architecture.
+#: evaluation-overhead parameters plus the fault plan, declared once for
+#: every architecture.
 BaselineConfig = TestbedConfig
 
 
@@ -68,13 +66,8 @@ class BaselineClient(ClientShell):
         client_id: ClientId,
         store: ObjectStore,
         handler: Callable[[ClientId, object], None],
-        *,
-        retry: Optional[RetryPolicy] = None,
-        retry_seed: int = 0,
     ) -> None:
-        super().__init__(
-            sim, network, host, client_id, store, retry=retry, retry_seed=retry_seed
-        )
+        super().__init__(sim, network, host, client_id, store)
         self.evaluated = 0
         network.register(client_id, handler)
 
@@ -107,8 +100,7 @@ class BaselineServer(ServerShell):
     def __init__(self, engine: "BaselineEngine") -> None:
         self._engine = engine
         super().__init__(
-            engine.sim, engine.network, engine.server_host, RelayStats(),
-            liveness=engine.config.liveness,
+            engine.sim, engine.network, engine.server_host, RelayStats()
         )
 
     def _serves_unattached(self, src: ClientId) -> bool:
@@ -157,8 +149,6 @@ class BaselineEngine(EngineChassis):
                     client_id,
                     self.state.snapshot(),
                     self._make_client_handler(client_id),
-                    retry=self.config.retry,
-                    retry_seed=self.retry_seed,
                 )
             )
             self.server.attach_client(client_id)

@@ -11,6 +11,7 @@ module is that testbed, written once:
     — is assembled on: the simulator, the fault injector (absent for a
     null plan), the star network, the server host, the response-time
     sampler, the crash/heartbeat bookkeeping, ``submit`` and ``run``.
+    It derives the run's whole fault-tolerance stack from its fault plan.
     It also *declares* the surface :func:`repro.harness.runner.run_simulation`
     measures a finished run through, each item with its neutral default;
     an engine overrides the items that are real for it, and
@@ -46,12 +47,12 @@ from repro.core.messages import Heartbeat, SubmitAction, wire_size
 from repro.errors import ConfigurationError, ProtocolError
 from repro.metrics.consistency import ConsistencyChecker
 from repro.net.faults import (
+    HEARTBEAT_INTERVAL_MS,
+    LIVENESS_TIMEOUT_MS,
     RETRY_MAX_ATTEMPTS,
     FaultInjector,
     FaultPlan,
-    LivenessConfig,
-    ReliabilityConfig,
-    RetryPolicy,
+    retry_delay,
 )
 from repro.net.host import Host
 from repro.net.network import Network
@@ -84,13 +85,8 @@ class TestbedConfig:
     eval_overhead_ms: float = 1.9
     #: Deterministic fault injection (``None`` or a null plan keeps the
     #: network perfectly reliable and takes the identical code path).
+    #: What surviving it takes follows from the plan (:class:`EngineChassis`).
     fault_plan: Optional[FaultPlan] = None
-    #: ARQ transport restoring reliable FIFO delivery over a lossy plan.
-    reliability: Optional[ReliabilityConfig] = None
-    #: End-to-end client resubmission of unanswered actions.
-    retry: Optional[RetryPolicy] = None
-    #: Server-side heartbeat eviction (Section III-C).
-    liveness: Optional[LivenessConfig] = None
 
     def __post_init__(self) -> None:
         if self.rtt_ms < 0:
@@ -144,8 +140,6 @@ class ClientShell:
         stable_store: ObjectStore,
         *,
         server_id: ClientId = SERVER_ID,
-        retry: Optional[RetryPolicy] = None,
-        retry_seed: int = 0,
     ) -> None:
         self.sim = sim
         self.network = network
@@ -158,14 +152,18 @@ class ClientShell:
         #: The replica the authoritative stream advances (ζ_CS; a
         #: baseline client's only replica).
         self.stable = stable_store
-        #: End-to-end resubmission of unanswered own actions (``None``
-        #: disables retries; the server absorbs resubmissions by id).
-        self.retry = retry
+        faults = network.faults
+        #: End-to-end resubmission of unanswered own actions, on a run
+        #: that injects faults (the server absorbs resubmissions by id):
+        #: the seed of the private jitter RNG, ``None`` for no retries.
+        self._retry_seed = (
+            None if faults is None
+            else (faults.plan.seed << 17) ^ (client_id * 0x9E3779B1)
+        )
         self.stats = ClientStats()
         self._next_seq = 0
         self._submit_times: Dict[ActionId, TimeMs] = {}
         self._retry_timers: Dict[ActionId, Event] = {}
-        self._retry_seed = (retry_seed << 17) ^ (client_id * 0x9E3779B1)
         #: Hook: own action confirmed; args (action_id, response_ms).
         self.on_confirmed: Optional[Callable[[ActionId, TimeMs], None]] = None
 
@@ -200,21 +198,22 @@ class ClientShell:
     @cached_property
     def _retry_rng(self) -> random.Random:
         """Private jitter stream, built on the first retry draw (only a
-        fault-plan run draws).  Its seed is mixed with the client id so
-        clients draw independently, and it never touches the fault RNG."""
+        fault-plan run draws).  Its seed, the plan's, is mixed with the
+        client id so clients draw independently, and it never touches
+        the fault RNG."""
         return random.Random(self._retry_seed)
 
     def _send_submission(self, action: Action, attempt: int = 0) -> None:
         """Send ``action`` to the serializer and arm its retry timer."""
         message = SubmitAction(action)
         self.network.send(self.client_id, self.server_id, message, wire_size(message))
-        if self.retry is not None:
+        if self._retry_seed is not None:
             self._arm_retry(action, attempt)
 
     def _arm_retry(self, action: Action, attempt: int) -> None:
         if attempt >= RETRY_MAX_ATTEMPTS:
             return  # the action is given up on: no more resubmissions
-        delay = self.retry.delay(attempt, self._retry_rng)
+        delay = retry_delay(attempt, self.network.rtt_ms, self._retry_rng)
         self._retry_timers[action.action_id] = self.sim.schedule(
             delay, lambda: self._retry_fire(action, attempt)
         )
@@ -244,6 +243,12 @@ class ClientShell:
         self.network.send(
             self.client_id, self.server_id, message, wire_size(message), reliable=False
         )
+
+
+def crash_tolerant(faults: Optional[FaultInjector]) -> bool:
+    """Whether a run's clients heartbeat and its servers evict the silent
+    ones (Section III-C): its fault plan has crash windows."""
+    return faults is not None and bool(faults.plan.crashes)
 
 
 def bound_handlers(owner) -> Dict[type, Callable[[ClientId, object], None]]:
@@ -304,7 +309,6 @@ class ServerShell:
         host: Host,
         stats: ServerStats,
         *,
-        liveness: Optional[LivenessConfig] = None,
         detector=None,
         server_id: ClientId = SERVER_ID,
     ) -> None:
@@ -312,8 +316,10 @@ class ServerShell:
         self.network = network
         self.host = host
         self.stats = stats
-        #: Server-side heartbeat eviction; ``None`` evicts nobody.
-        self.liveness = liveness
+        #: Server-side heartbeat eviction: on when the run's fault plan
+        #: has crash windows (its clients heartbeat then); otherwise
+        #: the server evicts nobody.
+        self.liveness = crash_tolerant(network.faults)
         #: Optional :class:`repro.core.detection.CheatDetector` shared by
         #: every server of the engine; ``None`` (honest runs) keeps every
         #: path byte-identical to the detector-free code.
@@ -375,13 +381,13 @@ class ServerShell:
         (the Incomplete World server's all-holders-dead rule)."""
 
     def start(self, *, stop_at: Optional[TimeMs] = None) -> None:
-        """Install the liveness sweep (no-op without a
-        :class:`LivenessConfig` — the reliable-network configuration);
-        servers install their own periodic processes first."""
-        if self.liveness is not None:
+        """Install the liveness sweep (no-op unless the run's plan
+        crashes anything); servers install their own periodic processes
+        first."""
+        if self.liveness:
             self._stoppers.append(
                 self.sim.call_every(
-                    self.liveness.timeout_ms / 2.0,
+                    LIVENESS_TIMEOUT_MS / 2.0,
                     self._liveness_tick,
                     stop_at=stop_at,
                 )
@@ -399,7 +405,7 @@ class ServerShell:
         return bool(self._stoppers)
 
     def _liveness_tick(self) -> None:
-        deadline = self.sim.now - self.liveness.timeout_ms
+        deadline = self.sim.now - LIVENESS_TIMEOUT_MS
         for client_id in [
             cid for cid, heard in self._last_heard.items() if heard < deadline
         ]:
@@ -414,7 +420,7 @@ class ServerShell:
         """Whether a client in ``crashed`` is still attached while the
         sweep runs: until it presumes the client dead, the run is not
         quiescent."""
-        return self.liveness is not None and not crashed.isdisjoint(self.clients)
+        return self.liveness and not crashed.isdisjoint(self.clients)
 
     # ------------------------------------------------------------------
     # The front door: one dispatcher in, admission of submissions
@@ -501,18 +507,27 @@ class EngineChassis:
         self.config = config
         self.sim = Simulator()
         plan = config.fault_plan
+        # The fault-tolerance stack follows from the plan (Section
+        # III-C, docs/fault_model.md).  A plan that is not null gets the
+        # fault injector, the ARQ transport and every client's
+        # resubmission (a client keys on its network's injector).
         self.faults = (
             FaultInjector(plan) if plan is not None and not plan.is_null else None
         )
-        #: Seed material of every client's retry-jitter RNG.
-        self.retry_seed = plan.seed if plan is not None else 0
         self.network = Network(
             self.sim,
             rtt_ms=config.rtt_ms,
             bandwidth_bps=config.bandwidth_bps,
             faults=self.faults,
-            reliability=config.reliability,
+            arq=self.faults is not None,
         )
+        #: A plan with crash windows also gets the clients' heartbeats
+        #: and the servers' liveness sweep (each server keys on its
+        #: network's injector, through :func:`crash_tolerant`).
+        self.liveness = crash_tolerant(self.faults)
+        #: A plan that crashes a shard also gets each shard's recovery
+        #: log and a gsn lease that can move (the sharded engine's).
+        self.shard_failover = self.liveness and bool(plan.shard_crashes)
         self.server_host = Host(self.sim, SERVER_ID)
         #: Serializer hosts by shard index (shard 0's host id *is*
         #: :data:`SERVER_ID`; only sharded deployments add more).
@@ -556,12 +571,12 @@ class EngineChassis:
                 client.send_heartbeat()
 
         self._heartbeat_stoppers[client_id] = self.sim.call_every(
-            self.config.liveness.heartbeat_interval_ms, beat, stop_at=stop_at
+            HEARTBEAT_INTERVAL_MS, beat, stop_at=stop_at
         )
 
     def _start_heartbeats(self, stop_at: Optional[TimeMs]) -> None:
-        """The owned clients' heartbeats, when liveness is configured."""
-        if self.config.liveness is not None:
+        """The owned clients' heartbeats, when the plan crashes anything."""
+        if self.liveness:
             for client_id in self.owned_clients:
                 self._install_heartbeat(client_id, stop_at=stop_at)
 
@@ -588,7 +603,7 @@ class EngineChassis:
         self.dead.discard(client_id)
         if client_id not in self.owned_clients:
             return False
-        if self.config.liveness is not None:
+        if self.liveness:
             self._install_heartbeat(client_id)
         return True
 

@@ -44,7 +44,6 @@ from repro.core.messages import (
 )
 from repro.core.pending import PendingQueue
 from repro.errors import MissingObjectError, ProtocolError
-from repro.net.faults import RetryPolicy
 from repro.net.host import Host
 from repro.net.network import Network
 from repro.net.simulator import Event, Simulator
@@ -78,14 +77,6 @@ class ClientConfig:
         bug and raises; under fault injection duplicates are a legal
         runtime condition, so fault-mode engines set this False and
         duplicates are counted and skipped instead.
-    ``retry``
-        End-to-end resubmission of unanswered own actions (capped
-        exponential backoff, deterministic jitter).  ``None`` disables
-        retries.  The server absorbs resubmissions idempotently by
-        ``ActionId``.
-    ``retry_seed``
-        Seed material for the client's private retry-jitter RNG (mixed
-        with the client id so clients draw independent streams).
     """
 
     send_completions: bool = False
@@ -93,8 +84,6 @@ class ClientConfig:
     eval_overhead_ms: float = TestbedConfig.eval_overhead_ms
     interests: Optional[frozenset[str]] = None
     strict_stream: bool = True
-    retry: Optional[RetryPolicy] = None
-    retry_seed: int = 0
     #: Record every applied stream entry (and handoff epoch boundary)
     #: into ``client.observations`` — the raw material of the sharded
     #: consistency audit and the differential tests.  Pure
@@ -131,8 +120,6 @@ class ProtocolClient(ClientShell):
             client_id,
             stable_store,
             server_id=server_id,
-            retry=self.config.retry,
-            retry_seed=self.config.retry_seed,
         )
         #: ζ_CO — ζ_CS (``stable``) plus the optimistic effects of Q:
         #: an overlay holding private copies of the objects in WS(Q).

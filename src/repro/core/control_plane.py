@@ -23,80 +23,43 @@ at shards that straddle two borders (the per-client strictly-
 increasing-gsn audit forbids that).
 
 Failover is deterministic: the holder broadcasts ``LeaseHeartbeat``
-over the fault-free backbone; when a shard has not heard one for
-``lease_timeout_ms`` it advances the term, and the term's *candidate*
-— a fixed rotation, ``term mod K``, skipping shards known dead —
-broadcasts ``LeaseRequest``.  Voters answer at most one candidate per
-term with ``LeaseVote`` carrying the highest gsn they have observed;
-when every live shard has voted the candidate installs itself with
-``LeaseGrant`` and a gsn floor above every vote, so re-sequenced
-spans never reuse a number.  The simulator's crash oracle is a
+over the fault-free backbone every :data:`LEASE_HEARTBEAT_MS`; when a
+shard has not heard one for :data:`LEASE_TIMEOUT_MS` it advances the
+term, and the term's *candidate* — a fixed rotation, ``term mod K``,
+skipping shards known dead — broadcasts ``LeaseRequest``.  Voters
+answer at most one candidate per term with ``LeaseVote`` carrying the
+highest gsn they have observed; when every live shard has voted the
+candidate installs itself with ``LeaseGrant`` and a gsn floor above
+every vote, so re-sequenced spans never reuse a number.  The simulator's crash oracle is a
 perfect failure detector, which is what lets the round wait for *all*
 live voters (at K = 2 the lone survivor self-grants) instead of a
 strict majority of the original membership.
 
 Every shard server hosts a :class:`GsnLease`, and term 0 is
 pre-granted to shard 0.  Whether the lease can move follows from the
-run's crash plan (:class:`repro.core.sharded.ShardedSeveEngine` decides
-it in one place): a plan that schedules a shard crash gets the default
-:class:`ControlPlaneConfig`, any other run :data:`PINNED_LEASE`, the
-config whose lease never times out — no heartbeat or check timer is
-armed, so no lease message is ever sent and shard 0 sequences for the
-whole run.  See docs/control_plane.md.
+run's fault plan (:class:`repro.core.chassis.EngineChassis` derives it
+with the rest of the fault-tolerance stack): a plan that schedules a
+shard crash gets a lease that moves; on any other run the lease is
+pinned — no heartbeat or check timer is armed, so no lease message is
+ever sent and shard 0 sequences for the whole run.  See
+docs/control_plane.md.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.messages import LeaseGrant, LeaseHeartbeat, LeaseRequest, LeaseVote
-from repro.errors import ConfigurationError
 from repro.types import TimeMs
 
-
-@dataclass(frozen=True)
-class ControlPlaneConfig:
-    """Knobs of the gsn lease (defaults: the lease of a run whose crash
-    plan schedules a shard crash)."""
-
-    #: Period of the leaseholder's ``LeaseHeartbeat`` broadcast.
-    heartbeat_interval_ms: TimeMs = 500.0
-    #: Silence after which a shard suspects the holder and advances the
-    #: term.  Must cover several heartbeats so a busy holder is not
-    #: deposed spuriously (the backbone is fault-free, so only a real
-    #: crash silences it).  ``math.inf`` pins the lease to its term-0
-    #: holder (:data:`PINNED_LEASE`).
-    lease_timeout_ms: TimeMs = 2_000.0
-
-    def __post_init__(self) -> None:
-        if self.heartbeat_interval_ms <= 0:
-            raise ConfigurationError(
-                "heartbeat interval must be > 0, got "
-                f"{self.heartbeat_interval_ms}"
-            )
-        if self.lease_timeout_ms <= 2 * self.heartbeat_interval_ms:
-            raise ConfigurationError(
-                "lease timeout must exceed two heartbeat intervals "
-                f"({self.lease_timeout_ms} <= "
-                f"{2 * self.heartbeat_interval_ms})"
-            )
-
-    @property
-    def check_interval_ms(self) -> TimeMs:
-        """How often non-holders re-check the holder's silence."""
-        return self.lease_timeout_ms / 2.0
-
-    @property
-    def fails_over(self) -> bool:
-        """Whether a silent holder is ever deposed (the timeout is
-        finite); otherwise the lease stays where term 0 put it."""
-        return math.isfinite(self.lease_timeout_ms)
-
-
-#: The lease that never times out: every run without a shard crash.
-PINNED_LEASE = ControlPlaneConfig(lease_timeout_ms=math.inf)
+#: Period of the leaseholder's ``LeaseHeartbeat`` broadcast.
+LEASE_HEARTBEAT_MS: TimeMs = 500.0
+#: Silence after which a shard suspects the holder and advances the
+#: term; non-holders re-check every half timeout.  It covers several
+#: heartbeats so a busy holder is not deposed spuriously (the backbone
+#: is fault-free, so only a real crash silences it).
+LEASE_TIMEOUT_MS: TimeMs = 2_000.0
 
 
 def lease_candidate(term: int, shards: int, dead: Set[int]) -> int:
@@ -140,7 +103,8 @@ class GsnLease:
     :func:`~repro.core.chassis.bound_handlers` and merges them into its
     dispatch table) and time through ``now()``; everything the lease
     says goes out through the host's ``send_peer(shard, message)`` and
-    ``broadcast(message)``.
+    ``broadcast(message)``.  ``moves`` says whether a silent holder is
+    ever deposed; otherwise the lease stays where term 0 put it.
     ``dead`` is the host's live set of shards known down (the
     simulation's perfect failure detector) and ``on_moved()`` is called
     after the holder changed.  :meth:`start` hands the host the two
@@ -160,7 +124,7 @@ class GsnLease:
         self,
         shard_index: int,
         shards: int,
-        config: ControlPlaneConfig,
+        moves: bool,
         *,
         send_peer: Callable[[int, object], None],
         broadcast: Callable[[object], None],
@@ -170,7 +134,7 @@ class GsnLease:
     ) -> None:
         self.shard_index = shard_index
         self.shards = shards
-        self.config = config
+        self.moves = moves
         self.send_peer = send_peer
         self.broadcast = broadcast
         self.now = now
@@ -206,12 +170,12 @@ class GsnLease:
         """The ``(period_ms, callback)`` timers the host must run: none
         for a lease that cannot move.  Seeds the beat clock, so a shard
         (re)started now does not instantly suspect the holder."""
-        if not self.config.fails_over:
+        if not self.moves:
             return []
         self.last_beat_ms = self.now()
         return [
-            (self.config.heartbeat_interval_ms, self.beat),
-            (self.config.check_interval_ms, self.check),
+            (LEASE_HEARTBEAT_MS, self.beat),
+            (LEASE_TIMEOUT_MS / 2.0, self.check),
         ]
 
     # -- the gsn counter ------------------------------------------------
@@ -247,7 +211,7 @@ class GsnLease:
         now = self.now()
         if (
             self.holder not in self.dead
-            and now - self.last_beat_ms < self.config.lease_timeout_ms
+            and now - self.last_beat_ms < LEASE_TIMEOUT_MS
         ):
             return
         term = self.term + 1
@@ -265,7 +229,7 @@ class GsnLease:
     def catch_up(self, shard: int) -> None:
         """Holder side: ``shard`` restarted knowing only term 0; one
         heartbeat teaches it the current term and holder."""
-        if self.is_holder and self.config.fails_over:
+        if self.is_holder and self.moves:
             self.send_peer(shard, LeaseHeartbeat(self.term, self.shard_index))
 
     # -- handlers ---------------------------------------------------------

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.analysis.sanitizer import (
+    MODES as SANITIZER_MODES,
     SanitizerRecorder,
     resolve_mode as resolve_sanitizer_mode,
     wrap_store as wrap_sanitized,
@@ -61,8 +62,8 @@ MODES = ("basic", "incomplete", "first-bound", "seve", "hybrid")
 @dataclass(frozen=True)
 class SeveConfig(TestbedConfig):
     """Engine configuration: the shared testbed (network, evaluation
-    overhead, fault plan and its reliability trio, observer) plus what
-    only the SEVE protocol has (defaults follow Table I of the paper)."""
+    overhead, fault plan) plus what only the SEVE protocol has (defaults
+    follow Table I of the paper)."""
 
     mode: str = "seve"
     omega: float = 0.5
@@ -115,10 +116,10 @@ class SeveConfig(TestbedConfig):
             raise ConfigurationError(
                 f"unknown mode {self.mode!r}; expected one of {MODES}"
             )
-        if self.rwset_sanitizer not in (None, "off", "report", "raise"):
+        if self.rwset_sanitizer not in (None, *SANITIZER_MODES):
             raise ConfigurationError(
                 f"unknown rwset_sanitizer {self.rwset_sanitizer!r}; "
-                "expected None, 'off', 'report', or 'raise'"
+                f"expected None or one of {SANITIZER_MODES}"
             )
 
 
@@ -191,7 +192,6 @@ class SeveEngine(EngineChassis):
                 self.network,
                 self.server_host,
                 eager=True,
-                liveness=config.liveness,
                 detector=self.detector,
             )
             return
@@ -200,19 +200,17 @@ class SeveEngine(EngineChassis):
             info_bound=self.info_bound,
             tick_ms=config.tick_ms,
             avatar_of=self.world.avatar_of,
-            liveness=config.liveness,
             detector=self.detector,
         )
         if config.mode == "hybrid":
             from repro.core.hybrid import HybridRelayServer
 
-            plan = config.fault_plan
             self.server = HybridRelayServer(
                 self.sim,
                 self.network,
                 self.server_host,
                 self.state,
-                bundling=not (plan is not None and plan.crashes),
+                bundling=not self.liveness,
                 **server_kwargs,
             )
         else:
@@ -260,8 +258,6 @@ class SeveEngine(EngineChassis):
             eval_overhead_ms=self.config.eval_overhead_ms,
             interests=interests,
             strict_stream=self.faults is None,
-            retry=self.config.retry,
-            retry_seed=self.retry_seed,
             record_observations=self.config.record_observations,
         )
 

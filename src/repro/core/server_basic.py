@@ -17,22 +17,20 @@ full fan-out) and is what the Figure 6/7/9 "Broadcast" series runs.
 Fault tolerance (Section III-C) is the
 :class:`~repro.core.chassis.ServerShell`'s: resubmissions of an
 already-serialized action are absorbed idempotently by ``ActionId``,
-and an optional :class:`~repro.net.faults.LivenessConfig` makes the
-server track when it last heard from each client and evict the silent
-ones.
+and on a run whose fault plan crashes anything the server tracks when
+it last heard from each client and evicts the silent ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import List, Optional, Set
+from typing import List, Set
 
 from repro.core.action import Action
 from repro.core.chassis import ServerShell, ServerStats
 from repro.core.messages import ActionBatch, OrderedAction, SubmitAction
 from repro.errors import ProtocolError
-from repro.net.faults import LivenessConfig
 from repro.net.host import Host
 from repro.net.network import Network
 from repro.net.simulator import Simulator
@@ -81,7 +79,6 @@ class BasicServer(ServerShell):
         host: Host,
         *,
         eager: bool = False,
-        liveness: Optional[LivenessConfig] = None,
         detector=None,
     ) -> None:
         self.eager = eager
@@ -92,8 +89,7 @@ class BasicServer(ServerShell):
         #: are a protocol error.
         self._detached: Set[ClientId] = set()
         super().__init__(
-            sim, network, host, BasicServerStats(),
-            liveness=liveness, detector=detector,
+            sim, network, host, BasicServerStats(), detector=detector
         )
 
     def _client_record(self, client_id, radius, interests) -> int:

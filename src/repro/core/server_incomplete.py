@@ -49,7 +49,6 @@ from repro.core.messages import (
 )
 from repro.core.server_basic import TIMESTAMP_MS
 from repro.errors import ConfigurationError, ProtocolError
-from repro.net.faults import LivenessConfig
 from repro.net.host import Host
 from repro.net.network import Network
 from repro.net.simulator import Simulator
@@ -188,7 +187,6 @@ class IncompleteWorldServer(ServerShell):
         info_bound: Optional[InformationBound] = None,
         tick_ms: TimeMs = 100.0,
         avatar_of: Optional[Callable[[ClientId], ObjectId]] = None,
-        liveness: Optional[LivenessConfig] = None,
         server_id: ClientId = SERVER_ID,
         detector=None,
     ) -> None:
@@ -229,7 +227,7 @@ class IncompleteWorldServer(ServerShell):
         # Shard servers get their own negative host ids.
         super().__init__(
             sim, network, host, IncompleteServerStats(),
-            liveness=liveness, detector=detector, server_id=server_id,
+            detector=detector, server_id=server_id,
         )
 
     # ------------------------------------------------------------------

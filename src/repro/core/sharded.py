@@ -87,12 +87,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.action import Action, ActionId
 from repro.core.chassis import bound_handlers
 from repro.core.closure import QueueEntry
-from repro.core.control_plane import (
-    PINNED_LEASE,
-    ControlPlaneConfig,
-    FailoverEvent,
-    GsnLease,
-)
+from repro.core.control_plane import FailoverEvent, GsnLease
 from repro.core.elastic import ElasticConfig, Rebalancer
 from repro.core.engine import SeveConfig, SeveEngine
 from repro.core.handoff import HANDOFF_MARGIN, HandoffBarrier
@@ -321,7 +316,6 @@ class ShardServer(IncompleteWorldServer):
         partition: RegionPartition,
         span_slack: float = 0.0,
         elastic: Optional[ElasticConfig] = None,
-        control: ControlPlaneConfig = PINNED_LEASE,
         recovery: Optional[ShardRecoveryLog] = None,
         **kwargs,
     ) -> None:
@@ -338,11 +332,12 @@ class ShardServer(IncompleteWorldServer):
         self._dead_shards: set = set()
         #: This shard's end of the gsn lease (term 0: shard 0 holds it).
         #: The holder is the sequencer — it assigns every gsn — and runs
-        #: the elastic controller.
+        #: the elastic controller.  It can move on a run whose shards
+        #: keep recovery logs: one that crashes a shard.
         self.lease = GsnLease(
             shard_index,
             self.partition.shards,
-            control,
+            recovery is not None,
             send_peer=self._send_peer,
             broadcast=self._broadcast,
             now=lambda: self.sim.now,
@@ -369,15 +364,15 @@ class ShardServer(IncompleteWorldServer):
         for unit in (self.lease, self.spans, self.rebalancer, self.handoff):
             self._handlers.update(bound_handlers(unit))
         #: This shard runs something that can put a message on the
-        #: backbone at any event: a lease that can move, the elastic
-        #: controller, a liveness sweep or a cheat quarantine (an
-        #: eviction can abort a span), or an ARQ receiver (a gap can
-        #: hold back a trigger and release it on a later packet).
-        self._speaks_at_will = control.fails_over or any(
-            part is not None
-            for part in (
-                elastic, self.liveness, self.detector, self.network.reliability
-            )
+        #: backbone at any event: the elastic controller, a cheat
+        #: quarantine (an eviction can abort a span), or anything a
+        #: fault plan arms — an ARQ receiver (a gap can hold back a
+        #: trigger and release it on a later packet), a liveness sweep,
+        #: a lease that can move.
+        self._speaks_at_will = (
+            self.network.faults is not None
+            or elastic is not None
+            or self.detector is not None
         )
 
     # ------------------------------------------------------------------
@@ -675,11 +670,11 @@ class ShardedSeveEngine(SeveEngine):
         #: Shards currently down (crash oracle's view).
         self.crashed_shards: set = set()
         #: Per-shard checkpoint+WAL logs; armed only when the plan
-        #: schedules shard crashes (zero overhead otherwise).  The same
-        #: fact arms lease failover: a lease whose holder can die must
-        #: be able to move, one whose holder cannot stays pinned.
+        #: schedules shard crashes (``shard_failover``, zero overhead
+        #: otherwise).  The same fact arms lease failover: a lease whose
+        #: holder can die must be able to move, one whose holder cannot
+        #: stays pinned.
         self._recovery_logs: Dict[int, ShardRecoveryLog] = {}
-        self._arm_recovery = bool(config.fault_plan and config.fault_plan.shard_crashes)
         # Every shard keeps its own partition copy; under elastic the
         # copies flip independently as the PartitionUpdate reaches each
         # shard (docs/elasticity.md).  The engine's copy is shard 0's.
@@ -720,8 +715,8 @@ class ShardedSeveEngine(SeveEngine):
             state = VersionedStore(self.world.initial_objects())
             info_bound = self._make_info_bound()
             recovery = None
-            if self._arm_recovery:
-                recovery = ShardRecoveryLog(state, clock=lambda: self.sim.now)
+            if self.shard_failover:
+                recovery = ShardRecoveryLog(state)
                 self._recovery_logs[shard] = recovery
             self.shard_servers[shard] = self._make_shard_server(
                 shard, host, state, info_bound, recovery
@@ -756,11 +751,9 @@ class ShardedSeveEngine(SeveEngine):
             info_bound=info_bound,
             tick_ms=config.tick_ms,
             avatar_of=self.world.avatar_of,
-            liveness=config.liveness,
             server_id=shard_host_id(shard),
             detector=self.detector,
             elastic=self.sharding.elastic,
-            control=ControlPlaneConfig() if self._arm_recovery else PINNED_LEASE,
             recovery=recovery,
         )
 
@@ -1009,7 +1002,7 @@ class ShardedSeveEngine(SeveEngine):
         shard crash windows are armed: a shard host can then eat a
         control message by dying with it, and a restarted shard's
         counters reset."""
-        if self.sharding.elastic is None or self._arm_recovery:
+        if self.sharding.elastic is None or self.shard_failover:
             return 0
         return sum(
             self.shard_servers[shard].elastic_sent

@@ -210,7 +210,7 @@ class SpanPipeline:
         over FIFO backbone links, preserving gsn order per shard)."""
         view, lease = self.view, self.view.lease
         if not lease.is_holder:
-            if lease.config.fails_over:
+            if lease.moves:
                 # Stale routing during a lease failover: the owner
                 # re-forwards to the new holder on the LeaseGrant.
                 return

@@ -53,7 +53,6 @@ from repro.core.chassis import EngineChassis
 from repro.core.engine import SeveConfig, SeveEngine
 from repro.errors import ConfigurationError
 from repro.harness.config import SimulationSettings
-from repro.net.faults import LivenessConfig, ReliabilityConfig, RetryPolicy
 from repro.world.manhattan import ManhattanWorld
 
 #: All buildable architecture names.
@@ -99,34 +98,13 @@ def build_world(settings: SimulationSettings) -> ManhattanWorld:
     return ManhattanWorld(settings.num_clients, settings.manhattan_config())
 
 
-def _testbed(settings: SimulationSettings) -> dict:
-    """The :class:`~repro.core.chassis.TestbedConfig` fields of a run:
-    the knobs the settings declare ``to=`` it and the (reliability,
-    retry, liveness) trio a fault plan demands.
-
-    A ``None`` or null plan leaves the trio at ``None`` — the engines
-    then take the identical code path they take with no plan at all (the
-    differential-test contract).  A lossy/jittery plan enables the ARQ
-    transport and client retries; scheduled crashes additionally enable
-    heartbeat liveness.
-    """
-    testbed = dict(settings.for_layer("testbed"))
-    if settings.faults_active:
-        testbed.update(
-            reliability=ReliabilityConfig.for_rtt(settings.rtt_ms),
-            retry=RetryPolicy.for_rtt(settings.rtt_ms),
-            liveness=LivenessConfig() if settings.fault_plan.crashes else None,
-        )
-    return testbed
-
-
 def seve_config(settings: SimulationSettings, mode: str, **overrides) -> SeveConfig:
     """The :class:`SeveConfig` of a ``mode`` engine for these settings:
     the testbed fields, every knob declared ``to=`` the SEVE layer, and
     what is computed from several; ``overrides`` replace any of them
     (the differential tests pin ``record_observations=True``)."""
     config = dict(
-        _testbed(settings),
+        **settings.for_layer("testbed"),
         **settings.for_layer("seve"),
         mode=mode,
         threshold=settings.effective_threshold,
@@ -203,6 +181,6 @@ def build_engine(
     return _BASELINES[architecture](
         world,
         settings.num_clients,
-        BaselineConfig(**_testbed(settings)),
+        BaselineConfig(**settings.for_layer("testbed")),
         **settings.for_layer(architecture),
     )

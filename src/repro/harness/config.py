@@ -263,9 +263,10 @@ class SimulationSettings:
     # -- faults (docs/fault_model.md) --------------------------------------
     #: Deterministic fault injection; ``None`` (or a null plan) keeps the
     #: network perfectly reliable and takes the identical code path.
-    #: A non-null plan automatically enables the ARQ transport, client
-    #: retries, and — when the plan schedules crashes — liveness
-    #: eviction and fault-tolerant completions.
+    #: The engine derives what surviving a non-null plan takes: the ARQ
+    #: transport, client retries, and — when the plan schedules crashes
+    #: — liveness eviction (fault-tolerant completions are set with the
+    #: SEVE config, from the crash windows too).
     fault_plan: Optional[FaultPlan] = knob(None, to="testbed")
 
     # -- adversaries (docs/adversary.md) ------------------------------------
@@ -381,8 +382,8 @@ class SimulationSettings:
         """The keyword arguments ``layer``'s config dataclass takes from
         this run: the value of every knob declared ``to=`` that layer,
         under the receiving field's name.  What a layer *computes* from
-        the settings (a mode, ``effective_threshold``, the reliability
-        trio) is spelled out by the caller next to the ``**``."""
+        the settings (a mode, ``effective_threshold``) is spelled out by
+        the caller next to the ``**``."""
         received = {}
         for declared in fields(self):
             for target in declared.metadata.get("to", "").split():

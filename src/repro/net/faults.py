@@ -21,17 +21,17 @@ Determinism contract
   their draw entirely rather than drawing-and-ignoring, so enabling a
   feature never perturbs the stream consumed by another.
 
-The module also hosts the knobs for surviving the faults:
-:class:`RetryPolicy` (client-side end-to-end resubmission),
-:class:`ReliabilityConfig` (the network's ARQ transport), and
-:class:`LivenessConfig` (server-side heartbeat eviction, Section III-C).
+The module also hosts the constants for surviving the faults: client
+resubmission (:func:`retry_delay`) and heartbeat eviction
+(:data:`LIVENESS_TIMEOUT_MS`, Section III-C).  Which of them a run arms
+follows from its plan (:class:`repro.core.chassis.EngineChassis`).
 """
 
 from __future__ import annotations
 
 import random
 from math import inf
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
@@ -391,102 +391,27 @@ class FaultInjector:
 
 
 # ---------------------------------------------------------------------------
-# Survival knobs
+# Surviving the plan (Section III-C): constants and functions of the RTT
 # ---------------------------------------------------------------------------
 #: End-to-end resubmissions of one action before its client gives up.
 RETRY_MAX_ATTEMPTS = 6
+#: Period of every client's heartbeat when the plan crashes anything.
+HEARTBEAT_INTERVAL_MS: TimeMs = 1_000.0
+#: Silence (no heartbeat, no other message) after which a server
+#: presumes a client dead and evicts it; its sweep runs every half
+#: timeout.
+LIVENESS_TIMEOUT_MS: TimeMs = 5_000.0
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """End-to-end client resubmission: capped exponential backoff.
+def retry_delay(attempt: int, rtt_ms: TimeMs, rng: random.Random) -> TimeMs:
+    """Wait before end-to-end resubmission number ``attempt`` (0-based).
 
-    Attempt *k* (0-based) is retried after
-    ``min(timeout_ms * backoff**k, max_timeout_ms) + U(0, jitter_ms)``
-    where the jitter is drawn from the *client's own* seeded RNG, never
-    the shared fault RNG (so retries do not perturb fault decisions).
-    A client gives up on an action after :data:`RETRY_MAX_ATTEMPTS`.
+    The timeout is well past one round trip plus ARQ recovery,
+    ``max(4 rtt, 400)`` ms; it doubles per attempt up to twice itself.
+    Jitter of up to ``0.1 max(rtt, 100)`` ms is drawn from the *client's
+    own* seeded RNG, never the shared fault RNG (so retries do not
+    perturb fault decisions).
     """
-
-    timeout_ms: TimeMs = 1_000.0
-    backoff: float = 2.0
-    max_timeout_ms: TimeMs = 8_000.0
-    jitter_ms: TimeMs = 0.0
-
-    def __post_init__(self) -> None:
-        if self.timeout_ms <= 0:
-            raise ConfigurationError(f"timeout must be > 0, got {self.timeout_ms}")
-        if self.backoff < 1.0:
-            raise ConfigurationError(f"backoff must be >= 1, got {self.backoff}")
-
-    def delay(self, attempt: int, rng: random.Random) -> TimeMs:
-        """Wait before resubmission number ``attempt`` (0-based)."""
-        base = min(self.timeout_ms * (self.backoff**attempt), self.max_timeout_ms)
-        if self.jitter_ms > 0.0:
-            base += rng.random() * self.jitter_ms
-        return base
-
-    @staticmethod
-    def for_rtt(rtt_ms: TimeMs) -> "RetryPolicy":
-        """A sane policy for a known round-trip time: time out well past
-        one round trip plus ARQ recovery, cap the backoff at a few
-        multiples."""
-        timeout = max(4.0 * rtt_ms, 400.0)
-        return RetryPolicy(
-            timeout_ms=timeout,
-            backoff=2.0,
-            max_timeout_ms=2.0 * timeout,
-            jitter_ms=0.1 * max(rtt_ms, 100.0),
-        )
-
-
-@dataclass(frozen=True)
-class ReliabilityConfig:
-    """The network-level ARQ transport (selective repeat + cumulative
-    ACKs) that restores per-link reliable FIFO delivery over a lossy
-    plan.  Sits *below* the handler layer, so every architecture
-    inherits it without protocol changes.  The retransmit timeout
-    starts at ``rto_ms`` and doubles per retry up to ``max_rto_ms``."""
-
-    rto_ms: TimeMs = 500.0
-    max_rto_ms: TimeMs = 4_000.0
-    #: Retransmissions of one packet before the sender gives up on it
-    #: (the receiver is told to advance past the abandoned sequence).
-    max_retries: int = 10
-
-    def __post_init__(self) -> None:
-        if self.rto_ms <= 0:
-            raise ConfigurationError(f"rto must be > 0, got {self.rto_ms}")
-        if self.max_retries < 1:
-            raise ConfigurationError(
-                f"max_retries must be >= 1, got {self.max_retries}"
-            )
-
-    @staticmethod
-    def for_rtt(rtt_ms: TimeMs) -> "ReliabilityConfig":
-        rto = 2.0 * rtt_ms + 100.0
-        return ReliabilityConfig(rto_ms=rto, max_rto_ms=8.0 * rto)
-
-
-@dataclass(frozen=True)
-class LivenessConfig:
-    """Server-side liveness tracking (Section III-C).
-
-    Clients send heartbeats every ``heartbeat_interval_ms``; a client
-    not heard from (heartbeat *or* protocol message) for ``timeout_ms``
-    is presumed dead and evicted.  The eviction sweep runs every half
-    timeout (``timeout_ms / 2``)."""
-
-    heartbeat_interval_ms: TimeMs = 1_000.0
-    timeout_ms: TimeMs = 5_000.0
-
-    def __post_init__(self) -> None:
-        if self.heartbeat_interval_ms <= 0:
-            raise ConfigurationError(
-                f"heartbeat interval must be > 0, got {self.heartbeat_interval_ms}"
-            )
-        if self.timeout_ms <= self.heartbeat_interval_ms:
-            raise ConfigurationError(
-                "liveness timeout must exceed the heartbeat interval "
-                f"({self.timeout_ms} <= {self.heartbeat_interval_ms})"
-            )
+    timeout = max(4.0 * rtt_ms, 400.0)
+    base = min(timeout * (2.0**attempt), 2.0 * timeout)
+    return base + rng.random() * (0.1 * max(rtt_ms, 100.0))

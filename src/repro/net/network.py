@@ -14,15 +14,15 @@ Fault injection and reliability
 -------------------------------
 When built with a :class:`~repro.net.faults.FaultInjector` the network
 consults it once per message: the message may be dropped, delayed by
-extra jitter, or delivered twice.  When built with a
-:class:`~repro.net.faults.ReliabilityConfig` the network additionally
-runs a selective-repeat ARQ *below* the handler layer — per-(src, dst)
+extra jitter, or delivered twice.  Built with ``arq=True`` (every run
+whose fault plan is not null) the network additionally runs a
+selective-repeat ARQ *below* the handler layer — per-(src, dst)
 sequence numbers, cumulative ACKs, retransmission timers with capped
 exponential backoff — restoring reliable FIFO delivery over the lossy
 plan for every architecture without protocol changes.  Neither feature
-costs anything when absent: with no injector and no reliability config,
-``send`` takes exactly the pre-fault code path (the differential tests
-in ``tests/test_fault_differential.py`` pin this down).
+costs anything when absent: with no injector and no ARQ, ``send``
+takes exactly the pre-fault code path (the differential tests in
+``tests/test_fault_differential.py`` pin this down).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import NetworkError
-from repro.net.faults import FaultInjector, ReliabilityConfig
+from repro.net.faults import FaultInjector
 from repro.net.link import Link
 from repro.net.simulator import Event, Simulator
 from repro.net.stats import TrafficMeter
@@ -54,8 +54,13 @@ def _stub(src: ClientId, payload: object) -> None:
 #: Simulated overhead bytes per ARQ data packet / per ACK.
 _HEADER_BYTES = 8
 _ACK_BYTES = 8
-#: Growth of a channel's retransmit timeout per retry.
+#: Growth of a channel's retransmit timeout per retry, and its cap as a
+#: multiple of the initial timeout.
 _RTO_BACKOFF = 2.0
+_RTO_CAP = 8.0
+#: Retransmissions of one packet before the sender gives up on it (the
+#: receiver is told to advance past the abandoned sequence).
+_ARQ_MAX_RETRIES = 10
 
 
 @dataclass
@@ -110,7 +115,7 @@ class Network:
         rtt_ms: TimeMs,
         bandwidth_bps: Optional[float] = None,
         faults: Optional[FaultInjector] = None,
-        reliability: Optional[ReliabilityConfig] = None,
+        arq: bool = False,
     ) -> None:
         """Create a network whose client<->server one-way latency is
         ``rtt_ms / 2`` (the paper assumes symmetric halves of the RTT).
@@ -120,9 +125,9 @@ class Network:
         bottleneck: its links inherit the client cap per destination,
         which already rate-limits each downlink.
 
-        ``faults`` injects per-message loss/jitter/duplication;
-        ``reliability`` layers the ARQ transport on top (see module
-        docstring).
+        ``faults`` injects per-message loss/jitter/duplication; ``arq``
+        layers the ARQ transport on top (see module docstring), its
+        retransmit timeout starting at ``2 rtt + 100`` ms.
         """
         if rtt_ms < 0:
             raise NetworkError(f"RTT must be non-negative, got {rtt_ms}")
@@ -131,7 +136,9 @@ class Network:
         self.one_way_ms = rtt_ms / 2.0
         self.bandwidth_bps = bandwidth_bps
         self.faults = faults
-        self.reliability = reliability
+        #: Initial retransmit timeout of the ARQ transport; ``None``:
+        #: no ARQ (the fault-free path).
+        self.rto_ms: Optional[TimeMs] = 2.0 * rtt_ms + 100.0 if arq else None
         self.meter = TrafficMeter()
         self._handlers: Dict[ClientId, Handler] = {}
         self._links: Dict[Tuple[ClientId, ClientId], Link] = {}
@@ -352,9 +359,9 @@ class Network:
         Traffic is metered at send time — bytes hit the wire whether or
         not the receiver survives.
 
-        With a :class:`ReliabilityConfig` installed, messages travel
-        over the ARQ transport unless ``reliable=False`` (heartbeats
-        opt out — a lost heartbeat *should* stay lost).
+        With the ARQ transport armed, messages travel over it unless
+        ``reliable=False`` (heartbeats opt out — a lost heartbeat
+        *should* stay lost).
         """
         if src not in self._handlers:
             raise NetworkError(f"sender {src} is not registered")
@@ -365,7 +372,7 @@ class Network:
             if self.partition is not None:
                 self.partition.check(src, payload, self.sim.now)
             return self._send_raw(src, dst, payload, size_bytes, inject_faults=False)
-        if self.reliability is not None and reliable is not False:
+        if self.rto_ms is not None and reliable is not False:
             return self._send_reliable(src, dst, payload, size_bytes)
         return self._send_raw(src, dst, payload, size_bytes)
 
@@ -451,11 +458,10 @@ class Network:
             # reconnect restarts channels from fresh sequence numbers —
             # building retransmit state here would only burn the wire.
             return self._send_raw(src, dst, payload, size_bytes)
-        config = self.reliability
         key = (src, dst)
         channel = self._sender_channels.get(key)
         if channel is None:
-            channel = _SenderChannel(rto_ms=config.rto_ms)
+            channel = _SenderChannel(rto_ms=self.rto_ms)
             self._sender_channels[key] = channel
         seq = channel.next_seq
         channel.next_seq += 1
@@ -479,11 +485,10 @@ class Network:
         channel.timer = None
         if not channel.unacked:
             return
-        config = self.reliability
         src, dst = key
         head = next(iter(channel.unacked))
         entry = channel.unacked[head]
-        if entry[2] >= config.max_retries:
+        if entry[2] >= _ARQ_MAX_RETRIES:
             # Give up: drop the packet, tell the receiver to advance its
             # window past it so later packets are not stuck behind the
             # abandoned sequence number.
@@ -505,7 +510,7 @@ class Network:
                 src, dst, _Packet(head, base, entry[0]), entry[1] + _HEADER_BYTES
             )
             channel.rto_ms = min(
-                channel.rto_ms * _RTO_BACKOFF, config.max_rto_ms
+                channel.rto_ms * _RTO_BACKOFF, _RTO_CAP * self.rto_ms
             )
         if channel.unacked:
             self._arm_timer(key, channel)
@@ -549,8 +554,7 @@ class Network:
             progressed = True
         if not progressed:
             return
-        config = self.reliability
-        channel.rto_ms = config.rto_ms
+        channel.rto_ms = self.rto_ms
         if channel.timer is not None:
             channel.timer.cancel()
             channel.timer = None

@@ -19,12 +19,11 @@ dict/tuple/list values.
 from __future__ import annotations
 
 import json
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.errors import ProtocolError
 from repro.state.objects import WorldObject
 from repro.state.store import ObjectStore
-from repro.types import TimeMs
 
 #: Format marker embedded in every checkpoint.
 FORMAT = "repro-checkpoint-v1"
@@ -69,11 +68,10 @@ def _decode_value(value):
     return value
 
 
-def dump_store(store: ObjectStore, *, virtual_time: TimeMs = 0.0) -> str:
+def dump_store(store: ObjectStore) -> str:
     """Serialize ``store`` to canonical JSON text."""
     payload = {
         "format": FORMAT,
-        "virtual_time": virtual_time,
         "objects": {
             oid: {
                 name: _encode_value(value)
@@ -85,22 +83,15 @@ def dump_store(store: ObjectStore, *, virtual_time: TimeMs = 0.0) -> str:
     return json.dumps(payload, sort_keys=True, indent=None, separators=(",", ":"))
 
 
-def _payload(text: str) -> dict:
-    """The JSON object a checkpoint's text holds; anything else is a
-    :class:`ProtocolError`."""
+def load_store(text: str) -> ObjectStore:
+    """Rebuild an :class:`ObjectStore` from :func:`dump_store` output;
+    malformed text is a :class:`ProtocolError`."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as error:
         raise ProtocolError(f"corrupt checkpoint: {error}") from error
     if not isinstance(payload, dict):
         raise ProtocolError(f"corrupt checkpoint: a {type(payload).__name__}")
-    return payload
-
-
-def load_store(text: str) -> ObjectStore:
-    """Rebuild an :class:`ObjectStore` from :func:`dump_store` output;
-    malformed text is a :class:`ProtocolError`."""
-    payload = _payload(text)
     if payload.get("format") != FORMAT:
         raise ProtocolError(
             f"not a {FORMAT} checkpoint: format={payload.get('format')!r}"
@@ -118,15 +109,6 @@ def load_store(text: str) -> ObjectStore:
     return store
 
 
-def checkpoint_time(text: str) -> TimeMs:
-    """The virtual time recorded in a checkpoint; malformed text is a
-    :class:`ProtocolError`."""
-    try:
-        return float(_payload(text).get("virtual_time", 0.0))
-    except (TypeError, ValueError) as error:
-        raise ProtocolError(f"corrupt checkpoint: {error!r}") from error
-
-
 class ShardRecoveryLog:
     """Checkpoint + write-ahead log (WAL) for one serializer.
 
@@ -137,8 +119,8 @@ class ShardRecoveryLog:
 
     * every ``interval_commits`` commits it checkpoints the store and
       truncates the WAL;
-    * the WAL holds one ``(pos, [(oid, attrs), ...])`` record per
-      commit since the checkpoint: the values the commit wrote,
+    * the WAL holds one ``[(oid, attrs), ...]`` record per commit
+      since the checkpoint, in commit order: the values it wrote,
       appended from the server's ``on_commit`` hook (splice and
       blind-write entries included, so cross-shard writes recover too);
     * ``max_gsn`` / ``max_pos`` are the highest sequencer gsn and
@@ -158,16 +140,14 @@ class ShardRecoveryLog:
         store: ObjectStore,
         *,
         interval_commits: int = 100,
-        clock: Optional[Callable[[], TimeMs]] = None,
     ) -> None:
         if interval_commits <= 0:
             raise ProtocolError("interval_commits must be positive")
         self.store = store
         self.interval_commits = interval_commits
-        self.clock = clock or (lambda: 0.0)
         #: The latest checkpoint, ``None`` before the first.
         self.checkpoint: Optional[str] = None
-        self.wal: List[tuple] = []
+        self.wal: List[list] = []
         self.max_gsn = -1
         self.max_pos = -1
 
@@ -175,20 +155,17 @@ class ShardRecoveryLog:
         """Commit hook: append the WAL record; on the interval,
         checkpoint the store instead and drop the records it covers."""
         if len(self.wal) + 1 == self.interval_commits:
-            self.checkpoint = dump_store(self.store, virtual_time=self.clock())
+            self.checkpoint = dump_store(self.store)
             self.wal = []
             return
         self.wal.append(
-            (
-                pos,
-                # WAL records are per-replica recovery artifacts (same
-                # contract as the checkpoint encoder above), and the
-                # copy guards against later in-place mutation.
-                [
-                    (oid, dict(attrs))
-                    for oid, attrs in values.items()  # lint: allow(dict-iter-serialization)
-                ],
-            )
+            # WAL records are per-replica recovery artifacts (same
+            # contract as the checkpoint encoder above), and the copy
+            # guards against later in-place mutation.
+            [
+                (oid, dict(attrs))
+                for oid, attrs in values.items()  # lint: allow(dict-iter-serialization)
+            ]
         )
 
     def note_gsn(self, gsn: int) -> None:
@@ -210,7 +187,7 @@ class ShardRecoveryLog:
         """The committed store at crash time: the checkpoint (or an
         empty store) plus the WAL's records in order."""
         store = ObjectStore() if self.checkpoint is None else load_store(self.checkpoint)
-        for _, written in self.wal:
+        for written in self.wal:
             store.merge({oid: dict(attrs) for oid, attrs in written})
         return store
 

@@ -9,12 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ProtocolError
-from repro.state.checkpoint import (
-    ShardRecoveryLog,
-    checkpoint_time,
-    dump_store,
-    load_store,
-)
+from repro.state.checkpoint import ShardRecoveryLog, dump_store, load_store
 from repro.state.objects import WorldObject
 from repro.state.store import ObjectStore
 
@@ -65,11 +60,6 @@ def test_dump_is_canonical():
     assert dump_store(a) == dump_store(b)
 
 
-def test_virtual_time_recorded():
-    text = dump_store(sample_store(), virtual_time=1234.5)
-    assert checkpoint_time(text) == 1234.5
-
-
 def test_load_rejects_garbage():
     with pytest.raises(ProtocolError):
         load_store("not json at all {")
@@ -78,19 +68,17 @@ def test_load_rejects_garbage():
 
 
 @pytest.mark.parametrize(
-    "read, text",
+    "text",
     [
-        (load_store, "[]"),
-        (load_store, '{"format": "repro-checkpoint-v1"}'),
-        (load_store, '{"format": "repro-checkpoint-v1", "objects": {"o": {"t": {"__tuple__": 1}}}}'),
-        (checkpoint_time, "not json"),
-        (checkpoint_time, "[]"),
+        "[]",
+        '{"format": "repro-checkpoint-v1"}',
+        '{"format": "repro-checkpoint-v1", "objects": {"o": {"t": {"__tuple__": 1}}}}',
     ],
-    ids=["list", "no-objects", "bad-tuple", "time-not-json", "time-list"],
+    ids=["list", "no-objects", "bad-tuple"],
 )
-def test_malformed_checkpoints_are_protocol_errors(read, text):
+def test_malformed_checkpoints_are_protocol_errors(text):
     with pytest.raises(ProtocolError):
-        read(text)
+        load_store(text)
 
 
 def test_nested_tuples_roundtrip():
@@ -129,7 +117,7 @@ def test_roundtrip_property(objects):
 # ---------------------------------------------------------------------------
 def commit(log, store, pos, x):
     """Commit ``avatar:0.x = x`` at ``pos`` the way a server does: merge,
-    then fire the hook."""
+    then fire the hook (the log keeps the values, not the position)."""
     values = {"avatar:0": {"x": float(x)}}
     store.merge(values)
     log.on_commit(pos, 0, values)
@@ -137,14 +125,13 @@ def commit(log, store, pos, x):
 
 def test_recovery_log_checkpoints_on_interval():
     store = sample_store()
-    log = ShardRecoveryLog(store, interval_commits=3, clock=lambda: 42.0)
+    log = ShardRecoveryLog(store, interval_commits=3)
     for pos in range(7):
         commit(log, store, pos, pos)
     # Checkpoints after the 3rd and 6th commits (positions 2 and 5); the
     # WAL keeps the one commit since.
     assert load_store(log.checkpoint).get("avatar:0")["x"] == 5.0
-    assert checkpoint_time(log.checkpoint) == 42.0
-    assert log.wal == [(6, [("avatar:0", {"x": 6.0})])]
+    assert log.wal == [[("avatar:0", {"x": 6.0})]]
     assert log.recover().diff(store) == {}
 
 
@@ -218,8 +205,7 @@ def test_recovery_from_checkpoint_plus_replay():
     engine = SeveEngine(world, 4, SeveConfig(mode="seve", rtt_ms=100.0,
                                              tick_ms=20.0))
     engine.start(stop_at=60_000)
-    log = ShardRecoveryLog(engine.state, interval_commits=5,
-                           clock=lambda: engine.sim.now)
+    log = ShardRecoveryLog(engine.state, interval_commits=5)
     engine.server.on_commit = log.on_commit
     drive_moves(engine, world)
 
@@ -239,7 +225,7 @@ def test_recovery_under_lossy_transport(sharded):
     deployment."""
     from repro.core.engine import SeveConfig, SeveEngine
     from repro.core.sharded import ShardedSeveEngine, ShardingConfig
-    from repro.net.faults import FaultPlan, ReliabilityConfig, RetryPolicy
+    from repro.net.faults import FaultPlan
 
     world = small_world()
     config = SeveConfig(
@@ -248,8 +234,6 @@ def test_recovery_under_lossy_transport(sharded):
         tick_ms=20.0,
         fault_plan=FaultPlan(loss_rate=0.08, jitter_ms=30.0,
                              duplicate_rate=0.03, seed=4),
-        reliability=ReliabilityConfig.for_rtt(100.0),
-        retry=RetryPolicy.for_rtt(100.0),
     )
     if sharded:
         engine = ShardedSeveEngine(
@@ -261,8 +245,7 @@ def test_recovery_under_lossy_transport(sharded):
     engine.start(stop_at=60_000)
 
     initial = ObjectStore([obj.copy() for obj in engine.state.objects()])
-    log = ShardRecoveryLog(engine.state, interval_commits=5,
-                           clock=lambda: engine.sim.now)
+    log = ShardRecoveryLog(engine.state, interval_commits=5)
     # A log that never reaches its interval keeps every commit.
     full = ShardRecoveryLog(engine.state, interval_commits=10**9)
 
@@ -280,7 +263,7 @@ def test_recovery_under_lossy_transport(sharded):
     assert log.checkpoint is not None
 
     # Full-WAL replay over the initial state equals the live state.
-    for _, written in full.wal:
+    for written in full.wal:
         initial.merge(dict(written))
     for obj in engine.state.objects():
         assert initial.get(obj.oid) == obj, obj.oid

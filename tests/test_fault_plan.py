@@ -1,6 +1,6 @@
 """Unit tests for the deterministic fault-injection plan
 (:mod:`repro.net.faults`): RNG discipline, scheduling primitives,
-serialization, the CLI crash-plan syntax, and the retry policy.
+serialization, the CLI crash-plan syntax, and the retry delays.
 
 The determinism contract (docs/fault_model.md): the injector draws from
 its dedicated RNG only for features whose rate is non-zero, in a fixed
@@ -16,16 +16,17 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.net.faults import (
+    HEARTBEAT_INTERVAL_MS,
+    LIVENESS_TIMEOUT_MS,
     CrashWindow,
     FaultInjector,
     FaultPlan,
-    LivenessConfig,
     Partition,
-    ReliabilityConfig,
-    RetryPolicy,
     parse_crash_plan,
+    retry_delay,
 )
 from repro.net.link import Link
+from repro.net.network import Network
 from repro.net.simulator import Simulator
 
 
@@ -224,33 +225,30 @@ def test_reconnect_must_follow_crash():
 
 
 # ---------------------------------------------------------------------------
-# RetryPolicy
+# Retry delays
 # ---------------------------------------------------------------------------
 def test_retry_backoff_grows_and_caps():
-    policy = RetryPolicy(
-        timeout_ms=100.0, backoff=2.0, max_timeout_ms=500.0, jitter_ms=0.0
-    )
+    # At a 100 ms RTT: a 400 ms timeout, doubled once to its 800 ms cap,
+    # plus under 10 ms of jitter.
     rng = random.Random(0)
-    delays = [policy.delay(k, rng) for k in range(6)]
-    assert delays[:3] == [100.0, 200.0, 400.0]
-    assert delays[3:] == [500.0, 500.0, 500.0]  # capped
+    delays = [retry_delay(k, 100.0, rng) for k in range(6)]
+    assert 400.0 <= delays[0] < 410.0
+    assert all(800.0 <= d < 810.0 for d in delays[1:])  # capped
 
 
 def test_retry_jitter_is_seeded_and_bounded():
-    policy = RetryPolicy(timeout_ms=100.0, jitter_ms=20.0)
-    a = [policy.delay(0, random.Random(4)) for _ in range(5)]
-    b = [policy.delay(0, random.Random(4)) for _ in range(5)]
+    a = [retry_delay(0, 100.0, random.Random(4)) for _ in range(5)]
+    b = [retry_delay(0, 100.0, random.Random(4)) for _ in range(5)]
     assert a == b
-    assert all(100.0 <= d < 120.0 for d in a)
+    assert all(400.0 <= d < 410.0 for d in a)
 
 
 def test_suite_factories_scale_with_rtt():
-    retry = RetryPolicy.for_rtt(238.0)
-    assert retry.timeout_ms >= 4 * 238.0
-    reliability = ReliabilityConfig.for_rtt(238.0)
-    assert reliability.rto_ms > 238.0  # past one round trip
-    with pytest.raises(ConfigurationError):
-        LivenessConfig(heartbeat_interval_ms=1000.0, timeout_ms=500.0)
+    assert retry_delay(0, 238.0, random.Random(0)) >= 4 * 238.0
+    arq = Network(Simulator(), rtt_ms=238.0, arq=True)
+    assert arq.rto_ms > 238.0  # past one round trip
+    assert Network(Simulator(), rtt_ms=238.0).rto_ms is None
+    assert LIVENESS_TIMEOUT_MS > HEARTBEAT_INTERVAL_MS
 
 
 # ---------------------------------------------------------------------------

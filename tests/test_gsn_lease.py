@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from repro.core.chassis import bound_handlers
 from repro.core.control_plane import (
-    PINNED_LEASE,
-    ControlPlaneConfig,
+    LEASE_HEARTBEAT_MS,
+    LEASE_TIMEOUT_MS,
     GsnLease,
     lease_candidate,
 )
@@ -20,20 +20,17 @@ from repro.core.messages import (
     LeaseVote,
 )
 
-CONFIG = ControlPlaneConfig(heartbeat_interval_ms=100.0, lease_timeout_ms=500.0)
-
-
 class Cluster:
     """K leases wired to one in-memory wire."""
 
-    def __init__(self, shards: int = 3, config: ControlPlaneConfig = CONFIG):
+    def __init__(self, shards: int = 3, moves: bool = True):
         self.now = 0.0
         #: Undelivered messages, oldest first: (from shard, to shard, message).
         self.wire: list = []
         self.dead = [set() for _ in range(shards)]
         self.moved = [0] * shards
         self.shards = shards
-        self.config = config
+        self.moves = moves
         self.leases = [self._lease(shard) for shard in range(shards)]
 
     def _lease(self, shard: int) -> GsnLease:
@@ -51,7 +48,7 @@ class Cluster:
         return GsnLease(
             shard,
             self.shards,
-            self.config,
+            self.moves,
             send_peer=send_peer,
             broadcast=broadcast,
             now=lambda: self.now,
@@ -86,13 +83,14 @@ def test_term_zero_is_pre_granted_and_nobody_campaigns_while_beats_arrive():
     cluster = Cluster()
     timers = [lease.start() for lease in cluster.leases]
     assert all(
-        [period for period, _ in armed] == [100.0, 250.0] for armed in timers
+        [period for period, _ in armed] == [LEASE_HEARTBEAT_MS, LEASE_TIMEOUT_MS / 2]
+        for armed in timers
     )
     assert [(l.term, l.holder, l.is_holder) for l in cluster.leases] == [
         (0, 0, True), (0, 0, False), (0, 0, False),
     ]
-    for _ in range(30):  # six lease timeouts' worth of beats
-        cluster.now += 100.0
+    for _ in range(24):  # six lease timeouts' worth of beats
+        cluster.now += LEASE_HEARTBEAT_MS
         for lease in cluster.leases:
             lease.beat()  # only the holder's beat says anything
         delivered = cluster.deliver()
@@ -108,11 +106,11 @@ def test_a_silent_holder_is_suspected_after_the_timeout_and_only_the_candidate_c
     cluster = Cluster()
     for lease in cluster.leases:
         lease.start()
-    cluster.now = 499.0
+    cluster.now = LEASE_TIMEOUT_MS - 1.0
     for lease in cluster.leases:
         lease.check()
     assert cluster.wire == []  # not yet
-    cluster.now = 500.0
+    cluster.now = LEASE_TIMEOUT_MS
     candidate = lease_candidate(1, 3, set())
     assert candidate == 1
     for lease in cluster.leases:
@@ -215,7 +213,7 @@ def test_a_restarted_ex_holder_learns_the_new_term_from_the_catch_up_heartbeat()
 
 
 def test_the_pinned_lease_arms_no_timer_and_sends_nothing():
-    cluster = Cluster(config=PINNED_LEASE)
+    cluster = Cluster(moves=False)
     assert [lease.start() for lease in cluster.leases] == [[], [], []]
     cluster.leases[0].catch_up(1)
     assert cluster.wire == []

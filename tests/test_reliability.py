@@ -8,32 +8,29 @@ from __future__ import annotations
 
 import pytest
 
+from repro.baselines.central import CentralEngine
+from repro.baselines.common import BaselineConfig
+from repro.core.chassis import ClientShell
 from repro.core.engine import SeveConfig, SeveEngine
+from repro.core.sharded import ShardedSeveEngine, ShardingConfig
 from repro.errors import NetworkError
-from repro.net.faults import (
-    FaultInjector,
-    FaultPlan,
-    LivenessConfig,
-    Partition,
-    ReliabilityConfig,
-)
+from repro.harness.architectures import build_engine, build_world
+from repro.harness.config import SimulationSettings
+from repro.net.faults import CrashWindow, FaultInjector, FaultPlan, Partition
 from repro.net.network import Network
 from repro.net.simulator import Simulator
 from repro.types import SERVER_ID
 from repro.world.manhattan import ManhattanConfig, ManhattanWorld
 
 
-RELIABILITY = ReliabilityConfig(rto_ms=300.0, max_rto_ms=1_200.0)
-
-
-def make_network(plan=None, *, reliability=RELIABILITY):
+def make_network(plan=None, *, arq=True):
+    """A 100 ms network (ARQ timeout 300 ms, capped at 2 400 ms)."""
     sim = Simulator()
     injector = (
         FaultInjector(plan) if plan is not None and not plan.is_null else None
     )
     net = Network(
-        sim, rtt_ms=100.0, bandwidth_bps=None,
-        faults=injector, reliability=reliability,
+        sim, rtt_ms=100.0, bandwidth_bps=None, faults=injector, arq=arq
     )
     return sim, net
 
@@ -81,16 +78,12 @@ def test_arq_survives_loss_and_jitter_together():
 
 def test_arq_gives_up_and_drains_under_total_blackout():
     """A sender facing a permanently severed destination must abandon
-    its packets after max_retries, not retransmit forever (the event
-    queue has to empty for the simulation to terminate)."""
+    its packets after its last retransmission, not retransmit forever
+    (the event queue has to empty for the simulation to terminate)."""
     plan = FaultPlan(
         seed=5, partitions=(Partition(0.0, 10_000_000.0),)
     )
-    sim, net = make_network(
-        plan, reliability=ReliabilityConfig(
-            rto_ms=100.0, max_rto_ms=200.0, max_retries=3
-        ),
-    )
+    sim, net = make_network(plan)
     received = []
     net.register(SERVER_ID, lambda src, payload: received.append(payload))
     net.register(0, lambda src, payload: None)
@@ -131,7 +124,7 @@ def test_crash_cancels_inflight_deliveries_both_directions():
     """Killing a host with messages in flight both ways must not raise,
     must not hand payloads to a dead handler, and must take back the
     receive-side byte credit."""
-    sim, net = make_network(None, reliability=None)
+    sim, net = make_network(None, arq=False)
     inbox = []
     net.register(SERVER_ID, lambda src, payload: inbox.append(payload))
     net.register(0, lambda src, payload: inbox.append(payload))
@@ -145,7 +138,7 @@ def test_crash_cancels_inflight_deliveries_both_directions():
 
 
 def test_reconnect_restores_the_parked_handler():
-    sim, net = make_network(None, reliability=None)
+    sim, net = make_network(None, arq=False)
     inbox = []
     net.register(SERVER_ID, lambda src, payload: None)
     net.register(0, lambda src, payload: inbox.append(payload))
@@ -166,7 +159,7 @@ def test_reconnect_drops_deliveries_sent_into_the_crash_window():
     batch built during a crash window — computed against bookkeeping the
     reconnect resync discards — used to slip through and poison the
     rejoiner's replica.)"""
-    sim, net = make_network(None, reliability=None)
+    sim, net = make_network(None, arq=False)
     inbox = []
     net.register(SERVER_ID, lambda src, payload: None)
     net.register(0, lambda src, payload: inbox.append(payload))
@@ -182,7 +175,7 @@ def test_reconnect_drops_deliveries_sent_into_the_crash_window():
 
 
 def test_crashed_sender_cannot_send():
-    sim, net = make_network(None, reliability=None)
+    sim, net = make_network(None, arq=False)
     net.register(SERVER_ID, lambda src, payload: None)
     net.register(0, lambda src, payload: None)
     net.crash(0)
@@ -192,7 +185,7 @@ def test_crashed_sender_cannot_send():
 
 
 def test_reconnect_without_crash_rejected():
-    sim, net = make_network(None, reliability=None)
+    sim, net = make_network(None, arq=False)
     net.register(0, lambda src, payload: None)
     with pytest.raises(NetworkError):
         net.reconnect(0)
@@ -240,9 +233,12 @@ def _tiny_world(n=3, seed=3):
     )
 
 
-LIVENESS = LivenessConfig(
-    heartbeat_interval_ms=500.0, timeout_ms=2_000.0
-)
+#: A plan whose one crash window arms the clients' heartbeats and the
+#: server's liveness sweep (heartbeat 1 s, eviction after 5 s of
+#: silence), besides the ARQ transport and resubmission any plan arms.
+#: The engine schedules no crash from it: each test crashes client 0 by
+#: hand.
+LIVENESS = FaultPlan(crashes=(CrashWindow(0, 1_000.0),))
 
 
 def test_silent_client_is_evicted_and_gcd_from_indexes():
@@ -250,7 +246,7 @@ def test_silent_client_is_evicted_and_gcd_from_indexes():
     engine = SeveEngine(
         world, 3,
         SeveConfig(mode="seve", rtt_ms=50.0, tick_ms=20.0,
-                   fault_tolerant=True, liveness=LIVENESS),
+                   fault_tolerant=True, fault_plan=LIVENESS),
     )
     engine.start(stop_at=15_000.0)
 
@@ -273,7 +269,7 @@ def test_chatty_clients_are_not_evicted():
     engine = SeveEngine(
         world, 3,
         SeveConfig(mode="seve", rtt_ms=50.0, tick_ms=20.0,
-                   liveness=LIVENESS),
+                   fault_plan=LIVENESS),
     )
     engine.start(stop_at=10_000.0)
     engine.run(until=9_000.0)  # heartbeats flow, nobody dies
@@ -286,7 +282,7 @@ def test_reconnected_client_is_reattached():
     engine = SeveEngine(
         world, 3,
         SeveConfig(mode="seve", rtt_ms=50.0, tick_ms=20.0,
-                   fault_tolerant=True, liveness=LIVENESS),
+                   fault_tolerant=True, fault_plan=LIVENESS),
     )
     engine.start(stop_at=20_000.0)
 
@@ -321,7 +317,7 @@ def test_orphaned_action_aborted_when_all_holders_dead():
     engine = SeveEngine(
         world, 2,
         SeveConfig(mode="seve", rtt_ms=50.0, tick_ms=20.0,
-                   liveness=LIVENESS),
+                   fault_plan=LIVENESS),
     )
     engine.start(stop_at=20_000.0)
     victim = engine.client(0)
@@ -350,7 +346,7 @@ def test_action_with_live_holder_is_never_aborted():
     engine = SeveEngine(
         world, 2,
         SeveConfig(mode="seve", rtt_ms=50.0, tick_ms=20.0,
-                   liveness=LIVENESS),
+                   fault_plan=LIVENESS),
     )
     engine.start(stop_at=20_000.0)
     victim = engine.client(0)
@@ -367,3 +363,94 @@ def test_action_with_live_holder_is_never_aborted():
     engine.run(until=15_000.0)
     assert engine.server.stats.clients_evicted == 1
     assert engine.server.stats.orphans_aborted == 0
+
+
+# ---------------------------------------------------------------------------
+# The stack follows from the plan, however the engine is built
+# ---------------------------------------------------------------------------
+STACK_SETTINGS = SimulationSettings(
+    num_clients=4, num_walls=10, world_width=300.0, world_height=300.0,
+    spawn_extent=300.0, rtt_ms=100.0, seed=5,
+)
+
+#: Plan -> what it arms: (ARQ, client resubmission, heartbeats, liveness
+#: sweep, a gsn lease that fails over).
+STACK_PLANS = {
+    "no-plan": (None, (False, False, False, False, False)),
+    "null-plan": (FaultPlan(seed=3), (False, False, False, False, False)),
+    "lossy": (FaultPlan(loss_rate=0.05, seed=3), (True, True, False, False, False)),
+    "client-crash": (
+        FaultPlan(seed=3, crashes=(CrashWindow(1, 400.0, 1_200.0),)),
+        (True, True, True, True, False),
+    ),
+    "shard-crash": (
+        FaultPlan(seed=3, crashes=(CrashWindow(-1, 400.0, 1_200.0, shard_index=1),)),
+        (True, True, True, True, True),
+    ),
+}
+
+
+def _direct_engine(kind, plan):
+    """The engine built by hand from a config that carries only ``plan``."""
+    world = build_world(STACK_SETTINGS)
+    clients = STACK_SETTINGS.num_clients
+    if kind == "central":
+        return CentralEngine(world, clients, BaselineConfig(fault_plan=plan))
+    config = SeveConfig(fault_plan=plan)
+    if kind == "sharded":
+        return ShardedSeveEngine(
+            world, clients, config,
+            sharding=ShardingConfig(shards=2, world_width=STACK_SETTINGS.world_width),
+        )
+    return SeveEngine(world, clients, config)
+
+
+def _cli_engine(kind, plan):
+    """The engine a CLI run with ``plan`` builds."""
+    architecture = "central" if kind == "central" else "seve"
+    shards = 2 if kind == "sharded" else 1
+    return build_engine(
+        architecture, STACK_SETTINGS.with_(fault_plan=plan, shards=shards)
+    )
+
+
+def _armed(engine, monkeypatch):
+    """What of the fault-tolerance stack ``engine`` runs, as ordered in
+    :data:`STACK_PLANS`."""
+    beats = []
+    monkeypatch.setattr(ClientShell, "send_heartbeat", lambda client: beats.append(client))
+    engine.start(stop_at=2_000.0)
+    client = engine.clients[0]
+    replica = getattr(client, "optimistic", client.stable)
+    client.submit(engine.world.plan_move(replica, 0, client.next_action_id(), cost_ms=1.0))
+    resubmits = bool(client._retry_timers)
+    engine.run(until=1_500.0)
+    servers = engine._servers()
+    leases = [server.lease.start() for server in servers if hasattr(server, "lease")]
+    return (
+        engine.network.rto_ms is not None,
+        resubmits,
+        bool(beats),
+        all(server.liveness for server in servers),
+        any(leases),
+    )
+
+
+@pytest.mark.parametrize(
+    "kind, plan_name",
+    [
+        (kind, name)
+        for kind in ("seve", "central", "sharded")
+        for name in STACK_PLANS
+        if kind == "sharded" or name != "shard-crash"
+    ],
+)
+def test_the_fault_tolerance_stack_follows_from_the_plan(kind, plan_name, monkeypatch):
+    """An engine built directly from a config that carries only a fault
+    plan arms what a CLI run with that plan arms: a lossy plan the ARQ
+    transport and resubmission, a crash window heartbeats and the sweep
+    too, a shard crash window a lease that fails over; no plan or a null
+    plan none of these."""
+    plan, expected = STACK_PLANS[plan_name]
+    assert _armed(_direct_engine(kind, plan), monkeypatch) == expected
+    assert _armed(_cli_engine(kind, plan), monkeypatch) == expected

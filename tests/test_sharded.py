@@ -31,7 +31,7 @@ from repro.harness.architectures import build_engine, build_world
 from repro.harness.config import SimulationSettings
 from repro.harness.runner import run_simulation
 from repro.harness.workload import MoveWorkload
-from repro.net.faults import CrashWindow, FaultPlan, LivenessConfig, parse_crash_plan
+from repro.net.faults import CrashWindow, FaultPlan, parse_crash_plan
 from repro.types import shard_host_id
 from repro.world.geometry import Vec2
 from tests.test_golden_runs import RUNS as GOLDEN_RUNS
@@ -560,14 +560,14 @@ def test_shards_accept_crash_plans_and_liveness():
     engine = build_engine("seve", DIFF.with_(shards=2, fault_plan=crashing))
     assert isinstance(engine, ShardedSeveEngine)
     world = build_world(DIFF)
-    config = SeveConfig(mode="seve", rtt_ms=150.0, liveness=LivenessConfig())
+    config = SeveConfig(mode="seve", rtt_ms=150.0, fault_plan=crashing)
     engine = ShardedSeveEngine(
         world,
         DIFF.num_clients,
         config,
         sharding=ShardingConfig(shards=2, world_width=DIFF.world_width),
     )
-    assert engine.config.liveness is not None
+    assert engine.liveness
 
 
 def test_shard_crash_window_guards():
