@@ -519,7 +519,6 @@ class EngineChassis:
             rtt_ms=config.rtt_ms,
             bandwidth_bps=config.bandwidth_bps,
             faults=self.faults,
-            arq=self.faults is not None,
         )
         #: A plan with crash windows also gets the clients' heartbeats
         #: and the servers' liveness sweep (each server keys on its

@@ -77,7 +77,9 @@ class SeveConfig(TestbedConfig):
     info_bound_policy: str = "drop"
     max_delay_ticks: int = 3
     use_velocity_culling: bool = False
-    #: Fault-tolerant completions (every client reports every action).
+    #: Fault-tolerant completions (every client reports every action);
+    #: crash and adversary plans arm them by themselves (the engine's
+    #: ``fault_tolerant``).
     fault_tolerant: bool = False
     #: Ship the full initial world state to every client replica (the
     #: login-time download games perform).  Off by default: incomplete
@@ -149,6 +151,13 @@ class SeveEngine(EngineChassis):
         adversary = self.config.adversary
         #: Whether a non-null adversary plan is armed this run.
         self.adversary_active = adversary is not None and not adversary.is_null
+        #: Fault-tolerant completions (Section III-C): every client
+        #: reports every completion, so an action still commits when its
+        #: originator crashed (a plan with crash windows) or was
+        #: quarantined (an adversary plan) before reporting.
+        self.fault_tolerant = (
+            self.config.fault_tolerant or self.liveness or self.adversary_active
+        )
         #: Hook fired after each quarantine eviction (the harness stops
         #: the cheater's workload generator here).
         self.on_quarantine: Optional[Callable[[ClientId], None]] = None
@@ -254,7 +263,7 @@ class SeveEngine(EngineChassis):
         incomplete = self.config.mode != "basic"
         return ClientConfig(
             send_completions=incomplete,
-            report_all_completions=incomplete and self.config.fault_tolerant,
+            report_all_completions=incomplete and self.fault_tolerant,
             eval_overhead_ms=self.config.eval_overhead_ms,
             interests=interests,
             strict_stream=self.faults is None,

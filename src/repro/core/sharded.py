@@ -989,7 +989,7 @@ class ShardedSeveEngine(SeveEngine):
             self._spanning_ids.add(action.action_id)
             return True
         if kind is Completion:
-            return self.config.fault_tolerant or payload.action_id in self._spanning_ids
+            return self.fault_tolerant or payload.action_id in self._spanning_ids
         if kind is SpanSplice:
             return dst == shard_host_id(payload.owner)
         return kind is SpanForward or kind is HandoffReady

@@ -108,13 +108,6 @@ def seve_config(settings: SimulationSettings, mode: str, **overrides) -> SeveCon
         **settings.for_layer("seve"),
         mode=mode,
         threshold=settings.effective_threshold,
-        # Crash plans force fault-tolerant completions: the server
-        # must be able to commit actions whose originator died.
-        # Adversary plans force them too: a quarantined cheater's
-        # entries must commit from honest reporters.
-        fault_tolerant=settings.fault_tolerant
-        or bool(settings.fault_plan and settings.fault_plan.crashes)
-        or settings.adversary_active,
         # The cross-shard consistency audit replays per-client
         # observation logs, so sharded runs always record them
         # (pure bookkeeping — never changes scheduling).

@@ -206,7 +206,7 @@ class SimulationSettings:
         help="cull First Bound pushes by the receiver's velocity",
     )
     fault_tolerant: bool = knob(
-        False,
+        SeveConfig.fault_tolerant, to="seve",
         help="every client reports every completion (Section III-C); "
         "crash plans and adversary plans turn it on by themselves",
     )

@@ -14,14 +14,12 @@ Fault injection and reliability
 -------------------------------
 When built with a :class:`~repro.net.faults.FaultInjector` the network
 consults it once per message: the message may be dropped, delayed by
-extra jitter, or delivered twice.  Built with ``arq=True`` (every run
-whose fault plan is not null) the network additionally runs a
+extra jitter, or delivered twice.  An injector also arms a
 selective-repeat ARQ *below* the handler layer — per-(src, dst)
 sequence numbers, cumulative ACKs, retransmission timers with capped
 exponential backoff — restoring reliable FIFO delivery over the lossy
 plan for every architecture without protocol changes.  Neither feature
-costs anything when absent: with no injector and no ARQ, ``send``
-takes exactly the pre-fault code path (the differential tests in
+costs anything when absent: with no injector, ``send`` takes exactly the pre-fault code path (the differential tests in
 ``tests/test_fault_differential.py`` pin this down).
 """
 
@@ -115,7 +113,6 @@ class Network:
         rtt_ms: TimeMs,
         bandwidth_bps: Optional[float] = None,
         faults: Optional[FaultInjector] = None,
-        arq: bool = False,
     ) -> None:
         """Create a network whose client<->server one-way latency is
         ``rtt_ms / 2`` (the paper assumes symmetric halves of the RTT).
@@ -125,7 +122,7 @@ class Network:
         bottleneck: its links inherit the client cap per destination,
         which already rate-limits each downlink.
 
-        ``faults`` injects per-message loss/jitter/duplication; ``arq``
+        ``faults`` injects per-message loss/jitter/duplication and
         layers the ARQ transport on top (see module docstring), its
         retransmit timeout starting at ``2 rtt + 100`` ms.
         """
@@ -138,7 +135,9 @@ class Network:
         self.faults = faults
         #: Initial retransmit timeout of the ARQ transport; ``None``:
         #: no ARQ (the fault-free path).
-        self.rto_ms: Optional[TimeMs] = 2.0 * rtt_ms + 100.0 if arq else None
+        self.rto_ms: Optional[TimeMs] = (
+            2.0 * rtt_ms + 100.0 if faults is not None else None
+        )
         self.meter = TrafficMeter()
         self._handlers: Dict[ClientId, Handler] = {}
         self._links: Dict[Tuple[ClientId, ClientId], Link] = {}

@@ -245,7 +245,7 @@ def test_retry_jitter_is_seeded_and_bounded():
 
 def test_suite_factories_scale_with_rtt():
     assert retry_delay(0, 238.0, random.Random(0)) >= 4 * 238.0
-    arq = Network(Simulator(), rtt_ms=238.0, arq=True)
+    arq = Network(Simulator(), rtt_ms=238.0, faults=FaultInjector(FaultPlan()))
     assert arq.rto_ms > 238.0  # past one round trip
     assert Network(Simulator(), rtt_ms=238.0).rto_ms is None
     assert LIVENESS_TIMEOUT_MS > HEARTBEAT_INTERVAL_MS

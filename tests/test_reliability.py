@@ -23,15 +23,14 @@ from repro.types import SERVER_ID
 from repro.world.manhattan import ManhattanConfig, ManhattanWorld
 
 
-def make_network(plan=None, *, arq=True):
-    """A 100 ms network (ARQ timeout 300 ms, capped at 2 400 ms)."""
+def make_network(plan=FaultPlan()):
+    """A 100 ms network (ARQ timeout 300 ms, capped at 2 400 ms).
+
+    Any plan arms the ARQ transport, a null one without drawing a fault;
+    ``plan=None`` is the fault-free network with no ARQ."""
     sim = Simulator()
-    injector = (
-        FaultInjector(plan) if plan is not None and not plan.is_null else None
-    )
-    net = Network(
-        sim, rtt_ms=100.0, bandwidth_bps=None, faults=injector, arq=arq
-    )
+    injector = FaultInjector(plan) if plan is not None else None
+    net = Network(sim, rtt_ms=100.0, bandwidth_bps=None, faults=injector)
     return sim, net
 
 
@@ -95,7 +94,7 @@ def test_arq_gives_up_and_drains_under_total_blackout():
 
 
 def test_arq_header_and_ack_bytes_are_metered():
-    sim, net = make_network(None)
+    sim, net = make_network()
     net.register(SERVER_ID, lambda src, payload: None)
     net.register(0, lambda src, payload: None)
     net.send(0, SERVER_ID, "x", 100)
@@ -106,7 +105,7 @@ def test_arq_header_and_ack_bytes_are_metered():
 
 
 def test_unreliable_escape_hatch_skips_arq():
-    sim, net = make_network(None)
+    sim, net = make_network()
     received = []
     net.register(SERVER_ID, lambda src, payload: received.append(payload))
     net.register(0, lambda src, payload: None)
@@ -124,7 +123,7 @@ def test_crash_cancels_inflight_deliveries_both_directions():
     """Killing a host with messages in flight both ways must not raise,
     must not hand payloads to a dead handler, and must take back the
     receive-side byte credit."""
-    sim, net = make_network(None, arq=False)
+    sim, net = make_network(None)
     inbox = []
     net.register(SERVER_ID, lambda src, payload: inbox.append(payload))
     net.register(0, lambda src, payload: inbox.append(payload))
@@ -138,7 +137,7 @@ def test_crash_cancels_inflight_deliveries_both_directions():
 
 
 def test_reconnect_restores_the_parked_handler():
-    sim, net = make_network(None, arq=False)
+    sim, net = make_network(None)
     inbox = []
     net.register(SERVER_ID, lambda src, payload: None)
     net.register(0, lambda src, payload: inbox.append(payload))
@@ -159,7 +158,7 @@ def test_reconnect_drops_deliveries_sent_into_the_crash_window():
     batch built during a crash window — computed against bookkeeping the
     reconnect resync discards — used to slip through and poison the
     rejoiner's replica.)"""
-    sim, net = make_network(None, arq=False)
+    sim, net = make_network(None)
     inbox = []
     net.register(SERVER_ID, lambda src, payload: None)
     net.register(0, lambda src, payload: inbox.append(payload))
@@ -175,7 +174,7 @@ def test_reconnect_drops_deliveries_sent_into_the_crash_window():
 
 
 def test_crashed_sender_cannot_send():
-    sim, net = make_network(None, arq=False)
+    sim, net = make_network(None)
     net.register(SERVER_ID, lambda src, payload: None)
     net.register(0, lambda src, payload: None)
     net.crash(0)
@@ -185,7 +184,7 @@ def test_crashed_sender_cannot_send():
 
 
 def test_reconnect_without_crash_rejected():
-    sim, net = make_network(None, arq=False)
+    sim, net = make_network(None)
     net.register(0, lambda src, payload: None)
     with pytest.raises(NetworkError):
         net.reconnect(0)
@@ -197,7 +196,7 @@ def test_reliable_sends_to_crashed_host_build_no_channel_state():
     """Reliable traffic towards a crashed destination degrades to raw
     delivery (cancelled on arrival) instead of accumulating an ARQ
     backlog that would retransmit until give-up."""
-    sim, net = make_network(None)
+    sim, net = make_network()
     net.register(SERVER_ID, lambda src, payload: None)
     net.register(0, lambda src, payload: None)
     net.crash(0)
@@ -209,7 +208,7 @@ def test_reliable_sends_to_crashed_host_build_no_channel_state():
 
 
 def test_arq_restarts_fresh_after_reconnect():
-    sim, net = make_network(None)
+    sim, net = make_network()
     received = []
     net.register(SERVER_ID, lambda src, payload: received.append(payload))
     net.register(0, lambda src, payload: None)
@@ -448,9 +447,12 @@ def _armed(engine, monkeypatch):
 def test_the_fault_tolerance_stack_follows_from_the_plan(kind, plan_name, monkeypatch):
     """An engine built directly from a config that carries only a fault
     plan arms what a CLI run with that plan arms: a lossy plan the ARQ
-    transport and resubmission, a crash window heartbeats and the sweep
-    too, a shard crash window a lease that fails over; no plan or a null
-    plan none of these."""
+    transport and resubmission, a crash window heartbeats, the sweep and
+    fault-tolerant completions too, a shard crash window a lease that
+    fails over; no plan or a null plan none of these."""
     plan, expected = STACK_PLANS[plan_name]
-    assert _armed(_direct_engine(kind, plan), monkeypatch) == expected
-    assert _armed(_cli_engine(kind, plan), monkeypatch) == expected
+    for engine in (_direct_engine(kind, plan), _cli_engine(kind, plan)):
+        assert _armed(engine, monkeypatch) == expected
+        if kind != "central":  # a baseline commits at its server
+            crash_windows = expected[2]
+            assert engine.clients[0].config.report_all_completions == crash_windows

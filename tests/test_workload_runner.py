@@ -133,7 +133,7 @@ def test_built_engine_carries_every_mapped_knob(architecture, changes):
     # The other direction, for a forgotten mapping: a knob that shares
     # its name with a field of a layer's config is mapped to it, unless
     # the builder computes that field from several knobs.
-    computed = {"threshold", "fault_tolerant", "elastic"}
+    computed = {"threshold", "elastic"}
     for layer in checked - {architecture}:
         names = {name for name in layers if layers[name] is layers[layer]}
         for received in dataclasses.fields(layers[layer]):
