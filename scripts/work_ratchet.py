@@ -5,7 +5,8 @@ changed is not redone").
 Runs the smoke-scale ``crowd_k1`` and ``sprawl_k4`` shapes of
 ``benchmarks/perf/workloads.py`` (spelled out below, seed 1000) and
 counts three kinds of repeated work by wrapping them: the server's
-Algorithm 6 closure walks (``transitive_closure``), the evaluations of
+Algorithm 6 closure walks (the full walks, ``transitive_closure``, and
+a push cycle's one walk per entry, ``all_sent_walk``), the evaluations of
 a move (``MoveAction.compute``) and the push path's re-nominations of a
 client's window (``IncompleteWorldServer._renominated``, the fallback
 for a client that drifted past the margin; docs/performance.md,
@@ -33,18 +34,18 @@ from repro.world.movement import MoveAction  # noqa: E402
 #: margin, the re-nominations were 3 and 52; before a span's owner-shard
 #: clients got its code, ``sprawl_k4`` read 257 walks and 2 re-nominations;
 #: while a late closure entry waited for the commit frontier, 250 and
-#: 204 walks.
+#: 204 walks; before a push cycle walked once per entry, 246 and 202.
 SHAPES = {
     "crowd_k1": (
         SimulationSettings(num_clients=16, num_walls=2_000, moves_per_client=4, seed=1000),
-        (246, 72, 0),
+        (69, 72, 0),
     ),
     "sprawl_k4": (
         SimulationSettings(
             num_clients=48, num_walls=500, moves_per_client=3, world_width=600.0,
             spawn="uniform", shards=4, seed=1000,
         ),
-        (202, 146, 0),
+        (147, 146, 0),
     ),
 }
 WHAT = ("closure walks", "move evaluations", "re-nominations")
@@ -56,11 +57,15 @@ def count_work(settings: SimulationSettings) -> tuple:
     counts = [0, 0, 0]
     server_class = server_incomplete.IncompleteWorldServer
     walk, compute = server_incomplete.transitive_closure, MoveAction.compute
-    renominated = server_class._renominated
+    all_sent, renominated = server_incomplete.all_sent_walk, server_class._renominated
 
     def counted_walk(*args, **kwargs):
         counts[0] += 1
         return walk(*args, **kwargs)
+
+    def counted_all_sent(*args, **kwargs):
+        counts[0] += 1
+        return all_sent(*args, **kwargs)
 
     def counted_compute(action, *args):
         counts[1] += 1
@@ -71,12 +76,12 @@ def count_work(settings: SimulationSettings) -> tuple:
         return renominated(*args)
 
     server_incomplete.transitive_closure, MoveAction.compute = counted_walk, counted_compute
-    server_class._renominated = counted_renominated
+    server_incomplete.all_sent_walk, server_class._renominated = counted_all_sent, counted_renominated
     try:
         run_simulation("seve", settings)
     finally:
         server_incomplete.transitive_closure, MoveAction.compute = walk, compute
-        server_class._renominated = renominated
+        server_incomplete.all_sent_walk, server_class._renominated = all_sent, renominated
     return tuple(counts)
 
 

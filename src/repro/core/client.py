@@ -100,6 +100,8 @@ class ProtocolClient(ClientShell):
     #: 56 bytes): the host runs one :meth:`_process_next` per entry, in
     #: the same order.
     _arrivals: Optional[List[OrderedAction]] = None
+    #: The radius a post-crash hello announces (set by :meth:`rejoin`).
+    _hello_radius: float = 0.0
 
     def __init__(
         self,
@@ -127,6 +129,10 @@ class ProtocolClient(ClientShell):
         self.queue = PendingQueue()
         self._applied_positions: Set[int] = set()
         self._gc_frontier = -1
+        #: Whether ``_applied_positions`` may hold a position at or below
+        #: ``_gc_frontier`` (one delivered after the frontier passed it,
+        #: or a stream taken back from ``_stream_state``).
+        self._strays = False
         #: Observation log (``record_observations``): one tuple per
         #: applied stream entry ``(server_id, pos, action_id, origin)``
         #: plus ``("epoch", shard_id)`` markers at handoff boundaries.
@@ -144,7 +150,6 @@ class ProtocolClient(ClientShell):
         #: a HandoffWelcome answers it.
         self._rejoin_target: Optional[ClientId] = None
         self._hello_timer: Optional[Event] = None
-        self._hello_radius: float = 0.0
         #: Per-shard stream dedup state parked across handoffs, so a
         #: return to a previously visited shard keeps its positions.
         self._stream_state: Dict[ClientId, tuple] = {}
@@ -245,8 +250,7 @@ class ProtocolClient(ClientShell):
         if self._stale(src):
             return
         if batch.last_installed > self._gc_frontier:
-            self._gc_frontier = batch.last_installed
-            self._garbage_collect()
+            self._garbage_collect(batch.last_installed)
         for entry in batch.entries:
             self._enqueue_entry(entry)
 
@@ -279,20 +283,23 @@ class ProtocolClient(ClientShell):
             self._on_batch(src, own_batch)
 
     def _enqueue_entry(self, entry: OrderedAction) -> None:
-        if entry.pos >= 0:
+        pos = entry.pos
+        if pos >= 0:
             # The GC frontier is deliberately NOT a duplicate signal: a
             # batch's last_installed covers the batch's own entries, so
             # first deliveries at pos <= frontier are legitimate.  The
             # ARQ transport dedups injected duplicates below this layer.
-            if entry.pos in self._applied_positions:
+            if pos in self._applied_positions:
                 if self.config.strict_stream:
-                    raise ProtocolError(
-                        f"client {self.client_id}: duplicate delivery of pos {entry.pos}"
-                    )
+                    raise ProtocolError(f"client {self.client_id}: duplicate delivery of pos {pos}")
                 return  # non-strict: skip the duplicate delivery
-            self._applied_positions.add(entry.pos)
+            self._applied_positions.add(pos)
+            if pos <= self._gc_frontier:
+                self._strays = True
+        # ``BlindWrite`` has no subclasses: an exact type test skips the
+        # ABC instance check on the per-entry path.
         cost = entry.action.cost_ms + (
-            0.0 if isinstance(entry.action, BlindWrite) else self.config.eval_overhead_ms
+            0.0 if type(entry.action) is BlindWrite else self.config.eval_overhead_ms
         )
         self.stats.entries_applied += 1
         self.stats.apply_cpu_ms += cost
@@ -331,12 +338,12 @@ class ProtocolClient(ClientShell):
         """Step 4: remote action (or server blind write) applied to ζ_CS,
         which ζ_CO reads through outside WS(Q)."""
         action = entry.action
-        if isinstance(action, BlindWrite):
+        if type(action) is BlindWrite:
             self.stats.blind_writes_applied += 1
         else:
             self.stats.stable_evaluations += 1
         result = action.apply(self.stable)
-        if self.config.report_all_completions and not isinstance(action, BlindWrite):
+        if self.config.report_all_completions and type(action) is not BlindWrite:
             self._send_completion(action, result, pos=entry.pos)
 
     def _process_own_action(self, entry: OrderedAction) -> None:
@@ -507,13 +514,9 @@ class ProtocolClient(ClientShell):
         if src != self.server_id:
             # Swap per-shard stream dedup state: positions are local to
             # each shard's serialization stream.
-            self._stream_state[self.server_id] = (
-                self._applied_positions,
-                self._gc_frontier,
-            )
-            self._applied_positions, self._gc_frontier = self._stream_state.pop(
-                src, (set(), -1)
-            )
+            self._stream_state[self.server_id] = (self._applied_positions, self._gc_frontier)
+            self._applied_positions, self._gc_frontier = self._stream_state.pop(src, (set(), -1))
+            self._strays = True
             self.server_id = src
         resolved = False
         for action_id in welcome.resolved:
@@ -572,12 +575,19 @@ class ProtocolClient(ClientShell):
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
-    def _garbage_collect(self) -> None:
-        """Drop dedup bookkeeping below the server's commit frontier
-        (the paper's 'optimized for memory' note in Section III-C)."""
-        self._applied_positions = {
-            pos for pos in self._applied_positions if pos > self._gc_frontier
-        }
+    def _garbage_collect(self, frontier: int) -> None:
+        """Move the commit frontier up to ``frontier`` and drop the dedup
+        bookkeeping at or below it (the paper's 'optimized for memory'
+        note in Section III-C), in place: position by position from the
+        old frontier up, or, when the set is the shorter walk or may hold
+        a stray below the old frontier, in one pass over the set."""
+        applied, old = self._applied_positions, self._gc_frontier
+        self._gc_frontier = frontier
+        if self._strays or frontier - old > len(applied):
+            applied.difference_update([pos for pos in applied if pos <= frontier])
+            self._strays = False
+        else:
+            applied.difference_update(range(old + 1, frontier + 1))
 
     @property
     def pending_count(self) -> int:

@@ -144,14 +144,42 @@ def _holds_newer_write(entries, entry, client_id, high_water, chain, writers, ba
     return False
 
 
+def _check_candidate(candidate: QueueEntry, client_id: ClientId) -> None:
+    """A closure is built only for an entry that is not dropped and not
+    yet sent to the client."""
+    if candidate.valid is False:
+        raise ProtocolError(f"cannot build closure for dropped {candidate.pos}")
+    if client_id in candidate.sent:
+        raise ProtocolError(f"closure candidate pos {candidate.pos} already sent to {client_id}")
+
+
+def _walk_writers(entries, accumulated, cursor, client_id, writer_index, base_pos, held) -> Optional[int]:
+    """Walk down from queue position ``cursor`` through the uncommitted
+    writers of the set ``accumulated`` (S), found through the
+    :class:`WriterIndex` ``writer_index``.  A dropped writer (a no-op)
+    and one writing only what left S are passed over; one the client
+    holds (any, when ``client_id`` is None) takes its writes out of S
+    and is appended to ``held``.  Returns the index of the first writer
+    the client does not hold — the next chain member — or None once no
+    uncommitted writer of S is left below the cursor."""
+    while accumulated:
+        best = writer_index.latest_writer_before(accumulated, cursor)
+        if best < base_pos:
+            return None
+        cursor = best
+        writer = entries[best - base_pos]
+        if writer.valid is False or not (writer.action.writes & accumulated):
+            continue
+        if client_id is not None and client_id not in writer.sent:
+            return best - base_pos
+        accumulated -= writer.action.writes
+        held.append(writer)
+    return None
+
+
 def transitive_closure(
-    entries: Sequence[QueueEntry],
-    candidate_index: int,
-    client_id: ClientId,
-    *,
-    writer_index: WriterIndex,
-    base_pos: int = 0,
-    high_water: int = -1,
+    entries: Sequence[QueueEntry], candidate_index: int, client_id: ClientId, *,
+    writer_index: WriterIndex, base_pos: int = 0, high_water: int = -1,
 ) -> Tuple[Optional[List[int]], frozenset[ObjectId]]:
     """Algorithm 6 for ``entries[candidate_index]`` and client C.
 
@@ -191,11 +219,7 @@ def transitive_closure(
     every earlier entry would (``tests/reference`` keeps that scan as
     the oracle).
     """
-    candidate = entries[candidate_index]
-    if candidate.valid is False:
-        raise ProtocolError(f"cannot build closure for dropped {candidate.pos}")
-    if client_id in candidate.sent:
-        raise ProtocolError(f"closure candidate pos {candidate.pos} already sent to {client_id}")
+    _check_candidate(entries[candidate_index], client_id)
     accumulated: Set[ObjectId] = set()
     chain: List[int] = []
     index: Optional[int] = candidate_index
@@ -217,21 +241,44 @@ def transitive_closure(
             accumulated |= action.reads
         chain.append(index)
         entry.sent.add(client_id)
-        index, cursor = None, entry.pos
-        while accumulated:
-            best = writer_index.latest_writer_before(accumulated, cursor)
-            if best < base_pos:
-                break  # no uncommitted writer of S below the cursor
-            cursor = best
-            writer = entries[best - base_pos]
-            if writer.valid is False or not (writer.action.writes & accumulated):
-                continue  # dropped (a no-op), or writes only what left S
-            if client_id not in writer.sent:
-                index = best - base_pos  # joins the chain
-                break
-            accumulated -= writer.action.writes
+        index = _walk_writers(entries, accumulated, entry.pos, client_id, writer_index, base_pos, [])
     chain.reverse()
     return chain, frozenset(accumulated)
+
+
+#: An all-sent walk: the writers passed, in descending order, and the seed.
+Walk = Tuple[List[QueueEntry], frozenset]
+
+
+def all_sent_walk(entries, candidate_index: int, *, writer_index: WriterIndex, base_pos: int = 0) -> Walk:
+    """The *all-sent walk* of ``entries[candidate_index]``: the writers
+    :func:`transitive_closure` passes below that entry for a client that
+    holds every one of them, in descending order, and the seed S left at
+    the end.  The candidate must be code on the walk's first step (not
+    late for the client, not a span value entry), so its reads start S.
+    Nothing here depends on the client: within one synchronous push
+    cycle the writers below an entry, their verdicts and the commit
+    frontier stay fixed, so a walk made once serves every client
+    (:func:`held_closure`)."""
+    candidate = entries[candidate_index]
+    accumulated, held = set(candidate.action.reads), []
+    _walk_writers(entries, accumulated, candidate.pos, None, writer_index, base_pos, held)
+    return held, frozenset(accumulated)
+
+
+def held_closure(walk: Walk, entries: Sequence[QueueEntry], candidate_index: int, client_id: ClientId):
+    """What :func:`transitive_closure` returns for ``entries[candidate_index]``
+    and a client holding every writer of its all-sent ``walk``: the
+    candidate alone, marked sent, and the walk's seed.  None when the
+    client lacks one of them (its chain is longer: walk it in full)."""
+    held, seed = walk
+    for writer in held:
+        if client_id not in writer.sent:
+            return None
+    candidate = entries[candidate_index]
+    _check_candidate(candidate, client_id)
+    candidate.sent.add(client_id)
+    return [candidate_index], seed
 
 
 class KnownValuesTracker:
@@ -264,15 +311,15 @@ class KnownValuesTracker:
 
     def needs(self, client_id: ClientId, oid: ObjectId) -> bool:
         """Whether a blind write to ``client_id`` must include ``oid``."""
-        current = self._last_writer.get(oid, -1)
-        held = self._known.get(client_id, {}).get(oid, self._MISSING)
-        return held != current
+        return bool(self.filter_seed(client_id, (oid,)))
 
     def filter_seed(
         self, client_id: ClientId, seed: frozenset[ObjectId]
     ) -> frozenset[ObjectId]:
-        """The subset of ``seed`` the blind write must actually carry."""
-        return frozenset(oid for oid in seed if self.needs(client_id, oid))
+        """The subset of ``seed`` the blind write must actually carry:
+        the objects whose committed version the client does not hold."""
+        holdings, current = self._known.get(client_id, {}), self._last_writer
+        return frozenset(oid for oid in seed if holdings.get(oid, self._MISSING) != current.get(oid, -1))
 
     def record_blind_write(self, client_id: ClientId, oids: frozenset[ObjectId]) -> None:
         """The client was just sent the current committed values of

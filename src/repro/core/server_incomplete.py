@@ -29,10 +29,7 @@ from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
 from repro.core.action import Action, ActionId, BlindWrite
 from repro.core.chassis import ServerShell, ServerStats
 from repro.core.closure import (
-    KnownValuesTracker,
-    QueueEntry,
-    ships_as_value,
-    transitive_closure,
+    KnownValuesTracker, QueueEntry, all_sent_walk, held_closure, ships_as_value, transitive_closure,
     value_action,
 )
 from repro.core.first_bound import FirstBoundPredicate
@@ -381,22 +378,36 @@ class IncompleteWorldServer(ServerShell):
         ships as the one :class:`OrderedAction` its queue entry keeps
         for every client: its code, or a span value entry's committed
         result (``QueueEntry.span_value``).
+
+        Inside a push cycle an entry that is code on its first step (not
+        late for the client, not a span value entry) is answered from
+        the cycle's one walk of it (:func:`~repro.core.closure.held_closure`)
+        when the client holds every writer that walk passed; every other
+        closure walks in full.  Batch, marks, stats and cost are the same.
         """
-        record = self.clients[client_id]
+        record, stats = self.clients[client_id], self.stats
         high_water = record.high_water
-        chain, seed = transitive_closure(
-            self._entries, entry.pos - self._base_pos, client_id, writer_index=self._writer_index,
-            base_pos=self._base_pos, high_water=high_water,
+        entries, index, base = self._entries, entry.pos - self._base_pos, self._base_pos
+        walks, writers, closure = self._walks, self._writer_index, None
+        if walks is not None and entry.pos >= high_water and not entry.span_value:
+            walk = walks.get(entry.pos)
+            if walk is None:
+                walk = walks[entry.pos] = all_sent_walk(entries, index, writer_index=writers, base_pos=base)
+            closure = held_closure(walk, entries, index, client_id)
+        chain, seed = closure or transitive_closure(
+            entries, index, client_id, writer_index=writers, base_pos=base, high_water=high_water
         )
-        cost = self._charge_closure()
+        cost = CLOSURE_MS
+        stats.closures_computed += 1
+        stats.build_cpu_ms += cost
         if chain is None:
-            self.stats.closures_deferred += 1
+            stats.closures_deferred += 1
             return None, cost
         record.high_water = max(high_water, entry.pos)
-        batch_entries = self._seed(client_id, seed, self.state.values_of)
+        batch_entries = self._seed(client_id, seed, self.state.values_of) if seed else []
         for chain_index in chain:
-            chained = self._entries[chain_index]
-            if ships_as_value(chained, client_id, high_water):
+            chained = entries[chain_index]
+            if chained.pos < high_water and ships_as_value(chained, client_id, high_water):
                 wired = OrderedAction(chained.pos, value_action(chained, chained.completion))
             elif chained.wired is None:
                 action = chained.action
@@ -407,8 +418,8 @@ class IncompleteWorldServer(ServerShell):
                 wired = chained.wired
             batch_entries.append(wired)
             cost += PUSH_ENTRY_MS
-            self.stats.build_cpu_ms += PUSH_ENTRY_MS
-        self.stats.entries_built += len(batch_entries)
+            stats.build_cpu_ms += PUSH_ENTRY_MS
+        stats.entries_built += len(batch_entries)
         return batch_entries, cost
 
     def _seed(self, client_id: ClientId, oids: frozenset, values_of) -> List[OrderedAction]:
@@ -423,13 +434,6 @@ class IncompleteWorldServer(ServerShell):
         self.known.record_blind_write(client_id, needed)
         self.stats.blind_writes_sent += 1
         return [OrderedAction(-1, blind)]
-
-    def _charge_closure(self) -> float:
-        """Count one Algorithm 6 closure and return its simulated cost."""
-        self.stats.closures_computed += 1
-        cost = CLOSURE_MS
-        self.stats.build_cpu_ms += cost
-        return cost
 
     def _send_batch(
         self, client_id: ClientId, batch_entries: List[OrderedAction]
@@ -493,18 +497,20 @@ class IncompleteWorldServer(ServerShell):
     # ------------------------------------------------------------------
     # First Bound pushes (every omega * RTT)
     # ------------------------------------------------------------------
+    #: The open push cycle's all-sent walks by entry position
+    #: (:func:`~repro.core.closure.all_sent_walk`); None between cycles.
+    _walks: Optional[Dict[int, tuple]] = None
+
     def _push_cycle(self) -> None:
         assert self.predicate is not None
         self.stats.push_cycles += 1
         obs = self.sim.obs
         self._push_candidates()
         if obs is not None:
-            obs.on_push_scan(
-                self.sim.now,
-                sum(len(record.pending) for record in self.clients.values()),
-            )
+            obs.on_push_scan(self.sim.now, sum(len(record.pending) for record in self.clients.values()))
         batches: List[Tuple[ClientId, List[OrderedAction]]] = []
         total_cost = 0.0
+        self._walks = {}
         for record in self.clients.values():
             # A parked handler is a broken connection: building a batch
             # would mark entries sent (and known values held) that can
@@ -520,13 +526,10 @@ class IncompleteWorldServer(ServerShell):
             total_cost += cost
             if batch_entries:
                 batches.append((record.client_id, batch_entries))
+        self._walks = None
         if obs is not None:
-            obs.on_push_build(
-                self.sim.now,
-                total_cost,
-                len(batches),
-                sum(len(batch_entries) for _, batch_entries in batches),
-            )
+            built = sum(len(batch_entries) for _, batch_entries in batches)
+            obs.on_push_build(self.sim.now, total_cost, len(batches), built)
 
         def send_all() -> None:
             clients = self.clients
@@ -692,21 +695,23 @@ class IncompleteWorldServer(ServerShell):
             return
         if message.pos < self._base_pos:
             return  # already installed (duplicate from fault-tolerant mode)
-        index = message.pos - self._base_pos
-        if index >= len(self._entries):
-            raise ProtocolError(
-                f"completion for unknown pos {message.pos} "
-                f"(queue covers [{self._base_pos}, {self._next_pos}))"
-            )
-        entry = self._entries[index]
-        if entry.action.action_id != message.action_id:
-            raise ProtocolError(
-                f"completion id mismatch at pos {message.pos}: "
-                f"{entry.action.action_id} vs {message.action_id}"
-            )
+        entry, breach = self._completed_entry(message)
+        if breach:
+            raise ProtocolError(f"{breach}; expected {message.action_id}")
         self._note_completion(entry, message)
         entry.record_completion(message.result, src)
         self._advance_frontier()
+
+    def _completed_entry(self, message: Completion) -> Tuple[Optional[QueueEntry], str]:
+        """The queued entry a completion at or above the frontier names,
+        and what is wrong with the message ("" when nothing is)."""
+        index = message.pos - self._base_pos
+        if index >= len(self._entries):
+            return None, f"completion for unknown pos {message.pos}"
+        entry = self._entries[index]
+        if entry.action.action_id != message.action_id:
+            return entry, f"completion id mismatch at pos {message.pos} ({entry.action.action_id})"
+        return entry, ""
 
     def _screen_completion(self, src: ClientId, message: Completion) -> bool:
         """Cheat-detection screen over a reported completion.
@@ -733,20 +738,9 @@ class IncompleteWorldServer(ServerShell):
                         f"{message.pos}",
                     )
             return True
-        index = message.pos - self._base_pos
-        if index >= len(self._entries):
-            detector.flag(
-                "breach", src, action=message.action_id,
-                detail=f"completion for unknown pos {message.pos}",
-            )
-            return True
-        entry = self._entries[index]
-        if entry.action.action_id != message.action_id:
-            detector.flag(
-                "breach", src, action=message.action_id,
-                detail=f"completion id mismatch at pos {message.pos} "
-                f"({entry.action.action_id})",
-            )
+        entry, breach = self._completed_entry(message)
+        if breach:
+            detector.flag("breach", src, action=message.action_id, detail=breach)
             return True
         verdict = detector.screen_completion(
             src, entry.action, entry.completion, entry.reporters,

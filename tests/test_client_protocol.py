@@ -280,6 +280,91 @@ def test_gc_frontier_prunes_dedup_positions():
     assert 5 in h.client._applied_positions
 
 
+class _RebuildOracle:
+    """The dedup bookkeeping as a per-batch set rebuild keeps it: when a
+    batch's ``last_installed`` passes the frontier, the positions above
+    the new frontier, copied into a fresh set; one parked set and
+    frontier per stream a handoff left."""
+
+    def __init__(self, stream):
+        self.applied, self.frontier, self.stream, self.parked = set(), -1, stream, {}
+
+    def batch(self, positions, last_installed):
+        """The duplicate verdict of each of ``positions``."""
+        if last_installed > self.frontier:
+            self.frontier = last_installed
+            self.applied = {pos for pos in self.applied if pos > self.frontier}
+        verdicts = []
+        for pos in positions:
+            verdicts.append(pos in self.applied)
+            self.applied.add(pos)
+        return verdicts
+
+    def swap(self, stream):
+        self.parked[self.stream] = (self.applied, self.frontier)
+        self.applied, self.frontier = self.parked.pop(stream, (set(), -1))
+        self.stream = stream
+
+
+def test_dedup_pruning_matches_a_set_rebuild_after_every_batch():
+    """Random delivery sequences — in-order batches, late positions at or
+    below the frontier, repeats, crash discards and handoff stream swaps
+    — keep ``_applied_positions`` and every duplicate verdict equal to
+    those of a set rebuilt on every batch that moves the frontier."""
+    import random
+
+    from repro.core.messages import HandoffWelcome
+    from repro.types import shard_host_id
+
+    rng = random.Random(58)
+    events = dict(late=0, swaps=0, discards=0, short_walks=0, set_walks=0)
+    for _ in range(60):
+        h = Harness(strict_stream=False)
+        client = h.client
+        client.server_id = shard_host_id(0)
+        oracle = _RebuildOracle(0)
+        tops = {0: -1}  # highest position sent per stream
+        for _ in range(40):
+            roll = rng.random()
+            if roll < 0.08:  # a handoff to another shard's stream
+                stream = rng.choice([s for s in range(3) if s != oracle.stream])
+                client._complete_migration(shard_host_id(stream), HandoffWelcome(stream))
+                oracle.swap(stream)
+                tops.setdefault(stream, -1)
+                events["swaps"] += 1
+                continue
+            top = tops[oracle.stream]
+            positions = list(range(top + 1, top + 1 + rng.randrange(6)))
+            if roll < 0.4 and top >= 0:  # late positions and repeats below the top
+                positions += rng.sample(range(top + 1), min(top + 1, rng.randrange(1, 4)))
+                events["late"] += any(pos <= oracle.frontier for pos in positions)
+            tops[oracle.stream] = max([top, *positions])
+            jump = rng.choice([0, 1, 2, 5, 40])
+            last_installed = min(oracle.frontier + jump, tops[oracle.stream] + jump)
+            if last_installed > oracle.frontier:
+                walk = last_installed - oracle.frontier
+                events["short_walks" if walk <= len(oracle.applied) else "set_walks"] += 1
+            entries = [
+                OrderedAction(pos, BlindWrite(ActionId(SERVER_ID, pos), {})) for pos in positions
+            ]
+            queued = len(client._arrivals or ())
+            client._on_batch(client.server_id, ActionBatch(tuple(entries), last_installed=last_installed))
+            accepted = (client._arrivals or [])[queued:]
+            want = oracle.batch(positions, last_installed)
+            assert [not any(entry is taken for taken in accepted) for entry in entries] == want
+            if roll > 0.9:  # crashed before the CPU applied them
+                h.network.crash(0)
+                h.sim.run()
+                h.network.reconnect(0)
+                for entry in accepted:
+                    oracle.applied.discard(entry.pos)
+                events["discards"] += len(accepted)
+            h.sim.run()
+            assert client._applied_positions == oracle.applied
+            assert client._gc_frontier == oracle.frontier
+    assert all(count > 10 for count in events.values()), events
+
+
 def test_optimistic_eval_tolerates_missing_reads():
     h = Harness()
     action = AddAction(h.client.next_action_id(), 1, oid="ghost:0")
