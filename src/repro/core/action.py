@@ -264,11 +264,10 @@ class BlindWrite(Action):
         actually wrote — a partial write that must merge over the
         seeded object, exactly as an evaluation's write-back would.
         """
-        values = {oid: dict(attrs) for oid, attrs in self._values.items()}
         if self.origin is not None:
-            store.merge(values)
+            store.merge(self._values)
         else:
-            store.install(values)
+            store.install(self._values)
         return ActionResult.of(self._values)
 
     def values(self) -> ValuesDict:

@@ -205,12 +205,15 @@ class ManhattanWorld(World):
         *,
         exclude: Optional[ObjectId] = None,
     ) -> List[ObjectId]:
-        """Known avatars within ``radius`` of ``center`` (sorted ids)."""
-        found = []
+        """Known avatars within ``radius`` of ``center`` (sorted ids).
+        The distance is :meth:`Vec2.distance_to`'s, taken straight from
+        each object's attribute dict."""
+        found, (x, y), hypot = [], center, math.hypot
         for obj in store.objects():
             if oid_kind(obj.oid) != "avatar" or obj.oid == exclude:
                 continue
-            if avatar_position(obj).distance_to(center) <= radius:
+            attrs = obj._attrs
+            if hypot(float(attrs["x"]) - x, float(attrs["y"]) - y) <= radius:
                 found.append(obj.oid)
         return sorted(found)
 

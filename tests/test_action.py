@@ -153,6 +153,14 @@ def test_blind_write_values_are_copies():
     blind = BlindWrite.from_server(0, {"a:0": {"x": 1}})
     blind.values()["a:0"]["x"] = 999
     assert blind.values() == {"a:0": {"x": 1}}
+    # Neither an installed nor a merged object shares the blind write's
+    # attribute dicts: a later write to the store leaves it unchanged.
+    merged = BlindWrite(ActionId(SERVER_ID, 1), {"a:0": {"x": 1}}, origin=ActionId(1, 0))
+    for write in (blind, merged):
+        for store in (ObjectStore(), ObjectStore([WorldObject("a:0", {"x": 0, "y": 5})])):
+            write.apply(store)
+            store.get("a:0")["x"] = 999
+            assert write.values() == {"a:0": {"x": 1}}
 
 
 def test_blind_write_rs_equals_ws():

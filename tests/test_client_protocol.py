@@ -8,6 +8,8 @@ reconciliation, completions, and aborts.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.action import Action, ActionId, ActionResult, BlindWrite
@@ -16,6 +18,7 @@ from repro.core.messages import (
     AbortNotice,
     ActionBatch,
     Completion,
+    HandoffWelcome,
     OrderedAction,
     SubmitAction,
 )
@@ -25,7 +28,7 @@ from repro.net.network import Network
 from repro.net.simulator import Simulator
 from repro.state.objects import WorldObject
 from repro.state.store import ObjectStore
-from repro.types import SERVER_ID
+from repro.types import SERVER_ID, shard_host_id
 
 
 class AddAction(Action):
@@ -311,11 +314,6 @@ def test_dedup_pruning_matches_a_set_rebuild_after_every_batch():
     below the frontier, repeats, crash discards and handoff stream swaps
     — keep ``_applied_positions`` and every duplicate verdict equal to
     those of a set rebuilt on every batch that moves the frontier."""
-    import random
-
-    from repro.core.messages import HandoffWelcome
-    from repro.types import shard_host_id
-
     rng = random.Random(58)
     events = dict(late=0, swaps=0, discards=0, short_walks=0, set_walks=0)
     for _ in range(60):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
@@ -12,6 +13,8 @@ from repro.core.action import ActionId
 from repro.core.messages import MessageCodec, SubmitAction
 from repro.errors import ConfigurationError, MissingObjectError
 from repro.harness.config import WALL_COST_RADIUS
+from repro.state.objects import WorldObject
+from repro.state.store import ObjectStore
 from repro.world.avatar import avatar_id, avatar_object, avatar_position
 from repro.world.geometry import Vec2
 from repro.world.manhattan import ManhattanConfig, ManhattanWorld
@@ -422,6 +425,32 @@ def test_visible_avatar_count():
     assert world.visible_avatar_count(store, 0) == 1
     store = store_with_avatars((1, Vec2(110, 100), 0.0))
     assert world.visible_avatar_count(store, 0) == 0
+
+
+def test_avatars_within_matches_the_vec2_distance_filter():
+    """The scan reads each position from the attribute dict; it finds
+    what filtering on ``avatar_position(obj).distance_to(center)``
+    finds, with int and float coordinates, an avatar exactly on the
+    radius, a non-avatar object at the centre and the excluded id."""
+    rng = random.Random(58)
+    for _ in range(200):
+        center = rng.choice([Vec2(rng.uniform(0, 40), rng.uniform(0, 40)), Vec2(20, 20)])
+        radius = rng.choice([0.0, 5.0, 12.5, 30.0])
+        positions = [
+            rng.choice([Vec2(rng.uniform(0, 40), rng.uniform(0, 40)), Vec2(rng.randrange(40), rng.randrange(40))])
+            for _ in range(10)
+        ]
+        positions.append(Vec2(center.x + radius, center.y))
+        store = ObjectStore(avatar_object(i, p) for i, p in enumerate(positions))
+        store.put(WorldObject("wall:0", {"x": center.x, "y": center.y}))
+        exclude = rng.choice([None, avatar_id(0), avatar_id(10)])
+        expected = sorted(
+            obj.oid
+            for obj in store.objects()
+            if obj.oid.startswith("avatar:") and obj.oid != exclude
+            and avatar_position(obj).distance_to(center) <= radius
+        )
+        assert ManhattanWorld.avatars_within(store, center, radius, exclude=exclude) == expected
 
 
 def test_visible_wall_count_scales_with_walls():
